@@ -214,8 +214,8 @@ struct AllocProfile {
 }
 
 /// Measure allocator traffic of a warm width-1 batch (one persistent
-/// session, no helper threads — the counting allocator is
-/// process-wide, so the measured region must be single-threaded).
+/// session, no helper threads — the counting allocator counts per
+/// thread, so the measured work must run on the calling thread).
 ///
 /// The warm-up batch fills the shared travel-function cache; the
 /// session (and with it the scratch pool and L1) is still private to
@@ -621,7 +621,8 @@ fn to_json(
          \"singlefp_ch_expansions\": {}, \"expansion_speedup\": {:.1}, \
          \"flat_wall_seconds\": {:.6}, \"ch_wall_seconds\": {:.6}, \"wall_speedup\": {:.2}, \
          \"note\": \"serial singleFP, morning-rush workload; expansion_speedup is the \
-         machine-independent gate metric, wall_speedup is gated only on multi-core hosts; \
+         machine-independent gate metric, wall_speedup (two serial loops in one process) is \
+         gated at 3x on medium by --smoke; \
          overlay_bytes_ratio is the stored footprint vs the baseline layout of exact \
          functions plus materialized two-day extensions (0.5 target)\"}},\n",
         hierarchy.scale,
@@ -1125,15 +1126,14 @@ fn smoke() -> i32 {
 
     // Hierarchy gate: contraction must buy back its preprocessing —
     // the overlay search does ≥ 10x less expansion work per singleFP
-    // than flat search on the medium metro. Expansions are machine-
-    // independent; the wall-clock twin applies only where timing is
-    // trustworthy (multi-core hosts — the 1-core bench box times
-    // everything atop scheduler noise).
+    // than flat search on the medium metro, and wins on the clock.
+    // The wall ratio is gated on every host: both sides are serial
+    // best-of-3 loops in this one process, so a 3x floor under the
+    // measured ratio is far outside scheduler noise even on one core.
     const MIN_EXPANSION_SPEEDUP: f64 = 10.0;
-    // Measured ~1.9x on medium / ~1.8x on full with the scalar-bound
-    // search; gate at 1.25x to absorb host variance without letting a
-    // slower-than-flat regression through.
-    const MIN_WALL_SPEEDUP: f64 = 1.25;
+    // Measured ~8.8x on medium / ~1.8x on full with the bounds
+    // restricted to the query's up–down search space.
+    const MIN_WALL_SPEEDUP: f64 = 3.0;
     let h = measure_hierarchy(Scale::Medium, "medium", 12, &HierarchyConfig::default());
     println!(
         "smoke: hierarchy preprocess {:.2}s ({} shortcuts, {} pieces, ~{} KiB), \
@@ -1157,7 +1157,7 @@ fn smoke() -> i32 {
         );
         failures += 1;
     }
-    if host_cpus() > 1 && h.wall_speedup < MIN_WALL_SPEEDUP {
+    if h.wall_speedup < MIN_WALL_SPEEDUP {
         eprintln!(
             "SMOKE FAIL: hierarchy singleFP wall speedup {:.2}x under {MIN_WALL_SPEEDUP}x",
             h.wall_speedup

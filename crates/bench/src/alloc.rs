@@ -2,16 +2,20 @@
 //!
 //! Every binary, bench and test in this crate runs under
 //! [`CountingAlloc`]: a thin wrapper over the system allocator that
-//! counts allocation events and requested bytes in relaxed atomics.
-//! [`snapshot`] reads the counters; subtracting two snapshots bounds
-//! the allocator traffic of the code between them — this is how
+//! counts allocation events and requested bytes per thread.
+//! [`snapshot`] reads the calling thread's counters; subtracting two
+//! snapshots bounds the allocator traffic of the code between them on
+//! that thread — this is how
 //! `engine_hotpath --smoke` proves the pooled PWL kernels run the
 //! steady-state expansion loop without touching the heap, and how the
 //! report computes `allocs_per_expansion` / `bytes_per_query`.
 //!
-//! Counting is *events on this thread or any other* — the counters are
-//! process-wide. Measured regions in the gates therefore run
-//! single-threaded (the width-1 batch driver spawns no threads).
+//! Counting is *events on the calling thread only* — the counters are
+//! thread-local, so a measured region is not disturbed by whatever
+//! other threads allocate meanwhile (`cargo test` runs sibling tests in
+//! parallel). Measured regions in the gates therefore run on the
+//! thread that takes the snapshots (the width-1 batch driver spawns no
+//! threads); work handed to another thread is not seen.
 //!
 //! Deallocations are deliberately not counted: the gates care about
 //! pressure on the allocator's fast path, and every steady-state
@@ -20,17 +24,29 @@
 // The one place in the workspace that must implement `GlobalAlloc`,
 // which is an `unsafe` trait by definition. The implementation adds
 // nothing to the system allocator's contract: it forwards every call
-// verbatim and only touches two atomics on the side. Each interior
-// unsafe operation still needs its own `unsafe {}` block with a
-// per-site SAFETY justification — enforced by the deny below.
+// verbatim and only bumps two thread-local cells on the side. Each
+// interior unsafe operation still needs its own `unsafe {}` block with
+// a per-site SAFETY justification — enforced by the deny below.
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` and without a destructor: first use neither allocates
+    // nor registers anything, which an allocator hook must not do.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Tally one allocation event of `size` bytes on this thread.
+fn count(size: usize) {
+    // `try_with`: a thread may still free and allocate while its
+    // locals are being torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
+}
 
 /// System allocator wrapper that tallies allocation events and bytes.
 #[derive(Debug)]
@@ -41,8 +57,7 @@ pub struct CountingAlloc;
 // the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: `layout` is the caller's, passed through unmodified,
         // and the caller's `GlobalAlloc::alloc` obligations (non-zero
         // size) are exactly `System::alloc`'s.
@@ -57,16 +72,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: as in `alloc` — the caller's obligations are
         // forwarded verbatim to `System::alloc_zeroed`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: `ptr` came from `self`/`System` with `layout`, and
         // `new_size` obligations (non-zero, no overflow when rounded
         // up to `layout.align()`) are the caller's — forwarded
@@ -78,7 +91,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A point-in-time reading of the process-wide allocation counters.
+/// A point-in-time reading of one thread's allocation counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocSnapshot {
     /// Allocation events (alloc + alloc_zeroed + realloc) so far.
@@ -98,11 +111,11 @@ impl AllocSnapshot {
     }
 }
 
-/// Read the current allocation counters.
+/// Read the calling thread's allocation counters.
 pub fn snapshot() -> AllocSnapshot {
     AllocSnapshot {
-        allocs: ALLOCS.load(Ordering::Relaxed),
-        bytes: BYTES.load(Ordering::Relaxed),
+        allocs: ALLOCS.get(),
+        bytes: BYTES.get(),
     }
 }
 

@@ -51,7 +51,7 @@ mod overlay;
 mod pool;
 mod search;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use allfp::baseline::constant_speed_plan;
@@ -207,6 +207,10 @@ pub struct HierarchyEngine<'a, S: NetworkSource> {
     overlays: Vec<Overlay>,
     config: HierarchyConfig,
     report: BuildReport,
+    /// Parked search workspaces (the `SessionState` revival pattern of
+    /// `allfp`'s cache): a query checks one out and parks it again, so
+    /// none allocates per overlay node; one per concurrent query exists.
+    workspaces: Mutex<Vec<search::QueryWorkspace>>,
 }
 
 impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
@@ -218,9 +222,9 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
 
     /// Build the hierarchy around an existing flat engine (its
     /// estimator still serves fallback queries; the overlay search
-    /// itself computes exact scalar lower bounds per query with
-    /// backward Dijkstras over the overlay's banded arc minima, which
-    /// dominate any geometric estimate).
+    /// itself computes scalar lower bounds per query from the banded
+    /// arc minima of its own up–down search space, which dominate any
+    /// geometric estimate).
     pub fn with_flat(flat: Engine<'a, S>, config: HierarchyConfig) -> Result<Self> {
         let t0 = Instant::now();
         let pool = WorkerPool::new(config.threads);
@@ -240,14 +244,26 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                 config.live_topology,
             )?);
         }
+        Ok(Self::assemble(flat, overlays, config, t0, pool.threads()))
+    }
+
+    /// The engine around finished overlays, with its report tallied.
+    fn assemble(
+        flat: Engine<'a, S>,
+        overlays: Vec<Overlay>,
+        config: HierarchyConfig,
+        t0: Instant,
+        threads: usize,
+    ) -> Self {
         let mut engine = HierarchyEngine {
             flat,
             overlays,
             config,
             report: BuildReport::default(),
+            workspaces: Mutex::default(),
         };
-        engine.report = engine.tally_report(t0.elapsed(), pool.threads());
-        Ok(engine)
+        engine.report = engine.tally_report(t0.elapsed(), threads);
+        engine
     }
 
     fn tally_report(&self, build_wall: Duration, threads: usize) -> BuildReport {
@@ -422,15 +438,41 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
         let Some(overlay) = self.overlay_query(query) else {
             return Ok(None);
         };
-        search::run(
+        // UnknownNode parity with the flat engine; the search itself
+        // indexes by node id and never needs coordinates.
+        self.flat.source().find_node(query.target)?;
+        self.flat.source().find_node(query.source)?;
+        // Poison is harmless: workspaces are pushed and popped whole,
+        // and one abandoned by a panicking query is never parked.
+        let pool = || {
+            self.workspaces
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        let mut ws = pool().pop().unwrap_or_default();
+        let run = search::run(
             overlay,
-            self.flat.source(),
             query,
             single_only,
             self.config.max_expansions,
+            &mut ws,
             session.scratch_mut(),
             cancel,
-        )
+        );
+        pool().push(ws);
+        run
+    }
+
+    /// `(lower, U)`: the search's scalar bracket on the optimal travel
+    /// over the query interval — its minimum is `≥ lower`, its value
+    /// `≤ U` at every leaving instant. `None` for queries the overlay
+    /// does not serve. For the soundness tests only.
+    #[doc(hidden)]
+    pub fn search_bounds(&self, query: &QuerySpec) -> Option<(f64, f64)> {
+        let overlay = self.overlay_query(query)?;
+        self.flat.source().find_node(query.target).ok()?;
+        self.flat.source().find_node(query.source).ok()?;
+        Some(search::bounds(overlay, &mut Default::default(), query))
     }
 
     /// Batch counterpart of [`PathfindBackend::run_robust`] with the
@@ -628,14 +670,7 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                 eps,
             )?);
         }
-        let mut engine = HierarchyEngine {
-            flat,
-            overlays,
-            config,
-            report: BuildReport::default(),
-        };
-        engine.report = engine.tally_report(t0.elapsed(), pool.threads());
-        Ok(engine)
+        Ok(Self::assemble(flat, overlays, config, t0, pool.threads()))
     }
 
     /// Incrementally refresh this hierarchy for a traffic delta:
@@ -808,13 +843,7 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
             )?);
         }
         report.refresh_wall = t0.elapsed();
-        let mut engine = HierarchyEngine {
-            flat,
-            overlays,
-            config: self.config.clone(),
-            report: BuildReport::default(),
-        };
-        engine.report = engine.tally_report(t0.elapsed(), pool.threads());
+        let engine = Self::assemble(flat, overlays, self.config.clone(), t0, pool.threads());
         Ok((engine, report))
     }
 }

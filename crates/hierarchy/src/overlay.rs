@@ -120,16 +120,15 @@ pub(crate) struct Overlay {
     /// Append-only arc storage (original edges first, then shortcuts).
     pub arcs: Vec<OverlayArc>,
     /// Enabled arcs `u → v` with `rank[v] > rank[u]`, indexed by `u`.
-    pub up_out: Vec<Vec<u32>>,
+    pub up_out: Csr,
     /// Enabled arcs `u → v` with `rank[v] < rank[u]`, indexed by `u`.
-    pub down_out: Vec<Vec<u32>>,
-    /// Enabled down arcs indexed by their *head*, for the reverse
-    /// reachability sweep of the query search.
-    pub down_into: Vec<Vec<u32>>,
-    /// Every enabled arc indexed by its *head*, for the per-query
-    /// backward min-weight Dijkstra that seeds the search with exact
-    /// scalar lower bounds to the target.
-    pub live_into: Vec<Vec<u32>>,
+    pub down_out: Csr,
+    /// Enabled down arcs indexed by their *head* (hops name the tail),
+    /// for the query's reverse reachability and `down` bound sweeps.
+    pub down_into: Csr,
+    /// The one day period every arc function spans; the band buckets
+    /// divide it evenly.
+    pub day: Interval,
     /// Number of original (non-shortcut) arcs.
     pub n_base: usize,
     /// Arcs disabled by parallel-arc domination.
@@ -153,37 +152,70 @@ pub(crate) struct Overlay {
 }
 
 impl Overlay {
-    /// Tightest stored lower bound on arc `aid`'s exact travel over
-    /// leaving instants in `[lo, hi]` (absolute minutes; wraps across
-    /// day periods). Falls back to the global exact minimum when the
-    /// window covers a full period or the band table is empty.
-    pub fn banded_min(&self, aid: u32, lo: f64, hi: f64) -> f64 {
-        let arc = &self.arcs[aid as usize];
-        if self.band_min.is_empty() || !lo.is_finite() || !hi.is_finite() {
-            return arc.min;
+    /// The band buckets `(first, count)` covering leaving instants in
+    /// `[lo, hi]` (absolute minutes; wraps across day periods) —
+    /// computed **once per query**, every arc shares the day period.
+    /// `None` when the window covers a full period or is unbounded:
+    /// only the per-arc global minimum applies.
+    pub fn band_window(&self, lo: f64, hi: f64) -> Option<(usize, usize)> {
+        let w = self.day.len() / BANDS as f64;
+        let a = ((lo - self.day.lo()) / w).floor();
+        let count = ((hi - self.day.lo()) / w).floor() - a + 1.0;
+        // Written to fail on NaN (unbounded window, empty period).
+        (count < BANDS as f64).then(|| (a.rem_euclid(BANDS as f64) as usize, count as usize))
+    }
+
+    /// Tightest stored lower bound on `hop`'s exact travel over the
+    /// leaving instants of `window` (see [`Self::band_window`]).
+    pub fn banded_min(&self, hop: &Hop, window: Option<(usize, usize)>) -> f64 {
+        let Some((first, count)) = window else {
+            return hop.min;
+        };
+        let row = &self.band_min[hop.arc as usize * BANDS..][..BANDS];
+        (first..first + count).fold(f64::INFINITY, |m, k| m.min(row[k % BANDS]))
+    }
+}
+
+/// One entry of the query adjacency, carrying the exact scalars the
+/// per-query bound sweeps and the relax gate read — so neither touches
+/// an [`OverlayArc`] or the `Arc<Pwl>` in it.
+#[derive(Clone, Copy)]
+pub(crate) struct Hop {
+    /// The arc's far endpoint: head in an `_out` list, tail in `_into`.
+    pub node: u32,
+    /// Arc id.
+    pub arc: u32,
+    /// The arc's exact `min` and `max`.
+    pub min: f64,
+    pub max: f64,
+}
+
+/// Compressed-sparse-row adjacency over [`Hop`]s.
+pub(crate) struct Csr {
+    start: Vec<u32>,
+    hops: Vec<Hop>,
+}
+
+impl Csr {
+    /// Group `(node, hop)` pairs by node, keeping arc-id order inside.
+    fn new(n: usize, mut keyed: Vec<(u32, Hop)>) -> Csr {
+        keyed.sort_by_key(|&(v, _)| v);
+        let mut start = vec![0u32; n + 1];
+        for &(v, _) in &keyed {
+            start[v as usize + 1] += 1;
         }
-        let d = arc.full.domain();
-        let day = d.len();
-        if day <= 0.0 || hi - lo >= day {
-            return arc.min;
+        for v in 0..n {
+            start[v + 1] += start[v];
         }
-        let w = day / BANDS as f64;
-        let a = ((lo - d.lo()) / w).floor() as i64;
-        let b = ((hi - d.lo()) / w).floor() as i64;
-        if b - a + 1 >= BANDS as i64 {
-            return arc.min;
+        Csr {
+            start,
+            hops: keyed.into_iter().map(|(_, h)| h).collect(),
         }
-        let base = aid as usize * BANDS;
-        let mut m = f64::INFINITY;
-        for k in a..=b {
-            let idx = (k.rem_euclid(BANDS as i64)) as usize;
-            m = m.min(self.band_min[base + idx]);
-        }
-        if m.is_finite() {
-            m
-        } else {
-            arc.min
-        }
+    }
+
+    /// The hops listed under node `v`.
+    pub fn at(&self, v: u32) -> &[Hop] {
+        &self.hops[self.start[v as usize] as usize..self.start[v as usize + 1] as usize]
     }
 }
 
@@ -872,31 +904,30 @@ pub(crate) fn finish_overlay(
     }
 
     let n = rank.len();
-    let mut up_out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut down_out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut down_into: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut live_into: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (id, arc) in arcs.iter().enumerate() {
-        if arc.disabled {
-            continue;
-        }
-        let id = id as u32;
-        live_into[arc.to as usize].push(id);
+    let (mut up, mut down, mut into) = (Vec::new(), Vec::new(), Vec::new());
+    for (id, arc) in arcs.iter().enumerate().filter(|(_, a)| !a.disabled) {
+        let hop = |node| Hop {
+            node,
+            arc: id as u32,
+            min: arc.min,
+            max: arc.max,
+        };
         if rank[arc.from as usize] < rank[arc.to as usize] {
-            up_out[arc.from as usize].push(id);
+            up.push((arc.from, hop(arc.to)));
         } else {
-            down_out[arc.from as usize].push(id);
-            down_into[arc.to as usize].push(id);
+            down.push((arc.from, hop(arc.to)));
+            into.push((arc.to, hop(arc.from)));
         }
     }
+    let whole_day = Interval::of(0.0, MINUTES_PER_DAY);
     Ok(Overlay {
         category,
         rank,
+        day: arcs.first().map_or(whole_day, |a| a.full.domain()),
         arcs,
-        up_out,
-        down_out,
-        down_into,
-        live_into,
+        up_out: Csr::new(n, up),
+        down_out: Csr::new(n, down),
+        down_into: Csr::new(n, into),
         n_base,
         n_disabled,
         band_min,

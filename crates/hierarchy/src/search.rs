@@ -10,13 +10,18 @@
 //! query); descending labels stay in the D-set. Rank monotonicity
 //! makes cycles impossible, so labels need no cycle check at all.
 //!
-//! Before the expansion starts, two scalar backward Dijkstras run over
-//! the enabled arcs: one under per-arc *maximum* weights, whose value
-//! at the source is an upper bound `U` on the optimal travel at every
-//! leaving instant; and one under **banded minima** — the tightest
-//! per-arc lower bound stored for the leaving window
-//! `[query.lo, query.hi + U]` that any answer-relevant label can
-//! occupy (elapsed time along a winning route never exceeds `U`).
+//! Before the expansion starts, two scalar sweeps run over the query's
+//! **search space only** — `F`, the nodes reachable from the source by
+//! up arcs, and `D` — never over the whole overlay (DESIGN.md §12.4):
+//! `down(v)`, the cheapest down-arc chain `v ⇒ target`, and `up(v) =
+//! min(down(v), min over up arcs v→x of w + up(x))`, the cheapest
+//! up\*–down\* completion — exactly the completions a label can take.
+//! Under per-arc *maximum* weights `up(source)` is an upper bound `U`
+//! on the optimal travel at every leaving instant; under **banded
+//! minima** — the tightest per-arc lower bound stored for the leaving
+//! window `[query.lo, query.hi + U]` that any answer-relevant label can
+//! occupy (elapsed time along a winning route never exceeds `U`) —
+//! `up` and `down` are admissible for ascending and descending labels.
 //! Those bounds steer the best-first order and gate each relaxation
 //! *before* the expensive PWL composition; `U` additionally prunes
 //! labels that are *strictly* worse than some complete route before
@@ -62,10 +67,10 @@ use std::time::Instant;
 use allfp::{AllFpError, CancelToken, DegradedReason, QuerySpec, QueryStats, Result};
 use pwl::compose::arrival_interval;
 use pwl::{compose_travel_into, Envelope, Pwl, PwlRef, PwlScratch};
-use roadnet::{NetworkSource, NodeId};
+use roadnet::NodeId;
 
 use crate::overlay;
-use crate::overlay::{unpack_route, Overlay};
+use crate::overlay::{unpack_route, Hop, Overlay};
 
 /// Poll cadence for deadline/cancellation, matching the flat engine.
 const WATCH_EVERY: u64 = 32;
@@ -142,66 +147,141 @@ impl PartialOrd for Entry {
     }
 }
 
-/// Min-heap entry of the scalar bound Dijkstras (no ties to break —
-/// a stale entry is simply skipped).
-struct BoundEntry {
-    dist: f64,
-    node: u32,
+/// Search state of one overlay node, valid while `stamp` is the
+/// workspace's current epoch.
+#[derive(Default)]
+struct NodeState {
+    stamp: u32,
+    expanded: bool,
+    /// Bound for ascending labels here (`∞`: no completion exists).
+    up: f64,
+    /// Bound for descending labels here; finite exactly on `D`.
+    down: f64,
+    /// Dominance buckets per phase. An ascending label can do
+    /// everything a descending one can, so ascending labels prune new
+    /// labels of both phases; descending labels prune only descending.
+    asc: Vec<u32>,
+    desc: Vec<u32>,
 }
 
-impl PartialEq for BoundEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist && self.node == other.node
-    }
-}
-impl Eq for BoundEntry {}
-impl Ord for BoundEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-impl PartialOrd for BoundEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// Everything a query would otherwise allocate per overlay node, kept
+/// across queries and reset in O(touched): a node's state counts only
+/// while its stamp is the current epoch, so starting a query is one
+/// increment. Checked out from the pool on [`crate::HierarchyEngine`].
+#[derive(Default)]
+pub(crate) struct QueryWorkspace {
+    epoch: u32,
+    nodes: Vec<NodeState>,
+    /// `F` in descending and `D` in ascending rank.
+    f_order: Vec<u32>,
+    d_order: Vec<u32>,
+    labels: Vec<Label>,
+    heap: BinaryHeap<Entry>,
 }
 
-/// Backward Dijkstra from `target` over every enabled overlay arc
-/// under the scalar weight `w(arc id)`. With `w = arc.max` the value
-/// at any node upper-bounds the optimal travel from it at *every*
-/// leaving instant (some fixed arc sequence costs at most its
-/// max-sum); with `w =` a valid lower bound per arc it lower-bounds
-/// the travel of any route whose leaving instants stay inside the
-/// band window. Nodes that cannot reach the target stay at `∞`.
-fn scalar_sweep(overlay: &Overlay, target: NodeId, w: impl Fn(u32) -> f64) -> Vec<f64> {
-    let n = overlay.rank.len();
-    let mut bound = vec![f64::INFINITY; n];
-    bound[target.index()] = 0.0;
-    let mut heap = BinaryHeap::new();
-    heap.push(BoundEntry {
-        dist: 0.0,
-        node: target.index() as u32,
-    });
-    while let Some(BoundEntry { dist, node }) = heap.pop() {
-        if dist > bound[node as usize] {
-            continue;
+impl QueryWorkspace {
+    /// Start a query over an `n`-node overlay: no node is touched.
+    fn begin(&mut self, n: usize) {
+        if self.nodes.len() != n {
+            self.nodes.clear();
+            self.nodes.resize_with(n, NodeState::default);
         }
-        for &aid in &overlay.live_into[node as usize] {
-            let arc = &overlay.arcs[aid as usize];
-            let next = dist + w(aid);
-            if next < bound[arc.from as usize] {
-                bound[arc.from as usize] = next;
-                heap.push(BoundEntry {
-                    dist: next,
-                    node: arc.from,
-                });
+        if cfg!(test) && self.epoch == 0 {
+            self.epoch = u32::MAX - 40; // the wrap is a few queries away
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps of 2³² queries ago would read as current.
+            self.nodes.iter_mut().for_each(|state| state.stamp = 0);
+            self.epoch = 1;
+        }
+        self.f_order.clear();
+        self.d_order.clear();
+        self.labels.clear();
+        self.heap.clear();
+    }
+
+    /// Reset `v`'s state on its first touch by this query; returns it.
+    fn touch(&mut self, v: u32) -> &mut NodeState {
+        let state = &mut self.nodes[v as usize];
+        if state.stamp != self.epoch {
+            (state.stamp, state.expanded) = (self.epoch, false);
+            (state.up, state.down) = (f64::INFINITY, f64::INFINITY);
+            state.asc.clear();
+            state.desc.clear();
+        }
+        state
+    }
+
+    /// One pass of the restricted bounds under the scalar arc weight
+    /// `w`; returns `up(source)`. With `w = max` that value caps the
+    /// optimal travel at *every* leaving instant (some fixed up–down
+    /// arc sequence costs at most its max-sum); with `w =` a valid
+    /// lower bound per arc, `up`/`down` lower-bound every completion
+    /// whose leaving instants stay inside the band window.
+    fn sweep(&mut self, overlay: &Overlay, query: &QuerySpec, w: impl Fn(&Hop) -> f64) -> f64 {
+        let nodes = &mut self.nodes;
+        for &v in self.f_order.iter().chain(&self.d_order) {
+            (nodes[v as usize].up, nodes[v as usize].down) = (f64::INFINITY, f64::INFINITY);
+        }
+        // Ascending rank: `down` of the visited node is final (down
+        // arcs into it leave strictly higher ranks).
+        nodes[query.target.index()].down = 0.0;
+        for &x in &self.d_order {
+            let dist = nodes[x as usize].down;
+            for hop in overlay.down_into.at(x) {
+                let down = &mut nodes[hop.node as usize].down;
+                *down = down.min(w(hop) + dist);
             }
         }
+        // Descending rank: `up` of every up-arc head is final.
+        for &v in &self.f_order {
+            let ups = overlay.up_out.at(v).iter();
+            let best = ups.map(|hop| w(hop) + nodes[hop.node as usize].up);
+            nodes[v as usize].up = best.fold(nodes[v as usize].down, f64::min);
+        }
+        nodes[query.source.index()].up
     }
-    bound
+}
+
+/// Lay out the query's search space in `ws` and run the two scalar
+/// sweeps (see module docs). Returns `(up(source) under banded
+/// minima, U)`.
+pub(crate) fn bounds(overlay: &Overlay, ws: &mut QueryWorkspace, query: &QuerySpec) -> (f64, f64) {
+    ws.begin(overlay.rank.len());
+    // F, by BFS over up arcs.
+    ws.touch(query.source.0).up = 0.0;
+    ws.f_order.push(query.source.0);
+    // D, by reverse BFS over down arcs.
+    ws.touch(query.target.0).down = 0.0;
+    ws.d_order.push(query.target.0);
+    // A finite bound marks a node as queued (the sweeps reset both).
+    let (mut f_next, mut d_next) = (0, 0);
+    while let Some(&v) = ws.f_order.get(f_next) {
+        for hop in overlay.up_out.at(v) {
+            if std::mem::replace(&mut ws.touch(hop.node).up, 0.0).is_infinite() {
+                ws.f_order.push(hop.node);
+            }
+        }
+        f_next += 1;
+    }
+    while let Some(&x) = ws.d_order.get(d_next) {
+        for hop in overlay.down_into.at(x) {
+            if std::mem::replace(&mut ws.touch(hop.node).down, 0.0).is_infinite() {
+                ws.d_order.push(hop.node);
+            }
+        }
+        d_next += 1;
+    }
+    let rank = |v: &u32| overlay.rank[*v as usize];
+    ws.f_order
+        .sort_unstable_by_key(|v| std::cmp::Reverse(rank(v)));
+    ws.d_order.sort_unstable_by_key(rank);
+
+    let u_cap = ws.sweep(overlay, query, |hop| hop.max);
+    let window = overlay.band_window(query.interval.lo(), query.interval.hi() + u_cap);
+    let lower = ws.sweep(overlay, query, |hop| overlay.banded_min(hop, window));
+    (lower, u_cap)
 }
 
 /// What the overlay search hands back: winning routes (original node
@@ -283,57 +363,25 @@ impl<'t> Watch<'t> {
 /// Run the up–down search. Returns `Ok(None)` when a label's arrival
 /// window escapes an arc's periodic extension — the caller falls back
 /// to the flat engine for that query (exactness before speed).
-pub(crate) fn run<S: NetworkSource>(
+pub(crate) fn run(
     overlay: &Overlay,
-    source: &S,
     query: &QuerySpec,
     single_only: bool,
     engine_cap: usize,
+    ws: &mut QueryWorkspace,
     scratch: &mut PwlScratch,
     cancel: Option<&CancelToken>,
 ) -> Result<Option<SearchRun>> {
-    let n = overlay.rank.len();
-    let target = query.target;
-    // Endpoint validation only — UnknownNode parity with the flat
-    // engine (the search itself never needs coordinates).
-    source.find_node(target)?;
-    source.find_node(query.source)?;
     let mut watch = Watch::new(query, engine_cap, cancel);
     let mut stats = QueryStats::default();
 
-    // D-set: nodes that can reach the target over down arcs alone.
-    let mut in_d = vec![false; n];
-    in_d[target.index()] = true;
-    let mut bfs = vec![target.index() as u32];
-    while let Some(x) = bfs.pop() {
-        for &aid in &overlay.down_into[x as usize] {
-            let f = overlay.arcs[aid as usize].from;
-            if !in_d[f as usize] {
-                in_d[f as usize] = true;
-                bfs.push(f);
-            }
-        }
-    }
+    // Scalar pre-passes over the search space (see module docs).
+    let (lower, u_cap) = bounds(overlay, ws, query);
+    let target = query.target.0;
+    let (epoch, nodes, labels, heap) = (ws.epoch, &mut ws.nodes, &mut ws.labels, &mut ws.heap);
 
-    // Scalar pre-passes (see module docs): `U` caps the optimal travel
-    // at every leaving instant, and the banded sweep prices each arc
-    // by the tightest stored lower bound over the leaving window
-    // answer-relevant labels can occupy.
-    let upper = scalar_sweep(overlay, target, |aid| overlay.arcs[aid as usize].max);
-    let u_cap = upper[query.source.index()];
-    let (w_lo, w_hi) = (query.interval.lo(), query.interval.hi() + u_cap);
-    let bound = scalar_sweep(overlay, target, |aid| overlay.banded_min(aid, w_lo, w_hi));
-
-    let mut labels: Vec<Label> = Vec::new();
-    let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut expanded_nodes = vec![false; n];
     let mut expanded_node_count = 0usize;
-    // Dominance buckets per (node, phase). An ascending label can do
-    // everything a descending one can, so ascending labels prune new
-    // labels of both phases; descending labels prune only descending.
-    let mut asc_fns: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut desc_fns: Vec<Vec<u32>> = vec![Vec::new(); n];
 
     // Envelope of the merged target labels' **upper** functions; its
     // max is a cap the true optimum never exceeds anywhere in the
@@ -346,16 +394,15 @@ pub(crate) fn run<S: NetworkSource>(
     let mut single_cap = f64::INFINITY;
     let mut routes: Vec<Vec<NodeId>> = Vec::new();
 
-    // Seed. An infinite bound (target unreachable) still seeds: the
-    // search pops once, relaxes nothing useful, and returns the same
-    // empty route set the flat engine would.
+    // Seed. An infinite bound (target unreachable: F and D never
+    // meet) still seeds: the search pops once, relaxes nothing, and
+    // returns the same empty route set the flat engine would.
     {
         let travel = Pwl::constant(query.interval, 0.0)?;
-        let est = bound[query.source.index()];
         let travel_min = travel.min_value();
         labels.push(Label {
             parent: None,
-            node: query.source.index() as u32,
+            node: query.source.0,
             arc: None,
             desc: false,
             travel_min,
@@ -363,7 +410,7 @@ pub(crate) fn run<S: NetworkSource>(
             upper: None,
         });
         heap.push(Entry {
-            f_min: travel_min + est,
+            f_min: travel_min + lower,
             seq,
             label: 0,
         });
@@ -372,8 +419,6 @@ pub(crate) fn run<S: NetworkSource>(
     }
 
     let mut trip: Option<DegradedReason> = None;
-    // Arc ids to relax from the current label (reused buffer).
-    let mut relax: Vec<(u32, bool)> = Vec::new();
 
     'search: while let Some(entry) = heap.pop() {
         let stop_cap = if single_only { single_cap } else { border_cap };
@@ -382,11 +427,11 @@ pub(crate) fn run<S: NetworkSource>(
         }
         let node = labels[entry.label].node;
 
-        if node == target.index() as u32 {
+        if node == target {
             // Identified a target label: record its route (dedup — two
             // distinct arc chains can unpack to one node sequence) and
             // fold its function into the border.
-            let chain = arc_chain(&labels, entry.label);
+            let chain = arc_chain(labels, entry.label);
             let route = unpack_route(overlay, query.source, &chain);
             if !routes.contains(&route) {
                 routes.push(route);
@@ -425,23 +470,16 @@ pub(crate) fn run<S: NetworkSource>(
         }
 
         stats.expanded_paths += 1;
-        if !expanded_nodes[node as usize] {
-            expanded_nodes[node as usize] = true;
+        if !std::mem::replace(&mut nodes[node as usize].expanded, true) {
             expanded_node_count += 1;
         }
 
-        let desc = labels[entry.label].desc;
-        relax.clear();
-        if !desc {
-            for &aid in &overlay.up_out[node as usize] {
-                relax.push((aid, false));
-            }
-        }
-        for &aid in &overlay.down_out[node as usize] {
-            if in_d[overlay.arcs[aid as usize].to as usize] {
-                relax.push((aid, true));
-            }
-        }
+        let ups = match labels[entry.label].desc {
+            true => &[][..],
+            false => overlay.up_out.at(node),
+        };
+        let hops = ups.iter().map(|h| (h, false));
+        let hops = hops.chain(overlay.down_out.at(node).iter().map(|h| (h, true)));
 
         let arrivals = arrival_interval(&labels[entry.label].travel)?;
         // The upper bracket arrives later; its window must be covered
@@ -450,15 +488,20 @@ pub(crate) fn run<S: NetworkSource>(
             Some(u) => arrival_interval(u)?,
             None => arrivals,
         };
-        for &(aid, to_desc) in &relax {
-            let arc = &overlay.arcs[aid as usize];
-            let to = arc.to;
-
-            let est = bound[to as usize];
+        for (hop, to_desc) in hops {
+            let to = hop.node as usize;
+            let est = if nodes[to].stamp != epoch {
+                f64::INFINITY
+            } else if to_desc {
+                nodes[to].down
+            } else {
+                nodes[to].up
+            };
             if est.is_infinite() {
-                // The head cannot reach the target over enabled arcs;
-                // nothing through it can ever win.
-                stats.pruned_by_border += 1;
+                // Descending labels stay inside D (not a relaxation
+                // at all); an ascending one whose head has no up–down
+                // completion can never win.
+                stats.pruned_by_border += usize::from(!to_desc);
                 continue;
             }
 
@@ -466,7 +509,7 @@ pub(crate) fn run<S: NetworkSource>(
             // border cap (once a target label exists), and the strict
             // `U` cap — a label *definitely* above the optimum at
             // every leaving instant can never appear in an answer.
-            let optimistic = labels[entry.label].travel_min + arc.min + est;
+            let optimistic = labels[entry.label].travel_min + hop.min + est;
             if border_cap.is_finite() && pwl::approx_le(border_cap, optimistic) {
                 stats.pruned_by_border += 1;
                 continue;
@@ -481,12 +524,13 @@ pub(crate) fn run<S: NetworkSource>(
                 break 'search;
             }
 
+            let arc = &overlay.arcs[hop.arc as usize];
             let ext_dom = overlay::ext_domain(&arc.full);
             if !ext_dom.covers(&arrivals) || !ext_dom.covers(&arrivals_up) {
                 // Arrival window escapes the periodic extension
                 // (multi-day travel): hand the whole query to the flat
                 // engine rather than extend on the hot path.
-                drain(&mut labels, scratch, border);
+                drain(labels, scratch, border);
                 return Ok(None);
             }
             let t_arc = overlay::ext_window(scratch, &arc.full, &arrivals)?;
@@ -510,8 +554,8 @@ pub(crate) fn run<S: NetworkSource>(
                 continue;
             }
 
-            // Phase-aware dominance pruning (see bucket comment above)
-            // on the safe sides of the brackets: the new label's lower
+            // Phase-aware dominance pruning (see `NodeState::asc`) on
+            // the safe sides of the brackets: the new label's lower
             // function must clear the old label's *upper* function —
             // then old-true ≤ old-upper ≤ new-lower ≤ new-true
             // everywhere. With exact uppers this is plain domination.
@@ -519,9 +563,9 @@ pub(crate) fn run<S: NetworkSource>(
                 let old = &labels[*l as usize];
                 travel.dominated_by_with(scratch, old.upper_fn())
             };
-            let mut dominated = asc_fns[to as usize].iter().any(&mut covers);
+            let mut dominated = nodes[to].asc.iter().any(&mut covers);
             if !dominated && to_desc {
-                dominated = desc_fns[to as usize].iter().any(&mut covers);
+                dominated = nodes[to].desc.iter().any(&mut covers);
             }
             if dominated {
                 stats.pruned_dominated += 1;
@@ -555,17 +599,17 @@ pub(crate) fn run<S: NetworkSource>(
                 .map_err(|_| AllFpError::Internal("overlay label arena outgrew u32 indices"))?;
             labels.push(Label {
                 parent: Some(parent),
-                node: to,
-                arc: Some(aid),
+                node: hop.node,
+                arc: Some(hop.arc),
                 desc: to_desc,
                 travel_min,
                 travel: travel.into(),
                 upper,
             });
             if to_desc {
-                desc_fns[to as usize].push(idx as u32);
+                nodes[to].desc.push(idx as u32);
             } else {
-                asc_fns[to as usize].push(idx as u32);
+                nodes[to].asc.push(idx as u32);
             }
             heap.push(Entry {
                 f_min,
@@ -580,15 +624,11 @@ pub(crate) fn run<S: NetworkSource>(
     if trip.is_some() {
         // Salvage: complete target labels still queued become answer
         // candidates (envelope merges only, no composition work).
-        for e in std::mem::take(&mut heap)
-            .into_sorted_vec()
-            .into_iter()
-            .rev()
-        {
-            if labels[e.label].node != target.index() as u32 {
+        for e in std::mem::take(heap).into_sorted_vec().into_iter().rev() {
+            if labels[e.label].node != target {
                 continue;
             }
-            let chain = arc_chain(&labels, e.label);
+            let chain = arc_chain(labels, e.label);
             let route = unpack_route(overlay, query.source, &chain);
             if !routes.contains(&route) {
                 routes.push(route);
@@ -598,7 +638,7 @@ pub(crate) fn run<S: NetworkSource>(
     }
 
     stats.expanded_nodes = expanded_node_count;
-    drain(&mut labels, scratch, border);
+    drain(labels, scratch, border);
     Ok(Some(SearchRun {
         routes,
         trip,
@@ -616,5 +656,74 @@ fn drain(labels: &mut Vec<Label>, scratch: &mut PwlScratch, border: Option<Envel
     }
     if let Some(b) = border {
         b.recycle_into(scratch);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use allfp::{EngineConfig, PathfindBackend};
+    use pwl::time::hm;
+    use pwl::Interval;
+    use roadnet::generators::random_geometric;
+    use traffic::DayCategory;
+
+    use super::*;
+    use crate::{HierarchyConfig, HierarchyEngine};
+
+    /// 520 queries alternate between two engines of different node
+    /// counts and both query kinds on one thread, so every query runs
+    /// on a reused workspace — across the epoch wrap, which `begin`
+    /// places 40 queries in under `cfg(test)`. Each answers bit for bit
+    /// like a freshly built engine, and no stamp outlives the wrap:
+    /// each network's last node is an island only its engine's first
+    /// query touches.
+    #[test]
+    fn reused_workspaces_answer_like_fresh_engines() {
+        let net = |n, seed| {
+            let mut net = random_geometric(n, 1.5, 3, seed).unwrap();
+            net.add_node(9.0, 9.0).unwrap();
+            net
+        };
+        let nets = [net(12, 5), net(19, 6)];
+        let build = |which: usize| {
+            let config = HierarchyConfig::default();
+            HierarchyEngine::build(&nets[which], EngineConfig::default(), config).unwrap()
+        };
+        let engines = [build(0), build(1)];
+        let path = |p: &allfp::FastestPath| (p.nodes.clone(), p.travel.as_ref().clone());
+        for i in 0..520u32 {
+            let which = i as usize % 2;
+            let island = nets[which].n_nodes() as u32 - 1;
+            let lo = hm(5, 0) + f64::from(i % 13) * 60.0;
+            let q = QuerySpec::new(
+                NodeId(if i < 2 { island } else { i * 7 % island }),
+                NodeId((i * 11 + 3) % island),
+                Interval::of(lo, lo + 90.0),
+                DayCategory::WORKDAY,
+            );
+            let (reused, fresh) = (&engines[which], build(which));
+            if i % 4 < 2 {
+                let ask = |e: &HierarchyEngine<'_, _>| {
+                    let a = e.single_fastest_path(&q).map_err(|e| e.to_string())?;
+                    Ok::<_, String>((path(&a.path), a.travel_minutes.to_bits()))
+                };
+                assert_eq!(ask(reused), ask(&fresh), "query {i}");
+            } else {
+                let ask = |e: &HierarchyEngine<'_, _>| {
+                    let a = e.all_fastest_paths(&q).map_err(|e| e.to_string())?;
+                    Ok::<_, String>((a.paths.iter().map(path).collect::<Vec<_>>(), a.partition))
+                };
+                assert_eq!(ask(reused), ask(&fresh), "query {i}");
+            }
+        }
+        for engine in &engines {
+            let pool = engine.workspaces.lock().unwrap();
+            assert_eq!(pool.len(), 1, "one thread needs one workspace");
+            let ws = &pool[0];
+            assert!(ws.epoch < 1000, "260 queries must have wrapped the epoch");
+            for (v, state) in ws.nodes.iter().enumerate() {
+                assert!(state.stamp <= ws.epoch, "node {v} kept a pre-wrap stamp");
+            }
+        }
     }
 }

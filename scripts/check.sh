@@ -66,9 +66,16 @@ cargo test -q -p fp-cluster --release --test cluster_equivalence
 # fuzz overlay soundness, parallel-vs-serial determinism across
 # thread counts, and compressed-vs-exact answer identity on random
 # networks.
-echo "==> hierarchy equivalence (golden suite + contraction/determinism proptests)"
+echo "==> hierarchy equivalence (golden suite + contraction/determinism/bound proptests)"
 cargo test -q -p fp-allfp --release --test hierarchy_equivalence
 cargo test -q -p fp-hierarchy --release --test contraction_props
+cargo test -q -p fp-hierarchy --release --lib
+
+# Store equivalence: the same queries through Mem, File and Mmap block
+# stores answer bit-identically (golden suite; gated here, it is not
+# part of tier 1).
+echo "==> store equivalence (Mem / File / Mmap golden suite)"
+cargo test -q -p fp-allfp --release --test store_equivalence
 
 # Piece-reduction admissibility: the bounded-error overlay storage is
 # only sound if reduced functions stay one-sided lower bounds within
@@ -82,8 +89,8 @@ cargo test -q -p fp-pwl --release --test reduce_props
 # whole engine must stay under the allocs-per-expansion budget (both
 # measured by a counting global allocator inside fp-bench). The smoke
 # also races the hierarchy against the flat engine, gating the >=10x
-# singleFP expansion speedup (wall-clock twin on multi-core hosts
-# only), the <=0.5x overlay byte footprint against the old
+# singleFP expansion speedup and its >=3x wall-clock twin (every
+# host), the <=0.5x overlay byte footprint against the old
 # materialized layout, and the
 # >=1.5x 4-thread contraction speedup (multi-core hosts only).
 # Continental-scale gates ride the same smoke: the metro-huge smoke
@@ -91,9 +98,15 @@ cargo test -q -p fp-pwl --release --test reduce_props
 # threads, keep the builder's transient scratch bounded under the
 # graph bytes, and serve its fig9 workload through the mmap-backed
 # store (store-equivalence across Mem/File/Mmap is pinned separately
-# by the fp-allfp store_equivalence golden suite in tier 1). Runtime
+# by the fp-allfp store_equivalence golden suite above). Runtime
 # stays bounded: the million-node tier runs only under --report.
 echo "==> batch-driver smoke (answers + scaling + checksum + allocation + overload + live-update + cluster + hierarchy + metro-huge gates)"
 cargo bench -p fp-bench --bench engine_hotpath -- --smoke
+
+# The repo benchmark on a miniature: seconds, and its exit code is the
+# bit-exactness gate of all four workloads (in-memory, CCAM, hierarchy,
+# live service) against the in-memory flat reference.
+echo "==> benchmark quick pass (bit-exactness of all four workloads)"
+bash benchmark/run.sh --quick
 
 echo "All checks passed."
