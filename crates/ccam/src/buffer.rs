@@ -68,6 +68,7 @@
 //! the page will retry and report.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -164,9 +165,49 @@ struct Frame {
     demanded: bool,
 }
 
+/// Multiply-xor hasher for the frame map's `u64` page ids: a lookup
+/// happens on every logical read, where SipHash's set-up is most of
+/// its cost. Not DoS-resistant — page ids come from the store's own
+/// B+-tree, not from outside input.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(5);
+    }
+}
+
 struct Inner {
-    frames: HashMap<u64, Frame>,
+    frames: HashMap<u64, Frame, BuildHasherDefault<PageIdHasher>>,
     tick: u64,
+    /// The buffer of the last evicted frame, kept for the next page
+    /// faulted in so that a miss on a full shard allocates nothing
+    /// (empty until the first eviction).
+    spare: Vec<u8>,
+}
+
+impl Inner {
+    /// A page-sized buffer for an incoming page: the spare if there is
+    /// one, a fresh allocation otherwise. Its contents are whatever
+    /// the last owner left; every caller overwrites all of it.
+    fn take_buffer(&mut self, page_size: usize) -> Vec<u8> {
+        let mut buf = std::mem::take(&mut self.spare);
+        buf.resize(page_size, 0);
+        buf
+    }
 }
 
 struct Shard {
@@ -219,8 +260,9 @@ impl BufferPool {
         let shards = (0..n)
             .map(|i| Shard {
                 inner: Mutex::new(Inner {
-                    frames: HashMap::new(),
+                    frames: HashMap::default(),
                     tick: 0,
+                    spare: Vec::new(),
                 }),
                 // Distribute the budget exactly: base share plus one of
                 // the remainder frames for the first `capacity % n`.
@@ -351,8 +393,14 @@ impl BufferPool {
             }
 
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            let mut data = vec![0u8; self.store.page_size()];
-            self.io_with_retry(|| self.store.read_page(id, &mut data))?;
+            // Read before evicting: a failed read must not cost a
+            // resident frame, so the page lands in the spare buffer
+            // (the previous victim's), never in the next victim's.
+            let mut data = inner.take_buffer(self.store.page_size());
+            if let Err(e) = self.io_with_retry(|| self.store.read_page(id, &mut data)) {
+                inner.spare = data;
+                return Err(e);
+            }
             self.evict_if_full(shard.capacity, &mut inner)?;
             let frame = Frame {
                 data,
@@ -407,11 +455,14 @@ impl BufferPool {
                 };
                 // Never-demanded frames are never written through, so
                 // there is nothing to write back.
-                inner.frames.remove(&victim);
+                if let Some(frame) = inner.frames.remove(&victim) {
+                    inner.spare = frame.data;
+                }
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            let mut data = vec![0u8; self.store.page_size()];
+            let mut data = inner.take_buffer(self.store.page_size());
             if self.store.read_page(next, &mut data).is_err() {
+                inner.spare = data;
                 continue;
             }
             // Does NOT advance the LRU clock: the prefetched frame
@@ -512,6 +563,7 @@ impl BufferPool {
                 }
             }
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            inner.spare = frame.data;
         }
         Ok(())
     }
@@ -745,6 +797,83 @@ mod tests {
         assert!(err.is_transient(), "{err:?}");
         assert_eq!(store.io_stats().retries(), (IO_ATTEMPTS - 1) as u64);
         assert_eq!(store.n_faults(), IO_ATTEMPTS);
+    }
+
+    /// `n` pages of seeded noise (every page different) in a
+    /// `MemStore` behind a quiet fault injector, plus their contents.
+    fn noisy_store(
+        n: usize,
+        page_size: usize,
+    ) -> (Arc<crate::fault::FaultInjectingStore>, Vec<Vec<u8>>) {
+        use crate::fault::{FaultInjectingStore, FaultPlan};
+        let raw = MemStore::new(page_size);
+        let twin = crate::store::noise_pages(n, page_size);
+        for page in &twin {
+            let id = raw.allocate().unwrap();
+            raw.write_page(id, page).unwrap();
+        }
+        let store = FaultInjectingStore::new(Arc::new(raw), FaultPlan::quiet(7));
+        (Arc::new(store), twin)
+    }
+
+    #[test]
+    fn a_failed_read_costs_no_resident_frame() {
+        use crate::fault::FaultPlan;
+        let (store, _) = noisy_store(8, 64);
+        let pool = BufferPool::new(Arc::clone(&store) as Arc<dyn BlockStore>, 3);
+        for id in 0..3u64 {
+            pool.with_page(id, |_| ()).unwrap();
+        }
+        // the pool is full; now every read fails, through all retries
+        store.set_plan(FaultPlan::quiet(7).with_transient_reads(1));
+        assert!(pool.with_page(5, |_| ()).unwrap_err().is_transient());
+        assert_eq!(pool.stats().evictions(), 0, "nobody paid for the failure");
+        let physical = store.io_stats().reads();
+        for id in 0..3u64 {
+            pool.with_page(id, |_| ()).unwrap(); // still resident: no read to fail
+        }
+        assert_eq!(pool.stats().hits(), 3);
+        assert_eq!(pool.stats().misses(), 4);
+        assert_eq!(store.io_stats().reads(), physical);
+
+        // once the store heals, the same fault evicts the LRU victim
+        // the failed attempt would have taken — page 0 — and only it
+        store.set_plan(FaultPlan::quiet(7));
+        pool.with_page(5, |_| ()).unwrap();
+        assert_eq!(pool.stats().evictions(), 1);
+        pool.with_page(1, |_| ()).unwrap();
+        pool.with_page(2, |_| ()).unwrap();
+        assert_eq!(pool.stats().hits(), 5);
+        pool.with_page(0, |_| ()).unwrap();
+        assert_eq!(pool.stats().misses(), 6);
+    }
+
+    #[test]
+    fn recycled_buffers_never_leak_another_pages_bytes() {
+        use crate::fault::{splitmix64, FaultPlan};
+        let (store, twin) = noisy_store(16, 64);
+        let pool = BufferPool::new(Arc::clone(&store) as Arc<dyn BlockStore>, 3);
+        let mut failed = 0;
+        for i in 0..4000u64 {
+            let id = splitmix64(i ^ 0xB0F) % twin.len() as u64;
+            // every 37th access runs against a store whose reads all
+            // fail: a miss errors (and hands its buffer back), a hit
+            // does not notice
+            let sick = i % 37 == 36;
+            if sick {
+                store.set_plan(FaultPlan::quiet(7).with_transient_reads(1));
+            }
+            match pool.with_page(id, |p| p.to_vec()) {
+                Ok(bytes) => assert_eq!(bytes, twin[id as usize], "access {i} page {id}"),
+                Err(e) => {
+                    assert!(sick && e.is_transient(), "access {i}: {e:?}");
+                    failed += 1;
+                }
+            }
+            store.set_plan(FaultPlan::quiet(7));
+        }
+        assert!(failed > 50, "only {failed} reads failed");
+        assert!(pool.stats().evictions() > 1000);
     }
 
     #[test]

@@ -40,10 +40,13 @@ const PAGE_MAGIC: u16 = u16::from_be_bytes(*b"CP");
 /// Checksummed-page format version.
 const PAGE_VERSION: u16 = 1;
 
-/// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) lookup table,
-/// built at compile time — no runtime init, no dependency.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) lookup tables
+/// for slicing-by-8, built at compile time — no runtime init, no
+/// dependency. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, which lets eight input bytes be folded per step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -56,17 +59,53 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC32 (IEEE) of `bytes` — the checksum `zlib`/`gzip` use.
+/// CRC32 (IEEE) of `bytes` — the checksum `zlib`/`gzip` use. Verified
+/// on every pool fault of a checksummed stack, so it folds eight bytes
+/// per step (slicing-by-8) and finishes the tail bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = 0xFFFF_FFFFu32;
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// The byte-at-a-time CRC32 [`crc32`] replaced, kept as its oracle.
+#[cfg(test)]
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -169,6 +208,34 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"hello"), 0x3610_A686);
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_oracle() {
+        let mut x = 0x5EEDu64;
+        let mut noise = move || {
+            x += 1;
+            crate::fault::splitmix64(x)
+        };
+        let data: Vec<u8> = (0..4096 + 8).map(|_| noise() as u8).collect();
+        // every short length, at every alignment of the first byte
+        for len in 0..=64usize {
+            for start in 0..8usize {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "len {len} start {start}");
+            }
+        }
+        // random lengths up to a page and beyond, every residue mod 8
+        let mut residues = [false; 8];
+        for _ in 0..400 {
+            let len = (noise() % 4097) as usize;
+            let start = (noise() % 8) as usize;
+            let s = &data[start..start + len];
+            assert_eq!(crc32(s), crc32_bytewise(s), "len {len} start {start}");
+            residues[len % 8] = true;
+        }
+        assert!(residues.iter().all(|&seen| seen));
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

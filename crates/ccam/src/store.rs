@@ -1,14 +1,73 @@
 //! The block layer: fixed-size pages over memory or a file, with
 //! physical I/O counters.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::OpenOptions;
+use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
 use crate::{CcamError, Result};
+
+#[cfg(unix)]
+mod positional {
+    //! Positional file I/O: one `pread`/`pwrite` per call and no
+    //! shared cursor, so concurrent callers need no lock.
+
+    use std::fs::File;
+    use std::io;
+    use std::os::unix::fs::FileExt;
+
+    pub struct PositionalFile(File);
+
+    impl PositionalFile {
+        pub fn new(file: File) -> Self {
+            PositionalFile(file)
+        }
+
+        pub fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+            self.0.read_exact_at(buf, offset)
+        }
+
+        pub fn write_all_at(&self, buf: &[u8], offset: u64) -> io::Result<()> {
+            self.0.write_all_at(buf, offset)
+        }
+    }
+}
+
+#[cfg(not(unix))]
+mod positional {
+    //! Portable fallback: the file's one cursor behind a lock, a seek
+    //! and a transfer per call.
+
+    use std::fs::File;
+    use std::io::{self, Read, Seek, SeekFrom, Write};
+
+    use parking_lot::Mutex;
+
+    pub struct PositionalFile(Mutex<File>);
+
+    impl PositionalFile {
+        pub fn new(file: File) -> Self {
+            PositionalFile(Mutex::new(file))
+        }
+
+        pub fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+            let mut file = self.0.lock();
+            file.seek(SeekFrom::Start(offset))?;
+            file.read_exact(buf)
+        }
+
+        pub fn write_all_at(&self, buf: &[u8], offset: u64) -> io::Result<()> {
+            let mut file = self.0.lock();
+            file.seek(SeekFrom::Start(offset))?;
+            file.write_all(buf)
+        }
+    }
+}
+
+use positional::PositionalFile;
 
 /// Physical I/O counters for a [`BlockStore`] (monotonic; snapshot with
 /// [`IoStats::snapshot`]).
@@ -213,9 +272,13 @@ impl BlockStore for MemStore {
 /// [`CcamError::Corrupt`] (or, for a store built with a different page
 /// size, the typed [`CcamError::PageSizeMismatch`]) instead of
 /// silently reading garbage. Pages follow the header back-to-back.
+///
+/// Page I/O is positional (`pread`/`pwrite` on unix): a read takes no
+/// lock, so pool shards missing at the same moment do not serialize on
+/// the file.
 pub struct FileStore {
     page_size: usize,
-    file: Mutex<File>,
+    file: PositionalFile,
     n_pages: AtomicU64,
     stats: IoStats,
 }
@@ -289,7 +352,7 @@ impl FileStore {
         file.write_all(&encode_file_header(page_size))?;
         Ok(FileStore {
             page_size,
-            file: Mutex::new(file),
+            file: PositionalFile::new(file),
             n_pages: AtomicU64::new(0),
             stats: IoStats::default(),
         })
@@ -311,7 +374,7 @@ impl FileStore {
         let n_pages = validate_file_header(&header, len, page_size)?;
         Ok(FileStore {
             page_size,
-            file: Mutex::new(file),
+            file: PositionalFile::new(file),
             n_pages: AtomicU64::new(n_pages),
             stats: IoStats::default(),
         })
@@ -332,10 +395,12 @@ impl BlockStore for FileStore {
     }
 
     fn allocate(&self) -> Result<u64> {
-        let mut file = self.file.lock();
+        // The `fetch_add` hands every caller its own id, hence its own
+        // offset; if a later id's write lands first, the gap it leaves
+        // reads as zeros — what a fresh page holds anyway.
         let id = self.n_pages.fetch_add(1, Ordering::Relaxed);
-        file.seek(SeekFrom::Start(self.offset(id)))?;
-        file.write_all(&vec![0u8; self.page_size])?;
+        self.file
+            .write_all_at(&vec![0u8; self.page_size], self.offset(id))?;
         Ok(id)
     }
 
@@ -343,9 +408,7 @@ impl BlockStore for FileStore {
         if id >= self.n_pages() {
             return Err(CcamError::BadPage(id));
         }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(self.offset(id)))?;
-        file.read_exact(buf)?;
+        self.file.read_exact_at(buf, self.offset(id))?;
         self.stats.bump_read(buf.len());
         Ok(())
     }
@@ -354,9 +417,7 @@ impl BlockStore for FileStore {
         if id >= self.n_pages() {
             return Err(CcamError::BadPage(id));
         }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(self.offset(id)))?;
-        file.write_all(buf)?;
+        self.file.write_all_at(buf, self.offset(id))?;
         self.stats.bump_write(buf.len());
         Ok(())
     }
@@ -364,6 +425,19 @@ impl BlockStore for FileStore {
     fn io_stats(&self) -> &IoStats {
         &self.stats
     }
+}
+
+/// `n` pages of seeded noise, every page different: contents for the
+/// tests here and in the buffer pool that compare reads to a twin.
+#[cfg(test)]
+pub(crate) fn noise_pages(n: usize, page_size: usize) -> Vec<Vec<u8>> {
+    (0..n)
+        .map(|p| {
+            (0..page_size)
+                .map(|i| crate::fault::splitmix64((p * page_size + i) as u64) as u8)
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -430,6 +504,95 @@ mod tests {
         let mut out = vec![0u8; 512];
         s.read_page(0, &mut out).unwrap();
         assert_eq!(out[3], 42);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_positional_reads_match_the_twin() {
+        let dir = std::env::temp_dir().join(format!("ccam-test-pread-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = FileStore::create(&dir.join("store.db"), 256).unwrap();
+        let twin = noise_pages(64, 256);
+        for page in &twin {
+            let id = store.allocate().unwrap();
+            store.write_page(id, page).unwrap();
+        }
+
+        let (threads, reads_each) = (4u64, 10_000u64);
+        let start = std::sync::Barrier::new(threads as usize);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (store, twin, start) = (&store, &twin, &start);
+                s.spawn(move || {
+                    let mut buf = vec![0u8; 256];
+                    start.wait();
+                    for i in 0..reads_each {
+                        let id = crate::fault::splitmix64(t << 32 | i) % twin.len() as u64;
+                        store.read_page(id, &mut buf).unwrap();
+                        assert_eq!(buf, twin[id as usize], "thread {t} read {i} page {id}");
+                    }
+                });
+            }
+        });
+        // scope joined every reader, so the relaxed counters are complete
+        assert_eq!(store.io_stats().reads(), threads * reads_each);
+        assert_eq!(store.io_stats().bytes_read(), threads * reads_each * 256);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_allocations_get_distinct_pages_and_a_valid_file() {
+        let dir = std::env::temp_dir().join(format!("ccam-test-alloc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.db");
+        let (threads, each) = (4usize, 50usize);
+        {
+            let store = FileStore::create(&path, 128).unwrap();
+            let start = std::sync::Barrier::new(threads);
+            let mut ids: Vec<u64> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        let (store, start) = (&store, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            (0..each)
+                                .map(|_| {
+                                    let id = store.allocate().unwrap();
+                                    store.write_page(id, &[id as u8; 128]).unwrap();
+                                    id
+                                })
+                                .collect::<Vec<u64>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap())
+                    .collect()
+            });
+            ids.sort_unstable();
+            let want: Vec<u64> = (0..(threads * each) as u64).collect();
+            assert_eq!(ids, want, "every id handed out exactly once");
+        }
+
+        // the header validates, the page area is whole, and every page
+        // holds what its allocator wrote
+        let store = FileStore::open(&path, 128).unwrap();
+        let n = (threads * each) as u64;
+        assert_eq!(store.n_pages(), n);
+        let mut buf = vec![0u8; 128];
+        for id in 0..n {
+            store.read_page(id, &mut buf).unwrap();
+            assert_eq!(buf, [id as u8; 128], "page {id}");
+        }
+        assert!(matches!(
+            store.read_page(n, &mut buf),
+            Err(CcamError::BadPage(id)) if id == n
+        ));
+        assert!(matches!(
+            store.write_page(n, &buf),
+            Err(CcamError::BadPage(id)) if id == n
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -104,6 +104,37 @@ struct PathState {
     travel: PwlRef,
 }
 
+/// What one query remembers of a node record it has read from the
+/// source: the lower-bound estimate to the target (a function of the
+/// node's location, which is needed for nothing else) and where the
+/// node's outgoing edges sit in the query's adjacency arena.
+#[derive(Clone, Copy)]
+struct NodeMemo {
+    /// `NaN` until the record is read; real estimates are finite and
+    /// non-negative.
+    est: f64,
+    start: u32,
+    len: u32,
+}
+
+impl NodeMemo {
+    const UNREAD: NodeMemo = NodeMemo {
+        est: f64::NAN,
+        start: 0,
+        len: 0,
+    };
+
+    fn is_unread(&self) -> bool {
+        self.est.is_nan()
+    }
+
+    /// Index range of the node's edges in the adjacency arena.
+    fn edges(&self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+}
+
 /// Recycle every arena path's travel-function buffers into the worker
 /// scratch so the next query on this session reuses their capacity
 /// (shared functions just drop their reference).
@@ -772,12 +803,12 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         let mut seq = 0u64;
         let mut expanded_nodes: Vec<bool> = vec![false; self.source.n_nodes()];
         let mut expanded_node_count = 0usize;
-        // Lazily memoized per-node lower-bound estimates: the estimate
-        // depends only on (node, target), and candidate edges revisit
-        // the same nodes many times per query — each memo hit skips a
-        // `find_node` and an estimator evaluation (NaN = not yet
-        // computed; real estimates are finite and non-negative).
-        let mut node_est: Vec<f64> = vec![f64::NAN; self.source.n_nodes()];
+        // Per-query memo of every node record the search has read: a
+        // node's first touch (the seed, or a candidate edge's head)
+        // fetches its adjacency and location once, and every later
+        // candidate or expansion is served from `node_memo` / `adjacency`.
+        let mut node_memo: Vec<NodeMemo> = vec![NodeMemo::UNREAD; self.source.n_nodes()];
+        let mut adjacency: Vec<roadnet::Edge> = Vec::new();
         // per-node travel functions for optional dominance pruning
         let mut node_fns: Vec<Vec<usize>> = if self.config.prune_dominated {
             vec![Vec::new(); self.source.n_nodes()]
@@ -796,17 +827,38 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         // Global best-case speed: `distance / max_speed` lower-bounds
         // any edge's travel time, independent of leaving instant.
         let max_speed = self.source.max_speed();
-        // Reused successor buffer — one allocation per query, not one
-        // per expansion.
-        let mut edges: Vec<roadnet::Edge> = Vec::new();
+        // Staging buffer for `successors_into`, which clears its
+        // argument and so cannot append to `adjacency` directly.
+        let mut fetched: Vec<roadnet::Edge> = Vec::new();
+        let mut read_node = |node: NodeId,
+                             adjacency: &mut Vec<roadnet::Edge>,
+                             stats: &mut QueryStats|
+         -> Result<NodeMemo> {
+            // Back to back: on a paged source the second call finds
+            // the pages the first one faulted in still resident.
+            self.source.successors_into(node, &mut fetched)?;
+            let loc = self.source.find_node(node)?;
+            stats.nodes_read += 1;
+            adjacency.extend_from_slice(&fetched);
+            let end = u32::try_from(adjacency.len())
+                .map_err(|_| AllFpError::Internal("adjacency arena outgrew u32 offsets"))?;
+            // `fetched` is a suffix of the arena, so its length fits too.
+            let len = fetched.len() as u32;
+            Ok(NodeMemo {
+                est: self
+                    .estimator
+                    .travel_lower_bound(node, loc, query.target, target_loc),
+                start: end - len,
+                len,
+            })
+        };
 
         // Seed: the zero-length path at the source.
         {
             let travel = Pwl::constant(interval, 0.0)?;
-            let s_loc = self.source.find_node(query.source)?;
-            let est =
-                self.estimator
-                    .travel_lower_bound(query.source, s_loc, query.target, target_loc);
+            let memo = read_node(query.source, &mut adjacency, &mut stats)?;
+            node_memo[query.source.index()] = memo;
+            let est = memo.est;
             let travel_min = travel.min_value();
             let f_min = travel_min + est;
             paths.push(PathState {
@@ -909,26 +961,19 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
             // The leaving-time interval at `head` (the paper's Figure 4
             // step) is a property of the path, not the edge.
             let arrivals = pwl::compose::arrival_interval(&paths[entry.path].travel)?;
-            self.source.successors_into(head, &mut edges)?;
-            for edge in edges.drain(..) {
+            // Indexed, not borrowed: a first touch below appends to
+            // `adjacency` while this node's slice is being walked.
+            for i in node_memo[head.index()].edges() {
+                let edge = adjacency[i];
                 // Cycles can never help under FIFO (positive travel times).
                 if visits(&paths, entry.path, edge.to) {
                     continue;
                 }
 
-                let est = {
-                    let slot = &mut node_est[edge.to.index()];
-                    if slot.is_nan() {
-                        let v_loc = self.source.find_node(edge.to)?;
-                        *slot = self.estimator.travel_lower_bound(
-                            edge.to,
-                            v_loc,
-                            query.target,
-                            target_loc,
-                        );
-                    }
-                    *slot
-                };
+                if node_memo[edge.to.index()].is_unread() {
+                    node_memo[edge.to.index()] = read_node(edge.to, &mut adjacency, &mut stats)?;
+                }
+                let est = node_memo[edge.to.index()].est;
 
                 // Early border bound, before the expensive composition:
                 // the extended path's travel function is everywhere ≥

@@ -1,0 +1,244 @@
+//! The flat search reads each node record once per query.
+//!
+//! A node's first touch — the seed, or a candidate edge's head past
+//! the cycle check — fetches its adjacency and its location back to
+//! back; every later candidate or expansion of that node is served
+//! from the query's own memo. These tests count the calls at the
+//! [`NetworkSource`] surface and, through a CCAM store, the pool
+//! lookups below it, and pin the answers to a plain engine over the
+//! bare network.
+
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+
+use allfp::{Engine, EngineConfig, QueryBudget, QueryOutcome, QuerySpec, QueryStats};
+use ccam::{CcamStore, MemStore, PlacementPolicy, DEFAULT_PAGE_SIZE};
+use pwl::time::hm;
+use pwl::Interval;
+use roadnet::generators::{suffolk_like, MetroConfig};
+use roadnet::workload::sample_pairs;
+use roadnet::{Edge, NetworkSource, NodeId, PatternId, Point, RoadNetwork};
+use traffic::{CapeCodPattern, DayCategory};
+
+/// Every node id each call was made for, in call order.
+#[derive(Default)]
+struct Calls {
+    successors_into: Vec<NodeId>,
+    find_node: Vec<NodeId>,
+    /// The allocating `successors` (the search never calls it; the
+    /// degraded fallback planner does).
+    successors: Vec<NodeId>,
+}
+
+/// A [`NetworkSource`] that forwards to `inner` and logs the node of
+/// every record-reading call.
+struct CountingSource<'a, S> {
+    inner: &'a S,
+    calls: Mutex<Calls>,
+}
+
+impl<'a, S: NetworkSource> CountingSource<'a, S> {
+    fn new(inner: &'a S) -> Self {
+        CountingSource {
+            inner,
+            calls: Mutex::new(Calls::default()),
+        }
+    }
+
+    fn take(&self) -> Calls {
+        std::mem::take(&mut self.calls.lock().expect("no panic under the lock"))
+    }
+}
+
+impl<S: NetworkSource> NetworkSource for CountingSource<'_, S> {
+    fn n_nodes(&self) -> usize {
+        self.inner.n_nodes()
+    }
+
+    fn find_node(&self, node: NodeId) -> roadnet::Result<Point> {
+        self.calls.lock().expect("lock").find_node.push(node);
+        self.inner.find_node(node)
+    }
+
+    fn successors(&self, node: NodeId) -> roadnet::Result<Vec<Edge>> {
+        self.calls.lock().expect("lock").successors.push(node);
+        self.inner.successors(node)
+    }
+
+    fn successors_into(&self, node: NodeId, buf: &mut Vec<Edge>) -> roadnet::Result<()> {
+        self.calls.lock().expect("lock").successors_into.push(node);
+        self.inner.successors_into(node, buf)
+    }
+
+    fn pattern(&self, id: PatternId) -> roadnet::Result<&CapeCodPattern> {
+        self.inner.pattern(id)
+    }
+
+    fn max_speed(&self) -> f64 {
+        self.inner.max_speed()
+    }
+}
+
+fn metro_small() -> (RoadNetwork, Vec<QuerySpec>) {
+    let net = suffolk_like(&MetroConfig::small(0xC0FFEE)).expect("generator");
+    let interval = Interval::of(hm(7, 0), hm(10, 0));
+    let queries: Vec<QuerySpec> = sample_pairs(&net, 6, 0.5, 3.0, 0xF19)
+        .expect("pairs")
+        .iter()
+        .map(|p| QuerySpec::new(p.source, p.target, interval, DayCategory::WORKDAY))
+        .collect();
+    assert!(!queries.is_empty(), "workload sampler returned no pairs");
+    (net, queries)
+}
+
+/// The search's calls for one query: one `successors_into` and one
+/// `find_node` per record read, plus the target's `find_node` up
+/// front, and no record read twice.
+fn assert_one_read_per_node(calls: &Calls, stats: &QueryStats, target: NodeId, what: &str) {
+    assert_eq!(
+        calls.successors_into.len(),
+        stats.nodes_read,
+        "{what}: successors_into calls"
+    );
+    assert_eq!(
+        calls.find_node.len(),
+        stats.nodes_read + 1,
+        "{what}: find_node calls"
+    );
+    let distinct: HashSet<NodeId> = calls.successors_into.iter().copied().collect();
+    assert_eq!(
+        distinct.len(),
+        calls.successors_into.len(),
+        "{what}: a node's adjacency was fetched twice"
+    );
+    // The first `find_node` is the target's; every later one pairs
+    // with the `successors_into` just before it.
+    assert_eq!(calls.find_node[0], target, "{what}");
+    assert_eq!(calls.find_node[1..], calls.successors_into[..], "{what}");
+}
+
+/// Partition and paths (nodes and travel functions) through `Debug`,
+/// which prints shortest-roundtrip floats: equal strings, equal bits.
+fn fingerprint(a: &allfp::AllFpAnswer) -> String {
+    format!("{:?}|{:?}", a.partition, a.paths)
+}
+
+#[test]
+fn exact_queries_read_each_node_record_once() {
+    let (net, queries) = metro_small();
+    let counted = CountingSource::new(&net);
+    let mut revisits = 0usize;
+    for (i, q) in queries.iter().enumerate() {
+        // Fresh engines on both sides: same (empty) travel-function
+        // cache, so the statistics must agree to the last counter.
+        let engine = Engine::new(&counted, EngineConfig::default());
+        let bare = Engine::new(&net, EngineConfig::default());
+        counted.take();
+
+        let all = engine.all_fastest_paths(q).expect("allFP");
+        let calls = counted.take();
+        assert!(calls.successors.is_empty());
+        assert_one_read_per_node(&calls, &all.stats, q.target, &format!("allFP {i}"));
+        let want = bare
+            .all_fastest_paths(q)
+            .expect("allFP on the bare network");
+        assert_eq!(fingerprint(&all), fingerprint(&want), "allFP {i}");
+        assert_eq!(all.stats, want.stats, "allFP {i}");
+        revisits += all.stats.expanded_paths - all.stats.expanded_nodes;
+
+        let single = engine.single_fastest_path(q).expect("singleFP");
+        let calls = counted.take();
+        assert_one_read_per_node(&calls, &single.stats, q.target, &format!("singleFP {i}"));
+        let want = bare
+            .single_fastest_path(q)
+            .expect("singleFP on the bare network");
+        assert_eq!(format!("{single:?}"), format!("{want:?}"), "singleFP {i}");
+    }
+    assert!(
+        revisits > 0,
+        "the workload never expanded a node twice, so it cannot show the memo"
+    );
+}
+
+#[test]
+fn a_budget_tripped_query_reads_each_node_record_once() {
+    let (net, queries) = metro_small();
+    let counted = CountingSource::new(&net);
+    let budget = QueryBudget::unlimited().with_max_expansions(60);
+    let q = queries[0].clone().with_budget(budget);
+
+    // The legacy surface stops at the trip, so its calls are exactly
+    // the search's.
+    let engine = Engine::new(&counted, EngineConfig::default());
+    counted.take();
+    assert!(matches!(
+        engine.all_fastest_paths(&q),
+        Err(allfp::AllFpError::BudgetExhausted { expansions: 60 })
+    ));
+    let search_calls = counted.take();
+
+    // The robust surface reports the search's statistics and then
+    // plans the fallback route through the allocating `successors`.
+    let engine = Engine::new(&counted, EngineConfig::default());
+    let QueryOutcome::Degraded(degraded) = engine.run_robust(&q).expect("robust query") else {
+        panic!("60 expansions cannot finish a metro-small rush-hour query");
+    };
+    let robust_calls = counted.take();
+    assert_one_read_per_node(&search_calls, &degraded.stats, q.target, "degraded");
+    assert_eq!(robust_calls.successors_into, search_calls.successors_into);
+    assert!(!robust_calls.successors.is_empty(), "fallback was planned");
+
+    let bare = Engine::new(&net, EngineConfig::default());
+    let QueryOutcome::Degraded(want) = bare.run_robust(&q).expect("robust query") else {
+        panic!("the bare network trips the same budget");
+    };
+    assert_eq!(degraded.stats, want.stats);
+    assert_eq!(degraded.reason, want.reason);
+    assert_eq!(
+        degraded.best.as_ref().map(fingerprint),
+        want.best.as_ref().map(fingerprint)
+    );
+    assert_eq!(
+        format!("{:?}", degraded.fallback),
+        format!("{:?}", want.fallback)
+    );
+}
+
+#[test]
+fn a_paged_source_pays_six_pool_lookups_per_node_read() {
+    let (net, queries) = metro_small();
+    let disk = CcamStore::build(
+        &net,
+        Arc::new(MemStore::new(DEFAULT_PAGE_SIZE)),
+        PlacementPolicy::ConnectivityClustered,
+        16,
+    )
+    .expect("store builds");
+    let logical = |s: &ccam::StoreStats| s.hits + s.misses;
+
+    // One record fetch walks the B+-tree (height 2 here: root, leaf)
+    // and then reads the data page.
+    let before = disk.stats();
+    disk.find_node(queries[0].source).expect("node exists");
+    assert_eq!(logical(&disk.stats().since(&before)), 3, "tree height is 2");
+
+    let engine = Engine::new(&disk, EngineConfig::default());
+    for (i, q) in queries.iter().enumerate() {
+        let before = disk.stats();
+        let all = engine.all_fastest_paths(q).expect("allFP");
+        let reads = logical(&disk.stats().since(&before));
+        // two calls of three lookups per node read, plus the target's
+        // `find_node`
+        assert_eq!(reads, 6 * all.stats.nodes_read as u64 + 3, "allFP {i}");
+        assert!(all.stats.nodes_read > 0);
+
+        let before = disk.stats();
+        let single = engine.single_fastest_path(q).expect("singleFP");
+        let reads = logical(&disk.stats().since(&before));
+        assert_eq!(
+            reads,
+            6 * single.stats.nodes_read as u64 + 3,
+            "singleFP {i}"
+        );
+    }
+}

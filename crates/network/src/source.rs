@@ -15,8 +15,11 @@ use crate::{Edge, NodeId, PatternId, Point, Result, RoadNetwork};
 ///
 /// Implementations may perform I/O in `find_node` / `successors`
 /// (CCAM reads pages through a buffer pool); callers should treat the
-/// calls as potentially expensive and read each node once per
-/// expansion, as `IntAllFastestPaths` does.
+/// calls as potentially expensive and read each node once per query,
+/// as the allFP engine does: it fetches a node's adjacency and
+/// location back to back the first time a search touches the node —
+/// the second call then finds the first one's pages still buffered —
+/// and serves every later expansion from its own per-query copy.
 pub trait NetworkSource {
     /// Number of nodes in the network.
     fn n_nodes(&self) -> usize;
@@ -29,9 +32,9 @@ pub trait NetworkSource {
 
     /// Fill `buf` with the outgoing edges of `node`, clearing it first.
     ///
-    /// Hot loops (the allFP engine expands thousands of nodes per
+    /// Hot loops (the allFP engine reads a thousand node records per
     /// query) call this with a reused buffer to avoid a fresh `Vec`
-    /// per expansion; implementations that can copy from an internal
+    /// per call; implementations that can copy from an internal
     /// slice should override the default, which delegates to
     /// [`NetworkSource::successors`].
     fn successors_into(&self, node: NodeId, buf: &mut Vec<Edge>) -> Result<()> {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, and the tier-1 suite (ROADMAP.md).
+# Repo gate: formatting, lints, the tier-1 suite (ROADMAP.md), every
+# test in the workspace, the bench smoke and the benchmark quick pass.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,73 +17,27 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-# The concurrency stress tests interleave differently depending on how
-# many tests run at once; rerun them with the test-thread pinning
-# removed so a developer's RUST_TEST_THREADS=1 cannot mask a race.
-echo "==> concurrency stress (RUST_TEST_THREADS unpinned)"
+# Every test in the workspace, not a hand-kept list of suites: the
+# unit tests of every crate, the golden suites (store, hierarchy and
+# cluster equivalence), the chaos suites (faults, overload, update
+# storm, cluster) and the proptests. Release, because the heavy suites
+# take minutes in debug; --no-fail-fast so one run names every failure.
+echo "==> cargo test --workspace --release"
+cargo test --workspace --release --no-fail-fast -q
+
+# The stress suites interleave differently depending on how many tests
+# run at once; rerun them with the test-thread pinning removed so a
+# developer's RUST_TEST_THREADS=1 cannot mask a race: the engine and
+# buffer-pool/file-store concurrency tests, the seeded fault schedules
+# under the live query stack, the threaded serve test of the overload
+# suite, and the update storm's concurrent delta stream. Debug builds,
+# as tier 1: overflow checks and debug assertions stay on here.
+echo "==> stress reruns (RUST_TEST_THREADS unpinned)"
 env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test concurrency
 env -u RUST_TEST_THREADS cargo test -q -p fp-ccam concurrent
-
-# Fault tolerance end to end: seeded fault schedules under the live
-# query stack, corruption detection, budget degradation, panic
-# isolation. Unpinned for the same reason as the concurrency stress.
-echo "==> fault-injection stress (RUST_TEST_THREADS unpinned)"
 env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test faults
-
-# Overload resilience: the seeded chaos scenario (2x overload + fault
-# storm, virtual time) plus the service-behavior tests. The threaded
-# serve test interleaves; unpinned like the other stress suites.
-echo "==> overload-chaos stress (RUST_TEST_THREADS unpinned)"
 env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test overload
-
-# Live updates: the seeded update-storm chaos scenario (2x overload +
-# budget-fault window + concurrent delta stream, every answer checked
-# bit-for-bit against a from-scratch build of its pinned epoch), the
-# delta/epoch property suite, and the hierarchy refresh suite
-# (incremental refresh == from-scratch rebuild, live topologies stay
-# exact under deltas). The bench smoke below additionally gates
-# goodput-under-storm >= 0.5 and scoped invalidation < 20%.
-echo "==> update-storm chaos + live-update proptests (RUST_TEST_THREADS unpinned)"
 env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test update_storm
-cargo test -q -p fp-allfp --release --test live_props
-cargo test -q -p fp-hierarchy --release --test live_refresh
-
-# Cluster serving: the deterministic sharded-fleet simulator. The
-# chaos suite composes 2x overload with a node crash/restart, a
-# partition storm, RPC latency spikes and live deltas, and asserts
-# exact accounting, bit-exact replay, fired robustness machinery
-# (retries, breakers, replica failovers) and goodput >= 0.5 under
-# sustained node loss; the equivalence suite pins every cluster-served
-# answer bit-identical to the flat single-node pipeline (and answer
-# values to the hierarchy backend) on the same pinned epoch.
-echo "==> cluster chaos + cross-partition equivalence"
-cargo test -q -p fp-cluster --release --test cluster_chaos
-cargo test -q -p fp-cluster --release --test cluster_equivalence
-
-# Hierarchy exactness: the golden equivalence suite pins the
-# contraction hierarchy's answers bit-for-bit to the flat engine's
-# (routes, partitions, travel functions) under compressed, exact and
-# parallel-build configurations, and the contraction property tests
-# fuzz overlay soundness, parallel-vs-serial determinism across
-# thread counts, and compressed-vs-exact answer identity on random
-# networks.
-echo "==> hierarchy equivalence (golden suite + contraction/determinism/bound proptests)"
-cargo test -q -p fp-allfp --release --test hierarchy_equivalence
-cargo test -q -p fp-hierarchy --release --test contraction_props
-cargo test -q -p fp-hierarchy --release --lib
-
-# Store equivalence: the same queries through Mem, File and Mmap block
-# stores answer bit-identically (golden suite; gated here, it is not
-# part of tier 1).
-echo "==> store equivalence (Mem / File / Mmap golden suite)"
-cargo test -q -p fp-allfp --release --test store_equivalence
-
-# Piece-reduction admissibility: the bounded-error overlay storage is
-# only sound if reduced functions stay one-sided lower bounds within
-# the measured gap, pin both endpoints, keep FIFO, and reduce
-# deterministically — fuzzed here.
-echo "==> piece-reduction admissibility proptests"
-cargo test -q -p fp-pwl --release --test reduce_props
 
 # Allocation gates ride along with the batch smoke: the pooled PWL
 # kernel loop must allocate exactly zero in steady state, and the
@@ -98,7 +53,10 @@ cargo test -q -p fp-pwl --release --test reduce_props
 # threads, keep the builder's transient scratch bounded under the
 # graph bytes, and serve its fig9 workload through the mmap-backed
 # store (store-equivalence across Mem/File/Mmap is pinned separately
-# by the fp-allfp store_equivalence golden suite above). Runtime
+# by the fp-allfp store_equivalence golden suite above). The checksum
+# gate is a count (every fault of the checksummed stack verified
+# exactly once, no corruption); its wall ratio is a median of 7
+# interleaved reps that fails only beyond budget + 2 MAD. Runtime
 # stays bounded: the million-node tier runs only under --report.
 echo "==> batch-driver smoke (answers + scaling + checksum + allocation + overload + live-update + cluster + hierarchy + metro-huge gates)"
 cargo bench -p fp-bench --bench engine_hotpath -- --smoke
