@@ -110,13 +110,33 @@ struct Measured {
     wall_seconds: f64,
     queries: usize,
     expanded_paths: usize,
+    /// `expanded_paths` of one singleFP pass over the same queries.
+    singlefp_expanded_paths: usize,
     expansions_per_sec: f64,
     queries_per_sec: f64,
 }
 
-/// Time `queries` through `run`, counting expansions via the answers.
+/// `expanded_paths` summed over one serial allFP pass and one serial
+/// singleFP pass — the machine-independent counters the report records
+/// and `--smoke` gates.
+fn expansion_counts(backend: &dyn PathfindBackend, queries: &[QuerySpec]) -> (usize, usize) {
+    let mut counts = (0, 0);
+    for q in queries {
+        counts.0 += backend
+            .all_fastest_paths(q)
+            .map_or(0, |a| a.stats.expanded_paths);
+        counts.1 += backend
+            .single_fastest_path(q)
+            .map_or(0, |a| a.stats.expanded_paths);
+    }
+    counts
+}
+
+/// Time `queries` through `engine` (batched by `run`), counting
+/// expansions via the answers.
 fn measure(
     name: &str,
+    engine: &Engine<'_, RoadNetwork>,
     queries: &[QuerySpec],
     run: impl Fn(&[QuerySpec]) -> Vec<allfp::Result<allfp::AllFpAnswer>>,
 ) -> Measured {
@@ -137,6 +157,7 @@ fn measure(
         wall_seconds: wall,
         queries: queries.len(),
         expanded_paths: expanded,
+        singlefp_expanded_paths: expansion_counts(engine, queries).1,
         expansions_per_sec: expanded as f64 / wall,
         queries_per_sec: queries.len() as f64 / wall,
     }
@@ -398,6 +419,9 @@ struct HierarchyReport {
     queries: usize,
     flat_expansions: usize,
     ch_expansions: usize,
+    /// `expanded_paths` of one serial allFP pass over the same queries.
+    flat_allfp_expansions: usize,
+    ch_allfp_expansions: usize,
     /// `flat_expansions / ch_expansions` — work per query saved by
     /// preprocessing.
     expansion_speedup: f64,
@@ -469,6 +493,8 @@ fn measure_hierarchy(
         queries: queries.len(),
         flat_expansions,
         ch_expansions,
+        flat_allfp_expansions: expansion_counts(&flat, &queries).0,
+        ch_allfp_expansions: expansion_counts(&ch, &queries).0,
         expansion_speedup: flat_expansions as f64 / ch_expansions.max(1) as f64,
         flat_wall_seconds: flat_wall,
         ch_wall_seconds: ch_wall,
@@ -524,6 +550,27 @@ fn measure_contraction_sweep(scale: Scale) -> Vec<ContractionPoint> {
         .collect()
 }
 
+/// The checked-in report, relative to `crates/bench`.
+const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
+
+/// `expanded_paths` of `--smoke`'s own serial passes as (allFP,
+/// singleFP): the flat engine on its 12 metro-small queries, the
+/// hierarchy on the 12 metro-medium queries of its race. The report
+/// records them; the smoke fails when an allFP count exceeds its record.
+struct SmokeCounters {
+    flat: (usize, usize),
+    ch: (usize, usize),
+}
+
+/// The count recorded under `key` in the checked-in report.
+fn recorded_count(key: &str) -> Option<usize> {
+    let json = std::fs::read_to_string(REPORT_PATH).ok()?;
+    let key = format!("\"{key}\": ");
+    let digits = &json[json.find(&key)? + key.len()..];
+    let end = digits.find(|c: char| !c.is_ascii_digit())?;
+    digits[..end].parse().ok()
+}
+
 /// Minimal JSON rendering (no serde in the workspace).
 #[allow(clippy::too_many_arguments)]
 fn to_json(
@@ -537,6 +584,7 @@ fn to_json(
     live: &fpbench::live_update::LiveUpdateReport,
     cluster: &[fpbench::cluster::ClusterReport],
     hierarchy: &HierarchyReport,
+    smoke: &SmokeCounters,
     contraction: &[ContractionPoint],
     huge: &fpbench::metro_huge::MetroHugeReport,
 ) -> String {
@@ -551,11 +599,13 @@ fn to_json(
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"queries\": {}, \"wall_seconds\": {:.6}, \
-             \"expanded_paths\": {}, \"expansions_per_sec\": {:.1}, \"queries_per_sec\": {:.2}}}{}\n",
+             \"expanded_paths\": {}, \"singlefp_expanded_paths\": {}, \
+             \"expansions_per_sec\": {:.1}, \"queries_per_sec\": {:.2}}}{}\n",
             r.name,
             r.queries,
             r.wall_seconds,
             r.expanded_paths,
+            r.singlefp_expanded_paths,
             r.expansions_per_sec,
             r.queries_per_sec,
             if i + 1 < rows.len() { "," } else { "" }
@@ -695,7 +745,8 @@ fn to_json(
          \"n_nodes\": {}, \"n_shortcuts\": {}, \"n_disabled\": {}, \"overlay_pieces\": {}, \
          \"overlay_bytes\": {}, \"overlay_bytes_exact\": {}, \"overlay_bytes_ratio\": {:.4}, \
          \"compress_eps\": {}, \"queries\": {}, \"singlefp_flat_expansions\": {}, \
-         \"singlefp_ch_expansions\": {}, \"expansion_speedup\": {:.1}, \
+         \"singlefp_ch_expansions\": {}, \"allfp_flat_expansions\": {}, \
+         \"allfp_ch_expansions\": {}, \"expansion_speedup\": {:.1}, \
          \"flat_wall_seconds\": {:.6}, \"ch_wall_seconds\": {:.6}, \"wall_speedup\": {:.2}, \
          \"note\": \"serial singleFP, morning-rush workload; expansion_speedup is the \
          machine-independent gate metric, wall_speedup (two serial loops in one process) is \
@@ -717,10 +768,19 @@ fn to_json(
         hierarchy.queries,
         hierarchy.flat_expansions,
         hierarchy.ch_expansions,
+        hierarchy.flat_allfp_expansions,
+        hierarchy.ch_allfp_expansions,
         hierarchy.expansion_speedup,
         hierarchy.flat_wall_seconds,
         hierarchy.ch_wall_seconds,
         hierarchy.wall_speedup,
+    ));
+    out.push_str(&format!(
+        "  \"smoke_counters\": {{\"flat_allfp_expanded\": {}, \"flat_singlefp_expanded\": {}, \
+         \"ch_allfp_expanded\": {}, \"ch_singlefp_expanded\": {}, \
+         \"note\": \"expanded_paths of --smoke's serial passes (flat: metro-small x12, ch: \
+         metro-medium x12); --smoke fails when an allFP count exceeds the one recorded here\"}},\n",
+        smoke.flat.0, smoke.flat.1, smoke.ch.0, smoke.ch.1,
     ));
     out.push_str("  \"contraction_sweep\": [\n");
     for (i, p) in contraction.iter().enumerate() {
@@ -817,10 +877,10 @@ fn emit_report() {
     let cached = Engine::new(net, EngineConfig::default());
 
     let rows = vec![
-        measure("serial cache-off", &queries, |qs| {
+        measure("serial cache-off", &plain, &queries, |qs| {
             qs.iter().map(|q| plain.all_fastest_paths(q)).collect()
         }),
-        measure("serial cache-on", &queries, |qs| {
+        measure("serial cache-on", &cached, &queries, |qs| {
             qs.iter().map(|q| cached.all_fastest_paths(q)).collect()
         }),
     ];
@@ -846,12 +906,21 @@ fn emit_report() {
     let overload = fpbench::overload::run(0x5EED, 100);
     let live = fpbench::live_update::run(0x5EED, 100, 8);
     let cluster = [
-        fpbench::cluster::run_chaos(11),
+        fpbench::cluster::run_chaos(fpbench::cluster::CHAOS_SEED),
         fpbench::cluster::run_node_loss(5),
     ];
     // The paper-magnitude network ("metro-large"): this is where the
     // ≥10x preprocessing claim is measured and recorded.
     let hierarchy = measure_hierarchy(Scale::Full, "full", 24, &HierarchyConfig::default());
+    let smoke = {
+        let small = Scenario::new(Scale::Small, 0x5EED);
+        let flat = Engine::new(&small.net, EngineConfig::default());
+        let h = measure_hierarchy(Scale::Medium, "medium", 12, &HierarchyConfig::default());
+        SmokeCounters {
+            flat: expansion_counts(&flat, &workload(&small.net, 12)),
+            ch: (h.ch_allfp_expansions, h.ch_expansions),
+        }
+    };
     // The contraction scaling curve builds the Medium hierarchy once
     // per width — cheap enough for the report, and scaling behaviour
     // is width-, not scale-, dependent.
@@ -877,15 +946,14 @@ fn emit_report() {
         &live,
         &cluster,
         &hierarchy,
+        &smoke,
         &contraction,
         &huge,
     );
 
-    // CARGO_MANIFEST_DIR = crates/bench; the report lives at the root.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    match std::fs::write(REPORT_PATH, &json) {
+        Ok(()) => println!("wrote {REPORT_PATH}"),
+        Err(e) => eprintln!("could not write {REPORT_PATH}: {e}"),
     }
     print!("{json}");
 }
@@ -1149,7 +1217,7 @@ fn smoke() -> i32 {
     // (retries, replica failovers), and hold goodput >= 0.5 with one
     // shard owner down — the promises `fp-cluster` exists for.
     const MIN_CLUSTER_GOODPUT: f64 = 0.5;
-    let cc = fpbench::cluster::run_chaos(11);
+    let cc = fpbench::cluster::run_chaos(fpbench::cluster::CHAOS_SEED);
     println!(
         "smoke: cluster chaos {}/{} admitted over {} nodes/{} shards, {} answered, \
          {} rpc attempts ({} retries, {} failovers), goodput {:.2}",
@@ -1232,6 +1300,33 @@ fn smoke() -> i32 {
             h.wall_speedup
         );
         failures += 1;
+    }
+
+    // Counters gate (ROADMAP 1b): search-space size is deterministic,
+    // so a pruning rule that loses its teeth fails here on any host.
+    let counters = SmokeCounters {
+        flat: expansion_counts(&engine, &queries),
+        ch: (h.ch_allfp_expansions, h.ch_expansions),
+    };
+    println!(
+        "smoke: expanded_paths allFP / singleFP: flat {} / {} (metro-small x{}), ch {} / {} \
+         (metro-medium x{})",
+        counters.flat.0,
+        counters.flat.1,
+        queries.len(),
+        counters.ch.0,
+        counters.ch.1,
+        h.queries,
+    );
+    for (key, got) in [
+        ("flat_allfp_expanded", counters.flat.0),
+        ("ch_allfp_expanded", counters.ch.0),
+    ] {
+        let limit = recorded_count(key);
+        if limit.is_none_or(|limit| got > limit) {
+            eprintln!("SMOKE FAIL: {key} is {got}, BENCH_engine.json records {limit:?}");
+            failures += 1;
+        }
     }
 
     // Overlay-size gate: the stored overlay (one-day functions,
@@ -1389,7 +1484,8 @@ fn hier_probe() {
         println!(
             "hier[{}]: preprocess {:.2}s, {} nodes, {} shortcuts ({} disabled), {} pieces \
              (~{} KiB stored vs ~{} KiB baseline, ratio {:.3}); {} queries: \
-             expansions flat {} vs ch {} ({:.1}x), wall {:.4}s vs {:.4}s ({:.2}x)",
+             expansions flat {} vs ch {} ({:.1}x), wall {:.4}s vs {:.4}s ({:.2}x); \
+             allFP expansions flat {} vs ch {}",
             h.scale,
             h.preprocess_wall_seconds,
             h.n_nodes,
@@ -1406,6 +1502,8 @@ fn hier_probe() {
             h.flat_wall_seconds,
             h.ch_wall_seconds,
             h.wall_speedup,
+            h.flat_allfp_expansions,
+            h.ch_allfp_expansions,
         );
     }
 }

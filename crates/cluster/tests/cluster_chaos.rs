@@ -28,6 +28,11 @@ use cluster::{answer_sig, run_cluster_sim, sample_specs, ClusterScenario, Cluste
 use roadnet::generators::grid;
 use traffic::RoadClass;
 
+/// The chaos seed of this file (and of `fpbench::cluster::run_chaos`'s
+/// callers in the bench smoke): one whose crash instant finds queued
+/// tickets on the dying node, which depends on what queries cost.
+const CHAOS_SEED: u64 = 3;
+
 /// Replay the cluster's epoch chain on a single-node manager and
 /// check every surviving answer bit-for-bit against it.
 fn assert_answers_match_oracle(sc: &ClusterScenario, result: &ClusterSimResult) {
@@ -100,7 +105,7 @@ fn assert_exactly_one_outcome(result: &ClusterSimResult) {
 
 #[test]
 fn chaos_accounts_every_submission_and_reconciles() {
-    let sc = ClusterScenario::chaos(11);
+    let sc = ClusterScenario::chaos(CHAOS_SEED);
     let result = run_cluster_sim(&sc).unwrap();
     assert_exactly_one_outcome(&result);
     assert!(
@@ -124,7 +129,7 @@ fn chaos_accounts_every_submission_and_reconciles() {
 
 #[test]
 fn chaos_survivors_match_single_node_oracle() {
-    let sc = ClusterScenario::chaos(11);
+    let sc = ClusterScenario::chaos(CHAOS_SEED);
     let result = run_cluster_sim(&sc).unwrap();
     // Mid-run deltas must be represented among survivors, so the
     // oracle comparison spans more than the seed epoch.
@@ -137,16 +142,16 @@ fn chaos_survivors_match_single_node_oracle() {
 
 #[test]
 fn chaos_replays_bit_identically_and_seeds_differ() {
-    let a = run_cluster_sim(&ClusterScenario::chaos(11)).unwrap();
-    let b = run_cluster_sim(&ClusterScenario::chaos(11)).unwrap();
+    let a = run_cluster_sim(&ClusterScenario::chaos(CHAOS_SEED)).unwrap();
+    let b = run_cluster_sim(&ClusterScenario::chaos(CHAOS_SEED)).unwrap();
     assert_eq!(a, b, "same seed must replay the whole run bit-exactly");
-    let c = run_cluster_sim(&ClusterScenario::chaos(12)).unwrap();
+    let c = run_cluster_sim(&ClusterScenario::chaos(CHAOS_SEED + 1)).unwrap();
     assert_ne!(a, c, "a different seed should produce a different run");
 }
 
 #[test]
 fn chaos_exercises_the_robustness_machinery() {
-    let result = run_cluster_sim(&ClusterScenario::chaos(11)).unwrap();
+    let result = run_cluster_sim(&ClusterScenario::chaos(CHAOS_SEED)).unwrap();
     let rpc = result
         .stats
         .nodes

@@ -822,6 +822,9 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         // scan; it only changes when a path merges into the border.
         let mut border: Option<Envelope<usize>> = None;
         let mut border_max = f64::INFINITY;
+        // `paths.len()` at the last border merge: exactly the paths
+        // below it were last tested against an older (higher) border.
+        let mut border_seen = 0usize;
         let mut single: Option<SingleFpAnswer> = None;
 
         // Global best-case speed: `distance / max_speed` lower-bounds
@@ -931,6 +934,7 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                         border_max = b.max_value();
                     }
                 }
+                border_seen = paths.len();
                 continue;
             }
 
@@ -939,15 +943,24 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
             // only improves the (possibly degraded) answer, so the
             // budget never forfeits it. Expansion — the expensive part
             // — is what the caps meter.
-            let tripped = match watch.poll()? {
-                Some(reason) => Some(reason),
-                None if stats.expanded_paths >= watch.max_expansions => {
-                    Some(DegradedReason::ExpansionsExhausted)
-                }
-                None => None,
-            };
-            if let Some(reason) = tripped {
+            if let Some(reason) = watch.poll()? {
                 trip = Some(reason);
+                break 'search;
+            }
+            // Pointwise border rule (DESIGN.md §7), re-run against a
+            // border that fell since this path was pushed. A path it
+            // kills was polled above but is no expansion.
+            let (travel, est) = (&paths[entry.path].travel, node_memo[head.index()].est);
+            if entry.path < border_seen
+                && border
+                    .as_ref()
+                    .is_some_and(|b| travel.dominated_by_offset(est, b.as_pwl()))
+            {
+                stats.pruned_by_border += 1;
+                continue;
+            }
+            if stats.expanded_paths >= watch.max_expansions {
+                trip = Some(DegradedReason::ExpansionsExhausted);
                 break 'search;
             }
 
@@ -1023,9 +1036,12 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                 let travel_min = travel.min_value();
                 let f_min = travel_min + est;
 
-                // Border bound: a path whose best possible outcome cannot
-                // beat the border anywhere is dead.
-                if border_max.is_finite() && pwl::approx_le(border_max, f_min) {
+                // Border bound: dead if no completion can get under the
+                // border at any instant — `T(l) + est ≥ border(l)` for all
+                // `l`; comparing the two sides' extremes is its O(1) case.
+                if border.as_ref().is_some_and(|b| {
+                    pwl::approx_le(border_max, f_min) || travel.dominated_by_offset(est, b.as_pwl())
+                }) {
                     stats.pruned_by_border += 1;
                     session.scratch_mut().recycle(travel);
                     continue;
@@ -1033,10 +1049,9 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
 
                 // Optional per-node dominance pruning (extension).
                 if self.config.prune_dominated {
-                    let scratch = session.scratch_mut();
                     let dominated = node_fns[edge.to.index()]
                         .iter()
-                        .any(|&p| travel.dominated_by_with(scratch, &paths[p].travel));
+                        .any(|&p| travel.dominated_by_offset(0.0, &paths[p].travel));
                     if dominated {
                         stats.pruned_dominated += 1;
                         session.scratch_mut().recycle(travel);

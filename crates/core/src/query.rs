@@ -250,7 +250,11 @@ pub struct QueryStats {
     pub expanded_nodes: usize,
     /// Paths pushed into the priority queue.
     pub pushed: usize,
-    /// Candidate paths discarded by the lower-border bound.
+    /// Paths discarded by the lower-border rule, scalar or pointwise
+    /// (DESIGN.md §7): candidates dropped before or after composition,
+    /// and queued paths dropped at their pop because the border fell
+    /// under them meanwhile (those are not counted in
+    /// `expanded_paths`).
     pub pruned_by_border: usize,
     /// Candidate paths discarded by per-node dominance (only when the
     /// optional pruning extension is enabled).

@@ -8,15 +8,19 @@
 //! so they must agree to numerical precision.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use allfp::baseline::astar_at;
-use allfp::{Engine, EngineConfig, EstimatorKind, NaiveLb, QuerySpec};
+use allfp::{
+    CancelToken, DegradedReason, Engine, EngineConfig, EngineError, EstimatorKind, NaiveLb,
+    QueryBudget, QueryOutcome, QuerySpec,
+};
 use ccam::{CcamStore, MemStore, PlacementPolicy, DEFAULT_PAGE_SIZE};
 use pwl::time::hm;
 use pwl::Interval;
 use roadnet::generators::{random_geometric, suffolk_like, MetroConfig};
 use roadnet::{NodeId, RoadNetwork};
-use traffic::DayCategory;
+use traffic::{CapeCodPattern, DayCategory, RoadClass, SpeedProfile};
 
 fn probe_instants(i: &Interval, n: usize) -> Vec<f64> {
     (0..=n)
@@ -270,5 +274,82 @@ fn single_fp_agrees_with_all_fp_minimum() {
         );
         // singleFP must stop no later than allFP
         assert!(single.stats.expanded_paths <= all.stats.expanded_paths);
+    }
+}
+
+/// A direct road `s → e` that halves its speed from 07:00 to 08:00 (10
+/// minutes off-peak, 20 at the peak) and a detour `s → a → e` that
+/// shares the slow-down on its first edge and then runs 9.5 miles at
+/// full speed: slower than the direct road at every leaving instant,
+/// yet its 15-minute minimum lies under the border's 20-minute peak.
+fn slow_detour_under_the_peak() -> (RoadNetwork, QuerySpec) {
+    let mut net = RoadNetwork::empty();
+    let both_days =
+        |p: SpeedProfile| CapeCodPattern::new(vec![p.clone(), p]).expect("two profiles");
+    let rush = SpeedProfile::from_pairs(&[(0.0, 1.0), (hm(7, 0), 0.5), (hm(8, 0), 1.0)]);
+    let rush = net.add_pattern(both_days(rush.expect("valid")));
+    let free = net.add_pattern(both_days(SpeedProfile::constant(1.0).expect("valid")));
+    let s = net.add_node(0.0, 0.0).expect("finite");
+    let a = net.add_node(0.5, 0.0).expect("finite");
+    let e = net.add_node(10.0, 0.0).expect("finite");
+    net.add_edge(s, e, 10.0, RoadClass::LocalOutside, rush)
+        .expect("valid edge");
+    net.add_edge(s, a, 5.5, RoadClass::LocalOutside, rush)
+        .expect("valid edge");
+    // Exactly the naive estimate from `a`, so `T(s → a) + est(a)` is
+    // the detour's own travel function.
+    net.add_edge(a, e, 9.5, RoadClass::LocalOutside, free)
+        .expect("valid edge");
+    let window = Interval::of(hm(6, 0), hm(9, 0));
+    (net, QuerySpec::new(s, e, window, DayCategory::WORKDAY))
+}
+
+#[test]
+fn the_border_prunes_where_it_lies_not_only_at_its_peak() {
+    let (net, q) = slow_detour_under_the_peak();
+    let engine = Engine::new(&net, EngineConfig::default());
+    let ans = engine.all_fastest_paths(&q).unwrap();
+    // `s → a` is queued before any border exists and popped at 15 < 20:
+    // the scalar rule expanded it, the pointwise one must not.
+    assert_eq!(ans.stats.expanded_paths, 1, "only the seed is expanded");
+    assert!(ans.stats.pruned_by_border >= 1, "{:?}", ans.stats);
+    assert_eq!(ans.stats.border_merges, 1);
+    assert_eq!(ans.paths.len(), 1);
+    assert_eq!(ans.paths[0].nodes, [q.source, q.target]);
+    assert!(pwl::approx_eq(ans.lower_border.max_value(), 20.0));
+    let lb = NaiveLb::new(net.max_speed());
+    for l in probe_instants(&q.interval, 63) {
+        let oracle = astar_at(&net, q.source, q.target, l, q.category, &lb).unwrap();
+        let border = ans.travel_at(l).unwrap();
+        assert!(
+            (border - oracle.travel_minutes).abs() <= 1e-6 * (1.0 + border),
+            "l={l}: border {border} vs oracle {}",
+            oracle.travel_minutes
+        );
+    }
+}
+
+#[test]
+fn budgets_still_trip_on_pop_zero_of_a_query_the_border_cuts_short() {
+    let (net, q) = slow_detour_under_the_peak();
+    let engine = Engine::new(&net, EngineConfig::default());
+    let mut session = engine.cache_session();
+
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    let out = engine.robust_with_session(&q, &mut session, Some(&cancelled));
+    assert!(matches!(out, Err(EngineError::Cancelled)), "{out:?}");
+
+    let expired = q.with_budget(QueryBudget::unlimited().with_deadline(Duration::ZERO));
+    match engine
+        .robust_with_session(&expired, &mut session, None)
+        .unwrap()
+    {
+        QueryOutcome::Degraded(d) => {
+            assert_eq!(d.reason, DegradedReason::DeadlineExpired);
+            assert_eq!(d.stats.expanded_paths, 0);
+            assert!(d.best.is_none());
+        }
+        QueryOutcome::Exact(_) => panic!("a zero deadline must trip before any expansion"),
     }
 }

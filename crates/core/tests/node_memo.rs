@@ -164,7 +164,13 @@ fn exact_queries_read_each_node_record_once() {
 fn a_budget_tripped_query_reads_each_node_record_once() {
     let (net, queries) = metro_small();
     let counted = CountingSource::new(&net);
-    let budget = QueryBudget::unlimited().with_max_expansions(60);
+    // Half of what the query needs unbudgeted, so the cap trips
+    // mid-search whatever the pruning rules make of the query.
+    let probe = Engine::new(&net, EngineConfig::default());
+    let unbudgeted = probe.all_fastest_paths(&queries[0]).expect("allFP");
+    let cap = unbudgeted.stats.expanded_paths / 2;
+    assert!(cap > 0, "the query must need more than one expansion");
+    let budget = QueryBudget::unlimited().with_max_expansions(cap);
     let q = queries[0].clone().with_budget(budget);
 
     // The legacy surface stops at the trip, so its calls are exactly
@@ -173,7 +179,7 @@ fn a_budget_tripped_query_reads_each_node_record_once() {
     counted.take();
     assert!(matches!(
         engine.all_fastest_paths(&q),
-        Err(allfp::AllFpError::BudgetExhausted { expansions: 60 })
+        Err(allfp::AllFpError::BudgetExhausted { expansions }) if expansions == cap
     ));
     let search_calls = counted.take();
 
@@ -181,7 +187,7 @@ fn a_budget_tripped_query_reads_each_node_record_once() {
     // plans the fallback route through the allocating `successors`.
     let engine = Engine::new(&counted, EngineConfig::default());
     let QueryOutcome::Degraded(degraded) = engine.run_robust(&q).expect("robust query") else {
-        panic!("60 expansions cannot finish a metro-small rush-hour query");
+        panic!("half its expansions cannot finish the query");
     };
     let robust_calls = counted.take();
     assert_one_read_per_node(&search_calls, &degraded.stats, q.target, "degraded");

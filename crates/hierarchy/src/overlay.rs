@@ -33,7 +33,7 @@
 //! min-of-sums lower-bounds the via travel, so dropped shortcuts can
 //! never carry a strictly fastest path. Parallel arcs between the same
 //! endpoints are deduplicated by pointwise domination
-//! ([`Pwl::dominated_by_with`]) — the same ε-tolerant rule the flat
+//! ([`Pwl::dominated_by_offset`]) — the same ε-tolerant rule the flat
 //! engine's dominance pruning already applies.
 //!
 //! **Space-efficient storage.** Each arc stores only its **one-day**
@@ -646,7 +646,6 @@ pub(crate) fn build_overlay<S: NetworkSource>(
     let mut dirty = vec![true; n];
     let mut in_round = vec![false; n];
     let mut n_disabled = 0usize;
-    let mut scratch = PwlScratch::new();
 
     let mut next_rank = 0u32;
     let mut remaining = n;
@@ -760,14 +759,14 @@ pub(crate) fn build_overlay<S: NetworkSource>(
                     }
                     if planned
                         .full
-                        .dominated_by_with(&mut scratch, &arcs[cid as usize].full)
+                        .dominated_by_offset(0.0, &arcs[cid as usize].full)
                     {
                         dominated = true;
                         break;
                     }
                     if arcs[cid as usize]
                         .full
-                        .dominated_by_with(&mut scratch, &planned.full)
+                        .dominated_by_offset(0.0, &planned.full)
                     {
                         to_disable.push(cid);
                     }

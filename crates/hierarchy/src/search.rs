@@ -40,10 +40,11 @@
 //! functions makes the raised composition a pointwise upper bound, so
 //! approximation error accumulates through the actual function shapes
 //! rather than a worst-case slope product — which keeps the bracket
-//! tight enough to prune with. Pruning uses only safe sides: candidate
-//! lower bounds against the border cap (the max of the envelope of
-//! merged *upper* functions), and dominance tests a new label's lower
-//! function against the established label's upper function. A label
+//! tight enough to prune with. Pruning uses only safe sides: a label's
+//! lower function plus its bound against the envelope of merged *upper*
+//! functions (pointwise for allFP, and against its max as the stop
+//! cap), and dominance tests a new label's lower function against the
+//! established label's upper function. A label
 //! that has not yet crossed a lossy arc stores no separate upper
 //! function (it would be bit-equal to the lower one), so exact
 //! corridors — and exact storage entirely — pay nothing extra and
@@ -389,6 +390,19 @@ pub(crate) fn run(
     // functions themselves — identical to the plain border rule.)
     let mut border: Option<Envelope<usize>> = None;
     let mut border_cap = f64::INFINITY;
+    // `labels.len()` at the last border merge: exactly the labels below
+    // it were last tested against an older (higher) border.
+    let mut border_seen = 0usize;
+    // allFP's pointwise border rule (DESIGN.md §7) on the safe sides
+    // of the brackets: a label whose *lower* function plus its phase
+    // bound clears the envelope of merged *upper* functions at every
+    // leaving instant has no completion that wins anywhere.
+    let clears_border = |border: &Option<Envelope<usize>>, lower: &Pwl, est: f64| {
+        !single_only
+            && border
+                .as_ref()
+                .is_some_and(|b| lower.dominated_by_offset(est, b.as_pwl()))
+    };
     // singleFP stopping rule: the best candidate's guaranteed true
     // minimum (its upper function's minimum).
     let mut single_cap = f64::INFINITY;
@@ -454,18 +468,25 @@ pub(crate) fn run(
                 }
             }
             single_cap = single_cap.min(labels[entry.label].upper_min());
+            border_seen = labels.len();
             continue;
         }
 
-        let tripped = match watch.poll()? {
-            Some(reason) => Some(reason),
-            None if stats.expanded_paths >= watch.max_expansions => {
-                Some(DegradedReason::ExpansionsExhausted)
-            }
-            None => None,
-        };
-        if let Some(reason) = tripped {
+        if let Some(reason) = watch.poll()? {
             trip = Some(reason);
+            break 'search;
+        }
+        // Re-run the rule against a border that fell since this label
+        // was pushed; a label it kills was polled but is no expansion.
+        let label = &labels[entry.label];
+        let state = &nodes[node as usize];
+        let est = if label.desc { state.down } else { state.up };
+        if entry.label < border_seen && clears_border(&border, &label.travel, est) {
+            stats.pruned_by_border += 1;
+            continue;
+        }
+        if stats.expanded_paths >= watch.max_expansions {
+            trip = Some(DegradedReason::ExpansionsExhausted);
             break 'search;
         }
 
@@ -543,7 +564,9 @@ pub(crate) fn run(
             let travel_min = travel.min_value();
             let f_min = travel_min + est;
 
-            if border_cap.is_finite() && pwl::approx_le(border_cap, f_min) {
+            if border_cap.is_finite() && pwl::approx_le(border_cap, f_min)
+                || clears_border(&border, &travel, est)
+            {
                 stats.pruned_by_border += 1;
                 scratch.recycle(travel);
                 continue;
@@ -559,13 +582,10 @@ pub(crate) fn run(
             // function must clear the old label's *upper* function —
             // then old-true ≤ old-upper ≤ new-lower ≤ new-true
             // everywhere. With exact uppers this is plain domination.
-            let mut covers = |l: &u32| {
-                let old = &labels[*l as usize];
-                travel.dominated_by_with(scratch, old.upper_fn())
-            };
-            let mut dominated = nodes[to].asc.iter().any(&mut covers);
+            let covers = |l: &u32| travel.dominated_by_offset(0.0, labels[*l as usize].upper_fn());
+            let mut dominated = nodes[to].asc.iter().any(covers);
             if !dominated && to_desc {
-                dominated = nodes[to].desc.iter().any(&mut covers);
+                dominated = nodes[to].desc.iter().any(covers);
             }
             if dominated {
                 stats.pruned_dominated += 1;

@@ -235,6 +235,15 @@ proptest! {
             config_with(1, Some(eps)),
         )
         .unwrap();
+        // The default band too: the pointwise border rule compares a
+        // label's lower bracket with the envelope of upper brackets,
+        // and a bracket on the wrong side would drop a winning route.
+        let default_band = HierarchyEngine::build(
+            &net,
+            EngineConfig::default(),
+            config_with(1, Some(0.1)),
+        )
+        .unwrap();
         prop_assert!(
             compact.report().overlay_pieces <= exact.report().overlay_pieces,
             "compression grew the overlay: {} > {}",
@@ -246,6 +255,7 @@ proptest! {
             let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY);
             let a = exact.all_fastest_paths(&q).unwrap();
             same_allfp(&a, &compact.all_fastest_paths(&q).unwrap())?;
+            same_allfp(&a, &default_band.all_fastest_paths(&q).unwrap())?;
             let sa = exact.single_fastest_path(&q).unwrap();
             same_single(&sa, &compact.single_fastest_path(&q).unwrap())?;
         }

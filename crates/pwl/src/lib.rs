@@ -45,9 +45,10 @@
 //!
 //! The kernels the allFP engine runs per edge expansion have pooled
 //! twins that produce bit-identical results without steady-state
-//! allocations: [`compose_travel_into`], [`Pwl::restrict_with`],
-//! [`Pwl::dominated_by_with`] and [`Envelope::merge_min_with`], all fed
-//! from a per-worker [`PwlScratch`]. [`PwlRef`] shares finished
+//! allocations: [`compose_travel_into`], [`Pwl::restrict_with`] and
+//! [`Envelope::merge_min_with`], all fed from a per-worker
+//! [`PwlScratch`]; the comparison kernel [`Pwl::dominated_by_offset`]
+//! streams and needs no workspace. [`PwlRef`] shares finished
 //! functions by reference count instead of deep copy.
 
 #![warn(clippy::redundant_clone)]

@@ -570,36 +570,68 @@ impl Pwl {
         true
     }
 
-    /// Pooled [`dominated_by`](Self::dominated_by): identical verdict,
-    /// with the merged-breakpoint workspace borrowed from `scratch`
-    /// instead of allocated per call, and the per-knot evaluations done
-    /// by advancing piece cursors instead of one binary search per knot
-    /// (the knots ascend, so the cursors find the same piece indices).
-    pub fn dominated_by_with(&self, scratch: &mut PwlScratch, other: &Pwl) -> bool {
+    /// The comparison kernel: `true` if `self(x) + offset ≥ other(x) −
+    /// EPS` for all `x` in the intersection of the domains. `offset = 0`
+    /// gives [`dominated_by`](Self::dominated_by)'s verdict at every
+    /// input (both searches' dominance test); a path's lower-bound
+    /// estimate against the lower border is the pointwise border rule
+    /// (DESIGN.md §7).
+    ///
+    /// Two cursors stream the subdivision `dominated_by` materialises —
+    /// the breakpoints strictly inside the common domain, merged, an
+    /// [`EPS`]-close knot dropped in favour of the last kept one — so
+    /// nothing is buffered and a failing comparison stops the merge.
+    pub fn dominated_by_offset(&self, offset: f64, other: &Pwl) -> bool {
         let Some(domain) = self.domain().intersect(&other.domain()) else {
             return false;
         };
+        let (lo, hi) = (domain.lo(), domain.hi());
         if domain.is_degenerate() {
-            let x = domain.lo();
-            return approx_le(other.eval_clamped(x), self.eval_clamped(x));
+            return approx_le(other.eval_clamped(lo), self.eval_clamped(lo) + offset);
         }
-        merged_breakpoints_into(scratch, &[self, other], &domain);
-        let (sdom, odom) = (self.domain(), other.domain());
-        let (mut i, mut j) = (0usize, 0usize);
-        for &x in &scratch.knots {
-            let sx = sdom.clamp(x);
-            while i + 1 < self.fs.len() && self.xs[i + 1] <= sx {
+        // Index and value of the first breakpoint from `k` on that lies
+        // strictly inside the common domain (`∞` when none is left).
+        let seek = |xs: &[f64], mut k: usize| loop {
+            match xs.get(k) {
+                Some(&x) if x < hi => {
+                    if definitely_lt(lo, x) && definitely_lt(x, hi) {
+                        return (k, x);
+                    }
+                    k += 1;
+                }
+                _ => return (k, f64::INFINITY),
+            }
+        };
+        // `a`, `b`: each function's next breakpoint not yet merged;
+        // `i`, `j`: the pieces covering the knot under comparison.
+        let mut a = self.xs.partition_point(|&x| x <= lo);
+        let mut b = other.xs.partition_point(|&x| x <= lo);
+        let (mut i, mut j) = (a - 1, b - 1);
+        let mut x = lo;
+        loop {
+            while i + 1 < self.fs.len() && self.xs[i + 1] <= x {
                 i += 1;
             }
-            let ox = odom.clamp(x);
-            while j + 1 < other.fs.len() && other.xs[j + 1] <= ox {
+            while j + 1 < other.fs.len() && other.xs[j + 1] <= x {
                 j += 1;
             }
-            if definitely_lt(self.fs[i].eval(sx), other.fs[j].eval(ox)) {
+            if definitely_lt(self.fs[i].eval(x) + offset, other.fs[j].eval(x)) {
                 return false;
             }
+            // Advance to the next kept knot; `hi` closes the sweep.
+            let last = x;
+            while approx_eq(x, last) {
+                if x == hi {
+                    return true;
+                }
+                let ((ka, xa), (kb, xb)) = (seek(&self.xs, a), seek(&other.xs, b));
+                (a, b, x) = if xa <= xb {
+                    (ka + 1, kb, xa.min(hi))
+                } else {
+                    (ka, kb + 1, xb)
+                };
+            }
         }
-        true
     }
 
     /// An empty placeholder `Pwl` used only as a transient value while
@@ -748,7 +780,158 @@ pub(crate) fn build_from_breakpoints(
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
+
+    /// The materialising sweep [`Pwl::dominated_by_offset`] replaced,
+    /// given the offset: fill `scratch.knots` with the merged, deduped
+    /// subdivision first, then compare at every knot. Kept as the
+    /// streaming kernel's oracle.
+    fn materialised(f: &Pwl, scratch: &mut PwlScratch, offset: f64, g: &Pwl) -> bool {
+        let Some(domain) = f.domain().intersect(&g.domain()) else {
+            return false;
+        };
+        if domain.is_degenerate() {
+            let x = domain.lo();
+            return approx_le(g.eval_clamped(x), f.eval_clamped(x) + offset);
+        }
+        merged_breakpoints_into(scratch, &[f, g], &domain);
+        let (fdom, gdom) = (f.domain(), g.domain());
+        let (mut i, mut j) = (0usize, 0usize);
+        for &x in &scratch.knots {
+            let fx = fdom.clamp(x);
+            while i + 1 < f.fs.len() && f.xs[i + 1] <= fx {
+                i += 1;
+            }
+            let gx = gdom.clamp(x);
+            while j + 1 < g.fs.len() && g.xs[j + 1] <= gx {
+                j += 1;
+            }
+            if definitely_lt(f.fs[i].eval(fx) + offset, g.fs[j].eval(gx)) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// A random function from `x0`: 1 to 7 pieces, a third of the gaps
+    /// far below [`EPS`] or just around it (which [`Linear::through`]
+    /// would refuse), now and then a jump.
+    fn random_fn(rng: &mut StdRng, x0: f64) -> Pwl {
+        let n = rng.gen_range(1usize..=7);
+        let (mut xs, mut fs) = (vec![x0], Vec::with_capacity(n));
+        let mut y = rng.gen_range(0.0..10.0);
+        for _ in 0..n {
+            let x = xs[xs.len() - 1];
+            let dx = match rng.gen_range(0u32..6) {
+                0 => 1e-9,
+                1 => rng.gen_range(0.5e-7..4e-6),
+                _ => rng.gen_range(0.1..5.0),
+            };
+            if rng.gen_bool(0.1) {
+                y += rng.gen_range(-1.0..1.0);
+            }
+            let a = rng.gen_range(-2.0..2.0);
+            fs.push(Linear { a, b: y - a * x });
+            xs.push(x + dx);
+            y += a * dx;
+        }
+        Pwl::new(xs, fs).unwrap()
+    }
+
+    /// `f` with every knot moved by at most a few [`EPS`] and every
+    /// value by nothing, a sub-tolerance amount or a clear one — the
+    /// pairs whose verdict hangs on the tolerance.
+    fn jittered(rng: &mut StdRng, f: &Pwl) -> Pwl {
+        let mut pick = |choices: &[f64]| choices[rng.gen_range(0..choices.len())];
+        let mut pts: Vec<(f64, f64)> = f
+            .points()
+            .iter()
+            .map(|&(x, y)| {
+                let dx = pick(&[0.0, 0.0, 1e-9, -1e-9, 2e-7, -2e-7, 3e-6]);
+                let dy = pick(&[0.0, 0.0, 4e-8, -4e-8, 2e-6, -2e-6, 0.5, -0.5]);
+                (x + dx, y + dy)
+            })
+            .collect();
+        pts.sort_by(|a, b| a.0.total_cmp(&b.0));
+        pts.dedup_by(|a, b| a.0 == b.0);
+        if pts.len() < 2 {
+            return f.clone();
+        }
+        let line = |w: &[(f64, f64)]| {
+            let a = (w[1].1 - w[0].1) / (w[1].0 - w[0].0);
+            Linear {
+                a,
+                b: w[0].1 - a * w[0].0,
+            }
+        };
+        let fs = pts.windows(2).map(line).collect();
+        Pwl::new(pts.iter().map(|p| p.0).collect(), fs).unwrap()
+    }
+
+    #[test]
+    fn streaming_kernel_matches_the_materialising_oracle() {
+        let mut rng = StdRng::seed_from_u64(0xB02DE2);
+        let mut scratch = PwlScratch::new();
+        let offsets = [0.0, EPS / 2.0, -EPS / 2.0, 1.0, -1.0, 1e300, -1e300];
+        let mut verdicts = [0usize; 2];
+        for case in 0..10_000 {
+            let x0 = rng.gen_range(0.0..20.0);
+            let f = random_fn(&mut rng, x0);
+            let (flo, fhi) = (f.domain().lo(), f.domain().hi());
+            let near = rng.gen_range(flo - 5.0..fhi);
+            let g = match case % 6 {
+                // independent: partial overlap, containment, or none
+                0 => random_fn(&mut rng, 20.0 - x0),
+                1 => random_fn(&mut rng, near),
+                // knots and values within tolerance of `f`'s
+                2 | 3 => jittered(&mut rng, &f),
+                // common domain: the single point where `f` ends
+                4 => random_fn(&mut rng, fhi),
+                // one piece covering `f`, and disjoint from it
+                _ if rng.gen_bool(0.5) => {
+                    let dom = Interval::of(flo - 1.0, fhi + 1.0);
+                    Pwl::constant(dom, f.min_value() + rng.gen_range(-0.5..0.5)).unwrap()
+                }
+                _ => random_fn(&mut rng, fhi + 100.0),
+            };
+            for (a, b) in [(&f, &g), (&g, &f)] {
+                assert_eq!(
+                    a.dominated_by_offset(0.0, b),
+                    a.dominated_by(b),
+                    "case {case}: offset 0 vs dominated_by\n{a:?}\n{b:?}"
+                );
+                for offset in offsets {
+                    let got = a.dominated_by_offset(offset, b);
+                    let want = materialised(a, &mut scratch, offset, b);
+                    assert_eq!(got, want, "case {case} offset {offset}\n{a:?}\n{b:?}");
+                    verdicts[usize::from(got)] += 1;
+                }
+            }
+        }
+        // Both verdicts are exercised, neither marginally.
+        assert!(verdicts[0] > 20_000 && verdicts[1] > 20_000, "{verdicts:?}");
+    }
+
+    #[test]
+    fn a_function_on_the_border_is_covered() {
+        // The envelope's "first identified keeps its sub-interval" rule
+        // makes a tie a loss for the later function: one lying exactly
+        // on the border, or touching it at one knot, can win nowhere.
+        let border = vee();
+        assert!(border.clone().dominated_by_offset(0.0, &border));
+        // the same graph through other knots, 2 below, estimate 2
+        let low = Pwl::from_points(&[(0.0, 8.0), (4.0, 4.0), (10.0, -2.0), (20.0, 8.0)]).unwrap();
+        assert!(low.dominated_by_offset(2.0, &border));
+        assert!(!low.dominated_by_offset(2.0 - 1e-3, &border));
+        // above the border except for a tie at the knot x = 10
+        let touch = Pwl::from_points(&[(0.0, 12.0), (10.0, 0.0), (20.0, 11.0)]).unwrap();
+        assert!(touch.dominated_by_offset(0.0, &border));
+        let dips = Pwl::from_points(&[(0.0, 12.0), (10.0, -1e-3), (20.0, 11.0)]).unwrap();
+        assert!(!dips.dominated_by_offset(0.0, &border));
+    }
 
     fn vee() -> Pwl {
         // V shape: 10 - x on [0,10], x - 10 on [10, 20]

@@ -25,7 +25,7 @@ const POOL_CAP: usize = 4096;
 
 /// Reusable workspace for the pooled PWL kernels
 /// ([`compose_travel_into`](crate::compose_travel_into),
-/// [`Pwl::restrict_with`], [`Pwl::dominated_by_with`],
+/// [`Pwl::restrict_with`],
 /// [`Envelope::merge_min_with`](crate::Envelope::merge_min_with)).
 ///
 /// # Scratch-reuse contract

@@ -230,6 +230,22 @@ proptest! {
     }
 
     #[test]
+    fn comparison_kernel_at_offset_zero_is_dominated_by(
+        f in arb_pwl(),
+        dx in -8.0f64..8.0,
+        g in arb_pwl(),
+        lift in -20.0f64..20.0,
+    ) {
+        // The streaming kernel's oracle is `#[cfg(test)]` inside the
+        // crate; from outside, its `offset = 0` case is pinned to the
+        // allocating reference on overlapping and disjoint domains.
+        let g = g.shift_x(f.domain().lo() - g.domain().lo() + dx).add_scalar(lift);
+        prop_assert_eq!(f.dominated_by_offset(0.0, &g), f.dominated_by(&g));
+        prop_assert_eq!(g.dominated_by_offset(0.0, &f), g.dominated_by(&f));
+        prop_assert!(f.dominated_by_offset(0.0, &f));
+    }
+
+    #[test]
     fn dominated_by_agrees_with_sampling(f in arb_pwl(), g in arb_pwl()) {
         let Some(common) = f.domain().intersect(&g.domain()) else {
             return Ok(());

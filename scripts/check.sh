@@ -42,7 +42,13 @@ env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test update_storm
 # Allocation gates ride along with the batch smoke: the pooled PWL
 # kernel loop must allocate exactly zero in steady state, and the
 # whole engine must stay under the allocs-per-expansion budget (both
-# measured by a counting global allocator inside fp-bench). The smoke
+# measured by a counting global allocator inside fp-bench; the
+# pointwise border rule shrank the denominator, not the allocations:
+# 0.76 -> ~1.0 allocs/expansion against a budget of 6). The smoke
+# prints allFP and singleFP expanded_paths of its serial flat and
+# hierarchy passes and fails if an allFP count exceeds the one recorded
+# in BENCH_engine.json's smoke_counters block (the counters gate:
+# search-space size is deterministic on every host). The smoke
 # also races the hierarchy against the flat engine, gating the >=10x
 # singleFP expansion speedup and its >=3x wall-clock twin (every
 # host), the <=0.5x overlay byte footprint against the old
