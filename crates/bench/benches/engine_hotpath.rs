@@ -26,7 +26,8 @@
 //! a continental-scale regression — the metro-huge smoke tier
 //! (`fpbench::metro_huge`) must bulk-build byte-identically at every
 //! thread count with transient scratch bounded under the graph bytes,
-//! and serve its workload through the mmap store — all without
+//! serve its workload through the mmap store, and ask its warm
+//! estimator without allocating — all without
 //! touching the JSON report. `scripts/check.sh` runs it on every
 //! check.
 
@@ -37,7 +38,7 @@ use ccam::{BlockStore, CcamStore, ChecksummedStore, MemStore, PlacementPolicy, D
 use criterion::{black_box, criterion_group, Criterion};
 use fpbench::{Scale, Scenario};
 
-use allfp::{BatchStats, Engine, EngineConfig, PathfindBackend, QuerySpec};
+use allfp::{BatchStats, Engine, EngineConfig, EstimatorKind, PathfindBackend, QuerySpec};
 use fpbench::alloc::snapshot;
 use hierarchy::{HierarchyConfig, HierarchyEngine};
 use pwl::time::hm;
@@ -559,7 +560,20 @@ const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engi
 /// records them; the smoke fails when an allFP count exceeds its record.
 struct SmokeCounters {
     flat: (usize, usize),
+    /// The flat engine under `EstimatorKind::MinTime`.
+    min_time: (usize, usize),
     ch: (usize, usize),
+}
+
+/// `--smoke`'s flat pass under the min-time estimator: the same
+/// metro-small x12 workload as the naive-bound pass.
+fn min_time_counts(net: &RoadNetwork, queries: &[QuerySpec]) -> (usize, usize) {
+    let config = EngineConfig {
+        estimator: EstimatorKind::MinTime,
+        ..EngineConfig::default()
+    };
+    let engine = Engine::for_network(net, config).expect("estimator builds");
+    expansion_counts(&engine, queries)
 }
 
 /// The count recorded under `key` in the checked-in report.
@@ -777,10 +791,12 @@ fn to_json(
     ));
     out.push_str(&format!(
         "  \"smoke_counters\": {{\"flat_allfp_expanded\": {}, \"flat_singlefp_expanded\": {}, \
+         \"mintime_allfp_expanded\": {}, \"mintime_singlefp_expanded\": {}, \
          \"ch_allfp_expanded\": {}, \"ch_singlefp_expanded\": {}, \
-         \"note\": \"expanded_paths of --smoke's serial passes (flat: metro-small x12, ch: \
-         metro-medium x12); --smoke fails when an allFP count exceeds the one recorded here\"}},\n",
-        smoke.flat.0, smoke.flat.1, smoke.ch.0, smoke.ch.1,
+         \"note\": \"expanded_paths of --smoke's serial passes (flat under naiveLB and under \
+         minTimeLB: metro-small x12, ch: metro-medium x12); --smoke fails when an allFP or a \
+         minTimeLB count exceeds the one recorded here\"}},\n",
+        smoke.flat.0, smoke.flat.1, smoke.min_time.0, smoke.min_time.1, smoke.ch.0, smoke.ch.1,
     ));
     out.push_str("  \"contraction_sweep\": [\n");
     for (i, p) in contraction.iter().enumerate() {
@@ -799,8 +815,8 @@ fn to_json(
         "  \"metro_huge\": {{\"tier\": \"{}\", \"n_nodes\": {}, \"data_pages\": {}, \
          \"total_pages\": {}, \"graph_bytes\": {}, \"transient_build_bytes\": {}, \
          \"peak_rss_bytes\": {}, \"deterministic\": {}, \"store\": \"{}\", \
-         \"pool_frames\": {}, \"estimator\": {{\"kind\": \"bdLB-part\", \"groups\": {}, \
-         \"wall_seconds\": {:.3}}}, \"queries\": {}, \"query_failures\": {}, \
+         \"pool_frames\": {}, \"estimator\": {{\"kind\": \"minTimeLB\", \
+         \"wall_seconds\": {:.3}, \"bytes\": {}}}, \"queries\": {}, \"query_failures\": {}, \
          \"query_wall_seconds\": {:.4}, \"queries_per_sec\": {:.2}, \"expanded_paths\": {}, \
          \"io\": {{\"reads\": {}, \"bytes_read\": {}, \"bytes_written\": {}, \
          \"mmap_faults\": {}}}, \"build_sweep\": [{}], \
@@ -818,8 +834,8 @@ fn to_json(
         huge.deterministic,
         huge.store_kind,
         huge.pool_frames,
-        huge.estimator_groups,
         huge.estimator_wall_seconds,
+        huge.estimator_bytes,
         huge.queries,
         huge.query_failures,
         huge.query_wall_seconds,
@@ -907,7 +923,7 @@ fn emit_report() {
     let live = fpbench::live_update::run(0x5EED, 100, 8);
     let cluster = [
         fpbench::cluster::run_chaos(fpbench::cluster::CHAOS_SEED),
-        fpbench::cluster::run_node_loss(5),
+        fpbench::cluster::run_node_loss(fpbench::cluster::NODE_LOSS_SEED),
     ];
     // The paper-magnitude network ("metro-large"): this is where the
     // ≥10x preprocessing claim is measured and recorded.
@@ -915,9 +931,11 @@ fn emit_report() {
     let smoke = {
         let small = Scenario::new(Scale::Small, 0x5EED);
         let flat = Engine::new(&small.net, EngineConfig::default());
+        let queries = workload(&small.net, 12);
         let h = measure_hierarchy(Scale::Medium, "medium", 12, &HierarchyConfig::default());
         SmokeCounters {
-            flat: expansion_counts(&flat, &workload(&small.net, 12)),
+            flat: expansion_counts(&flat, &queries),
+            min_time: min_time_counts(&small.net, &queries),
             ch: (h.ch_allfp_expansions, h.ch_expansions),
         }
     };
@@ -928,13 +946,8 @@ fn emit_report() {
     // The million-node continental tier: bulk-built straight from the
     // lazy generator (never materialized), parallel-build sweep with a
     // byte-identity check, then the fig9 workload served through the
-    // mmap store under a partitioned-boundary estimator.
-    let huge = fpbench::metro_huge::run(
-        &ContinentalConfig::metro_huge(0x5EED),
-        "metro-huge",
-        24,
-        128,
-    );
+    // mmap store under the min-time estimator.
+    let huge = fpbench::metro_huge::run(&ContinentalConfig::metro_huge(0x5EED), "metro-huge", 24);
     let json = to_json(
         &rows,
         &sweep,
@@ -1243,7 +1256,7 @@ fn smoke() -> i32 {
         eprintln!("SMOKE FAIL: cluster chaos never retried/failed over — the storm lost its teeth");
         failures += 1;
     }
-    let cl = fpbench::cluster::run_node_loss(5);
+    let cl = fpbench::cluster::run_node_loss(fpbench::cluster::NODE_LOSS_SEED);
     println!(
         "smoke: cluster node-loss {} crash / {} restarts, {} answered, {} unroutable, \
          goodput {:.2} (floor {MIN_CLUSTER_GOODPUT})",
@@ -1306,13 +1319,16 @@ fn smoke() -> i32 {
     // so a pruning rule that loses its teeth fails here on any host.
     let counters = SmokeCounters {
         flat: expansion_counts(&engine, &queries),
+        min_time: min_time_counts(net, &queries),
         ch: (h.ch_allfp_expansions, h.ch_expansions),
     };
     println!(
-        "smoke: expanded_paths allFP / singleFP: flat {} / {} (metro-small x{}), ch {} / {} \
-         (metro-medium x{})",
+        "smoke: expanded_paths allFP / singleFP: flat {} / {}, under minTimeLB {} / {} \
+         (metro-small x{}), ch {} / {} (metro-medium x{})",
         counters.flat.0,
         counters.flat.1,
+        counters.min_time.0,
+        counters.min_time.1,
         queries.len(),
         counters.ch.0,
         counters.ch.1,
@@ -1320,6 +1336,8 @@ fn smoke() -> i32 {
     );
     for (key, got) in [
         ("flat_allfp_expanded", counters.flat.0),
+        ("mintime_allfp_expanded", counters.min_time.0),
+        ("mintime_singlefp_expanded", counters.min_time.1),
         ("ch_allfp_expanded", counters.ch.0),
     ] {
         let limit = recorded_count(key);
@@ -1394,12 +1412,14 @@ fn smoke() -> i32 {
     // counter so a 1-core host can't flake it), and the mmap-served
     // fig9 workload must answer every query while actually faulting
     // pages in (unless the store fell back to FileStore, which the
-    // equivalence suite pins to the same bytes anyway).
-    let hu = fpbench::metro_huge::run(&ContinentalConfig::smoke(0x5EED), "smoke", 8, 32);
+    // equivalence suite pins to the same bytes anyway). Once the pass
+    // has warmed the thread's estimator workspace, a fresh backward
+    // search must not allocate.
+    let hu = fpbench::metro_huge::run(&ContinentalConfig::smoke(0x5EED), "smoke", 8);
     println!(
         "smoke: metro-huge smoke tier {} nodes, {} pages, build x{:?} deterministic={}, \
          transient {} KiB vs graph {} KiB, {} via {} ({} frames), {}/{} queries ok, \
-         {} faults, {} reads",
+         {} faults, {} reads, estimator {} KiB with {} warm allocations",
         hu.n_nodes,
         hu.total_pages,
         fpbench::metro_huge::BUILD_SWEEP,
@@ -1413,7 +1433,16 @@ fn smoke() -> i32 {
         hu.queries,
         hu.mmap_faults,
         hu.io_reads,
+        hu.estimator_bytes / 1024,
+        hu.estimator_warm_allocs,
     );
+    if hu.estimator_warm_allocs != 0 {
+        eprintln!(
+            "SMOKE FAIL: the warm estimator allocated {} time(s) answering fresh targets",
+            hu.estimator_warm_allocs
+        );
+        failures += 1;
+    }
     if !hu.deterministic {
         eprintln!(
             "SMOKE FAIL: bulk build diverged across thread counts {:?}",

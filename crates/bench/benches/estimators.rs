@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpbench::{Scale, Scenario};
 
-use allfp::{BoundaryLb, LowerBoundEstimator, NaiveLb, WeightMode};
+use allfp::{BoundaryLb, LowerBoundEstimator, NaiveLb};
 use roadnet::{NetworkSource, NodeId};
 
 fn bench_precompute(c: &mut Criterion) {
@@ -16,7 +16,7 @@ fn bench_precompute(c: &mut Criterion) {
     for grid in [2usize, 4, 8, 16] {
         group.bench_with_input(BenchmarkId::from_parameter(grid), &grid, |b, &grid| {
             b.iter(|| {
-                black_box(BoundaryLb::build(net, grid, WeightMode::Distance).unwrap());
+                black_box(BoundaryLb::build(net, grid).unwrap());
             })
         });
     }
@@ -26,7 +26,7 @@ fn bench_precompute(c: &mut Criterion) {
 fn bench_estimate_call(c: &mut Criterion) {
     let scenario = Scenario::new(Scale::Small, 0x5EED);
     let net = &scenario.net;
-    let bd = BoundaryLb::build(net, 8, WeightMode::Distance).unwrap();
+    let bd = BoundaryLb::build(net, 8).unwrap();
     let naive = NaiveLb::new(net.max_speed());
     let a = NodeId(3);
     let b_ = NodeId((net.n_nodes() - 5) as u32);

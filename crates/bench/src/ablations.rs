@@ -14,11 +14,13 @@ use traffic::DayCategory;
 
 use crate::report::{fnum, Table};
 
-/// A-1: sweep the boundary estimator's grid granularity.
+/// A-1: sweep the boundary estimator's grid granularity (`0` is the
+/// naive bound), with the min-time estimator as the last row.
 ///
 /// Finer grids pay more precomputation for tighter bounds — up to a
 /// point: past it, cells are so small that most of a route's length
-/// lies in the *entry/exit* legs the table cannot see.
+/// lies in the *entry/exit* legs the table cannot see. The last row is
+/// the bound no table can beat, at no precomputation to speak of.
 pub fn grid_sweep(net: &RoadNetwork, grids: &[usize], n_queries: usize, seed: u64) -> Table {
     let pairs = sample_pairs(net, n_queries, 1.5, 4.0, seed).expect("sampling succeeds");
     let interval = Interval::of(hm(7, 0), hm(10, 0));
@@ -32,16 +34,19 @@ pub fn grid_sweep(net: &RoadNetwork, grids: &[usize], n_queries: usize, seed: u6
             "mean query ms",
         ],
     );
-    for &grid in grids {
+    let kinds = grids
+        .iter()
+        .map(|&grid| match grid {
+            0 => ("naive".to_string(), EstimatorKind::Naive),
+            _ => (grid.to_string(), EstimatorKind::Boundary { grid }),
+        })
+        .chain([("min-time".to_string(), EstimatorKind::MinTime)]);
+    for (label, estimator) in kinds {
         let t0 = Instant::now();
         let engine = Engine::for_network(
             net,
             EngineConfig {
-                estimator: if grid == 0 {
-                    EstimatorKind::Naive
-                } else {
-                    EstimatorKind::BoundaryTime { grid }
-                },
+                estimator,
                 ..Default::default()
             },
         )
@@ -63,11 +68,7 @@ pub fn grid_sweep(net: &RoadNetwork, grids: &[usize], n_queries: usize, seed: u6
         }
         let n = done.max(1) as f64;
         t.push_row(vec![
-            if grid == 0 {
-                "naive".into()
-            } else {
-                grid.to_string()
-            },
+            label,
             fnum(pre_ms, 1),
             fnum(expanded as f64 / n, 1),
             fnum(elapsed_ms / n, 2),
@@ -184,8 +185,9 @@ mod tests {
     fn grid_sweep_produces_rows() {
         let s = Scenario::new(Scale::Small, 3);
         let t = grid_sweep(&s.net, &[0, 4, 8], 3, 2);
-        assert_eq!(t.rows.len(), 3);
+        assert_eq!(t.rows.len(), 4);
         assert_eq!(t.rows[0][0], "naive");
+        assert_eq!(t.rows[3][0], "min-time");
     }
 
     #[test]

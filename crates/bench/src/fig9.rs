@@ -7,12 +7,12 @@
 //! and allFP.
 //!
 //! We report **three** estimators: `naiveLB`, the distance-based
-//! `bdLB` exactly as §5 presents it, and `bdLB-time` — the travel-time
-//! extension §5 mentions but omits "due to space limitations"
-//! (precomputation over best-case per-edge travel times). The
-//! travel-time variant is the one whose pruning matches the paper's
-//! reported gap: a distance bound divided by the *global* maximum
-//! speed cannot see that local streets are 40 MPH roads, the
+//! `bdLB` exactly as §5 presents it, and `minTimeLB` — the exact bound
+//! a travel-time boundary table (the extension §5 mentions but omits
+//! "due to space limitations") would approximate: shortest paths over
+//! best-case per-edge travel times. It is the one whose pruning matches
+//! the paper's reported gap: a distance bound divided by the *global*
+//! maximum speed cannot see that local streets are 40 MPH roads, a
 //! travel-time bound can.
 
 use allfp::{Engine, EngineConfig, EstimatorKind, QuerySpec};
@@ -36,14 +36,14 @@ pub struct Fig9Row {
     pub single_naive: f64,
     /// Mean expanded nodes, singleFP with distance-based bdLB.
     pub single_bd: f64,
-    /// Mean expanded nodes, singleFP with travel-time bdLB.
-    pub single_bdt: f64,
+    /// Mean expanded nodes, singleFP with minTimeLB.
+    pub single_min_time: f64,
     /// Mean expanded nodes, allFP with naiveLB.
     pub all_naive: f64,
     /// Mean expanded nodes, allFP with distance-based bdLB.
     pub all_bd: f64,
-    /// Mean expanded nodes, allFP with travel-time bdLB.
-    pub all_bdt: f64,
+    /// Mean expanded nodes, allFP with minTimeLB.
+    pub all_min_time: f64,
 }
 
 /// Run the Figure 9 experiment.
@@ -80,16 +80,16 @@ pub fn run(
             .expect("precomputation succeeds"),
         )
         .expect("backend builds");
-    let bdt = backend
+    let min_time = backend
         .wrap(
             Engine::for_network(
                 net,
                 EngineConfig {
-                    estimator: EstimatorKind::BoundaryTime { grid },
+                    estimator: EstimatorKind::MinTime,
                     ..Default::default()
                 },
             )
-            .expect("precomputation succeeds"),
+            .expect("estimator builds"),
         )
         .expect("backend builds");
 
@@ -107,7 +107,7 @@ pub fn run(
             let Ok(sb) = bd.single_fastest_path(&q) else {
                 continue;
             };
-            let Ok(st) = bdt.single_fastest_path(&q) else {
+            let Ok(st) = min_time.single_fastest_path(&q) else {
                 continue;
             };
             let Ok(an) = naive.all_fastest_paths(&q) else {
@@ -116,7 +116,7 @@ pub fn run(
             let Ok(ab) = bd.all_fastest_paths(&q) else {
                 continue;
             };
-            let Ok(at) = bdt.all_fastest_paths(&q) else {
+            let Ok(at) = min_time.all_fastest_paths(&q) else {
                 continue;
             };
             sums[0] += sn.stats.expanded_nodes as f64;
@@ -133,10 +133,10 @@ pub fn run(
             queries: done,
             single_naive: mean(sums[0]),
             single_bd: mean(sums[1]),
-            single_bdt: mean(sums[2]),
+            single_min_time: mean(sums[2]),
             all_naive: mean(sums[3]),
             all_bd: mean(sums[4]),
-            all_bdt: mean(sums[5]),
+            all_min_time: mean(sums[5]),
         });
     }
     rows
@@ -151,10 +151,10 @@ pub fn render(rows: &[Fig9Row]) -> Table {
             "queries",
             "sFP naive",
             "sFP bd",
-            "sFP bd-time",
+            "sFP min-time",
             "aFP naive",
             "aFP bd",
-            "aFP bd-time",
+            "aFP min-time",
             "sFP prune x",
             "aFP prune x",
         ],
@@ -165,21 +165,21 @@ pub fn render(rows: &[Fig9Row]) -> Table {
             r.queries.to_string(),
             fnum(r.single_naive, 1),
             fnum(r.single_bd, 1),
-            fnum(r.single_bdt, 1),
+            fnum(r.single_min_time, 1),
             fnum(r.all_naive, 1),
             fnum(r.all_bd, 1),
-            fnum(r.all_bdt, 1),
+            fnum(r.all_min_time, 1),
             fnum(
-                if r.single_bdt > 0.0 {
-                    r.single_naive / r.single_bdt
+                if r.single_min_time > 0.0 {
+                    r.single_naive / r.single_min_time
                 } else {
                     0.0
                 },
                 2,
             ),
             fnum(
-                if r.all_bdt > 0.0 {
-                    r.all_naive / r.all_bdt
+                if r.all_min_time > 0.0 {
+                    r.all_naive / r.all_min_time
                 } else {
                     0.0
                 },
@@ -212,11 +212,11 @@ mod tests {
                 "bdLB should not expand more: {r:?}"
             );
             assert!(
-                r.single_bdt <= r.single_bd + 1e-9,
-                "bdLB-time should not expand more than bdLB: {r:?}"
+                r.single_min_time <= r.single_bd + 1e-9,
+                "minTimeLB should not expand more than bdLB: {r:?}"
             );
             assert!(r.all_bd <= r.all_naive + 1e-9, "{r:?}");
-            assert!(r.all_bdt <= r.all_bd + 1e-9, "{r:?}");
+            assert!(r.all_min_time <= r.all_bd + 1e-9, "{r:?}");
             // allFP works at least as hard as singleFP
             assert!(r.all_naive + 1e-9 >= r.single_naive, "{r:?}");
         }

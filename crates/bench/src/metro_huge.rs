@@ -9,9 +9,9 @@
 //!    whole file in memory);
 //! 2. serve the fig9 morning-rush workload through
 //!    [`MmapStore::open_preferred`] — zero-copy OS-paged reads with a
-//!    buffer pool far smaller than the graph — behind the partitioned
-//!    boundary estimator (`bdLB-part`), which is precomputed from the
-//!    lazy generator without materializing the graph;
+//!    buffer pool far smaller than the graph — behind the min-time
+//!    estimator (`minTimeLB`), built by one sweep over the lazy
+//!    generator, and check that a warm estimator allocates nothing;
 //! 3. record the build walls, the analytic transient footprint of the
 //!    builder (gated ≪ graph bytes), the process RSS high water, and
 //!    the physical I/O counters (`bytes_read` / `bytes_written` /
@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use allfp::{BoundaryLb, Engine, EngineConfig, MaxEstimator, NaiveLb, QuerySpec, WeightMode};
+use allfp::{Engine, EngineConfig, LowerBoundEstimator, MinTimeLb, QuerySpec};
 use ccam::{
     build_bulk, BlockStore, BulkBuildConfig, CcamStore, FileStore, MmapStore, DEFAULT_PAGE_SIZE,
 };
@@ -77,10 +77,15 @@ pub struct MetroHugeReport {
     pub store_kind: &'static str,
     /// Buffer-pool frames the query stack was limited to.
     pub pool_frames: usize,
-    /// Partitioned-estimator precompute wall, seconds.
+    /// Estimator build wall, seconds.
     pub estimator_wall_seconds: f64,
-    /// Realized partition count of the estimator.
-    pub estimator_groups: usize,
+    /// Heap bytes of the estimator's tables.
+    pub estimator_bytes: usize,
+    /// Allocations made while re-asking every query's source-to-target
+    /// bound after the serving pass — each a fresh backward search on
+    /// the warm workspace, a prefix of the one its query grew (must be
+    /// 0).
+    pub estimator_warm_allocs: u64,
     /// Queries served.
     pub queries: usize,
     /// Failed queries (must be 0).
@@ -184,14 +189,8 @@ fn files_identical(a: &Path, b: &Path) -> std::io::Result<bool> {
 }
 
 /// Build the tier at each swept thread count, then serve `n_queries`
-/// fig9 queries through the mmap stack with the partitioned boundary
-/// estimator. `estimator_groups` is the target partition count.
-pub fn run(
-    cfg: &ContinentalConfig,
-    tier: &'static str,
-    n_queries: usize,
-    estimator_groups: usize,
-) -> MetroHugeReport {
+/// fig9 queries through the mmap stack with the min-time estimator.
+pub fn run(cfg: &ContinentalConfig, tier: &'static str, n_queries: usize) -> MetroHugeReport {
     let lazy = ContinentalNet::new(cfg.clone()).expect("tier config is valid");
     let dir = std::env::temp_dir().join(format!("fp-metro-huge-{}-{tier}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -241,12 +240,10 @@ pub fn run(
     let tier_path = &paths[0];
     let graph_bytes = std::fs::metadata(tier_path).map_or(0, |m| m.len());
 
-    // --- partitioned estimator off the lazy generator -----------------
+    // --- min-time estimator off the lazy generator --------------------
     let start = Instant::now();
-    let bd = BoundaryLb::build_partitioned_auto(&lazy, estimator_groups, WeightMode::Distance)
-        .expect("partitioned estimator builds");
+    let estimator = MinTimeLb::build(&lazy).expect("estimator builds");
     let estimator_wall = start.elapsed().as_secs_f64();
-    let estimator_groups = bd.n_groups();
 
     // --- serve fig9 through the mmap stack ----------------------------
     let (store, store_kind): (Arc<dyn BlockStore>, &'static str) =
@@ -262,12 +259,7 @@ pub fn run(
     let pool_frames = ((total_pages / 8).clamp(128, 4096)) as usize;
     let disk = CcamStore::open(store, pool_frames).expect("ccam opens");
 
-    let naive = NaiveLb::new(lazy.max_speed());
-    let engine = Engine::with_estimator(
-        &disk,
-        Box::new(MaxEstimator::new(naive, bd, "bdLB-part")),
-        EngineConfig::default(),
-    );
+    let engine = Engine::with_estimator(&disk, Box::new(&estimator), EngineConfig::default());
     let interval = Interval::of(hm(7, 0), hm(10, 0));
     let queries: Vec<QuerySpec> = sample_pairs_lazy(&lazy, n_queries, 1.0, 3.0, 0xF19)
         .into_iter()
@@ -284,6 +276,16 @@ pub fn run(
     }
     let query_wall = start.elapsed().as_secs_f64();
 
+    let before = crate::alloc::snapshot();
+    for q in &queries {
+        let (from, to) = (
+            lazy.find_node(q.source).expect("sampled node"),
+            lazy.find_node(q.target).expect("sampled node"),
+        );
+        std::hint::black_box(estimator.travel_lower_bound(q.source, from, q.target, to));
+    }
+    let estimator_warm_allocs = crate::alloc::snapshot().since(&before).allocs;
+
     let io = store_stats.io_stats();
     let report = MetroHugeReport {
         tier,
@@ -298,7 +300,8 @@ pub fn run(
         store_kind,
         pool_frames,
         estimator_wall_seconds: estimator_wall,
-        estimator_groups,
+        estimator_bytes: estimator.bytes(),
+        estimator_warm_allocs,
         queries: queries.len(),
         query_failures: failures,
         query_wall_seconds: query_wall,
@@ -327,11 +330,12 @@ mod tests {
         cfg.cells_y = 2;
         cfg.cell_w = 16;
         cfg.cell_h = 16;
-        let r = run(&cfg, "unit", 3, 8);
+        let r = run(&cfg, "unit", 3);
         assert_eq!(r.n_nodes, 1024);
         assert!(r.deterministic, "swept builds diverged");
         assert_eq!(r.query_failures, 0);
         assert!(r.expanded_paths > 0);
+        assert_eq!(r.estimator_warm_allocs, 0);
         assert!(r.transient_build_bytes > 0);
         assert!((r.graph_bytes as usize) > r.transient_build_bytes / 8);
         if r.store_kind == "mmap" {

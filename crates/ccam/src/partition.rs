@@ -221,10 +221,9 @@ pub fn partition_nodes<S: NetworkSource + ?Sized>(
 }
 
 /// Connectivity-clustered partition assignment with the byte budget
-/// sized so roughly `target_groups` groups come out: the continental
-/// boundary estimator and the cluster sharding layer both derive
-/// their node-to-group maps here, so "the partition" is one artifact,
-/// not two near-copies.
+/// sized so roughly `target_groups` groups come out: the cluster
+/// sharding layer derives its node-to-shard map here, from the same
+/// clustering CCAM packs pages by.
 ///
 /// Returns `(group_of_node, n_groups)` with `group_of_node.len() ==
 /// src.n_nodes()` and every group id `< n_groups`. The result is a

@@ -1,8 +1,8 @@
 //! Partition-sharded cluster serving in deterministic simulation.
 //!
 //! This crate scales the serving tier *out* the way `fp-ccam` scaled
-//! storage *down*: the road network is partitioned by the same
-//! connectivity-clustered partitioner the boundary estimator uses
+//! storage *down*: the road network is partitioned by the
+//! connectivity clustering CCAM packs pages by
 //! ([`ccam::partition_assignment`]), each shard is owned (with
 //! replicas) by a simulated cluster node running a full
 //! [`allfp::service::QueryService`] stack, and queries route to shard

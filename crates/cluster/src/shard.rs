@@ -1,9 +1,8 @@
 //! Shard map: which simulated node owns which graph partition.
 //!
-//! The map is derived from [`ccam::partition_assignment`] — the same
-//! connectivity-clustered partitioner the boundary estimator shards
-//! by — so the serving tier and the interface-graph contract agree on
-//! partition boundaries by construction. Every cluster node computes
+//! The map is derived from [`ccam::partition_assignment`] — the
+//! connectivity clustering CCAM packs pages by — so shards are
+//! contiguous road regions. Every cluster node computes
 //! the map independently from the same network and, because the
 //! partitioner is byte-deterministic (property-tested in
 //! `crates/ccam/tests/partition_props.rs`), they all agree without any

@@ -491,9 +491,7 @@ pub fn run_cluster_sim(sc: &ClusterScenario) -> Result<ClusterSimResult, Cluster
     let net = grid(sc.grid_w, sc.grid_h, 0.3, RoadClass::LocalBoston)?;
     let specs = sample_specs(&net, sc.n_specs, sc.seed);
     let config = EngineConfig {
-        estimator: EstimatorKind::BoundaryPartitioned {
-            groups: sc.target_shards,
-        },
+        estimator: EstimatorKind::MinTime,
         ..EngineConfig::default()
     };
 

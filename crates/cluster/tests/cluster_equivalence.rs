@@ -42,11 +42,9 @@ fn test_net() -> RoadNetwork {
     grid(8, 8, 0.3, RoadClass::LocalBoston).unwrap()
 }
 
-fn sharded_config(target_shards: usize) -> EngineConfig {
+fn min_time_config() -> EngineConfig {
     EngineConfig {
-        estimator: EstimatorKind::BoundaryPartitioned {
-            groups: target_shards,
-        },
+        estimator: EstimatorKind::MinTime,
         ..EngineConfig::default()
     }
 }
@@ -87,8 +85,8 @@ fn single_sig(a: &SingleFpAnswer) -> (Vec<usize>, u64, u64, u64) {
 fn node_backend_matches_flat_backend_bit_for_bit() {
     let net = test_net();
     let specs = sample_specs(&net, 24, SEED);
-    let node = make_node(&net, 6, sharded_config(6));
-    let flat_mgr = EpochManager::new(net.clone(), sharded_config(6)).unwrap();
+    let node = make_node(&net, 6, min_time_config());
+    let flat_mgr = EpochManager::new(net.clone(), min_time_config()).unwrap();
     let flat = LiveBackend::new(&flat_mgr);
     for (i, q) in specs.iter().enumerate() {
         let got = node.all_fastest_paths(q).unwrap();
@@ -176,7 +174,7 @@ fn calm_cluster_serves_everything_exactly_and_matches_oracle() {
     // Every answer bit-identical to the flat single-node oracle.
     let net = test_net();
     let specs = sample_specs(&net, sc.n_specs, sc.seed);
-    let mgr = EpochManager::new(net, sharded_config(sc.target_shards)).unwrap();
+    let mgr = EpochManager::new(net, min_time_config()).unwrap();
     let oracle = LiveBackend::new(&mgr);
     for rec in &result.answered {
         let mut q = specs[rec.spec].clone();

@@ -16,57 +16,15 @@
 //!
 //! The estimate `d(n,b₃) + d(b₁,b₂) + d(b₄,e)` is a lower bound on the
 //! network distance (Theorem 1); dividing by `v_max` gives a
-//! travel-time lower bound. The [`WeightMode::BestTime`] extension
-//! precomputes over *best-case per-edge travel times*
-//! (`length / max-speed-of-that-edge`) instead, which remains a lower
-//! bound but is tighter whenever the fastest roads don't go where the
-//! crow flies.
-//!
-//! # Continental scale: partitioned precompute
-//!
-//! [`BoundaryLb::build`] materializes the full forward and reverse
-//! weighted adjacency and runs `2 · grid²` whole-graph Dijkstras —
-//! fine at metro scale, prohibitive at 10⁶ nodes.
-//! [`BoundaryLb::build_partitioned`] keeps the same Theorem 1 shape
-//! but works per partition over any [`NetworkSource`]:
-//!
-//! * `d_out`/`d_in` come from Dijkstras **restricted to each
-//!   partition's induced subgraph** (the prefix of any path up to its
-//!   first partition exit stays inside the source partition, so the
-//!   restricted distance to the nearest boundary node is still a
-//!   lower bound on that prefix — and a tighter one than the global
-//!   distance [`BoundaryLb::build`] uses);
-//! * the all-pairs boundary-to-boundary table is computed on a small
-//!   **boundary interface graph**: one vertex per boundary node,
-//!   exact weights on partition-crossing edges, and an implicit
-//!   complete fan between same-partition boundary nodes weighted by
-//!   the Euclidean lower bound (divided by `v_max` in
-//!   [`WeightMode::BestTime`]). Every interface hop under-estimates
-//!   the true segment it stands for, so interface distances
-//!   under-estimate the true boundary-to-boundary distances and the
-//!   table entries remain valid Theorem 1 middle terms.
-//!
-//! Peak memory is one partition's subgraph per worker plus the
-//! interface graph — never the whole network's adjacency.
+//! travel-time lower bound. [`crate::MinTimeLb`] is never looser and
+//! needs no table; this one stays as the paper's, for its Figure 9.
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use roadnet::{Edge, NetworkSource, NodeId, Point, RoadNetwork};
+use roadnet::{NodeId, Point, RoadNetwork};
 
-use crate::estimator::LowerBoundEstimator;
+use crate::estimator::{HeapItem, LowerBoundEstimator};
 use crate::Result;
-
-/// What the precomputed tables measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WeightMode {
-    /// Network distance in miles (the paper's presentation); estimates
-    /// divide by the global `v_max`.
-    Distance,
-    /// Best-case travel time in minutes per edge
-    /// (`length / edge-max-speed`); estimates are used directly.
-    BestTime,
-}
 
 /// The precomputed boundary-node estimator.
 ///
@@ -75,19 +33,15 @@ pub enum WeightMode {
 /// traffic delta equals one rebuilt from scratch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundaryLb {
-    /// Cells per axis for geometric builds; 0 for connectivity
-    /// partitionings, which have no per-axis structure.
-    grid: usize,
-    /// Number of groups in the partitioning (`grid²` for grid builds).
-    n_groups: usize,
-    mode: WeightMode,
+    /// Number of cells (`grid²`).
+    n_cells: usize,
     v_max: f64,
     cell_of_node: Vec<u32>,
     /// node → nearest own-cell boundary node (forward direction).
     d_out: Vec<f64>,
     /// nearest own-cell boundary node → node (i.e. entering distance).
     d_in: Vec<f64>,
-    /// `table[c1 * n_groups + c2]` = min boundary-to-boundary weight.
+    /// `table[c1 * n_cells + c2]` = min boundary-to-boundary distance.
     table: Vec<f64>,
 }
 
@@ -96,7 +50,7 @@ impl BoundaryLb {
     ///
     /// Runs `2 · grid²` multi-source Dijkstras, parallelized across
     /// available cores with `std::thread` scoped threads.
-    pub fn build(net: &RoadNetwork, grid: usize, mode: WeightMode) -> Result<BoundaryLb> {
+    pub fn build(net: &RoadNetwork, grid: usize) -> Result<BoundaryLb> {
         let grid = grid.max(1);
         let n = net.n_nodes();
         let n_cells = grid * grid;
@@ -122,12 +76,8 @@ impl BoundaryLb {
         let mut rev: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
         for u in net.node_ids() {
             for e in net.neighbors(u)? {
-                let w = match mode {
-                    WeightMode::Distance => e.distance,
-                    WeightMode::BestTime => e.distance / net.pattern(e.pattern)?.max_speed(),
-                };
-                fwd[u.index()].push((e.to.0, w));
-                rev[e.to.index()].push((u.0, w));
+                fwd[u.index()].push((e.to.0, e.distance));
+                rev[e.to.index()].push((u.0, e.distance));
             }
         }
 
@@ -221,9 +171,7 @@ impl BoundaryLb {
         }
 
         Ok(BoundaryLb {
-            grid,
-            n_groups: n_cells,
-            mode,
+            n_cells,
             v_max: net.max_speed(),
             cell_of_node,
             d_out,
@@ -232,298 +180,14 @@ impl BoundaryLb {
         })
     }
 
-    /// Precompute over an explicit partition assignment, one group id
-    /// per node (`0..n_groups`), without ever materializing the whole
-    /// network's adjacency. See the module docs for why the result is
-    /// still a valid Theorem 1 lower bound.
-    ///
-    /// Works over any [`NetworkSource`] — a lazily generated
-    /// continental network or a disk-resident CCAM store — and
-    /// parallelizes the per-partition Dijkstras and the interface
-    /// table rows across available cores. The table is
-    /// `n_groups × n_groups`: choose a coarse partitioning
-    /// (hundreds of groups, not tens of thousands) at continental
-    /// scale.
-    pub fn build_partitioned<S: NetworkSource + Sync + ?Sized>(
-        src: &S,
-        group_of_node: &[u32],
-        n_groups: usize,
-        mode: WeightMode,
-    ) -> Result<BoundaryLb> {
-        let n = src.n_nodes();
-        if group_of_node.len() != n {
-            return Err(crate::AllFpError::Internal(
-                "partition assignment length must equal node count",
-            ));
-        }
-        let n_groups = n_groups.max(1);
-        if group_of_node.iter().any(|&g| g as usize >= n_groups) {
-            return Err(crate::AllFpError::Internal(
-                "partition group id out of range",
-            ));
-        }
-        let v_max = src.max_speed();
-        let workers = std::thread::available_parallelism()
-            .map_or(4, |p| p.get())
-            .min(n.max(1));
-
-        // --- phase 1: one parallel edge sweep — boundary nodes and
-        // partition-crossing edges (exact weights) ---------------------
-        struct Sweep {
-            /// Nodes incident to a crossing edge (either side).
-            marks: Vec<u32>,
-            /// (from, to, weight) for every crossing edge.
-            cross: Vec<(u32, u32, f64)>,
-        }
-        let chunk = n.div_ceil(workers).max(1);
-        let swept: Vec<std::thread::Result<Result<Sweep>>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(n));
-                handles.push(scope.spawn(move || -> Result<Sweep> {
-                    let mut edges: Vec<Edge> = Vec::new();
-                    let mut out = Sweep {
-                        marks: Vec::new(),
-                        cross: Vec::new(),
-                    };
-                    for u in lo..hi.max(lo) {
-                        let gu = group_of_node[u];
-                        src.successors_into(NodeId(u as u32), &mut edges)?;
-                        for e in &edges {
-                            if group_of_node[e.to.index()] != gu {
-                                out.marks.push(u as u32);
-                                out.marks.push(e.to.0);
-                                out.cross
-                                    .push((u as u32, e.to.0, edge_weight(src, e, mode)?));
-                            }
-                        }
-                    }
-                    Ok(out)
-                }));
-            }
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        let mut is_boundary = vec![false; n];
-        let mut cross: Vec<(u32, u32, f64)> = Vec::new();
-        for j in swept {
-            let s = j.map_err(|_| {
-                crate::AllFpError::Panicked("partitioned estimator sweep worker panicked".into())
-            })??;
-            for m in s.marks {
-                is_boundary[m as usize] = true;
-            }
-            cross.extend(s.cross);
-        }
-
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); n_groups];
-        for (u, &g) in group_of_node.iter().enumerate() {
-            members[g as usize].push(u as u32);
-        }
-
-        // --- phase 2: restricted per-partition Dijkstras for
-        // d_out / d_in (one partition subgraph in memory per worker) ---
-        struct GroupDists {
-            /// (node, to-boundary, from-boundary) per member.
-            d: Vec<(u32, f64, f64)>,
-        }
-        let grouped: Vec<std::thread::Result<Result<Vec<GroupDists>>>> =
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for w in 0..workers {
-                    let members = &members;
-                    let is_boundary = &is_boundary;
-                    handles.push(scope.spawn(move || -> Result<Vec<GroupDists>> {
-                        let mut local_of = vec![u32::MAX; n];
-                        let mut edges: Vec<Edge> = Vec::new();
-                        let mut out = Vec::new();
-                        let mut g = w;
-                        while g < n_groups {
-                            let m = &members[g];
-                            for (i, &u) in m.iter().enumerate() {
-                                local_of[u as usize] = i as u32;
-                            }
-                            let mut fwd: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m.len()];
-                            let mut rev: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m.len()];
-                            for (lu, &u) in m.iter().enumerate() {
-                                src.successors_into(NodeId(u), &mut edges)?;
-                                for e in &edges {
-                                    let lv = local_of[e.to.index()];
-                                    // local ids are reset after each
-                                    // group, so a live entry means
-                                    // `e.to` is in this group.
-                                    if lv != u32::MAX {
-                                        let wgt = edge_weight(src, e, mode)?;
-                                        fwd[lu].push((lv, wgt));
-                                        rev[lv as usize].push((lu as u32, wgt));
-                                    }
-                                }
-                            }
-                            let sources: Vec<u32> = m
-                                .iter()
-                                .enumerate()
-                                .filter(|&(_, &u)| is_boundary[u as usize])
-                                .map(|(i, _)| i as u32)
-                                .collect();
-                            let dist_f = multi_source_dijkstra(&fwd, &sources, usize::MAX);
-                            let dist_b = multi_source_dijkstra(&rev, &sources, usize::MAX);
-                            out.push(GroupDists {
-                                d: m.iter()
-                                    .enumerate()
-                                    .map(|(i, &u)| (u, dist_b[i], dist_f[i]))
-                                    .collect(),
-                            });
-                            for &u in m {
-                                local_of[u as usize] = u32::MAX;
-                            }
-                            g += workers;
-                        }
-                        Ok(out)
-                    }));
-                }
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-        let mut d_out = vec![f64::INFINITY; n];
-        let mut d_in = vec![f64::INFINITY; n];
-        for j in grouped {
-            let gs = j.map_err(|_| {
-                crate::AllFpError::Panicked("partitioned estimator group worker panicked".into())
-            })??;
-            for gd in gs {
-                for (u, out_d, in_d) in gd.d {
-                    d_out[u as usize] = out_d;
-                    d_in[u as usize] = in_d;
-                }
-            }
-        }
-
-        // --- phase 3: boundary interface graph and the group table ----
-        let bnodes: Vec<u32> = (0..n as u32).filter(|&u| is_boundary[u as usize]).collect();
-        let mut iface_of = vec![u32::MAX; n];
-        for (i, &b) in bnodes.iter().enumerate() {
-            iface_of[b as usize] = i as u32;
-        }
-        let mut pts = Vec::with_capacity(bnodes.len());
-        for &b in &bnodes {
-            pts.push(src.find_node(NodeId(b))?);
-        }
-        let iface_group: Vec<u32> = bnodes.iter().map(|&b| group_of_node[b as usize]).collect();
-        let mut by_group: Vec<Vec<u32>> = vec![Vec::new(); n_groups];
-        for (i, &g) in iface_group.iter().enumerate() {
-            by_group[g as usize].push(i as u32);
-        }
-        let mut cross_adj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); bnodes.len()];
-        for (u, v, wgt) in cross {
-            cross_adj[iface_of[u as usize] as usize].push((iface_of[v as usize], wgt));
-        }
-        // Euclidean miles are the lower-bound currency; BestTime tables
-        // measure minutes, so divide the implicit hops by v_max there.
-        let euclid_div = match mode {
-            WeightMode::Distance => 1.0,
-            WeightMode::BestTime => v_max,
-        };
-        type RowBatch = Vec<(usize, Vec<f64>)>;
-        let rows: Vec<std::thread::Result<RowBatch>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let by_group = &by_group;
-                let iface_group = &iface_group;
-                let cross_adj = &cross_adj;
-                let pts = &pts;
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut g = w;
-                    while g < n_groups {
-                        let dist = interface_dijkstra(
-                            cross_adj,
-                            iface_group,
-                            by_group,
-                            pts,
-                            euclid_div,
-                            &by_group[g],
-                        );
-                        let mut row = vec![f64::INFINITY; n_groups];
-                        for (i, &d) in dist.iter().enumerate() {
-                            let g2 = iface_group[i] as usize;
-                            if d < row[g2] {
-                                row[g2] = d;
-                            }
-                        }
-                        row[g] = 0.0;
-                        out.push((g, row));
-                        g += workers;
-                    }
-                    out
-                }));
-            }
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        let mut table = vec![f64::INFINITY; n_groups * n_groups];
-        for j in rows {
-            for (g, row) in j.map_err(|_| {
-                crate::AllFpError::Panicked("partitioned estimator table worker panicked".into())
-            })? {
-                table[g * n_groups..(g + 1) * n_groups].copy_from_slice(&row);
-            }
-        }
-
-        Ok(BoundaryLb {
-            grid: 0,
-            n_groups,
-            mode,
-            v_max,
-            cell_of_node: group_of_node.to_vec(),
-            d_out,
-            d_in,
-            table,
-        })
-    }
-
-    /// [`BoundaryLb::build_partitioned`] over a connectivity-clustered
-    /// partitioning from [`ccam::partition_assignment`], its byte
-    /// budget sized so roughly `target_groups` groups come out.
-    ///
-    /// This is the continental-scale entry point: partitions follow
-    /// the same clustering CCAM packs pages by, so boundary sets stay
-    /// small, and nothing network-sized beyond the assignment vector
-    /// is ever resident. The cluster sharding layer (`fp-cluster`)
-    /// consumes the same assignment, so the estimator's partition and
-    /// the serving tier's shards are one artifact.
-    pub fn build_partitioned_auto<S: NetworkSource + Sync + ?Sized>(
-        src: &S,
-        target_groups: usize,
-        mode: WeightMode,
-    ) -> Result<BoundaryLb> {
-        let (group_of, n_groups) =
-            ccam::partition_assignment(src, target_groups).map_err(|e| match e {
-                ccam::CcamError::Network(ne) => crate::AllFpError::Network(ne),
-                _ => crate::AllFpError::Internal("connectivity partitioning failed"),
-            })?;
-        Self::build_partitioned(src, &group_of, n_groups, mode)
-    }
-
-    /// Cells per axis of a geometric [`BoundaryLb::build`]; 0 for
-    /// connectivity-partitioned builds.
-    pub fn grid(&self) -> usize {
-        self.grid
-    }
-
-    /// Number of groups in the partitioning (`grid²` for grid builds).
-    pub fn n_groups(&self) -> usize {
-        self.n_groups
-    }
-
     /// This estimator with its tables kept verbatim and only the
     /// `v_max` divisor replaced.
     ///
-    /// Sound exactly when the tables themselves are still valid:
-    /// [`WeightMode::Distance`] tables depend only on edge lengths, so
-    /// a speed-pattern delta leaves them exact and only the network's
-    /// (monotonically growing, because the pattern table is
-    /// append-only) maximum speed needs refreshing. The epoch layer
-    /// uses this to republish the estimator without re-running any
-    /// Dijkstras. Not valid for [`WeightMode::BestTime`] tables when an
-    /// edge's best-case speed changed — the epoch layer rebuilds in
-    /// that case.
+    /// The tables depend only on edge lengths, so a speed-pattern delta
+    /// leaves them exact and only the network's (monotonically growing,
+    /// because the pattern table is append-only) maximum speed needs
+    /// refreshing. The epoch layer uses this to republish the estimator
+    /// without re-running any Dijkstras.
     pub fn with_v_max(&self, v_max: f64) -> BoundaryLb {
         assert!(v_max > 0.0, "maximum speed must be positive");
         BoundaryLb {
@@ -532,14 +196,9 @@ impl BoundaryLb {
         }
     }
 
-    /// The weight mode the tables were computed under.
-    pub fn mode(&self) -> WeightMode {
-        self.mode
-    }
-
-    /// Raw estimate in table units (miles or minutes), before the
-    /// `v_max` division; 0 when the bound does not apply (same cell,
-    /// unknown node, unreachable boundary pair).
+    /// Raw estimate in miles, before the `v_max` division; 0 when the
+    /// bound does not apply (same cell, unknown node, unreachable
+    /// boundary pair).
     pub fn raw_estimate(&self, from: NodeId, to: NodeId) -> f64 {
         let (Some(&cf), Some(&ct)) = (
             self.cell_of_node.get(from.index()),
@@ -550,8 +209,7 @@ impl BoundaryLb {
         if cf == ct {
             return 0.0;
         }
-        let n_cells = self.n_groups;
-        let through = self.table[cf as usize * n_cells + ct as usize];
+        let through = self.table[cf as usize * self.n_cells + ct as usize];
         let total = self.d_out[from.index()] + through + self.d_in[to.index()];
         if total.is_finite() {
             total
@@ -563,104 +221,17 @@ impl BoundaryLb {
 
 impl LowerBoundEstimator for BoundaryLb {
     fn travel_lower_bound(&self, from: NodeId, _: Point, to: NodeId, _: Point) -> f64 {
-        let raw = self.raw_estimate(from, to);
-        match self.mode {
-            WeightMode::Distance => raw / self.v_max,
-            WeightMode::BestTime => raw,
-        }
+        self.raw_estimate(from, to) / self.v_max
     }
 
     fn name(&self) -> &'static str {
-        match self.mode {
-            WeightMode::Distance => "bdLB",
-            WeightMode::BestTime => "bdLB-time",
-        }
-    }
-}
-
-/// The precompute weight of one edge under a [`WeightMode`].
-fn edge_weight<S: NetworkSource + ?Sized>(src: &S, e: &Edge, mode: WeightMode) -> Result<f64> {
-    Ok(match mode {
-        WeightMode::Distance => e.distance,
-        WeightMode::BestTime => e.distance / src.pattern(e.pattern)?.max_speed(),
-    })
-}
-
-/// Multi-source Dijkstra over the boundary interface graph: explicit
-/// partition-crossing edges plus an *implicit* complete fan between
-/// same-partition boundary nodes, weighted by Euclidean distance over
-/// `euclid_div` (1 for distance tables, `v_max` for best-time tables).
-/// The fan is relaxed on the fly so the interface graph never
-/// materializes the per-partition cliques.
-fn interface_dijkstra(
-    cross: &[Vec<(u32, f64)>],
-    group_of: &[u32],
-    by_group: &[Vec<u32>],
-    pts: &[Point],
-    euclid_div: f64,
-    sources: &[u32],
-) -> Vec<f64> {
-    let mut dist = vec![f64::INFINITY; cross.len()];
-    let mut heap = BinaryHeap::with_capacity(sources.len() * 2);
-    for &s in sources {
-        dist[s as usize] = 0.0;
-        heap.push(HeapItem { dist: 0.0, node: s });
-    }
-    while let Some(HeapItem { dist: d, node: u }) = heap.pop() {
-        if d > dist[u as usize] {
-            continue;
-        }
-        for &(v, w) in &cross[u as usize] {
-            let nd = d + w;
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                heap.push(HeapItem { dist: nd, node: v });
-            }
-        }
-        let pu = pts[u as usize];
-        for &v in &by_group[group_of[u as usize] as usize] {
-            if v == u {
-                continue;
-            }
-            let nd = d + pu.distance(&pts[v as usize]) / euclid_div;
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                heap.push(HeapItem { dist: nd, node: v });
-            }
-        }
-    }
-    dist
-}
-
-/// Min-heap item for Dijkstra.
-#[derive(PartialEq)]
-struct HeapItem {
-    dist: f64,
-    node: u32,
-}
-
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // reversed: BinaryHeap is a max-heap. `total_cmp` keeps even a
-        // NaN distance (impossible by construction) deterministic.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+        "bdLB"
     }
 }
 
 /// Multi-source Dijkstra over an adjacency list; stops after settling
 /// `settle_limit` nodes.
-fn multi_source_dijkstra(
+pub(crate) fn multi_source_dijkstra(
     adj: &[Vec<(u32, f64)>],
     sources: &[u32],
     settle_limit: usize,
@@ -695,13 +266,13 @@ fn multi_source_dijkstra(
 mod tests {
     use super::*;
     use crate::estimator::NaiveLb;
-    use roadnet::generators::{grid, suffolk_like, MetroConfig};
+    use roadnet::generators::grid;
     use traffic::RoadClass;
 
     #[test]
     fn same_cell_estimates_zero() {
         let net = grid(6, 6, 0.1, RoadClass::LocalOutside).unwrap();
-        let lb = BoundaryLb::build(&net, 1, WeightMode::Distance).unwrap();
+        let lb = BoundaryLb::build(&net, 1).unwrap();
         let p = *net.point(NodeId(0)).unwrap();
         let q = *net.point(NodeId(35)).unwrap();
         assert_eq!(lb.travel_lower_bound(NodeId(0), p, NodeId(35), q), 0.0);
@@ -713,7 +284,7 @@ mod tests {
         // distance; the estimate must never exceed it.
         let spacing = 0.25;
         let net = grid(10, 10, spacing, RoadClass::LocalOutside).unwrap();
-        let lb = BoundaryLb::build(&net, 4, WeightMode::Distance).unwrap();
+        let lb = BoundaryLb::build(&net, 4).unwrap();
         for (a, b) in [(0u32, 99u32), (0, 9), (5, 77), (90, 9), (33, 66)] {
             let (a, b) = (NodeId(a), NodeId(b));
             let (ax, ay) = (a.index() % 10, a.index() / 10);
@@ -752,7 +323,7 @@ mod tests {
         net.add_bidirectional(top[n - 1], bot[n - 1], 1.0, RoadClass::LocalOutside)
             .unwrap();
 
-        let lb = BoundaryLb::build(&net, 6, WeightMode::Distance).unwrap();
+        let lb = BoundaryLb::build(&net, 6).unwrap();
         let naive = NaiveLb::new(net.max_speed());
         let (s, t) = (top[0], bot[0]);
         let (ps, pt) = (*net.point(s).unwrap(), *net.point(t).unwrap());
@@ -765,145 +336,9 @@ mod tests {
     }
 
     #[test]
-    fn best_time_mode_at_least_as_tight() {
-        let net = suffolk_like(&MetroConfig::small(17)).unwrap();
-        let dist = BoundaryLb::build(&net, 6, WeightMode::Distance).unwrap();
-        let time = BoundaryLb::build(&net, 6, WeightMode::BestTime).unwrap();
-        let ids: Vec<NodeId> = net.node_ids().step_by(97).collect();
-        let mut tighter = 0;
-        for &a in &ids {
-            for &b in &ids {
-                let pa = *net.point(a).unwrap();
-                let pb = *net.point(b).unwrap();
-                let d = dist.travel_lower_bound(a, pa, b, pb);
-                let t = time.travel_lower_bound(a, pa, b, pb);
-                assert!(t + 1e-9 >= d, "time-mode {t} looser than distance-mode {d}");
-                if t > d + 1e-9 {
-                    tighter += 1;
-                }
-            }
-        }
-        assert!(tighter > 0, "BestTime should strictly improve somewhere");
-    }
-
-    /// Weighted forward adjacency, test-side mirror of the build path.
-    fn weighted_adj(net: &roadnet::RoadNetwork, mode: WeightMode) -> Vec<Vec<(u32, f64)>> {
-        let mut fwd = vec![Vec::new(); net.n_nodes()];
-        for u in net.node_ids() {
-            for e in net.neighbors(u).unwrap() {
-                let w = match mode {
-                    WeightMode::Distance => e.distance,
-                    WeightMode::BestTime => {
-                        e.distance / net.pattern(e.pattern).unwrap().max_speed()
-                    }
-                };
-                fwd[u.index()].push((e.to.0, w));
-            }
-        }
-        fwd
-    }
-
-    #[test]
-    fn partitioned_is_lower_bound_on_exact() {
-        let net = suffolk_like(&MetroConfig::small(17)).unwrap();
-        for mode in [WeightMode::Distance, WeightMode::BestTime] {
-            let lb = BoundaryLb::build_partitioned_auto(&net, 12, mode).unwrap();
-            assert_eq!(lb.grid(), 0);
-            assert!(lb.n_groups() >= 2, "partitioning collapsed to one group");
-            let adj = weighted_adj(&net, mode);
-            for s in (0..net.n_nodes()).step_by(211) {
-                let exact = multi_source_dijkstra(&adj, &[s as u32], usize::MAX);
-                for t in (0..net.n_nodes()).step_by(97) {
-                    let est = lb.raw_estimate(NodeId(s as u32), NodeId(t as u32));
-                    assert!(
-                        est <= exact[t] + 1e-9,
-                        "{mode:?} estimate {est} exceeds exact {} for {s}->{t}",
-                        exact[t]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_tighter_than_naive_on_detour() {
-        // Same two-row detour network as the grid-cell test, but with
-        // an explicit column-pair partitioning: the interface graph
-        // walks the whole detour with exact crossing-edge weights, so
-        // the estimate recovers (almost) the true 23-mile distance.
-        let schema = traffic::PatternSchema::table1().unwrap();
-        let mut net = roadnet::RoadNetwork::with_schema(&schema);
-        let n = 12;
-        let mut top = Vec::new();
-        let mut bot = Vec::new();
-        for i in 0..n {
-            top.push(net.add_node(i as f64, 1.0).unwrap());
-            bot.push(net.add_node(i as f64, 0.0).unwrap());
-        }
-        for i in 0..n - 1 {
-            net.add_bidirectional(top[i], top[i + 1], 1.0, RoadClass::LocalOutside)
-                .unwrap();
-            net.add_bidirectional(bot[i], bot[i + 1], 1.0, RoadClass::LocalOutside)
-                .unwrap();
-        }
-        net.add_bidirectional(top[n - 1], bot[n - 1], 1.0, RoadClass::LocalOutside)
-            .unwrap();
-
-        // group = (column pair, row): 12 groups of 2 nodes
-        let mut group_of = vec![0u32; net.n_nodes()];
-        for i in 0..n {
-            group_of[top[i].index()] = (i as u32 / 2) * 2;
-            group_of[bot[i].index()] = (i as u32 / 2) * 2 + 1;
-        }
-        let lb = BoundaryLb::build_partitioned(&net, &group_of, n, WeightMode::Distance).unwrap();
-        let naive = NaiveLb::new(net.max_speed());
-        let (s, t) = (top[0], bot[0]);
-        let (ps, pt) = (*net.point(s).unwrap(), *net.point(t).unwrap());
-        let bd = lb.travel_lower_bound(s, ps, t, pt);
-        let nv = naive.travel_lower_bound(s, ps, t, pt);
-        assert!(bd > nv * 3.0, "partitioned bd {bd} should dwarf naive {nv}");
-        // still a lower bound on the true 23-mile distance
-        assert!(bd * net.max_speed() <= 23.0 + 1e-9);
-    }
-
-    #[test]
-    fn partitioned_single_group_estimates_zero() {
-        let net = grid(4, 4, 0.5, RoadClass::LocalOutside).unwrap();
-        let lb = BoundaryLb::build_partitioned(&net, &[0u32; 16], 1, WeightMode::Distance).unwrap();
-        assert_eq!(lb.n_groups(), 1);
-        assert_eq!(lb.raw_estimate(NodeId(0), NodeId(15)), 0.0);
-    }
-
-    #[test]
-    fn partitioned_rejects_bad_assignments() {
-        let net = grid(3, 3, 0.5, RoadClass::LocalOutside).unwrap();
-        // wrong length
-        assert!(BoundaryLb::build_partitioned(&net, &[0u32; 5], 2, WeightMode::Distance).is_err());
-        // group id out of range
-        assert!(BoundaryLb::build_partitioned(&net, &[5u32; 9], 2, WeightMode::Distance).is_err());
-    }
-
-    #[test]
-    fn partitioned_best_time_at_least_as_tight() {
-        let net = suffolk_like(&MetroConfig::small(11)).unwrap();
-        let dist = BoundaryLb::build_partitioned_auto(&net, 10, WeightMode::Distance).unwrap();
-        let time = BoundaryLb::build_partitioned_auto(&net, 10, WeightMode::BestTime).unwrap();
-        for a in (0..net.n_nodes()).step_by(131) {
-            for b in (0..net.n_nodes()).step_by(89) {
-                let (a, b) = (NodeId(a as u32), NodeId(b as u32));
-                let pa = *net.point(a).unwrap();
-                let pb = *net.point(b).unwrap();
-                let d = dist.travel_lower_bound(a, pa, b, pb);
-                let t = time.travel_lower_bound(a, pa, b, pb);
-                assert!(t + 1e-9 >= d, "time-mode {t} looser than distance-mode {d}");
-            }
-        }
-    }
-
-    #[test]
     fn unknown_nodes_fall_back_to_zero() {
         let net = grid(3, 3, 0.5, RoadClass::LocalOutside).unwrap();
-        let lb = BoundaryLb::build(&net, 2, WeightMode::Distance).unwrap();
+        let lb = BoundaryLb::build(&net, 2).unwrap();
         assert_eq!(lb.raw_estimate(NodeId(100), NodeId(0)), 0.0);
     }
 

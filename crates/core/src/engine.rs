@@ -13,12 +13,12 @@ use roadnet::{NetworkSource, NodeId, Point};
 
 use crate::baseline::{astar_at, constant_speed_plan};
 use crate::cache::{CacheCounters, CacheSession, TravelFnCache};
-use crate::estimator::{EstimatorKind, LowerBoundEstimator, NaiveLb};
+use crate::estimator::{EstimatorKind, LowerBoundEstimator, MaxEstimator, MinTimeLb, NaiveLb};
 use crate::query::{
     AllFpAnswer, BatchStats, CancelToken, DegradedAnswer, DegradedReason, FastestPath,
     QueryOutcome, QuerySpec, QueryStats, SingleFpAnswer,
 };
-use crate::{AllFpError, BoundaryLb, EngineError, Result, WeightMode};
+use crate::{AllFpError, BoundaryLb, EngineError, Result};
 
 /// How often (in heap pops) the search polls the wall-clock deadline
 /// and the cancellation token. The check runs on pop 0, so a
@@ -29,7 +29,7 @@ const WATCH_EVERY: u64 = 32;
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Which lower-bound estimator to use. Boundary variants are
+    /// Which lower-bound estimator to use. The boundary tables are
     /// combined with the naive bound (`max` of both), so they are
     /// never looser.
     pub estimator: EstimatorKind,
@@ -110,8 +110,8 @@ struct PathState {
 /// node's outgoing edges sit in the query's adjacency arena.
 #[derive(Clone, Copy)]
 struct NodeMemo {
-    /// `NaN` until the record is read; real estimates are finite and
-    /// non-negative.
+    /// `NaN` until the record is read; real estimates are
+    /// non-negative (`+∞`: the node cannot reach the target).
     est: f64,
     start: u32,
     len: u32,
@@ -858,10 +858,16 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
 
         // Seed: the zero-length path at the source.
         {
-            let travel = Pwl::constant(interval, 0.0)?;
             let memo = read_node(query.source, &mut adjacency, &mut stats)?;
             node_memo[query.source.index()] = memo;
             let est = memo.est;
+            if est == f64::INFINITY {
+                return Err(AllFpError::Unreachable {
+                    source: query.source,
+                    target: query.target,
+                });
+            }
+            let travel = Pwl::constant(interval, 0.0)?;
             let travel_min = travel.min_value();
             let f_min = travel_min + est;
             paths.push(PathState {
@@ -987,6 +993,9 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                     node_memo[edge.to.index()] = read_node(edge.to, &mut adjacency, &mut stats)?;
                 }
                 let est = node_memo[edge.to.index()].est;
+                if est == f64::INFINITY {
+                    continue; // no completion from `edge.to` exists
+                }
 
                 // Early border bound, before the expensive composition:
                 // the extended path's travel function is everywhere ≥
@@ -1415,28 +1424,22 @@ fn cache_for(config: &EngineConfig) -> std::sync::Arc<TravelFnCache> {
     })
 }
 
-/// Build the configured estimator for a network (boundary variants
-/// need the in-memory graph for precomputation). The result can be
+/// Build the configured estimator for a network. The result can be
 /// handed to [`Engine::with_estimator`] over any [`NetworkSource`]
 /// that exposes the same node ids (e.g. a CCAM store of this network).
 pub fn build_estimator(
     net: &roadnet::RoadNetwork,
     config: &EngineConfig,
 ) -> Result<Box<dyn LowerBoundEstimator>> {
-    let naive = NaiveLb::new(net.max_speed());
     Ok(match config.estimator {
-        EstimatorKind::Naive => Box::new(naive),
-        EstimatorKind::Boundary { grid } => {
-            let bd = BoundaryLb::build(net, grid, WeightMode::Distance)?;
-            Box::new(crate::estimator::MaxEstimator::new(naive, bd, "bdLB"))
-        }
-        EstimatorKind::BoundaryTime { grid } => {
-            let bd = BoundaryLb::build(net, grid, WeightMode::BestTime)?;
-            Box::new(crate::estimator::MaxEstimator::new(naive, bd, "bdLB-time"))
-        }
-        EstimatorKind::BoundaryPartitioned { groups } => {
-            let bd = BoundaryLb::build_partitioned_auto(net, groups, WeightMode::Distance)?;
-            Box::new(crate::estimator::MaxEstimator::new(naive, bd, "bdLB-part"))
+        EstimatorKind::Naive => Box::new(NaiveLb::new(net.max_speed())),
+        EstimatorKind::Boundary { grid } => Box::new(MaxEstimator::new(
+            NaiveLb::new(net.max_speed()),
+            BoundaryLb::build(net, grid)?,
+            "bdLB",
+        )),
+        EstimatorKind::MinTime | EstimatorKind::BoundaryPartitioned { .. } => {
+            Box::new(MinTimeLb::build(net)?)
         }
     })
 }
@@ -1614,15 +1617,15 @@ mod tests {
         )
         .unwrap();
         assert_eq!(bd.estimator_name(), "bdLB");
-        let bdt = Engine::for_network(
+        let min_time = Engine::for_network(
             &net,
             EngineConfig {
-                estimator: EstimatorKind::BoundaryTime { grid: 2 },
+                estimator: EstimatorKind::MinTime,
                 ..Default::default()
             },
         )
         .unwrap();
-        assert_eq!(bdt.estimator_name(), "bdLB-time");
+        assert_eq!(min_time.estimator_name(), "minTimeLB");
     }
 
     #[test]

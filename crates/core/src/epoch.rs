@@ -33,14 +33,13 @@
 //! Estimator reuse follows the invalidation cone of a delta:
 //!
 //! * `NaiveLb` is one scalar (`v_max`); rebuilt every epoch (free).
-//! * `BoundaryLb` in [`WeightMode::Distance`] depends only on edge
-//!   *lengths*, which deltas never change — the tables are reused
-//!   verbatim, only the `v_max` divisor is refreshed
-//!   ([`BoundaryLb::with_v_max`]).
-//! * `BoundaryLb` in [`WeightMode::BestTime`] depends on per-edge
-//!   best-case speeds; it is rebuilt only when the delta changed some
-//!   edge's maximum speed ([`DeltaReport::best_time_weights_changed`])
-//!   and reused verbatim otherwise.
+//! * `BoundaryLb` depends only on edge *lengths*, which deltas never
+//!   change — the tables are reused verbatim, only the `v_max` divisor
+//!   is refreshed ([`BoundaryLb::with_v_max`]).
+//! * `MinTimeLb` depends on per-edge best-case speeds: the same `Arc`
+//!   is republished unless the delta changed some edge's maximum speed
+//!   ([`DeltaReport::best_time_weights_changed`]), and then it is
+//!   rebuilt by one edge sweep — no Dijkstra runs at apply time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
@@ -49,9 +48,9 @@ use roadnet::{DeltaReport, RoadNetwork};
 use traffic::TrafficDelta;
 
 use crate::backend::PathfindBackend;
-use crate::boundary::{BoundaryLb, WeightMode};
+use crate::boundary::BoundaryLb;
 use crate::cache::{CacheCounters, CacheSession, TravelFnCache};
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::{build_estimator, Engine, EngineConfig};
 use crate::estimator::{EstimatorKind, LowerBoundEstimator, MaxEstimator, NaiveLb};
 use crate::query::{AllFpAnswer, CancelToken, QueryOutcome, QuerySpec, SingleFpAnswer};
 use crate::{AllFpError, EngineError, Result};
@@ -127,8 +126,8 @@ pub struct ApplyReport {
     /// The network layer's apply report (edges changed, patterns
     /// interned, …).
     pub delta: DeltaReport,
-    /// The estimator's expensive tables were reused verbatim (only
-    /// `v_max` refreshed).
+    /// The estimator's tables were republished verbatim (for
+    /// `BoundaryLb`, with `v_max` refreshed).
     pub estimator_reused: bool,
     /// Retirement work done by the sweep that ran after publishing.
     pub sweep: SweepReport,
@@ -289,48 +288,18 @@ impl EpochManager {
         let (new_net, report) = old.net.apply_delta(delta)?;
         let net = Arc::new(new_net);
 
-        let naive = NaiveLb::new(net.max_speed());
-        let (estimator, boundary, reused): (
-            Arc<dyn LowerBoundEstimator>,
-            Option<Arc<BoundaryLb>>,
-            bool,
-        ) = match (self.config.estimator, &st.boundary) {
-            (EstimatorKind::Naive, _) => (Arc::new(naive), None, false),
+        let ((estimator, boundary), reused) = if let Some(bd) = &st.boundary {
             // Distance tables depend only on edge lengths: reuse
             // verbatim, refresh the v_max divisor.
-            (EstimatorKind::Boundary { .. }, Some(bd)) => {
-                let bd = Arc::new(bd.with_v_max(net.max_speed()));
-                (
-                    Arc::new(MaxEstimator::new(naive, Arc::clone(&bd), "bdLB")),
-                    Some(bd),
-                    true,
-                )
-            }
-            // Partitioned distance tables likewise depend only on edge
-            // lengths and node locations, neither of which a traffic
-            // delta can change.
-            (EstimatorKind::BoundaryPartitioned { .. }, Some(bd)) => {
-                let bd = Arc::new(bd.with_v_max(net.max_speed()));
-                (
-                    Arc::new(MaxEstimator::new(naive, Arc::clone(&bd), "bdLB-part")),
-                    Some(bd),
-                    true,
-                )
-            }
-            // BestTime tables depend on per-edge best-case speeds:
-            // reuse only when the delta left every max speed intact.
-            (EstimatorKind::BoundaryTime { .. }, Some(bd)) if !report.best_time_weights_changed => {
-                let bd = Arc::new(bd.with_v_max(net.max_speed()));
-                (
-                    Arc::new(MaxEstimator::new(naive, Arc::clone(&bd), "bdLB-time")),
-                    Some(bd),
-                    true,
-                )
-            }
-            _ => {
-                let (estimator, boundary) = build_parts(&net, &self.config)?;
-                (estimator, boundary, false)
-            }
+            (boundary_parts(&net, bd.with_v_max(net.max_speed())), true)
+        } else if self.config.estimator != EstimatorKind::Naive && !report.best_time_weights_changed
+        {
+            // Neither the boundary tables nor the naive scalar: the
+            // min-time estimator, whose best-case weights moved only if
+            // some edge's maximum speed did.
+            ((Arc::clone(&old.estimator), None), true)
+        } else {
+            (build_parts(&net, &self.config)?, false)
         };
 
         let id = EpochId(old.id.0 + 1);
@@ -433,35 +402,21 @@ type EstimatorParts = (Arc<dyn LowerBoundEstimator>, Option<Arc<BoundaryLb>>);
 /// Build the configured estimator over `net`, returning the concrete
 /// boundary tables alongside (for later verbatim reuse).
 fn build_parts(net: &RoadNetwork, config: &EngineConfig) -> Result<EstimatorParts> {
-    let naive = NaiveLb::new(net.max_speed());
     Ok(match config.estimator {
-        EstimatorKind::Naive => (Arc::new(naive), None),
-        EstimatorKind::Boundary { grid } => {
-            let bd = Arc::new(BoundaryLb::build(net, grid, WeightMode::Distance)?);
-            (
-                Arc::new(MaxEstimator::new(naive, Arc::clone(&bd), "bdLB")),
-                Some(bd),
-            )
-        }
-        EstimatorKind::BoundaryTime { grid } => {
-            let bd = Arc::new(BoundaryLb::build(net, grid, WeightMode::BestTime)?);
-            (
-                Arc::new(MaxEstimator::new(naive, Arc::clone(&bd), "bdLB-time")),
-                Some(bd),
-            )
-        }
-        EstimatorKind::BoundaryPartitioned { groups } => {
-            let bd = Arc::new(BoundaryLb::build_partitioned_auto(
-                net,
-                groups,
-                WeightMode::Distance,
-            )?);
-            (
-                Arc::new(MaxEstimator::new(naive, Arc::clone(&bd), "bdLB-part")),
-                Some(bd),
-            )
-        }
+        EstimatorKind::Boundary { grid } => boundary_parts(net, BoundaryLb::build(net, grid)?),
+        _ => (Arc::from(build_estimator(net, config)?), None),
     })
+}
+
+/// The `max(naive, boundary)` estimator an epoch over `net` serves,
+/// with `bd` kept concrete beside it.
+fn boundary_parts(net: &RoadNetwork, bd: BoundaryLb) -> EstimatorParts {
+    let bd = Arc::new(bd);
+    let naive = NaiveLb::new(net.max_speed());
+    (
+        Arc::new(MaxEstimator::new(naive, Arc::clone(&bd), "bdLB")),
+        Some(bd),
+    )
 }
 
 /// A [`PathfindBackend`] that answers every query against its pinned
@@ -635,7 +590,7 @@ mod tests {
         assert!(report.estimator_reused);
         let st = lock(&mgr.state);
         let reused = st.boundary.as_ref().unwrap();
-        let rebuilt = BoundaryLb::build(st.current.net.as_ref(), 3, WeightMode::Distance).unwrap();
+        let rebuilt = BoundaryLb::build(st.current.net.as_ref(), 3).unwrap();
         assert_eq!(**reused, rebuilt);
     }
 

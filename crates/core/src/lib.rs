@@ -30,9 +30,10 @@
 //! * [`BoundaryLb`]: the boundary-node estimator — space is cut into
 //!   grid cells, cell-to-cell boundary distances and per-node
 //!   nearest-boundary distances are precomputed, and Theorem 1 gives a
-//!   (usually much tighter) lower bound. A `BestTime` weight mode
-//!   tightens it further by precomputing over best-case travel times
-//!   instead of distances (an extension measured in the ablations).
+//!   (usually much tighter) lower bound;
+//! * [`MinTimeLb`] (extension): the exact bound both approximate — the
+//!   shortest path over per-edge best-case travel times, grown backward
+//!   from the query target on demand, with nothing precomputed.
 //!
 //! # Baselines (§3, §6.3)
 //!
@@ -80,11 +81,11 @@ pub mod service;
 
 pub use arrival::{ArrivalAllFpAnswer, ArrivalPlanner, ArrivalQuerySpec, ArrivalSingleFpAnswer};
 pub use backend::PathfindBackend;
-pub use boundary::{BoundaryLb, WeightMode};
+pub use boundary::BoundaryLb;
 pub use cache::{CacheCounters, CacheSession, TravelFnCache};
 pub use engine::{build_estimator, Engine, EngineConfig, RouteComposeMemo};
 pub use epoch::{ApplyReport, Epoch, EpochId, EpochManager, EpochStats, LiveBackend, SweepReport};
-pub use estimator::{EstimatorKind, LowerBoundEstimator, MaxEstimator, NaiveLb, ZeroLb};
+pub use estimator::{EstimatorKind, LowerBoundEstimator, MaxEstimator, MinTimeLb, NaiveLb, ZeroLb};
 pub use query::{
     AllFpAnswer, BatchStats, CancelToken, DegradedAnswer, DegradedReason, FastestPath, QueryBudget,
     QueryOutcome, QuerySpec, QueryStats, SingleFpAnswer,

@@ -18,7 +18,9 @@
 //! the point — run under an unpinned `RUST_TEST_THREADS` to let the
 //! interleavings vary (`scripts/check.sh` does).
 
-use allfp::{CancelToken, Engine, EngineConfig, QueryOutcome, QuerySpec, TravelFnCache};
+use allfp::{
+    CancelToken, Engine, EngineConfig, EstimatorKind, QueryOutcome, QuerySpec, TravelFnCache,
+};
 use pwl::time::hm;
 use pwl::Interval;
 use roadnet::generators::random_geometric;
@@ -100,9 +102,20 @@ fn sharded_cache_sessions_are_exact_under_contention() {
 
 #[test]
 fn batch_stress_matches_serial_across_widths() {
-    for seed in [1u64, 7, 42] {
+    // The min-time estimator answers from a per-thread workspace that
+    // outlives each query: whichever worker runs a query, after
+    // whichever others, it must search exactly as the serial loop did.
+    let kinds = [EstimatorKind::Naive, EstimatorKind::MinTime];
+    for (seed, estimator) in [1u64, 7, 42]
+        .into_iter()
+        .flat_map(|s| kinds.map(|k| (s, k)))
+    {
         let net = random_geometric(120, 6.0, 3, seed).unwrap();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let config = EngineConfig {
+            estimator,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::for_network(&net, config).unwrap();
         let n = net.n_nodes() as u32;
 
         let mut x = seed ^ 0xC0FF_EE00;
@@ -120,7 +133,7 @@ fn batch_stress_matches_serial_across_widths() {
             .map(|q| engine.all_fastest_paths(q))
             .collect();
 
-        for workers in [2usize, 4, 8] {
+        for workers in [1usize, 2, 4, 8] {
             let before = engine.cache_counters();
             let (batch, stats) = engine.run_batch_with_threads(&queries, workers);
             let after = engine.cache_counters();
@@ -147,6 +160,10 @@ fn batch_stress_matches_serial_across_widths() {
                             assert!(x.0.approx_eq(&y.0));
                             assert_eq!(s.paths[x.1].nodes, b.paths[y.1].nodes);
                         }
+                        assert_eq!(
+                            s.stats.expanded_paths, b.stats.expanded_paths,
+                            "seed {seed} {estimator:?} query {i} workers {workers}"
+                        );
                     }
                     (Err(_), Err(_)) => {}
                     (s, b) => panic!(

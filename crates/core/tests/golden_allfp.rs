@@ -8,8 +8,10 @@
 //! parent's answer, plus the `expanded_paths` of allFP and singleFP on
 //! both backends. The always-on test asserts that the flat engine and
 //! the hierarchy still return every answer bit for bit, that no allFP
-//! query expands more paths than it did (and the total fell), and that
-//! singleFP — which never consults a border — expands exactly as many.
+//! query expands more paths than it did (and the total fell), that the
+//! hierarchy's singleFP — which never consults a border — expands
+//! exactly as many, and the flat engine's no more: its count follows
+//! the lower-bound estimator, and a tighter bound expands less.
 //!
 //! Regenerate (only from a commit whose answers are the reference):
 //! `cargo test --release -p fp-allfp --test golden_allfp -- --ignored`
@@ -60,11 +62,11 @@ fn workload() -> Vec<(&'static str, RoadNetwork, Vec<QuerySpec>)> {
     ]
 }
 
-/// The flat engine as the benchmark's `rush_mem` configures it, and
-/// the hierarchy as `ch_rush` builds it.
+/// The flat engine as the benchmark's `rush_mem` configures it (the
+/// min-time estimator), and the hierarchy as `ch_rush` builds it.
 fn backends(net: &RoadNetwork) -> (Engine<'_, RoadNetwork>, HierarchyEngine<'_, RoadNetwork>) {
     let config = EngineConfig {
-        estimator: EstimatorKind::BoundaryPartitioned { groups: 64 },
+        estimator: EstimatorKind::MinTime,
         ..EngineConfig::default()
     };
     let flat = Engine::for_network(net, config).expect("flat engine");
@@ -181,12 +183,17 @@ fn both_backends_reproduce_the_parent_answers_with_no_more_expansions() {
                     counts[backend],
                     recorded[backend],
                 );
-                assert_eq!(
-                    counts[backend + 1],
-                    recorded[backend + 1],
-                    "{what}: singleFP expansions (backend {backend})"
-                );
             }
+            assert!(
+                counts[1] <= recorded[1],
+                "{what}: flat singleFP expanded {} paths, the parent {}",
+                counts[1],
+                recorded[1],
+            );
+            assert_eq!(
+                counts[3], recorded[3],
+                "{what}: hierarchy singleFP expansions"
+            );
             for k in 0..4 {
                 total[k] += counts[k];
                 recorded_total[k] += recorded[k];

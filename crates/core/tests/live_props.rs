@@ -8,20 +8,40 @@ use std::sync::Arc;
 
 use allfp::{
     build_estimator, BoundaryLb, Engine, EngineConfig, EpochManager, EstimatorKind, LiveBackend,
-    PathfindBackend, QuerySpec, WeightMode,
+    LowerBoundEstimator, MinTimeLb, PathfindBackend, QuerySpec,
 };
 use proptest::prelude::*;
 use pwl::time::hm;
 use pwl::Interval;
 use roadnet::generators::random_geometric;
 use roadnet::{NodeId, RoadNetwork};
-use traffic::DayCategory;
+use traffic::{DayCategory, PatternUpdate, TrafficDelta};
 
-fn boundary_config() -> EngineConfig {
+fn config_with(estimator: EstimatorKind) -> EngineConfig {
     EngineConfig {
-        estimator: EstimatorKind::Boundary { grid: 3 },
+        estimator,
         ..EngineConfig::default()
     }
+}
+
+/// A delta that re-times the edges out of the first four nodes —
+/// every pattern mirrored in time — and so moves no maximum speed.
+fn retiming_delta(net: &RoadNetwork, seq: u64) -> TrafficDelta {
+    let updates = net
+        .node_ids()
+        .take(4)
+        .flat_map(|u| {
+            net.neighbors(u)
+                .unwrap()
+                .iter()
+                .map(move |e| PatternUpdate {
+                    from: u.0,
+                    to: e.to.0,
+                    pattern: net.pattern(e.pattern).unwrap().time_mirrored(),
+                })
+        })
+        .collect();
+    TrafficDelta::new(seq, updates)
 }
 
 /// Fold `k` seeded deltas over `net`, returning every intermediate
@@ -90,12 +110,64 @@ proptest! {
     ) {
         const N: usize = 12;
         let nets = delta_chain(random_geometric(N, 1.5, 3, seed).unwrap(), &[d1, d2]);
-        let base = BoundaryLb::build(nets[0].as_ref(), 3, WeightMode::Distance).unwrap();
+        let base = BoundaryLb::build(nets[0].as_ref(), 3).unwrap();
         for net in &nets[1..] {
-            let rebuilt = BoundaryLb::build(net.as_ref(), 3, WeightMode::Distance).unwrap();
+            let rebuilt = BoundaryLb::build(net.as_ref(), 3).unwrap();
             let reused = base.with_v_max(net.max_speed());
             prop_assert_eq!(&reused, &rebuilt);
         }
+    }
+
+    /// The min-time estimator across a delta chain that alternates
+    /// speed-rescaling deltas with re-timing ones: the manager
+    /// republishes the same `Arc` exactly when no edge's maximum speed
+    /// moved, and either way its estimator answers every pair like
+    /// tables built from scratch over that epoch's network — which the
+    /// republished tables also equal array for array.
+    #[test]
+    fn min_time_estimator_follows_delta_chains(
+        seed in 0u64..400,
+        d1 in 0u64..1000,
+        d2 in 0u64..1000,
+    ) {
+        const N: usize = 12;
+        let net = random_geometric(N, 1.5, 3, seed).unwrap();
+        let mgr = EpochManager::new(net, config_with(EstimatorKind::MinTime)).unwrap();
+        let mut held = MinTimeLb::build(mgr.current().network().as_ref()).unwrap();
+        let mut reuses = 0;
+        for seq in 1..=4u64 {
+            let before = mgr.current();
+            let delta = match seq {
+                1 => before.network().seeded_delta(d1, 5, seq).unwrap(),
+                3 => before.network().seeded_delta(d2, 5, seq).unwrap(),
+                _ => retiming_delta(before.network(), seq),
+            };
+            let report = mgr.apply_delta(&delta).unwrap();
+            let after = mgr.current();
+            let kept = !report.delta.best_time_weights_changed;
+            reuses += usize::from(kept);
+            prop_assert_eq!(report.estimator_reused, kept);
+            prop_assert_eq!(
+                std::ptr::addr_eq(Arc::as_ptr(before.estimator()), Arc::as_ptr(after.estimator())),
+                kept
+            );
+            let net = after.network();
+            let rebuilt = MinTimeLb::build(net.as_ref()).unwrap();
+            if kept {
+                prop_assert_eq!(&held, &rebuilt);
+            }
+            for s in net.node_ids() {
+                for t in net.node_ids() {
+                    let (ps, pt) = (*net.point(s).unwrap(), *net.point(t).unwrap());
+                    prop_assert_eq!(
+                        after.estimator().travel_lower_bound(s, ps, t, pt).to_bits(),
+                        rebuilt.travel_lower_bound(s, ps, t, pt).to_bits()
+                    );
+                }
+            }
+            held = rebuilt;
+        }
+        prop_assert!(reuses >= 2, "the re-timing deltas must keep every weight");
     }
 
     /// The live backend — shared cache and reused estimator surviving
@@ -112,39 +184,41 @@ proptest! {
         d3 in 0u64..1000,
     ) {
         const N: usize = 12;
-        let net = random_geometric(N, 1.5, 3, seed).unwrap();
-        let mgr = EpochManager::new(net, boundary_config()).unwrap();
-        let live = LiveBackend::new(&mgr);
-        let interval = Interval::of(hm(6, 45), hm(8, 15));
-        let probes = [(0u32, N as u32 - 1), (2, 9), (7, 4), (11, 1)];
-        for (i, d) in [d1, d2, d3].into_iter().enumerate() {
-            // Query the current epoch (warming the shared cache), then
-            // swap and re-check: answers on the *new* epoch must match
-            // a fresh engine even though the cache carries entries
-            // from every previous epoch.
-            let delta = mgr
-                .current()
-                .network()
-                .seeded_delta(d, 5, i as u64 + 1)
-                .unwrap();
-            mgr.apply_delta(&delta).unwrap();
-            let epoch = mgr.current();
-            let fresh_net = Arc::clone(epoch.network());
-            let config = boundary_config();
-            let estimator = build_estimator(fresh_net.as_ref(), &config).unwrap();
-            let fresh = Engine::with_estimator(fresh_net.as_ref(), estimator, config);
-            for (s, t) in probes {
-                let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY)
-                    .with_epoch(epoch.id());
-                let a = live.single_fastest_path(&q).unwrap();
-                let b = fresh.single_fastest_path(&q).unwrap();
-                prop_assert_eq!(&a.path.nodes, &b.path.nodes);
-                prop_assert_eq!(a.travel_minutes.to_bits(), b.travel_minutes.to_bits());
-                prop_assert_eq!(a.path.travel.breakpoints(), b.path.travel.breakpoints());
-                prop_assert_eq!(a.path.travel.linears(), b.path.travel.linears());
+        for kind in [EstimatorKind::Boundary { grid: 3 }, EstimatorKind::MinTime] {
+            let net = random_geometric(N, 1.5, 3, seed).unwrap();
+            let mgr = EpochManager::new(net, config_with(kind)).unwrap();
+            let live = LiveBackend::new(&mgr);
+            let interval = Interval::of(hm(6, 45), hm(8, 15));
+            let probes = [(0u32, N as u32 - 1), (2, 9), (7, 4), (11, 1)];
+            for (i, d) in [d1, d2, d3].into_iter().enumerate() {
+                // Query the current epoch (warming the shared cache), then
+                // swap and re-check: answers on the *new* epoch must match
+                // a fresh engine even though the cache carries entries
+                // from every previous epoch.
+                let delta = mgr
+                    .current()
+                    .network()
+                    .seeded_delta(d, 5, i as u64 + 1)
+                    .unwrap();
+                mgr.apply_delta(&delta).unwrap();
+                let epoch = mgr.current();
+                let fresh_net = Arc::clone(epoch.network());
+                let config = config_with(kind);
+                let estimator = build_estimator(fresh_net.as_ref(), &config).unwrap();
+                let fresh = Engine::with_estimator(fresh_net.as_ref(), estimator, config);
+                for (s, t) in probes {
+                    let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY)
+                        .with_epoch(epoch.id());
+                    let a = live.single_fastest_path(&q).unwrap();
+                    let b = fresh.single_fastest_path(&q).unwrap();
+                    prop_assert_eq!(&a.path.nodes, &b.path.nodes);
+                    prop_assert_eq!(a.travel_minutes.to_bits(), b.travel_minutes.to_bits());
+                    prop_assert_eq!(a.path.travel.breakpoints(), b.path.travel.breakpoints());
+                    prop_assert_eq!(a.path.travel.linears(), b.path.travel.linears());
+                }
             }
+            let stats = mgr.stats();
+            prop_assert!(stats.reconciles(), "epoch stats do not reconcile: {:?}", stats);
         }
-        let stats = mgr.stats();
-        prop_assert!(stats.reconciles(), "epoch stats do not reconcile: {:?}", stats);
     }
 }

@@ -81,8 +81,9 @@ pub struct DeltaReport {
     /// dirty set scoped invalidation propagates from.
     pub changed: Vec<(u32, u32)>,
     /// Did any changed edge's pattern `max_speed` change? `false`
-    /// means a `BestTime` boundary table is reusable verbatim
-    /// (its per-edge weights `distance / max_speed` are untouched).
+    /// means every best-case edge weight `distance / max_speed` is
+    /// untouched, so the min-time estimator's tables are republished
+    /// as they are.
     pub best_time_weights_changed: bool,
 }
 

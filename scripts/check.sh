@@ -45,10 +45,12 @@ env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test update_storm
 # measured by a counting global allocator inside fp-bench; the
 # pointwise border rule shrank the denominator, not the allocations:
 # 0.76 -> ~1.0 allocs/expansion against a budget of 6). The smoke
-# prints allFP and singleFP expanded_paths of its serial flat and
-# hierarchy passes and fails if an allFP count exceeds the one recorded
-# in BENCH_engine.json's smoke_counters block (the counters gate:
-# search-space size is deterministic on every host). The smoke
+# prints allFP and singleFP expanded_paths of its serial passes — the
+# flat engine under naiveLB and under minTimeLB, and the hierarchy —
+# and fails if an allFP count, or either minTimeLB count, exceeds the
+# one recorded in BENCH_engine.json's smoke_counters block (the
+# counters gate: search-space size is deterministic on every host).
+# The smoke
 # also races the hierarchy against the flat engine, gating the >=10x
 # singleFP expansion speedup and its >=3x wall-clock twin (every
 # host), the <=0.5x overlay byte footprint against the old
@@ -57,9 +59,11 @@ env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test update_storm
 # Continental-scale gates ride the same smoke: the metro-huge smoke
 # tier (16 384 nodes) must bulk-build byte-identically at 1/2/4
 # threads, keep the builder's transient scratch bounded under the
-# graph bytes, and serve its fig9 workload through the mmap-backed
+# graph bytes, serve its fig9 workload through the mmap-backed
 # store (store-equivalence across Mem/File/Mmap is pinned separately
-# by the fp-allfp store_equivalence golden suite above). The checksum
+# by the fp-allfp store_equivalence golden suite above), and ask its
+# warm min-time estimator about fresh targets without allocating. The
+# checksum
 # gate is a count (every fault of the checksummed stack verified
 # exactly once, no corruption); its wall ratio is a median of 7
 # interleaved reps that fails only beyond budget + 2 MAD. Runtime
