@@ -18,8 +18,11 @@
 //! more than 3% plus its measured spread on a cold-cache fault-free
 //! disk workload), or an allocation regression — the pooled PWL
 //! kernels (compose + envelope merge) must run their steady-state loop with **zero** heap
-//! allocations under the crate's counting allocator, and the whole
-//! engine must stay under a per-expansion allocation budget — or an
+//! allocations under the crate's counting allocator, the whole engine
+//! must stay under a per-expansion allocation budget and under half
+//! the bytes per query it allocated before the search workspace was
+//! pooled, and a warm query on the metro-huge smoke tier must allocate
+//! less than one byte per network node — or an
 //! overload regression — the seeded 2× virtual-time overload scenario
 //! (`fpbench::overload`) must replay deterministically, keep its queue
 //! bounded, reconcile its stats, and hold goodput while shedding — or
@@ -40,6 +43,7 @@ use fpbench::{Scale, Scenario};
 
 use allfp::{BatchStats, Engine, EngineConfig, EstimatorKind, PathfindBackend, QuerySpec};
 use fpbench::alloc::snapshot;
+use fpbench::clock::{clock_backend, median_mad, Clocked, WARM_PASSES};
 use hierarchy::{HierarchyConfig, HierarchyEngine};
 use pwl::time::hm;
 use pwl::{compose_travel_into, Envelope, Interval, Pwl, PwlScratch};
@@ -171,22 +175,6 @@ const CHECKSUM_REPS: usize = 7;
 /// the measured spread).
 const CHECKSUM_BUDGET: f64 = 1.03;
 
-/// `(median, median absolute deviation)` of `xs`.
-fn median_mad(xs: &[f64]) -> (f64, f64) {
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        let mid = v.len() / 2;
-        if v.len() % 2 == 1 {
-            v[mid]
-        } else {
-            (v[mid - 1] + v[mid]) / 2.0
-        }
-    };
-    let m = median(&mut xs.to_vec());
-    let mad = median(&mut xs.iter().map(|x| (x - m).abs()).collect());
-    (m, mad)
-}
-
 /// Cold-cache cost of the checksum layer under the engine workload:
 /// what it verified (exact counts, the gate) and what that cost on
 /// the clock (a median with its spread, reported).
@@ -306,10 +294,10 @@ struct AllocProfile {
 /// session, no helper threads — the counting allocator counts per
 /// thread, so the measured work must run on the calling thread).
 ///
-/// The warm-up batch fills the shared travel-function cache; the
-/// session (and with it the scratch pool and L1) is still private to
-/// each batch call, so the measured numbers include the per-batch
-/// warm-up of those — an honest end-to-end budget, not a best case.
+/// The warm-up batch fills the shared travel-function cache and parks
+/// its session, which the measured batch revives: L1, scratch pool and
+/// search workspace are warm, so what is counted is what every further
+/// query of a long-lived worker costs — answers and arena growth.
 fn measure_allocs(engine: &Engine<'_, RoadNetwork>, queries: &[QuerySpec]) -> AllocProfile {
     let _ = engine.run_batch_with_threads(queries, 1);
     let before = snapshot();
@@ -397,9 +385,10 @@ fn sweep_annotation(threads: usize) -> &'static str {
 }
 
 /// Preprocessing cost and per-query payoff of the contraction
-/// hierarchy (`fp-hierarchy`) versus the flat engine, on the serial
-/// singleFP workload. Expansions are the machine-independent metric
-/// the speedup gate reads; wall times are reported alongside.
+/// hierarchy (`fp-hierarchy`) versus the flat engine, both query modes
+/// of both backends on the clock over one serial workload. Expansions
+/// are the machine-independent metric the speedup gate reads; wall
+/// figures are warm medians with their spread.
 struct HierarchyReport {
     scale: &'static str,
     preprocess_wall_seconds: f64,
@@ -418,45 +407,35 @@ struct HierarchyReport {
     /// Error band the overlay was stored with (minutes).
     compress_eps: Option<f64>,
     queries: usize,
-    flat_expansions: usize,
-    ch_expansions: usize,
-    /// `expanded_paths` of one serial allFP pass over the same queries.
-    flat_allfp_expansions: usize,
-    ch_allfp_expansions: usize,
-    /// `flat_expansions / ch_expansions` — work per query saved by
-    /// preprocessing.
-    expansion_speedup: f64,
-    flat_wall_seconds: f64,
-    ch_wall_seconds: f64,
-    wall_speedup: f64,
+    flat_singlefp: Clocked,
+    ch_singlefp: Clocked,
+    flat_allfp: Clocked,
+    ch_allfp: Clocked,
 }
 
-/// Warm pass + best-of-3 serial singleFP loop over `backend`,
-/// returning (best wall, expanded paths per rep).
-fn probe_singlefp(backend: &dyn PathfindBackend, queries: &[QuerySpec]) -> (f64, usize) {
-    for q in queries {
-        let _ = backend.single_fastest_path(q);
+impl HierarchyReport {
+    /// singleFP `flat / ch` expansions — work per query saved by
+    /// preprocessing.
+    fn expansion_speedup(&self) -> f64 {
+        self.flat_singlefp.expanded_paths as f64 / self.ch_singlefp.expanded_paths.max(1) as f64
     }
-    let mut expansions = 0usize;
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        expansions = 0;
-        let start = Instant::now();
-        for q in queries {
-            if let Ok(a) = backend.single_fastest_path(q) {
-                expansions += a.stats.expanded_paths;
-            }
-        }
-        best = best.min(start.elapsed().as_secs_f64());
+
+    /// singleFP `ch / flat` warm queries per second.
+    fn wall_speedup(&self) -> f64 {
+        self.ch_singlefp.warm_qps / self.flat_singlefp.warm_qps.max(1e-12)
     }
-    (best, expansions)
+
+    /// allFP `ch / flat` warm queries per second.
+    fn allfp_wall_speedup(&self) -> f64 {
+        self.ch_allfp.warm_qps / self.flat_allfp.warm_qps.max(1e-12)
+    }
 }
 
 /// Build the hierarchy on a fresh scenario at `scale` and race it
-/// against the flat engine on `count` singleFP queries over the
-/// scenario's longer trips (upper half of its distance range — the
-/// regime preprocessing exists for; 1-mile hops barely leave the
-/// source's neighborhood under either strategy).
+/// against the flat engine on `count` queries over the scenario's
+/// longer trips (upper half of its distance range — the regime
+/// preprocessing exists for; 1-mile hops barely leave the source's
+/// neighborhood under either strategy).
 fn measure_hierarchy(
     scale: Scale,
     scale_name: &'static str,
@@ -478,8 +457,8 @@ fn measure_hierarchy(
         .expect("hierarchy builds");
     let build = ch.report().clone();
 
-    let (flat_wall, flat_expansions) = probe_singlefp(&flat, &queries);
-    let (ch_wall, ch_expansions) = probe_singlefp(&ch, &queries);
+    let (flat_allfp, flat_singlefp) = clock_backend(&flat, &queries);
+    let (ch_allfp, ch_singlefp) = clock_backend(&ch, &queries);
     HierarchyReport {
         scale: scale_name,
         preprocess_wall_seconds: build.build_wall.as_secs_f64(),
@@ -492,14 +471,10 @@ fn measure_hierarchy(
         overlay_bytes_ratio: build.bytes_estimate as f64 / build.exact_bytes_estimate.max(1) as f64,
         compress_eps: build.compress_eps,
         queries: queries.len(),
-        flat_expansions,
-        ch_expansions,
-        flat_allfp_expansions: expansion_counts(&flat, &queries).0,
-        ch_allfp_expansions: expansion_counts(&ch, &queries).0,
-        expansion_speedup: flat_expansions as f64 / ch_expansions.max(1) as f64,
-        flat_wall_seconds: flat_wall,
-        ch_wall_seconds: ch_wall,
-        wall_speedup: flat_wall / ch_wall.max(1e-12),
+        flat_singlefp,
+        ch_singlefp,
+        flat_allfp,
+        ch_allfp,
     }
 }
 
@@ -563,7 +538,15 @@ struct SmokeCounters {
     /// The flat engine under `EstimatorKind::MinTime`.
     min_time: (usize, usize),
     ch: (usize, usize),
+    /// [`measure_allocs`]' bytes per query on the flat pass's workload.
+    alloc_bytes_per_query: usize,
 }
+
+/// [`SmokeCounters::alloc_bytes_per_query`] at the commit before the
+/// search workspace was pooled, when every query allocated three
+/// `n_nodes`-long vectors. The report records it beside the current
+/// figure, and the smoke fails above half of it.
+const ALLOC_BYTES_PER_QUERY_PARENT: usize = 160_780;
 
 /// `--smoke`'s flat pass under the min-time estimator: the same
 /// metro-small x12 workload as the naive-bound pass.
@@ -758,13 +741,15 @@ fn to_json(
         "  \"hierarchy\": {{\"scale\": \"{}\", \"preprocess_wall_seconds\": {:.3}, \
          \"n_nodes\": {}, \"n_shortcuts\": {}, \"n_disabled\": {}, \"overlay_pieces\": {}, \
          \"overlay_bytes\": {}, \"overlay_bytes_exact\": {}, \"overlay_bytes_ratio\": {:.4}, \
-         \"compress_eps\": {}, \"queries\": {}, \"singlefp_flat_expansions\": {}, \
-         \"singlefp_ch_expansions\": {}, \"allfp_flat_expansions\": {}, \
-         \"allfp_ch_expansions\": {}, \"expansion_speedup\": {:.1}, \
-         \"flat_wall_seconds\": {:.6}, \"ch_wall_seconds\": {:.6}, \"wall_speedup\": {:.2}, \
-         \"note\": \"serial singleFP, morning-rush workload; expansion_speedup is the \
-         machine-independent gate metric, wall_speedup (two serial loops in one process) is \
-         gated at 3x on medium by --smoke; \
+         \"compress_eps\": {}, \"queries\": {}, \"warm_passes\": {WARM_PASSES}, \
+         \"singlefp_flat\": {}, \"singlefp_ch\": {}, \"allfp_flat\": {}, \"allfp_ch\": {}, \
+         \"expansion_speedup\": {:.1}, \"wall_speedup\": {:.2}, \"allfp_wall_speedup\": {:.2}, \
+         \"note\": \"serial morning-rush workload, each mode of each backend as a first pass \
+         then the median +- MAD of warm_passes further ones (queries per second), with the \
+         expanded_paths of one pass and the bytes a warm pass allocates per query; \
+         expansion_speedup (singleFP) is the machine-independent gate metric, wall_speedup \
+         (singleFP) and allfp_wall_speedup are ratios of warm medians, the former gated at 3x on \
+         medium by --smoke; \
          overlay_bytes_ratio is the stored footprint vs the baseline layout of exact \
          functions plus materialized two-day extensions (0.5 target)\"}},\n",
         hierarchy.scale,
@@ -780,23 +765,32 @@ fn to_json(
             .compress_eps
             .map_or("null".to_string(), |e| format!("{e:.3}")),
         hierarchy.queries,
-        hierarchy.flat_expansions,
-        hierarchy.ch_expansions,
-        hierarchy.flat_allfp_expansions,
-        hierarchy.ch_allfp_expansions,
-        hierarchy.expansion_speedup,
-        hierarchy.flat_wall_seconds,
-        hierarchy.ch_wall_seconds,
-        hierarchy.wall_speedup,
+        hierarchy.flat_singlefp.to_json(),
+        hierarchy.ch_singlefp.to_json(),
+        hierarchy.flat_allfp.to_json(),
+        hierarchy.ch_allfp.to_json(),
+        hierarchy.expansion_speedup(),
+        hierarchy.wall_speedup(),
+        hierarchy.allfp_wall_speedup(),
     ));
     out.push_str(&format!(
         "  \"smoke_counters\": {{\"flat_allfp_expanded\": {}, \"flat_singlefp_expanded\": {}, \
          \"mintime_allfp_expanded\": {}, \"mintime_singlefp_expanded\": {}, \
          \"ch_allfp_expanded\": {}, \"ch_singlefp_expanded\": {}, \
+         \"alloc_bytes_per_query_parent\": {ALLOC_BYTES_PER_QUERY_PARENT}, \
+         \"alloc_bytes_per_query\": {}, \
          \"note\": \"expanded_paths of --smoke's serial passes (flat under naiveLB and under \
          minTimeLB: metro-small x12, ch: metro-medium x12); --smoke fails when an allFP or a \
-         minTimeLB count exceeds the one recorded here\"}},\n",
-        smoke.flat.0, smoke.flat.1, smoke.min_time.0, smoke.min_time.1, smoke.ch.0, smoke.ch.1,
+         minTimeLB count exceeds the one recorded here; alloc_bytes_per_query is the warm \
+         width-1 batch of the naiveLB pass under the counting allocator, _parent the same \
+         before the search workspace was pooled, and --smoke fails above half of _parent\"}},\n",
+        smoke.flat.0,
+        smoke.flat.1,
+        smoke.min_time.0,
+        smoke.min_time.1,
+        smoke.ch.0,
+        smoke.ch.1,
+        smoke.alloc_bytes_per_query,
     ));
     out.push_str("  \"contraction_sweep\": [\n");
     for (i, p) in contraction.iter().enumerate() {
@@ -817,13 +811,15 @@ fn to_json(
          \"peak_rss_bytes\": {}, \"deterministic\": {}, \"store\": \"{}\", \
          \"pool_frames\": {}, \"estimator\": {{\"kind\": \"minTimeLB\", \
          \"wall_seconds\": {:.3}, \"bytes\": {}}}, \"queries\": {}, \"query_failures\": {}, \
-         \"query_wall_seconds\": {:.4}, \"queries_per_sec\": {:.2}, \"expanded_paths\": {}, \
+         \"warm_passes\": {WARM_PASSES}, \"allfp\": {}, \"singlefp\": {}, \
          \"io\": {{\"reads\": {}, \"bytes_read\": {}, \"bytes_written\": {}, \
          \"mmap_faults\": {}}}, \"build_sweep\": [{}], \
          \"note\": \"continental tier bulk-built straight from the lazy generator \
          (builder transient bytes are the analytic peak of its scratch, gated well \
          under the graph bytes; peak_rss is the whole process high water), served \
-         through the mmap store with pool frames << graph pages\"}}\n",
+         through the mmap store with pool frames << graph pages: allFP then singleFP, each \
+         as a first pass (allFP's is the cold one: every page fault is in it) then the \
+         median +- MAD of warm_passes further ones\"}}\n",
         huge.tier,
         huge.n_nodes,
         huge.data_pages,
@@ -837,10 +833,9 @@ fn to_json(
         huge.estimator_wall_seconds,
         huge.estimator_bytes,
         huge.queries,
-        huge.query_failures,
-        huge.query_wall_seconds,
-        huge.queries_per_sec,
-        huge.expanded_paths,
+        huge.allfp.failures + huge.singlefp.failures,
+        huge.allfp.to_json(),
+        huge.singlefp.to_json(),
         huge.io_reads,
         huge.io_bytes_read,
         huge.io_bytes_written,
@@ -936,7 +931,8 @@ fn emit_report() {
         SmokeCounters {
             flat: expansion_counts(&flat, &queries),
             min_time: min_time_counts(&small.net, &queries),
-            ch: (h.ch_allfp_expansions, h.ch_expansions),
+            ch: (h.ch_allfp.expanded_paths, h.ch_singlefp.expanded_paths),
+            alloc_bytes_per_query: measure_allocs(&flat, &queries).bytes_per_query as usize,
         }
     };
     // The contraction scaling curve builds the Medium hierarchy once
@@ -1090,12 +1086,13 @@ fn smoke() -> i32 {
     // Allocation gates. Strict zero for the pooled kernels: the
     // steady-state compose + envelope-merge loop must never touch the
     // heap once the scratch pool is warm. The whole-engine number is a
-    // budget, not a zero: per-query setup (visited bitmap, answer
-    // materialization, heap/arena growth) legitimately allocates and
-    // amortizes over the dozens-to-hundreds of expansions per query —
-    // the budget trips when someone reintroduces per-expansion
-    // allocations into the inner loop. Measured ~2.9 on this workload
-    // with the pooled kernels; the budget leaves ~2x headroom.
+    // budget, not a zero: answer materialization and arena growth
+    // legitimately allocate and amortize over the dozens-to-hundreds
+    // of expansions per query — the budget trips when someone
+    // reintroduces per-expansion allocations into the inner loop
+    // (measured ~1.0 on this workload). The bytes gate is the pooled
+    // search workspace's: per-query state proportional to the network
+    // would put the figure back above half of what it was before.
     const MAX_ALLOCS_PER_EXPANSION: f64 = 6.0;
     let kernel_allocs = kernel_steady_state_allocs();
     println!("smoke: pooled-kernel steady-state allocations: {kernel_allocs} (must be 0)");
@@ -1114,6 +1111,14 @@ fn smoke() -> i32 {
         eprintln!(
             "SMOKE FAIL: engine allocates {:.2} times per expansion (budget {MAX_ALLOCS_PER_EXPANSION})",
             alloc.allocs_per_expansion
+        );
+        failures += 1;
+    }
+    if 2.0 * alloc.bytes_per_query > ALLOC_BYTES_PER_QUERY_PARENT as f64 {
+        eprintln!(
+            "SMOKE FAIL: engine allocates {:.0} bytes per query, more than half of the \
+             {ALLOC_BYTES_PER_QUERY_PARENT} it did with per-query node vectors",
+            alloc.bytes_per_query
         );
         failures += 1;
     }
@@ -1277,8 +1282,8 @@ fn smoke() -> i32 {
     // Hierarchy gate: contraction must buy back its preprocessing —
     // the overlay search does ≥ 10x less expansion work per singleFP
     // than flat search on the medium metro, and wins on the clock.
-    // The wall ratio is gated on every host: both sides are serial
-    // best-of-3 loops in this one process, so a 3x floor under the
+    // The wall ratio is gated on every host: both sides are medians of
+    // serial warm passes in this one process, so a 3x floor under the
     // measured ratio is far outside scheduler noise even on one core.
     const MIN_EXPANSION_SPEEDUP: f64 = 10.0;
     // Measured ~8.8x on medium / ~1.8x on full with the bounds
@@ -1287,30 +1292,33 @@ fn smoke() -> i32 {
     let h = measure_hierarchy(Scale::Medium, "medium", 12, &HierarchyConfig::default());
     println!(
         "smoke: hierarchy preprocess {:.2}s ({} shortcuts, {} pieces, ~{} KiB), \
-         singleFP expansions flat {} vs ch {} ({:.1}x), wall {:.4}s vs {:.4}s ({:.2}x)",
+         singleFP expansions flat {} vs ch {} ({:.1}x), warm q/s {:.0} ± {:.0} vs {:.0} ± {:.0} \
+         ({:.2}x)",
         h.preprocess_wall_seconds,
         h.n_shortcuts,
         h.overlay_pieces,
         h.overlay_bytes / 1024,
-        h.flat_expansions,
-        h.ch_expansions,
-        h.expansion_speedup,
-        h.flat_wall_seconds,
-        h.ch_wall_seconds,
-        h.wall_speedup,
+        h.flat_singlefp.expanded_paths,
+        h.ch_singlefp.expanded_paths,
+        h.expansion_speedup(),
+        h.flat_singlefp.warm_qps,
+        h.flat_singlefp.warm_qps_mad,
+        h.ch_singlefp.warm_qps,
+        h.ch_singlefp.warm_qps_mad,
+        h.wall_speedup(),
     );
-    if h.expansion_speedup < MIN_EXPANSION_SPEEDUP {
+    if h.expansion_speedup() < MIN_EXPANSION_SPEEDUP {
         eprintln!(
             "SMOKE FAIL: hierarchy singleFP saves only {:.1}x expansions \
              (target {MIN_EXPANSION_SPEEDUP}x)",
-            h.expansion_speedup
+            h.expansion_speedup()
         );
         failures += 1;
     }
-    if h.wall_speedup < MIN_WALL_SPEEDUP {
+    if h.wall_speedup() < MIN_WALL_SPEEDUP {
         eprintln!(
             "SMOKE FAIL: hierarchy singleFP wall speedup {:.2}x under {MIN_WALL_SPEEDUP}x",
-            h.wall_speedup
+            h.wall_speedup()
         );
         failures += 1;
     }
@@ -1320,7 +1328,8 @@ fn smoke() -> i32 {
     let counters = SmokeCounters {
         flat: expansion_counts(&engine, &queries),
         min_time: min_time_counts(net, &queries),
-        ch: (h.ch_allfp_expansions, h.ch_expansions),
+        ch: (h.ch_allfp.expanded_paths, h.ch_singlefp.expanded_paths),
+        alloc_bytes_per_query: alloc.bytes_per_query as usize,
     };
     println!(
         "smoke: expanded_paths allFP / singleFP: flat {} / {}, under minTimeLB {} / {} \
@@ -1414,12 +1423,16 @@ fn smoke() -> i32 {
     // pages in (unless the store fell back to FileStore, which the
     // equivalence suite pins to the same bytes anyway). Once the pass
     // has warmed the thread's estimator workspace, a fresh backward
-    // search must not allocate.
+    // search must not allocate — and a warm query must allocate less
+    // than one byte per node of the network: its answer and whatever
+    // its arenas grow by, nothing sized by the tier.
     let hu = fpbench::metro_huge::run(&ContinentalConfig::smoke(0x5EED), "smoke", 8);
     println!(
         "smoke: metro-huge smoke tier {} nodes, {} pages, build x{:?} deterministic={}, \
          transient {} KiB vs graph {} KiB, {} via {} ({} frames), {}/{} queries ok, \
-         {} faults, {} reads, estimator {} KiB with {} warm allocations",
+         {} faults, {} reads, estimator {} KiB with {} warm allocations; allFP {} expansions, \
+         {:.0} q/s cold, {:.0} ± {:.0} warm, {:.0} bytes/query; singleFP {} expansions, \
+         {:.0} ± {:.0} q/s warm, {:.0} bytes/query",
         hu.n_nodes,
         hu.total_pages,
         fpbench::metro_huge::BUILD_SWEEP,
@@ -1429,13 +1442,32 @@ fn smoke() -> i32 {
         hu.tier,
         hu.store_kind,
         hu.pool_frames,
-        hu.queries - hu.query_failures,
+        hu.queries - hu.allfp.failures,
         hu.queries,
         hu.mmap_faults,
         hu.io_reads,
         hu.estimator_bytes / 1024,
         hu.estimator_warm_allocs,
+        hu.allfp.expanded_paths,
+        hu.allfp.cold_qps,
+        hu.allfp.warm_qps,
+        hu.allfp.warm_qps_mad,
+        hu.allfp.query_bytes,
+        hu.singlefp.expanded_paths,
+        hu.singlefp.warm_qps,
+        hu.singlefp.warm_qps_mad,
+        hu.singlefp.query_bytes,
     );
+    for (mode, clocked) in [("allFP", &hu.allfp), ("singleFP", &hu.singlefp)] {
+        if clocked.query_bytes >= hu.n_nodes as f64 {
+            eprintln!(
+                "SMOKE FAIL: a warm {mode} query on the {}-node tier allocates {:.0} bytes \
+                 (gate: under one byte per node)",
+                hu.n_nodes, clocked.query_bytes
+            );
+            failures += 1;
+        }
+    }
     if hu.estimator_warm_allocs != 0 {
         eprintln!(
             "SMOKE FAIL: the warm estimator allocated {} time(s) answering fresh targets",
@@ -1458,12 +1490,11 @@ fn smoke() -> i32 {
         );
         failures += 1;
     }
-    if hu.query_failures > 0 || hu.expanded_paths == 0 {
+    if hu.allfp.failures + hu.singlefp.failures > 0 || hu.allfp.expanded_paths == 0 {
         eprintln!(
-            "SMOKE FAIL: disk-served tier answered {}/{} queries ({} expansions)",
-            hu.queries - hu.query_failures,
-            hu.queries,
-            hu.expanded_paths
+            "SMOKE FAIL: disk-served tier failed {} allFP and {} singleFP of {} queries \
+             ({} expansions)",
+            hu.allfp.failures, hu.singlefp.failures, hu.queries, hu.allfp.expanded_paths
         );
         failures += 1;
     }
@@ -1512,9 +1543,9 @@ fn hier_probe() {
         let h = measure_hierarchy(scale, name, count, &HierarchyConfig::default());
         println!(
             "hier[{}]: preprocess {:.2}s, {} nodes, {} shortcuts ({} disabled), {} pieces \
-             (~{} KiB stored vs ~{} KiB baseline, ratio {:.3}); {} queries: \
-             expansions flat {} vs ch {} ({:.1}x), wall {:.4}s vs {:.4}s ({:.2}x); \
-             allFP expansions flat {} vs ch {}",
+             (~{} KiB stored vs ~{} KiB baseline, ratio {:.3}); {} queries, flat vs ch: \
+             singleFP {} vs {} expansions ({:.1}x), {:.1} ± {:.1} vs {:.1} ± {:.1} q/s ({:.2}x); \
+             allFP {} vs {} expansions, {:.1} ± {:.1} vs {:.1} ± {:.1} q/s ({:.2}x)",
             h.scale,
             h.preprocess_wall_seconds,
             h.n_nodes,
@@ -1525,14 +1556,21 @@ fn hier_probe() {
             h.overlay_bytes_exact / 1024,
             h.overlay_bytes_ratio,
             h.queries,
-            h.flat_expansions,
-            h.ch_expansions,
-            h.expansion_speedup,
-            h.flat_wall_seconds,
-            h.ch_wall_seconds,
-            h.wall_speedup,
-            h.flat_allfp_expansions,
-            h.ch_allfp_expansions,
+            h.flat_singlefp.expanded_paths,
+            h.ch_singlefp.expanded_paths,
+            h.expansion_speedup(),
+            h.flat_singlefp.warm_qps,
+            h.flat_singlefp.warm_qps_mad,
+            h.ch_singlefp.warm_qps,
+            h.ch_singlefp.warm_qps_mad,
+            h.wall_speedup(),
+            h.flat_allfp.expanded_paths,
+            h.ch_allfp.expanded_paths,
+            h.flat_allfp.warm_qps,
+            h.flat_allfp.warm_qps_mad,
+            h.ch_allfp.warm_qps,
+            h.ch_allfp.warm_qps_mad,
+            h.allfp_wall_speedup(),
         );
     }
 }
@@ -1563,9 +1601,9 @@ fn eps_sweep() {
                 h.overlay_bytes_ratio,
                 h.overlay_bytes / 1024,
                 h.overlay_bytes_exact / 1024,
-                h.flat_expansions,
-                h.ch_expansions,
-                h.expansion_speedup,
+                h.flat_singlefp.expanded_paths,
+                h.ch_singlefp.expanded_paths,
+                h.expansion_speedup(),
                 h.preprocess_wall_seconds,
             );
         }

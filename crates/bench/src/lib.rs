@@ -18,6 +18,7 @@
 
 pub mod ablations;
 pub mod alloc;
+pub mod clock;
 pub mod cluster;
 pub mod const_speed;
 pub mod fig10;

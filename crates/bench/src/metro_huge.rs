@@ -11,7 +11,11 @@
 //!    [`MmapStore::open_preferred`] — zero-copy OS-paged reads with a
 //!    buffer pool far smaller than the graph — behind the min-time
 //!    estimator (`minTimeLB`), built by one sweep over the lazy
-//!    generator, and check that a warm estimator allocates nothing;
+//!    generator: allFP then singleFP, each put on the clock by
+//!    [`crate::clock::clock_backend`] (a first pass, then the median ± MAD of
+//!    the warm ones, with `expanded_paths` and the allocated bytes per
+//!    query beside them), and check that a warm estimator allocates
+//!    nothing;
 //! 3. record the build walls, the analytic transient footprint of the
 //!    builder (gated ≪ graph bytes), the process RSS high water, and
 //!    the physical I/O counters (`bytes_read` / `bytes_written` /
@@ -34,6 +38,8 @@ use pwl::Interval;
 use roadnet::generators::{ContinentalConfig, ContinentalNet};
 use roadnet::{NetworkSource, NodeId};
 use traffic::DayCategory;
+
+use crate::clock::{clock_backend, Clocked};
 
 /// Thread counts swept by the parallel-build curve.
 pub const BUILD_SWEEP: [usize; 3] = [1, 2, 4];
@@ -86,16 +92,16 @@ pub struct MetroHugeReport {
     /// the warm workspace, a prefix of the one its query grew (must be
     /// 0).
     pub estimator_warm_allocs: u64,
-    /// Queries served.
+    /// Queries in the workload.
     pub queries: usize,
-    /// Failed queries (must be 0).
-    pub query_failures: usize,
-    /// Serving wall, seconds.
-    pub query_wall_seconds: f64,
-    /// Queries per second through the mmap stack.
-    pub queries_per_sec: f64,
-    /// Paths expanded across the workload.
-    pub expanded_paths: usize,
+    /// The allFP passes. Its cold pass is the tier's first touch of
+    /// every page, travel function and pooled buffer; nothing in a
+    /// warm pass's `query_bytes` — answers and arena growth — may
+    /// scale with `n_nodes`. `failures` must be 0.
+    pub allfp: Clocked,
+    /// The singleFP passes, run after the allFP ones: pages and
+    /// estimator are warm from its first pass on.
+    pub singlefp: Clocked,
     /// Physical page reads the serving stack issued.
     pub io_reads: u64,
     /// Bytes physically read while serving.
@@ -265,16 +271,7 @@ pub fn run(cfg: &ContinentalConfig, tier: &'static str, n_queries: usize) -> Met
         .into_iter()
         .map(|(s, t)| QuerySpec::new(s, t, interval, DayCategory::WORKDAY))
         .collect();
-    let mut expanded = 0usize;
-    let mut failures = 0usize;
-    let start = Instant::now();
-    for q in &queries {
-        match engine.all_fastest_paths(q) {
-            Ok(a) => expanded += a.stats.expanded_paths,
-            Err(_) => failures += 1,
-        }
-    }
-    let query_wall = start.elapsed().as_secs_f64();
+    let (allfp, singlefp) = clock_backend(&engine, &queries);
 
     let before = crate::alloc::snapshot();
     for q in &queries {
@@ -303,10 +300,8 @@ pub fn run(cfg: &ContinentalConfig, tier: &'static str, n_queries: usize) -> Met
         estimator_bytes: estimator.bytes(),
         estimator_warm_allocs,
         queries: queries.len(),
-        query_failures: failures,
-        query_wall_seconds: query_wall,
-        queries_per_sec: queries.len() as f64 / query_wall.max(1e-12),
-        expanded_paths: expanded,
+        allfp,
+        singlefp,
         io_reads: io.reads(),
         io_bytes_read: io.bytes_read(),
         io_bytes_written: bytes_written,
@@ -333,8 +328,10 @@ mod tests {
         let r = run(&cfg, "unit", 3);
         assert_eq!(r.n_nodes, 1024);
         assert!(r.deterministic, "swept builds diverged");
-        assert_eq!(r.query_failures, 0);
-        assert!(r.expanded_paths > 0);
+        assert_eq!((r.allfp.failures, r.singlefp.failures), (0, 0));
+        assert!(r.allfp.expanded_paths > 0);
+        assert!((1..=r.allfp.expanded_paths).contains(&r.singlefp.expanded_paths));
+        assert!(r.allfp.warm_qps > 0.0 && r.singlefp.warm_qps > 0.0);
         assert_eq!(r.estimator_warm_allocs, 0);
         assert!(r.transient_build_bytes > 0);
         assert!((r.graph_bytes as usize) > r.transient_build_bytes / 8);

@@ -47,9 +47,11 @@ pub trait PathfindBackend {
     /// `"hierarchy"`, …).
     fn backend_name(&self) -> &'static str;
 
-    /// Open a fresh travel-function cache session. Callers that run
-    /// many queries back to back on one thread keep one session warm
-    /// across all of them.
+    /// Open a session: the worker-lifetime state a query runs on — a
+    /// travel-function L1, a PWL buffer pool and the flat search's
+    /// workspace (4 B per network node plus arenas bounded when idle).
+    /// Callers that run many queries back to back on one thread keep
+    /// one session warm across all of them.
     fn cache_session(&self) -> CacheSession<'_>;
 
     /// Lifetime hit/miss counters of the backend's travel-function
@@ -134,7 +136,8 @@ pub fn run_batch_robust<B: PathfindBackend + Sync + ?Sized>(
         queries,
         workers,
         |q, session| {
-            // AssertUnwindSafe: the session (plain maps + tallies)
+            // AssertUnwindSafe: the session (plain maps + tallies; an
+            // unwinding search drops the workspace it checked out)
             // and the shared cache (poison-recovering locks over
             // immutable-once-inserted values) are both valid after
             // an interrupted query.

@@ -62,6 +62,7 @@ use roadnet::PatternId;
 use traffic::travel::travel_time_fn;
 use traffic::{DayCategory, SpeedProfile};
 
+use crate::engine::SearchWorkspace;
 use crate::Result;
 
 /// Number of independent shards in the shared store (power of two).
@@ -166,24 +167,26 @@ impl BuildHasher for KeyHashBuilder {
 /// The cache's map type: [`Key`]-keyed, cheaply hashed.
 type KeyMap<V> = HashMap<Key, V, KeyHashBuilder>;
 
-/// Retired per-worker state — a warm L1 and a warm scratch pool —
-/// parked between sessions.
+/// Retired per-worker state — a warm L1, a warm scratch pool and the
+/// flat search's workspace — parked between sessions.
 ///
 /// Reviving it is exact for the same reason the L1 itself is: entries
 /// are immutable full-period functions fully determined by their key,
-/// and [`PwlScratch`] carries no state between calls (its contract),
-/// so a revived session differs from a fresh one only in how little it
-/// allocates.
+/// [`PwlScratch`] carries no state between calls (its contract), and
+/// the workspace is cleaned every time it is checked out, so a revived
+/// session differs from a fresh one only in how little it allocates.
 #[derive(Default)]
 struct SessionState {
     l1: KeyMap<Arc<Pwl>>,
     scratch: PwlScratch,
+    workspace: SearchWorkspace,
 }
 
 /// Retired session states kept for revival; beyond this they are
-/// dropped. Sized above the batch driver's worker counts, and idle
-/// states are bounded (L1 entries are `Arc`s, scratch pools cap
-/// themselves), so this is megabytes, not unbounded growth.
+/// dropped. Sized above the batch driver's worker counts. Idle states
+/// are bounded (L1 entries are `Arc`s, scratch pools cap themselves, a
+/// workspace is 4 B per network node plus arenas it shrinks when idle),
+/// and only as many park here as sessions were ever open at once.
 const RETIRED_CAP: usize = 32;
 
 /// Engine-wide cache of full-period edge travel-time functions.
@@ -437,12 +440,12 @@ impl Default for TravelFnCache {
 /// disagree with the store. Hit/miss tallies accumulate locally and
 /// flush into the cache-wide counters on drop.
 ///
-/// The session also owns the worker's [`PwlScratch`]: the buffer pool
-/// all pooled PWL kernels on this worker draw from — the session is the
-/// one object that already lives exactly as long as a worker, so the
-/// pool warms across every query the worker processes. When the
-/// session drops, both the L1 and the scratch park in the cache's
-/// retired pool for the next session to revive.
+/// The session also owns the worker's [`PwlScratch`] — the buffer pool
+/// all pooled PWL kernels on this worker draw from — and the flat
+/// search's workspace: the session already lives exactly as long as a
+/// worker, so both stay warm across every query the worker processes.
+/// When the session drops, L1, scratch and workspace park in the
+/// cache's retired pool for the next session to revive.
 pub struct CacheSession<'c> {
     cache: &'c TravelFnCache,
     state: SessionState,
@@ -498,6 +501,21 @@ impl CacheSession<'_> {
         &mut self.state.scratch
     }
 
+    /// Check the [`SearchWorkspace`] out for one search over a source
+    /// of `n_nodes` nodes. It is cleaned here, so nothing the search
+    /// before left survives; one that unwound took it along.
+    pub(crate) fn with_workspace<R>(
+        &mut self,
+        n_nodes: usize,
+        search: impl FnOnce(&mut SearchWorkspace, &mut Self) -> R,
+    ) -> R {
+        let mut ws = std::mem::take(&mut self.state.workspace);
+        ws.reset(n_nodes, &mut self.state.scratch);
+        let yielded = search(&mut ws, self);
+        self.state.workspace = ws;
+        yielded
+    }
+
     /// Lookups tallied by this session so far (hits, misses) — not yet
     /// visible in [`TravelFnCache::counters`] until the session drops.
     pub fn tallies(&self) -> (u64, u64) {
@@ -514,6 +532,7 @@ impl Drop for CacheSession<'_> {
             self.cache.misses.fetch_add(self.misses, Ordering::Relaxed);
         }
         // Park the warm state for the next session to revive.
+        self.state.workspace.park(&mut self.state.scratch);
         let state = std::mem::take(&mut self.state);
         let mut retired = lock_retired(&self.cache.retired);
         if retired.len() < RETIRED_CAP {

@@ -71,16 +71,16 @@ impl Default for EngineConfig {
 /// its exact travel-time function `T(l)` over the query interval. The
 /// prioritized minimum of `T + T_est` lives on the queue entry.
 ///
-/// The seed engine stored every path as an owned `Vec<NodeId>`, so
-/// expanding a depth-`d` path cost an O(d) clone per successor and the
-/// cycle check was a linear scan of that vector. With parent pointers,
-/// expansion appends one arena slot (O(1) beyond the travel function
-/// itself), the cycle check walks the parent chain (same O(d) bound,
-/// no allocation), and full node sequences are materialized only for
-/// the handful of paths that end up in an answer.
+/// Expansion appends one arena slot (O(1) beyond the travel function
+/// itself), the cycle check walks the parent chain (O(depth), no
+/// allocation), and full node sequences are materialized only for the
+/// handful of paths that end up in an answer.
 struct PathState {
-    /// Arena index of the path this one extends; `None` for the root.
-    parent: Option<u32>,
+    /// Arena index of the path this one extends; [`NONE`] for the root.
+    parent: u32,
+    /// Next path of the head node's dominance list (see
+    /// [`NodeState::fns_head`]); [`NONE`] at the tail.
+    next_at_node: u32,
     /// Last node of the path.
     head: NodeId,
     /// Bloom filter of the nodes on the path (parent's filter plus
@@ -104,53 +104,90 @@ struct PathState {
     travel: PwlRef,
 }
 
+/// "No index": the empty [`SearchWorkspace::slot_of`] entry, the root's
+/// [`PathState::parent`] and the end of a dominance list.
+const NONE: u32 = u32::MAX;
+
+/// `i` as a `u32` arena index, which must stay below [`NONE`].
+fn index32(i: usize, outgrown: &'static str) -> Result<u32> {
+    u32::try_from(i)
+        .ok()
+        .filter(|&i| i != NONE)
+        .ok_or(AllFpError::Internal(outgrown))
+}
+
 /// What one query remembers of a node record it has read from the
 /// source: the lower-bound estimate to the target (a function of the
-/// node's location, which is needed for nothing else) and where the
-/// node's outgoing edges sit in the query's adjacency arena.
-#[derive(Clone, Copy)]
-struct NodeMemo {
-    /// `NaN` until the record is read; real estimates are
-    /// non-negative (`+∞`: the node cannot reach the target).
+/// node's location, which is needed for nothing else), where the
+/// node's outgoing edges sit in the adjacency arena, and the paths
+/// known to end here.
+struct NodeState {
+    id: NodeId,
+    /// Non-negative; `+∞` when the node cannot reach the target.
     est: f64,
     start: u32,
     len: u32,
+    /// The node's dominance list, threaded through the path arena by
+    /// [`PathState::next_at_node`] in push order.
+    fns_head: u32,
+    fns_tail: u32,
+    expanded: bool,
 }
 
-impl NodeMemo {
-    const UNREAD: NodeMemo = NodeMemo {
-        est: f64::NAN,
-        start: 0,
-        len: 0,
-    };
+/// Entries of each arena a parked workspace keeps allocated: room for
+/// the typical query. An open session keeps what its searches grew.
+const IDLE_CAPACITY: usize = 1024;
 
-    fn is_unread(&self) -> bool {
-        self.est.is_nan()
-    }
-
-    /// Index range of the node's edges in the adjacency arena.
-    fn edges(&self) -> std::ops::Range<usize> {
-        let start = self.start as usize;
-        start..start + self.len as usize
-    }
+/// The whole per-query state of the flat search, checked out of the
+/// worker's [`CacheSession`] per query. Node state is a sparse set: a
+/// query pays for the nodes it reads, not `n_nodes` (DESIGN.md §10).
+#[derive(Default)]
+pub(crate) struct SearchWorkspace {
+    /// Node index → slot in `nodes`, [`NONE`] until the query reads
+    /// the node: the only array as long as the network.
+    slot_of: Vec<u32>,
+    nodes: Vec<NodeState>,
+    /// Outgoing edges of every node in `nodes`, back to back.
+    adjacency: Vec<roadnet::Edge>,
+    /// Staging buffer for `successors_into`, which clears its argument
+    /// and so cannot append to `adjacency` directly.
+    fetched: Vec<roadnet::Edge>,
+    paths: Vec<PathState>,
+    heap: BinaryHeap<QueueEntry>,
 }
 
-/// Recycle every arena path's travel-function buffers into the worker
-/// scratch so the next query on this session reuses their capacity
-/// (shared functions just drop their reference).
-fn drain_arena(paths: &mut Vec<PathState>, scratch: &mut PwlScratch) {
-    for p in paths.drain(..) {
-        scratch.recycle_ref(p.travel);
+impl SearchWorkspace {
+    /// Clean what the previous query left, however it ended, in
+    /// O(nodes it read), and cover a source of `n_nodes` nodes.
+    pub(crate) fn reset(&mut self, n_nodes: usize, scratch: &mut PwlScratch) {
+        for n in self.nodes.drain(..) {
+            self.slot_of[n.id.index()] = NONE;
+        }
+        self.slot_of.resize(self.slot_of.len().max(n_nodes), NONE);
+        self.adjacency.clear();
+        self.heap.clear();
+        for p in self.paths.drain(..) {
+            scratch.recycle_ref(p.travel);
+        }
+    }
+
+    /// Clean, and give back what an idle workspace should not hold.
+    pub(crate) fn park(&mut self, scratch: &mut PwlScratch) {
+        self.reset(0, scratch);
+        self.nodes.shrink_to(IDLE_CAPACITY);
+        self.adjacency.shrink_to(IDLE_CAPACITY);
+        self.paths.shrink_to(IDLE_CAPACITY);
+        self.heap.shrink_to(IDLE_CAPACITY);
     }
 }
 
 /// The node sequence of arena path `idx`, root first.
 fn materialize(paths: &[PathState], idx: usize) -> Vec<NodeId> {
     let mut nodes = Vec::with_capacity(paths[idx].depth as usize + 1);
-    let mut cur = Some(idx);
-    while let Some(i) = cur {
-        nodes.push(paths[i].head);
-        cur = paths[i].parent.map(|p| p as usize);
+    let mut cur = idx as u32;
+    while cur != NONE {
+        nodes.push(paths[cur as usize].head);
+        cur = paths[cur as usize].parent;
     }
     nodes.reverse();
     nodes
@@ -167,12 +204,12 @@ fn visits(paths: &[PathState], idx: usize, node: NodeId) -> bool {
     if paths[idx].bloom & bloom_bit(node) == 0 {
         return false;
     }
-    let mut cur = Some(idx);
-    while let Some(i) = cur {
-        if paths[i].head == node {
+    let mut cur = idx as u32;
+    while cur != NONE {
+        if paths[cur as usize].head == node {
             return true;
         }
-        cur = paths[i].parent.map(|p| p as usize);
+        cur = paths[cur as usize].parent;
     }
     false
 }
@@ -258,8 +295,10 @@ impl PartialOrd for QueueEntry {
 /// How one search run ended (internal; the public APIs map this onto
 /// either `Result<AllFpAnswer>` or [`QueryOutcome`]).
 enum SearchYield {
-    /// Terminated by the paper's rule — the answer is exact.
-    Done(AllFpAnswer, Option<SingleFpAnswer>),
+    /// allFP terminated by the paper's rule — the answer is exact.
+    Done(AllFpAnswer),
+    /// singleFP popped its first target path (§4.5).
+    Single(SingleFpAnswer),
     /// A budget tripped first. `best` is the exact partitioning over
     /// the target paths identified so far (`None` when none had
     /// reached the target).
@@ -268,6 +307,18 @@ enum SearchYield {
         best: Option<AllFpAnswer>,
         stats: QueryStats,
     },
+}
+
+impl SearchYield {
+    /// The legacy surfaces' error for a yield that is not their answer.
+    fn legacy_error(self) -> AllFpError {
+        match self {
+            SearchYield::Exhausted { stats, .. } => AllFpError::BudgetExhausted {
+                expansions: stats.expanded_paths,
+            },
+            _ => AllFpError::Internal("search yielded the other mode's answer"),
+        }
+    }
 }
 
 /// The per-search budget watcher: deadline, expansion cap, and
@@ -494,7 +545,7 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
             || self.cache.session(),
             queries,
             workers,
-            |q, session| self.run_with_session(q, false, session).map(|(a, _)| a),
+            |q, session| self.all_with_session(q, session),
             |r| r.as_ref().ok().map(|a| a.stats),
         );
         // A `None` slot means its worker thread died before reporting
@@ -581,16 +632,16 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         session: &mut CacheSession<'_>,
         cancel: Option<&CancelToken>,
     ) -> std::result::Result<QueryOutcome, EngineError> {
-        match self.search(query, false, session, cancel) {
-            Ok(SearchYield::Done(all, _)) => Ok(QueryOutcome::Exact(all)),
-            Ok(SearchYield::Exhausted {
+        match self.search(query, false, session, cancel)? {
+            SearchYield::Done(all) => Ok(QueryOutcome::Exact(all)),
+            SearchYield::Exhausted {
                 reason,
                 best,
                 stats,
-            }) => Ok(QueryOutcome::Degraded(
+            } => Ok(QueryOutcome::Degraded(
                 self.degraded_answer(query, reason, best, stats, session)?,
             )),
-            Err(e) => Err(EngineError::from(e)),
+            single @ SearchYield::Single(_) => Err(single.legacy_error().into()),
         }
     }
 
@@ -731,9 +782,7 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
     /// Answer the **allFP query**: the full partitioning of the query
     /// interval into sub-intervals with their fastest paths.
     pub fn all_fastest_paths(&self, query: &QuerySpec) -> Result<AllFpAnswer> {
-        let mut session = self.cache.session();
-        self.run_with_session(query, false, &mut session)
-            .map(|(all, _)| all)
+        self.all_with_session(query, &mut self.cache.session())
     }
 
     /// Answer the **singleFP query**: the best leaving instant(s) in
@@ -741,40 +790,36 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
     /// soon as the first path reaching the target is popped (§4.5) —
     /// no lower-border computation beyond that point.
     pub fn single_fastest_path(&self, query: &QuerySpec) -> Result<SingleFpAnswer> {
-        let mut session = self.cache.session();
-        self.run_with_session(query, true, &mut session)
-            .and_then(|(_, single)| {
-                single.ok_or(AllFpError::Internal("singleFP search returned no answer"))
-            })
+        match self.search(query, true, &mut self.cache.session(), None)? {
+            SearchYield::Single(single) => Ok(single),
+            other => Err(other.legacy_error()),
+        }
     }
 
-    /// Legacy search surface: exactly the pre-robustness contract. A
-    /// tripped budget (engine-level valve *or* per-query budget) is an
-    /// [`AllFpError::BudgetExhausted`] error; use the robust entry
-    /// points to receive a degraded answer instead.
-    fn run_with_session(
+    /// Legacy allFP surface: a tripped budget (the engine's valve or
+    /// the query's) is an [`AllFpError::BudgetExhausted`] error.
+    fn all_with_session(
         &self,
         query: &QuerySpec,
-        single_only: bool,
         session: &mut CacheSession<'_>,
-    ) -> Result<(AllFpAnswer, Option<SingleFpAnswer>)> {
-        match self.search(query, single_only, session, None)? {
-            SearchYield::Done(all, single) => Ok((all, single)),
-            SearchYield::Exhausted { stats, .. } => Err(AllFpError::BudgetExhausted {
-                expansions: stats.expanded_paths,
-            }),
+    ) -> Result<AllFpAnswer> {
+        match self.search(query, false, session, None)? {
+            SearchYield::Done(all) => Ok(all),
+            other => Err(other.legacy_error()),
         }
     }
 
     /// Shared search. When `single_only`, stops at the first popped
-    /// target path. Otherwise runs to the paper's termination rule and
-    /// assembles the partitioning — or, if a budget trips first,
-    /// yields [`SearchYield::Exhausted`] with the exact best-so-far.
+    /// target path and yields [`SearchYield::Single`]. Otherwise runs
+    /// to the paper's termination rule and assembles the partitioning
+    /// — or, if a budget trips first, yields [`SearchYield::Exhausted`]
+    /// with the exact best-so-far.
     ///
-    /// The caller supplies the [`CacheSession`] so batch workers can
-    /// keep one warm L1 across every query they process; the serial
-    /// entry points open a fresh session per query. `cancel` is polled
-    /// between pops (see [`WATCH_EVERY`]).
+    /// The caller supplies the [`CacheSession`] so batch workers keep
+    /// one warm L1, scratch pool and [`SearchWorkspace`] across every
+    /// query they process; the serial entry points revive a parked
+    /// session per query. `cancel` is polled between pops (see
+    /// [`WATCH_EVERY`]).
     fn search(
         &self,
         query: &QuerySpec,
@@ -782,38 +827,62 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         session: &mut CacheSession<'_>,
         cancel: Option<&CancelToken>,
     ) -> Result<SearchYield> {
-        let interval = query.interval;
         let target_loc = self.source.find_node(query.target)?;
 
         // Degenerate interval → the classic special case (delegated to
         // fixed-instant A*, which is the cheap path: budgets are not
         // consulted there, only cancellation before it starts).
-        if interval.is_degenerate() {
+        if query.interval.is_degenerate() {
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 return Err(AllFpError::Cancelled);
             }
-            let (all, single) = self.degenerate_instant(query, target_loc)?;
-            return Ok(SearchYield::Done(all, single));
+            return self.degenerate_instant(query, single_only);
         }
 
-        let mut watch = Watch::new(query, &self.config, cancel);
+        let watch = Watch::new(query, &self.config, cancel);
+        session.with_workspace(self.source.n_nodes(), |ws, session| {
+            self.search_in(ws, query, target_loc, single_only, session, watch)
+        })
+    }
+
+    /// The search proper, over a checked-out (clean) workspace.
+    fn search_in(
+        &self,
+        ws: &mut SearchWorkspace,
+        query: &QuerySpec,
+        target_loc: Point,
+        single_only: bool,
+        session: &mut CacheSession<'_>,
+        mut watch: Watch<'_>,
+    ) -> Result<SearchYield> {
         let mut stats = QueryStats::default();
-        let mut paths: Vec<PathState> = Vec::new();
-        let mut heap: BinaryHeap<QueueEntry> = BinaryHeap::new();
         let mut seq = 0u64;
-        let mut expanded_nodes: Vec<bool> = vec![false; self.source.n_nodes()];
-        let mut expanded_node_count = 0usize;
-        // Per-query memo of every node record the search has read: a
-        // node's first touch (the seed, or a candidate edge's head)
-        // fetches its adjacency and location once, and every later
-        // candidate or expansion is served from `node_memo` / `adjacency`.
-        let mut node_memo: Vec<NodeMemo> = vec![NodeMemo::UNREAD; self.source.n_nodes()];
-        let mut adjacency: Vec<roadnet::Edge> = Vec::new();
-        // per-node travel functions for optional dominance pruning
-        let mut node_fns: Vec<Vec<usize>> = if self.config.prune_dominated {
-            vec![Vec::new(); self.source.n_nodes()]
-        } else {
-            Vec::new()
+        // First touch of a node (the seed, or a candidate edge's head):
+        // fetch its adjacency and location once, back to back — on a
+        // paged source the second call finds the pages the first one
+        // faulted in still resident — and file the record. Every later
+        // candidate or expansion is served from `ws`. Returns the slot.
+        let read_node = |ws: &mut SearchWorkspace, node: NodeId| -> Result<usize> {
+            self.source.successors_into(node, &mut ws.fetched)?;
+            let loc = self.source.find_node(node)?;
+            ws.adjacency.extend_from_slice(&ws.fetched);
+            let end = index32(ws.adjacency.len(), "adjacency arena outgrew u32 offsets")?;
+            // `fetched` is a suffix of the arena, so its length fits too.
+            let len = ws.fetched.len() as u32;
+            let slot = ws.nodes.len();
+            ws.slot_of[node.index()] = index32(slot, "node records outgrew u32 slots")?;
+            ws.nodes.push(NodeState {
+                id: node,
+                est: self
+                    .estimator
+                    .travel_lower_bound(node, loc, query.target, target_loc),
+                start: end - len,
+                len,
+                fns_head: NONE,
+                fns_tail: NONE,
+                expanded: false,
+            });
+            Ok(slot)
         };
 
         // Lower border over identified target paths. `border_max`
@@ -825,60 +894,36 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         // `paths.len()` at the last border merge: exactly the paths
         // below it were last tested against an older (higher) border.
         let mut border_seen = 0usize;
-        let mut single: Option<SingleFpAnswer> = None;
+        // singleFP: the first popped target path.
+        let mut single: Option<usize> = None;
 
         // Global best-case speed: `distance / max_speed` lower-bounds
         // any edge's travel time, independent of leaving instant.
         let max_speed = self.source.max_speed();
-        // Staging buffer for `successors_into`, which clears its
-        // argument and so cannot append to `adjacency` directly.
-        let mut fetched: Vec<roadnet::Edge> = Vec::new();
-        let mut read_node = |node: NodeId,
-                             adjacency: &mut Vec<roadnet::Edge>,
-                             stats: &mut QueryStats|
-         -> Result<NodeMemo> {
-            // Back to back: on a paged source the second call finds
-            // the pages the first one faulted in still resident.
-            self.source.successors_into(node, &mut fetched)?;
-            let loc = self.source.find_node(node)?;
-            stats.nodes_read += 1;
-            adjacency.extend_from_slice(&fetched);
-            let end = u32::try_from(adjacency.len())
-                .map_err(|_| AllFpError::Internal("adjacency arena outgrew u32 offsets"))?;
-            // `fetched` is a suffix of the arena, so its length fits too.
-            let len = fetched.len() as u32;
-            Ok(NodeMemo {
-                est: self
-                    .estimator
-                    .travel_lower_bound(node, loc, query.target, target_loc),
-                start: end - len,
-                len,
-            })
-        };
 
         // Seed: the zero-length path at the source.
         {
-            let memo = read_node(query.source, &mut adjacency, &mut stats)?;
-            node_memo[query.source.index()] = memo;
-            let est = memo.est;
+            let slot = read_node(ws, query.source)?;
+            let est = ws.nodes[slot].est;
             if est == f64::INFINITY {
                 return Err(AllFpError::Unreachable {
                     source: query.source,
                     target: query.target,
                 });
             }
-            let travel = Pwl::constant(interval, 0.0)?;
+            let travel = Pwl::constant(query.interval, 0.0)?;
             let travel_min = travel.min_value();
             let f_min = travel_min + est;
-            paths.push(PathState {
-                parent: None,
+            ws.paths.push(PathState {
+                parent: NONE,
+                next_at_node: NONE,
                 head: query.source,
                 bloom: bloom_bit(query.source),
                 depth: 0,
                 travel_min,
                 travel: travel.into(),
             });
-            heap.push(QueueEntry {
+            ws.heap.push(QueueEntry {
                 f_min,
                 seq,
                 path: 0,
@@ -893,54 +938,40 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         // share it.
         let mut trip: Option<DegradedReason> = None;
 
-        'search: while let Some(entry) = heap.pop() {
+        'search: while let Some(entry) = ws.heap.pop() {
             // Termination (§4.6): the next candidate can no longer beat
             // the border anywhere.
             if border_max.is_finite() && pwl::approx_le(border_max, entry.f_min) {
                 break;
             }
 
-            let head = paths[entry.path].head;
+            let head = ws.paths[entry.path].head;
 
             if head == query.target {
                 // Identified a target path. Its travel function is
-                // promoted to shared storage: the arena, the single
-                // answer and the border all hold the same `Arc<Pwl>` —
-                // no deep copies at all (the seed engine cloned it for
-                // the border and again for the single answer).
-                if single.is_none() {
-                    let m = paths[entry.path].travel.minimum();
-                    let nodes = materialize(&paths, entry.path);
-                    single = Some(SingleFpAnswer {
-                        path: FastestPath {
-                            nodes,
-                            travel: paths[entry.path].travel.share(),
-                        },
-                        travel_minutes: m.value,
-                        best_leaving: m.at,
-                        stats, // snapshot; finalized below
-                    });
-                    if single_only {
-                        break;
-                    }
+                // promoted to shared storage: the arena and the answer
+                // or border hold the same `Arc<Pwl>` — no deep copies.
+                if single_only {
+                    single = Some(entry.path);
+                    break;
                 }
                 stats.border_merges += 1;
                 match &mut border {
                     None => {
-                        let b = Envelope::new(paths[entry.path].travel.share(), entry.path);
+                        let b = Envelope::new(ws.paths[entry.path].travel.share(), entry.path);
                         border_max = b.max_value();
                         border = Some(b);
                     }
                     Some(b) => {
                         b.merge_min_with(
                             session.scratch_mut(),
-                            &paths[entry.path].travel,
+                            &ws.paths[entry.path].travel,
                             entry.path,
                         )?;
                         border_max = b.max_value();
                     }
                 }
-                border_seen = paths.len();
+                border_seen = ws.paths.len();
                 continue;
             }
 
@@ -956,7 +987,8 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
             // Pointwise border rule (DESIGN.md §7), re-run against a
             // border that fell since this path was pushed. A path it
             // kills was polled above but is no expansion.
-            let (travel, est) = (&paths[entry.path].travel, node_memo[head.index()].est);
+            let head_slot = ws.slot_of[head.index()] as usize;
+            let (travel, est) = (&ws.paths[entry.path].travel, ws.nodes[head_slot].est);
             if entry.path < border_seen
                 && border
                     .as_ref()
@@ -972,27 +1004,26 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
 
             // Expand.
             stats.expanded_paths += 1;
-            if !expanded_nodes[head.index()] {
-                expanded_nodes[head.index()] = true;
-                expanded_node_count += 1;
-            }
+            ws.nodes[head_slot].expanded = true;
 
             // The leaving-time interval at `head` (the paper's Figure 4
             // step) is a property of the path, not the edge.
-            let arrivals = pwl::compose::arrival_interval(&paths[entry.path].travel)?;
+            let arrivals = pwl::compose::arrival_interval(&ws.paths[entry.path].travel)?;
             // Indexed, not borrowed: a first touch below appends to
             // `adjacency` while this node's slice is being walked.
-            for i in node_memo[head.index()].edges() {
-                let edge = adjacency[i];
+            let start = ws.nodes[head_slot].start as usize;
+            for i in start..start + ws.nodes[head_slot].len as usize {
+                let edge = ws.adjacency[i];
                 // Cycles can never help under FIFO (positive travel times).
-                if visits(&paths, entry.path, edge.to) {
+                if visits(&ws.paths, entry.path, edge.to) {
                     continue;
                 }
 
-                if node_memo[edge.to.index()].is_unread() {
-                    node_memo[edge.to.index()] = read_node(edge.to, &mut adjacency, &mut stats)?;
-                }
-                let est = node_memo[edge.to.index()].est;
+                let slot = match ws.slot_of[edge.to.index()] {
+                    NONE => read_node(ws, edge.to)?,
+                    slot => slot as usize,
+                };
+                let est = ws.nodes[slot].est;
                 if est == f64::INFINITY {
                     continue; // no completion from `edge.to` exists
                 }
@@ -1004,7 +1035,8 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                 // travel-function work entirely. Conservative — every
                 // path it kills, the exact check below would kill too.
                 if border_max.is_finite() {
-                    let optimistic = paths[entry.path].travel_min + edge.distance / max_speed + est;
+                    let optimistic =
+                        ws.paths[entry.path].travel_min + edge.distance / max_speed + est;
                     if pwl::approx_le(border_max, optimistic) {
                         stats.pruned_by_border += 1;
                         continue;
@@ -1035,8 +1067,11 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                 } else {
                     stats.cache_misses += 1;
                 }
-                let travel =
-                    compose_travel_into(session.scratch_mut(), &paths[entry.path].travel, &t_edge)?;
+                let travel = compose_travel_into(
+                    session.scratch_mut(),
+                    &ws.paths[entry.path].travel,
+                    &t_edge,
+                )?;
                 session.scratch_mut().recycle(t_edge);
                 let n = travel.n_pieces();
                 stats.pieces_total += n as u64;
@@ -1056,41 +1091,52 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                     continue;
                 }
 
-                // Optional per-node dominance pruning (extension).
+                // Optional per-node dominance pruning (extension): scan
+                // the paths known to end at `edge.to`, oldest first.
                 if self.config.prune_dominated {
-                    let dominated = node_fns[edge.to.index()]
-                        .iter()
-                        .any(|&p| travel.dominated_by_offset(0.0, &paths[p].travel));
-                    if dominated {
+                    let mut p = ws.nodes[slot].fns_head;
+                    while p != NONE
+                        && !travel.dominated_by_offset(0.0, &ws.paths[p as usize].travel)
+                    {
+                        p = ws.paths[p as usize].next_at_node;
+                    }
+                    if p != NONE {
                         stats.pruned_dominated += 1;
                         session.scratch_mut().recycle(travel);
                         continue;
                     }
                 }
 
-                let idx = paths.len();
-                let parent = u32::try_from(entry.path)
-                    .map_err(|_| AllFpError::Internal("path arena outgrew u32 indices"))?;
-                paths.push(PathState {
-                    parent: Some(parent),
+                let idx = index32(ws.paths.len(), "path arena outgrew u32 indices")?;
+                ws.paths.push(PathState {
+                    // Arena indices passed this same check when pushed.
+                    parent: entry.path as u32,
+                    next_at_node: NONE,
                     head: edge.to,
-                    bloom: paths[entry.path].bloom | bloom_bit(edge.to),
-                    depth: paths[entry.path].depth + 1,
+                    bloom: ws.paths[entry.path].bloom | bloom_bit(edge.to),
+                    depth: ws.paths[entry.path].depth + 1,
                     travel_min,
                     travel: travel.into(),
                 });
                 if self.config.prune_dominated {
-                    node_fns[edge.to.index()].push(idx);
+                    // Append: the scan order above is push order.
+                    match std::mem::replace(&mut ws.nodes[slot].fns_tail, idx) {
+                        NONE => ws.nodes[slot].fns_head = idx,
+                        tail => ws.paths[tail as usize].next_at_node = idx,
+                    }
                 }
-                heap.push(QueueEntry {
+                ws.heap.push(QueueEntry {
                     f_min,
                     seq,
-                    path: idx,
+                    path: idx as usize,
                 });
                 seq += 1;
                 stats.pushed += 1;
             }
         }
+
+        stats.nodes_read = ws.nodes.len();
+        stats.expanded_nodes = ws.nodes.iter().filter(|n| n.expanded).count();
 
         if let Some(reason) = trip {
             // Salvage before reporting: complete target paths still
@@ -1100,36 +1146,26 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
             // composition work, so the overrun past the budget is
             // small and bounded. Merge best-first for deterministic
             // tie-breaks.
-            for e in std::mem::take(&mut heap)
-                .into_sorted_vec()
-                .into_iter()
-                .rev()
-            {
-                if paths[e.path].head != query.target {
+            while let Some(e) = ws.heap.pop() {
+                if ws.paths[e.path].head != query.target {
                     continue;
                 }
                 stats.border_merges += 1;
                 match &mut border {
-                    None => border = Some(Envelope::new(paths[e.path].travel.share(), e.path)),
+                    None => border = Some(Envelope::new(ws.paths[e.path].travel.share(), e.path)),
                     Some(b) => {
-                        b.merge_min_with(session.scratch_mut(), &paths[e.path].travel, e.path)?;
+                        b.merge_min_with(session.scratch_mut(), &ws.paths[e.path].travel, e.path)?;
                     }
                 }
             }
-            stats.expanded_nodes = expanded_node_count;
-            let best = match &border {
-                Some(b) => Some(assemble_answer(
-                    &mut paths,
-                    b,
-                    stats,
-                    session.scratch_mut(),
-                )?),
+            let best = match border {
+                Some(b) => {
+                    let best = assemble_answer(&mut ws.paths, &b, stats, session.scratch_mut())?;
+                    b.recycle_into(session.scratch_mut());
+                    Some(best)
+                }
                 None => None,
             };
-            drain_arena(&mut paths, session.scratch_mut());
-            if let Some(b) = border {
-                b.recycle_into(session.scratch_mut());
-            }
             return Ok(SearchYield::Exhausted {
                 reason,
                 best,
@@ -1137,51 +1173,32 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
             });
         }
 
-        stats.expanded_nodes = expanded_node_count;
-
-        if single_only {
-            let mut s = single.ok_or(AllFpError::Unreachable {
-                source: query.source,
-                target: query.target,
-            })?;
-            s.stats = stats;
-            // fabricate a minimal answer shell for the shared return
-            // type — the shell shares the single path's function
-            let shell = Envelope::new(Arc::clone(&s.path.travel), 0usize);
-            let all = AllFpAnswer {
-                paths: vec![s.path.clone()],
-                partition: vec![(interval, 0)],
-                lower_border: shell,
+        if let Some(path) = single {
+            let m = ws.paths[path].travel.minimum();
+            return Ok(SearchYield::Single(SingleFpAnswer {
+                path: FastestPath {
+                    nodes: materialize(&ws.paths, path),
+                    travel: ws.paths[path].travel.share(),
+                },
+                travel_minutes: m.value,
+                best_leaving: m.at,
                 stats,
-            };
-            drain_arena(&mut paths, session.scratch_mut());
-            if let Some(b) = border {
-                b.recycle_into(session.scratch_mut());
-            }
-            return Ok(SearchYield::Done(all, Some(s)));
+            }));
         }
 
+        // No border: the queue ran dry before any path reached the target.
         let border = border.ok_or(AllFpError::Unreachable {
             source: query.source,
             target: query.target,
         })?;
-        let all = assemble_answer(&mut paths, &border, stats, session.scratch_mut())?;
-        drain_arena(&mut paths, session.scratch_mut());
+        let all = assemble_answer(&mut ws.paths, &border, stats, session.scratch_mut())?;
         border.recycle_into(session.scratch_mut());
-
-        if let Some(s) = &mut single {
-            s.stats = stats;
-        }
-        Ok(SearchYield::Done(all, single))
+        Ok(SearchYield::Done(all))
     }
 
     /// A degenerate (single-instant) interval: the classic special
     /// case, delegated to fixed-instant A\*.
-    fn degenerate_instant(
-        &self,
-        query: &QuerySpec,
-        _target_loc: Point,
-    ) -> Result<(AllFpAnswer, Option<SingleFpAnswer>)> {
+    fn degenerate_instant(&self, query: &QuerySpec, single_only: bool) -> Result<SearchYield> {
         let l = query.interval.lo();
         let ans = astar_at(
             self.source,
@@ -1198,23 +1215,25 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         };
         let shown = Interval::of(l, l + 1e-3);
         let travel = Arc::new(Pwl::constant(shown, ans.travel_minutes)?);
-        let fp = FastestPath {
+        let path = FastestPath {
             nodes: ans.nodes,
             travel: Arc::clone(&travel),
         };
-        let single = SingleFpAnswer {
-            path: fp.clone(),
-            travel_minutes: ans.travel_minutes,
-            best_leaving: Interval::of(l, l),
-            stats,
-        };
-        let all = AllFpAnswer {
-            paths: vec![fp],
-            partition: vec![(query.interval, 0)],
-            lower_border: Envelope::new(travel, 0),
-            stats,
-        };
-        Ok((all, Some(single)))
+        Ok(if single_only {
+            SearchYield::Single(SingleFpAnswer {
+                path,
+                travel_minutes: ans.travel_minutes,
+                best_leaving: Interval::of(l, l),
+                stats,
+            })
+        } else {
+            SearchYield::Done(AllFpAnswer {
+                paths: vec![path],
+                partition: vec![(query.interval, 0)],
+                lower_border: Envelope::new(travel, 0),
+                stats,
+            })
+        })
     }
 }
 
@@ -2034,6 +2053,91 @@ mod tests {
                 assert_eq!(got.paths[x.1].nodes, want.paths[y.1].nodes);
             }
         }
+    }
+
+    #[test]
+    fn workspace_is_clean_at_checkout_after_every_kind_of_exit() {
+        use crate::query::QueryBudget;
+        // Two networks of different sizes over one pattern schema; on
+        // the large one, node 25 is left but never entered.
+        let small = roadnet::generators::grid(3, 3, 0.3, traffic::RoadClass::LocalOutside).unwrap();
+        let mut large =
+            roadnet::generators::grid(5, 5, 0.3, traffic::RoadClass::LocalOutside).unwrap();
+        let island = large.add_node(2.0, 2.0).unwrap();
+        large
+            .add_class_edge(island, NodeId(24), 2.0, traffic::RoadClass::LocalOutside)
+            .unwrap();
+        let on_small = Engine::new(&small, EngineConfig::default());
+        let on_large = Engine::new(&large, EngineConfig::default());
+
+        let iv = Interval::of(hm(6, 50), hm(7, 5));
+        let ask = |s, t| QuerySpec::new(NodeId(s), NodeId(t), iv, DayCategory::WORKDAY);
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        // (engine, query, single_only, cancel, how it must end)
+        let runs = [
+            (&on_large, ask(0, 24), false, None, "done"),
+            (&on_small, ask(0, 8), true, None, "single"),
+            (
+                &on_large,
+                ask(0, 24).with_budget(QueryBudget::default().with_max_expansions(7)),
+                false,
+                None,
+                "exhausted",
+            ),
+            (&on_small, ask(8, 0), false, Some(&cancelled), "cancelled"),
+            (&on_large, ask(3, island.0), false, None, "unreachable"),
+            (
+                &on_large,
+                ask(24, 0)
+                    .with_budget(QueryBudget::default().with_deadline(std::time::Duration::ZERO)),
+                true,
+                None,
+                "exhausted",
+            ),
+            (&on_small, ask(2, 6), false, None, "done"),
+        ];
+
+        let mut session = on_large.cache_session();
+        let mut ws = SearchWorkspace::default();
+        for (engine, q, single_only, cancel, want) in runs {
+            let n = engine.source.n_nodes();
+            ws.reset(n, session.scratch_mut());
+            assert!(ws.slot_of.len() >= n && ws.slot_of.iter().all(|&s| s == NONE));
+            assert!(ws.nodes.is_empty() && ws.adjacency.is_empty());
+            assert!(ws.paths.is_empty() && ws.heap.is_empty());
+
+            let target_loc = engine.source.find_node(q.target).unwrap();
+            let watch = Watch::new(&q, &engine.config, cancel);
+            let yielded =
+                engine.search_in(&mut ws, &q, target_loc, single_only, &mut session, watch);
+            let (got, stats) = match yielded {
+                Ok(SearchYield::Done(a)) => ("done", Some(a.stats)),
+                Ok(SearchYield::Single(s)) => ("single", Some(s.stats)),
+                Ok(SearchYield::Exhausted { stats, .. }) => ("exhausted", Some(stats)),
+                Err(AllFpError::Cancelled) => ("cancelled", None),
+                Err(AllFpError::Unreachable { .. }) => ("unreachable", None),
+                Err(e) => panic!("{q:?}: {e}"),
+            };
+            assert_eq!(got, want, "{q:?}");
+            // What the search leaves behind: one record per node read,
+            // each where `slot_of` says, and nothing else marked.
+            assert!(!ws.nodes.is_empty() && !ws.paths.is_empty());
+            if let Some(stats) = stats {
+                assert_eq!(ws.nodes.len(), stats.nodes_read, "{q:?}");
+            }
+            for (slot, node) in ws.nodes.iter().enumerate() {
+                assert_eq!(ws.slot_of[node.id.index()] as usize, slot);
+            }
+            let marked = ws.slot_of.iter().filter(|&&s| s != NONE).count();
+            assert_eq!(marked, ws.nodes.len());
+        }
+        // A parked workspace keeps bounded arenas, whatever a search grew.
+        ws.paths.reserve(8 * IDLE_CAPACITY);
+        ws.heap.reserve(8 * IDLE_CAPACITY);
+        ws.park(session.scratch_mut());
+        assert!(ws.nodes.is_empty() && ws.slot_of.iter().all(|&s| s == NONE));
+        assert!(ws.paths.capacity() <= IDLE_CAPACITY && ws.heap.capacity() <= IDLE_CAPACITY);
     }
 
     #[test]

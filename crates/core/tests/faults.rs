@@ -20,9 +20,11 @@
 //! * an exhausted per-query budget yields a [`QueryOutcome::Degraded`]
 //!   answer whose constant-speed fallback is a real, drivable path;
 //! * a query that panics mid-search fails in its own slot while its
-//!   batch siblings complete exactly;
+//!   batch siblings complete exactly, and the session it unwound
+//!   through answers the next query exactly;
 //! * a pre-cancelled batch reports `Cancelled` for every slot.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use allfp::baseline::evaluate_path;
@@ -333,6 +335,61 @@ fn panicking_query_fails_in_its_own_slot() {
         for (x, y) in want.partition.iter().zip(got.partition.iter()) {
             assert!(x.0.approx_eq(&y.0), "slot {i}");
             assert_eq!(want.paths[x.1].nodes, got.paths[y.1].nodes, "slot {i}");
+        }
+    }
+}
+
+/// The session a poisoned query unwound through answers the next
+/// query exactly, counters included: the search workspace the query
+/// had checked out went with the unwind, whether the panic came at the
+/// seed's read or at a first touch in the middle of an expansion.
+#[test]
+fn panicked_query_leaves_its_session_exact() {
+    let mut net = grid(4, 4, 0.3, RoadClass::LocalOutside).unwrap();
+    let poison = net.add_node(2.0, 2.0).unwrap();
+    net.add_class_edge(poison, NodeId(15), 2.0, RoadClass::LocalOutside)
+        .unwrap();
+    // a gate nobody enters either: a search leaving it reads its own
+    // record and touches the poison while expanding it
+    let gate = net.add_node(-0.3, -0.3).unwrap();
+    net.add_class_edge(gate, NodeId(0), 0.45, RoadClass::LocalOutside)
+        .unwrap();
+    net.add_class_edge(gate, poison, 3.3, RoadClass::LocalOutside)
+        .unwrap();
+
+    let iv = Interval::of(hm(7, 0), hm(7, 20));
+    let ask = |s, t| QuerySpec::new(NodeId(s), NodeId(t), iv, DayCategory::WORKDAY);
+    let src = PanicSource {
+        inner: &net,
+        poison,
+    };
+    let engine = Engine::new(&src, EngineConfig::default());
+    let clean = Engine::new(&net, EngineConfig::default());
+
+    let mut session = engine.cache_session();
+    for poisoned in [ask(poison.0, 0), ask(gate.0, 15)] {
+        // a finished search first, so the workspace is not pristine
+        engine
+            .robust_with_session(&ask(0, 15), &mut session, None)
+            .unwrap();
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            engine.robust_with_session(&poisoned, &mut session, None)
+        }));
+        assert!(unwound.is_err(), "{poisoned:?} did not reach the poison");
+        for next in [ask(3, 12), ask(12, 3)] {
+            let got = match engine.robust_with_session(&next, &mut session, None) {
+                Ok(QueryOutcome::Exact(a)) => a,
+                other => panic!("{next:?} after {poisoned:?}: {other:?}"),
+            };
+            let want = clean.all_fastest_paths(&next).unwrap();
+            assert_eq!(got.paths, want.paths);
+            assert_eq!(got.partition, want.partition);
+            assert_eq!(got.lower_border, want.lower_border);
+            let cold = |mut s: allfp::QueryStats| {
+                (s.cache_hits, s.cache_misses) = (0, 0);
+                s
+            };
+            assert_eq!(cold(got.stats), cold(want.stats));
         }
     }
 }

@@ -40,11 +40,14 @@ env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test overload
 env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test update_storm
 
 # Allocation gates ride along with the batch smoke: the pooled PWL
-# kernel loop must allocate exactly zero in steady state, and the
-# whole engine must stay under the allocs-per-expansion budget (both
-# measured by a counting global allocator inside fp-bench; the
-# pointwise border rule shrank the denominator, not the allocations:
-# 0.76 -> ~1.0 allocs/expansion against a budget of 6). The smoke
+# kernel loop must allocate exactly zero in steady state, the whole
+# engine must stay under the allocs-per-expansion budget (~0.1 against
+# a budget of 6), a warm batch must allocate at most half the bytes
+# per query recorded from before the search workspace was pooled, and
+# a warm query on the 16 384-node metro-huge smoke tier less than one
+# byte per network node — the gate that scales: no per-query state may
+# be proportional to n_nodes (all measured by a counting global
+# allocator inside fp-bench). The smoke
 # prints allFP and singleFP expanded_paths of its serial passes — the
 # flat engine under naiveLB and under minTimeLB, and the hierarchy —
 # and fails if an allFP count, or either minTimeLB count, exceeds the
