@@ -397,15 +397,6 @@ struct HierarchyReport {
     n_disabled: usize,
     overlay_pieces: u64,
     overlay_bytes: u64,
-    /// Byte estimate of the baseline layout: exact functions plus the
-    /// per-arc materialized two-day extensions earlier revisions
-    /// stored.
-    overlay_bytes_exact: u64,
-    /// `overlay_bytes / overlay_bytes_exact` — the space gate reads
-    /// this (≤ 0.5 target).
-    overlay_bytes_ratio: f64,
-    /// Error band the overlay was stored with (minutes).
-    compress_eps: Option<f64>,
     queries: usize,
     flat_singlefp: Clocked,
     ch_singlefp: Clocked,
@@ -436,12 +427,7 @@ impl HierarchyReport {
 /// longer trips (upper half of its distance range — the regime
 /// preprocessing exists for; 1-mile hops barely leave the source's
 /// neighborhood under either strategy).
-fn measure_hierarchy(
-    scale: Scale,
-    scale_name: &'static str,
-    count: usize,
-    config: &HierarchyConfig,
-) -> HierarchyReport {
+fn measure_hierarchy(scale: Scale, scale_name: &'static str, count: usize) -> HierarchyReport {
     let scenario = Scenario::new(scale, 0x5EED);
     let net = &scenario.net;
     let max_miles = scenario.max_query_miles() as f64;
@@ -453,7 +439,7 @@ fn measure_hierarchy(
         .collect();
 
     let flat = Engine::new(net, EngineConfig::default());
-    let ch = HierarchyEngine::build(net, EngineConfig::default(), config.clone())
+    let ch = HierarchyEngine::build(net, EngineConfig::default(), HierarchyConfig::default())
         .expect("hierarchy builds");
     let build = ch.report().clone();
 
@@ -467,9 +453,6 @@ fn measure_hierarchy(
         n_disabled: build.n_disabled,
         overlay_pieces: build.overlay_pieces,
         overlay_bytes: build.bytes_estimate,
-        overlay_bytes_exact: build.exact_bytes_estimate,
-        overlay_bytes_ratio: build.bytes_estimate as f64 / build.exact_bytes_estimate.max(1) as f64,
-        compress_eps: build.compress_eps,
         queries: queries.len(),
         flat_singlefp,
         ch_singlefp,
@@ -532,7 +515,8 @@ const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engi
 /// `expanded_paths` of `--smoke`'s own serial passes as (allFP,
 /// singleFP): the flat engine on its 12 metro-small queries, the
 /// hierarchy on the 12 metro-medium queries of its race. The report
-/// records them; the smoke fails when an allFP count exceeds its record.
+/// records them; the smoke fails when an allFP count, a `minTimeLB`
+/// count or a hierarchy count exceeds its record.
 struct SmokeCounters {
     flat: (usize, usize),
     /// The flat engine under `EstimatorKind::MinTime`.
@@ -740,8 +724,7 @@ fn to_json(
     out.push_str(&format!(
         "  \"hierarchy\": {{\"scale\": \"{}\", \"preprocess_wall_seconds\": {:.3}, \
          \"n_nodes\": {}, \"n_shortcuts\": {}, \"n_disabled\": {}, \"overlay_pieces\": {}, \
-         \"overlay_bytes\": {}, \"overlay_bytes_exact\": {}, \"overlay_bytes_ratio\": {:.4}, \
-         \"compress_eps\": {}, \"queries\": {}, \"warm_passes\": {WARM_PASSES}, \
+         \"overlay_bytes\": {}, \"queries\": {}, \"warm_passes\": {WARM_PASSES}, \
          \"singlefp_flat\": {}, \"singlefp_ch\": {}, \"allfp_flat\": {}, \"allfp_ch\": {}, \
          \"expansion_speedup\": {:.1}, \"wall_speedup\": {:.2}, \"allfp_wall_speedup\": {:.2}, \
          \"note\": \"serial morning-rush workload, each mode of each backend as a first pass \
@@ -749,9 +732,8 @@ fn to_json(
          expanded_paths of one pass and the bytes a warm pass allocates per query; \
          expansion_speedup (singleFP) is the machine-independent gate metric, wall_speedup \
          (singleFP) and allfp_wall_speedup are ratios of warm medians, the former gated at 3x on \
-         medium by --smoke; \
-         overlay_bytes_ratio is the stored footprint vs the baseline layout of exact \
-         functions plus materialized two-day extensions (0.5 target)\"}},\n",
+         medium by --smoke; overlay_bytes is one exact one-day function per arc at 24 bytes \
+         a piece\"}},\n",
         hierarchy.scale,
         hierarchy.preprocess_wall_seconds,
         hierarchy.n_nodes,
@@ -759,11 +741,6 @@ fn to_json(
         hierarchy.n_disabled,
         hierarchy.overlay_pieces,
         hierarchy.overlay_bytes,
-        hierarchy.overlay_bytes_exact,
-        hierarchy.overlay_bytes_ratio,
-        hierarchy
-            .compress_eps
-            .map_or("null".to_string(), |e| format!("{e:.3}")),
         hierarchy.queries,
         hierarchy.flat_singlefp.to_json(),
         hierarchy.ch_singlefp.to_json(),
@@ -780,8 +757,8 @@ fn to_json(
          \"alloc_bytes_per_query_parent\": {ALLOC_BYTES_PER_QUERY_PARENT}, \
          \"alloc_bytes_per_query\": {}, \
          \"note\": \"expanded_paths of --smoke's serial passes (flat under naiveLB and under \
-         minTimeLB: metro-small x12, ch: metro-medium x12); --smoke fails when an allFP or a \
-         minTimeLB count exceeds the one recorded here; alloc_bytes_per_query is the warm \
+         minTimeLB: metro-small x12, ch: metro-medium x12); --smoke fails when an allFP, a \
+         minTimeLB or a ch count exceeds the one recorded here; alloc_bytes_per_query is the warm \
          width-1 batch of the naiveLB pass under the counting allocator, _parent the same \
          before the search workspace was pooled, and --smoke fails above half of _parent\"}},\n",
         smoke.flat.0,
@@ -922,12 +899,12 @@ fn emit_report() {
     ];
     // The paper-magnitude network ("metro-large"): this is where the
     // ≥10x preprocessing claim is measured and recorded.
-    let hierarchy = measure_hierarchy(Scale::Full, "full", 24, &HierarchyConfig::default());
+    let hierarchy = measure_hierarchy(Scale::Full, "full", 24);
     let smoke = {
         let small = Scenario::new(Scale::Small, 0x5EED);
         let flat = Engine::new(&small.net, EngineConfig::default());
         let queries = workload(&small.net, 12);
-        let h = measure_hierarchy(Scale::Medium, "medium", 12, &HierarchyConfig::default());
+        let h = measure_hierarchy(Scale::Medium, "medium", 12);
         SmokeCounters {
             flat: expansion_counts(&flat, &queries),
             min_time: min_time_counts(&small.net, &queries),
@@ -1289,7 +1266,7 @@ fn smoke() -> i32 {
     // Measured ~8.8x on medium / ~1.8x on full with the bounds
     // restricted to the query's up–down search space.
     const MIN_WALL_SPEEDUP: f64 = 3.0;
-    let h = measure_hierarchy(Scale::Medium, "medium", 12, &HierarchyConfig::default());
+    let h = measure_hierarchy(Scale::Medium, "medium", 12);
     println!(
         "smoke: hierarchy preprocess {:.2}s ({} shortcuts, {} pieces, ~{} KiB), \
          singleFP expansions flat {} vs ch {} ({:.1}x), warm q/s {:.0} ± {:.0} vs {:.0} ± {:.0} \
@@ -1348,35 +1325,13 @@ fn smoke() -> i32 {
         ("mintime_allfp_expanded", counters.min_time.0),
         ("mintime_singlefp_expanded", counters.min_time.1),
         ("ch_allfp_expanded", counters.ch.0),
+        ("ch_singlefp_expanded", counters.ch.1),
     ] {
         let limit = recorded_count(key);
         if limit.is_none_or(|limit| got > limit) {
             eprintln!("SMOKE FAIL: {key} is {got}, BENCH_engine.json records {limit:?}");
             failures += 1;
         }
-    }
-
-    // Overlay-size gate: the stored overlay (one-day functions,
-    // bounded-error reduced under the default config) must hold at
-    // most half the bytes of the baseline layout — exact functions
-    // plus the per-arc materialized two-day extensions earlier
-    // revisions stored. The equivalence suites pin that answers stay
-    // bit-identical. Gated here at medium for speed; the ratio is
-    // scale-stable and the report records it at metro-full.
-    const MAX_OVERLAY_RATIO: f64 = 0.5;
-    println!(
-        "smoke: overlay storage {} KiB vs {} KiB baseline (ratio {:.3}, eps {:?}, budget {MAX_OVERLAY_RATIO})",
-        h.overlay_bytes / 1024,
-        h.overlay_bytes_exact / 1024,
-        h.overlay_bytes_ratio,
-        h.compress_eps,
-    );
-    if h.overlay_bytes_ratio > MAX_OVERLAY_RATIO {
-        eprintln!(
-            "SMOKE FAIL: stored overlay holds {:.3}x the baseline-layout bytes (budget {MAX_OVERLAY_RATIO}x)",
-            h.overlay_bytes_ratio
-        );
-        failures += 1;
     }
 
     // Parallel-contraction gate: with ≥ 4 real cores, a 4-thread build
@@ -1540,10 +1495,10 @@ fn spin() {
 /// and nothing else — a focused probe for tuning the speedup gates.
 fn hier_probe() {
     for (scale, name, count) in [(Scale::Medium, "medium", 12), (Scale::Full, "full", 24)] {
-        let h = measure_hierarchy(scale, name, count, &HierarchyConfig::default());
+        let h = measure_hierarchy(scale, name, count);
         println!(
             "hier[{}]: preprocess {:.2}s, {} nodes, {} shortcuts ({} disabled), {} pieces \
-             (~{} KiB stored vs ~{} KiB baseline, ratio {:.3}); {} queries, flat vs ch: \
+             (~{} KiB stored); {} queries, flat vs ch: \
              singleFP {} vs {} expansions ({:.1}x), {:.1} ± {:.1} vs {:.1} ± {:.1} q/s ({:.2}x); \
              allFP {} vs {} expansions, {:.1} ± {:.1} vs {:.1} ± {:.1} q/s ({:.2}x)",
             h.scale,
@@ -1553,8 +1508,6 @@ fn hier_probe() {
             h.n_disabled,
             h.overlay_pieces,
             h.overlay_bytes / 1024,
-            h.overlay_bytes_exact / 1024,
-            h.overlay_bytes_ratio,
             h.queries,
             h.flat_singlefp.expanded_paths,
             h.ch_singlefp.expanded_paths,
@@ -1575,51 +1528,12 @@ fn hier_probe() {
     }
 }
 
-/// `--eps-sweep`: how the overlay byte ratio and the query pruning
-/// power trade off against the compression band, per scale — the
-/// tuning data behind the default `overlay_compress`.
-fn eps_sweep() {
-    // Each scale sweeps only its viable range: past it, pruning
-    // power collapses and the query probes crawl for minutes (the
-    // cliff moves left as the network grows — on full, `0.25`
-    // already crawls).
-    let medium: &[Option<f64>] = &[None, Some(0.1), Some(0.25), Some(0.5)];
-    let full: &[Option<f64>] = &[None, Some(0.1)];
-    for (scale, name, count, bands) in [
-        (Scale::Medium, "medium", 12, medium),
-        (Scale::Full, "full", 24, full),
-    ] {
-        for &eps in bands {
-            let cfg = HierarchyConfig {
-                overlay_compress: eps,
-                ..HierarchyConfig::default()
-            };
-            let h = measure_hierarchy(scale, name, count, &cfg);
-            println!(
-                "eps[{name} {eps:?}]: ratio {:.3} ({} KiB vs {} KiB), expansions flat {} \
-                 vs ch {} ({:.1}x), preprocess {:.2}s",
-                h.overlay_bytes_ratio,
-                h.overlay_bytes / 1024,
-                h.overlay_bytes_exact / 1024,
-                h.flat_singlefp.expanded_paths,
-                h.ch_singlefp.expanded_paths,
-                h.expansion_speedup(),
-                h.preprocess_wall_seconds,
-            );
-        }
-    }
-}
-
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
         std::process::exit(smoke());
     }
     if std::env::args().any(|a| a == "--hier") {
         hier_probe();
-        return;
-    }
-    if std::env::args().any(|a| a == "--eps-sweep") {
-        eps_sweep();
         return;
     }
     if std::env::args().any(|a| a == "--spin") {

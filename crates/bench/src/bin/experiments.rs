@@ -3,7 +3,7 @@
 //! ```text
 //! experiments <subcommand> [--scale small|medium|full|large] [--seed N]
 //!             [--queries N] [--csv DIR] [--backend flat|ch]
-//!             [--threads N] [--overlay-compress EPS|off] [--deltas N]
+//!             [--threads N] [--deltas N]
 //!
 //! subcommands:
 //!   table1            the CapeCod pattern schema (Table 1)
@@ -32,9 +32,7 @@
 //! backend (`fp-hierarchy`): same answers, preprocessing-speed query
 //! work. `--threads N` parallelizes the contraction preprocessing
 //! over N workers (0 = one per core; the overlay is identical at any
-//! width) and `--overlay-compress EPS` stores shortcut functions as
-//! bounded-error approximations within EPS minutes (`off` stores
-//! exact functions); both knobs only matter with `--backend ch`.
+//! width); it only matters with `--backend ch`.
 //! `--deltas N` sets how many seeded traffic deltas the update storm
 //! applies mid-run (default 8); `--seed`/`--queries` also steer it.
 
@@ -53,19 +51,17 @@ struct Options {
     csv_dir: Option<std::path::PathBuf>,
     backend: BackendKind,
     threads: usize,
-    overlay_compress: Option<f64>,
     deltas: usize,
 }
 
 impl Options {
     /// Backend spec the runners consume: the chosen kind plus the
-    /// hierarchy knobs from `--threads` / `--overlay-compress`.
+    /// hierarchy's `--threads`.
     fn backend_spec(&self) -> BackendSpec {
         BackendSpec {
             kind: self.backend,
             hierarchy: HierarchyConfig {
                 threads: self.threads,
-                overlay_compress: self.overlay_compress,
                 ..HierarchyConfig::default()
             },
         }
@@ -75,7 +71,7 @@ impl Options {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
-        eprintln!("usage: experiments <table1|fig9|fig10|const-speed|overload|update-storm|cluster|ablation-grid|ablation-pruning|ablation-ccam|all> [--scale small|medium|full|large] [--seed N] [--queries N] [--csv DIR] [--backend flat|ch] [--threads N] [--overlay-compress EPS|off] [--deltas N]");
+        eprintln!("usage: experiments <table1|fig9|fig10|const-speed|overload|update-storm|cluster|ablation-grid|ablation-pruning|ablation-ccam|all> [--scale small|medium|full|large] [--seed N] [--queries N] [--csv DIR] [--backend flat|ch] [--threads N] [--deltas N]");
         return ExitCode::FAILURE;
     };
     let mut opts = Options {
@@ -85,7 +81,6 @@ fn main() -> ExitCode {
         csv_dir: None,
         backend: BackendKind::Flat,
         threads: HierarchyConfig::default().threads,
-        overlay_compress: HierarchyConfig::default().overlay_compress,
         deltas: 8,
     };
     let rest: Vec<String> = args.collect();
@@ -150,28 +145,6 @@ fn main() -> ExitCode {
                 opts.threads = v;
                 i += 2;
             }
-            "--overlay-compress" => {
-                let Some(v) = value() else {
-                    eprintln!("--overlay-compress needs an error band in minutes, or 'off'");
-                    return ExitCode::FAILURE;
-                };
-                if v == "off" || v == "none" {
-                    opts.overlay_compress = None;
-                } else {
-                    match v.parse::<f64>() {
-                        Ok(eps) if eps > 0.0 && eps.is_finite() => {
-                            opts.overlay_compress = Some(eps);
-                        }
-                        _ => {
-                            eprintln!(
-                                "--overlay-compress needs a positive number of minutes, or 'off'"
-                            );
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                i += 2;
-            }
             other => {
                 eprintln!("unknown flag {other}");
                 return ExitCode::FAILURE;
@@ -230,16 +203,9 @@ fn main() -> ExitCode {
         let scenario = Scenario::new(opts.scale, opts.seed);
         let spec = opts.backend_spec();
         println!("{}", scenario.describe());
-        match (opts.backend, opts.overlay_compress) {
-            (BackendKind::Ch, Some(eps)) => println!(
-                "backend: ch ({} contraction thread(s), overlay eps {eps} min)\n",
-                opts.threads
-            ),
-            (BackendKind::Ch, None) => println!(
-                "backend: ch ({} contraction thread(s), exact overlay)\n",
-                opts.threads
-            ),
-            _ => println!("backend: {}\n", opts.backend.label()),
+        match opts.backend {
+            BackendKind::Ch => println!("backend: ch ({} contraction thread(s))\n", opts.threads),
+            BackendKind::Flat => println!("backend: {}\n", opts.backend.label()),
         }
 
         if wants("fig9") {

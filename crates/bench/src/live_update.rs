@@ -199,17 +199,11 @@ fn storm_sim(seed: u64, submissions: usize, deltas: usize) -> SimOutcome {
 /// Run both halves: the metro-medium scoped-invalidation measurement
 /// and the seeded update storm (twice, to certify determinism).
 pub fn run(seed: u64, submissions: usize, deltas: usize) -> LiveUpdateReport {
-    // Scoped invalidation on metro-medium, exact overlay storage (an
-    // incremental refresh re-composes from stored functions, which
-    // must be exact — see `fp-hierarchy`).
+    // Scoped invalidation on metro-medium.
     let scenario = Scenario::new(Scale::Medium, seed);
     let net = &scenario.net;
-    let config = HierarchyConfig {
-        overlay_compress: None,
-        ..HierarchyConfig::default()
-    };
     let t0 = Instant::now();
-    let ch = HierarchyEngine::build(net, EngineConfig::default(), config)
+    let ch = HierarchyEngine::build(net, EngineConfig::default(), HierarchyConfig::default())
         .expect("hierarchy builds on the scenario network");
     let build_wall_seconds = t0.elapsed().as_secs_f64();
 

@@ -16,37 +16,13 @@
 //! * [`evaluate_path`] — drive a fixed route at a given leaving
 //!   instant under the real CapeCod patterns.
 
-use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
 use roadnet::{NetworkSource, NodeId};
 use traffic::{travel::travel_time_at, DayCategory};
 
 use crate::estimator::LowerBoundEstimator;
-use crate::{AllFpError, Result};
-
-/// Min-heap item shared by the fixed-instant searches (`f` is the
-/// A\*/Dijkstra priority; `total_cmp` orders even NaN deterministically
-/// instead of panicking a batch worker).
-#[derive(PartialEq)]
-struct Item {
-    f: f64,
-    node: NodeId,
-}
-impl Eq for Item {}
-impl Ord for Item {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .f
-            .total_cmp(&self.f)
-            .then_with(|| other.node.0.cmp(&self.node.0))
-    }
-}
-impl PartialOrd for Item {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+use crate::{AllFpError, MinEntry, Result};
 
 /// Result of a fixed-instant query.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,12 +59,10 @@ pub fn astar_at<S: NetworkSource>(
 
     arrival.insert(s, leave);
     let s_loc = source.find_node(s)?;
-    heap.push(Item {
-        f: leave + heuristic.travel_lower_bound(s, s_loc, e, target_loc),
-        node: s,
-    });
+    let h = heuristic.travel_lower_bound(s, s_loc, e, target_loc);
+    heap.push(MinEntry::new(leave + h, s));
 
-    while let Some(Item { node: u, .. }) = heap.pop() {
+    while let Some(MinEntry { tie: u, .. }) = heap.pop() {
         if settled.get(&u).copied().unwrap_or(false) {
             continue;
         }
@@ -121,10 +95,7 @@ pub fn astar_at<S: NetworkSource>(
                 parent.insert(edge.to, u);
                 let v_loc = source.find_node(edge.to)?;
                 let h = heuristic.travel_lower_bound(edge.to, v_loc, e, target_loc);
-                heap.push(Item {
-                    f: t_v + h,
-                    node: edge.to,
-                });
+                heap.push(MinEntry::new(t_v + h, edge.to));
             }
         }
     }
@@ -231,9 +202,9 @@ pub fn constant_speed_plan<S: NetworkSource>(
     let mut settled: HashMap<NodeId, bool> = HashMap::new();
     let mut heap = BinaryHeap::new();
     cost.insert(s, 0.0);
-    heap.push(Item { f: 0.0, node: s });
+    heap.push(MinEntry::new(0.0, s));
 
-    while let Some(Item { node: u, .. }) = heap.pop() {
+    while let Some(MinEntry { tie: u, .. }) = heap.pop() {
         if settled.get(&u).copied().unwrap_or(false) {
             continue;
         }
@@ -260,10 +231,7 @@ pub fn constant_speed_plan<S: NetworkSource>(
             if c_v < cost.get(&edge.to).copied().unwrap_or(f64::INFINITY) {
                 cost.insert(edge.to, c_v);
                 parent.insert(edge.to, u);
-                heap.push(Item {
-                    f: c_v,
-                    node: edge.to,
-                });
+                heap.push(MinEntry::new(c_v, edge.to));
             }
         }
     }

@@ -23,7 +23,8 @@ use std::collections::BinaryHeap;
 
 use roadnet::{NodeId, Point, RoadNetwork};
 
-use crate::estimator::{HeapItem, LowerBoundEstimator};
+use crate::estimator::LowerBoundEstimator;
+use crate::MinEntry;
 use crate::Result;
 
 /// The precomputed boundary-node estimator.
@@ -240,10 +241,10 @@ pub(crate) fn multi_source_dijkstra(
     let mut heap = BinaryHeap::with_capacity(sources.len() * 2);
     for &s in sources {
         dist[s as usize] = 0.0;
-        heap.push(HeapItem { dist: 0.0, node: s });
+        heap.push(MinEntry::new(0.0, s));
     }
     let mut settled = 0usize;
-    while let Some(HeapItem { dist: d, node: u }) = heap.pop() {
+    while let Some(MinEntry { key: d, tie: u, .. }) = heap.pop() {
         if d > dist[u as usize] {
             continue;
         }
@@ -255,7 +256,7 @@ pub(crate) fn multi_source_dijkstra(
             let nd = d + w;
             if nd < dist[v as usize] {
                 dist[v as usize] = nd;
-                heap.push(HeapItem { dist: nd, node: v });
+                heap.push(MinEntry::new(nd, v));
             }
         }
     }

@@ -1,6 +1,5 @@
 //! The `IntAllFastestPaths` engine (§4).
 
-use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -18,7 +17,7 @@ use crate::query::{
     AllFpAnswer, BatchStats, CancelToken, DegradedAnswer, DegradedReason, FastestPath,
     QueryOutcome, QuerySpec, QueryStats, SingleFpAnswer,
 };
-use crate::{AllFpError, BoundaryLb, EngineError, Result};
+use crate::{AllFpError, BoundaryLb, EngineError, MinEntry, Result};
 
 /// How often (in heap pops) the search polls the wall-clock deadline
 /// and the cancellation token. The check runs on pop 0, so a
@@ -262,35 +261,9 @@ fn assemble_answer(
     })
 }
 
-/// Max-heap adapter (min by `f_min`, FIFO on ties for determinism).
-struct QueueEntry {
-    f_min: f64,
-    seq: u64,
-    path: usize,
-}
-
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.f_min == other.f_min && self.seq == other.seq
-    }
-}
-impl Eq for QueueEntry {}
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // total_cmp: NaN priorities (impossible by construction — every
-        // f_min is a Pwl minimum plus a finite estimate) would order
-        // deterministically instead of panicking the worker.
-        other
-            .f_min
-            .total_cmp(&self.f_min)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// Queue entry: minimum of `T + T_est`, FIFO among equals, carrying
+/// the path's arena index.
+type QueueEntry = MinEntry<u64, usize>;
 
 /// How one search run ended (internal; the public APIs map this onto
 /// either `Result<AllFpAnswer>` or [`QueryOutcome`]).
@@ -322,23 +295,28 @@ impl SearchYield {
 }
 
 /// The per-search budget watcher: deadline, expansion cap, and
-/// cancellation, resolved once at search start.
-struct Watch<'t> {
+/// cancellation, resolved once at search start. Public so a backend
+/// that runs its own search (the contraction hierarchy's) polls with
+/// the same cadence and trips with the same reasons.
+pub struct Watch<'t> {
     deadline: Option<Instant>,
-    max_expansions: usize,
+    /// The query's expansion budget capped by the engine's valve; the
+    /// search checks it on **every** pop.
+    pub max_expansions: usize,
     cancel: Option<&'t CancelToken>,
     pops: u64,
 }
 
 impl<'t> Watch<'t> {
-    fn new(query: &QuerySpec, config: &EngineConfig, cancel: Option<&'t CancelToken>) -> Self {
+    /// Resolve `query`'s budget against the engine-level expansion
+    /// valve `engine_cap`; the wall-clock budget starts now.
+    pub fn new(query: &QuerySpec, engine_cap: usize, cancel: Option<&'t CancelToken>) -> Self {
         let budget = query.budget.unwrap_or_default();
-        let max_expansions = budget
-            .max_expansions
-            .map_or(config.max_expansions, |b| b.min(config.max_expansions));
         Watch {
             deadline: budget.max_wall.map(|d| Instant::now() + d),
-            max_expansions,
+            max_expansions: budget
+                .max_expansions
+                .map_or(engine_cap, |b| b.min(engine_cap)),
             cancel,
             pops: 0,
         }
@@ -348,12 +326,16 @@ impl<'t> Watch<'t> {
     /// every [`WATCH_EVERY`] pops, including the very first. Returns
     /// `Err` on cancellation, `Ok(Some(reason))` on an expired
     /// deadline, `Ok(None)` to keep searching.
-    fn poll(&mut self) -> Result<Option<DegradedReason>> {
+    pub fn poll(&mut self) -> Result<Option<DegradedReason>> {
         let due = self.pops.is_multiple_of(WATCH_EVERY);
         self.pops += 1;
         if !due {
             return Ok(None);
         }
+        self.poll_now()
+    }
+
+    fn poll_now(&self) -> Result<Option<DegradedReason>> {
         if self.cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(AllFpError::Cancelled);
         }
@@ -372,17 +354,11 @@ impl<'t> Watch<'t> {
     /// compound. No-op (not even a clock read) when neither a deadline
     /// nor a cancel token is set, so unbudgeted queries pay one branch
     /// per compound.
-    fn poll_compound(&self) -> Result<Option<DegradedReason>> {
+    pub fn poll_compound(&self) -> Result<Option<DegradedReason>> {
         if self.cancel.is_none() && self.deadline.is_none() {
             return Ok(None);
         }
-        if self.cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(AllFpError::Cancelled);
-        }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Ok(Some(DegradedReason::DeadlineExpired));
-        }
-        Ok(None)
+        self.poll_now()
     }
 }
 
@@ -650,7 +626,8 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
     /// (cheap: one time-independent A*), attaching its *exact*
     /// travel-time function under the real patterns so the caller can
     /// still read departure-time trade-offs off the degraded answer.
-    fn degraded_answer(
+    /// Public so a backend with its own search degrades the same way.
+    pub fn degraded_answer(
         &self,
         query: &QuerySpec,
         reason: DegradedReason,
@@ -839,7 +816,7 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
             return self.degenerate_instant(query, single_only);
         }
 
-        let watch = Watch::new(query, &self.config, cancel);
+        let watch = Watch::new(query, self.config.max_expansions, cancel);
         session.with_workspace(self.source.n_nodes(), |ws, session| {
             self.search_in(ws, query, target_loc, single_only, session, watch)
         })
@@ -924,9 +901,9 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                 travel: travel.into(),
             });
             ws.heap.push(QueueEntry {
-                f_min,
-                seq,
-                path: 0,
+                key: f_min,
+                tie: seq,
+                item: 0,
             });
             seq += 1;
             stats.pushed += 1;
@@ -941,32 +918,32 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         'search: while let Some(entry) = ws.heap.pop() {
             // Termination (§4.6): the next candidate can no longer beat
             // the border anywhere.
-            if border_max.is_finite() && pwl::approx_le(border_max, entry.f_min) {
+            if border_max.is_finite() && pwl::approx_le(border_max, entry.key) {
                 break;
             }
 
-            let head = ws.paths[entry.path].head;
+            let head = ws.paths[entry.item].head;
 
             if head == query.target {
                 // Identified a target path. Its travel function is
                 // promoted to shared storage: the arena and the answer
                 // or border hold the same `Arc<Pwl>` — no deep copies.
                 if single_only {
-                    single = Some(entry.path);
+                    single = Some(entry.item);
                     break;
                 }
                 stats.border_merges += 1;
                 match &mut border {
                     None => {
-                        let b = Envelope::new(ws.paths[entry.path].travel.share(), entry.path);
+                        let b = Envelope::new(ws.paths[entry.item].travel.share(), entry.item);
                         border_max = b.max_value();
                         border = Some(b);
                     }
                     Some(b) => {
                         b.merge_min_with(
                             session.scratch_mut(),
-                            &ws.paths[entry.path].travel,
-                            entry.path,
+                            &ws.paths[entry.item].travel,
+                            entry.item,
                         )?;
                         border_max = b.max_value();
                     }
@@ -988,8 +965,8 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
             // border that fell since this path was pushed. A path it
             // kills was polled above but is no expansion.
             let head_slot = ws.slot_of[head.index()] as usize;
-            let (travel, est) = (&ws.paths[entry.path].travel, ws.nodes[head_slot].est);
-            if entry.path < border_seen
+            let (travel, est) = (&ws.paths[entry.item].travel, ws.nodes[head_slot].est);
+            if entry.item < border_seen
                 && border
                     .as_ref()
                     .is_some_and(|b| travel.dominated_by_offset(est, b.as_pwl()))
@@ -1008,14 +985,14 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
 
             // The leaving-time interval at `head` (the paper's Figure 4
             // step) is a property of the path, not the edge.
-            let arrivals = pwl::compose::arrival_interval(&ws.paths[entry.path].travel)?;
+            let arrivals = pwl::compose::arrival_interval(&ws.paths[entry.item].travel)?;
             // Indexed, not borrowed: a first touch below appends to
             // `adjacency` while this node's slice is being walked.
             let start = ws.nodes[head_slot].start as usize;
             for i in start..start + ws.nodes[head_slot].len as usize {
                 let edge = ws.adjacency[i];
                 // Cycles can never help under FIFO (positive travel times).
-                if visits(&ws.paths, entry.path, edge.to) {
+                if visits(&ws.paths, entry.item, edge.to) {
                     continue;
                 }
 
@@ -1036,7 +1013,7 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                 // path it kills, the exact check below would kill too.
                 if border_max.is_finite() {
                     let optimistic =
-                        ws.paths[entry.path].travel_min + edge.distance / max_speed + est;
+                        ws.paths[entry.item].travel_min + edge.distance / max_speed + est;
                     if pwl::approx_le(border_max, optimistic) {
                         stats.pruned_by_border += 1;
                         continue;
@@ -1069,7 +1046,7 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                 }
                 let travel = compose_travel_into(
                     session.scratch_mut(),
-                    &ws.paths[entry.path].travel,
+                    &ws.paths[entry.item].travel,
                     &t_edge,
                 )?;
                 session.scratch_mut().recycle(t_edge);
@@ -1110,11 +1087,11 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                 let idx = index32(ws.paths.len(), "path arena outgrew u32 indices")?;
                 ws.paths.push(PathState {
                     // Arena indices passed this same check when pushed.
-                    parent: entry.path as u32,
+                    parent: entry.item as u32,
                     next_at_node: NONE,
                     head: edge.to,
-                    bloom: ws.paths[entry.path].bloom | bloom_bit(edge.to),
-                    depth: ws.paths[entry.path].depth + 1,
+                    bloom: ws.paths[entry.item].bloom | bloom_bit(edge.to),
+                    depth: ws.paths[entry.item].depth + 1,
                     travel_min,
                     travel: travel.into(),
                 });
@@ -1126,9 +1103,9 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                     }
                 }
                 ws.heap.push(QueueEntry {
-                    f_min,
-                    seq,
-                    path: idx as usize,
+                    key: f_min,
+                    tie: seq,
+                    item: idx as usize,
                 });
                 seq += 1;
                 stats.pushed += 1;
@@ -1147,14 +1124,14 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
             // small and bounded. Merge best-first for deterministic
             // tie-breaks.
             while let Some(e) = ws.heap.pop() {
-                if ws.paths[e.path].head != query.target {
+                if ws.paths[e.item].head != query.target {
                     continue;
                 }
                 stats.border_merges += 1;
                 match &mut border {
-                    None => border = Some(Envelope::new(ws.paths[e.path].travel.share(), e.path)),
+                    None => border = Some(Envelope::new(ws.paths[e.item].travel.share(), e.item)),
                     Some(b) => {
-                        b.merge_min_with(session.scratch_mut(), &ws.paths[e.path].travel, e.path)?;
+                        b.merge_min_with(session.scratch_mut(), &ws.paths[e.item].travel, e.item)?;
                     }
                 }
             }
@@ -2108,7 +2085,7 @@ mod tests {
             assert!(ws.paths.is_empty() && ws.heap.is_empty());
 
             let target_loc = engine.source.find_node(q.target).unwrap();
-            let watch = Watch::new(&q, &engine.config, cancel);
+            let watch = Watch::new(&q, engine.config.max_expansions, cancel);
             let yielded =
                 engine.search_in(&mut ws, &q, target_loc, single_only, &mut session, watch);
             let (got, stats) = match yielded {

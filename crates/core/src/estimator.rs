@@ -13,13 +13,12 @@
 //! travel times, grown backward from the target on demand.
 
 use std::cell::RefCell;
-use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use roadnet::{Edge, NetworkSource, NodeId, Point};
 
-use crate::{AllFpError, Result};
+use crate::{AllFpError, MinEntry, Result};
 
 /// A lower bound on the travel time (minutes) from a node to the query
 /// target, for every leaving instant.
@@ -151,34 +150,6 @@ impl<A: LowerBoundEstimator, B: LowerBoundEstimator> LowerBoundEstimator for Max
 
     fn name(&self) -> &'static str {
         self.name
-    }
-}
-
-/// Min-heap item of the scalar Dijkstras (this module's and
-/// `boundary`'s): ordered by `(dist, node)`, so the pop sequence is a
-/// function of the pushed set alone.
-#[derive(PartialEq)]
-pub(crate) struct HeapItem {
-    pub(crate) dist: f64,
-    pub(crate) node: u32,
-}
-
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // reversed: BinaryHeap is a max-heap. `total_cmp` keeps even a
-        // NaN distance (impossible by construction) deterministic.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -320,7 +291,7 @@ struct Workspace {
     stamp: u32,
     seen: Vec<u32>,
     dist: Vec<f64>,
-    heap: BinaryHeap<HeapItem>,
+    heap: BinaryHeap<MinEntry<u32>>,
 }
 
 impl Workspace {
@@ -343,10 +314,10 @@ impl Workspace {
             let Some(top) = self.heap.peek_mut() else {
                 return known;
             };
-            if known <= top.dist {
+            if known <= top.key {
                 return known;
             }
-            let HeapItem { dist: d, node: u } = PeekMut::pop(top);
+            let MinEntry { key: d, tie: u, .. } = PeekMut::pop(top);
             let u = u as usize;
             if d > self.dist[u] {
                 continue; // superseded by a shorter entry
@@ -355,10 +326,7 @@ impl Workspace {
                 let (v, nd) = (lb.tails[i] as usize, d + lb.weights[i]);
                 if self.seen[v] != self.stamp || nd < self.dist[v] {
                     (self.seen[v], self.dist[v]) = (self.stamp, nd);
-                    self.heap.push(HeapItem {
-                        dist: nd,
-                        node: v as u32,
-                    });
+                    self.heap.push(MinEntry::new(nd, v as u32));
                 }
             }
         }
@@ -385,10 +353,7 @@ impl Workspace {
         self.key = (lb.id, target);
         self.heap.clear();
         (self.seen[target as usize], self.dist[target as usize]) = (self.stamp, 0.0);
-        self.heap.push(HeapItem {
-            dist: 0.0,
-            node: target,
-        });
+        self.heap.push(MinEntry::new(0.0, target));
     }
 }
 

@@ -71,6 +71,7 @@ mod boundary;
 mod cache;
 mod engine;
 mod estimator;
+mod heap;
 mod query;
 
 pub mod arrival;
@@ -83,9 +84,10 @@ pub use arrival::{ArrivalAllFpAnswer, ArrivalPlanner, ArrivalQuerySpec, ArrivalS
 pub use backend::PathfindBackend;
 pub use boundary::BoundaryLb;
 pub use cache::{CacheCounters, CacheSession, TravelFnCache};
-pub use engine::{build_estimator, Engine, EngineConfig, RouteComposeMemo};
+pub use engine::{build_estimator, Engine, EngineConfig, RouteComposeMemo, Watch};
 pub use epoch::{ApplyReport, Epoch, EpochId, EpochManager, EpochStats, LiveBackend, SweepReport};
 pub use estimator::{EstimatorKind, LowerBoundEstimator, MaxEstimator, MinTimeLb, NaiveLb, ZeroLb};
+pub use heap::MinEntry;
 pub use query::{
     AllFpAnswer, BatchStats, CancelToken, DegradedAnswer, DegradedReason, FastestPath, QueryBudget,
     QueryOutcome, QuerySpec, QueryStats, SingleFpAnswer,

@@ -82,8 +82,7 @@ fn assert_equivalent_with(
     }
 }
 
-/// Equivalence under the default config (compressed overlay storage,
-/// one contraction thread).
+/// Equivalence under the default config (one contraction thread).
 fn assert_equivalent(net: &RoadNetwork, query: &QuerySpec, what: &str) {
     assert_equivalent_with(net, query, HierarchyConfig::default(), what);
 }
@@ -103,8 +102,9 @@ fn paper_running_example_equivalent() {
 #[test]
 fn metro_small_golden_equivalence() {
     let net = suffolk_like(&MetroConfig::small(0xC0FFEE)).expect("generator");
-    let pairs = sample_pairs(&net, 12, 0.5, 3.0, 0xF19).expect("pairs");
-    assert!(!pairs.is_empty(), "workload sampler returned no pairs");
+    let mut pairs = sample_pairs(&net, 12, 0.5, 3.0, 0xF19).expect("pairs");
+    pairs.extend(sample_pairs(&net, 4, 0.5, 3.0, 0xA11).expect("pairs"));
+    assert!(pairs.len() > 12, "workload sampler returned too few pairs");
     let interval = Interval::of(hm(7, 0), hm(10, 0));
     for (i, p) in pairs.iter().enumerate() {
         let query = QuerySpec::new(p.source, p.target, interval, DayCategory::WORKDAY);
@@ -125,23 +125,6 @@ fn metro_medium_golden_equivalence() {
 }
 
 #[test]
-fn exact_storage_config_equivalent() {
-    // Pin the uncompressed configuration too: `overlay_compress: None`
-    // stores exact shortcut functions and must stay bit-identical.
-    let net = suffolk_like(&MetroConfig::small(0xC0FFEE)).expect("generator");
-    let pairs = sample_pairs(&net, 4, 0.5, 3.0, 0xA11).expect("pairs");
-    let interval = Interval::of(hm(7, 0), hm(10, 0));
-    let config = HierarchyConfig {
-        overlay_compress: None,
-        ..HierarchyConfig::default()
-    };
-    for (i, p) in pairs.iter().enumerate() {
-        let query = QuerySpec::new(p.source, p.target, interval, DayCategory::WORKDAY);
-        assert_equivalent_with(&net, &query, config.clone(), &format!("exact pair {i}"));
-    }
-}
-
-#[test]
 fn parallel_build_equivalent() {
     // A multi-threaded contraction must yield the same (bit-identical)
     // answers as everything above; the determinism proptests pin the
@@ -157,40 +140,6 @@ fn parallel_build_equivalent() {
         let query = QuerySpec::new(p.source, p.target, interval, DayCategory::WORKDAY);
         assert_equivalent_with(&net, &query, config.clone(), &format!("parallel pair {i}"));
     }
-}
-
-#[test]
-fn compressed_overlay_shrinks_storage() {
-    // The space side of the bargain: bounded-error storage must hold
-    // strictly fewer pieces than exact storage on a metro network (the
-    // 0.5× byte gate runs in the bench smoke suite at metro-full).
-    let net = suffolk_like(&MetroConfig::small(0xC0FFEE)).expect("generator");
-    let exact = HierarchyEngine::build(
-        &net,
-        EngineConfig::default(),
-        HierarchyConfig {
-            overlay_compress: None,
-            ..HierarchyConfig::default()
-        },
-    )
-    .expect("exact build");
-    let compact = HierarchyEngine::build(&net, EngineConfig::default(), HierarchyConfig::default())
-        .expect("compressed build");
-    assert_eq!(
-        exact.report().exact_pieces,
-        compact.report().exact_pieces,
-        "pre-reduction piece counts must agree"
-    );
-    assert!(
-        compact.report().bytes_estimate < exact.report().bytes_estimate,
-        "compressed overlay should be smaller: {} vs {}",
-        compact.report().bytes_estimate,
-        exact.report().bytes_estimate
-    );
-    assert!(
-        compact.report().bytes_estimate < compact.report().exact_bytes_estimate,
-        "report must expose the exact-storage baseline"
-    );
 }
 
 #[test]

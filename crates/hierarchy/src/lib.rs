@@ -18,19 +18,17 @@
 //!    (max-weight Dijkstra versus min-of-via) proves most candidate
 //!    shortcuts unnecessary, and parallel arcs are deduplicated by
 //!    pointwise domination.
-//! 3. **Storage** — stored functions are optionally replaced by
-//!    bounded-error lower approximations ([`pwl::reduce_lower_with`],
-//!    [`HierarchyConfig::overlay_compress`]) with per-arc error and
-//!    banded min/max tables for admissible pruning — typically halving
-//!    overlay bytes without touching any answer.
+//! 3. **Storage** — every arc keeps its exact one-day travel function;
+//!    the periodic extension the search composes against is derived on
+//!    demand, and exact per-arc `min`/`max` scalars plus a banded
+//!    minimum table feed the query's scalar bounds.
 //! 4. **Query** — an up–down best-first search over the overlay
 //!    selects the winning routes; shortcuts unpack to original edge
 //!    sequences; every answer function is then **re-composed through
 //!    the flat engine's own pipeline**
 //!    ([`allfp::Engine::route_travel_fn`]), so answers are
 //!    bit-identical to the flat engine's (the golden suite in
-//!    `core/tests/hierarchy_equivalence.rs` pins this — compressed or
-//!    not).
+//!    `core/tests/hierarchy_equivalence.rs` pins this).
 //!
 //! [`HierarchyEngine`] implements [`allfp::PathfindBackend`], so the
 //! admission-controlled `QueryService`, robust batches, deadlines,
@@ -41,8 +39,8 @@
 //! the embedded flat engine — exactness before speed, always.
 //!
 //! DESIGN.md §12 documents the algebra-closure and witness-soundness
-//! arguments; §13 covers parallel-contraction determinism and the
-//! approximation-admissibility contract.
+//! arguments; §13 covers parallel-contraction determinism, storage and
+//! the bounds the search prunes with.
 
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::redundant_clone)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
@@ -51,24 +49,22 @@ mod overlay;
 mod pool;
 mod search;
 
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use allfp::baseline::constant_speed_plan;
 use allfp::{
-    AllFpAnswer, AllFpError, BatchStats, CacheCounters, CacheSession, CancelToken, DegradedAnswer,
-    Engine, EngineConfig, EngineError, FastestPath, PathfindBackend, QueryOutcome, QuerySpec,
-    QueryStats, Result, RouteComposeMemo, SingleFpAnswer,
+    AllFpAnswer, AllFpError, CacheCounters, CacheSession, CancelToken, Engine, EngineConfig,
+    EngineError, FastestPath, PathfindBackend, QueryOutcome, QuerySpec, QueryStats, Result,
+    RouteComposeMemo, SingleFpAnswer,
 };
 use pwl::time::MINUTES_PER_DAY;
 use pwl::{Envelope, Interval, Pwl};
-use roadnet::overlay::{BandTable, HierarchySnapshot, OverlaySnapshot, SnapshotArc};
+use roadnet::overlay::{HierarchySnapshot, OverlaySnapshot, SnapshotArc};
 use roadnet::{NetworkSource, NodeId};
 use traffic::DayCategory;
 
-use crate::overlay::{
-    build_overlay, finish_overlay, make_arc, reuse_arc, Overlay, OverlayArc, BANDS,
-};
+use crate::overlay::{build_overlay, finish_overlay, make_arc, recompose, Overlay, OverlayArc};
 use crate::pool::WorkerPool;
 
 /// Preprocessing configuration.
@@ -84,22 +80,11 @@ pub struct HierarchyConfig {
     /// Engine-level expansion valve for the overlay search, mirroring
     /// [`EngineConfig::max_expansions`].
     pub max_expansions: usize,
-    /// Worker threads for contraction planning, overlay compression
-    /// and snapshot restore. `0` means one per available core. The
+    /// Worker threads for contraction planning, band tables and
+    /// snapshot restore. `0` means one per available core. The
     /// produced overlay is **identical at every setting** (pinned by
     /// the determinism suite).
     pub threads: usize,
-    /// Error band (minutes) for bounded-error overlay storage:
-    /// `Some(ε)` stores lower approximations within `ε` of the exact
-    /// shortcut functions (answers stay bit-identical — see the crate
-    /// docs); `None` stores exact functions. The default `0.1` is
-    /// where the `--eps-sweep` tuning curve bends: wider bands keep
-    /// shaving pieces, but pruning power falls off a cliff — and the
-    /// cliff moves *left* as the network grows, because longer
-    /// corridors accumulate more band error (on the full metro,
-    /// `0.25` already sends query probes into minutes-long crawls
-    /// that `0.1` answers at a 67x expansion saving).
-    pub overlay_compress: Option<f64>,
     /// Build a **metric-independent** ("live") topology: witness
     /// pruning and parallel-arc domination are disabled, so every
     /// candidate shortcut of every contraction is inserted and no arc
@@ -107,10 +92,7 @@ pub struct HierarchyConfig {
     /// exact for *any* speed-pattern assignment on this topology,
     /// which is what [`HierarchyEngine::refreshed`] relies on to swap
     /// travel functions under a traffic delta without re-running
-    /// witness proofs. Implies exact overlay storage
-    /// (`overlay_compress` is ignored): an incremental refresh
-    /// re-composes dirty shortcuts from their vias' *stored*
-    /// functions, which must be exact.
+    /// witness proofs.
     pub live_topology: bool,
 }
 
@@ -121,7 +103,6 @@ impl Default for HierarchyConfig {
             witness_settle_cap: 64,
             max_expansions: 2_000_000,
             threads: 1,
-            overlay_compress: Some(0.1),
             live_topology: false,
         }
     }
@@ -142,28 +123,17 @@ pub struct BuildReport {
     pub n_shortcuts: usize,
     /// Arcs disabled by parallel-arc domination.
     pub n_disabled: usize,
-    /// Total *stored* pieces across all overlay travel functions —
-    /// one **one-day** function per arc (reduced pieces when
-    /// compression is on); periodic extensions are derived on demand
-    /// and hold no resident pieces.
+    /// Total stored pieces across all overlay travel functions — one
+    /// exact **one-day** function per arc; periodic extensions are
+    /// derived on demand and hold no resident pieces.
     pub overlay_pieces: u64,
     /// Estimated bytes of stored overlay function storage (24 bytes
     /// per piece: one breakpoint + one linear).
     pub bytes_estimate: u64,
-    /// Pieces the *baseline* layout would carry: exact functions
-    /// before reduction plus the per-arc materialized two-day
-    /// periodic extension earlier revisions stored.
-    pub exact_pieces: u64,
-    /// Byte estimate for the baseline layout — `bytes_estimate /
-    /// exact_bytes_estimate` is the storage ratio the benchmark
-    /// gates on.
-    pub exact_bytes_estimate: u64,
     /// Contraction rounds, summed over categories (0 for restores).
     pub rounds: u32,
     /// Resolved worker-thread count the build ran with.
     pub threads: usize,
-    /// Error band the overlays were stored with.
-    pub compress_eps: Option<f64>,
 }
 
 /// What an incremental refresh ([`HierarchyEngine::refreshed`])
@@ -228,11 +198,6 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
     pub fn with_flat(flat: Engine<'a, S>, config: HierarchyConfig) -> Result<Self> {
         let t0 = Instant::now();
         let pool = WorkerPool::new(config.threads);
-        let compress = if config.live_topology {
-            None
-        } else {
-            config.overlay_compress
-        };
         let mut overlays = Vec::with_capacity(config.categories.len());
         for &cat in &config.categories {
             overlays.push(build_overlay(
@@ -240,7 +205,6 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                 cat,
                 config.witness_settle_cap,
                 &pool,
-                compress,
                 config.live_topology,
             )?);
         }
@@ -271,21 +235,18 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
             build_wall,
             n_nodes: self.flat.source().n_nodes(),
             threads,
-            compress_eps: self.overlays.iter().find_map(|o| o.compress_eps),
             ..BuildReport::default()
         };
         for o in &self.overlays {
             r.n_original_arcs += o.n_base;
             r.n_shortcuts += o.arcs.len() - o.n_base;
             r.n_disabled += o.n_disabled;
-            r.exact_pieces += o.exact_pieces;
             r.rounds += o.rounds;
             for a in &o.arcs {
                 r.overlay_pieces += a.full.n_pieces() as u64;
             }
         }
         r.bytes_estimate = r.overlay_pieces * 24;
-        r.exact_bytes_estimate = r.exact_pieces * 24;
         r
     }
 
@@ -315,34 +276,20 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
         self.overlay_for(query.category)
     }
 
-    /// Exact singleFP answer: re-compose every candidate route through
-    /// the flat pipeline and keep the one with the smallest exact
-    /// minimum, earlier candidates winning ties. With exact overlay
-    /// storage the search returns a single candidate and this is the
-    /// plain re-composition; with compressed storage the candidate
-    /// set brackets the optimum and the exact re-selection lands on
-    /// the same route a flat search would.
+    /// Exact singleFP answer: the route the search identified,
+    /// re-composed through the flat pipeline.
     fn exact_single(
         &self,
-        routes: Vec<Vec<NodeId>>,
+        route: Option<Vec<NodeId>>,
         query: &QuerySpec,
         session: &mut CacheSession<'_>,
         stats: QueryStats,
     ) -> Result<SingleFpAnswer> {
-        let mut best: Option<(Vec<NodeId>, Arc<Pwl>)> = None;
-        let mut best_min = f64::INFINITY;
-        for route in routes {
-            let travel = Arc::new(self.flat.route_travel_fn(&route, query, session)?);
-            let m = travel.minimum().value;
-            if best.is_none() || m < best_min {
-                best_min = m;
-                best = Some((route, travel));
-            }
-        }
-        let (nodes, travel) = best.ok_or(AllFpError::Unreachable {
+        let nodes = route.ok_or(AllFpError::Unreachable {
             source: query.source,
             target: query.target,
         })?;
+        let travel = Arc::new(self.flat.route_travel_fn(&nodes, query, session)?);
         let m = travel.minimum();
         Ok(SingleFpAnswer {
             path: FastestPath { nodes, travel },
@@ -475,33 +422,17 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
         Some(search::bounds(overlay, &mut Default::default(), query))
     }
 
-    /// Batch counterpart of [`PathfindBackend::run_robust`] with the
-    /// shared work-stealing scheduler, panic isolation and
-    /// cancellation — identical semantics to
-    /// [`Engine::run_batch_robust`].
-    pub fn run_batch_robust(
-        &self,
-        queries: &[QuerySpec],
-        workers: usize,
-        cancel: &CancelToken,
-    ) -> (
-        Vec<std::result::Result<QueryOutcome, EngineError>>,
-        BatchStats,
-    )
-    where
-        S: Sync,
-    {
-        allfp::backend::run_batch_robust(self, queries, workers, cancel)
-    }
-
     /// Serialize the contracted structure (ranks, arc topology, via
-    /// pairs) plus the v2 storage metadata: the compression band the
-    /// build used (so restores reproduce the stored functions bit for
-    /// bit regardless of their own configuration) and the per-arc
-    /// scalar/band bound tables. Travel functions are *not* stored;
+    /// pairs). Travel functions are *not* stored;
     /// [`HierarchyEngine::from_snapshot`] rebuilds them by
     /// deterministic re-composition.
     pub fn snapshot(&self) -> HierarchySnapshot {
+        let record = |a: &OverlayArc| SnapshotArc {
+            from: a.from,
+            to: a.to,
+            via: a.via,
+            disabled: a.disabled,
+        };
         HierarchySnapshot {
             overlays: self
                 .overlays
@@ -509,26 +440,7 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                 .map(|o| OverlaySnapshot {
                     category: o.category.0,
                     ranks: o.rank.clone(),
-                    arcs: o
-                        .arcs
-                        .iter()
-                        .map(|a| SnapshotArc {
-                            from: a.from,
-                            to: a.to,
-                            via: a.via,
-                            disabled: a.disabled,
-                        })
-                        .collect(),
-                    compress_eps: o.compress_eps.map(f64::to_bits),
-                    bands: Some(BandTable {
-                        n_bands: BANDS as u32,
-                        arc_min: o.arcs.iter().map(|a| a.min.to_bits()).collect(),
-                        arc_max: o.arcs.iter().map(|a| a.max.to_bits()).collect(),
-                        arc_err: o.arcs.iter().map(|a| a.err.to_bits()).collect(),
-                        arc_slope_max: o.arcs.iter().map(|a| a.slope_max.to_bits()).collect(),
-                        band_min: o.band_min.iter().map(|v| v.to_bits()).collect(),
-                        band_max: o.band_max.iter().map(|v| v.to_bits()).collect(),
-                    }),
+                    arcs: o.arcs.iter().map(record).collect(),
                 })
                 .collect(),
         }
@@ -543,134 +455,13 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
     /// the deeper of its two via arcs; within a level compositions are
     /// independent and results apply in arc order, so functions come
     /// back bit-identical to the original build's at any thread
-    /// count). The snapshot's stored compression band takes precedence
-    /// over [`HierarchyConfig::overlay_compress`], so a restored
-    /// engine equals the engine that wrote the snapshot.
+    /// count).
     pub fn from_snapshot(
         flat: Engine<'a, S>,
         config: HierarchyConfig,
         snapshot: &HierarchySnapshot,
     ) -> Result<Self> {
-        let t0 = Instant::now();
-        let pool = WorkerPool::new(config.threads);
-        let source = flat.source();
-        let n = source.n_nodes();
-        let mut overlays = Vec::with_capacity(snapshot.overlays.len());
-        for snap in &snapshot.overlays {
-            if snap.ranks.len() != n {
-                return Err(AllFpError::Internal(
-                    "overlay snapshot does not match network size",
-                ));
-            }
-            let category = DayCategory(snap.category);
-            let day = Interval::of(0.0, MINUTES_PER_DAY);
-            let mut slots: Vec<Option<OverlayArc>> = Vec::with_capacity(snap.arcs.len());
-            let n_base_snap = snap.arcs.iter().take_while(|a| a.via.is_none()).count();
-            let mut edges: Vec<roadnet::Edge> = Vec::new();
-            let mut expect = 0usize;
-            for u in 0..n {
-                source.successors_into(NodeId(u as u32), &mut edges)?;
-                for e in edges.drain(..) {
-                    if e.to.index() == u {
-                        continue;
-                    }
-                    let rec = snap
-                        .arcs
-                        .get(expect)
-                        .ok_or(AllFpError::Internal("overlay snapshot missing base arcs"))?;
-                    if rec.via.is_some() || rec.from != u as u32 || rec.to != e.to.index() as u32 {
-                        return Err(AllFpError::Internal(
-                            "overlay snapshot does not match network edges",
-                        ));
-                    }
-                    let profile = source.pattern(e.pattern)?.profile(category)?;
-                    let full = traffic::travel::travel_time_fn(profile, e.distance, &day)?;
-                    let mut arc = make_arc(rec.from, rec.to, full, None)?;
-                    arc.disabled = rec.disabled;
-                    slots.push(Some(arc));
-                    expect += 1;
-                }
-            }
-            if expect != n_base_snap {
-                return Err(AllFpError::Internal(
-                    "overlay snapshot base arc count mismatch",
-                ));
-            }
-
-            // Stratify shortcuts by composition level so each level's
-            // re-compositions are independent (a via arc is always at
-            // a strictly lower level).
-            let mut level = vec![0u32; snap.arcs.len()];
-            let mut by_level: Vec<Vec<usize>> = Vec::new();
-            for (i, rec) in snap.arcs.iter().enumerate().skip(expect) {
-                let Some((a, b)) = rec.via else {
-                    return Err(AllFpError::Internal(
-                        "overlay snapshot interleaves base arcs after shortcuts",
-                    ));
-                };
-                if a as usize >= i || b as usize >= i {
-                    return Err(AllFpError::Internal(
-                        "overlay snapshot shortcut references a later arc",
-                    ));
-                }
-                let l = level[a as usize].max(level[b as usize]) + 1;
-                level[i] = l;
-                let slot = l as usize - 1;
-                if by_level.len() <= slot {
-                    by_level.resize(slot + 1, Vec::new());
-                }
-                by_level[slot].push(i);
-                slots.push(None);
-            }
-            for ids in &by_level {
-                let rebuilt = pool.map_indexed(
-                    ids.len(),
-                    || (),
-                    |k, _, scratch| -> Result<OverlayArc> {
-                        let i = ids[k];
-                        let rec = &snap.arcs[i];
-                        let (a, b) = rec.via.ok_or(AllFpError::Internal(
-                            "overlay snapshot lost a via pair mid-restore",
-                        ))?;
-                        let (fa, fb) = match (&slots[a as usize], &slots[b as usize]) {
-                            (Some(fa), Some(fb)) => (fa, fb),
-                            _ => {
-                                return Err(AllFpError::Internal(
-                                    "overlay snapshot via pair not yet restored",
-                                ))
-                            }
-                        };
-                        let full = crate::overlay::recompose(scratch, fa, fb)?;
-                        let mut arc = make_arc(rec.from, rec.to, full, rec.via)?;
-                        arc.disabled = rec.disabled;
-                        Ok(arc)
-                    },
-                );
-                for (k, arc) in rebuilt.into_iter().enumerate() {
-                    slots[ids[k]] = Some(arc?);
-                }
-            }
-            let mut arcs: Vec<OverlayArc> = Vec::with_capacity(slots.len());
-            for s in slots {
-                arcs.push(s.ok_or(AllFpError::Internal(
-                    "overlay snapshot restore left an arc slot empty",
-                ))?);
-            }
-            // The stored band the build used wins over the restoring
-            // configuration — bit-identical restores, always.
-            let eps = snap.compress_eps.map(f64::from_bits);
-            overlays.push(finish_overlay(
-                category,
-                snap.ranks.clone(),
-                arcs,
-                expect,
-                snap.arcs.iter().filter(|a| a.disabled).count(),
-                0,
-                &pool,
-                eps,
-            )?);
-        }
-        Ok(Self::assemble(flat, overlays, config, t0, pool.threads()))
+        Ok(Self::rebuild(flat, config, snapshot, None, &[])?.0)
     }
 
     /// Incrementally refresh this hierarchy for a traffic delta:
@@ -696,130 +487,141 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
     /// equal to a full [`HierarchyEngine::from_snapshot`] restore over
     /// the new network — pinned bit-for-bit by the refresh suite.
     ///
-    /// Requires exact overlay storage (the [`HierarchyConfig::
-    /// live_topology`] default): re-composition reads the vias' stored
-    /// functions, and under an `ε`-band those are approximations — the
-    /// rebuilt arcs would silently diverge from a from-scratch build.
     /// Note the structure itself is refreshed as-is; on a non-live
     /// topology the witness proofs and domination choices baked into
     /// it are only valid for the metric they were built over, so
     /// query-exactness after a delta additionally needs
-    /// `live_topology`.
+    /// [`HierarchyConfig::live_topology`].
     pub fn refreshed(
         &self,
         flat: Engine<'a, S>,
         changed: &[(u32, u32)],
     ) -> Result<(Self, RefreshReport)> {
-        if self.overlays.iter().any(|o| o.compress_eps.is_some()) {
-            return Err(AllFpError::Internal(
-                "live refresh requires exact overlay storage (overlay_compress = None)",
-            ));
-        }
+        let live = Some(self.overlays.as_slice());
+        Self::rebuild(flat, self.config.clone(), &self.snapshot(), live, changed)
+    }
+
+    /// The rebuild behind both [`Self::from_snapshot`] and
+    /// [`Self::refreshed`]: realise `snapshot`'s structure over
+    /// `flat`'s network. With `live` — the overlays the structure was
+    /// read off — an arc whose cone holds no `changed` edge is reused;
+    /// without, every arc is dirty. Dirty base arcs are rebuilt from
+    /// the network, dirty shortcuts stratified by composition level
+    /// and re-composed level by level over the worker pool.
+    fn rebuild(
+        flat: Engine<'a, S>,
+        config: HierarchyConfig,
+        snapshot: &HierarchySnapshot,
+        live: Option<&[Overlay]>,
+        changed: &[(u32, u32)],
+    ) -> Result<(Self, RefreshReport)> {
         let t0 = Instant::now();
-        let pool = WorkerPool::new(self.config.threads);
+        let pool = WorkerPool::new(config.threads);
         let source = flat.source();
         let n = source.n_nodes();
-        let changed_set: std::collections::HashSet<(u32, u32)> = changed.iter().copied().collect();
+        let day = Interval::of(0.0, MINUTES_PER_DAY);
+        let changed: HashSet<(u32, u32)> = changed.iter().copied().collect();
         let mut report = RefreshReport::default();
-        let mut overlays = Vec::with_capacity(self.overlays.len());
-        for o in &self.overlays {
-            if o.rank.len() != n {
+        let mut overlays = Vec::with_capacity(snapshot.overlays.len());
+        for (k, snap) in snapshot.overlays.iter().enumerate() {
+            let old = live.map(|overlays| &overlays[k]);
+            if snap.ranks.len() != n {
                 return Err(AllFpError::Internal(
-                    "refresh network does not match overlay size",
+                    "overlay structure does not match network size",
                 ));
             }
-            let day = Interval::of(0.0, MINUTES_PER_DAY);
-            let mut dirty = vec![false; o.arcs.len()];
-            let mut slots: Vec<Option<OverlayArc>> = Vec::with_capacity(o.arcs.len());
+            let category = DayCategory(snap.category);
+            let mut dirty = vec![false; snap.arcs.len()];
+            let mut slots: Vec<Option<OverlayArc>> = Vec::with_capacity(snap.arcs.len());
             let mut edges: Vec<roadnet::Edge> = Vec::new();
-            let mut expect = 0usize;
+            let mut n_base = 0usize;
             for u in 0..n {
                 source.successors_into(NodeId(u as u32), &mut edges)?;
                 for e in edges.drain(..) {
                     if e.to.index() == u {
                         continue;
                     }
-                    let old = o
-                        .arcs
-                        .get(expect)
-                        .ok_or(AllFpError::Internal("refresh network has extra edges"))?;
-                    if old.via.is_some() || old.from != u as u32 || old.to != e.to.index() as u32 {
+                    let rec = snap.arcs.get(n_base).ok_or(AllFpError::Internal(
+                        "overlay structure is missing base arcs",
+                    ))?;
+                    if rec.via.is_some() || rec.from != u as u32 || rec.to != e.to.index() as u32 {
                         return Err(AllFpError::Internal(
-                            "refresh network does not match overlay base arcs",
+                            "overlay structure does not match network edges",
                         ));
                     }
-                    if changed_set.contains(&(old.from, old.to)) {
-                        dirty[expect] = true;
-                        let profile = source.pattern(e.pattern)?.profile(o.category)?;
-                        let full = traffic::travel::travel_time_fn(profile, e.distance, &day)?;
-                        let mut arc = make_arc(old.from, old.to, full, None)?;
-                        arc.disabled = old.disabled;
-                        slots.push(Some(arc));
-                        report.base_rebuilt += 1;
-                    } else {
-                        slots.push(Some(reuse_arc(old)));
-                    }
-                    expect += 1;
+                    slots.push(Some(match old {
+                        Some(o) if !changed.contains(&(rec.from, rec.to)) => o.arcs[n_base].clone(),
+                        _ => {
+                            dirty[n_base] = true;
+                            report.base_rebuilt += 1;
+                            let profile = source.pattern(e.pattern)?.profile(category)?;
+                            let full = traffic::travel::travel_time_fn(profile, e.distance, &day)?;
+                            let mut arc = make_arc(rec.from, rec.to, full, None);
+                            arc.disabled = rec.disabled;
+                            arc
+                        }
+                    }));
+                    n_base += 1;
                 }
             }
-            if expect != o.n_base {
-                return Err(AllFpError::Internal("refresh base arc count mismatch"));
+            if snap.arcs.iter().take_while(|a| a.via.is_none()).count() != n_base {
+                return Err(AllFpError::Internal(
+                    "overlay structure base arc count mismatch",
+                ));
             }
-            report.base_total += expect;
+            report.base_total += n_base;
+            report.shortcuts_total += snap.arcs.len() - n_base;
 
-            // Dirty-cone propagation + level stratification of the
-            // dirty shortcuts, exactly as in `from_snapshot` but only
-            // for arcs whose cone touches a changed edge.
-            let mut level = vec![0u32; o.arcs.len()];
+            // Dirty-cone propagation, and stratification of the dirty
+            // shortcuts by composition level so each level's
+            // re-compositions are independent (a via arc is always at
+            // a strictly lower level; a clean one is ready at once).
+            let mut level = vec![0u32; snap.arcs.len()];
             let mut by_level: Vec<Vec<usize>> = Vec::new();
-            for (i, old) in o.arcs.iter().enumerate().skip(expect) {
-                let Some((a, b)) = old.via else {
+            for (i, rec) in snap.arcs.iter().enumerate().skip(n_base) {
+                let Some((a, b)) = rec.via else {
                     return Err(AllFpError::Internal(
-                        "overlay interleaves base arcs after shortcuts",
+                        "overlay structure interleaves base arcs after shortcuts",
                     ));
                 };
-                if a as usize >= i || b as usize >= i {
+                let (a, b) = (a as usize, b as usize);
+                if a >= i || b >= i {
                     return Err(AllFpError::Internal(
-                        "overlay shortcut references a later arc",
+                        "overlay structure shortcut references a later arc",
                     ));
                 }
-                dirty[i] = dirty[a as usize] || dirty[b as usize];
-                if dirty[i] {
-                    let l = level[a as usize].max(level[b as usize]) + 1;
-                    level[i] = l;
-                    let slot = l as usize - 1;
-                    if by_level.len() <= slot {
-                        by_level.resize(slot + 1, Vec::new());
+                dirty[i] = dirty[a] || dirty[b];
+                match old {
+                    Some(o) if !dirty[i] => slots.push(Some(o.arcs[i].clone())),
+                    _ => {
+                        report.shortcuts_rebuilt += 1;
+                        level[i] = level[a].max(level[b]) + 1;
+                        let slot = level[i] as usize - 1;
+                        if by_level.len() <= slot {
+                            by_level.resize(slot + 1, Vec::new());
+                        }
+                        by_level[slot].push(i);
+                        slots.push(None);
                     }
-                    by_level[slot].push(i);
-                    slots.push(None);
-                    report.shortcuts_rebuilt += 1;
-                } else {
-                    slots.push(Some(reuse_arc(old)));
                 }
             }
-            report.shortcuts_total += o.arcs.len() - expect;
             for ids in &by_level {
                 let rebuilt = pool.map_indexed(
                     ids.len(),
                     || (),
                     |k, _, scratch| -> Result<OverlayArc> {
-                        let i = ids[k];
-                        let old = &o.arcs[i];
-                        let (a, b) = old
-                            .via
-                            .ok_or(AllFpError::Internal("refresh lost a via pair mid-pass"))?;
-                        let (fa, fb) = match (&slots[a as usize], &slots[b as usize]) {
-                            (Some(fa), Some(fb)) => (fa, fb),
-                            _ => {
-                                return Err(AllFpError::Internal(
-                                    "refresh via pair not yet rebuilt",
-                                ))
-                            }
+                        let rec = &snap.arcs[ids[k]];
+                        let (a, b) = rec.via.ok_or(AllFpError::Internal(
+                            "overlay rebuild lost a via pair mid-pass",
+                        ))?;
+                        let (Some(fa), Some(fb)) = (&slots[a as usize], &slots[b as usize]) else {
+                            return Err(AllFpError::Internal(
+                                "overlay rebuild via pair not yet rebuilt",
+                            ));
                         };
-                        let full = crate::overlay::recompose(scratch, fa, fb)?;
-                        let mut arc = make_arc(old.from, old.to, full, old.via)?;
-                        arc.disabled = old.disabled;
+                        let full = recompose(scratch, fa, fb)?;
+                        let mut arc = make_arc(rec.from, rec.to, full, rec.via);
+                        arc.disabled = rec.disabled;
                         Ok(arc)
                     },
                 );
@@ -827,23 +629,24 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                     slots[ids[k]] = Some(arc?);
                 }
             }
-            let mut arcs: Vec<OverlayArc> = Vec::with_capacity(slots.len());
-            for s in slots {
-                arcs.push(s.ok_or(AllFpError::Internal("refresh left an arc slot empty"))?);
-            }
+            let arcs = slots
+                .into_iter()
+                .collect::<Option<Vec<OverlayArc>>>()
+                .ok_or(AllFpError::Internal(
+                    "overlay rebuild left an arc slot empty",
+                ))?;
             overlays.push(finish_overlay(
-                o.category,
-                o.rank.clone(),
+                category,
+                snap.ranks.clone(),
                 arcs,
-                expect,
-                o.n_disabled,
-                o.rounds,
+                n_base,
+                snap.arcs.iter().filter(|a| a.disabled).count(),
+                old.map_or(0, |o| o.rounds),
                 &pool,
-                None,
             )?);
         }
         report.refresh_wall = t0.elapsed();
-        let engine = Self::assemble(flat, overlays, self.config.clone(), t0, pool.threads());
+        let engine = Self::assemble(flat, overlays, config, t0, pool.threads());
         Ok((engine, report))
     }
 }
@@ -886,7 +689,12 @@ impl<'a, S: NetworkSource> PathfindBackend for HierarchyEngine<'a, S> {
                         expansions: run.stats.expanded_paths,
                     });
                 }
-                self.exact_single(run.routes, query, &mut session, run.stats)
+                self.exact_single(
+                    run.routes.into_iter().next(),
+                    query,
+                    &mut session,
+                    run.stats,
+                )
             }
         }
     }
@@ -924,28 +732,80 @@ impl<'a, S: NetworkSource> PathfindBackend for HierarchyEngine<'a, S> {
                             .map_err(EngineError::from)?,
                     )
                 };
-                let (nodes, _) = constant_speed_plan(
-                    self.flat.source(),
-                    query.source,
-                    query.target,
-                    query.interval.lo(),
-                    query.category,
-                )
-                .map_err(EngineError::from)?;
-                let travel = Arc::new(
-                    self.flat
-                        .route_travel_fn(&nodes, query, session)
-                        .map_err(EngineError::from)?,
-                );
-                let fallback_travel_minutes = travel.minimum().value;
-                Ok(QueryOutcome::Degraded(DegradedAnswer {
-                    reason,
-                    best,
-                    fallback: FastestPath { nodes, travel },
-                    fallback_travel_minutes,
-                    stats: run.stats,
-                }))
+                Ok(QueryOutcome::Degraded(self.flat.degraded_answer(
+                    query, reason, best, run.stats, session,
+                )?))
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use roadnet::generators::random_geometric;
+
+    use super::*;
+
+    /// Everything an engine's overlays store per arc — function knots
+    /// and coefficients, `min`/`max`, the band row — as bits.
+    fn stored_bits<S: NetworkSource>(engine: &HierarchyEngine<'_, S>) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for o in &engine.overlays {
+            for a in &o.arcs {
+                bits.extend(a.full.breakpoints().iter().map(|x| x.to_bits()));
+                bits.extend(
+                    a.full
+                        .linears()
+                        .iter()
+                        .flat_map(|l| [l.a.to_bits(), l.b.to_bits()]),
+                );
+                bits.extend([a.min.to_bits(), a.max.to_bits()]);
+            }
+            bits.extend(o.band_min.iter().map(|m| m.to_bits()));
+        }
+        bits
+    }
+
+    fn flat(net: &roadnet::RoadNetwork) -> Engine<'_, roadnet::RoadNetwork> {
+        Engine::new(net, EngineConfig::default())
+    }
+
+    /// The snapshot records structure only, so its equality cannot see
+    /// a function: a parallel build and a restore store what the serial
+    /// build stores, and a refresh what a restore of the same structure
+    /// over the delta-applied network stores, bit for bit.
+    #[test]
+    fn parallel_builds_restores_and_refreshes_store_the_same_bits() {
+        for seed in [3u64, 58, 211] {
+            let net = random_geometric(14, 1.5, 3, seed).unwrap();
+            let config = |threads, live_topology| HierarchyConfig {
+                threads,
+                live_topology,
+                ..HierarchyConfig::default()
+            };
+            let serial = HierarchyEngine::with_flat(flat(&net), config(1, false)).unwrap();
+            let parallel = HierarchyEngine::with_flat(flat(&net), config(4, false)).unwrap();
+            assert_eq!(stored_bits(&parallel), stored_bits(&serial), "seed {seed}");
+            let restored =
+                HierarchyEngine::from_snapshot(flat(&net), config(2, false), &serial.snapshot());
+            assert_eq!(
+                stored_bits(&restored.unwrap()),
+                stored_bits(&serial),
+                "seed {seed}"
+            );
+
+            let live = HierarchyEngine::with_flat(flat(&net), config(1, true)).unwrap();
+            let delta = net.seeded_delta(seed ^ 0xD17A, 4, 1).unwrap();
+            let (net2, report) = net.apply_delta(&delta).unwrap();
+            let (refreshed, _) = live.refreshed(flat(&net2), &report.changed).unwrap();
+            let scratch =
+                HierarchyEngine::from_snapshot(flat(&net2), config(1, true), &live.snapshot());
+            assert_eq!(
+                stored_bits(&refreshed),
+                stored_bits(&scratch.unwrap()),
+                "seed {seed}"
+            );
+            assert_ne!(stored_bits(&refreshed), stored_bits(&live), "seed {seed}");
         }
     }
 }

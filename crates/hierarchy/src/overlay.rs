@@ -36,25 +36,19 @@
 //! ([`Pwl::dominated_by_offset`]) — the same ε-tolerant rule the flat
 //! engine's dominance pruning already applies.
 //!
-//! **Space-efficient storage.** Each arc stores only its **one-day**
-//! function: the periodic extension earlier revisions materialized per
-//! arc (two thirds of resident overlay bytes, all of it a bit-exact
-//! derived copy) is now virtual, and [`ext_window`] derives any
-//! restriction of it on demand, bit for bit. On top of that the
-//! stored functions are optionally replaced by bounded-error *lower
-//! approximations* ([`pwl::reduce_lower_with`]) with the measured gap
-//! kept per arc; exact scalar `min`/`max`, the exact function's
-//! maximum slope, and a time-bucketed min/max **band table** (from the
-//! exact function) ride along for admissible pruning. Queries stay
-//! bit-identical: the search only *selects* corridors, every answer
-//! re-composes through the flat engine (see `search.rs` and
-//! DESIGN.md §13).
+//! **One-day exact storage.** Each arc stores its exact **one-day**
+//! function and nothing derived from it but scalars: the periodic
+//! extension the search composes against is virtual ([`ext_window`]
+//! derives any restriction of it on demand, bit for bit), and the exact
+//! `min`/`max` plus a time-bucketed minimum **band table** ride along
+//! for the query's scalar bounds. The search only *selects* corridors;
+//! every answer re-composes through the flat engine (see `search.rs`
+//! and DESIGN.md §13).
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use allfp::Result;
+use allfp::{MinEntry, Result};
 use pwl::compose::arrival_interval;
 use pwl::time::MINUTES_PER_DAY;
 use pwl::{compose_travel_into, Interval, Pwl, PwlScratch};
@@ -63,8 +57,8 @@ use traffic::DayCategory;
 
 use crate::pool::WorkerPool;
 
-/// Buckets in each arc's min/max band table (over one day period).
-pub(crate) const BANDS: usize = 8;
+/// Buckets in each arc's minimum band table (over one day period).
+const BANDS: usize = 8;
 
 /// One arc of the overlay graph: an original edge or a shortcut.
 ///
@@ -73,35 +67,23 @@ pub(crate) const BANDS: usize = 8;
 /// is disabled by domination (disabled arcs leave the query adjacency
 /// but remain unpackable).
 ///
-/// During construction `full` holds the **exact** travel function
-/// (composition and witness scalars need it); after the finalize pass
-/// it holds the stored (possibly reduced) approximation, with `err`
-/// recording the measured gap `max(exact − stored) ≥ 0`. `min`, `max`
-/// and `slope_max` always describe the *exact* function.
-///
-/// Only the **one-day** function is stored. The periodic extension
-/// that earlier revisions materialized per arc (a bit-exact derived
-/// copy holding `EXT_PERIODS·pieces` more knots than the day function)
-/// is now *virtual*: [`ext_window`] derives any restriction of it on
-/// demand with the same `shift_x`/`concat` arithmetic, bit for bit.
+/// Only the **one-day** function is stored. Its periodic extension is
+/// *virtual*: [`ext_window`] derives any restriction of it on demand
+/// with the same `shift_x`/`concat` arithmetic a materialized copy
+/// would have been built with, bit for bit.
+#[derive(Clone)]
 pub(crate) struct OverlayArc {
     /// Tail node.
     pub from: u32,
     /// Head node.
     pub to: u32,
-    /// Stored travel-time function over one full period `[0, 1440]`.
+    /// The exact travel-time function over one full period `[0, 1440]`
+    /// (shared, so cloning an arc copies no pieces).
     pub full: Arc<Pwl>,
-    /// Exact `min_value()` — lower bound at any leaving instant.
+    /// `full.min_value()` — lower bound at any leaving instant.
     pub min: f64,
-    /// Exact `maximum()` — upper bound at any leaving instant.
+    /// `full.maximum()` — upper bound at any leaving instant.
     pub max: f64,
-    /// Measured approximation gap: `exact(l) − full(l) ∈ [0, err]`.
-    pub err: f64,
-    /// Largest slope of the exact function, clamped to `≥ 0` (its
-    /// Lipschitz factor) — recorded in the snapshot as a diagnostic;
-    /// the search brackets error with composed upper functions instead
-    /// of slope products.
-    pub slope_max: f64,
     /// `Some((a, b))` when this is a shortcut composing arcs `a` then
     /// `b`; `None` for an original edge.
     pub via: Option<(u32, u32)>,
@@ -133,20 +115,10 @@ pub(crate) struct Overlay {
     pub n_base: usize,
     /// Arcs disabled by parallel-arc domination.
     pub n_disabled: usize,
-    /// Per-arc, per-bucket minimum of the exact function
+    /// Per-arc, per-bucket minimum of the arc's function
     /// (`arcs.len() × BANDS`, bucket `k` covers
     /// `[k·1440/BANDS, (k+1)·1440/BANDS)`).
     pub band_min: Vec<f64>,
-    /// Per-arc, per-bucket maximum of the exact function.
-    pub band_max: Vec<f64>,
-    /// Error band the stored functions were reduced with (`None` =
-    /// exact storage).
-    pub compress_eps: Option<f64>,
-    /// Pieces the *baseline* layout would hold: the exact functions
-    /// before reduction, **plus** the per-arc materialized
-    /// `EXT_PERIODS`-day extension earlier revisions stored. The
-    /// space report's compression ratio is stored pieces over this.
-    pub exact_pieces: u64,
     /// Contraction rounds the build took (0 for snapshot restores).
     pub rounds: u32,
 }
@@ -165,7 +137,7 @@ impl Overlay {
         (count < BANDS as f64).then(|| (a.rem_euclid(BANDS as f64) as usize, count as usize))
     }
 
-    /// Tightest stored lower bound on `hop`'s exact travel over the
+    /// Tightest stored lower bound on `hop`'s travel over the
     /// leaving instants of `window` (see [`Self::band_window`]).
     pub fn banded_min(&self, hop: &Hop, window: Option<(usize, usize)>) -> f64 {
         let Some((first, count)) = window else {
@@ -176,7 +148,7 @@ impl Overlay {
     }
 }
 
-/// One entry of the query adjacency, carrying the exact scalars the
+/// One entry of the query adjacency, carrying the scalars the
 /// per-query bound sweeps and the relax gate read — so neither touches
 /// an [`OverlayArc`] or the `Arc<Pwl>` in it.
 #[derive(Clone, Copy)]
@@ -185,7 +157,7 @@ pub(crate) struct Hop {
     pub node: u32,
     /// Arc id.
     pub arc: u32,
-    /// The arc's exact `min` and `max`.
+    /// The arc's `min` and `max`.
     pub min: f64,
     pub max: f64,
 }
@@ -283,49 +255,16 @@ pub(crate) fn ext_window(scratch: &mut PwlScratch, full: &Pwl, to: &Interval) ->
     Ok(out)
 }
 
-/// Largest slope of `f`, clamped to `≥ 0` (the Lipschitz factor used
-/// when composing approximation-error bounds).
-fn slope_max_of(f: &Pwl) -> f64 {
-    f.linears().iter().fold(0.0f64, |m, l| m.max(l.a))
-}
-
-/// Materialize an arc record around its **exact** full-period
-/// function (construction-time representation: `err = 0`).
-pub(crate) fn make_arc(
-    from: u32,
-    to: u32,
-    full: Pwl,
-    via: Option<(u32, u32)>,
-) -> Result<OverlayArc> {
-    Ok(OverlayArc {
+/// An arc record around its full-period function.
+pub(crate) fn make_arc(from: u32, to: u32, full: Pwl, via: Option<(u32, u32)>) -> OverlayArc {
+    OverlayArc {
         from,
         to,
         min: full.min_value(),
         max: full.maximum(),
-        err: 0.0,
-        slope_max: slope_max_of(&full),
         full: Arc::new(full),
         via,
         disabled: false,
-    })
-}
-
-/// A verbatim copy of an arc for incremental refresh: the stored
-/// function is shared (`Arc` clone), every derived scalar is carried
-/// over unchanged. Sound exactly when the arc's composition cone
-/// contains no changed edge — then a from-scratch rebuild would
-/// recompute the identical bits.
-pub(crate) fn reuse_arc(old: &OverlayArc) -> OverlayArc {
-    OverlayArc {
-        from: old.from,
-        to: old.to,
-        full: Arc::clone(&old.full),
-        min: old.min,
-        max: old.max,
-        err: old.err,
-        slope_max: old.slope_max,
-        via: old.via,
-        disabled: old.disabled,
     }
 }
 
@@ -342,36 +281,10 @@ fn push_arc(
 ) -> Result<u32> {
     let id = u32::try_from(arcs.len())
         .map_err(|_| allfp::AllFpError::Internal("overlay arc storage outgrew u32 indices"))?;
-    arcs.push(make_arc(from, to, full, via)?);
+    arcs.push(make_arc(from, to, full, via));
     out[from as usize].push(id);
     inn[to as usize].push(id);
     Ok(id)
-}
-
-/// Min-heap entry for the witness Dijkstra (`total_cmp`, node id ties).
-struct WitnessEntry {
-    d: f64,
-    node: u32,
-}
-
-impl PartialEq for WitnessEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.d == other.d && self.node == other.node
-    }
-}
-impl Eq for WitnessEntry {}
-impl Ord for WitnessEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .d
-            .total_cmp(&self.d)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-impl PartialOrd for WitnessEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Epoch-stamped distance array for witness searches: reset is O(1),
@@ -381,7 +294,8 @@ pub(crate) struct Witness {
     dist: Vec<f64>,
     stamp: Vec<u32>,
     epoch: u32,
-    heap: BinaryHeap<WitnessEntry>,
+    /// Keyed by tentative distance, node id on ties.
+    heap: BinaryHeap<MinEntry<u32>>,
 }
 
 impl Witness {
@@ -429,12 +343,12 @@ impl Witness {
         self.epoch = self.epoch.wrapping_add(1);
         self.heap.clear();
         self.set(source, 0.0);
-        self.heap.push(WitnessEntry {
-            d: 0.0,
-            node: source,
-        });
+        self.heap.push(MinEntry::new(0.0, source));
         let mut settled = 0usize;
-        while let Some(WitnessEntry { d, node }) = self.heap.pop() {
+        while let Some(MinEntry {
+            key: d, tie: node, ..
+        }) = self.heap.pop()
+        {
             if d > self.get(node) {
                 continue; // stale entry
             }
@@ -454,10 +368,7 @@ impl Witness {
                 let nd = d + arc.max;
                 if nd < self.get(arc.to) {
                     self.set(arc.to, nd);
-                    self.heap.push(WitnessEntry {
-                        d: nd,
-                        node: arc.to,
-                    });
+                    self.heap.push(MinEntry::new(nd, arc.to));
                 }
             }
         }
@@ -565,8 +476,6 @@ fn priority(
 /// Compose the shortcut function for the via pair `a` then `b`, over
 /// one full period. Deterministic in its inputs — snapshot restore
 /// re-runs exactly this to rebuild shortcut functions bit-identically.
-/// Construction-time only: both arcs must still hold their exact
-/// functions.
 pub(crate) fn recompose(scratch: &mut PwlScratch, a: &OverlayArc, b: &OverlayArc) -> Result<Pwl> {
     let arrivals = arrival_interval(&a.full)?;
     // Materialize `b`'s periodic extension transiently — wide enough
@@ -606,7 +515,6 @@ pub(crate) fn build_overlay<S: NetworkSource>(
     category: DayCategory,
     witness_settle_cap: usize,
     pool: &WorkerPool,
-    compress_eps: Option<f64>,
     live_topology: bool,
 ) -> Result<Overlay> {
     let witness_settle_cap = if live_topology { 0 } else { witness_settle_cap };
@@ -818,88 +726,40 @@ pub(crate) fn build_overlay<S: NetworkSource>(
         }
     }
 
-    finish_overlay(
-        category,
-        rank,
-        arcs,
-        n_base,
-        n_disabled,
-        rounds,
-        pool,
-        compress_eps,
-    )
+    finish_overlay(category, rank, arcs, n_base, n_disabled, rounds, pool)
 }
 
-/// Outcome of the per-arc finalize job: band tables from the exact
-/// function, plus the reduced storage when compression is on.
-struct Finalized {
-    bands: [f64; 2 * BANDS],
-    exact_pieces: u64,
-    reduced: Option<(Pwl, f64)>, // (full, measured gap)
-}
-
-/// Band tables + optional bounded-error reduction for every stored
-/// arc, fanned out over the worker pool (read-only against the exact
-/// arcs, results applied in index order — deterministic at any thread
-/// count). Returns the completed overlay.
-#[allow(clippy::too_many_arguments)]
+/// Band tables for every arc, fanned out over the worker pool
+/// (read-only against the arcs, results applied in index order —
+/// deterministic at any thread count), then the query adjacency.
+/// Returns the completed overlay.
 pub(crate) fn finish_overlay(
     category: DayCategory,
     rank: Vec<u32>,
-    mut arcs: Vec<OverlayArc>,
+    arcs: Vec<OverlayArc>,
     n_base: usize,
     n_disabled: usize,
     rounds: u32,
     pool: &WorkerPool,
-    compress_eps: Option<f64>,
 ) -> Result<Overlay> {
-    let eps = compress_eps.filter(|&e| e > 0.0);
-    let finalized: Vec<Result<Finalized>> = pool.map_indexed(
+    let banded: Vec<Result<[f64; BANDS]>> = pool.map_indexed(
         arcs.len(),
         || (),
-        |i, _, scratch| {
-            let arc = &arcs[i];
-            let mut bands = [0.0f64; 2 * BANDS];
-            let d = arc.full.domain();
+        |i, _, _scratch| {
+            let full = &arcs[i].full;
+            let d = full.domain();
             let w = d.len() / BANDS as f64;
-            for k in 0..BANDS {
+            let mut bands = [0.0f64; BANDS];
+            for (k, band) in bands.iter_mut().enumerate() {
                 let b = Interval::of(d.lo() + k as f64 * w, d.lo() + (k + 1) as f64 * w);
-                bands[k] = arc.full.min_over(&b)?.value;
-                bands[BANDS + k] = arc.full.max_over(&b)?;
+                *band = full.min_over(&b)?.value;
             }
-            // Baseline space accounting: what the pre-derived layout
-            // (exact day function + materialized `EXT_PERIODS`-day
-            // extension per arc) held for this arc. `concat` only
-            // appends, so the extension carried exactly
-            // `EXT_PERIODS · n` pieces.
-            let exact_pieces = (arc.full.n_pieces() * (1 + EXT_PERIODS)) as u64;
-            let reduced = match eps {
-                None => None,
-                Some(e) => {
-                    let (g, gap) = pwl::reduce_lower_with(scratch, &arc.full, e)?;
-                    Some((g, gap))
-                }
-            };
-            Ok(Finalized {
-                bands,
-                exact_pieces,
-                reduced,
-            })
+            Ok(bands)
         },
     );
-
     let mut band_min = Vec::with_capacity(arcs.len() * BANDS);
-    let mut band_max = Vec::with_capacity(arcs.len() * BANDS);
-    let mut exact_pieces = 0u64;
-    for (arc, fin) in arcs.iter_mut().zip(finalized) {
-        let fin = fin?;
-        band_min.extend_from_slice(&fin.bands[..BANDS]);
-        band_max.extend_from_slice(&fin.bands[BANDS..]);
-        exact_pieces += fin.exact_pieces;
-        if let Some((g, gap)) = fin.reduced {
-            arc.full = Arc::new(g);
-            arc.err = gap;
-        }
+    for bands in banded {
+        band_min.extend_from_slice(&bands?);
     }
 
     let n = rank.len();
@@ -930,9 +790,6 @@ pub(crate) fn finish_overlay(
         n_base,
         n_disabled,
         band_min,
-        band_max,
-        compress_eps: eps,
-        exact_pieces,
         rounds,
     })
 }

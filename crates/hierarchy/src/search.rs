@@ -29,43 +29,18 @@
 //! time-independent network every optimal label has `f_min == U`
 //! exactly, so a non-strict cap would prune the answer itself.
 //!
-//! **Approximation-aware admissibility.** Stored overlay functions may
-//! be bounded-error *lower* approximations (see `overlay.rs`). Each
-//! label therefore brackets its true route function with a **pair** of
-//! composed functions: the lower one (composition of the stored arc
-//! functions — a pointwise lower bound by FIFO-monotone arrival
-//! composition) and an upper one, built by composing each stored arc
-//! function at the *upper* arrival and raising the result by that
-//! arc's measured gap. FIFO monotonicity of the true arc arrival
-//! functions makes the raised composition a pointwise upper bound, so
-//! approximation error accumulates through the actual function shapes
-//! rather than a worst-case slope product — which keeps the bracket
-//! tight enough to prune with. Pruning uses only safe sides: a label's
-//! lower function plus its bound against the envelope of merged *upper*
-//! functions (pointwise for allFP, and against its max as the stop
-//! cap), and dominance tests a new label's lower function against the
-//! established label's upper function. A label
-//! that has not yet crossed a lossy arc stores no separate upper
-//! function (it would be bit-equal to the lower one), so exact
-//! corridors — and exact storage entirely — pay nothing extra and
-//! degenerate to the plain rules.
-//!
 //! The search only **selects** winning node sequences. Every returned
 //! route is afterwards re-composed edge by edge through the flat
 //! engine's own pipeline ([`allfp::Engine::route_travel_fn`]), so the
 //! answer functions are bit-identical to the flat engine's — the
-//! overlay's label functions never reach the caller. For singleFP the
-//! search keeps collecting target candidates until no queued label can
-//! beat the best candidate's guaranteed *true* minimum (the minimum of
-//! its upper function); the caller then re-selects exactly among the
-//! candidates, ties resolved by identification order — at zero error
-//! this collapses to "first target pop wins", the exact-storage rule.
+//! overlay's label functions never reach the caller. singleFP stops at
+//! the first target label popped, as the flat engine does (§4.5).
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
-use allfp::{AllFpError, CancelToken, DegradedReason, QuerySpec, QueryStats, Result};
+use allfp::{
+    AllFpError, CancelToken, DegradedReason, MinEntry, QuerySpec, QueryStats, Result, Watch,
+};
 use pwl::compose::arrival_interval;
 use pwl::{compose_travel_into, Envelope, Pwl, PwlRef, PwlScratch};
 use roadnet::NodeId;
@@ -73,11 +48,8 @@ use roadnet::NodeId;
 use crate::overlay;
 use crate::overlay::{unpack_route, Hop, Overlay};
 
-/// Poll cadence for deadline/cancellation, matching the flat engine.
-const WATCH_EVERY: u64 = 32;
-
 /// One label of the overlay search: a path `s ⇒ node` over overlay
-/// arcs, with its (approximate) travel function and phase flag.
+/// arcs, with its travel function and phase flag.
 struct Label {
     /// Arena index of the label this one extends (`None` for the seed).
     parent: Option<u32>,
@@ -90,63 +62,13 @@ struct Label {
     desc: bool,
     /// Cached `travel.min_value()`.
     travel_min: f64,
-    /// The label's travel function over the query interval — a
-    /// pointwise lower bound of the true route function.
+    /// The route's travel function over the query interval.
     travel: PwlRef,
-    /// Pointwise **upper** bound of the true route function: the
-    /// stored arc functions composed at the upper arrival and raised
-    /// by each arc's measured gap. `None` while the path has not
-    /// crossed a lossy arc — the upper bound is then bit-equal to
-    /// `travel` and is not materialized (exact storage never pays).
-    upper: Option<PwlRef>,
 }
 
-impl Label {
-    /// The safe side for being *beaten*: the upper bracket when the
-    /// path crossed a lossy arc, the (then exact) lower one otherwise.
-    fn upper_fn(&self) -> &Pwl {
-        match &self.upper {
-            Some(u) => u.as_pwl(),
-            None => self.travel.as_pwl(),
-        }
-    }
-
-    /// Minimum of [`upper_fn`](Self::upper_fn) — a guaranteed true
-    /// travel minimum achievable through this label's route.
-    fn upper_min(&self) -> f64 {
-        match &self.upper {
-            Some(u) => u.min_value(),
-            None => self.travel_min,
-        }
-    }
-}
-
-/// Min-heap entry (FIFO on ties, like the flat engine).
-struct Entry {
-    f_min: f64,
-    seq: u64,
-    label: usize,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.f_min == other.f_min && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .f_min
-            .total_cmp(&self.f_min)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// Queue entry: the label's `travel_min` plus its phase bound, FIFO
+/// among equals like the flat engine, carrying the label's arena index.
+type Entry = MinEntry<u64, usize>;
 
 /// Search state of one overlay node, valid while `stamp` is the
 /// workspace's current epoch.
@@ -288,9 +210,8 @@ pub(crate) fn bounds(overlay: &Overlay, ws: &mut QueryWorkspace, query: &QuerySp
 /// What the overlay search hands back: winning routes (original node
 /// sequences, identification order) for exact re-composition.
 pub(crate) struct SearchRun {
-    /// Deduplicated target routes in identification order. For
-    /// singleFP these are the *candidates* — the caller re-selects
-    /// exactly (first has priority on ties).
+    /// Deduplicated target routes in identification order; singleFP
+    /// identifies one, the first target label popped.
     pub routes: Vec<Vec<NodeId>>,
     /// `Some` when a budget tripped before the termination rule.
     pub trip: Option<DegradedReason>,
@@ -311,54 +232,6 @@ fn arc_chain(labels: &[Label], idx: usize) -> Vec<u32> {
     }
     chain.reverse();
     chain
-}
-
-/// Budget watcher mirroring the flat engine's cadence.
-struct Watch<'t> {
-    deadline: Option<Instant>,
-    max_expansions: usize,
-    cancel: Option<&'t CancelToken>,
-    pops: u64,
-}
-
-impl<'t> Watch<'t> {
-    fn new(query: &QuerySpec, engine_cap: usize, cancel: Option<&'t CancelToken>) -> Self {
-        let budget = query.budget.unwrap_or_default();
-        Watch {
-            deadline: budget.max_wall.map(|d| Instant::now() + d),
-            max_expansions: budget
-                .max_expansions
-                .map_or(engine_cap, |b| b.min(engine_cap)),
-            cancel,
-            pops: 0,
-        }
-    }
-
-    fn poll(&mut self) -> Result<Option<DegradedReason>> {
-        let due = self.pops.is_multiple_of(WATCH_EVERY);
-        self.pops += 1;
-        if !due {
-            return Ok(None);
-        }
-        self.poll_now()
-    }
-
-    fn poll_now(&self) -> Result<Option<DegradedReason>> {
-        if self.cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(AllFpError::Cancelled);
-        }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Ok(Some(DegradedReason::DeadlineExpired));
-        }
-        Ok(None)
-    }
-
-    fn poll_compound(&self) -> Result<Option<DegradedReason>> {
-        if self.cancel.is_none() && self.deadline.is_none() {
-            return Ok(None);
-        }
-        self.poll_now()
-    }
 }
 
 /// Run the up–down search. Returns `Ok(None)` when a label's arrival
@@ -384,28 +257,22 @@ pub(crate) fn run(
     let mut seq = 0u64;
     let mut expanded_node_count = 0usize;
 
-    // Envelope of the merged target labels' **upper** functions; its
-    // max is a cap the true optimum never exceeds anywhere in the
-    // interval. (With exact storage the uppers are the labels' travel
-    // functions themselves — identical to the plain border rule.)
+    // allFP's lower border: the envelope of the target labels found so
+    // far. Its max is a cap the optimum never exceeds anywhere in the
+    // interval.
     let mut border: Option<Envelope<usize>> = None;
     let mut border_cap = f64::INFINITY;
     // `labels.len()` at the last border merge: exactly the labels below
     // it were last tested against an older (higher) border.
     let mut border_seen = 0usize;
-    // allFP's pointwise border rule (DESIGN.md §7) on the safe sides
-    // of the brackets: a label whose *lower* function plus its phase
-    // bound clears the envelope of merged *upper* functions at every
-    // leaving instant has no completion that wins anywhere.
-    let clears_border = |border: &Option<Envelope<usize>>, lower: &Pwl, est: f64| {
-        !single_only
-            && border
-                .as_ref()
-                .is_some_and(|b| lower.dominated_by_offset(est, b.as_pwl()))
+    // The pointwise border rule (DESIGN.md §7): a label whose function
+    // plus its phase bound clears the border at every leaving instant
+    // has no completion that wins anywhere.
+    let clears_border = |border: &Option<Envelope<usize>>, travel: &Pwl, est: f64| {
+        border
+            .as_ref()
+            .is_some_and(|b| travel.dominated_by_offset(est, b.as_pwl()))
     };
-    // singleFP stopping rule: the best candidate's guaranteed true
-    // minimum (its upper function's minimum).
-    let mut single_cap = f64::INFINITY;
     let mut routes: Vec<Vec<NodeId>> = Vec::new();
 
     // Seed. An infinite bound (target unreachable: F and D never
@@ -421,12 +288,11 @@ pub(crate) fn run(
             desc: false,
             travel_min,
             travel: travel.into(),
-            upper: None,
         });
         heap.push(Entry {
-            f_min: travel_min + lower,
-            seq,
-            label: 0,
+            key: travel_min + lower,
+            tie: seq,
+            item: 0,
         });
         seq += 1;
         stats.pushed += 1;
@@ -435,39 +301,29 @@ pub(crate) fn run(
     let mut trip: Option<DegradedReason> = None;
 
     'search: while let Some(entry) = heap.pop() {
-        let stop_cap = if single_only { single_cap } else { border_cap };
-        if stop_cap.is_finite() && pwl::approx_le(stop_cap, entry.f_min) {
+        if border_cap.is_finite() && pwl::approx_le(border_cap, entry.key) {
             break;
         }
-        let node = labels[entry.label].node;
+        let node = labels[entry.item].node;
 
         if node == target {
             // Identified a target label: record its route (dedup — two
-            // distinct arc chains can unpack to one node sequence) and
-            // fold its function into the border.
-            let chain = arc_chain(labels, entry.label);
+            // distinct arc chains can unpack to one node sequence).
+            let chain = arc_chain(labels, entry.item);
             let route = unpack_route(overlay, query.source, &chain);
             if !routes.contains(&route) {
                 routes.push(route);
             }
+            if single_only {
+                break; // §4.5: the first target label is the answer
+            }
+            // Fold its function into the border.
             stats.border_merges += 1;
             match &mut border {
-                None => {
-                    let lab = &mut labels[entry.label];
-                    let f = match &mut lab.upper {
-                        Some(u) => u.share(),
-                        None => lab.travel.share(),
-                    };
-                    let b = Envelope::new(f, entry.label);
-                    border_cap = b.max_value();
-                    border = Some(b);
-                }
-                Some(b) => {
-                    b.merge_min_with(scratch, labels[entry.label].upper_fn(), entry.label)?;
-                    border_cap = b.max_value();
-                }
+                None => border = Some(Envelope::new(labels[entry.item].travel.share(), entry.item)),
+                Some(b) => b.merge_min_with(scratch, &labels[entry.item].travel, entry.item)?,
             }
-            single_cap = single_cap.min(labels[entry.label].upper_min());
+            border_cap = border.as_ref().map_or(f64::INFINITY, Envelope::max_value);
             border_seen = labels.len();
             continue;
         }
@@ -478,10 +334,10 @@ pub(crate) fn run(
         }
         // Re-run the rule against a border that fell since this label
         // was pushed; a label it kills was polled but is no expansion.
-        let label = &labels[entry.label];
+        let label = &labels[entry.item];
         let state = &nodes[node as usize];
         let est = if label.desc { state.down } else { state.up };
-        if entry.label < border_seen && clears_border(&border, &label.travel, est) {
+        if entry.item < border_seen && clears_border(&border, &label.travel, est) {
             stats.pruned_by_border += 1;
             continue;
         }
@@ -495,20 +351,14 @@ pub(crate) fn run(
             expanded_node_count += 1;
         }
 
-        let ups = match labels[entry.label].desc {
+        let ups = match labels[entry.item].desc {
             true => &[][..],
             false => overlay.up_out.at(node),
         };
         let hops = ups.iter().map(|h| (h, false));
         let hops = hops.chain(overlay.down_out.at(node).iter().map(|h| (h, true)));
 
-        let arrivals = arrival_interval(&labels[entry.label].travel)?;
-        // The upper bracket arrives later; its window must be covered
-        // too before its composition can be formed.
-        let arrivals_up = match &labels[entry.label].upper {
-            Some(u) => arrival_interval(u)?,
-            None => arrivals,
-        };
+        let arrivals = arrival_interval(&labels[entry.item].travel)?;
         for (hop, to_desc) in hops {
             let to = hop.node as usize;
             let est = if nodes[to].stamp != epoch {
@@ -530,7 +380,7 @@ pub(crate) fn run(
             // border cap (once a target label exists), and the strict
             // `U` cap — a label *definitely* above the optimum at
             // every leaving instant can never appear in an answer.
-            let optimistic = labels[entry.label].travel_min + hop.min + est;
+            let optimistic = labels[entry.item].travel_min + hop.min + est;
             if border_cap.is_finite() && pwl::approx_le(border_cap, optimistic) {
                 stats.pruned_by_border += 1;
                 continue;
@@ -546,8 +396,7 @@ pub(crate) fn run(
             }
 
             let arc = &overlay.arcs[hop.arc as usize];
-            let ext_dom = overlay::ext_domain(&arc.full);
-            if !ext_dom.covers(&arrivals) || !ext_dom.covers(&arrivals_up) {
+            if !overlay::ext_domain(&arc.full).covers(&arrivals) {
                 // Arrival window escapes the periodic extension
                 // (multi-day travel): hand the whole query to the flat
                 // engine rather than extend on the hot path.
@@ -555,7 +404,7 @@ pub(crate) fn run(
                 return Ok(None);
             }
             let t_arc = overlay::ext_window(scratch, &arc.full, &arrivals)?;
-            let travel = compose_travel_into(scratch, &labels[entry.label].travel, &t_arc)?;
+            let travel = compose_travel_into(scratch, &labels[entry.item].travel, &t_arc)?;
             scratch.recycle(t_arc);
             let np = travel.n_pieces();
             stats.pieces_total += np as u64;
@@ -577,12 +426,8 @@ pub(crate) fn run(
                 continue;
             }
 
-            // Phase-aware dominance pruning (see `NodeState::asc`) on
-            // the safe sides of the brackets: the new label's lower
-            // function must clear the old label's *upper* function —
-            // then old-true ≤ old-upper ≤ new-lower ≤ new-true
-            // everywhere. With exact uppers this is plain domination.
-            let covers = |l: &u32| travel.dominated_by_offset(0.0, labels[*l as usize].upper_fn());
+            // Phase-aware dominance pruning (see `NodeState::asc`).
+            let covers = |l: &u32| travel.dominated_by_offset(0.0, &labels[*l as usize].travel);
             let mut dominated = nodes[to].asc.iter().any(covers);
             if !dominated && to_desc {
                 dominated = nodes[to].desc.iter().any(covers);
@@ -593,29 +438,8 @@ pub(crate) fn run(
                 continue;
             }
 
-            // The upper bracket: the stored arc function composed at
-            // the upper arrival, raised by the arc's gap (see module
-            // docs). Only materialized once the path is actually
-            // lossy; until then it is bit-equal to `travel`.
-            let upper = if labels[entry.label].upper.is_some() || arc.err > 0.0 {
-                let t_up = overlay::ext_window(scratch, &arc.full, &arrivals_up)?;
-                let up_prefix = match &labels[entry.label].upper {
-                    Some(u) => u.as_pwl(),
-                    None => labels[entry.label].travel.as_pwl(),
-                };
-                let mut up = compose_travel_into(scratch, up_prefix, &t_up)?;
-                scratch.recycle(t_up);
-                if arc.err > 0.0 {
-                    up.add_scalar_in_place(arc.err);
-                }
-                stats.bytes_allocated += (8 * (up.n_pieces() + 1) + 16 * up.n_pieces()) as u64;
-                Some(PwlRef::from(up))
-            } else {
-                None
-            };
-
             let idx = labels.len();
-            let parent = u32::try_from(entry.label)
+            let parent = u32::try_from(entry.item)
                 .map_err(|_| AllFpError::Internal("overlay label arena outgrew u32 indices"))?;
             labels.push(Label {
                 parent: Some(parent),
@@ -624,7 +448,6 @@ pub(crate) fn run(
                 desc: to_desc,
                 travel_min,
                 travel: travel.into(),
-                upper,
             });
             if to_desc {
                 nodes[to].desc.push(idx as u32);
@@ -632,9 +455,9 @@ pub(crate) fn run(
                 nodes[to].asc.push(idx as u32);
             }
             heap.push(Entry {
-                f_min,
-                seq,
-                label: idx,
+                key: f_min,
+                tie: seq,
+                item: idx,
             });
             seq += 1;
             stats.pushed += 1;
@@ -645,10 +468,10 @@ pub(crate) fn run(
         // Salvage: complete target labels still queued become answer
         // candidates (envelope merges only, no composition work).
         for e in std::mem::take(heap).into_sorted_vec().into_iter().rev() {
-            if labels[e.label].node != target {
+            if labels[e.item].node != target {
                 continue;
             }
-            let chain = arc_chain(labels, e.label);
+            let chain = arc_chain(labels, e.item);
             let route = unpack_route(overlay, query.source, &chain);
             if !routes.contains(&route) {
                 routes.push(route);
@@ -670,9 +493,6 @@ pub(crate) fn run(
 fn drain(labels: &mut Vec<Label>, scratch: &mut PwlScratch, border: Option<Envelope<usize>>) {
     for l in labels.drain(..) {
         scratch.recycle_ref(l.travel);
-        if let Some(u) = l.upper {
-            scratch.recycle_ref(u);
-        }
     }
     if let Some(b) = border {
         b.recycle_into(scratch);
@@ -684,11 +504,33 @@ mod tests {
     use allfp::{EngineConfig, PathfindBackend};
     use pwl::time::hm;
     use pwl::Interval;
-    use roadnet::generators::random_geometric;
+    use roadnet::generators::{random_geometric, suffolk_like, MetroConfig};
+    use roadnet::workload::distance_buckets;
     use traffic::DayCategory;
 
     use super::*;
     use crate::{HierarchyConfig, HierarchyEngine};
+
+    /// singleFP identifies one route, the first target label popped,
+    /// and that route is the answer — over the morning-rush pairs of
+    /// `golden_allfp`'s metro-small workload.
+    #[test]
+    fn singlefp_identifies_the_one_route_it_answers_with() {
+        let net = suffolk_like(&MetroConfig::small(0x5EED)).unwrap();
+        let config = HierarchyConfig::default();
+        let engine = HierarchyEngine::build(&net, EngineConfig::default(), config).unwrap();
+        let rush = Interval::of(hm(7, 0), hm(10, 0));
+        let buckets = distance_buckets(&net, 4, 2, 0.25, 0x5EED).unwrap();
+        let mut session = engine.cache_session();
+        for pair in buckets.iter().flat_map(|(_, pairs)| pairs) {
+            let q = QuerySpec::new(pair.source, pair.target, rush, DayCategory::WORKDAY);
+            let run = engine.overlay_search(&q, true, &mut session, None);
+            let run = run.unwrap().expect("the overlay serves a rush query");
+            assert!(run.trip.is_none());
+            let answer = engine.single_fastest_path(&q).unwrap();
+            assert_eq!(run.routes, [answer.path.nodes], "{q:?}");
+        }
+    }
 
     /// 520 queries alternate between two engines of different node
     /// counts and both query kinds on one thread, so every query runs

@@ -77,11 +77,11 @@ fn same_as_flat<S: roadnet::NetworkSource>(
     }
 }
 
-/// The three storage/topology variants every bound test covers.
-fn variant(i: usize) -> HierarchyConfig {
+/// The two topology variants every bound test covers: witness-pruned
+/// (the default) and live.
+fn variant(live_topology: bool) -> HierarchyConfig {
     HierarchyConfig {
-        overlay_compress: [Some(0.1), None, None][i],
-        live_topology: i == 2,
+        live_topology,
         ..HierarchyConfig::default()
     }
 }
@@ -126,8 +126,7 @@ proptest! {
 
     /// Snapshot round-trip: serialize the contracted structure, decode
     /// it, rebuild the engine (with a *parallel* restore pool), and
-    /// get identical answers, counts — and an identical re-snapshot,
-    /// which pins every stored scalar/band table bit for bit.
+    /// get identical answers, counts — and an identical re-snapshot.
     #[test]
     fn snapshot_roundtrip_preserves_answers(seed in 0u64..200) {
         const N: usize = 16;
@@ -152,7 +151,6 @@ proptest! {
         prop_assert_eq!(ch.report().n_shortcuts, restored.report().n_shortcuts);
         prop_assert_eq!(ch.report().n_original_arcs, restored.report().n_original_arcs);
         prop_assert_eq!(ch.report().overlay_pieces, restored.report().overlay_pieces);
-        prop_assert_eq!(ch.report().exact_pieces, restored.report().exact_pieces);
         prop_assert_eq!(restored.snapshot(), snap);
 
         let interval = Interval::of(hm(7, 0), hm(9, 0));
@@ -164,10 +162,9 @@ proptest! {
     }
 }
 
-fn config_with(threads: usize, compress: Option<f64>) -> HierarchyConfig {
+fn config_with(threads: usize) -> HierarchyConfig {
     HierarchyConfig {
         threads,
-        overlay_compress: compress,
         ..HierarchyConfig::default()
     }
 }
@@ -180,21 +177,16 @@ proptest! {
 
     /// **Parallel-contraction determinism**: the overlay produced at
     /// every thread count is identical to the serial one — same node
-    /// order, same arcs, same via pairs, same stored function scalars
-    /// and band tables (the snapshot carries them as `f64` bit
-    /// patterns, so snapshot equality is bit-level equality).
+    /// order, same arcs, same via pairs, same disabled flags, same
+    /// stored piece count.
     #[test]
-    fn parallel_contraction_is_deterministic(
-        seed in 0u64..300,
-        compressed in 0u32..2,
-    ) {
+    fn parallel_contraction_is_deterministic(seed in 0u64..300) {
         const N: usize = 16;
         let net = random_geometric(N, 1.5, 3, seed).unwrap();
-        let compress = if compressed == 1 { Some(0.5) } else { None };
         let serial = HierarchyEngine::build(
             &net,
             EngineConfig::default(),
-            config_with(1, compress),
+            config_with(1),
         )
         .unwrap();
         let golden = serial.snapshot();
@@ -202,62 +194,12 @@ proptest! {
             let par = HierarchyEngine::build(
                 &net,
                 EngineConfig::default(),
-                config_with(threads, compress),
+                config_with(threads),
             )
             .unwrap();
             prop_assert!(par.snapshot() == golden, "overlay differs at thread count {}", threads);
             prop_assert_eq!(par.report().overlay_pieces, serial.report().overlay_pieces);
-            prop_assert_eq!(par.report().exact_pieces, serial.report().exact_pieces);
             prop_assert_eq!(par.report().rounds, serial.report().rounds);
-        }
-    }
-
-    /// **Approximation exactness**: a compressed overlay (even with an
-    /// aggressive error band) answers bit-identically to an exact
-    /// overlay — the search only selects corridors, answers re-compose
-    /// through the flat pipeline — while storing no more pieces.
-    #[test]
-    fn compressed_overlay_answers_match_exact(
-        seed in 0u64..300,
-        eps in 0.2f64..4.0,
-    ) {
-        const N: usize = 14;
-        let net = random_geometric(N, 1.5, 3, seed).unwrap();
-        let exact = HierarchyEngine::build(
-            &net,
-            EngineConfig::default(),
-            config_with(1, None),
-        )
-        .unwrap();
-        let compact = HierarchyEngine::build(
-            &net,
-            EngineConfig::default(),
-            config_with(1, Some(eps)),
-        )
-        .unwrap();
-        // The default band too: the pointwise border rule compares a
-        // label's lower bracket with the envelope of upper brackets,
-        // and a bracket on the wrong side would drop a winning route.
-        let default_band = HierarchyEngine::build(
-            &net,
-            EngineConfig::default(),
-            config_with(1, Some(0.1)),
-        )
-        .unwrap();
-        prop_assert!(
-            compact.report().overlay_pieces <= exact.report().overlay_pieces,
-            "compression grew the overlay: {} > {}",
-            compact.report().overlay_pieces,
-            exact.report().overlay_pieces
-        );
-        let interval = Interval::of(hm(6, 30), hm(8, 30));
-        for (s, t) in [(0u32, N as u32 - 1), (1, 8), (5, 2), (9, 4), (3, 12)] {
-            let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY);
-            let a = exact.all_fastest_paths(&q).unwrap();
-            same_allfp(&a, &compact.all_fastest_paths(&q).unwrap())?;
-            same_allfp(&a, &default_band.all_fastest_paths(&q).unwrap())?;
-            let sa = exact.single_fastest_path(&q).unwrap();
-            same_single(&sa, &compact.single_fastest_path(&q).unwrap())?;
         }
     }
 }
@@ -268,7 +210,7 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// **Search-space-restricted bounds**: on every storage/topology
+    /// **Search-space-restricted bounds**: on every topology
     /// variant and over rush, off-peak and midnight-touching
     /// intervals, `up(source)` under banded minima never exceeds the
     /// flat singleFP optimum, `U` never undercuts the optimal travel
@@ -276,7 +218,9 @@ proptest! {
     #[test]
     fn restricted_bounds_bracket_the_flat_optimum(
         seed in 0u64..500,
-        config in 0usize..3,
+        // One case in three is live: without witness pruning or
+        // domination its contraction is by far the slower build.
+        topology in 0usize..3,
         kind in 0usize..4,
         at in 0.0f64..1.0,
         len in 20.0f64..150.0,
@@ -291,7 +235,7 @@ proptest! {
             _ => Interval::of(0.0, len),
         };
         let flat = Engine::new(&net, EngineConfig::default());
-        let ch = HierarchyEngine::build(&net, EngineConfig::default(), variant(config)).unwrap();
+        let ch = HierarchyEngine::build(&net, EngineConfig::default(), variant(topology == 2)).unwrap();
         for (s, t) in [(0u32, N as u32 - 1), (1, 8), (5, 2), (9, 4), (3, 12), (13, 6)] {
             let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY);
             same_as_flat(&flat, &ch, &q)?;
@@ -314,8 +258,8 @@ fn search_space_edge_cases_match_flat() {
     let flat = Engine::new(&net, EngineConfig::default());
     let rush = Interval::of(hm(7, 0), hm(9, 0));
     let late = Interval::of(hm(22, 30), MINUTES_PER_DAY);
-    for config in 0..3 {
-        let ch = HierarchyEngine::build(&net, EngineConfig::default(), variant(config)).unwrap();
+    for live in [false, true] {
+        let ch = HierarchyEngine::build(&net, EngineConfig::default(), variant(live)).unwrap();
         for (s, t, interval) in [
             (4u32, 4u32, rush), // source == target: F and D meet at once
             (0, 12, rush),      // unreachable target: D is the island alone
@@ -336,13 +280,14 @@ fn search_space_edge_cases_match_flat() {
 #[test]
 fn rebuilt_adjacency_answers_like_flat() {
     let net = net_with_island();
-    let live = HierarchyEngine::build(&net, EngineConfig::default(), variant(2)).unwrap();
+    let live = HierarchyEngine::build(&net, EngineConfig::default(), variant(true)).unwrap();
     let (net2, report) = net
         .apply_delta(&net.seeded_delta(5, 4, 1).unwrap())
         .unwrap();
     let engine = || Engine::new(&net2, EngineConfig::default());
     let (refreshed, _) = live.refreshed(engine(), &report.changed).unwrap();
-    let restored = HierarchyEngine::from_snapshot(engine(), variant(2), &live.snapshot()).unwrap();
+    let restored =
+        HierarchyEngine::from_snapshot(engine(), variant(true), &live.snapshot()).unwrap();
     let flat = engine();
     for interval in [
         Interval::of(hm(7, 0), hm(9, 0)),

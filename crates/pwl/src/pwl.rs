@@ -338,17 +338,6 @@ impl Pwl {
         }
     }
 
-    /// Pointwise `self += c` in place — breakpoints untouched, buffers
-    /// reused. The overlay search raises a freshly composed upper
-    /// approximation by an arc's measured gap on the hot path, where a
-    /// reallocating [`add_scalar`](Self::add_scalar) would churn the
-    /// scratch pool.
-    pub fn add_scalar_in_place(&mut self, c: f64) {
-        for f in &mut self.fs {
-            *f = f.add_scalar(c);
-        }
-    }
-
     /// Pointwise `self + lin` (a full linear function, e.g. the
     /// identity to turn a travel-time function into an arrival
     /// function).

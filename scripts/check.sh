@@ -50,14 +50,14 @@ env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test update_storm
 # allocator inside fp-bench). The smoke
 # prints allFP and singleFP expanded_paths of its serial passes — the
 # flat engine under naiveLB and under minTimeLB, and the hierarchy —
-# and fails if an allFP count, or either minTimeLB count, exceeds the
-# one recorded in BENCH_engine.json's smoke_counters block (the
-# counters gate: search-space size is deterministic on every host).
+# and fails if an allFP count, either minTimeLB count or either
+# hierarchy count exceeds the one recorded in BENCH_engine.json's
+# smoke_counters block (the counters gate: search-space size is
+# deterministic on every host).
 # The smoke
 # also races the hierarchy against the flat engine, gating the >=10x
 # singleFP expansion speedup and its >=3x wall-clock twin (every
-# host), the <=0.5x overlay byte footprint against the old
-# materialized layout, and the
+# host), and the
 # >=1.5x 4-thread contraction speedup (multi-core hosts only).
 # Continental-scale gates ride the same smoke: the metro-huge smoke
 # tier (16 384 nodes) must bulk-build byte-identically at 1/2/4
