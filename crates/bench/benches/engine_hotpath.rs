@@ -1,10 +1,9 @@
-#![allow(missing_docs)] // criterion_group! expands to undocumented items
 //! Hot-path benchmarks for the allFP engine: the travel-function cache
 //! (on vs off) and the work-stealing batch driver swept over thread
 //! counts, on the Figure 9 workload (3-hour morning rush,
 //! distance-sampled source–target pairs on the metro scenario).
 //!
-//! Besides the Criterion timings, the run emits `BENCH_engine.json` at
+//! The run emits `BENCH_engine.json` at
 //! the repository root with wall-times, expansions/sec, and the
 //! 1/2/4/8-thread `run_batch` scaling curve (tagged with the host's
 //! core count so the curve is interpretable), so throughput claims are
@@ -34,14 +33,17 @@
 //! touching the JSON report. `scripts/check.sh` runs it on every
 //! check.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ccam::{BlockStore, CcamStore, ChecksummedStore, MemStore, PlacementPolicy, DEFAULT_PAGE_SIZE};
-use criterion::{black_box, criterion_group, Criterion};
 use fpbench::{Scale, Scenario};
 
-use allfp::{BatchStats, Engine, EngineConfig, EstimatorKind, PathfindBackend, QuerySpec};
+use allfp::{
+    run_batch, BatchStats, CancelToken, Engine, EngineConfig, EstimatorKind, PathfindBackend,
+    QueryOutcome, QuerySpec,
+};
 use fpbench::alloc::snapshot;
 use fpbench::clock::{clock_backend, median_mad, Clocked, WARM_PASSES};
 use hierarchy::{HierarchyConfig, HierarchyEngine};
@@ -76,38 +78,6 @@ fn uncached() -> EngineConfig {
 fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
-
-fn bench_hotpath(c: &mut Criterion) {
-    let scenario = Scenario::new(Scale::Small, 0x5EED);
-    let net = &scenario.net;
-    let queries = workload(net, 8);
-
-    let cached = Engine::new(net, EngineConfig::default());
-    let plain = Engine::new(net, uncached());
-
-    let mut group = c.benchmark_group("engine-hotpath allFP x8");
-    group.sample_size(10);
-    group.bench_function("serial cache-off", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(plain.all_fastest_paths(q).ok());
-            }
-        })
-    });
-    group.bench_function("serial cache-on", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(cached.all_fastest_paths(q).ok());
-            }
-        })
-    });
-    group.bench_function("run_batch cache-on", |b| {
-        b.iter(|| black_box(cached.run_batch(&queries)))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_hotpath);
 
 /// One measured configuration for the JSON report.
 struct Measured {
@@ -299,14 +269,15 @@ struct AllocProfile {
 /// search workspace are warm, so what is counted is what every further
 /// query of a long-lived worker costs — answers and arena growth.
 fn measure_allocs(engine: &Engine<'_, RoadNetwork>, queries: &[QuerySpec]) -> AllocProfile {
-    let _ = engine.run_batch_with_threads(queries, 1);
+    let cancel = CancelToken::new();
+    let _ = run_batch(engine, queries, 1, &cancel);
     let before = snapshot();
-    let (results, _) = engine.run_batch_with_threads(queries, 1);
+    let (results, _) = run_batch(engine, queries, 1, &cancel);
     let delta = snapshot().since(&before);
     let expanded: usize = results
         .iter()
         .flatten()
-        .map(|a| a.stats.expanded_paths)
+        .map(|o| o.stats().expanded_paths)
         .sum();
     AllocProfile {
         allocs_per_expansion: delta.allocs as f64 / expanded.max(1) as f64,
@@ -841,12 +812,13 @@ fn measure_batch(
     queries: &[QuerySpec],
     threads: usize,
 ) -> (f64, BatchStats) {
-    let _ = engine.run_batch_with_threads(queries, threads);
+    let cancel = CancelToken::new();
+    let _ = run_batch(engine, queries, threads, &cancel);
     let reps = 3;
     let start = Instant::now();
     let mut stats = BatchStats::default();
     for _ in 0..reps {
-        let (_, s) = engine.run_batch_with_threads(queries, threads);
+        let (_, s) = run_batch(engine, queries, threads, &cancel);
         stats = s;
     }
     (start.elapsed().as_secs_f64() / f64::from(reps), stats)
@@ -985,19 +957,20 @@ fn smoke() -> i32 {
         .fold(f64::INFINITY, f64::min);
 
     let mut failures = 0;
+    let cancel = CancelToken::new();
     for threads in THREAD_SWEEP {
-        let (batch, stats) = engine.run_batch_with_threads(&queries, threads);
+        let (batch, stats) = run_batch(&engine, &queries, threads, &cancel);
         let wall = (0..3)
             .map(|_| {
                 let start = Instant::now();
-                let _ = engine.run_batch_with_threads(&queries, threads);
+                let _ = run_batch(&engine, &queries, threads, &cancel);
                 start.elapsed().as_secs_f64()
             })
             .fold(f64::INFINITY, f64::min);
 
         for (i, (s, b)) in serial.iter().zip(batch.iter()).enumerate() {
             let same = match (s, b) {
-                (Ok(s), Ok(b)) => {
+                (Ok(s), Ok(QueryOutcome::Exact(b))) => {
                     s.partition.len() == b.partition.len()
                         && s.partition.iter().zip(b.partition.iter()).all(|(x, y)| {
                             x.0.approx_eq(&y.0) && s.paths[x.1].nodes == b.paths[y.1].nodes
@@ -1540,9 +1513,6 @@ fn main() {
         spin();
         return;
     }
-    // `--report`: refresh BENCH_engine.json without the Criterion runs.
-    if !std::env::args().any(|a| a == "--report") {
-        benches();
-    }
+    // Bare, or `--report`: rewrite BENCH_engine.json.
     emit_report();
 }

@@ -3,7 +3,7 @@
 //! limits, under the Table 1 setup, for rush-hour departures.
 
 use allfp::baseline::constant_speed_plan;
-use allfp::{Engine, EngineConfig, QuerySpec};
+use allfp::{Engine, EngineConfig, PathfindBackend, QuerySpec};
 use pwl::time::hm;
 use pwl::Interval;
 use roadnet::workload::commute_pairs;

@@ -3,8 +3,8 @@
 //! DESIGN.md.
 //!
 //! The library half holds the runners; the `experiments` binary is the
-//! CLI around them; the Criterion benches under `benches/` wrap the
-//! same runners for statistically careful micro-timings.
+//! CLI around them; `benches/engine_hotpath.rs` races and gates the
+//! engine's hot path (`BENCH_engine.json`, `--smoke`).
 //!
 //! | artifact | runner | binary subcommand |
 //! |---|---|---|

@@ -24,8 +24,8 @@ use allfp::service::{
     BreakerConfig, CircuitBreaker, LatencyHistogram, ManualClock, Route, ServiceClock,
 };
 use allfp::{
-    AllFpAnswer, CacheCounters, CacheSession, Engine, EngineError, EpochManager, PathfindBackend,
-    QueryOutcome, QuerySpec, SingleFpAnswer,
+    Answer, CacheCounters, CacheSession, CancelToken, Engine, EpochManager, PathfindBackend,
+    QueryMode, QuerySpec,
 };
 use roadnet::{
     Edge, NetworkError, NetworkSource, NodeId, PatternId, Point, RoadNetwork, StorageFaultKind,
@@ -386,57 +386,19 @@ impl PathfindBackend for NodeBackend {
         self.manager.cache().counters()
     }
 
-    fn all_fastest_paths(&self, query: &QuerySpec) -> allfp::Result<AllFpAnswer> {
-        let epoch = self
-            .manager
-            .pin(query.epoch)
-            .ok_or(allfp::AllFpError::EpochRetired {
-                epoch: query.epoch.map_or(0, |e| e.0),
-            })?;
-        let source = ClusterSource::new(self, epoch.network().as_ref());
-        let engine = Engine::with_shared(
-            &source,
-            Arc::clone(epoch.estimator()),
-            Arc::clone(self.manager.cache()),
-            self.manager.config().clone(),
-        );
-        let out = engine.all_fastest_paths(query);
-        self.accrued.set(self.accrued.get() + source.accrued());
-        out
-    }
-
-    fn single_fastest_path(&self, query: &QuerySpec) -> allfp::Result<SingleFpAnswer> {
-        let epoch = self
-            .manager
-            .pin(query.epoch)
-            .ok_or(allfp::AllFpError::EpochRetired {
-                epoch: query.epoch.map_or(0, |e| e.0),
-            })?;
-        let source = ClusterSource::new(self, epoch.network().as_ref());
-        let engine = Engine::with_shared(
-            &source,
-            Arc::clone(epoch.estimator()),
-            Arc::clone(self.manager.cache()),
-            self.manager.config().clone(),
-        );
-        let out = engine.single_fastest_path(query);
-        self.accrued.set(self.accrued.get() + source.accrued());
-        out
-    }
-
-    fn robust_with_session(
+    fn answer(
         &self,
         query: &QuerySpec,
+        mode: QueryMode,
         session: &mut CacheSession<'_>,
-        cancel: Option<&allfp::CancelToken>,
-    ) -> std::result::Result<QueryOutcome, EngineError> {
+        cancel: Option<&CancelToken>,
+    ) -> allfp::Result<Answer> {
         let epoch = self
             .manager
             .pin(query.epoch)
             .ok_or(allfp::AllFpError::EpochRetired {
                 epoch: query.epoch.map_or(0, |e| e.0),
-            })
-            .map_err(EngineError::from)?;
+            })?;
         let source = ClusterSource::new(self, epoch.network().as_ref());
         let engine = Engine::with_shared(
             &source,
@@ -444,7 +406,7 @@ impl PathfindBackend for NodeBackend {
             Arc::clone(self.manager.cache()),
             self.manager.config().clone(),
         );
-        let out = engine.robust_with_session(query, session, cancel);
+        let out = engine.answer(query, mode, session, cancel);
         self.accrued.set(self.accrued.get() + source.accrued());
         out
     }

@@ -29,7 +29,10 @@ use pwl::{Envelope, Interval};
 use roadnet::{NodeId, RoadNetwork};
 use traffic::DayCategory;
 
-use crate::engine::{Engine, EngineConfig};
+use crate::backend::PathfindBackend;
+use crate::cache::TravelFnCache;
+use crate::engine::{build_estimator, cache_for, Engine, EngineConfig};
+use crate::estimator::LowerBoundEstimator;
 use crate::query::{FastestPath, QuerySpec, QueryStats};
 use crate::Result;
 
@@ -84,12 +87,13 @@ pub struct ArrivalSingleFpAnswer {
     pub stats: QueryStats,
 }
 
-/// A prepared arrival-query planner: owns the mirrored network and
-/// its (possibly precomputed) estimator, so repeated queries rebuild
-/// neither.
+/// A prepared arrival-query planner: owns the mirrored network, its
+/// (possibly precomputed) estimator and one travel-function cache, so
+/// repeated queries rebuild none of them.
 pub struct ArrivalPlanner {
     mirrored: RoadNetwork,
-    estimator: Box<dyn crate::LowerBoundEstimator>,
+    estimator: Arc<dyn LowerBoundEstimator>,
+    cache: Arc<TravelFnCache>,
     config: EngineConfig,
 }
 
@@ -98,10 +102,11 @@ impl ArrivalPlanner {
     /// precomputed tables) once.
     pub fn new(net: &RoadNetwork, config: EngineConfig) -> Result<Self> {
         let mirrored = net.reversed_time_mirrored();
-        let estimator = crate::engine::build_estimator(&mirrored, &config)?;
+        let estimator = Arc::from(build_estimator(&mirrored, &config)?);
         Ok(ArrivalPlanner {
             mirrored,
             estimator,
+            cache: cache_for(&config),
             config,
         })
     }
@@ -112,9 +117,10 @@ impl ArrivalPlanner {
     }
 
     fn engine(&self) -> Engine<'_, RoadNetwork> {
-        Engine::with_estimator(
+        Engine::with_shared(
             &self.mirrored,
-            Box::new(self.estimator.as_ref()),
+            Arc::clone(&self.estimator),
+            Arc::clone(&self.cache),
             self.config.clone(),
         )
     }
@@ -303,6 +309,48 @@ mod tests {
                 (dep_bwd - dep_fwd).abs() < 1e-6,
                 "a={a}: backward departure {dep_bwd} vs forward inverse {dep_fwd}"
             );
+        }
+    }
+
+    #[test]
+    fn second_pass_is_served_from_the_planners_cache() {
+        let net = roadnet::generators::grid(5, 5, 0.3, traffic::RoadClass::LocalOutside).unwrap();
+        let planner = ArrivalPlanner::new(&net, EngineConfig::default()).unwrap();
+        let queries: Vec<ArrivalQuerySpec> = [(0, 24), (4, 20), (12, 3)]
+            .into_iter()
+            .map(|(s, t)| ArrivalQuerySpec {
+                source: NodeId(s),
+                target: NodeId(t),
+                arrival: Interval::of(hm(7, 30), hm(8, 15)),
+                category: DayCategory::WORKDAY,
+            })
+            .collect();
+        let pass = || -> Vec<(ArrivalAllFpAnswer, ArrivalSingleFpAnswer)> {
+            queries
+                .iter()
+                .map(|q| {
+                    (
+                        planner.all_fastest_paths(q).unwrap(),
+                        planner.single_fastest_path(q).unwrap(),
+                    )
+                })
+                .collect()
+        };
+        let (first, second) = (pass(), pass());
+        assert!(first[0].0.stats.cache_misses > 0, "a cold planner misses");
+        for ((all1, single1), (all2, single2)) in first.iter().zip(&second) {
+            assert_eq!(all2.stats.cache_misses, 0);
+            assert_eq!(single2.stats.cache_misses, 0);
+            // bit-equal answers: `Pwl` and `Interval` compare by `==` on
+            // their `f64`s, and no value here is a NaN or a signed zero
+            assert_eq!(all1.paths, all2.paths);
+            assert_eq!(all1.partition, all2.partition);
+            assert_eq!(single1.path, single2.path);
+            assert_eq!(
+                single1.travel_minutes.to_bits(),
+                single2.travel_minutes.to_bits()
+            );
+            assert_eq!(single1.best_arrival, single2.best_arrival);
         }
     }
 

@@ -181,22 +181,6 @@ impl BoundaryLb {
         })
     }
 
-    /// This estimator with its tables kept verbatim and only the
-    /// `v_max` divisor replaced.
-    ///
-    /// The tables depend only on edge lengths, so a speed-pattern delta
-    /// leaves them exact and only the network's (monotonically growing,
-    /// because the pattern table is append-only) maximum speed needs
-    /// refreshing. The epoch layer uses this to republish the estimator
-    /// without re-running any Dijkstras.
-    pub fn with_v_max(&self, v_max: f64) -> BoundaryLb {
-        assert!(v_max > 0.0, "maximum speed must be positive");
-        BoundaryLb {
-            v_max,
-            ..self.clone()
-        }
-    }
-
     /// Raw estimate in miles, before the `v_max` division; 0 when the
     /// bound does not apply (same cell, unknown node, unreachable
     /// boundary pair).

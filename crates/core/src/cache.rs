@@ -27,18 +27,19 @@
 //! # Concurrency
 //!
 //! The cache is shared across queries and across the threads of
-//! [`Engine::run_batch`](crate::Engine::run_batch). To keep it from
-//! becoming a serialization point it is organised in two levels:
+//! [`run_batch`](crate::run_batch). To keep it from becoming a
+//! serialization point it is organised in two levels:
 //!
 //! * **Sharded shared store.** The map is split into [`SHARD_COUNT`]
 //!   independent `RwLock<HashMap>` shards selected by a hash of the
 //!   key, so concurrent workers contend only when they touch the same
 //!   shard at the same time (and read locks never exclude each other).
-//! * **Per-worker L1 ([`CacheSession`]).** Each query (and each
-//!   `run_batch` worker, across all its queries) holds a private
-//!   lock-free map of recently used `Arc<Pwl>` full-period functions.
-//!   Steady-state lookups are served from the L1 without taking any
-//!   lock. This is *exact*, not approximate: the shared store's values
+//! * **Per-worker L1 ([`CacheSession`]).** Every lookup goes through
+//!   a session ([`CacheSession::travel_fn`] is the one entry point):
+//!   each query (and each `run_batch` worker, across all its queries)
+//!   holds a private lock-free map of recently used `Arc<Pwl>`
+//!   full-period functions. Steady-state lookups are served from the
+//!   L1 without taking any lock. This is *exact*, not approximate: the shared store's values
 //!   are immutable full-period functions keyed by everything that
 //!   determines them, so an L1 copy can never go stale.
 //!
@@ -388,41 +389,6 @@ impl TravelFnCache {
             }
         }
     }
-
-    /// The travel-time function for traversing `distance` miles under
-    /// `profile`, for leaving instants in `leaving`.
-    ///
-    /// Returns the function and whether the request was a cache hit.
-    /// With the cache disabled, computes directly and reports a miss.
-    ///
-    /// This is the sessionless entry point (tallies the shared
-    /// counters on every call); the engine's hot path goes through
-    /// [`TravelFnCache::session`] instead.
-    pub fn travel_fn(
-        &self,
-        pattern: PatternId,
-        category: DayCategory,
-        profile: &SpeedProfile,
-        distance: f64,
-        leaving: &Interval,
-    ) -> Result<(Pwl, bool)> {
-        if !self.enabled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok((travel_time_fn(profile, distance, leaving)?, false));
-        }
-        let key = Key {
-            pattern,
-            category,
-            distance_bits: distance.to_bits(),
-        };
-        let (full, hit) = self.full_fn(key, profile, distance)?;
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        serve(&full, profile, distance, leaving, hit)
-    }
 }
 
 impl Default for TravelFnCache {
@@ -454,8 +420,13 @@ pub struct CacheSession<'c> {
 }
 
 impl CacheSession<'_> {
-    /// Session equivalent of [`TravelFnCache::travel_fn`]; identical
-    /// results, lock-free on L1 hits.
+    /// The travel-time function for traversing `distance` miles under
+    /// `profile`, for leaving instants in `leaving`, and whether the
+    /// request was a cache hit. Lock-free on L1 hits; with the cache
+    /// disabled, computes directly and reports a miss. Intervals the
+    /// periodic view cannot serve (degenerate, wider than a day,
+    /// numerically hairline at the seam) fall back to the direct
+    /// construction — rare and still exact.
     pub fn travel_fn(
         &mut self,
         pattern: PatternId,
@@ -567,23 +538,6 @@ fn write_lock<'l, K, V, H>(
     l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Serve `leaving` from the full-period function, falling back to the
-/// direct construction for intervals the periodic view cannot serve
-/// (degenerate, wider than a day, numerically hairline at the seam) —
-/// rare and still exact.
-fn serve(
-    full: &Pwl,
-    profile: &SpeedProfile,
-    distance: f64,
-    leaving: &Interval,
-    hit: bool,
-) -> Result<(Pwl, bool)> {
-    match restrict_periodic(full, leaving) {
-        Some(f) => Ok((f, hit)),
-        None => Ok((travel_time_fn(profile, distance, leaving)?, hit)),
-    }
-}
-
 /// Build the edge's travel-time function over one full day.
 ///
 /// The domain is exactly `[0, 1440]`; `travel_time_fn` internally
@@ -677,6 +631,7 @@ mod tests {
         let profile = rush_profile();
         let iv = Interval::of(hm(6, 30), hm(8, 45));
         let (cached, hit0) = cache
+            .session()
             .travel_fn(PatternId(1), DayCategory::WORKDAY, &profile, 3.0, &iv)
             .unwrap();
         assert!(!hit0, "first request must miss");
@@ -692,6 +647,7 @@ mod tests {
             );
         }
         let (_, hit1) = cache
+            .session()
             .travel_fn(PatternId(1), DayCategory::WORKDAY, &profile, 3.0, &iv)
             .unwrap();
         assert!(hit1, "second request must hit");
@@ -713,6 +669,7 @@ mod tests {
         // interval straddling midnight, one day out
         let iv = Interval::of(hm(23, 10) + MINUTES_PER_DAY, hm(25, 40) + MINUTES_PER_DAY);
         let (cached, _) = cache
+            .session()
             .travel_fn(PatternId(2), DayCategory::WORKDAY, &profile, 5.0, &iv)
             .unwrap();
         let want = direct(&profile, 5.0, &iv);
@@ -734,15 +691,19 @@ mod tests {
         let iv = Interval::of(hm(7, 0), hm(8, 0));
         let p = PatternId(3);
         cache
+            .session()
             .travel_fn(p, DayCategory::WORKDAY, &profile, 1.0, &iv)
             .unwrap();
         cache
+            .session()
             .travel_fn(p, DayCategory::WORKDAY, &profile, 2.0, &iv)
             .unwrap();
         cache
+            .session()
             .travel_fn(p, DayCategory::NON_WORKDAY, &profile, 1.0, &iv)
             .unwrap();
         cache
+            .session()
             .travel_fn(PatternId(4), DayCategory::WORKDAY, &profile, 1.0, &iv)
             .unwrap();
         assert_eq!(
@@ -756,6 +717,7 @@ mod tests {
         );
         assert_eq!(cache.len(), 4);
         cache
+            .session()
             .travel_fn(p, DayCategory::WORKDAY, &profile, 1.0, &iv)
             .unwrap();
         assert_eq!(
@@ -777,6 +739,7 @@ mod tests {
         let iv = Interval::of(hm(6, 0), hm(10, 0));
         for _ in 0..3 {
             let (f, hit) = cache
+                .session()
                 .travel_fn(PatternId(9), DayCategory::WORKDAY, &profile, 2.0, &iv)
                 .unwrap();
             assert!(!hit);
@@ -806,6 +769,7 @@ mod tests {
         // but the cache still serves them via direct construction
         let cache = TravelFnCache::new();
         let (f, _) = cache
+            .session()
             .travel_fn(
                 PatternId(5),
                 DayCategory::WORKDAY,
@@ -834,6 +798,7 @@ mod tests {
                     for k in 0..8 {
                         let iv = Interval::of(hm(6, k), hm(9, k));
                         cache
+                            .session()
                             .travel_fn(PatternId(7), DayCategory::WORKDAY, &profile, 2.5, &iv)
                             .unwrap();
                     }
@@ -906,7 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_sessionless_and_direct() {
+    fn session_matches_direct() {
         let cache = TravelFnCache::new();
         let profile = rush_profile();
         let mut session = cache.session();
@@ -915,14 +880,10 @@ mod tests {
             let (s, _) = session
                 .travel_fn(PatternId(2), DayCategory::WORKDAY, &profile, d, &iv)
                 .unwrap();
-            let (c, _) = cache
-                .travel_fn(PatternId(2), DayCategory::WORKDAY, &profile, d, &iv)
-                .unwrap();
             let want = direct(&profile, d, &iv);
             for k in 0..=32 {
                 let l = iv.lo() + iv.len() * f64::from(k) / 32.0;
                 assert!(approx_eq(s.eval(l), want.eval(l)), "session at {l}");
-                assert!(approx_eq(c.eval(l), want.eval(l)), "sessionless at {l}");
             }
         }
     }
@@ -959,6 +920,7 @@ mod tests {
         let iv = Interval::of(hm(7, 0), hm(8, 0));
         for p in 0..4u16 {
             cache
+                .session()
                 .travel_fn(PatternId(p), DayCategory::WORKDAY, &profile, 1.0, &iv)
                 .unwrap();
         }
@@ -971,10 +933,12 @@ mod tests {
         assert_eq!(c.expected_resident(), cache.len() as u64);
         // surviving ids still hit; retired ids rebuild (fresh insert)
         let (_, hit) = cache
+            .session()
             .travel_fn(PatternId(0), DayCategory::WORKDAY, &profile, 1.0, &iv)
             .unwrap();
         assert!(hit);
         let (_, hit) = cache
+            .session()
             .travel_fn(PatternId(3), DayCategory::WORKDAY, &profile, 1.0, &iv)
             .unwrap();
         assert!(!hit);

@@ -1,8 +1,10 @@
-//! The `IntAllFastestPaths` engine (§4).
+//! The `IntAllFastestPaths` engine (§4): one search routine serves
+//! every [`QueryMode`] behind [`PathfindBackend::answer`]; the query
+//! surfaces are that trait's provided methods and batches go through
+//! [`crate::run_batch`].
 
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::BinaryHeap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use pwl::{
@@ -10,14 +12,15 @@ use pwl::{
 };
 use roadnet::{NetworkSource, NodeId, Point};
 
+use crate::backend::{Answer, PathfindBackend, QueryMode};
 use crate::baseline::{astar_at, constant_speed_plan};
 use crate::cache::{CacheCounters, CacheSession, TravelFnCache};
 use crate::estimator::{EstimatorKind, LowerBoundEstimator, MaxEstimator, MinTimeLb, NaiveLb};
 use crate::query::{
-    AllFpAnswer, BatchStats, CancelToken, DegradedAnswer, DegradedReason, FastestPath,
-    QueryOutcome, QuerySpec, QueryStats, SingleFpAnswer,
+    AllFpAnswer, CancelToken, DegradedAnswer, DegradedReason, FastestPath, QuerySpec, QueryStats,
+    SingleFpAnswer,
 };
-use crate::{AllFpError, BoundaryLb, EngineError, MinEntry, Result};
+use crate::{AllFpError, BoundaryLb, MinEntry, Result};
 
 /// How often (in heap pops) the search polls the wall-clock deadline
 /// and the cancellation token. The check runs on pop 0, so a
@@ -265,35 +268,6 @@ fn assemble_answer(
 /// the path's arena index.
 type QueueEntry = MinEntry<u64, usize>;
 
-/// How one search run ended (internal; the public APIs map this onto
-/// either `Result<AllFpAnswer>` or [`QueryOutcome`]).
-enum SearchYield {
-    /// allFP terminated by the paper's rule — the answer is exact.
-    Done(AllFpAnswer),
-    /// singleFP popped its first target path (§4.5).
-    Single(SingleFpAnswer),
-    /// A budget tripped first. `best` is the exact partitioning over
-    /// the target paths identified so far (`None` when none had
-    /// reached the target).
-    Exhausted {
-        reason: DegradedReason,
-        best: Option<AllFpAnswer>,
-        stats: QueryStats,
-    },
-}
-
-impl SearchYield {
-    /// The legacy surfaces' error for a yield that is not their answer.
-    fn legacy_error(self) -> AllFpError {
-        match self {
-            SearchYield::Exhausted { stats, .. } => AllFpError::BudgetExhausted {
-                expansions: stats.expanded_paths,
-            },
-            _ => AllFpError::Internal("search yielded the other mode's answer"),
-        }
-    }
-}
-
 /// The per-search budget watcher: deadline, expansion cap, and
 /// cancellation, resolved once at search start. Public so a backend
 /// that runs its own search (the contraction hierarchy's) polls with
@@ -359,27 +333,6 @@ impl<'t> Watch<'t> {
             return Ok(None);
         }
         self.poll_now()
-    }
-}
-
-/// Lock a mutex, recovering the guard if a previous holder panicked.
-/// Every structure behind these locks (work queues) is valid after any
-/// interrupted operation — a lost entry at worst — so poison recovery
-/// keeps one panicked query from wedging its whole batch.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Render a caught panic payload for error reporting.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    // Take `String` payloads by value instead of cloning them out of
-    // the box.
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(payload) => payload.downcast_ref::<&str>().map_or_else(
-            || "non-string panic payload".to_string(),
-            |s| (*s).to_string(),
-        ),
     }
 }
 
@@ -460,94 +413,9 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
 
     /// Lifetime hit/miss counters of the engine's travel-function
     /// cache, accumulated across every query (and every thread of
-    /// [`Engine::run_batch`]) this engine has answered.
+    /// [`crate::run_batch`]) this engine has answered.
     pub fn cache_counters(&self) -> CacheCounters {
         self.cache.counters()
-    }
-
-    /// Answer a batch of allFP queries, using every available core.
-    ///
-    /// Results come back in input order, one `Result` per query so a
-    /// failing query doesn't poison its batch-mates. See
-    /// [`Engine::run_batch_stats`] for the scheduling details and the
-    /// per-batch statistics roll-up.
-    pub fn run_batch(&self, queries: &[QuerySpec]) -> Vec<Result<AllFpAnswer>>
-    where
-        S: Sync,
-    {
-        self.run_batch_stats(queries).0
-    }
-
-    /// [`Engine::run_batch`] plus the [`BatchStats`] roll-up, with the
-    /// worker count taken from `std::thread::available_parallelism`.
-    pub fn run_batch_stats(&self, queries: &[QuerySpec]) -> (Vec<Result<AllFpAnswer>>, BatchStats)
-    where
-        S: Sync,
-    {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.run_batch_with_threads(queries, workers)
-    }
-
-    /// Answer a batch of allFP queries on exactly `workers` threads
-    /// (clamped to `1..=queries.len()`), returning results in input
-    /// order plus a [`BatchStats`] roll-up.
-    ///
-    /// # Scheduling
-    ///
-    /// The batch is split into contiguous per-worker chunks, one
-    /// double-ended queue per worker. A worker pops its own queue from
-    /// the front; when it runs dry it **steals the back half** of the
-    /// first non-empty victim queue, so skewed per-query costs (an
-    /// 8-mile allFP next to a 1-mile one) cannot leave workers idle the
-    /// way the old static striping did. Work is fixed up front — nobody
-    /// pushes after the scope starts — so "every queue empty" is a
-    /// stable termination condition.
-    ///
-    /// The workers share the engine immutably. The travel-function
-    /// cache is the only shared mutable state: each worker runs its
-    /// queries through a private [`CacheSession`] L1 (kept across all
-    /// the queries it processes) over the sharded shared store, so a
-    /// miss filled by one worker is a hit for every other while
-    /// steady-state lookups take no lock at all.
-    pub fn run_batch_with_threads(
-        &self,
-        queries: &[QuerySpec],
-        workers: usize,
-    ) -> (Vec<Result<AllFpAnswer>>, BatchStats)
-    where
-        S: Sync,
-    {
-        let (slots, stats) = drive_batch(
-            || self.cache.session(),
-            queries,
-            workers,
-            |q, session| self.all_with_session(q, session),
-            |r| r.as_ref().ok().map(|a| a.stats),
-        );
-        // A `None` slot means its worker thread died before reporting
-        // (a panic that escaped a query). Error those slots instead of
-        // panicking the caller.
-        let results = slots
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Err(AllFpError::Panicked(
-                        "batch worker died before reporting this query".to_string(),
-                    ))
-                })
-            })
-            .collect();
-        (results, stats)
-    }
-
-    /// Answer one budget-aware query: exact if the search terminates
-    /// within [`QuerySpec::budget`], otherwise a [`QueryOutcome::
-    /// Degraded`] answer carrying the exact best-so-far partitioning
-    /// plus the constant-speed fallback route — a usable plan under a
-    /// deadline instead of an error.
-    pub fn run_robust(&self, query: &QuerySpec) -> std::result::Result<QueryOutcome, EngineError> {
-        let mut session = self.cache.session();
-        self.robust_with_session(query, &mut session, None)
     }
 
     /// Open a fresh cache session for a caller that runs many queries
@@ -573,54 +441,6 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         self.source
     }
 
-    /// Batch counterpart of [`Engine::run_robust`], on exactly
-    /// `workers` threads with the same work-stealing scheduler as
-    /// [`Engine::run_batch_with_threads`], plus two fault guarantees:
-    ///
-    /// * **Cancellation** — `cancel` is polled cooperatively by every
-    ///   in-flight search; cancelled queries report
-    ///   [`EngineError::Cancelled`] in their own slots.
-    /// * **Panic isolation** — each query runs under `catch_unwind`,
-    ///   so a poisoned query becomes [`EngineError::Panicked`] in its
-    ///   own slot while its batch-mates complete normally.
-    pub fn run_batch_robust(
-        &self,
-        queries: &[QuerySpec],
-        workers: usize,
-        cancel: &CancelToken,
-    ) -> (
-        Vec<std::result::Result<QueryOutcome, EngineError>>,
-        BatchStats,
-    )
-    where
-        S: Sync,
-    {
-        crate::backend::run_batch_robust(self, queries, workers, cancel)
-    }
-
-    /// One budget-aware query on an existing session: the entry point
-    /// for callers that keep one warm session across many queries (the
-    /// [`crate::service`] worker loop, batch workers, hierarchy
-    /// backends falling back to the flat search).
-    pub fn robust_with_session(
-        &self,
-        query: &QuerySpec,
-        session: &mut CacheSession<'_>,
-        cancel: Option<&CancelToken>,
-    ) -> std::result::Result<QueryOutcome, EngineError> {
-        match self.search(query, false, session, cancel)? {
-            SearchYield::Done(all) => Ok(QueryOutcome::Exact(all)),
-            SearchYield::Exhausted {
-                reason,
-                best,
-                stats,
-            } => Ok(QueryOutcome::Degraded(
-                self.degraded_answer(query, reason, best, stats, session)?,
-            )),
-            single @ SearchYield::Single(_) => Err(single.legacy_error().into()),
-        }
-    }
-
     /// Assemble the degraded answer for a tripped budget: keep the
     /// exact best-so-far, and plan the constant-speed fallback route
     /// (cheap: one time-independent A*), attaching its *exact*
@@ -634,19 +454,15 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         best: Option<AllFpAnswer>,
         stats: QueryStats,
         session: &mut CacheSession<'_>,
-    ) -> std::result::Result<DegradedAnswer, EngineError> {
+    ) -> Result<DegradedAnswer> {
         let (nodes, _) = constant_speed_plan(
             self.source,
             query.source,
             query.target,
             query.interval.lo(),
             query.category,
-        )
-        .map_err(EngineError::from)?;
-        let travel = Arc::new(
-            self.route_travel_fn(&nodes, query, session)
-                .map_err(EngineError::from)?,
-        );
+        )?;
+        let travel = Arc::new(self.route_travel_fn(&nodes, query, session)?);
         let fallback_travel_minutes = travel.minimum().value;
         Ok(DegradedAnswer {
             reason,
@@ -757,81 +573,29 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
     }
 
     /// Answer the **allFP query**: the full partitioning of the query
-    /// interval into sub-intervals with their fastest paths.
+    /// interval into sub-intervals with their fastest paths. The
+    /// inherent spelling of [`PathfindBackend::all_fastest_paths`], for
+    /// callers without the trait in scope.
     pub fn all_fastest_paths(&self, query: &QuerySpec) -> Result<AllFpAnswer> {
-        self.all_with_session(query, &mut self.cache.session())
+        PathfindBackend::all_fastest_paths(self, query)
     }
 
-    /// Answer the **singleFP query**: the best leaving instant(s) in
-    /// the interval and the corresponding fastest path. Terminates as
-    /// soon as the first path reaching the target is popped (§4.5) —
-    /// no lower-border computation beyond that point.
-    pub fn single_fastest_path(&self, query: &QuerySpec) -> Result<SingleFpAnswer> {
-        match self.search(query, true, &mut self.cache.session(), None)? {
-            SearchYield::Single(single) => Ok(single),
-            other => Err(other.legacy_error()),
-        }
-    }
-
-    /// Legacy allFP surface: a tripped budget (the engine's valve or
-    /// the query's) is an [`AllFpError::BudgetExhausted`] error.
-    fn all_with_session(
-        &self,
-        query: &QuerySpec,
-        session: &mut CacheSession<'_>,
-    ) -> Result<AllFpAnswer> {
-        match self.search(query, false, session, None)? {
-            SearchYield::Done(all) => Ok(all),
-            other => Err(other.legacy_error()),
-        }
-    }
-
-    /// Shared search. When `single_only`, stops at the first popped
-    /// target path and yields [`SearchYield::Single`]. Otherwise runs
-    /// to the paper's termination rule and assembles the partitioning
-    /// — or, if a budget trips first, yields [`SearchYield::Exhausted`]
-    /// with the exact best-so-far.
-    ///
-    /// The caller supplies the [`CacheSession`] so batch workers keep
-    /// one warm L1, scratch pool and [`SearchWorkspace`] across every
-    /// query they process; the serial entry points revive a parked
-    /// session per query. `cancel` is polled between pops (see
-    /// [`WATCH_EVERY`]).
-    fn search(
-        &self,
-        query: &QuerySpec,
-        single_only: bool,
-        session: &mut CacheSession<'_>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<SearchYield> {
-        let target_loc = self.source.find_node(query.target)?;
-
-        // Degenerate interval → the classic special case (delegated to
-        // fixed-instant A*, which is the cheap path: budgets are not
-        // consulted there, only cancellation before it starts).
-        if query.interval.is_degenerate() {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(AllFpError::Cancelled);
-            }
-            return self.degenerate_instant(query, single_only);
-        }
-
-        let watch = Watch::new(query, self.config.max_expansions, cancel);
-        session.with_workspace(self.source.n_nodes(), |ws, session| {
-            self.search_in(ws, query, target_loc, single_only, session, watch)
-        })
-    }
-
-    /// The search proper, over a checked-out (clean) workspace.
+    /// The search proper, over a checked-out (clean) workspace: one
+    /// routine for every [`QueryMode`]. singleFP stops at the first
+    /// popped target path (§4.5); allFP runs to the paper's termination
+    /// rule and assembles the partitioning; a budget that trips first
+    /// is an error or — under [`QueryMode::AllFpOrDegraded`] — the
+    /// exact best-so-far with the constant-speed plan.
     fn search_in(
         &self,
         ws: &mut SearchWorkspace,
         query: &QuerySpec,
         target_loc: Point,
-        single_only: bool,
+        mode: QueryMode,
         session: &mut CacheSession<'_>,
         mut watch: Watch<'_>,
-    ) -> Result<SearchYield> {
+    ) -> Result<Answer> {
+        let single_only = mode == QueryMode::SingleFp;
         let mut stats = QueryStats::default();
         let mut seq = 0u64;
         // First touch of a node (the seed, or a candidate edge's head):
@@ -1116,6 +880,11 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         stats.expanded_nodes = ws.nodes.iter().filter(|n| n.expanded).count();
 
         if let Some(reason) = trip {
+            if mode != QueryMode::AllFpOrDegraded {
+                return Err(AllFpError::BudgetExhausted {
+                    expansions: stats.expanded_paths,
+                });
+            }
             // Salvage before reporting: complete target paths still
             // *queued* (A* pops them only after every optimistic
             // incomplete path is exhausted, i.e. at the very end) merge
@@ -1143,16 +912,14 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                 }
                 None => None,
             };
-            return Ok(SearchYield::Exhausted {
-                reason,
-                best,
-                stats,
-            });
+            return Ok(Answer::Degraded(
+                self.degraded_answer(query, reason, best, stats, session)?,
+            ));
         }
 
         if let Some(path) = single {
             let m = ws.paths[path].travel.minimum();
-            return Ok(SearchYield::Single(SingleFpAnswer {
+            return Ok(Answer::SingleFp(SingleFpAnswer {
                 path: FastestPath {
                     nodes: materialize(&ws.paths, path),
                     travel: ws.paths[path].travel.share(),
@@ -1170,12 +937,12 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         })?;
         let all = assemble_answer(&mut ws.paths, &border, stats, session.scratch_mut())?;
         border.recycle_into(session.scratch_mut());
-        Ok(SearchYield::Done(all))
+        Ok(Answer::AllFp(all))
     }
 
     /// A degenerate (single-instant) interval: the classic special
     /// case, delegated to fixed-instant A\*.
-    fn degenerate_instant(&self, query: &QuerySpec, single_only: bool) -> Result<SearchYield> {
+    fn degenerate_instant(&self, query: &QuerySpec, single_only: bool) -> Result<Answer> {
         let l = query.interval.lo();
         let ans = astar_at(
             self.source,
@@ -1197,19 +964,62 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
             travel: Arc::clone(&travel),
         };
         Ok(if single_only {
-            SearchYield::Single(SingleFpAnswer {
+            Answer::SingleFp(SingleFpAnswer {
                 path,
                 travel_minutes: ans.travel_minutes,
                 best_leaving: Interval::of(l, l),
                 stats,
             })
         } else {
-            SearchYield::Done(AllFpAnswer {
+            Answer::AllFp(AllFpAnswer {
                 paths: vec![path],
                 partition: vec![(query.interval, 0)],
                 lower_border: Envelope::new(travel, 0),
                 stats,
             })
+        })
+    }
+}
+
+impl<'a, S: NetworkSource> PathfindBackend for Engine<'a, S> {
+    fn backend_name(&self) -> &'static str {
+        "flat"
+    }
+
+    fn cache_session(&self) -> CacheSession<'_> {
+        Engine::cache_session(self)
+    }
+
+    fn cache_counters(&self) -> CacheCounters {
+        Engine::cache_counters(self)
+    }
+
+    // The caller supplies the session so batch and service workers keep
+    // one warm L1, scratch pool and `SearchWorkspace` across every query
+    // they process; the one-shot surfaces revive a parked session per
+    // query. `cancel` is polled between pops (see `WATCH_EVERY`).
+    fn answer(
+        &self,
+        query: &QuerySpec,
+        mode: QueryMode,
+        session: &mut CacheSession<'_>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Answer> {
+        let target_loc = self.source.find_node(query.target)?;
+
+        // Degenerate interval → the classic special case (delegated to
+        // fixed-instant A*, which is the cheap path: budgets are not
+        // consulted there, only cancellation before it starts).
+        if query.interval.is_degenerate() {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return Err(AllFpError::Cancelled);
+            }
+            return self.degenerate_instant(query, mode == QueryMode::SingleFp);
+        }
+
+        let watch = Watch::new(query, self.config.max_expansions, cancel);
+        session.with_workspace(self.source.n_nodes(), |ws, session| {
+            self.search_in(ws, query, target_loc, mode, session, watch)
         })
     }
 }
@@ -1269,150 +1079,8 @@ impl<'a> Engine<'a, roadnet::RoadNetwork> {
     }
 }
 
-/// The shared work-stealing batch driver: runs `run` once per query
-/// (workers share the backend immutably, each holding one warm
-/// [`CacheSession`] from `open_session` across all its queries) and
-/// returns the per-query results in input order. A slot is `None` only
-/// if its worker thread died before reporting — callers map that onto
-/// their error type. Free-standing so every [`crate::backend::
-/// PathfindBackend`] batch entry point shares one scheduler.
-pub(crate) fn drive_batch<'c, R: Send>(
-    open_session: impl Fn() -> CacheSession<'c> + Sync,
-    queries: &[QuerySpec],
-    workers: usize,
-    run: impl Fn(&QuerySpec, &mut CacheSession<'c>) -> R + Sync,
-    stats_of: impl Fn(&R) -> Option<QueryStats> + Sync,
-) -> (Vec<Option<R>>, BatchStats) {
-    let workers = workers.max(1).min(queries.len());
-    if queries.is_empty() {
-        return (Vec::new(), BatchStats::default());
-    }
-    if workers <= 1 {
-        let mut session = open_session();
-        let mut stats = BatchStats::new(1);
-        let results: Vec<Option<R>> = queries
-            .iter()
-            .map(|q| {
-                let r = run(q, &mut session);
-                stats.record(0, stats_of(&r).as_ref());
-                Some(r)
-            })
-            .collect();
-        return (results, stats);
-    }
-
-    // One deque of query indices per worker, seeded with contiguous
-    // chunks (preserves whatever locality the caller's ordering
-    // has). `Mutex<VecDeque>` per worker: the owner and an
-    // occasional thief are the only contenders.
-    let chunk = queries.len().div_ceil(workers);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            let lo = w * chunk;
-            let hi = ((w + 1) * chunk).min(queries.len());
-            Mutex::new((lo..hi.max(lo)).collect())
-        })
-        .collect();
-    let steals = AtomicU64::new(0);
-
-    type Yield<R> = (Vec<(usize, R)>, usize, QueryStats);
-    let per_worker: Vec<std::thread::Result<Yield<R>>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let queues = &queues;
-            let steals = &steals;
-            let run = &run;
-            let stats_of = &stats_of;
-            let open_session = &open_session;
-            handles.push(scope.spawn(move || {
-                let mut session = open_session();
-                let mut out: Vec<(usize, R)> = Vec::new();
-                let mut processed = 0usize;
-                let mut cache_stats = QueryStats::default();
-                loop {
-                    let next = lock(&queues[w]).pop_front();
-                    let i = match next {
-                        Some(i) => i,
-                        None => match steal_into(queues, w, steals) {
-                            Some(i) => i,
-                            None => break,
-                        },
-                    };
-                    let r = run(&queries[i], &mut session);
-                    if let Some(qs) = stats_of(&r) {
-                        cache_stats.cache_lookups += qs.cache_lookups;
-                        cache_stats.cache_hits += qs.cache_hits;
-                        cache_stats.cache_misses += qs.cache_misses;
-                    }
-                    processed += 1;
-                    out.push((i, r));
-                }
-                (out, processed, cache_stats)
-            }));
-        }
-        // Collect join *results*: a worker that died (panic that
-        // escaped `run`) loses its slots but cannot kill the batch.
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-
-    let mut stats = BatchStats::new(workers);
-    stats.steals = steals.load(AtomicOrdering::Relaxed);
-    let mut results: Vec<Option<R>> = (0..queries.len()).map(|_| None).collect();
-    for (w, yielded) in per_worker.into_iter().enumerate() {
-        let Ok((rs, processed, cache_stats)) = yielded else {
-            continue; // dead worker: its unreported slots stay None
-        };
-        stats.queries_per_worker[w] = processed;
-        stats.cache_lookups += cache_stats.cache_lookups;
-        stats.cache_hits += cache_stats.cache_hits;
-        stats.cache_misses += cache_stats.cache_misses;
-        for (i, r) in rs {
-            results[i] = Some(r);
-        }
-    }
-    (results, stats)
-}
-
-/// Steal the back half of the first non-empty victim queue into worker
-/// `w`'s own queue, returning one stolen index to run immediately.
-/// Returns `None` when every queue is empty (batch drained).
-///
-/// Locks are taken one at a time (victim released before the thief's
-/// own queue is touched), so there is no lock-ordering hazard. Stealing
-/// from the *back* keeps the victim's front — the indices it is about
-/// to pop — intact, minimizing contention on the hot end.
-fn steal_into(queues: &[Mutex<VecDeque<usize>>], w: usize, steals: &AtomicU64) -> Option<usize> {
-    let n = queues.len();
-    for off in 1..n {
-        let v = (w + off) % n;
-        let mut victim = lock(&queues[v]);
-        let len = victim.len();
-        if len == 0 {
-            continue;
-        }
-        let take = len.div_ceil(2);
-        let mut grabbed: Vec<usize> = Vec::with_capacity(take);
-        while grabbed.len() < take {
-            match victim.pop_back() {
-                Some(i) => grabbed.push(i),
-                None => break,
-            }
-        }
-        drop(victim);
-        steals.fetch_add(1, AtomicOrdering::Relaxed);
-        // Popped back-to-front, so reverse to run in input order.
-        grabbed.reverse();
-        let mut it = grabbed.into_iter();
-        let first = it.next();
-        let mut own = lock(&queues[w]);
-        own.extend(it);
-        return first;
-    }
-    None
-}
-
 /// The travel-function cache matching a config's `use_travel_cache`.
-fn cache_for(config: &EngineConfig) -> std::sync::Arc<TravelFnCache> {
+pub(crate) fn cache_for(config: &EngineConfig) -> std::sync::Arc<TravelFnCache> {
     std::sync::Arc::new(if config.use_travel_cache {
         TravelFnCache::new()
     } else {
@@ -1709,179 +1377,6 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_serial() {
-        let (net, ids) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
-        let mut queries = Vec::new();
-        for k in 0..9u32 {
-            queries.push(QuerySpec::new(
-                ids.s,
-                ids.e,
-                Interval::of(hm(6, 40 + k), hm(7, 1 + k)),
-                DayCategory::WORKDAY,
-            ));
-        }
-        // one unreachable query mixed in: it must fail alone
-        queries.push(QuerySpec::new(
-            ids.e,
-            ids.s,
-            Interval::of(hm(6, 50), hm(7, 5)),
-            DayCategory::WORKDAY,
-        ));
-        let batch = engine.run_batch(&queries);
-        assert_eq!(batch.len(), queries.len());
-        for (q, got) in queries.iter().zip(batch.iter()) {
-            match engine.all_fastest_paths(q) {
-                Ok(want) => {
-                    let got = got.as_ref().expect("batch result matches serial");
-                    assert_eq!(got.partition.len(), want.partition.len());
-                    for (x, y) in got.partition.iter().zip(want.partition.iter()) {
-                        assert!(x.0.approx_eq(&y.0));
-                        assert_eq!(got.paths[x.1].nodes, want.paths[y.1].nodes);
-                    }
-                }
-                Err(_) => assert!(got.is_err()),
-            }
-        }
-    }
-
-    #[test]
-    fn run_batch_with_threads_covers_every_query_at_any_width() {
-        let (net, ids) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
-        let queries: Vec<QuerySpec> = (0..7u32)
-            .map(|k| {
-                QuerySpec::new(
-                    ids.s,
-                    ids.e,
-                    Interval::of(hm(6, 40 + k), hm(7, 1 + k)),
-                    DayCategory::WORKDAY,
-                )
-            })
-            .collect();
-        let (serial, serial_stats) = engine.run_batch_with_threads(&queries, 1);
-        assert_eq!(serial_stats.workers, 1);
-        assert_eq!(serial_stats.total_queries(), queries.len());
-        assert_eq!(serial_stats.steals, 0);
-        // every thread width (including more workers than queries) must
-        // produce the serial answers in input order
-        for workers in [2usize, 3, 4, 16] {
-            let (got, stats) = engine.run_batch_with_threads(&queries, workers);
-            assert_eq!(stats.workers, workers.min(queries.len()));
-            assert_eq!(stats.total_queries(), queries.len());
-            assert_eq!(stats.queries_per_worker.len(), stats.workers);
-            assert_eq!(got.len(), serial.len());
-            for (g, s) in got.iter().zip(serial.iter()) {
-                let (g, s) = (g.as_ref().unwrap(), s.as_ref().unwrap());
-                assert_eq!(g.partition.len(), s.partition.len());
-                for (x, y) in g.partition.iter().zip(s.partition.iter()) {
-                    assert!(x.0.approx_eq(&y.0));
-                    assert_eq!(g.paths[x.1].nodes, s.paths[y.1].nodes);
-                }
-            }
-            // per-query stats survive the roll-up: lookups were tallied
-            // and split exactly into hits and misses
-            assert_eq!(stats.cache_lookups, stats.cache_hits + stats.cache_misses);
-            assert!(stats.cache_lookups > 0);
-            let rate = stats.cache_hit_rate();
-            assert!((0.0..=1.0).contains(&rate));
-        }
-    }
-
-    #[test]
-    fn run_batch_empty_and_error_handling() {
-        let (net, ids) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
-        let (results, stats) = engine.run_batch_with_threads(&[], 4);
-        assert!(results.is_empty());
-        assert_eq!(stats, BatchStats::default());
-        // a batch of only unreachable queries still returns one error
-        // per query and exact per-worker accounting
-        let bad: Vec<QuerySpec> = (0..4)
-            .map(|k| {
-                QuerySpec::new(
-                    ids.e,
-                    ids.s,
-                    Interval::of(hm(6, 40 + k), hm(7, 0)),
-                    DayCategory::WORKDAY,
-                )
-            })
-            .collect();
-        let (results, stats) = engine.run_batch_with_threads(&bad, 2);
-        assert_eq!(results.len(), 4);
-        assert!(results.iter().all(|r| r.is_err()));
-        assert_eq!(stats.total_queries(), 4);
-        // errors carry no stats, so the cache roll-up stays empty
-        assert_eq!(stats.cache_lookups, 0);
-        assert_eq!(stats.cache_hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn steal_takes_back_half_and_preserves_order() {
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..3)
-            .map(|w| {
-                Mutex::new(if w == 1 {
-                    (10..15).collect() // victim: 10 11 12 13 14
-                } else {
-                    VecDeque::new()
-                })
-            })
-            .collect();
-        let steals = AtomicU64::new(0);
-        // worker 0 steals ceil(5/2)=3 from the back: 12 13 14
-        let first = steal_into(&queues, 0, &steals);
-        assert_eq!(first, Some(12));
-        let own: Vec<usize> = queues[0].lock().unwrap().iter().copied().collect();
-        assert_eq!(own, vec![13, 14], "remainder queued in input order");
-        let victim: Vec<usize> = queues[1].lock().unwrap().iter().copied().collect();
-        assert_eq!(victim, vec![10, 11], "victim keeps its front");
-        assert_eq!(steals.load(AtomicOrdering::Relaxed), 1);
-        // worker 2 scans victims in ring order starting after itself,
-        // so it hits worker 0 first and takes ceil(2/2)=1 off the back
-        assert_eq!(steal_into(&queues, 2, &steals), Some(14));
-        // worker 0's queue still counts as its own, never as its victim
-        queues[0].lock().unwrap().clear();
-        queues[1].lock().unwrap().clear();
-        assert_eq!(steal_into(&queues, 0, &steals), None);
-        assert_eq!(steals.load(AtomicOrdering::Relaxed), 2);
-    }
-
-    #[test]
-    fn work_stealing_rebalances_a_skewed_batch() {
-        // Even 3-query chunks per worker; a steal happens whenever one
-        // worker drains its chunk while another still holds work, which
-        // needs real interleaving — so the assertion is gated on the
-        // host actually having more than one core.
-        let (net, ids) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
-        let queries: Vec<QuerySpec> = (0..12u32)
-            .map(|k| {
-                QuerySpec::new(
-                    ids.s,
-                    ids.e,
-                    Interval::of(hm(6, 40 + k % 8), hm(7, 1 + k % 8)),
-                    DayCategory::WORKDAY,
-                )
-            })
-            .collect();
-        let mut saw_steal = false;
-        for _ in 0..20 {
-            let (_, stats) = engine.run_batch_with_threads(&queries, 4);
-            assert_eq!(stats.total_queries(), queries.len());
-            if stats.steals > 0 {
-                saw_steal = true;
-                break;
-            }
-        }
-        // On a single-core host the first worker may legitimately drain
-        // everything before the others get scheduled, so only assert
-        // when the host can actually interleave workers.
-        if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-            assert!(saw_steal, "4 workers never stole from a 12-query batch");
-        }
-    }
-
-    #[test]
     fn exhausted_query_budget_degrades_with_valid_fallback() {
         use crate::query::{QueryBudget, QueryOutcome};
         let (net, ids) = paper_running_example();
@@ -1989,50 +1484,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_cancels_every_slot() {
-        use crate::query::CancelToken;
-        let (net, _) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
-        let queries: Vec<QuerySpec> = (0..6).map(|_| paper_query()).collect();
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let (results, stats) = engine.run_batch_robust(&queries, 3, &cancel);
-        assert_eq!(results.len(), queries.len());
-        assert_eq!(stats.total_queries(), queries.len());
-        for r in results {
-            assert!(matches!(r, Err(crate::EngineError::Cancelled)));
-        }
-    }
-
-    #[test]
-    fn robust_batch_matches_exact_serial() {
-        let (net, ids) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
-        let queries: Vec<QuerySpec> = (0..8u32)
-            .map(|k| {
-                QuerySpec::new(
-                    ids.s,
-                    ids.e,
-                    Interval::of(hm(6, 40 + k), hm(7, 1 + k)),
-                    DayCategory::WORKDAY,
-                )
-            })
-            .collect();
-        let cancel = crate::CancelToken::new();
-        let (results, stats) = engine.run_batch_robust(&queries, 4, &cancel);
-        assert_eq!(stats.total_queries(), queries.len());
-        for (q, r) in queries.iter().zip(results.iter()) {
-            let want = engine.all_fastest_paths(q).unwrap();
-            let got = r.as_ref().unwrap().exact().expect("unbudgeted → exact");
-            assert_eq!(got.partition.len(), want.partition.len());
-            for (x, y) in got.partition.iter().zip(want.partition.iter()) {
-                assert!(x.0.approx_eq(&y.0));
-                assert_eq!(got.paths[x.1].nodes, want.paths[y.1].nodes);
-            }
-        }
-    }
-
-    #[test]
     fn workspace_is_clean_at_checkout_after_every_kind_of_exit() {
         use crate::query::QueryBudget;
         // Two networks of different sizes over one pattern schema; on
@@ -2051,33 +1502,34 @@ mod tests {
         let ask = |s, t| QuerySpec::new(NodeId(s), NodeId(t), iv, DayCategory::WORKDAY);
         let cancelled = CancelToken::new();
         cancelled.cancel();
-        // (engine, query, single_only, cancel, how it must end)
+        use QueryMode::{AllFp, AllFpOrDegraded, SingleFp};
+        // (engine, query, mode, cancel, how it must end)
         let runs = [
-            (&on_large, ask(0, 24), false, None, "done"),
-            (&on_small, ask(0, 8), true, None, "single"),
+            (&on_large, ask(0, 24), AllFp, None, "done"),
+            (&on_small, ask(0, 8), SingleFp, None, "single"),
             (
                 &on_large,
                 ask(0, 24).with_budget(QueryBudget::default().with_max_expansions(7)),
-                false,
+                AllFpOrDegraded,
                 None,
-                "exhausted",
+                "degraded",
             ),
-            (&on_small, ask(8, 0), false, Some(&cancelled), "cancelled"),
-            (&on_large, ask(3, island.0), false, None, "unreachable"),
+            (&on_small, ask(8, 0), AllFp, Some(&cancelled), "cancelled"),
+            (&on_large, ask(3, island.0), AllFp, None, "unreachable"),
             (
                 &on_large,
                 ask(24, 0)
                     .with_budget(QueryBudget::default().with_deadline(std::time::Duration::ZERO)),
-                true,
+                SingleFp,
                 None,
                 "exhausted",
             ),
-            (&on_small, ask(2, 6), false, None, "done"),
+            (&on_small, ask(2, 6), AllFp, None, "done"),
         ];
 
         let mut session = on_large.cache_session();
         let mut ws = SearchWorkspace::default();
-        for (engine, q, single_only, cancel, want) in runs {
+        for (engine, q, mode, cancel, want) in runs {
             let n = engine.source.n_nodes();
             ws.reset(n, session.scratch_mut());
             assert!(ws.slot_of.len() >= n && ws.slot_of.iter().all(|&s| s == NONE));
@@ -2086,12 +1538,12 @@ mod tests {
 
             let target_loc = engine.source.find_node(q.target).unwrap();
             let watch = Watch::new(&q, engine.config.max_expansions, cancel);
-            let yielded =
-                engine.search_in(&mut ws, &q, target_loc, single_only, &mut session, watch);
+            let yielded = engine.search_in(&mut ws, &q, target_loc, mode, &mut session, watch);
             let (got, stats) = match yielded {
-                Ok(SearchYield::Done(a)) => ("done", Some(a.stats)),
-                Ok(SearchYield::Single(s)) => ("single", Some(s.stats)),
-                Ok(SearchYield::Exhausted { stats, .. }) => ("exhausted", Some(stats)),
+                Ok(Answer::AllFp(a)) => ("done", Some(a.stats)),
+                Ok(Answer::SingleFp(s)) => ("single", Some(s.stats)),
+                Ok(Answer::Degraded(d)) => ("degraded", Some(d.stats)),
+                Err(AllFpError::BudgetExhausted { expansions: 0 }) => ("exhausted", None),
                 Err(AllFpError::Cancelled) => ("cancelled", None),
                 Err(AllFpError::Unreachable { .. }) => ("unreachable", None),
                 Err(e) => panic!("{q:?}: {e}"),

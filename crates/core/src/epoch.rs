@@ -30,16 +30,13 @@
 //! ([`TravelFnCache::retire_patterns`]) — scoped invalidation, not a
 //! cache wipe.
 //!
-//! Estimator reuse follows the invalidation cone of a delta:
-//!
-//! * `NaiveLb` is one scalar (`v_max`); rebuilt every epoch (free).
-//! * `BoundaryLb` depends only on edge *lengths*, which deltas never
-//!   change — the tables are reused verbatim, only the `v_max` divisor
-//!   is refreshed ([`BoundaryLb::with_v_max`]).
-//! * `MinTimeLb` depends on per-edge best-case speeds: the same `Arc`
-//!   is republished unless the delta changed some edge's maximum speed
-//!   ([`DeltaReport::best_time_weights_changed`]), and then it is
-//!   rebuilt by one edge sweep — no Dijkstra runs at apply time.
+//! Estimator reuse follows the invalidation cone of a delta, the same
+//! way for every estimator: `NaiveLb` is one scalar (`v_max`), rebuilt
+//! every epoch (free); any other estimator depends on the network only
+//! through its edges' best-case speeds and the global `v_max`, so the
+//! same `Arc` is republished unless the delta moved one of them
+//! ([`DeltaReport::best_time_weights_changed`]), and then it is rebuilt
+//! by [`build_estimator`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
@@ -47,13 +44,12 @@ use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use roadnet::{DeltaReport, RoadNetwork};
 use traffic::TrafficDelta;
 
-use crate::backend::PathfindBackend;
-use crate::boundary::BoundaryLb;
+use crate::backend::{Answer, PathfindBackend, QueryMode};
 use crate::cache::{CacheCounters, CacheSession, TravelFnCache};
-use crate::engine::{build_estimator, Engine, EngineConfig};
-use crate::estimator::{EstimatorKind, LowerBoundEstimator, MaxEstimator, NaiveLb};
-use crate::query::{AllFpAnswer, CancelToken, QueryOutcome, QuerySpec, SingleFpAnswer};
-use crate::{AllFpError, EngineError, Result};
+use crate::engine::{build_estimator, cache_for, Engine, EngineConfig};
+use crate::estimator::{EstimatorKind, LowerBoundEstimator};
+use crate::query::{CancelToken, QuerySpec};
+use crate::{AllFpError, Result};
 
 /// Lock with poison recovery (same rationale as the service lock: the
 /// manager state is valid after any interrupted mutation).
@@ -126,8 +122,7 @@ pub struct ApplyReport {
     /// The network layer's apply report (edges changed, patterns
     /// interned, …).
     pub delta: DeltaReport,
-    /// The estimator's tables were republished verbatim (for
-    /// `BoundaryLb`, with `v_max` refreshed).
+    /// The predecessor's estimator was republished verbatim.
     pub estimator_reused: bool,
     /// Retirement work done by the sweep that ran after publishing.
     pub sweep: SweepReport,
@@ -186,9 +181,6 @@ struct ManagerState {
     /// Every superseded epoch not yet counted retired, weakly held so
     /// the manager itself never keeps an epoch alive.
     history: Vec<(EpochId, Weak<Epoch>)>,
-    /// The current boundary tables, kept concrete for verbatim reuse
-    /// across deltas that leave them valid.
-    boundary: Option<Arc<BoundaryLb>>,
 }
 
 /// Publishes immutable [`Epoch`]s and retires them when their last
@@ -211,12 +203,8 @@ impl EpochManager {
     /// configured estimator.
     pub fn new(net: RoadNetwork, config: EngineConfig) -> Result<EpochManager> {
         let net = Arc::new(net);
-        let (estimator, boundary) = build_parts(&net, &config)?;
-        let cache = Arc::new(if config.use_travel_cache {
-            TravelFnCache::new()
-        } else {
-            TravelFnCache::disabled()
-        });
+        let estimator = Arc::from(build_estimator(&net, &config)?);
+        let cache = cache_for(&config);
         Ok(EpochManager {
             config,
             cache,
@@ -228,7 +216,6 @@ impl EpochManager {
                     produced_by: None,
                 }),
                 history: Vec::new(),
-                boundary,
             }),
             epochs_published: AtomicU64::new(1),
             updates_applied: AtomicU64::new(0),
@@ -288,22 +275,19 @@ impl EpochManager {
         let (new_net, report) = old.net.apply_delta(delta)?;
         let net = Arc::new(new_net);
 
-        let ((estimator, boundary), reused) = if let Some(bd) = &st.boundary {
-            // Distance tables depend only on edge lengths: reuse
-            // verbatim, refresh the v_max divisor.
-            (boundary_parts(&net, bd.with_v_max(net.max_speed())), true)
-        } else if self.config.estimator != EstimatorKind::Naive && !report.best_time_weights_changed
-        {
-            // Neither the boundary tables nor the naive scalar: the
-            // min-time estimator, whose best-case weights moved only if
-            // some edge's maximum speed did.
-            ((Arc::clone(&old.estimator), None), true)
+        // A moved global `v_max` implies some edge's maximum moved;
+        // it is compared all the same, being the one thing the boundary
+        // tables divide by.
+        let reused = self.config.estimator != EstimatorKind::Naive
+            && !report.best_time_weights_changed
+            && net.max_speed() == old.net.max_speed();
+        let estimator = if reused {
+            Arc::clone(&old.estimator)
         } else {
-            (build_parts(&net, &self.config)?, false)
+            Arc::from(build_estimator(&net, &self.config)?)
         };
 
         let id = EpochId(old.id.0 + 1);
-        st.boundary = boundary;
         st.history.push((old.id, Arc::downgrade(&old)));
         st.current = Arc::new(Epoch {
             id,
@@ -395,30 +379,6 @@ impl EpochManager {
     }
 }
 
-/// The estimator an epoch serves plus the concrete boundary tables it
-/// wraps, kept alongside for verbatim reuse across deltas.
-type EstimatorParts = (Arc<dyn LowerBoundEstimator>, Option<Arc<BoundaryLb>>);
-
-/// Build the configured estimator over `net`, returning the concrete
-/// boundary tables alongside (for later verbatim reuse).
-fn build_parts(net: &RoadNetwork, config: &EngineConfig) -> Result<EstimatorParts> {
-    Ok(match config.estimator {
-        EstimatorKind::Boundary { grid } => boundary_parts(net, BoundaryLb::build(net, grid)?),
-        _ => (Arc::from(build_estimator(net, config)?), None),
-    })
-}
-
-/// The `max(naive, boundary)` estimator an epoch over `net` serves,
-/// with `bd` kept concrete beside it.
-fn boundary_parts(net: &RoadNetwork, bd: BoundaryLb) -> EstimatorParts {
-    let bd = Arc::new(bd);
-    let naive = NaiveLb::new(net.max_speed());
-    (
-        Arc::new(MaxEstimator::new(naive, Arc::clone(&bd), "bdLB")),
-        Some(bd),
-    )
-}
-
 /// A [`PathfindBackend`] that answers every query against its pinned
 /// epoch: the query's [`QuerySpec::epoch`] stamp (or the current epoch
 /// when unstamped) selects the network version; a cheap flat
@@ -438,23 +398,6 @@ impl<'m> LiveBackend<'m> {
     pub fn manager(&self) -> &'m EpochManager {
         self.manager
     }
-
-    fn resolve(&self, query: &QuerySpec) -> Result<Arc<Epoch>> {
-        self.manager
-            .pin(query.epoch)
-            .ok_or(AllFpError::EpochRetired {
-                epoch: query.epoch.map_or(0, |e| e.0),
-            })
-    }
-
-    fn engine_for<'e>(&self, epoch: &'e Epoch) -> Engine<'e, RoadNetwork> {
-        Engine::with_shared(
-            epoch.net.as_ref(),
-            Arc::clone(&epoch.estimator),
-            Arc::clone(&self.manager.cache),
-            self.manager.config.clone(),
-        )
-    }
 }
 
 impl<'m> PathfindBackend for LiveBackend<'m> {
@@ -470,29 +413,26 @@ impl<'m> PathfindBackend for LiveBackend<'m> {
         self.manager.cache.counters()
     }
 
-    fn all_fastest_paths(&self, query: &QuerySpec) -> Result<AllFpAnswer> {
-        let epoch = self.resolve(query)?;
-        let out = self.engine_for(&epoch).all_fastest_paths(query);
-        out
-    }
-
-    fn single_fastest_path(&self, query: &QuerySpec) -> Result<SingleFpAnswer> {
-        let epoch = self.resolve(query)?;
-        let out = self.engine_for(&epoch).single_fastest_path(query);
-        out
-    }
-
-    fn robust_with_session(
+    fn answer(
         &self,
         query: &QuerySpec,
+        mode: QueryMode,
         session: &mut CacheSession<'_>,
         cancel: Option<&CancelToken>,
-    ) -> std::result::Result<QueryOutcome, EngineError> {
-        let epoch = self.resolve(query).map_err(EngineError::from)?;
-        let out = self
-            .engine_for(&epoch)
-            .robust_with_session(query, session, cancel);
-        out
+    ) -> Result<Answer> {
+        let epoch = self
+            .manager
+            .pin(query.epoch)
+            .ok_or(AllFpError::EpochRetired {
+                epoch: query.epoch.map_or(0, |e| e.0),
+            })?;
+        let engine = Engine::with_shared(
+            epoch.net.as_ref(),
+            Arc::clone(&epoch.estimator),
+            Arc::clone(&self.manager.cache),
+            self.manager.config.clone(),
+        );
+        engine.answer(query, mode, session, cancel)
     }
 }
 
@@ -576,22 +516,6 @@ mod tests {
         assert!(st.reconciles(), "{st:?}");
         assert_eq!(st.epochs_retired, 3);
         assert_eq!(st.epoch_retire_lag, 0);
-    }
-
-    #[test]
-    fn estimator_reuse_matches_rebuild_bit_for_bit() {
-        let config = EngineConfig {
-            estimator: EstimatorKind::Boundary { grid: 3 },
-            ..Default::default()
-        };
-        let mgr = EpochManager::new(small_net(), config).unwrap();
-        let delta = mgr.current().network().seeded_delta(11, 5, 1).unwrap();
-        let report = mgr.apply_delta(&delta).unwrap();
-        assert!(report.estimator_reused);
-        let st = lock(&mgr.state);
-        let reused = st.boundary.as_ref().unwrap();
-        let rebuilt = BoundaryLb::build(st.current.net.as_ref(), 3).unwrap();
-        assert_eq!(**reused, rebuilt);
     }
 
     #[test]

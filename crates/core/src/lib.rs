@@ -45,14 +45,14 @@
 //! # Robustness (extension)
 //!
 //! Queries can carry a [`QueryBudget`] (wall-clock deadline and/or an
-//! expansion cap); [`Engine::run_robust`] and
-//! [`Engine::run_batch_robust`] answer such queries with a
-//! [`QueryOutcome`] that **degrades instead of erroring** when the
-//! budget trips — best-so-far exact paths plus a constant-speed
-//! fallback route ([`DegradedAnswer`]). Batches accept a cooperative
-//! [`CancelToken`], isolate panicking queries to their own result slot,
-//! and surface storage faults through the typed [`EngineError`]
-//! taxonomy. See `DESIGN.md` §9 for the full fault model.
+//! expansion cap); [`PathfindBackend::run_robust`] and [`run_batch`]
+//! answer such queries with a [`QueryOutcome`] that **degrades instead
+//! of erroring** when the budget trips — best-so-far exact paths plus
+//! a constant-speed fallback route ([`DegradedAnswer`]). Batches accept
+//! a cooperative [`CancelToken`], isolate panicking queries to their
+//! own result slot, and surface storage faults through the typed
+//! [`EngineError`] taxonomy. See `DESIGN.md` §9 for the full fault
+//! model.
 //!
 //! # Service (extension)
 //!
@@ -81,7 +81,7 @@ pub mod epoch;
 pub mod service;
 
 pub use arrival::{ArrivalAllFpAnswer, ArrivalPlanner, ArrivalQuerySpec, ArrivalSingleFpAnswer};
-pub use backend::PathfindBackend;
+pub use backend::{run_batch, Answer, PathfindBackend, QueryMode};
 pub use boundary::BoundaryLb;
 pub use cache::{CacheCounters, CacheSession, TravelFnCache};
 pub use engine::{build_estimator, Engine, EngineConfig, RouteComposeMemo, Watch};
@@ -189,7 +189,7 @@ impl From<pwl::PwlError> for AllFpError {
 pub type Result<T> = std::result::Result<T, AllFpError>;
 
 /// The unified error taxonomy of the robust query APIs
-/// ([`Engine::run_robust`], [`Engine::run_batch_robust`]).
+/// ([`PathfindBackend::run_robust`], [`run_batch`]).
 ///
 /// It separates the conditions a caller handles differently: storage
 /// faults (retryable or not, classified by

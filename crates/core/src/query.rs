@@ -62,13 +62,13 @@ impl QuerySpec {
 
 /// A per-query resource budget.
 ///
-/// When either limit trips mid-search, [`Engine::run_robust`] returns
+/// When either limit trips mid-search, [`run_robust`] returns
 /// a [`QueryOutcome::Degraded`] answer (best paths found so far plus a
 /// constant-speed fallback route) instead of an error; the legacy
 /// `Result<AllFpAnswer>` entry points map the same event to
 /// [`AllFpError::BudgetExhausted`].
 ///
-/// [`Engine::run_robust`]: crate::Engine::run_robust
+/// [`run_robust`]: crate::PathfindBackend::run_robust
 /// [`AllFpError::BudgetExhausted`]: crate::AllFpError::BudgetExhausted
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryBudget {
@@ -294,12 +294,10 @@ pub struct QueryStats {
     pub nodes_read: usize,
 }
 
-/// Roll-up statistics for one [`Engine::run_batch`] invocation:
+/// Roll-up statistics for one [`crate::run_batch`] invocation:
 /// how the work spread over workers, how often the work-stealing
 /// scheduler had to rebalance, and the aggregate travel-function cache
 /// behaviour across every successful query in the batch.
-///
-/// [`Engine::run_batch`]: crate::Engine::run_batch
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Worker threads the batch actually ran on.

@@ -10,7 +10,7 @@
 //!   functions to direct construction, and once the threads are joined
 //!   (and sessions dropped) `hits + misses` must equal the number of
 //!   lookups issued — no lookup lost, none double-counted;
-//! * [`Engine::run_batch_with_threads`] at several widths must return
+//! * [`run_batch`] at several widths must return
 //!   exactly the serial answers, with the engine-wide counters
 //!   advancing by exactly the lookups the batch reported.
 //!
@@ -19,7 +19,8 @@
 //! interleavings vary (`scripts/check.sh` does).
 
 use allfp::{
-    CancelToken, Engine, EngineConfig, EstimatorKind, QueryOutcome, QuerySpec, TravelFnCache,
+    run_batch, CancelToken, Engine, EngineConfig, EstimatorKind, QueryOutcome, QuerySpec,
+    TravelFnCache,
 };
 use pwl::time::hm;
 use pwl::Interval;
@@ -54,6 +55,7 @@ fn sharded_cache_sessions_are_exact_under_contention() {
             let distances = &distances;
             scope.spawn(move || {
                 let mut session = cache.session();
+                let mut direct = reference.session();
                 let mut x = 0x9E37_79B9 * (t as u64 + 1);
                 for _ in 0..lookups_per_thread {
                     let d = distances[(lcg(&mut x) % distances.len() as u64) as usize];
@@ -68,7 +70,7 @@ fn sharded_cache_sessions_are_exact_under_contention() {
                     let (got, _) = session
                         .travel_fn(pattern, category, profile, d, &iv)
                         .unwrap();
-                    let (want, _) = reference
+                    let (want, _) = direct
                         .travel_fn(pattern, category, profile, d, &iv)
                         .unwrap();
                     for k in 0..=8 {
@@ -135,7 +137,7 @@ fn batch_stress_matches_serial_across_widths() {
 
         for workers in [1usize, 2, 4, 8] {
             let before = engine.cache_counters();
-            let (batch, stats) = engine.run_batch_with_threads(&queries, workers);
+            let (batch, stats) = run_batch(&engine, &queries, workers, &CancelToken::new());
             let after = engine.cache_counters();
 
             assert_eq!(stats.total_queries(), queries.len());
@@ -150,7 +152,7 @@ fn batch_stress_matches_serial_across_widths() {
 
             for (i, (s, b)) in serial.iter().zip(batch.iter()).enumerate() {
                 match (s, b) {
-                    (Ok(s), Ok(b)) => {
+                    (Ok(s), Ok(QueryOutcome::Exact(b))) => {
                         assert_eq!(
                             s.partition.len(),
                             b.partition.len(),
@@ -201,7 +203,7 @@ fn robust_batch_is_exact_across_widths() {
         .collect();
 
     for workers in [2usize, 4, 8] {
-        let (batch, stats) = engine.run_batch_robust(&queries, workers, &CancelToken::new());
+        let (batch, stats) = run_batch(&engine, &queries, workers, &CancelToken::new());
         assert_eq!(stats.total_queries(), queries.len());
         for (i, (s, b)) in serial.iter().zip(batch.iter()).enumerate() {
             match (s, b) {

@@ -13,7 +13,7 @@ use std::time::Duration;
 use allfp::baseline::astar_at;
 use allfp::{
     CancelToken, DegradedReason, Engine, EngineConfig, EngineError, EstimatorKind, NaiveLb,
-    QueryBudget, QueryOutcome, QuerySpec,
+    PathfindBackend, QueryBudget, QueryOutcome, QuerySpec,
 };
 use ccam::{CcamStore, MemStore, PlacementPolicy, DEFAULT_PAGE_SIZE};
 use pwl::time::hm;

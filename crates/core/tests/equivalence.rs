@@ -9,7 +9,7 @@
 //! **identical** allFP partitionings — same sub-intervals, same node
 //! sequences, same lower border — and identical singleFP minima.
 
-use allfp::{Engine, EngineConfig, QuerySpec};
+use allfp::{Engine, EngineConfig, PathfindBackend, QuerySpec};
 use proptest::prelude::*;
 use pwl::time::hm;
 use pwl::Interval;

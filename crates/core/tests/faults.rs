@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 use allfp::baseline::evaluate_path;
 use allfp::{
-    CancelToken, DegradedReason, Engine, EngineConfig, EngineError, QueryBudget, QueryOutcome,
-    QuerySpec,
+    run_batch, CancelToken, DegradedReason, Engine, EngineConfig, EngineError, PathfindBackend,
+    QueryBudget, QueryOutcome, QuerySpec,
 };
 use ccam::{
     BlockStore, CcamStore, ChecksummedStore, FaultInjectingStore, FaultPlan, MemStore,
@@ -103,12 +103,12 @@ fn batch_over_faulty_store_matches_fault_free_serial() {
         .collect();
 
     let engine = Engine::new(&disk, EngineConfig::default());
-    let (batch, stats) = engine.run_batch_with_threads(&queries, 4);
+    let (batch, stats) = run_batch(&engine, &queries, 4, &CancelToken::new());
     assert_eq!(stats.total_queries(), queries.len());
 
     for (i, (s, b)) in serial.iter().zip(batch.iter()).enumerate() {
         match (s, b) {
-            (Ok(s), Ok(b)) => {
+            (Ok(s), Ok(QueryOutcome::Exact(b))) => {
                 assert_eq!(s.partition.len(), b.partition.len(), "query {i}");
                 for (x, y) in s.partition.iter().zip(b.partition.iter()) {
                     assert!(x.0.approx_eq(&y.0), "query {i}");
@@ -119,7 +119,7 @@ fn batch_over_faulty_store_matches_fault_free_serial() {
             // fail; a storage fault must never surface
             (
                 Err(allfp::AllFpError::Unreachable { .. }),
-                Err(allfp::AllFpError::Unreachable { .. }),
+                Err(EngineError::Query(allfp::AllFpError::Unreachable { .. })),
             ) => {}
             (s, b) => panic!(
                 "query {i}: serial {:?} vs faulty batch {:?}",
@@ -199,7 +199,7 @@ fn bit_flipped_page_is_detected_never_served() {
         }
     }
     // batch slots report the same typed failure; none succeed
-    let (results, _) = engine.run_batch_robust(&queries, 2, &CancelToken::new());
+    let (results, _) = run_batch(&engine, &queries, 2, &CancelToken::new());
     for r in &results {
         assert!(
             matches!(
@@ -316,7 +316,7 @@ fn panicking_query_fails_in_its_own_slot() {
     let engine = Engine::new(&src, EngineConfig::default());
     let clean = Engine::new(&net, EngineConfig::default());
 
-    let (results, stats) = engine.run_batch_robust(&queries, 3, &CancelToken::new());
+    let (results, stats) = run_batch(&engine, &queries, 3, &CancelToken::new());
     assert_eq!(stats.total_queries(), queries.len());
     for (i, (q, r)) in queries.iter().zip(results.iter()).enumerate() {
         if q.source == poison {
@@ -406,7 +406,7 @@ fn pre_cancelled_batch_cancels_every_slot_over_disk() {
     let queries = sample_queries(&net, 6, 99);
     let token = CancelToken::new();
     token.cancel();
-    let (results, stats) = engine.run_batch_robust(&queries, 3, &token);
+    let (results, stats) = run_batch(&engine, &queries, 3, &token);
     assert_eq!(stats.total_queries(), queries.len());
     for r in &results {
         assert!(matches!(r, Err(EngineError::Cancelled)), "{r:?}");
@@ -414,12 +414,12 @@ fn pre_cancelled_batch_cancels_every_slot_over_disk() {
 }
 
 /// The batch driver preserves fault-replay determinism: pushing the
-/// same seeded workload through [`Engine::run_batch_robust`] (width 1,
+/// same seeded workload through [`run_batch`] (width 1,
 /// so the physical-operation order is well defined) produces a
 /// bit-identical [`ccam::FaultEvent`] log on every run, and every
 /// slot still resolves.
 #[test]
-fn run_batch_robust_replays_identical_fault_log() {
+fn batch_replays_identical_fault_log() {
     let net = grid(8, 8, 0.25, RoadClass::LocalBoston).unwrap();
     let queries = sample_queries(&net, 8, 5);
 
@@ -428,7 +428,7 @@ fn run_batch_robust_replays_identical_fault_log() {
         let disk = CcamStore::build(&net, top, PlacementPolicy::ConnectivityClustered, 32).unwrap();
         disk.clear_cache().unwrap();
         let engine = Engine::new(&disk, EngineConfig::default());
-        let (results, _) = engine.run_batch_robust(&queries, 1, &CancelToken::new());
+        let (results, _) = run_batch(&engine, &queries, 1, &CancelToken::new());
         assert_eq!(results.len(), queries.len());
         for (k, r) in results.iter().enumerate() {
             assert!(

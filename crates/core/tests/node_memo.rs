@@ -11,7 +11,9 @@
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
-use allfp::{Engine, EngineConfig, QueryBudget, QueryOutcome, QuerySpec, QueryStats};
+use allfp::{
+    Engine, EngineConfig, PathfindBackend, QueryBudget, QueryOutcome, QuerySpec, QueryStats,
+};
 use ccam::{CcamStore, MemStore, PlacementPolicy, DEFAULT_PAGE_SIZE};
 use pwl::time::hm;
 use pwl::Interval;

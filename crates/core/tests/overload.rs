@@ -36,7 +36,8 @@ use allfp::service::{
     QueryService, ServiceClock, ServiceConfig, ServiceOutcome, ServiceStats, Submission, WallClock,
 };
 use allfp::{
-    AllFpAnswer, DegradedReason, Engine, EngineConfig, QueryBudget, QueryOutcome, QuerySpec,
+    AllFpAnswer, DegradedReason, Engine, EngineConfig, PathfindBackend, QueryBudget, QueryOutcome,
+    QuerySpec,
 };
 use ccam::{
     BlockStore, CcamStore, ChecksummedStore, FaultEvent, FaultInjectingStore, FaultPlan, MemStore,

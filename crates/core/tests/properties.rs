@@ -5,7 +5,7 @@
 
 use allfp::arrival::{ArrivalPlanner, ArrivalQuerySpec};
 use allfp::baseline::astar_at;
-use allfp::{Engine, EngineConfig, NaiveLb, QuerySpec};
+use allfp::{Engine, EngineConfig, NaiveLb, PathfindBackend, QuerySpec};
 use proptest::prelude::*;
 use pwl::time::hm;
 use pwl::Interval;

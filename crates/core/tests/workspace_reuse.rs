@@ -13,7 +13,8 @@ use std::sync::Arc;
 
 use allfp::{
     build_estimator, CancelToken, DegradedReason, Engine, EngineConfig, EngineError, EstimatorKind,
-    LowerBoundEstimator, QueryBudget, QueryOutcome, QuerySpec, QueryStats, TravelFnCache,
+    LowerBoundEstimator, PathfindBackend, QueryBudget, QueryOutcome, QuerySpec, QueryStats,
+    TravelFnCache,
 };
 use pwl::time::hm;
 use pwl::Interval;

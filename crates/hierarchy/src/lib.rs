@@ -54,8 +54,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use allfp::{
-    AllFpAnswer, AllFpError, CacheCounters, CacheSession, CancelToken, Engine, EngineConfig,
-    EngineError, FastestPath, PathfindBackend, QueryOutcome, QuerySpec, QueryStats, Result,
+    AllFpAnswer, AllFpError, Answer, CacheCounters, CacheSession, CancelToken, Engine,
+    EngineConfig, FastestPath, PathfindBackend, QueryMode, QuerySpec, QueryStats, Result,
     RouteComposeMemo, SingleFpAnswer,
 };
 use pwl::time::MINUTES_PER_DAY;
@@ -664,78 +664,43 @@ impl<'a, S: NetworkSource> PathfindBackend for HierarchyEngine<'a, S> {
         self.flat.cache_counters()
     }
 
-    fn all_fastest_paths(&self, query: &QuerySpec) -> Result<AllFpAnswer> {
-        let mut session = self.flat.cache_session();
-        match self.overlay_search(query, false, &mut session, None)? {
-            None => self.flat.all_fastest_paths(query),
-            Some(run) => {
-                if run.trip.is_some() {
-                    return Err(AllFpError::BudgetExhausted {
-                        expansions: run.stats.expanded_paths,
-                    });
-                }
-                self.exact_all(&run.routes, query, &mut session, run.stats)
-            }
-        }
-    }
-
-    fn single_fastest_path(&self, query: &QuerySpec) -> Result<SingleFpAnswer> {
-        let mut session = self.flat.cache_session();
-        match self.overlay_search(query, true, &mut session, None)? {
-            None => self.flat.single_fastest_path(query),
-            Some(run) => {
-                if run.trip.is_some() {
-                    return Err(AllFpError::BudgetExhausted {
-                        expansions: run.stats.expanded_paths,
-                    });
-                }
-                self.exact_single(
-                    run.routes.into_iter().next(),
-                    query,
-                    &mut session,
-                    run.stats,
-                )
-            }
-        }
-    }
-
-    fn robust_with_session(
+    fn answer(
         &self,
         query: &QuerySpec,
+        mode: QueryMode,
         session: &mut CacheSession<'_>,
         cancel: Option<&CancelToken>,
-    ) -> std::result::Result<QueryOutcome, EngineError> {
-        let run = match self.overlay_search(query, false, session, cancel) {
-            Ok(Some(run)) => run,
-            Ok(None) => return self.flat.robust_with_session(query, session, cancel),
-            Err(e) => return Err(EngineError::from(e)),
+    ) -> Result<Answer> {
+        let single_only = mode == QueryMode::SingleFp;
+        let Some(run) = self.overlay_search(query, single_only, session, cancel)? else {
+            return self.flat.answer(query, mode, session, cancel);
         };
         match run.trip {
-            None => {
-                if run.routes.is_empty() {
-                    return Err(EngineError::Query(AllFpError::Unreachable {
-                        source: query.source,
-                        target: query.target,
-                    }));
-                }
-                Ok(QueryOutcome::Exact(
-                    self.exact_all(&run.routes, query, session, run.stats)
-                        .map_err(EngineError::from)?,
-                ))
-            }
-            Some(reason) => {
+            Some(reason) if mode == QueryMode::AllFpOrDegraded => {
                 let best = if run.routes.is_empty() {
                     None
                 } else {
-                    Some(
-                        self.exact_all(&run.routes, query, session, run.stats)
-                            .map_err(EngineError::from)?,
-                    )
+                    Some(self.exact_all(&run.routes, query, session, run.stats)?)
                 };
-                Ok(QueryOutcome::Degraded(self.flat.degraded_answer(
+                Ok(Answer::Degraded(self.flat.degraded_answer(
                     query, reason, best, run.stats, session,
                 )?))
             }
+            Some(_) => Err(AllFpError::BudgetExhausted {
+                expansions: run.stats.expanded_paths,
+            }),
+            None if single_only => Ok(Answer::SingleFp(self.exact_single(
+                run.routes.into_iter().next(),
+                query,
+                session,
+                run.stats,
+            )?)),
+            None => Ok(Answer::AllFp(self.exact_all(
+                &run.routes,
+                query,
+                session,
+                run.stats,
+            )?)),
         }
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, lints, the tier-1 suite (ROADMAP.md), every
-# test in the workspace, the bench smoke and the benchmark quick pass.
+# test in the workspace, the bench smoke, the benchmark's own suite and
+# its quick pass.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -73,6 +74,12 @@ env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test update_storm
 # stays bounded: the million-node tier runs only under --report.
 echo "==> batch-driver smoke (answers + scaling + checksum + allocation + overload + live-update + cluster + hierarchy + metro-huge gates)"
 cargo bench -p fp-bench --bench engine_hotpath -- --smoke
+
+# The benchmark is a package of its own, so the workspace run above
+# does not build it: its suite is what notices a deleted item of its
+# pinned call surface (benchmark/README.md), tests-only ones included.
+echo "==> benchmark suite"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 # The repo benchmark on a miniature: seconds, and its exit code is the
 # bit-exactness gate of all four workloads (in-memory, CCAM, hierarchy,

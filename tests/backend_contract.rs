@@ -1,0 +1,239 @@
+//! The [`PathfindBackend`] contract, stated once and run against every
+//! backend: the flat engine, [`LiveBackend`] at epoch 0, the
+//! contraction hierarchy and a single-shard cluster [`NodeBackend`]
+//! wired the way `cluster::sim` wires a node. Each implements one
+//! search method; the four query surfaces are provided by the trait, so
+//! what is checked here is that they agree with each other on every
+//! backend, and that every backend agrees with the flat reference.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
+
+use fastest_paths::allfp::service::{BreakerConfig, LatencyHistogram, ManualClock};
+use fastest_paths::allfp::{
+    AllFpAnswer, AllFpError, CancelToken, EngineError, EpochId, EpochManager, LiveBackend,
+    QueryBudget, QueryOutcome,
+};
+use fastest_paths::cluster::{
+    BusConfig, ClusterFaultPlan, NodeBackend, RetryPolicy, ShardMap, VirtualBus,
+};
+use fastest_paths::prelude::*;
+use fastest_paths::roadnet::generators::{suffolk_like, MetroConfig};
+use fastest_paths::roadnet::workload::sample_pairs;
+
+fn config() -> EngineConfig {
+    EngineConfig {
+        estimator: EstimatorKind::MinTime,
+        ..EngineConfig::default()
+    }
+}
+
+/// Every bit of an allFP answer: partition bounds, the path of each
+/// sub-interval, and each path's travel function.
+type Bits = Vec<(u64, u64, Vec<NodeId>, Vec<u64>)>;
+
+fn bits(a: &AllFpAnswer) -> Bits {
+    a.partition
+        .iter()
+        .map(|(iv, i)| {
+            let travel = &a.paths[*i].travel;
+            let knots = travel.breakpoints().iter().map(|x| x.to_bits());
+            let coefficients = travel
+                .linears()
+                .iter()
+                .flat_map(|l| [l.a.to_bits(), l.b.to_bits()]);
+            (
+                iv.lo().to_bits(),
+                iv.hi().to_bits(),
+                a.paths[*i].nodes.clone(),
+                knots.chain(coefficients).collect(),
+            )
+        })
+        .collect()
+}
+
+/// The contract. `reference[i]` is the flat engine's answer to
+/// `queries[i]`; `unreachable` is a pair no path connects.
+fn check_contract(
+    backend: &dyn PathfindBackend,
+    queries: &[QuerySpec],
+    reference: &[Bits],
+    unreachable: &QuerySpec,
+) {
+    let name = backend.backend_name();
+    let mut session = backend.cache_session();
+    for (q, want) in queries.iter().zip(reference) {
+        // allFP ≡ robust → Exact, bit for bit, and ≡ the flat engine.
+        let all = backend.all_fastest_paths(q).expect("allFP");
+        let QueryOutcome::Exact(robust) = backend
+            .robust_with_session(q, &mut session, None)
+            .expect("robust")
+        else {
+            panic!("{name}: an unbudgeted query degraded");
+        };
+        assert_eq!(bits(&all), bits(&robust), "{name}: allFP vs robust");
+        assert_eq!(&bits(&all), want, "{name}: allFP vs the flat engine");
+        assert_eq!(bits(backend.run_robust(q).unwrap().exact().unwrap()), *want);
+
+        // singleFP is the minimum of the allFP border.
+        let single = backend.single_fastest_path(q).expect("singleFP");
+        let border_min = all.lower_border.min_value();
+        assert!(
+            (single.travel_minutes - border_min).abs() < 1e-6,
+            "{name}: singleFP {} vs border minimum {border_min}",
+            single.travel_minutes
+        );
+
+        // A tripped budget: an error on the two legacy surfaces, a
+        // degraded answer with a drivable plan on the robust one.
+        let starved = q
+            .clone()
+            .with_budget(QueryBudget::default().with_max_expansions(0));
+        assert!(
+            matches!(
+                backend.all_fastest_paths(&starved),
+                Err(AllFpError::BudgetExhausted { expansions: 0 })
+            ),
+            "{name}: starved allFP"
+        );
+        assert!(
+            matches!(
+                backend.single_fastest_path(&starved),
+                Err(AllFpError::BudgetExhausted { expansions: 0 })
+            ),
+            "{name}: starved singleFP"
+        );
+        let QueryOutcome::Degraded(degraded) = backend
+            .robust_with_session(&starved, &mut session, None)
+            .expect("starved robust")
+        else {
+            panic!("{name}: a zero-expansion budget answered exactly");
+        };
+        assert_eq!(degraded.stats.expanded_paths, 0, "{name}");
+        assert_eq!(degraded.fallback.nodes.first(), Some(&q.source), "{name}");
+        assert_eq!(degraded.fallback.nodes.last(), Some(&q.target), "{name}");
+        assert!(
+            degraded.fallback_travel_minutes >= border_min - 1e-6,
+            "{name}: fallback faster than the fastest path"
+        );
+
+        // A pre-cancelled token stops the search before any expansion.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        assert!(
+            matches!(
+                backend.robust_with_session(q, &mut session, Some(&cancelled)),
+                Err(EngineError::Cancelled)
+            ),
+            "{name}: pre-cancelled query"
+        );
+    }
+
+    let is_unreachable = |e: &AllFpError| matches!(e, AllFpError::Unreachable { .. });
+    assert!(
+        is_unreachable(&backend.all_fastest_paths(unreachable).unwrap_err()),
+        "{name}"
+    );
+    assert!(
+        is_unreachable(&backend.single_fastest_path(unreachable).unwrap_err()),
+        "{name}"
+    );
+    for robust in [
+        backend.robust_with_session(unreachable, &mut session, None),
+        backend.run_robust(unreachable),
+    ] {
+        assert!(
+            matches!(robust, Err(EngineError::Query(e)) if is_unreachable(&e)),
+            "{name}: unreachable pair on a robust surface"
+        );
+    }
+}
+
+/// A query pinned to a retired epoch fails on every surface instead of
+/// answering from another network version.
+fn check_retired_epoch(backend: &dyn PathfindBackend, manager: &EpochManager, query: &QuerySpec) {
+    let delta = manager
+        .current()
+        .network()
+        .seeded_delta(7, 6, 1)
+        .expect("delta");
+    manager.apply_delta(&delta).expect("apply");
+    let name = backend.backend_name();
+    let pinned = query.clone().with_epoch(EpochId(0));
+    let is_retired = |e: &AllFpError| matches!(e, AllFpError::EpochRetired { epoch: 0 });
+    assert!(
+        is_retired(&backend.all_fastest_paths(&pinned).unwrap_err()),
+        "{name}"
+    );
+    assert!(
+        is_retired(&backend.single_fastest_path(&pinned).unwrap_err()),
+        "{name}"
+    );
+    assert!(
+        matches!(backend.run_robust(&pinned), Err(EngineError::Query(e)) if is_retired(&e)),
+        "{name}: retired epoch on the robust surface"
+    );
+}
+
+#[test]
+fn every_backend_honours_the_contract() {
+    let mut net = suffolk_like(&MetroConfig::small(0xC0FFEE)).expect("generator");
+    // An island that can be left but never entered.
+    let island = net.add_node(-1.0, -1.0).expect("island");
+    net.add_class_edge(island, NodeId(0), 1.5, RoadClass::LocalOutside)
+        .expect("edge off the island");
+
+    let window = Interval::of(hm(7, 0), hm(10, 0));
+    let ask = |s, t| QuerySpec::new(s, t, window, DayCategory::WORKDAY);
+    let queries: Vec<QuerySpec> = sample_pairs(&net, 5, 0.5, 3.0, 0xF19)
+        .expect("pairs")
+        .iter()
+        .map(|p| ask(p.source, p.target))
+        .collect();
+    assert!(
+        queries.len() >= 3,
+        "workload sampler returned too few pairs"
+    );
+    let unreachable = ask(queries[0].source, island);
+
+    let flat = Engine::for_network(&net, config()).expect("flat engine");
+    let reference: Vec<Bits> = queries
+        .iter()
+        .map(|q| bits(&flat.all_fastest_paths(q).expect("reference allFP")))
+        .collect();
+    assert!(
+        reference.iter().any(|r| r.len() > 1),
+        "no query's fastest path changes over the window"
+    );
+    check_contract(&flat, &queries, &reference, &unreachable);
+
+    let manager = EpochManager::new(net.clone(), config()).expect("manager");
+    let live = LiveBackend::new(&manager);
+    check_contract(&live, &queries, &reference, &unreachable);
+    check_retired_epoch(&live, &manager, &queries[0]);
+
+    let ch = HierarchyEngine::with_flat(
+        Engine::for_network(&net, config()).expect("embedded flat engine"),
+        HierarchyConfig::default(),
+    )
+    .expect("hierarchy");
+    check_contract(&ch, &queries, &reference, &unreachable);
+
+    let node = NodeBackend::new(
+        0,
+        EpochManager::new(net.clone(), config()).expect("node manager"),
+        Arc::new(ShardMap::build(&net, 1, 1, 1).expect("shard map")),
+        Rc::new(VirtualBus::new(
+            7,
+            BusConfig::default(),
+            ClusterFaultPlan::default(),
+        )),
+        Rc::new(ManualClock::new()),
+        BreakerConfig::default(),
+        RetryPolicy::default(),
+        Rc::new(RefCell::new(LatencyHistogram::default())),
+    );
+    check_contract(&node, &queries, &reference, &unreachable);
+    check_retired_epoch(&node, node.manager(), &queries[0]);
+}
