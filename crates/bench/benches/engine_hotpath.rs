@@ -1,37 +1,30 @@
 //! Hot-path benchmarks for the allFP engine: the travel-function cache
 //! (on vs off) and the work-stealing batch driver swept over thread
 //! counts, on the Figure 9 workload (3-hour morning rush,
-//! distance-sampled source–target pairs on the metro scenario).
+//! distance-sampled source–target pairs on the metro scenario), plus
+//! the tiers the repo benchmark does not cover (metro-full flat vs
+//! hierarchy, metro-huge through mmap, the overload, live-update and
+//! cluster twins).
 //!
-//! The run emits `BENCH_engine.json` at
-//! the repository root with wall-times, expansions/sec, and the
-//! 1/2/4/8-thread `run_batch` scaling curve (tagged with the host's
-//! core count so the curve is interpretable), so throughput claims are
-//! machine-checkable.
+//! Bare (or `--report`) it rewrites `BENCH_engine.json` at the
+//! repository root, tagged with the host's core count so the scaling
+//! curves are interpretable. Every block of that file is one report
+//! struct's `fields()` through `fpbench::report::to_json`.
 //!
-//! `--smoke` runs a reduced workload instead of the benchmarks: it
-//! verifies the batch driver returns exactly the serial answers at
-//! every swept width and fails (non-zero exit) on answer divergence,
-//! a gross batch-overhead regression, a page fault of the checksummed
-//! stack that was not verified exactly once (or verification costing
-//! more than 3% plus its measured spread on a cold-cache fault-free
-//! disk workload), or an allocation regression — the pooled PWL
-//! kernels (compose + envelope merge) must run their steady-state loop with **zero** heap
-//! allocations under the crate's counting allocator, the whole engine
-//! must stay under a per-expansion allocation budget and under half
-//! the bytes per query it allocated before the search workspace was
-//! pooled, and a warm query on the metro-huge smoke tier must allocate
-//! less than one byte per network node — or an
-//! overload regression — the seeded 2× virtual-time overload scenario
-//! (`fpbench::overload`) must replay deterministically, keep its queue
-//! bounded, reconcile its stats, and hold goodput while shedding — or
-//! a continental-scale regression — the metro-huge smoke tier
-//! (`fpbench::metro_huge`) must bulk-build byte-identically at every
-//! thread count with transient scratch bounded under the graph bytes,
-//! serve its workload through the mmap store, and ask its warm
-//! estimator without allocating — all without
-//! touching the JSON report. `scripts/check.sh` runs it on every
-//! check.
+//! `--smoke` is the CI gate `scripts/check.sh` runs, and touches no
+//! file. It holds the gates that exist nowhere else, all on reduced
+//! workloads: the batch driver returns exactly the serial answers at
+//! every swept width without gross overhead; the pooled PWL kernels
+//! allocate nothing in steady state and the engine stays inside its
+//! per-expansion and per-query allocation budgets; every page fault of
+//! the checksummed stack is verified exactly once, at a cost inside its
+//! budget; the hierarchy beats the flat search by its floor in
+//! expansions and on the clock; no recorded `smoke_counters` count has
+//! grown; parallel contraction scales where the host has the cores; and
+//! the metro-huge smoke tier bulk-builds byte-identically, serves
+//! through mmap and allocates nothing sized by the network. (The
+//! virtual-time twins gate themselves in `fpbench`'s own tests.)
+//! `--hier` prints the hierarchy-vs-flat race at both report scales.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -45,7 +38,11 @@ use allfp::{
     QueryOutcome, QuerySpec,
 };
 use fpbench::alloc::snapshot;
-use fpbench::clock::{clock_backend, median_mad, Clocked, WARM_PASSES};
+use fpbench::clock::{
+    clock_backend, host_cpus, median_mad, sweep_annotation, Clocked, WARM_PASSES,
+};
+use fpbench::cluster::ClusterReport;
+use fpbench::report::{float, list, to_json, Field, Table, Value};
 use hierarchy::{HierarchyConfig, HierarchyEngine};
 use pwl::time::hm;
 use pwl::{compose_travel_into, Envelope, Interval, Pwl, PwlScratch};
@@ -75,20 +72,32 @@ fn uncached() -> EngineConfig {
     }
 }
 
-fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// One measured configuration for the JSON report.
 struct Measured {
-    name: String,
+    name: &'static str,
     wall_seconds: f64,
     queries: usize,
     expanded_paths: usize,
     /// `expanded_paths` of one singleFP pass over the same queries.
     singlefp_expanded_paths: usize,
-    expansions_per_sec: f64,
-    queries_per_sec: f64,
+}
+
+impl Measured {
+    fn fields(&self) -> Vec<Field> {
+        let per_sec = |n: usize| n as f64 / self.wall_seconds;
+        vec![
+            ("name", self.name.into()),
+            ("queries", self.queries.into()),
+            ("wall_seconds", float(self.wall_seconds, 6)),
+            ("expanded_paths", self.expanded_paths.into()),
+            (
+                "singlefp_expanded_paths",
+                self.singlefp_expanded_paths.into(),
+            ),
+            ("expansions_per_sec", float(per_sec(self.expanded_paths), 1)),
+            ("queries_per_sec", float(per_sec(self.queries), 2)),
+        ]
+    }
 }
 
 /// `expanded_paths` summed over one serial allFP pass and one serial
@@ -107,34 +116,31 @@ fn expansion_counts(backend: &dyn PathfindBackend, queries: &[QuerySpec]) -> (us
     counts
 }
 
-/// Time `queries` through `engine` (batched by `run`), counting
+/// Time serial allFP passes of `queries` through `engine`, counting
 /// expansions via the answers.
 fn measure(
-    name: &str,
+    name: &'static str,
     engine: &Engine<'_, RoadNetwork>,
     queries: &[QuerySpec],
-    run: impl Fn(&[QuerySpec]) -> Vec<allfp::Result<allfp::AllFpAnswer>>,
 ) -> Measured {
+    let pass = || -> usize {
+        let answers = queries.iter().map(|q| engine.all_fastest_paths(q));
+        answers.flatten().map(|a| a.stats.expanded_paths).sum()
+    };
     // Warm-up pass (fills the cache where one is enabled).
-    let _ = run(queries);
+    pass();
     let reps = 3;
     let start = Instant::now();
-    let mut expanded = 0usize;
+    let mut expanded_paths = 0;
     for _ in 0..reps {
-        expanded = 0;
-        for ans in run(queries).iter().flatten() {
-            expanded += ans.stats.expanded_paths;
-        }
+        expanded_paths = pass();
     }
-    let wall = start.elapsed().as_secs_f64() / f64::from(reps);
     Measured {
-        name: name.to_string(),
-        wall_seconds: wall,
+        name,
+        wall_seconds: start.elapsed().as_secs_f64() / f64::from(reps),
         queries: queries.len(),
-        expanded_paths: expanded,
+        expanded_paths,
         singlefp_expanded_paths: expansion_counts(engine, queries).1,
-        expansions_per_sec: expanded as f64 / wall,
-        queries_per_sec: queries.len() as f64 / wall,
     }
 }
 
@@ -170,6 +176,23 @@ struct ChecksumOverhead {
 }
 
 impl ChecksumOverhead {
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("reps", CHECKSUM_REPS.into()),
+            ("plain_wall_seconds", float(self.plain_wall_seconds, 6)),
+            (
+                "checksummed_wall_seconds",
+                float(self.checksummed_wall_seconds, 6),
+            ),
+            ("overhead_ratio", float(self.overhead_ratio, 4)),
+            ("overhead_ratio_mad", float(self.ratio_mad, 4)),
+            ("budget", float(CHECKSUM_BUDGET, 2)),
+            ("faults", self.faults.into()),
+            ("verified_reads", self.verified_reads.into()),
+            ("corruptions", self.corruptions.into()),
+        ]
+    }
+
     /// The count gate and the wall gate, as failure messages.
     fn failures(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -254,10 +277,26 @@ fn measure_checksum_overhead(net: &RoadNetwork, queries: &[QuerySpec]) -> Checks
     }
 }
 
-/// Allocation profile of the serial engine workload.
+/// Allocation profile of the serial engine workload and of the pooled
+/// PWL kernels beneath it.
 struct AllocProfile {
     allocs_per_expansion: f64,
     bytes_per_query: f64,
+    /// [`kernel_steady_state_allocs`] (must be 0).
+    kernel_steady_state_allocs: u64,
+}
+
+impl AllocProfile {
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("allocs_per_expansion", float(self.allocs_per_expansion, 2)),
+            ("bytes_per_query", float(self.bytes_per_query, 0)),
+            (
+                "kernel_steady_state_allocs",
+                self.kernel_steady_state_allocs.into(),
+            ),
+        ]
+    }
 }
 
 /// Measure allocator traffic of a warm width-1 batch (one persistent
@@ -282,6 +321,7 @@ fn measure_allocs(engine: &Engine<'_, RoadNetwork>, queries: &[QuerySpec]) -> Al
     AllocProfile {
         allocs_per_expansion: delta.allocs as f64 / expanded.max(1) as f64,
         bytes_per_query: delta.bytes as f64 / queries.len().max(1) as f64,
+        kernel_steady_state_allocs: kernel_steady_state_allocs(),
     }
 }
 
@@ -340,18 +380,18 @@ struct SweepPoint {
     speedup_vs_serial: f64,
     steals: u64,
     cache_hit_rate: f64,
-    /// `"scheduler_noise"` when the point oversubscribes the host
-    /// (threads > cores): its wall time measures contention, not
-    /// scaling, and regression gates must not read it as one.
-    annotation: &'static str,
 }
 
-/// Annotation for a sweep width on this host.
-fn sweep_annotation(threads: usize) -> &'static str {
-    if threads > host_cpus() {
-        "scheduler_noise"
-    } else {
-        ""
+impl SweepPoint {
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("threads", self.threads.into()),
+            ("wall_seconds", float(self.wall_seconds, 6)),
+            ("speedup_vs_serial", float(self.speedup_vs_serial, 2)),
+            ("steals", self.steals.into()),
+            ("cache_hit_rate", float(self.cache_hit_rate, 4)),
+            ("annotation", sweep_annotation(self.threads).into()),
+        ]
     }
 }
 
@@ -362,12 +402,7 @@ fn sweep_annotation(threads: usize) -> &'static str {
 /// figures are warm medians with their spread.
 struct HierarchyReport {
     scale: &'static str,
-    preprocess_wall_seconds: f64,
-    n_nodes: usize,
-    n_shortcuts: usize,
-    n_disabled: usize,
-    overlay_pieces: u64,
-    overlay_bytes: u64,
+    build: hierarchy::BuildReport,
     queries: usize,
     flat_singlefp: Clocked,
     ch_singlefp: Clocked,
@@ -376,6 +411,30 @@ struct HierarchyReport {
 }
 
 impl HierarchyReport {
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("scale", self.scale.into()),
+            (
+                "preprocess_wall_seconds",
+                float(self.build.build_wall.as_secs_f64(), 3),
+            ),
+            ("n_nodes", self.build.n_nodes.into()),
+            ("n_shortcuts", self.build.n_shortcuts.into()),
+            ("n_disabled", self.build.n_disabled.into()),
+            ("overlay_pieces", self.build.overlay_pieces.into()),
+            ("overlay_bytes", self.build.bytes_estimate.into()),
+            ("queries", self.queries.into()),
+            ("warm_passes", WARM_PASSES.into()),
+            ("singlefp_flat", Value::Object(self.flat_singlefp.fields())),
+            ("singlefp_ch", Value::Object(self.ch_singlefp.fields())),
+            ("allfp_flat", Value::Object(self.flat_allfp.fields())),
+            ("allfp_ch", Value::Object(self.ch_allfp.fields())),
+            ("expansion_speedup", float(self.expansion_speedup(), 1)),
+            ("wall_speedup", float(self.wall_speedup(), 2)),
+            ("allfp_wall_speedup", float(self.allfp_wall_speedup(), 2)),
+        ]
+    }
+
     /// singleFP `flat / ch` expansions — work per query saved by
     /// preprocessing.
     fn expansion_speedup(&self) -> f64 {
@@ -412,18 +471,12 @@ fn measure_hierarchy(scale: Scale, scale_name: &'static str, count: usize) -> Hi
     let flat = Engine::new(net, EngineConfig::default());
     let ch = HierarchyEngine::build(net, EngineConfig::default(), HierarchyConfig::default())
         .expect("hierarchy builds");
-    let build = ch.report().clone();
 
     let (flat_allfp, flat_singlefp) = clock_backend(&flat, &queries);
     let (ch_allfp, ch_singlefp) = clock_backend(&ch, &queries);
     HierarchyReport {
         scale: scale_name,
-        preprocess_wall_seconds: build.build_wall.as_secs_f64(),
-        n_nodes: build.n_nodes,
-        n_shortcuts: build.n_shortcuts,
-        n_disabled: build.n_disabled,
-        overlay_pieces: build.overlay_pieces,
-        overlay_bytes: build.bytes_estimate,
+        build: ch.report().clone(),
         queries: queries.len(),
         flat_singlefp,
         ch_singlefp,
@@ -438,9 +491,20 @@ struct ContractionPoint {
     preprocess_wall_seconds: f64,
     /// Wall speedup versus the 1-thread build of the same network.
     speedup_vs_serial: f64,
-    /// `"scheduler_noise"` when `threads > host_cpus` — the point
-    /// measures contention, not scaling.
-    annotation: &'static str,
+}
+
+impl ContractionPoint {
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("threads", self.threads.into()),
+            (
+                "preprocess_wall_seconds",
+                float(self.preprocess_wall_seconds, 3),
+            ),
+            ("speedup_vs_serial", float(self.speedup_vs_serial, 2)),
+            ("annotation", sweep_annotation(self.threads).into()),
+        ]
+    }
 }
 
 /// Thread counts swept by the contraction scaling curve.
@@ -475,7 +539,6 @@ fn measure_contraction_sweep(scale: Scale) -> Vec<ContractionPoint> {
             threads,
             preprocess_wall_seconds: wall,
             speedup_vs_serial: serial_wall / wall.max(1e-12),
-            annotation: sweep_annotation(threads),
         })
         .collect()
 }
@@ -495,6 +558,24 @@ struct SmokeCounters {
     ch: (usize, usize),
     /// [`measure_allocs`]' bytes per query on the flat pass's workload.
     alloc_bytes_per_query: usize,
+}
+
+impl SmokeCounters {
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("flat_allfp_expanded", self.flat.0.into()),
+            ("flat_singlefp_expanded", self.flat.1.into()),
+            ("mintime_allfp_expanded", self.min_time.0.into()),
+            ("mintime_singlefp_expanded", self.min_time.1.into()),
+            ("ch_allfp_expanded", self.ch.0.into()),
+            ("ch_singlefp_expanded", self.ch.1.into()),
+            (
+                "alloc_bytes_per_query_parent",
+                ALLOC_BYTES_PER_QUERY_PARENT.into(),
+            ),
+            ("alloc_bytes_per_query", self.alloc_bytes_per_query.into()),
+        ]
+    }
 }
 
 /// [`SmokeCounters::alloc_bytes_per_query`] at the commit before the
@@ -523,286 +604,10 @@ fn recorded_count(key: &str) -> Option<usize> {
     digits[..end].parse().ok()
 }
 
-/// Minimal JSON rendering (no serde in the workspace).
-#[allow(clippy::too_many_arguments)]
-fn to_json(
-    rows: &[Measured],
-    sweep: &[SweepPoint],
-    speedup_cache: f64,
-    checksum: &ChecksumOverhead,
-    alloc: &AllocProfile,
-    kernel_allocs: u64,
-    overload: &fpbench::overload::OverloadReport,
-    live: &fpbench::live_update::LiveUpdateReport,
-    cluster: &[fpbench::cluster::ClusterReport],
-    hierarchy: &HierarchyReport,
-    smoke: &SmokeCounters,
-    contraction: &[ContractionPoint],
-    huge: &fpbench::metro_huge::MetroHugeReport,
-) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"engine_hotpath\",\n");
-    out.push_str("  \"workload\": \"fig9 morning rush, metro-medium, allFP\",\n");
-    out.push_str(&format!("  \"host_cpus\": {},\n", host_cpus()));
-    out.push_str(
-        "  \"note\": \"batch speedups are bounded by host_cpus; on a single-core host \
-         the sweep measures scheduler overhead, not scaling\",\n",
-    );
-    out.push_str("  \"configs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"queries\": {}, \"wall_seconds\": {:.6}, \
-             \"expanded_paths\": {}, \"singlefp_expanded_paths\": {}, \
-             \"expansions_per_sec\": {:.1}, \"queries_per_sec\": {:.2}}}{}\n",
-            r.name,
-            r.queries,
-            r.wall_seconds,
-            r.expanded_paths,
-            r.singlefp_expanded_paths,
-            r.expansions_per_sec,
-            r.queries_per_sec,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"batch_sweep\": [\n");
-    for (i, p) in sweep.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"wall_seconds\": {:.6}, \"speedup_vs_serial\": {:.2}, \
-             \"steals\": {}, \"cache_hit_rate\": {:.4}, \"annotation\": \"{}\"}}{}\n",
-            p.threads,
-            p.wall_seconds,
-            p.speedup_vs_serial,
-            p.steals,
-            p.cache_hit_rate,
-            p.annotation,
-            if i + 1 < sweep.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"speedup_cache_on_vs_off\": {speedup_cache:.2},\n"
-    ));
-    out.push_str(&format!(
-        "  \"checksum_overhead\": {{\"reps\": {CHECKSUM_REPS}, \"plain_wall_seconds\": {:.6}, \
-         \"checksummed_wall_seconds\": {:.6}, \"overhead_ratio\": {:.4}, \
-         \"overhead_ratio_mad\": {:.4}, \"budget\": {CHECKSUM_BUDGET}, \"faults\": {}, \
-         \"verified_reads\": {}, \"corruptions\": {}, \
-         \"note\": \"walls and ratio are medians over interleaved cold-cache reps; the gate is \
-         verified_reads == faults and corruptions == 0, the wall only fails beyond budget + 2 MAD\"}},\n",
-        checksum.plain_wall_seconds,
-        checksum.checksummed_wall_seconds,
-        checksum.overhead_ratio,
-        checksum.ratio_mad,
-        checksum.faults,
-        checksum.verified_reads,
-        checksum.corruptions,
-    ));
-    out.push_str(&format!(
-        "  \"overload\": {{\"seed\": {}, \"submissions\": {}, \"offered_ratio\": {:.1}, \
-         \"queue_capacity\": {}, \"queue_depth_high_water\": {}, \"admitted\": {}, \
-         \"rejected\": {}, \"answered\": {}, \"degraded\": {}, \"shed\": {}, \
-         \"goodput_ratio\": {:.4}, \"reconciled\": {}, \"deterministic\": {}, \
-         \"note\": \"seeded 2x open-loop overload in virtual time; goodput is the \
-         fraction of capacity kept on useful work while shedding the excess\"}},\n",
-        overload.seed,
-        overload.submissions,
-        overload.offered_ratio,
-        overload.queue_capacity,
-        overload.queue_depth_high_water,
-        overload.admitted,
-        overload.rejected,
-        overload.answered,
-        overload.degraded,
-        overload.shed,
-        overload.goodput_ratio,
-        overload.reconciled,
-        overload.deterministic,
-    ));
-    out.push_str(&format!(
-        "  \"live_update\": {{\"seed\": {}, \"scale\": \"{}\", \"n_edges\": {},          \"delta_edges\": {}, \"shortcuts_total\": {}, \"shortcuts_rebuilt\": {},          \"invalidation_fraction\": {:.4}, \"refresh_wall_seconds\": {:.4},          \"build_wall_seconds\": {:.3}, \"submissions\": {}, \"updates_applied\": {},          \"epochs_published\": {}, \"epochs_retired\": {}, \"goodput_ratio\": {:.4},          \"reconciled\": {}, \"deterministic\": {},          \"note\": \"seeded ~1%-of-edges delta on the exact-storage metro-medium          hierarchy (scoped invalidation: rebuilt fraction gated < 0.20) plus a          virtual-time 2x-overload storm with concurrent epoch swaps (goodput gated          >= 0.5)\"}},\n",
-        live.seed,
-        live.scale,
-        live.n_edges,
-        live.delta_edges,
-        live.shortcuts_total,
-        live.shortcuts_rebuilt,
-        live.invalidation_fraction,
-        live.refresh_wall_seconds,
-        live.build_wall_seconds,
-        live.submissions,
-        live.updates_applied,
-        live.epochs_published,
-        live.epochs_retired,
-        live.goodput_ratio,
-        live.reconciled,
-        live.deterministic,
-    ));
-    out.push_str("  \"cluster\": [\n");
-    for (i, c) in cluster.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"seed\": {}, \"sim_nodes\": {}, \"shards\": {}, \
-             \"submissions\": {}, \"admitted\": {}, \"rejected\": {}, \"answered\": {}, \
-             \"degraded\": {}, \"failed\": {}, \"cancelled\": {}, \"unroutable\": {}, \
-             \"crashes\": {}, \"restarts\": {}, \"rpc_attempts\": {}, \"rpc_retries\": {}, \
-             \"rpc_timeouts\": {}, \"rpc_peer_down\": {}, \"breaker_skips\": {}, \
-             \"replica_failovers\": {}, \"routed_failovers\": {}, \
-             \"failover_latency_mean\": {:.1}, \"failover_latency_max\": {}, \
-             \"goodput\": {:.4}, \"reconciled\": {}, \"deterministic\": {}}}{}\n",
-            c.scenario,
-            c.seed,
-            c.sim_nodes,
-            c.shards,
-            c.submissions,
-            c.admitted,
-            c.rejected,
-            c.answered,
-            c.degraded,
-            c.failed,
-            c.cancelled,
-            c.unroutable,
-            c.crashes,
-            c.restarts,
-            c.rpc.attempts,
-            c.rpc.retries,
-            c.rpc.timeouts,
-            c.rpc.peer_down,
-            c.rpc.breaker_skips,
-            c.rpc.failovers,
-            c.routed_failovers,
-            c.failover_latency_mean,
-            c.failover_latency_max,
-            c.goodput,
-            c.reconciled,
-            c.deterministic,
-            if i + 1 < cluster.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(
-        "  \"cluster_note\": \"partition-sharded fleet in deterministic simulation: the \
-         chaos twin composes 2x overload with a crash/restart, a partition storm, RPC \
-         latency spikes and live deltas; node-loss holds one shard owner down (goodput \
-         gated >= 0.5); surviving answers are pinned bit-identical to a single-node \
-         oracle by the fp-cluster test suites\",\n",
-    );
-    out.push_str(&format!(
-        "  \"alloc\": {{\"allocs_per_expansion\": {:.2}, \"bytes_per_query\": {:.0}, \
-         \"kernel_steady_state_allocs\": {kernel_allocs}, \
-         \"note\": \"counting global allocator over a warm width-1 batch; kernel loop \
-         (compose + envelope merge on pooled scratch) must stay at 0\"}},\n",
-        alloc.allocs_per_expansion, alloc.bytes_per_query,
-    ));
-    out.push_str(&format!(
-        "  \"hierarchy\": {{\"scale\": \"{}\", \"preprocess_wall_seconds\": {:.3}, \
-         \"n_nodes\": {}, \"n_shortcuts\": {}, \"n_disabled\": {}, \"overlay_pieces\": {}, \
-         \"overlay_bytes\": {}, \"queries\": {}, \"warm_passes\": {WARM_PASSES}, \
-         \"singlefp_flat\": {}, \"singlefp_ch\": {}, \"allfp_flat\": {}, \"allfp_ch\": {}, \
-         \"expansion_speedup\": {:.1}, \"wall_speedup\": {:.2}, \"allfp_wall_speedup\": {:.2}, \
-         \"note\": \"serial morning-rush workload, each mode of each backend as a first pass \
-         then the median +- MAD of warm_passes further ones (queries per second), with the \
-         expanded_paths of one pass and the bytes a warm pass allocates per query; \
-         expansion_speedup (singleFP) is the machine-independent gate metric, wall_speedup \
-         (singleFP) and allfp_wall_speedup are ratios of warm medians, the former gated at 3x on \
-         medium by --smoke; overlay_bytes is one exact one-day function per arc at 24 bytes \
-         a piece\"}},\n",
-        hierarchy.scale,
-        hierarchy.preprocess_wall_seconds,
-        hierarchy.n_nodes,
-        hierarchy.n_shortcuts,
-        hierarchy.n_disabled,
-        hierarchy.overlay_pieces,
-        hierarchy.overlay_bytes,
-        hierarchy.queries,
-        hierarchy.flat_singlefp.to_json(),
-        hierarchy.ch_singlefp.to_json(),
-        hierarchy.flat_allfp.to_json(),
-        hierarchy.ch_allfp.to_json(),
-        hierarchy.expansion_speedup(),
-        hierarchy.wall_speedup(),
-        hierarchy.allfp_wall_speedup(),
-    ));
-    out.push_str(&format!(
-        "  \"smoke_counters\": {{\"flat_allfp_expanded\": {}, \"flat_singlefp_expanded\": {}, \
-         \"mintime_allfp_expanded\": {}, \"mintime_singlefp_expanded\": {}, \
-         \"ch_allfp_expanded\": {}, \"ch_singlefp_expanded\": {}, \
-         \"alloc_bytes_per_query_parent\": {ALLOC_BYTES_PER_QUERY_PARENT}, \
-         \"alloc_bytes_per_query\": {}, \
-         \"note\": \"expanded_paths of --smoke's serial passes (flat under naiveLB and under \
-         minTimeLB: metro-small x12, ch: metro-medium x12); --smoke fails when an allFP, a \
-         minTimeLB or a ch count exceeds the one recorded here; alloc_bytes_per_query is the warm \
-         width-1 batch of the naiveLB pass under the counting allocator, _parent the same \
-         before the search workspace was pooled, and --smoke fails above half of _parent\"}},\n",
-        smoke.flat.0,
-        smoke.flat.1,
-        smoke.min_time.0,
-        smoke.min_time.1,
-        smoke.ch.0,
-        smoke.ch.1,
-        smoke.alloc_bytes_per_query,
-    ));
-    out.push_str("  \"contraction_sweep\": [\n");
-    for (i, p) in contraction.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"preprocess_wall_seconds\": {:.3}, \
-             \"speedup_vs_serial\": {:.2}, \"annotation\": \"{}\"}}{}\n",
-            p.threads,
-            p.preprocess_wall_seconds,
-            p.speedup_vs_serial,
-            p.annotation,
-            if i + 1 < contraction.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"metro_huge\": {{\"tier\": \"{}\", \"n_nodes\": {}, \"data_pages\": {}, \
-         \"total_pages\": {}, \"graph_bytes\": {}, \"transient_build_bytes\": {}, \
-         \"peak_rss_bytes\": {}, \"deterministic\": {}, \"store\": \"{}\", \
-         \"pool_frames\": {}, \"estimator\": {{\"kind\": \"minTimeLB\", \
-         \"wall_seconds\": {:.3}, \"bytes\": {}}}, \"queries\": {}, \"query_failures\": {}, \
-         \"warm_passes\": {WARM_PASSES}, \"allfp\": {}, \"singlefp\": {}, \
-         \"io\": {{\"reads\": {}, \"bytes_read\": {}, \"bytes_written\": {}, \
-         \"mmap_faults\": {}}}, \"build_sweep\": [{}], \
-         \"note\": \"continental tier bulk-built straight from the lazy generator \
-         (builder transient bytes are the analytic peak of its scratch, gated well \
-         under the graph bytes; peak_rss is the whole process high water), served \
-         through the mmap store with pool frames << graph pages: allFP then singleFP, each \
-         as a first pass (allFP's is the cold one: every page fault is in it) then the \
-         median +- MAD of warm_passes further ones\"}}\n",
-        huge.tier,
-        huge.n_nodes,
-        huge.data_pages,
-        huge.total_pages,
-        huge.graph_bytes,
-        huge.transient_build_bytes,
-        huge.peak_rss_bytes,
-        huge.deterministic,
-        huge.store_kind,
-        huge.pool_frames,
-        huge.estimator_wall_seconds,
-        huge.estimator_bytes,
-        huge.queries,
-        huge.allfp.failures + huge.singlefp.failures,
-        huge.allfp.to_json(),
-        huge.singlefp.to_json(),
-        huge.io_reads,
-        huge.io_bytes_read,
-        huge.io_bytes_written,
-        huge.mmap_faults,
-        huge.build_sweep
-            .iter()
-            .map(|p| format!(
-                "{{\"threads\": {}, \"wall_seconds\": {:.3}, \"speedup_vs_serial\": {:.2}, \
-                 \"annotation\": \"{}\"}}",
-                p.threads,
-                p.wall_seconds,
-                p.speedup_vs_serial,
-                sweep_annotation(p.threads),
-            ))
-            .collect::<Vec<_>>()
-            .join(", "),
-    ));
-    out.push_str("}\n");
-    out
+/// `fields` as a JSON object closed by the note that explains them.
+fn noted(mut fields: Vec<Field>, note: &str) -> Value {
+    fields.push(("note", note.into()));
+    Value::Object(fields)
 }
 
 /// Time one batch width (warm-up + averaged reps), keeping the stats of
@@ -836,13 +641,9 @@ fn emit_report() {
     let plain = Engine::new(net, uncached());
     let cached = Engine::new(net, EngineConfig::default());
 
-    let rows = vec![
-        measure("serial cache-off", &plain, &queries, |qs| {
-            qs.iter().map(|q| plain.all_fastest_paths(q)).collect()
-        }),
-        measure("serial cache-on", &cached, &queries, |qs| {
-            qs.iter().map(|q| cached.all_fastest_paths(q)).collect()
-        }),
+    let rows = [
+        measure("serial cache-off", &plain, &queries),
+        measure("serial cache-on", &cached, &queries),
     ];
     let serial_wall = rows[1].wall_seconds;
     let sweep: Vec<SweepPoint> = THREAD_SWEEP
@@ -855,14 +656,11 @@ fn emit_report() {
                 speedup_vs_serial: serial_wall / wall,
                 steals: stats.steals,
                 cache_hit_rate: stats.cache_hit_rate(),
-                annotation: sweep_annotation(threads),
             }
         })
         .collect();
-    let speedup_cache = rows[0].wall_seconds / rows[1].wall_seconds;
     let checksum = measure_checksum_overhead(net, &queries);
     let alloc = measure_allocs(&cached, &queries);
-    let kernel_allocs = kernel_steady_state_allocs();
     let overload = fpbench::overload::run(0x5EED, 100);
     let live = fpbench::live_update::run(0x5EED, 100, 8);
     let cluster = [
@@ -893,21 +691,108 @@ fn emit_report() {
     // byte-identity check, then the fig9 workload served through the
     // mmap store under the min-time estimator.
     let huge = fpbench::metro_huge::run(&ContinentalConfig::metro_huge(0x5EED), "metro-huge", 24);
-    let json = to_json(
-        &rows,
-        &sweep,
-        speedup_cache,
-        &checksum,
-        &alloc,
-        kernel_allocs,
-        &overload,
-        &live,
-        &cluster,
-        &hierarchy,
-        &smoke,
-        &contraction,
-        &huge,
-    );
+    let json = to_json(&[
+        ("benchmark", "engine_hotpath".into()),
+        ("workload", "fig9 morning rush, metro-medium, allFP".into()),
+        ("host_cpus", host_cpus().into()),
+        (
+            "note",
+            "batch speedups are bounded by host_cpus; on a single-core host the sweep \
+             measures scheduler overhead, not scaling"
+                .into(),
+        ),
+        ("configs", list(&rows, Measured::fields)),
+        ("batch_sweep", list(&sweep, SweepPoint::fields)),
+        (
+            "speedup_cache_on_vs_off",
+            float(rows[0].wall_seconds / rows[1].wall_seconds, 2),
+        ),
+        (
+            "checksum_overhead",
+            noted(
+                checksum.fields(),
+                "walls and ratio are medians over interleaved cold-cache reps; the gate is \
+                 verified_reads == faults and corruptions == 0, the wall only fails beyond \
+                 budget + 2 MAD",
+            ),
+        ),
+        (
+            "overload",
+            noted(
+                overload.fields(),
+                "seeded 2x open-loop overload in virtual time; goodput is the fraction of \
+                 capacity kept on useful work while shedding the excess",
+            ),
+        ),
+        (
+            "live_update",
+            noted(
+                live.fields(),
+                "seeded ~1%-of-edges delta on the exact-storage metro-medium hierarchy \
+                 (scoped invalidation: rebuilt fraction gated < 0.20) plus a virtual-time \
+                 2x-overload storm with concurrent epoch swaps (goodput gated >= 0.5)",
+            ),
+        ),
+        ("cluster", list(&cluster, ClusterReport::fields)),
+        (
+            "cluster_note",
+            "partition-sharded fleet in deterministic simulation: the chaos twin composes 2x \
+             overload with a crash/restart, a partition storm, RPC latency spikes and live \
+             deltas; node-loss holds one shard owner down (goodput gated >= 0.5); surviving \
+             answers are pinned bit-identical to a single-node oracle by the fp-cluster test \
+             suites"
+                .into(),
+        ),
+        (
+            "alloc",
+            noted(
+                alloc.fields(),
+                "counting global allocator over a warm width-1 batch; kernel loop (compose + \
+                 envelope merge on pooled scratch) must stay at 0",
+            ),
+        ),
+        (
+            "hierarchy",
+            noted(
+                hierarchy.fields(),
+                "serial morning-rush workload, each mode of each backend as a first pass then \
+                 the median +- MAD of warm_passes further ones (queries per second), with the \
+                 expanded_paths of one pass and the bytes a warm pass allocates per query; \
+                 expansion_speedup (singleFP) is the machine-independent gate metric, \
+                 wall_speedup (singleFP) and allfp_wall_speedup are ratios of warm medians, \
+                 the former gated at 3x on medium by --smoke; overlay_bytes is one exact \
+                 one-day function per arc at 24 bytes a piece",
+            ),
+        ),
+        (
+            "smoke_counters",
+            noted(
+                smoke.fields(),
+                "expanded_paths of --smoke's serial passes (flat under naiveLB and under \
+                 minTimeLB: metro-small x12, ch: metro-medium x12); --smoke fails when an \
+                 allFP, a minTimeLB or a ch count exceeds the one recorded here; \
+                 alloc_bytes_per_query is the warm width-1 batch of the naiveLB pass under \
+                 the counting allocator, _parent the same before the search workspace was \
+                 pooled, and --smoke fails above half of _parent",
+            ),
+        ),
+        (
+            "contraction_sweep",
+            list(&contraction, ContractionPoint::fields),
+        ),
+        (
+            "metro_huge",
+            noted(
+                huge.fields(),
+                "continental tier bulk-built straight from the lazy generator (builder \
+                 transient bytes are the analytic peak of its scratch, gated well under the \
+                 graph bytes; peak_rss is the whole process high water), served through the \
+                 mmap store with pool frames << graph pages: allFP then singleFP, each as a \
+                 first pass (allFP's is the cold one: every page fault is in it) then the \
+                 median +- MAD of warm_passes further ones",
+            ),
+        ),
+    ]);
 
     match std::fs::write(REPORT_PATH, &json) {
         Ok(()) => println!("wrote {REPORT_PATH}"),
@@ -916,20 +801,16 @@ fn emit_report() {
     print!("{json}");
 }
 
-/// `--smoke`: fast correctness + gross-regression gate for CI.
+/// `--smoke`: the CI gate; the module docs say what it covers. Exits
+/// non-zero on any failure.
 ///
-/// Exits non-zero if any swept batch width diverges from the serial
-/// answers, if the batch roll-up loses lookups, or if `run_batch` at
-/// a width the host can actually run in parallel costs a gross
-/// multiple of the serial loop. Widths that oversubscribe the host
-/// (threads > cores) measure scheduler contention, not scaling: their
-/// wall times are printed with a `scheduler_noise` annotation and
-/// never counted as regressions — on the 1-core bench host every
-/// multi-thread point is such a point. When the host actually has
-/// ≥ 4 cores, 4 threads must also deliver ≥ 1.5x over serial (the
-/// scaling target this machinery exists for). The hierarchy gate
-/// (preprocessing must buy ≥ 10x less singleFP expansion work) runs
-/// at the end; its wall-clock twin applies only on multi-core hosts.
+/// Widths that oversubscribe the host (threads > cores) measure
+/// scheduler contention, not scaling: their wall times are printed
+/// with a `scheduler_noise` annotation and never counted as
+/// regressions — on a 1-core host every multi-thread point is such a
+/// point. When the host actually has ≥ 4 cores, 4 threads must also
+/// deliver ≥ 1.5x over serial (the scaling target this machinery
+/// exists for).
 fn smoke() -> i32 {
     // Generous on a single-core host, where even the 1-thread batch
     // sits atop timer noise on a small workload.
@@ -946,27 +827,29 @@ fn smoke() -> i32 {
         .map(|q| engine.all_fastest_paths(q))
         .collect();
     // Best-of-3: the gate compares achievable costs, not scheduler luck.
-    let serial_wall = (0..3)
-        .map(|_| {
+    let best_of_3 = |work: &dyn Fn()| {
+        let wall = || {
             let start = Instant::now();
-            for q in &queries {
-                let _ = engine.all_fastest_paths(q);
-            }
+            work();
             start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min);
+        };
+        wall().min(wall()).min(wall())
+    };
+    let serial_wall = best_of_3(&|| {
+        for q in &queries {
+            let _ = engine.all_fastest_paths(q);
+        }
+    });
 
     let mut failures = 0;
+    let mut fail = |msg: String| {
+        eprintln!("SMOKE FAIL: {msg}");
+        failures += 1;
+    };
     let cancel = CancelToken::new();
     for threads in THREAD_SWEEP {
         let (batch, stats) = run_batch(&engine, &queries, threads, &cancel);
-        let wall = (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                let _ = run_batch(&engine, &queries, threads, &cancel);
-                start.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min);
+        let wall = best_of_3(&|| drop(run_batch(&engine, &queries, threads, &cancel)));
 
         for (i, (s, b)) in serial.iter().zip(batch.iter()).enumerate() {
             let same = match (s, b) {
@@ -980,22 +863,21 @@ fn smoke() -> i32 {
                 _ => false,
             };
             if !same {
-                eprintln!("SMOKE FAIL: query {i} diverges from serial at {threads} threads");
-                failures += 1;
+                fail(format!(
+                    "query {i} diverges from serial at {threads} threads"
+                ));
             }
         }
         if stats.total_queries() != queries.len() {
-            eprintln!(
-                "SMOKE FAIL: {} threads processed {} of {} queries",
+            fail(format!(
+                "{} threads processed {} of {} queries",
                 threads,
                 stats.total_queries(),
                 queries.len()
-            );
-            failures += 1;
+            ));
         }
         if stats.cache_lookups != stats.cache_hits + stats.cache_misses {
-            eprintln!("SMOKE FAIL: batch roll-up lost lookups at {threads} threads");
-            failures += 1;
+            fail(format!("batch roll-up lost lookups at {threads} threads"));
         }
         let ratio = wall / serial_wall;
         let annotation = sweep_annotation(threads);
@@ -1008,11 +890,10 @@ fn smoke() -> i32 {
         );
         if ratio > max_overhead {
             if annotation.is_empty() {
-                eprintln!(
-                    "SMOKE FAIL: run_batch at {threads} threads took {ratio:.2}x the serial loop \
+                fail(format!(
+                    "run_batch at {threads} threads took {ratio:.2}x the serial loop \
                      (limit {max_overhead}x)"
-                );
-                failures += 1;
+                ));
             } else {
                 // Oversubscribed width on this host: slow is expected,
                 // wrong answers (checked above) would not be.
@@ -1024,13 +905,12 @@ fn smoke() -> i32 {
             }
         }
         if threads == 4 && host_cpus() >= 4 && serial_wall / wall < TARGET_SPEEDUP {
-            eprintln!(
-                "SMOKE FAIL: {} cores available but 4 threads give only {:.2}x over serial \
+            fail(format!(
+                "{} cores available but 4 threads give only {:.2}x over serial \
                  (target {TARGET_SPEEDUP}x)",
                 host_cpus(),
                 serial_wall / wall
-            );
-            failures += 1;
+            ));
         }
     }
     // Allocation gates. Strict zero for the pooled kernels: the
@@ -1044,33 +924,29 @@ fn smoke() -> i32 {
     // search workspace's: per-query state proportional to the network
     // would put the figure back above half of what it was before.
     const MAX_ALLOCS_PER_EXPANSION: f64 = 6.0;
-    let kernel_allocs = kernel_steady_state_allocs();
-    println!("smoke: pooled-kernel steady-state allocations: {kernel_allocs} (must be 0)");
-    if kernel_allocs != 0 {
-        eprintln!(
-            "SMOKE FAIL: pooled PWL kernels allocated {kernel_allocs} time(s) in the warm loop"
-        );
-        failures += 1;
-    }
     let alloc = measure_allocs(&engine, &queries);
     println!(
-        "smoke: {:.2} allocs/expansion, {:.0} bytes/query (budget {MAX_ALLOCS_PER_EXPANSION} allocs/expansion)",
-        alloc.allocs_per_expansion, alloc.bytes_per_query
+        "smoke: alloc {} (kernel loop must be 0, budget {MAX_ALLOCS_PER_EXPANSION} allocs/expansion)",
+        Value::Object(alloc.fields())
     );
+    if alloc.kernel_steady_state_allocs != 0 {
+        fail(format!(
+            "pooled PWL kernels allocated {} time(s) in the warm loop",
+            alloc.kernel_steady_state_allocs
+        ));
+    }
     if alloc.allocs_per_expansion > MAX_ALLOCS_PER_EXPANSION {
-        eprintln!(
-            "SMOKE FAIL: engine allocates {:.2} times per expansion (budget {MAX_ALLOCS_PER_EXPANSION})",
+        fail(format!(
+            "engine allocates {:.2} times per expansion (budget {MAX_ALLOCS_PER_EXPANSION})",
             alloc.allocs_per_expansion
-        );
-        failures += 1;
+        ));
     }
     if 2.0 * alloc.bytes_per_query > ALLOC_BYTES_PER_QUERY_PARENT as f64 {
-        eprintln!(
-            "SMOKE FAIL: engine allocates {:.0} bytes per query, more than half of the \
+        fail(format!(
+            "engine allocates {:.0} bytes per query, more than half of the \
              {ALLOC_BYTES_PER_QUERY_PARENT} it did with per-query node vectors",
             alloc.bytes_per_query
-        );
-        failures += 1;
+        ));
     }
 
     // Checksum gates: every fault of the checksummed stack is verified
@@ -1079,155 +955,8 @@ fn smoke() -> i32 {
     // beyond its own spread. Cold caches every pass, so verification
     // actually runs.
     let checksum = measure_checksum_overhead(net, &queries);
-    println!(
-        "smoke: checksum overhead {:.2}% ± {:.2}% over {CHECKSUM_REPS} reps (plain {:.4}s, checksummed {:.4}s, \
-         budget {:.0}%); {} faults, {} verified reads, {} corruptions",
-        (checksum.overhead_ratio - 1.0) * 100.0,
-        checksum.ratio_mad * 100.0,
-        checksum.plain_wall_seconds,
-        checksum.checksummed_wall_seconds,
-        (CHECKSUM_BUDGET - 1.0) * 100.0,
-        checksum.faults,
-        checksum.verified_reads,
-        checksum.corruptions,
-    );
-    for failure in checksum.failures() {
-        eprintln!("SMOKE FAIL: {failure}");
-        failures += 1;
-    }
-
-    // Overload gates: the seeded 2x overload scenario must replay
-    // deterministically, keep its queue bounded, balance its books,
-    // and hold goodput while shedding — the service-level promises the
-    // admission/shedding machinery exists for.
-    const MIN_GOODPUT: f64 = 0.4;
-    let ov = fpbench::overload::run(0x5EED, 100);
-    println!(
-        "smoke: overload {}/{} admitted, {} rejected, {} shed, goodput {:.2}, hiwater {}/{}",
-        ov.admitted,
-        ov.submissions,
-        ov.rejected,
-        ov.shed,
-        ov.goodput_ratio,
-        ov.queue_depth_high_water,
-        ov.queue_capacity
-    );
-    if !ov.reconciled {
-        eprintln!("SMOKE FAIL: overload stats do not reconcile: {ov:?}");
-        failures += 1;
-    }
-    if !ov.deterministic {
-        eprintln!("SMOKE FAIL: overload scenario did not replay identically");
-        failures += 1;
-    }
-    if ov.queue_depth_high_water > ov.queue_capacity {
-        eprintln!(
-            "SMOKE FAIL: overload queue reached {} past its bound {}",
-            ov.queue_depth_high_water, ov.queue_capacity
-        );
-        failures += 1;
-    }
-    if ov.rejected == 0 || ov.shed == 0 {
-        eprintln!("SMOKE FAIL: 2x overload never rejected/shed — the scenario lost its teeth");
-        failures += 1;
-    }
-    if ov.goodput_ratio < MIN_GOODPUT {
-        eprintln!(
-            "SMOKE FAIL: overload goodput {:.2} under {MIN_GOODPUT}",
-            ov.goodput_ratio
-        );
-        failures += 1;
-    }
-
-    // Live-update gates: the update storm must replay deterministically
-    // and keep goodput >= 0.5 while epochs swap under it, and a
-    // ~1%-of-edges delta must invalidate < 20% of the metro-medium
-    // shortcut arcs (the scoped-invalidation promise).
-    const MIN_LIVE_GOODPUT: f64 = 0.5;
-    const MAX_INVALIDATION: f64 = 0.20;
-    let lu = fpbench::live_update::run(0x5EED, 100, 8);
-    println!(
-        "smoke: live update {} deltas, {}/{} shortcuts rebuilt ({:.1}%), refresh {:.3}s          (full build {:.3}s), goodput {:.2}",
-        lu.updates_applied,
-        lu.shortcuts_rebuilt,
-        lu.shortcuts_total,
-        lu.invalidation_fraction * 100.0,
-        lu.refresh_wall_seconds,
-        lu.build_wall_seconds,
-        lu.goodput_ratio
-    );
-    if !lu.reconciled {
-        eprintln!("SMOKE FAIL: live-update stats do not reconcile: {lu:?}");
-        failures += 1;
-    }
-    if !lu.deterministic {
-        eprintln!("SMOKE FAIL: update storm did not replay identically");
-        failures += 1;
-    }
-    if lu.invalidation_fraction >= MAX_INVALIDATION {
-        eprintln!(
-            "SMOKE FAIL: 1% delta invalidated {:.1}% of shortcuts (gate {:.0}%)",
-            lu.invalidation_fraction * 100.0,
-            MAX_INVALIDATION * 100.0
-        );
-        failures += 1;
-    }
-    if lu.goodput_ratio < MIN_LIVE_GOODPUT {
-        eprintln!(
-            "SMOKE FAIL: goodput under the update storm {:.2} under {MIN_LIVE_GOODPUT}",
-            lu.goodput_ratio
-        );
-        failures += 1;
-    }
-
-    // Cluster gates: the sharded-fleet twins must replay bit-exactly,
-    // reconcile their books, actually fire their robustness machinery
-    // (retries, replica failovers), and hold goodput >= 0.5 with one
-    // shard owner down — the promises `fp-cluster` exists for.
-    const MIN_CLUSTER_GOODPUT: f64 = 0.5;
-    let cc = fpbench::cluster::run_chaos(fpbench::cluster::CHAOS_SEED);
-    println!(
-        "smoke: cluster chaos {}/{} admitted over {} nodes/{} shards, {} answered, \
-         {} rpc attempts ({} retries, {} failovers), goodput {:.2}",
-        cc.admitted,
-        cc.submissions,
-        cc.sim_nodes,
-        cc.shards,
-        cc.answered,
-        cc.rpc.attempts,
-        cc.rpc.retries,
-        cc.rpc.failovers,
-        cc.goodput,
-    );
-    if !cc.reconciled {
-        eprintln!("SMOKE FAIL: cluster chaos stats do not reconcile: {cc:?}");
-        failures += 1;
-    }
-    if !cc.deterministic {
-        eprintln!("SMOKE FAIL: cluster chaos scenario did not replay identically");
-        failures += 1;
-    }
-    if cc.rpc.retries == 0 || cc.rpc.failovers == 0 {
-        eprintln!("SMOKE FAIL: cluster chaos never retried/failed over — the storm lost its teeth");
-        failures += 1;
-    }
-    let cl = fpbench::cluster::run_node_loss(fpbench::cluster::NODE_LOSS_SEED);
-    println!(
-        "smoke: cluster node-loss {} crash / {} restarts, {} answered, {} unroutable, \
-         goodput {:.2} (floor {MIN_CLUSTER_GOODPUT})",
-        cl.crashes, cl.restarts, cl.answered, cl.unroutable, cl.goodput,
-    );
-    if !cl.reconciled || !cl.deterministic {
-        eprintln!("SMOKE FAIL: cluster node-loss run not reconciled/deterministic: {cl:?}");
-        failures += 1;
-    }
-    if cl.goodput < MIN_CLUSTER_GOODPUT {
-        eprintln!(
-            "SMOKE FAIL: cluster goodput {:.2} under {MIN_CLUSTER_GOODPUT} with one node down",
-            cl.goodput
-        );
-        failures += 1;
-    }
+    println!("smoke: checksum {}", Value::Object(checksum.fields()));
+    checksum.failures().into_iter().for_each(&mut fail);
 
     // Hierarchy gate: contraction must buy back its preprocessing —
     // the overlay search does ≥ 10x less expansion work per singleFP
@@ -1240,37 +969,19 @@ fn smoke() -> i32 {
     // restricted to the query's up–down search space.
     const MIN_WALL_SPEEDUP: f64 = 3.0;
     let h = measure_hierarchy(Scale::Medium, "medium", 12);
-    println!(
-        "smoke: hierarchy preprocess {:.2}s ({} shortcuts, {} pieces, ~{} KiB), \
-         singleFP expansions flat {} vs ch {} ({:.1}x), warm q/s {:.0} ± {:.0} vs {:.0} ± {:.0} \
-         ({:.2}x)",
-        h.preprocess_wall_seconds,
-        h.n_shortcuts,
-        h.overlay_pieces,
-        h.overlay_bytes / 1024,
-        h.flat_singlefp.expanded_paths,
-        h.ch_singlefp.expanded_paths,
-        h.expansion_speedup(),
-        h.flat_singlefp.warm_qps,
-        h.flat_singlefp.warm_qps_mad,
-        h.ch_singlefp.warm_qps,
-        h.ch_singlefp.warm_qps_mad,
-        h.wall_speedup(),
-    );
+    println!("smoke: hierarchy {}", Value::Object(h.fields()));
     if h.expansion_speedup() < MIN_EXPANSION_SPEEDUP {
-        eprintln!(
-            "SMOKE FAIL: hierarchy singleFP saves only {:.1}x expansions \
+        fail(format!(
+            "hierarchy singleFP saves only {:.1}x expansions \
              (target {MIN_EXPANSION_SPEEDUP}x)",
             h.expansion_speedup()
-        );
-        failures += 1;
+        ));
     }
     if h.wall_speedup() < MIN_WALL_SPEEDUP {
-        eprintln!(
-            "SMOKE FAIL: hierarchy singleFP wall speedup {:.2}x under {MIN_WALL_SPEEDUP}x",
+        fail(format!(
+            "hierarchy singleFP wall speedup {:.2}x under {MIN_WALL_SPEEDUP}x",
             h.wall_speedup()
-        );
-        failures += 1;
+        ));
     }
 
     // Counters gate (ROADMAP 1b): search-space size is deterministic,
@@ -1282,28 +993,22 @@ fn smoke() -> i32 {
         alloc_bytes_per_query: alloc.bytes_per_query as usize,
     };
     println!(
-        "smoke: expanded_paths allFP / singleFP: flat {} / {}, under minTimeLB {} / {} \
-         (metro-small x{}), ch {} / {} (metro-medium x{})",
-        counters.flat.0,
-        counters.flat.1,
-        counters.min_time.0,
-        counters.min_time.1,
+        "smoke: expanded_paths, metro-small x{} (ch: metro-medium x{}): {}",
         queries.len(),
-        counters.ch.0,
-        counters.ch.1,
         h.queries,
+        Value::Object(counters.fields())
     );
-    for (key, got) in [
-        ("flat_allfp_expanded", counters.flat.0),
-        ("mintime_allfp_expanded", counters.min_time.0),
-        ("mintime_singlefp_expanded", counters.min_time.1),
-        ("ch_allfp_expanded", counters.ch.0),
-        ("ch_singlefp_expanded", counters.ch.1),
-    ] {
+    for (key, value) in counters.fields() {
+        // Gated: allFP, minTimeLB and hierarchy counts — not the
+        // naiveLB singleFP count, not the allocation figures (gated
+        // against the parent's above).
+        let ungated = key == "flat_singlefp_expanded" || key.starts_with("alloc_");
+        let Value::Int(got) = value else { continue };
         let limit = recorded_count(key);
-        if limit.is_none_or(|limit| got > limit) {
-            eprintln!("SMOKE FAIL: {key} is {got}, BENCH_engine.json records {limit:?}");
-            failures += 1;
+        if !ungated && limit.is_none_or(|limit| got > limit as u64) {
+            fail(format!(
+                "{key} is {got}, BENCH_engine.json records {limit:?}"
+            ));
         }
     }
 
@@ -1314,25 +1019,17 @@ fn smoke() -> i32 {
     const MIN_CONTRACTION_SPEEDUP: f64 = 1.5;
     let contraction = measure_contraction_sweep(Scale::Medium);
     for p in &contraction {
-        println!(
-            "smoke: contraction {} thread(s): {:.3}s, {:.2}x serial{}{}",
-            p.threads,
-            p.preprocess_wall_seconds,
-            p.speedup_vs_serial,
-            if p.annotation.is_empty() { "" } else { " " },
-            p.annotation,
-        );
+        println!("smoke: contraction {}", Value::Object(p.fields()));
     }
     if host_cpus() >= 4 {
         if let Some(p4) = contraction.iter().find(|p| p.threads == 4) {
             if p4.speedup_vs_serial < MIN_CONTRACTION_SPEEDUP {
-                eprintln!(
-                    "SMOKE FAIL: {} cores available but 4-thread contraction gives only {:.2}x \
+                fail(format!(
+                    "{} cores available but 4-thread contraction gives only {:.2}x \
                      (target {MIN_CONTRACTION_SPEEDUP}x)",
                     host_cpus(),
                     p4.speedup_vs_serial
-                );
-                failures += 1;
+                ));
             }
         }
     } else {
@@ -1356,79 +1053,46 @@ fn smoke() -> i32 {
     // its arenas grow by, nothing sized by the tier.
     let hu = fpbench::metro_huge::run(&ContinentalConfig::smoke(0x5EED), "smoke", 8);
     println!(
-        "smoke: metro-huge smoke tier {} nodes, {} pages, build x{:?} deterministic={}, \
-         transient {} KiB vs graph {} KiB, {} via {} ({} frames), {}/{} queries ok, \
-         {} faults, {} reads, estimator {} KiB with {} warm allocations; allFP {} expansions, \
-         {:.0} q/s cold, {:.0} ± {:.0} warm, {:.0} bytes/query; singleFP {} expansions, \
-         {:.0} ± {:.0} q/s warm, {:.0} bytes/query",
-        hu.n_nodes,
-        hu.total_pages,
-        fpbench::metro_huge::BUILD_SWEEP,
-        hu.deterministic,
-        hu.transient_build_bytes / 1024,
-        hu.graph_bytes / 1024,
-        hu.tier,
-        hu.store_kind,
-        hu.pool_frames,
-        hu.queries - hu.allfp.failures,
-        hu.queries,
-        hu.mmap_faults,
-        hu.io_reads,
-        hu.estimator_bytes / 1024,
-        hu.estimator_warm_allocs,
-        hu.allfp.expanded_paths,
-        hu.allfp.cold_qps,
-        hu.allfp.warm_qps,
-        hu.allfp.warm_qps_mad,
-        hu.allfp.query_bytes,
-        hu.singlefp.expanded_paths,
-        hu.singlefp.warm_qps,
-        hu.singlefp.warm_qps_mad,
-        hu.singlefp.query_bytes,
+        "smoke: metro-huge {}, {} warm estimator allocations",
+        Value::Object(hu.fields()),
+        hu.estimator_warm_allocs
     );
     for (mode, clocked) in [("allFP", &hu.allfp), ("singleFP", &hu.singlefp)] {
         if clocked.query_bytes >= hu.n_nodes as f64 {
-            eprintln!(
-                "SMOKE FAIL: a warm {mode} query on the {}-node tier allocates {:.0} bytes \
+            fail(format!(
+                "a warm {mode} query on the {}-node tier allocates {:.0} bytes \
                  (gate: under one byte per node)",
                 hu.n_nodes, clocked.query_bytes
-            );
-            failures += 1;
+            ));
         }
     }
     if hu.estimator_warm_allocs != 0 {
-        eprintln!(
-            "SMOKE FAIL: the warm estimator allocated {} time(s) answering fresh targets",
+        fail(format!(
+            "the warm estimator allocated {} time(s) answering fresh targets",
             hu.estimator_warm_allocs
-        );
-        failures += 1;
+        ));
     }
     if !hu.deterministic {
-        eprintln!(
-            "SMOKE FAIL: bulk build diverged across thread counts {:?}",
-            { fpbench::metro_huge::BUILD_SWEEP }
-        );
-        failures += 1;
+        fail(format!("bulk build diverged across thread counts {:?}", {
+            fpbench::metro_huge::BUILD_SWEEP
+        }));
     }
     if hu.transient_build_bytes as u64 >= hu.graph_bytes {
-        eprintln!(
-            "SMOKE FAIL: bulk builder scratch peaked at {} bytes, not bounded under the \
+        fail(format!(
+            "bulk builder scratch peaked at {} bytes, not bounded under the \
              {}-byte graph",
             hu.transient_build_bytes, hu.graph_bytes
-        );
-        failures += 1;
+        ));
     }
     if hu.allfp.failures + hu.singlefp.failures > 0 || hu.allfp.expanded_paths == 0 {
-        eprintln!(
-            "SMOKE FAIL: disk-served tier failed {} allFP and {} singleFP of {} queries \
+        fail(format!(
+            "disk-served tier failed {} allFP and {} singleFP of {} queries \
              ({} expansions)",
             hu.allfp.failures, hu.singlefp.failures, hu.queries, hu.allfp.expanded_paths
-        );
-        failures += 1;
+        ));
     }
     if hu.store_kind == "mmap" && hu.mmap_faults == 0 {
-        eprintln!("SMOKE FAIL: mmap store served the workload without counting a single fault");
-        failures += 1;
+        fail("mmap store served the workload without counting a single fault".into());
     }
 
     if failures == 0 {
@@ -1440,64 +1104,12 @@ fn smoke() -> i32 {
     }
 }
 
-/// `--spin`: run the warm serial cache-on loop for ~5 seconds and
-/// nothing else — a steady target for sampling profilers (the report
-/// interleaves six configurations, so profiles of it mostly show the
-/// cold-cache storage stacks).
-fn spin() {
-    let scenario = Scenario::new(Scale::Medium, 0x5EED);
-    let net = &scenario.net;
-    let queries = workload(net, 24);
-    let cached = Engine::new(net, EngineConfig::default());
-    let start = Instant::now();
-    let mut reps = 0usize;
-    while start.elapsed().as_secs_f64() < 5.0 {
-        for q in &queries {
-            std::hint::black_box(cached.all_fastest_paths(q).ok());
-        }
-        reps += 1;
-    }
-    println!(
-        "spin: {reps} reps x {} queries in {:.2}s",
-        queries.len(),
-        start.elapsed().as_secs_f64()
-    );
-}
-
 /// `--hier`: print the hierarchy-vs-flat race at both report scales
 /// and nothing else — a focused probe for tuning the speedup gates.
 fn hier_probe() {
     for (scale, name, count) in [(Scale::Medium, "medium", 12), (Scale::Full, "full", 24)] {
         let h = measure_hierarchy(scale, name, count);
-        println!(
-            "hier[{}]: preprocess {:.2}s, {} nodes, {} shortcuts ({} disabled), {} pieces \
-             (~{} KiB stored); {} queries, flat vs ch: \
-             singleFP {} vs {} expansions ({:.1}x), {:.1} ± {:.1} vs {:.1} ± {:.1} q/s ({:.2}x); \
-             allFP {} vs {} expansions, {:.1} ± {:.1} vs {:.1} ± {:.1} q/s ({:.2}x)",
-            h.scale,
-            h.preprocess_wall_seconds,
-            h.n_nodes,
-            h.n_shortcuts,
-            h.n_disabled,
-            h.overlay_pieces,
-            h.overlay_bytes / 1024,
-            h.queries,
-            h.flat_singlefp.expanded_paths,
-            h.ch_singlefp.expanded_paths,
-            h.expansion_speedup(),
-            h.flat_singlefp.warm_qps,
-            h.flat_singlefp.warm_qps_mad,
-            h.ch_singlefp.warm_qps,
-            h.ch_singlefp.warm_qps_mad,
-            h.wall_speedup(),
-            h.flat_allfp.expanded_paths,
-            h.ch_allfp.expanded_paths,
-            h.flat_allfp.warm_qps,
-            h.flat_allfp.warm_qps_mad,
-            h.ch_allfp.warm_qps,
-            h.ch_allfp.warm_qps_mad,
-            h.allfp_wall_speedup(),
-        );
+        println!("{}", Table::key_value(format!("hier[{name}]"), &h.fields()));
     }
 }
 
@@ -1507,10 +1119,6 @@ fn main() {
     }
     if std::env::args().any(|a| a == "--hier") {
         hier_probe();
-        return;
-    }
-    if std::env::args().any(|a| a == "--spin") {
-        spin();
         return;
     }
     // Bare, or `--report`: rewrite BENCH_engine.json.

@@ -12,8 +12,27 @@ use std::time::Instant;
 
 use allfp::{PathfindBackend, QueryOutcome, QuerySpec, QueryStats};
 
+use crate::report::{float, Field};
+
 /// Warm passes behind every reported median.
 pub const WARM_PASSES: usize = 7;
+
+/// Cores this host can actually run in parallel.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Annotation of a thread-sweep point on this host:
+/// `"scheduler_noise"` when the width oversubscribes it (threads >
+/// cores) — its wall time measures contention, not scaling, and no gate
+/// may read it as a regression.
+pub fn sweep_annotation(threads: usize) -> &'static str {
+    if threads > host_cpus() {
+        "scheduler_noise"
+    } else {
+        ""
+    }
+}
 
 /// `(median, median absolute deviation)` of `xs`.
 pub fn median_mad(xs: &[f64]) -> (f64, f64) {
@@ -51,13 +70,16 @@ pub struct Clocked {
 }
 
 impl Clocked {
-    /// The fields as a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"cold_qps\": {:.2}, \"warm_qps\": {:.2}, \"warm_qps_mad\": {:.2}, \
-             \"expanded_paths\": {}, \"query_bytes\": {:.0}}}",
-            self.cold_qps, self.warm_qps, self.warm_qps_mad, self.expanded_paths, self.query_bytes
-        )
+    /// The reported fields (`failures` is reported by the tier, summed
+    /// over both modes).
+    pub fn fields(&self) -> Vec<Field> {
+        vec![
+            ("cold_qps", float(self.cold_qps, 2)),
+            ("warm_qps", float(self.warm_qps, 2)),
+            ("warm_qps_mad", float(self.warm_qps_mad, 2)),
+            ("expanded_paths", self.expanded_paths.into()),
+            ("query_bytes", float(self.query_bytes, 0)),
+        ]
     }
 }
 

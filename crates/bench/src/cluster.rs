@@ -1,4 +1,5 @@
-//! Deterministic cluster-chaos harness for the report and smoke gates.
+//! Deterministic cluster-chaos harness for the report; its gates are
+//! this module's tests.
 //!
 //! Drives the `fp-cluster` simulator's canned scenarios — the full
 //! chaos composition (2× overload, a node crash and restart, a
@@ -11,9 +12,9 @@
 
 use cluster::{run_cluster_sim, ClusterScenario, ClusterSimResult, RpcCounters};
 
-use crate::report::Table;
+use crate::report::{float, Field, Table};
 
-/// What one cluster run produced, in report-ready form.
+/// What one cluster run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// Which canned scenario ran (`"chaos"` or `"node-loss"`).
@@ -22,44 +23,49 @@ pub struct ClusterReport {
     pub seed: u64,
     /// Simulated nodes in the fleet.
     pub sim_nodes: usize,
-    /// Realized shard count.
-    pub shards: usize,
-    /// Arrivals offered to the fleet.
-    pub submissions: usize,
-    /// Admission-accepted submissions, fleet-wide.
-    pub admitted: u64,
-    /// Typed admission rejections plus unroutable arrivals.
-    pub rejected: u64,
-    /// Exact answers delivered.
-    pub answered: u64,
-    /// Degraded answers delivered.
-    pub degraded: u64,
-    /// Failed queries.
-    pub failed: u64,
-    /// Cancelled admissions (crash drains and deadline sheds).
-    pub cancelled: u64,
-    /// Arrivals with no live host (every replica down).
-    pub unroutable: u64,
-    /// Injected node crashes.
-    pub crashes: u64,
-    /// Node restarts (fresh incarnation, peers reset).
-    pub restarts: u64,
+    /// The run: outcomes, fleet accounting, goodput.
+    pub result: ClusterSimResult,
     /// Fleet-wide RPC counters, folded over every node.
     pub rpc: RpcCounters,
-    /// Arrivals routed past a dead primary at admission.
-    pub routed_failovers: u64,
-    /// Mean extra virtual latency of a replica failover.
-    pub failover_latency_mean: f64,
-    /// Worst-case failover latency observed.
-    pub failover_latency_max: u64,
-    /// `executed_units / (elapsed × nodes)`: useful work as a fraction
-    /// of fleet capacity.
-    pub goodput: f64,
-    /// Did `ClusterStats::reconciles` hold, per node and fleet-wide?
-    pub reconciled: bool,
     /// Did a second run of the same seed reproduce the run bit for
     /// bit — every outcome, counter, and answer signature?
     pub deterministic: bool,
+}
+
+impl ClusterReport {
+    /// The report's fields, in `BENCH_engine.json` order. `rejected`
+    /// counts typed admission rejections plus unroutable arrivals.
+    pub fn fields(&self) -> Vec<Field> {
+        let (s, rpc) = (&self.result.stats, &self.rpc);
+        vec![
+            ("scenario", self.scenario.into()),
+            ("seed", self.seed.into()),
+            ("sim_nodes", self.sim_nodes.into()),
+            ("shards", self.result.n_shards.into()),
+            ("submissions", self.result.n_submissions.into()),
+            ("admitted", s.admitted.into()),
+            ("rejected", (s.rejected + s.unroutable).into()),
+            ("answered", s.answered.into()),
+            ("degraded", s.degraded.into()),
+            ("failed", s.failed.into()),
+            ("cancelled", s.cancelled.into()),
+            ("unroutable", s.unroutable.into()),
+            ("crashes", s.crashes.into()),
+            ("restarts", s.restarts.into()),
+            ("rpc_attempts", rpc.attempts.into()),
+            ("rpc_retries", rpc.retries.into()),
+            ("rpc_timeouts", rpc.timeouts.into()),
+            ("rpc_peer_down", rpc.peer_down.into()),
+            ("breaker_skips", rpc.breaker_skips.into()),
+            ("replica_failovers", rpc.failovers.into()),
+            ("routed_failovers", s.routed_failovers.into()),
+            ("failover_latency_mean", float(s.failover_latency.mean(), 1)),
+            ("failover_latency_max", s.failover_latency.max().into()),
+            ("goodput", float(self.result.goodput(), 4)),
+            ("reconciled", s.reconciles().into()),
+            ("deterministic", self.deterministic.into()),
+        ]
+    }
 }
 
 /// Fold the per-node RPC counters into one fleet-wide total.
@@ -83,45 +89,28 @@ fn fold_rpc(result: &ClusterSimResult) -> RpcCounters {
 }
 
 fn run_scenario(label: &'static str, sc: &ClusterScenario) -> ClusterReport {
-    let a = run_cluster_sim(sc).expect("cluster scenario builds");
-    let b = run_cluster_sim(sc).expect("cluster scenario builds");
-    let deterministic = a == b;
-    let s = &a.stats;
+    let result = run_cluster_sim(sc).expect("cluster scenario builds");
+    let deterministic = result == run_cluster_sim(sc).expect("cluster scenario builds");
     ClusterReport {
         scenario: label,
         seed: sc.seed,
         sim_nodes: sc.n_sim_nodes,
-        shards: a.n_shards,
-        submissions: a.n_submissions,
-        admitted: s.admitted,
-        rejected: s.rejected + s.unroutable,
-        answered: s.answered,
-        degraded: s.degraded,
-        failed: s.failed,
-        cancelled: s.cancelled,
-        unroutable: s.unroutable,
-        crashes: s.crashes,
-        restarts: s.restarts,
-        rpc: fold_rpc(&a),
-        routed_failovers: s.routed_failovers,
-        failover_latency_mean: s.failover_latency.mean(),
-        failover_latency_max: s.failover_latency.max(),
-        goodput: a.goodput(),
-        reconciled: s.reconciles(),
+        rpc: fold_rpc(&result),
+        result,
         deterministic,
     }
 }
 
-/// The chaos seed of the bench smoke and report, kept equal to
-/// `CHAOS_SEED` of `crates/cluster/tests/cluster_chaos.rs`: one whose
-/// crash instant finds queued tickets on the dying node.
+/// The chaos seed of the bench report and this module's test, kept
+/// equal to `CHAOS_SEED` of `crates/cluster/tests/cluster_chaos.rs`:
+/// one whose crash instant finds queued tickets on the dying node.
 pub const CHAOS_SEED: u64 = 3;
 
-/// The node-loss seed of the bench smoke and report, kept equal to
-/// `NODE_LOSS_SEED` of `crates/cluster/tests/cluster_chaos.rs`: the
-/// scenario's clock is `expanded_paths`, and this seed's goodput keeps
-/// its margin over the 0.5 floor whatever the estimator makes queries
-/// cost.
+/// The node-loss seed of the bench report and this module's test,
+/// kept equal to `NODE_LOSS_SEED` of
+/// `crates/cluster/tests/cluster_chaos.rs`: the scenario's clock is
+/// `expanded_paths`, and this seed's goodput keeps its margin over the
+/// 0.5 floor whatever the estimator makes queries cost.
 pub const NODE_LOSS_SEED: u64 = 2;
 
 /// Run the full chaos composition (twice, to certify determinism) and
@@ -138,48 +127,11 @@ pub fn run_node_loss(seed: u64) -> ClusterReport {
 
 /// Render a report as a key/value table for the experiments CLI.
 pub fn render(r: &ClusterReport) -> Table {
-    let mut t = Table::new(
-        format!(
-            "Cluster twin - seeded {} scenario over {} nodes / {} shards in virtual time",
-            r.scenario, r.sim_nodes, r.shards
-        ),
-        &["metric", "value"],
+    let title = format!(
+        "Cluster twin - seeded {} scenario over {} nodes / {} shards in virtual time",
+        r.scenario, r.sim_nodes, r.result.n_shards
     );
-    let rows: [(&str, String); 20] = [
-        ("submissions", r.submissions.to_string()),
-        ("admitted", r.admitted.to_string()),
-        ("rejected", r.rejected.to_string()),
-        ("answered", r.answered.to_string()),
-        ("degraded", r.degraded.to_string()),
-        ("failed", r.failed.to_string()),
-        ("cancelled", r.cancelled.to_string()),
-        ("unroutable", r.unroutable.to_string()),
-        (
-            "crashes / restarts",
-            format!("{} / {}", r.crashes, r.restarts),
-        ),
-        ("rpc attempts", r.rpc.attempts.to_string()),
-        ("rpc retries", r.rpc.retries.to_string()),
-        ("rpc timeouts", r.rpc.timeouts.to_string()),
-        ("rpc peer-down fast-fails", r.rpc.peer_down.to_string()),
-        ("breaker skips", r.rpc.breaker_skips.to_string()),
-        ("replica failovers", r.rpc.failovers.to_string()),
-        ("routed failovers", r.routed_failovers.to_string()),
-        (
-            "failover latency mean / max",
-            format!(
-                "{:.1} / {}",
-                r.failover_latency_mean, r.failover_latency_max
-            ),
-        ),
-        ("goodput", format!("{:.4}", r.goodput)),
-        ("reconciled", r.reconciled.to_string()),
-        ("deterministic replay", r.deterministic.to_string()),
-    ];
-    for (k, v) in rows {
-        t.push_row(vec![k.to_string(), v]);
-    }
-    t
+    Table::key_value(title, &r.fields())
 }
 
 #[cfg(test)]
@@ -189,16 +141,17 @@ mod tests {
     #[test]
     fn chaos_run_is_reconciled_deterministic_and_robust() {
         let r = run_chaos(CHAOS_SEED);
-        assert!(r.reconciled, "{r:?}");
+        let s = &r.result.stats;
+        assert!(s.reconciles(), "{r:?}");
         assert!(r.deterministic, "{r:?}");
-        assert_eq!(r.crashes, 1, "{r:?}");
-        assert_eq!(r.restarts, 1, "{r:?}");
-        assert!(r.answered > 0, "{r:?}");
+        assert_eq!(s.crashes, 1, "{r:?}");
+        assert_eq!(s.restarts, 1, "{r:?}");
+        assert!(s.answered > 0, "{r:?}");
         assert!(r.rpc.retries > 0, "spikes must force retries: {r:?}");
         assert!(r.rpc.failovers > 0, "node loss must force failovers: {r:?}");
         assert_eq!(
-            r.admitted + r.rejected,
-            r.submissions as u64,
+            s.admitted + s.rejected + s.unroutable,
+            r.result.n_submissions as u64,
             "every arrival accounted for: {r:?}"
         );
     }
@@ -206,14 +159,15 @@ mod tests {
     #[test]
     fn node_loss_goodput_holds_above_half() {
         let r = run_node_loss(NODE_LOSS_SEED);
-        assert!(r.reconciled, "{r:?}");
+        let s = &r.result.stats;
+        assert!(s.reconciles(), "{r:?}");
         assert!(r.deterministic, "{r:?}");
-        assert_eq!(r.crashes, 1, "{r:?}");
-        assert_eq!(r.restarts, 0, "{r:?}");
+        assert_eq!(s.crashes, 1, "{r:?}");
+        assert_eq!(s.restarts, 0, "{r:?}");
+        let goodput = r.result.goodput();
         assert!(
-            (0.5..=1.0).contains(&r.goodput),
-            "goodput {:.3} outside [0.5, 1.0]: {r:?}",
-            r.goodput
+            (0.5..=1.0).contains(&goodput),
+            "goodput {goodput:.3} outside [0.5, 1.0]: {r:?}"
         );
     }
 }

@@ -39,7 +39,8 @@ use roadnet::generators::{ContinentalConfig, ContinentalNet};
 use roadnet::{NetworkSource, NodeId};
 use traffic::DayCategory;
 
-use crate::clock::{clock_backend, Clocked};
+use crate::clock::{clock_backend, sweep_annotation, Clocked, WARM_PASSES};
+use crate::report::{float, list, Field, Value};
 
 /// Thread counts swept by the parallel-build curve.
 pub const BUILD_SWEEP: [usize; 3] = [1, 2, 4];
@@ -53,6 +54,18 @@ pub struct BuildPoint {
     pub wall_seconds: f64,
     /// Wall speedup versus the 1-thread build.
     pub speedup_vs_serial: f64,
+}
+
+impl BuildPoint {
+    /// The point's fields, annotated for this host.
+    pub fn fields(&self) -> Vec<Field> {
+        vec![
+            ("threads", self.threads.into()),
+            ("wall_seconds", float(self.wall_seconds, 3)),
+            ("speedup_vs_serial", float(self.speedup_vs_serial, 2)),
+            ("annotation", sweep_annotation(self.threads).into()),
+        ]
+    }
 }
 
 /// Everything the metro-huge runner measures.
@@ -110,6 +123,51 @@ pub struct MetroHugeReport {
     pub io_bytes_written: u64,
     /// First-touch page faults counted by the mmap store.
     pub mmap_faults: u64,
+}
+
+impl MetroHugeReport {
+    /// The report's fields, in `BENCH_engine.json` order
+    /// (`estimator_warm_allocs` is a smoke gate, not a reported field).
+    pub fn fields(&self) -> Vec<Field> {
+        vec![
+            ("tier", self.tier.into()),
+            ("n_nodes", self.n_nodes.into()),
+            ("data_pages", self.data_pages.into()),
+            ("total_pages", self.total_pages.into()),
+            ("graph_bytes", self.graph_bytes.into()),
+            ("transient_build_bytes", self.transient_build_bytes.into()),
+            ("peak_rss_bytes", self.peak_rss_bytes.into()),
+            ("deterministic", self.deterministic.into()),
+            ("store", self.store_kind.into()),
+            ("pool_frames", self.pool_frames.into()),
+            (
+                "estimator",
+                Value::Object(vec![
+                    ("kind", "minTimeLB".into()),
+                    ("wall_seconds", float(self.estimator_wall_seconds, 3)),
+                    ("bytes", self.estimator_bytes.into()),
+                ]),
+            ),
+            ("queries", self.queries.into()),
+            (
+                "query_failures",
+                (self.allfp.failures + self.singlefp.failures).into(),
+            ),
+            ("warm_passes", WARM_PASSES.into()),
+            ("allfp", Value::Object(self.allfp.fields())),
+            ("singlefp", Value::Object(self.singlefp.fields())),
+            (
+                "io",
+                Value::Object(vec![
+                    ("reads", self.io_reads.into()),
+                    ("bytes_read", self.io_bytes_read.into()),
+                    ("bytes_written", self.io_bytes_written.into()),
+                    ("mmap_faults", self.mmap_faults.into()),
+                ]),
+            ),
+            ("build_sweep", list(&self.build_sweep, BuildPoint::fields)),
+        ]
+    }
 }
 
 /// `VmHWM` (peak resident set) in bytes, from `/proc/self/status`;

@@ -1,4 +1,5 @@
-//! Deterministic overload harness for the report and smoke gates.
+//! Deterministic overload harness for the report; its gates are this
+//! module's tests.
 //!
 //! Drives a [`QueryService`] at a seeded 2× offered load in virtual
 //! time ([`ManualClock`] advanced by measured work units), with tight
@@ -13,20 +14,17 @@
 //! a CI gate, not an aspiration).
 
 use allfp::service::{
-    ArrivalSchedule, DrainMode, ManualClock, Priority, QueryService, ServiceClock, ServiceConfig,
-    ServiceOutcome, ServiceStats, Submission,
+    drive, sample_specs, ArrivalSchedule, DriveLog, ManualClock, QueryService, ServiceConfig,
+    ServiceStats, TicketId, Workload,
 };
-use allfp::{Engine, EngineConfig, QuerySpec};
-use pwl::time::hm;
-use pwl::Interval;
+use allfp::{Engine, EngineConfig, PathfindBackend};
 use roadnet::generators::grid;
-use roadnet::{NodeId, RoadNetwork};
-use traffic::{DayCategory, RoadClass};
+use traffic::RoadClass;
 
-use crate::report::Table;
+use crate::report::{float, Field, Table};
 use crate::scenario::{BackendKind, BackendSpec};
 
-/// What one overload run produced, in report-ready form.
+/// What one overload run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadReport {
     /// Which backend served the queries (`"flat"` or `"ch"`).
@@ -35,275 +33,161 @@ pub struct OverloadReport {
     pub seed: u64,
     /// Total submissions offered.
     pub submissions: usize,
-    /// Configured queue bound.
-    pub queue_capacity: usize,
-    /// Offered load relative to service capacity (2.0 = arrivals at
-    /// twice the sustainable rate).
-    pub offered_ratio: f64,
-    /// Admission-accepted submissions.
-    pub admitted: u64,
-    /// Typed [`allfp::service::Overloaded`] rejections.
-    pub rejected: u64,
-    /// Exact answers delivered.
-    pub answered: u64,
-    /// Degraded answers delivered.
-    pub degraded: u64,
-    /// Cancelled admissions (here: deadline sheds).
-    pub cancelled: u64,
-    /// Queue-head deadline sheds (subset of `cancelled`).
-    pub shed: u64,
-    /// Highest queue depth observed.
-    pub queue_depth_high_water: usize,
-    /// Work units spent executing queries.
-    pub executed_units: u64,
-    /// Total virtual time of the run.
-    pub elapsed_units: u64,
-    /// `executed_units / elapsed_units`: the fraction of capacity the
-    /// service kept on useful work while shedding the excess.
+    /// The service's final counters.
+    pub stats: ServiceStats,
+    /// Executed work units over elapsed virtual time: the fraction of
+    /// capacity the service kept on useful work while shedding the
+    /// excess.
     pub goodput_ratio: f64,
-    /// Did [`ServiceStats::reconciles`] hold at the end of the run?
-    pub reconciled: bool,
     /// Did a second run of the same seed reproduce the run, outcome
     /// for outcome?
     pub deterministic: bool,
 }
 
-/// One run's comparable residue: final stats plus the terminal
-/// outcome kind of every ticket, in completion order.
+impl OverloadReport {
+    /// The report's fields, in `BENCH_engine.json` order.
+    pub fn fields(&self) -> Vec<Field> {
+        let s = &self.stats;
+        vec![
+            ("seed", self.seed.into()),
+            ("submissions", self.submissions.into()),
+            ("offered_ratio", float(OFFERED_RATIO, 1)),
+            ("queue_capacity", QUEUE_CAPACITY.into()),
+            ("queue_depth_high_water", s.queue_depth_high_water.into()),
+            ("admitted", s.admitted.into()),
+            ("rejected", s.rejected.into()),
+            ("answered", s.answered.into()),
+            ("degraded", s.degraded.into()),
+            ("shed", s.shed.into()),
+            ("goodput_ratio", float(self.goodput_ratio, 4)),
+            ("reconciled", s.reconciles().into()),
+            ("deterministic", self.deterministic.into()),
+        ]
+    }
+}
+
+/// One virtual-time run's comparable residue: final stats, the
+/// terminal outcome kind of every ticket in completion order, and the
+/// driver's log.
 #[derive(Debug, PartialEq)]
-struct SimOutcome {
-    stats: ServiceStats,
-    terminals: Vec<(u64, &'static str)>,
-    executed_units: u64,
-    elapsed: u64,
+pub(crate) struct Residue {
+    pub(crate) stats: ServiceStats,
+    terminals: Vec<(TicketId, &'static str)>,
+    pub(crate) log: DriveLog,
 }
 
-pub(crate) fn sample_specs(net: &RoadNetwork, n: usize, seed: u64) -> Vec<QuerySpec> {
-    let nodes = net.n_nodes() as u64;
-    let mut x = seed ^ 0x0EE2_10AD;
-    let mut lcg = move || {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        x
-    };
-    (0..n)
-        .map(|_| {
-            let s = NodeId((lcg() % nodes) as u32);
-            let e = loop {
-                let c = NodeId((lcg() % nodes) as u32);
-                if c != s {
-                    break c;
-                }
-            };
-            let lo = hm(6, 30) + (lcg() % 90) as f64;
-            QuerySpec::new(s, e, Interval::of(lo, lo + 20.0), DayCategory::WORKDAY)
-        })
-        .collect()
+impl Residue {
+    /// Take the residue of a finished [`drive`].
+    pub(crate) fn of<B: PathfindBackend + ?Sized>(
+        svc: &QueryService<'_, B>,
+        log: DriveLog,
+    ) -> Self {
+        let terminals = svc.take_outcomes();
+        Residue {
+            stats: svc.stats(),
+            terminals: terminals.iter().map(|(id, o)| (*id, o.kind())).collect(),
+            log,
+        }
+    }
 }
 
-const QUEUE_CAPACITY: usize = 10;
+pub(crate) const QUEUE_CAPACITY: usize = 10;
 const OFFERED_RATIO: f64 = 2.0;
 
-fn simulate(seed: u64, submissions: usize, backend: &BackendSpec) -> SimOutcome {
+fn simulate(seed: u64, submissions: usize, backend: &BackendSpec) -> Residue {
     let net = grid(6, 6, 0.3, RoadClass::LocalOutside).expect("generator is infallible here");
-    let specs = sample_specs(&net, 10, seed);
     let engine = backend
         .wrap(Engine::new(&net, EngineConfig::default()))
         .expect("backend builds");
     let engine = engine.as_ref();
 
-    // Calibrate work units (expansions) per spec so arrival pacing and
-    // admission estimates are honest.
-    let costs: Vec<u64> = specs
-        .iter()
-        .map(|q| {
-            engine
-                .all_fastest_paths(q)
-                .map(|a| a.stats.expanded_paths.max(1) as u64)
-                .unwrap_or(1)
-        })
-        .collect();
-    let mean_cost = (costs.iter().sum::<u64>() / costs.len() as u64).max(1);
-
+    // Calibrated work units (expansions) per spec keep arrival pacing
+    // and admission estimates honest.
+    let load = Workload::calibrate(engine, sample_specs(&net, 10, seed)).expect("specs answer");
     let clock = ManualClock::new();
     let config = ServiceConfig {
         queue_capacity: QUEUE_CAPACITY,
-        shed_expired: true,
-        default_cost: mean_cost,
-        initial_units_per_cost: 1.0,
+        default_cost: load.mean_cost,
         ..ServiceConfig::default()
     };
     let svc = QueryService::new(engine, &clock, config);
 
     // Service capacity is one work unit per clock unit; a mean gap of
     // `mean_cost / OFFERED_RATIO` offers twice that.
-    let gap = ((mean_cost as f64 / OFFERED_RATIO) as u64).max(1);
+    let gap = ((load.mean_cost as f64 / OFFERED_RATIO) as u64).max(1);
     let schedule = ArrivalSchedule::open_loop(seed ^ 0x0F_F3_4D, submissions, gap);
-
-    let mut executed_units = 0u64;
-    let mut next = 0usize;
-    loop {
-        let now = clock.now();
-        if next < schedule.len() && schedule.times()[next] <= now {
-            let idx = next % specs.len();
-            let sub = Submission::new(specs[idx].clone())
-                .with_class(if next % 4 == 3 {
-                    Priority::Batch
-                } else {
-                    Priority::Interactive
-                })
-                .with_deadline(now + 5 * mean_cost)
-                .with_cost_hint(costs[idx]);
-            let _ = svc.submit(sub);
-            next += 1;
-            continue;
-        }
-        match svc.step() {
-            Some(rep) => {
-                executed_units += rep.cost;
-                clock.advance(rep.cost);
-            }
-            None => {
-                if next >= schedule.len() {
-                    break;
-                }
-                clock.set(schedule.times()[next]);
-            }
-        }
-    }
-    svc.begin_drain(DrainMode::Finish);
-    while let Some(rep) = svc.step() {
-        executed_units += rep.cost;
-        clock.advance(rep.cost);
-    }
-
-    let terminals = svc
-        .take_outcomes()
-        .iter()
-        .map(|(id, out)| {
-            (
-                *id,
-                match out {
-                    ServiceOutcome::Answered(_) => "answered",
-                    ServiceOutcome::Degraded(_) => "degraded",
-                    ServiceOutcome::Failed(_) => "failed",
-                    ServiceOutcome::Cancelled(_) => "cancelled",
-                },
-            )
-        })
-        .collect();
-    SimOutcome {
-        stats: svc.stats(),
-        terminals,
-        executed_units,
-        elapsed: clock.now(),
-    }
+    let log = drive(&svc, &clock, &schedule, &mut |arrival, now| {
+        load.submission(arrival, now, 5)
+    });
+    Residue::of(&svc, log)
 }
 
 /// Run the seeded overload scenario (twice, to certify determinism)
 /// and fold it into an [`OverloadReport`], on the flat backend.
 pub fn run(seed: u64, submissions: usize) -> OverloadReport {
-    run_with_backend(seed, submissions, BackendKind::Flat)
+    run_with_spec(seed, submissions, &BackendKind::Flat.into())
 }
 
-/// [`run`] against an explicit backend: the same virtual-time overload
-/// twin replayed over the flat engine or the contraction hierarchy —
-/// the service-level promises (bounded queue, typed rejections,
-/// deterministic replay) must hold regardless of search strategy.
-pub fn run_with_backend(seed: u64, submissions: usize, backend: BackendKind) -> OverloadReport {
-    run_with_spec(seed, submissions, &backend.into())
-}
-
-/// [`run_with_backend`] with explicit hierarchy build knobs (thread
-/// count, overlay compression) — what the CLI's `--threads` and
-/// `--overlay-compress` flags reach.
+/// [`run`] against an explicit backend and its build knobs (what the
+/// CLI's `--backend` and `--threads` reach): the service-level promises
+/// (bounded queue, typed rejections, deterministic replay) must hold
+/// regardless of search strategy.
 pub fn run_with_spec(seed: u64, submissions: usize, backend: &BackendSpec) -> OverloadReport {
     let a = simulate(seed, submissions, backend);
-    let b = simulate(seed, submissions, backend);
-    let deterministic = a == b;
-    let s = a.stats;
+    let deterministic = a == simulate(seed, submissions, backend);
     OverloadReport {
         backend: backend.label(),
         seed,
         submissions,
-        queue_capacity: QUEUE_CAPACITY,
-        offered_ratio: OFFERED_RATIO,
-        admitted: s.admitted,
-        rejected: s.rejected,
-        answered: s.answered,
-        degraded: s.degraded,
-        cancelled: s.cancelled,
-        shed: s.shed,
-        queue_depth_high_water: s.queue_depth_high_water,
-        executed_units: a.executed_units,
-        elapsed_units: a.elapsed,
-        goodput_ratio: if a.elapsed > 0 {
-            a.executed_units as f64 / a.elapsed as f64
-        } else {
-            0.0
-        },
-        reconciled: s.reconciles(),
+        goodput_ratio: a.log.goodput(),
+        stats: a.stats,
         deterministic,
     }
 }
 
 /// Render a report as a key/value table for the experiments CLI.
 pub fn render(r: &OverloadReport) -> Table {
-    let mut t = Table::new(
-        format!(
-            "Overload twin - seeded {}x open-loop overload in virtual time ({} backend)",
-            r.offered_ratio, r.backend
-        ),
-        &["metric", "value"],
+    let title = format!(
+        "Overload twin - seeded {OFFERED_RATIO}x open-loop overload in virtual time ({} backend)",
+        r.backend
     );
-    let rows: [(&str, String); 12] = [
-        ("submissions", r.submissions.to_string()),
-        ("queue capacity", r.queue_capacity.to_string()),
-        ("admitted", r.admitted.to_string()),
-        ("rejected", r.rejected.to_string()),
-        ("answered", r.answered.to_string()),
-        ("degraded", r.degraded.to_string()),
-        ("shed", r.shed.to_string()),
-        ("queue high water", r.queue_depth_high_water.to_string()),
-        ("executed units", r.executed_units.to_string()),
-        ("goodput ratio", format!("{:.4}", r.goodput_ratio)),
-        ("reconciled", r.reconciled.to_string()),
-        ("deterministic replay", r.deterministic.to_string()),
-    ];
-    for (k, v) in rows {
-        t.push_row(vec![k.to_string(), v]);
-    }
-    t
+    Table::key_value(title, &r.fields())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The service-level promises the admission and shedding machinery
+    /// exists for, on this module's own seed and on the one
+    /// `BENCH_engine.json` records.
     #[test]
     fn overload_run_is_reconciled_and_deterministic() {
-        let r = run(0x0BAD_10AD, 80);
-        assert!(r.reconciled);
-        assert!(r.deterministic);
-        assert!(r.rejected > 0, "2x overload must reject: {r:?}");
-        assert!(r.shed > 0, "tight deadlines must shed: {r:?}");
-        assert!(r.queue_depth_high_water <= r.queue_capacity);
-        assert!((0.4..=1.0).contains(&r.goodput_ratio), "{r:?}");
-        assert_eq!(
-            r.admitted + r.rejected,
-            r.submissions as u64,
-            "every submission accounted for: {r:?}"
-        );
+        for (seed, submissions) in [(0x0BAD_10AD, 80), (0x5EED, 100)] {
+            let r = run(seed, submissions);
+            let s = &r.stats;
+            assert!(s.reconciles());
+            assert!(r.deterministic);
+            assert!(s.rejected > 0, "2x overload must reject: {r:?}");
+            assert!(s.shed > 0, "tight deadlines must shed: {r:?}");
+            assert!(s.queue_depth_high_water <= QUEUE_CAPACITY);
+            assert!((0.4..=1.0).contains(&r.goodput_ratio), "{r:?}");
+            assert_eq!(
+                s.admitted + s.rejected,
+                r.submissions as u64,
+                "every submission accounted for: {r:?}"
+            );
+        }
     }
 
     #[test]
     fn overload_holds_on_the_hierarchy_backend() {
-        let r = run_with_backend(0x0BAD_10AD, 60, BackendKind::Ch);
+        let r = run_with_spec(0x0BAD_10AD, 60, &BackendKind::Ch.into());
+        let s = &r.stats;
         assert_eq!(r.backend, "ch");
-        assert!(r.reconciled, "{r:?}");
+        assert!(s.reconciles(), "{r:?}");
         assert!(r.deterministic, "{r:?}");
-        assert!(r.queue_depth_high_water <= r.queue_capacity, "{r:?}");
-        assert_eq!(r.admitted + r.rejected, r.submissions as u64, "{r:?}");
+        assert!(s.queue_depth_high_water <= QUEUE_CAPACITY, "{r:?}");
+        assert_eq!(s.admitted + s.rejected, r.submissions as u64, "{r:?}");
     }
 }

@@ -1,4 +1,114 @@
-//! Plain-text and CSV table rendering for experiment results.
+//! Plain-text and CSV table rendering for experiment results, and the
+//! one place a report field is named: a report struct lists its fields
+//! once, as `fields() -> Vec<Field>`, and the CLI table
+//! ([`Table::key_value`]), the bench probes and `BENCH_engine.json`
+//! ([`to_json`]) all read that list.
+
+use std::fmt;
+
+/// The value of a report field.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A count.
+    Int(u64),
+    /// A measurement and the decimals it is reported to.
+    Float(f64, usize),
+    /// A verdict.
+    Bool(bool),
+    /// A label.
+    Text(String),
+    /// A nested report.
+    Object(Vec<Field>),
+    /// A curve, or the runs of several scenarios.
+    List(Vec<Value>),
+}
+
+/// A report field: its name — JSON key and table row alike — and value.
+pub type Field = (&'static str, Value);
+
+/// `x`, reported to `decimals` places.
+pub fn float(x: f64, decimals: usize) -> Value {
+    Value::Float(x, decimals)
+}
+
+/// One [`Value::Object`] per item, from its `fields()`.
+pub fn list<T>(items: &[T], fields: impl Fn(&T) -> Vec<Field>) -> Value {
+    Value::List(items.iter().map(|i| Value::Object(fields(i))).collect())
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        Value::Int(n)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Self {
+        Value::Int(n as u64)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Text(s.to_string())
+    }
+}
+
+/// JSON on one line.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Int(n) => write!(f, "{n}"),
+            Value::Float(x, decimals) => write!(f, "{x:.decimals$}"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Text(s) => write!(f, "\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
+            Value::Object(fields) => {
+                f.write_str("{")?;
+                for (i, (name, value)) in fields.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}\"{name}\": {value}")?;
+                }
+                f.write_str("}")
+            }
+            Value::List(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}{item}")?;
+                }
+                f.write_str("]")
+            }
+        }
+    }
+}
+
+/// `doc` as a JSON document: one top-level field per line, a top-level
+/// list one item per line (no serde in the workspace).
+pub fn to_json(doc: &[Field]) -> String {
+    let mut out = String::from("{\n");
+    for (i, (name, value)) in doc.iter().enumerate() {
+        let comma = if i + 1 < doc.len() { "," } else { "" };
+        match value {
+            Value::List(items) => {
+                out.push_str(&format!("  \"{name}\": [\n"));
+                for (j, item) in items.iter().enumerate() {
+                    let comma = if j + 1 < items.len() { "," } else { "" };
+                    out.push_str(&format!("    {item}{comma}\n"));
+                }
+                out.push_str(&format!("  ]{comma}\n"));
+            }
+            _ => out.push_str(&format!("  \"{name}\": {value}{comma}\n")),
+        }
+    }
+    out.push_str("}\n");
+    out
+}
 
 /// A rendered experiment result: a titled table of strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,6 +129,19 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
+    }
+
+    /// A metric/value table with one row per field.
+    pub fn key_value(title: impl Into<String>, fields: &[Field]) -> Self {
+        let mut t = Table::new(title, &["metric", "value"]);
+        for (name, value) in fields {
+            let cell = match value {
+                Value::Text(s) => s.clone(),
+                other => other.to_string(),
+            };
+            t.push_row(vec![name.to_string(), cell]);
+        }
+        t
     }
 
     /// Append a row (must match the header arity).
@@ -54,8 +177,8 @@ impl Table {
     }
 }
 
-impl std::fmt::Display for Table {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
@@ -63,7 +186,7 @@ impl std::fmt::Display for Table {
             }
         }
         writeln!(f, "=== {} ===", self.title)?;
-        let line = |f: &mut std::fmt::Formatter<'_>, cells: &[String]| -> std::fmt::Result {
+        let line = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
             for (i, cell) in cells.iter().enumerate() {
                 write!(f, "{cell:>width$}  ", width = widths[i])?;
             }
@@ -104,6 +227,28 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"1,2\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
+    }
+
+    #[test]
+    fn fields_render_as_json_and_as_rows() {
+        let doc = vec![
+            ("name", "a \"b\"".into()),
+            ("ratio", float(0.97884, 4)),
+            ("ok", true.into()),
+            (
+                "curve",
+                list(&[1usize, 2], |&t| vec![("threads", t.into())]),
+            ),
+            ("io", Value::Object(vec![("reads", 3u64.into())])),
+        ];
+        assert_eq!(
+            to_json(&doc),
+            "{\n  \"name\": \"a \\\"b\\\"\",\n  \"ratio\": 0.9788,\n  \"ok\": true,\n  \"curve\": [\n    \
+             {\"threads\": 1},\n    {\"threads\": 2}\n  ],\n  \"io\": {\"reads\": 3}\n}\n"
+        );
+        let t = Table::key_value("demo", &doc);
+        assert_eq!(t.rows[0], ["name", "a \"b\""]);
+        assert_eq!(t.rows[4], ["io", "{\"reads\": 3}"]);
     }
 
     #[test]

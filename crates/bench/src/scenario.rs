@@ -68,22 +68,11 @@ impl BackendKind {
             BackendKind::Ch => "ch",
         }
     }
-
-    /// Wrap an already-configured flat engine in the chosen backend
-    /// with default hierarchy knobs. `Ch` runs preprocessing here
-    /// (contraction of every configured day category), so callers
-    /// should wrap once per engine, not per query.
-    pub fn wrap<'a, S: NetworkSource>(
-        self,
-        engine: Engine<'a, S>,
-    ) -> allfp::Result<Box<dyn PathfindBackend + 'a>> {
-        BackendSpec::from(self).wrap(engine)
-    }
 }
 
 /// Backend selection plus the hierarchy build knobs the CLI exposes
-/// (`--threads`, `--overlay-compress`). [`BackendKind`] alone keeps
-/// the defaults; experiments that honor the flags take a spec.
+/// (`--threads`). [`BackendKind`] alone keeps the defaults;
+/// experiments that honor the flag take a spec.
 #[derive(Debug, Clone, Default)]
 pub struct BackendSpec {
     /// Which search strategy to run.

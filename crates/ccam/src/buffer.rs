@@ -41,19 +41,6 @@
 //! is still exactly one hit or one miss, so the accounting stays
 //! exact — only the eviction victim choice differs).
 //!
-//! # Readahead
-//!
-//! [`BufferPool::set_readahead`] arms a readahead hook: a miss on page
-//! `p` also faults in the next `k` page ids. CCAM packs data pages in
-//! Hilbert order, so successive page ids are spatially adjacent — a
-//! query walking a neighborhood pulls its next pages into the pool
-//! before it asks for them. Readahead fetches are tallied separately
-//! (neither hits nor misses, so A-3's demand-fault accounting is
-//! unchanged when the hook is off, the default), never block (a shard
-//! that is busy right now is simply skipped), and never displace the
-//! demand working set (a prefetch only takes a free frame or recycles
-//! an earlier prefetch that was never demanded).
-//!
 //! # Fault handling
 //!
 //! Every physical read and write the pool issues goes through bounded
@@ -63,13 +50,11 @@
 //! [`IoStats::retries`](crate::IoStats::retries)), while permanent
 //! failures such as a checksum mismatch
 //! ([`CcamError::Corruption`](crate::CcamError::Corruption)) propagate
-//! immediately. Readahead is the one exception: a speculative read
-//! that fails is simply skipped — the demand read that actually needs
-//! the page will retry and report.
+//! immediately.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -110,7 +95,6 @@ pub struct BufferStats {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    readaheads: AtomicU64,
     mapped: AtomicU64,
 }
 
@@ -128,12 +112,6 @@ impl BufferStats {
     /// Frames evicted to make room.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Pages speculatively faulted in by the readahead hook (not
-    /// counted as hits or misses; always 0 with readahead off).
-    pub fn readaheads(&self) -> u64 {
-        self.readaheads.load(Ordering::Relaxed)
     }
 
     /// Logical reads served zero-copy from a mapped store
@@ -158,11 +136,6 @@ struct Frame {
     data: Vec<u8>,
     stamp: u64,
     dirty: bool,
-    /// `false` while the frame only exists because readahead guessed
-    /// it would be wanted; flips on the first demand access. Demand
-    /// eviction prefers un-demanded frames on stamp ties, and
-    /// readahead itself may only recycle un-demanded frames.
-    demanded: bool,
 }
 
 /// Multiply-xor hasher for the frame map's `u64` page ids: a lookup
@@ -227,8 +200,6 @@ pub struct BufferPool {
     shards: Vec<Shard>,
     /// `shard = hash(id) >> shard_shift`; 64 means "always shard 0".
     shard_shift: u32,
-    /// Pages to fault in after each demand miss (0 = off).
-    readahead: AtomicUsize,
     /// Counter feeding the seeded retry-backoff jitter stream; its
     /// initial value is the seed ([`BufferPool::set_retry_seed`]).
     retry_noise: AtomicU64,
@@ -274,7 +245,6 @@ impl BufferPool {
             capacity,
             shards,
             shard_shift: 64 - n.trailing_zeros(),
-            readahead: AtomicUsize::new(0),
             retry_noise: AtomicU64::new(0),
             stats: BufferStats::default(),
         }
@@ -298,19 +268,6 @@ impl BufferPool {
     /// Hit/miss statistics.
     pub fn stats(&self) -> &BufferStats {
         &self.stats
-    }
-
-    /// Arm (or disarm, with 0) the readahead hook: each demand miss on
-    /// page `p` also faults in pages `p+1..=p+k` that exist and aren't
-    /// already cached. Off by default so demand-fault accounting stays
-    /// exactly comparable across experiments.
-    pub fn set_readahead(&self, pages: usize) {
-        self.readahead.store(pages, Ordering::Relaxed);
-    }
-
-    /// Current readahead window (pages per demand miss; 0 = off).
-    pub fn readahead(&self) -> usize {
-        self.readahead.load(Ordering::Relaxed)
     }
 
     fn shard_of(&self, id: u64) -> &Shard {
@@ -370,115 +327,43 @@ impl BufferPool {
     /// needed.
     pub fn with_page<R>(&self, id: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let shard = self.shard_of(id);
-        let r = {
-            let mut inner = shard.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
+        let mut inner = shard.inner.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
 
-            if let Some(frame) = inner.frames.get_mut(&id) {
-                frame.stamp = tick;
-                frame.demanded = true;
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(f(&frame.data));
-            }
+        if let Some(frame) = inner.frames.get_mut(&id) {
+            frame.stamp = tick;
+            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(f(&frame.data));
+        }
 
-            // Zero-copy path: a mapped store serves the page as a
-            // borrow — no frame, no copy, no readahead (the OS does
-            // its own). Checked only after the frame map so a page
-            // written through the pool is always read back from its
-            // (possibly dirty) frame, never from the mapping.
-            if let Some(bytes) = self.store.page_ref(id)? {
-                self.stats.mapped.fetch_add(1, Ordering::Relaxed);
-                return Ok(f(bytes));
-            }
+        // Zero-copy path: a mapped store serves the page as a borrow —
+        // no frame, no copy. Checked only after the frame map so a page
+        // written through the pool is always read back from its
+        // (possibly dirty) frame, never from the mapping.
+        if let Some(bytes) = self.store.page_ref(id)? {
+            self.stats.mapped.fetch_add(1, Ordering::Relaxed);
+            return Ok(f(bytes));
+        }
 
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-            // Read before evicting: a failed read must not cost a
-            // resident frame, so the page lands in the spare buffer
-            // (the previous victim's), never in the next victim's.
-            let mut data = inner.take_buffer(self.store.page_size());
-            if let Err(e) = self.io_with_retry(|| self.store.read_page(id, &mut data)) {
-                inner.spare = data;
-                return Err(e);
-            }
-            self.evict_if_full(shard.capacity, &mut inner)?;
-            let frame = Frame {
-                data,
-                stamp: tick,
-                dirty: false,
-                demanded: true,
-            };
-            let r = f(&frame.data);
-            inner.frames.insert(id, frame);
-            r
+        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        // Read before evicting: a failed read must not cost a resident
+        // frame, so the page lands in the spare buffer (the previous
+        // victim's), never in the next victim's.
+        let mut data = inner.take_buffer(self.store.page_size());
+        if let Err(e) = self.io_with_retry(|| self.store.read_page(id, &mut data)) {
+            inner.spare = data;
+            return Err(e);
+        }
+        self.evict_if_full(shard.capacity, &mut inner)?;
+        let frame = Frame {
+            data,
+            stamp: tick,
+            dirty: false,
         };
-        // Readahead runs after the demand shard's lock is released so
-        // a pair of concurrent faulting readers can never hold one
-        // shard while waiting on another.
-        let window = self.readahead();
-        if window > 0 {
-            self.readahead_after(id, window);
-        }
+        let r = f(&frame.data);
+        inner.frames.insert(id, frame);
         Ok(r)
-    }
-
-    /// Speculatively fault in up to `window` pages following `id`.
-    /// Readahead is a hint, never a cost: shards momentarily locked by
-    /// another thread are skipped, a page whose read fails (even
-    /// permanently) is skipped without retry or error — the demand read
-    /// that actually needs it will retry and report — and a prefetch
-    /// may only take a free frame or recycle an earlier prefetch that
-    /// was never demanded, never displacing the demand working set.
-    fn readahead_after(&self, id: u64, window: usize) {
-        let n_pages = self.store.n_pages();
-        for next in (id + 1)..=(id + window as u64) {
-            if next >= n_pages {
-                break;
-            }
-            let shard = self.shard_of(next);
-            let Some(mut inner) = shard.inner.try_lock() else {
-                continue;
-            };
-            if inner.frames.contains_key(&next) {
-                continue;
-            }
-            if inner.frames.len() >= shard.capacity {
-                // Recycle the stalest never-demanded prefetch, if any.
-                let Some(victim) = inner
-                    .frames
-                    .iter()
-                    .filter(|(_, f)| !f.demanded)
-                    .min_by_key(|(vid, f)| (f.stamp, **vid))
-                    .map(|(vid, _)| *vid)
-                else {
-                    continue;
-                };
-                // Never-demanded frames are never written through, so
-                // there is nothing to write back.
-                if let Some(frame) = inner.frames.remove(&victim) {
-                    inner.spare = frame.data;
-                }
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            let mut data = inner.take_buffer(self.store.page_size());
-            if self.store.read_page(next, &mut data).is_err() {
-                inner.spare = data;
-                continue;
-            }
-            // Does NOT advance the LRU clock: the prefetched frame
-            // inherits the triggering miss's recency.
-            let stamp = inner.tick;
-            inner.frames.insert(
-                next,
-                Frame {
-                    data,
-                    stamp,
-                    dirty: false,
-                    demanded: false,
-                },
-            );
-            self.stats.readaheads.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Write `data` to page `id` through the pool (write-back on
@@ -492,7 +377,6 @@ impl BufferPool {
             frame.data.copy_from_slice(data);
             frame.stamp = tick;
             frame.dirty = true;
-            frame.demanded = true;
             return Ok(());
         }
         self.evict_if_full(shard.capacity, &mut inner)?;
@@ -502,7 +386,6 @@ impl BufferPool {
                 data: data.to_vec(),
                 stamp: tick,
                 dirty: true,
-                demanded: true,
             },
         );
         Ok(())
@@ -536,16 +419,13 @@ impl BufferPool {
 
     fn evict_if_full(&self, capacity: usize, inner: &mut Inner) -> Result<()> {
         while inner.frames.len() >= capacity {
-            // Deterministic victim: oldest stamp, never-demanded frames
-            // before demanded ones on ties (a prefetch shares the stamp
-            // of the miss that triggered it), page id as final
-            // tie-break. Demand stamps are unique per shard, so with
-            // readahead off this is exactly the seed pool's pure-LRU
-            // choice.
+            // Deterministic victim: oldest stamp, page id as the
+            // tie-break. Stamps are unique per shard, so this is
+            // exactly the seed pool's pure-LRU choice.
             let Some(victim) = inner
                 .frames
                 .iter()
-                .min_by_key(|(id, f)| (f.stamp, f.demanded, **id))
+                .min_by_key(|(id, f)| (f.stamp, **id))
                 .map(|(id, _)| *id)
             else {
                 break; // unreachable: len >= capacity >= 1
@@ -686,29 +566,6 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.hits() + s.misses(), logical);
         assert_eq!(s.logical_reads(), logical);
-        assert_eq!(s.readaheads(), 0);
-    }
-
-    #[test]
-    fn readahead_faults_following_pages() {
-        let store = store_with_pages(8, 64);
-        let pool = BufferPool::new(Arc::clone(&store), 8);
-        pool.set_readahead(2);
-        assert_eq!(pool.readahead(), 2);
-        pool.with_page(0, |_| ()).unwrap(); // miss, prefetches 1 and 2
-        assert_eq!(pool.stats().misses(), 1);
-        assert_eq!(pool.stats().readaheads(), 2);
-        let (physical, _) = store.io_stats().snapshot();
-        // demanding a prefetched page is a hit with no new physical read
-        pool.with_page(1, |p| assert_eq!(p[0], 1)).unwrap();
-        pool.with_page(2, |p| assert_eq!(p[0], 2)).unwrap();
-        assert_eq!(pool.stats().hits(), 2);
-        assert_eq!(pool.stats().misses(), 1);
-        assert_eq!(store.io_stats().snapshot().0, physical);
-        // readahead stops at the end of the store
-        pool.set_readahead(100);
-        pool.with_page(6, |_| ()).unwrap();
-        assert_eq!(pool.stats().readaheads(), 3); // only page 7 exists
     }
 
     #[test]
@@ -724,7 +581,6 @@ mod tests {
             16,
             8,
         ));
-        pool.set_readahead(2);
         std::thread::scope(|s| {
             for t in 0..n_threads {
                 let pool = Arc::clone(&pool);
@@ -978,22 +834,5 @@ mod tests {
         assert_eq!(pool.stats().evictions(), 0);
         assert_eq!(store.io_stats().mmap_faults(), 8);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn readahead_pages_evict_before_demanded_pages() {
-        let store = store_with_pages(8, 64);
-        let pool = BufferPool::with_shards(Arc::clone(&store), 2, 1);
-        pool.set_readahead(1);
-        pool.with_page(0, |_| ()).unwrap(); // faults 0, prefetches 1
-        pool.with_page(3, |_| ()).unwrap(); // pool full: must evict
-                                            // page 1 (prefetched, stale stamp) is the victim, not page 0
-        let (physical, _) = store.io_stats().snapshot();
-        pool.with_page(0, |_| ()).unwrap();
-        assert_eq!(
-            store.io_stats().snapshot().0,
-            physical,
-            "page 0 stayed cached"
-        );
     }
 }

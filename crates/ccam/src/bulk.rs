@@ -40,9 +40,8 @@ use std::sync::Arc;
 use roadnet::{Edge, NetworkSource, NodeId, Point};
 use traffic::CapeCodPattern;
 
-use crate::btree::BTree;
 use crate::buffer::BufferPool;
-use crate::ccam::{encode_patterns, write_superblock, CcamStore};
+use crate::ccam::{index_and_seal, write_pattern_table, CcamStore};
 use crate::hilbert::HilbertFrame;
 use crate::page::SlottedPage;
 use crate::record::{EdgeRecord, NodeRecord};
@@ -113,20 +112,7 @@ where
     let sb_page = store.allocate()?;
     debug_assert_eq!(sb_page, 0);
 
-    // pattern table
-    let pattern_bytes = encode_patterns(patterns)?;
-    let pattern_start = store.n_pages();
-    let n_pattern_pages = pattern_bytes.len().div_ceil(page_size).max(1);
-    for chunk_idx in 0..n_pattern_pages {
-        let id = store.allocate()?;
-        let mut page = vec![0u8; page_size];
-        let lo = chunk_idx * page_size;
-        let hi = (lo + page_size).min(pattern_bytes.len());
-        if lo < pattern_bytes.len() {
-            page[..hi - lo].copy_from_slice(&pattern_bytes[lo..hi]);
-        }
-        store.write_page(id, &page)?;
-    }
+    let region = write_pattern_table(&store, patterns, |id, page| store.write_page(id, page))?;
 
     // --- phase 1: locations and out-degrees, in parallel ---
     let mut pts: Vec<Point> = vec![Point { x: 0.0, y: 0.0 }; n];
@@ -242,19 +228,7 @@ where
 
     // --- phase 4: k-way merge the runs into the streaming B+-tree ---
     let pool = Arc::new(BufferPool::new(Arc::clone(&store), cfg.pool_frames));
-    let btree = BTree::bulk_load_from(Arc::clone(&pool), MergeRuns::new(runs))?;
-
-    write_superblock(
-        &pool,
-        n as u64,
-        btree.root(),
-        btree.height(),
-        pattern_start,
-        n_pattern_pages,
-        pattern_bytes.len(),
-    )?;
-    pool.flush()?;
-    drop(btree);
+    drop(index_and_seal(&pool, n, MergeRuns::new(runs), region)?);
     drop(pool);
 
     let total_pages = store.n_pages();

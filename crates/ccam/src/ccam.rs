@@ -41,8 +41,6 @@ pub struct StoreStats {
     pub misses: u64,
     /// Frames evicted.
     pub evictions: u64,
-    /// Pages speculatively faulted by readahead (0 when disarmed).
-    pub readaheads: u64,
     /// Pages physically read from the store.
     pub physical_reads: u64,
     /// Pages physically written to the store.
@@ -56,7 +54,6 @@ impl StoreStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
             evictions: self.evictions - earlier.evictions,
-            readaheads: self.readaheads - earlier.readaheads,
             physical_reads: self.physical_reads - earlier.physical_reads,
             physical_writes: self.physical_writes - earlier.physical_writes,
         }
@@ -71,8 +68,8 @@ pub struct CcamStore {
     patterns: Vec<CapeCodPattern>,
     max_speed: f64,
     n_nodes: usize,
-    /// First pattern page and page count (for in-place pattern updates).
-    pattern_region: (u64, usize),
+    /// Where the pattern table lives (for in-place pattern updates).
+    pattern_region: PatternRegion,
     /// Page currently accepting relocated/new records, if any.
     overflow_page: Option<u64>,
 }
@@ -98,20 +95,9 @@ impl CcamStore {
         let sb_page = pool.store().allocate()?;
         debug_assert_eq!(sb_page, 0);
 
-        // pattern table
-        let pattern_bytes = encode_patterns(net.patterns())?;
-        let pattern_start = pool.store().n_pages();
-        let n_pattern_pages = pattern_bytes.len().div_ceil(page_size).max(1);
-        for chunk_idx in 0..n_pattern_pages {
-            let id = pool.store().allocate()?;
-            let mut page = vec![0u8; page_size];
-            let lo = chunk_idx * page_size;
-            let hi = (lo + page_size).min(pattern_bytes.len());
-            if lo < pattern_bytes.len() {
-                page[..hi - lo].copy_from_slice(&pattern_bytes[lo..hi]);
-            }
-            pool.write_page(id, &page)?;
-        }
+        let region = write_pattern_table(pool.store(), net.patterns(), |id, page| {
+            pool.write_page(id, page)
+        })?;
 
         // data pages
         let partitioning = partition_nodes(net, policy, page_size)?;
@@ -133,21 +119,8 @@ impl CcamStore {
             pool.write_page(page_id, page.as_bytes())?;
         }
 
-        // index
         addresses.sort_unstable_by_key(|&(k, _)| k);
-        let btree = BTree::bulk_load(Arc::clone(&pool), &addresses)?;
-
-        // superblock
-        write_superblock(
-            &pool,
-            net.n_nodes() as u64,
-            btree.root(),
-            btree.height(),
-            pattern_start,
-            n_pattern_pages,
-            pattern_bytes.len(),
-        )?;
-        pool.flush()?;
+        let btree = index_and_seal(&pool, net.n_nodes(), addresses, region)?;
 
         Ok(CcamStore {
             pool,
@@ -155,7 +128,7 @@ impl CcamStore {
             patterns: net.patterns().to_vec(),
             max_speed: net.max_speed(),
             n_nodes: net.n_nodes(),
-            pattern_region: (pattern_start, n_pattern_pages),
+            pattern_region: region,
             overflow_page: None,
         })
     }
@@ -165,45 +138,39 @@ impl CcamStore {
         let page_size = store.page_size();
         let pool = Arc::new(BufferPool::new(store, pool_frames));
 
-        let (n_nodes, root, height, pattern_start, n_pattern_pages, pattern_len) = pool
-            .with_page(0, |page| {
-                let mut buf = page;
-                if buf.get_u32_le() != MAGIC {
-                    return Err(CcamError::Corrupt("bad magic".into()));
-                }
-                let version = buf.get_u16_le();
-                if version != VERSION {
-                    return Err(CcamError::Corrupt(format!("unsupported version {version}")));
-                }
-                let stored_page_size = buf.get_u32_le() as usize;
-                if stored_page_size != page_size {
-                    return Err(CcamError::Corrupt(format!(
-                        "page size mismatch: stored {stored_page_size}, store {page_size}"
-                    )));
-                }
-                let n_nodes = buf.get_u64_le() as usize;
-                let root = buf.get_u64_le();
-                let height = buf.get_u32_le();
-                let pattern_start = buf.get_u64_le();
-                let n_pattern_pages = buf.get_u32_le() as usize;
-                let pattern_len = buf.get_u32_le() as usize;
-                Ok((
-                    n_nodes,
-                    root,
-                    height,
-                    pattern_start,
-                    n_pattern_pages,
-                    pattern_len,
-                ))
-            })??;
+        let (n_nodes, root, height, region) = pool.with_page(0, |page| {
+            let mut buf = page;
+            if buf.get_u32_le() != MAGIC {
+                return Err(CcamError::Corrupt("bad magic".into()));
+            }
+            let version = buf.get_u16_le();
+            if version != VERSION {
+                return Err(CcamError::Corrupt(format!("unsupported version {version}")));
+            }
+            let stored_page_size = buf.get_u32_le() as usize;
+            if stored_page_size != page_size {
+                return Err(CcamError::Corrupt(format!(
+                    "page size mismatch: stored {stored_page_size}, store {page_size}"
+                )));
+            }
+            let n_nodes = buf.get_u64_le() as usize;
+            let root = buf.get_u64_le();
+            let height = buf.get_u32_le();
+            let region = PatternRegion {
+                start: buf.get_u64_le(),
+                n_pages: buf.get_u32_le() as usize,
+                len: buf.get_u32_le() as usize,
+            };
+            Ok((n_nodes, root, height, region))
+        })??;
 
-        let mut pattern_bytes = Vec::with_capacity(pattern_len);
-        for i in 0..n_pattern_pages {
-            pool.with_page(pattern_start + i as u64, |page| {
+        let mut pattern_bytes = Vec::with_capacity(region.len);
+        for i in 0..region.n_pages {
+            pool.with_page(region.start + i as u64, |page| {
                 pattern_bytes.extend_from_slice(page);
             })?;
         }
-        pattern_bytes.truncate(pattern_len);
+        pattern_bytes.truncate(region.len);
         let patterns = decode_patterns(&pattern_bytes)?;
         let max_speed = patterns
             .iter()
@@ -217,7 +184,7 @@ impl CcamStore {
             patterns,
             max_speed,
             n_nodes,
-            pattern_region: (pattern_start, n_pattern_pages),
+            pattern_region: region,
             overflow_page: None,
         })
     }
@@ -266,7 +233,6 @@ impl CcamStore {
             hits: b.hits(),
             misses: b.misses(),
             evictions: b.evictions(),
-            readaheads: b.readaheads(),
             physical_reads: r,
             physical_writes: w,
         }
@@ -275,14 +241,6 @@ impl CcamStore {
     /// Drop all cached pages (cold-cache experiments).
     pub fn clear_cache(&self) -> Result<()> {
         self.pool.clear()
-    }
-
-    /// Arm the buffer pool's sequential readahead (see
-    /// [`BufferPool::set_readahead`]): CCAM packs pages in Hilbert
-    /// order, so prefetching successive page ids pulls in spatially
-    /// adjacent records.
-    pub fn set_readahead(&self, pages: usize) {
-        self.pool.set_readahead(pages);
     }
 
     /// The buffer pool (for capacity introspection in experiments).
@@ -440,24 +398,19 @@ impl CcamStore {
         let bytes = encode_patterns(&self.patterns)?;
         let page_size = self.pool.store().page_size();
         let needed = bytes.len().div_ceil(page_size).max(1);
-        let (mut start, capacity) = self.pattern_region;
-        if needed > capacity {
-            start = self.pool.store().n_pages();
+        let region = &mut self.pattern_region;
+        if needed > region.n_pages {
+            region.start = self.pool.store().n_pages();
             for _ in 0..needed {
                 self.pool.store().allocate()?;
             }
-            self.pattern_region = (start, needed);
+            region.n_pages = needed;
         }
-        for chunk_idx in 0..self.pattern_region.1 {
-            let mut page = vec![0u8; page_size];
-            let lo = chunk_idx * page_size;
-            if lo < bytes.len() {
-                let hi = (lo + page_size).min(bytes.len());
-                page[..hi - lo].copy_from_slice(&bytes[lo..hi]);
-            }
-            self.pool.write_page(start + chunk_idx as u64, &page)?;
+        region.len = bytes.len();
+        for (i, page) in pattern_pages(&bytes, page_size, region.n_pages).enumerate() {
+            self.pool.write_page(region.start + i as u64, &page)?;
         }
-        self.persist_meta_with_pattern_len(bytes.len())
+        self.persist_meta()
     }
 
     /// Append an encoded record to the current overflow page,
@@ -504,35 +457,86 @@ impl CcamStore {
     }
 
     fn persist_meta(&self) -> Result<()> {
-        let bytes_len = encode_patterns(&self.patterns)?.len();
-        self.persist_meta_with_pattern_len(bytes_len)
-    }
-
-    fn persist_meta_with_pattern_len(&self, pattern_len: usize) -> Result<()> {
         write_superblock(
             &self.pool,
             self.n_nodes as u64,
             self.btree.root(),
             self.btree.height(),
-            self.pattern_region.0,
-            self.pattern_region.1,
-            pattern_len,
+            self.pattern_region,
         )?;
         self.pool.flush()
     }
 }
 
-/// Write the superblock to page 0. Shared with the parallel bulk
-/// builder ([`crate::bulk`]), which must produce a byte-identical
-/// superblock to [`CcamStore::build`].
-pub(crate) fn write_superblock(
+/// Where a store's pattern table lives: first page, page count, and
+/// the byte length of the encoded table within those pages.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PatternRegion {
+    start: u64,
+    n_pages: usize,
+    len: usize,
+}
+
+/// The encoded pattern table `bytes` cut into `n_pages` zero-padded
+/// page images.
+fn pattern_pages(
+    bytes: &[u8],
+    page_size: usize,
+    n_pages: usize,
+) -> impl Iterator<Item = Vec<u8>> + '_ {
+    (0..n_pages).map(move |i| {
+        let mut page = vec![0u8; page_size];
+        let lo = (i * page_size).min(bytes.len());
+        let hi = (lo + page_size).min(bytes.len());
+        page[..hi - lo].copy_from_slice(&bytes[lo..hi]);
+        page
+    })
+}
+
+/// Encode `patterns` and write the table to freshly allocated pages of
+/// `store` through `write` — the pool for [`CcamStore::build`], the
+/// store itself for the bulk builder ([`crate::bulk`]), which has no
+/// pool yet; the bytes are the same.
+pub(crate) fn write_pattern_table(
+    store: &Arc<dyn BlockStore>,
+    patterns: &[CapeCodPattern],
+    mut write: impl FnMut(u64, &[u8]) -> Result<()>,
+) -> Result<PatternRegion> {
+    let bytes = encode_patterns(patterns)?;
+    let page_size = store.page_size();
+    let region = PatternRegion {
+        start: store.n_pages(),
+        n_pages: bytes.len().div_ceil(page_size).max(1),
+        len: bytes.len(),
+    };
+    for page in pattern_pages(&bytes, page_size, region.n_pages) {
+        write(store.allocate()?, &page)?;
+    }
+    Ok(region)
+}
+
+/// The tail both builders share once their data pages are written:
+/// bulk-load the B+-tree from the key-ordered `(node id, address)`
+/// stream, write the superblock, flush.
+pub(crate) fn index_and_seal(
+    pool: &Arc<BufferPool>,
+    n_nodes: usize,
+    addresses: impl IntoIterator<Item = (u64, u64)>,
+    region: PatternRegion,
+) -> Result<BTree> {
+    let btree = BTree::bulk_load_from(Arc::clone(pool), addresses)?;
+    write_superblock(pool, n_nodes as u64, btree.root(), btree.height(), region)?;
+    pool.flush()?;
+    Ok(btree)
+}
+
+/// Write the superblock to page 0.
+fn write_superblock(
     pool: &Arc<BufferPool>,
     n_nodes: u64,
     root: u64,
     height: u32,
-    pattern_start: u64,
-    n_pattern_pages: usize,
-    pattern_len: usize,
+    region: PatternRegion,
 ) -> Result<()> {
     let page_size = pool.store().page_size();
     let mut sb = Vec::with_capacity(page_size);
@@ -542,15 +546,15 @@ pub(crate) fn write_superblock(
     sb.put_u64_le(n_nodes);
     sb.put_u64_le(root);
     sb.put_u32_le(height);
-    sb.put_u64_le(pattern_start);
-    sb.put_u32_le(n_pattern_pages as u32);
-    sb.put_u32_le(pattern_len as u32);
+    sb.put_u64_le(region.start);
+    sb.put_u32_le(region.n_pages as u32);
+    sb.put_u32_le(region.len as u32);
     sb.resize(page_size, 0);
     pool.write_page(0, &sb)
 }
 
-/// Serialize the pattern table. Shared with the bulk builder.
-pub(crate) fn encode_patterns(patterns: &[CapeCodPattern]) -> Result<Vec<u8>> {
+/// Serialize the pattern table.
+fn encode_patterns(patterns: &[CapeCodPattern]) -> Result<Vec<u8>> {
     let mut out = Vec::new();
     out.put_u16_le(patterns.len() as u16);
     for pat in patterns {
@@ -718,37 +722,6 @@ mod tests {
             clustered < random,
             "clustered misses {clustered} not below random {random}"
         );
-    }
-
-    #[test]
-    fn readahead_reduces_demand_misses_on_hilbert_scan() {
-        // A Hilbert-packed store visits pages roughly in id order on a
-        // spatially local scan, so prefetching the next pages converts
-        // demand misses into hits.
-        let scan = |readahead: usize| {
-            let net = grid(16, 16, 0.2, RoadClass::LocalBoston).unwrap();
-            let store = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
-            let ccam = CcamStore::build(&net, store, PlacementPolicy::HilbertPacked, 8).unwrap();
-            ccam.clear_cache().unwrap();
-            ccam.set_readahead(readahead);
-            let before = ccam.stats();
-            for n in net.node_ids() {
-                ccam.node_record(n).unwrap();
-            }
-            ccam.stats().since(&before)
-        };
-        let cold = scan(0);
-        let warm = scan(2);
-        assert_eq!(cold.readaheads, 0);
-        assert!(warm.readaheads > 0);
-        assert!(
-            warm.misses < cold.misses,
-            "readahead misses {} not below demand-only {}",
-            warm.misses,
-            cold.misses
-        );
-        // every logical read is still exactly one hit or one miss
-        assert_eq!(warm.hits + warm.misses, cold.hits + cold.misses);
     }
 
     #[test]

@@ -47,8 +47,7 @@ pub use bus::{
 pub use node::{ClusterSource, NodeBackend, RetryPolicy, RpcCounters};
 pub use shard::ShardMap;
 pub use sim::{
-    answer_sig, run_cluster_sim, sample_specs, AnswerSig, AnsweredRecord, ClusterScenario,
-    ClusterSimResult, ClusterStats, NodeTotals,
+    run_cluster_sim, AnsweredRecord, ClusterScenario, ClusterSimResult, ClusterStats, NodeTotals,
 };
 
 /// Errors from the cluster layer.

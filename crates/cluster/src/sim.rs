@@ -13,6 +13,15 @@
 //! the same [`ClusterScenario`] produce bit-identical
 //! [`ClusterSimResult`]s — the chaos suite's replay assertion.
 //!
+//! The workload (specs, calibrated costs, submissions) is the one
+//! [`allfp::service`] gives every virtual-time scenario; the loop is
+//! not. [`allfp::service::drive`] steps one service against one clock;
+//! this one schedules over per-node clocks, routes each arrival through
+//! the shard map and swaps service incarnations on crash and restart.
+//! Folding the single service in as the 1-node case would hand every
+//! single-service scenario a shard map and a bus, or make this loop
+//! branch on its node count.
+//!
 //! Crash-cancelled work is collected at the crash instant (a node that
 //! dies resolves its queue to `cancelled:Drained`, exactly one
 //! terminal outcome per admitted ticket, even posthumously), restarts
@@ -28,71 +37,19 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use allfp::service::{
-    ArrivalSchedule, BreakerConfig, DrainMode, LatencyHistogram, ManualClock, Priority,
-    QueryService, ServiceClock, ServiceConfig, ServiceOutcome, Submission,
+    answer_sig, sample_specs, AnswerSig, ArrivalSchedule, BreakerConfig, DrainMode,
+    LatencyHistogram, ManualClock, QueryService, ServiceClock, ServiceConfig, ServiceOutcome,
+    Workload,
 };
-use allfp::{
-    AllFpAnswer, Engine, EngineConfig, EpochManager, EstimatorKind, LiveBackend, PathfindBackend,
-    QuerySpec,
-};
-use pwl::time::hm;
-use pwl::Interval;
+use allfp::{Engine, EngineConfig, EpochManager, EstimatorKind, LiveBackend};
 use roadnet::generators::grid;
-use roadnet::{NodeId, RoadNetwork};
-use traffic::{DayCategory, RoadClass};
+use roadnet::RoadNetwork;
+use traffic::RoadClass;
 
 use crate::bus::{BusConfig, BusStats, ClusterFaultPlan, CrashWindow, PartitionWindow, VirtualBus};
 use crate::node::{NodeBackend, RetryPolicy, RpcCounters};
 use crate::shard::ShardMap;
 use crate::ClusterError;
-
-/// Deterministic 64-bit LCG (MMIX constants) — the same spec sampler
-/// the single-node chaos harness uses, so cluster runs and oracle
-/// runs draw identical workloads from identical seeds.
-fn lcg(x: &mut u64) -> u64 {
-    *x = x
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *x
-}
-
-/// `n` seeded query specs over `net` (sources, targets, and morning
-/// leaving intervals all drawn from `seed`).
-pub fn sample_specs(net: &RoadNetwork, n: usize, seed: u64) -> Vec<QuerySpec> {
-    let nodes = net.n_nodes() as u64;
-    let mut x = seed ^ 0x0EE2_10AD;
-    (0..n)
-        .map(|_| {
-            let s = NodeId((lcg(&mut x) % nodes) as u32);
-            let e = loop {
-                let c = NodeId((lcg(&mut x) % nodes) as u32);
-                if c != s {
-                    break c;
-                }
-            };
-            let lo = hm(6, 30) + (lcg(&mut x) % 90) as f64;
-            QuerySpec::new(s, e, Interval::of(lo, lo + 20.0), DayCategory::WORKDAY)
-        })
-        .collect()
-}
-
-/// A bit-exact signature of an answer: partition bounds (as raw f64
-/// bits) plus the node sequence of each sub-interval's fastest path.
-pub type AnswerSig = Vec<(u64, u64, Vec<usize>)>;
-
-/// Compute the [`AnswerSig`] of an answer.
-pub fn answer_sig(a: &AllFpAnswer) -> AnswerSig {
-    a.partition
-        .iter()
-        .map(|(iv, pi)| {
-            (
-                iv.lo().to_bits(),
-                iv.hi().to_bits(),
-                a.paths[*pi].nodes.iter().map(|n| n.index()).collect(),
-            )
-        })
-        .collect()
-}
 
 /// One scenario, in shape knobs; every absolute quantity (latencies,
 /// cooldowns, fault instants) is derived inside [`run_cluster_sim`]
@@ -389,21 +346,6 @@ impl ClusterSimResult {
     }
 }
 
-/// Internal accumulator over one node's service incarnations.
-#[derive(Debug, Clone, Copy, Default)]
-struct NodeAccum {
-    incarnations: u64,
-    submitted: u64,
-    admitted: u64,
-    rejected: u64,
-    answered: u64,
-    degraded: u64,
-    breaker_fallbacks: u64,
-    failed: u64,
-    cancelled: u64,
-    shed: u64,
-}
-
 /// Scheduled simulator events, processed in `(time, rank, node)`
 /// order before any arrival at the same instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -438,7 +380,7 @@ fn collect_service(
     node: usize,
     svc: &QueryService<'_, NodeBackend>,
     tickets: &mut HashMap<u64, u64>,
-    acc: &mut NodeAccum,
+    acc: &mut NodeTotals,
     terminal: &mut Vec<(u64, String)>,
     answered: &mut Vec<AnsweredRecord>,
     n_specs: usize,
@@ -459,13 +401,7 @@ fn collect_service(
         let Some(&global) = tickets.get(&local) else {
             continue;
         };
-        let label = match &out {
-            ServiceOutcome::Answered(_) => "answered".to_string(),
-            ServiceOutcome::Degraded(d) => format!("degraded:{:?}", d.reason),
-            ServiceOutcome::Cancelled(r) => format!("cancelled:{r:?}"),
-            ServiceOutcome::Failed(_) => "failed".to_string(),
-        };
-        terminal.push((global, label));
+        terminal.push((global, out.label()));
         if let ServiceOutcome::Answered(a) = &out {
             answered.push(AnsweredRecord {
                 ticket: global,
@@ -489,7 +425,6 @@ pub fn run_cluster_sim(sc: &ClusterScenario) -> Result<ClusterSimResult, Cluster
         ));
     }
     let net = grid(sc.grid_w, sc.grid_h, 0.3, RoadClass::LocalBoston)?;
-    let specs = sample_specs(&net, sc.n_specs, sc.seed);
     let config = EngineConfig {
         estimator: EstimatorKind::MinTime,
         ..EngineConfig::default()
@@ -499,16 +434,11 @@ pub fn run_cluster_sim(sc: &ClusterScenario) -> Result<ClusterSimResult, Cluster
     // estimator stack the cluster nodes run, so cost hints and
     // capacity planning see the real work.
     let calib_mgr = EpochManager::new(net.clone(), config.clone())?;
-    let calib = LiveBackend::new(&calib_mgr);
-    let costs = specs
-        .iter()
-        .map(|q| {
-            calib
-                .all_fastest_paths(q)
-                .map(|a| (a.stats.expanded_paths as u64).max(1))
-        })
-        .collect::<Result<Vec<u64>, _>>()?;
-    let mean_cost = (costs.iter().sum::<u64>() / costs.len() as u64).max(1);
+    let load = Workload::calibrate(
+        &LiveBackend::new(&calib_mgr),
+        sample_specs(&net, sc.n_specs, sc.seed),
+    )?;
+    let (specs, mean_cost) = (&load.specs, load.mean_cost);
 
     let shards = Arc::new(ShardMap::build(
         &net,
@@ -595,9 +525,7 @@ pub fn run_cluster_sim(sc: &ClusterScenario) -> Result<ClusterSimResult, Cluster
     let fallback = Engine::new(&net, EngineConfig::default());
     let svc_cfg = ServiceConfig {
         queue_capacity: sc.queue_capacity,
-        shed_expired: true,
         default_cost: mean_cost,
-        initial_units_per_cost: 1.0,
         breaker: BreakerConfig {
             cooldown: mean_cost * 4,
             ..BreakerConfig::default()
@@ -643,7 +571,7 @@ pub fn run_cluster_sim(sc: &ClusterScenario) -> Result<ClusterSimResult, Cluster
         .map(|b| Some(spawn_service(b, &fallback, &svc_cfg)))
         .collect();
     let mut tickets: Vec<HashMap<u64, u64>> = vec![HashMap::new(); n];
-    let mut accum: Vec<NodeAccum> = vec![NodeAccum::default(); n];
+    let mut accum: Vec<NodeTotals> = vec![NodeTotals::default(); n];
     let mut epoch_of = vec![0u64; sc.n_submissions];
     let mut terminal: Vec<(u64, String)> = Vec::new();
     let mut rejected: Vec<(u64, String)> = Vec::new();
@@ -740,14 +668,7 @@ pub fn run_cluster_sim(sc: &ClusterScenario) -> Result<ClusterSimResult, Cluster
                     Some(node) => {
                         if let Some(svc) = services[node].as_ref() {
                             let now = backends[node].clock().now();
-                            let sub = Submission::new(specs[idx].clone())
-                                .with_class(if next_arr % 4 == 3 {
-                                    Priority::Batch
-                                } else {
-                                    Priority::Interactive
-                                })
-                                .with_deadline(now + sc.deadline_factor * mean_cost)
-                                .with_cost_hint(costs[idx]);
+                            let sub = load.submission(next_arr, now, sc.deadline_factor);
                             match svc.submit(sub) {
                                 Ok(local) => {
                                     tickets[node].insert(local, global);
@@ -845,29 +766,17 @@ pub fn run_cluster_sim(sc: &ClusterScenario) -> Result<ClusterSimResult, Cluster
         }
     }
 
-    let nodes: Vec<NodeTotals> = (0..n)
-        .map(|i| {
-            let a = &accum[i];
-            let es = backends[i].manager().stats();
-            NodeTotals {
-                node: i,
-                incarnations: a.incarnations,
-                submitted: a.submitted,
-                admitted: a.admitted,
-                rejected: a.rejected,
-                answered: a.answered,
-                degraded: a.degraded,
-                breaker_fallbacks: a.breaker_fallbacks,
-                failed: a.failed,
-                cancelled: a.cancelled,
-                shed: a.shed,
-                rpc: backends[i].rpc_counters(),
-                breaker_trips: backends[i].breaker_trips(),
-                epochs_published: es.epochs_published,
-                updates_applied: es.updates_applied,
-            }
-        })
-        .collect();
+    // The accumulated service counters, plus what the node itself
+    // counted.
+    let mut nodes = accum;
+    for (i, totals) in nodes.iter_mut().enumerate() {
+        let es = backends[i].manager().stats();
+        totals.node = i;
+        totals.rpc = backends[i].rpc_counters();
+        totals.breaker_trips = backends[i].breaker_trips();
+        totals.epochs_published = es.epochs_published;
+        totals.updates_applied = es.updates_applied;
+    }
     let sum = |f: fn(&NodeTotals) -> u64| nodes.iter().map(f).sum::<u64>();
     let stats = ClusterStats {
         offered: sc.n_submissions as u64,

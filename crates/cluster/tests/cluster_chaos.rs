@@ -21,10 +21,11 @@
 
 use std::collections::HashMap;
 
+use allfp::service::{answer_sig, sample_specs};
 use allfp::{
     EngineConfig, EpochId, EpochManager, EstimatorKind, LiveBackend, PathfindBackend, QueryOutcome,
 };
-use cluster::{answer_sig, run_cluster_sim, sample_specs, ClusterScenario, ClusterSimResult};
+use cluster::{run_cluster_sim, ClusterScenario, ClusterSimResult};
 use roadnet::generators::grid;
 use traffic::RoadClass;
 

@@ -22,14 +22,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use allfp::service::{BreakerConfig, LatencyHistogram, ManualClock};
+use allfp::service::{answer_sig, sample_specs, BreakerConfig, LatencyHistogram, ManualClock};
 use allfp::{
     Engine, EngineConfig, EpochId, EpochManager, EstimatorKind, LiveBackend, PathfindBackend,
     QueryOutcome, SingleFpAnswer,
 };
 use cluster::{
-    answer_sig, run_cluster_sim, sample_specs, BusConfig, ClusterFaultPlan, ClusterScenario,
-    NodeBackend, RetryPolicy, ShardMap, VirtualBus,
+    run_cluster_sim, BusConfig, ClusterFaultPlan, ClusterScenario, NodeBackend, RetryPolicy,
+    ShardMap, VirtualBus,
 };
 use hierarchy::{HierarchyConfig, HierarchyEngine};
 use roadnet::generators::grid;

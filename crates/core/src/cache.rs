@@ -39,9 +39,15 @@
 //!   each query (and each `run_batch` worker, across all its queries)
 //!   holds a private lock-free map of recently used `Arc<Pwl>`
 //!   full-period functions. Steady-state lookups are served from the
-//!   L1 without taking any lock. This is *exact*, not approximate: the shared store's values
-//!   are immutable full-period functions keyed by everything that
-//!   determines them, so an L1 copy can never go stale.
+//!   L1 without taking any lock. This is *exact*, not approximate: the
+//!   shared store's values are immutable full-period functions keyed by
+//!   everything that determines them, so an L1 copy can never go stale.
+//!   The tier is kept because it was measured, with a query at ~1 000
+//!   lookups: sending every lookup straight to the shards made a
+//!   2-worker `run_batch` over the repo benchmark's 320 `rush_mem`
+//!   pairs 7 % slower in 16 of 16 alternating pairs (CHANGES.md,
+//!   PR 22) — a read lock and a shard probe per candidate edge cost
+//!   more than the private map does.
 //!
 //! Hit/miss counters are engine-wide atomics aggregated across shards
 //! and sessions: sessions tally locally and flush on drop, so the

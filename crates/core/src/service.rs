@@ -10,9 +10,9 @@
 //!   queue is full, when the service is draining, or when the
 //!   estimated queueing delay already exceeds the submission's
 //!   deadline (open-loop clients learn about overload *now*, not
-//!   after their deadline has silently passed). Optionally, entries
-//!   whose deadline expired while queued are shed from the queue head
-//!   before they waste a worker ([`ServiceConfig::shed_expired`]).
+//!   after their deadline has silently passed). Entries whose deadline
+//!   expired while queued are shed from the queue head before they
+//!   waste a worker ([`CancelReason::ShedExpired`]).
 //! * **Priority classes** — [`Priority::Interactive`] submissions are
 //!   always served before [`Priority::Batch`] ones; both share the
 //!   same capacity bound so batch traffic cannot starve the queue.
@@ -42,11 +42,13 @@
 //! [`ManualClock`] advanced by the measured *work units* of each
 //! completed query (`QueryStats::expanded_paths`), so an entire
 //! overload scenario — arrivals, sheds, breaker trips, recoveries —
-//! replays bit-identically from a seed on the single-threaded
-//! [`QueryService::step`] driver. See `DESIGN.md` §11 and
+//! replays bit-identically from a seed. [`drive`] is that harness's
+//! one loop over [`QueryService::step`]: the chaos suites and the
+//! bench twins supply it a [`DriveScenario`], and the cluster
+//! simulator shares its [`Workload`]. See `DESIGN.md` §11 and
 //! `core/tests/overload.rs` for the invariants this enables.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -264,8 +266,8 @@ impl std::error::Error for Overloaded {}
 /// Why an *admitted* submission was cancelled instead of executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelReason {
-    /// Its deadline expired while it sat in the queue and
-    /// [`ServiceConfig::shed_expired`] shed it from the head.
+    /// Its deadline expired while it sat in the queue and it was shed
+    /// from the head instead of wasting a worker on a late answer.
     ShedExpired,
     /// It was still queued when [`DrainMode::Cancel`] drained the
     /// queue.
@@ -301,6 +303,17 @@ impl ServiceOutcome {
             ServiceOutcome::Degraded(_) => "degraded",
             ServiceOutcome::Failed(_) => "failed",
             ServiceOutcome::Cancelled(_) => "cancelled",
+        }
+    }
+
+    /// [`Self::kind`] with the reason of a degradation or cancellation
+    /// appended (`degraded:StorageUnavailable`, `cancelled:ShedExpired`)
+    /// — the form the chaos suites compare replays in.
+    pub fn label(&self) -> String {
+        match self {
+            ServiceOutcome::Degraded(d) => format!("degraded:{:?}", d.reason),
+            ServiceOutcome::Cancelled(r) => format!("cancelled:{r:?}"),
+            other => other.kind().to_string(),
         }
     }
 }
@@ -655,17 +668,9 @@ pub struct ServiceConfig {
     /// counting in-flight work). Admission rejects with
     /// [`OverloadReason::QueueFull`] at this depth.
     pub queue_capacity: usize,
-    /// Shed queue-head entries whose deadline already expired
-    /// (resolving them as [`CancelReason::ShedExpired`]) instead of
-    /// wasting a worker on a guaranteed-late answer.
-    pub shed_expired: bool,
     /// Assumed cost (work units) of a submission with no
     /// [`Submission::cost_hint`].
     pub default_cost: u64,
-    /// Initial estimate of clock units per work unit, refined online
-    /// by an EWMA over observed service times. With a [`ManualClock`]
-    /// advanced 1:1 by work units this stays exact at 1.0.
-    pub initial_units_per_cost: f64,
     /// Storage circuit-breaker tuning.
     pub breaker: BreakerConfig,
 }
@@ -674,9 +679,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             queue_capacity: 64,
-            shed_expired: true,
             default_cost: 32,
-            initial_units_per_cost: 1.0,
             breaker: BreakerConfig::default(),
         }
     }
@@ -867,9 +870,7 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
                 estimated_wait: st.estimated_wait(),
             });
         }
-        if self.config.shed_expired {
-            Self::shed_expired_locked(&mut st, now);
-        }
+        Self::shed_expired_locked(&mut st, now);
         if st.depth() >= self.config.queue_capacity {
             st.stats.rejected += 1;
             return Err(Overloaded {
@@ -997,73 +998,46 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
 
     /// Execute one routed job (no lock held).
     fn execute(&self, job: &Job, session: &mut CacheSession<'_>) -> Executed {
-        let probe = job.route == Route::Probe;
-        match job.route {
-            Route::Fallback => {
-                let (outcome, cost) = self.serve_fallback(&job.ticket.spec);
-                Executed {
-                    outcome,
-                    cost,
-                    storage_fault: false,
-                    via_fallback: true,
-                    primary_used: false,
-                    probe,
+        let spec = &job.ticket.spec;
+        let primary_used = job.route != Route::Fallback;
+        // (outcome, measured cost, storage fault, answered by fallback)
+        let (outcome, cost, storage_fault, via_fallback) = if primary_used {
+            match self
+                .primary
+                .robust_with_session(spec, session, Some(&self.cancel))
+            {
+                Ok(QueryOutcome::Exact(a)) => {
+                    let cost = cost_of(&a.stats);
+                    (ServiceOutcome::Answered(Box::new(a)), cost, false, false)
                 }
-            }
-            Route::Primary | Route::Probe => {
-                match self.primary.robust_with_session(
-                    &job.ticket.spec,
-                    session,
-                    Some(&self.cancel),
-                ) {
-                    Ok(QueryOutcome::Exact(a)) => Executed {
-                        cost: cost_of(&a.stats),
-                        outcome: ServiceOutcome::Answered(Box::new(a)),
-                        storage_fault: false,
-                        via_fallback: false,
-                        primary_used: true,
-                        probe,
-                    },
-                    Ok(QueryOutcome::Degraded(d)) => Executed {
-                        cost: cost_of(&d.stats),
-                        outcome: ServiceOutcome::Degraded(Box::new(d)),
-                        storage_fault: false,
-                        via_fallback: false,
-                        primary_used: true,
-                        probe,
-                    },
-                    Err(EngineError::Storage { .. }) => {
-                        // The primary hit a storage fault mid-query:
-                        // count it against the breaker and still give
-                        // this caller an answer from the fallback.
-                        let (outcome, cost) = self.serve_fallback(&job.ticket.spec);
-                        Executed {
-                            outcome,
-                            cost,
-                            storage_fault: true,
-                            via_fallback: true,
-                            primary_used: true,
-                            probe,
-                        }
-                    }
-                    Err(EngineError::Cancelled) => Executed {
-                        outcome: ServiceOutcome::Cancelled(CancelReason::TokenCancelled),
-                        cost: 1,
-                        storage_fault: false,
-                        via_fallback: false,
-                        primary_used: true,
-                        probe,
-                    },
-                    Err(e) => Executed {
-                        outcome: ServiceOutcome::Failed(e),
-                        cost: 1,
-                        storage_fault: false,
-                        via_fallback: false,
-                        primary_used: true,
-                        probe,
-                    },
+                Ok(QueryOutcome::Degraded(d)) => {
+                    let cost = cost_of(&d.stats);
+                    (ServiceOutcome::Degraded(Box::new(d)), cost, false, false)
                 }
+                Err(EngineError::Storage { .. }) => {
+                    // The primary hit a storage fault mid-query: count
+                    // it against the breaker and still give this
+                    // caller an answer from the fallback.
+                    let (outcome, cost) = self.serve_fallback(spec);
+                    (outcome, cost, true, true)
+                }
+                Err(EngineError::Cancelled) => {
+                    let outcome = ServiceOutcome::Cancelled(CancelReason::TokenCancelled);
+                    (outcome, 1, false, false)
+                }
+                Err(e) => (ServiceOutcome::Failed(e), 1, false, false),
             }
+        } else {
+            let (outcome, cost) = self.serve_fallback(spec);
+            (outcome, cost, false, true)
+        };
+        Executed {
+            outcome,
+            cost,
+            storage_fault,
+            via_fallback,
+            primary_used,
+            probe: job.route == Route::Probe,
         }
     }
 
@@ -1126,9 +1100,7 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
         let job = {
             let mut st = lock(&self.state);
             let now = self.clock.now();
-            if self.config.shed_expired {
-                Self::shed_expired_locked(&mut st, now);
-            }
+            Self::shed_expired_locked(&mut st, now);
             self.pop_locked(&mut st, now)
         }?;
         let ex = self.execute(&job, session);
@@ -1219,9 +1191,7 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
                 let mut st = lock(&self.state);
                 loop {
                     let now = self.clock.now();
-                    if self.config.shed_expired {
-                        Self::shed_expired_locked(&mut st, now);
-                    }
+                    Self::shed_expired_locked(&mut st, now);
                     if let Some(job) = self.pop_locked(&mut st, now) {
                         break Some(job);
                     }
@@ -1293,16 +1263,229 @@ impl ArrivalSchedule {
     pub fn times(&self) -> &[u64] {
         &self.times
     }
+}
 
-    /// Number of arrivals.
-    pub fn len(&self) -> usize {
-        self.times.len()
+// ---------------------------------------------------------------------------
+// The virtual-time driver
+// ---------------------------------------------------------------------------
+
+/// `n` seeded query specs over `net`: sources, targets and 20-minute
+/// morning leaving intervals drawn from `seed` by an MMIX LCG. Every
+/// virtual-time scenario (the chaos suites, the bench twins, the
+/// cluster simulator and its single-node oracles) samples its workload
+/// here, so equal seeds mean equal workloads across all of them.
+pub fn sample_specs(net: &roadnet::RoadNetwork, n: usize, seed: u64) -> Vec<QuerySpec> {
+    let nodes = net.n_nodes() as u64;
+    let mut x = seed ^ 0x0EE2_10AD;
+    let mut lcg = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x
+    };
+    (0..n)
+        .map(|_| {
+            let s = roadnet::NodeId((lcg() % nodes) as u32);
+            let e = loop {
+                let c = roadnet::NodeId((lcg() % nodes) as u32);
+                if c != s {
+                    break c;
+                }
+            };
+            let lo = pwl::time::hm(6, 30) + (lcg() % 90) as f64;
+            let leaving = pwl::Interval::of(lo, lo + 20.0);
+            QuerySpec::new(s, e, leaving, traffic::DayCategory::WORKDAY)
+        })
+        .collect()
+}
+
+/// A bit-exact signature of an answer: partition bounds (as raw f64
+/// bits) plus the node sequence of each sub-interval's fastest path.
+pub type AnswerSig = Vec<(u64, u64, Vec<usize>)>;
+
+/// Compute the [`AnswerSig`] of an answer.
+pub fn answer_sig(a: &AllFpAnswer) -> AnswerSig {
+    a.partition
+        .iter()
+        .map(|(iv, pi)| {
+            (
+                iv.lo().to_bits(),
+                iv.hi().to_bits(),
+                a.paths[*pi].nodes.iter().map(|n| n.index()).collect(),
+            )
+        })
+        .collect()
+}
+
+/// A query mix with its calibrated costs — what a virtual-time
+/// scenario offers the service, arrival after arrival.
+#[derive(Debug, Clone)]
+pub struct Workload {
+    /// The specs; arrival `i` asks `specs[i % specs.len()]`.
+    pub specs: Vec<QuerySpec>,
+    /// Work units (expansions, at least 1) of each spec, measured once
+    /// on the calibration backend: identical data means identical
+    /// costs on whatever backend then serves them.
+    pub costs: Vec<u64>,
+    /// Mean of `costs` (at least 1): the unit a scenario scales its
+    /// arrival gap, deadlines and cooldowns by, so that virtual time
+    /// means "work the service could have done".
+    pub mean_cost: u64,
+}
+
+impl Workload {
+    /// Answer every spec once on `backend` and record what it cost.
+    pub fn calibrate<B: PathfindBackend + ?Sized>(
+        backend: &B,
+        specs: Vec<QuerySpec>,
+    ) -> crate::Result<Workload> {
+        let costs = specs
+            .iter()
+            .map(|q| backend.all_fastest_paths(q).map(|a| cost_of(&a.stats)))
+            .collect::<crate::Result<Vec<u64>>>()?;
+        let mean_cost = (costs.iter().sum::<u64>() / costs.len().max(1) as u64).max(1);
+        Ok(Workload {
+            specs,
+            costs,
+            mean_cost,
+        })
     }
 
-    /// Is the schedule empty?
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+    /// The submission of arrival `arrival` offered at `now`: every
+    /// fourth one batch class, due `deadline_slack` mean costs from
+    /// now, hinted with its calibrated cost.
+    pub fn submission(&self, arrival: usize, now: u64, deadline_slack: u64) -> Submission {
+        let idx = arrival % self.specs.len();
+        Submission::new(self.specs[idx].clone())
+            .with_class(if arrival % 4 == 3 {
+                Priority::Batch
+            } else {
+                Priority::Interactive
+            })
+            .with_deadline(now + deadline_slack * self.mean_cost)
+            .with_cost_hint(self.costs[idx])
     }
+}
+
+/// What [`drive`] asks of a scenario: the submission of each arrival,
+/// and optionally a stream of timed world events (a fault-plan switch,
+/// a traffic delta, a hierarchy refresh) and bookkeeping hooks. An
+/// event-free scenario is just its submission function — any
+/// `FnMut(arrival, now) -> Submission` is one.
+pub trait DriveScenario<B: PathfindBackend + ?Sized> {
+    /// The submission of arrival number `arrival`, offered at `now`.
+    fn submission(&mut self, arrival: usize, now: u64) -> Submission;
+
+    /// When the next world event not yet fired is due, if one is left.
+    fn next_event(&self) -> Option<u64> {
+        None
+    }
+
+    /// Fire the event [`Self::next_event`] announced; `now` is at or
+    /// past its instant. Events fire before an arrival of the same
+    /// instant.
+    fn fire_event(&mut self, _now: u64, _svc: &QueryService<'_, B>) {}
+
+    /// Arrival `arrival` was admitted as `ticket`.
+    fn admitted(&mut self, _arrival: usize, _ticket: TicketId) {}
+
+    /// The service just executed one query.
+    fn after_step(&mut self, _svc: &QueryService<'_, B>) {}
+}
+
+impl<B, F> DriveScenario<B> for F
+where
+    B: PathfindBackend + ?Sized,
+    F: FnMut(usize, u64) -> Submission,
+{
+    fn submission(&mut self, arrival: usize, now: u64) -> Submission {
+        self(arrival, now)
+    }
+}
+
+/// What one [`drive`] run did, in a `PartialEq` shape so two runs of a
+/// seed compare wholesale.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DriveLog {
+    /// Work units executed across all steps.
+    pub executed_units: u64,
+    /// Final virtual time.
+    pub elapsed: u64,
+    /// `(arrival, rejection)` of every refused arrival, in order.
+    pub rejected: Vec<(usize, Overloaded)>,
+    /// The arrival each admitted ticket came from.
+    pub arrival_of: HashMap<TicketId, usize>,
+}
+
+impl DriveLog {
+    /// `executed_units / elapsed`: the share of the service's capacity
+    /// (one work unit per clock unit) spent executing queries.
+    pub fn goodput(&self) -> f64 {
+        if self.elapsed == 0 {
+            return 0.0;
+        }
+        self.executed_units as f64 / self.elapsed as f64
+    }
+}
+
+/// Drive one service through one scenario in virtual time, on the
+/// calling thread: fire every due event, offer every due arrival,
+/// otherwise [`QueryService::step`] and advance `clock` by the step's
+/// measured cost; when idle, jump to whichever of the next arrival and
+/// the next event is due first; when both are exhausted, begin a
+/// [`DrainMode::Finish`] drain and step the queue dry. Time is thereby
+/// a pure function of the work done, and the whole run a pure function
+/// of the seed that built `schedule` and `scenario`.
+///
+/// This is the single-service loop. The cluster simulator's fleet loop
+/// (`fp-cluster`'s `sim.rs`: the node with the smallest clock steps
+/// next, arrivals are routed, crashed nodes restart as fresh
+/// incarnations) is a different loop, not this one with `n = 1`: either
+/// every scenario here would build a shard map and a bus, or that loop
+/// would branch on its node count.
+pub fn drive<B: PathfindBackend + ?Sized>(
+    svc: &QueryService<'_, B>,
+    clock: &ManualClock,
+    schedule: &ArrivalSchedule,
+    scenario: &mut impl DriveScenario<B>,
+) -> DriveLog {
+    let times = schedule.times();
+    let mut log = DriveLog::default();
+    let mut next = 0usize;
+    loop {
+        let now = clock.now();
+        if scenario.next_event().is_some_and(|t| t <= now) {
+            scenario.fire_event(now, svc);
+        } else if times.get(next).is_some_and(|&t| t <= now) {
+            match svc.submit(scenario.submission(next, now)) {
+                Ok(ticket) => {
+                    log.arrival_of.insert(ticket, next);
+                    scenario.admitted(next, ticket);
+                }
+                Err(overloaded) => log.rejected.push((next, overloaded)),
+            }
+            next += 1;
+        } else if let Some(rep) = svc.step() {
+            log.executed_units += rep.cost;
+            clock.advance(rep.cost);
+            scenario.after_step(svc);
+        } else if let Some(wake) = [times.get(next).copied(), scenario.next_event()]
+            .into_iter()
+            .flatten()
+            .min()
+        {
+            // Idle: jump to whatever happens next.
+            clock.set(wake);
+        } else if svc.is_draining() {
+            break;
+        } else {
+            // Nothing left to happen: stop admitting, step the queue
+            // dry (the branch above), then leave.
+            svc.begin_drain(DrainMode::Finish);
+        }
+    }
+    log.elapsed = clock.now();
+    log
 }
 
 #[cfg(test)]
@@ -1468,7 +1651,7 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, ArrivalSchedule::open_loop(8, 4096, 50));
         assert!(a.times().windows(2).all(|w| w[0] < w[1]));
-        let mean = *a.times().last().unwrap() as f64 / a.len() as f64;
+        let mean = *a.times().last().unwrap() as f64 / a.times().len() as f64;
         assert!(
             (mean - 50.0).abs() < 2.0,
             "empirical mean gap {mean} far from 50"
@@ -1483,5 +1666,119 @@ mod tests {
         assert_eq!(c.now(), 5);
         c.set(9);
         assert_eq!(c.now(), 9);
+    }
+
+    /// The substrate of `BENCH_engine.json`'s `overload` and
+    /// `live_update` blocks: ten seeded specs on a 6×6 grid, calibrated
+    /// on a flat engine.
+    const TWIN_SEED: u64 = 0x5EED;
+
+    fn twin_net() -> roadnet::RoadNetwork {
+        roadnet::generators::grid(6, 6, 0.3, traffic::RoadClass::LocalOutside).unwrap()
+    }
+
+    fn twin_load(net: &roadnet::RoadNetwork) -> Workload {
+        let calib = Engine::new(net, crate::EngineConfig::default());
+        Workload::calibrate(&calib, sample_specs(net, 10, TWIN_SEED)).unwrap()
+    }
+
+    /// ...and their service: a 10-deep queue offered 100 arrivals at
+    /// twice its capacity.
+    fn twin_service(load: &Workload) -> (ServiceConfig, ArrivalSchedule) {
+        let config = ServiceConfig {
+            queue_capacity: 10,
+            default_cost: load.mean_cost,
+            ..ServiceConfig::default()
+        };
+        let gap = (load.mean_cost / 2).max(1);
+        (
+            config,
+            ArrivalSchedule::open_loop(TWIN_SEED ^ 0x0F_F3_4D, 100, gap),
+        )
+    }
+
+    /// An event-free scenario reproduces the overload block recorded
+    /// before the four hand-written loops became [`drive`].
+    #[test]
+    fn drive_replays_the_recorded_overload_run() {
+        let net = twin_net();
+        let load = twin_load(&net);
+        let (config, schedule) = twin_service(&load);
+        let engine = Engine::new(&net, crate::EngineConfig::default());
+        let clock = ManualClock::new();
+        let svc = QueryService::new(&engine, &clock, config);
+        let log = drive(&svc, &clock, &schedule, &mut |arrival, now| {
+            load.submission(arrival, now, 5)
+        });
+        let s = svc.stats();
+        assert!(s.reconciles(), "{s:?}");
+        assert_eq!(
+            (s.admitted, s.rejected, s.answered, s.degraded, s.shed),
+            (66, 34, 52, 0, 14)
+        );
+        assert_eq!(s.queue_depth_high_water, 9);
+        assert_eq!((log.arrival_of.len(), log.rejected.len()), (66, 34));
+        assert_eq!(format!("{:.4}", log.goodput()), "0.9788");
+    }
+
+    /// Eight seeded deltas as timed events, spread evenly over the
+    /// arrival window.
+    struct DeltaStream<'a> {
+        load: &'a Workload,
+        mgr: &'a EpochManager,
+        times: Vec<u64>,
+        applied: usize,
+    }
+
+    impl<'b> DriveScenario<crate::LiveBackend<'b>> for DeltaStream<'_> {
+        fn submission(&mut self, arrival: usize, now: u64) -> Submission {
+            self.load.submission(arrival, now, 5)
+        }
+
+        fn next_event(&self) -> Option<u64> {
+            self.times.get(self.applied).copied()
+        }
+
+        fn fire_event(&mut self, now: u64, _svc: &QueryService<'_, crate::LiveBackend<'b>>) {
+            assert!(self.times[self.applied] <= now, "event fired early");
+            let k = self.applied as u64;
+            let net = std::sync::Arc::clone(self.mgr.current().network());
+            let delta = net.seeded_delta(TWIN_SEED ^ k, 4, k + 1).unwrap();
+            self.mgr.apply_delta(&delta).unwrap();
+            self.applied += 1;
+        }
+    }
+
+    /// A delta stream reproduces the recorded live-update block, and
+    /// the same seed the same log.
+    #[test]
+    fn drive_replays_the_recorded_update_storm() {
+        let run = || {
+            let net = twin_net();
+            let load = twin_load(&net);
+            let (config, schedule) = twin_service(&load);
+            let mgr = EpochManager::new(net, crate::EngineConfig::default()).unwrap();
+            let live = crate::LiveBackend::new(&mgr);
+            let clock = ManualClock::new();
+            let svc = QueryService::new(&live, &clock, config).with_epochs(&mgr);
+            let horizon = *schedule.times().last().unwrap();
+            let mut stream = DeltaStream {
+                load: &load,
+                mgr: &mgr,
+                times: (1..=8).map(|k| k * horizon / 9).collect(),
+                applied: 0,
+            };
+            let log = drive(&svc, &clock, &schedule, &mut stream);
+            (svc.stats(), log)
+        };
+        let (s, log) = run();
+        assert!(s.reconciles(), "{s:?}");
+        assert_eq!(
+            (s.submitted, s.updates_applied, s.epochs_published),
+            (100, 8, 9)
+        );
+        assert_eq!((s.epochs_retired, s.epoch_retire_lag), (8, 0));
+        assert_eq!(format!("{:.4}", log.goodput()), "0.9792");
+        assert_eq!(run(), (s, log), "same seed, different run");
     }
 }

@@ -28,16 +28,15 @@
 //! * goodput under the 2× overload stays within a stated fraction of
 //!   offered capacity.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use allfp::service::{
-    ArrivalSchedule, BreakerConfig, BreakerState, DrainMode, ManualClock, OverloadReason, Priority,
-    QueryService, ServiceClock, ServiceConfig, ServiceOutcome, ServiceStats, Submission, WallClock,
+    answer_sig, drive, sample_specs, AnswerSig, ArrivalSchedule, BreakerConfig, BreakerState,
+    DrainMode, DriveScenario, ManualClock, OverloadReason, Priority, QueryService, ServiceClock,
+    ServiceConfig, ServiceOutcome, ServiceStats, Submission, WallClock, Workload,
 };
 use allfp::{
-    AllFpAnswer, DegradedReason, Engine, EngineConfig, PathfindBackend, QueryBudget, QueryOutcome,
-    QuerySpec,
+    DegradedReason, Engine, EngineConfig, PathfindBackend, QueryBudget, QueryOutcome, QuerySpec,
 };
 use ccam::{
     BlockStore, CcamStore, ChecksummedStore, FaultEvent, FaultInjectingStore, FaultPlan, MemStore,
@@ -49,14 +48,6 @@ use roadnet::generators::grid;
 use roadnet::{NodeId, RoadNetwork};
 use traffic::{DayCategory, RoadClass};
 
-/// Deterministic 64-bit LCG (same constants as `MMIX`).
-fn lcg(x: &mut u64) -> u64 {
-    *x = x
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *x
-}
-
 /// The production storage layering with a fault schedule at the
 /// bottom.
 fn faulty_stack(plan: FaultPlan) -> (Arc<FaultInjectingStore>, Arc<dyn BlockStore>) {
@@ -66,41 +57,6 @@ fn faulty_stack(plan: FaultPlan) -> (Arc<FaultInjectingStore>, Arc<dyn BlockStor
         Arc::clone(&injected) as Arc<dyn BlockStore>
     ));
     (injected, top)
-}
-
-fn sample_specs(net: &RoadNetwork, n: usize, seed: u64) -> Vec<QuerySpec> {
-    let nodes = net.n_nodes() as u64;
-    let mut x = seed ^ 0x0EE2_10AD;
-    (0..n)
-        .map(|_| {
-            let s = NodeId((lcg(&mut x) % nodes) as u32);
-            let e = loop {
-                let c = NodeId((lcg(&mut x) % nodes) as u32);
-                if c != s {
-                    break c;
-                }
-            };
-            let lo = hm(6, 30) + (lcg(&mut x) % 90) as f64;
-            QuerySpec::new(s, e, Interval::of(lo, lo + 20.0), DayCategory::WORKDAY)
-        })
-        .collect()
-}
-
-/// A bit-exact signature of an answer: partition bounds (as raw f64
-/// bits) plus the node sequence of each sub-interval's fastest path.
-type AnswerSig = Vec<(u64, u64, Vec<usize>)>;
-
-fn answer_sig(a: &AllFpAnswer) -> AnswerSig {
-    a.partition
-        .iter()
-        .map(|(iv, pi)| {
-            (
-                iv.lo().to_bits(),
-                iv.hi().to_bits(),
-                a.paths[*pi].nodes.iter().map(|n| n.index()).collect(),
-            )
-        })
-        .collect()
 }
 
 /// Everything one chaos run produced, in a `PartialEq` shape so two
@@ -126,40 +82,63 @@ struct SimResult {
 
 const CHAOS_SUBMISSIONS: usize = 140;
 
+/// What the chaos run adds to the plain open-loop workload: a fault
+/// storm that switches the injector's plan on and off as two timed
+/// events.
+struct Storm<'a> {
+    load: &'a Workload,
+    injected: &'a FaultInjectingStore,
+    disk: &'a CcamStore,
+    seed: u64,
+    /// Storm start and end; `fired` counts how many have happened.
+    edges: [u64; 2],
+    fired: usize,
+}
+
+impl DriveScenario<Engine<'_, CcamStore>> for Storm<'_> {
+    fn submission(&mut self, arrival: usize, now: u64) -> Submission {
+        self.load.submission(arrival, now, 6)
+    }
+
+    fn next_event(&self) -> Option<u64> {
+        self.edges.get(self.fired).copied()
+    }
+
+    fn fire_event(&mut self, _now: u64, _svc: &QueryService<'_, Engine<'_, CcamStore>>) {
+        if self.fired == 0 {
+            // Storm begins: every physical read faults (retry
+            // exhaustion ⇒ typed storage errors), and the page cache
+            // is dropped so reads actually reach the injector.
+            self.injected
+                .set_plan(FaultPlan::quiet(self.seed).with_transient_reads(1));
+            self.disk.clear_cache().unwrap();
+        } else {
+            self.injected.set_plan(FaultPlan::quiet(self.seed));
+        }
+        self.fired += 1;
+    }
+}
+
 /// One full chaos scenario in virtual time. Pure function of `seed`.
 fn run_chaos_sim(seed: u64) -> SimResult {
     let net = grid(8, 8, 0.3, RoadClass::LocalBoston).unwrap();
-    let specs = sample_specs(&net, 12, seed);
 
     // Calibrate per-spec costs (work units = expansions) on the
     // in-memory engine; identical data ⇒ identical costs on disk.
-    let mem_engine = Engine::new(&net, EngineConfig::default());
-    let costs: Vec<u64> = specs
-        .iter()
-        .map(|q| {
-            mem_engine
-                .all_fastest_paths(q)
-                .unwrap()
-                .stats
-                .expanded_paths
-                .max(1) as u64
-        })
-        .collect();
-    let mean_cost = (costs.iter().sum::<u64>() / costs.len() as u64).max(1);
+    let fallback = Engine::new(&net, EngineConfig::default());
+    let load = Workload::calibrate(&fallback, sample_specs(&net, 12, seed)).unwrap();
+    let mean_cost = load.mean_cost;
 
     let (injected, top) = faulty_stack(FaultPlan::quiet(seed));
     let disk = CcamStore::build(&net, top, PlacementPolicy::ConnectivityClustered, 64).unwrap();
     disk.clear_cache().unwrap();
     let primary = Engine::new(&disk, EngineConfig::default());
-    let fallback = Engine::new(&net, EngineConfig::default());
 
     let clock = ManualClock::new();
     let queue_capacity = 12;
     let config = ServiceConfig {
         queue_capacity,
-        shed_expired: true,
         default_cost: mean_cost,
-        initial_units_per_cost: 1.0,
         breaker: BreakerConfig {
             window: 8,
             trip_failures: 4,
@@ -178,93 +157,41 @@ fn run_chaos_sim(seed: u64) -> SimResult {
         (mean_cost / 2).max(1),
     );
     let horizon = *schedule.times().last().unwrap();
-    // Fault storm over the middle fifth of the arrival window.
-    let storm = (horizon * 2 / 5, horizon * 3 / 5);
-    let storm_plan = FaultPlan::quiet(seed).with_transient_reads(1);
-
-    let mut ticket_spec: HashMap<u64, usize> = HashMap::new();
-    let mut rejected = Vec::new();
-    let mut executed_units = 0u64;
-    let mut next = 0usize;
-    let mut storm_on = false;
-
-    loop {
-        let now = clock.now();
-        if !storm_on && now >= storm.0 && now < storm.1 {
-            // Storm begins: every physical read faults (retry
-            // exhaustion ⇒ typed storage errors), and the page cache
-            // is dropped so reads actually reach the injector.
-            injected.set_plan(storm_plan);
-            disk.clear_cache().unwrap();
-            storm_on = true;
-        }
-        if storm_on && now >= storm.1 {
-            injected.set_plan(FaultPlan::quiet(seed));
-            storm_on = false;
-        }
-        if next < schedule.len() && schedule.times()[next] <= now {
-            let idx = next % specs.len();
-            let sub = Submission::new(specs[idx].clone())
-                .with_class(if next % 4 == 3 {
-                    Priority::Batch
-                } else {
-                    Priority::Interactive
-                })
-                .with_deadline(now + 6 * mean_cost)
-                .with_cost_hint(costs[idx]);
-            match svc.submit(sub) {
-                Ok(id) => {
-                    ticket_spec.insert(id, idx);
-                }
-                Err(o) => rejected.push((next, format!("{:?}", o.reason))),
-            }
-            next += 1;
-            continue;
-        }
-        match svc.step() {
-            Some(rep) => {
-                executed_units += rep.cost;
-                clock.advance(rep.cost);
-            }
-            None => {
-                if next >= schedule.len() {
-                    break;
-                }
-                // Idle: jump to the next arrival.
-                clock.set(schedule.times()[next]);
-            }
-        }
-    }
-    svc.begin_drain(DrainMode::Finish);
-    while let Some(rep) = svc.step() {
-        executed_units += rep.cost;
-        clock.advance(rep.cost);
-    }
+    let mut storm = Storm {
+        load: &load,
+        injected: &injected,
+        disk: &disk,
+        seed,
+        // Fault storm over the middle fifth of the arrival window.
+        edges: [horizon * 2 / 5, horizon * 3 / 5],
+        fired: 0,
+    };
+    let log = drive(&svc, &clock, &schedule, &mut storm);
 
     let stats = svc.stats();
     let outcomes = svc.take_outcomes();
     let mut terminal = Vec::with_capacity(outcomes.len());
     let mut answered = Vec::new();
     for (id, out) in &outcomes {
-        let label = match out {
-            ServiceOutcome::Degraded(d) => format!("degraded:{:?}", d.reason),
-            ServiceOutcome::Cancelled(r) => format!("cancelled:{r:?}"),
-            other => other.kind().to_string(),
-        };
-        terminal.push((*id, label));
+        terminal.push((*id, out.label()));
         if let ServiceOutcome::Answered(a) = out {
-            answered.push((*id, ticket_spec[id], answer_sig(a)));
+            let spec = log.arrival_of[id] % load.specs.len();
+            answered.push((*id, spec, answer_sig(a)));
         }
     }
 
     SimResult {
         terminal,
-        rejected,
+        rejected: log
+            .rejected
+            .iter()
+            .map(|(arrival, o)| (*arrival, format!("{:?}", o.reason)))
+            .collect(),
         answered,
         stats,
         fault_log: injected.events(),
-        executed_units,
-        elapsed: clock.now(),
+        executed_units: log.executed_units,
+        elapsed: log.elapsed,
         n_submissions: CHAOS_SUBMISSIONS,
         queue_capacity,
     }

@@ -36,61 +36,18 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use allfp::service::{
-    ArrivalSchedule, DrainMode, ManualClock, Priority, QueryService, ServiceClock, ServiceConfig,
-    ServiceOutcome, ServiceStats, Submission,
+    answer_sig, drive, sample_specs, AnswerSig, ArrivalSchedule, DriveScenario, ManualClock,
+    QueryService, ServiceConfig, ServiceOutcome, ServiceStats, Submission, Workload,
 };
 use allfp::{
-    AllFpAnswer, CacheCounters, DegradedReason, Engine, EngineConfig, EpochId, EpochManager,
-    LiveBackend, QueryBudget, QuerySpec,
+    CacheCounters, DegradedReason, Engine, EngineConfig, EpochId, EpochManager, LiveBackend,
+    QueryBudget, QuerySpec,
 };
 use pwl::time::hm;
 use pwl::Interval;
 use roadnet::generators::grid;
 use roadnet::{NodeId, RoadNetwork};
 use traffic::{DayCategory, RoadClass};
-
-/// Deterministic 64-bit LCG (same constants as `MMIX`).
-fn lcg(x: &mut u64) -> u64 {
-    *x = x
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *x
-}
-
-fn sample_specs(net: &RoadNetwork, n: usize, seed: u64) -> Vec<QuerySpec> {
-    let nodes = net.n_nodes() as u64;
-    let mut x = seed ^ 0x0EE2_10AD;
-    (0..n)
-        .map(|_| {
-            let s = NodeId((lcg(&mut x) % nodes) as u32);
-            let e = loop {
-                let c = NodeId((lcg(&mut x) % nodes) as u32);
-                if c != s {
-                    break c;
-                }
-            };
-            let lo = hm(6, 30) + (lcg(&mut x) % 90) as f64;
-            QuerySpec::new(s, e, Interval::of(lo, lo + 20.0), DayCategory::WORKDAY)
-        })
-        .collect()
-}
-
-/// A bit-exact signature of an answer: partition bounds (as raw f64
-/// bits) plus the node sequence of each sub-interval's fastest path.
-type AnswerSig = Vec<(u64, u64, Vec<usize>)>;
-
-fn answer_sig(a: &AllFpAnswer) -> AnswerSig {
-    a.partition
-        .iter()
-        .map(|(iv, pi)| {
-            (
-                iv.lo().to_bits(),
-                iv.hi().to_bits(),
-                a.paths[*pi].nodes.iter().map(|n| n.index()).collect(),
-            )
-        })
-        .collect()
-}
 
 /// Everything one storm run produced, in a `PartialEq` shape so two
 /// runs can be compared wholesale.
@@ -118,32 +75,107 @@ struct StormResult {
 const STORM_SUBMISSIONS: usize = 120;
 const STORM_DELTAS: usize = 8;
 
+/// What the storm run adds to the plain open-loop workload: a delta
+/// stream as timed events, a budget-fault window on submissions, and
+/// the bookkeeping of which ticket is pinned to which epoch.
+struct Storm<'a> {
+    seed: u64,
+    load: &'a Workload,
+    mgr: &'a EpochManager,
+    /// Budget-fault window over the middle fifth of the arrivals.
+    budget_storm: std::ops::Range<u64>,
+    /// When each delta lands; `apply_log.len()` of them have.
+    delta_times: Vec<u64>,
+    /// One debug line per applied delta.
+    apply_log: Vec<String>,
+    /// Each epoch's network, retained for the from-scratch oracle. (An
+    /// `Arc<RoadNetwork>` clone does *not* pin the epoch itself — the
+    /// retire machinery still runs.)
+    epoch_nets: HashMap<u64, Arc<RoadNetwork>>,
+    /// The epoch current when each arrival was offered.
+    stamped: Vec<u64>,
+    /// Admitted tickets without a terminal outcome yet → their epoch.
+    in_flight: HashMap<u64, u64>,
+    outcomes: Vec<(u64, ServiceOutcome)>,
+}
+
+impl Storm<'_> {
+    /// Move the service's recorded outcomes over, retiring their
+    /// tickets from `in_flight`.
+    fn collect(&mut self, svc: &QueryService<'_, LiveBackend<'_>>) {
+        for (id, out) in svc.take_outcomes() {
+            self.in_flight.remove(&id);
+            self.outcomes.push((id, out));
+        }
+    }
+}
+
+impl<'b> DriveScenario<LiveBackend<'b>> for Storm<'_> {
+    fn submission(&mut self, arrival: usize, now: u64) -> Submission {
+        self.stamped.push(self.mgr.current_id().0);
+        let mut sub = self.load.submission(arrival, now, 6);
+        if self.budget_storm.contains(&now) {
+            // Fault window: a near-zero budget forces the robust
+            // degradation path, like the PR 5 storage storm does.
+            sub.spec = sub
+                .spec
+                .with_budget(QueryBudget::unlimited().with_max_expansions(3));
+        }
+        sub
+    }
+
+    fn next_event(&self) -> Option<u64> {
+        self.delta_times.get(self.apply_log.len()).copied()
+    }
+
+    fn fire_event(&mut self, _now: u64, svc: &QueryService<'_, LiveBackend<'b>>) {
+        let k = self.apply_log.len() as u64;
+        let delta = self
+            .mgr
+            .current()
+            .network()
+            .seeded_delta(self.seed ^ k, 6, k + 1)
+            .unwrap();
+        let rep = self.mgr.apply_delta(&delta).unwrap();
+        self.epoch_nets
+            .insert(rep.epoch.0, Arc::clone(self.mgr.current().network()));
+        self.apply_log.push(format!("{rep:?}"));
+        // Pin safety: the swap must not have freed any epoch a
+        // queued or running ticket is still pinned to.
+        self.collect(svc);
+        for (&ticket, &ep) in &self.in_flight {
+            assert!(
+                self.mgr.pin(Some(EpochId(ep))).is_some(),
+                "epoch {ep} freed while ticket {ticket} was still pinned to it"
+            );
+        }
+    }
+
+    fn admitted(&mut self, arrival: usize, ticket: u64) {
+        self.in_flight.insert(ticket, self.stamped[arrival]);
+    }
+
+    fn after_step(&mut self, svc: &QueryService<'_, LiveBackend<'b>>) {
+        self.collect(svc);
+    }
+}
+
 /// One full update-storm scenario in virtual time. Pure function of
 /// `seed`. Also checks the mid-run pin-safety invariant (every
 /// in-flight ticket's epoch survives every swap) inline, since it
 /// cannot be reconstructed from the final result.
 fn run_storm_sim(seed: u64) -> StormResult {
     let net = grid(8, 8, 0.3, RoadClass::LocalBoston).unwrap();
-    let specs = sample_specs(&net, 12, seed);
 
     // Calibrate per-spec costs (work units = expansions) on a plain
     // engine over the seed epoch; identical data ⇒ identical costs
     // through the live backend.
-    let costs: Vec<u64> = {
-        let calib = Engine::new(&net, EngineConfig::default());
-        specs
-            .iter()
-            .map(|q| {
-                calib
-                    .all_fastest_paths(q)
-                    .unwrap()
-                    .stats
-                    .expanded_paths
-                    .max(1) as u64
-            })
-            .collect()
-    };
-    let mean_cost = (costs.iter().sum::<u64>() / costs.len() as u64).max(1);
+    let load = Workload::calibrate(
+        &Engine::new(&net, EngineConfig::default()),
+        sample_specs(&net, 12, seed),
+    )
+    .unwrap();
+    let mean_cost = load.mean_cost;
 
     let mgr = EpochManager::new(net, EngineConfig::default()).unwrap();
     let live = LiveBackend::new(&mgr);
@@ -151,9 +183,7 @@ fn run_storm_sim(seed: u64) -> StormResult {
     let queue_capacity = 12;
     let config = ServiceConfig {
         queue_capacity,
-        shed_expired: true,
         default_cost: mean_cost,
-        initial_units_per_cost: 1.0,
         ..ServiceConfig::default()
     };
     let svc = QueryService::new(&live, &clock, config).with_epochs(&mgr);
@@ -165,127 +195,37 @@ fn run_storm_sim(seed: u64) -> StormResult {
         (mean_cost / 2).max(1),
     );
     let horizon = *schedule.times().last().unwrap();
-    // Budget-fault storm over the middle fifth of the arrival window.
-    let storm = (horizon * 2 / 5, horizon * 3 / 5);
-    // Delta stream: eight updates spread evenly across the window.
-    let delta_times: Vec<u64> = (1..=STORM_DELTAS as u64)
-        .map(|k| k * horizon / (STORM_DELTAS as u64 + 1))
-        .collect();
-
-    // Retain each epoch's network for the from-scratch oracle. (An
-    // `Arc<RoadNetwork>` clone does *not* pin the epoch itself — the
-    // retire machinery still runs.)
-    let mut epoch_nets: HashMap<u64, Arc<RoadNetwork>> = HashMap::new();
-    epoch_nets.insert(mgr.current_id().0, Arc::clone(mgr.current().network()));
-
-    let mut apply_log = Vec::new();
-    let mut ticket_spec: HashMap<u64, (usize, u64)> = HashMap::new();
-    let mut in_flight: HashMap<u64, u64> = HashMap::new();
-    let mut outcomes: Vec<(u64, ServiceOutcome)> = Vec::new();
-    let mut rejected = Vec::new();
-    let mut executed_units = 0u64;
-    let mut next = 0usize;
-    let mut next_delta = 0usize;
-
-    let drain = |acc: &mut Vec<(u64, ServiceOutcome)>, in_flight: &mut HashMap<u64, u64>| {
-        for (id, out) in svc.take_outcomes() {
-            in_flight.remove(&id);
-            acc.push((id, out));
-        }
+    let mut storm = Storm {
+        seed,
+        load: &load,
+        mgr: &mgr,
+        budget_storm: horizon * 2 / 5..horizon * 3 / 5,
+        // Delta stream: eight updates spread evenly across the window.
+        delta_times: (1..=STORM_DELTAS as u64)
+            .map(|k| k * horizon / (STORM_DELTAS as u64 + 1))
+            .collect(),
+        apply_log: Vec::new(),
+        epoch_nets: HashMap::from([(mgr.current_id().0, Arc::clone(mgr.current().network()))]),
+        stamped: Vec::new(),
+        in_flight: HashMap::new(),
+        outcomes: Vec::new(),
     };
-
-    loop {
-        let now = clock.now();
-        if next_delta < delta_times.len() && delta_times[next_delta] <= now {
-            let delta = mgr
-                .current()
-                .network()
-                .seeded_delta(seed ^ (next_delta as u64), 6, next_delta as u64 + 1)
-                .unwrap();
-            let rep = mgr.apply_delta(&delta).unwrap();
-            epoch_nets.insert(rep.epoch.0, Arc::clone(mgr.current().network()));
-            apply_log.push(format!("{rep:?}"));
-            next_delta += 1;
-            // Pin safety: the swap must not have freed any epoch a
-            // queued or running ticket is still pinned to.
-            drain(&mut outcomes, &mut in_flight);
-            for (&ticket, &ep) in &in_flight {
-                assert!(
-                    mgr.pin(Some(EpochId(ep))).is_some(),
-                    "epoch {ep} freed while ticket {ticket} was still pinned to it"
-                );
-            }
-            continue;
-        }
-        if next < schedule.len() && schedule.times()[next] <= now {
-            let idx = next % specs.len();
-            let mut spec = specs[idx].clone();
-            if (storm.0..storm.1).contains(&now) {
-                // Fault window: a near-zero budget forces the robust
-                // degradation path, like the PR 5 storage storm does.
-                spec = spec.with_budget(QueryBudget::unlimited().with_max_expansions(3));
-            }
-            let sub = Submission::new(spec)
-                .with_class(if next % 4 == 3 {
-                    Priority::Batch
-                } else {
-                    Priority::Interactive
-                })
-                .with_deadline(now + 6 * mean_cost)
-                .with_cost_hint(costs[idx]);
-            let stamped = mgr.current_id().0;
-            match svc.submit(sub) {
-                Ok(id) => {
-                    ticket_spec.insert(id, (idx, stamped));
-                    in_flight.insert(id, stamped);
-                }
-                Err(o) => rejected.push((next, format!("{:?}", o.reason))),
-            }
-            next += 1;
-            continue;
-        }
-        match svc.step() {
-            Some(rep) => {
-                executed_units += rep.cost;
-                clock.advance(rep.cost);
-                drain(&mut outcomes, &mut in_flight);
-            }
-            None => {
-                if next >= schedule.len() && next_delta >= delta_times.len() {
-                    break;
-                }
-                // Idle: jump to the next event (arrival or delta).
-                let mut jump = u64::MAX;
-                if next < schedule.len() {
-                    jump = jump.min(schedule.times()[next]);
-                }
-                if next_delta < delta_times.len() {
-                    jump = jump.min(delta_times[next_delta]);
-                }
-                clock.set(jump);
-            }
-        }
-    }
-    svc.begin_drain(DrainMode::Finish);
-    while let Some(rep) = svc.step() {
-        executed_units += rep.cost;
-        clock.advance(rep.cost);
-    }
-    drain(&mut outcomes, &mut in_flight);
-    assert!(in_flight.is_empty(), "tickets without terminal outcomes");
+    let log = drive(&svc, &clock, &schedule, &mut storm);
+    storm.collect(&svc);
+    assert!(
+        storm.in_flight.is_empty(),
+        "tickets without terminal outcomes"
+    );
 
     let stats = svc.stats();
-    let mut terminal = Vec::with_capacity(outcomes.len());
+    let specs = &load.specs;
+    let mut terminal = Vec::with_capacity(storm.outcomes.len());
     let mut answered = Vec::new();
-    for (id, out) in &outcomes {
-        let label = match out {
-            ServiceOutcome::Degraded(d) => format!("degraded:{:?}", d.reason),
-            ServiceOutcome::Cancelled(r) => format!("cancelled:{r:?}"),
-            other => other.kind().to_string(),
-        };
-        terminal.push((*id, label));
+    for (id, out) in &storm.outcomes {
+        terminal.push((*id, out.label()));
         if let ServiceOutcome::Answered(a) = out {
-            let (idx, epoch) = ticket_spec[id];
+            let arrival = log.arrival_of[id];
+            let (idx, epoch) = (arrival % specs.len(), storm.stamped[arrival]);
             answered.push((*id, idx, epoch, answer_sig(a)));
         }
     }
@@ -294,7 +234,7 @@ fn run_storm_sim(seed: u64) -> StormResult {
     // fresh engine (fresh cache, fresh estimator) built over exactly
     // the network its pinned epoch published. Bit-identical or bust.
     for (id, idx, epoch, sig) in &answered {
-        let net = &epoch_nets[epoch];
+        let net = &storm.epoch_nets[epoch];
         let fresh = Engine::new(net.as_ref(), EngineConfig::default());
         let want = answer_sig(&fresh.all_fastest_paths(&specs[*idx]).unwrap());
         assert_eq!(
@@ -305,13 +245,17 @@ fn run_storm_sim(seed: u64) -> StormResult {
 
     StormResult {
         terminal,
-        rejected,
+        rejected: log
+            .rejected
+            .iter()
+            .map(|(arrival, o)| (*arrival, format!("{:?}", o.reason)))
+            .collect(),
         answered,
-        apply_log,
+        apply_log: storm.apply_log,
         stats,
         cache: mgr.cache().counters(),
-        executed_units,
-        elapsed: clock.now(),
+        executed_units: log.executed_units,
+        elapsed: log.elapsed,
         n_submissions: STORM_SUBMISSIONS,
         n_deltas: STORM_DELTAS,
         queue_capacity,

@@ -12,6 +12,26 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Written once: the virtual-time service loop, its workload sampler and
+# answer signature, and the JSON writer each have one definition, and
+# only the two drivers (the single-service one and the cluster's fleet
+# loop) advance a clock by a step's cost. The line count is the number
+# CHANGES.md entries quote.
+echo "==> written-once guard"
+for name in "fn sample_specs" "fn answer_sig" "fn to_json"; do
+    if [ "$(grep -rn "$name" crates | wc -l)" -gt 1 ]; then
+        echo "more than one definition of '$name':" >&2
+        grep -rn "$name" crates >&2
+        exit 1
+    fi
+done
+if grep -rln "clock.advance(rep.cost)" crates |
+    grep -v -e '^crates/core/src/service.rs$' -e '^crates/cluster/src/sim.rs$'; then
+    echo "a virtual-time loop outside service::drive and the cluster simulator" >&2
+    exit 1
+fi
+echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
@@ -40,39 +60,18 @@ env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test faults
 env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test overload
 env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test update_storm
 
-# Allocation gates ride along with the batch smoke: the pooled PWL
-# kernel loop must allocate exactly zero in steady state, the whole
-# engine must stay under the allocs-per-expansion budget (~0.1 against
-# a budget of 6), a warm batch must allocate at most half the bytes
-# per query recorded from before the search workspace was pooled, and
-# a warm query on the 16 384-node metro-huge smoke tier less than one
-# byte per network node — the gate that scales: no per-query state may
-# be proportional to n_nodes (all measured by a counting global
-# allocator inside fp-bench). The smoke
-# prints allFP and singleFP expanded_paths of its serial passes — the
-# flat engine under naiveLB and under minTimeLB, and the hierarchy —
-# and fails if an allFP count, either minTimeLB count or either
-# hierarchy count exceeds the one recorded in BENCH_engine.json's
-# smoke_counters block (the counters gate: search-space size is
-# deterministic on every host).
-# The smoke
-# also races the hierarchy against the flat engine, gating the >=10x
-# singleFP expansion speedup and its >=3x wall-clock twin (every
-# host), and the
-# >=1.5x 4-thread contraction speedup (multi-core hosts only).
-# Continental-scale gates ride the same smoke: the metro-huge smoke
-# tier (16 384 nodes) must bulk-build byte-identically at 1/2/4
-# threads, keep the builder's transient scratch bounded under the
-# graph bytes, serve its fig9 workload through the mmap-backed
-# store (store-equivalence across Mem/File/Mmap is pinned separately
-# by the fp-allfp store_equivalence golden suite above), and ask its
-# warm min-time estimator about fresh targets without allocating. The
-# checksum
-# gate is a count (every fault of the checksummed stack verified
-# exactly once, no corruption); its wall ratio is a median of 7
-# interleaved reps that fails only beyond budget + 2 MAD. Runtime
-# stays bounded: the million-node tier runs only under --report.
-echo "==> batch-driver smoke (answers + scaling + checksum + allocation + overload + live-update + cluster + hierarchy + metro-huge gates)"
+# The bench smoke holds the gates that exist nowhere else (what each
+# checks and why is in engine_hotpath.rs): batch answers equal serial
+# at every width, the allocation budgets under fp-bench's counting
+# allocator, one verified read per checksummed fault, the hierarchy's
+# expansion and wall floors over the flat search, the counters gate
+# (no expanded_paths count above BENCH_engine.json's smoke_counters:
+# search-space size is deterministic on every host), the contraction
+# sweep (gated on multi-core hosts only) and the metro-huge smoke tier
+# (16 384 nodes; the million-node tier runs only under --report). The
+# overload, live-update and cluster twins gate themselves in fp-bench's
+# own tests, which the workspace run above has just executed.
+echo "==> bench smoke (batch answers + allocation + checksum + hierarchy + counters + contraction + metro-huge gates)"
 cargo bench -p fp-bench --bench engine_hotpath -- --smoke
 
 # The benchmark is a package of its own, so the workspace run above
