@@ -35,7 +35,9 @@
 //!   key, so concurrent workers contend only when they touch the same
 //!   shard at the same time (and read locks never exclude each other).
 //! * **Per-worker L1 ([`CacheSession`]).** Every lookup goes through
-//!   a session ([`CacheSession::travel_fn`] is the one entry point):
+//!   a session ([`CacheSession::travel_fn`] is the one lookup, and
+//!   [`CacheSession::extend`] — lookup and compound in one, the step
+//!   the searches take — composes against the L1's entry in place):
 //!   each query (and each `run_batch` worker, across all its queries)
 //!   holds a private lock-free map of recently used `Arc<Pwl>`
 //!   full-period functions. Steady-state lookups are served from the
@@ -63,8 +65,9 @@ use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
+use pwl::compose::Arrivals;
 use pwl::time::MINUTES_PER_DAY;
-use pwl::{Interval, Pwl, PwlScratch};
+use pwl::{compose_travel_into, compose_travel_window_into, Interval, Pwl, PwlScratch};
 use roadnet::PatternId;
 use traffic::travel::travel_time_fn;
 use traffic::{DayCategory, SpeedProfile};
@@ -406,7 +409,7 @@ impl Default for TravelFnCache {
 /// A per-worker view of a [`TravelFnCache`]: a private map of recently
 /// used full-period functions in front of the sharded shared store.
 ///
-/// L1 hits clone an `Arc` and take **no lock**. The L1 is exact under
+/// L1 hits take **no lock**. The L1 is exact under
 /// the periodic speed model: shared-store values are immutable and
 /// fully determined by the key, so a privately held `Arc` can never
 /// disagree with the store. Hit/miss tallies accumulate locally and
@@ -470,6 +473,53 @@ impl CacheSession<'_> {
             Some(f) => Ok((f, hit)),
             None => Ok((travel_time_fn(profile, distance, leaving)?, hit)),
         }
+    }
+
+    /// Extend the path whose travel function is `t1` by one edge: the
+    /// compound of `t1` with the edge's travel function on `arrivals`
+    /// (minted from `t1`), and whether the lookup was a cache hit —
+    /// bit for bit and tally for tally what [`Self::travel_fn`] on
+    /// `arrivals.interval()` followed by
+    /// [`compose_travel_into`](pwl::compose_travel_into) gives.
+    ///
+    /// A warm lookup never builds the edge's function: the L1 is
+    /// probed by reference (no `Arc` is cloned, there being nothing to
+    /// keep alive past this call) and the stored full-period function
+    /// is composed against through a window
+    /// ([`compose_travel_window_into`]). What that declines — an
+    /// arrival interval past midnight or in a later day, a degenerate
+    /// one — and the first lookup of a key take the materialising
+    /// pair.
+    pub fn extend(
+        &mut self,
+        pattern: PatternId,
+        category: DayCategory,
+        profile: &SpeedProfile,
+        distance: f64,
+        arrivals: &Arrivals,
+        t1: &Pwl,
+    ) -> Result<(Pwl, bool)> {
+        let key = Key {
+            pattern,
+            category,
+            distance_bits: distance.to_bits(),
+        };
+        // A whole day is not served from the stored function (see
+        // `restrict_periodic_with`), so not through a window either.
+        if self.cache.enabled && arrivals.interval().len() < MINUTES_PER_DAY {
+            if let Some(full) = self.state.l1.get(&key) {
+                let scratch = &mut self.state.scratch;
+                if let Some(t) = compose_travel_window_into(scratch, t1, full, arrivals)? {
+                    self.hits += 1;
+                    return Ok((t, true));
+                }
+            }
+        }
+        let (t_edge, hit) =
+            self.travel_fn(pattern, category, profile, distance, arrivals.interval())?;
+        let t = compose_travel_into(&mut self.state.scratch, t1, &t_edge)?;
+        self.state.scratch.recycle(t_edge);
+        Ok((t, hit))
     }
 
     /// The worker's scratch pool, for pooled PWL kernels outside the
@@ -917,6 +967,59 @@ mod tests {
                 retired: 0
             }
         );
+    }
+
+    #[test]
+    fn extend_tallies_like_travel_fn_and_matches_its_bits() {
+        let profile = rush_profile();
+        let t1 = Pwl::from_points(&[(hm(6, 50), 6.0), (hm(7, 0), 2.0), (hm(7, 5), 2.0)]).unwrap();
+        let arrivals = Arrivals::of(&t1).unwrap();
+        let (p, c) = (PatternId(1), DayCategory::WORKDAY);
+        let extend = |session: &mut CacheSession<'_>| {
+            session.extend(p, c, &profile, 3.0, &arrivals, &t1).unwrap()
+        };
+        // The two-step form `extend` stands for, on a twin cache.
+        let two_step = |session: &mut CacheSession<'_>| {
+            let (t_edge, hit) = session
+                .travel_fn(p, c, &profile, 3.0, arrivals.interval())
+                .unwrap();
+            let t = compose_travel_into(session.scratch_mut(), &t1, &t_edge).unwrap();
+            (t, hit)
+        };
+        // Function, verdict and tallies agree lookup by lookup.
+        let in_step = |session: &mut CacheSession<'_>, twin: &mut CacheSession<'_>| {
+            let got = extend(session);
+            assert_eq!(got, two_step(twin));
+            assert_eq!(session.tallies(), twin.tallies());
+            got.1
+        };
+
+        let (cache, twin) = (TravelFnCache::new(), TravelFnCache::new());
+        {
+            let (mut session, mut twin_session) = (cache.session(), twin.session());
+            // cold → miss (the materialising pair), then L1 hits (the
+            // window)
+            for hit in [false, true, true] {
+                assert_eq!(in_step(&mut session, &mut twin_session), hit);
+            }
+            assert_eq!(session.tallies(), (2, 1));
+            // a second open session starts on an empty L1 and finds
+            // the shared store: a hit
+            assert!(in_step(&mut cache.session(), &mut twin.session()));
+        }
+        assert_eq!(cache.counters(), twin.counters());
+        assert_eq!((cache.counters().hits, cache.counters().misses), (3, 1));
+
+        let (off, twin) = (TravelFnCache::disabled(), TravelFnCache::disabled());
+        {
+            let (mut session, mut twin_session) = (off.session(), twin.session());
+            for _ in 0..3 {
+                assert!(!in_step(&mut session, &mut twin_session));
+            }
+        }
+        assert_eq!(off.counters(), twin.counters());
+        assert_eq!(off.counters().misses, 3);
+        assert!(off.is_empty());
     }
 
     #[test]

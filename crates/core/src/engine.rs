@@ -7,9 +7,8 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use pwl::{
-    compose_travel_into, compose_travel_simplified, Envelope, Interval, Pwl, PwlRef, PwlScratch,
-};
+use pwl::compose::Arrivals;
+use pwl::{Envelope, Interval, Pwl, PwlRef, PwlScratch};
 use roadnet::{NetworkSource, NodeId, Point};
 
 use crate::backend::{Answer, PathfindBackend, QueryMode};
@@ -320,7 +319,7 @@ impl<'t> Watch<'t> {
     }
 
     /// Unconditional poll, placed immediately before each target-path
-    /// compound (`session.travel_fn` + `compose_travel_into`) — the
+    /// compound ([`CacheSession::extend`]) — the
     /// most expensive single step in the search. Pop-granularity
     /// polling alone lets one heavy expansion (hundreds of compounds on
     /// a dense node over a long interval) overshoot the deadline by the
@@ -475,10 +474,9 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
 
     /// The exact travel-time function of the fixed route `nodes` over
     /// the query interval, composed edge by edge through the session
-    /// cache — **bit-identical** to what the search itself would
-    /// compute for this node sequence ([`compose_travel_simplified`]
-    /// and the pooled [`compose_travel_into`] agree bit for bit, and
-    /// the session serves the same full-period restrictions). Public
+    /// ([`CacheSession::extend`], the search's own step, on the
+    /// session's warm pool) — **bit-identical** to what the search
+    /// itself would compute for this node sequence. Public
     /// so alternative backends (the contraction-hierarchy overlay) can
     /// select a winning node sequence their own way and then reproduce
     /// the flat engine's answer function exactly.
@@ -498,16 +496,18 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                     source: w[0],
                     target: w[1],
                 })?;
-            let arrivals = pwl::compose::arrival_interval(&travel)?;
+            let arrivals = Arrivals::of(&travel)?;
             let profile = self.source.pattern(edge.pattern)?.profile(query.category)?;
-            let (t_edge, _) = session.travel_fn(
+            let (extended, _) = session.extend(
                 edge.pattern,
                 query.category,
                 profile,
                 edge.distance,
                 &arrivals,
+                &travel,
             )?;
-            travel = compose_travel_simplified(&travel, &t_edge)?;
+            let parent = std::mem::replace(&mut travel, extended);
+            session.scratch_mut().recycle(parent);
         }
         Ok(travel)
     }
@@ -556,16 +556,17 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                     source: w[0],
                     target: w[1],
                 })?;
-            let arrivals = pwl::compose::arrival_interval(&travel)?;
+            let arrivals = Arrivals::of(&travel)?;
             let profile = self.source.pattern(edge.pattern)?.profile(query.category)?;
-            let (t_edge, _) = session.travel_fn(
+            let (extended, _) = session.extend(
                 edge.pattern,
                 query.category,
                 profile,
                 edge.distance,
                 &arrivals,
+                &travel,
             )?;
-            travel = Arc::new(compose_travel_simplified(&travel, &t_edge)?);
+            travel = Arc::new(extended);
             cum.push(Arc::clone(&travel));
         }
         memo.record(nodes.to_vec(), cum);
@@ -749,7 +750,7 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
 
             // The leaving-time interval at `head` (the paper's Figure 4
             // step) is a property of the path, not the edge.
-            let arrivals = pwl::compose::arrival_interval(&ws.paths[entry.item].travel)?;
+            let arrivals = Arrivals::of(&ws.paths[entry.item].travel)?;
             // Indexed, not borrowed: a first touch below appends to
             // `adjacency` while this node's slice is being walked.
             let start = ws.nodes[head_slot].start as usize;
@@ -795,12 +796,13 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                 }
 
                 let profile = self.source.pattern(edge.pattern)?.profile(query.category)?;
-                let (t_edge, hit) = session.travel_fn(
+                let (travel, hit) = session.extend(
                     edge.pattern,
                     query.category,
                     profile,
                     edge.distance,
                     &arrivals,
+                    &ws.paths[entry.item].travel,
                 )?;
                 stats.cache_lookups += 1;
                 if hit {
@@ -808,12 +810,6 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                 } else {
                     stats.cache_misses += 1;
                 }
-                let travel = compose_travel_into(
-                    session.scratch_mut(),
-                    &ws.paths[entry.item].travel,
-                    &t_edge,
-                )?;
-                session.scratch_mut().recycle(t_edge);
                 let n = travel.n_pieces();
                 stats.pieces_total += n as u64;
                 stats.pieces_max = stats.pieces_max.max(n as u64);

@@ -322,6 +322,37 @@ fn midnight_crossing_window_agrees_with_oracle() {
 }
 
 #[test]
+fn a_later_day_answers_like_day_zero_shifted() {
+    // Day 0's candidates compose against a window of the stored day
+    // function; three days on, the arrival windows lie outside it and
+    // every candidate takes the materialising fallback (restrict, then
+    // shift by whole periods). Same routes, same partition, shifted.
+    let net = suffolk_like(&MetroConfig::small(42)).unwrap();
+    let engine = Engine::new(&net, EngineConfig::default());
+    let shift = 3.0 * pwl::time::MINUTES_PER_DAY;
+    for p in roadnet::workload::sample_pairs(&net, 4, 1.0, 2.5, 9).unwrap() {
+        let rush = Interval::of(hm(7, 0), hm(8, 0));
+        let ask = |interval: Interval| {
+            let q = QuerySpec::new(p.source, p.target, interval, DayCategory::WORKDAY);
+            engine.all_fastest_paths(&q).unwrap()
+        };
+        let (day0, day3) = (ask(rush), ask(rush.shift(shift)));
+        assert_eq!(day0.partition.len(), day3.partition.len());
+        for ((iv0, path0), (iv3, path3)) in day0.partition.iter().zip(&day3.partition) {
+            assert!(iv0.shift(shift).approx_eq(iv3), "{iv0} + 3 days vs {iv3}");
+            assert_eq!(day0.paths[*path0].nodes, day3.paths[*path3].nodes);
+        }
+        for l in probe_instants(&rush, 24) {
+            let (t0, t3) = (
+                day0.travel_at(l).unwrap(),
+                day3.travel_at(l + shift).unwrap(),
+            );
+            assert!(pwl::approx_eq(t0, t3), "at {l}: {t0} vs {t3} three days on");
+        }
+    }
+}
+
+#[test]
 fn single_fp_agrees_with_all_fp_minimum() {
     let net = suffolk_like(&MetroConfig::small(8)).unwrap();
     let pairs = roadnet::workload::sample_pairs(&net, 4, 1.0, 2.0, 13).unwrap();

@@ -41,8 +41,8 @@ use std::collections::BinaryHeap;
 use allfp::{
     AllFpError, CancelToken, DegradedReason, MinEntry, QuerySpec, QueryStats, Result, Watch,
 };
-use pwl::compose::arrival_interval;
-use pwl::{compose_travel_into, Envelope, Pwl, PwlRef, PwlScratch};
+use pwl::compose::Arrivals;
+use pwl::{compose_travel_into, compose_travel_window_into, Envelope, Pwl, PwlRef, PwlScratch};
 use roadnet::NodeId;
 
 use crate::overlay;
@@ -358,7 +358,7 @@ pub(crate) fn run(
         let hops = ups.iter().map(|h| (h, false));
         let hops = hops.chain(overlay.down_out.at(node).iter().map(|h| (h, true)));
 
-        let arrivals = arrival_interval(&labels[entry.item].travel)?;
+        let arrivals = Arrivals::of(&labels[entry.item].travel)?;
         for (hop, to_desc) in hops {
             let to = hop.node as usize;
             let est = if nodes[to].stamp != epoch {
@@ -396,16 +396,14 @@ pub(crate) fn run(
             }
 
             let arc = &overlay.arcs[hop.arc as usize];
-            if !overlay::ext_domain(&arc.full).covers(&arrivals) {
+            if !overlay::ext_domain(&arc.full).covers(arrivals.interval()) {
                 // Arrival window escapes the periodic extension
                 // (multi-day travel): hand the whole query to the flat
                 // engine rather than extend on the hot path.
                 drain(labels, scratch, border);
                 return Ok(None);
             }
-            let t_arc = overlay::ext_window(scratch, &arc.full, &arrivals)?;
-            let travel = compose_travel_into(scratch, &labels[entry.item].travel, &t_arc)?;
-            scratch.recycle(t_arc);
+            let travel = relax(scratch, &labels[entry.item].travel, &arc.full, &arrivals)?;
             let np = travel.n_pieces();
             stats.pieces_total += np as u64;
             stats.pieces_max = stats.pieces_max.max(np as u64);
@@ -487,6 +485,22 @@ pub(crate) fn run(
         trip,
         stats,
     }))
+}
+
+/// Extend a label over an arc: the compound of its travel function
+/// `t1` with the arc's stored day function `full` on `arrivals`. An
+/// arrival window inside the stored day — every relaxation of a query
+/// that stays clear of midnight — composes against a window of `full`;
+/// past it, the restriction of the periodic extension is built first
+/// (the same bits, [`overlay::ext_window`]).
+fn relax(scratch: &mut PwlScratch, t1: &Pwl, full: &Pwl, arrivals: &Arrivals) -> Result<Pwl> {
+    if let Some(travel) = compose_travel_window_into(scratch, t1, full, arrivals)? {
+        return Ok(travel);
+    }
+    let t_arc = overlay::ext_window(scratch, full, arrivals.interval())?;
+    let travel = compose_travel_into(scratch, t1, &t_arc)?;
+    scratch.recycle(t_arc);
+    Ok(travel)
 }
 
 /// Recycle the label arena and border into the scratch pool.

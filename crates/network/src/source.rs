@@ -32,7 +32,7 @@ pub trait NetworkSource {
 
     /// Fill `buf` with the outgoing edges of `node`, clearing it first.
     ///
-    /// Hot loops (the allFP engine reads a thousand node records per
+    /// Hot loops (the allFP engine reads ~400 node records per
     /// query) call this with a reused buffer to avoid a fresh `Vec`
     /// per call; implementations that can copy from an internal
     /// slice should override the default, which delegates to

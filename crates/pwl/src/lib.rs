@@ -48,7 +48,9 @@
 //! allocations: [`compose_travel_into`], [`Pwl::restrict_with`] and
 //! [`Envelope::merge_min_with`], all fed from a per-worker
 //! [`PwlScratch`]; the comparison kernel [`Pwl::dominated_by_offset`]
-//! streams and needs no workspace. [`PwlRef`] shares finished
+//! streams and needs no workspace. [`compose_travel_window_into`]
+//! is the compound against a restriction that is never built: it
+//! reads the stored function through a window. [`PwlRef`] shares finished
 //! functions by reference count instead of deep copy.
 
 #![warn(clippy::redundant_clone)]
@@ -70,7 +72,7 @@ pub use monotone::MonotonePwl;
 pub use pwl::{MinResult, Pwl};
 pub use scratch::{PwlRef, PwlScratch};
 
-pub use compose::{compose_travel, compose_travel_into, compose_travel_simplified};
+pub use compose::{compose_travel, compose_travel_into, compose_travel_window_into};
 
 /// Crate-wide absolute tolerance for breakpoint and value comparisons.
 ///

@@ -7,9 +7,10 @@
 use std::cell::RefCell;
 
 use proptest::prelude::*;
+use pwl::compose::Arrivals;
 use pwl::{
-    approx_eq, approx_le, compose_travel, compose_travel_into, compose_travel_simplified, Envelope,
-    Interval, MonotonePwl, Pwl, PwlScratch,
+    approx_eq, approx_le, compose_travel, compose_travel_into, compose_travel_window_into,
+    definitely_lt, Envelope, Interval, MonotonePwl, Pwl, PwlScratch, EPS,
 };
 
 /// Generate a continuous piecewise-linear function on a random domain:
@@ -211,7 +212,7 @@ proptest! {
             (t2_domain.lo() + t2_domain.len() * 0.6, 2.0),
             (t2_domain.hi(), 9.0),
         ]).unwrap();
-        let cold = compose_travel_simplified(&t1, &t2).unwrap();
+        let cold = compose_travel_into(&mut PwlScratch::new(), &t1, &t2).unwrap();
         let pooled = DIRTY.with(|s| {
             let mut s = s.borrow_mut();
             let out = compose_travel_into(&mut s, &t1, &t2).unwrap();
@@ -227,6 +228,51 @@ proptest! {
         let two_pass = compose_travel(&t1, &t2).unwrap().simplify();
         prop_assert_eq!(pooled.breakpoints(), two_pass.breakpoints());
         prop_assert_eq!(pooled.linears(), two_pass.linears());
+    }
+
+    #[test]
+    fn window_compose_is_the_copy_or_declines(
+        t1 in arb_travel(400.0),
+        full in arb_pwl(),
+        knot in 0usize..9,
+        end_hi in 0u32..2,
+        off in 0usize..9,
+        stretch in 0.8f64..4.0,
+    ) {
+        // The view kernel composes against the restriction of a stored
+        // function without building it: bit for bit the copy, or a
+        // decline — and a decline only where the window leaves the
+        // stored domain or the restriction's dedupe dropped a knot.
+        // One stored knot is moved to a window end, on it or a
+        // fraction of the tolerance off it.
+        let arrivals = Arrivals::of(&t1).unwrap();
+        let window = *arrivals.interval();
+        let at = if end_hi == 1 { window.hi() } else { window.lo() };
+        let off = [0.0, 0.5, -0.5, 1.001, -1.001, 1.5, -1.5, 4e5, -4e5][off];
+        let scale = stretch * window.len() / full.domain().len();
+        let pts: Vec<(f64, f64)> = full.points().iter().map(|&(x, y)| (x * scale, y)).collect();
+        let k = knot.min(pts.len() - 1);
+        let dx = at + off * EPS * (1.0 + at.abs()) - pts[k].0;
+        let full = Pwl::from_points(&pts).unwrap().shift_x(dx);
+
+        let mut scratch = PwlScratch::new();
+        let got = compose_travel_window_into(&mut scratch, &t1, &full, &arrivals).unwrap();
+        let dom = full.domain();
+        let inside = dom.lo() <= window.lo() && window.hi() <= dom.hi();
+        let kept = full.breakpoints().iter();
+        let kept = kept.filter(|&&x| definitely_lt(window.lo(), x) && definitely_lt(x, window.hi()));
+        match full.restrict_with(&mut scratch, &window) {
+            Ok(copy) if inside && copy.breakpoints().len() == kept.count() + 2 => {
+                let got = got.expect("a structural window is answered");
+                let want = compose_travel_into(&mut scratch, &t1, &copy).unwrap();
+                // exact equality, not approx: same knots, same coefficients
+                prop_assert_eq!(got.breakpoints(), want.breakpoints());
+                prop_assert_eq!(got.linears(), want.linears());
+            }
+            _ => {
+                prop_assert!(got.is_none(), "answered a window it must decline");
+            }
+        }
     }
 
     #[test]

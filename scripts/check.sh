@@ -30,6 +30,26 @@ if grep -rln "clock.advance(rep.cost)" crates |
     echo "a virtual-time loop outside service::drive and the cluster simulator" >&2
     exit 1
 fi
+# One compound kernel: the throwaway-scratch wrapper stays deleted, and
+# the engine and the hierarchy build a restriction only in their two
+# declared fallbacks — everything else composes against a window.
+if grep -rn "fn compose_travel_simplified" crates; then
+    echo "compose_travel_simplified is back" >&2
+    exit 1
+fi
+if awk '
+    FNR == 1 { fn_name = "" }
+    /^[[:space:]]*\/\// { next }
+    match($0, /fn [a-z_0-9]+/) { fn_name = substr($0, RSTART + 3, RLENGTH - 3) }
+    /restrict_with\(/ && fn_name != "restrict_periodic_with" && fn_name != "ext_window" {
+        print FILENAME ":" FNR ":" $0
+        found = 1
+    }
+    END { exit !found }
+' crates/core/src/*.rs crates/hierarchy/src/*.rs; then
+    echo "a restriction built outside restrict_periodic_with and ext_window" >&2
+    exit 1
+fi
 echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> tier-1: cargo build --release"
