@@ -408,6 +408,11 @@ struct HierarchyReport {
     ch_singlefp: Clocked,
     flat_allfp: Clocked,
     ch_allfp: Clocked,
+    /// `pieces_total` summed over one hierarchy allFP pass: the pieces
+    /// of every function the overlay search composed — the count a
+    /// relax gate moves while `expanded_paths` stays. Recorded among
+    /// the [`SmokeCounters`].
+    ch_allfp_pieces: u64,
 }
 
 impl HierarchyReport {
@@ -474,6 +479,8 @@ fn measure_hierarchy(scale: Scale, scale_name: &'static str, count: usize) -> Hi
 
     let (flat_allfp, flat_singlefp) = clock_backend(&flat, &queries);
     let (ch_allfp, ch_singlefp) = clock_backend(&ch, &queries);
+    let pieces = queries.iter().map(|q| ch.all_fastest_paths(q));
+    let ch_allfp_pieces = pieces.flatten().map(|a| a.stats.pieces_total).sum();
     HierarchyReport {
         scale: scale_name,
         build: ch.report().clone(),
@@ -482,6 +489,7 @@ fn measure_hierarchy(scale: Scale, scale_name: &'static str, count: usize) -> Hi
         ch_singlefp,
         flat_allfp,
         ch_allfp,
+        ch_allfp_pieces,
     }
 }
 
@@ -550,12 +558,15 @@ const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engi
 /// singleFP): the flat engine on its 12 metro-small queries, the
 /// hierarchy on the 12 metro-medium queries of its race. The report
 /// records them; the smoke fails when an allFP count, a `minTimeLB`
-/// count or a hierarchy count exceeds its record.
+/// count or a hierarchy count (its composed pieces included) exceeds
+/// its record.
 struct SmokeCounters {
     flat: (usize, usize),
     /// The flat engine under `EstimatorKind::MinTime`.
     min_time: (usize, usize),
     ch: (usize, usize),
+    /// [`HierarchyReport::ch_allfp_pieces`] of the hierarchy pass.
+    ch_allfp_pieces: u64,
     /// [`measure_allocs`]' bytes per query on the flat pass's workload.
     alloc_bytes_per_query: usize,
 }
@@ -569,6 +580,7 @@ impl SmokeCounters {
             ("mintime_singlefp_expanded", self.min_time.1.into()),
             ("ch_allfp_expanded", self.ch.0.into()),
             ("ch_singlefp_expanded", self.ch.1.into()),
+            ("ch_allfp_pieces", self.ch_allfp_pieces.into()),
             (
                 "alloc_bytes_per_query_parent",
                 ALLOC_BYTES_PER_QUERY_PARENT.into(),
@@ -679,6 +691,7 @@ fn emit_report() {
             flat: expansion_counts(&flat, &queries),
             min_time: min_time_counts(&small.net, &queries),
             ch: (h.ch_allfp.expanded_paths, h.ch_singlefp.expanded_paths),
+            ch_allfp_pieces: h.ch_allfp_pieces,
             alloc_bytes_per_query: measure_allocs(&flat, &queries).bytes_per_query as usize,
         }
     };
@@ -770,7 +783,9 @@ fn emit_report() {
                 smoke.fields(),
                 "expanded_paths of --smoke's serial passes (flat under naiveLB and under \
                  minTimeLB: metro-small x12, ch: metro-medium x12); --smoke fails when an \
-                 allFP, a minTimeLB or a ch count exceeds the one recorded here; \
+                 allFP, a minTimeLB or a ch count exceeds the one recorded here — \
+                 ch_allfp_pieces among them, the pieces_total of the ch allFP pass: the \
+                 functions the overlay search composed, which its relax gates spare; \
                  alloc_bytes_per_query is the warm width-1 batch of the naiveLB pass under \
                  the counting allocator, _parent the same before the search workspace was \
                  pooled, and --smoke fails above half of _parent",
@@ -990,6 +1005,7 @@ fn smoke() -> i32 {
         flat: expansion_counts(&engine, &queries),
         min_time: min_time_counts(net, &queries),
         ch: (h.ch_allfp.expanded_paths, h.ch_singlefp.expanded_paths),
+        ch_allfp_pieces: h.ch_allfp_pieces,
         alloc_bytes_per_query: alloc.bytes_per_query as usize,
     };
     println!(

@@ -20,8 +20,8 @@
 //!    pointwise domination.
 //! 3. **Storage** — every arc keeps its exact one-day travel function;
 //!    the periodic extension the search composes against is derived on
-//!    demand, and exact per-arc `min`/`max` scalars plus a banded
-//!    minimum table feed the query's scalar bounds.
+//!    demand, and exact `min`/`max` scalars plus banded minima, folded
+//!    per neighbour into a bound graph, feed the query's scalar bounds.
 //! 4. **Query** — an up–down best-first search over the overlay
 //!    selects the winning routes; shortcuts unpack to original edge
 //!    sequences; every answer function is then **re-composed through
@@ -80,7 +80,7 @@ pub struct HierarchyConfig {
     /// Engine-level expansion valve for the overlay search, mirroring
     /// [`EngineConfig::max_expansions`].
     pub max_expansions: usize,
-    /// Worker threads for contraction planning, band tables and
+    /// Worker threads for contraction planning, band minima and
     /// snapshot restore. `0` means one per available core. The
     /// produced overlay is **identical at every setting** (pinned by
     /// the determinism suite).
@@ -711,8 +711,9 @@ mod tests {
 
     use super::*;
 
-    /// Everything an engine's overlays store per arc — function knots
-    /// and coefficients, `min`/`max`, the band row — as bits.
+    /// Everything an engine's overlays store — per arc the function's
+    /// knots and coefficients and `min`/`max`, then the bound graph's
+    /// rows — as bits.
     fn stored_bits<S: NetworkSource>(engine: &HierarchyEngine<'_, S>) -> Vec<u64> {
         let mut bits = Vec::new();
         for o in &engine.overlays {
@@ -726,7 +727,10 @@ mod tests {
                 );
                 bits.extend([a.min.to_bits(), a.max.to_bits()]);
             }
-            bits.extend(o.band_min.iter().map(|m| m.to_bits()));
+            for side in [&o.up_bound, &o.down_bound] {
+                let rows = (0..o.rank.len() as u32).flat_map(|v| side.at(v));
+                bits.extend(rows.flat_map(|entry| entry.bits()));
+            }
         }
         bits
     }

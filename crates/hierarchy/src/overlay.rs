@@ -40,8 +40,9 @@
 //! function and nothing derived from it but scalars: the periodic
 //! extension the search composes against is virtual ([`ext_window`]
 //! derives any restriction of it on demand, bit for bit), and the exact
-//! `min`/`max` plus a time-bucketed minimum **band table** ride along
-//! for the query's scalar bounds. The search only *selects* corridors;
+//! `min`/`max` plus time-bucketed **band minima** ride along, folded
+//! per neighbour into the bound graph ([`Bound`]) the query's
+//! scalar sweeps walk. The search only *selects* corridors;
 //! every answer re-composes through the flat engine (see `search.rs`
 //! and DESIGN.md §13).
 
@@ -57,7 +58,7 @@ use traffic::DayCategory;
 
 use crate::pool::WorkerPool;
 
-/// Buckets in each arc's minimum band table (over one day period).
+/// Buckets of the band minima (over one day period).
 const BANDS: usize = 8;
 
 /// One arc of the overlay graph: an original edge or a shortcut.
@@ -102,12 +103,15 @@ pub(crate) struct Overlay {
     /// Append-only arc storage (original edges first, then shortcuts).
     pub arcs: Vec<OverlayArc>,
     /// Enabled arcs `u → v` with `rank[v] > rank[u]`, indexed by `u`.
-    pub up_out: Csr,
+    pub up_out: Csr<Hop>,
     /// Enabled arcs `u → v` with `rank[v] < rank[u]`, indexed by `u`.
-    pub down_out: Csr,
-    /// Enabled down arcs indexed by their *head* (hops name the tail),
-    /// for the query's reverse reachability and `down` bound sweeps.
-    pub down_into: Csr,
+    pub down_out: Csr<Hop>,
+    /// The **bound graph** the per-query scalar sweeps walk: the
+    /// enabled up arcs by tail (entries name the head) and the enabled
+    /// down arcs by *head* (entries name the tail), parallel arcs folded
+    /// into one entry per neighbour.
+    pub up_bound: Csr<Bound>,
+    pub down_bound: Csr<Bound>,
     /// The one day period every arc function spans; the band buckets
     /// divide it evenly.
     pub day: Interval,
@@ -115,10 +119,6 @@ pub(crate) struct Overlay {
     pub n_base: usize,
     /// Arcs disabled by parallel-arc domination.
     pub n_disabled: usize,
-    /// Per-arc, per-bucket minimum of the arc's function
-    /// (`arcs.len() × BANDS`, bucket `k` covers
-    /// `[k·1440/BANDS, (k+1)·1440/BANDS)`).
-    pub band_min: Vec<f64>,
     /// Contraction rounds the build took (0 for snapshot restores).
     pub rounds: u32,
 }
@@ -128,7 +128,7 @@ impl Overlay {
     /// `[lo, hi]` (absolute minutes; wraps across day periods) —
     /// computed **once per query**, every arc shares the day period.
     /// `None` when the window covers a full period or is unbounded:
-    /// only the per-arc global minimum applies.
+    /// only the whole-day minimum applies.
     pub fn band_window(&self, lo: f64, hi: f64) -> Option<(usize, usize)> {
         let w = self.day.len() / BANDS as f64;
         let a = ((lo - self.day.lo()) / w).floor();
@@ -136,41 +136,88 @@ impl Overlay {
         // Written to fail on NaN (unbounded window, empty period).
         (count < BANDS as f64).then(|| (a.rem_euclid(BANDS as f64) as usize, count as usize))
     }
+}
 
-    /// Tightest stored lower bound on `hop`'s travel over the
-    /// leaving instants of `window` (see [`Self::band_window`]).
-    pub fn banded_min(&self, hop: &Hop, window: Option<(usize, usize)>) -> f64 {
-        let Some((first, count)) = window else {
-            return hop.min;
+/// One entry of the bound graph: every enabled arc between a node and
+/// one neighbour, as the scalars the sweeps add — each the minimum over
+/// those parallel arcs. A sweep takes the cheapest of `w + x` over the
+/// arcs, which is `(min w) + x` bit for bit (rounding is monotone), so
+/// one entry stands for all of them.
+#[derive(Clone, Copy)]
+pub(crate) struct Bound {
+    /// The neighbour: head in `up_bound`, tail in `down_bound`.
+    pub node: u32,
+    /// Whole-day minimum and maximum travel.
+    pub min: f64,
+    pub max: f64,
+    /// Minimum travel per bucket of the day period: bucket `k` covers
+    /// leaving instants `[k·1440/BANDS, (k+1)·1440/BANDS)`.
+    band_min: [f64; BANDS],
+}
+
+impl Bound {
+    /// The entry to or from `node` that stands for `arcs`, the enabled
+    /// arcs between the two.
+    pub fn of<'a>(node: u32, arcs: impl Iterator<Item = &'a OverlayArc>) -> Result<Bound> {
+        let mut bound = Bound {
+            node,
+            min: f64::INFINITY,
+            max: f64::INFINITY,
+            band_min: [f64::INFINITY; BANDS],
         };
-        let row = &self.band_min[hop.arc as usize * BANDS..][..BANDS];
-        (first..first + count).fold(f64::INFINITY, |m, k| m.min(row[k % BANDS]))
+        for arc in arcs {
+            bound.min = bound.min.min(arc.min);
+            bound.max = bound.max.min(arc.max);
+            let d = arc.full.domain();
+            let w = d.len() / BANDS as f64;
+            for (k, band) in bound.band_min.iter_mut().enumerate() {
+                let b = Interval::of(d.lo() + k as f64 * w, d.lo() + (k + 1) as f64 * w);
+                *band = band.min(arc.full.min_over(&b)?.value);
+            }
+        }
+        Ok(bound)
+    }
+
+    /// Tightest stored lower bound on the travel to the neighbour over
+    /// the leaving instants of `window` (see [`Overlay::band_window`]).
+    pub fn banded_min(&self, window: Option<(usize, usize)>) -> f64 {
+        let Some((first, count)) = window else {
+            return self.min;
+        };
+        (first..first + count).fold(f64::INFINITY, |m, k| m.min(self.band_min[k % BANDS]))
+    }
+
+    /// Every stored scalar, as bits.
+    #[cfg(test)]
+    pub fn bits(&self) -> impl Iterator<Item = u64> + '_ {
+        let scalars = [f64::from(self.node), self.min, self.max];
+        scalars.into_iter().chain(self.band_min).map(f64::to_bits)
     }
 }
 
-/// One entry of the query adjacency, carrying the scalars the
-/// per-query bound sweeps and the relax gate read — so neither touches
-/// an [`OverlayArc`] or the `Arc<Pwl>` in it.
+/// One entry of the expansion adjacency, carrying what the relax gate
+/// reads before it composes — so a gated hop never touches an
+/// [`OverlayArc`] or the `Arc<Pwl>` in it. (The bound sweeps read
+/// [`Bound`]s instead.)
 #[derive(Clone, Copy)]
 pub(crate) struct Hop {
-    /// The arc's far endpoint: head in an `_out` list, tail in `_into`.
+    /// The arc's head.
     pub node: u32,
     /// Arc id.
     pub arc: u32,
-    /// The arc's `min` and `max`.
+    /// The arc's whole-day minimum travel.
     pub min: f64,
-    pub max: f64,
 }
 
-/// Compressed-sparse-row adjacency over [`Hop`]s.
-pub(crate) struct Csr {
+/// Compressed-sparse-row adjacency: the entries listed under each node.
+pub(crate) struct Csr<T> {
     start: Vec<u32>,
-    hops: Vec<Hop>,
+    entries: Vec<T>,
 }
 
-impl Csr {
-    /// Group `(node, hop)` pairs by node, keeping arc-id order inside.
-    fn new(n: usize, mut keyed: Vec<(u32, Hop)>) -> Csr {
+impl<T> Csr<T> {
+    /// Group `(node, entry)` pairs by node, keeping their order inside.
+    fn new(n: usize, mut keyed: Vec<(u32, T)>) -> Csr<T> {
         keyed.sort_by_key(|&(v, _)| v);
         let mut start = vec![0u32; n + 1];
         for &(v, _) in &keyed {
@@ -181,13 +228,13 @@ impl Csr {
         }
         Csr {
             start,
-            hops: keyed.into_iter().map(|(_, h)| h).collect(),
+            entries: keyed.into_iter().map(|(_, e)| e).collect(),
         }
     }
 
-    /// The hops listed under node `v`.
-    pub fn at(&self, v: u32) -> &[Hop] {
-        &self.hops[self.start[v as usize] as usize..self.start[v as usize + 1] as usize]
+    /// The entries listed under node `v`.
+    pub fn at(&self, v: u32) -> &[T] {
+        &self.entries[self.start[v as usize] as usize..self.start[v as usize + 1] as usize]
     }
 }
 
@@ -729,10 +776,12 @@ pub(crate) fn build_overlay<S: NetworkSource>(
     finish_overlay(category, rank, arcs, n_base, n_disabled, rounds, pool)
 }
 
-/// Band tables for every arc, fanned out over the worker pool
-/// (read-only against the arcs, results applied in index order —
-/// deterministic at any thread count), then the query adjacency.
-/// Returns the completed overlay.
+/// The query adjacency, then the bound graph: one entry per slot —
+/// (side, node, neighbour), up arcs listed under their tail and down
+/// arcs under their head — each folded from the slot's arcs on the
+/// worker pool (read-only against the arcs, results applied in slot
+/// order — deterministic at any thread count). Returns the completed
+/// overlay.
 pub(crate) fn finish_overlay(
     category: DayCategory,
     rank: Vec<u32>,
@@ -742,40 +791,40 @@ pub(crate) fn finish_overlay(
     rounds: u32,
     pool: &WorkerPool,
 ) -> Result<Overlay> {
-    let banded: Vec<Result<[f64; BANDS]>> = pool.map_indexed(
-        arcs.len(),
-        || (),
-        |i, _, _scratch| {
-            let full = &arcs[i].full;
-            let d = full.domain();
-            let w = d.len() / BANDS as f64;
-            let mut bands = [0.0f64; BANDS];
-            for (k, band) in bands.iter_mut().enumerate() {
-                let b = Interval::of(d.lo() + k as f64 * w, d.lo() + (k + 1) as f64 * w);
-                *band = full.min_over(&b)?.value;
-            }
-            Ok(bands)
-        },
-    );
-    let mut band_min = Vec::with_capacity(arcs.len() * BANDS);
-    for bands in banded {
-        band_min.extend_from_slice(&bands?);
+    let n = rank.len();
+    let is_up = |arc: &OverlayArc| rank[arc.from as usize] < rank[arc.to as usize];
+    let mut enabled: Vec<u32> = (0..arcs.len() as u32).collect();
+    enabled.retain(|&id| !arcs[id as usize].disabled);
+    let (mut up, mut down) = (Vec::new(), Vec::new());
+    for &id in &enabled {
+        let arc = &arcs[id as usize];
+        let hop = Hop {
+            node: arc.to,
+            arc: id,
+            min: arc.min,
+        };
+        if is_up(arc) { &mut up } else { &mut down }.push((arc.from, hop));
     }
 
-    let n = rank.len();
-    let (mut up, mut down, mut into) = (Vec::new(), Vec::new(), Vec::new());
-    for (id, arc) in arcs.iter().enumerate().filter(|(_, a)| !a.disabled) {
-        let hop = |node| Hop {
-            node,
-            arc: id as u32,
-            min: arc.min,
-            max: arc.max,
-        };
-        if rank[arc.from as usize] < rank[arc.to as usize] {
-            up.push((arc.from, hop(arc.to)));
-        } else {
-            down.push((arc.from, hop(arc.to)));
-            into.push((arc.to, hop(arc.from)));
+    let slot = |id: &u32| match &arcs[*id as usize] {
+        arc if is_up(arc) => (false, arc.from, arc.to),
+        arc => (true, arc.to, arc.from),
+    };
+    enabled.sort_by_key(slot);
+    let slots: Vec<&[u32]> = enabled.chunk_by(|a, b| slot(a) == slot(b)).collect();
+    let bounds = pool.map_indexed(
+        slots.len(),
+        || (),
+        |i, _, _scratch| {
+            let parallel = slots[i].iter().map(|&id| &arcs[id as usize]);
+            Bound::of(slot(&slots[i][0]).2, parallel)
+        },
+    );
+    let (mut up_bound, mut down_bound) = (Vec::new(), Vec::new());
+    for (ids, bound) in slots.iter().zip(bounds) {
+        match slot(&ids[0]) {
+            (false, v, _) => up_bound.push((v, bound?)),
+            (true, v, _) => down_bound.push((v, bound?)),
         }
     }
     let whole_day = Interval::of(0.0, MINUTES_PER_DAY);
@@ -786,10 +835,10 @@ pub(crate) fn finish_overlay(
         arcs,
         up_out: Csr::new(n, up),
         down_out: Csr::new(n, down),
-        down_into: Csr::new(n, into),
+        up_bound: Csr::new(n, up_bound),
+        down_bound: Csr::new(n, down_bound),
         n_base,
         n_disabled,
-        band_min,
         rounds,
     })
 }

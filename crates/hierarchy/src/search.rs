@@ -22,12 +22,20 @@
 //! window `[query.lo, query.hi + U]` that any answer-relevant label can
 //! occupy (elapsed time along a winning route never exceeds `U`) —
 //! `up` and `down` are admissible for ascending and descending labels.
+//! Both sweeps walk the overlay's **bound graph** — one entry per
+//! neighbour, parallel arcs folded — not the expansion adjacency.
 //! Those bounds steer the best-first order and gate each relaxation
 //! *before* the expensive PWL composition; `U` additionally prunes
 //! labels that are *strictly* worse than some complete route before
 //! the first target label is even found. Strictness matters: in a
 //! time-independent network every optimal label has `f_min == U`
 //! exactly, so a non-strict cap would prune the answer itself.
+//!
+//! Once allFP has a lower border, an expansion reads the border's
+//! **gap** over the popped label once ([`Pwl::gap`]) and skips, in O(1)
+//! each, every hop whose arc minimum plus phase bound clears it — a
+//! child the pointwise border rule would kill once composed. That rule
+//! stays as it was; the gate only spares its compounds.
 //!
 //! The search only **selects** winning node sequences. Every returned
 //! route is afterwards re-composed edge by edge through the flat
@@ -46,7 +54,7 @@ use pwl::{compose_travel_into, compose_travel_window_into, Envelope, Pwl, PwlRef
 use roadnet::NodeId;
 
 use crate::overlay;
-use crate::overlay::{unpack_route, Hop, Overlay};
+use crate::overlay::{unpack_route, Bound, Overlay};
 
 /// One label of the overlay search: a path `s ⇒ node` over overlay
 /// arcs, with its travel function and phase flag.
@@ -60,10 +68,25 @@ struct Label {
     /// Has the path taken a down arc yet? Once descending, always
     /// descending.
     desc: bool,
+    /// Next label of the head node's dominance bucket for this phase
+    /// (see [`NodeState::asc`]); [`END`] at the tail.
+    next_at_node: u32,
     /// Cached `travel.min_value()`.
     travel_min: f64,
     /// The route's travel function over the query interval.
     travel: PwlRef,
+}
+
+/// The end of a dominance bucket, and an empty one's head and tail:
+/// the seed's arena index — the one label that is in no bucket.
+const END: u32 = 0;
+
+/// A dominance bucket: a list threaded through the label arena by
+/// [`Label::next_at_node`] in push order.
+#[derive(Clone, Copy, Default)]
+struct Bucket {
+    head: u32,
+    tail: u32,
 }
 
 /// Queue entry: the label's `travel_min` plus its phase bound, FIFO
@@ -83,8 +106,8 @@ struct NodeState {
     /// Dominance buckets per phase. An ascending label can do
     /// everything a descending one can, so ascending labels prune new
     /// labels of both phases; descending labels prune only descending.
-    asc: Vec<u32>,
-    desc: Vec<u32>,
+    asc: Bucket,
+    desc: Bucket,
 }
 
 /// Everything a query would otherwise allocate per overlay node, kept
@@ -130,8 +153,7 @@ impl QueryWorkspace {
         if state.stamp != self.epoch {
             (state.stamp, state.expanded) = (self.epoch, false);
             (state.up, state.down) = (f64::INFINITY, f64::INFINITY);
-            state.asc.clear();
-            state.desc.clear();
+            (state.asc, state.desc) = Default::default();
         }
         state
     }
@@ -142,7 +164,7 @@ impl QueryWorkspace {
     /// arc sequence costs at most its max-sum); with `w =` a valid
     /// lower bound per arc, `up`/`down` lower-bound every completion
     /// whose leaving instants stay inside the band window.
-    fn sweep(&mut self, overlay: &Overlay, query: &QuerySpec, w: impl Fn(&Hop) -> f64) -> f64 {
+    fn sweep(&mut self, overlay: &Overlay, query: &QuerySpec, w: impl Fn(&Bound) -> f64) -> f64 {
         let nodes = &mut self.nodes;
         for &v in self.f_order.iter().chain(&self.d_order) {
             (nodes[v as usize].up, nodes[v as usize].down) = (f64::INFINITY, f64::INFINITY);
@@ -152,15 +174,15 @@ impl QueryWorkspace {
         nodes[query.target.index()].down = 0.0;
         for &x in &self.d_order {
             let dist = nodes[x as usize].down;
-            for hop in overlay.down_into.at(x) {
-                let down = &mut nodes[hop.node as usize].down;
-                *down = down.min(w(hop) + dist);
+            for tail in overlay.down_bound.at(x) {
+                let down = &mut nodes[tail.node as usize].down;
+                *down = down.min(w(tail) + dist);
             }
         }
         // Descending rank: `up` of every up-arc head is final.
         for &v in &self.f_order {
-            let ups = overlay.up_out.at(v).iter();
-            let best = ups.map(|hop| w(hop) + nodes[hop.node as usize].up);
+            let ups = overlay.up_bound.at(v).iter();
+            let best = ups.map(|head| w(head) + nodes[head.node as usize].up);
             nodes[v as usize].up = best.fold(nodes[v as usize].down, f64::min);
         }
         nodes[query.source.index()].up
@@ -181,17 +203,17 @@ pub(crate) fn bounds(overlay: &Overlay, ws: &mut QueryWorkspace, query: &QuerySp
     // A finite bound marks a node as queued (the sweeps reset both).
     let (mut f_next, mut d_next) = (0, 0);
     while let Some(&v) = ws.f_order.get(f_next) {
-        for hop in overlay.up_out.at(v) {
-            if std::mem::replace(&mut ws.touch(hop.node).up, 0.0).is_infinite() {
-                ws.f_order.push(hop.node);
+        for head in overlay.up_bound.at(v) {
+            if std::mem::replace(&mut ws.touch(head.node).up, 0.0).is_infinite() {
+                ws.f_order.push(head.node);
             }
         }
         f_next += 1;
     }
     while let Some(&x) = ws.d_order.get(d_next) {
-        for hop in overlay.down_into.at(x) {
-            if std::mem::replace(&mut ws.touch(hop.node).down, 0.0).is_infinite() {
-                ws.d_order.push(hop.node);
+        for tail in overlay.down_bound.at(x) {
+            if std::mem::replace(&mut ws.touch(tail.node).down, 0.0).is_infinite() {
+                ws.d_order.push(tail.node);
             }
         }
         d_next += 1;
@@ -201,9 +223,9 @@ pub(crate) fn bounds(overlay: &Overlay, ws: &mut QueryWorkspace, query: &QuerySp
         .sort_unstable_by_key(|v| std::cmp::Reverse(rank(v)));
     ws.d_order.sort_unstable_by_key(rank);
 
-    let u_cap = ws.sweep(overlay, query, |hop| hop.max);
+    let u_cap = ws.sweep(overlay, query, |e| e.max);
     let window = overlay.band_window(query.interval.lo(), query.interval.hi() + u_cap);
-    let lower = ws.sweep(overlay, query, |hop| overlay.banded_min(hop, window));
+    let lower = ws.sweep(overlay, query, |e| e.banded_min(window));
     (lower, u_cap)
 }
 
@@ -286,6 +308,7 @@ pub(crate) fn run(
             node: query.source.0,
             arc: None,
             desc: false,
+            next_at_node: END,
             travel_min,
             travel: travel.into(),
         });
@@ -359,6 +382,11 @@ pub(crate) fn run(
         let hops = hops.chain(overlay.down_out.at(node).iter().map(|h| (h, true)));
 
         let arrivals = Arrivals::of(&labels[entry.item].travel)?;
+        // How far the border rises over this label, read once: a child
+        // over an arc is nowhere below the label plus the arc's minimum.
+        let gap = border
+            .as_ref()
+            .map_or(f64::INFINITY, |b| labels[entry.item].travel.gap(b.as_pwl()));
         for (hop, to_desc) in hops {
             let to = hop.node as usize;
             let est = if nodes[to].stamp != epoch {
@@ -386,6 +414,27 @@ pub(crate) fn run(
                 continue;
             }
             if u_cap.is_finite() && pwl::definitely_lt(u_cap, optimistic) {
+                stats.pruned_by_border += 1;
+                continue;
+            }
+            // The gap gate: the child plus `est` clears the border at
+            // every leaving instant — the label the pointwise rule
+            // below kills once composed, so it is not composed.
+            if pwl::definitely_lt(gap, hop.min + est) {
+                // Debug builds compose it all the same and hold the
+                // rule to that verdict.
+                #[cfg(debug_assertions)]
+                {
+                    let full = &overlay.arcs[hop.arc as usize].full;
+                    if overlay::ext_domain(full).covers(arrivals.interval()) {
+                        let child = relax(scratch, &labels[entry.item].travel, full, &arrivals)?;
+                        assert!(
+                            clears_border(&border, &child, est),
+                            "the gap gate skipped a hop the border rule keeps: gap {gap}"
+                        );
+                        scratch.recycle(child);
+                    }
+                }
                 stats.pruned_by_border += 1;
                 continue;
             }
@@ -424,38 +473,45 @@ pub(crate) fn run(
                 continue;
             }
 
-            // Phase-aware dominance pruning (see `NodeState::asc`).
-            let covers = |l: &u32| travel.dominated_by_offset(0.0, &labels[*l as usize].travel);
-            let mut dominated = nodes[to].asc.iter().any(covers);
-            if !dominated && to_desc {
-                dominated = nodes[to].desc.iter().any(covers);
-            }
-            if dominated {
+            // Phase-aware dominance pruning (see `NodeState::asc`):
+            // each bucket oldest first, the ascending one before.
+            let covered = |bucket: Bucket| {
+                let mut l = bucket.head;
+                while l != END && !travel.dominated_by_offset(0.0, &labels[l as usize].travel) {
+                    l = labels[l as usize].next_at_node;
+                }
+                l != END
+            };
+            if covered(nodes[to].asc) || to_desc && covered(nodes[to].desc) {
                 stats.pruned_dominated += 1;
                 scratch.recycle(travel);
                 continue;
             }
 
-            let idx = labels.len();
-            let parent = u32::try_from(entry.item)
+            let idx = u32::try_from(labels.len())
                 .map_err(|_| AllFpError::Internal("overlay label arena outgrew u32 indices"))?;
             labels.push(Label {
-                parent: Some(parent),
+                // Arena indices passed this same check when pushed.
+                parent: Some(entry.item as u32),
                 node: hop.node,
                 arc: Some(hop.arc),
                 desc: to_desc,
+                next_at_node: END,
                 travel_min,
                 travel: travel.into(),
             });
-            if to_desc {
-                nodes[to].desc.push(idx as u32);
-            } else {
-                nodes[to].asc.push(idx as u32);
+            let bucket = match to_desc {
+                true => &mut nodes[to].desc,
+                false => &mut nodes[to].asc,
+            };
+            match std::mem::replace(&mut bucket.tail, idx) {
+                END => bucket.head = idx,
+                tail => labels[tail as usize].next_at_node = idx,
             }
             heap.push(Entry {
                 key: f_min,
                 tie: seq,
-                item: idx,
+                item: idx as usize,
             });
             seq += 1;
             stats.pushed += 1;
@@ -523,6 +579,7 @@ mod tests {
     use traffic::DayCategory;
 
     use super::*;
+    use crate::overlay::Csr;
     use crate::{HierarchyConfig, HierarchyEngine};
 
     /// singleFP identifies one route, the first target label popped,
@@ -544,6 +601,109 @@ mod tests {
             let answer = engine.single_fastest_path(&q).unwrap();
             assert_eq!(run.routes, [answer.path.nodes], "{q:?}");
         }
+    }
+
+    /// The bound graph keeps one entry per neighbour; the sweeps over it
+    /// leave, on every node of F ∪ D, the bits a sweep over every
+    /// enabled arc leaves — on overlays that hold parallel arcs (live
+    /// topologies, and metro-small, whose witness-pruned build disables
+    /// some parallel arcs and keeps others) and one that only disabled
+    /// some, over the three windows of `golden_allfp`, the last of
+    /// which wraps the band index past midnight.
+    #[test]
+    fn bound_graph_sweeps_match_a_sweep_over_every_arc() {
+        let windows = [
+            (hm(7, 0), hm(10, 0)),
+            (hm(16, 0), hm(16, 45)),
+            (hm(23, 0), hm(23, 59)),
+        ];
+        let metro = suffolk_like(&MetroConfig::small(0x5EED)).unwrap();
+        let geometric = |n, seed| random_geometric(n, 1.5, 3, seed).unwrap();
+        let nets = [
+            (geometric(14, 3), true),
+            (geometric(14, 211), true),
+            (geometric(30, 1), false),
+            (metro, false),
+        ];
+        let (mut parallel, mut wrapped) = (0usize, 0usize);
+        for (net, live_topology) in &nets {
+            let config = HierarchyConfig {
+                live_topology: *live_topology,
+                ..HierarchyConfig::default()
+            };
+            let engine = HierarchyEngine::build(net, EngineConfig::default(), config).unwrap();
+            assert!(*live_topology || engine.report().n_disabled > 0);
+            let overlay = &engine.overlays[0];
+            let n = overlay.rank.len() as u32;
+            let arcs: Vec<_> = overlay.arcs.iter().filter(|a| !a.disabled).collect();
+            let per_arc: Vec<_> = arcs
+                .iter()
+                .map(|a| Bound::of(0, std::iter::once(*a)).unwrap())
+                .collect();
+            let entries = |side: &Csr<Bound>| (0..n).map(|v| side.at(v).len()).sum::<usize>();
+            let folded = arcs.len() - entries(&overlay.up_bound) - entries(&overlay.down_bound);
+            parallel += folded;
+
+            let rank = |v: u32| overlay.rank[v as usize];
+            let mut ws = QueryWorkspace::default();
+            let sources = (0..n).step_by(1 + n as usize / 40);
+            for (i, (lo, hi)) in sources.flat_map(|i| windows.map(|w| (i, w))) {
+                let (source, target) = (i, (i * 7 + 3 + lo as u32) % n);
+                let interval = Interval::of(lo, hi);
+                let q = QuerySpec::new(
+                    NodeId(source),
+                    NodeId(target),
+                    interval,
+                    DayCategory::WORKDAY,
+                );
+                let (lower, u_cap) = bounds(overlay, &mut ws, &q);
+                // `(up, down)` of every node under the per-arc weight `w`.
+                let reference = |w: &dyn Fn(usize) -> f64| {
+                    let mut at = vec![(f64::INFINITY, f64::INFINITY); n as usize];
+                    at[target as usize].1 = 0.0;
+                    for &x in &ws.d_order {
+                        for (k, a) in arcs.iter().enumerate() {
+                            if a.to == x && rank(a.from) > rank(x) {
+                                at[a.from as usize].1 =
+                                    at[a.from as usize].1.min(w(k) + at[x as usize].1);
+                            }
+                        }
+                    }
+                    for &v in &ws.f_order {
+                        let ups = arcs
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, a)| a.from == v && rank(a.to) > rank(v));
+                        let best = ups.map(|(k, a)| w(k) + at[a.to as usize].0);
+                        at[v as usize].0 = best.fold(at[v as usize].1, f64::min);
+                    }
+                    at
+                };
+                let by_max = reference(&|k| arcs[k].max);
+                assert_eq!(
+                    u_cap.to_bits(),
+                    by_max[source as usize].0.to_bits(),
+                    "{q:?}"
+                );
+                let window = overlay.band_window(lo, hi + u_cap);
+                wrapped += usize::from(window.is_some() && hi + u_cap > overlay.day.hi());
+                let by_band = reference(&|k| per_arc[k].banded_min(window));
+                assert_eq!(
+                    lower.to_bits(),
+                    by_band[source as usize].0.to_bits(),
+                    "{q:?}"
+                );
+                for &v in ws.f_order.iter().chain(&ws.d_order) {
+                    let (state, want) = (&ws.nodes[v as usize], by_band[v as usize]);
+                    let got = (state.up.to_bits(), state.down.to_bits());
+                    assert_eq!(got, (want.0.to_bits(), want.1.to_bits()), "{q:?} node {v}");
+                }
+            }
+        }
+        assert!(
+            parallel > 500 && wrapped > 20,
+            "{parallel} folded, {wrapped} wrapped"
+        );
     }
 
     /// 520 queries alternate between two engines of different node

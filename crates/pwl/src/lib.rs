@@ -48,7 +48,8 @@
 //! allocations: [`compose_travel_into`], [`Pwl::restrict_with`] and
 //! [`Envelope::merge_min_with`], all fed from a per-worker
 //! [`PwlScratch`]; the comparison kernel [`Pwl::dominated_by_offset`]
-//! streams and needs no workspace. [`compose_travel_window_into`]
+//! streams and needs no workspace, and [`Pwl::gap`] reads once the
+//! offset it turns at. [`compose_travel_window_into`]
 //! is the compound against a restriction that is never built: it
 //! reads the stored function through a window. [`PwlRef`] shares finished
 //! functions by reference count instead of deep copy.

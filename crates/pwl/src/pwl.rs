@@ -623,6 +623,48 @@ impl Pwl {
         }
     }
 
+    /// The companion of [`dominated_by_offset`](Self::dominated_by_offset):
+    /// the largest `other(x) − self(x)` over the intersection of the
+    /// domains (`+∞` when they are disjoint), read once so that many
+    /// offsets can be decided against it in O(1):
+    /// `definitely_lt(self.gap(other), c)` implies
+    /// `self.dominated_by_offset(c, other)`.
+    ///
+    /// For continuous functions the maximum sits on a breakpoint. Two
+    /// cursors visit the domain's ends and **every** breakpoint of
+    /// either function between them, each evaluated on the piece
+    /// `dominated_by_offset` evaluates it on — a superset of the knots
+    /// that kernel keeps, which can only raise the maximum, so the
+    /// implication has no exception; the converse is not claimed.
+    pub fn gap(&self, other: &Pwl) -> f64 {
+        let Some(domain) = self.domain().intersect(&other.domain()) else {
+            return f64::INFINITY;
+        };
+        let (lo, hi) = (domain.lo(), domain.hi());
+        if domain.is_degenerate() {
+            return other.eval_clamped(lo) - self.eval_clamped(lo);
+        }
+        // `i`, `j`: the pieces covering `x`, the right one at a knot.
+        let mut i = self.xs.partition_point(|&x| x <= lo) - 1;
+        let mut j = other.xs.partition_point(|&x| x <= lo) - 1;
+        let (mut x, mut gap) = (lo, f64::NEG_INFINITY);
+        loop {
+            while i + 1 < self.fs.len() && self.xs[i + 1] <= x {
+                i += 1;
+            }
+            while j + 1 < other.fs.len() && other.xs[j + 1] <= x {
+                j += 1;
+            }
+            gap = gap.max(other.fs[j].eval(x) - self.fs[i].eval(x));
+            if x == hi {
+                return gap;
+            }
+            // Both pieces end past `x` (a last piece ends at `hi` or
+            // later): the next breakpoint of either, `hi` at the latest.
+            x = self.xs[i + 1].min(other.xs[j + 1]).min(hi);
+        }
+    }
+
     /// An empty placeholder `Pwl` used only as a transient value while
     /// moving a function out of a [`PwlRef`](crate::PwlRef); it violates
     /// the ≥ 2 breakpoints invariant and must never be observed.
@@ -849,15 +891,17 @@ mod tests {
         if pts.len() < 2 {
             return f.clone();
         }
-        let line = |w: &[(f64, f64)]| {
-            let a = (w[1].1 - w[0].1) / (w[1].0 - w[0].0);
-            Linear {
-                a,
-                b: w[0].1 - a * w[0].0,
-            }
-        };
-        let fs = pts.windows(2).map(line).collect();
+        let fs = pts.windows(2).map(chord).collect();
         Pwl::new(pts.iter().map(|p| p.0).collect(), fs).unwrap()
+    }
+
+    /// The line through two points, however close their abscissae.
+    fn chord(w: &[(f64, f64)]) -> Linear {
+        let a = (w[1].1 - w[0].1) / (w[1].0 - w[0].0);
+        Linear {
+            a,
+            b: w[0].1 - a * w[0].0,
+        }
     }
 
     #[test]
@@ -902,6 +946,123 @@ mod tests {
         }
         // Both verdicts are exercised, neither marginally.
         assert!(verdicts[0] > 20_000 && verdicts[1] > 20_000, "{verdicts:?}");
+    }
+
+    /// A continuous function on exactly `[lo, hi]`: one, a few or 60
+    /// pieces with slopes in `[-1, 1]` from uniform cuts, `close` adding
+    /// to some cuts a twin far below [`EPS`] or just around it.
+    fn continuous_fn(rng: &mut StdRng, lo: f64, hi: f64, close: bool) -> Pwl {
+        let n = [1, 60, rng.gen_range(2..8usize)][rng.gen_range(0..3usize)];
+        let mut xs = vec![lo];
+        for _ in 1..n {
+            let x = rng.gen_range(lo..hi);
+            xs.push(x);
+            if close && rng.gen_bool(0.3) {
+                xs.push(x + [1e-9, 2e-7, 3e-6][rng.gen_range(0..3usize)]);
+            }
+        }
+        xs.retain(|&x| x < hi);
+        xs.push(hi);
+        xs.sort_by(f64::total_cmp);
+        xs.dedup();
+        let mut y = rng.gen_range(0.0..10.0);
+        let mut fs = Vec::with_capacity(xs.len() - 1);
+        for w in xs.windows(2) {
+            let a = rng.gen_range(-1.0..1.0);
+            fs.push(Linear { a, b: y - a * w[0] });
+            y += a * (w[1] - w[0]);
+        }
+        Pwl::new(xs, fs).unwrap()
+    }
+
+    /// `gap`'s definition, the slow way: the maximum of `g − f` over the
+    /// ends of the common domain and every breakpoint strictly between.
+    fn brute_gap(f: &Pwl, g: &Pwl) -> f64 {
+        let Some(domain) = f.domain().intersect(&g.domain()) else {
+            return f64::INFINITY;
+        };
+        let (lo, hi) = (domain.lo(), domain.hi());
+        let mut knots = vec![lo, hi];
+        knots.extend(f.xs.iter().chain(&g.xs).filter(|&&x| lo < x && x < hi));
+        let right_piece = |h: &Pwl, x: f64| {
+            let i = (h.xs.partition_point(|&k| k <= x) - 1).min(h.fs.len() - 1);
+            h.fs[i].eval(x)
+        };
+        let at = |&x: &f64| right_piece(g, x) - right_piece(f, x);
+        knots.iter().map(at).fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    #[test]
+    fn gap_decides_offsets_the_way_the_comparison_kernel_does() {
+        let mut rng = StdRng::seed_from_u64(0x6A9);
+        // Gate verdicts (open, shut) and tightness checks that applied.
+        let (mut gate, mut tight) = ([0usize; 2], 0usize);
+        for case in 0..12_000 {
+            let lo = rng.gen_range(0.0..20.0);
+            let hi = lo + rng.gen_range(0.5..20.0);
+            let close = case % 2 == 0;
+            let f = continuous_fn(&mut rng, lo, hi, close);
+            let inside = |rng: &mut StdRng| rng.gen_range(lo..hi);
+            let (glo, ghi) = match case % 8 {
+                0..=2 => (lo, hi),
+                // nested either way, partial overlap, one shared point
+                3 => (lo - 1.0, hi + 1.0),
+                4 => (inside(&mut rng), hi),
+                5 => (inside(&mut rng), hi + rng.gen_range(0.0..9.0)),
+                6 => (hi, hi + 3.0),
+                _ => (hi + 1.0, hi + 3.0),
+            };
+            let g = match case % 3 {
+                // `f`'s graph through other knots, lifted: touching at
+                // a knot or along pieces, or apart by a known amount
+                0 if ghi > glo + 1e-3 => {
+                    let lift = [0.0, 1e-8, 0.5, -0.5][rng.gen_range(0..4usize)];
+                    let shape = continuous_fn(&mut rng, glo, ghi, close);
+                    let pts: Vec<(f64, f64)> = shape
+                        .xs
+                        .iter()
+                        .map(|&x| (x, f.eval_clamped(x) + lift))
+                        .collect();
+                    Pwl::new(shape.xs.clone(), pts.windows(2).map(chord).collect()).unwrap()
+                }
+                // independent: crossing graphs
+                _ => continuous_fn(&mut rng, glo, ghi, close),
+            };
+            for (t, b) in [(&f, &g), (&g, &f)] {
+                let gap = t.gap(b);
+                assert_eq!(gap.to_bits(), brute_gap(t, b).to_bits(), "case {case}");
+                if gap.is_infinite() {
+                    assert!(!t.dominated_by_offset(1e300, b), "case {case}: disjoint");
+                    continue;
+                }
+                // The tolerance at the largest knot or value in play: a
+                // knot the comparison drops as EPS-close to its
+                // neighbour moves a value by at most a slope of that.
+                let tol = |c: f64| {
+                    let top = |h: &Pwl| h.maximum().abs().max(h.min_value().abs());
+                    let reach = t.domain().hi().max(b.domain().hi());
+                    EPS * (1.0 + (top(t) + c.abs()).max(top(b)).max(reach))
+                };
+                let near = EPS * (1.0 + gap.abs());
+                for d in [
+                    0.0, 0.5, -0.5, 1.01, -1.01, 3.0, -3.0, 30.0, -30.0, 1e7, -1e7,
+                ] {
+                    let c = gap + d * near;
+                    let shut = definitely_lt(gap, c);
+                    gate[usize::from(shut)] += 1;
+                    let dominated = t.dominated_by_offset(c, b);
+                    assert!(!shut || dominated, "case {case} c {c}\n{t:?}\n{b:?}");
+                    if c < gap - 10.0 * tol(c) {
+                        tight += 1;
+                        assert!(!dominated, "case {case} c {c} gap {gap}\n{t:?}\n{b:?}");
+                    }
+                }
+            }
+        }
+        assert!(
+            gate.iter().all(|&n| n > 1_000) && tight > 1_000,
+            "{gate:?} {tight}"
+        );
     }
 
     #[test]

@@ -292,6 +292,42 @@ proptest! {
     }
 
     #[test]
+    fn gap_is_the_offset_the_comparison_kernel_turns_at(
+        f in arb_pwl(),
+        dx in -8.0f64..8.0,
+        g in arb_pwl(),
+        lift in -20.0f64..20.0,
+        d in -40.0f64..40.0,
+    ) {
+        let g = g.shift_x(f.domain().lo() - g.domain().lo() + dx).add_scalar(lift);
+        let gap = f.gap(&g);
+        let Some(common) = f.domain().intersect(&g.domain()) else {
+            prop_assert_eq!(gap, f64::INFINITY);
+            return Ok(());
+        };
+        // Its definition: the largest `g − f` over the ends of the
+        // common domain and the breakpoints between, right piece each.
+        let right_piece = |h: &Pwl, x: f64| {
+            let i = h.breakpoints().partition_point(|&k| k <= x) - 1;
+            h.linears()[i.min(h.n_pieces() - 1)].eval(x)
+        };
+        let (lo, hi) = (common.lo(), common.hi());
+        let knots = f.breakpoints().iter().chain(g.breakpoints());
+        let knots = knots.copied().filter(|&x| lo < x && x < hi).chain([lo, hi]);
+        let brute = knots
+            .map(|x| right_piece(&g, x) - right_piece(&f, x))
+            .fold(f64::NEG_INFINITY, f64::max);
+        prop_assert_eq!(gap.to_bits(), brute.to_bits());
+        // Offsets around it, in units of the tolerance at the values in
+        // play: the gate's implication, and its tightness.
+        let tol = EPS * (1.0 + f.maximum().abs().max(g.maximum().abs()) + gap.abs());
+        let c = gap + d * tol;
+        let dominated = f.dominated_by_offset(c, &g);
+        prop_assert!(!definitely_lt(gap, c) || dominated);
+        prop_assert!(d > -10.0 || !dominated);
+    }
+
+    #[test]
     fn dominated_by_agrees_with_sampling(f in arb_pwl(), g in arb_pwl()) {
         let Some(common) = f.domain().intersect(&g.domain()) else {
             return Ok(());

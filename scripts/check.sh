@@ -50,6 +50,36 @@ if awk '
     echo "a restriction built outside restrict_periodic_with and ext_window" >&2
     exit 1
 fi
+# One home for the hierarchy's bound scalars: the band minima live in
+# the bound graph's entries (`Bound`) and are read by `bounds` alone
+# (tests aside) — no per-arc table, no per-hop fold beside them. And a
+# hop is composed only past the gap gate: every `relax(` call in the
+# search sits below it.
+if awk '
+    FNR == 1 { fn_name = ""; in_type = 0; in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /^(pub\(crate\) )?struct Bound |^impl Bound / { in_type = 1 }
+    in_type && /^}/ { in_type = 0 }
+    match($0, /fn [a-z_0-9]+/) { fn_name = substr($0, RSTART + 3, RLENGTH - 3) }
+    /band_min|banded_min/ && !in_type && fn_name != "bounds" {
+        print FILENAME ":" FNR ":" $0
+        found = 1
+    }
+    END { exit !found }
+' crates/hierarchy/src/*.rs; then
+    echo "band minima read outside the bound graph and the bounds prelude" >&2
+    exit 1
+fi
+if ! awk '
+    /^[[:space:]]*\/\// { next }
+    /definitely_lt\(gap, / { gate = FNR }
+    /[^a-z_]relax\(/ && !/fn relax\(/ { calls++; if (!gate) ungated = FNR }
+    END { exit !(gate && calls && !ungated) }
+' crates/hierarchy/src/search.rs; then
+    echo "search.rs reaches relax( without passing the gap gate" >&2
+    exit 1
+fi
 echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> tier-1: cargo build --release"
