@@ -25,13 +25,13 @@
 use std::sync::Arc;
 
 use pwl::time::MINUTES_PER_DAY;
-use pwl::{Envelope, Interval};
+use pwl::{Envelope, Interval, PwlScratch};
 use roadnet::{NodeId, RoadNetwork};
 use traffic::DayCategory;
 
 use crate::backend::PathfindBackend;
 use crate::cache::TravelFnCache;
-use crate::engine::{build_estimator, cache_for, Engine, EngineConfig};
+use crate::engine::{build_estimator, cache_for, lower_envelope, Engine, EngineConfig};
 use crate::estimator::LowerBoundEstimator;
 use crate::query::{FastestPath, QuerySpec, QueryStats};
 use crate::Result;
@@ -153,16 +153,10 @@ impl ArrivalPlanner {
             .collect();
         // Rebuild the tagged border over arrival time in identification
         // order (same tie-break semantics as the mirrored search).
-        let mut border: Option<Envelope<usize>> = None;
-        for (i, p) in paths.iter().enumerate() {
-            match &mut border {
-                None => border = Some(Envelope::new(Arc::clone(&p.travel), i)),
-                Some(b) => b.merge_min(&p.travel, i)?,
-            }
-        }
-        let lower_border = border.ok_or(crate::AllFpError::Internal(
-            "mirrored allFP answer carried no paths",
-        ))?;
+        let fns = paths.iter().map(|p| &p.travel);
+        let lower_border = lower_envelope(fns, &mut PwlScratch::new())?.ok_or(
+            crate::AllFpError::Internal("mirrored allFP answer carried no paths"),
+        )?;
         Ok(ArrivalAllFpAnswer {
             paths,
             partition,

@@ -20,7 +20,8 @@
 //! ([`PathfindBackend::all_fastest_paths`], [`PathfindBackend::
 //! single_fastest_path`], [`PathfindBackend::robust_with_session`],
 //! [`PathfindBackend::run_robust`]) are written once, here, on top of
-//! it.
+//! it, and they — like every [`run_batch`] slot — fail with the one
+//! [`AllFpError`].
 //!
 //! Implementations must be **answer-equivalent** to the flat engine:
 //! bit-for-bit the same answers (`core/tests/hierarchy_equivalence.rs`,
@@ -41,10 +42,10 @@ use std::sync::{Mutex, MutexGuard};
 
 use crate::cache::{CacheCounters, CacheSession};
 use crate::query::{
-    AllFpAnswer, BatchStats, CancelToken, DegradedAnswer, QueryOutcome, QuerySpec, QueryStats,
-    SingleFpAnswer,
+    AllFpAnswer, BatchStats, CancelToken, DegradedAnswer, DegradedReason, QueryOutcome, QuerySpec,
+    QueryStats, SingleFpAnswer,
 };
-use crate::{AllFpError, EngineError, Result};
+use crate::{AllFpError, Result};
 
 /// What a query asks of [`PathfindBackend::answer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,23 +135,38 @@ pub trait PathfindBackend {
         query: &QuerySpec,
         session: &mut CacheSession<'_>,
         cancel: Option<&CancelToken>,
-    ) -> std::result::Result<QueryOutcome, EngineError> {
+    ) -> Result<QueryOutcome> {
         match self.answer(query, QueryMode::AllFpOrDegraded, session, cancel)? {
             Answer::AllFp(all) => Ok(QueryOutcome::Exact(all)),
             Answer::Degraded(degraded) => Ok(QueryOutcome::Degraded(degraded)),
-            Answer::SingleFp(_) => Err(WRONG_SHAPE.into()),
+            Answer::SingleFp(_) => Err(WRONG_SHAPE),
         }
     }
 
     /// [`PathfindBackend::robust_with_session`] on a fresh session.
-    fn run_robust(&self, query: &QuerySpec) -> std::result::Result<QueryOutcome, EngineError> {
+    fn run_robust(&self, query: &QuerySpec) -> Result<QueryOutcome> {
         self.robust_with_session(query, &mut self.cache_session(), None)
     }
 }
 
+/// What a backend that selects its routes by a search of its own (the
+/// contraction hierarchy's overlay search) hands to
+/// [`crate::Engine::answer_routes`], the flat engine's ending, which
+/// re-composes them into the answer.
+#[derive(Debug)]
+pub struct SearchRun {
+    /// Distinct target routes (original node sequences) in
+    /// identification order; singleFP identifies one.
+    pub routes: Vec<Vec<roadnet::NodeId>>,
+    /// `Some` when a budget tripped before the termination rule.
+    pub trip: Option<DegradedReason>,
+    /// The search's own effort statistics.
+    pub stats: QueryStats,
+}
+
 /// One slot of a batch: what [`PathfindBackend::robust_with_session`]
 /// returned for that query.
-type BatchResult = std::result::Result<QueryOutcome, EngineError>;
+type BatchResult = Result<QueryOutcome>;
 
 /// Answer a batch of queries over any backend on exactly `workers`
 /// threads (clamped to `1..=queries.len()`; pass
@@ -171,19 +187,16 @@ type BatchResult = std::result::Result<QueryOutcome, EngineError>;
 ///   no lock.
 /// * **Cancellation** — `cancel` is polled cooperatively by every
 ///   in-flight search; cancelled queries report
-///   [`EngineError::Cancelled`] in their own slots.
+///   [`AllFpError::Cancelled`] in their own slots.
 /// * **Panic isolation** — each query runs under `catch_unwind`, so a
-///   poisoned query becomes [`EngineError::Panicked`] in its own slot
+///   poisoned query becomes [`AllFpError::Panicked`] in its own slot
 ///   while its batch-mates complete normally.
 pub fn run_batch<B: PathfindBackend + Sync + ?Sized>(
     backend: &B,
     queries: &[QuerySpec],
     workers: usize,
     cancel: &CancelToken,
-) -> (
-    Vec<std::result::Result<QueryOutcome, EngineError>>,
-    BatchStats,
-) {
+) -> (Vec<BatchResult>, BatchStats) {
     let (slots, stats) = drive_batch(backend, queries, workers, cancel);
     // A `None` slot means its worker thread died before reporting (a
     // panic that escaped a query). Error those slots instead of
@@ -192,7 +205,7 @@ pub fn run_batch<B: PathfindBackend + Sync + ?Sized>(
         .into_iter()
         .map(|slot| {
             slot.unwrap_or_else(|| {
-                Err(EngineError::Panicked(
+                Err(AllFpError::Panicked(
                     "batch worker died before reporting this query".to_string(),
                 ))
             })
@@ -236,7 +249,7 @@ fn answer_isolated<B: PathfindBackend + ?Sized>(
     catch_unwind(AssertUnwindSafe(|| {
         backend.robust_with_session(query, session, Some(cancel))
     }))
-    .unwrap_or_else(|payload| Err(EngineError::Panicked(panic_message(payload))))
+    .unwrap_or_else(|payload| Err(AllFpError::Panicked(panic_message(payload))))
 }
 
 /// The work-stealing scheduler behind [`run_batch`]: answers every
@@ -552,7 +565,7 @@ mod tests {
         assert_eq!(results.len(), queries.len());
         assert_eq!(stats.total_queries(), queries.len());
         for r in results {
-            assert!(matches!(r, Err(EngineError::Cancelled)));
+            assert!(matches!(r, Err(AllFpError::Cancelled)));
         }
     }
 }

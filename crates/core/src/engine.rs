@@ -11,7 +11,7 @@ use pwl::compose::Arrivals;
 use pwl::{Envelope, Interval, Pwl, PwlRef, PwlScratch};
 use roadnet::{NetworkSource, NodeId, Point};
 
-use crate::backend::{Answer, PathfindBackend, QueryMode};
+use crate::backend::{Answer, PathfindBackend, QueryMode, SearchRun};
 use crate::baseline::{astar_at, constant_speed_plan};
 use crate::cache::{CacheCounters, CacheSession, TravelFnCache};
 use crate::estimator::{EstimatorKind, LowerBoundEstimator, MaxEstimator, MinTimeLb, NaiveLb};
@@ -182,8 +182,10 @@ impl SearchWorkspace {
     }
 }
 
-/// The node sequence of arena path `idx`, root first.
-fn materialize(paths: &[PathState], idx: usize) -> Vec<NodeId> {
+/// Arena path `idx` as an answer path: its node sequence, root first,
+/// and its function promoted to shared storage, so the arena, the
+/// answer and its border hold one `Pwl`.
+fn arena_path(paths: &mut [PathState], idx: usize) -> FastestPath {
     let mut nodes = Vec::with_capacity(paths[idx].depth as usize + 1);
     let mut cur = idx as u32;
     while cur != NONE {
@@ -191,7 +193,8 @@ fn materialize(paths: &[PathState], idx: usize) -> Vec<NodeId> {
         cur = paths[cur as usize].parent;
     }
     nodes.reverse();
-    nodes
+    let travel = paths[idx].travel.share();
+    FastestPath { nodes, travel }
 }
 
 /// The [`PathState::bloom`] bit for `node`.
@@ -215,52 +218,72 @@ fn visits(paths: &[PathState], idx: usize, node: NodeId) -> bool {
     false
 }
 
-/// Read the partitioning off `border`, compact engine path ids into
-/// answer indices, and rebuild the tagged border over those indices by
-/// re-merging in identification order (same tie-break semantics as the
-/// search itself). Shared by normal termination and by best-so-far
-/// assembly when a budget trips.
+/// The one allFP assembly (§4.6): read the partitioning off `border`,
+/// whose tags are the caller's path ids, compact the ids into answer
+/// indices by first appearance (`resolve` turns an id into its path)
+/// and rebuild the border over those indices in that order. The flat
+/// search, its salvage and [`Engine::answer_routes`] all end here, so
+/// their boundaries and path order agree bit for bit.
 fn assemble_answer(
-    paths: &mut [PathState],
-    border: &Envelope<usize>,
+    border: Envelope<usize>,
+    mut resolve: impl FnMut(usize) -> FastestPath,
     stats: QueryStats,
     scratch: &mut PwlScratch,
 ) -> Result<AllFpAnswer> {
     let raw_partition = border.partition();
-    let mut path_index: Vec<usize> = Vec::new(); // engine path id → answer index
-    let mut answer_paths: Vec<FastestPath> = Vec::new();
+    border.recycle_into(scratch);
+    let mut ids: Vec<usize> = Vec::new(); // answer index → path id
+    let mut paths: Vec<FastestPath> = Vec::new();
     let mut partition = Vec::with_capacity(raw_partition.len());
-    for (iv, engine_id) in raw_partition {
-        let idx = match path_index.iter().position(|&p| p == engine_id) {
+    for (iv, id) in raw_partition {
+        let idx = match ids.iter().position(|&p| p == id) {
             Some(i) => i,
             None => {
-                path_index.push(engine_id);
-                let nodes = materialize(paths, engine_id);
-                // Promote to shared storage: the arena, the answer
-                // path, and the border below all reference one `Pwl`.
-                let travel = paths[engine_id].travel.share();
-                answer_paths.push(FastestPath { nodes, travel });
-                answer_paths.len() - 1
+                ids.push(id);
+                paths.push(resolve(id));
+                paths.len() - 1
             }
         };
         partition.push((iv, idx));
     }
-    let mut final_border: Option<Envelope<usize>> = None;
-    for (i, fp) in answer_paths.iter().enumerate() {
-        match &mut final_border {
-            None => final_border = Some(Envelope::new(Arc::clone(&fp.travel), i)),
-            Some(b) => b.merge_min_with(scratch, &fp.travel, i)?,
-        }
-    }
-    let lower_border = final_border.ok_or(AllFpError::Internal(
-        "lower border partitioned to zero paths",
-    ))?;
+    let lower_border = lower_envelope(paths.iter().map(|p| &p.travel), scratch)?.ok_or(
+        AllFpError::Internal("lower border partitioned to zero paths"),
+    )?;
     Ok(AllFpAnswer {
-        paths: answer_paths,
+        paths,
         partition,
         lower_border,
         stats,
     })
+}
+
+/// The lower envelope of `fns`, each tagged by its index, merged in
+/// index order — the tie-break of every border an answer carries.
+/// `None` for no functions.
+pub(crate) fn lower_envelope<'f>(
+    fns: impl IntoIterator<Item = &'f Arc<Pwl>>,
+    scratch: &mut PwlScratch,
+) -> Result<Option<Envelope<usize>>> {
+    let mut env: Option<Envelope<usize>> = None;
+    for (i, f) in fns.into_iter().enumerate() {
+        match &mut env {
+            None => env = Some(Envelope::new(Arc::clone(f), i)),
+            Some(e) => e.merge_min_with(scratch, f, i)?,
+        }
+    }
+    Ok(env)
+}
+
+/// The singleFP answer on `path` (§4.5): its minimum is the travel
+/// time, and where it is attained the best leaving instants.
+fn single_answer(path: FastestPath, stats: QueryStats) -> SingleFpAnswer {
+    let m = path.travel.minimum();
+    SingleFpAnswer {
+        path,
+        travel_minutes: m.value,
+        best_leaving: m.at,
+        stats,
+    }
 }
 
 /// Queue entry: minimum of `T + T_est`, FIFO among equals, carrying
@@ -345,12 +368,12 @@ pub struct Engine<'a, S: NetworkSource> {
 }
 
 impl<'a, S: NetworkSource> Engine<'a, S> {
-    /// Build an engine with the configured estimator.
-    ///
-    /// Boundary estimators need precomputation over the full in-memory
-    /// network; use [`Engine::with_estimator`] to run them against a
-    /// disk-resident [`NetworkSource`] after building them from the
-    /// in-memory copy.
+    /// Build an engine with the naive estimator, whatever
+    /// `config.estimator` says: [`Engine::for_network`] builds the
+    /// configured kind over an in-memory network, and
+    /// [`Engine::with_estimator`] runs one built there (a boundary or
+    /// min-time estimator) against any [`NetworkSource`], a
+    /// disk-resident one included.
     pub fn new(source: &'a S, config: EngineConfig) -> Self {
         let naive = NaiveLb::new(source.max_speed());
         let cache = cache_for(&config);
@@ -445,8 +468,7 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
     /// (cheap: one time-independent A*), attaching its *exact*
     /// travel-time function under the real patterns so the caller can
     /// still read departure-time trade-offs off the degraded answer.
-    /// Public so a backend with its own search degrades the same way.
-    pub fn degraded_answer(
+    fn degraded_answer(
         &self,
         query: &QuerySpec,
         reason: DegradedReason,
@@ -476,10 +498,7 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
     /// the query interval, composed edge by edge through the session
     /// ([`CacheSession::extend`], the search's own step, on the
     /// session's warm pool) — **bit-identical** to what the search
-    /// itself would compute for this node sequence. Public
-    /// so alternative backends (the contraction-hierarchy overlay) can
-    /// select a winning node sequence their own way and then reproduce
-    /// the flat engine's answer function exactly.
+    /// itself would compute for this node sequence.
     pub fn route_travel_fn(
         &self,
         nodes: &[NodeId],
@@ -488,89 +507,136 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
     ) -> Result<Pwl> {
         let mut travel = Pwl::constant(query.interval, 0.0)?;
         for w in nodes.windows(2) {
-            let edges = self.source.successors(w[0])?;
-            let edge = edges
-                .iter()
-                .find(|e| e.to == w[1])
-                .ok_or(AllFpError::Unreachable {
-                    source: w[0],
-                    target: w[1],
-                })?;
-            let arrivals = Arrivals::of(&travel)?;
-            let profile = self.source.pattern(edge.pattern)?.profile(query.category)?;
-            let (extended, _) = session.extend(
-                edge.pattern,
-                query.category,
-                profile,
-                edge.distance,
-                &arrivals,
-                &travel,
-            )?;
+            let extended = self.route_step(w[0], w[1], &travel, query, session)?;
             let parent = std::mem::replace(&mut travel, extended);
             session.scratch_mut().recycle(parent);
         }
         Ok(travel)
     }
 
-    /// Like [`Engine::route_travel_fn`], but seeded from `memo`: when
-    /// `nodes` shares a prefix with a route the memo has already
-    /// composed (under the same query and session), composition
-    /// resumes from the stored cumulative function of the longest such
-    /// prefix instead of re-deriving it edge by edge. Because
-    /// [`Engine::route_travel_fn`] is a strict left-to-right fold, the
-    /// resumed fold performs the *identical* operation sequence on the
-    /// identical operands — the result is bit-for-bit the same
-    /// function, only cheaper. Returns the route function and the
-    /// number of edge compositions the memo saved.
-    ///
-    /// Candidate routes of one allFP answer typically share long
-    /// corridors (they diverge on a handful of arcs), which is exactly
-    /// the access pattern the memo exploits; a memo must never be
-    /// reused across queries or sessions.
-    pub fn route_travel_fn_memoized(
+    /// One step of a route fold: `travel` extended over the edge
+    /// `from → to`.
+    fn route_step(
         &self,
-        nodes: &[NodeId],
+        from: NodeId,
+        to: NodeId,
+        travel: &Pwl,
         query: &QuerySpec,
         session: &mut CacheSession<'_>,
-        memo: &mut RouteComposeMemo,
-    ) -> Result<(Arc<Pwl>, u64)> {
-        let n_edges = nodes.len().saturating_sub(1);
-        let (mut travel, done) = match memo.best_prefix(nodes) {
-            Some((prefix_cum, k)) => (Arc::clone(&prefix_cum[k - 1]), k),
-            None => (Arc::new(Pwl::constant(query.interval, 0.0)?), 0),
+    ) -> Result<Pwl> {
+        let edges = self.source.successors(from)?;
+        let edge = edges
+            .iter()
+            .find(|e| e.to == to)
+            .ok_or(AllFpError::Unreachable {
+                source: from,
+                target: to,
+            })?;
+        let arrivals = Arrivals::of(travel)?;
+        let profile = self.source.pattern(edge.pattern)?.profile(query.category)?;
+        let (extended, _) = session.extend(
+            edge.pattern,
+            query.category,
+            profile,
+            edge.distance,
+            &arrivals,
+            travel,
+        )?;
+        Ok(extended)
+    }
+
+    /// The ending of a backend that selects its routes by a search of
+    /// its own (the contraction hierarchy): the answer re-composed from
+    /// `run`'s routes through this engine's steps, bit for bit what the
+    /// flat search answers with those paths. singleFP re-composes its
+    /// one route ([`Engine::route_travel_fn`]); allFP every route, in
+    /// identification order, each from the longest prefix it shares
+    /// with an earlier one — routes of one answer share corridors, and
+    /// the compositions so saved are [`QueryStats::compositions_saved`]
+    /// — and assembles their lower
+    /// envelope as the flat search assembles its border; routes that
+    /// win nowhere drop out. A tripped budget errors or degrades as
+    /// `mode` says; no route at all is [`AllFpError::Unreachable`].
+    pub fn answer_routes(
+        &self,
+        query: &QuerySpec,
+        mode: QueryMode,
+        run: SearchRun,
+        session: &mut CacheSession<'_>,
+    ) -> Result<Answer> {
+        let SearchRun {
+            routes,
+            trip,
+            stats,
+        } = run;
+        let unreachable = AllFpError::Unreachable {
+            source: query.source,
+            target: query.target,
         };
-        let mut cum: Vec<Arc<Pwl>> = Vec::with_capacity(n_edges);
-        if done > 0 {
-            // Share the matched prefix's cumulative functions so the
-            // memo's storage stays one Arc per distinct sub-corridor.
-            if let Some((prefix_cum, _)) = memo.best_prefix(nodes) {
-                cum.extend(prefix_cum[..done].iter().map(Arc::clone));
+        match (trip, mode) {
+            (Some(reason), QueryMode::AllFpOrDegraded) => {
+                let best = self.compose_routes(routes, query, stats, session)?;
+                let degraded = self.degraded_answer(query, reason, best, stats, session)?;
+                Ok(Answer::Degraded(degraded))
             }
+            (Some(_), _) => Err(AllFpError::BudgetExhausted {
+                expansions: stats.expanded_paths,
+            }),
+            (None, QueryMode::SingleFp) => {
+                let nodes = routes.into_iter().next().ok_or(unreachable)?;
+                let travel = Arc::new(self.route_travel_fn(&nodes, query, session)?);
+                Ok(Answer::SingleFp(single_answer(
+                    FastestPath { nodes, travel },
+                    stats,
+                )))
+            }
+            (None, _) => self
+                .compose_routes(routes, query, stats, session)?
+                .map(Answer::AllFp)
+                .ok_or(unreachable),
         }
-        for w in nodes.windows(2).skip(done) {
-            let edges = self.source.successors(w[0])?;
-            let edge = edges
-                .iter()
-                .find(|e| e.to == w[1])
-                .ok_or(AllFpError::Unreachable {
-                    source: w[0],
-                    target: w[1],
-                })?;
-            let arrivals = Arrivals::of(&travel)?;
-            let profile = self.source.pattern(edge.pattern)?.profile(query.category)?;
-            let (extended, _) = session.extend(
-                edge.pattern,
-                query.category,
-                profile,
-                edge.distance,
-                &arrivals,
-                &travel,
-            )?;
-            travel = Arc::new(extended);
-            cum.push(Arc::clone(&travel));
+    }
+
+    /// The allFP answer over candidate routes (`None` for none), each
+    /// re-composed, then assembled. A route sharing an edge prefix with
+    /// one composed before resumes that route's fold after the prefix:
+    /// the fold is strictly left to right, so the resumed one performs
+    /// the identical operations on identical operands — the same bits,
+    /// fewer compositions.
+    fn compose_routes(
+        &self,
+        mut routes: Vec<Vec<NodeId>>,
+        query: &QuerySpec,
+        mut stats: QueryStats,
+        session: &mut CacheSession<'_>,
+    ) -> Result<Option<AllFpAnswer>> {
+        // Per composed route, its function after each of its edges.
+        let mut cums: Vec<Vec<Arc<Pwl>>> = Vec::with_capacity(routes.len());
+        let mut fns = Vec::with_capacity(routes.len());
+        for route in &routes {
+            let mut cum = Vec::with_capacity(route.len().saturating_sub(1));
+            cum.extend_from_slice(shared_prefix(&routes, &cums, route));
+            let saved = cum.len();
+            stats.compositions_saved += saved as u64;
+            let mut travel = match cum.last() {
+                Some(prefix) => Arc::clone(prefix),
+                None => Arc::new(Pwl::constant(query.interval, 0.0)?),
+            };
+            for w in route.windows(2).skip(saved) {
+                travel = Arc::new(self.route_step(w[0], w[1], &travel, query, session)?);
+                cum.push(Arc::clone(&travel));
+            }
+            cums.push(cum);
+            fns.push(travel);
         }
-        memo.record(nodes.to_vec(), cum);
-        Ok((travel, done as u64))
+        let Some(border) = lower_envelope(&fns, session.scratch_mut())? else {
+            return Ok(None);
+        };
+        let resolve = |i: usize| FastestPath {
+            nodes: std::mem::take(&mut routes[i]),
+            travel: Arc::clone(&fns[i]),
+        };
+        assemble_answer(border, resolve, stats, session.scratch_mut()).map(Some)
     }
 
     /// Answer the **allFP query**: the full partitioning of the query
@@ -900,30 +966,18 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                     }
                 }
             }
-            let best = match border {
-                Some(b) => {
-                    let best = assemble_answer(&mut ws.paths, &b, stats, session.scratch_mut())?;
-                    b.recycle_into(session.scratch_mut());
-                    Some(best)
-                }
-                None => None,
-            };
+            let resolve = |id| arena_path(&mut ws.paths, id);
+            let best = border
+                .map(|b| assemble_answer(b, resolve, stats, session.scratch_mut()))
+                .transpose()?;
             return Ok(Answer::Degraded(
                 self.degraded_answer(query, reason, best, stats, session)?,
             ));
         }
 
         if let Some(path) = single {
-            let m = ws.paths[path].travel.minimum();
-            return Ok(Answer::SingleFp(SingleFpAnswer {
-                path: FastestPath {
-                    nodes: materialize(&ws.paths, path),
-                    travel: ws.paths[path].travel.share(),
-                },
-                travel_minutes: m.value,
-                best_leaving: m.at,
-                stats,
-            }));
+            let path = arena_path(&mut ws.paths, path);
+            return Ok(Answer::SingleFp(single_answer(path, stats)));
         }
 
         // No border: the queue ran dry before any path reached the target.
@@ -931,8 +985,8 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
             source: query.source,
             target: query.target,
         })?;
-        let all = assemble_answer(&mut ws.paths, &border, stats, session.scratch_mut())?;
-        border.recycle_into(session.scratch_mut());
+        let resolve = |id| arena_path(&mut ws.paths, id);
+        let all = assemble_answer(border, resolve, stats, session.scratch_mut())?;
         Ok(Answer::AllFp(all))
     }
 
@@ -1020,44 +1074,23 @@ impl<'a, S: NetworkSource> PathfindBackend for Engine<'a, S> {
     }
 }
 
-/// Per-query memo of already-composed candidate routes for
-/// [`Engine::route_travel_fn_memoized`]: each recorded route keeps the
-/// cumulative travel function *after every edge*, so a later route
-/// sharing a prefix resumes the fold mid-way with bit-identical
-/// results. Scoped to one (query, session) pair — create it fresh per
-/// answer assembly and drop it with the answer.
-#[derive(Default)]
-pub struct RouteComposeMemo {
-    routes: Vec<(Vec<NodeId>, Vec<Arc<Pwl>>)>,
-}
-
-impl RouteComposeMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The stored route with the longest shared edge prefix against
-    /// `nodes`, as `(cumulative functions, edges matched)`; `None`
-    /// when no stored route shares even the first edge.
-    fn best_prefix(&self, nodes: &[NodeId]) -> Option<(&[Arc<Pwl>], usize)> {
-        let mut best: Option<(&[Arc<Pwl>], usize)> = None;
-        for (stored, cum) in &self.routes {
-            let mut k = 0usize;
-            let max = cum.len().min(nodes.len().saturating_sub(1));
-            while k < max && stored[k + 1] == nodes[k + 1] && stored[k] == nodes[k] {
-                k += 1;
-            }
-            if k > 0 && best.is_none_or(|(_, b)| k > b) {
-                best = Some((&cum[..], k));
-            }
+/// The functions, after each edge, of the longest edge prefix `route`
+/// shares with one of the routes composed so far (`cums[j]` is route
+/// `routes[j]`'s) — empty when none shares even the first edge.
+fn shared_prefix<'c>(
+    routes: &[Vec<NodeId>],
+    cums: &'c [Vec<Arc<Pwl>>],
+    route: &[NodeId],
+) -> &'c [Arc<Pwl>] {
+    let mut best: &[Arc<Pwl>] = &[];
+    for (stored, cum) in routes.iter().zip(cums) {
+        let edges = stored.windows(2).zip(route.windows(2));
+        let k = edges.take_while(|(a, b)| a == b).count();
+        if k > best.len() {
+            best = &cum[..k];
         }
-        best
     }
-
-    fn record(&mut self, nodes: Vec<NodeId>, cum: Vec<Arc<Pwl>>) {
-        self.routes.push((nodes, cum));
-    }
+    best
 }
 
 impl<'a> Engine<'a, roadnet::RoadNetwork> {
@@ -1590,5 +1623,77 @@ mod tests {
         assert_eq!(ans.paths[ans.partition[0].1].nodes, ids);
         let single = engine.single_fastest_path(&q).unwrap();
         assert_eq!(single.path.nodes, ids);
+    }
+
+    /// The ending a route-selecting backend takes, on routes of flat
+    /// metro-small answers: every route of an answer re-assembles it
+    /// bit for bit; two routes sharing a k-edge prefix save k
+    /// compositions and each keeps `route_travel_fn`'s bits; no route is
+    /// `Unreachable`, and a tripped run errors with its own count or
+    /// degrades with no best-so-far.
+    #[test]
+    fn answer_routes_ends_like_the_flat_search() {
+        use roadnet::generators::{suffolk_like, MetroConfig};
+        use DegradedReason::DeadlineExpired;
+        use QueryMode::{AllFp, AllFpOrDegraded, SingleFp};
+        let net = suffolk_like(&MetroConfig::small(0x5EED)).unwrap();
+        let engine = Engine::new(&net, EngineConfig::default());
+        let pairs = roadnet::workload::distance_buckets(&net, 4, 2, 0.25, 0x5EED).unwrap();
+        let (q, want, k) = (pairs.iter().flat_map(|(_, pairs)| pairs))
+            .find_map(|pair| {
+                let rush = Interval::of(hm(7, 0), hm(10, 0));
+                let q = QuerySpec::new(pair.source, pair.target, rush, DayCategory::WORKDAY);
+                let want = engine.all_fastest_paths(&q).unwrap();
+                let [a, b, ..] = &want.paths[..] else {
+                    return None;
+                };
+                let shared = a.nodes.iter().zip(&b.nodes).take_while(|(x, y)| x == y);
+                let k = shared.count() - 1;
+                (k > 0).then_some((q, want, k))
+            })
+            .expect("an answer whose first two paths share an edge");
+        let routes: Vec<_> = want.paths.iter().map(|p| p.nodes.clone()).collect();
+        let mut session = engine.cache_session();
+        let mut end = |routes: &[Vec<NodeId>], trip, mode| {
+            let stats = QueryStats {
+                expanded_paths: 17,
+                ..QueryStats::default()
+            };
+            let run = SearchRun {
+                routes: routes.to_vec(),
+                trip,
+                stats,
+            };
+            engine.answer_routes(&q, mode, run, &mut session)
+        };
+
+        let Ok(Answer::AllFp(all)) = end(&routes, None, AllFp) else {
+            panic!("every route of an answer");
+        };
+        assert_eq!(all.paths, want.paths);
+        assert_eq!(all.partition, want.partition);
+        assert_eq!(all.lower_border, want.lower_border);
+        let Ok(Answer::AllFp(two)) = end(&routes[..2], None, AllFp) else {
+            panic!("two routes of an answer");
+        };
+        assert_eq!(two.stats.compositions_saved, k as u64);
+        for p in &two.paths {
+            let alone = engine.route_travel_fn(&p.nodes, &q, &mut engine.cache_session());
+            assert_eq!(*p.travel, alone.unwrap());
+        }
+
+        for mode in [AllFp, SingleFp] {
+            let unreachable = end(&[], None, mode);
+            assert!(matches!(unreachable, Err(AllFpError::Unreachable { .. })));
+            let tripped = end(&routes, Some(DeadlineExpired), mode);
+            assert!(matches!(
+                tripped,
+                Err(AllFpError::BudgetExhausted { expansions: 17 })
+            ));
+        }
+        let Ok(Answer::Degraded(d)) = end(&[], Some(DeadlineExpired), AllFpOrDegraded) else {
+            panic!("a tripped run under AllFpOrDegraded degrades");
+        };
+        assert!(d.best.is_none() && d.reason == DeadlineExpired);
     }
 }

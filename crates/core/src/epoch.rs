@@ -154,10 +154,6 @@ pub struct EpochStats {
     pub epochs_retired: u64,
     /// Published non-current epochs still pinned at the snapshot.
     pub epoch_retire_lag: u64,
-    /// Hierarchy shortcut arcs recomposed across all refreshes
-    /// (reported by the hierarchy layer via
-    /// [`EpochManager::record_shortcuts_rebuilt`]).
-    pub shortcuts_rebuilt: u64,
     /// Travel-function cache entries flushed by retirement sweeps.
     pub cache_entries_flushed: u64,
 }
@@ -194,7 +190,6 @@ pub struct EpochManager {
     epochs_published: AtomicU64,
     updates_applied: AtomicU64,
     epochs_retired: AtomicU64,
-    shortcuts_rebuilt: AtomicU64,
     cache_entries_flushed: AtomicU64,
 }
 
@@ -220,7 +215,6 @@ impl EpochManager {
             epochs_published: AtomicU64::new(1),
             updates_applied: AtomicU64::new(0),
             epochs_retired: AtomicU64::new(0),
-            shortcuts_rebuilt: AtomicU64::new(0),
             cache_entries_flushed: AtomicU64::new(0),
         })
     }
@@ -358,12 +352,6 @@ impl EpochManager {
         }
     }
 
-    /// Record shortcut arcs recomposed by a hierarchy refresh (the
-    /// hierarchy crate sits above this one, so it reports in).
-    pub fn record_shortcuts_rebuilt(&self, rebuilt: u64) {
-        self.shortcuts_rebuilt.fetch_add(rebuilt, Ordering::Relaxed);
-    }
-
     /// Counter snapshot. Runs a sweep first so the snapshot's
     /// retire/lag split is exact ([`EpochStats::reconciles`]).
     pub fn stats(&self) -> EpochStats {
@@ -373,7 +361,6 @@ impl EpochManager {
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
             epochs_retired: self.epochs_retired.load(Ordering::Relaxed),
             epoch_retire_lag: lag,
-            shortcuts_rebuilt: self.shortcuts_rebuilt.load(Ordering::Relaxed),
             cache_entries_flushed: self.cache_entries_flushed.load(Ordering::Relaxed),
         }
     }

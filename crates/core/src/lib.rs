@@ -49,10 +49,10 @@
 //! answer such queries with a [`QueryOutcome`] that **degrades instead
 //! of erroring** when the budget trips — best-so-far exact paths plus
 //! a constant-speed fallback route ([`DegradedAnswer`]). Batches accept
-//! a cooperative [`CancelToken`], isolate panicking queries to their
-//! own result slot, and surface storage faults through the typed
-//! [`EngineError`] taxonomy. See `DESIGN.md` §9 for the full fault
-//! model.
+//! a cooperative [`CancelToken`] and isolate panicking queries to their
+//! own result slot. Every surface fails with the one [`AllFpError`]; a
+//! storage fault is its `Network(NetworkError::Storage { kind, .. })`.
+//! See `DESIGN.md` §9 for the full fault model.
 //!
 //! # Service (extension)
 //!
@@ -81,10 +81,10 @@ pub mod epoch;
 pub mod service;
 
 pub use arrival::{ArrivalAllFpAnswer, ArrivalPlanner, ArrivalQuerySpec, ArrivalSingleFpAnswer};
-pub use backend::{run_batch, Answer, PathfindBackend, QueryMode};
+pub use backend::{run_batch, Answer, PathfindBackend, QueryMode, SearchRun};
 pub use boundary::BoundaryLb;
 pub use cache::{CacheCounters, CacheSession, TravelFnCache};
-pub use engine::{build_estimator, Engine, EngineConfig, RouteComposeMemo, Watch};
+pub use engine::{build_estimator, Engine, EngineConfig, Watch};
 pub use epoch::{ApplyReport, Epoch, EpochId, EpochManager, EpochStats, LiveBackend, SweepReport};
 pub use estimator::{EstimatorKind, LowerBoundEstimator, MaxEstimator, MinTimeLb, NaiveLb, ZeroLb};
 pub use heap::MinEntry;
@@ -187,76 +187,3 @@ impl From<pwl::PwlError> for AllFpError {
 
 /// Convenient `Result` alias for this crate.
 pub type Result<T> = std::result::Result<T, AllFpError>;
-
-/// The unified error taxonomy of the robust query APIs
-/// ([`PathfindBackend::run_robust`], [`run_batch`]).
-///
-/// It separates the conditions a caller handles differently: storage
-/// faults (retryable or not, classified by
-/// [`roadnet::StorageFaultKind`]), exhausted budgets that did *not*
-/// degrade (legacy engine-level valve on the non-robust APIs),
-/// cooperative cancellation, isolated query panics, and plain query
-/// errors (unreachable targets and propagated algebra errors).
-#[derive(Debug)]
-pub enum EngineError {
-    /// The storage layer failed; `kind` distinguishes detected
-    /// corruption (never retried) from transient I/O (already retried
-    /// by the buffer pool before surfacing here).
-    Storage {
-        /// Fault classification from the storage stack.
-        kind: roadnet::StorageFaultKind,
-        /// Human-readable description of the underlying fault.
-        message: String,
-    },
-    /// An expansion budget was exhausted where degradation was not
-    /// possible.
-    Budget {
-        /// Paths expanded before giving up.
-        expansions: usize,
-    },
-    /// The query was cancelled through a [`CancelToken`].
-    Cancelled,
-    /// The query panicked; its batch-mates were unaffected.
-    Panicked(String),
-    /// Any other query-evaluation error.
-    Query(AllFpError),
-}
-
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::Storage { kind, message } => {
-                write!(f, "storage fault ({kind:?}): {message}")
-            }
-            EngineError::Budget { expansions } => {
-                write!(f, "expansion budget exhausted after {expansions} paths")
-            }
-            EngineError::Cancelled => write!(f, "query cancelled"),
-            EngineError::Panicked(msg) => write!(f, "query panicked: {msg}"),
-            EngineError::Query(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for EngineError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EngineError::Query(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<AllFpError> for EngineError {
-    fn from(e: AllFpError) -> Self {
-        match e {
-            AllFpError::Network(roadnet::NetworkError::Storage { kind, message }) => {
-                EngineError::Storage { kind, message }
-            }
-            AllFpError::BudgetExhausted { expansions } => EngineError::Budget { expansions },
-            AllFpError::Cancelled => EngineError::Cancelled,
-            AllFpError::Panicked(msg) => EngineError::Panicked(msg),
-            other => EngineError::Query(other),
-        }
-    }
-}

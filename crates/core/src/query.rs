@@ -114,9 +114,9 @@ impl CancelToken {
     }
 
     /// Request cancellation: every search polling this token stops at
-    /// its next check and reports [`EngineError::Cancelled`].
+    /// its next check and reports [`AllFpError::Cancelled`].
     ///
-    /// [`EngineError::Cancelled`]: crate::EngineError::Cancelled
+    /// [`AllFpError::Cancelled`]: crate::AllFpError::Cancelled
     pub fn cancel(&self) {
         self.0.store(true, Ordering::Relaxed);
     }

@@ -16,8 +16,8 @@
 //! * **Priority classes** — [`Priority::Interactive`] submissions are
 //!   always served before [`Priority::Batch`] ones; both share the
 //!   same capacity bound so batch traffic cannot starve the queue.
-//! * **Storage circuit breaker** — sustained
-//!   [`EngineError::Storage`] fault rates from the CCAM layer trip a
+//! * **Storage circuit breaker** — sustained CCAM fault rates
+//!   (`AllFpError::Network(NetworkError::Storage { .. })`) trip a
 //!   breaker (`Closed → Open`); while open, queries skip the sick
 //!   store entirely and are answered from the constant-speed fallback
 //!   ([`DegradedReason::StorageUnavailable`]). After a cooldown the
@@ -60,7 +60,7 @@ use crate::epoch::{Epoch, EpochManager};
 use crate::query::{
     CancelToken, DegradedAnswer, DegradedReason, QueryBudget, QueryOutcome, QuerySpec, QueryStats,
 };
-use crate::{AllFpAnswer, EngineError};
+use crate::{AllFpAnswer, AllFpError};
 
 /// A stateless SplitMix64-style hash: the arrival schedule derives
 /// every gap from `(seed, index)` so schedules are random-access and
@@ -290,7 +290,7 @@ pub enum ServiceOutcome {
     /// fallback ([`DegradedReason::StorageUnavailable`]).
     Degraded(Box<DegradedAnswer>),
     /// The query failed with a non-degradable error.
-    Failed(EngineError),
+    Failed(AllFpError),
     /// The submission was cancelled before or during execution.
     Cancelled(CancelReason),
 }
@@ -631,8 +631,6 @@ pub struct ServiceStats {
     /// Superseded epochs still pinned at the snapshot — how far
     /// retirement lags behind publication.
     pub epoch_retire_lag: u64,
-    /// Hierarchy shortcut arcs recomposed across all live refreshes.
-    pub shortcuts_rebuilt: u64,
 }
 
 impl ServiceStats {
@@ -709,14 +707,10 @@ struct Ticket {
     deadline: Option<u64>,
     cost: u64,
     submitted_at: u64,
-    /// Pin on the epoch this submission was admitted under: holding
-    /// the `Arc` keeps the epoch (network, estimator) alive until this
-    /// ticket reaches its terminal outcome, however long it queues.
-    /// `None` when the service runs without live updates.
-    /// Strong pin on the admission-time epoch: held (never read — the
-    /// engine re-resolves through the manager by id) purely so the
-    /// epoch cannot retire while this query is in flight. Dropped with
-    /// the ticket at its terminal outcome.
+    /// Strong pin on the admission-time epoch, never read (the engine
+    /// re-resolves it through the manager by id): it keeps the epoch
+    /// from retiring until this ticket reaches its terminal outcome,
+    /// however long it queues. `None` without live updates.
     _pin: Option<std::sync::Arc<Epoch>>,
 }
 
@@ -1014,14 +1008,14 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
                     let cost = cost_of(&d.stats);
                     (ServiceOutcome::Degraded(Box::new(d)), cost, false, false)
                 }
-                Err(EngineError::Storage { .. }) => {
+                Err(AllFpError::Network(roadnet::NetworkError::Storage { .. })) => {
                     // The primary hit a storage fault mid-query: count
                     // it against the breaker and still give this
                     // caller an answer from the fallback.
                     let (outcome, cost) = self.serve_fallback(spec);
                     (outcome, cost, true, true)
                 }
-                Err(EngineError::Cancelled) => {
+                Err(AllFpError::Cancelled) => {
                     let outcome = ServiceOutcome::Cancelled(CancelReason::TokenCancelled);
                     (outcome, 1, false, false)
                 }
@@ -1152,7 +1146,6 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
             stats.updates_applied = e.updates_applied;
             stats.epochs_retired = e.epochs_retired;
             stats.epoch_retire_lag = e.epoch_retire_lag;
-            stats.shortcuts_rebuilt = e.shortcuts_rebuilt;
         }
         stats
     }

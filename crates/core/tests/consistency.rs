@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use allfp::baseline::astar_at;
 use allfp::{
-    CancelToken, DegradedReason, Engine, EngineConfig, EngineError, EstimatorKind, NaiveLb,
+    AllFpError, CancelToken, DegradedReason, Engine, EngineConfig, EstimatorKind, NaiveLb,
     PathfindBackend, QueryBudget, QueryOutcome, QuerySpec,
 };
 use ccam::{CcamStore, MemStore, PlacementPolicy, DEFAULT_PAGE_SIZE};
@@ -439,7 +439,7 @@ fn budgets_still_trip_on_pop_zero_of_a_query_the_border_cuts_short() {
     let cancelled = CancelToken::new();
     cancelled.cancel();
     let out = engine.robust_with_session(&q, &mut session, Some(&cancelled));
-    assert!(matches!(out, Err(EngineError::Cancelled)), "{out:?}");
+    assert!(matches!(out, Err(AllFpError::Cancelled)), "{out:?}");
 
     let expired = q.with_budget(QueryBudget::unlimited().with_deadline(Duration::ZERO));
     match engine

@@ -15,8 +15,8 @@
 //!   (the retry layer absorbs the faults; nothing leaks upward);
 //! * the same seed replays the same fault schedule byte-for-byte;
 //! * a bit-flipped page is detected as `Corruption` and surfaces as a
-//!   typed [`EngineError::Storage`] — flipped bytes are never served
-//!   as route data;
+//!   typed `AllFpError::Network(NetworkError::Storage { .. })` —
+//!   flipped bytes are never served as route data;
 //! * an exhausted per-query budget yields a [`QueryOutcome::Degraded`]
 //!   answer whose constant-speed fallback is a real, drivable path;
 //! * a query that panics mid-search fails in its own slot while its
@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use allfp::baseline::evaluate_path;
 use allfp::{
-    run_batch, CancelToken, DegradedReason, Engine, EngineConfig, EngineError, PathfindBackend,
+    run_batch, AllFpError, CancelToken, DegradedReason, Engine, EngineConfig, PathfindBackend,
     QueryBudget, QueryOutcome, QuerySpec,
 };
 use ccam::{
@@ -39,7 +39,7 @@ use ccam::{
 use pwl::time::hm;
 use pwl::Interval;
 use roadnet::generators::{grid, random_geometric};
-use roadnet::{NetworkSource, NodeId, RoadNetwork, StorageFaultKind};
+use roadnet::{NetworkError, NetworkSource, NodeId, RoadNetwork, StorageFaultKind};
 use traffic::{DayCategory, RoadClass};
 
 /// Deterministic 64-bit LCG (same constants as `MMIX`).
@@ -117,10 +117,7 @@ fn batch_over_faulty_store_matches_fault_free_serial() {
             }
             // only structural failures (unreachable pair) may agree to
             // fail; a storage fault must never surface
-            (
-                Err(allfp::AllFpError::Unreachable { .. }),
-                Err(EngineError::Query(allfp::AllFpError::Unreachable { .. })),
-            ) => {}
+            (Err(AllFpError::Unreachable { .. }), Err(AllFpError::Unreachable { .. })) => {}
             (s, b) => panic!(
                 "query {i}: serial {:?} vs faulty batch {:?}",
                 s.as_ref().map(|_| "ok"),
@@ -192,7 +189,7 @@ fn bit_flipped_page_is_detected_never_served() {
 
     for q in &queries {
         match engine.run_robust(q) {
-            Err(EngineError::Storage { kind, .. }) => {
+            Err(AllFpError::Network(NetworkError::Storage { kind, .. })) => {
                 assert_eq!(kind, StorageFaultKind::Corruption)
             }
             other => panic!("corrupt store served an answer: {other:?}"),
@@ -204,10 +201,10 @@ fn bit_flipped_page_is_detected_never_served() {
         assert!(
             matches!(
                 r,
-                Err(EngineError::Storage {
+                Err(AllFpError::Network(NetworkError::Storage {
                     kind: StorageFaultKind::Corruption,
                     ..
-                })
+                }))
             ),
             "slot over corrupt store: {r:?}"
         );
@@ -321,7 +318,7 @@ fn panicking_query_fails_in_its_own_slot() {
     for (i, (q, r)) in queries.iter().zip(results.iter()).enumerate() {
         if q.source == poison {
             assert!(
-                matches!(r, Err(EngineError::Panicked(_))),
+                matches!(r, Err(AllFpError::Panicked(_))),
                 "poisoned slot {i}: {r:?}"
             );
             continue;
@@ -409,7 +406,7 @@ fn pre_cancelled_batch_cancels_every_slot_over_disk() {
     let (results, stats) = run_batch(&engine, &queries, 3, &token);
     assert_eq!(stats.total_queries(), queries.len());
     for r in &results {
-        assert!(matches!(r, Err(EngineError::Cancelled)), "{r:?}");
+        assert!(matches!(r, Err(AllFpError::Cancelled)), "{r:?}");
     }
 }
 

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use allfp::{
-    build_estimator, CancelToken, DegradedReason, Engine, EngineConfig, EngineError, EstimatorKind,
+    build_estimator, AllFpError, CancelToken, DegradedReason, Engine, EngineConfig, EstimatorKind,
     LowerBoundEstimator, PathfindBackend, QueryBudget, QueryOutcome, QuerySpec, QueryStats,
     TravelFnCache,
 };
@@ -110,7 +110,7 @@ fn ask(engine: &Engine<'_, RoadNetwork>, case: &Case) -> (Seen, Option<QueryStat
             token.cancel();
             let out =
                 engine.robust_with_session(&case.query, &mut engine.cache_session(), Some(&token));
-            assert!(matches!(out, Err(EngineError::Cancelled)), "{out:?}");
+            assert!(matches!(out, Err(AllFpError::Cancelled)), "{out:?}");
             failed("cancelled".to_string())
         }
     }

@@ -24,11 +24,11 @@
 //!    per neighbour into a bound graph, feed the query's scalar bounds.
 //! 4. **Query** — an up–down best-first search over the overlay
 //!    selects the winning routes; shortcuts unpack to original edge
-//!    sequences; every answer function is then **re-composed through
-//!    the flat engine's own pipeline**
-//!    ([`allfp::Engine::route_travel_fn`]), so answers are
-//!    bit-identical to the flat engine's (the golden suite in
-//!    `core/tests/hierarchy_equivalence.rs` pins this).
+//!    sequences; the answer is then **the flat engine's own ending**
+//!    ([`allfp::Engine::answer_routes`]), which re-composes every route
+//!    through the flat pipeline and assembles it as the flat search
+//!    does, so answers are bit-identical to the flat engine's (the
+//!    golden suite in `core/tests/hierarchy_equivalence.rs` pins this).
 //!
 //! [`HierarchyEngine`] implements [`allfp::PathfindBackend`], so the
 //! admission-controlled `QueryService`, robust batches, deadlines,
@@ -50,16 +50,15 @@ mod pool;
 mod search;
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use allfp::{
-    AllFpAnswer, AllFpError, Answer, CacheCounters, CacheSession, CancelToken, Engine,
-    EngineConfig, FastestPath, PathfindBackend, QueryMode, QuerySpec, QueryStats, Result,
-    RouteComposeMemo, SingleFpAnswer,
+    AllFpError, Answer, CacheCounters, CacheSession, CancelToken, Engine, EngineConfig,
+    PathfindBackend, QueryMode, QuerySpec, Result, SearchRun,
 };
 use pwl::time::MINUTES_PER_DAY;
-use pwl::{Envelope, Interval, Pwl};
+use pwl::Interval;
 use roadnet::overlay::{HierarchySnapshot, OverlaySnapshot, SnapshotArc};
 use roadnet::{NetworkSource, NodeId};
 use traffic::DayCategory;
@@ -184,8 +183,10 @@ pub struct HierarchyEngine<'a, S: NetworkSource> {
 }
 
 impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
-    /// Build the hierarchy over `source` with a default (naive-
-    /// estimator) flat engine for fallbacks and recomposition.
+    /// Build the hierarchy over `source` around [`Engine::new`] — a
+    /// naive-estimator flat engine for fallbacks and recomposition,
+    /// whatever `engine.estimator` says; [`Self::with_flat`] takes an
+    /// engine with the configured kind.
     pub fn build(source: &'a S, engine: EngineConfig, config: HierarchyConfig) -> Result<Self> {
         Self::with_flat(Engine::new(source, engine), config)
     }
@@ -276,103 +277,6 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
         self.overlay_for(query.category)
     }
 
-    /// Exact singleFP answer: the route the search identified,
-    /// re-composed through the flat pipeline.
-    fn exact_single(
-        &self,
-        route: Option<Vec<NodeId>>,
-        query: &QuerySpec,
-        session: &mut CacheSession<'_>,
-        stats: QueryStats,
-    ) -> Result<SingleFpAnswer> {
-        let nodes = route.ok_or(AllFpError::Unreachable {
-            source: query.source,
-            target: query.target,
-        })?;
-        let travel = Arc::new(self.flat.route_travel_fn(&nodes, query, session)?);
-        let m = travel.minimum();
-        Ok(SingleFpAnswer {
-            path: FastestPath { nodes, travel },
-            travel_minutes: m.value,
-            best_leaving: m.at,
-            stats,
-        })
-    }
-
-    /// Exact allFP answer from candidate routes (identification
-    /// order): recompute each exactly, merge the lower envelope, read
-    /// the partitioning off it, and compact paths by first appearance
-    /// — the same assembly the flat engine performs, over the same
-    /// functions, so boundaries and path order agree bit for bit.
-    /// Candidates that win nowhere simply drop out. Candidate routes
-    /// share corridors, so re-composition runs through a per-answer
-    /// prefix memo ([`RouteComposeMemo`]) — identical fold, identical
-    /// bits, fewer compositions (counted in
-    /// [`QueryStats::compositions_saved`]).
-    fn exact_all(
-        &self,
-        routes: &[Vec<NodeId>],
-        query: &QuerySpec,
-        session: &mut CacheSession<'_>,
-        mut stats: QueryStats,
-    ) -> Result<AllFpAnswer> {
-        let mut memo = RouteComposeMemo::new();
-        let mut fns: Vec<Arc<Pwl>> = Vec::with_capacity(routes.len());
-        for route in routes {
-            let (travel, saved) = self
-                .flat
-                .route_travel_fn_memoized(route, query, session, &mut memo)?;
-            stats.compositions_saved += saved;
-            fns.push(travel);
-        }
-        let mut env: Option<Envelope<usize>> = None;
-        for (i, f) in fns.iter().enumerate() {
-            match &mut env {
-                None => env = Some(Envelope::new(Arc::clone(f), i)),
-                Some(e) => e.merge_min_with(session.scratch_mut(), f, i)?,
-            }
-        }
-        let env = env.ok_or(AllFpError::Unreachable {
-            source: query.source,
-            target: query.target,
-        })?;
-        let raw = env.partition();
-        env.recycle_into(session.scratch_mut());
-        let mut order: Vec<usize> = Vec::new();
-        let mut paths: Vec<FastestPath> = Vec::new();
-        let mut partition = Vec::with_capacity(raw.len());
-        for (iv, route_id) in raw {
-            let idx = match order.iter().position(|&p| p == route_id) {
-                Some(i) => i,
-                None => {
-                    order.push(route_id);
-                    paths.push(FastestPath {
-                        nodes: routes[route_id].clone(),
-                        travel: Arc::clone(&fns[route_id]),
-                    });
-                    paths.len() - 1
-                }
-            };
-            partition.push((iv, idx));
-        }
-        let mut border: Option<Envelope<usize>> = None;
-        for (i, fp) in paths.iter().enumerate() {
-            match &mut border {
-                None => border = Some(Envelope::new(Arc::clone(&fp.travel), i)),
-                Some(b) => b.merge_min_with(session.scratch_mut(), &fp.travel, i)?,
-            }
-        }
-        let lower_border = border.ok_or(AllFpError::Internal(
-            "lower border partitioned to zero paths",
-        ))?;
-        Ok(AllFpAnswer {
-            paths,
-            partition,
-            lower_border,
-            stats,
-        })
-    }
-
     /// Run the overlay search for this query. `Ok(None)` means the
     /// overlay cannot serve it exactly — fall back to the flat engine.
     fn overlay_search(
@@ -381,7 +285,7 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
         single_only: bool,
         session: &mut CacheSession<'_>,
         cancel: Option<&CancelToken>,
-    ) -> Result<Option<search::SearchRun>> {
+    ) -> Result<Option<SearchRun>> {
         let Some(overlay) = self.overlay_query(query) else {
             return Ok(None);
         };
@@ -671,36 +575,9 @@ impl<'a, S: NetworkSource> PathfindBackend for HierarchyEngine<'a, S> {
         session: &mut CacheSession<'_>,
         cancel: Option<&CancelToken>,
     ) -> Result<Answer> {
-        let single_only = mode == QueryMode::SingleFp;
-        let Some(run) = self.overlay_search(query, single_only, session, cancel)? else {
-            return self.flat.answer(query, mode, session, cancel);
-        };
-        match run.trip {
-            Some(reason) if mode == QueryMode::AllFpOrDegraded => {
-                let best = if run.routes.is_empty() {
-                    None
-                } else {
-                    Some(self.exact_all(&run.routes, query, session, run.stats)?)
-                };
-                Ok(Answer::Degraded(self.flat.degraded_answer(
-                    query, reason, best, run.stats, session,
-                )?))
-            }
-            Some(_) => Err(AllFpError::BudgetExhausted {
-                expansions: run.stats.expanded_paths,
-            }),
-            None if single_only => Ok(Answer::SingleFp(self.exact_single(
-                run.routes.into_iter().next(),
-                query,
-                session,
-                run.stats,
-            )?)),
-            None => Ok(Answer::AllFp(self.exact_all(
-                &run.routes,
-                query,
-                session,
-                run.stats,
-            )?)),
+        match self.overlay_search(query, mode == QueryMode::SingleFp, session, cancel)? {
+            Some(run) => self.flat.answer_routes(query, mode, run, session),
+            None => self.flat.answer(query, mode, session, cancel),
         }
     }
 }

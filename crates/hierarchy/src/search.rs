@@ -37,9 +37,9 @@
 //! child the pointwise border rule would kill once composed. That rule
 //! stays as it was; the gate only spares its compounds.
 //!
-//! The search only **selects** winning node sequences. Every returned
-//! route is afterwards re-composed edge by edge through the flat
-//! engine's own pipeline ([`allfp::Engine::route_travel_fn`]), so the
+//! The search only **selects** winning node sequences: it hands them to
+//! the flat engine's ending ([`allfp::Engine::answer_routes`]), which
+//! re-composes each edge by edge through the flat pipeline, so the
 //! answer functions are bit-identical to the flat engine's — the
 //! overlay's label functions never reach the caller. singleFP stops at
 //! the first target label popped, as the flat engine does (§4.5).
@@ -47,7 +47,8 @@
 use std::collections::BinaryHeap;
 
 use allfp::{
-    AllFpError, CancelToken, DegradedReason, MinEntry, QuerySpec, QueryStats, Result, Watch,
+    AllFpError, CancelToken, DegradedReason, MinEntry, QuerySpec, QueryStats, Result, SearchRun,
+    Watch,
 };
 use pwl::compose::Arrivals;
 use pwl::{compose_travel_into, compose_travel_window_into, Envelope, Pwl, PwlRef, PwlScratch};
@@ -227,19 +228,6 @@ pub(crate) fn bounds(overlay: &Overlay, ws: &mut QueryWorkspace, query: &QuerySp
     let window = overlay.band_window(query.interval.lo(), query.interval.hi() + u_cap);
     let lower = ws.sweep(overlay, query, |e| e.banded_min(window));
     (lower, u_cap)
-}
-
-/// What the overlay search hands back: winning routes (original node
-/// sequences, identification order) for exact re-composition.
-pub(crate) struct SearchRun {
-    /// Deduplicated target routes in identification order; singleFP
-    /// identifies one, the first target label popped.
-    pub routes: Vec<Vec<NodeId>>,
-    /// `Some` when a budget tripped before the termination rule.
-    pub trip: Option<DegradedReason>,
-    /// Search-effort statistics (expansions here are label
-    /// expansions — the speedup metric versus the flat engine).
-    pub stats: QueryStats,
 }
 
 /// The top-level arc chain of label `idx`, root first.

@@ -80,6 +80,30 @@ if ! awk '
     echo "search.rs reaches relax( without passing the gap gate" >&2
     exit 1
 fi
+# One way out: every query surface fails with `AllFpError`, one function
+# turns a tagged border into an allFP answer, and a route-selecting
+# backend ends in the flat engine's `answer_routes` — the hierarchy
+# builds no border but its search's own and re-composes no route itself.
+if grep -rn "EngineError" crates src tests examples; then
+    echo "a second error type on the query surfaces" >&2
+    exit 1
+fi
+for name in "fn answer_routes(" "fn assemble_answer("; do
+    if [ "$(grep -rn "$name" crates | wc -l)" -ne 1 ]; then
+        echo "not exactly one definition of '$name':" >&2
+        grep -rn "$name" crates >&2
+        exit 1
+    fi
+done
+if grep -rn --exclude=search.rs "Envelope::new(" crates/hierarchy/src ||
+    grep -rn "route_travel_fn(" crates/hierarchy/src; then
+    echo "the hierarchy assembles or re-composes an answer of its own" >&2
+    exit 1
+fi
+if grep -n "RouteComposeMemo" crates/core/src/lib.rs; then
+    echo "the flat engine's route memo is public again" >&2
+    exit 1
+fi
 echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> tier-1: cargo build --release"

@@ -4,7 +4,8 @@
 //! wired the way `cluster::sim` wires a node. Each implements one
 //! search method; the four query surfaces are provided by the trait, so
 //! what is checked here is that they agree with each other on every
-//! backend, and that every backend agrees with the flat reference.
+//! backend, that every backend agrees with the flat reference, and that
+//! each failure is the same [`AllFpError`] on every surface.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -12,8 +13,8 @@ use std::sync::Arc;
 
 use fastest_paths::allfp::service::{BreakerConfig, LatencyHistogram, ManualClock};
 use fastest_paths::allfp::{
-    AllFpAnswer, AllFpError, CancelToken, EngineError, EpochId, EpochManager, LiveBackend,
-    QueryBudget, QueryOutcome,
+    run_batch, AllFpAnswer, AllFpError, CancelToken, EpochId, EpochManager, LiveBackend,
+    QueryBudget, QueryMode, QueryOutcome,
 };
 use fastest_paths::cluster::{
     BusConfig, ClusterFaultPlan, NodeBackend, RetryPolicy, ShardMap, VirtualBus,
@@ -53,10 +54,61 @@ fn bits(a: &AllFpAnswer) -> Bits {
         .collect()
 }
 
+/// `backend` again where it is `Sync`, for a batch; a cluster node is
+/// not (its bus is an `Rc`).
+type Batch<'b> = Option<&'b (dyn PathfindBackend + Sync)>;
+
+/// `q` fails on every surface, each time with an error `want` accepts:
+/// allFP, singleFP, the two robust surfaces and a one-query
+/// `run_batch` slot. Under a token, the surfaces that take none are
+/// asked through `answer` (the legacy two) or not at all (`run_robust`).
+fn fails_alike(
+    backend: &dyn PathfindBackend,
+    batch: Batch<'_>,
+    q: &QuerySpec,
+    cancel: Option<&CancelToken>,
+    want: fn(&AllFpError) -> bool,
+) {
+    let mut session = backend.cache_session();
+    let mut got = match cancel {
+        None => vec![
+            ("allFP", backend.all_fastest_paths(q).err()),
+            ("singleFP", backend.single_fastest_path(q).err()),
+            ("run_robust", backend.run_robust(q).err()),
+        ],
+        Some(_) => vec![
+            (
+                "allFP",
+                backend
+                    .answer(q, QueryMode::AllFp, &mut session, cancel)
+                    .err(),
+            ),
+            (
+                "singleFP",
+                backend
+                    .answer(q, QueryMode::SingleFp, &mut session, cancel)
+                    .err(),
+            ),
+        ],
+    };
+    let robust = backend.robust_with_session(q, &mut session, cancel);
+    got.push(("robust_with_session", robust.err()));
+    if let Some(batch) = batch {
+        let token = cancel.cloned().unwrap_or_default();
+        let (mut slots, _) = run_batch(batch, std::slice::from_ref(q), 1, &token);
+        got.push(("run_batch", slots.pop().and_then(Result::err)));
+    }
+    let name = backend.backend_name();
+    for (surface, e) in got {
+        assert!(e.as_ref().is_some_and(want), "{name}: {surface} gave {e:?}");
+    }
+}
+
 /// The contract. `reference[i]` is the flat engine's answer to
 /// `queries[i]`; `unreachable` is a pair no path connects.
 fn check_contract(
     backend: &dyn PathfindBackend,
+    batch: Batch<'_>,
     queries: &[QuerySpec],
     reference: &[Bits],
     unreachable: &QuerySpec,
@@ -121,59 +173,31 @@ fn check_contract(
         // A pre-cancelled token stops the search before any expansion.
         let cancelled = CancelToken::new();
         cancelled.cancel();
-        assert!(
-            matches!(
-                backend.robust_with_session(q, &mut session, Some(&cancelled)),
-                Err(EngineError::Cancelled)
-            ),
-            "{name}: pre-cancelled query"
-        );
+        let is_cancelled = |e: &AllFpError| matches!(e, AllFpError::Cancelled);
+        fails_alike(backend, batch, q, Some(&cancelled), is_cancelled);
     }
 
     let is_unreachable = |e: &AllFpError| matches!(e, AllFpError::Unreachable { .. });
-    assert!(
-        is_unreachable(&backend.all_fastest_paths(unreachable).unwrap_err()),
-        "{name}"
-    );
-    assert!(
-        is_unreachable(&backend.single_fastest_path(unreachable).unwrap_err()),
-        "{name}"
-    );
-    for robust in [
-        backend.robust_with_session(unreachable, &mut session, None),
-        backend.run_robust(unreachable),
-    ] {
-        assert!(
-            matches!(robust, Err(EngineError::Query(e)) if is_unreachable(&e)),
-            "{name}: unreachable pair on a robust surface"
-        );
-    }
+    fails_alike(backend, batch, unreachable, None, is_unreachable);
 }
 
 /// A query pinned to a retired epoch fails on every surface instead of
 /// answering from another network version.
-fn check_retired_epoch(backend: &dyn PathfindBackend, manager: &EpochManager, query: &QuerySpec) {
+fn check_retired_epoch(
+    backend: &dyn PathfindBackend,
+    batch: Batch<'_>,
+    manager: &EpochManager,
+    query: &QuerySpec,
+) {
     let delta = manager
         .current()
         .network()
         .seeded_delta(7, 6, 1)
         .expect("delta");
     manager.apply_delta(&delta).expect("apply");
-    let name = backend.backend_name();
     let pinned = query.clone().with_epoch(EpochId(0));
     let is_retired = |e: &AllFpError| matches!(e, AllFpError::EpochRetired { epoch: 0 });
-    assert!(
-        is_retired(&backend.all_fastest_paths(&pinned).unwrap_err()),
-        "{name}"
-    );
-    assert!(
-        is_retired(&backend.single_fastest_path(&pinned).unwrap_err()),
-        "{name}"
-    );
-    assert!(
-        matches!(backend.run_robust(&pinned), Err(EngineError::Query(e)) if is_retired(&e)),
-        "{name}: retired epoch on the robust surface"
-    );
+    fails_alike(backend, batch, &pinned, None, is_retired);
 }
 
 #[test]
@@ -206,19 +230,19 @@ fn every_backend_honours_the_contract() {
         reference.iter().any(|r| r.len() > 1),
         "no query's fastest path changes over the window"
     );
-    check_contract(&flat, &queries, &reference, &unreachable);
+    check_contract(&flat, Some(&flat), &queries, &reference, &unreachable);
 
     let manager = EpochManager::new(net.clone(), config()).expect("manager");
     let live = LiveBackend::new(&manager);
-    check_contract(&live, &queries, &reference, &unreachable);
-    check_retired_epoch(&live, &manager, &queries[0]);
+    check_contract(&live, Some(&live), &queries, &reference, &unreachable);
+    check_retired_epoch(&live, Some(&live), &manager, &queries[0]);
 
     let ch = HierarchyEngine::with_flat(
         Engine::for_network(&net, config()).expect("embedded flat engine"),
         HierarchyConfig::default(),
     )
     .expect("hierarchy");
-    check_contract(&ch, &queries, &reference, &unreachable);
+    check_contract(&ch, Some(&ch), &queries, &reference, &unreachable);
 
     let node = NodeBackend::new(
         0,
@@ -234,6 +258,6 @@ fn every_backend_honours_the_contract() {
         RetryPolicy::default(),
         Rc::new(RefCell::new(LatencyHistogram::default())),
     );
-    check_contract(&node, &queries, &reference, &unreachable);
-    check_retired_epoch(&node, node.manager(), &queries[0]);
+    check_contract(&node, None, &queries, &reference, &unreachable);
+    check_retired_epoch(&node, None, node.manager(), &queries[0]);
 }
