@@ -122,6 +122,16 @@ pub enum AllFpError {
     /// that took the whole worker thread down) and converted it to an
     /// error instead of propagating it.
     Panicked(String),
+    /// Contraction would store more overlay arcs than its budget, a
+    /// fixed multiple of the network's edges: the topology's shortcuts
+    /// multiply. Refused before the round that would cross the budget
+    /// composes any shortcut.
+    ContractionBudget {
+        /// Arcs the overlay would hold after the round.
+        arcs: usize,
+        /// The budget.
+        limit: usize,
+    },
     /// An internal invariant failed — a bug in this crate, reported as
     /// an error rather than a panic so one bad query cannot take down
     /// a batch.
@@ -148,6 +158,10 @@ impl std::fmt::Display for AllFpError {
                 write!(f, "pinned network epoch {epoch} already retired")
             }
             AllFpError::Panicked(msg) => write!(f, "query panicked: {msg}"),
+            AllFpError::ContractionBudget { arcs, limit } => write!(
+                f,
+                "contraction would grow the overlay to {arcs} arcs, past its budget of {limit}"
+            ),
             AllFpError::Internal(what) => write!(f, "internal invariant violated: {what}"),
             AllFpError::Network(e) => write!(f, "network error: {e}"),
             AllFpError::Traffic(e) => write!(f, "traffic error: {e}"),

@@ -131,6 +131,12 @@ pub struct BuildReport {
     pub bytes_estimate: u64,
     /// Contraction rounds, summed over categories (0 for restores).
     pub rounds: u32,
+    /// Nodes settled by contraction's witness searches, summed over
+    /// categories (0 for restores) — exact, the same at every
+    /// `threads`.
+    pub witness_settles: u64,
+    /// Remainder-graph entries those searches read, likewise.
+    pub witness_scans: u64,
     /// Resolved worker-thread count the build ran with.
     pub threads: usize,
 }
@@ -242,7 +248,9 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
             r.n_original_arcs += o.n_base;
             r.n_shortcuts += o.arcs.len() - o.n_base;
             r.n_disabled += o.n_disabled;
-            r.rounds += o.rounds;
+            r.rounds += o.contraction.rounds;
+            r.witness_settles += o.contraction.witness_settles;
+            r.witness_scans += o.contraction.witness_scans;
             for a in &o.arcs {
                 r.overlay_pieces += a.full.n_pieces() as u64;
             }
@@ -545,7 +553,7 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                 arcs,
                 n_base,
                 snap.arcs.iter().filter(|a| a.disabled).count(),
-                old.map_or(0, |o| o.rounds),
+                old.map(|o| o.contraction).unwrap_or_default(),
                 &pool,
             )?);
         }

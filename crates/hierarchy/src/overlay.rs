@@ -24,17 +24,20 @@
 //! `tests/contraction_props.rs`).
 //!
 //! A candidate shortcut `u → v → w` is **omitted** only on proof: a
-//! bounded Dijkstra from `u` over the remainder graph (without `v` and
-//! without the round's other members, so the proof survives the whole
-//! round) under per-arc *maximum* travel times finds a witness path
-//! whose worst case is no worse than the via pair's best case
-//! (`dist_max(w) ≤ min(T_a) + min(T_b)`). Sum-of-max upper-bounds the
-//! true travel of any path at every leaving instant (FIFO), and
-//! min-of-sums lower-bounds the via travel, so dropped shortcuts can
-//! never carry a strictly fastest path. Parallel arcs between the same
-//! endpoints are deduplicated by pointwise domination
-//! ([`Pwl::dominated_by_offset`]) — the same ε-tolerant rule the flat
-//! engine's dominance pruning already applies.
+//! bounded Dijkstra from `u` over the round's snapshot of the remainder
+//! graph ([`snapshot_remainder`]: parallel arcs folded, rows sorted by
+//! `max`; without `v` and without the round's other members, so the
+//! proof survives the whole round) under per-arc *maximum* travel
+//! times finds a witness path whose worst case is no worse than the
+//! via pair's best case (`dist_max(w) ≤ min(T_a) + min(T_b)`).
+//! Sum-of-max upper-bounds the true travel of any path at every leaving
+//! instant (FIFO), and min-of-sums lower-bounds the via travel, so
+//! dropped shortcuts can never carry a strictly fastest path. Parallel
+//! arcs between the same endpoints are deduplicated by pointwise
+//! domination ([`Pwl::dominated_by_offset`]) — the same ε-tolerant rule
+//! the flat engine's dominance pruning already applies. A build whose
+//! shortcuts would outgrow [`ARC_BUDGET`] is refused before it
+//! composes them.
 //!
 //! **One-day exact storage.** Each arc stores its exact **one-day**
 //! function and nothing derived from it but scalars: the periodic
@@ -49,7 +52,7 @@
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use allfp::{MinEntry, Result};
+use allfp::{AllFpError, MinEntry, Result};
 use pwl::compose::arrival_interval;
 use pwl::time::MINUTES_PER_DAY;
 use pwl::{compose_travel_into, Interval, Pwl, PwlScratch};
@@ -60,6 +63,16 @@ use crate::pool::WorkerPool;
 
 /// Buckets of the band minima (over one day period).
 const BANDS: usize = 8;
+
+/// Arcs a contraction may store per input edge. A round whose planned
+/// shortcuts would grow the storage past it fails with
+/// [`AllFpError::ContractionBudget`] before composing any of them: a
+/// topology whose shortcuts multiply (a `live_topology` build keeps
+/// every parallel arc) is refused in milliseconds instead of growing
+/// until memory runs out. Witness-pruned builds of the metro networks
+/// end at 2–5×; live builds of 14-node random graphs that finish end
+/// anywhere up to ~900×.
+const ARC_BUDGET: usize = 1024;
 
 /// One arc of the overlay graph: an original edge or a shortcut.
 ///
@@ -119,8 +132,30 @@ pub(crate) struct Overlay {
     pub n_base: usize,
     /// Arcs disabled by parallel-arc domination.
     pub n_disabled: usize,
-    /// Contraction rounds the build took (0 for snapshot restores).
+    /// What the contraction that built the structure did (zero for
+    /// snapshot restores).
+    pub contraction: Contraction,
+}
+
+/// The work of one contraction, as counts: exact and equal at every
+/// thread count (each witness search is a pure function of the round's
+/// snapshot, and the counts are summed over all of them).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct Contraction {
+    /// Contraction rounds.
     pub rounds: u32,
+    /// Nodes settled by witness searches.
+    pub witness_settles: u64,
+    /// Remainder-graph entries witness searches read.
+    pub witness_scans: u64,
+}
+
+impl std::ops::AddAssign for Contraction {
+    fn add_assign(&mut self, other: Contraction) {
+        self.rounds += other.rounds;
+        self.witness_settles += other.witness_settles;
+        self.witness_scans += other.witness_scans;
+    }
 }
 
 impl Overlay {
@@ -327,7 +362,7 @@ fn push_arc(
     via: Option<(u32, u32)>,
 ) -> Result<u32> {
     let id = u32::try_from(arcs.len())
-        .map_err(|_| allfp::AllFpError::Internal("overlay arc storage outgrew u32 indices"))?;
+        .map_err(|_| AllFpError::Internal("overlay arc storage outgrew u32 indices"))?;
     arcs.push(make_arc(from, to, full, via));
     out[from as usize].push(id);
     inn[to as usize].push(id);
@@ -338,8 +373,9 @@ fn push_arc(
 /// tentative values remain valid path-length upper bounds even when the
 /// search stops before settling them. One per worker thread.
 pub(crate) struct Witness {
-    dist: Vec<f64>,
-    stamp: Vec<u32>,
+    /// Per node: the tentative distance and the epoch that wrote it,
+    /// side by side (one cache line per read).
+    slot: Vec<(f64, u32)>,
     epoch: u32,
     /// Keyed by tentative distance, node id on ties.
     heap: BinaryHeap<MinEntry<u32>>,
@@ -348,50 +384,49 @@ pub(crate) struct Witness {
 impl Witness {
     pub(crate) fn new(n: usize) -> Self {
         Witness {
-            dist: vec![f64::INFINITY; n],
-            stamp: vec![0; n],
+            slot: vec![(f64::INFINITY, 0); n],
             epoch: 0,
             heap: BinaryHeap::new(),
         }
     }
 
     fn get(&self, node: u32) -> f64 {
-        if self.stamp[node as usize] == self.epoch {
-            self.dist[node as usize]
-        } else {
-            f64::INFINITY
+        match self.slot[node as usize] {
+            (d, stamp) if stamp == self.epoch => d,
+            _ => f64::INFINITY,
         }
     }
 
     fn set(&mut self, node: u32, d: f64) {
-        self.dist[node as usize] = d;
-        self.stamp[node as usize] = self.epoch;
+        self.slot[node as usize] = (d, self.epoch);
     }
 
-    /// Bounded Dijkstra from `source` over the enabled remainder graph
+    /// Bounded Dijkstra from `source` over the round's `remainder`
     /// excluding `skip` (and, when planning a round, every node of the
     /// round's independent set via `in_round`), under per-arc `max`
     /// weights. Stops once the frontier exceeds `bound` or
     /// `settle_cap` nodes were settled; distances recorded up to that
     /// point are exact or tentative — both are valid upper bounds for
-    /// the witness test.
-    #[allow(clippy::too_many_arguments)]
+    /// the witness test. A row is read up to its first entry that
+    /// relaxes past `bound`, and the rows are sorted by `max`, so no
+    /// later entry could either: such a distance is never settled
+    /// (`d > bound` ends the search) and never proves a witness (every
+    /// via minimum is `≤ bound`). Returns the nodes settled and the
+    /// entries read.
     fn run(
         &mut self,
         source: u32,
         skip: u32,
         bound: f64,
         settle_cap: usize,
-        arcs: &[OverlayArc],
-        out: &[Vec<u32>],
-        contracted: &[bool],
+        remainder: &Csr<Reach>,
         in_round: Option<&[bool]>,
-    ) {
+    ) -> Contraction {
         self.epoch = self.epoch.wrapping_add(1);
         self.heap.clear();
         self.set(source, 0.0);
         self.heap.push(MinEntry::new(0.0, source));
-        let mut settled = 0usize;
+        let mut work = Contraction::default();
         while let Some(MinEntry {
             key: d, tie: node, ..
         }) = self.heap.pop()
@@ -399,26 +434,26 @@ impl Witness {
             if d > self.get(node) {
                 continue; // stale entry
             }
-            if d > bound || settled >= settle_cap {
+            if d > bound || work.witness_settles >= settle_cap as u64 {
                 break;
             }
-            settled += 1;
-            for &aid in &out[node as usize] {
-                let arc = &arcs[aid as usize];
-                if arc.disabled
-                    || arc.to == skip
-                    || contracted[arc.to as usize]
-                    || in_round.is_some_and(|s| s[arc.to as usize])
-                {
+            work.witness_settles += 1;
+            for reach in remainder.at(node) {
+                work.witness_scans += 1;
+                let nd = d + reach.max;
+                if nd > bound {
+                    break;
+                }
+                if reach.node == skip || in_round.is_some_and(|s| s[reach.node as usize]) {
                     continue;
                 }
-                let nd = d + arc.max;
-                if nd < self.get(arc.to) {
-                    self.set(arc.to, nd);
-                    self.heap.push(MinEntry::new(nd, arc.to));
+                if nd < self.get(reach.node) {
+                    self.set(reach.node, nd);
+                    self.heap.push(MinEntry::new(nd, reach.node));
                 }
             }
         }
+        work
     }
 }
 
@@ -428,11 +463,56 @@ fn alive(arcs: &[OverlayArc], contracted: &[bool], id: u32) -> bool {
     !a.disabled && !contracted[a.from as usize] && !contracted[a.to as usize]
 }
 
-/// The shortcut pairs `(in-arc, out-arc)` that contracting `v` *must*
-/// add — every (a, b) combination minus the witness-proved ones.
-/// Read-only against the shared state, so many nodes can be planned
-/// concurrently; pass the round's independent set as `in_round` so the
-/// witness proofs survive every application of the round.
+/// One entry of the round's [`snapshot_remainder`]: a live head and the
+/// smallest `max` over the alive arcs to it.
+#[derive(Clone, Copy)]
+struct Reach {
+    node: u32,
+    max: f64,
+}
+
+/// The round's snapshot of the live remainder graph, the one graph
+/// every witness search of the round walks: under each uncontracted
+/// tail, one entry per head of its alive arcs (disabled arcs and
+/// contracted heads dropped) holding the smallest `max` over the
+/// parallel arcs to it, the entries sorted by that `max`. The fold is
+/// exact: a search relaxes `d + max` with a strict `<`, and the
+/// cheapest of `d + max` over parallel arcs is `d + (min max)` bit for
+/// bit (rounding is monotone).
+fn snapshot_remainder(arcs: &[OverlayArc], out: &[Vec<u32>], contracted: &[bool]) -> Csr<Reach> {
+    let mut start = Vec::with_capacity(out.len() + 1);
+    let mut entries = Vec::new();
+    let mut row: Vec<Reach> = Vec::new();
+    // The tail whose row last kept an entry for each head.
+    let mut kept_by = vec![u32::MAX; out.len()];
+    start.push(0);
+    for (u, ids) in (0u32..).zip(out) {
+        if !contracted[u as usize] {
+            let live = ids.iter().filter(|&&id| alive(arcs, contracted, id));
+            row.extend(live.map(|&id| {
+                let arc = &arcs[id as usize];
+                Reach {
+                    node: arc.to,
+                    max: arc.max,
+                }
+            }));
+            row.sort_unstable_by(|a, b| a.max.total_cmp(&b.max).then(a.node.cmp(&b.node)));
+            // A head's first entry holds its smallest `max`.
+            row.retain(|r| std::mem::replace(&mut kept_by[r.node as usize], u) != u);
+            entries.append(&mut row);
+        }
+        start.push(entries.len() as u32);
+    }
+    Csr { start, entries }
+}
+
+/// Hand `keep` the shortcut pairs `(in-arc, out-arc)` that contracting
+/// `v` *must* add — every (a, b) combination minus the witness-proved
+/// ones — and return the work of the witness searches. Read-only
+/// against the shared state and the round's `remainder`, so many nodes
+/// can be planned concurrently; pass the round's independent set as
+/// `in_round` so the witness proofs survive every application of the
+/// round.
 #[allow(clippy::too_many_arguments)]
 fn needed_pairs(
     v: u32,
@@ -440,12 +520,13 @@ fn needed_pairs(
     out: &[Vec<u32>],
     inn: &[Vec<u32>],
     contracted: &[bool],
+    remainder: &Csr<Reach>,
     in_round: Option<&[bool]>,
     witness: &mut Witness,
     settle_cap: usize,
-    need: &mut Vec<(u32, u32)>,
-) {
-    need.clear();
+    mut keep: impl FnMut(u32, u32),
+) -> Contraction {
+    let mut work = Contraction::default();
     let ins: Vec<u32> = inn[v as usize]
         .iter()
         .copied()
@@ -457,7 +538,7 @@ fn needed_pairs(
         .filter(|&id| alive(arcs, contracted, id))
         .collect();
     if ins.is_empty() || outs.is_empty() {
-        return;
+        return work;
     }
     for &a in &ins {
         let u = arcs[a as usize].from;
@@ -474,7 +555,7 @@ fn needed_pairs(
         if !any {
             continue;
         }
-        witness.run(u, v, bound, settle_cap, arcs, out, contracted, in_round);
+        work += witness.run(u, v, bound, settle_cap, remainder, in_round);
         for &b in &outs {
             let w = arcs[b as usize].to;
             if w == u {
@@ -484,9 +565,10 @@ fn needed_pairs(
             if witness.get(w) <= via_min {
                 continue; // proved unnecessary
             }
-            need.push((a, b));
+            keep(a, b);
         }
     }
+    work
 }
 
 /// Contraction priority: weighted edge difference plus the
@@ -604,10 +686,13 @@ pub(crate) fn build_overlay<S: NetworkSource>(
 
     let mut next_rank = 0u32;
     let mut remaining = n;
-    let mut rounds = 0u32;
+    let mut contraction = Contraction::default();
 
     while remaining > 0 {
-        rounds += 1;
+        contraction.rounds += 1;
+        // Every witness search of the round walks this one snapshot of
+        // the pre-round remainder graph.
+        let remainder = snapshot_remainder(&arcs, &out, &contracted);
 
         // Phase 1 — refresh priorities of dirty remainder nodes, in
         // parallel (read-only planning: witness searches only).
@@ -616,26 +701,30 @@ pub(crate) fn build_overlay<S: NetworkSource>(
             .collect();
         let fresh = pool.map_indexed(
             dirty_nodes.len(),
-            || (Witness::new(n), Vec::new()),
-            |i, (wit, need), _scratch| {
+            || Witness::new(n),
+            |i, wit, _scratch| {
                 let v = dirty_nodes[i];
-                needed_pairs(
+                let mut n_need = 0;
+                let work = needed_pairs(
                     v,
                     &arcs,
                     &out,
                     &inn,
                     &contracted,
+                    &remainder,
                     None,
                     wit,
                     witness_settle_cap,
-                    need,
+                    |_, _| n_need += 1,
                 );
-                priority(v, need.len(), &arcs, &out, &inn, &contracted, &deleted)
+                let prio = priority(v, n_need, &arcs, &out, &inn, &contracted, &deleted);
+                (prio, work)
             },
         );
-        for (i, &v) in dirty_nodes.iter().enumerate() {
-            prio[v as usize] = fresh[i];
+        for (&v, (p, work)) in dirty_nodes.iter().zip(fresh) {
+            prio[v as usize] = p;
             dirty[v as usize] = false;
+            contraction += work;
         }
 
         // Phase 2 — independent set: strict local minima of
@@ -666,27 +755,56 @@ pub(crate) fn build_overlay<S: NetworkSource>(
 
         // Phase 3 — plan the selected nodes in parallel: witness
         // searches skip the whole independent set (so omission proofs
-        // survive every application of this round), and the needed
-        // shortcut functions are composed read-only from pre-round
-        // arcs with per-worker scratches.
-        let plans: Vec<Result<Vec<PlannedShortcut>>> = pool.map_indexed(
+        // survive every application of this round), then — inside the
+        // arc budget — the needed shortcut functions are composed
+        // read-only from pre-round arcs with per-worker scratches. A
+        // node's list stops growing past the budget's headroom, so a
+        // refused round holds no more pairs than an accepted one.
+        let limit = ARC_BUDGET.saturating_mul(n_base);
+        let headroom = limit.saturating_sub(arcs.len());
+        let needs = pool.map_indexed(
             selected.len(),
-            || (Witness::new(n), Vec::new()),
-            |i, (wit, need), scratch| {
-                let v = selected[i];
-                needed_pairs(
-                    v,
+            || Witness::new(n),
+            |i, wit, _scratch| {
+                let (mut need, mut n_need) = (Vec::new(), 0usize);
+                let work = needed_pairs(
+                    selected[i],
                     &arcs,
                     &out,
                     &inn,
                     &contracted,
+                    &remainder,
                     Some(&in_round),
                     wit,
                     witness_settle_cap,
-                    need,
+                    |a, b| {
+                        n_need += 1;
+                        if n_need <= headroom {
+                            need.push((a, b));
+                        }
+                    },
                 );
+                (work, n_need, need)
+            },
+        );
+        let mut planned = 0usize;
+        for (work, n_need, _) in &needs {
+            contraction += *work;
+            planned += n_need;
+        }
+        if planned > headroom {
+            return Err(AllFpError::ContractionBudget {
+                arcs: arcs.len() + planned,
+                limit,
+            });
+        }
+        let plans: Vec<Result<Vec<PlannedShortcut>>> = pool.map_indexed(
+            selected.len(),
+            || (),
+            |i, _, scratch| {
+                let need = &needs[i].2;
                 let mut plan = Vec::with_capacity(need.len());
-                for &(a, b) in need.iter() {
+                for &(a, b) in need {
                     let full = recompose(scratch, &arcs[a as usize], &arcs[b as usize])?;
                     plan.push(PlannedShortcut { a, b, full });
                 }
@@ -773,7 +891,7 @@ pub(crate) fn build_overlay<S: NetworkSource>(
         }
     }
 
-    finish_overlay(category, rank, arcs, n_base, n_disabled, rounds, pool)
+    finish_overlay(category, rank, arcs, n_base, n_disabled, contraction, pool)
 }
 
 /// The query adjacency, then the bound graph: one entry per slot —
@@ -788,7 +906,7 @@ pub(crate) fn finish_overlay(
     arcs: Vec<OverlayArc>,
     n_base: usize,
     n_disabled: usize,
-    rounds: u32,
+    contraction: Contraction,
     pool: &WorkerPool,
 ) -> Result<Overlay> {
     let n = rank.len();
@@ -839,7 +957,7 @@ pub(crate) fn finish_overlay(
         down_bound: Csr::new(n, down_bound),
         n_base,
         n_disabled,
-        rounds,
+        contraction,
     })
 }
 

@@ -4,7 +4,9 @@
 //! answer equals the flat engine's, and the full answer structure
 //! (paths, partition, functions) matches bit for bit.
 
-use allfp::{AllFpAnswer, Engine, EngineConfig, PathfindBackend, QuerySpec, SingleFpAnswer};
+use allfp::{
+    AllFpAnswer, AllFpError, Engine, EngineConfig, PathfindBackend, QuerySpec, SingleFpAnswer,
+};
 use hierarchy::{HierarchyConfig, HierarchyEngine};
 use proptest::prelude::*;
 use pwl::time::{hm, MINUTES_PER_DAY};
@@ -178,7 +180,7 @@ proptest! {
     /// **Parallel-contraction determinism**: the overlay produced at
     /// every thread count is identical to the serial one — same node
     /// order, same arcs, same via pairs, same disabled flags, same
-    /// stored piece count.
+    /// stored piece count — and so is the witness searches' work.
     #[test]
     fn parallel_contraction_is_deterministic(seed in 0u64..300) {
         const N: usize = 16;
@@ -200,6 +202,8 @@ proptest! {
             prop_assert!(par.snapshot() == golden, "overlay differs at thread count {}", threads);
             prop_assert_eq!(par.report().overlay_pieces, serial.report().overlay_pieces);
             prop_assert_eq!(par.report().rounds, serial.report().rounds);
+            prop_assert_eq!(par.report().witness_settles, serial.report().witness_settles);
+            prop_assert_eq!(par.report().witness_scans, serial.report().witness_scans);
         }
     }
 }
@@ -241,6 +245,30 @@ proptest! {
             same_as_flat(&flat, &ch, &q)?;
         }
     }
+}
+
+/// A live topology keeps every parallel arc, so on some graphs its
+/// shortcuts multiply round over round — `random_geometric(14, .., 97)`
+/// would grow from 512 arcs to 850 392 in two rounds and never finish.
+/// The arc budget refuses such a build before it composes the round
+/// that would cross it; every 14-node live build either finishes inside
+/// the budget or fails with `ContractionBudget`, never another error.
+#[test]
+fn live_builds_finish_or_hit_the_arc_budget() {
+    let mut refused = Vec::new();
+    for seed in 0u64..100 {
+        let net = random_geometric(14, 1.5, 3, seed).unwrap();
+        match HierarchyEngine::build(&net, EngineConfig::default(), variant(true)) {
+            Ok(ch) => assert!(ch.report().n_shortcuts > 0, "seed {seed}"),
+            Err(AllFpError::ContractionBudget { arcs, limit }) => {
+                assert!(arcs > limit, "seed {seed}: {arcs} arcs within {limit}");
+                refused.push(seed);
+            }
+            Err(e) => panic!("seed {seed}: {e}"),
+        };
+    }
+    assert!(refused.contains(&97), "refused {refused:?}");
+    assert!(refused.len() < 20, "refused {refused:?}");
 }
 
 /// A 12-node random network plus node 12, which no edge touches.

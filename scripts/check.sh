@@ -80,6 +80,22 @@ if ! awk '
     echo "search.rs reaches relax( without passing the gap gate" >&2
     exit 1
 fi
+# One witness search: contraction proves shortcuts unnecessary with one
+# Dijkstra (one heap pop, one call site) that walks the round's
+# remainder snapshot, never the arc lists behind it.
+if ! awk '
+    /^[[:space:]]*\/\// { next }
+    /^impl Witness / { in_witness = 1 }
+    in_witness && /^}/ { in_witness = 0 }
+    in_witness && /remainder: &Csr<Reach>/ { snapshot = 1 }
+    in_witness && /out\[|arcs\[/ { print FILENAME ":" FNR ":" $0; walk = 1 }
+    /heap\.pop\(\)/ { pops++ }
+    /witness\.run\(/ { calls++ }
+    END { exit !(snapshot && !walk && pops == 1 && calls == 1) }
+' crates/hierarchy/src/overlay.rs; then
+    echo "overlay.rs: not exactly one witness search, over the round's snapshot" >&2
+    exit 1
+fi
 # One way out: every query surface fails with `AllFpError`, one function
 # turns a tagged border into an allFP answer, and a route-selecting
 # backend ends in the flat engine's `answer_routes` — the hierarchy
