@@ -1,8 +1,8 @@
 //! One way to put a serial query workload on the clock.
 //!
-//! The scale tiers (metro-full flat vs hierarchy, metro-huge through
-//! mmap) report every wall figure the same way: a first pass, which
-//! pays whatever was cold (page faults, cache fills, pool growth), then
+//! The scale tiers (metro-full flat vs hierarchy, metro-huge off disk)
+//! report every wall figure the same way: a first pass, which pays
+//! whatever was cold (page reads, cache fills, pool growth), then
 //! the median ± MAD of [`WARM_PASSES`] further passes, with the
 //! search-space size and the allocator traffic of a warm pass beside
 //! it — a wall time without its `expanded_paths` cannot be compared

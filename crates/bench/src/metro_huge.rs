@@ -7,10 +7,9 @@
 //!    [`FileStore`] at each swept thread count, verifying the builds
 //!    are **byte-identical** (streamed file comparison, never the
 //!    whole file in memory);
-//! 2. serve the fig9 morning-rush workload through
-//!    [`MmapStore::open_preferred`] — zero-copy OS-paged reads with a
-//!    buffer pool far smaller than the graph — behind the min-time
-//!    estimator (`minTimeLB`), built by one sweep over the lazy
+//! 2. serve the fig9 morning-rush workload through [`FileStore::open`]
+//!    and a buffer pool far smaller than the graph — behind the
+//!    min-time estimator (`minTimeLB`), built by one sweep over the lazy
 //!    generator: allFP then singleFP, each put on the clock by
 //!    [`crate::clock::clock_backend`] (a first pass, then the median ± MAD of
 //!    the warm ones, with `expanded_paths` and the allocated bytes per
@@ -18,8 +17,8 @@
 //!    nothing;
 //! 3. record the build walls, the analytic transient footprint of the
 //!    builder (gated ≪ graph bytes), the process RSS high water, and
-//!    the physical I/O counters (`bytes_read` / `bytes_written` /
-//!    `mmap_faults`).
+//!    the physical I/O counters (`reads` / `bytes_read` /
+//!    `bytes_written`).
 //!
 //! `scripts/check.sh` runs the smoke tier (16 384 nodes) through the
 //! engine-hotpath `--smoke` gate; the JSON report records the
@@ -30,9 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use allfp::{Engine, EngineConfig, LowerBoundEstimator, MinTimeLb, QuerySpec};
-use ccam::{
-    build_bulk, BlockStore, BulkBuildConfig, CcamStore, FileStore, MmapStore, DEFAULT_PAGE_SIZE,
-};
+use ccam::{build_bulk, BlockStore, BulkBuildConfig, CcamStore, FileStore, DEFAULT_PAGE_SIZE};
 use pwl::time::hm;
 use pwl::Interval;
 use roadnet::generators::{ContinentalConfig, ContinentalNet};
@@ -92,8 +89,6 @@ pub struct MetroHugeReport {
     pub build_sweep: Vec<BuildPoint>,
     /// Whether every swept build produced byte-identical files.
     pub deterministic: bool,
-    /// `"mmap"` or `"file-fallback"` (platforms without mmap).
-    pub store_kind: &'static str,
     /// Buffer-pool frames the query stack was limited to.
     pub pool_frames: usize,
     /// Estimator build wall, seconds.
@@ -115,14 +110,12 @@ pub struct MetroHugeReport {
     /// The singleFP passes, run after the allFP ones: pages and
     /// estimator are warm from its first pass on.
     pub singlefp: Clocked,
-    /// Physical page reads the serving stack issued.
+    /// Physical page reads the serving stack issued: the pool's misses.
     pub io_reads: u64,
     /// Bytes physically read while serving.
     pub io_bytes_read: u64,
     /// Bytes physically written while building (final build).
     pub io_bytes_written: u64,
-    /// First-touch page faults counted by the mmap store.
-    pub mmap_faults: u64,
 }
 
 impl MetroHugeReport {
@@ -138,7 +131,6 @@ impl MetroHugeReport {
             ("transient_build_bytes", self.transient_build_bytes.into()),
             ("peak_rss_bytes", self.peak_rss_bytes.into()),
             ("deterministic", self.deterministic.into()),
-            ("store", self.store_kind.into()),
             ("pool_frames", self.pool_frames.into()),
             (
                 "estimator",
@@ -162,7 +154,6 @@ impl MetroHugeReport {
                     ("reads", self.io_reads.into()),
                     ("bytes_read", self.io_bytes_read.into()),
                     ("bytes_written", self.io_bytes_written.into()),
-                    ("mmap_faults", self.mmap_faults.into()),
                 ]),
             ),
             ("build_sweep", list(&self.build_sweep, BuildPoint::fields)),
@@ -253,7 +244,7 @@ fn files_identical(a: &Path, b: &Path) -> std::io::Result<bool> {
 }
 
 /// Build the tier at each swept thread count, then serve `n_queries`
-/// fig9 queries through the mmap stack with the min-time estimator.
+/// fig9 queries through the file store with the min-time estimator.
 pub fn run(cfg: &ContinentalConfig, tier: &'static str, n_queries: usize) -> MetroHugeReport {
     let lazy = ContinentalNet::new(cfg.clone()).expect("tier config is valid");
     let dir = std::env::temp_dir().join(format!("fp-metro-huge-{}-{tier}", std::process::id()));
@@ -309,19 +300,11 @@ pub fn run(cfg: &ContinentalConfig, tier: &'static str, n_queries: usize) -> Met
     let estimator = MinTimeLb::build(&lazy).expect("estimator builds");
     let estimator_wall = start.elapsed().as_secs_f64();
 
-    // --- serve fig9 through the mmap stack ----------------------------
-    let (store, store_kind): (Arc<dyn BlockStore>, &'static str) =
-        match MmapStore::open(tier_path, DEFAULT_PAGE_SIZE) {
-            Ok(m) => (Arc::new(m), "mmap"),
-            Err(_) => (
-                Arc::new(FileStore::open(tier_path, DEFAULT_PAGE_SIZE).expect("file reopens")),
-                "file-fallback",
-            ),
-        };
-    let store_stats = Arc::clone(&store);
+    // --- serve fig9 through the file store -----------------------------
+    let store = Arc::new(FileStore::open(tier_path, DEFAULT_PAGE_SIZE).expect("file reopens"));
     // Frames ≪ graph pages: the pool is a working set, not a copy.
     let pool_frames = ((total_pages / 8).clamp(128, 4096)) as usize;
-    let disk = CcamStore::open(store, pool_frames).expect("ccam opens");
+    let disk = CcamStore::open(Arc::clone(&store) as _, pool_frames).expect("ccam opens");
 
     let engine = Engine::with_estimator(&disk, Box::new(&estimator), EngineConfig::default());
     let interval = Interval::of(hm(7, 0), hm(10, 0));
@@ -341,7 +324,7 @@ pub fn run(cfg: &ContinentalConfig, tier: &'static str, n_queries: usize) -> Met
     }
     let estimator_warm_allocs = crate::alloc::snapshot().since(&before).allocs;
 
-    let io = store_stats.io_stats();
+    let io = store.io_stats();
     let report = MetroHugeReport {
         tier,
         n_nodes: lazy.n_nodes(),
@@ -352,7 +335,6 @@ pub fn run(cfg: &ContinentalConfig, tier: &'static str, n_queries: usize) -> Met
         peak_rss_bytes: peak_rss_bytes(),
         build_sweep: sweep,
         deterministic,
-        store_kind,
         pool_frames,
         estimator_wall_seconds: estimator_wall,
         estimator_bytes: estimator.bytes(),
@@ -363,7 +345,6 @@ pub fn run(cfg: &ContinentalConfig, tier: &'static str, n_queries: usize) -> Met
         io_reads: io.reads(),
         io_bytes_read: io.bytes_read(),
         io_bytes_written: bytes_written,
-        mmap_faults: io.mmap_faults(),
     };
     drop(engine);
     drop(disk);
@@ -393,9 +374,14 @@ mod tests {
         assert_eq!(r.estimator_warm_allocs, 0);
         assert!(r.transient_build_bytes > 0);
         assert!((r.graph_bytes as usize) > r.transient_build_bytes / 8);
-        if r.store_kind == "mmap" {
-            assert!(r.mmap_faults > 0, "mmap store served without faulting");
-        }
+        // The working set fits the pool: every page is read once, in
+        // the cold pass, and no warm pass reads the file again.
+        assert!(
+            (1..=r.pool_frames as u64).contains(&r.io_reads),
+            "{} reads through {} frames",
+            r.io_reads,
+            r.pool_frames
+        );
     }
 
     #[test]

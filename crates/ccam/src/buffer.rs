@@ -6,22 +6,27 @@
 //!
 //! # Safety
 //!
-//! This module is 100% safe code — the workspace denies
-//! `unsafe_code`, so the claim is compiler-enforced, not an audit
-//! note. The only `unsafe` in the workspace lives in two audited
-//! leaf modules, each under `#[deny(unsafe_op_in_unsafe_fn)]` with
-//! per-site `SAFETY:` justifications: `fp-bench`'s `GlobalAlloc`
-//! wrapper and this crate's [`mmap`](crate::MmapStore) syscall shim.
+//! This module is 100% safe code, and the crate says
+//! `#![forbid(unsafe_code)]`, so the claim is compiler-enforced, not
+//! an audit note. The pool is the only place a page is cached: every
+//! logical read is one hit or one miss, and a miss copies the page
+//! through [`BlockStore::read_page`] into a buffer the pool owns.
 //!
-//! # Zero-copy serving
+//! # The spare buffer
 //!
-//! A store that can serve borrowed pages
-//! ([`BlockStore::page_ref`] — the mmap store) short-circuits the
-//! framing machinery: [`BufferPool::with_page`] runs the reader
-//! directly over the mapped bytes, holding no frame at all, counted in
-//! [`BufferStats::mapped`] (neither a hit nor a miss — the OS page
-//! cache is the buffer there). Cached frames still win first, so a
-//! page written through the pool is always read back coherently.
+//! Each shard keeps one *spare* page buffer, the last evicted frame's.
+//! A miss reads into the spare **before** it evicts anything; only a
+//! read that succeeded evicts the LRU victim, whose buffer becomes the
+//! next spare. So:
+//!
+//! * a failed read — a transient fault past its retries, a checksum
+//!   mismatch — hands the spare back and costs no resident frame
+//!   (`a_failed_read_costs_no_resident_frame`);
+//! * a recycled buffer is overwritten whole before any reader sees it,
+//!   so no page is ever served another page's bytes
+//!   (`recycled_buffers_never_leak_another_pages_bytes`);
+//! * the pool allocates, zeroes and frees nothing for a miss on a full
+//!   shard: a shard allocates only while it is filling up.
 //!
 //! # Concurrency
 //!
@@ -95,7 +100,6 @@ pub struct BufferStats {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    mapped: AtomicU64,
 }
 
 impl BufferStats {
@@ -114,19 +118,7 @@ impl BufferStats {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Logical reads served zero-copy from a mapped store
-    /// ([`crate::BlockStore::page_ref`]), occupying no frame. Counted
-    /// separately from hits and misses: `hits + misses` remains the
-    /// frame-cache accounting identity, and mapped serves are where
-    /// the OS page cache — not this pool — is the buffer.
-    pub fn mapped(&self) -> u64 {
-        self.mapped.load(Ordering::Relaxed)
-    }
-
-    /// Total logical reads through frames (excludes [`mapped`]
-    /// zero-copy serves).
-    ///
-    /// [`mapped`]: BufferStats::mapped
+    /// Total logical reads.
     pub fn logical_reads(&self) -> u64 {
         self.hits() + self.misses()
     }
@@ -335,15 +327,6 @@ impl BufferPool {
             frame.stamp = tick;
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(f(&frame.data));
-        }
-
-        // Zero-copy path: a mapped store serves the page as a borrow —
-        // no frame, no copy. Checked only after the frame map so a page
-        // written through the pool is always read back from its
-        // (possibly dirty) frame, never from the mapping.
-        if let Some(bytes) = self.store.page_ref(id)? {
-            self.stats.mapped.fetch_add(1, Ordering::Relaxed);
-            return Ok(f(bytes));
         }
 
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -802,37 +785,5 @@ mod tests {
         );
         assert_eq!(checked.io_stats().retries(), 0, "corruption must not retry");
         assert_eq!(checked.io_stats().corruptions(), 1);
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn mapped_store_serves_zero_copy_without_frames() {
-        use crate::MmapStore;
-        let dir = std::env::temp_dir().join(format!("ccam-pool-mmap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.db");
-        {
-            let s = crate::FileStore::create(&path, 64).unwrap();
-            for i in 0..8 {
-                let id = s.allocate().unwrap();
-                s.write_page(id, &[i as u8; 64]).unwrap();
-            }
-        }
-        let store: Arc<dyn BlockStore> = Arc::new(MmapStore::open(&path, 64).unwrap());
-        let pool = BufferPool::new(Arc::clone(&store), 4);
-        for _ in 0..3 {
-            for id in 0..8u64 {
-                let v = pool.with_page(id, |p| p[0]).unwrap();
-                assert_eq!(v, id as u8);
-            }
-        }
-        // every read was served from the mapping: no frames, no
-        // hits/misses, no evictions — and first touches counted once
-        assert_eq!(pool.stats().mapped(), 24);
-        assert_eq!(pool.stats().hits(), 0);
-        assert_eq!(pool.stats().misses(), 0);
-        assert_eq!(pool.stats().evictions(), 0);
-        assert_eq!(store.io_stats().mmap_faults(), 8);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

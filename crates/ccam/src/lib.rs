@@ -11,9 +11,6 @@
 //!
 //! * [`store`] — the block layer: fixed-size pages over a file or
 //!   memory, with physical I/O counters;
-//! * [`MmapStore`] — a read-only memory-mapped block store serving
-//!   zero-copy page borrows (checksum-verified on first touch), so
-//!   graphs larger than RAM query through the OS page cache;
 //! * [`page`] — slotted 2048-byte data pages;
 //! * [`record`] — binary encoding of node records
 //!   (`bytes`-based, round-trip tested);
@@ -29,8 +26,8 @@
 //!   streams any [`roadnet::NetworkSource`] straight to pages,
 //!   byte-identical to [`CcamStore::build`] at every thread count,
 //!   without ever materializing the full network;
-//! * [`buffer`] — an LRU buffer pool with pin counts and hit/miss
-//!   statistics;
+//! * [`buffer`] — an LRU buffer pool with hit/miss statistics, the
+//!   one place a page is cached;
 //! * [`CcamStore`] — the assembled access method implementing
 //!   [`roadnet::NetworkSource`] (`FindNode` / `GetSuccessor`), so the
 //!   query engine runs unchanged over disk-resident networks;
@@ -40,6 +37,7 @@
 //!   ([`FaultInjectingStore`]) for exercising the retry and
 //!   corruption-detection paths under test.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
@@ -48,7 +46,6 @@ mod buffer;
 mod bulk;
 mod ccam;
 mod hilbert;
-mod mmap;
 mod page;
 mod partition;
 mod record;
@@ -64,7 +61,6 @@ pub use ccam::{CcamStore, StoreStats};
 pub use fault::{FaultEvent, FaultInjectingStore, FaultKind, FaultPlan};
 pub use hilbert::{hilbert_d2xy, hilbert_order, hilbert_xy2d};
 pub use integrity::{crc32, ChecksummedStore};
-pub use mmap::MmapStore;
 pub use page::SlottedPage;
 pub use partition::{partition_assignment, partition_nodes, Partitioning, PlacementPolicy};
 pub use record::{EdgeRecord, NodeRecord};

@@ -84,7 +84,6 @@ pub struct IoStats {
     writes: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
-    mmap_faults: AtomicU64,
     retries: AtomicU64,
     corruptions: AtomicU64,
     exhausted: AtomicU64,
@@ -102,8 +101,7 @@ impl IoStats {
     }
 
     /// Bytes physically read so far (page-size multiples of
-    /// [`IoStats::reads`] for the block stores here; mmap-backed
-    /// stores count only copying reads, not zero-copy borrows).
+    /// [`IoStats::reads`]).
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read.load(Ordering::Relaxed)
     }
@@ -111,15 +109,6 @@ impl IoStats {
     /// Bytes physically written so far.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written.load(Ordering::Relaxed)
-    }
-
-    /// Pages of an mmap-backed store touched for the first time (a
-    /// proxy for major/minor OS page faults the mapping can incur:
-    /// each first touch is where the kernel may have to fault the
-    /// backing file in). Zero for copying stores. Same relaxed
-    /// contract as every other counter here.
-    pub fn mmap_faults(&self) -> u64 {
-        self.mmap_faults.load(Ordering::Relaxed)
     }
 
     /// Transient-fault retries issued by the buffer pool so far.
@@ -157,10 +146,6 @@ impl IoStats {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    pub(crate) fn bump_mmap_fault(&self) {
-        self.mmap_faults.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn bump_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
@@ -190,20 +175,6 @@ pub trait BlockStore: Send + Sync {
 
     /// Write `buf` to page `id`.
     fn write_page(&self, id: u64, buf: &[u8]) -> Result<()>;
-
-    /// Borrow page `id` zero-copy, if this store can serve borrows.
-    ///
-    /// `Ok(None)` (the default) means the store only supports copying
-    /// reads — callers fall back to [`BlockStore::read_page`].
-    /// `Ok(Some(bytes))` is the page's current contents, valid for the
-    /// life of the borrow; stores that return it (the mmap store)
-    /// guarantee the bytes never change while the store lives, so the
-    /// buffer pool can run readers directly over them without taking a
-    /// frame. Errors surface exactly as `read_page`'s would (bad page
-    /// id, first-touch checksum failure).
-    fn page_ref(&self, _id: u64) -> Result<Option<&[u8]>> {
-        Ok(None)
-    }
 
     /// Physical I/O counters.
     fn io_stats(&self) -> &IoStats;
@@ -289,7 +260,7 @@ const FILE_MAGIC: u32 = u32::from_be_bytes(*b"CCFS");
 /// (v1 files — bare page arrays — are no longer readable).
 const FILE_VERSION: u16 = 2;
 /// File header size in bytes; pages start at this offset.
-pub(crate) const FILE_HEADER: u64 = 16;
+const FILE_HEADER: u64 = 16;
 
 fn encode_file_header(page_size: usize) -> [u8; FILE_HEADER as usize] {
     let mut h = [0u8; FILE_HEADER as usize];
@@ -303,11 +274,9 @@ fn encode_file_header(page_size: usize) -> [u8; FILE_HEADER as usize] {
 
 /// Validate a store file header (magic, version, page size) and the
 /// page area (`len` = whole file length) against what the caller
-/// expects, returning the page count. Shared by [`FileStore::open`]
-/// and [`crate::MmapStore::open`] so both report identical typed
-/// errors — including [`CcamError::PageSizeMismatch`] when the header
-/// disagrees with the requested page size.
-pub(crate) fn validate_file_header(
+/// expects, returning the page count — [`CcamError::PageSizeMismatch`]
+/// when the header disagrees with the requested page size.
+fn validate_file_header(
     header: &[u8; FILE_HEADER as usize],
     len: u64,
     page_size: usize,
@@ -476,7 +445,6 @@ mod tests {
         let page = store.page_size() as u64;
         assert_eq!(store.io_stats().bytes_read(), 2 * page);
         assert_eq!(store.io_stats().bytes_written(), page);
-        assert_eq!(store.io_stats().mmap_faults(), 0);
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! partitions, retries, and failovers can delay or degrade a query
 //! but can never change a byte of an exact answer.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 

@@ -64,6 +64,7 @@
 //! graceful drain, and a [`service::ServiceStats`] roll-up whose
 //! counters reconcile exactly. See `DESIGN.md` §11.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::redundant_clone)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 

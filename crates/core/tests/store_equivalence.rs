@@ -2,10 +2,11 @@
 //!
 //! * the parallel bulk builder must produce **byte-identical** stores
 //!   at every thread count (1, 2, 4);
-//! * query answers served through `MemStore`, `FileStore`, and
-//!   `MmapStore` must be **bit-identical** to each other and to the
-//!   in-memory network (fingerprinted through `Debug`, which prints
-//!   shortest-roundtrip floats — equal strings means equal bits).
+//! * query answers served through `MemStore`, `FileStore`, and a
+//!   `ChecksummedStore` over a `FileStore` must be **bit-identical** to
+//!   each other and to the in-memory network (fingerprinted through
+//!   `Debug`, which prints shortest-roundtrip floats — equal strings
+//!   means equal bits).
 //!
 //! A scaled-down continental tier keeps the suite fast; the metro-huge
 //! bench (`fpbench::metro_huge`) re-runs the same checks at the smoke
@@ -15,7 +16,7 @@ use std::sync::Arc;
 
 use allfp::{Engine, EngineConfig, QuerySpec};
 use ccam::{
-    build_bulk, BlockStore, BulkBuildConfig, CcamStore, FileStore, MemStore, MmapStore,
+    build_bulk, BlockStore, BulkBuildConfig, CcamStore, ChecksummedStore, FileStore, MemStore,
     DEFAULT_PAGE_SIZE,
 };
 use pwl::time::hm;
@@ -84,7 +85,7 @@ fn bulk_build_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn answers_bit_identical_across_mem_file_and_mmap_stores() {
+fn answers_bit_identical_across_mem_file_and_checksummed_file_stores() {
     let cfg = tiny_config();
     let lazy = ContinentalNet::new(cfg.clone()).expect("config is valid");
     let net = continental(&cfg).expect("materializes");
@@ -107,25 +108,33 @@ fn answers_bit_identical_across_mem_file_and_mmap_stores() {
     let bulk_cfg = BulkBuildConfig::default();
     let (_, _) = build_bulk(&lazy, lazy.patterns(), file as _, &bulk_cfg).expect("bulk builds");
 
-    // ...and once into a MemStore (the builder is deterministic, so
-    // the three stores below all serve the same bytes).
+    // ...once into a MemStore (the builder is deterministic, so the
+    // two serve the same bytes)...
     let mem_store = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
     let (mem_ccam, _) =
         build_bulk(&lazy, lazy.patterns(), mem_store as _, &bulk_cfg).expect("bulk builds");
 
+    // ...and once through a ChecksummedStore into a second file, whose
+    // visible pages are a header shorter: a different layout that must
+    // still answer the same bits.
+    let summed_path = dir.join("tier-summed.ccam");
+    let summed_file = FileStore::create(&summed_path, DEFAULT_PAGE_SIZE).expect("file store");
+    let summed = Arc::new(ChecksummedStore::new(Arc::new(summed_file)));
+    let (_, _) = build_bulk(&lazy, lazy.patterns(), summed as _, &bulk_cfg).expect("bulk builds");
+
+    // 64 frames over hundreds of pages: eviction and re-reading are
+    // exercised, not just the first read of each page.
     let file_ro = Arc::new(FileStore::open(&path, DEFAULT_PAGE_SIZE).expect("file reopens"));
     let file_ccam = CcamStore::open(file_ro, 64).expect("ccam over file");
 
-    let mmap = Arc::new(MmapStore::open(&path, DEFAULT_PAGE_SIZE).expect("mmap opens"));
-    let mmap_stats = Arc::clone(&mmap);
-    // 64 frames over hundreds of pages: eviction and refaulting are
-    // exercised, not just the first touch.
-    let mmap_ccam = CcamStore::open(mmap, 64).expect("ccam over mmap");
+    let summed_ro = FileStore::open(&summed_path, DEFAULT_PAGE_SIZE).expect("file reopens");
+    let summed_ro: Arc<dyn BlockStore> = Arc::new(ChecksummedStore::new(Arc::new(summed_ro)));
+    let summed_ccam = CcamStore::open(Arc::clone(&summed_ro), 64).expect("ccam over checksums");
 
     for (label, disk) in [
         ("MemStore", &mem_ccam),
         ("FileStore", &file_ccam),
-        ("MmapStore", &mmap_ccam),
+        ("ChecksummedStore over FileStore", &summed_ccam),
     ] {
         let engine = Engine::new(disk, EngineConfig::default());
         for (q, want) in queries.iter().zip(reference.iter()) {
@@ -134,12 +143,11 @@ fn answers_bit_identical_across_mem_file_and_mmap_stores() {
         }
     }
 
-    // The mmap path actually served the workload: first-touch faults
-    // were counted, and the store refuses writes by construction.
-    assert!(
-        mmap_stats.io_stats().mmap_faults() > 0,
-        "no mmap faults counted — the mmap store was never exercised"
-    );
+    // The checksummed file actually served the workload, every pool
+    // miss verified and none of them failing.
+    let io = summed_ro.io_stats();
+    assert!(io.reads() > 0, "the checksummed file was never read");
+    assert_eq!(io.corruptions(), 0);
 
     std::fs::remove_dir_all(&dir).ok();
 }

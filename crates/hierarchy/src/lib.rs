@@ -42,6 +42,7 @@
 //! arguments; §13 covers parallel-contraction determinism, storage and
 //! the bounds the search prunes with.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::redundant_clone)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 

@@ -28,6 +28,8 @@
 //! `d_euc(n, e) / v_max` (and the boundary-node estimator built on
 //! network distances) a genuine lower bound on travel time.
 
+#![forbid(unsafe_code)]
+
 mod graph;
 mod source;
 mod stats;

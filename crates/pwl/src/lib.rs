@@ -54,6 +54,7 @@
 //! reads the stored function through a window. [`PwlRef`] shares finished
 //! functions by reference count instead of deep copy.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::redundant_clone)]
 
 mod envelope;

@@ -27,6 +27,8 @@
 //! produces arrival functions with strictly positive slope by
 //! construction, which is what lets the query engine invert them.
 
+#![forbid(unsafe_code)]
+
 mod category;
 mod delta;
 mod pattern;

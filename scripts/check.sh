@@ -120,6 +120,13 @@ if grep -n "RouteComposeMemo" crates/core/src/lib.rs; then
     echo "the flat engine's route memo is public again" >&2
     exit 1
 fi
+# One page path: every disk page comes through `FileStore` and the
+# buffer pool, the only place a page is cached. The mmap store, its
+# zero-copy borrow and its fault counter stay deleted.
+if grep -rnE "MmapStore|page_ref|mmap_faults|open_preferred|mod mmap" crates; then
+    echo "a second page path (the mmap store) is back" >&2
+    exit 1
+fi
 echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> tier-1: cargo build --release"
