@@ -42,6 +42,8 @@ impl CategorySet {
     }
 
     /// The paper's default set: `workday`, `non-workday`.
+    // Two names are within the one-to-255 that `new` accepts.
+    #[allow(clippy::expect_used)]
     pub fn workday_nonworkday() -> Self {
         CategorySet::new(vec!["workday", "non-workday"]).expect("two names")
     }

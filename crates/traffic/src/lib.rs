@@ -28,6 +28,8 @@
 //! construction, which is what lets the query engine invert them.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod category;
 mod delta;

@@ -33,6 +33,9 @@ impl CapeCodPattern {
 
     /// The paper's §2.1 example: non-workday constant 1 mpm; workday
     /// 1 mpm with a \[7:00, 9:00) rush window at 1/2 mpm.
+    // Constant arguments: a rush window inside the day at positive
+    // speeds, a positive constant speed, and a non-empty profile list.
+    #[allow(clippy::expect_used)]
     pub fn paper_example() -> Self {
         let workday =
             SpeedProfile::with_rush_window(1.0, 0.5, pwl::time::hm(7, 0), pwl::time::hm(9, 0))

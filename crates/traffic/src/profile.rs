@@ -152,6 +152,9 @@ impl SpeedProfile {
     /// This powers the arrival-interval query reduction: traversing an
     /// edge *backwards in time* from its head sees exactly the
     /// mirrored profile.
+    // The mirror keeps every speed, starts at 0, and reverses strictly
+    // increasing starts inside the day into strictly increasing ones.
+    #[allow(clippy::expect_used)]
     pub fn time_mirrored(&self) -> SpeedProfile {
         // A piece [s, e) at speed v maps to [1440−e, 1440−s) at v.
         // The piece that contains midnight stays anchored at 0.
