@@ -413,7 +413,7 @@ pub(crate) fn run(
                 // rule to that verdict.
                 #[cfg(debug_assertions)]
                 {
-                    let full = &overlay.arcs[hop.arc as usize].full;
+                    let full = overlay.arcs[hop.arc as usize].function()?;
                     if overlay::ext_domain(full).covers(arrivals.interval()) {
                         let child = relax(scratch, &labels[entry.item].travel, full, &arrivals)?;
                         assert!(
@@ -432,15 +432,15 @@ pub(crate) fn run(
                 break 'search;
             }
 
-            let arc = &overlay.arcs[hop.arc as usize];
-            if !overlay::ext_domain(&arc.full).covers(arrivals.interval()) {
+            let full = overlay.arcs[hop.arc as usize].function()?;
+            if !overlay::ext_domain(full).covers(arrivals.interval()) {
                 // Arrival window escapes the periodic extension
                 // (multi-day travel): hand the whole query to the flat
                 // engine rather than extend on the hot path.
                 drain(labels, scratch, border);
                 return Ok(None);
             }
-            let travel = relax(scratch, &labels[entry.item].travel, &arc.full, &arrivals)?;
+            let travel = relax(scratch, &labels[entry.item].travel, full, &arrivals)?;
             let np = travel.n_pieces();
             stats.pieces_total += np as u64;
             stats.pieces_max = stats.pieces_max.max(np as u64);

@@ -120,10 +120,10 @@ pub fn compose_travel(t1: &Pwl, t2: &Pwl) -> Result<Pwl> {
 
     let t2dom = t2.domain();
     crate::pwl::build_from_breakpoints(xs, |mid| {
-        let p1 = t1.linears()[t1.piece_index_at(mid).expect("mid in t1 domain")];
+        let p1 = t1.linears()[t1.piece_index_at(mid)?];
         let arrive = t2dom.clamp(a1.eval(mid));
-        let p2 = t2.linears()[t2.piece_index_at(arrive).expect("arrival in t2 domain")];
-        p1.compound(&p2)
+        let p2 = t2.linears()[t2.piece_index_at(arrive)?];
+        Ok(p1.compound(&p2))
     })
 }
 

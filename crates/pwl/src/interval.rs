@@ -25,6 +25,9 @@ impl Interval {
     /// Create `[lo, hi]`, panicking on invalid input.
     ///
     /// Convenient in tests and for literals known to be valid.
+    // The panicking constructor by contract: its callers pass finite,
+    // ordered endpoints; `new` is the fallible one.
+    #[allow(clippy::expect_used)]
     #[track_caller]
     pub fn of(lo: f64, hi: f64) -> Self {
         Self::new(lo, hi).expect("invalid interval literal")

@@ -55,7 +55,8 @@
 //! functions by reference count instead of deep copy.
 
 #![forbid(unsafe_code)]
-#![warn(clippy::redundant_clone)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::redundant_clone)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod envelope;
 mod interval;

@@ -119,7 +119,9 @@ impl MonotonePwl {
     }
 
     /// The full inverse function, as a [`MonotonePwl`] on the range.
-    pub fn inverse(&self) -> MonotonePwl {
+    /// Fails only if rounding ties two knot values of a very flat
+    /// piece.
+    pub fn inverse(&self) -> Result<MonotonePwl> {
         let pts = self.inner.points();
         let mut xs = Vec::with_capacity(pts.len());
         let mut fs = Vec::with_capacity(pts.len() - 1);
@@ -132,10 +134,10 @@ impl MonotonePwl {
         }
         xs.push(pts[pts.len() - 1].1);
         // Slopes 1/a are positive and the graph mirrors a continuous
-        // function, so the invariant holds by construction.
-        MonotonePwl {
-            inner: Pwl::new(xs, fs).expect("inverse of monotone pwl is well formed"),
-        }
+        // function; `new` still checks the knots increase.
+        Ok(MonotonePwl {
+            inner: Pwl::new(xs, fs)?,
+        })
     }
 
     /// Composition `self ∘ inner`, i.e. `x ↦ self(inner(x))`.
@@ -164,16 +166,10 @@ impl MonotonePwl {
         }
         crate::pwl::sort_dedupe(&mut xs);
         let composed = crate::pwl::build_from_breakpoints(xs, |mid| {
-            let g = inner.inner.linears()[inner
-                .inner
-                .piece_index_at(mid)
-                .expect("mid in inner domain")];
+            let g = inner.inner.linears()[inner.inner.piece_index_at(mid)?];
             let y = g.eval(mid);
-            let f = self.inner.linears()[self
-                .inner
-                .piece_index_at(self.domain().clamp(y))
-                .expect("clamped into domain")];
-            f.compose(&g)
+            let f = self.inner.linears()[self.inner.piece_index_at(self.domain().clamp(y))?];
+            Ok(f.compose(&g))
         })?;
         MonotonePwl::new(composed)
     }
@@ -239,7 +235,7 @@ mod tests {
     #[test]
     fn inverse_roundtrips() {
         let f = ramp();
-        let inv = f.inverse();
+        let inv = f.inverse().unwrap();
         assert!(inv.domain().approx_eq(&Interval::of(0.0, 40.0)));
         for x in [0.0, 3.7, 10.0, 14.2, 20.0] {
             assert!(approx_eq(inv.eval(f.eval(x)), x));

@@ -49,7 +49,7 @@ pub fn travel_time_fn(profile: &SpeedProfile, distance: f64, leaving: &Interval)
         )?);
     }
 
-    let dinv = dcum.inverse();
+    let dinv = dcum.inverse()?;
     let g = dcum.restrict(leaving)?.add_scalar(distance);
     let arrival = dinv.compose(&g)?;
     Ok(arrival.as_pwl().sub_identity().simplify())
