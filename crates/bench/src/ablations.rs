@@ -94,14 +94,17 @@ pub fn pruning(net: &RoadNetwork, n_queries: usize, seed: u64) -> Table {
         ],
     );
     for (name, prune) in [("basic (paper)", false), ("pruned (default)", true)] {
+        // Under the paper's naiveLB, like its basic algorithm.
         let engine = Engine::new(
             net,
             EngineConfig {
+                estimator: EstimatorKind::Naive,
                 prune_dominated: prune,
                 max_expansions: 500_000,
                 ..Default::default()
             },
-        );
+        )
+        .expect("the naive estimator builds");
         let mut expanded = 0usize;
         let mut pushed = 0usize;
         let mut elapsed_ms = 0.0;
@@ -154,7 +157,12 @@ pub fn ccam_placement(net: &RoadNetwork, pool_frames: &[usize], seed: u64) -> Ta
             let store = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
             let disk = CcamStore::build(net, store, policy, frames).expect("build succeeds");
             disk.clear_cache().expect("cache clears");
-            let engine = Engine::new(&disk, EngineConfig::default());
+            // Under naiveLB, which reads no page to build.
+            let naive = EngineConfig {
+                estimator: EstimatorKind::Naive,
+                ..EngineConfig::default()
+            };
+            let engine = Engine::new(&disk, naive).expect("the naive estimator builds");
             let before = disk.stats();
             for p in &pairs {
                 let q = QuerySpec::new(p.source, p.target, interval, DayCategory::WORKDAY);

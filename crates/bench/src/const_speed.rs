@@ -36,7 +36,7 @@ pub struct ConstSpeedRow {
 /// at noon, downtown → suburb in the evening — the trips whose
 /// congestion exposure the paper's 50% claim is about.
 pub fn run(net: &RoadNetwork, n_queries: usize, seed: u64) -> Vec<ConstSpeedRow> {
-    let engine = Engine::new(net, EngineConfig::default());
+    let engine = Engine::new(net, EngineConfig::default()).expect("estimator builds");
     // (instant, evening?) — evening trips run the commute in reverse
     let instants = [(hm(8, 0), false), (hm(12, 0), false), (hm(17, 0), true)];
     let downtown_radius = downtown_radius(net);

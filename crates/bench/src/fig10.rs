@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use allfp::baseline::discrete_time;
-use allfp::{Engine, EngineConfig, NaiveLb, QuerySpec};
+use allfp::{Engine, EngineConfig, EstimatorKind, NaiveLb, QuerySpec};
 use pwl::time::hm;
 use pwl::Interval;
 use roadnet::workload::sample_pairs;
@@ -64,8 +64,13 @@ pub fn run(
     backend: &BackendSpec,
 ) -> Fig10Result {
     let interval = Interval::of(hm(8, 15), hm(10, 10));
+    // The paper's setup: both models search under naiveLB.
+    let naive = EngineConfig {
+        estimator: EstimatorKind::Naive,
+        ..EngineConfig::default()
+    };
     let engine = backend
-        .wrap(Engine::new(net, EngineConfig::default()))
+        .wrap(Engine::new(net, naive).expect("the naive estimator builds"))
         .expect("backend builds");
     let lb = NaiveLb::new(net.max_speed());
 

@@ -66,7 +66,16 @@ pub fn run(
 ) -> Vec<Fig9Row> {
     let interval = Interval::of(hm(7, 0), hm(10, 0)); // the morning rush
     let naive = backend
-        .wrap(Engine::for_network(net, EngineConfig::default()).expect("estimator builds"))
+        .wrap(
+            Engine::for_network(
+                net,
+                EngineConfig {
+                    estimator: EstimatorKind::Naive,
+                    ..Default::default()
+                },
+            )
+            .expect("estimator builds"),
+        )
         .expect("backend builds");
     let bd = backend
         .wrap(

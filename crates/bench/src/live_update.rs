@@ -123,7 +123,7 @@ impl<'b> DriveScenario<LiveBackend<'b>> for DeltaStream<'_> {
 fn storm_sim(seed: u64, submissions: usize, deltas: usize) -> Residue {
     let net = grid(6, 6, 0.3, RoadClass::LocalOutside).expect("generator is infallible here");
     let load = Workload::calibrate(
-        &Engine::new(&net, EngineConfig::default()),
+        &Engine::new(&net, EngineConfig::default()).expect("estimator builds"),
         sample_specs(&net, 10, seed),
     )
     .expect("specs answer");
@@ -170,7 +170,7 @@ pub fn run(seed: u64, submissions: usize, deltas: usize) -> LiveUpdateReport {
     let (net2, delta_report) = net.apply_delta(&delta).expect("delta applies");
     let (_, refresh) = ch
         .refreshed(
-            Engine::new(&net2, EngineConfig::default()),
+            Engine::new(&net2, EngineConfig::default()).expect("estimator builds"),
             &delta_report.changed,
         )
         .expect("refresh succeeds on exact storage");

@@ -97,7 +97,7 @@ const OFFERED_RATIO: f64 = 2.0;
 fn simulate(seed: u64, submissions: usize, backend: &BackendSpec) -> Residue {
     let net = grid(6, 6, 0.3, RoadClass::LocalOutside).expect("generator is infallible here");
     let engine = backend
-        .wrap(Engine::new(&net, EngineConfig::default()))
+        .wrap(Engine::new(&net, EngineConfig::default()).expect("estimator builds"))
         .expect("backend builds");
     let engine = engine.as_ref();
 

@@ -41,7 +41,7 @@ use allfp::service::{
     LatencyHistogram, ManualClock, QueryService, ServiceClock, ServiceConfig, ServiceOutcome,
     Workload,
 };
-use allfp::{Engine, EngineConfig, EpochManager, EstimatorKind, LiveBackend};
+use allfp::{Engine, EngineConfig, EpochManager, LiveBackend};
 use roadnet::generators::grid;
 use roadnet::RoadNetwork;
 use traffic::RoadClass;
@@ -425,10 +425,7 @@ pub fn run_cluster_sim(sc: &ClusterScenario) -> Result<ClusterSimResult, Cluster
         ));
     }
     let net = grid(sc.grid_w, sc.grid_h, 0.3, RoadClass::LocalBoston)?;
-    let config = EngineConfig {
-        estimator: EstimatorKind::MinTime,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig::default();
 
     // Calibrate per-spec costs on a manager-built backend — the same
     // estimator stack the cluster nodes run, so cost hints and
@@ -522,7 +519,7 @@ pub fn run_cluster_sim(sc: &ClusterScenario) -> Result<ClusterSimResult, Cluster
 
     // The degraded-path fallback: constant-speed answers over the seed
     // network, shared by every node (replicated read-only data).
-    let fallback = Engine::new(&net, EngineConfig::default());
+    let fallback = Engine::new(&net, config.clone())?;
     let svc_cfg = ServiceConfig {
         queue_capacity: sc.queue_capacity,
         default_cost: mean_cost,

@@ -120,7 +120,7 @@ fn node_backend_matches_flat_and_hierarchy_on_singlefp() {
     // Tie-breaking in expansion order follows the estimator, so the
     // node runs the same default config the oracles were built with.
     let node = make_node(&net, 6, EngineConfig::default());
-    let flat = Engine::new(&net, EngineConfig::default());
+    let flat = Engine::new(&net, EngineConfig::default()).unwrap();
     let hier =
         HierarchyEngine::build(&net, EngineConfig::default(), HierarchyConfig::default()).unwrap();
     for (i, q) in specs.iter().enumerate() {

@@ -269,7 +269,7 @@ mod tests {
         // answer's departure δ(a) must be its inverse wherever both are
         // defined.
         let (net, ids) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let fwd = engine
             .all_fastest_paths(&QuerySpec::new(
                 ids.s,

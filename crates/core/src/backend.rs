@@ -430,7 +430,7 @@ mod tests {
     #[test]
     fn batch_matches_serial() {
         let (net, _) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let mut queries = windows(9, 9, true);
         // one unreachable query mixed in: it must fail alone
         queries.extend(windows(1, 1, false));
@@ -451,7 +451,7 @@ mod tests {
     #[test]
     fn batch_covers_every_query_at_any_width() {
         let (net, _) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let queries = windows(7, 7, true);
         let cancel = CancelToken::new();
         let (serial, serial_stats) = run_batch(&engine, &queries, 1, &cancel);
@@ -482,7 +482,7 @@ mod tests {
     #[test]
     fn batch_empty_and_error_handling() {
         let (net, _) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let cancel = CancelToken::new();
         let (results, stats) = run_batch(&engine, &[], 4, &cancel);
         assert!(results.is_empty());
@@ -535,7 +535,7 @@ mod tests {
         // needs real interleaving — so the assertion is gated on the
         // host actually having more than one core.
         let (net, _) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let queries = windows(12, 8, true);
         let mut saw_steal = false;
         for _ in 0..20 {
@@ -557,7 +557,7 @@ mod tests {
     #[test]
     fn cancelled_token_cancels_every_slot() {
         let (net, _) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let queries = windows(6, 1, true);
         let cancel = CancelToken::new();
         cancel.cancel();

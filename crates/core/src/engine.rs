@@ -30,9 +30,11 @@ const WATCH_EVERY: u64 = 32;
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Which lower-bound estimator to use. The boundary tables are
-    /// combined with the naive bound (`max` of both), so they are
-    /// never looser.
+    /// Which lower-bound estimator to use: [`EstimatorKind::MinTime`]
+    /// by default, the tightest. `Naive` and `Boundary { grid }` are
+    /// the paper's baselines (Figure 9, ablation A-1); the boundary
+    /// tables are combined with the naive bound (`max` of both), so
+    /// they are never looser than it.
     pub estimator: EstimatorKind,
     /// Per-node dominance pruning: drop a candidate path whose travel
     /// function is pointwise ≥ that of an already-known path to the
@@ -59,7 +61,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            estimator: EstimatorKind::Naive,
+            estimator: EstimatorKind::MinTime,
             prune_dominated: true,
             max_expansions: 2_000_000,
             use_travel_cache: true,
@@ -368,21 +370,17 @@ pub struct Engine<'a, S: NetworkSource> {
 }
 
 impl<'a, S: NetworkSource> Engine<'a, S> {
-    /// Build an engine with the naive estimator, whatever
-    /// `config.estimator` says: [`Engine::for_network`] builds the
-    /// configured kind over an in-memory network, and
-    /// [`Engine::with_estimator`] runs one built there (a boundary or
-    /// min-time estimator) against any [`NetworkSource`], a
-    /// disk-resident one included.
-    pub fn new(source: &'a S, config: EngineConfig) -> Self {
-        let naive = NaiveLb::new(source.max_speed());
-        let cache = cache_for(&config);
-        Engine {
-            source,
-            estimator: Box::new(naive),
-            config,
-            cache,
-        }
+    /// Build an engine over any source with the configured estimator,
+    /// read from the source itself: [`EstimatorKind::MinTime`] (the
+    /// default) or `Naive`. The boundary estimator's tables need an
+    /// in-memory network, so `Boundary { grid }` fails here with
+    /// [`AllFpError::EstimatorNeedsNetwork`]: [`Engine::for_network`]
+    /// builds it, and [`Engine::with_estimator`] runs one built by
+    /// [`build_estimator`] against any source, a disk-resident one
+    /// included.
+    pub fn new(source: &'a S, config: EngineConfig) -> Result<Self> {
+        let estimator = source_estimator(source, config.estimator)?;
+        Ok(Self::with_estimator(source, estimator, config))
     }
 
     /// Build an engine over any source with an explicit estimator
@@ -1098,13 +1096,7 @@ impl<'a> Engine<'a, roadnet::RoadNetwork> {
     /// precomputation if the config asks for it.
     pub fn for_network(net: &'a roadnet::RoadNetwork, config: EngineConfig) -> Result<Self> {
         let estimator = build_estimator(net, &config)?;
-        let cache = cache_for(&config);
-        Ok(Engine {
-            source: net,
-            estimator,
-            config,
-            cache,
-        })
+        Ok(Self::with_estimator(net, estimator, config))
     }
 }
 
@@ -1124,16 +1116,28 @@ pub fn build_estimator(
     net: &roadnet::RoadNetwork,
     config: &EngineConfig,
 ) -> Result<Box<dyn LowerBoundEstimator>> {
-    Ok(match config.estimator {
-        EstimatorKind::Naive => Box::new(NaiveLb::new(net.max_speed())),
-        EstimatorKind::Boundary { grid } => Box::new(MaxEstimator::new(
+    match config.estimator {
+        EstimatorKind::Boundary { grid } => Ok(Box::new(MaxEstimator::new(
             NaiveLb::new(net.max_speed()),
             BoundaryLb::build(net, grid)?,
             "bdLB",
-        )),
+        ))),
+        kind => source_estimator(net, kind),
+    }
+}
+
+/// The estimator of `kind` over any source: the kinds that need no
+/// in-memory network.
+fn source_estimator<S: NetworkSource + ?Sized>(
+    source: &S,
+    kind: EstimatorKind,
+) -> Result<Box<dyn LowerBoundEstimator>> {
+    Ok(match kind {
+        EstimatorKind::Naive => Box::new(NaiveLb::new(source.max_speed())),
         EstimatorKind::MinTime | EstimatorKind::BoundaryPartitioned { .. } => {
-            Box::new(MinTimeLb::build(net)?)
+            Box::new(MinTimeLb::build(source)?)
         }
+        EstimatorKind::Boundary { .. } => return Err(AllFpError::EstimatorNeedsNetwork(kind)),
     })
 }
 
@@ -1157,7 +1161,7 @@ mod tests {
     #[test]
     fn single_fp_matches_section_4_5() {
         let (net, ids) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let ans = engine.single_fastest_path(&paper_query()).unwrap();
         // "s ⇒ n → e is the result for singleFP. At 7:00 it has the
         // least travel time (5 min)" — optimal leaving [7:00, 7:03].
@@ -1170,7 +1174,7 @@ mod tests {
     #[test]
     fn all_fp_matches_section_4_6() {
         let (net, ids) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let ans = engine.all_fastest_paths(&paper_query()).unwrap();
         // Paper §4.6:
         //   s → e        on [6:50, 6:58:30)
@@ -1198,7 +1202,7 @@ mod tests {
     #[test]
     fn unreachable_target_errors() {
         let (net, ids) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let q = QuerySpec::new(
             ids.e,
             ids.s,
@@ -1218,7 +1222,7 @@ mod tests {
     #[test]
     fn degenerate_interval_degrades_to_astar() {
         let (net, ids) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let q = QuerySpec::new(
             ids.s,
             ids.e,
@@ -1235,7 +1239,7 @@ mod tests {
     #[test]
     fn nonworkday_has_single_constant_answer() {
         let (net, ids) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let q = QuerySpec::new(
             ids.s,
             ids.e,
@@ -1262,14 +1266,16 @@ mod tests {
                 prune_dominated: false,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         let pruned = Engine::new(
             &net,
             EngineConfig {
                 prune_dominated: true,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         let q = paper_query();
         let a = plain.all_fastest_paths(&q).unwrap();
         let b = pruned.all_fastest_paths(&q).unwrap();
@@ -1289,7 +1295,8 @@ mod tests {
                 max_expansions: 0,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert!(matches!(
             engine.all_fastest_paths(&paper_query()),
             Err(AllFpError::BudgetExhausted { .. })
@@ -1299,26 +1306,31 @@ mod tests {
     #[test]
     fn estimator_names_reported() {
         let (net, _) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
-        assert_eq!(engine.estimator_name(), "naiveLB");
-        let bd = Engine::for_network(
-            &net,
-            EngineConfig {
-                estimator: EstimatorKind::Boundary { grid: 2 },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(bd.estimator_name(), "bdLB");
-        let min_time = Engine::for_network(
-            &net,
-            EngineConfig {
-                estimator: EstimatorKind::MinTime,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(min_time.estimator_name(), "minTimeLB");
+        let default = Engine::new(&net, EngineConfig::default()).unwrap();
+        assert_eq!(default.estimator_name(), "minTimeLB");
+        let config = |estimator| EngineConfig {
+            estimator,
+            ..EngineConfig::default()
+        };
+        let naive = config(EstimatorKind::Naive);
+        assert_eq!(
+            Engine::new(&net, naive).unwrap().estimator_name(),
+            "naiveLB"
+        );
+        let bd = config(EstimatorKind::Boundary { grid: 2 });
+        assert_eq!(
+            Engine::for_network(&net, bd.clone())
+                .unwrap()
+                .estimator_name(),
+            "bdLB"
+        );
+        // `new` builds what it can from any source and refuses the rest.
+        assert!(matches!(
+            Engine::new(&net, bd),
+            Err(AllFpError::EstimatorNeedsNetwork(EstimatorKind::Boundary {
+                grid: 2
+            }))
+        ));
     }
 
     #[test]
@@ -1335,7 +1347,7 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         let (net, _) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let ans = engine.all_fastest_paths(&paper_query()).unwrap();
         assert!(ans.stats.expanded_paths >= 2);
         assert!(ans.stats.expanded_nodes >= 2);
@@ -1346,7 +1358,7 @@ mod tests {
     #[test]
     fn cache_counters_are_consistent() {
         let (net, _) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let q = paper_query();
         let a = engine.all_fastest_paths(&q).unwrap();
         assert!(a.stats.cache_lookups > 0);
@@ -1375,7 +1387,8 @@ mod tests {
                 use_travel_cache: false,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         let q = paper_query();
         for _ in 0..2 {
             let a = engine.all_fastest_paths(&q).unwrap();
@@ -1387,14 +1400,15 @@ mod tests {
     #[test]
     fn cache_toggle_preserves_answers() {
         let (net, _) = paper_running_example();
-        let cached = Engine::new(&net, EngineConfig::default());
+        let cached = Engine::new(&net, EngineConfig::default()).unwrap();
         let plain = Engine::new(
             &net,
             EngineConfig {
                 use_travel_cache: false,
                 ..EngineConfig::default()
             },
-        );
+        )
+        .unwrap();
         let q = paper_query();
         let a = cached.all_fastest_paths(&q).unwrap();
         let b = plain.all_fastest_paths(&q).unwrap();
@@ -1409,7 +1423,7 @@ mod tests {
     fn exhausted_query_budget_degrades_with_valid_fallback() {
         use crate::query::{QueryBudget, QueryOutcome};
         let (net, ids) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         // Zero expansions: nothing can reach the target, so best is
         // None and only the constant-speed fallback is available.
         let q = paper_query().with_budget(QueryBudget::default().with_max_expansions(0));
@@ -1446,7 +1460,7 @@ mod tests {
         // the last expansion, so a partial border needs a network where
         // expansions continue past the first merge: a grid.
         let net = roadnet::generators::grid(5, 5, 0.3, traffic::RoadClass::LocalOutside).unwrap();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let base = QuerySpec::new(
             NodeId(0),
             NodeId(24),
@@ -1487,7 +1501,7 @@ mod tests {
     fn zero_deadline_degrades_immediately() {
         use crate::query::{QueryBudget, QueryOutcome};
         let (net, _) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let q = paper_query()
             .with_budget(QueryBudget::default().with_deadline(std::time::Duration::ZERO));
         let out = engine.run_robust(&q).unwrap();
@@ -1501,7 +1515,7 @@ mod tests {
     #[test]
     fn unbudgeted_robust_outcome_is_exact() {
         let (net, _) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let want = engine.all_fastest_paths(&paper_query()).unwrap();
         let out = engine.run_robust(&paper_query()).unwrap();
         let got = out.exact().expect("no budget → exact");
@@ -1524,8 +1538,14 @@ mod tests {
         large
             .add_class_edge(island, NodeId(24), 2.0, traffic::RoadClass::LocalOutside)
             .unwrap();
-        let on_small = Engine::new(&small, EngineConfig::default());
-        let on_large = Engine::new(&large, EngineConfig::default());
+        // naiveLB, so the unreachable query searches: the min-time
+        // bound proves it before reading a node.
+        let naive = EngineConfig {
+            estimator: EstimatorKind::Naive,
+            ..EngineConfig::default()
+        };
+        let on_small = Engine::new(&small, naive.clone()).unwrap();
+        let on_large = Engine::new(&large, naive).unwrap();
 
         let iv = Interval::of(hm(6, 50), hm(7, 5));
         let ask = |s, t| QuerySpec::new(NodeId(s), NodeId(t), iv, DayCategory::WORKDAY);
@@ -1612,7 +1632,7 @@ mod tests {
             net.add_bidirectional(w[0], w[1], 1.0, traffic::RoadClass::LocalOutside)
                 .unwrap();
         }
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let q = QuerySpec::new(
             ids[0],
             ids[4],
@@ -1637,7 +1657,7 @@ mod tests {
         use DegradedReason::DeadlineExpired;
         use QueryMode::{AllFp, AllFpOrDegraded, SingleFp};
         let net = suffolk_like(&MetroConfig::small(0x5EED)).unwrap();
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let pairs = roadnet::workload::distance_buckets(&net, 4, 2, 0.25, 0x5EED).unwrap();
         let (q, want, k) = (pairs.iter().flat_map(|(_, pairs)| pairs))
             .find_map(|pair| {

@@ -133,6 +133,10 @@ pub enum AllFpError {
         /// The budget.
         limit: usize,
     },
+    /// The configured estimator cannot be built over this source: the
+    /// boundary estimator's tables need an in-memory network
+    /// ([`Engine::for_network`], [`build_estimator`]).
+    EstimatorNeedsNetwork(EstimatorKind),
     /// An internal invariant failed — a bug in this crate, reported as
     /// an error rather than a panic so one bad query cannot take down
     /// a batch.
@@ -163,6 +167,9 @@ impl std::fmt::Display for AllFpError {
                 f,
                 "contraction would grow the overlay to {arcs} arcs, past its budget of {limit}"
             ),
+            AllFpError::EstimatorNeedsNetwork(kind) => {
+                write!(f, "the {kind:?} estimator needs an in-memory network")
+            }
             AllFpError::Internal(what) => write!(f, "internal invariant violated: {what}"),
             AllFpError::Network(e) => write!(f, "network error: {e}"),
             AllFpError::Traffic(e) => write!(f, "traffic error: {e}"),

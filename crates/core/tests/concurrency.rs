@@ -184,7 +184,7 @@ fn robust_batch_is_exact_across_widths() {
     // the fault-tolerant entry point must preserve the plain batch's
     // exactness guarantee at every width when nothing goes wrong
     let net = random_geometric(100, 5.0, 3, 11).unwrap();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let n = net.n_nodes() as u32;
 
     let mut x = 0x000B_0B5E_u64;

@@ -30,7 +30,7 @@ fn probe_instants(i: &Interval, n: usize) -> Vec<f64> {
 
 /// allFP's lower border must match the fixed-instant oracle everywhere.
 fn check_against_oracle(net: &RoadNetwork, q: &QuerySpec) {
-    let engine = Engine::new(net, EngineConfig::default());
+    let engine = Engine::new(net, EngineConfig::default()).unwrap();
     let ans = match engine.all_fastest_paths(q) {
         Ok(a) => a,
         Err(allfp::AllFpError::Unreachable { .. }) => {
@@ -109,7 +109,11 @@ fn tighter_estimators_preserve_answers_and_prune() {
     let net = suffolk_like(&MetroConfig::small(5)).unwrap();
     let pairs = roadnet::workload::sample_pairs(&net, 3, 1.5, 2.5, 4).unwrap();
     assert!(!pairs.is_empty());
-    let naive = Engine::for_network(&net, EngineConfig::default()).unwrap();
+    let config = EngineConfig {
+        estimator: EstimatorKind::Naive,
+        ..EngineConfig::default()
+    };
+    let naive = Engine::for_network(&net, config).unwrap();
     for estimator in [EstimatorKind::Boundary { grid: 8 }, EstimatorKind::MinTime] {
         let config = EngineConfig {
             estimator,
@@ -176,14 +180,16 @@ fn road_over_a_dead_end(drops: bool) -> (RoadNetwork, Vec<NodeId>, Vec<NodeId>) 
 
 #[test]
 fn nodes_that_cannot_reach_the_target_are_never_searched() {
-    let min_time = |net, max_expansions| {
+    let with = |estimator, net, max_expansions| {
         let config = EngineConfig {
-            estimator: EstimatorKind::MinTime,
+            estimator,
             max_expansions,
             ..EngineConfig::default()
         };
         Engine::for_network(net, config).unwrap()
     };
+    let min_time = |net, max_expansions| with(EstimatorKind::MinTime, net, max_expansions);
+    let naive = |net| with(EstimatorKind::Naive, net, usize::MAX);
     let (net, live, dead) = road_over_a_dead_end(true);
     let window = Interval::of(hm(6, 30), hm(9, 0));
     let ask = |source| QuerySpec::new(source, live[5], window, DayCategory::WORKDAY);
@@ -203,7 +209,7 @@ fn nodes_that_cannot_reach_the_target_are_never_searched() {
             matches!(out, Err(allfp::AllFpError::Unreachable { .. })),
             "{out:?}"
         );
-        let out = Engine::new(&net, EngineConfig::default()).all_fastest_paths(&ask(source));
+        let out = naive(&net).all_fastest_paths(&ask(source));
         assert!(
             matches!(out, Err(allfp::AllFpError::Unreachable { .. })),
             "{out:?}"
@@ -215,9 +221,7 @@ fn nodes_that_cannot_reach_the_target_are_never_searched() {
     // drops — a dead node is read once, when the live node over it is
     // first expanded (the target never is), and never queued.
     let q = ask(live[0]);
-    let a = Engine::new(&net, EngineConfig::default())
-        .all_fastest_paths(&q)
-        .unwrap();
+    let a = naive(&net).all_fastest_paths(&q).unwrap();
     let b = min_time(&net, usize::MAX).all_fastest_paths(&q).unwrap();
     assert_eq!(a.partition, b.partition);
     assert_eq!(a.paths, b.paths);
@@ -252,8 +256,8 @@ fn ccam_store_gives_identical_answers() {
     let disk = CcamStore::build(&net, store, PlacementPolicy::ConnectivityClustered, 256).unwrap();
 
     let pairs = roadnet::workload::sample_pairs(&net, 3, 1.0, 2.0, 77).unwrap();
-    let mem_engine = Engine::new(&net, EngineConfig::default());
-    let disk_engine = Engine::new(&disk, EngineConfig::default());
+    let mem_engine = Engine::new(&net, EngineConfig::default()).unwrap();
+    let disk_engine = Engine::new(&disk, EngineConfig::default()).unwrap();
     for p in pairs {
         let q = QuerySpec::new(
             p.source,
@@ -286,8 +290,9 @@ fn dominance_pruning_preserves_answers_on_metro() {
             prune_dominated: false,
             ..EngineConfig::default()
         },
-    );
-    let pruned = Engine::new(&net, EngineConfig::default());
+    )
+    .unwrap();
+    let pruned = Engine::new(&net, EngineConfig::default()).unwrap();
     for p in pairs {
         let q = QuerySpec::new(
             p.source,
@@ -328,7 +333,7 @@ fn a_later_day_answers_like_day_zero_shifted() {
     // every candidate takes the materialising fallback (restrict, then
     // shift by whole periods). Same routes, same partition, shifted.
     let net = suffolk_like(&MetroConfig::small(42)).unwrap();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let shift = 3.0 * pwl::time::MINUTES_PER_DAY;
     for p in roadnet::workload::sample_pairs(&net, 4, 1.0, 2.5, 9).unwrap() {
         let rush = Interval::of(hm(7, 0), hm(8, 0));
@@ -356,7 +361,7 @@ fn a_later_day_answers_like_day_zero_shifted() {
 fn single_fp_agrees_with_all_fp_minimum() {
     let net = suffolk_like(&MetroConfig::small(8)).unwrap();
     let pairs = roadnet::workload::sample_pairs(&net, 4, 1.0, 2.0, 13).unwrap();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     for p in pairs {
         let q = QuerySpec::new(
             p.source,
@@ -408,7 +413,7 @@ fn slow_detour_under_the_peak() -> (RoadNetwork, QuerySpec) {
 #[test]
 fn the_border_prunes_where_it_lies_not_only_at_its_peak() {
     let (net, q) = slow_detour_under_the_peak();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let ans = engine.all_fastest_paths(&q).unwrap();
     // `s → a` is queued before any border exists and popped at 15 < 20:
     // the scalar rule expanded it, the pointwise one must not.
@@ -433,7 +438,7 @@ fn the_border_prunes_where_it_lies_not_only_at_its_peak() {
 #[test]
 fn budgets_still_trip_on_pop_zero_of_a_query_the_border_cuts_short() {
     let (net, q) = slow_detour_under_the_peak();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let mut session = engine.cache_session();
 
     let cancelled = CancelToken::new();

@@ -50,8 +50,8 @@ fn assert_equally_fastest(p: &allfp::FastestPath, q: &allfp::FastestPath, iv: &I
 
 /// Assert two allFP answers partition the interval identically.
 fn assert_same_answer(net: &RoadNetwork, q: &QuerySpec) {
-    let cached = Engine::new(net, EngineConfig::default());
-    let plain = Engine::new(net, reference());
+    let cached = Engine::new(net, EngineConfig::default()).unwrap();
+    let plain = Engine::new(net, reference()).unwrap();
     let a = cached.all_fastest_paths(q).expect("cached engine");
     let b = plain.all_fastest_paths(q).expect("reference engine");
 

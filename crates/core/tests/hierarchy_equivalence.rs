@@ -31,7 +31,7 @@ fn assert_equivalent_with(
     config: HierarchyConfig,
     what: &str,
 ) {
-    let flat = Engine::new(net, EngineConfig::default());
+    let flat = Engine::new(net, EngineConfig::default()).unwrap();
     let ch = HierarchyEngine::build(net, EngineConfig::default(), config).expect("hierarchy build");
 
     // singleFP: node sequence, minimum, argmin interval, full function.
@@ -148,7 +148,7 @@ fn hierarchy_expands_fewer_paths() {
     // preprocessing: on a metro network the overlay search does far
     // less work per query than flat expansion.
     let net = suffolk_like(&MetroConfig::small(0xC0FFEE)).expect("generator");
-    let flat = Engine::new(&net, EngineConfig::default());
+    let flat = Engine::new(&net, EngineConfig::default()).unwrap();
     let ch = HierarchyEngine::build(&net, EngineConfig::default(), HierarchyConfig::default())
         .expect("hierarchy build");
     let pairs = sample_pairs(&net, 8, 1.0, 3.0, 0xF19).expect("pairs");
@@ -188,7 +188,7 @@ fn unbuilt_category_falls_back_to_flat() {
 #[test]
 fn degenerate_interval_falls_back_to_flat() {
     let (net, ids) = paper_running_example();
-    let flat = Engine::new(&net, EngineConfig::default());
+    let flat = Engine::new(&net, EngineConfig::default()).unwrap();
     let ch = HierarchyEngine::build(&net, EngineConfig::default(), HierarchyConfig::default())
         .expect("hierarchy build");
     let query = QuerySpec::new(

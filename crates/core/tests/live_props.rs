@@ -80,8 +80,8 @@ proptest! {
         let b = delta_chain(random_geometric(N, 1.5, 3, seed).unwrap(), &seeds);
         let interval = Interval::of(hm(7, 0), hm(8, 30));
         for (na, nb) in a.iter().zip(b.iter()) {
-            let ea = Engine::new(na.as_ref(), EngineConfig::default());
-            let eb = Engine::new(nb.as_ref(), EngineConfig::default());
+            let ea = Engine::new(na.as_ref(), EngineConfig::default()).unwrap();
+            let eb = Engine::new(nb.as_ref(), EngineConfig::default()).unwrap();
             for (s, t) in [(0u32, N as u32 - 1), (3, 7), (9, 2)] {
                 let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY);
                 let fa = ea.all_fastest_paths(&q).unwrap();

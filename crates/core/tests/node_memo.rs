@@ -133,8 +133,8 @@ fn exact_queries_read_each_node_record_once() {
     for (i, q) in queries.iter().enumerate() {
         // Fresh engines on both sides: same (empty) travel-function
         // cache, so the statistics must agree to the last counter.
-        let engine = Engine::new(&counted, EngineConfig::default());
-        let bare = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&counted, EngineConfig::default()).unwrap();
+        let bare = Engine::new(&net, EngineConfig::default()).unwrap();
         counted.take();
 
         let all = engine.all_fastest_paths(q).expect("allFP");
@@ -168,7 +168,7 @@ fn a_budget_tripped_query_reads_each_node_record_once() {
     let counted = CountingSource::new(&net);
     // Half of what the query needs unbudgeted, so the cap trips
     // mid-search whatever the pruning rules make of the query.
-    let probe = Engine::new(&net, EngineConfig::default());
+    let probe = Engine::new(&net, EngineConfig::default()).unwrap();
     let unbudgeted = probe.all_fastest_paths(&queries[0]).expect("allFP");
     let cap = unbudgeted.stats.expanded_paths / 2;
     assert!(cap > 0, "the query must need more than one expansion");
@@ -177,7 +177,7 @@ fn a_budget_tripped_query_reads_each_node_record_once() {
 
     // The legacy surface stops at the trip, so its calls are exactly
     // the search's.
-    let engine = Engine::new(&counted, EngineConfig::default());
+    let engine = Engine::new(&counted, EngineConfig::default()).unwrap();
     counted.take();
     assert!(matches!(
         engine.all_fastest_paths(&q),
@@ -187,7 +187,8 @@ fn a_budget_tripped_query_reads_each_node_record_once() {
 
     // The robust surface reports the search's statistics and then
     // plans the fallback route through the allocating `successors`.
-    let engine = Engine::new(&counted, EngineConfig::default());
+    let engine = Engine::new(&counted, EngineConfig::default()).unwrap();
+    counted.take();
     let QueryOutcome::Degraded(degraded) = engine.run_robust(&q).expect("robust query") else {
         panic!("half its expansions cannot finish the query");
     };
@@ -196,7 +197,7 @@ fn a_budget_tripped_query_reads_each_node_record_once() {
     assert_eq!(robust_calls.successors_into, search_calls.successors_into);
     assert!(!robust_calls.successors.is_empty(), "fallback was planned");
 
-    let bare = Engine::new(&net, EngineConfig::default());
+    let bare = Engine::new(&net, EngineConfig::default()).unwrap();
     let QueryOutcome::Degraded(want) = bare.run_robust(&q).expect("robust query") else {
         panic!("the bare network trips the same budget");
     };
@@ -230,7 +231,7 @@ fn a_paged_source_pays_six_pool_lookups_per_node_read() {
     disk.find_node(queries[0].source).expect("node exists");
     assert_eq!(logical(&disk.stats().since(&before)), 3, "tree height is 2");
 
-    let engine = Engine::new(&disk, EngineConfig::default());
+    let engine = Engine::new(&disk, EngineConfig::default()).unwrap();
     for (i, q) in queries.iter().enumerate() {
         let before = disk.stats();
         let all = engine.all_fastest_paths(q).expect("allFP");

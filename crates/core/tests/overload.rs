@@ -125,14 +125,14 @@ fn run_chaos_sim(seed: u64) -> SimResult {
 
     // Calibrate per-spec costs (work units = expansions) on the
     // in-memory engine; identical data ⇒ identical costs on disk.
-    let fallback = Engine::new(&net, EngineConfig::default());
+    let fallback = Engine::new(&net, EngineConfig::default()).unwrap();
     let load = Workload::calibrate(&fallback, sample_specs(&net, 12, seed)).unwrap();
     let mean_cost = load.mean_cost;
 
     let (injected, top) = faulty_stack(FaultPlan::quiet(seed));
     let disk = CcamStore::build(&net, top, PlacementPolicy::ConnectivityClustered, 64).unwrap();
     disk.clear_cache().unwrap();
-    let primary = Engine::new(&disk, EngineConfig::default());
+    let primary = Engine::new(&disk, EngineConfig::default()).unwrap();
 
     let clock = ManualClock::new();
     let queue_capacity = 12;
@@ -289,7 +289,7 @@ fn chaos_storm_invariants_hold_and_replay_exactly() {
     let specs = sample_specs(&net, 12, 42);
     let (_quiet_injector, top) = faulty_stack(FaultPlan::quiet(42));
     let disk = CcamStore::build(&net, top, PlacementPolicy::ConnectivityClustered, 64).unwrap();
-    let oracle = Engine::new(&disk, EngineConfig::default());
+    let oracle = Engine::new(&disk, EngineConfig::default()).unwrap();
     assert!(!run.answered.is_empty());
     for (id, spec_idx, sig) in &run.answered {
         let want = match oracle.run_robust(&specs[*spec_idx]).unwrap() {
@@ -329,7 +329,7 @@ fn small_net_and_specs() -> (RoadNetwork, Vec<QuerySpec>) {
 #[test]
 fn interactive_is_served_before_batch() {
     let (net, specs) = small_net_and_specs();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let clock = ManualClock::new();
     let svc = QueryService::new(&engine, &clock, ServiceConfig::default());
 
@@ -363,7 +363,7 @@ fn interactive_is_served_before_batch() {
 #[test]
 fn queue_full_and_predicted_late_reject_with_typed_reasons() {
     let (net, specs) = small_net_and_specs();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let clock = ManualClock::new();
     let config = ServiceConfig {
         queue_capacity: 3,
@@ -403,7 +403,7 @@ fn queue_full_and_predicted_late_reject_with_typed_reasons() {
 #[test]
 fn expired_queue_entries_are_shed_from_the_head() {
     let (net, specs) = small_net_and_specs();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let clock = ManualClock::new();
     let svc = QueryService::new(&engine, &clock, ServiceConfig::default());
 
@@ -438,7 +438,7 @@ fn expired_queue_entries_are_shed_from_the_head() {
 #[test]
 fn drain_cancel_resolves_queued_work_and_rejects_new() {
     let (net, specs) = small_net_and_specs();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let clock = ManualClock::new();
     let svc = QueryService::new(&engine, &clock, ServiceConfig::default());
 
@@ -470,7 +470,7 @@ fn drain_cancel_resolves_queued_work_and_rejects_new() {
 #[test]
 fn threaded_serve_resolves_every_admission() {
     let (net, specs) = small_net_and_specs();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let clock = WallClock::new();
     let config = ServiceConfig {
         queue_capacity: 8,
@@ -519,7 +519,7 @@ fn threaded_serve_resolves_every_admission() {
 #[test]
 fn deadline_overshoot_is_bounded_on_heavy_compounds() {
     let net = grid(10, 10, 0.25, RoadClass::LocalBoston).unwrap();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     // Full waking day: rush-hour patterns make many-piece travel
     // functions, so each compound is heavy.
     let q = QuerySpec::new(

@@ -33,7 +33,7 @@ proptest! {
         let lo = hm(6, 0) + lo_frac * 240.0;
         let interval = Interval::of(lo, lo + len);
         let q = QuerySpec::new(NodeId(src), NodeId(dst), interval, DayCategory::WORKDAY);
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let ans = engine.all_fastest_paths(&q).unwrap(); // generator connects everything
         let lb = NaiveLb::new(net.max_speed());
         for k in 0..=12 {
@@ -66,11 +66,11 @@ proptest! {
         let net = random_geometric(25, 1.8, 3, seed).unwrap();
         let interval = Interval::of(hm(7, 0), hm(8, 0));
         let q = QuerySpec::new(NodeId(src), NodeId(dst), interval, DayCategory::WORKDAY);
-        let pruned = Engine::new(&net, EngineConfig::default());
+        let pruned = Engine::new(&net, EngineConfig::default()).unwrap();
         let basic = Engine::new(
             &net,
             EngineConfig { prune_dominated: false, ..EngineConfig::default() },
-        );
+        ).unwrap();
         let a = pruned.all_fastest_paths(&q).unwrap();
         let b = basic.all_fastest_paths(&q).unwrap();
         prop_assert_eq!(a.partition.len(), b.partition.len());
@@ -91,7 +91,7 @@ proptest! {
         // forward over a wide window; compare departures via the inverse
         let fwd_window = Interval::of(hm(6, 0), hm(9, 0));
         let q = QuerySpec::new(NodeId(src), NodeId(dst), fwd_window, DayCategory::WORKDAY);
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let fwd = engine.all_fastest_paths(&q).unwrap();
         let a_star =
             pwl::MonotonePwl::arrival_from_travel(fwd.lower_border.as_pwl()).unwrap();
@@ -152,7 +152,7 @@ proptest! {
         let lo = hm(6, 0) + lo_frac * 240.0;
         let interval = Interval::of(lo, lo + len);
         let q = QuerySpec::new(NodeId(src), NodeId(dst), interval, DayCategory::WORKDAY);
-        let engine = Engine::new(&net, EngineConfig::default());
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
 
         let exact = engine.all_fastest_paths(&q).unwrap();
         // A zero-expansion budget forces the constant-speed fallback

@@ -32,7 +32,7 @@ fn rebuild_border_deep(answer: &AllFpAnswer) -> Envelope<usize> {
 }
 
 fn assert_border_bit_identical(net: &RoadNetwork, q: &QuerySpec) {
-    let engine = Engine::new(net, EngineConfig::default());
+    let engine = Engine::new(net, EngineConfig::default()).unwrap();
     let answer = engine.all_fastest_paths(q).expect("allFP answer");
     let rebuilt = rebuild_border_deep(&answer);
 

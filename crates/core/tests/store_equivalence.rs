@@ -93,7 +93,7 @@ fn answers_bit_identical_across_mem_file_and_checksummed_file_stores() {
     assert!(!queries.is_empty());
 
     // Reference: the in-memory network.
-    let mem_engine = Engine::new(&net, EngineConfig::default());
+    let mem_engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let reference: Vec<String> = queries
         .iter()
         .map(|q| fingerprint(&mem_engine.all_fastest_paths(q).expect("query succeeds")))
@@ -136,7 +136,7 @@ fn answers_bit_identical_across_mem_file_and_checksummed_file_stores() {
         ("FileStore", &file_ccam),
         ("ChecksummedStore over FileStore", &summed_ccam),
     ] {
-        let engine = Engine::new(disk, EngineConfig::default());
+        let engine = Engine::new(disk, EngineConfig::default()).unwrap();
         for (q, want) in queries.iter().zip(reference.iter()) {
             let got = fingerprint(&engine.all_fastest_paths(q).expect("query succeeds"));
             assert_eq!(&got, want, "{label} answer diverged from in-memory network");

@@ -171,7 +171,7 @@ fn run_storm_sim(seed: u64) -> StormResult {
     // engine over the seed epoch; identical data ⇒ identical costs
     // through the live backend.
     let load = Workload::calibrate(
-        &Engine::new(&net, EngineConfig::default()),
+        &Engine::new(&net, EngineConfig::default()).unwrap(),
         sample_specs(&net, 12, seed),
     )
     .unwrap();
@@ -235,7 +235,7 @@ fn run_storm_sim(seed: u64) -> StormResult {
     // the network its pinned epoch published. Bit-identical or bust.
     for (id, idx, epoch, sig) in &answered {
         let net = &storm.epoch_nets[epoch];
-        let fresh = Engine::new(net.as_ref(), EngineConfig::default());
+        let fresh = Engine::new(net.as_ref(), EngineConfig::default()).unwrap();
         let want = answer_sig(&fresh.all_fastest_paths(&specs[*idx]).unwrap());
         assert_eq!(
             sig, &want,
@@ -382,6 +382,7 @@ fn query_admitted_before_swap_answers_from_its_pinned_epoch() {
     let old_net = Arc::clone(mgr.current().network());
     let want = answer_sig(
         &Engine::new(old_net.as_ref(), EngineConfig::default())
+            .unwrap()
             .all_fastest_paths(&spec)
             .unwrap(),
     );
@@ -413,6 +414,7 @@ fn query_admitted_before_swap_answers_from_its_pinned_epoch() {
     // meaningful rather than vacuous.
     let new_ans = answer_sig(
         &Engine::new(mgr.current().network().as_ref(), EngineConfig::default())
+            .unwrap()
             .all_fastest_paths(&spec)
             .unwrap(),
     );

@@ -107,7 +107,7 @@ proptest! {
         let net = random_geometric(N, 1.5, 3, seed).unwrap();
         let lo = hm(6, 0) + lo_frac * 240.0;
         let interval = Interval::of(lo, lo + len);
-        let flat = Engine::new(&net, EngineConfig::default());
+        let flat = Engine::new(&net, EngineConfig::default()).unwrap();
         let ch = HierarchyEngine::build(
             &net,
             EngineConfig::default(),
@@ -142,7 +142,7 @@ proptest! {
         let bytes = ch.snapshot().to_bytes();
         let snap = roadnet::overlay::HierarchySnapshot::from_bytes(&bytes).unwrap();
         let restored = HierarchyEngine::from_snapshot(
-            Engine::new(&net, EngineConfig::default()),
+            Engine::new(&net, EngineConfig::default()).unwrap(),
             HierarchyConfig {
                 threads: 2,
                 ..HierarchyConfig::default()
@@ -238,7 +238,7 @@ proptest! {
             2 => Interval::of(MINUTES_PER_DAY - len, MINUTES_PER_DAY),
             _ => Interval::of(0.0, len),
         };
-        let flat = Engine::new(&net, EngineConfig::default());
+        let flat = Engine::new(&net, EngineConfig::default()).unwrap();
         let ch = HierarchyEngine::build(&net, EngineConfig::default(), variant(topology == 2)).unwrap();
         for (s, t) in [(0u32, N as u32 - 1), (1, 8), (5, 2), (9, 4), (3, 12), (13, 6)] {
             let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY);
@@ -283,7 +283,7 @@ fn net_with_island() -> RoadNetwork {
 #[test]
 fn search_space_edge_cases_match_flat() {
     let net = net_with_island();
-    let flat = Engine::new(&net, EngineConfig::default());
+    let flat = Engine::new(&net, EngineConfig::default()).unwrap();
     let rush = Interval::of(hm(7, 0), hm(9, 0));
     let late = Interval::of(hm(22, 30), MINUTES_PER_DAY);
     for live in [false, true] {
@@ -312,7 +312,7 @@ fn rebuilt_adjacency_answers_like_flat() {
     let (net2, report) = net
         .apply_delta(&net.seeded_delta(5, 4, 1).unwrap())
         .unwrap();
-    let engine = || Engine::new(&net2, EngineConfig::default());
+    let engine = || Engine::new(&net2, EngineConfig::default()).unwrap();
     let (refreshed, _) = live.refreshed(engine(), &report.changed).unwrap();
     let restored =
         HierarchyEngine::from_snapshot(engine(), variant(true), &live.snapshot()).unwrap();

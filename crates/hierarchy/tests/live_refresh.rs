@@ -47,10 +47,10 @@ proptest! {
         let (net2, report) = net.apply_delta(&delta).unwrap();
 
         let (refreshed, rr) = live
-            .refreshed(Engine::new(&net2, EngineConfig::default()), &report.changed)
+            .refreshed(Engine::new(&net2, EngineConfig::default()).unwrap(), &report.changed)
             .unwrap();
         let scratch = HierarchyEngine::from_snapshot(
-            Engine::new(&net2, EngineConfig::default()),
+            Engine::new(&net2, EngineConfig::default()).unwrap(),
             live_config(),
             &live.snapshot(),
         )
@@ -84,15 +84,15 @@ proptest! {
         let d1 = net.seeded_delta(delta_seed, 4, 1).unwrap();
         let (net2, r1) = net.apply_delta(&d1).unwrap();
         let (live2, _) = live
-            .refreshed(Engine::new(&net2, EngineConfig::default()), &r1.changed)
+            .refreshed(Engine::new(&net2, EngineConfig::default()).unwrap(), &r1.changed)
             .unwrap();
         let d2 = net2.seeded_delta(delta_seed ^ 0xABCD, 3, 2).unwrap();
         let (net3, r2) = net2.apply_delta(&d2).unwrap();
         let (live3, _) = live2
-            .refreshed(Engine::new(&net3, EngineConfig::default()), &r2.changed)
+            .refreshed(Engine::new(&net3, EngineConfig::default()).unwrap(), &r2.changed)
             .unwrap();
 
-        let flat = Engine::new(&net3, EngineConfig::default());
+        let flat = Engine::new(&net3, EngineConfig::default()).unwrap();
         let interval = Interval::of(hm(6, 30), hm(8, 30));
         for s in 0..N as u32 {
             for t in 0..N as u32 {
@@ -124,7 +124,7 @@ fn empty_delta_rebuilds_nothing() {
     let net = random_geometric(12, 1.5, 3, 11).unwrap();
     let live = HierarchyEngine::build(&net, EngineConfig::default(), live_config()).unwrap();
     let (refreshed, rr) = live
-        .refreshed(Engine::new(&net, EngineConfig::default()), &[])
+        .refreshed(Engine::new(&net, EngineConfig::default()).unwrap(), &[])
         .unwrap();
     assert_eq!(rr.base_rebuilt, 0);
     assert_eq!(rr.shortcuts_rebuilt, 0);

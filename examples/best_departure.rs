@@ -47,7 +47,7 @@ fn main() {
     );
 
     let query = QuerySpec::new(pair.source, pair.target, window, DayCategory::WORKDAY);
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
 
     let t0 = std::time::Instant::now();
     let exact = engine.single_fastest_path(&query).expect("reachable");

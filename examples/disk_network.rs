@@ -38,7 +38,7 @@ fn main() {
         CcamStore::build(&net, Arc::clone(&store), policy, 64).expect("build succeeds");
         let disk = CcamStore::open(store, 8).expect("reopen succeeds");
 
-        let engine = Engine::new(&disk, EngineConfig::default());
+        let engine = Engine::new(&disk, EngineConfig::default()).unwrap();
         let pairs = sample_pairs(&net, 10, 1.0, 2.5, 5).expect("sampling succeeds");
         let before = disk.stats();
         for p in &pairs {

@@ -22,7 +22,7 @@ fn main() {
         Interval::of(hm(6, 50), hm(7, 5)),
         DayCategory::WORKDAY,
     );
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
 
     // --- singleFP -----------------------------------------------------------
     let single = engine

@@ -31,7 +31,7 @@
 //!     Interval::of(hm(6, 50), hm(7, 5)),
 //!     DayCategory::WORKDAY,
 //! );
-//! let engine = Engine::new(&net, EngineConfig::default());
+//! let engine = Engine::new(&net, EngineConfig::default()).unwrap();
 //!
 //! // singleFP: leave between 7:00 and 7:03 and arrive in 5 minutes.
 //! let single = engine.single_fastest_path(&query).unwrap();

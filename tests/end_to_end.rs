@@ -37,7 +37,7 @@ fn full_stack_round_trip() {
     };
     let estimator = build_estimator(&net, &config).unwrap();
     let disk_engine = Engine::with_estimator(&disk, estimator, config);
-    let mem_engine = Engine::new(&net, EngineConfig::default());
+    let mem_engine = Engine::new(&net, EngineConfig::default()).unwrap();
 
     let window = Interval::of(hm(7, 0), hm(9, 0));
     let pairs = sample_pairs(&net, 4, 1.5, 2.5, 99).unwrap();
@@ -60,7 +60,7 @@ fn smart_planner_beats_constant_speed_during_rush() {
     // The §6 claim: knowing the patterns ("CapeCod model") beats
     // assuming speed limits, with the gap concentrated in rush hours.
     let net = suffolk_like(&MetroConfig::small(7)).unwrap();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let pairs = sample_pairs(&net, 12, 2.0, 3.5, 3).unwrap();
 
     let mut smart_total = 0.0;
@@ -103,7 +103,7 @@ fn smart_planner_beats_constant_speed_during_rush() {
 fn discrete_time_never_beats_exact() {
     let net = suffolk_like(&MetroConfig::small(55)).unwrap();
     let pairs = sample_pairs(&net, 5, 1.5, 3.0, 21).unwrap();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let lb = NaiveLb::new(net.max_speed());
     let window = Interval::of(hm(8, 0), hm(10, 15));
     for p in &pairs {

@@ -45,7 +45,7 @@ fn figure_3_initial_queue_functions() {
 #[test]
 fn section_4_5_single_fp() {
     let (net, q, s, n, e) = paper_setup();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let ans = engine.single_fastest_path(&q).unwrap();
     assert_eq!(ans.path.nodes, vec![s, n, e]);
     assert!((ans.travel_minutes - 5.0).abs() < 1e-9);
@@ -57,7 +57,7 @@ fn section_4_5_single_fp() {
 #[test]
 fn section_4_6_all_fp_partitioning() {
     let (net, q, s, n, e) = paper_setup();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let ans = engine.all_fastest_paths(&q).unwrap();
 
     assert_eq!(ans.partition.len(), 3);
@@ -81,7 +81,7 @@ fn section_4_6_all_fp_partitioning() {
 #[test]
 fn both_day_categories_work() {
     let (net, q, s, n, e) = paper_setup();
-    let engine = Engine::new(&net, EngineConfig::default());
+    let engine = Engine::new(&net, EngineConfig::default()).unwrap();
     let mut q2 = q.clone();
     q2.category = DayCategory::NON_WORKDAY;
     let ans = engine.all_fastest_paths(&q2).unwrap();
@@ -98,7 +98,7 @@ fn disk_backed_paper_example() {
     let (net, q, s, n, e) = paper_setup();
     let store = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
     let disk = CcamStore::build(&net, store, PlacementPolicy::ConnectivityClustered, 16).unwrap();
-    let engine = Engine::new(&disk, EngineConfig::default());
+    let engine = Engine::new(&disk, EngineConfig::default()).unwrap();
     let ans = engine.all_fastest_paths(&q).unwrap();
     assert_eq!(ans.partition.len(), 3);
     assert_eq!(ans.paths[ans.partition[1].1].nodes, vec![s, n, e]);
