@@ -741,9 +741,8 @@ fn emit_report() {
             "live_update",
             noted(
                 live.fields(),
-                "seeded ~1%-of-edges delta on the exact-storage metro-medium hierarchy \
-                 (scoped invalidation: rebuilt fraction gated < 0.20) plus a virtual-time \
-                 2x-overload storm with concurrent epoch swaps (goodput gated >= 0.5)",
+                "virtual-time 2x-overload storm with concurrent epoch swaps (goodput gated \
+                 >= 0.5)",
             ),
         ),
         ("cluster", list(&cluster, ClusterReport::fields)),

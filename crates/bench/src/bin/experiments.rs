@@ -11,8 +11,7 @@
 //!   fig10             Discrete Time vs CapeCod ratios
 //!   const-speed       the constant-speed (speed-limit) comparison
 //!   overload          the seeded virtual-time overload twin
-//!   update-storm      seeded live-update storm: scoped-invalidation
-//!                     refresh on metro-medium + goodput under a 2x
+//!   update-storm      seeded live-update storm: goodput under a 2x
 //!                     overload with concurrent epoch swaps
 //!   cluster           the partition-sharded cluster twins: full chaos
 //!                     composition (overload + crash/restart +
@@ -170,9 +169,8 @@ fn main() -> ExitCode {
         emit(&opts, "overload", overload::render(&r));
     }
 
-    // The update storm builds its own substrates: the metro-medium
-    // refresh network and a small service grid (virtual-time
-    // calibration, like the overload twin).
+    // The update storm builds its own substrate: a small service grid
+    // (virtual-time calibration, like the overload twin).
     if wants("update-storm") {
         matched = true;
         let r = live_update::run(opts.seed, opts.queries.max(80), opts.deltas.max(1));

@@ -426,6 +426,13 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         &self.cache
     }
 
+    /// The configuration the engine answers under; a backend that runs
+    /// its own search over this engine's network (the contraction
+    /// hierarchy's) reads its expansion valve here.
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
+    }
+
     /// Name of the active estimator.
     pub fn estimator_name(&self) -> &'static str {
         self.estimator.name()

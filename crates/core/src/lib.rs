@@ -65,7 +65,7 @@
 //! counters reconcile exactly. See `DESIGN.md` §11.
 
 #![forbid(unsafe_code)]
-#![warn(clippy::unwrap_used, clippy::expect_used, clippy::redundant_clone)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::redundant_clone)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod boundary;

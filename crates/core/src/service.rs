@@ -1362,9 +1362,9 @@ impl Workload {
 
 /// What [`drive`] asks of a scenario: the submission of each arrival,
 /// and optionally a stream of timed world events (a fault-plan switch,
-/// a traffic delta, a hierarchy refresh) and bookkeeping hooks. An
-/// event-free scenario is just its submission function — any
-/// `FnMut(arrival, now) -> Submission` is one.
+/// a traffic delta) and bookkeeping hooks. An event-free scenario is
+/// just its submission function — any `FnMut(arrival, now) ->
+/// Submission` is one.
 pub trait DriveScenario<B: PathfindBackend + ?Sized> {
     /// The submission of arrival number `arrival`, offered at `now`.
     fn submission(&mut self, arrival: usize, now: u64) -> Submission;

@@ -44,14 +44,13 @@
 //! the bounds the search prunes with.
 
 #![forbid(unsafe_code)]
-#![warn(clippy::unwrap_used, clippy::expect_used, clippy::redundant_clone)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::redundant_clone)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod overlay;
 mod pool;
 mod search;
 
-use std::collections::HashSet;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -65,7 +64,10 @@ use roadnet::overlay::{HierarchySnapshot, OverlaySnapshot, SnapshotArc};
 use roadnet::{NetworkSource, NodeId};
 use traffic::DayCategory;
 
-use crate::overlay::{build_overlay, finish_overlay, make_arc, recompose, Overlay, OverlayArc};
+use crate::overlay::{
+    build_overlay, finish_overlay, make_arc, recompose, Contraction, Overlay, OverlayArc,
+    ARC_BUDGET,
+};
 use crate::pool::WorkerPool;
 
 /// Preprocessing configuration.
@@ -74,37 +76,18 @@ pub struct HierarchyConfig {
     /// Day categories to contract an overlay for. Queries in other
     /// categories fall back to the flat engine.
     pub categories: Vec<DayCategory>,
-    /// Settled-node cap per witness search. Higher caps prove more
-    /// shortcuts unnecessary (smaller overlay, slower build); the
-    /// answer is exact at any cap.
-    pub witness_settle_cap: usize,
-    /// Engine-level expansion valve for the overlay search, mirroring
-    /// [`EngineConfig::max_expansions`].
-    pub max_expansions: usize,
     /// Worker threads for contraction planning, band minima and
     /// snapshot restore. `0` means one per available core. The
     /// produced overlay is **identical at every setting** (pinned by
     /// the determinism suite).
     pub threads: usize,
-    /// Build a **metric-independent** ("live") topology: witness
-    /// pruning and parallel-arc domination are disabled, so every
-    /// candidate shortcut of every contraction is inserted and no arc
-    /// is disabled by metric comparisons. The structure then stays
-    /// exact for *any* speed-pattern assignment on this topology,
-    /// which is what [`HierarchyEngine::refreshed`] relies on to swap
-    /// travel functions under a traffic delta without re-running
-    /// witness proofs.
-    pub live_topology: bool,
 }
 
 impl Default for HierarchyConfig {
     fn default() -> Self {
         HierarchyConfig {
             categories: vec![DayCategory::WORKDAY],
-            witness_settle_cap: 64,
-            max_expansions: 2_000_000,
             threads: 1,
-            live_topology: false,
         }
     }
 }
@@ -146,46 +129,14 @@ pub struct BuildReport {
     pub threads: usize,
 }
 
-/// What an incremental refresh ([`HierarchyEngine::refreshed`])
-/// rebuilt versus reused — the scoped-invalidation numbers the live
-/// benchmark gates on.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RefreshReport {
-    /// Wall-clock time of the whole refresh pass (all categories).
-    pub refresh_wall: Duration,
-    /// Base (non-shortcut) arcs across all refreshed overlays.
-    pub base_total: usize,
-    /// Base arcs whose travel function was rebuilt from the new
-    /// network (their edge's pattern changed).
-    pub base_rebuilt: usize,
-    /// Shortcut arcs across all refreshed overlays.
-    pub shortcuts_total: usize,
-    /// Shortcut arcs re-composed because their composition cone
-    /// touches a changed edge; the rest reuse stored functions
-    /// verbatim.
-    pub shortcuts_rebuilt: usize,
-}
-
-impl RefreshReport {
-    /// Fraction of shortcut arcs the refresh had to re-compose —
-    /// the scoped-invalidation metric (`0.0` when there are no
-    /// shortcuts).
-    pub fn invalidation_fraction(&self) -> f64 {
-        if self.shortcuts_total == 0 {
-            0.0
-        } else {
-            self.shortcuts_rebuilt as f64 / self.shortcuts_total as f64
-        }
-    }
-}
-
 /// A preprocessing-based [`PathfindBackend`]: answers singleFP/allFP
 /// bit-identically to the flat [`Engine`] it embeds, via an up–down
-/// search over the contracted overlay. See the crate docs.
+/// search over the contracted overlay. See the crate docs. The overlay
+/// search obeys the embedded engine's expansion valve
+/// ([`EngineConfig::max_expansions`]), so a query has one valve.
 pub struct HierarchyEngine<'a, S: NetworkSource> {
     flat: Engine<'a, S>,
     overlays: Vec<Overlay>,
-    config: HierarchyConfig,
     report: BuildReport,
     /// Parked search workspaces (the `SessionState` revival pattern of
     /// `allfp`'s cache): a query checks one out and parks it again, so
@@ -213,29 +164,16 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
         let pool = WorkerPool::new(config.threads);
         let mut overlays = Vec::with_capacity(config.categories.len());
         for &cat in &config.categories {
-            overlays.push(build_overlay(
-                flat.source(),
-                cat,
-                config.witness_settle_cap,
-                &pool,
-                config.live_topology,
-            )?);
+            overlays.push(build_overlay(flat.source(), cat, &pool, ARC_BUDGET)?);
         }
-        Ok(Self::assemble(flat, overlays, config, t0, pool.threads()))
+        Ok(Self::assemble(flat, overlays, t0, pool.threads()))
     }
 
     /// The engine around finished overlays, with its report tallied.
-    fn assemble(
-        flat: Engine<'a, S>,
-        overlays: Vec<Overlay>,
-        config: HierarchyConfig,
-        t0: Instant,
-        threads: usize,
-    ) -> Self {
+    fn assemble(flat: Engine<'a, S>, overlays: Vec<Overlay>, t0: Instant, threads: usize) -> Self {
         let mut engine = HierarchyEngine {
             flat,
             overlays,
-            config,
             report: BuildReport::default(),
             workspaces: Mutex::default(),
         };
@@ -257,7 +195,7 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
             r.rounds += o.contraction.rounds;
             r.witness_settles += o.contraction.witness_settles;
             r.witness_scans += o.contraction.witness_scans;
-            for full in o.arcs.iter().filter_map(|a| a.full.as_deref()) {
+            for full in o.arcs.iter().filter_map(|a| a.full.as_ref()) {
                 r.overlay_pieces += full.n_pieces() as u64;
                 r.bytes_estimate += full.heap_bytes() as u64;
             }
@@ -319,7 +257,7 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
             overlay,
             query,
             single_only,
-            self.config.max_expansions,
+            self.flat.config().max_expansions,
             &mut ws,
             session.scratch_mut(),
             cancel,
@@ -373,95 +311,35 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
     /// the deeper of its two via arcs; within a level compositions are
     /// independent and results apply in arc order, so functions come
     /// back bit-identical to the original build's at any thread
-    /// count).
+    /// count). A structure that does not match the network, or whose
+    /// shortcut reads a disabled arc, is rejected.
     pub fn from_snapshot(
         flat: Engine<'a, S>,
         config: HierarchyConfig,
         snapshot: &HierarchySnapshot,
     ) -> Result<Self> {
-        Ok(Self::rebuild(flat, config, snapshot, None, &[])?.0)
-    }
-
-    /// Incrementally refresh this hierarchy for a traffic delta:
-    /// rebuild exactly the arcs whose **composition cone** touches a
-    /// changed edge, reuse every other arc's stored function verbatim
-    /// (`Arc` clone — zero bytes recomputed), and return a new engine
-    /// over the delta-applied network plus a [`RefreshReport`] of what
-    /// was rebuilt.
-    ///
-    /// `flat` must be an engine over the **delta-applied** network —
-    /// same topology (node ids, edge order) as this hierarchy's, with
-    /// only speed patterns repointed — and `changed` the delta's
-    /// `(from, to)` endpoint pairs
-    /// ([`roadnet::DeltaReport::changed`]).
-    ///
-    /// Soundness: a base arc's function depends only on its own edge's
-    /// pattern, and a shortcut's only on its two via arcs, so marking
-    /// changed base arcs dirty and propagating `dirty[i] = dirty[a] ||
-    /// dirty[b]` in one index-order pass (via indices are strictly
-    /// smaller — the storage is append-only) covers every arc whose
-    /// function can differ. Clean arcs re-composed from scratch would
-    /// reproduce the identical bits, so reusing them keeps the result
-    /// equal to a full [`HierarchyEngine::from_snapshot`] restore over
-    /// the new network — pinned bit-for-bit by the refresh suite. No
-    /// shortcut reads a disabled arc, which stores no function.
-    ///
-    /// Note the structure itself is refreshed as-is; on a non-live
-    /// topology the witness proofs and domination choices baked into
-    /// it are only valid for the metric they were built over, so
-    /// query-exactness after a delta additionally needs
-    /// [`HierarchyConfig::live_topology`].
-    pub fn refreshed(
-        &self,
-        flat: Engine<'a, S>,
-        changed: &[(u32, u32)],
-    ) -> Result<(Self, RefreshReport)> {
-        let live = Some(self.overlays.as_slice());
-        Self::rebuild(flat, self.config.clone(), &self.snapshot(), live, changed)
-    }
-
-    /// The rebuild behind both [`Self::from_snapshot`] and
-    /// [`Self::refreshed`]: realise `snapshot`'s structure over
-    /// `flat`'s network. With `live` — the overlays the structure was
-    /// read off — an arc whose cone holds no `changed` edge is reused;
-    /// without, every arc is dirty. Dirty base arcs are rebuilt from
-    /// the network, dirty shortcuts stratified by composition level
-    /// and re-composed level by level over the worker pool. A
-    /// structure whose shortcut reads a disabled arc is rejected.
-    fn rebuild(
-        flat: Engine<'a, S>,
-        config: HierarchyConfig,
-        snapshot: &HierarchySnapshot,
-        live: Option<&[Overlay]>,
-        changed: &[(u32, u32)],
-    ) -> Result<(Self, RefreshReport)> {
         let t0 = Instant::now();
         let pool = WorkerPool::new(config.threads);
         let source = flat.source();
         let n = source.n_nodes();
         let day = Interval::of(0.0, MINUTES_PER_DAY);
-        let changed: HashSet<(u32, u32)> = changed.iter().copied().collect();
-        let mut report = RefreshReport::default();
         let mut overlays = Vec::with_capacity(snapshot.overlays.len());
-        for (k, snap) in snapshot.overlays.iter().enumerate() {
-            let old = live.map(|overlays| &overlays[k]);
+        for snap in &snapshot.overlays {
             if snap.ranks.len() != n {
                 return Err(AllFpError::Internal(
                     "overlay structure does not match network size",
                 ));
             }
             let category = DayCategory(snap.category);
-            let mut dirty = vec![false; snap.arcs.len()];
             let mut slots: Vec<Option<OverlayArc>> = Vec::with_capacity(snap.arcs.len());
             let mut edges: Vec<roadnet::Edge> = Vec::new();
-            let mut n_base = 0usize;
             for u in 0..n {
                 source.successors_into(NodeId(u as u32), &mut edges)?;
                 for e in edges.drain(..) {
                     if e.to.index() == u {
                         continue;
                     }
-                    let rec = snap.arcs.get(n_base).ok_or(AllFpError::Internal(
+                    let rec = snap.arcs.get(slots.len()).ok_or(AllFpError::Internal(
                         "overlay structure is missing base arcs",
                     ))?;
                     if rec.via.is_some() || rec.from != u as u32 || rec.to != e.to.index() as u32 {
@@ -469,33 +347,24 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                             "overlay structure does not match network edges",
                         ));
                     }
-                    slots.push(Some(match old {
-                        Some(o) if !changed.contains(&(rec.from, rec.to)) => o.arcs[n_base].clone(),
-                        _ => {
-                            dirty[n_base] = true;
-                            report.base_rebuilt += 1;
-                            let profile = source.pattern(e.pattern)?.profile(category)?;
-                            let full = traffic::travel::travel_time_fn(profile, e.distance, &day)?;
-                            let mut arc = make_arc(rec.from, rec.to, full, None);
-                            arc.disabled = rec.disabled;
-                            arc
-                        }
-                    }));
-                    n_base += 1;
+                    let profile = source.pattern(e.pattern)?.profile(category)?;
+                    let full = traffic::travel::travel_time_fn(profile, e.distance, &day)?;
+                    let mut arc = make_arc(rec.from, rec.to, full, None);
+                    arc.disabled = rec.disabled;
+                    slots.push(Some(arc));
                 }
             }
+            let n_base = slots.len();
             if snap.arcs.iter().take_while(|a| a.via.is_none()).count() != n_base {
                 return Err(AllFpError::Internal(
                     "overlay structure base arc count mismatch",
                 ));
             }
-            report.base_total += n_base;
-            report.shortcuts_total += snap.arcs.len() - n_base;
 
-            // Dirty-cone propagation, and stratification of the dirty
-            // shortcuts by composition level so each level's
-            // re-compositions are independent (a via arc is always at
-            // a strictly lower level; a clean one is ready at once).
+            // The shortcuts, stratified by composition level so each
+            // level's re-compositions are independent (a via arc is
+            // always at a strictly lower level; a base arc is ready at
+            // once).
             let mut level = vec![0u32; snap.arcs.len()];
             let mut by_level: Vec<Vec<usize>> = Vec::new();
             for (i, rec) in snap.arcs.iter().enumerate().skip(n_base) {
@@ -517,20 +386,13 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                         "overlay structure shortcut reads a disabled arc",
                     ));
                 }
-                dirty[i] = dirty[a] || dirty[b];
-                match old {
-                    Some(o) if !dirty[i] => slots.push(Some(o.arcs[i].clone())),
-                    _ => {
-                        report.shortcuts_rebuilt += 1;
-                        level[i] = level[a].max(level[b]) + 1;
-                        let slot = level[i] as usize - 1;
-                        if by_level.len() <= slot {
-                            by_level.resize(slot + 1, Vec::new());
-                        }
-                        by_level[slot].push(i);
-                        slots.push(None);
-                    }
+                level[i] = level[a].max(level[b]) + 1;
+                let slot = level[i] as usize - 1;
+                if by_level.len() <= slot {
+                    by_level.resize(slot + 1, Vec::new());
                 }
+                by_level[slot].push(i);
+                slots.push(None);
             }
             for ids in &by_level {
                 let rebuilt = pool.map_indexed(
@@ -568,13 +430,11 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                 arcs,
                 n_base,
                 snap.arcs.iter().filter(|a| a.disabled).count(),
-                old.map(|o| o.contraction).unwrap_or_default(),
+                Contraction::default(),
                 &pool,
             )?);
         }
-        report.refresh_wall = t0.elapsed();
-        let engine = Self::assemble(flat, overlays, config, t0, pool.threads());
-        Ok((engine, report))
+        Ok(Self::assemble(flat, overlays, t0, pool.threads()))
     }
 }
 
@@ -640,55 +500,30 @@ mod tests {
     }
 
     /// The snapshot records structure only, so its equality cannot see
-    /// a function: a parallel build and a restore store what the serial
-    /// build stores, and a refresh — of a live build, or on seeds 65,
-    /// 91 and 269 of the witness-pruned build, whose domination
-    /// disabled arcs — what a restore of the same structure over the
-    /// delta-applied network stores, bit for bit.
+    /// a function: a parallel build and a parallel restore store what
+    /// the serial build stores, bit for bit, on six seeds — on 65, 91
+    /// and 269 domination disabled arcs, which store no function.
     #[test]
-    fn parallel_builds_restores_and_refreshes_store_the_same_bits() {
-        for (seed, live_topology) in [(3u64, true), (58, true), (211, true)].into_iter().chain([
-            (65, false),
-            (91, false),
-            (269, false),
-        ]) {
+    fn parallel_builds_and_restores_store_the_same_bits() {
+        for seed in [3u64, 58, 211, 65, 91, 269] {
             let net = random_geometric(14, 1.5, 3, seed).unwrap();
-            let config = |threads, live_topology| HierarchyConfig {
+            let config = |threads| HierarchyConfig {
                 threads,
-                live_topology,
                 ..HierarchyConfig::default()
             };
-            let serial = HierarchyEngine::with_flat(flat(&net), config(1, false)).unwrap();
-            let parallel = HierarchyEngine::with_flat(flat(&net), config(4, false)).unwrap();
+            let serial = HierarchyEngine::with_flat(flat(&net), config(1)).unwrap();
+            if [65, 91, 269].contains(&seed) {
+                assert!(serial.report().n_disabled > 0, "seed {seed}");
+            }
+            let parallel = HierarchyEngine::with_flat(flat(&net), config(4)).unwrap();
             assert_eq!(stored_bits(&parallel), stored_bits(&serial), "seed {seed}");
             let restored =
-                HierarchyEngine::from_snapshot(flat(&net), config(2, false), &serial.snapshot());
+                HierarchyEngine::from_snapshot(flat(&net), config(2), &serial.snapshot());
             assert_eq!(
                 stored_bits(&restored.unwrap()),
                 stored_bits(&serial),
                 "seed {seed}"
             );
-
-            let built = if live_topology {
-                HierarchyEngine::with_flat(flat(&net), config(1, true)).unwrap()
-            } else {
-                assert!(serial.report().n_disabled > 0, "seed {seed}");
-                serial
-            };
-            let delta = net.seeded_delta(seed ^ 0xD17A, 4, 1).unwrap();
-            let (net2, report) = net.apply_delta(&delta).unwrap();
-            let (refreshed, _) = built.refreshed(flat(&net2), &report.changed).unwrap();
-            let scratch = HierarchyEngine::from_snapshot(
-                flat(&net2),
-                config(1, live_topology),
-                &built.snapshot(),
-            );
-            assert_eq!(
-                stored_bits(&refreshed),
-                stored_bits(&scratch.unwrap()),
-                "seed {seed}"
-            );
-            assert_ne!(stored_bits(&refreshed), stored_bits(&built), "seed {seed}");
         }
     }
 

@@ -70,7 +70,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use allfp::{AllFpError, MinEntry, Result};
 use pwl::compose::arrival_interval;
@@ -84,15 +83,19 @@ use crate::pool::WorkerPool;
 /// Buckets of the band minima (over one day period).
 const BANDS: usize = 8;
 
-/// Arcs a contraction may store per input edge. A round whose planned
+/// Arcs a contraction may store per input edge, the `arc_budget`
+/// every build passes [`build_overlay`]. A round whose planned
 /// shortcuts would grow the storage past it fails with
 /// [`AllFpError::ContractionBudget`] before composing any of them: a
-/// topology whose shortcuts multiply (a `live_topology` build keeps
-/// every parallel arc) is refused in milliseconds instead of growing
-/// until memory runs out. Witness-pruned builds of the metro networks
-/// end at 2–5×; live builds of 14-node random graphs that finish end
-/// anywhere up to ~900×.
-const ARC_BUDGET: usize = 1024;
+/// hostile topology whose shortcuts multiply is refused in milliseconds
+/// instead of growing until memory runs out. Witness-pruned builds of
+/// the metro networks end at 2–5×.
+pub(crate) const ARC_BUDGET: usize = 1024;
+
+/// Nodes a witness search settles before it gives up. A higher cap
+/// proves more shortcuts unnecessary (a smaller overlay, a slower
+/// build); the answer is exact at any cap.
+const WITNESS_SETTLE_CAP: usize = 64;
 
 /// One arc of the overlay graph: an original edge or a shortcut.
 ///
@@ -109,16 +112,14 @@ const ARC_BUDGET: usize = 1024;
 /// *virtual*: [`ext_window`] derives any restriction of it on demand
 /// with the same `shift_x`/`concat` arithmetic a materialized copy
 /// would have been built with, bit for bit.
-#[derive(Clone)]
 pub(crate) struct OverlayArc {
     /// Tail node.
     pub from: u32,
     /// Head node.
     pub to: u32,
-    /// The exact travel-time function over one full period `[0, 1440]`
-    /// (shared, so cloning an arc copies no pieces); `None` once the
-    /// arc is disabled.
-    pub full: Option<Arc<Pwl>>,
+    /// The exact travel-time function over one full period `[0, 1440]`;
+    /// `None` once the arc is disabled.
+    pub full: Option<Pwl>,
     /// `full.min_value()` — lower bound at any leaving instant.
     pub min: f64,
     /// `full.maximum()` — upper bound at any leaving instant.
@@ -136,7 +137,7 @@ impl OverlayArc {
     /// none.
     pub fn function(&self) -> Result<&Pwl> {
         self.full
-            .as_deref()
+            .as_ref()
             .ok_or(AllFpError::Internal("a disabled overlay arc was read"))
     }
 
@@ -275,7 +276,7 @@ impl Bound {
 
 /// One entry of the expansion adjacency, carrying what the relax gate
 /// reads before it composes — so a gated hop never touches an
-/// [`OverlayArc`] or the `Arc<Pwl>` in it. (The bound sweeps read
+/// [`OverlayArc`] or the function in it. (The bound sweeps read
 /// [`Bound`]s instead.)
 #[derive(Clone, Copy)]
 pub(crate) struct Hop {
@@ -389,7 +390,7 @@ pub(crate) fn make_arc(from: u32, to: u32, mut full: Pwl, via: Option<(u32, u32)
         to,
         min: full.min_value(),
         max: full.maximum(),
-        full: Some(Arc::new(full)),
+        full: Some(full),
         via,
         disabled: false,
     }
@@ -450,11 +451,11 @@ impl Witness {
     /// excluding `skip` (and, when planning a round, every node of the
     /// round's independent set via `in_round`), under per-arc `max`
     /// weights. Stops once the frontier exceeds `bound` or
-    /// `settle_cap` nodes were settled; distances recorded up to that
-    /// point are exact or tentative — both are valid upper bounds for
-    /// the witness test. A row is read up to its first entry that
-    /// relaxes past `bound`, and the rows are sorted by `max`, so no
-    /// later entry could either: such a distance is never settled
+    /// [`WITNESS_SETTLE_CAP`] nodes were settled; distances recorded up
+    /// to that point are exact or tentative — both are valid upper
+    /// bounds for the witness test. A row is read up to its first entry
+    /// that relaxes past `bound`, and the rows are sorted by `max`, so
+    /// no later entry could either: such a distance is never settled
     /// (`d > bound` ends the search) and never proves a witness (every
     /// via minimum is `≤ bound`). Returns the nodes settled and the
     /// entries read.
@@ -463,7 +464,6 @@ impl Witness {
         source: u32,
         skip: u32,
         bound: f64,
-        settle_cap: usize,
         remainder: &Csr<Reach>,
         in_round: Option<&[bool]>,
     ) -> Contraction {
@@ -479,7 +479,7 @@ impl Witness {
             if d > self.get(node) {
                 continue; // stale entry
             }
-            if d > bound || work.witness_settles >= settle_cap as u64 {
+            if d > bound || work.witness_settles >= WITNESS_SETTLE_CAP as u64 {
                 break;
             }
             work.witness_settles += 1;
@@ -562,7 +562,6 @@ struct RoundView<'a> {
     contracted: &'a [bool],
     deleted: &'a [u32],
     remainder: Csr<Reach>,
-    settle_cap: usize,
 }
 
 /// The candidate shortcuts of contracting `v`: every pair of an alive
@@ -627,7 +626,7 @@ impl RoundView<'_> {
         let bound = pairs
             .clone()
             .fold(f64::NEG_INFINITY, |m, (_, out)| m.max(a_min + out.min));
-        let work = witness.run(u, c.v, bound, self.settle_cap, &self.remainder, in_round);
+        let work = witness.run(u, c.v, bound, &self.remainder, in_round);
         for (b, out) in pairs {
             if witness.get(out.to) <= a_min + out.min {
                 continue; // proved unnecessary
@@ -940,23 +939,14 @@ struct PlannedShortcut {
     full: Pwl,
 }
 
-/// Build the contracted overlay for one day category.
-///
-/// With `live_topology` the structure is made *metric-independent* (in
-/// the CCH sense): witness pruning is disabled (`settle_cap` 0 — every
-/// candidate shortcut of every contraction is inserted) and
-/// parallel-arc domination is skipped, so the up–down search stays
-/// exact for **any** speed-pattern assignment on this network's
-/// topology — which is what lets a live refresh swap travel functions
-/// under a fixed structure without re-running witness proofs.
+/// Build the contracted overlay for one day category, storing at most
+/// `arc_budget` arcs per input edge ([`ARC_BUDGET`] outside tests).
 pub(crate) fn build_overlay<S: NetworkSource>(
     source: &S,
     category: DayCategory,
-    witness_settle_cap: usize,
     pool: &WorkerPool,
-    live_topology: bool,
+    arc_budget: usize,
 ) -> Result<Overlay> {
-    let witness_settle_cap = if live_topology { 0 } else { witness_settle_cap };
     let n = source.n_nodes();
     let mut arcs: Vec<OverlayArc> = Vec::new();
     let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -1010,7 +1000,6 @@ pub(crate) fn build_overlay<S: NetworkSource>(
             contracted: &contracted,
             deleted: &deleted,
             remainder: snapshot_remainder(&arcs, &out, &contracted),
-            settle_cap: witness_settle_cap,
         };
 
         // Phases 1–2 — score the dirty remainder nodes as far as the
@@ -1031,7 +1020,7 @@ pub(crate) fn build_overlay<S: NetworkSource>(
         // read-only from pre-round arcs with per-worker scratches. A
         // node's list stops growing past the budget's headroom, so a
         // refused round holds no more pairs than an accepted one.
-        let limit = ARC_BUDGET.saturating_mul(n_base);
+        let limit = arc_budget.saturating_mul(n_base);
         let headroom = limit.saturating_sub(arcs.len());
         let needs = pool.map_indexed(
             selected.len(),
@@ -1080,13 +1069,10 @@ pub(crate) fn build_overlay<S: NetworkSource>(
             for planned in plan? {
                 let (a, b) = (planned.a, planned.b);
                 let (u, w) = (arcs[a as usize].from, arcs[b as usize].to);
-                // Parallel-arc domination, both directions — skipped
-                // in live topologies (domination is metric-dependent:
-                // a dominated arc could become the winner under a
-                // future delta, and disabled arcs cannot serve).
+                // Parallel-arc domination, both directions.
                 let mut dominated = false;
                 let mut to_disable: Vec<u32> = Vec::new();
-                for &cid in out[u as usize].iter().filter(|_| !live_topology) {
+                for &cid in &out[u as usize] {
                     if arcs[cid as usize].to != w || !alive(&arcs, &contracted, cid) {
                         continue;
                     }
@@ -1222,7 +1208,7 @@ pub(crate) fn finish_overlay(
     let down_bound = Csr::new(n, down.iter().map(row), up_bound.split_off(up.len()));
     let up_bound = Csr::new(n, up.iter().map(row), up_bound);
     let whole_day = Interval::of(0.0, MINUTES_PER_DAY);
-    let first = arcs.iter().find_map(|a| a.full.as_deref());
+    let first = arcs.iter().find_map(|a| a.full.as_ref());
     Ok(Overlay {
         category,
         rank,
@@ -1258,4 +1244,32 @@ pub(crate) fn unpack_route(overlay: &Overlay, source: NodeId, arc_ids: &[u32]) -
         }
     }
     nodes
+}
+
+#[cfg(test)]
+mod tests {
+    use roadnet::generators::random_geometric;
+
+    use super::*;
+
+    /// A build whose shortcuts would pass the arc budget is refused
+    /// before it composes the round that would pass it: at 1× its input
+    /// edges a witness-pruned 14-node build, which needs shortcuts,
+    /// fails with `ContractionBudget` at a limit of exactly its base
+    /// arcs, and at [`ARC_BUDGET`] the same build finishes.
+    #[test]
+    fn the_arc_budget_refuses_a_build_that_would_pass_it() {
+        let net = random_geometric(14, 1.5, 3, 97).unwrap();
+        let pool = WorkerPool::new(1);
+        let built = build_overlay(&net, DayCategory::WORKDAY, &pool, ARC_BUDGET).unwrap();
+        assert!(built.arcs.len() > built.n_base, "no shortcut to refuse");
+        match build_overlay(&net, DayCategory::WORKDAY, &pool, 1) {
+            Err(AllFpError::ContractionBudget { arcs, limit }) => {
+                assert_eq!(limit, built.n_base);
+                assert!(arcs > limit, "{arcs} arcs within {limit}");
+            }
+            Err(e) => panic!("{e}"),
+            Ok(_) => panic!("a build past its budget finished"),
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Scoped worker pool for preprocessing parallelism.
 //!
-//! Contraction rounds, the band-minimum pass and live refresh all fan
-//! the same shape of work out: a batch of independent, read-only
+//! Contraction rounds, the band-minimum pass and snapshot restore all
+//! fan the same shape of work out: a batch of independent, read-only
 //! jobs whose results must come back **in index order** so the
 //! produced overlay is identical at every thread count. The pool runs
 //! such batches over `std::thread::scope` with one [`PwlScratch`] per

@@ -593,10 +593,9 @@ mod tests {
 
     /// The bound graph keeps one entry per neighbour; the sweeps over it
     /// leave, on every node of F ∪ D, the bits a sweep over every
-    /// enabled arc leaves — on overlays that hold parallel arcs (live
-    /// topologies, and metro-small, whose witness-pruned build disables
-    /// some parallel arcs and keeps others) and one that only disabled
-    /// some, over the three windows of `golden_allfp`, the last of
+    /// enabled arc leaves — on two witness-pruned overlays whose
+    /// domination disabled some parallel arcs (metro-small keeps
+    /// others), over the three windows of `golden_allfp`, the last of
     /// which wraps the band index past midnight.
     #[test]
     fn bound_graph_sweeps_match_a_sweep_over_every_arc() {
@@ -606,21 +605,11 @@ mod tests {
             (hm(23, 0), hm(23, 59)),
         ];
         let metro = suffolk_like(&MetroConfig::small(0x5EED)).unwrap();
-        let geometric = |n, seed| random_geometric(n, 1.5, 3, seed).unwrap();
-        let nets = [
-            (geometric(14, 3), true),
-            (geometric(14, 211), true),
-            (geometric(30, 1), false),
-            (metro, false),
-        ];
         let (mut parallel, mut wrapped) = (0usize, 0usize);
-        for (net, live_topology) in &nets {
-            let config = HierarchyConfig {
-                live_topology: *live_topology,
-                ..HierarchyConfig::default()
-            };
+        for net in [&random_geometric(30, 1.5, 3, 1).unwrap(), &metro] {
+            let config = HierarchyConfig::default();
             let engine = HierarchyEngine::build(net, EngineConfig::default(), config).unwrap();
-            assert!(*live_topology || engine.report().n_disabled > 0);
+            assert!(engine.report().n_disabled > 0);
             let overlay = &engine.overlays[0];
             let n = overlay.rank.len() as u32;
             let arcs: Vec<_> = overlay.arcs.iter().filter(|a| !a.disabled).collect();
@@ -688,8 +677,11 @@ mod tests {
                 }
             }
         }
+        // Metro-small folds 91 parallel arcs into their neighbours'
+        // entries; the 30-node net, whose domination disabled every
+        // parallel arc it had, folds none.
         assert!(
-            parallel > 500 && wrapped > 20,
+            parallel > 80 && wrapped > 20,
             "{parallel} folded, {wrapped} wrapped"
         );
     }

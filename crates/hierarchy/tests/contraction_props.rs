@@ -4,9 +4,7 @@
 //! answer equals the flat engine's, and the full answer structure
 //! (paths, partition, functions) matches bit for bit.
 
-use allfp::{
-    AllFpAnswer, AllFpError, Engine, EngineConfig, PathfindBackend, QuerySpec, SingleFpAnswer,
-};
+use allfp::{AllFpAnswer, Engine, EngineConfig, PathfindBackend, QuerySpec, SingleFpAnswer};
 use hierarchy::{HierarchyConfig, HierarchyEngine};
 use proptest::prelude::*;
 use pwl::time::{hm, MINUTES_PER_DAY};
@@ -76,15 +74,6 @@ fn same_as_flat<S: roadnet::NetworkSource>(
             prop_assert!(false, "flat {:?} vs hierarchy {:?}", f.is_ok(), h.is_ok());
             Ok(())
         }
-    }
-}
-
-/// The two topology variants every bound test covers: witness-pruned
-/// (the default) and live.
-fn variant(live_topology: bool) -> HierarchyConfig {
-    HierarchyConfig {
-        live_topology,
-        ..HierarchyConfig::default()
     }
 }
 
@@ -214,17 +203,13 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// **Search-space-restricted bounds**: on every topology
-    /// variant and over rush, off-peak and midnight-touching
-    /// intervals, `up(source)` under banded minima never exceeds the
+    /// **Search-space-restricted bounds**: over rush, off-peak and
+    /// midnight-touching intervals, `up(source)` under banded minima never exceeds the
     /// flat singleFP optimum, `U` never undercuts the optimal travel
     /// at any leaving instant, and the answers stay bit-equal to flat.
     #[test]
     fn restricted_bounds_bracket_the_flat_optimum(
         seed in 0u64..500,
-        // One case in three is live: without witness pruning or
-        // domination its contraction is by far the slower build.
-        topology in 0usize..3,
         kind in 0usize..4,
         at in 0.0f64..1.0,
         len in 20.0f64..150.0,
@@ -239,36 +224,13 @@ proptest! {
             _ => Interval::of(0.0, len),
         };
         let flat = Engine::new(&net, EngineConfig::default()).unwrap();
-        let ch = HierarchyEngine::build(&net, EngineConfig::default(), variant(topology == 2)).unwrap();
+        let ch = HierarchyEngine::build(&net, EngineConfig::default(), HierarchyConfig::default())
+            .unwrap();
         for (s, t) in [(0u32, N as u32 - 1), (1, 8), (5, 2), (9, 4), (3, 12), (13, 6)] {
             let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY);
             same_as_flat(&flat, &ch, &q)?;
         }
     }
-}
-
-/// A live topology keeps every parallel arc, so on some graphs its
-/// shortcuts multiply round over round — `random_geometric(14, .., 97)`
-/// would grow from 512 arcs to 850 392 in two rounds and never finish.
-/// The arc budget refuses such a build before it composes the round
-/// that would cross it; every 14-node live build either finishes inside
-/// the budget or fails with `ContractionBudget`, never another error.
-#[test]
-fn live_builds_finish_or_hit_the_arc_budget() {
-    let mut refused = Vec::new();
-    for seed in 0u64..100 {
-        let net = random_geometric(14, 1.5, 3, seed).unwrap();
-        match HierarchyEngine::build(&net, EngineConfig::default(), variant(true)) {
-            Ok(ch) => assert!(ch.report().n_shortcuts > 0, "seed {seed}"),
-            Err(AllFpError::ContractionBudget { arcs, limit }) => {
-                assert!(arcs > limit, "seed {seed}: {arcs} arcs within {limit}");
-                refused.push(seed);
-            }
-            Err(e) => panic!("seed {seed}: {e}"),
-        };
-    }
-    assert!(refused.contains(&97), "refused {refused:?}");
-    assert!(refused.len() < 20, "refused {refused:?}");
 }
 
 /// A 12-node random network plus node 12, which no edge touches.
@@ -279,43 +241,39 @@ fn net_with_island() -> RoadNetwork {
 }
 
 /// Edge cases of the search space: each one answers exactly as the
-/// flat engine does, value or typed error, on every variant.
+/// flat engine does, value or typed error.
 #[test]
 fn search_space_edge_cases_match_flat() {
     let net = net_with_island();
     let flat = Engine::new(&net, EngineConfig::default()).unwrap();
     let rush = Interval::of(hm(7, 0), hm(9, 0));
     let late = Interval::of(hm(22, 30), MINUTES_PER_DAY);
-    for live in [false, true] {
-        let ch = HierarchyEngine::build(&net, EngineConfig::default(), variant(live)).unwrap();
-        for (s, t, interval) in [
-            (4u32, 4u32, rush), // source == target: F and D meet at once
-            (0, 12, rush),      // unreachable target: D is the island alone
-            (12, 0, rush),      // unreachable from the source: F is the island alone
-            (12, 12, rush),
-            (0, 11, late), // ends at 1440: the band window wraps
-            (7, 3, late),
-        ] {
-            let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY);
-            same_as_flat(&flat, &ch, &q).unwrap();
-        }
+    let ch =
+        HierarchyEngine::build(&net, EngineConfig::default(), HierarchyConfig::default()).unwrap();
+    for (s, t, interval) in [
+        (4u32, 4u32, rush), // source == target: F and D meet at once
+        (0, 12, rush),      // unreachable target: D is the island alone
+        (12, 0, rush),      // unreachable from the source: F is the island alone
+        (12, 12, rush),
+        (0, 11, late), // ends at 1440: the band window wraps
+        (7, 3, late),
+    ] {
+        let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY);
+        same_as_flat(&flat, &ch, &q).unwrap();
     }
 }
 
-/// `refreshed()` and `from_snapshot()` rebuild the query adjacency
-/// through the same `finish_overlay`: queries on their engines still
-/// answer as the flat engine over the respective network.
+/// `from_snapshot()` rebuilds the query adjacency through the same
+/// `finish_overlay` as a build: queries on the restored engine still
+/// answer as the flat engine, the island included.
 #[test]
 fn rebuilt_adjacency_answers_like_flat() {
     let net = net_with_island();
-    let live = HierarchyEngine::build(&net, EngineConfig::default(), variant(true)).unwrap();
-    let (net2, report) = net
-        .apply_delta(&net.seeded_delta(5, 4, 1).unwrap())
-        .unwrap();
-    let engine = || Engine::new(&net2, EngineConfig::default()).unwrap();
-    let (refreshed, _) = live.refreshed(engine(), &report.changed).unwrap();
+    let engine = || Engine::new(&net, EngineConfig::default()).unwrap();
+    let built = HierarchyEngine::with_flat(engine(), HierarchyConfig::default()).unwrap();
     let restored =
-        HierarchyEngine::from_snapshot(engine(), variant(true), &live.snapshot()).unwrap();
+        HierarchyEngine::from_snapshot(engine(), HierarchyConfig::default(), &built.snapshot())
+            .unwrap();
     let flat = engine();
     for interval in [
         Interval::of(hm(7, 0), hm(9, 0)),
@@ -323,7 +281,6 @@ fn rebuilt_adjacency_answers_like_flat() {
     ] {
         for (s, t) in [(0u32, 11u32), (6, 2), (9, 9), (3, 12)] {
             let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY);
-            same_as_flat(&flat, &refreshed, &q).unwrap();
             same_as_flat(&flat, &restored, &q).unwrap();
         }
     }

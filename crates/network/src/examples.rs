@@ -34,6 +34,9 @@ pub struct PaperExampleIds {
 ///
 /// The workday category carries the example's time-varying speeds;
 /// the non-workday category is constant 1 mpm everywhere.
+// A constant fixture: every speed, coordinate and edge below is a valid
+// literal, so no `expect` can fire (the paper-example tests build it).
+#[allow(clippy::expect_used)]
 pub fn paper_running_example() -> (RoadNetwork, PaperExampleIds) {
     let mut net = RoadNetwork::empty();
 

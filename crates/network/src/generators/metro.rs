@@ -452,16 +452,17 @@ fn connect_components(net: &mut RoadNetwork, cfg: &MetroConfig) -> Result<()> {
         };
         // nearest seen node to the stranded one
         let sp = *net.point(NodeId(stranded as u32))?;
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &s) in seen.iter().enumerate() {
+        // Node 0 is in the main component: the first candidate.
+        let mut best = (0, net.point(NodeId(0))?.distance(&sp));
+        for (i, &s) in seen.iter().enumerate().skip(1) {
             if s {
                 let d = net.point(NodeId(i as u32))?.distance(&sp);
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
+                if d < best.1 {
+                    best = (i, d);
                 }
             }
         }
-        let (b, d) = best.expect("component with node 0 is non-empty");
+        let (b, d) = best;
         let class = local_class(net, cfg, NodeId(stranded as u32), NodeId(b as u32))?;
         net.add_bidirectional(
             NodeId(stranded as u32),

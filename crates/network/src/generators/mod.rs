@@ -80,7 +80,7 @@ pub fn is_connected_undirected(net: &RoadNetwork) -> bool {
     let mut count = 0usize;
     while let Some(u) = stack.pop() {
         count += 1;
-        for e in net.neighbors(u).expect("valid id") {
+        for e in net.neighbors(u).unwrap_or_default() {
             if !seen[e.to.index()] {
                 seen[e.to.index()] = true;
                 stack.push(e.to);

@@ -53,7 +53,7 @@ pub fn random_geometric(n: usize, side: f64, k: usize, seed: u64) -> Result<Road
     // k nearest neighbors (O(n²) — property-test scale only).
     for a in 0..n {
         let mut order: Vec<usize> = (0..n).filter(|&b| b != a).collect();
-        order.sort_by(|&x, &y| dist(a, x).partial_cmp(&dist(a, y)).expect("finite"));
+        order.sort_by(|&x, &y| dist(a, x).total_cmp(&dist(a, y)));
         for &b in order.iter().take(k) {
             connect(&mut net, &mut uf, &mut added, a, b)?;
         }
@@ -66,16 +66,17 @@ pub fn random_geometric(n: usize, side: f64, k: usize, seed: u64) -> Result<Road
         let Some(stranded) = (0..n).find(|&i| uf.find(i as u32) != root0) else {
             break;
         };
-        let mut best: Option<(usize, f64)> = None;
-        for b in 0..n {
+        // Node 0 is in the root component: the first candidate.
+        let mut best = (0, dist(stranded, 0));
+        for b in 1..n {
             if uf.find(b as u32) == root0 {
                 let d = dist(stranded, b);
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((b, d));
+                if d < best.1 {
+                    best = (b, d);
                 }
             }
         }
-        let (b, _) = best.expect("root component is non-empty");
+        let (b, _) = best;
         connect(&mut net, &mut uf, &mut added, stranded, b)?;
     }
 

@@ -25,6 +25,9 @@ use traffic::{CapeCodPattern, ProfilePiece, RoadClass, SpeedProfile};
 use crate::{NetworkError, NodeId, PatternId, Result, RoadNetwork};
 
 /// Serialize `net` to the text format.
+// Every node id comes from `net.node_ids()` and every category is below
+// its pattern's `n_categories()`, so no lookup can fail.
+#[allow(clippy::expect_used)]
 pub fn to_string(net: &RoadNetwork) -> String {
     let mut out = String::new();
     out.push_str("capecod-network v1\n");
@@ -83,11 +86,11 @@ pub fn from_str(text: &str) -> Result<RoadNetwork> {
     for (idx, raw) in lines {
         let line_no = idx + 1;
         let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
         let mut tok = line.split_whitespace();
-        let kind = tok.next().expect("non-empty line has a first token");
+        // A blank (or comment-only) line has no first token.
+        let Some(kind) = tok.next() else {
+            continue;
+        };
         let mut next_f64 = |what: &str| -> Result<f64> {
             tok.next()
                 .ok_or_else(|| parse_err(line_no, format!("missing {what}")))?

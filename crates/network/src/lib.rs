@@ -29,6 +29,8 @@
 //! network distances) a genuine lower bound on travel time.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod graph;
 mod source;

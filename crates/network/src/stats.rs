@@ -29,7 +29,7 @@ impl NetworkStats {
         let mut total_miles = 0.0;
         let mut directed_edges = 0usize;
         for n in net.node_ids() {
-            for e in net.neighbors(n).expect("node id from iterator") {
+            for e in net.neighbors(n).unwrap_or_default() {
                 class_counts[e.class.index()] += 1;
                 total_miles += e.distance;
                 directed_edges += 1;

@@ -55,7 +55,7 @@
 //! functions by reference count instead of deep copy.
 
 #![forbid(unsafe_code)]
-#![warn(clippy::unwrap_used, clippy::expect_used, clippy::redundant_clone)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::redundant_clone)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod envelope;

@@ -127,6 +127,13 @@ if grep -rnE "MmapStore|page_ref|mmap_faults|open_preferred|mod mmap" crates; th
     echo "a second page path (the mmap store) is back" >&2
     exit 1
 fi
+# One hierarchy, and it is static: built by contraction or restored
+# from a snapshot of the same network. The incremental refresh, its
+# report and the metric-independent build it needed stay deleted.
+if grep -rnE "fn refreshed|\.refreshed\(|RefreshReport|live_topology" crates; then
+    echo "the hierarchy's live-update path is back" >&2
+    exit 1
+fi
 echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> tier-1: cargo build --release"
