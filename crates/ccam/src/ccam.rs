@@ -198,8 +198,9 @@ impl CcamStore {
     }
 
     /// Location-only lookup: decodes just the record header, skipping
-    /// the adjacency list (the engine asks for locations once per
-    /// candidate edge to evaluate its lower-bound estimator).
+    /// the adjacency list (a query asks for its target's location this
+    /// way; the search reads every other node's location together with
+    /// its adjacency, through [`NetworkSource::read_node`]).
     pub fn node_loc(&self, node: NodeId) -> Result<Point> {
         let (page_id, slot) = self.record_addr(node)?;
         self.pool.with_page(page_id, |bytes| {
@@ -213,6 +214,18 @@ impl CcamStore {
         let (page_id, slot) = self.record_addr(node)?;
         self.pool.with_page(page_id, |bytes| {
             NodeRecord::decode_edges_into(crate::page::slot_in(bytes, slot)?, out)
+        })?
+    }
+
+    /// [`Self::edges_into`] and [`Self::node_loc`] from one B+-tree
+    /// descent and one data-page access: the adjacency into `out`
+    /// (cleared first), the location returned.
+    fn read_into(&self, node: NodeId, out: &mut Vec<Edge>) -> Result<Point> {
+        let (page_id, slot) = self.record_addr(node)?;
+        self.pool.with_page(page_id, |bytes| {
+            let record = crate::page::slot_in(bytes, slot)?;
+            NodeRecord::decode_edges_into(record, out)?;
+            NodeRecord::decode_loc(record)
         })?
     }
 
@@ -294,6 +307,11 @@ impl NetworkSource for CcamStore {
 
     fn successors_into(&self, node: NodeId, buf: &mut Vec<Edge>) -> roadnet::Result<()> {
         self.edges_into(node, buf)
+            .map_err(|e| storage_error(e, node))
+    }
+
+    fn read_node(&self, node: NodeId, buf: &mut Vec<Edge>) -> roadnet::Result<Point> {
+        self.read_into(node, buf)
             .map_err(|e| storage_error(e, node))
     }
 

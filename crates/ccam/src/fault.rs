@@ -87,12 +87,6 @@ impl FaultPlan {
         self
     }
 
-    /// Fail every `k`-th write transiently.
-    pub fn with_transient_writes(mut self, every: u64) -> Self {
-        self.transient_write_every = every;
-        self
-    }
-
     /// Tear every `k`-th write.
     pub fn with_torn_writes(mut self, every: u64) -> Self {
         self.torn_write_every = every;

@@ -90,9 +90,8 @@ impl NodeRecord {
     }
 
     /// Decode only the location of a record, skipping its adjacency
-    /// list — the fast path behind `find_node`, which the engine calls
-    /// once per candidate edge and which needs neither the edges nor
-    /// their allocation.
+    /// list — the fast path behind `find_node`, which needs neither
+    /// the edges nor their allocation.
     pub fn decode_loc(buf: &[u8]) -> Result<Point> {
         if buf.len() < 4 + 8 + 8 + 2 {
             return Err(CcamError::Corrupt("truncated node record".into()));

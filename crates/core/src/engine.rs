@@ -152,7 +152,7 @@ pub(crate) struct SearchWorkspace {
     nodes: Vec<NodeState>,
     /// Outgoing edges of every node in `nodes`, back to back.
     adjacency: Vec<roadnet::Edge>,
-    /// Staging buffer for `successors_into`, which clears its argument
+    /// Staging buffer for `read_node`, which clears its argument
     /// and so cannot append to `adjacency` directly.
     fetched: Vec<roadnet::Edge>,
     paths: Vec<PathState>,
@@ -420,12 +420,6 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         }
     }
 
-    /// The engine's travel-function cache, for callers that share it
-    /// across engines (the epoch layer).
-    pub fn shared_cache(&self) -> &std::sync::Arc<TravelFnCache> {
-        &self.cache
-    }
-
     /// The configuration the engine answers under; a backend that runs
     /// its own search over this engine's network (the contraction
     /// hierarchy's) reads its expansion valve here.
@@ -671,13 +665,11 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         let mut stats = QueryStats::default();
         let mut seq = 0u64;
         // First touch of a node (the seed, or a candidate edge's head):
-        // fetch its adjacency and location once, back to back — on a
-        // paged source the second call finds the pages the first one
-        // faulted in still resident — and file the record. Every later
-        // candidate or expansion is served from `ws`. Returns the slot.
+        // fetch its adjacency and location in one record read and file
+        // the record. Every later candidate or expansion is served from
+        // `ws`. Returns the slot.
         let read_node = |ws: &mut SearchWorkspace, node: NodeId| -> Result<usize> {
-            self.source.successors_into(node, &mut ws.fetched)?;
-            let loc = self.source.find_node(node)?;
+            let loc = self.source.read_node(node, &mut ws.fetched)?;
             ws.adjacency.extend_from_slice(&ws.fetched);
             let end = index32(ws.adjacency.len(), "adjacency arena outgrew u32 offsets")?;
             // `fetched` is a suffix of the arena, so its length fits too.

@@ -184,11 +184,6 @@ pub enum QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// Did the search complete exactly?
-    pub fn is_exact(&self) -> bool {
-        matches!(self, QueryOutcome::Exact(_))
-    }
-
     /// The exact answer, if this outcome is one.
     pub fn exact(&self) -> Option<&AllFpAnswer> {
         match self {

@@ -17,6 +17,9 @@
 //! * a bit-flipped page is detected as `Corruption` and surfaces as a
 //!   typed `AllFpError::Network(NetworkError::Storage { .. })` —
 //!   flipped bytes are never served as route data;
+//! * a fault on a record page the search reads surfaces through its
+//!   node read typed — `Corruption` for a flipped bit, `Transient` for
+//!   a read that fails through every retry;
 //! * an exhausted per-query budget yields a [`QueryOutcome::Degraded`]
 //!   answer whose constant-speed fallback is a real, drivable path;
 //! * a query that panics mid-search fails in its own slot while its
@@ -229,6 +232,71 @@ fn bit_flipped_page_is_detected_never_served() {
         disk.pool().store().io_stats().corruptions() > 0,
         "checksum layer never counted the corruption"
     );
+}
+
+/// A fault on a record page the *search* faults in — not the target's,
+/// which the query reads first — surfaces through the search's one-call
+/// node read as the page's typed storage error: a bit flip as
+/// `Corruption`, a read that fails through every retry as `Transient`.
+/// Neither becomes `UnknownNode` or a panic, and the split
+/// `successors_into` / `find_node` calls report the same class for the
+/// same record.
+#[test]
+fn a_fault_on_a_searched_record_surfaces_typed() {
+    let net = grid(12, 12, 0.25, RoadClass::LocalOutside).unwrap();
+    // opposite corners: the two records sit on different data pages
+    let q = QuerySpec::new(
+        NodeId(0),
+        NodeId(143),
+        Interval::of(hm(7, 0), hm(7, 30)),
+        DayCategory::WORKDAY,
+    );
+    for (plan, want) in [
+        (
+            FaultPlan::quiet(41).with_bit_flips(1),
+            StorageFaultKind::Corruption,
+        ),
+        (
+            FaultPlan::quiet(41).with_transient_reads(1),
+            StorageFaultKind::Transient,
+        ),
+    ] {
+        let (_raw, injected, top) = faulty_stack(FaultPlan::quiet(41));
+        let disk = CcamStore::build(&net, top, PlacementPolicy::ConnectivityClustered, 64).unwrap();
+        let engine = Engine::new(&disk, EngineConfig::default()).unwrap();
+        // Leave only the target's pages (root, leaf, data page) resident,
+        // then fault every read that reaches the store.
+        disk.clear_cache().unwrap();
+        disk.find_node(q.target).unwrap();
+        injected.set_plan(plan);
+
+        match engine.run_robust(&q) {
+            Err(AllFpError::Network(NetworkError::Storage { kind, .. })) => {
+                assert_eq!(kind, want)
+            }
+            other => panic!("{want:?} plan: {other:?}"),
+        }
+        assert!(
+            injected.n_faults() > 0,
+            "{want:?}: the search faulted no page"
+        );
+        assert!(
+            disk.find_node(q.target).is_ok(),
+            "the target's pages stay clean"
+        );
+
+        let mut buf = Vec::new();
+        for (call, got) in [
+            ("read_node", disk.read_node(q.source, &mut buf).map(drop)),
+            ("successors_into", disk.successors_into(q.source, &mut buf)),
+            ("find_node", disk.find_node(q.source).map(drop)),
+        ] {
+            assert!(
+                matches!(&got, Err(NetworkError::Storage { kind, .. }) if *kind == want),
+                "{call} under a {want:?} plan: {got:?}"
+            );
+        }
+    }
 }
 
 /// Exhausting a per-query expansion budget over the disk store yields

@@ -1,12 +1,12 @@
 //! The flat search reads each node record once per query.
 //!
 //! A node's first touch — the seed, or a candidate edge's head past
-//! the cycle check — fetches its adjacency and its location back to
-//! back; every later candidate or expansion of that node is served
-//! from the query's own memo. These tests count the calls at the
-//! [`NetworkSource`] surface and, through a CCAM store, the pool
-//! lookups below it, and pin the answers to a plain engine over the
-//! bare network.
+//! the cycle check — fetches its adjacency and its location in one
+//! [`NetworkSource::read_node`]; every later candidate or expansion of
+//! that node is served from the query's own memo. These tests count
+//! the calls at the [`NetworkSource`] surface and, through a CCAM
+//! store, the pool lookups below it, and pin the answers to a plain
+//! engine over the bare network.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -25,6 +25,7 @@ use traffic::{CapeCodPattern, DayCategory};
 /// Every node id each call was made for, in call order.
 #[derive(Default)]
 struct Calls {
+    read_node: Vec<NodeId>,
     successors_into: Vec<NodeId>,
     find_node: Vec<NodeId>,
     /// The allocating `successors` (the search never calls it; the
@@ -72,6 +73,11 @@ impl<S: NetworkSource> NetworkSource for CountingSource<'_, S> {
         self.inner.successors_into(node, buf)
     }
 
+    fn read_node(&self, node: NodeId, buf: &mut Vec<Edge>) -> roadnet::Result<Point> {
+        self.calls.lock().expect("lock").read_node.push(node);
+        self.inner.read_node(node, buf)
+    }
+
     fn pattern(&self, id: PatternId) -> roadnet::Result<&CapeCodPattern> {
         self.inner.pattern(id)
     }
@@ -93,30 +99,26 @@ fn metro_small() -> (RoadNetwork, Vec<QuerySpec>) {
     (net, queries)
 }
 
-/// The search's calls for one query: one `successors_into` and one
-/// `find_node` per record read, plus the target's `find_node` up
-/// front, and no record read twice.
+/// The search's calls for one query: one `read_node` per record read
+/// and no record read twice, plus the target's `find_node` up front;
+/// no `successors_into`, and no other `find_node`.
 fn assert_one_read_per_node(calls: &Calls, stats: &QueryStats, target: NodeId, what: &str) {
     assert_eq!(
-        calls.successors_into.len(),
+        calls.read_node.len(),
         stats.nodes_read,
-        "{what}: successors_into calls"
+        "{what}: read_node calls"
     );
-    assert_eq!(
-        calls.find_node.len(),
-        stats.nodes_read + 1,
-        "{what}: find_node calls"
-    );
-    let distinct: HashSet<NodeId> = calls.successors_into.iter().copied().collect();
+    let distinct: HashSet<NodeId> = calls.read_node.iter().copied().collect();
     assert_eq!(
         distinct.len(),
-        calls.successors_into.len(),
-        "{what}: a node's adjacency was fetched twice"
+        calls.read_node.len(),
+        "{what}: a node's record was read twice"
     );
-    // The first `find_node` is the target's; every later one pairs
-    // with the `successors_into` just before it.
-    assert_eq!(calls.find_node[0], target, "{what}");
-    assert_eq!(calls.find_node[1..], calls.successors_into[..], "{what}");
+    assert!(
+        calls.successors_into.is_empty(),
+        "{what}: successors_into outside read_node"
+    );
+    assert_eq!(calls.find_node, [target], "{what}: find_node calls");
 }
 
 /// Partition and paths (nodes and travel functions) through `Debug`,
@@ -194,7 +196,7 @@ fn a_budget_tripped_query_reads_each_node_record_once() {
     };
     let robust_calls = counted.take();
     assert_one_read_per_node(&search_calls, &degraded.stats, q.target, "degraded");
-    assert_eq!(robust_calls.successors_into, search_calls.successors_into);
+    assert_eq!(robust_calls.read_node, search_calls.read_node);
     assert!(!robust_calls.successors.is_empty(), "fallback was planned");
 
     let bare = Engine::new(&net, EngineConfig::default()).unwrap();
@@ -214,7 +216,7 @@ fn a_budget_tripped_query_reads_each_node_record_once() {
 }
 
 #[test]
-fn a_paged_source_pays_six_pool_lookups_per_node_read() {
+fn a_paged_source_pays_three_pool_lookups_per_node_read() {
     let (net, queries) = metro_small();
     let disk = CcamStore::build(
         &net,
@@ -236,9 +238,9 @@ fn a_paged_source_pays_six_pool_lookups_per_node_read() {
         let before = disk.stats();
         let all = engine.all_fastest_paths(q).expect("allFP");
         let reads = logical(&disk.stats().since(&before));
-        // two calls of three lookups per node read, plus the target's
-        // `find_node`
-        assert_eq!(reads, 6 * all.stats.nodes_read as u64 + 3, "allFP {i}");
+        // one descent and one data page per node read, plus the
+        // target's `find_node`
+        assert_eq!(reads, 3 * all.stats.nodes_read as u64 + 3, "allFP {i}");
         assert!(all.stats.nodes_read > 0);
 
         let before = disk.stats();
@@ -246,7 +248,7 @@ fn a_paged_source_pays_six_pool_lookups_per_node_read() {
         let reads = logical(&disk.stats().since(&before));
         assert_eq!(
             reads,
-            6 * single.stats.nodes_read as u64 + 3,
+            3 * single.stats.nodes_read as u64 + 3,
             "singleFP {i}"
         );
     }

@@ -52,12 +52,6 @@ impl MonotonePwl {
         &self.inner
     }
 
-    /// Unwrap into the underlying [`Pwl`].
-    #[inline]
-    pub fn into_pwl(self) -> Pwl {
-        self.inner
-    }
-
     /// Domain of the function.
     #[inline]
     pub fn domain(&self) -> Interval {
