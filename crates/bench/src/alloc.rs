@@ -5,10 +5,10 @@
 //! counts allocation events and requested bytes per thread.
 //! [`snapshot`] reads the calling thread's counters; subtracting two
 //! snapshots bounds the allocator traffic of the code between them on
-//! that thread — this is how
-//! `engine_hotpath --smoke` proves the pooled PWL kernels run the
-//! steady-state expansion loop without touching the heap, and how the
-//! report computes `allocs_per_expansion` / `bytes_per_query`.
+//! that thread — this is how `tests/alloc_gates.rs` proves the pooled
+//! PWL kernels run the steady-state expansion loop without touching
+//! the heap and holds the engine to its per-expansion and per-query
+//! budgets.
 //!
 //! Counting is *events on the calling thread only* — the counters are
 //! thread-local, so a measured region is not disturbed by whatever

@@ -21,6 +21,12 @@
 //!   ablation-pruning  basic vs dominance-pruned expansion (A-2)
 //!   ablation-ccam     CCAM placement vs buffer size (A-3)
 //!   all               everything above, in order
+//!   hier-race         the hierarchy vs the flat search under naiveLB
+//!                     and minTimeLB, serial, median ± MAD of warm
+//!                     passes (12 queries; 24 at --scale full)
+//!   metro-huge        the 1 048 576-node continental tier: bulk build
+//!                     swept over 1/2/4 threads, 24 fig9 queries served
+//!                     off a file store (~260 MB of temporary files)
 //! ```
 //!
 //! Defaults: medium scale (≈3–4k nodes, full 8-mile extent), seed
@@ -38,8 +44,8 @@
 use std::process::ExitCode;
 
 use fpbench::{
-    ablations, cluster, const_speed, fig10, fig9, live_update, overload, table1, BackendKind,
-    BackendSpec, Scale, Scenario, Table,
+    ablations, cluster, const_speed, fig10, fig9, hotpath, live_update, metro_huge, overload,
+    table1, BackendKind, BackendSpec, Scale, Scenario, Table,
 };
 use hierarchy::HierarchyConfig;
 
@@ -70,7 +76,7 @@ impl Options {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
-        eprintln!("usage: experiments <table1|fig9|fig10|const-speed|overload|update-storm|cluster|ablation-grid|ablation-pruning|ablation-ccam|all> [--scale small|medium|full|large] [--seed N] [--queries N] [--csv DIR] [--backend flat|ch] [--threads N] [--deltas N]");
+        eprintln!("usage: experiments <table1|fig9|fig10|const-speed|overload|update-storm|cluster|ablation-grid|ablation-pruning|ablation-ccam|all|hier-race|metro-huge> [--scale small|medium|full|large] [--seed N] [--queries N] [--csv DIR] [--backend flat|ch] [--threads N] [--deltas N]");
         return ExitCode::FAILURE;
     };
     let mut opts = Options {
@@ -185,6 +191,22 @@ fn main() -> ExitCode {
         emit(&opts, "cluster_chaos", cluster::render(&chaos));
         let loss = cluster::run_node_loss(opts.seed);
         emit(&opts, "cluster_node_loss", cluster::render(&loss));
+    }
+
+    // The two scale probes run only by name, not under `all`: the full
+    // race contracts metro-full, and metro-huge writes ~260 MB of
+    // temporary files.
+    if cmd == "hier-race" {
+        matched = true;
+        let count = if opts.scale == Scale::Full { 24 } else { 12 };
+        let r = hotpath::measure_hierarchy(&Scenario::new(opts.scale, opts.seed), count);
+        emit(&opts, "hier_race", hotpath::render(&r));
+    }
+    if cmd == "metro-huge" {
+        matched = true;
+        let cfg = roadnet::generators::ContinentalConfig::metro_huge(opts.seed);
+        let r = metro_huge::run(&cfg, "metro-huge", 24);
+        emit(&opts, "metro_huge", metro_huge::render(&r));
     }
 
     if [

@@ -33,7 +33,7 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// The report's fields, in `BENCH_engine.json` order. `rejected`
+    /// The report's fields, in table order. `rejected`
     /// counts typed admission rejections plus unroutable arrivals.
     pub fn fields(&self) -> Vec<Field> {
         let (s, rpc) = (&self.result.stats, &self.rpc);
@@ -101,18 +101,6 @@ fn run_scenario(label: &'static str, sc: &ClusterScenario) -> ClusterReport {
     }
 }
 
-/// The chaos seed of the bench report and this module's test, kept
-/// equal to `CHAOS_SEED` of `crates/cluster/tests/cluster_chaos.rs`:
-/// one whose crash instant finds queued tickets on the dying node.
-pub const CHAOS_SEED: u64 = 3;
-
-/// The node-loss seed of the bench report and this module's test,
-/// kept equal to `NODE_LOSS_SEED` of
-/// `crates/cluster/tests/cluster_chaos.rs`: the scenario's clock is
-/// `expanded_paths`, and this seed's goodput keeps its margin over the
-/// 0.5 floor whatever the estimator makes queries cost.
-pub const NODE_LOSS_SEED: u64 = 2;
-
 /// Run the full chaos composition (twice, to certify determinism) and
 /// fold it into a [`ClusterReport`].
 pub fn run_chaos(seed: u64) -> ClusterReport {
@@ -137,6 +125,17 @@ pub fn render(r: &ClusterReport) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The chaos seed, kept equal to `CHAOS_SEED` of
+    /// `crates/cluster/tests/cluster_chaos.rs`: one whose crash instant
+    /// finds queued tickets on the dying node.
+    const CHAOS_SEED: u64 = 3;
+
+    /// The node-loss seed, kept equal to `NODE_LOSS_SEED` of
+    /// `crates/cluster/tests/cluster_chaos.rs`: the scenario's clock is
+    /// `expanded_paths`, and this seed's goodput keeps its margin over
+    /// the 0.5 floor whatever the estimator makes queries cost.
+    const NODE_LOSS_SEED: u64 = 2;
 
     #[test]
     fn chaos_run_is_reconciled_deterministic_and_robust() {

@@ -3,8 +3,10 @@
 //! DESIGN.md.
 //!
 //! The library half holds the runners; the `experiments` binary is the
-//! CLI around them; `benches/engine_hotpath.rs` races and gates the
-//! engine's hot path (`BENCH_engine.json`, `--smoke`).
+//! CLI around them. Beside the paper's artifacts sit the probes the
+//! gate tests share ([`hotpath`], [`metro_huge`], the virtual-time
+//! twins); `tests/alloc_gates.rs` and `tests/wall_floors.rs` gate the
+//! engine's allocations and wall clock.
 //!
 //! | artifact | runner | binary subcommand |
 //! |---|---|---|
@@ -15,6 +17,8 @@
 //! | A-1 grid granularity | [`ablations::grid_sweep`] | `ablation-grid` |
 //! | A-2 dominance pruning | [`ablations::pruning`] | `ablation-pruning` |
 //! | A-3 CCAM placement / buffer pool | [`ablations::ccam_placement`] | `ablation-ccam` |
+//! | hierarchy vs flat race | [`hotpath::measure_hierarchy`] | `hier-race` |
+//! | million-node tier | [`metro_huge::run`] | `metro-huge` |
 
 pub mod ablations;
 pub mod alloc;
@@ -23,6 +27,7 @@ pub mod cluster;
 pub mod const_speed;
 pub mod fig10;
 pub mod fig9;
+pub mod hotpath;
 pub mod live_update;
 pub mod metro_huge;
 pub mod overload;

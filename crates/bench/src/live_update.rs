@@ -37,7 +37,7 @@ pub struct LiveUpdateReport {
 }
 
 impl LiveUpdateReport {
-    /// The report's fields, in `BENCH_engine.json` order.
+    /// The report's fields, in table order.
     pub fn fields(&self) -> Vec<Field> {
         let s = &self.stats;
         vec![
@@ -143,8 +143,8 @@ pub fn render(r: &LiveUpdateReport) -> Table {
 mod tests {
     use super::*;
 
-    /// The goodput promise, on this module's own seed and on the run
-    /// `BENCH_engine.json` records.
+    /// The goodput promise, on this module's own seed and on the
+    /// recorded run (`experiments update-storm`'s defaults).
     #[test]
     fn live_update_run_hits_the_report_gates() {
         for (seed, submissions, deltas) in [(0x11FE, 80, 6), (0x5EED, 100, 8)] {

@@ -20,9 +20,8 @@
 //!    the physical I/O counters (`reads` / `bytes_read` /
 //!    `bytes_written`).
 //!
-//! `scripts/check.sh` runs the smoke tier (16 384 nodes) through the
-//! engine-hotpath `--smoke` gate; the JSON report records the
-//! million-node tier.
+//! This module's test gates the smoke tier (16 384 nodes);
+//! `experiments metro-huge` runs the million-node tier.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -37,7 +36,7 @@ use roadnet::{NetworkSource, NodeId};
 use traffic::DayCategory;
 
 use crate::clock::{clock_backend, sweep_annotation, Clocked, WARM_PASSES};
-use crate::report::{float, list, Field, Value};
+use crate::report::{float, list, Field, Table, Value};
 
 /// Thread counts swept by the parallel-build curve.
 pub const BUILD_SWEEP: [usize; 3] = [1, 2, 4];
@@ -119,8 +118,8 @@ pub struct MetroHugeReport {
 }
 
 impl MetroHugeReport {
-    /// The report's fields, in `BENCH_engine.json` order
-    /// (`estimator_warm_allocs` is a smoke gate, not a reported field).
+    /// The report's fields (`estimator_warm_allocs` is a gate, not a
+    /// reported field).
     pub fn fields(&self) -> Vec<Field> {
         vec![
             ("tier", self.tier.into()),
@@ -352,30 +351,59 @@ pub fn run(cfg: &ContinentalConfig, tier: &'static str, n_queries: usize) -> Met
     report
 }
 
+/// Render a report as a key/value table for the experiments CLI.
+pub fn render(r: &MetroHugeReport) -> Table {
+    let title = format!("Metro-huge - {} nodes off a file store", r.n_nodes);
+    Table::key_value(title, &r.fields())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The 16 384-node smoke tier: the bulk build is byte-identical at
+    /// every swept width, the builder's scratch stays under the graph
+    /// bytes (the analytic counter, so a 1-core host cannot flake it),
+    /// and the file-served workload answers every query while reading
+    /// pages through the pool. Once the pass has warmed the thread's
+    /// estimator workspace, a fresh backward search must not allocate,
+    /// and a warm query must allocate less than one byte per node: its
+    /// answer and whatever its arenas grow by, nothing sized by the
+    /// tier. A shrunk tier whose working set fits the pool then reads
+    /// every page once, in the cold pass.
     #[test]
     fn smoke_tier_builds_and_serves() {
+        let r = run(&ContinentalConfig::smoke(0x5EED), "smoke", 8);
+        assert_eq!(r.n_nodes, 16_384);
+        assert!(r.deterministic, "swept builds diverged");
+        assert!(r.transient_build_bytes > 0);
+        assert!(
+            (r.transient_build_bytes as u64) < r.graph_bytes,
+            "builder scratch peaked at {} bytes over a {}-byte graph",
+            r.transient_build_bytes,
+            r.graph_bytes
+        );
+        assert_eq!((r.allfp.failures, r.singlefp.failures), (0, 0));
+        assert!(r.allfp.expanded_paths > 0);
+        assert!((1..=r.allfp.expanded_paths).contains(&r.singlefp.expanded_paths));
+        assert!(r.allfp.warm_qps > 0.0 && r.singlefp.warm_qps > 0.0);
+        assert!(r.io_reads > 0, "served without a single page read");
+        assert_eq!(r.estimator_warm_allocs, 0);
+        for (mode, clocked) in [("allFP", &r.allfp), ("singleFP", &r.singlefp)] {
+            assert!(
+                clocked.query_bytes < r.n_nodes as f64,
+                "a warm {mode} query allocates {:.0} bytes",
+                clocked.query_bytes
+            );
+        }
+
         let mut cfg = ContinentalConfig::smoke(0x5EED);
-        // Debug-build test: shrink below the bench smoke tier.
         cfg.cells_x = 2;
         cfg.cells_y = 2;
         cfg.cell_w = 16;
         cfg.cell_h = 16;
         let r = run(&cfg, "unit", 3);
         assert_eq!(r.n_nodes, 1024);
-        assert!(r.deterministic, "swept builds diverged");
-        assert_eq!((r.allfp.failures, r.singlefp.failures), (0, 0));
-        assert!(r.allfp.expanded_paths > 0);
-        assert!((1..=r.allfp.expanded_paths).contains(&r.singlefp.expanded_paths));
-        assert!(r.allfp.warm_qps > 0.0 && r.singlefp.warm_qps > 0.0);
-        assert_eq!(r.estimator_warm_allocs, 0);
-        assert!(r.transient_build_bytes > 0);
-        assert!((r.graph_bytes as usize) > r.transient_build_bytes / 8);
-        // The working set fits the pool: every page is read once, in
-        // the cold pass, and no warm pass reads the file again.
         assert!(
             (1..=r.pool_frames as u64).contains(&r.io_reads),
             "{} reads through {} frames",

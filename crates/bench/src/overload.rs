@@ -45,7 +45,7 @@ pub struct OverloadReport {
 }
 
 impl OverloadReport {
-    /// The report's fields, in `BENCH_engine.json` order.
+    /// The report's fields, in table order.
     pub fn fields(&self) -> Vec<Field> {
         let s = &self.stats;
         vec![
@@ -159,8 +159,8 @@ mod tests {
     use super::*;
 
     /// The service-level promises the admission and shedding machinery
-    /// exists for, on this module's own seed and on the one
-    /// `BENCH_engine.json` records.
+    /// exists for, on this module's own seed and on the recorded one
+    /// (`experiments overload`'s default).
     #[test]
     fn overload_run_is_reconciled_and_deterministic() {
         for (seed, submissions) in [(0x0BAD_10AD, 80), (0x5EED, 100)] {

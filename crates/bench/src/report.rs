@@ -1,8 +1,7 @@
 //! Plain-text and CSV table rendering for experiment results, and the
 //! one place a report field is named: a report struct lists its fields
 //! once, as `fields() -> Vec<Field>`, and the CLI table
-//! ([`Table::key_value`]), the bench probes and `BENCH_engine.json`
-//! ([`to_json`]) all read that list.
+//! ([`Table::key_value`]) reads that list.
 
 use std::fmt;
 
@@ -86,28 +85,6 @@ impl fmt::Display for Value {
             }
         }
     }
-}
-
-/// `doc` as a JSON document: one top-level field per line, a top-level
-/// list one item per line (no serde in the workspace).
-pub fn to_json(doc: &[Field]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (name, value)) in doc.iter().enumerate() {
-        let comma = if i + 1 < doc.len() { "," } else { "" };
-        match value {
-            Value::List(items) => {
-                out.push_str(&format!("  \"{name}\": [\n"));
-                for (j, item) in items.iter().enumerate() {
-                    let comma = if j + 1 < items.len() { "," } else { "" };
-                    out.push_str(&format!("    {item}{comma}\n"));
-                }
-                out.push_str(&format!("  ]{comma}\n"));
-            }
-            _ => out.push_str(&format!("  \"{name}\": {value}{comma}\n")),
-        }
-    }
-    out.push_str("}\n");
-    out
 }
 
 /// A rendered experiment result: a titled table of strings.
@@ -242,9 +219,9 @@ mod tests {
             ("io", Value::Object(vec![("reads", 3u64.into())])),
         ];
         assert_eq!(
-            to_json(&doc),
-            "{\n  \"name\": \"a \\\"b\\\"\",\n  \"ratio\": 0.9788,\n  \"ok\": true,\n  \"curve\": [\n    \
-             {\"threads\": 1},\n    {\"threads\": 2}\n  ],\n  \"io\": {\"reads\": 3}\n}\n"
+            Value::Object(doc.clone()).to_string(),
+            "{\"name\": \"a \\\"b\\\"\", \"ratio\": 0.9788, \"ok\": true, \
+             \"curve\": [{\"threads\": 1}, {\"threads\": 2}], \"io\": {\"reads\": 3}}"
         );
         let t = Table::key_value("demo", &doc);
         assert_eq!(t.rows[0], ["name", "a \"b\""]);

@@ -29,15 +29,15 @@ use cluster::{run_cluster_sim, ClusterScenario, ClusterSimResult};
 use roadnet::generators::grid;
 use traffic::RoadClass;
 
-/// The chaos seed of this file (and of `fpbench::cluster::run_chaos`'s
-/// callers in the bench smoke): one whose crash instant finds queued
-/// tickets on the dying node, which depends on what queries cost.
+/// The chaos seed of this file (and of `fpbench::cluster`'s test):
+/// one whose crash instant finds queued tickets on the dying node,
+/// which depends on what queries cost.
 const CHAOS_SEED: u64 = 3;
 
-/// The node-loss seed of this file (and of the bench smoke and report,
-/// `fpbench::cluster::NODE_LOSS_SEED`): goodput there is measured on a
-/// clock of `expanded_paths`, and this seed keeps its margin over the
-/// floor whatever the estimator makes queries cost.
+/// The node-loss seed of this file (and of `fpbench::cluster`'s
+/// test): goodput there is measured on a clock of `expanded_paths`,
+/// and this seed keeps its margin over the floor whatever the
+/// estimator makes queries cost.
 const NODE_LOSS_SEED: u64 = 2;
 
 /// Replay the cluster's epoch chain on a single-node manager and

@@ -1661,9 +1661,10 @@ mod tests {
         assert_eq!(c.now(), 9);
     }
 
-    /// The substrate of `BENCH_engine.json`'s `overload` and
-    /// `live_update` blocks: ten seeded specs on a 6×6 grid, calibrated
-    /// on a flat engine of the default configuration (both blocks were
+    /// The substrate of the recorded `fpbench` overload and
+    /// live-update runs (`experiments overload` / `update-storm` at
+    /// seed 0x5EED): ten seeded specs on a 6×6 grid, calibrated on a
+    /// flat engine of the default configuration (both runs were
     /// re-recorded when that became minTimeLB).
     const TWIN_SEED: u64 = 0x5EED;
 

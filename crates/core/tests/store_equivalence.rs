@@ -8,9 +8,9 @@
 //!   `Debug`, which prints shortest-roundtrip floats — equal strings
 //!   means equal bits).
 //!
-//! A scaled-down continental tier keeps the suite fast; the metro-huge
-//! bench (`fpbench::metro_huge`) re-runs the same checks at the smoke
-//! tier and measures the million-node tier.
+//! A scaled-down continental tier keeps the suite fast;
+//! `fpbench::metro_huge` gates the smoke tier and measures the
+//! million-node tier (`experiments metro-huge`).
 
 use std::sync::Arc;
 

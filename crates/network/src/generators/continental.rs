@@ -82,7 +82,7 @@ impl ContinentalConfig {
     }
 
     /// A scaled-down huge tier (4×4 cells of 32×32 = 16,384 nodes)
-    /// with the same structure, for the CI smoke gate.
+    /// with the same structure, for the metro-huge smoke test.
     pub fn smoke(seed: u64) -> Self {
         ContinentalConfig {
             cells_x: 4,

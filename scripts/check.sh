@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, lints, the tier-1 suite (ROADMAP.md), every
-# test in the workspace, the bench smoke, the benchmark's own suite and
-# its quick pass.
+# test in the workspace, the benchmark's own suite and its quick pass.
 # Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,12 +12,12 @@ echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Written once: the virtual-time service loop, its workload sampler and
-# answer signature, and the JSON writer each have one definition, and
-# only the two drivers (the single-service one and the cluster's fleet
-# loop) advance a clock by a step's cost. The line count is the number
-# CHANGES.md entries quote.
+# answer signature each have one definition, and only the two drivers
+# (the single-service one and the cluster's fleet loop) advance a clock
+# by a step's cost. The line count is the number CHANGES.md entries
+# quote.
 echo "==> written-once guard"
-for name in "fn sample_specs" "fn answer_sig" "fn to_json"; do
+for name in "fn sample_specs" "fn answer_sig"; do
     if [ "$(grep -rn "$name" crates | wc -l)" -gt 1 ]; then
         echo "more than one definition of '$name':" >&2
         grep -rn "$name" crates >&2
@@ -134,6 +133,14 @@ if grep -rnE "fn refreshed|\.refreshed\(|RefreshReport|live_topology" crates; th
     echo "the hierarchy's live-update path is back" >&2
     exit 1
 fi
+# One harness: every gate is a test that `cargo test` runs. The second
+# perf harness, the report file it wrote and its JSON writer stay
+# deleted.
+if [ -e BENCH_engine.json ] || [ -e crates/bench/benches/engine_hotpath.rs ] ||
+    grep -rn "fn to_json" crates; then
+    echo "the engine_hotpath harness (or its report file or JSON writer) is back" >&2
+    exit 1
+fi
 echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> tier-1: cargo build --release"
@@ -154,8 +161,12 @@ cargo test -q -p fp-allfp --test hierarchy_equivalence --test golden_allfp
 # Every test in the workspace, not a hand-kept list of suites: the
 # unit tests of every crate, the golden suites (store, hierarchy and
 # cluster equivalence), the chaos suites (faults, overload, update
-# storm, cluster) and the proptests. Release, because the heavy suites
-# take minutes in debug; --no-fail-fast so one run names every failure.
+# storm, cluster), the proptests, and fp-bench's gates — the pinned
+# search counts, the allocation budgets, the checksum counts, the
+# metro-huge smoke tier and the wall floors (`tests/wall_floors.rs`, a
+# binary of its own, so no other test shares its cores). Release,
+# because the heavy suites take minutes in debug; --no-fail-fast so one
+# run names every failure.
 echo "==> cargo test --workspace --release"
 cargo test --workspace --release --no-fail-fast -q
 
@@ -172,20 +183,6 @@ env -u RUST_TEST_THREADS cargo test -q -p fp-ccam concurrent
 env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test faults
 env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test overload
 env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test update_storm
-
-# The bench smoke holds the gates that exist nowhere else (what each
-# checks and why is in engine_hotpath.rs): batch answers equal serial
-# at every width, the allocation budgets under fp-bench's counting
-# allocator, one verified read per checksummed fault, the hierarchy's
-# expansion and wall floors over the flat search, the counters gate
-# (no expanded_paths count above BENCH_engine.json's smoke_counters:
-# search-space size is deterministic on every host), the contraction
-# sweep (gated on multi-core hosts only) and the metro-huge smoke tier
-# (16 384 nodes; the million-node tier runs only under --report). The
-# overload, live-update and cluster twins gate themselves in fp-bench's
-# own tests, which the workspace run above has just executed.
-echo "==> bench smoke (batch answers + allocation + checksum + hierarchy + counters + contraction + metro-huge gates)"
-cargo bench -p fp-bench --bench engine_hotpath -- --smoke
 
 # The benchmark is a package of its own, so the workspace run above
 # does not build it: its suite is what notices a deleted item of its
