@@ -3,7 +3,7 @@
 //! ```text
 //! experiments <subcommand> [--scale small|medium|full|large] [--seed N]
 //!             [--queries N] [--csv DIR] [--backend flat|ch]
-//!             [--threads N] [--deltas N]
+//!             [--deltas N]
 //!
 //! subcommands:
 //!   table1            the CapeCod pattern schema (Table 1)
@@ -35,9 +35,7 @@
 //! queries) at several minutes of runtime. `--backend ch` replays
 //! fig9, fig10 and the overload twin over the contraction-hierarchy
 //! backend (`fp-hierarchy`): same answers, preprocessing-speed query
-//! work. `--threads N` parallelizes the contraction preprocessing
-//! over N workers (0 = one per core; the overlay is identical at any
-//! width); it only matters with `--backend ch`.
+//! work.
 //! `--deltas N` sets how many seeded traffic deltas the update storm
 //! applies mid-run (default 8); `--seed`/`--queries` also steer it.
 
@@ -45,9 +43,8 @@ use std::process::ExitCode;
 
 use fpbench::{
     ablations, cluster, const_speed, fig10, fig9, hotpath, live_update, metro_huge, overload,
-    table1, BackendKind, BackendSpec, Scale, Scenario, Table,
+    table1, BackendKind, Scale, Scenario, Table,
 };
-use hierarchy::HierarchyConfig;
 
 struct Options {
     scale: Scale,
@@ -55,28 +52,13 @@ struct Options {
     queries: usize,
     csv_dir: Option<std::path::PathBuf>,
     backend: BackendKind,
-    threads: usize,
     deltas: usize,
-}
-
-impl Options {
-    /// Backend spec the runners consume: the chosen kind plus the
-    /// hierarchy's `--threads`.
-    fn backend_spec(&self) -> BackendSpec {
-        BackendSpec {
-            kind: self.backend,
-            hierarchy: HierarchyConfig {
-                threads: self.threads,
-                ..HierarchyConfig::default()
-            },
-        }
-    }
 }
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
-        eprintln!("usage: experiments <table1|fig9|fig10|const-speed|overload|update-storm|cluster|ablation-grid|ablation-pruning|ablation-ccam|all|hier-race|metro-huge> [--scale small|medium|full|large] [--seed N] [--queries N] [--csv DIR] [--backend flat|ch] [--threads N] [--deltas N]");
+        eprintln!("usage: experiments <table1|fig9|fig10|const-speed|overload|update-storm|cluster|ablation-grid|ablation-pruning|ablation-ccam|all|hier-race|metro-huge> [--scale small|medium|full|large] [--seed N] [--queries N] [--csv DIR] [--backend flat|ch] [--deltas N]");
         return ExitCode::FAILURE;
     };
     let mut opts = Options {
@@ -85,7 +67,6 @@ fn main() -> ExitCode {
         queries: 20,
         csv_dir: None,
         backend: BackendKind::Flat,
-        threads: HierarchyConfig::default().threads,
         deltas: 8,
     };
     let rest: Vec<String> = args.collect();
@@ -142,14 +123,6 @@ fn main() -> ExitCode {
                 opts.deltas = v;
                 i += 2;
             }
-            "--threads" => {
-                let Some(v) = value().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--threads needs a worker count (0 = one per core)");
-                    return ExitCode::FAILURE;
-                };
-                opts.threads = v;
-                i += 2;
-            }
             other => {
                 eprintln!("unknown flag {other}");
                 return ExitCode::FAILURE;
@@ -171,7 +144,7 @@ fn main() -> ExitCode {
     // calibration needs a fixed substrate, not the scenario network).
     if wants("overload") {
         matched = true;
-        let r = overload::run_with_spec(opts.seed, opts.queries.max(80), &opts.backend_spec());
+        let r = overload::run(opts.seed, opts.queries.max(80), opts.backend);
         emit(&opts, "overload", overload::render(&r));
     }
 
@@ -221,12 +194,8 @@ fn main() -> ExitCode {
     .any(|n| wants(n))
     {
         let scenario = Scenario::new(opts.scale, opts.seed);
-        let spec = opts.backend_spec();
         println!("{}", scenario.describe());
-        match opts.backend {
-            BackendKind::Ch => println!("backend: ch ({} contraction thread(s))\n", opts.threads),
-            BackendKind::Flat => println!("backend: {}\n", opts.backend.label()),
-        }
+        println!("backend: {}\n", opts.backend.label());
 
         if wants("fig9") {
             matched = true;
@@ -236,7 +205,7 @@ fn main() -> ExitCode {
                 scenario.max_query_miles(),
                 8,
                 opts.seed,
-                &spec,
+                opts.backend,
             );
             emit(&opts, "fig9", fig9::render(&rows));
         }
@@ -247,7 +216,7 @@ fn main() -> ExitCode {
                 Scale::Small => (2.0, 3.0),
                 Scale::Medium | Scale::Full => (7.0, 8.0),
             };
-            let result = fig10::run(&scenario.net, opts.queries, lo, hi, opts.seed, &spec);
+            let result = fig10::run(&scenario.net, opts.queries, lo, hi, opts.seed, opts.backend);
             emit(&opts, "fig10", fig10::render(&result));
         }
         if wants("const-speed") {

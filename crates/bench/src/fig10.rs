@@ -17,7 +17,7 @@ use roadnet::RoadNetwork;
 use traffic::DayCategory;
 
 use crate::report::{fnum, Table};
-use crate::scenario::BackendSpec;
+use crate::scenario::BackendKind;
 
 /// The probed discretization steps, minutes (1h, 10m, 1m, 10s).
 pub const STEPS: [f64; 4] = [60.0, 10.0, 1.0, 1.0 / 6.0];
@@ -61,7 +61,7 @@ pub fn run(
     dist_lo: f64,
     dist_hi: f64,
     seed: u64,
-    backend: &BackendSpec,
+    backend: BackendKind,
 ) -> Fig10Result {
     let interval = Interval::of(hm(8, 15), hm(10, 10));
     // The paper's setup: both models search under naiveLB.
@@ -158,13 +158,12 @@ pub fn render(result: &Fig10Result) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::BackendKind;
     use crate::scenario::{Scale, Scenario};
 
     #[test]
     fn ratios_behave_like_the_paper() {
         let s = Scenario::new(Scale::Small, 77);
-        let result = run(&s.net, 4, 1.5, 3.0, 11, &BackendKind::Flat.into());
+        let result = run(&s.net, 4, 1.5, 3.0, 11, BackendKind::Flat);
         assert!(result.queries >= 2);
         assert_eq!(result.rows.len(), 4);
         // travel ratio never below 1 and non-increasing as steps refine

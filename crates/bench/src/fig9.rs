@@ -23,7 +23,7 @@ use roadnet::RoadNetwork;
 use traffic::DayCategory;
 
 use crate::report::{fnum, Table};
-use crate::scenario::BackendSpec;
+use crate::scenario::BackendKind;
 
 /// One distance bucket's mean expanded-node counts.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +62,7 @@ pub fn run(
     max_miles: usize,
     grid: usize,
     seed: u64,
-    backend: &BackendSpec,
+    backend: BackendKind,
 ) -> Vec<Fig9Row> {
     let interval = Interval::of(hm(7, 0), hm(10, 0)); // the morning rush
     let naive = backend
@@ -202,13 +202,12 @@ pub fn render(rows: &[Fig9Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::BackendKind;
     use crate::scenario::{Scale, Scenario};
 
     #[test]
     fn bd_never_expands_more_and_counts_grow_with_distance() {
         let s = Scenario::new(Scale::Small, 33);
-        let rows = run(&s.net, 4, 3, 6, 5, &BackendKind::Flat.into());
+        let rows = run(&s.net, 4, 3, 6, 5, BackendKind::Flat);
         assert_eq!(rows.len(), 3);
         let mut any_queries = false;
         for r in &rows {
@@ -237,8 +236,8 @@ mod tests {
     #[test]
     fn ch_backend_runs_the_same_experiment() {
         let s = Scenario::new(Scale::Small, 33);
-        let flat = run(&s.net, 2, 2, 6, 5, &BackendKind::Flat.into());
-        let ch = run(&s.net, 2, 2, 6, 5, &BackendKind::Ch.into());
+        let flat = run(&s.net, 2, 2, 6, 5, BackendKind::Flat);
+        let ch = run(&s.net, 2, 2, 6, 5, BackendKind::Ch);
         assert_eq!(flat.len(), ch.len());
         for (f, c) in flat.iter().zip(ch.iter()) {
             // Same pairs complete under either backend (answers are

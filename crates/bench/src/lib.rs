@@ -36,4 +36,4 @@ pub mod scenario;
 pub mod table1;
 
 pub use report::Table;
-pub use scenario::{BackendKind, BackendSpec, Scale, Scenario};
+pub use scenario::{BackendKind, Scale, Scenario};

@@ -22,7 +22,7 @@ use roadnet::generators::grid;
 use traffic::RoadClass;
 
 use crate::report::{float, Field, Table};
-use crate::scenario::{BackendKind, BackendSpec};
+use crate::scenario::BackendKind;
 
 /// What one overload run produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +94,7 @@ impl Residue {
 pub(crate) const QUEUE_CAPACITY: usize = 10;
 const OFFERED_RATIO: f64 = 2.0;
 
-fn simulate(seed: u64, submissions: usize, backend: &BackendSpec) -> Residue {
+fn simulate(seed: u64, submissions: usize, backend: BackendKind) -> Residue {
     let net = grid(6, 6, 0.3, RoadClass::LocalOutside).expect("generator is infallible here");
     let engine = backend
         .wrap(Engine::new(&net, EngineConfig::default()).expect("estimator builds"))
@@ -122,17 +122,11 @@ fn simulate(seed: u64, submissions: usize, backend: &BackendSpec) -> Residue {
     Residue::of(&svc, log)
 }
 
-/// Run the seeded overload scenario (twice, to certify determinism)
-/// and fold it into an [`OverloadReport`], on the flat backend.
-pub fn run(seed: u64, submissions: usize) -> OverloadReport {
-    run_with_spec(seed, submissions, &BackendKind::Flat.into())
-}
-
-/// [`run`] against an explicit backend and its build knobs (what the
-/// CLI's `--backend` and `--threads` reach): the service-level promises
-/// (bounded queue, typed rejections, deterministic replay) must hold
-/// regardless of search strategy.
-pub fn run_with_spec(seed: u64, submissions: usize, backend: &BackendSpec) -> OverloadReport {
+/// Run the seeded overload scenario (twice, to certify determinism) on
+/// `backend` and fold it into an [`OverloadReport`]: the service-level
+/// promises (bounded queue, typed rejections, deterministic replay)
+/// must hold regardless of search strategy.
+pub fn run(seed: u64, submissions: usize, backend: BackendKind) -> OverloadReport {
     let a = simulate(seed, submissions, backend);
     let deterministic = a == simulate(seed, submissions, backend);
     OverloadReport {
@@ -164,7 +158,7 @@ mod tests {
     #[test]
     fn overload_run_is_reconciled_and_deterministic() {
         for (seed, submissions) in [(0x0BAD_10AD, 80), (0x5EED, 100)] {
-            let r = run(seed, submissions);
+            let r = run(seed, submissions, BackendKind::Flat);
             let s = &r.stats;
             assert!(s.reconciles());
             assert!(r.deterministic);
@@ -182,7 +176,7 @@ mod tests {
 
     #[test]
     fn overload_holds_on_the_hierarchy_backend() {
-        let r = run_with_spec(0x0BAD_10AD, 60, &BackendKind::Ch.into());
+        let r = run(0x0BAD_10AD, 60, BackendKind::Ch);
         let s = &r.stats;
         assert_eq!(r.backend, "ch");
         assert!(s.reconciles(), "{r:?}");

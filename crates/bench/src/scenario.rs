@@ -68,46 +68,20 @@ impl BackendKind {
             BackendKind::Ch => "ch",
         }
     }
-}
-
-/// Backend selection plus the hierarchy build knobs the CLI exposes
-/// (`--threads`). [`BackendKind`] alone keeps the defaults;
-/// experiments that honor the flag take a spec.
-#[derive(Debug, Clone, Default)]
-pub struct BackendSpec {
-    /// Which search strategy to run.
-    pub kind: BackendKind,
-    /// Hierarchy build configuration (ignored by the flat backend).
-    pub hierarchy: HierarchyConfig,
-}
-
-impl From<BackendKind> for BackendSpec {
-    fn from(kind: BackendKind) -> Self {
-        BackendSpec {
-            kind,
-            hierarchy: HierarchyConfig::default(),
-        }
-    }
-}
-
-impl BackendSpec {
-    /// Short name for table titles and report rows.
-    pub fn label(&self) -> &'static str {
-        self.kind.label()
-    }
 
     /// Wrap an already-configured flat engine in the chosen backend.
     /// `Ch` runs preprocessing here, so wrap once per engine, not per
     /// query.
     pub fn wrap<'a, S: NetworkSource>(
-        &self,
+        self,
         engine: Engine<'a, S>,
     ) -> allfp::Result<Box<dyn PathfindBackend + 'a>> {
-        Ok(match self.kind {
+        Ok(match self {
             BackendKind::Flat => Box::new(engine),
-            BackendKind::Ch => {
-                Box::new(HierarchyEngine::with_flat(engine, self.hierarchy.clone())?)
-            }
+            BackendKind::Ch => Box::new(HierarchyEngine::with_flat(
+                engine,
+                HierarchyConfig::default(),
+            )?),
         })
     }
 }

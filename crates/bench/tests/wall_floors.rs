@@ -7,7 +7,7 @@
 //! beyond its own spread, and the hierarchy race compares medians of
 //! warm passes in this one process. Widths that oversubscribe the host
 //! (threads > cores) measure contention, not scaling, and are not
-//! timed; the two 4-thread scaling floors run only where the host has
+//! timed; the 4-thread batch scaling floor runs only where the host has
 //! 4 cores.
 
 use std::time::Instant;
@@ -16,7 +16,6 @@ use allfp::{run_batch, CancelToken, Engine, EngineConfig};
 use fpbench::clock::{host_cpus, sweep_annotation};
 use fpbench::hotpath::{fig9_rush, measure_checksum_overhead, measure_hierarchy};
 use fpbench::{Scale, Scenario};
-use hierarchy::{HierarchyConfig, HierarchyEngine};
 
 /// Checksummed wall over plain wall may be at most this, plus twice
 /// the measured spread.
@@ -26,8 +25,8 @@ const CHECKSUM_BUDGET: f64 = 1.03;
 /// this much on the clock (metro-medium).
 const MIN_WALL_SPEEDUP: f64 = 3.0;
 
-/// Where the host has 4 cores, 4 threads must give this much over
-/// serial: the batch driver and contraction alike.
+/// Where the host has 4 cores, the batch driver at 4 threads must give
+/// this much over serial.
 const TARGET_SPEEDUP: f64 = 1.5;
 
 /// The fastest of three runs of `work`, in seconds: the floors compare
@@ -106,28 +105,6 @@ fn wall_floors() {
             "hierarchy singleFP wall speedup {:.2}x under {MIN_WALL_SPEEDUP}x",
             h.wall_speedup()
         ));
-    }
-
-    // Parallel contraction, where the host has the cores.
-    if host_cpus() >= 4 {
-        let build_wall = |threads| {
-            let config = HierarchyConfig {
-                threads,
-                ..HierarchyConfig::default()
-            };
-            let start = Instant::now();
-            HierarchyEngine::build(&medium.net, EngineConfig::default(), config).unwrap();
-            start.elapsed().as_secs_f64()
-        };
-        let speedup = build_wall(1) / build_wall(4);
-        println!("contraction: 4 threads {speedup:.2}x serial");
-        if speedup < TARGET_SPEEDUP {
-            failures.push(format!(
-                "{} cores available but 4-thread contraction gives only {speedup:.2}x \
-                 (target {TARGET_SPEEDUP}x)",
-                host_cpus()
-            ));
-        }
     }
 
     assert!(failures.is_empty(), "{failures:#?}");

@@ -25,14 +25,10 @@ fn assert_pwl_identical(a: &Pwl, b: &Pwl, what: &str) {
     assert_eq!(a.linears(), b.linears(), "{what}: linear coefficients");
 }
 
-fn assert_equivalent_with(
-    net: &RoadNetwork,
-    query: &QuerySpec,
-    config: HierarchyConfig,
-    what: &str,
-) {
+fn assert_equivalent(net: &RoadNetwork, query: &QuerySpec, what: &str) {
     let flat = Engine::new(net, EngineConfig::default()).unwrap();
-    let ch = HierarchyEngine::build(net, EngineConfig::default(), config).expect("hierarchy build");
+    let ch = HierarchyEngine::build(net, EngineConfig::default(), HierarchyConfig::default())
+        .expect("hierarchy build");
 
     // singleFP: node sequence, minimum, argmin interval, full function.
     let fs = flat.single_fastest_path(query).expect("flat singleFP");
@@ -82,11 +78,6 @@ fn assert_equivalent_with(
     }
 }
 
-/// Equivalence under the default config (one contraction thread).
-fn assert_equivalent(net: &RoadNetwork, query: &QuerySpec, what: &str) {
-    assert_equivalent_with(net, query, HierarchyConfig::default(), what);
-}
-
 #[test]
 fn paper_running_example_equivalent() {
     let (net, ids) = paper_running_example();
@@ -121,24 +112,6 @@ fn metro_medium_golden_equivalence() {
     for (i, p) in pairs.iter().enumerate() {
         let query = QuerySpec::new(p.source, p.target, interval, DayCategory::WORKDAY);
         assert_equivalent(&net, &query, &format!("metro-medium pair {i}"));
-    }
-}
-
-#[test]
-fn parallel_build_equivalent() {
-    // A multi-threaded contraction must yield the same (bit-identical)
-    // answers as everything above; the determinism proptests pin the
-    // overlay bytes, this pins the query surface end to end.
-    let net = suffolk_like(&MetroConfig::small(0xC0FFEE)).expect("generator");
-    let pairs = sample_pairs(&net, 4, 0.5, 3.0, 0xB22).expect("pairs");
-    let interval = Interval::of(hm(7, 0), hm(10, 0));
-    let config = HierarchyConfig {
-        threads: 4,
-        ..HierarchyConfig::default()
-    };
-    for (i, p) in pairs.iter().enumerate() {
-        let query = QuerySpec::new(p.source, p.target, interval, DayCategory::WORKDAY);
-        assert_equivalent_with(&net, &query, config.clone(), &format!("parallel pair {i}"));
     }
 }
 

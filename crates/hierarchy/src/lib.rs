@@ -9,9 +9,8 @@
 //!    independent set of remainder nodes that are strict local minima
 //!    of the edge-difference/travel-minimum priority (deterministic
 //!    node-id tie-break; a dirty priority is scored only as far as the
-//!    selection needs) and contracts them together, planning in
-//!    parallel over a scoped worker pool and applying serially — the
-//!    overlay is identical at every thread count by construction.
+//!    selection needs) and contracts them together, planning every
+//!    member against the pre-round graph before applying any.
 //! 2. **Contraction** — removing node `v` inserts shortcut arcs
 //!    `u → w` whose weights are full piecewise-linear travel-time
 //!    functions composed with the same pooled kernels the flat engine
@@ -40,15 +39,14 @@
 //! the embedded flat engine — exactness before speed, always.
 //!
 //! DESIGN.md §12 documents the algebra-closure and witness-soundness
-//! arguments; §13 covers parallel-contraction determinism, storage and
-//! the bounds the search prunes with.
+//! arguments; §13 covers round-based contraction, storage and the
+//! bounds the search prunes with.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::redundant_clone)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod overlay;
-mod pool;
 mod search;
 
 use std::sync::{Mutex, PoisonError};
@@ -59,7 +57,7 @@ use allfp::{
     PathfindBackend, QueryMode, QuerySpec, Result, SearchRun,
 };
 use pwl::time::MINUTES_PER_DAY;
-use pwl::Interval;
+use pwl::{Interval, PwlScratch};
 use roadnet::overlay::{HierarchySnapshot, OverlaySnapshot, SnapshotArc};
 use roadnet::{NetworkSource, NodeId};
 use traffic::DayCategory;
@@ -68,7 +66,6 @@ use crate::overlay::{
     build_overlay, finish_overlay, make_arc, recompose, Contraction, Overlay, OverlayArc,
     ARC_BUDGET,
 };
-use crate::pool::WorkerPool;
 
 /// Preprocessing configuration.
 #[derive(Debug, Clone)]
@@ -76,18 +73,12 @@ pub struct HierarchyConfig {
     /// Day categories to contract an overlay for. Queries in other
     /// categories fall back to the flat engine.
     pub categories: Vec<DayCategory>,
-    /// Worker threads for contraction planning, band minima and
-    /// snapshot restore. `0` means one per available core. The
-    /// produced overlay is **identical at every setting** (pinned by
-    /// the determinism suite).
-    pub threads: usize,
 }
 
 impl Default for HierarchyConfig {
     fn default() -> Self {
         HierarchyConfig {
             categories: vec![DayCategory::WORKDAY],
-            threads: 1,
         }
     }
 }
@@ -120,13 +111,10 @@ pub struct BuildReport {
     /// Contraction rounds, summed over categories (0 for restores).
     pub rounds: u32,
     /// Nodes settled by contraction's witness searches, summed over
-    /// categories (0 for restores) — exact, the same at every
-    /// `threads`.
+    /// categories (0 for restores) — exact.
     pub witness_settles: u64,
     /// Remainder-graph entries those searches read, likewise.
     pub witness_scans: u64,
-    /// Resolved worker-thread count the build ran with.
-    pub threads: usize,
 }
 
 /// A preprocessing-based [`PathfindBackend`]: answers singleFP/allFP
@@ -161,31 +149,29 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
     /// geometric estimate).
     pub fn with_flat(flat: Engine<'a, S>, config: HierarchyConfig) -> Result<Self> {
         let t0 = Instant::now();
-        let pool = WorkerPool::new(config.threads);
         let mut overlays = Vec::with_capacity(config.categories.len());
         for &cat in &config.categories {
-            overlays.push(build_overlay(flat.source(), cat, &pool, ARC_BUDGET)?);
+            overlays.push(build_overlay(flat.source(), cat, ARC_BUDGET)?);
         }
-        Ok(Self::assemble(flat, overlays, t0, pool.threads()))
+        Ok(Self::assemble(flat, overlays, t0))
     }
 
     /// The engine around finished overlays, with its report tallied.
-    fn assemble(flat: Engine<'a, S>, overlays: Vec<Overlay>, t0: Instant, threads: usize) -> Self {
+    fn assemble(flat: Engine<'a, S>, overlays: Vec<Overlay>, t0: Instant) -> Self {
         let mut engine = HierarchyEngine {
             flat,
             overlays,
             report: BuildReport::default(),
             workspaces: Mutex::default(),
         };
-        engine.report = engine.tally_report(t0.elapsed(), threads);
+        engine.report = engine.tally_report(t0.elapsed());
         engine
     }
 
-    fn tally_report(&self, build_wall: Duration, threads: usize) -> BuildReport {
+    fn tally_report(&self, build_wall: Duration) -> BuildReport {
         let mut r = BuildReport {
             build_wall,
             n_nodes: self.flat.source().n_nodes(),
-            threads,
             ..BuildReport::default()
         };
         for o in &self.overlays {
@@ -306,23 +292,17 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
     /// network: skips node ordering and witness searches entirely and
     /// rebuilds each arc's travel function by deterministic
     /// re-composition — base arcs from the network, shortcuts from
-    /// their via pairs, **level by level in parallel** over the same
-    /// worker pool contraction uses (a shortcut's level is one above
-    /// the deeper of its two via arcs; within a level compositions are
-    /// independent and results apply in arc order, so functions come
-    /// back bit-identical to the original build's at any thread
-    /// count). A structure that does not match the network, or whose
-    /// shortcut reads a disabled arc, is rejected.
-    pub fn from_snapshot(
-        flat: Engine<'a, S>,
-        config: HierarchyConfig,
-        snapshot: &HierarchySnapshot,
-    ) -> Result<Self> {
+    /// their via pairs, in arc order (a shortcut reads only earlier
+    /// arcs, so both of its via arcs are rebuilt before it), bit for
+    /// bit the functions the build composed. A structure that does not
+    /// match the network, or whose shortcut reads a later or a disabled
+    /// arc, is rejected.
+    pub fn from_snapshot(flat: Engine<'a, S>, snapshot: &HierarchySnapshot) -> Result<Self> {
         let t0 = Instant::now();
-        let pool = WorkerPool::new(config.threads);
         let source = flat.source();
         let n = source.n_nodes();
         let day = Interval::of(0.0, MINUTES_PER_DAY);
+        let mut scratch = PwlScratch::new();
         let mut overlays = Vec::with_capacity(snapshot.overlays.len());
         for snap in &snapshot.overlays {
             if snap.ranks.len() != n {
@@ -331,7 +311,7 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                 ));
             }
             let category = DayCategory(snap.category);
-            let mut slots: Vec<Option<OverlayArc>> = Vec::with_capacity(snap.arcs.len());
+            let mut arcs: Vec<OverlayArc> = Vec::with_capacity(snap.arcs.len());
             let mut edges: Vec<roadnet::Edge> = Vec::new();
             for u in 0..n {
                 source.successors_into(NodeId(u as u32), &mut edges)?;
@@ -339,7 +319,7 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                     if e.to.index() == u {
                         continue;
                     }
-                    let rec = snap.arcs.get(slots.len()).ok_or(AllFpError::Internal(
+                    let rec = snap.arcs.get(arcs.len()).ok_or(AllFpError::Internal(
                         "overlay structure is missing base arcs",
                     ))?;
                     if rec.via.is_some() || rec.from != u as u32 || rec.to != e.to.index() as u32 {
@@ -351,22 +331,15 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                     let full = traffic::travel::travel_time_fn(profile, e.distance, &day)?;
                     let mut arc = make_arc(rec.from, rec.to, full, None);
                     arc.disabled = rec.disabled;
-                    slots.push(Some(arc));
+                    arcs.push(arc);
                 }
             }
-            let n_base = slots.len();
+            let n_base = arcs.len();
             if snap.arcs.iter().take_while(|a| a.via.is_none()).count() != n_base {
                 return Err(AllFpError::Internal(
                     "overlay structure base arc count mismatch",
                 ));
             }
-
-            // The shortcuts, stratified by composition level so each
-            // level's re-compositions are independent (a via arc is
-            // always at a strictly lower level; a base arc is ready at
-            // once).
-            let mut level = vec![0u32; snap.arcs.len()];
-            let mut by_level: Vec<Vec<usize>> = Vec::new();
             for (i, rec) in snap.arcs.iter().enumerate().skip(n_base) {
                 let Some((a, b)) = rec.via else {
                     return Err(AllFpError::Internal(
@@ -386,44 +359,11 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                         "overlay structure shortcut reads a disabled arc",
                     ));
                 }
-                level[i] = level[a].max(level[b]) + 1;
-                let slot = level[i] as usize - 1;
-                if by_level.len() <= slot {
-                    by_level.resize(slot + 1, Vec::new());
-                }
-                by_level[slot].push(i);
-                slots.push(None);
+                let full = recompose(&mut scratch, &arcs[a], &arcs[b])?;
+                let mut arc = make_arc(rec.from, rec.to, full, rec.via);
+                arc.disabled = rec.disabled;
+                arcs.push(arc);
             }
-            for ids in &by_level {
-                let rebuilt = pool.map_indexed(
-                    ids.len(),
-                    || (),
-                    |k, _, scratch| -> Result<OverlayArc> {
-                        let rec = &snap.arcs[ids[k]];
-                        let (a, b) = rec.via.ok_or(AllFpError::Internal(
-                            "overlay rebuild lost a via pair mid-pass",
-                        ))?;
-                        let (Some(fa), Some(fb)) = (&slots[a as usize], &slots[b as usize]) else {
-                            return Err(AllFpError::Internal(
-                                "overlay rebuild via pair not yet rebuilt",
-                            ));
-                        };
-                        let full = recompose(scratch, fa, fb)?;
-                        let mut arc = make_arc(rec.from, rec.to, full, rec.via);
-                        arc.disabled = rec.disabled;
-                        Ok(arc)
-                    },
-                );
-                for (k, arc) in rebuilt.into_iter().enumerate() {
-                    slots[ids[k]] = Some(arc?);
-                }
-            }
-            let arcs = slots
-                .into_iter()
-                .collect::<Option<Vec<OverlayArc>>>()
-                .ok_or(AllFpError::Internal(
-                    "overlay rebuild left an arc slot empty",
-                ))?;
             overlays.push(finish_overlay(
                 category,
                 snap.ranks.clone(),
@@ -431,10 +371,9 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
                 n_base,
                 snap.arcs.iter().filter(|a| a.disabled).count(),
                 Contraction::default(),
-                &pool,
             )?);
         }
-        Ok(Self::assemble(flat, overlays, t0, pool.threads()))
+        Ok(Self::assemble(flat, overlays, t0))
     }
 }
 
@@ -500,50 +439,78 @@ mod tests {
     }
 
     /// The snapshot records structure only, so its equality cannot see
-    /// a function: a parallel build and a parallel restore store what
-    /// the serial build stores, bit for bit, on six seeds — on 65, 91
-    /// and 269 domination disabled arcs, which store no function.
+    /// a function: a restore stores what the build stores, bit for bit,
+    /// on six seeds — on 65, 91 and 269 domination disabled arcs, which
+    /// store no function.
     #[test]
-    fn parallel_builds_and_restores_store_the_same_bits() {
+    fn builds_and_restores_store_the_same_bits() {
         for seed in [3u64, 58, 211, 65, 91, 269] {
             let net = random_geometric(14, 1.5, 3, seed).unwrap();
-            let config = |threads| HierarchyConfig {
-                threads,
-                ..HierarchyConfig::default()
-            };
-            let serial = HierarchyEngine::with_flat(flat(&net), config(1)).unwrap();
+            let built = HierarchyEngine::with_flat(flat(&net), HierarchyConfig::default()).unwrap();
             if [65, 91, 269].contains(&seed) {
-                assert!(serial.report().n_disabled > 0, "seed {seed}");
+                assert!(built.report().n_disabled > 0, "seed {seed}");
             }
-            let parallel = HierarchyEngine::with_flat(flat(&net), config(4)).unwrap();
-            assert_eq!(stored_bits(&parallel), stored_bits(&serial), "seed {seed}");
-            let restored =
-                HierarchyEngine::from_snapshot(flat(&net), config(2), &serial.snapshot());
+            let restored = HierarchyEngine::from_snapshot(flat(&net), &built.snapshot());
             assert_eq!(
                 stored_bits(&restored.unwrap()),
-                stored_bits(&serial),
+                stored_bits(&built),
                 "seed {seed}"
             );
         }
     }
 
-    /// No contraction disables a via, so a snapshot that does is
-    /// malformed, and a restore rejects it.
+    /// One malformation of a snapshot's overlay.
+    type Mutation = fn(&mut OverlaySnapshot);
+
+    /// The index of the first shortcut record, which is the base count.
+    fn first_shortcut(o: &OverlaySnapshot) -> usize {
+        o.arcs.iter().position(|a| a.via.is_some()).unwrap()
+    }
+
+    /// Every check a restore makes on its input, each tripped by one
+    /// mutation of a built snapshot and answered with its own error.
+    /// Arc-order restore rests on the later-arc check: without it a
+    /// shortcut would read an arc not yet rebuilt.
     #[test]
-    fn restore_rejects_a_disabled_via() {
+    fn restore_rejects_every_malformed_structure() {
         let net = random_geometric(14, 1.5, 3, 58).unwrap();
         let built = HierarchyEngine::with_flat(flat(&net), HierarchyConfig::default()).unwrap();
-        let mut snapshot = built.snapshot();
-        let arcs = &mut snapshot.overlays[0].arcs;
-        let first = arcs.iter().position(|a| a.via.is_some()).unwrap();
-        let (a, _) = arcs[first].via.unwrap();
-        arcs[a as usize].disabled = true;
-        let config = HierarchyConfig::default();
-        assert!(matches!(
-            HierarchyEngine::from_snapshot(flat(&net), config, &snapshot),
-            Err(AllFpError::Internal(
-                "overlay structure shortcut reads a disabled arc"
-            ))
-        ));
+        let cases: [(&str, Mutation); 7] = [
+            ("overlay structure does not match network size", |o| {
+                o.ranks.pop();
+            }),
+            ("overlay structure is missing base arcs", |o| {
+                o.arcs.truncate(1);
+            }),
+            ("overlay structure does not match network edges", |o| {
+                o.arcs[0].to += 1;
+            }),
+            ("overlay structure base arc count mismatch", |o| {
+                let base = o.arcs[0];
+                o.arcs.insert(first_shortcut(o), base);
+            }),
+            (
+                "overlay structure interleaves base arcs after shortcuts",
+                |o| o.arcs.push(o.arcs[0]),
+            ),
+            ("overlay structure shortcut references a later arc", |o| {
+                let first = first_shortcut(o);
+                let (a, _) = o.arcs[first].via.unwrap();
+                o.arcs[first].via = Some((a, first as u32));
+            }),
+            ("overlay structure shortcut reads a disabled arc", |o| {
+                let (a, _) = o.arcs[first_shortcut(o)].via.unwrap();
+                o.arcs[a as usize].disabled = true;
+            }),
+        ];
+        for (message, mutate) in cases {
+            let mut snapshot = built.snapshot();
+            mutate(&mut snapshot.overlays[0]);
+            match HierarchyEngine::from_snapshot(flat(&net), &snapshot) {
+                Err(AllFpError::Internal(m)) => assert_eq!(m, message),
+                Err(e) => panic!("{message}: {e}"),
+                Ok(_) => panic!("{message}: restored"),
+            }
+        }
     }
 }

@@ -9,19 +9,17 @@
 //! expansion, so the algebra is closed: a shortcut's function is a real
 //! path's function, bit for bit.
 //!
-//! **Round-based parallel contraction.** Each round selects the
-//! *independent set* of remainder nodes that are strict local minima
-//! of `(priority, node id)` among their uncontracted neighbors — a
+//! **Round-based contraction.** Each round selects the *independent
+//! set* of remainder nodes that are strict local minima of
+//! `(priority, node id)` among their uncontracted neighbors — a
 //! deterministic tie-broken rule with at least one member per round
 //! (the global minimum always qualifies) and no two members adjacent.
-//! Planning (witness searches and shortcut composition) runs in
-//! parallel over the pre-round state, read-only, with per-worker
-//! scratch pools; application (domination checks, arc insertion,
-//! ranks) is serial in ascending node order. Because members are
-//! pairwise non-adjacent, no application in a round touches an arc
-//! incident to another member, so the plans stay valid — the overlay
-//! is **identical at every thread count by construction** (pinned by
-//! `tests/contraction_props.rs`).
+//! Every member is planned first (witness searches and shortcut
+//! composition) against the pre-round state, read-only; then the plans
+//! are applied (domination checks, arc insertion, ranks) in ascending
+//! node order. Because members are pairwise non-adjacent, no
+//! application in a round touches an arc incident to another member, so
+//! every plan stays valid until it is applied.
 //!
 //! **Lazy selection.** A dirty node is scored one in-arc witness search
 //! at a time ([`select`]): its key after `k` searches counts only the
@@ -36,9 +34,7 @@
 //! (2) a node is dropped only on a neighbour's exact key; (3) every
 //! priority a later round reads is finished on its own round's
 //! snapshot. Debug builds also score every dirty node in full and
-//! assert both. The step order is serial and depends only on keys, so
-//! the searches run — and the work counted — are the same at every
-//! thread count; only the final full scoring runs on the pool.
+//! assert both.
 //!
 //! A candidate shortcut `u → v → w` is **omitted** only on proof: a
 //! bounded Dijkstra from `u` over the round's snapshot of the remainder
@@ -58,7 +54,7 @@
 //!
 //! **One-day exact storage.** Each enabled arc stores its exact
 //! **one-day** function, at exact size (a composed shortcut is copied
-//! out of the worker's pooled buffer, which goes back to the pool), and
+//! out of the build's pooled buffer, which goes back to the pool), and
 //! nothing derived from it but scalars; a disabled arc stores none
 //! ([`OverlayArc`]). The periodic extension the search composes against
 //! is virtual ([`ext_window`] derives any restriction of it on demand,
@@ -77,8 +73,6 @@ use pwl::time::MINUTES_PER_DAY;
 use pwl::{compose_travel_into, Interval, Pwl, PwlScratch};
 use roadnet::{NetworkSource, NodeId};
 use traffic::DayCategory;
-
-use crate::pool::WorkerPool;
 
 /// Buckets of the band minima (over one day period).
 const BANDS: usize = 8;
@@ -179,10 +173,9 @@ pub(crate) struct Overlay {
     pub contraction: Contraction,
 }
 
-/// The work of one contraction, as counts: exact and equal at every
-/// thread count (each witness search is a pure function of the round's
-/// snapshot, and which searches run does not depend on the thread
-/// count).
+/// The work of one contraction, as counts: exact, because each witness
+/// search is a pure function of the round's snapshot and which searches
+/// run depends only on priority keys.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(crate) struct Contraction {
     /// Contraction rounds.
@@ -417,8 +410,8 @@ fn push_arc(
 
 /// Epoch-stamped distance array for witness searches: reset is O(1),
 /// tentative values remain valid path-length upper bounds even when the
-/// search stops before settling them. One per worker thread.
-pub(crate) struct Witness {
+/// search stops before settling them. One per build.
+struct Witness {
     /// Per node: the tentative distance and the epoch that wrote it,
     /// side by side (one cache line per read).
     slot: Vec<(f64, u32)>,
@@ -428,7 +421,7 @@ pub(crate) struct Witness {
 }
 
 impl Witness {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Witness {
             slot: vec![(f64::INFINITY, 0); n],
             epoch: 0,
@@ -553,8 +546,8 @@ fn snapshot_remainder(arcs: &[OverlayArc], out: &[Vec<u32>], contracted: &[bool]
 
 /// The state Phases 1–3 of a round read: the arcs and adjacency as the
 /// round found them and the round's [`snapshot_remainder`], which every
-/// witness search of the round walks. Read-only, so many nodes can be
-/// scored or planned at once; Phase 4 writes only after the last read.
+/// witness search of the round walks. Read-only: Phase 4 writes only
+/// after the last read.
 struct RoundView<'a> {
     arcs: &'a [OverlayArc],
     out: &'a [Vec<u32>],
@@ -706,20 +699,6 @@ struct Score {
     n_need: usize,
 }
 
-impl Score {
-    /// The needed pairs and work of in-arc search `k`.
-    fn search(
-        &self,
-        view: &RoundView<'_>,
-        k: usize,
-        witness: &mut Witness,
-    ) -> (usize, Contraction) {
-        let mut need = 0;
-        let work = view.search(&self.cands, k, None, witness, |_, _| need += 1);
-        (need, work)
-    }
-}
-
 /// The scoring state of one round's selection. A node is *exact* when
 /// it is not `dirty`; a dirty node's `prio` counts only the pairs its
 /// searches so far left needed.
@@ -753,9 +732,11 @@ impl Scoring<'_, '_> {
     /// Run dirty `v`'s next in-arc search and raise its key by the
     /// pairs that search leaves needed.
     fn step(&mut self, v: u32) {
-        let score = &mut self.scores[self.slot[v as usize] as usize];
-        let (need, work) = score.search(self.view, score.searched, self.witness);
-        self.work += work;
+        let (view, score) = (self.view, &mut self.scores[self.slot[v as usize] as usize]);
+        let mut need = 0;
+        self.work += view.search(&score.cands, score.searched, None, self.witness, |_, _| {
+            need += 1
+        });
         score.searched += 1;
         score.n_need += need;
         self.prio[v as usize] = priority(score.base, score.n_need);
@@ -777,14 +758,13 @@ impl Scoring<'_, '_> {
 /// below its own; an exact node at the head of the queue is below every
 /// open key, so it is selected iff every neighbour, refined while its
 /// key stays below, ends above it. Then every node still partial that no
-/// selected node neighbours is scored in full on the pool — a later
-/// round reads its priority — and the others stay dirty.
+/// selected node neighbours is scored in full — a later round reads its
+/// priority — and the others stay dirty.
 fn select(
     view: &RoundView<'_>,
     prio: &mut [i64],
     dirty: &mut [bool],
     witness: &mut Witness,
-    pool: &WorkerPool,
 ) -> (Vec<u32>, Contraction) {
     let n = view.contracted.len();
     let remainder_nodes = (0..n as u32).filter(|&v| !view.contracted[v as usize]);
@@ -850,28 +830,13 @@ fn select(
     }
     selected.sort_unstable();
 
-    let partial = |score: &&Score| {
-        let v = score.cands.v as usize;
-        s.dirty[v] && fate[v] != Fate::Beside
-    };
-    let rest: Vec<&Score> = s.scores.iter().filter(partial).collect();
-    let finished = pool.map_indexed(
-        rest.len(),
-        || Witness::new(n),
-        |i, wit, _scratch| {
-            let (mut n_need, mut work) = (rest[i].n_need, Contraction::default());
-            for k in rest[i].searched..rest[i].cands.ins.len() {
-                let (need, done) = rest[i].search(view, k, wit);
-                n_need += need;
-                work += done;
+    for i in 0..s.scores.len() {
+        let v = s.scores[i].cands.v;
+        if fate[v as usize] != Fate::Beside {
+            while s.dirty[v as usize] {
+                s.step(v);
             }
-            (rest[i].cands.v, priority(rest[i].base, n_need), work)
-        },
-    );
-    for (v, prio, work) in finished {
-        s.prio[v as usize] = prio;
-        s.dirty[v as usize] = false;
-        s.work += work;
+        }
     }
 
     // Debug builds score every dirty node in full, as eagerly as the
@@ -932,7 +897,7 @@ pub(crate) fn recompose(scratch: &mut PwlScratch, a: &OverlayArc, b: &OverlayArc
 }
 
 /// One planned shortcut: the via pair and its exact composed function,
-/// produced read-only during a round's parallel planning phase.
+/// composed in a round's planning phase from the pre-round arcs.
 struct PlannedShortcut {
     a: u32,
     b: u32,
@@ -944,7 +909,6 @@ struct PlannedShortcut {
 pub(crate) fn build_overlay<S: NetworkSource>(
     source: &S,
     category: DayCategory,
-    pool: &WorkerPool,
     arc_budget: usize,
 ) -> Result<Overlay> {
     let n = source.n_nodes();
@@ -983,6 +947,7 @@ pub(crate) fn build_overlay<S: NetworkSource>(
     let mut dirty = vec![true; n];
     let mut in_round = vec![false; n];
     let mut witness = Witness::new(n);
+    let mut scratch = PwlScratch::new();
     let mut n_disabled = 0usize;
 
     let mut next_rank = 0u32;
@@ -1007,66 +972,54 @@ pub(crate) fn build_overlay<S: NetworkSource>(
         // local minima of (priority, id) among uncontracted neighbors.
         // Deterministic, non-adjacent, and never empty (the global
         // minimum wins against every neighbor).
-        let (selected, work) = select(&view, &mut prio, &mut dirty, &mut witness, pool);
+        let (selected, work) = select(&view, &mut prio, &mut dirty, &mut witness);
         contraction += work;
         for &v in &selected {
             in_round[v as usize] = true;
         }
 
-        // Phase 3 — plan the selected nodes in parallel: witness
-        // searches skip the whole independent set (so omission proofs
-        // survive every application of this round), then — inside the
-        // arc budget — the needed shortcut functions are composed
-        // read-only from pre-round arcs with per-worker scratches. A
-        // node's list stops growing past the budget's headroom, so a
-        // refused round holds no more pairs than an accepted one.
+        // Phase 3 — plan the selected nodes: witness searches skip the
+        // whole independent set (so omission proofs survive every
+        // application of this round), then — inside the arc budget —
+        // the needed shortcut functions are composed from pre-round
+        // arcs. The pair lists stop growing past the budget's headroom,
+        // so a refused round holds no more pairs than an accepted one.
         let limit = arc_budget.saturating_mul(n_base);
         let headroom = limit.saturating_sub(arcs.len());
-        let needs = pool.map_indexed(
-            selected.len(),
-            || Witness::new(n),
-            |i, wit, _scratch| {
-                let (mut need, mut n_need) = (Vec::new(), 0usize);
-                let work = view.needed_pairs(selected[i], Some(&in_round), wit, |a, b| {
-                    n_need += 1;
-                    if n_need <= headroom {
-                        need.push((a, b));
-                    }
-                });
-                (work, n_need, need)
-            },
-        );
-        let mut planned = 0usize;
-        for (work, n_need, _) in &needs {
-            contraction += *work;
-            planned += n_need;
+        let mut n_planned = 0usize;
+        let mut needs = Vec::with_capacity(selected.len());
+        for &v in &selected {
+            let mut need = Vec::new();
+            contraction += view.needed_pairs(v, Some(&in_round), &mut witness, |a, b| {
+                n_planned += 1;
+                if n_planned <= headroom {
+                    need.push((a, b));
+                }
+            });
+            needs.push(need);
         }
-        if planned > headroom {
+        if n_planned > headroom {
             return Err(AllFpError::ContractionBudget {
-                arcs: arcs.len() + planned,
+                arcs: arcs.len() + n_planned,
                 limit,
             });
         }
-        let plans: Vec<Result<Vec<PlannedShortcut>>> = pool.map_indexed(
-            selected.len(),
-            || (),
-            |i, _, scratch| {
-                let need = &needs[i].2;
-                let mut plan = Vec::with_capacity(need.len());
-                for &(a, b) in need {
-                    let full = recompose(scratch, &arcs[a as usize], &arcs[b as usize])?;
-                    plan.push(PlannedShortcut { a, b, full });
-                }
-                Ok(plan)
-            },
-        );
+        let mut plans = Vec::with_capacity(selected.len());
+        for need in needs {
+            let mut plan = Vec::with_capacity(need.len());
+            for (a, b) in need {
+                let full = recompose(&mut scratch, &arcs[a as usize], &arcs[b as usize])?;
+                plan.push(PlannedShortcut { a, b, full });
+            }
+            plans.push(plan);
+        }
 
-        // Phase 4 — apply serially in ascending node order. Members
-        // are pairwise non-adjacent, so nothing applied here touches
-        // an arc incident to a later member: every plan stays exactly
-        // as valid as when it was computed.
+        // Phase 4 — apply in ascending node order. Members are pairwise
+        // non-adjacent, so nothing applied here touches an arc incident
+        // to a later member: every plan stays exactly as valid as when
+        // it was computed.
         for (&v, plan) in selected.iter().zip(plans) {
-            for planned in plan? {
+            for planned in plan {
                 let (a, b) = (planned.a, planned.b);
                 let (u, w) = (arcs[a as usize].from, arcs[b as usize].to);
                 // Parallel-arc domination, both directions.
@@ -1134,16 +1087,15 @@ pub(crate) fn build_overlay<S: NetworkSource>(
 
     // Released before the query structures are built, which is the
     // build's peak.
-    drop((out, inn, witness));
-    finish_overlay(category, rank, arcs, n_base, n_disabled, contraction, pool)
+    drop((out, inn, witness, scratch));
+    finish_overlay(category, rank, arcs, n_base, n_disabled, contraction)
 }
 
 /// The query adjacency, then the bound graph: one entry per slot —
 /// (side, node, neighbour), up arcs listed under their tail and down
-/// arcs under their head — each folded from the slot's arcs on the
-/// worker pool (read-only against the arcs, results applied in slot
-/// order — deterministic at any thread count). Both are read off one
-/// sorted list of the enabled arcs, each row built once at exact size.
+/// arcs under their head — each folded from the slot's arcs. Both are
+/// read off one sorted list of the enabled arcs, each row built once at
+/// exact size.
 /// Returns the completed overlay, its arc storage at exact size and
 /// every disabled arc's function released (a restore composes them
 /// all, for their scalars).
@@ -1154,7 +1106,6 @@ pub(crate) fn finish_overlay(
     n_base: usize,
     n_disabled: usize,
     contraction: Contraction,
-    pool: &WorkerPool,
 ) -> Result<Overlay> {
     arcs.shrink_to_fit();
     for arc in arcs.iter_mut().filter(|a| a.disabled) {
@@ -1194,15 +1145,8 @@ pub(crate) fn finish_overlay(
     // each folded from the slot's arcs.
     enabled.sort_by_key(slot);
     let slots: Vec<&[u32]> = enabled.chunk_by(|a, b| slot(a) == slot(b)).collect();
-    let bounds = pool.map_indexed(
-        slots.len(),
-        || (),
-        |i, _, _scratch| {
-            let parallel = slots[i].iter().map(|&id| &arcs[id as usize]);
-            Bound::of(slot(&slots[i][0]).2, parallel)
-        },
-    );
-    let mut up_bound = bounds.into_iter().collect::<Result<Vec<Bound>>>()?;
+    let bound = |ids: &&[u32]| Bound::of(slot(&ids[0]).2, ids.iter().map(|&id| &arcs[id as usize]));
+    let mut up_bound = slots.iter().map(bound).collect::<Result<Vec<Bound>>>()?;
     let (up, down) = slots.split_at(slots.partition_point(|ids| !slot(&ids[0]).0));
     let row = |ids: &&[u32]| slot(&ids[0]).1;
     let down_bound = Csr::new(n, down.iter().map(row), up_bound.split_off(up.len()));
@@ -1260,10 +1204,9 @@ mod tests {
     #[test]
     fn the_arc_budget_refuses_a_build_that_would_pass_it() {
         let net = random_geometric(14, 1.5, 3, 97).unwrap();
-        let pool = WorkerPool::new(1);
-        let built = build_overlay(&net, DayCategory::WORKDAY, &pool, ARC_BUDGET).unwrap();
+        let built = build_overlay(&net, DayCategory::WORKDAY, ARC_BUDGET).unwrap();
         assert!(built.arcs.len() > built.n_base, "no shortcut to refuse");
-        match build_overlay(&net, DayCategory::WORKDAY, &pool, 1) {
+        match build_overlay(&net, DayCategory::WORKDAY, 1) {
             Err(AllFpError::ContractionBudget { arcs, limit }) => {
                 assert_eq!(limit, built.n_base);
                 assert!(arcs > limit, "{arcs} arcs within {limit}");

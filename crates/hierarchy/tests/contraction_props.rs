@@ -116,8 +116,8 @@ proptest! {
     }
 
     /// Snapshot round-trip: serialize the contracted structure, decode
-    /// it, rebuild the engine (with a *parallel* restore pool), and
-    /// get identical answers, counts — and an identical re-snapshot.
+    /// it, rebuild the engine, and get identical answers, counts — and
+    /// an identical re-snapshot.
     #[test]
     fn snapshot_roundtrip_preserves_answers(seed in 0u64..200) {
         const N: usize = 16;
@@ -130,15 +130,9 @@ proptest! {
         .unwrap();
         let bytes = ch.snapshot().to_bytes();
         let snap = roadnet::overlay::HierarchySnapshot::from_bytes(&bytes).unwrap();
-        let restored = HierarchyEngine::from_snapshot(
-            Engine::new(&net, EngineConfig::default()).unwrap(),
-            HierarchyConfig {
-                threads: 2,
-                ..HierarchyConfig::default()
-            },
-            &snap,
-        )
-        .unwrap();
+        let restored =
+            HierarchyEngine::from_snapshot(Engine::new(&net, EngineConfig::default()).unwrap(), &snap)
+                .unwrap();
         prop_assert_eq!(ch.report().n_shortcuts, restored.report().n_shortcuts);
         prop_assert_eq!(ch.report().n_original_arcs, restored.report().n_original_arcs);
         prop_assert_eq!(ch.report().overlay_pieces, restored.report().overlay_pieces);
@@ -149,50 +143,6 @@ proptest! {
             let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY);
             let a = ch.single_fastest_path(&q).unwrap();
             same_single(&a, &restored.single_fastest_path(&q).unwrap())?;
-        }
-    }
-}
-
-fn config_with(threads: usize) -> HierarchyConfig {
-    HierarchyConfig {
-        threads,
-        ..HierarchyConfig::default()
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 4,
-        ..ProptestConfig::default()
-    })]
-
-    /// **Parallel-contraction determinism**: the overlay produced at
-    /// every thread count is identical to the serial one — same node
-    /// order, same arcs, same via pairs, same disabled flags, same
-    /// stored piece count — and so is the witness searches' work.
-    #[test]
-    fn parallel_contraction_is_deterministic(seed in 0u64..300) {
-        const N: usize = 16;
-        let net = random_geometric(N, 1.5, 3, seed).unwrap();
-        let serial = HierarchyEngine::build(
-            &net,
-            EngineConfig::default(),
-            config_with(1),
-        )
-        .unwrap();
-        let golden = serial.snapshot();
-        for threads in [2usize, 4, 7] {
-            let par = HierarchyEngine::build(
-                &net,
-                EngineConfig::default(),
-                config_with(threads),
-            )
-            .unwrap();
-            prop_assert!(par.snapshot() == golden, "overlay differs at thread count {}", threads);
-            prop_assert_eq!(par.report().overlay_pieces, serial.report().overlay_pieces);
-            prop_assert_eq!(par.report().rounds, serial.report().rounds);
-            prop_assert_eq!(par.report().witness_settles, serial.report().witness_settles);
-            prop_assert_eq!(par.report().witness_scans, serial.report().witness_scans);
         }
     }
 }
@@ -271,9 +221,7 @@ fn rebuilt_adjacency_answers_like_flat() {
     let net = net_with_island();
     let engine = || Engine::new(&net, EngineConfig::default()).unwrap();
     let built = HierarchyEngine::with_flat(engine(), HierarchyConfig::default()).unwrap();
-    let restored =
-        HierarchyEngine::from_snapshot(engine(), HierarchyConfig::default(), &built.snapshot())
-            .unwrap();
+    let restored = HierarchyEngine::from_snapshot(engine(), &built.snapshot()).unwrap();
     let flat = engine();
     for interval in [
         Interval::of(hm(7, 0), hm(9, 0)),

@@ -1,12 +1,14 @@
 //! The contracted overlay of the metro networks, pinned: a digest of
 //! every rank and every arc's `from`, `to`, `via` and `disabled`, and
-//! the shortcut count. A contraction speed-up must leave the digests
-//! where they are; the witness searches' settles and the entries they
-//! read may only fall. Every build also stores what a query can read
-//! and nothing more: one function per enabled arc, at exact size.
+//! the shortcut count, the pieces the functions hold and the work the
+//! build did (rounds, witness settles, entries read), all exact. A
+//! contraction speed-up must leave the digests where they are; one
+//! that moves a work count updates it and says why. Every build also
+//! stores what a query can read and nothing more: one function per
+//! enabled arc, at exact size.
 
 use allfp::{Engine, EngineConfig};
-use hierarchy::{HierarchyConfig, HierarchyEngine};
+use hierarchy::{BuildReport, HierarchyConfig, HierarchyEngine};
 use roadnet::generators::{suffolk_like, MetroConfig};
 use roadnet::overlay::HierarchySnapshot;
 
@@ -36,9 +38,9 @@ fn digest(snap: &HierarchySnapshot) -> u64 {
     h
 }
 
-/// What one witness-pruned build of `config` stores and did:
-/// `(digest, shortcuts, settles, scans)`.
-fn build(config: MetroConfig) -> (u64, usize, u64, u64) {
+/// What one witness-pruned build of `config` stores and did: the
+/// structure's digest and the build's report.
+fn build(config: MetroConfig) -> (u64, BuildReport) {
     let net = suffolk_like(&config).unwrap();
     let flat = Engine::new(&net, EngineConfig::default()).unwrap();
     let ch = HierarchyEngine::with_flat(flat, HierarchyConfig::default()).unwrap();
@@ -50,34 +52,33 @@ fn build(config: MetroConfig) -> (u64, usize, u64, u64) {
     let stored = (r.n_original_arcs + r.n_shortcuts - r.n_disabled) as u64;
     assert!(r.n_disabled > 0);
     assert_eq!(r.bytes_estimate, 24 * r.overlay_pieces + 8 * stored);
-    (
-        digest(&ch.snapshot()),
-        r.n_shortcuts,
-        r.witness_settles,
-        r.witness_scans,
-    )
+    (digest(&ch.snapshot()), r.clone())
 }
 
 #[test]
 fn metro_small_overlay_is_pinned() {
-    let (digest, shortcuts, settles, scans) = build(MetroConfig::small(0x5EED));
+    let (digest, r) = build(MetroConfig::small(0x5EED));
     assert_eq!(digest, 0x2854_2a07_ef67_dbef);
-    assert_eq!(shortcuts, 1_487);
+    assert_eq!(r.n_shortcuts, 1_487);
+    assert_eq!(r.overlay_pieces, 13_442);
+    assert_eq!(r.rounds, 31);
     // 76 306 settles and 299 633 entries read when every dirty node was
     // scored in full each round.
-    assert!(settles <= 60_722, "{settles} settles");
-    assert!(scans <= 233_082, "{scans} entries read");
+    assert_eq!(r.witness_settles, 60_722);
+    assert_eq!(r.witness_scans, 233_082);
 }
 
 #[test]
 fn metro_medium_overlay_is_pinned() {
-    let (digest, shortcuts, settles, scans) = build(MetroConfig::medium(0x5EED));
+    let (digest, r) = build(MetroConfig::medium(0x5EED));
     assert_eq!(digest, 0xb642_a434_8b31_c194);
-    assert_eq!(shortcuts, 17_296);
+    assert_eq!(r.n_shortcuts, 17_296);
+    assert_eq!(r.overlay_pieces, 123_882);
+    assert_eq!(r.rounds, 79);
     // 2 545 891 settles and 31 104 334 entries read when every dirty
     // node was scored in full each round.
-    assert!(settles <= 1_578_384, "{settles} settles");
-    assert!(scans <= 17_202_012, "{scans} entries read");
+    assert_eq!(r.witness_settles, 1_578_384);
+    assert_eq!(r.witness_scans, 17_202_012);
 }
 
 /// The full-scale metro (about 11.6 k nodes): some 15 s to contract in
@@ -85,10 +86,10 @@ fn metro_medium_overlay_is_pinned() {
 #[test]
 #[ignore]
 fn metro_full_overlay_is_pinned() {
-    let (digest, shortcuts, _, _) = build(MetroConfig {
+    let (digest, r) = build(MetroConfig {
         seed: 0x5EED,
         ..MetroConfig::default()
     });
     assert_eq!(digest, 0x22a4_86e7_e1d1_ce23);
-    assert_eq!(shortcuts, 152_749);
+    assert_eq!(r.n_shortcuts, 152_749);
 }

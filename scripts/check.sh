@@ -141,6 +141,14 @@ if [ -e BENCH_engine.json ] || [ -e crates/bench/benches/engine_hotpath.rs ] ||
     echo "the engine_hotpath harness (or its report file or JSON writer) is back" >&2
     exit 1
 fi
+# Serial contraction: the hierarchy's preprocessing runs on the caller's
+# thread. The round worker pool, its fan-out and the `--threads` option
+# that set its width stay deleted.
+if grep -rnE "WorkerPool|map_indexed|mod pool|thread::" crates/hierarchy/src ||
+    grep -n -- "--threads" crates/bench/src/bin/experiments.rs; then
+    echo "the hierarchy's worker pool (or experiments --threads) is back" >&2
+    exit 1
+fi
 echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> tier-1: cargo build --release"
