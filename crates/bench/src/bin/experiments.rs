@@ -13,10 +13,6 @@
 //!   overload          the seeded virtual-time overload twin
 //!   update-storm      seeded live-update storm: goodput under a 2x
 //!                     overload with concurrent epoch swaps
-//!   cluster           the partition-sharded cluster twins: full chaos
-//!                     composition (overload + crash/restart +
-//!                     partition storm + deltas) and sustained
-//!                     node-loss, both replayed twice for bit-exactness
 //!   ablation-grid     bdLB grid granularity sweep (A-1)
 //!   ablation-pruning  basic vs dominance-pruned expansion (A-2)
 //!   ablation-ccam     CCAM placement vs buffer size (A-3)
@@ -42,8 +38,8 @@
 use std::process::ExitCode;
 
 use fpbench::{
-    ablations, cluster, const_speed, fig10, fig9, hotpath, live_update, metro_huge, overload,
-    table1, BackendKind, Scale, Scenario, Table,
+    ablations, const_speed, fig10, fig9, hotpath, live_update, metro_huge, overload, table1,
+    BackendKind, Scale, Scenario, Table,
 };
 
 struct Options {
@@ -58,7 +54,7 @@ struct Options {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
-        eprintln!("usage: experiments <table1|fig9|fig10|const-speed|overload|update-storm|cluster|ablation-grid|ablation-pruning|ablation-ccam|all|hier-race|metro-huge> [--scale small|medium|full|large] [--seed N] [--queries N] [--csv DIR] [--backend flat|ch] [--deltas N]");
+        eprintln!("usage: experiments <table1|fig9|fig10|const-speed|overload|update-storm|ablation-grid|ablation-pruning|ablation-ccam|all|hier-race|metro-huge> [--scale small|medium|full|large] [--seed N] [--queries N] [--csv DIR] [--backend flat|ch] [--deltas N]");
         return ExitCode::FAILURE;
     };
     let mut opts = Options {
@@ -154,16 +150,6 @@ fn main() -> ExitCode {
         matched = true;
         let r = live_update::run(opts.seed, opts.queries.max(80), opts.deltas.max(1));
         emit(&opts, "update_storm", live_update::render(&r));
-    }
-
-    // The cluster twins build their own sharded substrates; the seed
-    // steers the whole run (arrivals, faults, RPC fates).
-    if wants("cluster") {
-        matched = true;
-        let chaos = cluster::run_chaos(opts.seed);
-        emit(&opts, "cluster_chaos", cluster::render(&chaos));
-        let loss = cluster::run_node_loss(opts.seed);
-        emit(&opts, "cluster_node_loss", cluster::render(&loss));
     }
 
     // The two scale probes run only by name, not under `all`: the full

@@ -23,7 +23,6 @@
 pub mod ablations;
 pub mod alloc;
 pub mod clock;
-pub mod cluster;
 pub mod const_speed;
 pub mod fig10;
 pub mod fig9;

@@ -62,7 +62,7 @@ pub use fault::{FaultEvent, FaultInjectingStore, FaultKind, FaultPlan};
 pub use hilbert::{hilbert_d2xy, hilbert_order, hilbert_xy2d};
 pub use integrity::{crc32, ChecksummedStore};
 pub use page::SlottedPage;
-pub use partition::{partition_assignment, partition_nodes, Partitioning, PlacementPolicy};
+pub use partition::{partition_nodes, Partitioning, PlacementPolicy};
 pub use record::{EdgeRecord, NodeRecord};
 pub use store::{BlockStore, FileStore, IoStats, MemStore};
 

@@ -44,28 +44,6 @@ pub struct Partitioning {
 }
 
 impl Partitioning {
-    /// Flatten the page list into a per-node group assignment:
-    /// `assignment()[node] == page index holding that node`.
-    ///
-    /// This is the shape the boundary-estimator and cluster-sharding
-    /// layers consume ([`partition_assignment`] wraps the whole
-    /// pipeline). [`partition_nodes`] assigns every node id below
-    /// `n_nodes` exactly once, so the result is total by construction;
-    /// a debug assertion guards that contract.
-    pub fn assignment(&self, n_nodes: usize) -> Vec<u32> {
-        let mut group_of = vec![u32::MAX; n_nodes];
-        for (g, nodes) in self.pages.iter().enumerate() {
-            for n in nodes {
-                group_of[n.index()] = g as u32;
-            }
-        }
-        debug_assert!(
-            group_of.iter().all(|&g| g != u32::MAX),
-            "partition_nodes left a node unassigned"
-        );
-        group_of
-    }
-
     /// Fraction of directed edges whose endpoints share a page — the
     /// clustering quality CCAM optimizes (higher is better).
     pub fn connectivity_ratio(&self, net: &RoadNetwork) -> f64 {
@@ -218,39 +196,6 @@ pub fn partition_nodes<S: NetworkSource + ?Sized>(
     }
 
     Ok(Partitioning { pages })
-}
-
-/// Connectivity-clustered partition assignment with the byte budget
-/// sized so roughly `target_groups` groups come out: the cluster
-/// sharding layer derives its node-to-shard map here, from the same
-/// clustering CCAM packs pages by.
-///
-/// Returns `(group_of_node, n_groups)` with `group_of_node.len() ==
-/// src.n_nodes()` and every group id `< n_groups`. The result is a
-/// pure function of the network: [`partition_nodes`] walks nodes in
-/// Hilbert order with deterministic BFS growth, so repeated calls —
-/// from any number of threads — produce byte-identical assignments
-/// (the distributed-contract property `tests/partition_props.rs`
-/// pins).
-pub fn partition_assignment<S: NetworkSource + ?Sized>(
-    src: &S,
-    target_groups: usize,
-) -> Result<(Vec<u32>, usize)> {
-    let n = src.n_nodes();
-    let target = target_groups.clamp(1, n.max(1));
-    let mut scratch = Vec::new();
-    let mut total = 0usize;
-    let mut max_cost = 0usize;
-    for i in 0..n {
-        let cost = record_cost(src, NodeId(i as u32), &mut scratch)?;
-        total += cost;
-        max_cost = max_cost.max(cost);
-    }
-    let budget = total.div_ceil(target).max(max_cost);
-    // partition_nodes reserves 4 header bytes off the page size.
-    let parts = partition_nodes(src, PlacementPolicy::ConnectivityClustered, budget + 4)?;
-    let n_groups = parts.pages.len();
-    Ok((parts.assignment(n), n_groups))
 }
 
 #[cfg(test)]

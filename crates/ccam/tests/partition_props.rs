@@ -1,18 +1,9 @@
-//! Property suite for the connectivity partitioner as a *distributed
-//! contract*.
-//!
-//! PR 10 shards the serving tier by [`ccam::partition_assignment`]:
-//! every cluster node derives its shard map independently from the
-//! same network, and the boundary estimator derives the interface
-//! graph from the same assignment. That only works if the partition
-//! is **total** (every node assigned), **disjoint** (assigned exactly
-//! once), and **byte-deterministic** — identical output for identical
-//! input, no matter how many times or from how many threads it is
-//! computed. These were implicit estimator details before; now a
-//! divergence would silently route queries to the wrong shard owner,
-//! so they are fuzzed here.
+//! Property suite for the page partitioner: every placement policy
+//! assigns each node to exactly one page, and the connectivity
+//! partitioning is a pure function of the network and the page budget,
+//! so a store rebuilt from the same network packs the same pages.
 
-use ccam::{partition_assignment, partition_nodes, PlacementPolicy};
+use ccam::{partition_nodes, PlacementPolicy};
 use proptest::prelude::*;
 use roadnet::generators::grid;
 use roadnet::RoadNetwork;
@@ -63,65 +54,7 @@ proptest! {
         }
     }
 
-    /// The assignment vector is total (no `u32::MAX` sentinel
-    /// survives), group ids are dense below `n_groups`, and every
-    /// group is non-empty.
-    #[test]
-    fn assignment_is_total_with_dense_group_ids(
-        w in 3usize..9,
-        h in 3usize..9,
-        target in 1usize..24,
-    ) {
-        let net = make_net(w, h, 0.3);
-        let (group_of, n_groups) = partition_assignment(&net, target).unwrap();
-        prop_assert_eq!(group_of.len(), net.n_nodes());
-        prop_assert!(n_groups >= 1);
-        let mut populated = vec![false; n_groups];
-        for &g in &group_of {
-            prop_assert!((g as usize) < n_groups, "group id {} out of range", g);
-            populated[g as usize] = true;
-        }
-        prop_assert!(populated.iter().all(|&p| p), "an empty group id was emitted");
-    }
-
-    /// Byte-determinism across repeated runs and across concurrent
-    /// callers: the partition a cluster node computes on thread 7 of
-    /// run 300 must equal the one the estimator computed on thread 1
-    /// of run 1, byte for byte.
-    #[test]
-    fn assignment_is_byte_deterministic_across_threads_and_runs(
-        w in 3usize..8,
-        h in 3usize..8,
-        target in 1usize..16,
-        threads in 2usize..5,
-    ) {
-        let net = make_net(w, h, 0.3);
-        let reference = partition_assignment(&net, target).unwrap();
-        // Repeated sequential runs.
-        for _ in 0..2 {
-            prop_assert_eq!(&partition_assignment(&net, target).unwrap(), &reference);
-        }
-        // Concurrent runs from `threads` threads at once.
-        let concurrent: Vec<(Vec<u32>, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| scope.spawn(|| partition_assignment(&net, target).unwrap()))
-                .collect();
-            handles.into_iter().map(|jh| jh.join().unwrap()).collect()
-        });
-        for got in &concurrent {
-            prop_assert_eq!(got, &reference);
-        }
-        // Byte-level identity, not just logical equality: the shard
-        // map serializes this vector verbatim into RPC envelopes.
-        let reference_bytes: Vec<u8> = reference.0.iter().flat_map(|g| g.to_le_bytes()).collect();
-        for got in &concurrent {
-            let bytes: Vec<u8> = got.0.iter().flat_map(|g| g.to_le_bytes()).collect();
-            prop_assert_eq!(&bytes, &reference_bytes);
-        }
-    }
-
-    /// The Hilbert-seeded BFS partitioning itself (not just the
-    /// flattened assignment) replays identically.
+    /// The Hilbert-seeded BFS partitioning replays identically.
     #[test]
     fn connectivity_partitioning_replays_identically(
         w in 3usize..9,

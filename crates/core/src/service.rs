@@ -44,8 +44,7 @@
 //! overload scenario — arrivals, sheds, breaker trips, recoveries —
 //! replays bit-identically from a seed. [`drive`] is that harness's
 //! one loop over [`QueryService::step`]: the chaos suites and the
-//! bench twins supply it a [`DriveScenario`], and the cluster
-//! simulator shares its [`Workload`]. See `DESIGN.md` §11 and
+//! bench twins supply it a [`DriveScenario`]. See `DESIGN.md` §11 and
 //! `core/tests/overload.rs` for the invariants this enables.
 
 use std::collections::{HashMap, VecDeque};
@@ -349,17 +348,6 @@ pub struct BreakerConfig {
     pub cooldown: u64,
     /// Consecutive successful probes required to close again.
     pub probe_successes: u32,
-    /// Maximum seeded jitter (clock units) added to the cooldown
-    /// before each half-open probe. Many clients watching the same
-    /// recovering peer would otherwise re-probe it in lockstep — the
-    /// same thundering-herd shape the buffer pool's retry backoff
-    /// de-correlates with seeded jitter. `0` disables jitter (exact
-    /// legacy cooldown).
-    pub probe_jitter: u64,
-    /// Seed for the probe jitter. Give each client a distinct seed so
-    /// their probe schedules diverge; the schedule for a given seed is
-    /// fully deterministic.
-    pub probe_seed: u64,
 }
 
 impl Default for BreakerConfig {
@@ -369,15 +357,13 @@ impl Default for BreakerConfig {
             trip_failures: 8,
             cooldown: 10_000,
             probe_successes: 2,
-            probe_jitter: 0,
-            probe_seed: 0,
         }
     }
 }
 
 /// Where the dispatcher sends a popped query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Route {
+enum Route {
     /// Breaker closed: the primary engine.
     Primary,
     /// Breaker half-open: the primary engine, as the designated probe.
@@ -391,12 +377,11 @@ pub enum Route {
 /// window.
 ///
 /// [`QueryService`] keeps one behind its lock to guard the primary
-/// engine; `fp-cluster` keeps one per RPC peer to stop hammering a
-/// crashed or partitioned node. The machine is driven entirely by the
-/// caller's clock — no wall time — so a given input schedule replays
-/// to the identical transition log.
+/// engine. The machine is driven entirely by the caller's clock — no
+/// wall time — so a given input schedule replays to the identical
+/// transition log.
 #[derive(Debug, Default)]
-pub struct CircuitBreaker {
+struct CircuitBreaker {
     state: BreakerState,
     /// Outcomes (true = storage fault) of the last `window` primary
     /// executions while closed.
@@ -405,61 +390,22 @@ pub struct CircuitBreaker {
     opened_at: u64,
     probe_in_flight: bool,
     probe_ok: u32,
-    /// Times the breaker has tripped open; salts the probe jitter so
-    /// consecutive cooldowns of one breaker also de-correlate.
-    trips: u64,
     /// `(clock, new_state)` log of every transition, in order.
     transitions: Vec<(u64, BreakerState)>,
 }
 
 impl CircuitBreaker {
-    /// A fresh breaker in the [`BreakerState::Closed`] state.
-    pub fn new() -> Self {
-        CircuitBreaker::default()
-    }
-
     fn transition(&mut self, now: u64, next: BreakerState) {
-        if next == BreakerState::Open {
-            self.trips += 1;
-        }
         self.state = next;
         self.transitions.push((now, next));
     }
 
-    /// Seeded jitter added to the current cooldown, in
-    /// `0..=cfg.probe_jitter`. A pure function of `(probe_seed,
-    /// trips)`, so replays are exact while distinct seeds (one per
-    /// client) and successive trips de-correlate.
-    fn probe_delay(&self, cfg: &BreakerConfig) -> u64 {
-        if cfg.probe_jitter == 0 {
-            return cfg.cooldown;
-        }
-        let r = splitmix64(cfg.probe_seed ^ self.trips.wrapping_mul(0xA076_1D64_78BD_642F));
-        cfg.cooldown + r % (cfg.probe_jitter + 1)
-    }
-
-    /// Current state.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// How many times the breaker has transitioned to
-    /// [`BreakerState::Open`].
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
-    /// `(clock, new_state)` log of every transition, in order.
-    pub fn transitions(&self) -> &[(u64, BreakerState)] {
-        &self.transitions
-    }
-
     /// Decide the route for the next popped query.
-    pub fn route(&mut self, now: u64, cfg: &BreakerConfig) -> Route {
+    fn route(&mut self, now: u64, cfg: &BreakerConfig) -> Route {
         match self.state {
             BreakerState::Closed => Route::Primary,
             BreakerState::Open => {
-                if now.saturating_sub(self.opened_at) >= self.probe_delay(cfg) {
+                if now.saturating_sub(self.opened_at) >= cfg.cooldown {
                     self.probe_ok = 0;
                     self.probe_in_flight = true;
                     self.transition(now, BreakerState::HalfOpen);
@@ -481,7 +427,7 @@ impl CircuitBreaker {
 
     /// Feed a completed closed-state primary execution into the
     /// sliding window.
-    pub fn on_primary(&mut self, now: u64, storage_fault: bool, cfg: &BreakerConfig) {
+    fn on_primary(&mut self, now: u64, storage_fault: bool, cfg: &BreakerConfig) {
         if self.state != BreakerState::Closed {
             // A stale completion from before a trip (possible with
             // concurrent workers): the window restarted, ignore it.
@@ -505,7 +451,7 @@ impl CircuitBreaker {
     }
 
     /// Feed a completed half-open probe.
-    pub fn on_probe(&mut self, now: u64, storage_fault: bool, cfg: &BreakerConfig) {
+    fn on_probe(&mut self, now: u64, storage_fault: bool, cfg: &BreakerConfig) {
         self.probe_in_flight = false;
         if self.state != BreakerState::HalfOpen {
             return;
@@ -1264,9 +1210,9 @@ impl ArrivalSchedule {
 
 /// `n` seeded query specs over `net`: sources, targets and 20-minute
 /// morning leaving intervals drawn from `seed` by an MMIX LCG. Every
-/// virtual-time scenario (the chaos suites, the bench twins, the
-/// cluster simulator and its single-node oracles) samples its workload
-/// here, so equal seeds mean equal workloads across all of them.
+/// virtual-time scenario (the chaos suites and the bench twins) samples
+/// its workload here, so equal seeds mean equal workloads across all of
+/// them.
 pub fn sample_specs(net: &roadnet::RoadNetwork, n: usize, seed: u64) -> Vec<QuerySpec> {
     let nodes = net.n_nodes() as u64;
     let mut x = seed ^ 0x0EE2_10AD;
@@ -1429,13 +1375,6 @@ impl DriveLog {
 /// [`DrainMode::Finish`] drain and step the queue dry. Time is thereby
 /// a pure function of the work done, and the whole run a pure function
 /// of the seed that built `schedule` and `scenario`.
-///
-/// This is the single-service loop. The cluster simulator's fleet loop
-/// (`fp-cluster`'s `sim.rs`: the node with the smallest clock steps
-/// next, arrivals are routed, crashed nodes restart as fresh
-/// incarnations) is a different loop, not this one with `n = 1`: either
-/// every scenario here would build a shard map and a bus, or that loop
-/// would branch on its node count.
 pub fn drive<B: PathfindBackend + ?Sized>(
     svc: &QueryService<'_, B>,
     clock: &ManualClock,
@@ -1492,32 +1431,30 @@ mod tests {
             trip_failures: 2,
             cooldown: 100,
             probe_successes: 2,
-            ..BreakerConfig::default()
         };
         let mut b = CircuitBreaker::default();
         assert_eq!(b.route(0, &cfg), Route::Primary);
         b.on_primary(1, true, &cfg);
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.state, BreakerState::Closed);
         b.on_primary(2, true, &cfg);
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state, BreakerState::Open);
         // During cooldown everything falls back.
         assert_eq!(b.route(50, &cfg), Route::Fallback);
         // Cooldown over: exactly one probe at a time.
         assert_eq!(b.route(102, &cfg), Route::Probe);
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state, BreakerState::HalfOpen);
         assert_eq!(b.route(103, &cfg), Route::Fallback);
         // Failed probe re-opens.
         b.on_probe(104, true, &cfg);
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state, BreakerState::Open);
         // Recover: cooldown, then two successful probes.
         assert_eq!(b.route(204, &cfg), Route::Probe);
         b.on_probe(205, false, &cfg);
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state, BreakerState::HalfOpen);
         assert_eq!(b.route(206, &cfg), Route::Probe);
         b.on_probe(207, false, &cfg);
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.trips(), 2);
-        let states: Vec<BreakerState> = b.transitions().iter().map(|&(_, s)| s).collect();
+        assert_eq!(b.state, BreakerState::Closed);
+        let states: Vec<BreakerState> = b.transitions.iter().map(|&(_, s)| s).collect();
         assert_eq!(
             states,
             vec![
@@ -1537,30 +1474,29 @@ mod tests {
             trip_failures: 3,
             cooldown: 100,
             probe_successes: 1,
-            ..BreakerConfig::default()
         };
         let mut b = CircuitBreaker::default();
         // Two faults diluted by successes never trip a 3-of-4 window.
         for i in 0..20u64 {
             b.on_primary(i, i % 2 == 0, &cfg);
         }
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.state, BreakerState::Closed);
         // Three faults back to back do.
         for i in 20..23u64 {
             b.on_primary(i, true, &cfg);
         }
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state, BreakerState::Open);
     }
 
     /// Drive one breaker through `trips` open/probe cycles and return
     /// the clock at which each half-open probe was admitted.
     fn probe_times(cfg: &BreakerConfig, trips: usize) -> Vec<u64> {
-        let mut b = CircuitBreaker::new();
+        let mut b = CircuitBreaker::default();
         let mut now = 0u64;
         let mut times = Vec::new();
         for _ in 0..trips {
             // Trip it.
-            while b.state() != BreakerState::Open {
+            while b.state != BreakerState::Open {
                 now += 1;
                 b.on_primary(now, true, cfg);
             }
@@ -1579,45 +1515,26 @@ mod tests {
     }
 
     #[test]
-    fn probe_jitter_is_seeded_and_deterministic() {
-        let base = BreakerConfig {
+    fn probes_come_exactly_one_cooldown_after_each_trip() {
+        let cfg = BreakerConfig {
             window: 2,
             trip_failures: 2,
             cooldown: 100,
             probe_successes: 1,
-            probe_jitter: 0,
-            probe_seed: 0,
         };
-        // jitter 0: exact legacy cooldown, every cycle.
-        let legacy = probe_times(&base, 4);
-        let mut b = CircuitBreaker::new();
-        b.on_primary(1, true, &base);
-        b.on_primary(2, true, &base);
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.route(101, &base), Route::Fallback);
-        assert_eq!(b.route(102, &base), Route::Probe);
+        let mut b = CircuitBreaker::default();
+        b.on_primary(1, true, &cfg);
+        b.on_primary(2, true, &cfg);
+        assert_eq!(b.state, BreakerState::Open);
+        assert_eq!(b.route(101, &cfg), Route::Fallback);
+        assert_eq!(b.route(102, &cfg), Route::Probe);
 
-        // Same seed → identical probe schedule; different seeds →
-        // de-lockstepped schedules within [cooldown, cooldown+jitter].
-        let seeded = |seed| BreakerConfig {
-            probe_jitter: 40,
-            probe_seed: seed,
-            ..base
-        };
-        let a1 = probe_times(&seeded(7), 6);
-        let a2 = probe_times(&seeded(7), 6);
-        assert_eq!(a1, a2, "same seed must replay the probe schedule");
-        let c = probe_times(&seeded(8), 6);
-        assert_ne!(a1, c, "distinct client seeds should de-lockstep probes");
         // After a failed probe at `t` the breaker re-opens with
         // `opened_at = t`, so consecutive probe gaps are exactly the
-        // per-trip delay: cooldown for the legacy run, within
-        // [cooldown, cooldown + probe_jitter] when jittered.
-        for gap in legacy.windows(2).map(|w| w[1] - w[0]) {
-            assert_eq!(gap, base.cooldown);
-        }
-        for gap in a1.windows(2).map(|w| w[1] - w[0]) {
-            assert!((base.cooldown..=base.cooldown + 40).contains(&gap));
+        // cooldown.
+        let times = probe_times(&cfg, 4);
+        for gap in times.windows(2).map(|w| w[1] - w[0]) {
+            assert_eq!(gap, cfg.cooldown);
         }
     }
 

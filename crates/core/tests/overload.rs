@@ -144,7 +144,6 @@ fn run_chaos_sim(seed: u64) -> SimResult {
             trip_failures: 4,
             cooldown: 8 * mean_cost,
             probe_successes: 2,
-            ..BreakerConfig::default()
         },
     };
     let svc = QueryService::new(&primary, &clock, config).with_fallback(&fallback);

@@ -12,10 +12,9 @@ echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Written once: the virtual-time service loop, its workload sampler and
-# answer signature each have one definition, and only the two drivers
-# (the single-service one and the cluster's fleet loop) advance a clock
-# by a step's cost. The line count is the number CHANGES.md entries
-# quote.
+# answer signature each have one definition, and only that loop
+# (`service::drive`) advances a clock by a step's cost. The line count
+# is the number CHANGES.md entries quote.
 echo "==> written-once guard"
 for name in "fn sample_specs" "fn answer_sig"; do
     if [ "$(grep -rn "$name" crates | wc -l)" -gt 1 ]; then
@@ -25,8 +24,8 @@ for name in "fn sample_specs" "fn answer_sig"; do
     fi
 done
 if grep -rln "clock.advance(rep.cost)" crates |
-    grep -v -e '^crates/core/src/service.rs$' -e '^crates/cluster/src/sim.rs$'; then
-    echo "a virtual-time loop outside service::drive and the cluster simulator" >&2
+    grep -v -e '^crates/core/src/service.rs$'; then
+    echo "a virtual-time loop outside service::drive" >&2
     exit 1
 fi
 # One compound kernel: the throwaway-scratch wrapper stays deleted, and
@@ -149,6 +148,16 @@ if grep -rnE "WorkerPool|map_indexed|mod pool|thread::" crates/hierarchy/src ||
     echo "the hierarchy's worker pool (or experiments --threads) is back" >&2
     exit 1
 fi
+# One serving tier: `QueryService` and `service::drive`. The simulated
+# cluster, its crate entries, and the breaker jitter and partition
+# assignment only it used stay deleted.
+if [ -e crates/cluster ] ||
+    grep -rn --include=Cargo.toml --include=Cargo.lock --exclude-dir=target \
+        --exclude-dir=.bench_build "fp-cluster" . ||
+    grep -rnE "probe_jitter|partition_assignment" crates; then
+    echo "the simulated cluster (or its probe jitter or partition assignment) is back" >&2
+    exit 1
+fi
 echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> tier-1: cargo build --release"
@@ -167,9 +176,9 @@ cargo test -q -p fp-hierarchy
 cargo test -q -p fp-allfp --test hierarchy_equivalence --test golden_allfp
 
 # Every test in the workspace, not a hand-kept list of suites: the
-# unit tests of every crate, the golden suites (store, hierarchy and
-# cluster equivalence), the chaos suites (faults, overload, update
-# storm, cluster), the proptests, and fp-bench's gates — the pinned
+# unit tests of every crate, the golden suites (store and hierarchy
+# equivalence), the chaos suites (faults, overload, update storm), the
+# proptests, and fp-bench's gates — the pinned
 # search counts, the allocation budgets, the checksum counts, the
 # metro-huge smoke tier and the wall floors (`tests/wall_floors.rs`, a
 # binary of its own, so no other test shares its cores). Release,

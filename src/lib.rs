@@ -12,10 +12,7 @@
 //!   baselines,
 //! * [`hierarchy`] — the time-dependent contraction hierarchy
 //!   (preprocessing-based [`allfp::PathfindBackend`] with bit-identical
-//!   answers),
-//! * [`cluster`] — partition-sharded cluster serving in deterministic
-//!   simulation (shard routing, replica failover, seeded chaos, and
-//!   answers bit-identical to the single-node pipeline).
+//!   answers).
 //!
 //! # Quickstart
 //!
@@ -45,7 +42,6 @@
 
 pub use allfp;
 pub use ccam;
-pub use cluster;
 pub use hierarchy;
 pub use pwl;
 pub use roadnet;

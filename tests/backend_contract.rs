@@ -1,23 +1,14 @@
 //! The [`PathfindBackend`] contract, stated once and run against every
-//! backend: the flat engine, [`LiveBackend`] at epoch 0, the
-//! contraction hierarchy and a single-shard cluster [`NodeBackend`]
-//! wired the way `cluster::sim` wires a node. Each implements one
-//! search method; the four query surfaces are provided by the trait, so
+//! backend: the flat engine, [`LiveBackend`] at epoch 0 and the
+//! contraction hierarchy. Each implements one search method; the four
+//! query surfaces are provided by the trait, so
 //! what is checked here is that they agree with each other on every
 //! backend, that every backend agrees with the flat reference, and that
 //! each failure is the same [`AllFpError`] on every surface.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::Arc;
-
-use fastest_paths::allfp::service::{BreakerConfig, LatencyHistogram, ManualClock};
 use fastest_paths::allfp::{
     run_batch, AllFpAnswer, AllFpError, CancelToken, EpochId, EpochManager, LiveBackend,
     QueryBudget, QueryMode, QueryOutcome,
-};
-use fastest_paths::cluster::{
-    BusConfig, ClusterFaultPlan, NodeBackend, RetryPolicy, ShardMap, VirtualBus,
 };
 use fastest_paths::prelude::*;
 use fastest_paths::roadnet::generators::{suffolk_like, MetroConfig};
@@ -54,17 +45,12 @@ fn bits(a: &AllFpAnswer) -> Bits {
         .collect()
 }
 
-/// `backend` again where it is `Sync`, for a batch; a cluster node is
-/// not (its bus is an `Rc`).
-type Batch<'b> = Option<&'b (dyn PathfindBackend + Sync)>;
-
 /// `q` fails on every surface, each time with an error `want` accepts:
 /// allFP, singleFP, the two robust surfaces and a one-query
 /// `run_batch` slot. Under a token, the surfaces that take none are
 /// asked through `answer` (the legacy two) or not at all (`run_robust`).
 fn fails_alike(
-    backend: &dyn PathfindBackend,
-    batch: Batch<'_>,
+    backend: &(dyn PathfindBackend + Sync),
     q: &QuerySpec,
     cancel: Option<&CancelToken>,
     want: fn(&AllFpError) -> bool,
@@ -93,11 +79,9 @@ fn fails_alike(
     };
     let robust = backend.robust_with_session(q, &mut session, cancel);
     got.push(("robust_with_session", robust.err()));
-    if let Some(batch) = batch {
-        let token = cancel.cloned().unwrap_or_default();
-        let (mut slots, _) = run_batch(batch, std::slice::from_ref(q), 1, &token);
-        got.push(("run_batch", slots.pop().and_then(Result::err)));
-    }
+    let token = cancel.cloned().unwrap_or_default();
+    let (mut slots, _) = run_batch(backend, std::slice::from_ref(q), 1, &token);
+    got.push(("run_batch", slots.pop().and_then(Result::err)));
     let name = backend.backend_name();
     for (surface, e) in got {
         assert!(e.as_ref().is_some_and(want), "{name}: {surface} gave {e:?}");
@@ -107,8 +91,7 @@ fn fails_alike(
 /// The contract. `reference[i]` is the flat engine's answer to
 /// `queries[i]`; `unreachable` is a pair no path connects.
 fn check_contract(
-    backend: &dyn PathfindBackend,
-    batch: Batch<'_>,
+    backend: &(dyn PathfindBackend + Sync),
     queries: &[QuerySpec],
     reference: &[Bits],
     unreachable: &QuerySpec,
@@ -174,18 +157,17 @@ fn check_contract(
         let cancelled = CancelToken::new();
         cancelled.cancel();
         let is_cancelled = |e: &AllFpError| matches!(e, AllFpError::Cancelled);
-        fails_alike(backend, batch, q, Some(&cancelled), is_cancelled);
+        fails_alike(backend, q, Some(&cancelled), is_cancelled);
     }
 
     let is_unreachable = |e: &AllFpError| matches!(e, AllFpError::Unreachable { .. });
-    fails_alike(backend, batch, unreachable, None, is_unreachable);
+    fails_alike(backend, unreachable, None, is_unreachable);
 }
 
 /// A query pinned to a retired epoch fails on every surface instead of
 /// answering from another network version.
 fn check_retired_epoch(
-    backend: &dyn PathfindBackend,
-    batch: Batch<'_>,
+    backend: &(dyn PathfindBackend + Sync),
     manager: &EpochManager,
     query: &QuerySpec,
 ) {
@@ -197,7 +179,7 @@ fn check_retired_epoch(
     manager.apply_delta(&delta).expect("apply");
     let pinned = query.clone().with_epoch(EpochId(0));
     let is_retired = |e: &AllFpError| matches!(e, AllFpError::EpochRetired { epoch: 0 });
-    fails_alike(backend, batch, &pinned, None, is_retired);
+    fails_alike(backend, &pinned, None, is_retired);
 }
 
 #[test]
@@ -230,34 +212,17 @@ fn every_backend_honours_the_contract() {
         reference.iter().any(|r| r.len() > 1),
         "no query's fastest path changes over the window"
     );
-    check_contract(&flat, Some(&flat), &queries, &reference, &unreachable);
+    check_contract(&flat, &queries, &reference, &unreachable);
 
     let manager = EpochManager::new(net.clone(), config()).expect("manager");
     let live = LiveBackend::new(&manager);
-    check_contract(&live, Some(&live), &queries, &reference, &unreachable);
-    check_retired_epoch(&live, Some(&live), &manager, &queries[0]);
+    check_contract(&live, &queries, &reference, &unreachable);
+    check_retired_epoch(&live, &manager, &queries[0]);
 
     let ch = HierarchyEngine::with_flat(
         Engine::for_network(&net, config()).expect("embedded flat engine"),
         HierarchyConfig::default(),
     )
     .expect("hierarchy");
-    check_contract(&ch, Some(&ch), &queries, &reference, &unreachable);
-
-    let node = NodeBackend::new(
-        0,
-        EpochManager::new(net.clone(), config()).expect("node manager"),
-        Arc::new(ShardMap::build(&net, 1, 1, 1).expect("shard map")),
-        Rc::new(VirtualBus::new(
-            7,
-            BusConfig::default(),
-            ClusterFaultPlan::default(),
-        )),
-        Rc::new(ManualClock::new()),
-        BreakerConfig::default(),
-        RetryPolicy::default(),
-        Rc::new(RefCell::new(LatencyHistogram::default())),
-    );
-    check_contract(&node, None, &queries, &reference, &unreachable);
-    check_retired_epoch(&node, None, node.manager(), &queries[0]);
+    check_contract(&ch, &queries, &reference, &unreachable);
 }

@@ -4,18 +4,11 @@
 //! unknown id is [`NetworkError::UnknownNode`] through `read_node` and
 //! `successors_into`, on the store and through the trait's default.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
-use fastest_paths::allfp::service::{BreakerConfig, LatencyHistogram, ManualClock};
-use fastest_paths::allfp::EpochManager;
 use fastest_paths::ccam::{
     BlockStore, CcamStore, ChecksummedStore, FileStore, MemStore, PlacementPolicy,
     DEFAULT_PAGE_SIZE,
-};
-use fastest_paths::cluster::{
-    BusConfig, ClusterFaultPlan, ClusterSource, NodeBackend, RetryPolicy, ShardMap, VirtualBus,
 };
 use fastest_paths::prelude::*;
 use fastest_paths::roadnet::generators::{suffolk_like, MetroConfig};
@@ -73,13 +66,11 @@ fn check_unknown(label: &str, src: &dyn NetworkSource) {
     );
 }
 
-fn metro_small() -> RoadNetwork {
-    suffolk_like(&MetroConfig::small(0xC0FFEE)).expect("generator")
-}
-
 #[test]
 fn ccam_read_node_is_successors_then_find_node_on_every_store() {
-    let net = metro_small();
+    let net = suffolk_like(&MetroConfig::small(0xC0FFEE)).expect("generator");
+    // The trait's default `read_node`, which every other source uses.
+    check_unknown("RoadNetwork", &net);
     // 16 frames over the whole file: records are read through evictions,
     // not only from a warm pool.
     let build = |label: &str, store: Arc<dyn BlockStore>| {
@@ -103,27 +94,4 @@ fn ccam_read_node_is_successors_then_find_node_on_every_store() {
         Arc::new(ChecksummedStore::new(Arc::new(summed))),
     );
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
-}
-
-#[test]
-fn an_unknown_id_is_unknown_node_on_a_cluster_source() {
-    // The range check must come before the shard lookup, which indexes
-    // by node id.
-    let net = metro_small();
-    let node = NodeBackend::new(
-        0,
-        EpochManager::new(net.clone(), EngineConfig::default()).expect("manager"),
-        Arc::new(ShardMap::build(&net, 4, 3, 1).expect("shard map")),
-        Rc::new(VirtualBus::new(
-            7,
-            BusConfig::default(),
-            ClusterFaultPlan::default(),
-        )),
-        Rc::new(ManualClock::new()),
-        BreakerConfig::default(),
-        RetryPolicy::default(),
-        Rc::new(RefCell::new(LatencyHistogram::default())),
-    );
-    let sharded = ClusterSource::new(&node, &net);
-    check_unknown("ClusterSource", &sharded);
 }
