@@ -101,7 +101,6 @@ pub fn pruning(net: &RoadNetwork, n_queries: usize, seed: u64) -> Table {
                 estimator: EstimatorKind::Naive,
                 prune_dominated: prune,
                 max_expansions: 500_000,
-                ..Default::default()
             },
         )
         .expect("the naive estimator builds");

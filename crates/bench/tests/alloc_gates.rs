@@ -86,7 +86,7 @@ fn the_engine_stays_inside_its_allocation_budgets() {
     let cancel = CancelToken::new();
     let _ = run_batch(&engine, &queries, 1, &cancel);
     let before = snapshot();
-    let (results, _) = run_batch(&engine, &queries, 1, &cancel);
+    let results = run_batch(&engine, &queries, 1, &cancel);
     let delta = snapshot().since(&before);
     let expanded: usize = results
         .iter()

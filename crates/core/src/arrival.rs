@@ -31,7 +31,7 @@ use traffic::DayCategory;
 
 use crate::backend::PathfindBackend;
 use crate::cache::TravelFnCache;
-use crate::engine::{build_estimator, cache_for, lower_envelope, Engine, EngineConfig};
+use crate::engine::{build_estimator, lower_envelope, Engine, EngineConfig};
 use crate::estimator::LowerBoundEstimator;
 use crate::query::{FastestPath, QuerySpec, QueryStats};
 use crate::Result;
@@ -106,7 +106,7 @@ impl ArrivalPlanner {
         Ok(ArrivalPlanner {
             mirrored,
             estimator,
-            cache: cache_for(&config),
+            cache: Arc::new(TravelFnCache::new()),
             config,
         })
     }

@@ -35,15 +35,13 @@
 //! (service workers, batch workers) open one session and keep it warm
 //! across all of them.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::cache::{CacheCounters, CacheSession};
 use crate::query::{
-    AllFpAnswer, BatchStats, CancelToken, DegradedAnswer, DegradedReason, QueryOutcome, QuerySpec,
-    QueryStats, SingleFpAnswer,
+    AllFpAnswer, CancelToken, DegradedAnswer, DegradedReason, QueryOutcome, QuerySpec, QueryStats,
+    SingleFpAnswer,
 };
 use crate::{AllFpError, Result};
 
@@ -168,19 +166,19 @@ pub struct SearchRun {
 /// returned for that query.
 type BatchResult = Result<QueryOutcome>;
 
-/// Answer a batch of queries over any backend on exactly `workers`
-/// threads (clamped to `1..=queries.len()`; pass
+/// Answer a batch of queries over any backend on `workers` threads
+/// (clamped to `1..=queries.len()`; pass
 /// `std::thread::available_parallelism()` for every core). Results
 /// come back in input order, one slot per query, so a failing query
 /// doesn't poison its batch-mates; callers that want exact-or-error
 /// match on [`QueryOutcome::Exact`].
 ///
-/// * **Scheduling** — the batch is split into contiguous per-worker
-///   chunks, one double-ended queue per worker. A worker pops its own
-///   queue from the front; when it runs dry it **steals the back half**
-///   of the first non-empty victim queue, so skewed per-query costs
-///   cannot leave workers idle. Work is fixed up front, so "every queue
-///   empty" is a stable termination condition.
+/// * **Scheduling** — every worker runs one loop: claim the next
+///   unanswered index from a shared cursor, answer it, repeat until the
+///   cursor passes the end. A worker stuck on an expensive query simply
+///   claims nothing else, so skewed per-query costs cannot leave the
+///   others idle. The calling thread is worker 0 and `workers − 1`
+///   helpers are spawned, so a width of 1 spawns no thread.
 /// * **Sharing** — workers share the backend immutably, each holding
 ///   one warm [`CacheSession`] across all its queries: a miss filled by
 ///   one worker is a hit for every other, and steady-state lookups take
@@ -190,18 +188,45 @@ type BatchResult = Result<QueryOutcome>;
 ///   [`AllFpError::Cancelled`] in their own slots.
 /// * **Panic isolation** — each query runs under `catch_unwind`, so a
 ///   poisoned query becomes [`AllFpError::Panicked`] in its own slot
-///   while its batch-mates complete normally.
+///   while its batch-mates complete normally. A worker reports its
+///   answers only when its loop returns, so one that dies outside a
+///   query (the caller's own loop included, e.g. in its session's flush)
+///   loses every slot it claimed; those become [`AllFpError::Panicked`]
+///   too, and nothing unwinds into the caller.
 pub fn run_batch<B: PathfindBackend + Sync + ?Sized>(
     backend: &B,
     queries: &[QuerySpec],
     workers: usize,
     cancel: &CancelToken,
-) -> (Vec<BatchResult>, BatchStats) {
-    let (slots, stats) = drive_batch(backend, queries, workers, cancel);
-    // A `None` slot means its worker thread died before reporting (a
-    // panic that escaped a query). Error those slots instead of
-    // panicking the caller.
-    let results = slots
+) -> Vec<BatchResult> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut session = backend.cache_session();
+        let mut answered = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(query) = queries.get(i) else {
+                return answered;
+            };
+            answered.push((i, answer_isolated(backend, query, &mut session, cancel)));
+        }
+    };
+    let mut slots: Vec<Option<BatchResult>> = (0..queries.len()).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(queries.len()))
+            .map(|_| scope.spawn(work))
+            .collect();
+        // The caller is worker 0. A worker that died (a panic outside
+        // any query) loses every slot it claimed but cannot kill the
+        // batch; AssertUnwindSafe as in `answer_isolated`.
+        let own = catch_unwind(AssertUnwindSafe(work));
+        for answered in std::iter::once(own).chain(helpers.into_iter().map(|h| h.join())) {
+            for (i, r) in answered.into_iter().flatten() {
+                slots[i] = Some(r);
+            }
+        }
+    });
+    slots
         .into_iter()
         .map(|slot| {
             slot.unwrap_or_else(|| {
@@ -210,16 +235,7 @@ pub fn run_batch<B: PathfindBackend + Sync + ?Sized>(
                 ))
             })
         })
-        .collect();
-    (results, stats)
-}
-
-/// Lock a mutex, recovering the guard if a previous holder panicked.
-/// Every structure behind these locks (work queues) is valid after any
-/// interrupted operation — a lost entry at worst — so poison recovery
-/// keeps one panicked query from wedging its whole batch.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        .collect()
 }
 
 /// Render a caught panic payload for error reporting.
@@ -250,143 +266,6 @@ fn answer_isolated<B: PathfindBackend + ?Sized>(
         backend.robust_with_session(query, session, Some(cancel))
     }))
     .unwrap_or_else(|payload| Err(AllFpError::Panicked(panic_message(payload))))
-}
-
-/// The work-stealing scheduler behind [`run_batch`]: answers every
-/// query once (each worker holding one session across all its queries)
-/// and returns the results in input order. A slot is `None` only if its
-/// worker thread died before reporting.
-fn drive_batch<B: PathfindBackend + Sync + ?Sized>(
-    backend: &B,
-    queries: &[QuerySpec],
-    workers: usize,
-    cancel: &CancelToken,
-) -> (Vec<Option<BatchResult>>, BatchStats) {
-    let workers = workers.max(1).min(queries.len());
-    if queries.is_empty() {
-        return (Vec::new(), BatchStats::default());
-    }
-    // Queries that failed carry no statistics.
-    let stats_of = |r: &BatchResult| r.as_ref().ok().map(|o| *o.stats());
-    if workers <= 1 {
-        let mut session = backend.cache_session();
-        let mut stats = BatchStats::new(1);
-        let results = queries
-            .iter()
-            .map(|q| {
-                let r = answer_isolated(backend, q, &mut session, cancel);
-                stats.record(0, stats_of(&r).as_ref());
-                Some(r)
-            })
-            .collect();
-        return (results, stats);
-    }
-
-    // One deque of query indices per worker, seeded with contiguous
-    // chunks (preserves whatever locality the caller's ordering
-    // has). `Mutex<VecDeque>` per worker: the owner and an
-    // occasional thief are the only contenders.
-    let chunk = queries.len().div_ceil(workers);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            let lo = w * chunk;
-            let hi = ((w + 1) * chunk).min(queries.len());
-            Mutex::new((lo..hi.max(lo)).collect())
-        })
-        .collect();
-    let steals = AtomicU64::new(0);
-
-    type Yield = (Vec<(usize, BatchResult)>, usize, QueryStats);
-    let per_worker: Vec<std::thread::Result<Yield>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let queues = &queues;
-            let steals = &steals;
-            handles.push(scope.spawn(move || {
-                let mut session = backend.cache_session();
-                let mut out: Vec<(usize, BatchResult)> = Vec::new();
-                let mut processed = 0usize;
-                let mut cache_stats = QueryStats::default();
-                loop {
-                    let next = lock(&queues[w]).pop_front();
-                    let i = match next {
-                        Some(i) => i,
-                        None => match steal_into(queues, w, steals) {
-                            Some(i) => i,
-                            None => break,
-                        },
-                    };
-                    let r = answer_isolated(backend, &queries[i], &mut session, cancel);
-                    if let Some(qs) = stats_of(&r) {
-                        cache_stats.cache_lookups += qs.cache_lookups;
-                        cache_stats.cache_hits += qs.cache_hits;
-                        cache_stats.cache_misses += qs.cache_misses;
-                    }
-                    processed += 1;
-                    out.push((i, r));
-                }
-                (out, processed, cache_stats)
-            }));
-        }
-        // Collect join *results*: a worker that died (panic that
-        // escaped a query) loses its slots but cannot kill the batch.
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-
-    let mut stats = BatchStats::new(workers);
-    stats.steals = steals.load(Ordering::Relaxed);
-    let mut results: Vec<Option<BatchResult>> = (0..queries.len()).map(|_| None).collect();
-    for (w, yielded) in per_worker.into_iter().enumerate() {
-        let Ok((rs, processed, cache_stats)) = yielded else {
-            continue; // dead worker: its unreported slots stay None
-        };
-        stats.queries_per_worker[w] = processed;
-        stats.cache_lookups += cache_stats.cache_lookups;
-        stats.cache_hits += cache_stats.cache_hits;
-        stats.cache_misses += cache_stats.cache_misses;
-        for (i, r) in rs {
-            results[i] = Some(r);
-        }
-    }
-    (results, stats)
-}
-
-/// Steal the back half of the first non-empty victim queue into worker
-/// `w`'s own queue, returning one stolen index to run immediately.
-/// Returns `None` when every queue is empty (batch drained).
-///
-/// Locks are taken one at a time (victim released before the thief's
-/// own queue is touched), so there is no lock-ordering hazard. Stealing
-/// from the *back* keeps the victim's front — the indices it is about
-/// to pop — intact, minimizing contention on the hot end.
-fn steal_into(queues: &[Mutex<VecDeque<usize>>], w: usize, steals: &AtomicU64) -> Option<usize> {
-    let n = queues.len();
-    for off in 1..n {
-        let v = (w + off) % n;
-        let mut victim = lock(&queues[v]);
-        let len = victim.len();
-        if len == 0 {
-            continue;
-        }
-        let take = len.div_ceil(2);
-        let mut grabbed: Vec<usize> = Vec::with_capacity(take);
-        while grabbed.len() < take {
-            match victim.pop_back() {
-                Some(i) => grabbed.push(i),
-                None => break,
-            }
-        }
-        drop(victim);
-        steals.fetch_add(1, Ordering::Relaxed);
-        // Popped back-to-front, so reverse to run in input order.
-        grabbed.reverse();
-        let mut it = grabbed.into_iter();
-        let first = it.next();
-        let mut own = lock(&queues[w]);
-        own.extend(it);
-        return first;
-    }
-    None
 }
 
 #[cfg(test)]
@@ -435,7 +314,7 @@ mod tests {
         // one unreachable query mixed in: it must fail alone
         queries.extend(windows(1, 1, false));
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let (batch, _) = run_batch(&engine, &queries, workers, &CancelToken::new());
+        let batch = run_batch(&engine, &queries, workers, &CancelToken::new());
         assert_eq!(batch.len(), queries.len());
         for (q, got) in queries.iter().zip(batch.iter()) {
             match engine.all_fastest_paths(q) {
@@ -454,28 +333,22 @@ mod tests {
         let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let queries = windows(7, 7, true);
         let cancel = CancelToken::new();
-        let (serial, serial_stats) = run_batch(&engine, &queries, 1, &cancel);
-        assert_eq!(serial_stats.workers, 1);
-        assert_eq!(serial_stats.total_queries(), queries.len());
-        assert_eq!(serial_stats.steals, 0);
+        let serial = run_batch(&engine, &queries, 1, &cancel);
+        assert_eq!(serial.len(), queries.len());
         // every thread width (including more workers than queries) must
         // produce the serial answers in input order
         for workers in [2usize, 3, 4, 16] {
-            let (got, stats) = run_batch(&engine, &queries, workers, &cancel);
-            assert_eq!(stats.workers, workers.min(queries.len()));
-            assert_eq!(stats.total_queries(), queries.len());
-            assert_eq!(stats.queries_per_worker.len(), stats.workers);
+            let got = run_batch(&engine, &queries, workers, &cancel);
             assert_eq!(got.len(), serial.len());
             for (g, s) in got.iter().zip(serial.iter()) {
                 let (g, s) = (g.as_ref().unwrap(), s.as_ref().unwrap());
                 assert_same_partition(g.exact().unwrap(), s.exact().unwrap());
+                // per-query stats survive the batch: lookups were
+                // tallied and split exactly into hits and misses
+                let stats = g.stats();
+                assert!(stats.cache_lookups > 0);
+                assert_eq!(stats.cache_lookups, stats.cache_hits + stats.cache_misses);
             }
-            // per-query stats survive the roll-up: lookups were tallied
-            // and split exactly into hits and misses
-            assert_eq!(stats.cache_lookups, stats.cache_hits + stats.cache_misses);
-            assert!(stats.cache_lookups > 0);
-            let rate = stats.cache_hit_rate();
-            assert!((0.0..=1.0).contains(&rate));
         }
     }
 
@@ -484,73 +357,107 @@ mod tests {
         let (net, _) = paper_running_example();
         let engine = Engine::new(&net, EngineConfig::default()).unwrap();
         let cancel = CancelToken::new();
-        let (results, stats) = run_batch(&engine, &[], 4, &cancel);
-        assert!(results.is_empty());
-        assert_eq!(stats, BatchStats::default());
+        assert!(run_batch(&engine, &[], 4, &cancel).is_empty());
         // a batch of only unreachable queries still returns one error
-        // per query and exact per-worker accounting
-        let (results, stats) = run_batch(&engine, &windows(4, 4, false), 2, &cancel);
+        // per query
+        let results = run_batch(&engine, &windows(4, 4, false), 2, &cancel);
         assert_eq!(results.len(), 4);
         assert!(results.iter().all(|r| r.is_err()));
-        assert_eq!(stats.total_queries(), 4);
-        // errors carry no stats, so the cache roll-up stays empty
-        assert_eq!(stats.cache_lookups, 0);
-        assert_eq!(stats.cache_hit_rate(), 0.0);
     }
 
-    #[test]
-    fn steal_takes_back_half_and_preserves_order() {
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..3)
-            .map(|w| {
-                Mutex::new(if w == 1 {
-                    (10..15).collect() // victim: 10 11 12 13 14
-                } else {
-                    VecDeque::new()
-                })
-            })
-            .collect();
-        let steals = AtomicU64::new(0);
-        // worker 0 steals ceil(5/2)=3 from the back: 12 13 14
-        let first = steal_into(&queues, 0, &steals);
-        assert_eq!(first, Some(12));
-        let own: Vec<usize> = queues[0].lock().unwrap().iter().copied().collect();
-        assert_eq!(own, vec![13, 14], "remainder queued in input order");
-        let victim: Vec<usize> = queues[1].lock().unwrap().iter().copied().collect();
-        assert_eq!(victim, vec![10, 11], "victim keeps its front");
-        assert_eq!(steals.load(Ordering::Relaxed), 1);
-        // worker 2 scans victims in ring order starting after itself,
-        // so it hits worker 0 first and takes ceil(2/2)=1 off the back
-        assert_eq!(steal_into(&queues, 2, &steals), Some(14));
-        // worker 0's queue still counts as its own, never as its victim
-        queues[0].lock().unwrap().clear();
-        queues[1].lock().unwrap().clear();
-        assert_eq!(steal_into(&queues, 0, &steals), None);
-        assert_eq!(steals.load(Ordering::Relaxed), 2);
+    /// The paper-example engine with one scripted hitch: no worker can
+    /// open a session, or query `stuck` waits until every other query
+    /// of its batch has answered (10 s at most, then it fails).
+    struct Hitched<'a> {
+        engine: Engine<'a, roadnet::RoadNetwork>,
+        no_session: bool,
+        stuck: Option<Interval>,
+        others: usize,
+        answered: AtomicUsize,
     }
 
-    #[test]
-    fn work_stealing_rebalances_a_skewed_batch() {
-        // Even 3-query chunks per worker; a steal happens whenever one
-        // worker drains its chunk while another still holds work, which
-        // needs real interleaving — so the assertion is gated on the
-        // host actually having more than one core.
-        let (net, _) = paper_running_example();
-        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
-        let queries = windows(12, 8, true);
-        let mut saw_steal = false;
-        for _ in 0..20 {
-            let (_, stats) = run_batch(&engine, &queries, 4, &CancelToken::new());
-            assert_eq!(stats.total_queries(), queries.len());
-            if stats.steals > 0 {
-                saw_steal = true;
-                break;
+    impl<'a> Hitched<'a> {
+        fn new(net: &'a roadnet::RoadNetwork, batch: &[QuerySpec]) -> Self {
+            Hitched {
+                engine: Engine::new(net, EngineConfig::default()).unwrap(),
+                no_session: false,
+                stuck: None,
+                others: batch.len() - 1,
+                answered: AtomicUsize::new(0),
             }
         }
-        // On a single-core host the first worker may legitimately drain
-        // everything before the others get scheduled, so only assert
-        // when the host can actually interleave workers.
-        if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-            assert!(saw_steal, "4 workers never stole from a 12-query batch");
+    }
+
+    impl PathfindBackend for Hitched<'_> {
+        fn backend_name(&self) -> &'static str {
+            "hitched"
+        }
+
+        fn cache_session(&self) -> CacheSession<'_> {
+            assert!(!self.no_session, "no session today");
+            self.engine.cache_session()
+        }
+
+        fn cache_counters(&self) -> CacheCounters {
+            self.engine.cache_counters()
+        }
+
+        fn answer(
+            &self,
+            query: &QuerySpec,
+            mode: QueryMode,
+            session: &mut CacheSession<'_>,
+            cancel: Option<&CancelToken>,
+        ) -> Result<Answer> {
+            if self.stuck != Some(query.interval) {
+                let answer = self.engine.answer(query, mode, session, cancel);
+                self.answered.fetch_add(1, Ordering::SeqCst);
+                return answer;
+            }
+            let start = std::time::Instant::now();
+            while self.answered.load(Ordering::SeqCst) < self.others {
+                if start.elapsed().as_secs() >= 10 {
+                    return Err(AllFpError::Internal("the rest of the batch never ran"));
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            self.engine.answer(query, mode, session, cancel)
+        }
+    }
+
+    #[test]
+    fn a_stuck_query_leaves_the_rest_of_the_batch_to_the_other_worker() {
+        // Query 0 cannot finish until every other query has, so any
+        // split fixed before the batch starts deadlocks its worker's
+        // share behind it; claiming as the batch runs does not.
+        let (net, _) = paper_running_example();
+        let queries = windows(8, 8, true);
+        let backend = Hitched {
+            stuck: Some(queries[0].interval),
+            ..Hitched::new(&net, &queries)
+        };
+        let results = run_batch(&backend, &queries, 2, &CancelToken::new());
+        assert_eq!(results.len(), queries.len());
+        for (i, r) in results.iter().enumerate() {
+            assert!(matches!(r, Ok(QueryOutcome::Exact(_))), "slot {i}: {r:?}");
+        }
+    }
+
+    #[test]
+    fn a_dead_worker_errors_its_slots_and_never_unwinds_into_the_caller() {
+        let (net, _) = paper_running_example();
+        let queries = windows(4, 4, true);
+        let backend = Hitched {
+            no_session: true,
+            ..Hitched::new(&net, &queries)
+        };
+        // width 1: the calling thread's own loop is the one that dies
+        for workers in [1, 3] {
+            let results = run_batch(&backend, &queries, workers, &CancelToken::new());
+            assert_eq!(results.len(), queries.len());
+            for r in results {
+                assert!(matches!(r, Err(AllFpError::Panicked(_))), "width {workers}");
+            }
         }
     }
 
@@ -561,11 +468,12 @@ mod tests {
         let queries = windows(6, 1, true);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let (results, stats) = run_batch(&engine, &queries, 3, &cancel);
-        assert_eq!(results.len(), queries.len());
-        assert_eq!(stats.total_queries(), queries.len());
-        for r in results {
-            assert!(matches!(r, Err(AllFpError::Cancelled)));
+        for workers in [1, 3] {
+            let results = run_batch(&engine, &queries, workers, &cancel);
+            assert_eq!(results.len(), queries.len());
+            for r in results {
+                assert!(matches!(r, Err(AllFpError::Cancelled)), "width {workers}");
+            }
         }
     }
 }

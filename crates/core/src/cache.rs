@@ -288,8 +288,9 @@ impl TravelFnCache {
     }
 
     /// A disabled cache: every request recomputes from the profile,
-    /// byte-for-byte the seed engine's behaviour. Used as the reference
-    /// configuration by the equivalence tests and ablations.
+    /// byte-for-byte the seed engine's behaviour. The equivalence and
+    /// engine tests build their uncached reference engine on it, through
+    /// `Engine::with_shared(.., Arc::new(TravelFnCache::disabled()), ..)`.
     pub fn disabled() -> Self {
         TravelFnCache {
             enabled: false,

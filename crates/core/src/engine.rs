@@ -49,13 +49,6 @@ pub struct EngineConfig {
     pub prune_dominated: bool,
     /// Safety valve: abort after this many path expansions.
     pub max_expansions: usize,
-    /// Serve per-edge travel-time functions from the engine's
-    /// [`TravelFnCache`] instead of rebuilding them from the speed
-    /// profile on every expansion. **On by default**; answers are
-    /// identical either way (the cache restricts one exact full-period
-    /// function — see `cache.rs`), so `false` exists for the
-    /// equivalence tests and for ablation measurements.
-    pub use_travel_cache: bool,
 }
 
 impl Default for EngineConfig {
@@ -64,7 +57,6 @@ impl Default for EngineConfig {
             estimator: EstimatorKind::MinTime,
             prune_dominated: true,
             max_expansions: 2_000_000,
-            use_travel_cache: true,
         }
     }
 }
@@ -391,12 +383,11 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         estimator: Box<dyn LowerBoundEstimator + 'a>,
         config: EngineConfig,
     ) -> Self {
-        let cache = cache_for(&config);
         Engine {
             source,
             estimator,
             config,
-            cache,
+            cache: Arc::new(TravelFnCache::new()),
         }
     }
 
@@ -1099,15 +1090,6 @@ impl<'a> Engine<'a, roadnet::RoadNetwork> {
     }
 }
 
-/// The travel-function cache matching a config's `use_travel_cache`.
-pub(crate) fn cache_for(config: &EngineConfig) -> std::sync::Arc<TravelFnCache> {
-    std::sync::Arc::new(if config.use_travel_cache {
-        TravelFnCache::new()
-    } else {
-        TravelFnCache::disabled()
-    })
-}
-
 /// Build the configured estimator for a network. The result can be
 /// handed to [`Engine::with_estimator`] over any [`NetworkSource`]
 /// that exposes the same node ids (e.g. a CCAM store of this network).
@@ -1146,6 +1128,13 @@ mod tests {
     use pwl::time::{hm, hms};
     use roadnet::examples::paper_running_example;
     use traffic::DayCategory;
+
+    /// The default engine over a disabled travel-function cache.
+    fn uncached(net: &roadnet::RoadNetwork) -> Engine<'_, roadnet::RoadNetwork> {
+        let config = EngineConfig::default();
+        let estimator = Arc::from(build_estimator(net, &config).unwrap());
+        Engine::with_shared(net, estimator, Arc::new(TravelFnCache::disabled()), config)
+    }
 
     fn paper_query() -> QuerySpec {
         let (_, ids) = paper_running_example();
@@ -1380,14 +1369,7 @@ mod tests {
     #[test]
     fn disabled_cache_counts_every_lookup_as_miss() {
         let (net, _) = paper_running_example();
-        let engine = Engine::new(
-            &net,
-            EngineConfig {
-                use_travel_cache: false,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
+        let engine = uncached(&net);
         let q = paper_query();
         for _ in 0..2 {
             let a = engine.all_fastest_paths(&q).unwrap();
@@ -1400,14 +1382,7 @@ mod tests {
     fn cache_toggle_preserves_answers() {
         let (net, _) = paper_running_example();
         let cached = Engine::new(&net, EngineConfig::default()).unwrap();
-        let plain = Engine::new(
-            &net,
-            EngineConfig {
-                use_travel_cache: false,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
+        let plain = uncached(&net);
         let q = paper_query();
         let a = cached.all_fastest_paths(&q).unwrap();
         let b = plain.all_fastest_paths(&q).unwrap();

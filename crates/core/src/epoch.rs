@@ -46,7 +46,7 @@ use traffic::TrafficDelta;
 
 use crate::backend::{Answer, PathfindBackend, QueryMode};
 use crate::cache::{CacheCounters, CacheSession, TravelFnCache};
-use crate::engine::{build_estimator, cache_for, Engine, EngineConfig};
+use crate::engine::{build_estimator, Engine, EngineConfig};
 use crate::estimator::{EstimatorKind, LowerBoundEstimator};
 use crate::query::{CancelToken, QuerySpec};
 use crate::{AllFpError, Result};
@@ -199,7 +199,7 @@ impl EpochManager {
     pub fn new(net: RoadNetwork, config: EngineConfig) -> Result<EpochManager> {
         let net = Arc::new(net);
         let estimator = Arc::from(build_estimator(&net, &config)?);
-        let cache = cache_for(&config);
+        let cache = Arc::new(TravelFnCache::new());
         Ok(EpochManager {
             config,
             cache,

@@ -90,7 +90,7 @@ pub use epoch::{ApplyReport, Epoch, EpochId, EpochManager, EpochStats, LiveBacke
 pub use estimator::{EstimatorKind, LowerBoundEstimator, MaxEstimator, MinTimeLb, NaiveLb, ZeroLb};
 pub use heap::MinEntry;
 pub use query::{
-    AllFpAnswer, BatchStats, CancelToken, DegradedAnswer, DegradedReason, FastestPath, QueryBudget,
+    AllFpAnswer, CancelToken, DegradedAnswer, DegradedReason, FastestPath, QueryBudget,
     QueryOutcome, QuerySpec, QueryStats, SingleFpAnswer,
 };
 

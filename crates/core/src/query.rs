@@ -289,63 +289,6 @@ pub struct QueryStats {
     pub nodes_read: usize,
 }
 
-/// Roll-up statistics for one [`crate::run_batch`] invocation:
-/// how the work spread over workers, how often the work-stealing
-/// scheduler had to rebalance, and the aggregate travel-function cache
-/// behaviour across every successful query in the batch.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Worker threads the batch actually ran on.
-    pub workers: usize,
-    /// Queries processed by each worker (sums to the batch size).
-    pub queries_per_worker: Vec<usize>,
-    /// Successful steal operations (each moves half a victim's queue).
-    pub steals: u64,
-    /// Travel-function cache lookups summed over successful queries.
-    pub cache_lookups: usize,
-    /// Cache hits summed over successful queries.
-    pub cache_hits: usize,
-    /// Cache misses summed over successful queries.
-    pub cache_misses: usize,
-}
-
-impl BatchStats {
-    /// An empty roll-up for a batch run on `workers` threads.
-    pub fn new(workers: usize) -> Self {
-        BatchStats {
-            workers,
-            queries_per_worker: vec![0; workers],
-            ..BatchStats::default()
-        }
-    }
-
-    /// Tally one finished query for `worker`; `stats` is `None` for
-    /// queries that failed without producing statistics.
-    pub(crate) fn record(&mut self, worker: usize, stats: Option<&QueryStats>) {
-        self.queries_per_worker[worker] += 1;
-        if let Some(s) = stats {
-            self.cache_lookups += s.cache_lookups;
-            self.cache_hits += s.cache_hits;
-            self.cache_misses += s.cache_misses;
-        }
-    }
-
-    /// Queries processed across all workers.
-    pub fn total_queries(&self) -> usize {
-        self.queries_per_worker.iter().sum()
-    }
-
-    /// Aggregate cache hit rate in `[0, 1]` (0 when no lookups —
-    /// errors carry no stats, so failed queries are excluded).
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.cache_lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.cache_lookups as f64
-        }
-    }
-}
-
 /// Answer to a singleFP query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SingleFpAnswer {

@@ -5,11 +5,13 @@
 //! profile per expansion. These tests pin the contract that makes the
 //! optimization safe: over randomized grid and geometric networks, the
 //! cached engine and a cache-disabled reference engine (the seed
-//! behaviour, selected with `use_travel_cache: false`) must produce
+//! behaviour: the same engine over [`TravelFnCache::disabled`]) must produce
 //! **identical** allFP partitionings — same sub-intervals, same node
 //! sequences, same lower border — and identical singleFP minima.
 
-use allfp::{Engine, EngineConfig, PathfindBackend, QuerySpec};
+use std::sync::Arc;
+
+use allfp::{build_estimator, Engine, EngineConfig, PathfindBackend, QuerySpec, TravelFnCache};
 use proptest::prelude::*;
 use pwl::time::hm;
 use pwl::Interval;
@@ -17,12 +19,11 @@ use roadnet::generators::{grid, random_geometric};
 use roadnet::{NodeId, RoadNetwork};
 use traffic::{DayCategory, RoadClass};
 
-/// Reference config: seed-equivalent engine (no cache).
-fn reference() -> EngineConfig {
-    EngineConfig {
-        use_travel_cache: false,
-        ..EngineConfig::default()
-    }
+/// Reference engine: seed-equivalent (no cache).
+fn reference(net: &RoadNetwork) -> Engine<'_, RoadNetwork> {
+    let config = EngineConfig::default();
+    let estimator = Arc::from(build_estimator(net, &config).unwrap());
+    Engine::with_shared(net, estimator, Arc::new(TravelFnCache::disabled()), config)
 }
 
 /// The two answers' paths on a sub-interval must be *equally fastest*:
@@ -51,7 +52,7 @@ fn assert_equally_fastest(p: &allfp::FastestPath, q: &allfp::FastestPath, iv: &I
 /// Assert two allFP answers partition the interval identically.
 fn assert_same_answer(net: &RoadNetwork, q: &QuerySpec) {
     let cached = Engine::new(net, EngineConfig::default()).unwrap();
-    let plain = Engine::new(net, reference()).unwrap();
+    let plain = reference(net);
     let a = cached.all_fastest_paths(q).expect("cached engine");
     let b = plain.all_fastest_paths(q).expect("reference engine");
 

@@ -110,8 +110,8 @@ fn batch_over_faulty_store_matches_fault_free_serial() {
     disk.clear_cache().unwrap();
     let io = disk.pool().store().io_stats();
     let (reads, retries, faults) = (io.reads(), io.retries(), injected.n_faults());
-    let (batch, stats) = run_batch(&engine, &queries, 4, &CancelToken::new());
-    assert_eq!(stats.total_queries(), queries.len());
+    let batch = run_batch(&engine, &queries, 4, &CancelToken::new());
+    assert_eq!(batch.len(), queries.len());
 
     for (i, (s, b)) in serial.iter().zip(batch.iter()).enumerate() {
         match (s, b) {
@@ -215,7 +215,7 @@ fn bit_flipped_page_is_detected_never_served() {
         }
     }
     // batch slots report the same typed failure; none succeed
-    let (results, _) = run_batch(&engine, &queries, 2, &CancelToken::new());
+    let results = run_batch(&engine, &queries, 2, &CancelToken::new());
     for r in &results {
         assert!(
             matches!(
@@ -402,25 +402,28 @@ fn panicking_query_fails_in_its_own_slot() {
     let engine = Engine::new(&src, naive.clone()).unwrap();
     let clean = Engine::new(&net, naive).unwrap();
 
-    let (results, stats) = run_batch(&engine, &queries, 3, &CancelToken::new());
-    assert_eq!(stats.total_queries(), queries.len());
-    for (i, (q, r)) in queries.iter().zip(results.iter()).enumerate() {
-        if q.source == poison {
-            assert!(
-                matches!(r, Err(AllFpError::Panicked(_))),
-                "poisoned slot {i}: {r:?}"
-            );
-            continue;
-        }
-        let got = match r {
-            Ok(QueryOutcome::Exact(a)) => a,
-            other => panic!("sibling slot {i} did not complete exactly: {other:?}"),
-        };
-        let want = clean.all_fastest_paths(q).unwrap();
-        assert_eq!(want.partition.len(), got.partition.len(), "slot {i}");
-        for (x, y) in want.partition.iter().zip(got.partition.iter()) {
-            assert!(x.0.approx_eq(&y.0), "slot {i}");
-            assert_eq!(want.paths[x.1].nodes, got.paths[y.1].nodes, "slot {i}");
+    // width 1 runs every query on the calling thread's own loop
+    for workers in [1, 3] {
+        let results = run_batch(&engine, &queries, workers, &CancelToken::new());
+        assert_eq!(results.len(), queries.len());
+        for (i, (q, r)) in queries.iter().zip(results.iter()).enumerate() {
+            if q.source == poison {
+                assert!(
+                    matches!(r, Err(AllFpError::Panicked(_))),
+                    "poisoned slot {i}, width {workers}: {r:?}"
+                );
+                continue;
+            }
+            let got = match r {
+                Ok(QueryOutcome::Exact(a)) => a,
+                other => panic!("sibling slot {i}, width {workers}: {other:?}"),
+            };
+            let want = clean.all_fastest_paths(q).unwrap();
+            assert_eq!(want.partition.len(), got.partition.len(), "slot {i}");
+            for (x, y) in want.partition.iter().zip(got.partition.iter()) {
+                assert!(x.0.approx_eq(&y.0), "slot {i}");
+                assert_eq!(want.paths[x.1].nodes, got.paths[y.1].nodes, "slot {i}");
+            }
         }
     }
 }
@@ -497,8 +500,8 @@ fn pre_cancelled_batch_cancels_every_slot_over_disk() {
     let queries = sample_queries(&net, 6, 99);
     let token = CancelToken::new();
     token.cancel();
-    let (results, stats) = run_batch(&engine, &queries, 3, &token);
-    assert_eq!(stats.total_queries(), queries.len());
+    let results = run_batch(&engine, &queries, 3, &token);
+    assert_eq!(results.len(), queries.len());
     for r in &results {
         assert!(matches!(r, Err(AllFpError::Cancelled)), "{r:?}");
     }
@@ -523,7 +526,7 @@ fn batch_replays_identical_fault_log() {
         disk.clear_cache().unwrap();
         let io = disk.pool().store().io_stats();
         let (reads, faults) = (io.reads(), injected.n_faults());
-        let (results, _) = run_batch(&engine, &queries, 1, &CancelToken::new());
+        let results = run_batch(&engine, &queries, 1, &CancelToken::new());
         assert!(io.reads() > reads, "the batch read no page");
         assert!(
             injected.n_faults() > faults,

@@ -158,6 +158,14 @@ if [ -e crates/cluster ] ||
     echo "the simulated cluster (or its probe jitter or partition assignment) is back" >&2
     exit 1
 fi
+# One batch loop: `run_batch`'s workers claim queries from one shared
+# cursor. The work-stealing deques, the batch roll-up only they filled
+# and the engine's cache on/off knob stay deleted.
+if grep -rnE "steal_into|BatchStats|use_travel_cache" crates ||
+    grep -n "VecDeque" crates/core/src/backend.rs; then
+    echo "the work-stealing batch scheduler (or BatchStats or use_travel_cache) is back" >&2
+    exit 1
+fi
 echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> tier-1: cargo build --release"

@@ -80,7 +80,7 @@ fn fails_alike(
     let robust = backend.robust_with_session(q, &mut session, cancel);
     got.push(("robust_with_session", robust.err()));
     let token = cancel.cloned().unwrap_or_default();
-    let (mut slots, _) = run_batch(backend, std::slice::from_ref(q), 1, &token);
+    let mut slots = run_batch(backend, std::slice::from_ref(q), 1, &token);
     got.push(("run_batch", slots.pop().and_then(Result::err)));
     let name = backend.backend_name();
     for (surface, e) in got {
