@@ -3,16 +3,12 @@
 //! ```text
 //! experiments <subcommand> [--scale small|medium|full|large] [--seed N]
 //!             [--queries N] [--csv DIR] [--backend flat|ch]
-//!             [--deltas N]
 //!
 //! subcommands:
 //!   table1            the CapeCod pattern schema (Table 1)
 //!   fig9              expanded nodes vs distance, naiveLB vs bdLB
 //!   fig10             Discrete Time vs CapeCod ratios
 //!   const-speed       the constant-speed (speed-limit) comparison
-//!   overload          the seeded virtual-time overload twin
-//!   update-storm      seeded live-update storm: goodput under a 2x
-//!                     overload with concurrent epoch swaps
 //!   ablation-grid     bdLB grid granularity sweep (A-1)
 //!   ablation-pruning  basic vs dominance-pruned expansion (A-2)
 //!   ablation-ccam     CCAM placement vs buffer size (A-3)
@@ -29,102 +25,71 @@
 //! 0x5EED, 20 queries per cell, flat backend. `--scale full
 //! --queries 100` matches the paper's setup (14.5k nodes, 100
 //! queries) at several minutes of runtime. `--backend ch` replays
-//! fig9, fig10 and the overload twin over the contraction-hierarchy
-//! backend (`fp-hierarchy`): same answers, preprocessing-speed query
-//! work.
-//! `--deltas N` sets how many seeded traffic deltas the update storm
-//! applies mid-run (default 8); `--seed`/`--queries` also steer it.
+//! fig9 and fig10 over the contraction-hierarchy backend
+//! (`fp-hierarchy`): same answers, preprocessing-speed query work.
+//! A flag with a missing or unparsable value, and an unknown flag, is
+//! an error.
 
 use std::process::ExitCode;
 
 use fpbench::{
-    ablations, const_speed, fig10, fig9, hotpath, live_update, metro_huge, overload, table1,
-    BackendKind, Scale, Scenario, Table,
+    ablations, const_speed, fig10, fig9, hotpath, metro_huge, table1, BackendKind, Scale, Scenario,
+    Table,
 };
 
+const USAGE: &str = "usage: experiments <table1|fig9|fig10|const-speed|ablation-grid|ablation-pruning|ablation-ccam|all|hier-race|metro-huge> [--scale small|medium|full|large] [--seed N] [--queries N] [--csv DIR] [--backend flat|ch]";
+
+#[derive(Debug, PartialEq)]
 struct Options {
     scale: Scale,
     seed: u64,
     queries: usize,
     csv_dir: Option<std::path::PathBuf>,
     backend: BackendKind,
-    deltas: usize,
 }
 
-fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let Some(cmd) = args.next() else {
-        eprintln!("usage: experiments <table1|fig9|fig10|const-speed|overload|update-storm|ablation-grid|ablation-pruning|ablation-ccam|all|hier-race|metro-huge> [--scale small|medium|full|large] [--seed N] [--queries N] [--csv DIR] [--backend flat|ch] [--deltas N]");
-        return ExitCode::FAILURE;
-    };
+/// Parse the flags that follow the subcommand.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("{flag} needs a number, not '{value}'"))
+    }
     let mut opts = Options {
         scale: Scale::Medium,
         seed: 0x5EED,
         queries: 20,
         csv_dir: None,
         backend: BackendKind::Flat,
-        deltas: 8,
     };
-    let rest: Vec<String> = args.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i].clone();
-        let value = || -> Option<&String> { rest.get(i + 1) };
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--scale" => {
-                let Some(v) = value() else {
-                    eprintln!("--scale needs a value");
-                    return ExitCode::FAILURE;
-                };
-                match v.parse() {
-                    Ok(s) => opts.scale = s,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                i += 2;
-            }
-            "--seed" => {
-                opts.seed = value().and_then(|v| v.parse().ok()).unwrap_or(opts.seed);
-                i += 2;
-            }
-            "--queries" => {
-                opts.queries = value().and_then(|v| v.parse().ok()).unwrap_or(opts.queries);
-                i += 2;
-            }
-            "--csv" => {
-                opts.csv_dir = value().map(|v| v.into());
-                i += 2;
-            }
-            "--backend" => {
-                let Some(v) = value() else {
-                    eprintln!("--backend needs a value");
-                    return ExitCode::FAILURE;
-                };
-                match v.parse() {
-                    Ok(b) => opts.backend = b,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                i += 2;
-            }
-            "--deltas" => {
-                let Some(v) = value().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--deltas needs an update count");
-                    return ExitCode::FAILURE;
-                };
-                opts.deltas = v;
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::FAILURE;
-            }
+            "--scale" => opts.scale = value()?.parse()?,
+            "--seed" => opts.seed = number(flag, value()?)?,
+            "--queries" => opts.queries = number(flag, value()?)?,
+            "--csv" => opts.csv_dir = Some(value()?.into()),
+            "--backend" => opts.backend = value()?.parse()?,
+            other => return Err(format!("unknown flag {other}")),
         }
     }
+    Ok(opts)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, flags)) = args.split_first() else {
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let opts = match parse_args(flags) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let run_all = cmd == "all";
     let wants = |name: &str| run_all || cmd == name;
@@ -134,22 +99,6 @@ fn main() -> ExitCode {
     if wants("table1") {
         matched = true;
         emit(&opts, "table1", table1::render());
-    }
-
-    // The overload twin builds its own small grid (virtual-time
-    // calibration needs a fixed substrate, not the scenario network).
-    if wants("overload") {
-        matched = true;
-        let r = overload::run(opts.seed, opts.queries.max(80), opts.backend);
-        emit(&opts, "overload", overload::render(&r));
-    }
-
-    // The update storm builds its own substrate: a small service grid
-    // (virtual-time calibration, like the overload twin).
-    if wants("update-storm") {
-        matched = true;
-        let r = live_update::run(opts.seed, opts.queries.max(80), opts.deltas.max(1));
-        emit(&opts, "update_storm", live_update::render(&r));
     }
 
     // The two scale probes run only by name, not under `all`: the full
@@ -246,5 +195,42 @@ fn emit(opts: &Options, name: &str, table: Table) {
         let path = dir.join(format!("{name}.csv"));
         std::fs::write(&path, table.to_csv()).expect("csv write");
         println!("(csv written to {})\n", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn parse_args_sets_every_flag_and_rejects_bad_lines() {
+        let good = parse("--scale small --seed 7 --queries 6 --csv out --backend ch").unwrap();
+        let want = Options {
+            scale: Scale::Small,
+            seed: 7,
+            queries: 6,
+            csv_dir: Some("out".into()),
+            backend: BackendKind::Ch,
+        };
+        assert_eq!(good, want);
+        for bad in [
+            "--seed x",
+            "--seed -1",
+            "--queries x",
+            "--scale x",
+            "--backend x",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        for flag in ["--scale", "--seed", "--queries", "--csv", "--backend"] {
+            let err = parse(&format!("--queries 4 {flag}")).unwrap_err();
+            assert_eq!(err, format!("{flag} needs a value"));
+        }
+        assert_eq!(parse("--verbose").unwrap_err(), "unknown flag --verbose");
     }
 }

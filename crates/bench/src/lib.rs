@@ -4,9 +4,11 @@
 //!
 //! The library half holds the runners; the `experiments` binary is the
 //! CLI around them. Beside the paper's artifacts sit the probes the
-//! gate tests share ([`hotpath`], [`metro_huge`], the virtual-time
-//! twins); `tests/alloc_gates.rs` and `tests/wall_floors.rs` gate the
-//! engine's allocations and wall clock.
+//! gate tests share ([`hotpath`], [`metro_huge`]);
+//! `tests/alloc_gates.rs` and `tests/wall_floors.rs` gate the engine's
+//! allocations and wall clock. The query service's overload and
+//! live-update scenarios are `fp-allfp`'s chaos suites, not runners
+//! here.
 //!
 //! | artifact | runner | binary subcommand |
 //! |---|---|---|
@@ -27,9 +29,7 @@ pub mod const_speed;
 pub mod fig10;
 pub mod fig9;
 pub mod hotpath;
-pub mod live_update;
 pub mod metro_huge;
-pub mod overload;
 pub mod report;
 pub mod scenario;
 pub mod table1;

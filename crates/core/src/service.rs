@@ -34,21 +34,20 @@
 //!   `submitted = admitted + rejected` and
 //!   `admitted = answered + degraded + failed + cancelled`.
 //!
-//! # Determinism and the virtual clock
+//! # Determinism and the service clock
 //!
 //! All time-dependent decisions (deadlines, estimated waits, breaker
 //! cooldowns) read a [`ServiceClock`], not the wall clock. Production
-//! deployments use [`WallClock`]; the overload-chaos harness uses a
-//! [`ManualClock`] advanced by the measured *work units* of each
-//! completed query (`QueryStats::expanded_paths`), so an entire
-//! overload scenario — arrivals, sheds, breaker trips, recoveries —
-//! replays bit-identically from a seed. [`drive`] is that harness's
-//! one loop over [`QueryService::step`]: the chaos suites and the
-//! bench twins supply it a [`DriveScenario`]. See `DESIGN.md` §11 and
-//! `core/tests/overload.rs` for the invariants this enables.
+//! deployments use [`WallClock`]. [`QueryService::step`] serves one
+//! query on the caller's thread and reports its measured *work units*
+//! (`QueryStats::expanded_paths`), so a caller that owns the clock and
+//! advances it by those units replays an entire overload scenario —
+//! arrivals, sheds, breaker trips, recoveries — bit-identically from a
+//! seed. The chaos suites' virtual-time harness
+//! (`core/tests/sim/mod.rs`) does exactly that; see `DESIGN.md` §11
+//! for the invariants this enables.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -60,16 +59,6 @@ use crate::query::{
     CancelToken, DegradedAnswer, DegradedReason, QueryBudget, QueryOutcome, QuerySpec, QueryStats,
 };
 use crate::{AllFpAnswer, AllFpError};
-
-/// A stateless SplitMix64-style hash: the arrival schedule derives
-/// every gap from `(seed, index)` so schedules are random-access and
-/// replayable without carrying generator state.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Lock with poison recovery: the service state is valid after any
 /// interrupted mutation (a lost notification at worst), so one
@@ -87,8 +76,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Everything the service decides on time — queue-wait estimates,
 /// deadline sheds, breaker cooldowns, latency histograms — goes
 /// through this trait, which is what makes the overload-chaos harness
-/// deterministic: swap the wall clock for a [`ManualClock`] driven by
-/// measured work units and the whole service replays from a seed.
+/// deterministic: swap the wall clock for a manually advanced one
+/// driven by measured work units and the whole service replays from a
+/// seed.
 pub trait ServiceClock: Send + Sync {
     /// Current time. Must be monotone non-decreasing.
     fn now(&self) -> u64;
@@ -118,35 +108,6 @@ impl Default for WallClock {
 impl ServiceClock for WallClock {
     fn now(&self) -> u64 {
         u64::try_from(self.base.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-}
-
-/// A manually-advanced clock for deterministic simulation: the chaos
-/// harness advances it by each completed query's measured work units,
-/// so "time" is a pure function of the workload.
-#[derive(Debug, Default)]
-pub struct ManualClock(AtomicU64);
-
-impl ManualClock {
-    /// A clock at time 0.
-    pub fn new() -> Self {
-        ManualClock::default()
-    }
-
-    /// Advance by `units`.
-    pub fn advance(&self, units: u64) {
-        self.0.fetch_add(units, Ordering::Relaxed);
-    }
-
-    /// Jump forward to `t` (never backwards: monotone by `fetch_max`).
-    pub fn set(&self, t: u64) {
-        self.0.fetch_max(t, Ordering::Relaxed);
-    }
-}
-
-impl ServiceClock for ManualClock {
-    fn now(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -292,29 +253,6 @@ pub enum ServiceOutcome {
     Failed(AllFpError),
     /// The submission was cancelled before or during execution.
     Cancelled(CancelReason),
-}
-
-impl ServiceOutcome {
-    /// Short label for logs and deterministic-replay comparisons.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ServiceOutcome::Answered(_) => "answered",
-            ServiceOutcome::Degraded(_) => "degraded",
-            ServiceOutcome::Failed(_) => "failed",
-            ServiceOutcome::Cancelled(_) => "cancelled",
-        }
-    }
-
-    /// [`Self::kind`] with the reason of a degradation or cancellation
-    /// appended (`degraded:StorageUnavailable`, `cancelled:ShedExpired`)
-    /// — the form the chaos suites compare replays in.
-    pub fn label(&self) -> String {
-        match self {
-            ServiceOutcome::Degraded(d) => format!("degraded:{:?}", d.reason),
-            ServiceOutcome::Cancelled(r) => format!("cancelled:{r:?}"),
-            other => other.kind().to_string(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1014,7 +952,7 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
                 .record(now.saturating_sub(job.ticket.submitted_at));
         }
         // Refine the wait estimator from observed service time. With
-        // a ManualClock driven by the step() harness, execution takes
+        // a manual clock driven by the step() harness, execution takes
         // zero clock time (the harness advances the clock *after* the
         // step), so the initial estimate is left untouched — exactly
         // what keeps the simulation deterministic and exact.
@@ -1105,7 +1043,9 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
     /// (the caller's submission loop) runs on the current thread.
     /// When the driver returns, a [`DrainMode::Finish`] drain begins
     /// automatically (unless the driver already started one) and the
-    /// call blocks until every admitted submission has resolved.
+    /// call blocks until every admitted submission has resolved. When
+    /// the driver panics, a [`DrainMode::Cancel`] drain releases the
+    /// workers and the panic reaches the caller.
     pub fn serve<R>(&self, workers: usize, driver: impl FnOnce(&Self) -> R) -> R
     where
         B: Sync,
@@ -1114,6 +1054,7 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
             for _ in 0..workers.max(1) {
                 scope.spawn(|| self.worker_loop());
             }
+            let _cancel_on_unwind = CancelOnUnwind(self);
             let out = driver(self);
             if !self.is_draining() {
                 self.begin_drain(DrainMode::Finish);
@@ -1150,274 +1091,33 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
     }
 }
 
+/// Held by [`QueryService::serve`] across its driver: dropped during an
+/// unwind, it begins a [`DrainMode::Cancel`] drain, without which the
+/// parked workers would never leave and the scope would never re-raise
+/// the driver's panic.
+struct CancelOnUnwind<'s, 'e, B: PathfindBackend + ?Sized>(&'s QueryService<'e, B>);
+
+impl<B: PathfindBackend + ?Sized> Drop for CancelOnUnwind<'_, '_, B> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.begin_drain(DrainMode::Cancel);
+        }
+    }
+}
+
 /// What one [`QueryService::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepReport {
     /// The ticket served.
     pub id: TicketId,
     /// Its measured cost in work units (`expanded_paths`, min 1) —
-    /// what a virtual-time harness advances its [`ManualClock`] by.
+    /// what a virtual-time harness advances its clock by.
     pub cost: u64,
 }
 
 /// Measured work units of a completed query.
 fn cost_of(stats: &QueryStats) -> u64 {
     (stats.expanded_paths as u64).max(1)
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic open-loop load generation
-// ---------------------------------------------------------------------------
-
-/// A seeded open-loop arrival schedule: strictly increasing arrival
-/// times in clock units, every gap derived from `(seed, index)` by
-/// integer arithmetic only — no wall-clock randomness, no float
-/// transforms — so the overload harness replays bit-identically.
-///
-/// Gaps are uniform on `[1, 2·mean_gap − 1]`, giving an expected gap
-/// of exactly `mean_gap`: offered load against a service of capacity
-/// one work unit per clock unit is `mean_cost / mean_gap`, so a 2×
-/// overload schedule uses `mean_gap = mean_cost / 2`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArrivalSchedule {
-    times: Vec<u64>,
-}
-
-impl ArrivalSchedule {
-    /// Build `n` arrivals with the given seed and mean gap (≥ 1).
-    pub fn open_loop(seed: u64, n: usize, mean_gap: u64) -> Self {
-        let mean_gap = mean_gap.max(1);
-        let mut t = 0u64;
-        let mut times = Vec::with_capacity(n);
-        for i in 0..n {
-            let r = splitmix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let gap = 1 + r % (2 * mean_gap - 1);
-            t += gap;
-            times.push(t);
-        }
-        ArrivalSchedule { times }
-    }
-
-    /// The arrival instants, strictly increasing.
-    pub fn times(&self) -> &[u64] {
-        &self.times
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The virtual-time driver
-// ---------------------------------------------------------------------------
-
-/// `n` seeded query specs over `net`: sources, targets and 20-minute
-/// morning leaving intervals drawn from `seed` by an MMIX LCG. Every
-/// virtual-time scenario (the chaos suites and the bench twins) samples
-/// its workload here, so equal seeds mean equal workloads across all of
-/// them.
-pub fn sample_specs(net: &roadnet::RoadNetwork, n: usize, seed: u64) -> Vec<QuerySpec> {
-    let nodes = net.n_nodes() as u64;
-    let mut x = seed ^ 0x0EE2_10AD;
-    let mut lcg = move || {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        x
-    };
-    (0..n)
-        .map(|_| {
-            let s = roadnet::NodeId((lcg() % nodes) as u32);
-            let e = loop {
-                let c = roadnet::NodeId((lcg() % nodes) as u32);
-                if c != s {
-                    break c;
-                }
-            };
-            let lo = pwl::time::hm(6, 30) + (lcg() % 90) as f64;
-            let leaving = pwl::Interval::of(lo, lo + 20.0);
-            QuerySpec::new(s, e, leaving, traffic::DayCategory::WORKDAY)
-        })
-        .collect()
-}
-
-/// A bit-exact signature of an answer: partition bounds (as raw f64
-/// bits) plus the node sequence of each sub-interval's fastest path.
-pub type AnswerSig = Vec<(u64, u64, Vec<usize>)>;
-
-/// Compute the [`AnswerSig`] of an answer.
-pub fn answer_sig(a: &AllFpAnswer) -> AnswerSig {
-    a.partition
-        .iter()
-        .map(|(iv, pi)| {
-            (
-                iv.lo().to_bits(),
-                iv.hi().to_bits(),
-                a.paths[*pi].nodes.iter().map(|n| n.index()).collect(),
-            )
-        })
-        .collect()
-}
-
-/// A query mix with its calibrated costs — what a virtual-time
-/// scenario offers the service, arrival after arrival.
-#[derive(Debug, Clone)]
-pub struct Workload {
-    /// The specs; arrival `i` asks `specs[i % specs.len()]`.
-    pub specs: Vec<QuerySpec>,
-    /// Work units (expansions, at least 1) of each spec, measured once
-    /// on the calibration backend: identical data means identical
-    /// costs on whatever backend then serves them.
-    pub costs: Vec<u64>,
-    /// Mean of `costs` (at least 1): the unit a scenario scales its
-    /// arrival gap, deadlines and cooldowns by, so that virtual time
-    /// means "work the service could have done".
-    pub mean_cost: u64,
-}
-
-impl Workload {
-    /// Answer every spec once on `backend` and record what it cost.
-    pub fn calibrate<B: PathfindBackend + ?Sized>(
-        backend: &B,
-        specs: Vec<QuerySpec>,
-    ) -> crate::Result<Workload> {
-        let costs = specs
-            .iter()
-            .map(|q| backend.all_fastest_paths(q).map(|a| cost_of(&a.stats)))
-            .collect::<crate::Result<Vec<u64>>>()?;
-        let mean_cost = (costs.iter().sum::<u64>() / costs.len().max(1) as u64).max(1);
-        Ok(Workload {
-            specs,
-            costs,
-            mean_cost,
-        })
-    }
-
-    /// The submission of arrival `arrival` offered at `now`: every
-    /// fourth one batch class, due `deadline_slack` mean costs from
-    /// now, hinted with its calibrated cost.
-    pub fn submission(&self, arrival: usize, now: u64, deadline_slack: u64) -> Submission {
-        let idx = arrival % self.specs.len();
-        Submission::new(self.specs[idx].clone())
-            .with_class(if arrival % 4 == 3 {
-                Priority::Batch
-            } else {
-                Priority::Interactive
-            })
-            .with_deadline(now + deadline_slack * self.mean_cost)
-            .with_cost_hint(self.costs[idx])
-    }
-}
-
-/// What [`drive`] asks of a scenario: the submission of each arrival,
-/// and optionally a stream of timed world events (a fault-plan switch,
-/// a traffic delta) and bookkeeping hooks. An event-free scenario is
-/// just its submission function — any `FnMut(arrival, now) ->
-/// Submission` is one.
-pub trait DriveScenario<B: PathfindBackend + ?Sized> {
-    /// The submission of arrival number `arrival`, offered at `now`.
-    fn submission(&mut self, arrival: usize, now: u64) -> Submission;
-
-    /// When the next world event not yet fired is due, if one is left.
-    fn next_event(&self) -> Option<u64> {
-        None
-    }
-
-    /// Fire the event [`Self::next_event`] announced; `now` is at or
-    /// past its instant. Events fire before an arrival of the same
-    /// instant.
-    fn fire_event(&mut self, _now: u64, _svc: &QueryService<'_, B>) {}
-
-    /// Arrival `arrival` was admitted as `ticket`.
-    fn admitted(&mut self, _arrival: usize, _ticket: TicketId) {}
-
-    /// The service just executed one query.
-    fn after_step(&mut self, _svc: &QueryService<'_, B>) {}
-}
-
-impl<B, F> DriveScenario<B> for F
-where
-    B: PathfindBackend + ?Sized,
-    F: FnMut(usize, u64) -> Submission,
-{
-    fn submission(&mut self, arrival: usize, now: u64) -> Submission {
-        self(arrival, now)
-    }
-}
-
-/// What one [`drive`] run did, in a `PartialEq` shape so two runs of a
-/// seed compare wholesale.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DriveLog {
-    /// Work units executed across all steps.
-    pub executed_units: u64,
-    /// Final virtual time.
-    pub elapsed: u64,
-    /// `(arrival, rejection)` of every refused arrival, in order.
-    pub rejected: Vec<(usize, Overloaded)>,
-    /// The arrival each admitted ticket came from.
-    pub arrival_of: HashMap<TicketId, usize>,
-}
-
-impl DriveLog {
-    /// `executed_units / elapsed`: the share of the service's capacity
-    /// (one work unit per clock unit) spent executing queries.
-    pub fn goodput(&self) -> f64 {
-        if self.elapsed == 0 {
-            return 0.0;
-        }
-        self.executed_units as f64 / self.elapsed as f64
-    }
-}
-
-/// Drive one service through one scenario in virtual time, on the
-/// calling thread: fire every due event, offer every due arrival,
-/// otherwise [`QueryService::step`] and advance `clock` by the step's
-/// measured cost; when idle, jump to whichever of the next arrival and
-/// the next event is due first; when both are exhausted, begin a
-/// [`DrainMode::Finish`] drain and step the queue dry. Time is thereby
-/// a pure function of the work done, and the whole run a pure function
-/// of the seed that built `schedule` and `scenario`.
-pub fn drive<B: PathfindBackend + ?Sized>(
-    svc: &QueryService<'_, B>,
-    clock: &ManualClock,
-    schedule: &ArrivalSchedule,
-    scenario: &mut impl DriveScenario<B>,
-) -> DriveLog {
-    let times = schedule.times();
-    let mut log = DriveLog::default();
-    let mut next = 0usize;
-    loop {
-        let now = clock.now();
-        if scenario.next_event().is_some_and(|t| t <= now) {
-            scenario.fire_event(now, svc);
-        } else if times.get(next).is_some_and(|&t| t <= now) {
-            match svc.submit(scenario.submission(next, now)) {
-                Ok(ticket) => {
-                    log.arrival_of.insert(ticket, next);
-                    scenario.admitted(next, ticket);
-                }
-                Err(overloaded) => log.rejected.push((next, overloaded)),
-            }
-            next += 1;
-        } else if let Some(rep) = svc.step() {
-            log.executed_units += rep.cost;
-            clock.advance(rep.cost);
-            scenario.after_step(svc);
-        } else if let Some(wake) = [times.get(next).copied(), scenario.next_event()]
-            .into_iter()
-            .flatten()
-            .min()
-        {
-            // Idle: jump to whatever happens next.
-            clock.set(wake);
-        } else if svc.is_draining() {
-            break;
-        } else {
-            // Nothing left to happen: stop admitting, step the queue
-            // dry (the branch above), then leave.
-            svc.begin_drain(DrainMode::Finish);
-        }
-    }
-    log.elapsed = clock.now();
-    log
 }
 
 #[cfg(test)]
@@ -1552,144 +1252,5 @@ mod tests {
         assert_eq!(h.buckets()[2], 2); // [2,4)
         assert_eq!(h.buckets()[3], 1); // [4,8)
         assert_eq!(h.buckets()[10], 1); // [512,1024)
-    }
-
-    #[test]
-    fn schedule_is_deterministic_and_has_the_right_mean() {
-        let a = ArrivalSchedule::open_loop(7, 4096, 50);
-        let b = ArrivalSchedule::open_loop(7, 4096, 50);
-        assert_eq!(a, b);
-        assert_ne!(a, ArrivalSchedule::open_loop(8, 4096, 50));
-        assert!(a.times().windows(2).all(|w| w[0] < w[1]));
-        let mean = *a.times().last().unwrap() as f64 / a.times().len() as f64;
-        assert!(
-            (mean - 50.0).abs() < 2.0,
-            "empirical mean gap {mean} far from 50"
-        );
-    }
-
-    #[test]
-    fn manual_clock_is_monotone() {
-        let c = ManualClock::new();
-        c.advance(5);
-        c.set(3); // never backwards
-        assert_eq!(c.now(), 5);
-        c.set(9);
-        assert_eq!(c.now(), 9);
-    }
-
-    /// The substrate of the recorded `fpbench` overload and
-    /// live-update runs (`experiments overload` / `update-storm` at
-    /// seed 0x5EED): ten seeded specs on a 6×6 grid, calibrated on a
-    /// flat engine of the default configuration (both runs were
-    /// re-recorded when that became minTimeLB).
-    const TWIN_SEED: u64 = 0x5EED;
-
-    fn twin_net() -> roadnet::RoadNetwork {
-        roadnet::generators::grid(6, 6, 0.3, traffic::RoadClass::LocalOutside).unwrap()
-    }
-
-    fn twin_load(net: &roadnet::RoadNetwork) -> Workload {
-        let calib = Engine::new(net, crate::EngineConfig::default()).unwrap();
-        Workload::calibrate(&calib, sample_specs(net, 10, TWIN_SEED)).unwrap()
-    }
-
-    /// ...and their service: a 10-deep queue offered 100 arrivals at
-    /// twice its capacity.
-    fn twin_service(load: &Workload) -> (ServiceConfig, ArrivalSchedule) {
-        let config = ServiceConfig {
-            queue_capacity: 10,
-            default_cost: load.mean_cost,
-            ..ServiceConfig::default()
-        };
-        let gap = (load.mean_cost / 2).max(1);
-        (
-            config,
-            ArrivalSchedule::open_loop(TWIN_SEED ^ 0x0F_F3_4D, 100, gap),
-        )
-    }
-
-    /// An event-free scenario reproduces the recorded overload block.
-    #[test]
-    fn drive_replays_the_recorded_overload_run() {
-        let net = twin_net();
-        let load = twin_load(&net);
-        let (config, schedule) = twin_service(&load);
-        let engine = Engine::new(&net, crate::EngineConfig::default()).unwrap();
-        let clock = ManualClock::new();
-        let svc = QueryService::new(&engine, &clock, config);
-        let log = drive(&svc, &clock, &schedule, &mut |arrival, now| {
-            load.submission(arrival, now, 5)
-        });
-        let s = svc.stats();
-        assert!(s.reconciles(), "{s:?}");
-        assert_eq!(
-            (s.admitted, s.rejected, s.answered, s.degraded, s.shed),
-            (45, 55, 36, 0, 9)
-        );
-        assert_eq!(s.queue_depth_high_water, 8);
-        assert_eq!((log.arrival_of.len(), log.rejected.len()), (45, 55));
-        assert_eq!(format!("{:.4}", log.goodput()), "0.9884");
-    }
-
-    /// Eight seeded deltas as timed events, spread evenly over the
-    /// arrival window.
-    struct DeltaStream<'a> {
-        load: &'a Workload,
-        mgr: &'a EpochManager,
-        times: Vec<u64>,
-        applied: usize,
-    }
-
-    impl<'b> DriveScenario<crate::LiveBackend<'b>> for DeltaStream<'_> {
-        fn submission(&mut self, arrival: usize, now: u64) -> Submission {
-            self.load.submission(arrival, now, 5)
-        }
-
-        fn next_event(&self) -> Option<u64> {
-            self.times.get(self.applied).copied()
-        }
-
-        fn fire_event(&mut self, now: u64, _svc: &QueryService<'_, crate::LiveBackend<'b>>) {
-            assert!(self.times[self.applied] <= now, "event fired early");
-            let k = self.applied as u64;
-            let net = std::sync::Arc::clone(self.mgr.current().network());
-            let delta = net.seeded_delta(TWIN_SEED ^ k, 4, k + 1).unwrap();
-            self.mgr.apply_delta(&delta).unwrap();
-            self.applied += 1;
-        }
-    }
-
-    /// A delta stream reproduces the recorded live-update block, and
-    /// the same seed the same log.
-    #[test]
-    fn drive_replays_the_recorded_update_storm() {
-        let run = || {
-            let net = twin_net();
-            let load = twin_load(&net);
-            let (config, schedule) = twin_service(&load);
-            let mgr = EpochManager::new(net, crate::EngineConfig::default()).unwrap();
-            let live = crate::LiveBackend::new(&mgr);
-            let clock = ManualClock::new();
-            let svc = QueryService::new(&live, &clock, config).with_epochs(&mgr);
-            let horizon = *schedule.times().last().unwrap();
-            let mut stream = DeltaStream {
-                load: &load,
-                mgr: &mgr,
-                times: (1..=8).map(|k| k * horizon / 9).collect(),
-                applied: 0,
-            };
-            let log = drive(&svc, &clock, &schedule, &mut stream);
-            (svc.stats(), log)
-        };
-        let (s, log) = run();
-        assert!(s.reconciles(), "{s:?}");
-        assert_eq!(
-            (s.submitted, s.updates_applied, s.epochs_published),
-            (100, 8, 9)
-        );
-        assert_eq!((s.epochs_retired, s.epoch_retire_lag), (8, 0));
-        assert_eq!(format!("{:.4}", log.goodput()), "0.9877");
-        assert_eq!(run(), (s, log), "same seed, different run");
     }
 }

@@ -28,12 +28,13 @@
 //! * goodput under the 2× overload stays within a stated fraction of
 //!   offered capacity.
 
+mod sim;
+
 use std::sync::Arc;
 
 use allfp::service::{
-    answer_sig, drive, sample_specs, AnswerSig, ArrivalSchedule, BreakerConfig, BreakerState,
-    DrainMode, DriveScenario, ManualClock, OverloadReason, Priority, QueryService, ServiceClock,
-    ServiceConfig, ServiceOutcome, ServiceStats, Submission, WallClock, Workload,
+    BreakerConfig, BreakerState, DrainMode, OverloadReason, Priority, QueryService, ServiceClock,
+    ServiceConfig, ServiceOutcome, ServiceStats, Submission, WallClock,
 };
 use allfp::{
     DegradedReason, Engine, EngineConfig, PathfindBackend, QueryBudget, QueryOutcome, QuerySpec,
@@ -47,6 +48,11 @@ use pwl::Interval;
 use roadnet::generators::grid;
 use roadnet::{NodeId, RoadNetwork};
 use traffic::{DayCategory, RoadClass};
+
+use sim::{
+    answer_sig, assert_each_arrival_resolves_once, drive, label, recorded_setup, sample_specs,
+    AnswerSig, ArrivalSchedule, DriveLog, DriveScenario, ManualClock, Workload,
+};
 
 /// The production storage layering with a fault schedule at the
 /// bottom.
@@ -65,22 +71,17 @@ fn faulty_stack(plan: FaultPlan) -> (Arc<FaultInjectingStore>, Arc<dyn BlockStor
 struct SimResult {
     /// `(ticket, kind[:reason])` in completion order.
     terminal: Vec<(u64, String)>,
-    /// `(submission index, rejection reason)` in submission order.
-    rejected: Vec<(usize, String)>,
     /// `(ticket, spec index, bit-exact answer signature)` for every
     /// `Answered` outcome.
     answered: Vec<(u64, usize, AnswerSig)>,
     stats: ServiceStats,
     fault_log: Vec<FaultEvent>,
-    /// Work units executed across all steps.
-    executed_units: u64,
-    /// Final virtual time.
-    elapsed: u64,
-    n_submissions: usize,
-    queue_capacity: usize,
+    /// Rejections, executed work units and final virtual time.
+    log: DriveLog,
 }
 
 const CHAOS_SUBMISSIONS: usize = 140;
+const QUEUE_CAPACITY: usize = 12;
 
 /// What the chaos run adds to the plain open-loop workload: a fault
 /// storm that switches the injector's plan on and off as two timed
@@ -126,7 +127,7 @@ fn run_chaos_sim(seed: u64) -> SimResult {
     // Calibrate per-spec costs (work units = expansions) on the
     // in-memory engine; identical data ⇒ identical costs on disk.
     let fallback = Engine::new(&net, EngineConfig::default()).unwrap();
-    let load = Workload::calibrate(&fallback, sample_specs(&net, 12, seed)).unwrap();
+    let load = Workload::calibrate(&fallback, sample_specs(&net, 12, seed));
     let mean_cost = load.mean_cost;
 
     let (injected, top) = faulty_stack(FaultPlan::quiet(seed));
@@ -134,10 +135,9 @@ fn run_chaos_sim(seed: u64) -> SimResult {
     disk.clear_cache().unwrap();
     let primary = Engine::new(&disk, EngineConfig::default()).unwrap();
 
-    let clock = ManualClock::new();
-    let queue_capacity = 12;
+    let clock = ManualClock::default();
     let config = ServiceConfig {
-        queue_capacity,
+        queue_capacity: QUEUE_CAPACITY,
         default_cost: mean_cost,
         breaker: BreakerConfig {
             window: 8,
@@ -169,10 +169,9 @@ fn run_chaos_sim(seed: u64) -> SimResult {
 
     let stats = svc.stats();
     let outcomes = svc.take_outcomes();
-    let mut terminal = Vec::with_capacity(outcomes.len());
+    let terminal = outcomes.iter().map(label).collect();
     let mut answered = Vec::new();
     for (id, out) in &outcomes {
-        terminal.push((*id, out.label()));
         if let ServiceOutcome::Answered(a) = out {
             let spec = log.arrival_of[id] % load.specs.len();
             answered.push((*id, spec, answer_sig(a)));
@@ -181,18 +180,10 @@ fn run_chaos_sim(seed: u64) -> SimResult {
 
     SimResult {
         terminal,
-        rejected: log
-            .rejected
-            .iter()
-            .map(|(arrival, o)| (*arrival, format!("{:?}", o.reason)))
-            .collect(),
         answered,
         stats,
         fault_log: injected.events(),
-        executed_units: log.executed_units,
-        elapsed: log.elapsed,
-        n_submissions: CHAOS_SUBMISSIONS,
-        queue_capacity,
+        log,
     }
 }
 
@@ -204,15 +195,7 @@ fn chaos_storm_invariants_hold_and_replay_exactly() {
 
     // Every submission got exactly one terminal outcome: a typed
     // rejection at submit, or exactly one recorded ServiceOutcome.
-    assert_eq!(
-        run.rejected.len() + run.terminal.len(),
-        run.n_submissions,
-        "submissions leaked or double-resolved"
-    );
-    let mut ids: Vec<u64> = run.terminal.iter().map(|(id, _)| *id).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(ids.len(), run.terminal.len(), "a ticket resolved twice");
+    assert_each_arrival_resolves_once(&run.log, &run.terminal, CHAOS_SUBMISSIONS);
 
     // Counters reconcile exactly; the scenario is constructed so no
     // query outright fails (storage faults degrade via the fallback),
@@ -226,16 +209,15 @@ fn chaos_storm_invariants_hold_and_replay_exactly() {
         "admitted ≠ answered + degraded + cancelled: {s:?}"
     );
     assert_eq!(s.submitted, s.admitted + s.rejected);
-    assert_eq!(s.submitted, run.n_submissions as u64);
+    assert_eq!(s.submitted, CHAOS_SUBMISSIONS as u64);
     assert_eq!(s.admitted, run.terminal.len() as u64);
 
     // The queue stayed within its bound, and overload actually bit:
     // there were typed rejections and deadline sheds.
     assert!(
-        s.queue_depth_high_water <= run.queue_capacity,
-        "queue depth {} exceeded bound {}",
+        s.queue_depth_high_water <= QUEUE_CAPACITY,
+        "queue depth {} exceeded bound {QUEUE_CAPACITY}",
         s.queue_depth_high_water,
-        run.queue_capacity
     );
     assert!(s.rejected > 0, "2× overload never rejected anything");
     assert!(s.shed > 0, "no queued entry ever exceeded its deadline");
@@ -274,12 +256,12 @@ fn chaos_storm_invariants_hold_and_replay_exactly() {
     // useful work for at least half of virtual time. (The bound is
     // deliberately loose — the storm window serves cheap fallbacks —
     // and the ratio cannot exceed 1 by construction.)
-    let goodput = run.executed_units as f64 / run.elapsed as f64;
+    let goodput = run.log.goodput();
     assert!(
         (0.5..=1.0).contains(&goodput),
         "goodput ratio {goodput} out of range (executed {} over {})",
-        run.executed_units,
-        run.elapsed
+        run.log.executed_units,
+        run.log.elapsed
     );
 
     // Answered queries are bit-identical to fault-free serial
@@ -329,7 +311,7 @@ fn small_net_and_specs() -> (RoadNetwork, Vec<QuerySpec>) {
 fn interactive_is_served_before_batch() {
     let (net, specs) = small_net_and_specs();
     let engine = Engine::new(&net, EngineConfig::default()).unwrap();
-    let clock = ManualClock::new();
+    let clock = ManualClock::default();
     let svc = QueryService::new(&engine, &clock, ServiceConfig::default());
 
     // Submit batch, interactive, batch, interactive → pops must be
@@ -363,7 +345,7 @@ fn interactive_is_served_before_batch() {
 fn queue_full_and_predicted_late_reject_with_typed_reasons() {
     let (net, specs) = small_net_and_specs();
     let engine = Engine::new(&net, EngineConfig::default()).unwrap();
-    let clock = ManualClock::new();
+    let clock = ManualClock::default();
     let config = ServiceConfig {
         queue_capacity: 3,
         default_cost: 10,
@@ -403,7 +385,7 @@ fn queue_full_and_predicted_late_reject_with_typed_reasons() {
 fn expired_queue_entries_are_shed_from_the_head() {
     let (net, specs) = small_net_and_specs();
     let engine = Engine::new(&net, EngineConfig::default()).unwrap();
-    let clock = ManualClock::new();
+    let clock = ManualClock::default();
     let svc = QueryService::new(&engine, &clock, ServiceConfig::default());
 
     let doomed = svc
@@ -438,7 +420,7 @@ fn expired_queue_entries_are_shed_from_the_head() {
 fn drain_cancel_resolves_queued_work_and_rejects_new() {
     let (net, specs) = small_net_and_specs();
     let engine = Engine::new(&net, EngineConfig::default()).unwrap();
-    let clock = ManualClock::new();
+    let clock = ManualClock::default();
     let svc = QueryService::new(&engine, &clock, ServiceConfig::default());
 
     for spec in specs.iter().take(4) {
@@ -501,6 +483,38 @@ fn threaded_serve_resolves_every_admission() {
     assert_eq!(stats.admitted, admitted);
     assert_eq!(stats.answered, admitted, "healthy store answers exactly");
     assert_eq!(stats.failed, 0);
+}
+
+/// A driver that panics mid-run: `serve` cancels the drain so its
+/// parked workers leave, and re-raises the panic instead of hanging.
+#[test]
+fn serve_reraises_a_driver_panic_instead_of_hanging() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let (net, specs) = small_net_and_specs();
+        let engine = Engine::new(&net, EngineConfig::default()).unwrap();
+        let clock = WallClock::new();
+        let svc = QueryService::new(&engine, &clock, ServiceConfig::default());
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            svc.serve(2, |svc| {
+                for spec in &specs {
+                    svc.submit(Submission::new(spec.clone())).unwrap();
+                }
+                panic!("driver failed");
+            })
+        }));
+        let message = caught
+            .err()
+            .and_then(|p| p.downcast_ref::<&str>().map(|m| m.to_string()));
+        tx.send((message, svc.stats(), specs.len() as u64)).unwrap();
+    });
+    let (message, stats, submitted) = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("serve hung after its driver panicked");
+    helper.join().expect("the helper thread caught the panic");
+    assert_eq!(message.as_deref(), Some("driver failed"));
+    assert!(stats.reconciles(), "{stats:?}");
+    assert_eq!((stats.submitted, stats.admitted), (submitted, submitted));
 }
 
 // ---------------------------------------------------------------------------
@@ -566,4 +580,77 @@ fn deadline_overshoot_is_bounded_on_heavy_compounds() {
         elapsed < deadline + std::time::Duration::from_millis(250),
         "deadline overshoot too large: {elapsed:?} vs {deadline:?} (full search {full_time:?})"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The virtual-time harness, and its recorded event-free replays
+// ---------------------------------------------------------------------------
+
+#[test]
+fn schedule_is_deterministic_and_has_the_right_mean() {
+    let a = ArrivalSchedule::open_loop(7, 4096, 50);
+    let b = ArrivalSchedule::open_loop(7, 4096, 50);
+    assert_eq!(a, b);
+    assert_ne!(a, ArrivalSchedule::open_loop(8, 4096, 50));
+    assert!(a.times().windows(2).all(|w| w[0] < w[1]));
+    let mean = *a.times().last().unwrap() as f64 / a.times().len() as f64;
+    assert!(
+        (mean - 50.0).abs() < 2.0,
+        "empirical mean gap {mean} far from 50"
+    );
+}
+
+#[test]
+fn manual_clock_is_monotone() {
+    let c = ManualClock::default();
+    c.advance(5);
+    c.set(3); // never backwards
+    assert_eq!(c.now(), 5);
+    c.set(9);
+    assert_eq!(c.now(), 9);
+}
+
+/// An event-free scenario reproduces the recorded overload runs, and
+/// the same seed the same run. Per `(seed, arrivals)`: `(admitted,
+/// rejected, answered, degraded, shed)`, the queue's high water and
+/// the goodput.
+#[test]
+fn drive_replays_the_recorded_overload_run() {
+    let recorded = [
+        (0x5EED, 100, (45, 55, 36, 0, 9), 8, "0.9884"),
+        (0x0BAD_10AD, 80, (36, 44, 28, 0, 8), 7, "0.9894"),
+    ];
+    for (seed, arrivals, counts, high_water, goodput) in recorded {
+        let run = || {
+            let (net, load, config, schedule) = recorded_setup(seed, arrivals);
+            let engine = Engine::new(&net, EngineConfig::default()).unwrap();
+            let clock = ManualClock::default();
+            let svc = QueryService::new(&engine, &clock, config);
+            let log = drive(&svc, &clock, &schedule, &mut |arrival, now| {
+                load.submission(arrival, now, 5)
+            });
+            let labels: Vec<_> = svc.take_outcomes().iter().map(label).collect();
+            (svc.stats(), labels, log)
+        };
+        let (s, labels, log) = run();
+        assert_each_arrival_resolves_once(&log, &labels, arrivals);
+        assert!(s.reconciles(), "{seed:#x}: {s:?}");
+        assert_eq!(
+            (s.admitted, s.rejected, s.answered, s.degraded, s.shed),
+            counts,
+            "{seed:#x}"
+        );
+        assert_eq!(s.queue_depth_high_water, high_water, "{seed:#x}");
+        assert_eq!(
+            (log.arrival_of.len() as u64, log.rejected.len() as u64),
+            (counts.0, counts.1),
+            "{seed:#x}"
+        );
+        assert_eq!(format!("{:.4}", log.goodput()), goodput, "{seed:#x}");
+        assert_eq!(
+            run(),
+            (s, labels, log),
+            "{seed:#x}: same seed, different run"
+        );
+    }
 }

@@ -32,13 +32,12 @@
 //! * the whole run — outcomes, stats, answers, apply reports —
 //!   replays bit-exact from the seed.
 
+mod sim;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use allfp::service::{
-    answer_sig, drive, sample_specs, AnswerSig, ArrivalSchedule, DriveScenario, ManualClock,
-    QueryService, ServiceConfig, ServiceOutcome, ServiceStats, Submission, Workload,
-};
+use allfp::service::{QueryService, ServiceConfig, ServiceOutcome, ServiceStats, Submission};
 use allfp::{
     CacheCounters, DegradedReason, Engine, EngineConfig, EpochId, EpochManager, LiveBackend,
     QueryBudget, QuerySpec,
@@ -49,14 +48,17 @@ use roadnet::generators::grid;
 use roadnet::{NodeId, RoadNetwork};
 use traffic::{DayCategory, RoadClass};
 
+use sim::{
+    answer_sig, assert_each_arrival_resolves_once, drive, label, recorded_setup, sample_specs,
+    AnswerSig, ArrivalSchedule, DriveLog, DriveScenario, ManualClock, Workload,
+};
+
 /// Everything one storm run produced, in a `PartialEq` shape so two
 /// runs can be compared wholesale.
 #[derive(Debug, PartialEq)]
 struct StormResult {
     /// `(ticket, kind[:reason])` in completion order.
     terminal: Vec<(u64, String)>,
-    /// `(submission index, rejection reason)` in submission order.
-    rejected: Vec<(usize, String)>,
     /// `(ticket, spec index, pinned epoch, bit-exact signature)` for
     /// every `Answered` outcome.
     answered: Vec<(u64, usize, u64, AnswerSig)>,
@@ -65,15 +67,13 @@ struct StormResult {
     apply_log: Vec<String>,
     stats: ServiceStats,
     cache: CacheCounters,
-    executed_units: u64,
-    elapsed: u64,
-    n_submissions: usize,
-    n_deltas: usize,
-    queue_capacity: usize,
+    /// Rejections, executed work units and final virtual time.
+    log: DriveLog,
 }
 
 const STORM_SUBMISSIONS: usize = 120;
 const STORM_DELTAS: usize = 8;
+const QUEUE_CAPACITY: usize = 12;
 
 /// What the storm run adds to the plain open-loop workload: a delta
 /// stream as timed events, a budget-fault window on submissions, and
@@ -173,16 +173,14 @@ fn run_storm_sim(seed: u64) -> StormResult {
     let load = Workload::calibrate(
         &Engine::new(&net, EngineConfig::default()).unwrap(),
         sample_specs(&net, 12, seed),
-    )
-    .unwrap();
+    );
     let mean_cost = load.mean_cost;
 
     let mgr = EpochManager::new(net, EngineConfig::default()).unwrap();
     let live = LiveBackend::new(&mgr);
-    let clock = ManualClock::new();
-    let queue_capacity = 12;
+    let clock = ManualClock::default();
     let config = ServiceConfig {
-        queue_capacity,
+        queue_capacity: QUEUE_CAPACITY,
         default_cost: mean_cost,
         ..ServiceConfig::default()
     };
@@ -219,10 +217,9 @@ fn run_storm_sim(seed: u64) -> StormResult {
 
     let stats = svc.stats();
     let specs = &load.specs;
-    let mut terminal = Vec::with_capacity(storm.outcomes.len());
+    let terminal = storm.outcomes.iter().map(label).collect();
     let mut answered = Vec::new();
     for (id, out) in &storm.outcomes {
-        terminal.push((*id, out.label()));
         if let ServiceOutcome::Answered(a) = out {
             let arrival = log.arrival_of[id];
             let (idx, epoch) = (arrival % specs.len(), storm.stamped[arrival]);
@@ -245,20 +242,11 @@ fn run_storm_sim(seed: u64) -> StormResult {
 
     StormResult {
         terminal,
-        rejected: log
-            .rejected
-            .iter()
-            .map(|(arrival, o)| (*arrival, format!("{:?}", o.reason)))
-            .collect(),
         answered,
         apply_log: storm.apply_log,
         stats,
         cache: mgr.cache().counters(),
-        executed_units: log.executed_units,
-        elapsed: log.elapsed,
-        n_submissions: STORM_SUBMISSIONS,
-        n_deltas: STORM_DELTAS,
-        queue_capacity,
+        log,
     }
 }
 
@@ -270,15 +258,7 @@ fn update_storm_invariants_hold_and_replay_exactly() {
     let run = run_storm_sim(42);
 
     // Every submission got exactly one terminal outcome.
-    assert_eq!(
-        run.rejected.len() + run.terminal.len(),
-        run.n_submissions,
-        "submissions leaked or double-resolved"
-    );
-    let mut ids: Vec<u64> = run.terminal.iter().map(|(id, _)| *id).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(ids.len(), run.terminal.len(), "a ticket resolved twice");
+    assert_each_arrival_resolves_once(&run.log, &run.terminal, STORM_SUBMISSIONS);
 
     // Counters reconcile exactly — including the live-update
     // identities now part of `ServiceStats::reconciles`.
@@ -287,14 +267,14 @@ fn update_storm_invariants_hold_and_replay_exactly() {
     assert_eq!(s.failed, 0, "no outcome may be a hard failure: {s:?}");
     assert_eq!(s.admitted, s.answered + s.degraded + s.cancelled);
     assert_eq!(s.submitted, s.admitted + s.rejected);
-    assert_eq!(s.submitted, run.n_submissions as u64);
+    assert_eq!(s.submitted, STORM_SUBMISSIONS as u64);
 
     // The delta stream actually ran, every update published an epoch,
     // and — after the drain dropped the last pins — every superseded
     // epoch was retired. Nothing lingers.
-    assert_eq!(s.updates_applied, run.n_deltas as u64);
-    assert_eq!(s.epochs_published, run.n_deltas as u64 + 1);
-    assert_eq!(s.epochs_retired, run.n_deltas as u64, "{s:?}");
+    assert_eq!(s.updates_applied, STORM_DELTAS as u64);
+    assert_eq!(s.epochs_published, STORM_DELTAS as u64 + 1);
+    assert_eq!(s.epochs_retired, STORM_DELTAS as u64, "{s:?}");
     assert_eq!(s.epoch_retire_lag, 0, "epochs still pinned after drain");
 
     // The shared cache's books balance: what was inserted and not yet
@@ -310,10 +290,9 @@ fn update_storm_invariants_hold_and_replay_exactly() {
     // Overload bit (typed rejections, deadline sheds) and the fault
     // window bit (budget-tripped degradations) both fired.
     assert!(
-        s.queue_depth_high_water <= run.queue_capacity,
-        "queue depth {} exceeded bound {}",
+        s.queue_depth_high_water <= QUEUE_CAPACITY,
+        "queue depth {} exceeded bound {QUEUE_CAPACITY}",
         s.queue_depth_high_water,
-        run.queue_capacity
     );
     assert!(s.rejected > 0, "2× overload never rejected anything");
     assert!(s.shed > 0, "no queued entry ever exceeded its deadline");
@@ -336,12 +315,12 @@ fn update_storm_invariants_hold_and_replay_exactly() {
 
     // Goodput under the storm: useful work for at least half of
     // virtual time (the ISSUE's ≥ 0.5 gate).
-    let goodput = run.executed_units as f64 / run.elapsed as f64;
+    let goodput = run.log.goodput();
     assert!(
         (0.5..=1.0).contains(&goodput),
         "goodput ratio {goodput} out of range (executed {} over {})",
-        run.executed_units,
-        run.elapsed
+        run.log.executed_units,
+        run.log.elapsed
     );
 
     // Full-run determinism: same seed ⇒ same outcomes, same stats,
@@ -370,7 +349,7 @@ fn query_admitted_before_swap_answers_from_its_pinned_epoch() {
     let net = grid(6, 6, 0.3, RoadClass::LocalBoston).unwrap();
     let mgr = EpochManager::new(net, EngineConfig::default()).unwrap();
     let live = LiveBackend::new(&mgr);
-    let clock = ManualClock::new();
+    let clock = ManualClock::default();
     let svc = QueryService::new(&live, &clock, ServiceConfig::default()).with_epochs(&mgr);
 
     let spec = QuerySpec::new(
@@ -429,7 +408,7 @@ fn stale_pre_stamped_submission_fails_typed() {
     let net = grid(5, 5, 0.3, RoadClass::LocalOutside).unwrap();
     let mgr = EpochManager::new(net, EngineConfig::default()).unwrap();
     let live = LiveBackend::new(&mgr);
-    let clock = ManualClock::new();
+    let clock = ManualClock::default();
     let svc = QueryService::new(&live, &clock, ServiceConfig::default()).with_epochs(&mgr);
 
     let stale = mgr.current_id();
@@ -460,4 +439,84 @@ fn stale_pre_stamped_submission_fails_typed() {
     let s = svc.stats();
     assert!(s.reconciles(), "{s:?}");
     assert_eq!(s.failed, 1);
+}
+
+// ---------------------------------------------------------------------------
+// The recorded delta-stream replays
+// ---------------------------------------------------------------------------
+
+/// `deltas` seeded deltas as timed events, spread evenly over the
+/// arrival window.
+struct DeltaStream<'a> {
+    seed: u64,
+    load: &'a Workload,
+    mgr: &'a EpochManager,
+    times: Vec<u64>,
+    applied: usize,
+}
+
+impl<'b> DriveScenario<LiveBackend<'b>> for DeltaStream<'_> {
+    fn submission(&mut self, arrival: usize, now: u64) -> Submission {
+        self.load.submission(arrival, now, 5)
+    }
+
+    fn next_event(&self) -> Option<u64> {
+        self.times.get(self.applied).copied()
+    }
+
+    fn fire_event(&mut self, now: u64, _svc: &QueryService<'_, LiveBackend<'b>>) {
+        assert!(self.times[self.applied] <= now, "event fired early");
+        let k = self.applied as u64;
+        let net = Arc::clone(self.mgr.current().network());
+        let delta = net.seeded_delta(self.seed ^ k, 4, k + 1).unwrap();
+        self.mgr.apply_delta(&delta).unwrap();
+        self.applied += 1;
+    }
+}
+
+/// A delta stream reproduces the recorded live-update runs, and the
+/// same seed the same run. Per `(seed, arrivals, deltas)`:
+/// `(submitted, updates_applied, epochs_published)`, `(epochs_retired,
+/// epoch_retire_lag)` and the goodput.
+#[test]
+fn drive_replays_the_recorded_update_storm() {
+    let recorded = [
+        (0x5EED, 100, 8, (100, 8, 9), (8, 0), "0.9877"),
+        (0x11FE, 80, 6, (80, 6, 7), (6, 0), "0.9895"),
+    ];
+    for (seed, arrivals, deltas, published, retired, goodput) in recorded {
+        let run = || {
+            let (net, load, config, schedule) = recorded_setup(seed, arrivals);
+            let mgr = EpochManager::new(net, EngineConfig::default()).unwrap();
+            let live = LiveBackend::new(&mgr);
+            let clock = ManualClock::default();
+            let svc = QueryService::new(&live, &clock, config).with_epochs(&mgr);
+            let horizon = *schedule.times().last().unwrap();
+            let mut stream = DeltaStream {
+                seed,
+                load: &load,
+                mgr: &mgr,
+                times: (1..=deltas).map(|k| k * horizon / (deltas + 1)).collect(),
+                applied: 0,
+            };
+            let log = drive(&svc, &clock, &schedule, &mut stream);
+            let labels: Vec<_> = svc.take_outcomes().iter().map(label).collect();
+            (svc.stats(), labels, log)
+        };
+        let (s, labels, log) = run();
+        assert_each_arrival_resolves_once(&log, &labels, arrivals);
+        assert!(s.reconciles(), "{seed:#x}: {s:?}");
+        assert_eq!(
+            (s.submitted, s.updates_applied, s.epochs_published),
+            published,
+            "{seed:#x}"
+        );
+        assert_eq!((s.epochs_retired, s.epoch_retire_lag), retired, "{seed:#x}");
+        assert_eq!(format!("{:.4}", log.goodput()), goodput, "{seed:#x}");
+        assert_eq!(
+            run(),
+            (s, labels, log),
+            "{seed:#x}: same seed, different run"
+        );
+    }
 }

@@ -12,9 +12,10 @@ echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Written once: the virtual-time service loop, its workload sampler and
-# answer signature each have one definition, and only that loop
-# (`service::drive`) advances a clock by a step's cost. The line count
-# is the number CHANGES.md entries quote.
+# answer signature each have one definition, and only that loop (`drive`
+# in the chaos suites' shared harness, `crates/core/tests/sim/mod.rs`)
+# advances a clock by a step's cost. The line count is the number
+# CHANGES.md entries quote.
 echo "==> written-once guard"
 for name in "fn sample_specs" "fn answer_sig"; do
     if [ "$(grep -rn "$name" crates | wc -l)" -gt 1 ]; then
@@ -24,8 +25,18 @@ for name in "fn sample_specs" "fn answer_sig"; do
     fi
 done
 if grep -rln "clock.advance(rep.cost)" crates |
-    grep -v -e '^crates/core/src/service.rs$'; then
-    echo "a virtual-time loop outside service::drive" >&2
+    grep -v -e '^crates/core/tests/sim/mod.rs$'; then
+    echo "a virtual-time loop outside the harness's drive" >&2
+    exit 1
+fi
+# One overload harness, in the tests: the virtual-time driver, its
+# arrival schedule, scenario trait and manual clock are test support,
+# not product API, and the bench twins that replayed them (with the
+# `experiments` subcommands and flag only they read) stay deleted.
+if grep -rnE "pub fn drive|ArrivalSchedule|DriveScenario|ManualClock" crates/core/src ||
+    grep -nE "mod overload|mod live_update" crates/bench/src/lib.rs ||
+    grep -nE -- "update-storm|--deltas" crates/bench/src/bin/experiments.rs; then
+    echo "the virtual-time harness is product API again (or a bench twin is back)" >&2
     exit 1
 fi
 # One compound kernel: the throwaway-scratch wrapper stays deleted, and
@@ -148,9 +159,9 @@ if grep -rnE "WorkerPool|map_indexed|mod pool|thread::" crates/hierarchy/src ||
     echo "the hierarchy's worker pool (or experiments --threads) is back" >&2
     exit 1
 fi
-# One serving tier: `QueryService` and `service::drive`. The simulated
-# cluster, its crate entries, and the breaker jitter and partition
-# assignment only it used stay deleted.
+# One serving tier: `QueryService`. The simulated cluster, its crate
+# entries, and the breaker jitter and partition assignment only it used
+# stay deleted.
 if [ -e crates/cluster ] ||
     grep -rn --include=Cargo.toml --include=Cargo.lock --exclude-dir=target \
         --exclude-dir=.bench_build "fp-cluster" . ||

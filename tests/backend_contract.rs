@@ -3,9 +3,13 @@
 //! contraction hierarchy. Each implements one search method; the four
 //! query surfaces are provided by the trait, so
 //! what is checked here is that they agree with each other on every
-//! backend, that every backend agrees with the flat reference, and that
-//! each failure is the same [`AllFpError`] on every surface.
+//! backend, that every backend agrees with the flat reference, that
+//! each failure is the same [`AllFpError`] on every surface, and that
+//! the query service serves every backend alike.
 
+use fastest_paths::allfp::service::{
+    OverloadReason, QueryService, ServiceConfig, ServiceOutcome, Submission, TicketId, WallClock,
+};
 use fastest_paths::allfp::{
     run_batch, AllFpAnswer, AllFpError, CancelToken, EpochId, EpochManager, LiveBackend,
     QueryBudget, QueryMode, QueryOutcome,
@@ -162,6 +166,55 @@ fn check_contract(
 
     let is_unreachable = |e: &AllFpError| matches!(e, AllFpError::Unreachable { .. });
     fails_alike(backend, unreachable, None, is_unreachable);
+
+    let served = serve_all(backend, queries, reference);
+    assert_eq!(
+        served,
+        serve_all(backend, queries, reference),
+        "{name}: a second service run resolved differently"
+    );
+}
+
+/// Serve `queries` through a [`QueryService`] whose queue holds exactly
+/// them: one more submission is refused with `QueueFull`, and stepped
+/// dry the service answers every query bit-equal to `reference`.
+/// Returns the terminal outcomes in completion order.
+fn serve_all(
+    backend: &(dyn PathfindBackend + Sync),
+    queries: &[QuerySpec],
+    reference: &[Bits],
+) -> Vec<(TicketId, Bits)> {
+    let name = backend.backend_name();
+    let clock = WallClock::new();
+    let config = ServiceConfig {
+        queue_capacity: queries.len(),
+        ..ServiceConfig::default()
+    };
+    let svc = QueryService::new(backend, &clock, config);
+    let tickets: Vec<TicketId> = queries
+        .iter()
+        .map(|q| svc.submit(Submission::new(q.clone())).expect("admitted"))
+        .collect();
+    let refused = svc
+        .submit(Submission::new(queries[0].clone()))
+        .expect_err("a full queue admitted one more");
+    assert_eq!(refused.reason, OverloadReason::QueueFull, "{name}");
+    while svc.step().is_some() {}
+
+    let stats = svc.stats();
+    assert!(stats.reconciles(), "{name}: {stats:?}");
+    assert_eq!(stats.queue_depth_high_water, queries.len(), "{name}");
+    svc.take_outcomes()
+        .into_iter()
+        .map(|(id, outcome)| {
+            let i = tickets.iter().position(|&t| t == id).expect("issued");
+            let ServiceOutcome::Answered(a) = outcome else {
+                panic!("{name}: the service resolved query {i} to {outcome:?}");
+            };
+            assert_eq!(bits(&a), reference[i], "{name}: service vs the flat engine");
+            (id, bits(&a))
+        })
+        .collect()
 }
 
 /// A query pinned to a retired epoch fails on every surface instead of
