@@ -60,9 +60,9 @@
 //! admission queue for long-running deployments: deadline-aware load
 //! shedding with a typed [`service::Overloaded`] rejection, two
 //! priority classes, a storage circuit breaker that routes queries to
-//! a constant-speed fallback while the CCAM layer is unhealthy,
-//! graceful drain, and a [`service::ServiceStats`] roll-up whose
-//! counters reconcile exactly. See `DESIGN.md` §11.
+//! a constant-speed fallback while the CCAM layer is unhealthy, and a
+//! [`service::ServiceStats`] roll-up whose counters reconcile exactly.
+//! See `DESIGN.md` §11.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::redundant_clone)]

@@ -7,12 +7,12 @@
 //!
 //! * **Admission control & load shedding** — [`QueryService::submit`]
 //!   rejects immediately with a typed [`Overloaded`] error when the
-//!   queue is full, when the service is draining, or when the
-//!   estimated queueing delay already exceeds the submission's
-//!   deadline (open-loop clients learn about overload *now*, not
-//!   after their deadline has silently passed). Entries whose deadline
-//!   expired while queued are shed from the queue head before they
-//!   waste a worker ([`CancelReason::ShedExpired`]).
+//!   queue is full or when the estimated queueing delay already
+//!   exceeds the submission's deadline (open-loop clients learn about
+//!   overload *now*, not after their deadline has silently passed).
+//!   Entries whose deadline expired while queued are shed from the
+//!   queue head before they waste a step
+//!   ([`CancelReason::ShedExpired`]).
 //! * **Priority classes** — [`Priority::Interactive`] submissions are
 //!   always served before [`Priority::Batch`] ones; both share the
 //!   same capacity bound so batch traffic cannot starve the queue.
@@ -23,12 +23,6 @@
 //!   ([`DegradedReason::StorageUnavailable`]). After a cooldown the
 //!   breaker admits a single half-open probe; enough consecutive
 //!   probe successes close it again.
-//! * **Graceful drain** — [`QueryService::begin_drain`] stops
-//!   admission ([`OverloadReason::Draining`]) and either finishes the
-//!   queue ([`DrainMode::Finish`]) or cancels it
-//!   ([`DrainMode::Cancel`]: queued work resolves to
-//!   [`CancelReason::Drained`], in-flight work is cancelled
-//!   cooperatively through the service [`CancelToken`]).
 //! * **Observability** — every decision lands in [`ServiceStats`],
 //!   whose counters reconcile exactly:
 //!   `submitted = admitted + rejected` and
@@ -39,7 +33,8 @@
 //! All time-dependent decisions (deadlines, estimated waits, breaker
 //! cooldowns) read a [`ServiceClock`], not the wall clock. Production
 //! deployments use [`WallClock`]. [`QueryService::step`] serves one
-//! query on the caller's thread and reports its measured *work units*
+//! query on the caller's thread (any number of threads may step one
+//! service at once) and reports its measured *work units*
 //! (`QueryStats::expanded_paths`), so a caller that owns the clock and
 //! advances it by those units replays an entire overload scenario —
 //! arrivals, sheds, breaker trips, recoveries — bit-identically from a
@@ -48,7 +43,7 @@
 //! for the invariants this enables.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::backend::PathfindBackend;
@@ -56,13 +51,13 @@ use crate::cache::CacheSession;
 use crate::engine::Engine;
 use crate::epoch::{Epoch, EpochManager};
 use crate::query::{
-    CancelToken, DegradedAnswer, DegradedReason, QueryBudget, QueryOutcome, QuerySpec, QueryStats,
+    DegradedAnswer, DegradedReason, QueryBudget, QueryOutcome, QuerySpec, QueryStats,
 };
 use crate::{AllFpAnswer, AllFpError};
 
 /// Lock with poison recovery: the service state is valid after any
-/// interrupted mutation (a lost notification at worst), so one
-/// panicked worker must not wedge the whole service.
+/// interrupted mutation, so one caller that panicked mid-step must not
+/// wedge the whole service.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -74,11 +69,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The service's notion of time, in abstract monotone units.
 ///
 /// Everything the service decides on time — queue-wait estimates,
-/// deadline sheds, breaker cooldowns, latency histograms — goes
-/// through this trait, which is what makes the overload-chaos harness
-/// deterministic: swap the wall clock for a manually advanced one
-/// driven by measured work units and the whole service replays from a
-/// seed.
+/// deadline sheds, breaker cooldowns — goes through this trait, which
+/// is what makes the overload-chaos harness deterministic: swap the
+/// wall clock for a manually advanced one driven by measured work
+/// units and the whole service replays from a seed.
 pub trait ServiceClock: Send + Sync {
     /// Current time. Must be monotone non-decreasing.
     fn now(&self) -> u64;
@@ -195,8 +189,6 @@ pub enum OverloadReason {
     /// The estimated queueing delay already exceeded the submission's
     /// deadline — executing it would only produce a late answer.
     PredictedLate,
-    /// The service is draining and admits nothing new.
-    Draining,
 }
 
 /// Typed admission rejection: the *immediate* terminal outcome of a
@@ -227,14 +219,8 @@ impl std::error::Error for Overloaded {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelReason {
     /// Its deadline expired while it sat in the queue and it was shed
-    /// from the head instead of wasting a worker on a late answer.
+    /// from the head instead of wasting a step on a late answer.
     ShedExpired,
-    /// It was still queued when [`DrainMode::Cancel`] drained the
-    /// queue.
-    Drained,
-    /// It was in flight when the service [`CancelToken`] fired and the
-    /// engine stopped it cooperatively.
-    TokenCancelled,
 }
 
 /// The terminal outcome of one admitted submission. Every admitted
@@ -251,7 +237,7 @@ pub enum ServiceOutcome {
     Degraded(Box<DegradedAnswer>),
     /// The query failed with a non-degradable error.
     Failed(AllFpError),
-    /// The submission was cancelled before or during execution.
+    /// The submission was cancelled before execution.
     Cancelled(CancelReason),
 }
 
@@ -368,7 +354,7 @@ impl CircuitBreaker {
     fn on_primary(&mut self, now: u64, storage_fault: bool, cfg: &BreakerConfig) {
         if self.state != BreakerState::Closed {
             // A stale completion from before a trip (possible with
-            // concurrent workers): the window restarted, ignore it.
+            // concurrent steps): the window restarted, ignore it.
             return;
         }
         self.window.push_back(storage_fault);
@@ -411,62 +397,6 @@ impl CircuitBreaker {
 // Stats
 // ---------------------------------------------------------------------------
 
-/// Power-of-two latency histogram: bucket 0 counts latency 0, bucket
-/// `i ≥ 1` counts latencies in `[2^(i-1), 2^i)` clock units.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    buckets: [u64; 48],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: [0; 48],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Record one latency observation.
-    pub fn record(&mut self, latency: u64) {
-        let idx = (64 - latency.leading_zeros() as usize).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += latency;
-        self.max = self.max.max(latency);
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The raw buckets (see the type-level doc for boundaries).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-}
-
 /// Roll-up of every decision the service made. Counters reconcile
 /// exactly (see [`ServiceStats::reconciles`]); the chaos harness
 /// asserts this after every scenario.
@@ -488,8 +418,7 @@ pub struct ServiceStats {
     pub breaker_fallbacks: u64,
     /// Admitted queries that failed with a non-degradable error.
     pub failed: u64,
-    /// Admitted queries cancelled before or during execution (sheds,
-    /// drains, token cancellations).
+    /// Admitted queries cancelled before execution (deadline sheds).
     pub cancelled: u64,
     /// Subset of `cancelled` shed from the queue head past deadline.
     pub shed: u64,
@@ -499,11 +428,6 @@ pub struct ServiceStats {
     pub breaker_state: BreakerState,
     /// `(clock, new_state)` for every breaker transition, in order.
     pub breaker_transitions: Vec<(u64, BreakerState)>,
-    /// Completion latency (submission → terminal outcome, clock
-    /// units) per class, indexed by [`Priority::Interactive`] = 0,
-    /// [`Priority::Batch`] = 1. Records answered and degraded
-    /// completions only.
-    pub latency: [LatencyHistogram; 2],
     /// Network epochs ever published by the attached
     /// [`EpochManager`] (0 when the service runs without live
     /// updates; includes the seed epoch).
@@ -521,7 +445,8 @@ impl ServiceStats {
     /// The exact accounting identities every snapshot satisfies:
     /// `submitted = admitted + rejected`,
     /// `admitted = answered + degraded + failed + cancelled`,
-    /// `shed ⊆ cancelled`, and — when an [`EpochManager`] is attached —
+    /// `shed ⊆ cancelled`, `breaker_fallbacks ⊆ degraded`, and — when
+    /// an [`EpochManager`] is attached —
     /// `epochs_published = updates_applied + 1` with
     /// `epochs_retired + epoch_retire_lag = updates_applied` (every
     /// superseded epoch is either retired or still pinned).
@@ -535,6 +460,7 @@ impl ServiceStats {
         self.submitted == self.admitted + self.rejected
             && self.admitted == self.answered + self.degraded + self.failed + self.cancelled
             && self.shed <= self.cancelled
+            && self.breaker_fallbacks <= self.degraded
             && epochs_ok
     }
 }
@@ -567,17 +493,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// How [`QueryService::begin_drain`] treats outstanding work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrainMode {
-    /// Stop admitting; queued and in-flight work runs to completion.
-    Finish,
-    /// Stop admitting; queued work resolves to
-    /// [`CancelReason::Drained`] immediately and in-flight work is
-    /// cancelled through the service [`CancelToken`].
-    Cancel,
-}
-
 // ---------------------------------------------------------------------------
 // The service
 // ---------------------------------------------------------------------------
@@ -587,10 +502,8 @@ pub enum DrainMode {
 struct Ticket {
     id: TicketId,
     spec: QuerySpec,
-    class: Priority,
     deadline: Option<u64>,
     cost: u64,
-    submitted_at: u64,
     /// Strong pin on the admission-time epoch, never read (the engine
     /// re-resolves it through the manager by id): it keeps the epoch
     /// from retiring until this ticket reaches its terminal outcome,
@@ -626,8 +539,6 @@ struct ServiceState {
     queues: [VecDeque<Ticket>; 2],
     /// Sum of queued cost hints (work units), for wait estimation.
     queued_cost: u64,
-    in_flight: usize,
-    draining: Option<DrainMode>,
     next_id: TicketId,
     /// EWMA of observed clock-units-per-work-unit.
     ewma_units_per_cost: f64,
@@ -664,12 +575,7 @@ pub struct QueryService<'e, B: PathfindBackend + ?Sized> {
     epochs: Option<&'e EpochManager>,
     clock: &'e dyn ServiceClock,
     config: ServiceConfig,
-    /// Service-wide cancellation, fired by [`DrainMode::Cancel`] and
-    /// polled cooperatively by every in-flight search.
-    cancel: CancelToken,
     state: Mutex<ServiceState>,
-    /// Signalled on submission and drain; workers park here.
-    work: Condvar,
 }
 
 impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
@@ -685,19 +591,15 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
             epochs: None,
             clock,
             config,
-            cancel: CancelToken::new(),
             state: Mutex::new(ServiceState {
                 queues: [VecDeque::new(), VecDeque::new()],
                 queued_cost: 0,
-                in_flight: 0,
-                draining: None,
                 next_id: 0,
                 ewma_units_per_cost: 1.0,
                 breaker: CircuitBreaker::default(),
                 stats: ServiceStats::default(),
                 outcomes: Vec::new(),
             }),
-            work: Condvar::new(),
         }
     }
 
@@ -718,21 +620,6 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
         self
     }
 
-    /// The service-wide cancel token (fired by [`DrainMode::Cancel`]).
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
-    /// Current queued depth (both classes; excludes in-flight work).
-    pub fn queue_depth(&self) -> usize {
-        lock(&self.state).depth()
-    }
-
-    /// Has a drain begun?
-    pub fn is_draining(&self) -> bool {
-        lock(&self.state).draining.is_some()
-    }
-
     /// Offer one submission. `Ok(id)` means the submission was
     /// admitted and will resolve to exactly one [`ServiceOutcome`];
     /// `Err(Overloaded)` is itself the (immediate) terminal outcome.
@@ -740,14 +627,6 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
         let now = self.clock.now();
         let mut st = lock(&self.state);
         st.stats.submitted += 1;
-        if st.draining.is_some() {
-            st.stats.rejected += 1;
-            return Err(Overloaded {
-                reason: OverloadReason::Draining,
-                queue_depth: st.depth(),
-                estimated_wait: st.estimated_wait(),
-            });
-        }
         Self::shed_expired_locked(&mut st, now);
         if st.depth() >= self.config.queue_capacity {
             st.stats.rejected += 1;
@@ -789,22 +668,18 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
         st.queues[sub.class.index()].push_back(Ticket {
             id,
             spec,
-            class: sub.class,
             deadline: sub.deadline,
             cost,
-            submitted_at: now,
             _pin: pin,
         });
         let depth = st.depth();
         st.stats.queue_depth_high_water = st.stats.queue_depth_high_water.max(depth);
-        drop(st);
-        self.work.notify_one();
         Ok(id)
     }
 
     /// Shed queue-head entries whose deadline has passed. Head-only by
-    /// design: expiry is checked exactly where a worker would pick
-    /// work up, so shed decisions depend only on (queue order, clock),
+    /// design: expiry is checked exactly where a step picks work up,
+    /// so shed decisions depend only on (queue order, clock),
     /// never on scan timing.
     fn shed_expired_locked(st: &mut ServiceState, now: u64) {
         for class in 0..2 {
@@ -835,7 +710,6 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
             None => st.queues[1].pop_front()?,
         };
         st.queued_cost = st.queued_cost.saturating_sub(ticket.cost);
-        st.in_flight += 1;
         let route = st.breaker.route(now, &self.config.breaker);
         Some(Job {
             ticket,
@@ -880,10 +754,7 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
         let primary_used = job.route != Route::Fallback;
         // (outcome, measured cost, storage fault, answered by fallback)
         let (outcome, cost, storage_fault, via_fallback) = if primary_used {
-            match self
-                .primary
-                .robust_with_session(spec, session, Some(&self.cancel))
-            {
+            match self.primary.robust_with_session(spec, session, None) {
                 Ok(QueryOutcome::Exact(a)) => {
                     let cost = cost_of(&a.stats);
                     (ServiceOutcome::Answered(Box::new(a)), cost, false, false)
@@ -898,10 +769,6 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
                     // caller an answer from the fallback.
                     let (outcome, cost) = self.serve_fallback(spec);
                     (outcome, cost, true, true)
-                }
-                Err(AllFpError::Cancelled) => {
-                    let outcome = ServiceOutcome::Cancelled(CancelReason::TokenCancelled);
-                    (outcome, 1, false, false)
                 }
                 Err(e) => (ServiceOutcome::Failed(e), 1, false, false),
             }
@@ -923,7 +790,6 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
     fn complete(&self, job: Job, ex: Executed) {
         let now = self.clock.now();
         let mut st = lock(&self.state);
-        st.in_flight -= 1;
         if ex.primary_used {
             if ex.probe {
                 st.breaker
@@ -943,13 +809,6 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
             }
             ServiceOutcome::Failed(_) => st.stats.failed += 1,
             ServiceOutcome::Cancelled(_) => st.stats.cancelled += 1,
-        }
-        if matches!(
-            ex.outcome,
-            ServiceOutcome::Answered(_) | ServiceOutcome::Degraded(_)
-        ) {
-            st.stats.latency[job.ticket.class.index()]
-                .record(now.saturating_sub(job.ticket.submitted_at));
         }
         // Refine the wait estimator from observed service time. With
         // a manual clock driven by the step() harness, execution takes
@@ -990,33 +849,8 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
         Some(report)
     }
 
-    /// Stop admitting new work. [`DrainMode::Cancel`] additionally
-    /// resolves all queued tickets to [`CancelReason::Drained`] and
-    /// fires the service [`CancelToken`] so in-flight queries stop at
-    /// their next cooperative poll.
-    pub fn begin_drain(&self, mode: DrainMode) {
-        let mut st = lock(&self.state);
-        // Finish never downgrades an in-progress Cancel drain.
-        if st.draining != Some(DrainMode::Cancel) {
-            st.draining = Some(mode);
-        }
-        if mode == DrainMode::Cancel {
-            for class in 0..2 {
-                while let Some(t) = st.queues[class].pop_front() {
-                    st.queued_cost = st.queued_cost.saturating_sub(t.cost);
-                    st.stats.cancelled += 1;
-                    st.outcomes
-                        .push((t.id, ServiceOutcome::Cancelled(CancelReason::Drained)));
-                }
-            }
-            self.cancel.cancel();
-        }
-        drop(st);
-        self.work.notify_all();
-    }
-
-    /// Snapshot the roll-up (counters, breaker log, histograms,
-    /// live-update counters when an [`EpochManager`] is attached).
+    /// Snapshot the roll-up (counters, breaker log, live-update
+    /// counters when an [`EpochManager`] is attached).
     pub fn stats(&self) -> ServiceStats {
         // Read the epoch counters before taking the service lock (the
         // manager sweep takes its own lock; never nest the two).
@@ -1037,71 +871,6 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
     /// Drain the recorded terminal outcomes (in completion order).
     pub fn take_outcomes(&self) -> Vec<(TicketId, ServiceOutcome)> {
         std::mem::take(&mut lock(&self.state).outcomes)
-    }
-
-    /// Run the service on `workers` dedicated threads while `driver`
-    /// (the caller's submission loop) runs on the current thread.
-    /// When the driver returns, a [`DrainMode::Finish`] drain begins
-    /// automatically (unless the driver already started one) and the
-    /// call blocks until every admitted submission has resolved. When
-    /// the driver panics, a [`DrainMode::Cancel`] drain releases the
-    /// workers and the panic reaches the caller.
-    pub fn serve<R>(&self, workers: usize, driver: impl FnOnce(&Self) -> R) -> R
-    where
-        B: Sync,
-    {
-        std::thread::scope(|scope| {
-            for _ in 0..workers.max(1) {
-                scope.spawn(|| self.worker_loop());
-            }
-            let _cancel_on_unwind = CancelOnUnwind(self);
-            let out = driver(self);
-            if !self.is_draining() {
-                self.begin_drain(DrainMode::Finish);
-            }
-            out
-        })
-    }
-
-    /// One worker: pop → execute → complete until drained.
-    fn worker_loop(&self) {
-        let mut session = self.primary.cache_session();
-        loop {
-            let job = {
-                let mut st = lock(&self.state);
-                loop {
-                    let now = self.clock.now();
-                    Self::shed_expired_locked(&mut st, now);
-                    if let Some(job) = self.pop_locked(&mut st, now) {
-                        break Some(job);
-                    }
-                    if st.draining.is_some() {
-                        break None;
-                    }
-                    st = self
-                        .work
-                        .wait(st)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            };
-            let Some(job) = job else { return };
-            let ex = self.execute(&job, &mut session);
-            self.complete(job, ex);
-        }
-    }
-}
-
-/// Held by [`QueryService::serve`] across its driver: dropped during an
-/// unwind, it begins a [`DrainMode::Cancel`] drain, without which the
-/// parked workers would never leave and the scope would never re-raise
-/// the driver's panic.
-struct CancelOnUnwind<'s, 'e, B: PathfindBackend + ?Sized>(&'s QueryService<'e, B>);
-
-impl<B: PathfindBackend + ?Sized> Drop for CancelOnUnwind<'_, '_, B> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.begin_drain(DrainMode::Cancel);
-        }
     }
 }
 
@@ -1238,19 +1007,24 @@ mod tests {
         }
     }
 
+    /// `breaker_fallbacks` counts a subset of `degraded`: a roll-up
+    /// with more fallbacks than degraded answers does not reconcile,
+    /// though every other identity holds.
     #[test]
-    fn histogram_buckets_and_moments() {
-        let mut h = LatencyHistogram::default();
-        for v in [0u64, 1, 1, 2, 3, 4, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.max(), 1000);
-        assert!((h.mean() - 1011.0 / 7.0).abs() < 1e-9);
-        assert_eq!(h.buckets()[0], 1); // {0}
-        assert_eq!(h.buckets()[1], 2); // [1,2)
-        assert_eq!(h.buckets()[2], 2); // [2,4)
-        assert_eq!(h.buckets()[3], 1); // [4,8)
-        assert_eq!(h.buckets()[10], 1); // [512,1024)
+    fn more_breaker_fallbacks_than_degraded_does_not_reconcile() {
+        let stats = ServiceStats {
+            submitted: 3,
+            admitted: 3,
+            answered: 2,
+            degraded: 1,
+            breaker_fallbacks: 1,
+            ..ServiceStats::default()
+        };
+        assert!(stats.reconciles());
+        let stats = ServiceStats {
+            breaker_fallbacks: 2,
+            ..stats
+        };
+        assert!(!stats.reconciles(), "{stats:?}");
     }
 }

@@ -14,8 +14,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use allfp::service::{
-    DrainMode, Overloaded, Priority, QueryService, ServiceClock, ServiceConfig, ServiceOutcome,
-    Submission, TicketId,
+    Overloaded, Priority, QueryService, ServiceClock, ServiceConfig, ServiceOutcome, Submission,
+    TicketId,
 };
 use allfp::{AllFpAnswer, Engine, EngineConfig, PathfindBackend, QuerySpec};
 use roadnet::RoadNetwork;
@@ -300,10 +300,10 @@ pub fn assert_each_arrival_resolves_once(
 /// calling thread: fire every due event, offer every due arrival,
 /// otherwise [`QueryService::step`] and advance `clock` by the step's
 /// measured cost; when idle, jump to whichever of the next arrival and
-/// the next event is due first; when both are exhausted, begin a
-/// [`DrainMode::Finish`] drain and step the queue dry. Time is thereby
-/// a pure function of the work done, and the whole run a pure function
-/// of the seed that built `schedule` and `scenario`.
+/// the next event is due first; when both are exhausted and the queue
+/// is dry, stop. Time is thereby a pure function of the work done, and
+/// the whole run a pure function of the seed that built `schedule` and
+/// `scenario`.
 pub fn drive<B: PathfindBackend + ?Sized>(
     svc: &QueryService<'_, B>,
     clock: &ManualClock,
@@ -337,12 +337,9 @@ pub fn drive<B: PathfindBackend + ?Sized>(
         {
             // Idle: jump to whatever happens next.
             clock.set(wake);
-        } else if svc.is_draining() {
-            break;
         } else {
-            // Nothing left to happen: stop admitting, step the queue
-            // dry (the branch above), then leave.
-            svc.begin_drain(DrainMode::Finish);
+            // Nothing queued and nothing left to arrive.
+            break;
         }
     }
     log.elapsed = clock.now();

@@ -47,25 +47,22 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod overlay;
+#[cfg(test)]
+mod overlay_digest;
 mod search;
 
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use allfp::{
-    AllFpError, Answer, CacheCounters, CacheSession, CancelToken, Engine, EngineConfig,
-    PathfindBackend, QueryMode, QuerySpec, Result, SearchRun,
+    Answer, CacheCounters, CacheSession, CancelToken, Engine, EngineConfig, PathfindBackend,
+    QueryMode, QuerySpec, Result, SearchRun,
 };
 use pwl::time::MINUTES_PER_DAY;
-use pwl::{Interval, PwlScratch};
-use roadnet::overlay::{HierarchySnapshot, OverlaySnapshot, SnapshotArc};
-use roadnet::{NetworkSource, NodeId};
+use roadnet::NetworkSource;
 use traffic::DayCategory;
 
-use crate::overlay::{
-    build_overlay, finish_overlay, make_arc, recompose, Contraction, Overlay, OverlayArc,
-    ARC_BUDGET,
-};
+use crate::overlay::{build_overlay, Overlay, ARC_BUDGET};
 
 /// Preprocessing configuration.
 #[derive(Debug, Clone)]
@@ -108,10 +105,10 @@ pub struct BuildReport {
     /// per function (its last breakpoint), as every function is stored
     /// at exact size.
     pub bytes_estimate: u64,
-    /// Contraction rounds, summed over categories (0 for restores).
+    /// Contraction rounds, summed over categories.
     pub rounds: u32,
     /// Nodes settled by contraction's witness searches, summed over
-    /// categories (0 for restores) — exact.
+    /// categories — exact.
     pub witness_settles: u64,
     /// Remainder-graph entries those searches read, likewise.
     pub witness_scans: u64,
@@ -153,11 +150,6 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
         for &cat in &config.categories {
             overlays.push(build_overlay(flat.source(), cat, ARC_BUDGET)?);
         }
-        Ok(Self::assemble(flat, overlays, t0))
-    }
-
-    /// The engine around finished overlays, with its report tallied.
-    fn assemble(flat: Engine<'a, S>, overlays: Vec<Overlay>, t0: Instant) -> Self {
         let mut engine = HierarchyEngine {
             flat,
             overlays,
@@ -165,7 +157,7 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
             workspaces: Mutex::default(),
         };
         engine.report = engine.tally_report(t0.elapsed());
-        engine
+        Ok(engine)
     }
 
     fn tally_report(&self, build_wall: Duration) -> BuildReport {
@@ -263,118 +255,6 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
         self.flat.source().find_node(query.source).ok()?;
         Some(search::bounds(overlay, &mut Default::default(), query))
     }
-
-    /// Serialize the contracted structure (ranks, arc topology, via
-    /// pairs). Travel functions are *not* stored;
-    /// [`HierarchyEngine::from_snapshot`] rebuilds them by
-    /// deterministic re-composition.
-    pub fn snapshot(&self) -> HierarchySnapshot {
-        let record = |a: &OverlayArc| SnapshotArc {
-            from: a.from,
-            to: a.to,
-            via: a.via,
-            disabled: a.disabled,
-        };
-        HierarchySnapshot {
-            overlays: self
-                .overlays
-                .iter()
-                .map(|o| OverlaySnapshot {
-                    category: o.category.0,
-                    ranks: o.rank.clone(),
-                    arcs: o.arcs.iter().map(record).collect(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Restore a hierarchy from a snapshot taken over the *same*
-    /// network: skips node ordering and witness searches entirely and
-    /// rebuilds each arc's travel function by deterministic
-    /// re-composition — base arcs from the network, shortcuts from
-    /// their via pairs, in arc order (a shortcut reads only earlier
-    /// arcs, so both of its via arcs are rebuilt before it), bit for
-    /// bit the functions the build composed. A structure that does not
-    /// match the network, or whose shortcut reads a later or a disabled
-    /// arc, is rejected.
-    pub fn from_snapshot(flat: Engine<'a, S>, snapshot: &HierarchySnapshot) -> Result<Self> {
-        let t0 = Instant::now();
-        let source = flat.source();
-        let n = source.n_nodes();
-        let day = Interval::of(0.0, MINUTES_PER_DAY);
-        let mut scratch = PwlScratch::new();
-        let mut overlays = Vec::with_capacity(snapshot.overlays.len());
-        for snap in &snapshot.overlays {
-            if snap.ranks.len() != n {
-                return Err(AllFpError::Internal(
-                    "overlay structure does not match network size",
-                ));
-            }
-            let category = DayCategory(snap.category);
-            let mut arcs: Vec<OverlayArc> = Vec::with_capacity(snap.arcs.len());
-            let mut edges: Vec<roadnet::Edge> = Vec::new();
-            for u in 0..n {
-                source.successors_into(NodeId(u as u32), &mut edges)?;
-                for e in edges.drain(..) {
-                    if e.to.index() == u {
-                        continue;
-                    }
-                    let rec = snap.arcs.get(arcs.len()).ok_or(AllFpError::Internal(
-                        "overlay structure is missing base arcs",
-                    ))?;
-                    if rec.via.is_some() || rec.from != u as u32 || rec.to != e.to.index() as u32 {
-                        return Err(AllFpError::Internal(
-                            "overlay structure does not match network edges",
-                        ));
-                    }
-                    let profile = source.pattern(e.pattern)?.profile(category)?;
-                    let full = traffic::travel::travel_time_fn(profile, e.distance, &day)?;
-                    let mut arc = make_arc(rec.from, rec.to, full, None);
-                    arc.disabled = rec.disabled;
-                    arcs.push(arc);
-                }
-            }
-            let n_base = arcs.len();
-            if snap.arcs.iter().take_while(|a| a.via.is_none()).count() != n_base {
-                return Err(AllFpError::Internal(
-                    "overlay structure base arc count mismatch",
-                ));
-            }
-            for (i, rec) in snap.arcs.iter().enumerate().skip(n_base) {
-                let Some((a, b)) = rec.via else {
-                    return Err(AllFpError::Internal(
-                        "overlay structure interleaves base arcs after shortcuts",
-                    ));
-                };
-                let (a, b) = (a as usize, b as usize);
-                if a >= i || b >= i {
-                    return Err(AllFpError::Internal(
-                        "overlay structure shortcut references a later arc",
-                    ));
-                }
-                // Contraction disables only arcs no shortcut has read,
-                // and a disabled arc stores no function to read.
-                if snap.arcs[a].disabled || snap.arcs[b].disabled {
-                    return Err(AllFpError::Internal(
-                        "overlay structure shortcut reads a disabled arc",
-                    ));
-                }
-                let full = recompose(&mut scratch, &arcs[a], &arcs[b])?;
-                let mut arc = make_arc(rec.from, rec.to, full, rec.via);
-                arc.disabled = rec.disabled;
-                arcs.push(arc);
-            }
-            overlays.push(finish_overlay(
-                category,
-                snap.ranks.clone(),
-                arcs,
-                n_base,
-                snap.arcs.iter().filter(|a| a.disabled).count(),
-                Contraction::default(),
-            )?);
-        }
-        Ok(Self::assemble(flat, overlays, t0))
-    }
 }
 
 impl<'a, S: NetworkSource> PathfindBackend for HierarchyEngine<'a, S> {
@@ -400,117 +280,6 @@ impl<'a, S: NetworkSource> PathfindBackend for HierarchyEngine<'a, S> {
         match self.overlay_search(query, mode == QueryMode::SingleFp, session, cancel)? {
             Some(run) => self.flat.answer_routes(query, mode, run, session),
             None => self.flat.answer(query, mode, session, cancel),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use roadnet::generators::random_geometric;
-
-    use super::*;
-
-    /// Everything an engine's overlays store — per arc the function's
-    /// knots and coefficients (an enabled arc's only: a disabled one
-    /// stores none) and `min`/`max`, then the bound graph's rows — as
-    /// bits.
-    fn stored_bits<S: NetworkSource>(engine: &HierarchyEngine<'_, S>) -> Vec<u64> {
-        let mut bits = Vec::new();
-        for o in &engine.overlays {
-            for a in &o.arcs {
-                assert_eq!(a.full.is_none(), a.disabled, "{}→{}", a.from, a.to);
-                if let Some(full) = &a.full {
-                    bits.extend(full.breakpoints().iter().map(|x| x.to_bits()));
-                    let linears = full.linears().iter();
-                    bits.extend(linears.flat_map(|l| [l.a.to_bits(), l.b.to_bits()]));
-                }
-                bits.extend([a.min.to_bits(), a.max.to_bits()]);
-            }
-            for side in [&o.up_bound, &o.down_bound] {
-                let rows = (0..o.rank.len() as u32).flat_map(|v| side.at(v));
-                bits.extend(rows.flat_map(|entry| entry.bits()));
-            }
-        }
-        bits
-    }
-
-    fn flat(net: &roadnet::RoadNetwork) -> Engine<'_, roadnet::RoadNetwork> {
-        Engine::new(net, EngineConfig::default()).unwrap()
-    }
-
-    /// The snapshot records structure only, so its equality cannot see
-    /// a function: a restore stores what the build stores, bit for bit,
-    /// on six seeds — on 65, 91 and 269 domination disabled arcs, which
-    /// store no function.
-    #[test]
-    fn builds_and_restores_store_the_same_bits() {
-        for seed in [3u64, 58, 211, 65, 91, 269] {
-            let net = random_geometric(14, 1.5, 3, seed).unwrap();
-            let built = HierarchyEngine::with_flat(flat(&net), HierarchyConfig::default()).unwrap();
-            if [65, 91, 269].contains(&seed) {
-                assert!(built.report().n_disabled > 0, "seed {seed}");
-            }
-            let restored = HierarchyEngine::from_snapshot(flat(&net), &built.snapshot());
-            assert_eq!(
-                stored_bits(&restored.unwrap()),
-                stored_bits(&built),
-                "seed {seed}"
-            );
-        }
-    }
-
-    /// One malformation of a snapshot's overlay.
-    type Mutation = fn(&mut OverlaySnapshot);
-
-    /// The index of the first shortcut record, which is the base count.
-    fn first_shortcut(o: &OverlaySnapshot) -> usize {
-        o.arcs.iter().position(|a| a.via.is_some()).unwrap()
-    }
-
-    /// Every check a restore makes on its input, each tripped by one
-    /// mutation of a built snapshot and answered with its own error.
-    /// Arc-order restore rests on the later-arc check: without it a
-    /// shortcut would read an arc not yet rebuilt.
-    #[test]
-    fn restore_rejects_every_malformed_structure() {
-        let net = random_geometric(14, 1.5, 3, 58).unwrap();
-        let built = HierarchyEngine::with_flat(flat(&net), HierarchyConfig::default()).unwrap();
-        let cases: [(&str, Mutation); 7] = [
-            ("overlay structure does not match network size", |o| {
-                o.ranks.pop();
-            }),
-            ("overlay structure is missing base arcs", |o| {
-                o.arcs.truncate(1);
-            }),
-            ("overlay structure does not match network edges", |o| {
-                o.arcs[0].to += 1;
-            }),
-            ("overlay structure base arc count mismatch", |o| {
-                let base = o.arcs[0];
-                o.arcs.insert(first_shortcut(o), base);
-            }),
-            (
-                "overlay structure interleaves base arcs after shortcuts",
-                |o| o.arcs.push(o.arcs[0]),
-            ),
-            ("overlay structure shortcut references a later arc", |o| {
-                let first = first_shortcut(o);
-                let (a, _) = o.arcs[first].via.unwrap();
-                o.arcs[first].via = Some((a, first as u32));
-            }),
-            ("overlay structure shortcut reads a disabled arc", |o| {
-                let (a, _) = o.arcs[first_shortcut(o)].via.unwrap();
-                o.arcs[a as usize].disabled = true;
-            }),
-        ];
-        for (message, mutate) in cases {
-            let mut snapshot = built.snapshot();
-            mutate(&mut snapshot.overlays[0]);
-            match HierarchyEngine::from_snapshot(flat(&net), &snapshot) {
-                Err(AllFpError::Internal(m)) => assert_eq!(m, message),
-                Err(e) => panic!("{message}: {e}"),
-                Ok(_) => panic!("{message}: restored"),
-            }
         }
     }
 }

@@ -100,9 +100,9 @@ const WITNESS_SETTLE_CAP: usize = 64;
 ///
 /// Only the **one-day** function is stored, at exact size, and only
 /// while the arc is enabled: a disabled arc keeps its endpoints, via
-/// pair and scalars — all that unpacking, snapshots and the bound graph
-/// read — but no query, bound sweep or later contraction round reads
-/// its function, so it releases it. Its periodic extension is
+/// pair and scalars — all that unpacking and the bound graph read —
+/// but no query, bound sweep or later contraction round reads its
+/// function, so it releases it. Its periodic extension is
 /// *virtual*: [`ext_window`] derives any restriction of it on demand
 /// with the same `shift_x`/`concat` arithmetic a materialized copy
 /// would have been built with, bit for bit.
@@ -168,8 +168,7 @@ pub(crate) struct Overlay {
     pub n_base: usize,
     /// Arcs disabled by parallel-arc domination.
     pub n_disabled: usize,
-    /// What the contraction that built the structure did (zero for
-    /// snapshot restores).
+    /// What the contraction that built the structure did.
     pub contraction: Contraction,
 }
 
@@ -257,13 +256,6 @@ impl Bound {
             return self.min;
         };
         (first..first + count).fold(f64::INFINITY, |m, k| m.min(self.band_min[k % BANDS]))
-    }
-
-    /// Every stored scalar, as bits.
-    #[cfg(test)]
-    pub fn bits(&self) -> impl Iterator<Item = u64> + '_ {
-        let scalars = [f64::from(self.node), self.min, self.max];
-        scalars.into_iter().chain(self.band_min).map(f64::to_bits)
     }
 }
 
@@ -376,7 +368,7 @@ pub(crate) fn ext_window(scratch: &mut PwlScratch, full: &Pwl, to: &Interval) ->
 /// An arc record around its full-period function, stored at exact
 /// size (a base arc's function comes out of `travel_time_fn` with the
 /// capacity of the pieces it simplified away).
-pub(crate) fn make_arc(from: u32, to: u32, mut full: Pwl, via: Option<(u32, u32)>) -> OverlayArc {
+fn make_arc(from: u32, to: u32, mut full: Pwl, via: Option<(u32, u32)>) -> OverlayArc {
     full.shrink_to_fit();
     OverlayArc {
         from,
@@ -871,11 +863,10 @@ fn select(
 }
 
 /// Compose the shortcut function for the via pair `a` then `b`, over
-/// one full period. Deterministic in its inputs — snapshot restore
-/// re-runs exactly this to rebuild shortcut functions bit-identically.
-/// Returns an exact-size copy for storage; the kernel's pooled buffers
-/// go back to `scratch` for the next composition.
-pub(crate) fn recompose(scratch: &mut PwlScratch, a: &OverlayArc, b: &OverlayArc) -> Result<Pwl> {
+/// one full period. Returns an exact-size copy for storage; the
+/// kernel's pooled buffers go back to `scratch` for the next
+/// composition.
+fn recompose(scratch: &mut PwlScratch, a: &OverlayArc, b: &OverlayArc) -> Result<Pwl> {
     let (a, b) = (a.function()?, b.function()?);
     let arrivals = arrival_interval(a)?;
     // Materialize `b`'s periodic extension transiently — wide enough
@@ -1096,10 +1087,8 @@ pub(crate) fn build_overlay<S: NetworkSource>(
 /// arcs under their head — each folded from the slot's arcs. Both are
 /// read off one sorted list of the enabled arcs, each row built once at
 /// exact size.
-/// Returns the completed overlay, its arc storage at exact size and
-/// every disabled arc's function released (a restore composes them
-/// all, for their scalars).
-pub(crate) fn finish_overlay(
+/// Returns the completed overlay, its arc storage at exact size.
+fn finish_overlay(
     category: DayCategory,
     rank: Vec<u32>,
     mut arcs: Vec<OverlayArc>,
@@ -1108,9 +1097,6 @@ pub(crate) fn finish_overlay(
     contraction: Contraction,
 ) -> Result<Overlay> {
     arcs.shrink_to_fit();
-    for arc in arcs.iter_mut().filter(|a| a.disabled) {
-        arc.disable();
-    }
     let n = rank.len();
     let is_up = |arc: &OverlayArc| rank[arc.from as usize] < rank[arc.to as usize];
     // An enabled arc's slot: (side, node, neighbour), up arcs listed

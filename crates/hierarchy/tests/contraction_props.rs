@@ -114,37 +114,6 @@ proptest! {
             }
         }
     }
-
-    /// Snapshot round-trip: serialize the contracted structure, decode
-    /// it, rebuild the engine, and get identical answers, counts — and
-    /// an identical re-snapshot.
-    #[test]
-    fn snapshot_roundtrip_preserves_answers(seed in 0u64..200) {
-        const N: usize = 16;
-        let net = random_geometric(N, 1.5, 3, seed).unwrap();
-        let ch = HierarchyEngine::build(
-            &net,
-            EngineConfig::default(),
-            HierarchyConfig::default(),
-        )
-        .unwrap();
-        let bytes = ch.snapshot().to_bytes();
-        let snap = roadnet::overlay::HierarchySnapshot::from_bytes(&bytes).unwrap();
-        let restored =
-            HierarchyEngine::from_snapshot(Engine::new(&net, EngineConfig::default()).unwrap(), &snap)
-                .unwrap();
-        prop_assert_eq!(ch.report().n_shortcuts, restored.report().n_shortcuts);
-        prop_assert_eq!(ch.report().n_original_arcs, restored.report().n_original_arcs);
-        prop_assert_eq!(ch.report().overlay_pieces, restored.report().overlay_pieces);
-        prop_assert_eq!(restored.snapshot(), snap);
-
-        let interval = Interval::of(hm(7, 0), hm(9, 0));
-        for (s, t) in [(0u32, N as u32 - 1), (3, 9), (7, 2)] {
-            let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY);
-            let a = ch.single_fastest_path(&q).unwrap();
-            same_single(&a, &restored.single_fastest_path(&q).unwrap())?;
-        }
-    }
 }
 
 proptest! {
@@ -210,26 +179,5 @@ fn search_space_edge_cases_match_flat() {
     ] {
         let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY);
         same_as_flat(&flat, &ch, &q).unwrap();
-    }
-}
-
-/// `from_snapshot()` rebuilds the query adjacency through the same
-/// `finish_overlay` as a build: queries on the restored engine still
-/// answer as the flat engine, the island included.
-#[test]
-fn rebuilt_adjacency_answers_like_flat() {
-    let net = net_with_island();
-    let engine = || Engine::new(&net, EngineConfig::default()).unwrap();
-    let built = HierarchyEngine::with_flat(engine(), HierarchyConfig::default()).unwrap();
-    let restored = HierarchyEngine::from_snapshot(engine(), &built.snapshot()).unwrap();
-    let flat = engine();
-    for interval in [
-        Interval::of(hm(7, 0), hm(9, 0)),
-        Interval::of(hm(23, 0), MINUTES_PER_DAY),
-    ] {
-        for (s, t) in [(0u32, 11u32), (6, 2), (9, 9), (3, 12)] {
-            let q = QuerySpec::new(NodeId(s), NodeId(t), interval, DayCategory::WORKDAY);
-            same_as_flat(&flat, &restored, &q).unwrap();
-        }
     }
 }

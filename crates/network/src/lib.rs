@@ -39,7 +39,6 @@ mod stats;
 pub mod examples;
 pub mod generators;
 pub mod io;
-pub mod overlay;
 pub mod workload;
 
 pub use graph::{DeltaReport, Edge, NodeId, PatternId, Point, RoadNetwork};

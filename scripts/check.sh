@@ -136,9 +136,9 @@ if grep -rnE "MmapStore|page_ref|mmap_faults|open_preferred|mod mmap" crates; th
     echo "a second page path (the mmap store) is back" >&2
     exit 1
 fi
-# One hierarchy, and it is static: built by contraction or restored
-# from a snapshot of the same network. The incremental refresh, its
-# report and the metric-independent build it needed stay deleted.
+# One hierarchy, and it is static: built by contraction for one
+# network. The incremental refresh, its report and the
+# metric-independent build it needed stay deleted.
 if grep -rnE "fn refreshed|\.refreshed\(|RefreshReport|live_topology" crates; then
     echo "the hierarchy's live-update path is back" >&2
     exit 1
@@ -177,6 +177,15 @@ if grep -rnE "steal_into|BatchStats|use_travel_cache" crates ||
     echo "the work-stealing batch scheduler (or BatchStats or use_travel_cache) is back" >&2
     exit 1
 fi
+# Every mechanism has a caller: the hierarchy's snapshot codec (and
+# the restore that read it), the service's threaded `serve`, its drain
+# modes and its latency histograms had only their own tests, and stay
+# deleted.
+if grep -rnE "HierarchySnapshot|fn from_snapshot|fn serve\b|DrainMode|fn begin_drain|LatencyHistogram" crates ||
+    grep -n "mod overlay;" crates/network/src/lib.rs; then
+    echo "the snapshot codec, the threaded serve, a drain mode or the latency histogram is back" >&2
+    exit 1
+fi
 echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> tier-1: cargo build --release"
@@ -210,8 +219,9 @@ cargo test --workspace --release --no-fail-fast -q
 # run at once; rerun them with the test-thread pinning removed so a
 # developer's RUST_TEST_THREADS=1 cannot mask a race: the engine and
 # buffer-pool/file-store concurrency tests, the seeded fault schedules
-# under the live query stack, the threaded serve test of the overload
-# suite, and the update storm's concurrent delta stream. Debug builds,
+# under the live query stack, the overload suite's concurrent-step test
+# (`concurrent_steps_resolve_every_admission_once`), and the update
+# storm's concurrent delta stream. Debug builds,
 # as tier 1: overflow checks and debug assertions stay on here.
 echo "==> stress reruns (RUST_TEST_THREADS unpinned)"
 env -u RUST_TEST_THREADS cargo test -q -p fp-allfp --test concurrency
