@@ -288,15 +288,18 @@ mod tests {
     /// Figure 9 queries) and of the hierarchy (metro-medium, the race's
     /// 12 queries) is deterministic, so a pruning rule that loses its
     /// teeth — or gains some — moves one of these counts on any host.
+    /// The straddle cell — the flat engine on long pairs over 07:00–10:00,
+    /// a window that crosses the speed change — is where the
+    /// live-instant key (DESIGN.md §7) does its work.
     #[test]
     fn search_counts_are_pinned() {
         let small = Scenario::new(Scale::Small, 0x5EED);
         let queries = fig9_rush(&small.net, 12);
         let flat = Engine::new(&small.net, EngineConfig::default()).unwrap();
         let flat = pass_counts(&flat, &queries);
-        assert_eq!((flat.allfp, flat.singlefp), (1_483, 185), "flat, minTimeLB");
+        assert_eq!((flat.allfp, flat.singlefp), (1_384, 185), "flat, minTimeLB");
         let naive = pass_counts(&Engine::new(&small.net, naive()).unwrap(), &queries);
-        assert_eq!(naive.allfp, 3_293, "flat, naiveLB");
+        assert_eq!(naive.allfp, 3_204, "flat, naiveLB");
 
         let medium = Scenario::new(Scale::Medium, 0x5EED);
         let ch = HierarchyEngine::build(
@@ -306,8 +309,20 @@ mod tests {
         )
         .unwrap();
         let ch = pass_counts(&ch, &long_rush(&medium, 12));
-        assert_eq!((ch.allfp, ch.singlefp), (1_107, 105), "hierarchy");
-        assert_eq!(ch.allfp_pieces, 32_055, "hierarchy allFP pieces");
+        assert_eq!((ch.allfp, ch.singlefp), (772, 105), "hierarchy");
+        assert_eq!(ch.allfp_pieces, 23_585, "hierarchy allFP pieces");
+
+        let full = Scenario::new(Scale::Full, 0x5EED);
+        for (scenario, pairs, want, pieces) in [
+            (&medium, 12, (6_409, 460), 30_492),
+            (&full, 24, (52_912, 1_467), 246_166),
+        ] {
+            let flat = Engine::new(&scenario.net, EngineConfig::default()).unwrap();
+            let got = pass_counts(&flat, &long_rush(scenario, pairs));
+            let scale = scenario.scale;
+            assert_eq!((got.allfp, got.singlefp), want, "flat straddle, {scale:?}");
+            assert_eq!(got.allfp_pieces, pieces, "flat straddle, {scale:?} pieces");
+        }
     }
 
     /// Contraction buys back its preprocessing: on the race's workload

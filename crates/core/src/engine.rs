@@ -874,13 +874,19 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                 // Border bound: dead if no completion can get under the
                 // border at any instant — `T(l) + est ≥ border(l)` for all
                 // `l`; comparing the two sides' extremes is its O(1) case.
-                if border.as_ref().is_some_and(|b| {
-                    pwl::approx_le(border_max, f_min) || travel.dominated_by_offset(est, b.as_pwl())
-                }) {
+                // A survivor is keyed by its best `T(l) + est` over the
+                // instants where it still beats the border (the
+                // live-instant key, DESIGN.md §7).
+                let key = match &border {
+                    None => Some(f_min),
+                    Some(_) if pwl::approx_le(border_max, f_min) => None,
+                    Some(b) => travel.live_min(est, b.as_pwl()).map(|k| k.max(f_min)),
+                };
+                let Some(key) = key else {
                     stats.pruned_by_border += 1;
                     session.scratch_mut().recycle(travel);
                     continue;
-                }
+                };
 
                 // Optional per-node dominance pruning (extension): scan
                 // the paths known to end at `edge.to`, oldest first.
@@ -917,7 +923,7 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                     }
                 }
                 ws.heap.push(QueueEntry {
-                    key: f_min,
+                    key,
                     tie: seq,
                     item: idx as usize,
                 });

@@ -11,8 +11,7 @@
 //!   exceeds the submission's deadline (open-loop clients learn about
 //!   overload *now*, not after their deadline has silently passed).
 //!   Entries whose deadline expired while queued are shed from the
-//!   queue head before they waste a step
-//!   ([`CancelReason::ShedExpired`]).
+//!   queue head before they waste a step ([`ServiceOutcome::Shed`]).
 //! * **Priority classes** — [`Priority::Interactive`] submissions are
 //!   always served before [`Priority::Batch`] ones; both share the
 //!   same capacity bound so batch traffic cannot starve the queue.
@@ -26,7 +25,7 @@
 //! * **Observability** — every decision lands in [`ServiceStats`],
 //!   whose counters reconcile exactly:
 //!   `submitted = admitted + rejected` and
-//!   `admitted = answered + degraded + failed + cancelled`.
+//!   `admitted = answered + degraded + failed + shed`.
 //!
 //! # Determinism and the service clock
 //!
@@ -215,14 +214,6 @@ impl std::fmt::Display for Overloaded {
 
 impl std::error::Error for Overloaded {}
 
-/// Why an *admitted* submission was cancelled instead of executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CancelReason {
-    /// Its deadline expired while it sat in the queue and it was shed
-    /// from the head instead of wasting a step on a late answer.
-    ShedExpired,
-}
-
 /// The terminal outcome of one admitted submission. Every admitted
 /// ticket resolves to exactly one of these, recorded in submission
 /// order of completion and retrievable via
@@ -237,8 +228,9 @@ pub enum ServiceOutcome {
     Degraded(Box<DegradedAnswer>),
     /// The query failed with a non-degradable error.
     Failed(AllFpError),
-    /// The submission was cancelled before execution.
-    Cancelled(CancelReason),
+    /// Its deadline expired while it sat in the queue, and it was shed
+    /// from the head instead of wasting a step on a late answer.
+    Shed,
 }
 
 // ---------------------------------------------------------------------------
@@ -418,9 +410,8 @@ pub struct ServiceStats {
     pub breaker_fallbacks: u64,
     /// Admitted queries that failed with a non-degradable error.
     pub failed: u64,
-    /// Admitted queries cancelled before execution (deadline sheds).
-    pub cancelled: u64,
-    /// Subset of `cancelled` shed from the queue head past deadline.
+    /// Admitted queries shed from the queue head past their deadline,
+    /// never executed.
     pub shed: u64,
     /// Highest queue depth ever observed (≤ the configured capacity).
     pub queue_depth_high_water: usize,
@@ -444,8 +435,8 @@ pub struct ServiceStats {
 impl ServiceStats {
     /// The exact accounting identities every snapshot satisfies:
     /// `submitted = admitted + rejected`,
-    /// `admitted = answered + degraded + failed + cancelled`,
-    /// `shed ⊆ cancelled`, `breaker_fallbacks ⊆ degraded`, and — when
+    /// `admitted = answered + degraded + failed + shed`,
+    /// `breaker_fallbacks ⊆ degraded`, and — when
     /// an [`EpochManager`] is attached —
     /// `epochs_published = updates_applied + 1` with
     /// `epochs_retired + epoch_retire_lag = updates_applied` (every
@@ -458,8 +449,7 @@ impl ServiceStats {
                 && self.epochs_retired + self.epoch_retire_lag == self.updates_applied
         };
         self.submitted == self.admitted + self.rejected
-            && self.admitted == self.answered + self.degraded + self.failed + self.cancelled
-            && self.shed <= self.cancelled
+            && self.admitted == self.answered + self.degraded + self.failed + self.shed
             && self.breaker_fallbacks <= self.degraded
             && epochs_ok
     }
@@ -695,10 +685,8 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
                     break;
                 };
                 st.queued_cost = st.queued_cost.saturating_sub(t.cost);
-                st.stats.cancelled += 1;
                 st.stats.shed += 1;
-                st.outcomes
-                    .push((t.id, ServiceOutcome::Cancelled(CancelReason::ShedExpired)));
+                st.outcomes.push((t.id, ServiceOutcome::Shed));
             }
         }
     }
@@ -808,7 +796,8 @@ impl<'e, B: PathfindBackend + ?Sized> QueryService<'e, B> {
                 }
             }
             ServiceOutcome::Failed(_) => st.stats.failed += 1,
-            ServiceOutcome::Cancelled(_) => st.stats.cancelled += 1,
+            // Only `shed_expired_locked` sheds, and it books the shed.
+            ServiceOutcome::Shed => unreachable!("an executed query was shed"),
         }
         // Refine the wait estimator from observed service time. With
         // a manual clock driven by the step() harness, execution takes

@@ -20,7 +20,7 @@
 //!   silent drops;
 //! * the breaker trips and recovers through its half-open probe;
 //! * `ServiceStats` counters reconcile exactly
-//!   (`admitted = answered + degraded + cancelled` here, since the
+//!   (`admitted = answered + degraded + shed` here, since the
 //!   scenario is constructed fault-storm-survivable: `failed == 0`);
 //! * answered queries are bit-identical to a fault-free serial run;
 //! * the whole run — outcomes, stats, fault log — is deterministic
@@ -207,8 +207,8 @@ fn chaos_storm_invariants_hold_and_replay_exactly() {
     assert_eq!(s.failed, 0, "no outcome may be a hard failure: {s:?}");
     assert_eq!(
         s.admitted,
-        s.answered + s.degraded + s.cancelled,
-        "admitted ≠ answered + degraded + cancelled: {s:?}"
+        s.answered + s.degraded + s.shed,
+        "admitted ≠ answered + degraded + shed: {s:?}"
     );
     assert_eq!(s.submitted, s.admitted + s.rejected);
     assert_eq!(s.submitted, CHAOS_SUBMISSIONS as u64);
@@ -405,14 +405,11 @@ fn expired_queue_entries_are_shed_from_the_head() {
             .iter()
             .find(|(id, _)| *id == doomed)
             .map(|(_, o)| o),
-        Some(ServiceOutcome::Cancelled(
-            allfp::service::CancelReason::ShedExpired
-        ))
+        Some(ServiceOutcome::Shed)
     ));
     let stats = svc.stats();
     assert!(stats.reconciles());
     assert_eq!(stats.shed, 1);
-    assert_eq!(stats.cancelled, 1);
     assert_eq!(stats.answered, 1);
 }
 

@@ -130,14 +130,14 @@ pub fn answer_sig(a: &AllFpAnswer) -> AnswerSig {
 }
 
 /// A recorded terminal outcome's ticket and kind, with the reason of a
-/// degradation or cancellation appended (`degraded:StorageUnavailable`,
-/// `cancelled:ShedExpired`): the form replays are compared in.
+/// degradation appended (`degraded:StorageUnavailable`, `shed`): the
+/// form replays are compared in.
 pub fn label((id, outcome): &(TicketId, ServiceOutcome)) -> (TicketId, String) {
     let label = match outcome {
         ServiceOutcome::Answered(_) => "answered".to_string(),
         ServiceOutcome::Degraded(d) => format!("degraded:{:?}", d.reason),
         ServiceOutcome::Failed(_) => "failed".to_string(),
-        ServiceOutcome::Cancelled(r) => format!("cancelled:{r:?}"),
+        ServiceOutcome::Shed => "shed".to_string(),
     };
     (*id, label)
 }

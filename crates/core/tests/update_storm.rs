@@ -265,7 +265,7 @@ fn update_storm_invariants_hold_and_replay_exactly() {
     let s = &run.stats;
     assert!(s.reconciles(), "stats do not reconcile: {s:?}");
     assert_eq!(s.failed, 0, "no outcome may be a hard failure: {s:?}");
-    assert_eq!(s.admitted, s.answered + s.degraded + s.cancelled);
+    assert_eq!(s.admitted, s.answered + s.degraded + s.shed);
     assert_eq!(s.submitted, s.admitted + s.rejected);
     assert_eq!(s.submitted, STORM_SUBMISSIONS as u64);
 

@@ -448,13 +448,19 @@ pub(crate) fn run(
             let travel_min = travel.min_value();
             let f_min = travel_min + est;
 
-            if border_cap.is_finite() && pwl::approx_le(border_cap, f_min)
-                || clears_border(&border, &travel, est)
-            {
+            // The pointwise rule at push; a survivor is keyed by its
+            // best `T(l) + est` over the instants where it still beats
+            // the border (the live-instant key, DESIGN.md §7).
+            let key = match &border {
+                None => Some(f_min),
+                Some(_) if border_cap.is_finite() && pwl::approx_le(border_cap, f_min) => None,
+                Some(b) => travel.live_min(est, b.as_pwl()).map(|k| k.max(f_min)),
+            };
+            let Some(key) = key else {
                 stats.pruned_by_border += 1;
                 scratch.recycle(travel);
                 continue;
-            }
+            };
             if u_cap.is_finite() && pwl::definitely_lt(u_cap, f_min) {
                 stats.pruned_by_border += 1;
                 scratch.recycle(travel);
@@ -497,7 +503,7 @@ pub(crate) fn run(
                 tail => labels[tail as usize].next_at_node = idx,
             }
             heap.push(Entry {
-                key: f_min,
+                key,
                 tie: seq,
                 item: idx as usize,
             });

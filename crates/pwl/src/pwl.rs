@@ -582,10 +582,8 @@ impl Pwl {
     /// estimate against the lower border is the pointwise border rule
     /// (DESIGN.md §7).
     ///
-    /// Two cursors stream the subdivision `dominated_by` materialises —
-    /// the breakpoints strictly inside the common domain, merged, an
-    /// [`EPS`]-close knot dropped in favour of the last kept one — so
-    /// nothing is buffered and a failing comparison stops the merge.
+    /// It walks the subdivision `dominated_by` materialises without
+    /// buffering it, and a failing comparison stops the walk.
     pub fn dominated_by_offset(&self, offset: f64, other: &Pwl) -> bool {
         let Some(domain) = self.domain().intersect(&other.domain()) else {
             return false;
@@ -594,6 +592,64 @@ impl Pwl {
         if domain.is_degenerate() {
             return approx_le(other.eval_clamped(lo), self.eval_clamped(lo) + offset);
         }
+        self.walk_knots(other, lo, hi, |a, b| !definitely_lt(a + offset, b))
+    }
+
+    /// The live-instant key: `None` exactly where
+    /// [`dominated_by_offset`](Self::dominated_by_offset)`(offset, other)`
+    /// is `true`; otherwise a lower bound on `self(x) + offset` over the
+    /// instants `x` where it is definitely below `other(x)` — the live
+    /// instants, where a path can still beat the border (DESIGN.md §7).
+    ///
+    /// On each elementary interval of the walk both functions are
+    /// linear, so an interval holding a live instant has a live end,
+    /// and its minimum sits on an end: the bound is the minimum of
+    /// `self + offset` over the kept knots that are live or next to a
+    /// live knot. Disjoint domains have no instant to compare, and the
+    /// bound is `self`'s minimum plus `offset`.
+    pub fn live_min(&self, offset: f64, other: &Pwl) -> Option<f64> {
+        let Some(domain) = self.domain().intersect(&other.domain()) else {
+            return Some(self.min_value() + offset);
+        };
+        let (lo, hi) = (domain.lo(), domain.hi());
+        if domain.is_degenerate() {
+            let v = self.eval_clamped(lo) + offset;
+            return (!approx_le(other.eval_clamped(lo), v)).then_some(v);
+        }
+        // `prev`: the last knot's value and verdict; a live value is
+        // finite, so `best` stays `∞` exactly while no knot is live.
+        let (mut best, mut prev) = (f64::INFINITY, (f64::INFINITY, false));
+        self.walk_knots(other, lo, hi, |a, b| {
+            let v = a + offset;
+            let live = definitely_lt(v, b);
+            if live {
+                best = best.min(v).min(prev.0);
+            } else if prev.1 {
+                best = best.min(v);
+            }
+            prev = (v, live);
+            true
+        });
+        (best != f64::INFINITY).then_some(best)
+    }
+
+    /// The walk under both comparison kernels: `visit(self(x), other(x))`
+    /// at each knot of the subdivision `dominated_by` materialises over
+    /// the non-degenerate common domain `[lo, hi]` — its ends and the
+    /// breakpoints strictly inside it, merged, an [`EPS`]-close knot
+    /// dropped in favour of the last kept one — in order, each value
+    /// read on the piece that starts at or before `x`. Two cursors
+    /// stream the merge, so nothing is buffered; `visit` returning
+    /// `false` stops the walk, and the result says whether it reached
+    /// `hi`.
+    #[inline]
+    fn walk_knots(
+        &self,
+        other: &Pwl,
+        lo: f64,
+        hi: f64,
+        mut visit: impl FnMut(f64, f64) -> bool,
+    ) -> bool {
         // Index and value of the first breakpoint from `k` on that lies
         // strictly inside the common domain (`∞` when none is left).
         let seek = |xs: &[f64], mut k: usize| loop {
@@ -620,7 +676,7 @@ impl Pwl {
             while j + 1 < other.fs.len() && other.xs[j + 1] <= x {
                 j += 1;
             }
-            if definitely_lt(self.fs[i].eval(x) + offset, other.fs[j].eval(x)) {
+            if !visit(self.fs[i].eval(x), other.fs[j].eval(x)) {
                 return false;
             }
             // Advance to the next kept knot; `hi` closes the sweep.
@@ -1097,6 +1153,24 @@ mod tests {
         assert!(touch.dominated_by_offset(0.0, &border));
         let dips = Pwl::from_points(&[(0.0, 12.0), (10.0, -1e-3), (20.0, 11.0)]).unwrap();
         assert!(!dips.dominated_by_offset(0.0, &border));
+    }
+
+    #[test]
+    fn a_straddling_path_is_keyed_where_it_is_live() {
+        // Minutes of the day: lowest at 07:00, where the border lies
+        // below it, tied with the border at 09:45 and below it after.
+        let travel = Pwl::from_points(&[(420.0, 10.0), (585.0, 20.0), (600.0, 25.0)]).unwrap();
+        let border = Pwl::from_points(&[(420.0, 8.0), (585.0, 20.0), (600.0, 40.0)]).unwrap();
+        assert!(!travel.dominated_by_offset(0.0, &border));
+        // Its 09:45 value, not its 07:00 minimum.
+        assert_eq!(travel.live_min(0.0, &border), Some(20.0));
+        assert_eq!(travel.live_min(3.0, &border), Some(23.0));
+        // Dominated everywhere: the pointwise prune.
+        assert_eq!(travel.live_min(15.0, &border), None);
+        assert!(travel.dominated_by_offset(15.0, &border));
+        // A border it beats everywhere keys it by its minimum.
+        let high = Pwl::constant(travel.domain(), 100.0).unwrap();
+        assert_eq!(travel.live_min(0.0, &high), Some(10.0));
     }
 
     fn vee() -> Pwl {

@@ -328,6 +328,38 @@ proptest! {
     }
 
     #[test]
+    fn live_min_bounds_the_live_instants(
+        f in arb_pwl(),
+        dx in -8.0f64..8.0,
+        g in arb_pwl(),
+        lift in -20.0f64..20.0,
+        c in -20.0f64..20.0,
+    ) {
+        let g = g.shift_x(f.domain().lo() - g.domain().lo() + dx).add_scalar(lift);
+        let live = f.live_min(c, &g);
+        prop_assert_eq!(live.is_none(), f.dominated_by_offset(c, &g));
+        let Some(k) = live else {
+            return Ok(());
+        };
+        // Within the tolerance at the values and instants in play: a
+        // knot the walk drops as EPS-close to its neighbour moves a
+        // value by at most a slope of that.
+        let top = |h: &Pwl| h.maximum().abs().max(h.min_value().abs());
+        let reach = f.domain().hi().max(g.domain().hi());
+        let tol = EPS * (1.0 + (top(&f) + c.abs()).max(top(&g)).max(reach));
+        prop_assert!(f.min_value() + c <= k + tol, "{} > {k}", f.min_value() + c);
+        let Some(common) = f.domain().intersect(&g.domain()) else {
+            return Ok(());
+        };
+        for x in sample_grid(&common, 256) {
+            let v = f.eval(x) + c;
+            if definitely_lt(v, g.eval(x)) {
+                prop_assert!(k <= v + tol, "key {k} above {v} at live x = {x}");
+            }
+        }
+    }
+
+    #[test]
     fn dominated_by_agrees_with_sampling(f in arb_pwl(), g in arb_pwl()) {
         let Some(common) = f.domain().intersect(&g.domain()) else {
             return Ok(());

@@ -186,6 +186,27 @@ if grep -rnE "HierarchySnapshot|fn from_snapshot|fn serve\b|DrainMode|fn begin_d
     echo "the snapshot codec, the threaded serve, a drain mode or the latency histogram is back" >&2
     exit 1
 fi
+# One tolerant knot walk: both comparison kernels (the dominance and
+# border tests, and the live-instant key) stream the merged knots
+# through the same walker. And each search queues a candidate by its
+# live-instant key, computed at exactly one push site: the scalar key
+# cannot quietly return at either.
+if [ "$(grep -c "let seek =" crates/pwl/src/pwl.rs)" -ne 1 ]; then
+    echo "pwl.rs: not exactly one EPS-tolerant merged-knot walk" >&2
+    exit 1
+fi
+for file in crates/core/src/engine.rs crates/hierarchy/src/search.rs; do
+    if [ "$(grep -v '^[[:space:]]*//' "$file" | grep -o "live_min(" | wc -l)" -ne 1 ]; then
+        echo "$file: not exactly one live_min( call (the live-instant key)" >&2
+        exit 1
+    fi
+done
+# One shed counter: a query shed from the queue head is `Shed`, counted
+# once; the cancel reason that duplicated it stays deleted.
+if grep -rn "CancelReason" crates; then
+    echo "CancelReason is back" >&2
+    exit 1
+fi
 echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> tier-1: cargo build --release"
