@@ -244,8 +244,8 @@ mod tests {
     }
 
     /// A store seen through [`NetworkSource`]'s default `read_node`:
-    /// `successors_into`, then `find_node`, each with its own B+-tree
-    /// descent. Counts both.
+    /// `successors_into`, then `find_node`, each with its own directory
+    /// lookup. Counts both.
     struct TwoCalls<'a> {
         disk: &'a CcamStore,
         successors_into: AtomicU64,
@@ -280,7 +280,7 @@ mod tests {
         }
     }
 
-    /// The one-descent node read faults, evicts and physically reads
+    /// The one-lookup node read faults, evicts and physically reads
     /// exactly what the two-call read did, in each of the 12 cells of the
     /// recorded A-3 table (`experiments ablation-ccam` at its defaults:
     /// the medium scenario, seed 0x5EED), and pays one record lookup per
@@ -311,14 +311,17 @@ mod tests {
                 assert_eq!(one.physical_reads, two.physical_reads, "{cell}");
 
                 // Every call is one record lookup of the same cost (a
-                // descent plus the data page); the one-call read makes a
+                // directory page plus the data page); the one-call read makes a
                 // single lookup per `find_node` of the split run (each
                 // node read, and each query's target).
                 let records = split.find_node.into_inner();
                 let calls = split.successors_into.into_inner() + records;
                 let (logical_two, logical_one) = (two.hits + two.misses, one.hits + one.misses);
                 let per_lookup = logical_two / calls;
-                assert!(per_lookup >= 2, "{cell}: a lookup is a descent and a page");
+                assert!(
+                    per_lookup >= 2,
+                    "{cell}: a lookup is a directory page and a data page"
+                );
                 assert_eq!(logical_two, per_lookup * calls, "{cell}");
                 assert_eq!(logical_one, per_lookup * records, "{cell}");
             }

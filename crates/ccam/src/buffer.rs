@@ -133,7 +133,7 @@ struct Frame {
 /// Multiply-xor hasher for the frame map's `u64` page ids: a lookup
 /// happens on every logical read, where SipHash's set-up is most of
 /// its cost. Not DoS-resistant — page ids come from the store's own
-/// B+-tree, not from outside input.
+/// record directory, not from outside input.
 #[derive(Default)]
 struct PageIdHasher(u64);
 

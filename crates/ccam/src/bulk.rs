@@ -16,13 +16,12 @@
 //!    order-independent.
 //! 3. **Page packing** (serial scan, parallel encode): the page-break
 //!    scan replays [`PlacementPolicy::HilbertPacked`]'s byte-budget
-//!    rule over precomputed record costs, then workers encode and
-//!    write disjoint page ranges directly to the (thread-safe) block
-//!    store.
-//! 4. **Index** : each worker's `(node id → record address)` run is
-//!    sorted locally and the runs are k-way merged into the streaming
-//!    [`BTree::bulk_load_from`] — the tree never sees a full
-//!    materialized pair list.
+//!    rule over precomputed record costs and so fixes every record's
+//!    page and slot, which it enters in the record directory by node
+//!    id; then workers encode and write disjoint page ranges directly
+//!    to the (thread-safe) block store.
+//! 4. **Index**: the directory, 6 bytes a node, is written after the
+//!    data pages.
 //!
 //! The result is **byte-identical** to
 //! `CcamStore::build(net, store, PlacementPolicy::HilbertPacked, ..)`
@@ -30,10 +29,9 @@
 //! this module's tests and the cross-store golden suite. Determinism
 //! falls out of the design rather than of luck: every parallel phase
 //! writes to disjoint, position-addressed slots, and every ordering
-//! decision (key sort, page breaks, index order) happens on a single
-//! thread over data whose values are thread-count-invariant.
+//! decision (key sort, page breaks, record addresses) happens on a
+//! single thread over data whose values are thread-count-invariant.
 
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -42,6 +40,7 @@ use traffic::CapeCodPattern;
 
 use crate::buffer::BufferPool;
 use crate::ccam::{index_and_seal, write_pattern_table, CcamStore};
+use crate::directory::DirectoryImage;
 use crate::hilbert::HilbertFrame;
 use crate::page::SlottedPage;
 use crate::record::{EdgeRecord, NodeRecord};
@@ -77,7 +76,7 @@ pub struct BulkBuildStats {
     /// Total pages in the store (superblock + patterns + data + index).
     pub total_pages: u64,
     /// Peak bytes of tracked transient builder state (locations,
-    /// degrees, sorted keys, address runs) — the working set that
+    /// degrees, sorted keys, directory entries) — the working set that
     /// *replaces* a materialized network. Excludes per-worker page
     /// scratch (one page image per thread).
     pub transient_bytes: usize,
@@ -146,8 +145,12 @@ where
     keyed.sort_unstable();
 
     // --- phase 3a: serial page-break scan (HilbertPacked byte rule) ---
+    // A page's records take slots 0, 1, … in scan order, so the scan
+    // fixes every record's address.
     let budget = page_size.saturating_sub(4); // page header
+    let first_data_page = store.n_pages();
     let mut page_starts: Vec<u32> = Vec::new(); // index into `keyed`
+    let mut image = DirectoryImage::new(n);
     let mut used = 0usize;
     for (pos, &(_, id)) in keyed.iter().enumerate() {
         let cost = NodeRecord::encoded_len_for(usize::from(degrees[id as usize])) + 4;
@@ -156,8 +159,10 @@ where
             used = 0;
         }
         used += cost;
+        let page = page_starts.len() - 1;
+        let slot = pos - page_starts[page] as usize;
+        image.set(NodeId(id), first_data_page + page as u64, slot as u16)?;
     }
-    let first_data_page = store.n_pages();
     for _ in 0..page_starts.len() {
         store.allocate()?;
     }
@@ -165,17 +170,14 @@ where
 
     // --- phase 3b: encode and write pages, in parallel ---
     // Worker w owns pages w, w+threads, … — disjoint page ids, so the
-    // only synchronization is the store's own write path. Each worker
-    // also accumulates its `(node id, packed address)` run.
+    // only synchronization is the store's own write path.
     let next_page = AtomicUsize::new(0);
-    let mut runs: Vec<Vec<(u64, u64)>> = Vec::with_capacity(threads);
     std::thread::scope(|scope| -> Result<()> {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             let (keyed, page_starts, pts, next_page, store) =
                 (&keyed, &page_starts, &pts, &next_page, &store);
-            handles.push(scope.spawn(move || -> Result<Vec<(u64, u64)>> {
-                let mut run: Vec<(u64, u64)> = Vec::new();
+            handles.push(scope.spawn(move || -> Result<()> {
                 let mut edges: Vec<Edge> = Vec::new();
                 let mut rec_buf: Vec<u8> = Vec::new();
                 loop {
@@ -187,7 +189,7 @@ where
                     let hi = page_starts.get(p + 1).map_or(keyed.len(), |&s| s as usize);
                     let page_id = first_data_page + p as u64;
                     let mut page = SlottedPage::new(page_size);
-                    for &(_, id) in &keyed[lo..hi] {
+                    for (pos, &(_, id)) in keyed[lo..hi].iter().enumerate() {
                         let node = NodeId(id);
                         src.successors_into(node, &mut edges)
                             .map_err(CcamError::Network)?;
@@ -199,17 +201,16 @@ where
                         rec_buf.clear();
                         rec.encode(&mut rec_buf);
                         let slot = page.insert(&rec_buf)?;
-                        run.push((u64::from(id), (page_id << 16) | u64::from(slot)));
+                        debug_assert_eq!(usize::from(slot), pos, "the scan's slot");
                     }
                     store.write_page(page_id, page.as_bytes())?;
                 }
-                run.sort_unstable();
-                Ok(run)
+                Ok(())
             }));
         }
         for h in handles {
             match h.join() {
-                Ok(run) => runs.push(run?),
+                Ok(r) => r?,
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
@@ -217,18 +218,18 @@ where
     })?;
 
     // Transient working set peaks here: every phase-1/2 array plus the
-    // address runs are alive at once.
+    // directory entries are alive at once.
     let transient_bytes = pts.len() * std::mem::size_of::<Point>()
         + degrees.len() * 2
         + keyed.len() * std::mem::size_of::<(u64, u32)>()
-        + runs.iter().map(Vec::len).sum::<usize>() * 16;
+        + image.bytes();
     drop(pts);
     drop(degrees);
     drop(keyed);
 
-    // --- phase 4: k-way merge the runs into the streaming B+-tree ---
-    let pool = Arc::new(BufferPool::new(Arc::clone(&store), cfg.pool_frames));
-    drop(index_and_seal(&pool, n, MergeRuns::new(runs), region)?);
+    // --- phase 4: the directory, after the data pages ---
+    let pool = BufferPool::new(Arc::clone(&store), cfg.pool_frames);
+    index_and_seal(&pool, &image, region)?;
     drop(pool);
 
     let total_pages = store.n_pages();
@@ -275,45 +276,6 @@ fn run_chunked<A: Send, B: Send>(
         }
         Ok(())
     })
-}
-
-/// K-way merge of locally sorted `(key, value)` runs, consumed lazily
-/// by [`BTree::bulk_load_from`]. Keys across runs are globally unique
-/// (each node id lands in exactly one page, hence one run), so the
-/// merged stream is strictly ascending.
-struct MergeRuns {
-    /// Min-heap of `(next key, next value, run index)` via `Reverse`.
-    heap: BinaryHeap<std::cmp::Reverse<(u64, u64, usize)>>,
-    /// Cursor per run.
-    cursors: Vec<(Vec<(u64, u64)>, usize)>,
-}
-
-impl MergeRuns {
-    fn new(runs: Vec<Vec<(u64, u64)>>) -> Self {
-        let mut heap = BinaryHeap::with_capacity(runs.len());
-        let mut cursors = Vec::with_capacity(runs.len());
-        for (i, run) in runs.into_iter().enumerate() {
-            if let Some(&(k, v)) = run.first() {
-                heap.push(std::cmp::Reverse((k, v, i)));
-            }
-            cursors.push((run, 1));
-        }
-        MergeRuns { heap, cursors }
-    }
-}
-
-impl Iterator for MergeRuns {
-    type Item = (u64, u64);
-
-    fn next(&mut self) -> Option<(u64, u64)> {
-        let std::cmp::Reverse((k, v, i)) = self.heap.pop()?;
-        let (run, cursor) = &mut self.cursors[i];
-        if let Some(&(nk, nv)) = run.get(*cursor) {
-            *cursor += 1;
-            self.heap.push(std::cmp::Reverse((nk, nv, i)));
-        }
-        Some((k, v))
-    }
 }
 
 #[cfg(test)]
@@ -408,12 +370,5 @@ mod tests {
             &BulkBuildConfig::default(),
         )
         .is_err());
-    }
-
-    #[test]
-    fn merge_runs_interleaves() {
-        let runs = vec![vec![(1, 10), (4, 40)], vec![(2, 20)], vec![], vec![(3, 30)]];
-        let merged: Vec<(u64, u64)> = MergeRuns::new(runs).collect();
-        assert_eq!(merged, vec![(1, 10), (2, 20), (3, 30), (4, 40)]);
     }
 }

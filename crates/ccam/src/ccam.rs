@@ -5,14 +5,15 @@
 //! ```text
 //! page 0            superblock
 //! pages 1..=P       pattern table (byte stream across pages)
-//! pages P+1..       data pages (slotted node records), then B+-tree pages
+//! pages P+1..       data pages (slotted node records), then the record
+//!                   directory (node id → page and slot, crate::directory)
 //! ```
 //!
-//! The superblock records the B+-tree root so a store can be reopened
-//! without the original in-memory network. The pattern table is small
-//! (one CapeCod pattern per road class plus any bespoke patterns) and
-//! is decoded into memory at open time, exactly as the paper treats
-//! speed patterns as schema-level data.
+//! The superblock records where the directory lies so a store can be
+//! reopened without the original in-memory network. The pattern table
+//! is small (one CapeCod pattern per road class plus any bespoke
+//! patterns) and is decoded into memory at open time, exactly as the
+//! paper treats speed patterns as schema-level data.
 
 use std::sync::Arc;
 
@@ -20,8 +21,8 @@ use bytes::{Buf, BufMut};
 use roadnet::{Edge, NetworkSource, NodeId, PatternId, Point, RoadNetwork};
 use traffic::{CapeCodPattern, ProfilePiece, SpeedProfile};
 
-use crate::btree::BTree;
 use crate::buffer::BufferPool;
+use crate::directory::{Directory, DirectoryImage};
 use crate::page::SlottedPage;
 use crate::partition::{partition_nodes, PlacementPolicy};
 use crate::record::{EdgeRecord, NodeRecord};
@@ -29,7 +30,7 @@ use crate::store::BlockStore;
 use crate::{CcamError, Result};
 
 const MAGIC: u32 = 0x4343_414D; // "CCAM"
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 
 /// A snapshot of access statistics: buffer behaviour plus physical
 /// store I/O.
@@ -64,10 +65,9 @@ impl StoreStats {
 /// [`NetworkSource`] so queries run unmodified over it.
 pub struct CcamStore {
     pool: Arc<BufferPool>,
-    btree: BTree,
+    dir: Directory,
     patterns: Vec<CapeCodPattern>,
     max_speed: f64,
-    n_nodes: usize,
     /// Where the pattern table lives (for in-place pattern updates).
     pattern_region: PatternRegion,
     /// Page currently accepting relocated/new records, if any.
@@ -101,7 +101,7 @@ impl CcamStore {
 
         // data pages
         let partitioning = partition_nodes(net, policy, page_size)?;
-        let mut addresses: Vec<(u64, u64)> = Vec::with_capacity(net.n_nodes());
+        let mut image = DirectoryImage::new(net.n_nodes());
         for nodes in &partitioning.pages {
             let page_id = pool.store().allocate()?;
             let mut page = SlottedPage::new(page_size);
@@ -114,20 +114,18 @@ impl CcamStore {
                 let mut buf = Vec::with_capacity(rec.encoded_len());
                 rec.encode(&mut buf);
                 let slot = page.insert(&buf)?;
-                addresses.push((u64::from(n.0), (page_id << 16) | u64::from(slot)));
+                image.set(n, page_id, slot)?;
             }
             pool.write_page(page_id, page.as_bytes())?;
         }
 
-        addresses.sort_unstable_by_key(|&(k, _)| k);
-        let btree = index_and_seal(&pool, net.n_nodes(), addresses, region)?;
+        let dir = index_and_seal(&pool, &image, region)?;
 
         Ok(CcamStore {
             pool,
-            btree,
+            dir,
             patterns: net.patterns().to_vec(),
             max_speed: net.max_speed(),
-            n_nodes: net.n_nodes(),
             pattern_region: region,
             overflow_page: None,
         })
@@ -138,7 +136,7 @@ impl CcamStore {
         let page_size = store.page_size();
         let pool = Arc::new(BufferPool::new(store, pool_frames));
 
-        let (n_nodes, root, height, region) = pool.with_page(0, |page| {
+        let (n_nodes, dir_start, dir_pages, region) = pool.with_page(0, |page| {
             let mut buf = page;
             if buf.get_u32_le() != MAGIC {
                 return Err(CcamError::Corrupt("bad magic".into()));
@@ -154,15 +152,16 @@ impl CcamStore {
                 )));
             }
             let n_nodes = buf.get_u64_le() as usize;
-            let root = buf.get_u64_le();
-            let height = buf.get_u32_le();
+            let dir_start = buf.get_u64_le();
+            let dir_pages = buf.get_u64_le();
             let region = PatternRegion {
                 start: buf.get_u64_le(),
                 n_pages: buf.get_u32_le() as usize,
                 len: buf.get_u32_le() as usize,
             };
-            Ok((n_nodes, root, height, region))
+            Ok((n_nodes, dir_start, dir_pages, region))
         })??;
+        let dir = Directory::open(&**pool.store(), dir_start, dir_pages, n_nodes)?;
 
         let mut pattern_bytes = Vec::with_capacity(region.len);
         for i in 0..region.n_pages {
@@ -177,13 +176,11 @@ impl CcamStore {
             .map(CapeCodPattern::max_speed)
             .fold(f64::NEG_INFINITY, f64::max);
 
-        let btree = BTree::open(Arc::clone(&pool), root, height);
         Ok(CcamStore {
             pool,
-            btree,
+            dir,
             patterns,
             max_speed,
-            n_nodes,
             pattern_region: region,
             overflow_page: None,
         })
@@ -217,8 +214,8 @@ impl CcamStore {
         })?
     }
 
-    /// [`Self::edges_into`] and [`Self::node_loc`] from one B+-tree
-    /// descent and one data-page access: the adjacency into `out`
+    /// [`Self::edges_into`] and [`Self::node_loc`] from one directory
+    /// page and one data page: the adjacency into `out`
     /// (cleared first), the location returned.
     fn read_into(&self, node: NodeId, out: &mut Vec<Edge>) -> Result<Point> {
         let (page_id, slot) = self.record_addr(node)?;
@@ -229,13 +226,10 @@ impl CcamStore {
         })?
     }
 
-    /// B-tree lookup of a node's record address as `(page, slot)`.
+    /// A node's record address as `(page, slot)`, from its directory
+    /// entry.
     fn record_addr(&self, node: NodeId) -> Result<(u64, u16)> {
-        let addr = self
-            .btree
-            .get(u64::from(node.0))?
-            .ok_or(CcamError::NotFound(u64::from(node.0)))?;
-        Ok((addr >> 16, (addr & 0xFFFF) as u16))
+        self.dir.get(&self.pool, node)
     }
 
     /// Current access statistics.
@@ -281,7 +275,9 @@ fn storage_error(e: CcamError, node: NodeId) -> roadnet::NetworkError {
         | CcamError::PageSizeMismatch { .. } => StorageFaultKind::Corruption,
         CcamError::TransientIo { .. } => StorageFaultKind::Transient,
         CcamError::Io(_) => StorageFaultKind::Io,
-        CcamError::RecordTooLarge { .. } => StorageFaultKind::Other,
+        CcamError::RecordTooLarge { .. } | CcamError::NodeIdNotNext { .. } => {
+            StorageFaultKind::Other
+        }
     };
     NetworkError::Storage {
         kind,
@@ -291,7 +287,7 @@ fn storage_error(e: CcamError, node: NodeId) -> roadnet::NetworkError {
 
 impl NetworkSource for CcamStore {
     fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.dir.len()
     }
 
     fn find_node(&self, node: NodeId) -> roadnet::Result<Point> {
@@ -330,15 +326,13 @@ impl NetworkSource for CcamStore {
 /// operations to update the network").
 ///
 /// Records that grow past their slot are *relocated* to an overflow
-/// page and the B+-tree entry is repointed; shrinking records are
+/// page and the directory entry is repointed; shrinking records are
 /// rewritten in place. Stale heap bytes are reclaimed only by a full
 /// rebuild (the classic vacuum trade-off).
 impl CcamStore {
     /// Replace the stored record for `rec.id` (must already exist).
     pub fn update_node_record(&mut self, rec: &NodeRecord) -> Result<()> {
-        let key = u64::from(rec.id.0);
-        let addr = self.btree.get(key)?.ok_or(CcamError::NotFound(key))?;
-        let (page_id, slot) = (addr >> 16, (addr & 0xFFFF) as u16);
+        let (page_id, slot) = self.record_addr(rec.id)?;
         let mut bytes = Vec::with_capacity(rec.encoded_len());
         rec.encode(&mut bytes);
 
@@ -352,30 +346,37 @@ impl CcamStore {
         }
 
         // Relocate.
-        let new_addr = self.append_record(&bytes)?;
-        self.btree.update(key, new_addr)?;
+        let (page_id, slot) = self.append_record(&bytes)?;
+        self.dir.set(&self.pool, rec.id.index(), page_id, slot)?;
         self.persist_meta()
     }
 
-    /// Insert a brand-new node record (id must be unused).
+    /// Insert a brand-new node record. Node ids are dense, so its id
+    /// must be the next one, [`NetworkSource::n_nodes`]; any other is
+    /// [`CcamError::NodeIdNotNext`].
     pub fn insert_node_record(&mut self, rec: &NodeRecord) -> Result<()> {
-        let key = u64::from(rec.id.0);
-        if self.btree.get(key)?.is_some() {
-            return Err(CcamError::Corrupt(format!("node {key} already exists")));
+        if rec.id.index() != self.dir.len() {
+            return Err(CcamError::NodeIdNotNext {
+                id: u64::from(rec.id.0),
+                next: self.dir.len() as u64,
+            });
         }
-        let mut bytes = Vec::with_capacity(rec.encoded_len());
-        rec.encode(&mut bytes);
-        let addr = self.append_record(&bytes)?;
-        self.btree.insert(key, addr)?;
-        self.n_nodes += 1;
         for e in &rec.edges {
             self.note_pattern_speed(e.pattern)?;
         }
+        let mut bytes = Vec::with_capacity(rec.encoded_len());
+        rec.encode(&mut bytes);
+        let (page_id, slot) = self.append_record(&bytes)?;
+        self.dir.push(&self.pool, page_id, slot)?;
         self.persist_meta()
     }
 
-    /// Add a directed edge `from → to` to the stored network.
+    /// Add a directed edge `from → to` to the stored network; both
+    /// ends must be stored nodes.
     pub fn add_edge(&mut self, from: NodeId, edge: EdgeRecord) -> Result<()> {
+        if edge.to.index() >= self.dir.len() {
+            return Err(CcamError::NotFound(u64::from(edge.to.0)));
+        }
         let mut rec = self.node_record(from)?;
         if rec.edges.iter().any(|e| e.to == edge.to) {
             return Err(CcamError::Corrupt(format!(
@@ -432,8 +433,8 @@ impl CcamStore {
     }
 
     /// Append an encoded record to the current overflow page,
-    /// allocating one as needed; returns the packed address.
-    fn append_record(&mut self, bytes: &[u8]) -> Result<u64> {
+    /// allocating one as needed; returns its `(page, slot)`.
+    fn append_record(&mut self, bytes: &[u8]) -> Result<(u64, u16)> {
         let page_size = self.pool.store().page_size();
         if bytes.len() + 8 > page_size {
             return Err(CcamError::RecordTooLarge {
@@ -457,7 +458,7 @@ impl CcamStore {
             if page.fits(bytes.len()) {
                 let slot = page.insert(bytes)?;
                 self.pool.write_page(page_id, page.as_bytes())?;
-                return Ok((page_id << 16) | u64::from(slot));
+                return Ok((page_id, slot));
             }
             self.overflow_page = None; // page full; allocate a fresh one
         }
@@ -475,13 +476,7 @@ impl CcamStore {
     }
 
     fn persist_meta(&self) -> Result<()> {
-        write_superblock(
-            &self.pool,
-            self.n_nodes as u64,
-            self.btree.root(),
-            self.btree.height(),
-            self.pattern_region,
-        )?;
+        write_superblock(&self.pool, &self.dir, self.pattern_region)?;
         self.pool.flush()
     }
 }
@@ -534,36 +529,29 @@ pub(crate) fn write_pattern_table(
 }
 
 /// The tail both builders share once their data pages are written:
-/// bulk-load the B+-tree from the key-ordered `(node id, address)`
-/// stream, write the superblock, flush.
+/// write the directory after them, then the superblock, and flush.
 pub(crate) fn index_and_seal(
-    pool: &Arc<BufferPool>,
-    n_nodes: usize,
-    addresses: impl IntoIterator<Item = (u64, u64)>,
+    pool: &BufferPool,
+    image: &DirectoryImage,
     region: PatternRegion,
-) -> Result<BTree> {
-    let btree = BTree::bulk_load_from(Arc::clone(pool), addresses)?;
-    write_superblock(pool, n_nodes as u64, btree.root(), btree.height(), region)?;
+) -> Result<Directory> {
+    let dir = image.write(pool)?;
+    write_superblock(pool, &dir, region)?;
     pool.flush()?;
-    Ok(btree)
+    Ok(dir)
 }
 
 /// Write the superblock to page 0.
-fn write_superblock(
-    pool: &Arc<BufferPool>,
-    n_nodes: u64,
-    root: u64,
-    height: u32,
-    region: PatternRegion,
-) -> Result<()> {
+fn write_superblock(pool: &BufferPool, dir: &Directory, region: PatternRegion) -> Result<()> {
     let page_size = pool.store().page_size();
     let mut sb = Vec::with_capacity(page_size);
     sb.put_u32_le(MAGIC);
     sb.put_u16_le(VERSION);
     sb.put_u32_le(page_size as u32);
-    sb.put_u64_le(n_nodes);
-    sb.put_u64_le(root);
-    sb.put_u32_le(height);
+    let (start, n_pages) = dir.run();
+    sb.put_u64_le(dir.len() as u64);
+    sb.put_u64_le(start);
+    sb.put_u64_le(n_pages);
     sb.put_u64_le(region.start);
     sb.put_u32_le(region.n_pages as u32);
     sb.put_u32_le(region.len as u32);
@@ -636,7 +624,7 @@ mod tests {
     use super::*;
     use crate::store::MemStore;
     use crate::DEFAULT_PAGE_SIZE;
-    use roadnet::generators::grid;
+    use roadnet::generators::{grid, suffolk_like, MetroConfig};
     use traffic::RoadClass;
 
     fn build_grid_store(policy: PlacementPolicy) -> (RoadNetwork, CcamStore) {
@@ -826,6 +814,219 @@ mod tests {
             reopened.node_record(NodeId(17)).unwrap().edges.len(),
             net.neighbors(NodeId(17)).unwrap().len()
         );
+    }
+
+    #[test]
+    fn an_id_past_the_next_is_refused_and_so_is_an_edge_to_it() {
+        let net = grid(4, 4, 0.3, RoadClass::LocalOutside).unwrap();
+        let store: Arc<dyn BlockStore> = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
+        let mut ccam = CcamStore::build(&net, store, PlacementPolicy::HilbertPacked, 8).unwrap();
+        let rec = |id: u32| NodeRecord {
+            id: NodeId(id),
+            loc: Point { x: 9.0, y: 9.0 },
+            edges: vec![],
+        };
+        for id in [20, 3] {
+            assert!(matches!(
+                ccam.insert_node_record(&rec(id)),
+                Err(CcamError::NodeIdNotNext { id: got, next: 16 }) if got == u64::from(id)
+            ));
+        }
+        let edge = EdgeRecord {
+            to: NodeId(20),
+            distance: 1.0,
+            class: RoadClass::LocalOutside,
+            pattern: PatternId(0),
+        };
+        assert!(matches!(
+            ccam.add_edge(NodeId(0), edge),
+            Err(CcamError::NotFound(20))
+        ));
+        assert_eq!(NetworkSource::n_nodes(&ccam), 16);
+        ccam.insert_node_record(&rec(16)).unwrap();
+        ccam.add_edge(
+            NodeId(0),
+            EdgeRecord {
+                to: NodeId(16),
+                ..edge
+            },
+        )
+        .unwrap();
+        assert_eq!(NetworkSource::n_nodes(&ccam), 17);
+    }
+
+    /// Inserting past a directory page's 341 entries moves the
+    /// directory to a larger run; after a reopen every old and new node
+    /// reads back exactly.
+    #[test]
+    fn the_directory_grows_past_a_page_and_persists() {
+        let net = suffolk_like(&MetroConfig::small(0xC0FFEE)).unwrap();
+        let n = net.n_nodes() as u32;
+        let store: Arc<dyn BlockStore> = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
+        let mut ccam = CcamStore::build(
+            &net,
+            Arc::clone(&store),
+            PlacementPolicy::ConnectivityClustered,
+            16,
+        )
+        .unwrap();
+        let per_page = DEFAULT_PAGE_SIZE / 6;
+        let (_, pages_before) = ccam.dir.run();
+        assert_eq!(pages_before as usize, (n as usize).div_ceil(per_page));
+        // New node k leads to node k - 1; every 20th old node gains an
+        // edge to a new one, which relocates its record.
+        let added = per_page as u32;
+        let mut want: Vec<NodeRecord> = net
+            .node_ids()
+            .map(|node| NodeRecord {
+                id: node,
+                loc: *net.point(node).unwrap(),
+                edges: net
+                    .neighbors(node)
+                    .unwrap()
+                    .iter()
+                    .map(EdgeRecord::from)
+                    .collect(),
+            })
+            .collect();
+        for k in n..n + added {
+            let edge = EdgeRecord {
+                to: NodeId(k - 1),
+                distance: 0.5,
+                class: RoadClass::LocalBoston,
+                pattern: PatternId(1),
+            };
+            let rec = NodeRecord {
+                id: NodeId(k),
+                loc: Point {
+                    x: f64::from(k),
+                    y: -1.0,
+                },
+                edges: vec![edge],
+            };
+            ccam.insert_node_record(&rec).unwrap();
+            want.push(rec);
+            if k % 20 == 0 {
+                let from = (k - n) as usize * 7 % n as usize;
+                let edge = EdgeRecord {
+                    to: NodeId(k),
+                    ..edge
+                };
+                ccam.add_edge(NodeId(from as u32), edge).unwrap();
+                want[from].edges.push(edge);
+            }
+        }
+        assert!(ccam.dir.run().1 > pages_before, "the directory grew");
+        drop(ccam);
+
+        let reopened = CcamStore::open(store, 16).unwrap();
+        assert_eq!(NetworkSource::n_nodes(&reopened), want.len());
+        for rec in &want {
+            assert_eq!(
+                &reopened.node_record(rec.id).unwrap(),
+                rec,
+                "node {}",
+                rec.id
+            );
+        }
+        assert!(matches!(
+            reopened.node_record(NodeId(n + added)),
+            Err(CcamError::NotFound(_))
+        ));
+    }
+
+    /// One hostile byte pattern per check, each a typed error with its
+    /// own message on open or on the first read of the damaged entry —
+    /// never a panic and never another node's record.
+    #[test]
+    fn hostile_directory_bytes_are_refused() {
+        type Mutation = fn(&mut Vec<Vec<u8>>, usize);
+        /// Superblock fields, by byte offset: directory start, pages.
+        const DIR_START: usize = 18;
+        const DIR_PAGES: usize = 26;
+        fn read_u64(page: &[u8], at: usize) -> u64 {
+            u64::from_le_bytes(page[at..at + 8].try_into().unwrap())
+        }
+        fn write_u64(page: &mut [u8], at: usize, v: u64) {
+            page[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        /// Node 5's entry: `(directory page, byte)`.
+        fn entry(pages: &[Vec<u8>]) -> (usize, usize) {
+            (read_u64(&pages[0], DIR_START) as usize, 5 * 6)
+        }
+        fn set_page(pages: &mut [Vec<u8>], page: u32) {
+            let (p, at) = entry(pages);
+            pages[p][at..at + 4].copy_from_slice(&page.to_le_bytes());
+        }
+        let cases: [(&str, Mutation); 8] = [
+            ("directory of 102 pages at page", |pages, _| {
+                let n = read_u64(&pages[0], DIR_PAGES);
+                write_u64(&mut pages[0], DIR_PAGES, n + 100);
+            }),
+            ("directory of 2 pages at page 0 runs outside", |pages, _| {
+                write_u64(&mut pages[0], DIR_START, 0);
+            }),
+            ("holds 682 entries, fewer than its 683 nodes", |pages, _| {
+                write_u64(&mut pages[0], 10, 683);
+            }),
+            ("past the end of the file", |pages, n| {
+                set_page(pages, n as u32 + 7);
+            }),
+            (
+                "directory entry of node n5 names the superblock",
+                |pages, _| {
+                    set_page(pages, 0);
+                },
+            ),
+            (
+                "directory entry of node n5 names directory page",
+                |pages, _| {
+                    let (p, _) = entry(pages);
+                    set_page(pages, p as u32 + 1);
+                },
+            ),
+            ("slot 999 beyond", |pages, _| {
+                let (p, at) = entry(pages);
+                pages[p][at + 4..at + 6].copy_from_slice(&999u16.to_le_bytes());
+            }),
+            // A truncated file: its directory's last page is gone.
+            ("directory of 2 pages at page", |pages, _| {
+                pages.pop();
+            }),
+        ];
+        // 400 nodes: a directory of two pages.
+        let net = grid(20, 20, 0.2, RoadClass::LocalOutside).unwrap();
+        let pages = {
+            let store: Arc<dyn BlockStore> = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
+            CcamStore::build(&net, Arc::clone(&store), PlacementPolicy::HilbertPacked, 8).unwrap();
+            let mut buf = vec![0u8; DEFAULT_PAGE_SIZE];
+            (0..store.n_pages())
+                .map(|id| {
+                    store.read_page(id, &mut buf).unwrap();
+                    buf.clone()
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(read_u64(&pages[0], DIR_PAGES), 2);
+        for (message, mutate) in cases {
+            let mut damaged = pages.clone();
+            mutate(&mut damaged, pages.len());
+            let store = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
+            for image in &damaged {
+                store.write_page(store.allocate().unwrap(), image).unwrap();
+            }
+            let read_all = CcamStore::open(store, 8).and_then(|ccam| {
+                net.node_ids()
+                    .try_for_each(|node| ccam.node_record(node).map(drop))
+            });
+            match read_all {
+                Err(CcamError::Corrupt(m)) => {
+                    assert!(m.contains(message), "{message}: got {m}")
+                }
+                Err(e) => panic!("{message}: {e}"),
+                Ok(()) => panic!("{message}: every node read"),
+            }
+        }
     }
 
     #[test]

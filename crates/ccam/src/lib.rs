@@ -4,8 +4,10 @@
 //! Liu, TKDE 1997; §2.2 of the ICDE 2006 paper): node records —
 //! location plus adjacency list with per-edge distance and speed
 //! pattern — are packed into disk pages so that *connected nodes tend
-//! to share a page*, and a B+-tree over node ids (ordered by the
-//! Hilbert values of node locations) locates any record.
+//! to share a page*, and an index over node ids locates any record.
+//! Node ids here are dense (`0..n`, as the query engine's per-node
+//! tables assume), so that index is a record directory, one fixed-size
+//! entry per node found by arithmetic, not a search tree.
 //!
 //! This crate is a small but real storage engine:
 //!
@@ -19,9 +21,9 @@
 //! * [`partition`] — page-packing policies: connectivity-clustered
 //!   (CCAM proper), plain Hilbert packing, and random packing (the
 //!   ablation baseline);
-//! * [`btree`] — a disk-resident B+-tree mapping node id → record
-//!   address, bulk-loaded bottom-up (one-shot or streamed from
-//!   external sorted runs) and searchable page-by-page;
+//! * [`directory`] — the disk-resident record directory: node id →
+//!   (page, slot), 6 bytes an entry in id order, so a lookup reads the
+//!   one directory page its id names, through the buffer pool;
 //! * [`build_bulk`] — a parallel, bounded-memory bulk builder that
 //!   streams any [`roadnet::NetworkSource`] straight to pages,
 //!   byte-identical to [`CcamStore::build`] at every thread count,
@@ -41,10 +43,10 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-mod btree;
 mod buffer;
 mod bulk;
 mod ccam;
+mod directory;
 mod hilbert;
 mod page;
 mod partition;
@@ -54,7 +56,6 @@ mod store;
 pub mod fault;
 pub mod integrity;
 
-pub use btree::BTree;
 pub use buffer::{BufferPool, BufferStats};
 pub use bulk::{build_bulk, BulkBuildConfig, BulkBuildStats};
 pub use ccam::{CcamStore, StoreStats};
@@ -88,6 +89,14 @@ pub enum CcamError {
     },
     /// Key not found in the index.
     NotFound(u64),
+    /// A new node's id is not the next dense id: a store of `next`
+    /// nodes names them `0..next`, so it can only insert `next`.
+    NodeIdNotNext {
+        /// The id asked for.
+        id: u64,
+        /// The only id an insert can take.
+        next: u64,
+    },
     /// A store file's header records a different page size than the
     /// caller asked to open it with. Typed (rather than a generic
     /// header failure) so callers can retry with the recorded size.
@@ -153,6 +162,9 @@ impl std::fmt::Display for CcamError {
                 write!(f, "record of {need} bytes exceeds page capacity {page}")
             }
             CcamError::NotFound(k) => write!(f, "key {k} not found"),
+            CcamError::NodeIdNotNext { id, next } => {
+                write!(f, "node id {id} is not the next dense id {next}")
+            }
             CcamError::PageSizeMismatch { stored, requested } => {
                 write!(
                     f,

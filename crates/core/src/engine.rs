@@ -658,8 +658,14 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         // First touch of a node (the seed, or a candidate edge's head):
         // fetch its adjacency and location in one record read and file
         // the record. Every later candidate or expansion is served from
-        // `ws`. Returns the slot.
+        // `ws`. Returns the slot. An id past the source's nodes (a head
+        // read from a damaged page, say) is `UnknownNode`, never an
+        // index past `slot_of`.
+        let n_nodes = self.source.n_nodes();
         let read_node = |ws: &mut SearchWorkspace, node: NodeId| -> Result<usize> {
+            if node.index() >= n_nodes {
+                return Err(roadnet::NetworkError::UnknownNode(node).into());
+            }
             let loc = self.source.read_node(node, &mut ws.fetched)?;
             ws.adjacency.extend_from_slice(&ws.fetched);
             let end = index32(ws.adjacency.len(), "adjacency arena outgrew u32 offsets")?;
@@ -815,9 +821,9 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                     continue;
                 }
 
-                let slot = match ws.slot_of[edge.to.index()] {
-                    NONE => read_node(ws, edge.to)?,
-                    slot => slot as usize,
+                let slot = match ws.slot_of.get(edge.to.index()) {
+                    Some(&slot) if slot != NONE => slot as usize,
+                    _ => read_node(ws, edge.to)?,
                 };
                 let est = ws.nodes[slot].est;
                 if est == f64::INFINITY {
@@ -1150,6 +1156,73 @@ mod tests {
             Interval::of(hm(6, 50), hm(7, 5)),
             DayCategory::WORKDAY,
         )
+    }
+
+    /// A source whose `from` node has one extra edge, to an id past
+    /// its nodes — what a damaged page with no checksum could hand the
+    /// search.
+    struct StrayHead<'a> {
+        inner: &'a roadnet::RoadNetwork,
+        from: NodeId,
+    }
+
+    impl StrayHead<'_> {
+        fn stray(&self) -> NodeId {
+            NodeId(self.inner.n_nodes() as u32 + 3)
+        }
+    }
+
+    impl NetworkSource for StrayHead<'_> {
+        fn n_nodes(&self) -> usize {
+            self.inner.n_nodes()
+        }
+
+        fn find_node(&self, node: NodeId) -> roadnet::Result<Point> {
+            self.inner.find_node(node)
+        }
+
+        fn successors(&self, node: NodeId) -> roadnet::Result<Vec<roadnet::Edge>> {
+            let mut edges = self.inner.successors(node)?;
+            if node == self.from {
+                edges.push(roadnet::Edge {
+                    to: self.stray(),
+                    ..edges[0]
+                });
+            }
+            Ok(edges)
+        }
+
+        fn pattern(&self, id: roadnet::PatternId) -> roadnet::Result<&traffic::CapeCodPattern> {
+            self.inner.pattern(id)
+        }
+
+        fn max_speed(&self) -> f64 {
+            self.inner.max_speed()
+        }
+    }
+
+    #[test]
+    fn an_edge_head_past_the_nodes_is_unknown_node_not_a_panic() {
+        let (net, ids) = paper_running_example();
+        let src = StrayHead {
+            inner: &net,
+            from: ids.s,
+        };
+        let naive = EngineConfig {
+            estimator: EstimatorKind::Naive,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(&src, naive).unwrap();
+        let unknown = |r: &Result<()>| {
+            matches!(
+                r,
+                Err(AllFpError::Network(roadnet::NetworkError::UnknownNode(n))) if *n == src.stray()
+            )
+        };
+        let all = engine.all_fastest_paths(&paper_query()).map(drop);
+        assert!(unknown(&all), "allFP: {all:?}");
+        let single = engine.single_fastest_path(&paper_query()).map(drop);
+        assert!(unknown(&single), "singleFP: {single:?}");
     }
 
     #[test]

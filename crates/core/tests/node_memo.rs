@@ -14,13 +14,15 @@ use std::sync::{Arc, Mutex};
 use allfp::{
     Engine, EngineConfig, PathfindBackend, QueryBudget, QueryOutcome, QuerySpec, QueryStats,
 };
-use ccam::{CcamStore, MemStore, PlacementPolicy, DEFAULT_PAGE_SIZE};
+use ccam::{
+    CcamError, CcamStore, EdgeRecord, MemStore, NodeRecord, PlacementPolicy, DEFAULT_PAGE_SIZE,
+};
 use pwl::time::hm;
 use pwl::Interval;
 use roadnet::generators::{suffolk_like, MetroConfig};
 use roadnet::workload::sample_pairs;
 use roadnet::{Edge, NetworkSource, NodeId, PatternId, Point, RoadNetwork};
-use traffic::{CapeCodPattern, DayCategory};
+use traffic::{CapeCodPattern, DayCategory, RoadClass};
 
 /// Every node id each call was made for, in call order.
 #[derive(Default)]
@@ -216,7 +218,7 @@ fn a_budget_tripped_query_reads_each_node_record_once() {
 }
 
 #[test]
-fn a_paged_source_pays_three_pool_lookups_per_node_read() {
+fn a_paged_source_pays_two_pool_lookups_per_node_read() {
     let (net, queries) = metro_small();
     let disk = CcamStore::build(
         &net,
@@ -227,20 +229,20 @@ fn a_paged_source_pays_three_pool_lookups_per_node_read() {
     .expect("store builds");
     let logical = |s: &ccam::StoreStats| s.hits + s.misses;
 
-    // One record fetch walks the B+-tree (height 2 here: root, leaf)
-    // and then reads the data page.
+    // One record fetch reads the node's directory page, then the data
+    // page.
     let before = disk.stats();
     disk.find_node(queries[0].source).expect("node exists");
-    assert_eq!(logical(&disk.stats().since(&before)), 3, "tree height is 2");
+    assert_eq!(logical(&disk.stats().since(&before)), 2, "directory, data");
 
     let engine = Engine::new(&disk, EngineConfig::default()).unwrap();
     for (i, q) in queries.iter().enumerate() {
         let before = disk.stats();
         let all = engine.all_fastest_paths(q).expect("allFP");
         let reads = logical(&disk.stats().since(&before));
-        // one descent and one data page per node read, plus the
+        // one directory page and one data page per node read, plus the
         // target's `find_node`
-        assert_eq!(reads, 3 * all.stats.nodes_read as u64 + 3, "allFP {i}");
+        assert_eq!(reads, 2 * all.stats.nodes_read as u64 + 2, "allFP {i}");
         assert!(all.stats.nodes_read > 0);
 
         let before = disk.stats();
@@ -248,8 +250,50 @@ fn a_paged_source_pays_three_pool_lookups_per_node_read() {
         let reads = logical(&disk.stats().since(&before));
         assert_eq!(
             reads,
-            3 * single.stats.nodes_read as u64 + 3,
+            2 * single.stats.nodes_read as u64 + 2,
             "singleFP {i}"
         );
+    }
+}
+
+/// Node ids are dense: a store of `n` nodes inserts only node `n`. An
+/// id past it (and an edge to one) is a typed error, so no query over
+/// the store meets a head past its nodes; a dense insert wired in by an
+/// edge is read like any other node.
+#[test]
+fn a_sparse_node_id_is_refused_and_the_next_query_runs() {
+    let (net, queries) = metro_small();
+    let mut disk = CcamStore::build(
+        &net,
+        Arc::new(MemStore::new(DEFAULT_PAGE_SIZE)),
+        PlacementPolicy::ConnectivityClustered,
+        16,
+    )
+    .expect("store builds");
+    let n = net.n_nodes() as u32;
+    let record = |id: u32| NodeRecord {
+        id: NodeId(id),
+        loc: *net.point(NodeId(0)).expect("node 0"),
+        edges: vec![],
+    };
+    let edge = |to: u32| EdgeRecord {
+        to: NodeId(to),
+        distance: 0.1,
+        class: RoadClass::LocalOutside,
+        pattern: PatternId(0),
+    };
+    assert!(matches!(
+        disk.insert_node_record(&record(n + 5)),
+        Err(CcamError::NodeIdNotNext { next, .. }) if next == u64::from(n)
+    ));
+    assert!(matches!(
+        disk.add_edge(NodeId(0), edge(n + 5)),
+        Err(CcamError::NotFound(_))
+    ));
+    disk.insert_node_record(&record(n)).expect("the next id");
+    disk.add_edge(NodeId(0), edge(n)).expect("an edge to it");
+    let engine = Engine::new(&disk, EngineConfig::default()).expect("engine");
+    for q in &queries {
+        engine.all_fastest_paths(q).expect("allFP");
     }
 }

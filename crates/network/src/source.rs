@@ -50,7 +50,7 @@ pub trait NetworkSource {
     /// The default is [`successors_into`](NetworkSource::successors_into)
     /// followed by [`find_node`](NetworkSource::find_node); a store
     /// that can resolve the record once for both should override it
-    /// (CCAM then pays one B+-tree descent per record instead of two).
+    /// (CCAM then reads one directory entry per record instead of two).
     fn read_node(&self, node: NodeId, buf: &mut Vec<Edge>) -> Result<Point> {
         self.successors_into(node, buf)?;
         self.find_node(node)

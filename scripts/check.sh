@@ -207,6 +207,13 @@ if grep -rn "CancelReason" crates; then
     echo "CancelReason is back" >&2
     exit 1
 fi
+# One record index: CCAM finds a record through its dense record
+# directory, one entry per node id. The B+-tree it replaced, the tree's
+# streaming bulk load and the k-way run merge that fed it stay deleted.
+if grep -rnE "mod btree|BTree\b|bulk_load_from|MergeRuns" crates/ccam; then
+    echo "the B+-tree (or its bulk load or run merge) is back in crates/ccam" >&2
+    exit 1
+fi
 echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> tier-1: cargo build --release"
