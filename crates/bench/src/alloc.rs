@@ -14,8 +14,8 @@
 //! thread-local, so a measured region is not disturbed by whatever
 //! other threads allocate meanwhile (`cargo test` runs sibling tests in
 //! parallel). Measured regions in the gates therefore run on the
-//! thread that takes the snapshots (the width-1 batch driver spawns no
-//! threads); work handed to another thread is not seen.
+//! thread that takes the snapshots; work handed to another thread is
+//! not seen.
 //!
 //! Deallocations are deliberately not counted: the gates care about
 //! pressure on the allocator's fast path, and every steady-state

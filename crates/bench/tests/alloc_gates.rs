@@ -12,7 +12,7 @@
 //! same time do not disturb a measured region; every measured region
 //! runs on the test's own thread.
 
-use allfp::{run_batch, CancelToken, Engine, EngineConfig};
+use allfp::{Engine, EngineConfig, PathfindBackend};
 use fpbench::alloc::snapshot;
 use fpbench::hotpath::fig9_rush;
 use fpbench::{Scale, Scenario};
@@ -72,27 +72,30 @@ fn the_warm_kernel_loop_does_not_allocate() {
     assert_eq!(allocs, 0, "pooled PWL kernels allocated in the warm loop");
 }
 
-/// A warm width-1 batch (one persistent session, no helper threads) on
-/// metro-small. The warm-up batch fills the shared travel-function
-/// cache and parks its session, which the measured batch revives: L1,
-/// scratch pool and search workspace are warm, so what is counted is
-/// what every further query of a long-lived worker costs — answers and
-/// arena growth.
+/// A warm pass over metro-small's queries on one session, on the
+/// test's own thread. The warm-up pass fills the shared
+/// travel-function cache and parks its session, which the measured
+/// pass revives: L1, scratch pool and search workspace are warm, so
+/// what is counted is what every further query of a long-lived caller
+/// costs — answers and arena growth.
 #[test]
 fn the_engine_stays_inside_its_allocation_budgets() {
     let scenario = Scenario::new(Scale::Small, 0x5EED);
     let queries = fig9_rush(&scenario.net, 12);
     let engine = Engine::new(&scenario.net, EngineConfig::default()).unwrap();
-    let cancel = CancelToken::new();
-    let _ = run_batch(&engine, &queries, 1, &cancel);
+    // Expansions of one pass; every query must answer.
+    let pass = || -> usize {
+        let mut session = engine.cache_session();
+        queries
+            .iter()
+            .map(|q| engine.robust_with_session(q, &mut session, None).unwrap())
+            .map(|o| o.stats().expanded_paths)
+            .sum()
+    };
+    pass();
     let before = snapshot();
-    let results = run_batch(&engine, &queries, 1, &cancel);
+    let expanded = pass();
     let delta = snapshot().since(&before);
-    let expanded: usize = results
-        .iter()
-        .flatten()
-        .map(|o| o.stats().expanded_paths)
-        .sum();
 
     let per_expansion = delta.allocs as f64 / expanded.max(1) as f64;
     assert!(

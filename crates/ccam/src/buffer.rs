@@ -192,8 +192,8 @@ pub struct BufferPool {
     shards: Vec<Shard>,
     /// `shard = hash(id) >> shard_shift`; 64 means "always shard 0".
     shard_shift: u32,
-    /// Counter feeding the seeded retry-backoff jitter stream; its
-    /// initial value is the seed ([`BufferPool::set_retry_seed`]).
+    /// Counter feeding the seeded retry-backoff jitter stream: it
+    /// starts at 0 and advances by one per retry, pool-wide.
     retry_noise: AtomicU64,
     stats: BufferStats,
 }
@@ -272,8 +272,8 @@ impl BufferPool {
 
     /// Run one physical I/O, absorbing transient faults with up to
     /// [`IO_ATTEMPTS`]` - 1` retries (exponential backoff, starting at
-    /// 20µs, plus seeded jitter of up to half the base delay — see
-    /// [`BufferPool::set_retry_seed`]). Each retry bumps the store's
+    /// 20µs, plus seeded jitter of up to half the base delay, drawn
+    /// from `retry_noise`). Each retry bumps the store's
     /// `retries` counter; a transient fault that survives every
     /// attempt bumps `exhausted` (the health signal a serving layer's
     /// circuit breaker watches) before surfacing; permanent errors
@@ -307,12 +307,6 @@ impl BufferPool {
                 }
             }
         }
-    }
-
-    /// Seed the retry-backoff jitter stream. The default seed is 0;
-    /// the stream advances by one per retry, pool-wide.
-    pub fn set_retry_seed(&self, seed: u64) {
-        self.retry_noise.store(seed, Ordering::Relaxed);
     }
 
     /// Run `f` over the contents of page `id`, faulting it in if

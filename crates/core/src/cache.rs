@@ -26,38 +26,36 @@
 //!
 //! # Concurrency
 //!
-//! The cache is shared across queries and across the threads of
-//! [`run_batch`](crate::run_batch). To keep it from becoming a
-//! serialization point it is organised in two levels:
+//! The cache is shared across queries, and across threads wherever a
+//! caller answers queries on more than one. It is organised in two
+//! levels:
 //!
-//! * **Sharded shared store.** The map is split into [`SHARD_COUNT`]
-//!   independent `RwLock<HashMap>` shards selected by a hash of the
-//!   key, so concurrent workers contend only when they touch the same
-//!   shard at the same time (and read locks never exclude each other).
-//! * **Per-worker L1 ([`CacheSession`]).** Every lookup goes through
+//! * **Shared store.** One `RwLock<HashMap>`: read locks never exclude
+//!   each other, and a session reaches the store only on an L1 miss.
+//! * **Session L1 ([`CacheSession`]).** Every lookup goes through
 //!   a session ([`CacheSession::travel_fn`] is the one lookup, and
 //!   [`CacheSession::extend`] — lookup and compound in one, the step
 //!   the searches take — composes against the L1's entry in place):
-//!   each query (and each `run_batch` worker, across all its queries)
-//!   holds a private lock-free map of recently used `Arc<Pwl>`
-//!   full-period functions. Steady-state lookups are served from the
-//!   L1 without taking any lock. This is *exact*, not approximate: the
-//!   shared store's values are immutable full-period functions keyed by
-//!   everything that determines them, so an L1 copy can never go stale.
-//!   The tier is kept because it was measured, with a query at ~1 000
-//!   lookups: sending every lookup straight to the shards made a
-//!   2-worker `run_batch` over the repo benchmark's 320 `rush_mem`
-//!   pairs 7 % slower in 16 of 16 alternating pairs (CHANGES.md,
-//!   PR 22) — a read lock and a shard probe per candidate edge cost
-//!   more than the private map does.
+//!   each session, across all the queries it answers, holds a private
+//!   lock-free map of recently used `Arc<Pwl>` full-period functions.
+//!   Steady-state lookups are served from the L1 without taking any
+//!   lock. This is *exact*, not approximate: the shared store's values
+//!   are immutable full-period functions keyed by everything that
+//!   determines them, so an L1 copy can never go stale. The tier is
+//!   kept because it was measured, with a query at ~1 000 lookups:
+//!   sending every lookup straight to the shared store made two
+//!   threads over the repo benchmark's 320 `rush_mem` pairs 7 % slower
+//!   in 16 of 16 alternating pairs (recorded in CHANGES.md) — a read
+//!   lock and a store probe per candidate edge cost more than the
+//!   private map does.
 //!
-//! Hit/miss counters are engine-wide atomics aggregated across shards
-//! and sessions: sessions tally locally and flush on drop, so the
+//! Hit/miss counters are cache-wide atomics aggregated across
+//! sessions: sessions tally locally and flush on drop, so the
 //! steady-state lookup path touches no shared cache line either. The
 //! counters use `Ordering::Relaxed` — they are monotonic event counts
 //! with no ordering obligations to other memory; readers that need a
 //! consistent total (the tests, the bench report) read after the
-//! worker threads have been joined, and the join edge provides the
+//! querying threads have been joined, and the join edge provides the
 //! happens-before.
 
 use std::collections::HashMap;
@@ -74,14 +72,6 @@ use traffic::{DayCategory, SpeedProfile};
 
 use crate::engine::SearchWorkspace;
 use crate::Result;
-
-/// Number of independent shards in the shared store (power of two).
-///
-/// Sixteen is comfortably above the worker counts the batch driver
-/// spawns, so the expected contention on any shard is low even when
-/// every worker misses at once (cold start).
-pub const SHARD_COUNT: usize = 16;
-const SHARD_BITS: u32 = SHARD_COUNT.trailing_zeros();
 
 /// Entries a [`CacheSession`] L1 holds before it resets itself.
 ///
@@ -105,18 +95,6 @@ struct Key {
     pattern: PatternId,
     category: DayCategory,
     distance_bits: u64,
-}
-
-impl Key {
-    /// Shard index: Fibonacci-hash the mixed fields and keep the top
-    /// bits (the multiplier diffuses low-entropy inputs like small
-    /// pattern ids into the high bits).
-    fn shard(&self) -> usize {
-        let mixed = self.distance_bits
-            ^ (u64::from(self.pattern.0) << 32)
-            ^ (u64::from(self.category.0) << 24);
-        (mixed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SHARD_BITS)) as usize
-    }
 }
 
 /// Multiply-xor hasher for the small fixed-width [`Key`]: the L1 is
@@ -193,8 +171,9 @@ struct SessionState {
 }
 
 /// Retired session states kept for revival; beyond this they are
-/// dropped. Sized above the batch driver's worker counts. Idle states
-/// are bounded (L1 entries are `Arc`s, scratch pools cap themselves, a
+/// dropped. A single-threaded caller parks one; the bound only caps
+/// what many sessions open at once can leave behind. Idle states are
+/// bounded (L1 entries are `Arc`s, scratch pools cap themselves, a
 /// workspace is 4 B per network node plus arenas it shrinks when idle),
 /// and only as many park here as sessions were ever open at once.
 const RETIRED_CAP: usize = 32;
@@ -202,7 +181,7 @@ const RETIRED_CAP: usize = 32;
 /// Engine-wide cache of full-period edge travel-time functions.
 pub struct TravelFnCache {
     enabled: bool,
-    shards: Vec<RwLock<KeyMap<Arc<Pwl>>>>,
+    store: RwLock<KeyMap<Arc<Pwl>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserted: AtomicU64,
@@ -225,9 +204,9 @@ impl std::fmt::Debug for TravelFnCache {
 /// A snapshot of the cache's lifetime counters.
 ///
 /// Counters are `Ordering::Relaxed` atomics: individually exact and
-/// monotonic, but a snapshot taken while worker threads are still
+/// monotonic, but a snapshot taken while querying threads are still
 /// running may observe one counter ahead of the other. Snapshots taken
-/// after the workers have been joined (how every test and report reads
+/// after those threads have been joined (how every test and report reads
 /// them) are exact totals — the join provides the happens-before edge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
@@ -276,9 +255,7 @@ impl TravelFnCache {
     pub fn new() -> Self {
         TravelFnCache {
             enabled: true,
-            shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(KeyMap::default()))
-                .collect(),
+            store: RwLock::new(KeyMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserted: AtomicU64::new(0),
@@ -328,13 +305,12 @@ impl TravelFnCache {
     ///
     /// Returns the number of shared-store entries flushed.
     pub fn retire_patterns(&self, retire: impl Fn(PatternId) -> bool) -> u64 {
-        let mut flushed = 0u64;
-        for shard in &self.shards {
-            let mut map = write_lock(shard);
+        let flushed = {
+            let mut map = write_lock(&self.store);
             let before = map.len();
             map.retain(|k, _| !retire(k.pattern));
-            flushed += (before - map.len()) as u64;
-        }
+            (before - map.len()) as u64
+        };
         self.retired_entries.fetch_add(flushed, Ordering::Relaxed);
         for state in lock_retired(&self.retired).iter_mut() {
             state.l1.retain(|k, _| !retire(k.pattern));
@@ -342,9 +318,9 @@ impl TravelFnCache {
         flushed
     }
 
-    /// Total entries across all shards (diagnostics / tests).
+    /// Entries in the shared store (diagnostics / tests).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| read_lock(s).len()).sum()
+        read_lock(&self.store).len()
     }
 
     /// Is the cache empty?
@@ -352,7 +328,7 @@ impl TravelFnCache {
         self.len() == 0
     }
 
-    /// Open a per-worker session: a private L1 over this cache whose
+    /// Open a session: a private L1 over this cache whose
     /// steady-state lookups take no lock. Counters tallied by the
     /// session are flushed into the cache-wide totals when the session
     /// drops.
@@ -373,16 +349,15 @@ impl TravelFnCache {
     }
 
     /// Fetch (or build) the full-period function for `key` from the
-    /// sharded store. Returns the function and whether it was already
+    /// shared store. Returns the function and whether it was already
     /// present. Does **not** touch the hit/miss counters — callers
     /// tally.
     fn full_fn(&self, key: Key, profile: &SpeedProfile, distance: f64) -> Result<(Arc<Pwl>, bool)> {
-        let shard = &self.shards[key.shard()];
         // Take the read guard in its own statement so it is dropped
         // before the miss path asks for the write lock (a match on the
         // guarded lookup would keep it alive across the whole match and
         // self-deadlock).
-        let cached = read_lock(shard).get(&key).cloned();
+        let cached = read_lock(&self.store).get(&key).cloned();
         match cached {
             Some(f) => Ok((f, true)),
             None => {
@@ -390,7 +365,7 @@ impl TravelFnCache {
                 // the same work is harmless (first insert wins, values
                 // are identical by construction).
                 let built = Arc::new(full_period_fn(profile, distance)?);
-                let mut map = write_lock(shard);
+                let mut map = write_lock(&self.store);
                 let entry = map.entry(key).or_insert_with(|| {
                     self.inserted.fetch_add(1, Ordering::Relaxed);
                     Arc::clone(&built)
@@ -407,8 +382,8 @@ impl Default for TravelFnCache {
     }
 }
 
-/// A per-worker view of a [`TravelFnCache`]: a private map of recently
-/// used full-period functions in front of the sharded shared store.
+/// A private view of a [`TravelFnCache`]: a map of recently used
+/// full-period functions in front of the shared store.
 ///
 /// L1 hits take **no lock**. The L1 is exact under
 /// the periodic speed model: shared-store values are immutable and
@@ -576,19 +551,20 @@ fn lock_retired(l: &Mutex<Vec<SessionState>>) -> MutexGuard<'_, Vec<SessionState
     l.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Read-lock a shard, recovering from poison: entries are
+/// Read-lock the shared store, recovering from poison: entries are
 /// immutable-once-inserted `Arc`s and insertions happen fully inside
 /// one `entry().or_insert_with` call, so a map abandoned by a panicked
 /// thread is always in a consistent state. Recovery keeps one
-/// panicking query (isolated by the robust batch driver) from wedging
-/// the cache for every later query.
+/// panicking query (caught by its caller) from wedging the cache for
+/// every later query.
 fn read_lock<'l, K, V, H>(
     l: &'l RwLock<HashMap<K, V, H>>,
 ) -> std::sync::RwLockReadGuard<'l, HashMap<K, V, H>> {
     l.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Write-lock a shard with the same poison recovery as [`read_lock`].
+/// Write-lock the shared store with the same poison recovery as
+/// [`read_lock`].
 fn write_lock<'l, K, V, H>(
     l: &'l RwLock<HashMap<K, V, H>>,
 ) -> std::sync::RwLockWriteGuard<'l, HashMap<K, V, H>> {
@@ -1055,30 +1031,5 @@ mod tests {
         let c = cache.counters();
         assert_eq!(c.inserted, 5);
         assert_eq!(c.expected_resident(), cache.len() as u64);
-    }
-
-    #[test]
-    fn keys_spread_over_shards() {
-        // Not a distribution-quality test — just that sharding is
-        // actually in effect (different keys land on more than one
-        // shard) and every shard index is in range.
-        let mut seen = std::collections::HashSet::new();
-        for p in 0..32u16 {
-            for d in 1..=8u64 {
-                let key = Key {
-                    pattern: PatternId(p),
-                    category: DayCategory::WORKDAY,
-                    distance_bits: (d as f64 * 0.25).to_bits(),
-                };
-                let s = key.shard();
-                assert!(s < SHARD_COUNT);
-                seen.insert(s);
-            }
-        }
-        assert!(
-            seen.len() > SHARD_COUNT / 2,
-            "only {} shards hit",
-            seen.len()
-        );
     }
 }

@@ -1,7 +1,6 @@
 //! The `IntAllFastestPaths` engine (§4): one search routine serves
 //! every [`QueryMode`] behind [`PathfindBackend::answer`]; the query
-//! surfaces are that trait's provided methods and batches go through
-//! [`crate::run_batch`].
+//! surfaces are that trait's provided methods.
 
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -424,8 +423,8 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
     }
 
     /// Lifetime hit/miss counters of the engine's travel-function
-    /// cache, accumulated across every query (and every thread of
-    /// [`crate::run_batch`]) this engine has answered.
+    /// cache, accumulated across every query (on every thread) this
+    /// engine has answered.
     pub fn cache_counters(&self) -> CacheCounters {
         self.cache.counters()
     }
@@ -1223,6 +1222,10 @@ mod tests {
         assert!(unknown(&all), "allFP: {all:?}");
         let single = engine.single_fastest_path(&paper_query()).map(drop);
         assert!(unknown(&single), "singleFP: {single:?}");
+        // The min-time bound's build sweeps every record and meets the
+        // stray head first: the same class, not an internal error.
+        let min_time = Engine::new(&src, EngineConfig::default()).map(drop);
+        assert!(unknown(&min_time), "minTimeLB build: {min_time:?}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
-use roadnet::{Edge, NetworkSource, NodeId, Point};
+use roadnet::{Edge, NetworkError, NetworkSource, NodeId, Point};
 
 use crate::{AllFpError, MinEntry, Result};
 
@@ -223,7 +223,7 @@ impl MinTimeLb {
                 }
                 let in_degree = offsets
                     .get_mut(e.to.index() + 1)
-                    .ok_or(AllFpError::Internal("edge head outside the network"))?;
+                    .ok_or(NetworkError::UnknownNode(e.to))?;
                 *in_degree += 1;
                 swept.push((e.to.0, u, e.distance / max_speed[p]));
             }

@@ -45,13 +45,14 @@
 //! # Robustness (extension)
 //!
 //! Queries can carry a [`QueryBudget`] (wall-clock deadline and/or an
-//! expansion cap); [`PathfindBackend::run_robust`] and [`run_batch`]
-//! answer such queries with a [`QueryOutcome`] that **degrades instead
-//! of erroring** when the budget trips — best-so-far exact paths plus
-//! a constant-speed fallback route ([`DegradedAnswer`]). Batches accept
-//! a cooperative [`CancelToken`] and isolate panicking queries to their
-//! own result slot. Every surface fails with the one [`AllFpError`]; a
-//! storage fault is its `Network(NetworkError::Storage { kind, .. })`.
+//! expansion cap); [`PathfindBackend::run_robust`] and
+//! [`PathfindBackend::robust_with_session`] answer such queries with a
+//! [`QueryOutcome`] that **degrades instead of erroring** when the
+//! budget trips — best-so-far exact paths plus a constant-speed
+//! fallback route ([`DegradedAnswer`]). `robust_with_session` also
+//! polls a cooperative [`CancelToken`]. Every surface fails with the
+//! one [`AllFpError`]; a storage fault is its
+//! `Network(NetworkError::Storage { kind, .. })`.
 //! See `DESIGN.md` §9 for the full fault model.
 //!
 //! # Service (extension)
@@ -82,7 +83,7 @@ pub mod epoch;
 pub mod service;
 
 pub use arrival::{ArrivalAllFpAnswer, ArrivalPlanner, ArrivalQuerySpec, ArrivalSingleFpAnswer};
-pub use backend::{run_batch, Answer, PathfindBackend, QueryMode, SearchRun};
+pub use backend::{Answer, PathfindBackend, QueryMode, SearchRun};
 pub use boundary::BoundaryLb;
 pub use cache::{CacheCounters, CacheSession, TravelFnCache};
 pub use engine::{build_estimator, Engine, EngineConfig, Watch};

@@ -1,25 +1,26 @@
-//! Concurrent-correctness stress tests for the sharded query stack.
+//! Concurrent-correctness stress tests for the shared query stack.
 //!
 //! PR 1 proved the travel-function cache *exact* (golden equivalence
 //! against the uncached engine); this file proves the *concurrent*
 //! implementation keeps that exactness and its accounting under real
 //! thread interleavings:
 //!
-//! * many threads hammering the sharded [`TravelFnCache`] through
-//!   per-worker [`CacheSession`] L1s must return bit-identical
+//! * many threads hammering the shared [`TravelFnCache`] through
+//!   per-thread [`CacheSession`] L1s must return bit-identical
 //!   functions to direct construction, and once the threads are joined
 //!   (and sessions dropped) `hits + misses` must equal the number of
 //!   lookups issued — no lookup lost, none double-counted;
-//! * [`run_batch`] at several widths must return
-//!   exactly the serial answers, with the engine-wide counters
-//!   advancing by exactly the lookups its slots reported.
+//! * one engine answering a query set on 1, 2, 4 and 8 threads, one
+//!   session each, must return exactly the serial answers, with the
+//!   engine-wide counters advancing by exactly the lookups the
+//!   answers reported.
 //!
 //! Seeds are fixed; scheduling is the only nondeterminism, which is
 //! the point — run under an unpinned `RUST_TEST_THREADS` to let the
 //! interleavings vary (`scripts/check.sh` does).
 
 use allfp::{
-    run_batch, CancelToken, Engine, EngineConfig, EstimatorKind, QueryOutcome, QuerySpec,
+    Engine, EngineConfig, EstimatorKind, PathfindBackend, QueryOutcome, QuerySpec, Result,
     TravelFnCache,
 };
 use pwl::time::hm;
@@ -38,10 +39,10 @@ fn lcg(x: &mut u64) -> u64 {
 }
 
 #[test]
-fn sharded_cache_sessions_are_exact_under_contention() {
+fn shared_cache_sessions_are_exact_under_contention() {
     let n_threads = 8usize;
     let lookups_per_thread = 400usize;
-    // small key space => heavy cross-thread sharing on every shard
+    // small key space => heavy cross-thread sharing of every key
     let distances = [0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0, 8.0];
     let profile = SpeedProfile::with_rush_window(1.0, 0.4, hm(7, 0), hm(9, 30)).unwrap();
 
@@ -102,11 +103,44 @@ fn sharded_cache_sessions_are_exact_under_contention() {
     assert!(c.hits >= total - 64 * n_threads as u64, "{c:?}");
 }
 
+/// `queries` answered on `workers` scoped threads, each with one warm
+/// session and every `workers`-th query, back in input order.
+fn answer_threaded(
+    engine: &Engine<'_, roadnet::RoadNetwork>,
+    queries: &[QuerySpec],
+    workers: usize,
+) -> Vec<Result<QueryOutcome>> {
+    let mut answered: Vec<(usize, Result<QueryOutcome>)> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..workers)
+            .map(|t| {
+                scope.spawn(move || {
+                    let mut session = engine.cache_session();
+                    let mut answered = Vec::new();
+                    for i in (t..queries.len()).step_by(workers) {
+                        let q = &queries[i];
+                        answered.push((i, engine.robust_with_session(q, &mut session, None)));
+                    }
+                    answered
+                    // the session drops here, flushing its tallies
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|thread| thread.join().expect("a query thread panicked"))
+            .collect()
+    });
+    answered.sort_by_key(|(i, _)| *i);
+    answered.into_iter().map(|(_, r)| r).collect()
+}
+
 #[test]
-fn batch_stress_matches_serial_across_widths() {
+fn threaded_sessions_match_serial_across_widths() {
     // The min-time estimator answers from a per-thread workspace that
-    // outlives each query: whichever worker runs a query, after
-    // whichever others, it must search exactly as the serial loop did.
+    // outlives each query, and a closed session's search workspace is
+    // revived by whichever thread opens the next: whichever thread
+    // runs a query, after whichever others, it must search exactly as
+    // the serial loop did.
     // A case: (nodes, radius, seed), estimator, query seed, queries,
     // earliest departure, departure spread, interval width.
     let kinds = [EstimatorKind::Naive, EstimatorKind::MinTime];
@@ -149,14 +183,14 @@ fn batch_stress_matches_serial_across_widths() {
 
         for workers in [1usize, 2, 4, 8] {
             let before = engine.cache_counters();
-            let batch = run_batch(&engine, &queries, workers, &CancelToken::new());
+            let threaded = answer_threaded(&engine, &queries, workers);
             let after = engine.cache_counters();
 
-            assert_eq!(batch.len(), queries.len());
-            // the slots' own tallies and the engine-wide counters must
-            // agree: sessions flushed exactly once on join
+            assert_eq!(threaded.len(), queries.len());
+            // the answers' own tallies and the engine-wide counters
+            // must agree: sessions flushed exactly once on join
             let (mut lookups, mut hits, mut misses) = (0, 0, 0);
-            for stats in batch.iter().flatten().map(QueryOutcome::stats) {
+            for stats in threaded.iter().flatten().map(QueryOutcome::stats) {
                 lookups += stats.cache_lookups;
                 hits += stats.cache_hits;
                 misses += stats.cache_misses;
@@ -164,11 +198,11 @@ fn batch_stress_matches_serial_across_widths() {
             assert_eq!(
                 (after.hits - before.hits) + (after.misses - before.misses),
                 lookups as u64,
-                "engine counters must advance by the batch's lookups (workers={workers})"
+                "engine counters must advance by the answers' lookups (workers={workers})"
             );
             assert_eq!(lookups, hits + misses);
 
-            for (i, (s, b)) in serial.iter().zip(batch.iter()).enumerate() {
+            for (i, (s, b)) in serial.iter().zip(threaded.iter()).enumerate() {
                 match (s, b) {
                     (Ok(s), Ok(QueryOutcome::Exact(b))) => {
                         assert_eq!(
@@ -187,7 +221,7 @@ fn batch_stress_matches_serial_across_widths() {
                     }
                     (Err(_), Err(_)) => {}
                     (s, b) => panic!(
-                        "seed {seed} query {i} workers {workers}: serial {} but batch {}",
+                        "seed {seed} query {i} workers {workers}: serial {} but threaded {}",
                         if s.is_ok() { "succeeded" } else { "failed" },
                         if b.is_ok() { "succeeded" } else { "failed" },
                     ),

@@ -10,9 +10,10 @@
 //!
 //! and the properties asserted are the ISSUE's acceptance criteria:
 //!
-//! * under seeded transient-read faults, a concurrent batch completes
-//!   **every** query with answers identical to a fault-free serial run
-//!   (the retry layer absorbs the faults; nothing leaks upward);
+//! * under seeded transient-read faults, four threads sharing one
+//!   engine complete **every** query with answers identical to a
+//!   fault-free serial run (the retry layer absorbs the faults; nothing
+//!   leaks upward);
 //! * the same seed replays the same fault schedule byte-for-byte;
 //! * a bit-flipped page is detected as `Corruption` and surfaces as a
 //!   typed `AllFpError::Network(NetworkError::Storage { .. })` —
@@ -22,18 +23,17 @@
 //!   a read that fails through every retry;
 //! * an exhausted per-query budget yields a [`QueryOutcome::Degraded`]
 //!   answer whose constant-speed fallback is a real, drivable path;
-//! * a query that panics mid-search fails in its own slot while its
-//!   batch siblings complete exactly, and the session it unwound
-//!   through answers the next query exactly;
-//! * a pre-cancelled batch reports `Cancelled` for every slot.
+//! * the session a panicking query unwound through answers the next
+//!   query exactly;
+//! * a pre-cancelled token cancels every query.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use allfp::baseline::evaluate_path;
 use allfp::{
-    run_batch, AllFpError, CancelToken, DegradedReason, Engine, EngineConfig, EstimatorKind,
-    PathfindBackend, QueryBudget, QueryOutcome, QuerySpec,
+    AllFpError, CancelToken, DegradedReason, Engine, EngineConfig, EstimatorKind, PathfindBackend,
+    QueryBudget, QueryOutcome, QuerySpec,
 };
 use ccam::{
     BlockStore, CcamStore, ChecksummedStore, FaultInjectingStore, FaultPlan, MemStore,
@@ -86,11 +86,12 @@ fn sample_queries(net: &RoadNetwork, n: usize, seed: u64) -> Vec<QuerySpec> {
         .collect()
 }
 
-/// Batch answers over a store with scheduled transient read faults
-/// must be identical to a fault-free serial run: the buffer pool's
-/// bounded retry absorbs every injected fault and no query fails.
+/// Answers from four threads over a store with scheduled transient
+/// read faults must be identical to a fault-free serial run: the
+/// buffer pool's bounded retry absorbs every injected fault and no
+/// query fails.
 #[test]
-fn batch_over_faulty_store_matches_fault_free_serial() {
+fn threads_over_faulty_store_match_fault_free_serial() {
     let net = random_geometric(100, 4.0, 3, 9).unwrap();
     // every-5th read fails transiently (period >= 2, so a single retry
     // always lands — see the FaultInjectingStore schedule model)
@@ -106,41 +107,55 @@ fn batch_over_faulty_store_matches_fault_free_serial() {
 
     let engine = Engine::new(&disk, EngineConfig::default()).unwrap();
     // the min-time bound's build read every page; drop them so the
-    // batch faults its own pages in
+    // threads fault their own pages in
     disk.clear_cache().unwrap();
     let io = disk.pool().store().io_stats();
     let (reads, retries, faults) = (io.reads(), io.retries(), injected.n_faults());
-    let batch = run_batch(&engine, &queries, 4, &CancelToken::new());
-    assert_eq!(batch.len(), queries.len());
-
-    for (i, (s, b)) in serial.iter().zip(batch.iter()).enumerate() {
-        match (s, b) {
-            (Ok(s), Ok(QueryOutcome::Exact(b))) => {
-                assert_eq!(s.partition.len(), b.partition.len(), "query {i}");
-                for (x, y) in s.partition.iter().zip(b.partition.iter()) {
-                    assert!(x.0.approx_eq(&y.0), "query {i}");
-                    assert_eq!(s.paths[x.1].nodes, b.paths[y.1].nodes, "query {i}");
+    let workers = 4;
+    std::thread::scope(|scope| {
+        for t in 0..workers {
+            let (engine, queries, serial) = (&engine, &queries, &serial);
+            scope.spawn(move || {
+                let mut session = engine.cache_session();
+                for i in (t..queries.len()).step_by(workers) {
+                    let got = engine.robust_with_session(&queries[i], &mut session, None);
+                    match (&serial[i], got) {
+                        (Ok(s), Ok(QueryOutcome::Exact(b))) => {
+                            assert_eq!(s.partition.len(), b.partition.len(), "query {i}");
+                            for (x, y) in s.partition.iter().zip(b.partition.iter()) {
+                                assert!(x.0.approx_eq(&y.0), "query {i}");
+                                assert_eq!(s.paths[x.1].nodes, b.paths[y.1].nodes, "query {i}");
+                            }
+                        }
+                        // only structural failures (unreachable pair)
+                        // may agree to fail; a storage fault must never
+                        // surface
+                        (
+                            Err(AllFpError::Unreachable { .. }),
+                            Err(AllFpError::Unreachable { .. }),
+                        ) => {}
+                        (s, b) => panic!(
+                            "query {i}: serial {:?} vs faulty {:?}",
+                            s.as_ref().map(|_| "ok"),
+                            b.as_ref().map(|_| "ok"),
+                        ),
+                    }
                 }
-            }
-            // only structural failures (unreachable pair) may agree to
-            // fail; a storage fault must never surface
-            (Err(AllFpError::Unreachable { .. }), Err(AllFpError::Unreachable { .. })) => {}
-            (s, b) => panic!(
-                "query {i}: serial {:?} vs faulty batch {:?}",
-                s.as_ref().map(|_| "ok"),
-                b.as_ref().map(|_| "ok"),
-            ),
+            });
         }
-    }
+    });
 
-    // the batch read pages, faults fired on those reads, and the pool
-    // retried through them
-    assert!(io.reads() > reads, "the batch read no page");
+    // the threads read pages, faults fired on those reads, and the
+    // pool retried through them
+    assert!(io.reads() > reads, "the threads read no page");
     assert!(
         injected.n_faults() > faults,
-        "schedule never fired in the batch"
+        "schedule never fired in the threaded queries"
     );
-    assert!(io.retries() > retries, "no retries recorded in the batch");
+    assert!(
+        io.retries() > retries,
+        "no retries recorded in the threaded queries"
+    );
     assert_eq!(io.corruptions(), 0, "transient faults must not corrupt");
 }
 
@@ -213,20 +228,6 @@ fn bit_flipped_page_is_detected_never_served() {
             }
             other => panic!("corrupt store served an answer: {other:?}"),
         }
-    }
-    // batch slots report the same typed failure; none succeed
-    let results = run_batch(&engine, &queries, 2, &CancelToken::new());
-    for r in &results {
-        assert!(
-            matches!(
-                r,
-                Err(AllFpError::Network(NetworkError::Storage {
-                    kind: StorageFaultKind::Corruption,
-                    ..
-                }))
-            ),
-            "slot over corrupt store: {r:?}"
-        );
     }
     assert!(
         disk.pool().store().io_stats().corruptions() > 0,
@@ -340,8 +341,9 @@ fn exhausted_budget_over_disk_store_degrades_with_fallback() {
 }
 
 /// A `NetworkSource` whose adjacency read panics for one poisoned
-/// node. The node has no incoming edges, so only a search *starting*
-/// there ever expands it — sibling queries are deterministic.
+/// node. The tests give the node no incoming edges but a gate's, so
+/// only a search starting at one of the two ever reads it — every
+/// other query answers as on the clean network.
 struct PanicSource<'a> {
     inner: &'a RoadNetwork,
     poison: NodeId,
@@ -367,64 +369,6 @@ impl NetworkSource for PanicSource<'_> {
 
     fn max_speed(&self) -> f64 {
         NetworkSource::max_speed(self.inner)
-    }
-}
-
-/// A deliberately panicking query errors in its own batch slot while
-/// every sibling completes with the exact answer.
-#[test]
-fn panicking_query_fails_in_its_own_slot() {
-    let mut net = grid(4, 4, 0.3, RoadClass::LocalOutside).unwrap();
-    // poison node: outgoing edge only, so no sibling search can reach
-    // (and therefore never expands) it
-    let poison = net.add_node(2.0, 2.0).unwrap();
-    net.add_class_edge(poison, NodeId(15), 2.0, RoadClass::LocalOutside)
-        .unwrap();
-
-    let iv = Interval::of(hm(7, 0), hm(7, 20));
-    let queries = vec![
-        QuerySpec::new(NodeId(0), NodeId(15), iv, DayCategory::WORKDAY),
-        QuerySpec::new(NodeId(3), NodeId(12), iv, DayCategory::WORKDAY),
-        QuerySpec::new(poison, NodeId(0), iv, DayCategory::WORKDAY),
-        QuerySpec::new(NodeId(5), NodeId(10), iv, DayCategory::WORKDAY),
-        QuerySpec::new(NodeId(12), NodeId(3), iv, DayCategory::WORKDAY),
-    ];
-
-    let src = PanicSource {
-        inner: &net,
-        poison,
-    };
-    // naiveLB: building the min-time bound would read the poisoned node.
-    let naive = EngineConfig {
-        estimator: EstimatorKind::Naive,
-        ..EngineConfig::default()
-    };
-    let engine = Engine::new(&src, naive.clone()).unwrap();
-    let clean = Engine::new(&net, naive).unwrap();
-
-    // width 1 runs every query on the calling thread's own loop
-    for workers in [1, 3] {
-        let results = run_batch(&engine, &queries, workers, &CancelToken::new());
-        assert_eq!(results.len(), queries.len());
-        for (i, (q, r)) in queries.iter().zip(results.iter()).enumerate() {
-            if q.source == poison {
-                assert!(
-                    matches!(r, Err(AllFpError::Panicked(_))),
-                    "poisoned slot {i}, width {workers}: {r:?}"
-                );
-                continue;
-            }
-            let got = match r {
-                Ok(QueryOutcome::Exact(a)) => a,
-                other => panic!("sibling slot {i}, width {workers}: {other:?}"),
-            };
-            let want = clean.all_fastest_paths(q).unwrap();
-            assert_eq!(want.partition.len(), got.partition.len(), "slot {i}");
-            for (x, y) in want.partition.iter().zip(got.partition.iter()) {
-                assert!(x.0.approx_eq(&y.0), "slot {i}");
-                assert_eq!(want.paths[x.1].nodes, got.paths[y.1].nodes, "slot {i}");
-            }
-        }
     }
 }
 
@@ -488,10 +432,10 @@ fn panicked_query_leaves_its_session_exact() {
     }
 }
 
-/// Cancelling before the batch starts cancels every slot — over the
-/// real disk stack, not just the in-memory engine.
+/// A token fired before the queries start cancels every one of them —
+/// over the real disk stack, not just the in-memory engine.
 #[test]
-fn pre_cancelled_batch_cancels_every_slot_over_disk() {
+fn a_fired_token_cancels_every_query_over_disk() {
     let net = grid(5, 5, 0.3, RoadClass::LocalBoston).unwrap();
     let (_raw, _injected, top) = faulty_stack(FaultPlan::quiet(2).with_transient_reads(7));
     let disk = CcamStore::build(&net, top, PlacementPolicy::HilbertPacked, 32).unwrap();
@@ -500,20 +444,20 @@ fn pre_cancelled_batch_cancels_every_slot_over_disk() {
     let queries = sample_queries(&net, 6, 99);
     let token = CancelToken::new();
     token.cancel();
-    let results = run_batch(&engine, &queries, 3, &token);
-    assert_eq!(results.len(), queries.len());
-    for r in &results {
+    let mut session = engine.cache_session();
+    for q in &queries {
+        let r = engine.robust_with_session(q, &mut session, Some(&token));
         assert!(matches!(r, Err(AllFpError::Cancelled)), "{r:?}");
     }
 }
 
-/// The batch driver preserves fault-replay determinism: pushing the
-/// same seeded workload through [`run_batch`] (width 1,
-/// so the physical-operation order is well defined) produces a
-/// bit-identical [`ccam::FaultEvent`] log on every run, and every
-/// slot still resolves.
+/// A warm session preserves fault-replay determinism: pushing the same
+/// seeded workload through one session (one thread, so the
+/// physical-operation order is well defined) produces a bit-identical
+/// [`ccam::FaultEvent`] log on every run, and every query still
+/// resolves exactly.
 #[test]
-fn batch_replays_identical_fault_log() {
+fn one_session_replays_identical_fault_log() {
     let net = grid(8, 8, 0.25, RoadClass::LocalBoston).unwrap();
     let queries = sample_queries(&net, 8, 5);
 
@@ -522,26 +466,26 @@ fn batch_replays_identical_fault_log() {
         let disk = CcamStore::build(&net, top, PlacementPolicy::ConnectivityClustered, 32).unwrap();
         let engine = Engine::new(&disk, EngineConfig::default()).unwrap();
         // the min-time bound's build read every page; drop them so the
-        // batch faults its own pages in
+        // session faults its own pages in
         disk.clear_cache().unwrap();
         let io = disk.pool().store().io_stats();
         let (reads, faults) = (io.reads(), injected.n_faults());
-        let results = run_batch(&engine, &queries, 1, &CancelToken::new());
-        assert!(io.reads() > reads, "the batch read no page");
-        assert!(
-            injected.n_faults() > faults,
-            "schedule never fired in the batch"
-        );
-        assert_eq!(results.len(), queries.len());
-        for (k, r) in results.iter().enumerate() {
+        let mut session = engine.cache_session();
+        for (k, q) in queries.iter().enumerate() {
+            let r = engine.robust_with_session(q, &mut session, None);
             assert!(
                 matches!(r, Ok(QueryOutcome::Exact(_))),
-                "slot {k} did not resolve exactly: {r:?}"
+                "query {k} did not resolve exactly: {r:?}"
             );
         }
+        assert!(io.reads() > reads, "the session read no page");
+        assert!(
+            injected.n_faults() > faults,
+            "schedule never fired in the session's queries"
+        );
         injected.events()
     };
 
     let a = run();
-    assert_eq!(a, run(), "batch replay must be bit-identical");
+    assert_eq!(a, run(), "the session's replay must be bit-identical");
 }

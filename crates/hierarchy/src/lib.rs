@@ -31,8 +31,8 @@
 //!    golden suite in `core/tests/hierarchy_equivalence.rs` pins this).
 //!
 //! [`HierarchyEngine`] implements [`allfp::PathfindBackend`], so the
-//! admission-controlled `QueryService`, robust batches, deadlines,
-//! cancellation and degraded fallbacks all work against it unchanged.
+//! admission-controlled `QueryService`, deadlines, cancellation and
+//! degraded fallbacks all work against it unchanged.
 //! Queries the overlay cannot serve exactly (degenerate intervals,
 //! day categories that were not preprocessed, leaving windows outside
 //! `[0, 1440]`, multi-day arrival windows) transparently fall back to

@@ -41,7 +41,7 @@ const POOL_CAP: usize = 4096;
 ///   needed; after a few iterations of similarly-sized work the pool is
 ///   warm and the kernels stop allocating entirely.
 /// - A scratch is single-threaded state: give each worker its own
-///   (`CacheSession` in `fp-allfp` owns one per batch worker). Sharing
+///   (`CacheSession` in `fp-allfp` owns one per session). Sharing
 ///   one across threads is prevented by `&mut` receivers.
 #[derive(Debug, Default)]
 pub struct PwlScratch {

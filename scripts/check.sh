@@ -169,12 +169,21 @@ if [ -e crates/cluster ] ||
     echo "the simulated cluster (or its probe jitter or partition assignment) is back" >&2
     exit 1
 fi
-# One batch loop: `run_batch`'s workers claim queries from one shared
-# cursor. The work-stealing deques, the batch roll-up only they filled
-# and the engine's cache on/off knob stay deleted.
+# No batch scheduler: a query runs on its caller's thread. The
+# work-stealing deques, the batch roll-up only they filled and the
+# engine's cache on/off knob stay deleted.
 if grep -rnE "steal_into|BatchStats|use_travel_cache" crates ||
     grep -n "VecDeque" crates/core/src/backend.rs; then
     echo "the work-stealing batch scheduler (or BatchStats or use_travel_cache) is back" >&2
+    exit 1
+fi
+# No batch entry point: `run_batch` had no caller but its own tests,
+# and the travel-function cache's shared store is one map, not the
+# shards only its worker threads needed. The buffer pool's retry-seed
+# setter, called by nothing, stays deleted too.
+if grep -rnE "fn run_batch|SHARD_COUNT|set_retry_seed" crates ||
+    grep -n "fn shard(" crates/core/src/cache.rs; then
+    echo "run_batch, the cache shards or the retry-seed setter is back" >&2
     exit 1
 fi
 # Every mechanism has a caller: the hierarchy's snapshot codec (and

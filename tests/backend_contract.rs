@@ -11,8 +11,8 @@ use fastest_paths::allfp::service::{
     OverloadReason, QueryService, ServiceConfig, ServiceOutcome, Submission, TicketId, WallClock,
 };
 use fastest_paths::allfp::{
-    run_batch, AllFpAnswer, AllFpError, CancelToken, EpochId, EpochManager, LiveBackend,
-    QueryBudget, QueryMode, QueryOutcome,
+    AllFpAnswer, AllFpError, CancelToken, EpochId, EpochManager, LiveBackend, QueryBudget,
+    QueryMode, QueryOutcome,
 };
 use fastest_paths::prelude::*;
 use fastest_paths::roadnet::generators::{suffolk_like, MetroConfig};
@@ -50,11 +50,11 @@ fn bits(a: &AllFpAnswer) -> Bits {
 }
 
 /// `q` fails on every surface, each time with an error `want` accepts:
-/// allFP, singleFP, the two robust surfaces and a one-query
-/// `run_batch` slot. Under a token, the surfaces that take none are
-/// asked through `answer` (the legacy two) or not at all (`run_robust`).
+/// allFP, singleFP and the two robust surfaces. Under a token, the
+/// surfaces that take none are asked through `answer` (the legacy two)
+/// or not at all (`run_robust`).
 fn fails_alike(
-    backend: &(dyn PathfindBackend + Sync),
+    backend: &dyn PathfindBackend,
     q: &QuerySpec,
     cancel: Option<&CancelToken>,
     want: fn(&AllFpError) -> bool,
@@ -83,9 +83,6 @@ fn fails_alike(
     };
     let robust = backend.robust_with_session(q, &mut session, cancel);
     got.push(("robust_with_session", robust.err()));
-    let token = cancel.cloned().unwrap_or_default();
-    let mut slots = run_batch(backend, std::slice::from_ref(q), 1, &token);
-    got.push(("run_batch", slots.pop().and_then(Result::err)));
     let name = backend.backend_name();
     for (surface, e) in got {
         assert!(e.as_ref().is_some_and(want), "{name}: {surface} gave {e:?}");
@@ -95,7 +92,7 @@ fn fails_alike(
 /// The contract. `reference[i]` is the flat engine's answer to
 /// `queries[i]`; `unreachable` is a pair no path connects.
 fn check_contract(
-    backend: &(dyn PathfindBackend + Sync),
+    backend: &dyn PathfindBackend,
     queries: &[QuerySpec],
     reference: &[Bits],
     unreachable: &QuerySpec,
@@ -180,7 +177,7 @@ fn check_contract(
 /// dry the service answers every query bit-equal to `reference`.
 /// Returns the terminal outcomes in completion order.
 fn serve_all(
-    backend: &(dyn PathfindBackend + Sync),
+    backend: &dyn PathfindBackend,
     queries: &[QuerySpec],
     reference: &[Bits],
 ) -> Vec<(TicketId, Bits)> {
@@ -219,11 +216,7 @@ fn serve_all(
 
 /// A query pinned to a retired epoch fails on every surface instead of
 /// answering from another network version.
-fn check_retired_epoch(
-    backend: &(dyn PathfindBackend + Sync),
-    manager: &EpochManager,
-    query: &QuerySpec,
-) {
+fn check_retired_epoch(backend: &dyn PathfindBackend, manager: &EpochManager, query: &QuerySpec) {
     let delta = manager
         .current()
         .network()
