@@ -21,7 +21,7 @@ use bytes::{Buf, BufMut};
 use roadnet::{Edge, NetworkSource, NodeId, PatternId, Point, RoadNetwork};
 use traffic::{CapeCodPattern, ProfilePiece, SpeedProfile};
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, StoreStats};
 use crate::directory::{Directory, DirectoryImage};
 use crate::page::SlottedPage;
 use crate::partition::{partition_nodes, PlacementPolicy};
@@ -31,35 +31,6 @@ use crate::{CcamError, Result};
 
 const MAGIC: u32 = 0x4343_414D; // "CCAM"
 const VERSION: u16 = 2;
-
-/// A snapshot of access statistics: buffer behaviour plus physical
-/// store I/O.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Buffer pool hits.
-    pub hits: u64,
-    /// Buffer pool misses (page faults).
-    pub misses: u64,
-    /// Frames evicted.
-    pub evictions: u64,
-    /// Pages physically read from the store.
-    pub physical_reads: u64,
-    /// Pages physically written to the store.
-    pub physical_writes: u64,
-}
-
-impl StoreStats {
-    /// Difference since an earlier snapshot.
-    pub fn since(&self, earlier: &StoreStats) -> StoreStats {
-        StoreStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            evictions: self.evictions - earlier.evictions,
-            physical_reads: self.physical_reads - earlier.physical_reads,
-            physical_writes: self.physical_writes - earlier.physical_writes,
-        }
-    }
-}
 
 /// A disk-resident CapeCod network behind CCAM, implementing
 /// [`NetworkSource`] so queries run unmodified over it.
@@ -234,15 +205,7 @@ impl CcamStore {
 
     /// Current access statistics.
     pub fn stats(&self) -> StoreStats {
-        let b = self.pool.stats();
-        let (r, w) = self.pool.store().io_stats().snapshot();
-        StoreStats {
-            hits: b.hits(),
-            misses: b.misses(),
-            evictions: b.evictions(),
-            physical_reads: r,
-            physical_writes: w,
-        }
+        self.pool.stats()
     }
 
     /// Drop all cached pages (cold-cache experiments).

@@ -113,8 +113,7 @@ pub struct FaultEvent {
 }
 
 /// SplitMix64 — a tiny, high-quality 64-bit mixer; used to derive
-/// per-kind phases and bit positions from the plan seed (and, in the
-/// buffer pool, per-retry backoff jitter).
+/// per-kind phases and bit positions from the plan seed.
 pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -56,9 +56,9 @@ mod store;
 pub mod fault;
 pub mod integrity;
 
-pub use buffer::{BufferPool, BufferStats};
+pub use buffer::{BufferPool, StoreStats};
 pub use bulk::{build_bulk, BulkBuildConfig, BulkBuildStats};
-pub use ccam::{CcamStore, StoreStats};
+pub use ccam::CcamStore;
 pub use fault::{FaultEvent, FaultInjectingStore, FaultKind, FaultPlan};
 pub use hilbert::{hilbert_d2xy, hilbert_order, hilbert_xy2d};
 pub use integrity::{crc32, ChecksummedStore};

@@ -123,9 +123,10 @@ impl IoStats {
 
     /// Transient-fault retry rounds that gave up (all
     /// [`crate::IO_ATTEMPTS`] attempts faulted and the error
-    /// surfaced). The health signal a serving layer's circuit
-    /// breaker watches: retries absorb blips, exhaustions mean the
-    /// store is genuinely sick.
+    /// surfaced): retries absorb blips, exhaustions mean the store is
+    /// sick. Each one also reaches the caller as an error, which the
+    /// query engine surfaces as a `NetworkError::Storage`: the service's
+    /// circuit breaker counts those outcomes, not this tally.
     pub fn exhausted(&self) -> u64 {
         self.exhausted.load(Ordering::Relaxed)
     }
@@ -244,9 +245,9 @@ impl BlockStore for MemStore {
 /// size, the typed [`CcamError::PageSizeMismatch`]) instead of
 /// silently reading garbage. Pages follow the header back-to-back.
 ///
-/// Page I/O is positional (`pread`/`pwrite` on unix): a read takes no
-/// lock, so pool shards missing at the same moment do not serialize on
-/// the file.
+/// Page I/O is positional (`pread`/`pwrite` on unix): no shared
+/// cursor and no lock, so the bulk builder's workers write their
+/// disjoint pages in parallel.
 pub struct FileStore {
     page_size: usize,
     file: PositionalFile,

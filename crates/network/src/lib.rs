@@ -38,7 +38,6 @@ mod stats;
 
 pub mod examples;
 pub mod generators;
-pub mod io;
 pub mod workload;
 
 pub use graph::{DeltaReport, Edge, NodeId, PatternId, Point, RoadNetwork};
@@ -82,13 +81,6 @@ pub enum NetworkError {
     },
     /// A coordinate was not finite.
     BadCoordinate(f64, f64),
-    /// Text-format parse failure (see [`crate::io`]).
-    Parse {
-        /// 1-based line number (0 for I/O-level failures).
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
     /// A [`traffic::TrafficDelta`] update named a directed edge the
     /// network does not have.
     NoSuchEdge {
@@ -128,9 +120,6 @@ impl std::fmt::Display for NetworkError {
             }
             NetworkError::PatternTableFull => {
                 write!(f, "pattern table exhausted its u16 id space")
-            }
-            NetworkError::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
             }
             NetworkError::Traffic(e) => write!(f, "traffic error: {e}"),
             NetworkError::Storage { kind, message } => {

@@ -180,10 +180,27 @@ fi
 # No batch entry point: `run_batch` had no caller but its own tests,
 # and the travel-function cache's shared store is one map, not the
 # shards only its worker threads needed. The buffer pool's retry-seed
-# setter, called by nothing, stays deleted too.
+# setter, called by nothing, stays deleted too (and the pool's own
+# shards and retry jitter with it: the one-pool-lock guard below).
 if grep -rnE "fn run_batch|SHARD_COUNT|set_retry_seed" crates ||
     grep -n "fn shard(" crates/core/src/cache.rs; then
     echo "run_batch, the cache shards or the retry-seed setter is back" >&2
+    exit 1
+fi
+# One pool lock: the CCAM buffer pool is one exact global LRU behind
+# one mutex. Its hash-addressed shards, the settable shard count and
+# the seeded retry jitter that decorrelated their concurrent retry
+# loops served only the batch driver's threads, and stay deleted.
+if grep -rnE "MAX_SHARDS|MIN_FRAMES_PER_SHARD|with_shards|fn n_shards|shard_shift|retry_noise" crates/ccam; then
+    echo "the buffer pool's shards (or its retry jitter) are back" >&2
+    exit 1
+fi
+# No importer without a caller: the network text format (`roadnet::io`)
+# and the parse error only it raised had nothing but their own tests,
+# and stay deleted until a real-data run needs them.
+if grep -n "pub mod io" crates/network/src/lib.rs ||
+    grep -n "Parse {" crates/network/src/lib.rs; then
+    echo "the network text format (roadnet::io or NetworkError::Parse) is back" >&2
     exit 1
 fi
 # Every mechanism has a caller: the hierarchy's snapshot codec (and
