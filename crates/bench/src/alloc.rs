@@ -17,9 +17,11 @@
 //! thread that takes the snapshots; work handed to another thread is
 //! not seen.
 //!
-//! Deallocations are deliberately not counted: the gates care about
+//! Deallocations are not counted as events: the gates care about
 //! pressure on the allocator's fast path, and every steady-state
-//! dealloc has a matching alloc anyway.
+//! dealloc has a matching alloc anyway. They do lower the thread's
+//! live bytes, whose high water [`peak_heap`] reads — how the
+//! metro-huge tier measures what its build holds at once.
 
 // The one place in the workspace that must implement `GlobalAlloc`,
 // which is an `unsafe` trait by definition. The implementation adds
@@ -38,6 +40,11 @@ thread_local! {
     // nor registers anything, which an allocator hook must not do.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    // Bytes this thread allocated less those it freed (a block freed
+    // by another thread than its allocator's shifts both), and their
+    // high water.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Tally one allocation event of `size` bytes on this thread.
@@ -46,6 +53,15 @@ fn count(size: usize) {
     // locals are being torn down.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
+}
+
+/// Move this thread's live bytes by `delta`, raising the high water.
+fn grow(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
 }
 
 /// System allocator wrapper that tallies allocation events and bytes.
@@ -58,6 +74,7 @@ pub struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        grow(layout.size() as i64);
         // SAFETY: `layout` is the caller's, passed through unmodified,
         // and the caller's `GlobalAlloc::alloc` obligations (non-zero
         // size) are exactly `System::alloc`'s.
@@ -65,6 +82,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         // SAFETY: `ptr` was returned by `self` (i.e. by `System` —
         // every alloc path above forwards to it) with this same
         // `layout`, which is precisely `System::dealloc`'s contract.
@@ -73,6 +91,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        grow(layout.size() as i64);
         // SAFETY: as in `alloc` — the caller's obligations are
         // forwarded verbatim to `System::alloc_zeroed`.
         unsafe { System.alloc_zeroed(layout) }
@@ -80,6 +99,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        grow(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `self`/`System` with `layout`, and
         // `new_size` obligations (non-zero, no overflow when rounded
         // up to `layout.align()`) are the caller's — forwarded
@@ -119,6 +139,19 @@ pub fn snapshot() -> AllocSnapshot {
     }
 }
 
+/// Run `f` and return its result with the peak of this thread's live
+/// heap while it ran, in bytes above what was live when it began.
+/// Only this thread's allocations count, so `f` should do its work on
+/// the calling thread.
+pub fn peak_heap<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let start = LIVE.get();
+    let outer = PEAK.replace(start);
+    let r = f();
+    let peak = PEAK.get();
+    PEAK.set(outer.max(peak));
+    (r, u64::try_from(peak - start).unwrap_or(0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,5 +181,15 @@ mod tests {
         }
         let delta = snapshot().since(&before);
         assert_eq!(delta.allocs, 0, "no growth, no allocations: {delta:?}");
+    }
+
+    #[test]
+    fn peak_heap_sees_a_freed_block() {
+        let ((), peak) = peak_heap(|| {
+            let v: Vec<u8> = Vec::with_capacity(1 << 20);
+            drop(std::hint::black_box(v));
+            let _small: Vec<u8> = Vec::with_capacity(1 << 10);
+        });
+        assert!((1 << 20..1 << 21).contains(&peak), "peak {peak}");
     }
 }

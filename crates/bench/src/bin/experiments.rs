@@ -16,9 +16,9 @@
 //!   hier-race         the hierarchy vs the flat search under naiveLB
 //!                     and minTimeLB, serial, median ± MAD of warm
 //!                     passes (12 queries; 24 at --scale full)
-//!   metro-huge        the 1 048 576-node continental tier: bulk build
-//!                     swept over 1/2/4 threads, 24 fig9 queries served
-//!                     off a file store (~260 MB of temporary files)
+//!   metro-huge        the 1 048 576-node continental tier: one serial
+//!                     build, 24 fig9 queries served off a file store
+//!                     (~75 MB of temporary files)
 //! ```
 //!
 //! Defaults: medium scale (≈3–4k nodes, full 8-mile extent), seed
@@ -102,7 +102,7 @@ fn main() -> ExitCode {
     }
 
     // The two scale probes run only by name, not under `all`: the full
-    // race contracts metro-full, and metro-huge writes ~260 MB of
+    // race contracts metro-full, and metro-huge writes ~75 MB of
     // temporary files.
     if cmd == "hier-race" {
         matched = true;

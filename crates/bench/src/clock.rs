@@ -17,23 +17,6 @@ use crate::report::{float, Field};
 /// Warm passes behind every reported median.
 pub const WARM_PASSES: usize = 7;
 
-/// Cores this host can actually run in parallel.
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Annotation of a thread-sweep point on this host:
-/// `"scheduler_noise"` when the width oversubscribes it (threads >
-/// cores) — its wall time measures contention, not scaling, and no gate
-/// may read it as a regression.
-pub fn sweep_annotation(threads: usize) -> &'static str {
-    if threads > host_cpus() {
-        "scheduler_noise"
-    } else {
-        ""
-    }
-}
-
 /// `(median, median absolute deviation)` of `xs`.
 pub fn median_mad(xs: &[f64]) -> (f64, f64) {
     let median = |v: &mut Vec<f64>| {

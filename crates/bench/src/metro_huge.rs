@@ -3,10 +3,9 @@
 //!
 //! The runner exercises the full continental pipeline end to end:
 //!
-//! 1. bulk-build the lazily generated [`ContinentalNet`] straight to a
-//!    [`FileStore`] at each swept thread count, verifying the builds
-//!    are **byte-identical** (streamed file comparison, never the
-//!    whole file in memory);
+//! 1. build the lazily generated [`ContinentalNet`] straight to a
+//!    [`FileStore`] with [`CcamStore::build_from`] (Hilbert-packed
+//!    pages), on this thread, never materializing the network;
 //! 2. serve the fig9 morning-rush workload through [`FileStore::open`]
 //!    and a buffer pool far smaller than the graph — behind the
 //!    min-time estimator (`minTimeLB`), built by one sweep over the lazy
@@ -15,54 +14,30 @@
 //!    the warm ones, with `expanded_paths` and the allocated bytes per
 //!    query beside them), and check that a warm estimator allocates
 //!    nothing;
-//! 3. record the build walls, the analytic transient footprint of the
-//!    builder (gated ≪ graph bytes), the process RSS high water, and
-//!    the physical I/O counters (`reads` / `bytes_read` /
+//! 3. record the build wall, the build's measured peak heap (gated
+//!    below the graph bytes), the process RSS high water, and the
+//!    physical I/O counters (`reads` / `bytes_read` /
 //!    `bytes_written`).
 //!
 //! This module's test gates the smoke tier (16 384 nodes);
 //! `experiments metro-huge` runs the million-node tier.
 
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use allfp::{Engine, EngineConfig, LowerBoundEstimator, MinTimeLb, QuerySpec};
-use ccam::{build_bulk, BlockStore, BulkBuildConfig, CcamStore, FileStore, DEFAULT_PAGE_SIZE};
+use ccam::{BlockStore, CcamStore, FileStore, PlacementPolicy, DEFAULT_PAGE_SIZE};
 use pwl::time::hm;
 use pwl::Interval;
 use roadnet::generators::{ContinentalConfig, ContinentalNet};
 use roadnet::{NetworkSource, NodeId};
 use traffic::DayCategory;
 
-use crate::clock::{clock_backend, sweep_annotation, Clocked, WARM_PASSES};
-use crate::report::{float, list, Field, Table, Value};
+use crate::clock::{clock_backend, Clocked, WARM_PASSES};
+use crate::report::{float, Field, Table, Value};
 
-/// Thread counts swept by the parallel-build curve.
-pub const BUILD_SWEEP: [usize; 3] = [1, 2, 4];
-
-/// One point on the parallel-build curve.
-#[derive(Debug, Clone)]
-pub struct BuildPoint {
-    /// Builder threads.
-    pub threads: usize,
-    /// Build wall time, seconds.
-    pub wall_seconds: f64,
-    /// Wall speedup versus the 1-thread build.
-    pub speedup_vs_serial: f64,
-}
-
-impl BuildPoint {
-    /// The point's fields, annotated for this host.
-    pub fn fields(&self) -> Vec<Field> {
-        vec![
-            ("threads", self.threads.into()),
-            ("wall_seconds", float(self.wall_seconds, 3)),
-            ("speedup_vs_serial", float(self.speedup_vs_serial, 2)),
-            ("annotation", sweep_annotation(self.threads).into()),
-        ]
-    }
-}
+/// Buffer-pool frames the build writes through.
+const BUILD_POOL_FRAMES: usize = 256;
 
 /// Everything the metro-huge runner measures.
 #[derive(Debug, Clone)]
@@ -71,23 +46,20 @@ pub struct MetroHugeReport {
     pub tier: &'static str,
     /// Nodes in the tier.
     pub n_nodes: usize,
-    /// Slotted data pages in the built store.
-    pub data_pages: u64,
     /// All pages (superblock + patterns + data + index).
     pub total_pages: u64,
     /// On-disk bytes of the built store file.
     pub graph_bytes: u64,
-    /// Analytic peak of the builder's transient allocations (points,
-    /// degrees, Hilbert keys, sorted runs) — the bounded-memory
-    /// claim's machine-checkable half.
-    pub transient_build_bytes: usize,
+    /// Build wall time, seconds.
+    pub build_wall_seconds: f64,
+    /// Peak live heap the build reached on its thread, above what was
+    /// live before it: the placement sort's points and keys and the
+    /// pool's [`BUILD_POOL_FRAMES`] frames — the bounded-memory claim's
+    /// machine-checkable half.
+    pub build_peak_heap_bytes: u64,
     /// `VmHWM` from `/proc/self/status` after the run (process-wide
     /// high water; 0 where the file is unavailable).
     pub peak_rss_bytes: u64,
-    /// Parallel-build sweep.
-    pub build_sweep: Vec<BuildPoint>,
-    /// Whether every swept build produced byte-identical files.
-    pub deterministic: bool,
     /// Buffer-pool frames the query stack was limited to.
     pub pool_frames: usize,
     /// Estimator build wall, seconds.
@@ -124,12 +96,11 @@ impl MetroHugeReport {
         vec![
             ("tier", self.tier.into()),
             ("n_nodes", self.n_nodes.into()),
-            ("data_pages", self.data_pages.into()),
             ("total_pages", self.total_pages.into()),
             ("graph_bytes", self.graph_bytes.into()),
-            ("transient_build_bytes", self.transient_build_bytes.into()),
+            ("build_wall_seconds", float(self.build_wall_seconds, 3)),
+            ("build_peak_heap_bytes", self.build_peak_heap_bytes.into()),
             ("peak_rss_bytes", self.peak_rss_bytes.into()),
-            ("deterministic", self.deterministic.into()),
             ("pool_frames", self.pool_frames.into()),
             (
                 "estimator",
@@ -155,7 +126,6 @@ impl MetroHugeReport {
                     ("bytes_written", self.io_bytes_written.into()),
                 ]),
             ),
-            ("build_sweep", list(&self.build_sweep, BuildPoint::fields)),
         ]
     }
 }
@@ -221,78 +191,32 @@ fn sample_pairs_lazy(
     out
 }
 
-/// Streamed byte comparison of two files (1 MiB windows).
-fn files_identical(a: &Path, b: &Path) -> std::io::Result<bool> {
-    use std::io::Read;
-    let (mut fa, mut fb) = (std::fs::File::open(a)?, std::fs::File::open(b)?);
-    if fa.metadata()?.len() != fb.metadata()?.len() {
-        return Ok(false);
-    }
-    let mut wa = vec![0u8; 1 << 20];
-    let mut wb = vec![0u8; 1 << 20];
-    loop {
-        let na = fa.read(&mut wa)?;
-        let nb = fb.read(&mut wb)?;
-        if na != nb || wa[..na] != wb[..nb] {
-            return Ok(false);
-        }
-        if na == 0 {
-            return Ok(true);
-        }
-    }
-}
-
-/// Build the tier at each swept thread count, then serve `n_queries`
-/// fig9 queries through the file store with the min-time estimator.
+/// Build the tier once into a file store, then serve `n_queries` fig9
+/// queries through it with the min-time estimator.
 pub fn run(cfg: &ContinentalConfig, tier: &'static str, n_queries: usize) -> MetroHugeReport {
     let lazy = ContinentalNet::new(cfg.clone()).expect("tier config is valid");
     let dir = std::env::temp_dir().join(format!("fp-metro-huge-{}-{tier}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
 
-    // --- parallel-build sweep, byte-identity checked ------------------
-    let mut sweep = Vec::new();
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut transient = 0usize;
-    let mut data_pages = 0u64;
-    let mut total_pages = 0u64;
-    let mut bytes_written = 0u64;
-    for threads in BUILD_SWEEP {
-        let path = dir.join(format!("tier-t{threads}.ccam"));
-        let store = Arc::new(FileStore::create(&path, DEFAULT_PAGE_SIZE).expect("file store"));
-        let bulk_cfg = BulkBuildConfig {
-            threads,
-            pool_frames: 256,
-        };
-        let start = Instant::now();
-        let (built, stats) = build_bulk(&lazy, lazy.patterns(), Arc::clone(&store) as _, &bulk_cfg)
-            .expect("bulk build succeeds");
-        let wall = start.elapsed().as_secs_f64();
-        drop(built);
-        transient = transient.max(stats.transient_bytes);
-        data_pages = stats.data_pages;
-        total_pages = stats.total_pages;
-        bytes_written = store.io_stats().bytes_written();
-        sweep.push(BuildPoint {
-            threads,
-            wall_seconds: wall,
-            speedup_vs_serial: 0.0, // filled below
-        });
-        paths.push(path);
-    }
-    let serial_wall = sweep[0].wall_seconds;
-    for p in &mut sweep {
-        p.speedup_vs_serial = serial_wall / p.wall_seconds.max(1e-12);
-    }
-    let mut deterministic = true;
-    for p in &paths[1..] {
-        deterministic &= files_identical(&paths[0], p).unwrap_or(false);
-    }
-    // Keep one file for serving, drop the rest.
-    for p in &paths[1..] {
-        std::fs::remove_file(p).ok();
-    }
-    let tier_path = &paths[0];
-    let graph_bytes = std::fs::metadata(tier_path).map_or(0, |m| m.len());
+    // --- one build, on this thread, its peak heap measured -------------
+    let tier_path = dir.join("tier.ccam");
+    let store = Arc::new(FileStore::create(&tier_path, DEFAULT_PAGE_SIZE).expect("file store"));
+    let start = Instant::now();
+    let (built, build_peak_heap_bytes) = crate::alloc::peak_heap(|| {
+        CcamStore::build_from(
+            &lazy,
+            lazy.patterns(),
+            Arc::clone(&store) as _,
+            PlacementPolicy::HilbertPacked,
+            BUILD_POOL_FRAMES,
+        )
+    });
+    let build_wall_seconds = start.elapsed().as_secs_f64();
+    drop(built.expect("build succeeds"));
+    let total_pages = store.n_pages();
+    let bytes_written = store.io_stats().bytes_written();
+    drop(store);
+    let graph_bytes = std::fs::metadata(&tier_path).map_or(0, |m| m.len());
 
     // --- min-time estimator off the lazy generator --------------------
     let start = Instant::now();
@@ -300,7 +224,7 @@ pub fn run(cfg: &ContinentalConfig, tier: &'static str, n_queries: usize) -> Met
     let estimator_wall = start.elapsed().as_secs_f64();
 
     // --- serve fig9 through the file store -----------------------------
-    let store = Arc::new(FileStore::open(tier_path, DEFAULT_PAGE_SIZE).expect("file reopens"));
+    let store = Arc::new(FileStore::open(&tier_path, DEFAULT_PAGE_SIZE).expect("file reopens"));
     // Frames ≪ graph pages: the pool is a working set, not a copy.
     let pool_frames = ((total_pages / 8).clamp(128, 4096)) as usize;
     let disk = CcamStore::open(Arc::clone(&store) as _, pool_frames).expect("ccam opens");
@@ -327,13 +251,11 @@ pub fn run(cfg: &ContinentalConfig, tier: &'static str, n_queries: usize) -> Met
     let report = MetroHugeReport {
         tier,
         n_nodes: lazy.n_nodes(),
-        data_pages,
         total_pages,
         graph_bytes,
-        transient_build_bytes: transient,
+        build_wall_seconds,
+        build_peak_heap_bytes,
         peak_rss_bytes: peak_rss_bytes(),
-        build_sweep: sweep,
-        deterministic,
         pool_frames,
         estimator_wall_seconds: estimator_wall,
         estimator_bytes: estimator.bytes(),
@@ -361,10 +283,9 @@ pub fn render(r: &MetroHugeReport) -> Table {
 mod tests {
     use super::*;
 
-    /// The 16 384-node smoke tier: the bulk build is byte-identical at
-    /// every swept width, the builder's scratch stays under the graph
-    /// bytes (the analytic counter, so a 1-core host cannot flake it),
-    /// and the file-served workload answers every query while reading
+    /// The 16 384-node smoke tier: the build's measured peak heap, less
+    /// the frames of the pool it writes through, stays under the graph
+    /// bytes, and the file-served workload answers every query while reading
     /// pages through the pool. Once the pass has warmed the thread's
     /// estimator workspace, a fresh backward search must not allocate,
     /// and a warm query must allocate less than one byte per node: its
@@ -375,12 +296,12 @@ mod tests {
     fn smoke_tier_builds_and_serves() {
         let r = run(&ContinentalConfig::smoke(0x5EED), "smoke", 8);
         assert_eq!(r.n_nodes, 16_384);
-        assert!(r.deterministic, "swept builds diverged");
-        assert!(r.transient_build_bytes > 0);
+        let pool_bytes = (BUILD_POOL_FRAMES * DEFAULT_PAGE_SIZE) as u64;
+        assert!(r.build_peak_heap_bytes > 0);
         assert!(
-            (r.transient_build_bytes as u64) < r.graph_bytes,
-            "builder scratch peaked at {} bytes over a {}-byte graph",
-            r.transient_build_bytes,
+            r.build_peak_heap_bytes.saturating_sub(pool_bytes) < r.graph_bytes,
+            "the build's heap peaked at {} bytes ({pool_bytes} of pool frames) over a {}-byte graph",
+            r.build_peak_heap_bytes,
             r.graph_bytes
         );
         assert_eq!((r.allfp.failures, r.singlefp.failures), (0, 0));

@@ -48,7 +48,8 @@
 //! ([`CcamError::Corruption`](crate::CcamError::Corruption)) propagate
 //! immediately.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
@@ -129,6 +130,10 @@ impl Hasher for PageIdHasher {
 #[derive(Default)]
 struct Inner {
     frames: HashMap<u64, Frame, BuildHasherDefault<PageIdHasher>>,
+    /// One `(stamp, page)` entry per resident frame, oldest on top.
+    /// A hit restamps only its frame, so an entry's stamp is at most
+    /// its frame's (see [`Inner::pop_lru`]).
+    ages: BinaryHeap<Reverse<(u64, u64)>>,
     tick: u64,
     /// The buffer of the last evicted frame, kept for the next page
     /// faulted in so that a miss on a full pool allocates nothing
@@ -148,15 +153,37 @@ impl Inner {
         buf.resize(page_size, 0);
         buf
     }
+
+    /// Make `frame` resident as page `id`.
+    fn insert(&mut self, id: u64, frame: Frame) {
+        self.ages.push(Reverse((frame.stamp, id)));
+        self.frames.insert(id, frame);
+    }
+
+    /// The least recently used resident page, its entry taken off the
+    /// heap. A popped entry older than its frame's stamp (the frame
+    /// was hit since) goes back with the current stamp; stamps are
+    /// unique and no entry is younger than its frame, so the first
+    /// entry that matches is the frame with the oldest stamp: the
+    /// exact LRU victim, in amortized O(log frames).
+    fn pop_lru(&mut self) -> Option<u64> {
+        while let Some(Reverse((stamp, id))) = self.ages.pop() {
+            let current = self.frames.get(&id)?.stamp;
+            if current == stamp {
+                return Some(id);
+            }
+            self.ages.push(Reverse((current, id)));
+        }
+        None
+    }
 }
 
 /// A fixed-capacity LRU page cache.
 ///
-/// Eviction scans the pool for the minimum stamp — O(frames), which
-/// is fine for the pool sizes the experiments use (tens to a few
-/// thousand frames, and the large ones rarely evict); the
-/// asymptotically-clean alternative (linked LRU) is not worth the
-/// unsafe code or the extra indirection here.
+/// A hit only restamps its frame; eviction finds the oldest stamp
+/// through a lazily refreshed heap ([`Inner::pop_lru`]), so a build
+/// that writes every page through a full pool, or a miss on a pool of
+/// thousands of frames, does not scan the frames.
 pub struct BufferPool {
     store: Arc<dyn BlockStore>,
     capacity: usize,
@@ -254,7 +281,7 @@ impl BufferPool {
             dirty: false,
         };
         let r = f(&frame.data);
-        inner.frames.insert(id, frame);
+        inner.insert(id, frame);
         Ok(r)
     }
 
@@ -271,7 +298,7 @@ impl BufferPool {
             return Ok(());
         }
         self.evict_if_full(&mut inner)?;
-        inner.frames.insert(
+        inner.insert(
             id,
             Frame {
                 data: data.to_vec(),
@@ -300,22 +327,26 @@ impl BufferPool {
     /// measurements.
     pub fn clear(&self) -> Result<()> {
         self.flush()?;
-        self.inner.lock().frames.clear();
+        let mut inner = self.inner.lock();
+        inner.frames.clear();
+        inner.ages.clear();
         Ok(())
     }
 
     fn evict_if_full(&self, inner: &mut Inner) -> Result<()> {
         while inner.frames.len() >= self.capacity {
-            // Deterministic victim: oldest stamp, page id as the
-            // tie-break. Stamps are unique, so this is pure LRU.
-            let Some(victim) = inner
-                .frames
-                .iter()
-                .min_by_key(|(id, f)| (f.stamp, **id))
-                .map(|(id, _)| *id)
-            else {
+            let Some(victim) = inner.pop_lru() else {
                 break; // unreachable: len >= capacity >= 1
             };
+            debug_assert_eq!(
+                Some(victim),
+                inner
+                    .frames
+                    .iter()
+                    .min_by_key(|(_, f)| f.stamp)
+                    .map(|(id, _)| *id),
+                "the heap's victim is the frame with the oldest stamp"
+            );
             let Some(frame) = inner.frames.remove(&victim) else {
                 break;
             };
@@ -324,7 +355,7 @@ impl BufferPool {
                 // still only in memory, so losing it silently is worse
                 // than reporting a full pool.
                 if let Err(e) = self.io_with_retry(|| self.store.write_page(victim, &frame.data)) {
-                    inner.frames.insert(victim, frame);
+                    inner.insert(victim, frame);
                     return Err(e);
                 }
             }

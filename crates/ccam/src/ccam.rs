@@ -46,12 +46,33 @@ pub struct CcamStore {
 }
 
 impl CcamStore {
-    /// Build a store from an in-memory network.
-    ///
-    /// `store` must be empty; `policy` selects the page placement;
-    /// `pool_frames` sizes the buffer pool used for subsequent reads.
+    /// Build a store from an in-memory network: [`Self::build_from`]
+    /// over `net` and its own pattern table.
     pub fn build(
         net: &RoadNetwork,
+        store: Arc<dyn BlockStore>,
+        policy: PlacementPolicy,
+        pool_frames: usize,
+    ) -> Result<CcamStore> {
+        Self::build_from(net, net.patterns(), store, policy, pool_frames)
+    }
+
+    /// Build a store from any [`NetworkSource`], on the caller's
+    /// thread. The source is read only through `find_node`,
+    /// `successors_into` and `max_speed`, so a lazily generated
+    /// network (the continental tier) is never materialized: beside
+    /// the pool's frames the build holds at most 32 bytes a node, the
+    /// points and Hilbert keys of the placement sort. `patterns` is
+    /// the pattern table to persist; a source lends its patterns one
+    /// id at a time, so the caller passes the table.
+    ///
+    /// `store` must be empty; `policy` selects the page placement;
+    /// `pool_frames` sizes the buffer pool the build writes through
+    /// and later reads use. The bytes depend only on the nodes, edges
+    /// and patterns, not on how the source holds them.
+    pub fn build_from<S: NetworkSource + ?Sized>(
+        src: &S,
+        patterns: &[CapeCodPattern],
         store: Arc<dyn BlockStore>,
         policy: PlacementPolicy,
         pool_frames: usize,
@@ -66,23 +87,24 @@ impl CcamStore {
         let sb_page = pool.store().allocate()?;
         debug_assert_eq!(sb_page, 0);
 
-        let region = write_pattern_table(pool.store(), net.patterns(), |id, page| {
-            pool.write_page(id, page)
-        })?;
+        let region = write_pattern_table(&pool, patterns)?;
 
         // data pages
-        let partitioning = partition_nodes(net, policy, page_size)?;
-        let mut image = DirectoryImage::new(net.n_nodes());
+        let partitioning = partition_nodes(src, policy, page_size)?;
+        let mut image = DirectoryImage::new(src.n_nodes());
+        let mut edges = Vec::new();
+        let mut buf = Vec::new();
         for nodes in &partitioning.pages {
             let page_id = pool.store().allocate()?;
             let mut page = SlottedPage::new(page_size);
             for &n in nodes {
+                src.successors_into(n, &mut edges)?;
                 let rec = NodeRecord {
                     id: n,
-                    loc: *net.point(n)?,
-                    edges: net.neighbors(n)?.iter().map(EdgeRecord::from).collect(),
+                    loc: src.find_node(n)?,
+                    edges: edges.iter().map(EdgeRecord::from).collect(),
                 };
-                let mut buf = Vec::with_capacity(rec.encoded_len());
+                buf.clear();
                 rec.encode(&mut buf);
                 let slot = page.insert(&buf)?;
                 image.set(n, page_id, slot)?;
@@ -90,13 +112,16 @@ impl CcamStore {
             pool.write_page(page_id, page.as_bytes())?;
         }
 
-        let dir = index_and_seal(&pool, &image, region)?;
+        // the directory after the data pages, then the superblock
+        let dir = image.write(&pool)?;
+        write_superblock(&pool, &dir, region)?;
+        pool.flush()?;
 
         Ok(CcamStore {
             pool,
             dir,
-            patterns: net.patterns().to_vec(),
-            max_speed: net.max_speed(),
+            patterns: patterns.to_vec(),
+            max_speed: src.max_speed(),
             pattern_region: region,
             overflow_page: None,
         })
@@ -169,7 +194,7 @@ impl CcamStore {
     /// the adjacency list (a query asks for its target's location this
     /// way; the search reads every other node's location together with
     /// its adjacency, through [`NetworkSource::read_node`]).
-    pub fn node_loc(&self, node: NodeId) -> Result<Point> {
+    fn node_loc(&self, node: NodeId) -> Result<Point> {
         let (page_id, slot) = self.record_addr(node)?;
         self.pool.with_page(page_id, |bytes| {
             NodeRecord::decode_loc(crate::page::slot_in(bytes, slot)?)
@@ -178,7 +203,7 @@ impl CcamStore {
 
     /// Decode a node's adjacency list straight into `out` (cleared
     /// first), with no intermediate record allocation.
-    pub fn edges_into(&self, node: NodeId, out: &mut Vec<Edge>) -> Result<()> {
+    fn edges_into(&self, node: NodeId, out: &mut Vec<Edge>) -> Result<()> {
         let (page_id, slot) = self.record_addr(node)?;
         self.pool.with_page(page_id, |bytes| {
             NodeRecord::decode_edges_into(crate::page::slot_in(bytes, slot)?, out)
@@ -447,7 +472,7 @@ impl CcamStore {
 /// Where a store's pattern table lives: first page, page count, and
 /// the byte length of the encoded table within those pages.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PatternRegion {
+struct PatternRegion {
     start: u64,
     n_pages: usize,
     len: usize,
@@ -469,16 +494,11 @@ fn pattern_pages(
     })
 }
 
-/// Encode `patterns` and write the table to freshly allocated pages of
-/// `store` through `write` — the pool for [`CcamStore::build`], the
-/// store itself for the bulk builder ([`crate::bulk`]), which has no
-/// pool yet; the bytes are the same.
-pub(crate) fn write_pattern_table(
-    store: &Arc<dyn BlockStore>,
-    patterns: &[CapeCodPattern],
-    mut write: impl FnMut(u64, &[u8]) -> Result<()>,
-) -> Result<PatternRegion> {
+/// Encode `patterns` and write the table through `pool` to freshly
+/// allocated pages.
+fn write_pattern_table(pool: &BufferPool, patterns: &[CapeCodPattern]) -> Result<PatternRegion> {
     let bytes = encode_patterns(patterns)?;
+    let store = pool.store();
     let page_size = store.page_size();
     let region = PatternRegion {
         start: store.n_pages(),
@@ -486,22 +506,9 @@ pub(crate) fn write_pattern_table(
         len: bytes.len(),
     };
     for page in pattern_pages(&bytes, page_size, region.n_pages) {
-        write(store.allocate()?, &page)?;
+        pool.write_page(store.allocate()?, &page)?;
     }
     Ok(region)
-}
-
-/// The tail both builders share once their data pages are written:
-/// write the directory after them, then the superblock, and flush.
-pub(crate) fn index_and_seal(
-    pool: &BufferPool,
-    image: &DirectoryImage,
-    region: PatternRegion,
-) -> Result<Directory> {
-    let dir = image.write(pool)?;
-    write_superblock(pool, &dir, region)?;
-    pool.flush()?;
-    Ok(dir)
 }
 
 /// Write the superblock to page 0.
@@ -658,6 +665,20 @@ mod tests {
         let store: Arc<dyn BlockStore> = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
         store.allocate().unwrap();
         assert!(CcamStore::build(&net, store, PlacementPolicy::HilbertPacked, 4).is_err());
+    }
+
+    #[test]
+    fn build_empty_network() {
+        let net = RoadNetwork::empty();
+        let store: Arc<dyn BlockStore> = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
+        let ccam =
+            CcamStore::build(&net, Arc::clone(&store), PlacementPolicy::HilbertPacked, 4).unwrap();
+        assert_eq!(NetworkSource::n_nodes(&ccam), 0);
+        // the superblock and the pattern table; no data or directory page
+        assert_eq!(store.n_pages(), 2);
+        assert!(ccam.find_node(NodeId(0)).is_err());
+        let reopened = CcamStore::open(store, 4).unwrap();
+        assert_eq!(NetworkSource::n_nodes(&reopened), 0);
     }
 
     #[test]

@@ -170,11 +170,6 @@ impl DirectoryImage {
         DirectoryImage(vec![0; n_nodes * ENTRY])
     }
 
-    /// Bytes held.
-    pub(crate) fn bytes(&self) -> usize {
-        self.0.len()
-    }
-
     /// Record that `node`'s record is in `slot` of `page`.
     pub(crate) fn set(&mut self, node: NodeId, page: u64, slot: u16) -> Result<()> {
         let at = node.index() * ENTRY;

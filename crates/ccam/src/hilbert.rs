@@ -63,12 +63,8 @@ pub fn hilbert_d2xy(order: u32, d: u64) -> (u32, u32) {
 
 /// The bounding-box normalization that maps points onto the Hilbert
 /// grid: one frame computed over *all* points, then applied per point.
-/// Factored out so the parallel bulk builder can compute keys for
-/// disjoint chunks on different threads and still get bit-identical
-/// keys to the serial [`hilbert_order`] pass (the frame is the only
-/// shared state, and it is immutable once built).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct HilbertFrame {
+struct HilbertFrame {
     min_x: f64,
     min_y: f64,
     span_x: f64,
@@ -77,7 +73,7 @@ pub(crate) struct HilbertFrame {
 
 impl HilbertFrame {
     /// Frame over the bounding box of `points` (`None` when empty).
-    pub(crate) fn of(points: &[Point]) -> Option<Self> {
+    fn of(points: &[Point]) -> Option<Self> {
         if points.is_empty() {
             return None;
         }
@@ -98,7 +94,7 @@ impl HilbertFrame {
     }
 
     /// Hilbert key of `p` on the `2^HILBERT_ORDER` grid of this frame.
-    pub(crate) fn key(&self, p: Point) -> u64 {
+    fn key(&self, p: Point) -> u64 {
         let cells = f64::from((1u32 << HILBERT_ORDER) - 1);
         let gx = (((p.x - self.min_x) / self.span_x) * cells).round() as u32;
         let gy = (((p.y - self.min_y) / self.span_y) * cells).round() as u32;
@@ -112,10 +108,10 @@ impl HilbertFrame {
 /// The order is the lexicographic `(key, index)` order — ties
 /// (coincident cells) break by original index — so it is **total and
 /// deterministic**: the same point set yields the same permutation on
-/// every run, every platform, and at every builder thread count
-/// (pinned by the `order_is_deterministic_and_tie_broken_by_index`
-/// property test). Downstream page packing inherits byte-identical
-/// layouts from this invariant.
+/// every run and every platform (pinned by the
+/// `order_is_deterministic_and_tie_broken_by_index` property test).
+/// Downstream page packing inherits byte-identical layouts from this
+/// invariant.
 pub fn hilbert_order(points: &[Point]) -> Vec<usize> {
     let Some(frame) = HilbertFrame::of(points) else {
         return Vec::new();
@@ -125,11 +121,9 @@ pub fn hilbert_order(points: &[Point]) -> Vec<usize> {
         .enumerate()
         .map(|(i, p)| (frame.key(*p), i))
         .collect();
-    // A stable sort on the explicit (key, index) pair: stability plus
-    // the index component each independently guarantee the total
-    // order, belt and braces, so no future change to either silently
-    // reintroduces platform-dependent ties.
-    keyed.sort_by_key(|&(key, index)| (key, index));
+    // The pairs are distinct (the index is), so an unstable sort is
+    // already total and needs no merge buffer beside the keys.
+    keyed.sort_unstable();
     keyed.into_iter().map(|(_, i)| i).collect()
 }
 

@@ -24,15 +24,14 @@
 //! * [`directory`] — the disk-resident record directory: node id →
 //!   (page, slot), 6 bytes an entry in id order, so a lookup reads the
 //!   one directory page its id names, through the buffer pool;
-//! * [`build_bulk`] — a parallel, bounded-memory bulk builder that
-//!   streams any [`roadnet::NetworkSource`] straight to pages,
-//!   byte-identical to [`CcamStore::build`] at every thread count,
-//!   without ever materializing the full network;
 //! * [`buffer`] — an LRU buffer pool with hit/miss statistics, the
 //!   one place a page is cached;
 //! * [`CcamStore`] — the assembled access method implementing
 //!   [`roadnet::NetworkSource`] (`FindNode` / `GetSuccessor`), so the
-//!   query engine runs unchanged over disk-resident networks;
+//!   query engine runs unchanged over disk-resident networks. One
+//!   serial builder, [`CcamStore::build_from`], writes it from any
+//!   `NetworkSource` without materializing the network (the
+//!   million-node continental tier streams from its lazy generator);
 //! * [`integrity`] — per-page CRC32 checksums ([`ChecksummedStore`])
 //!   so a bit-flipped page is detected on read, never served as data;
 //! * [`fault`] — a deterministic seeded fault injector
@@ -44,7 +43,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod buffer;
-mod bulk;
 mod ccam;
 mod directory;
 mod hilbert;
@@ -57,7 +55,6 @@ pub mod fault;
 pub mod integrity;
 
 pub use buffer::{BufferPool, StoreStats};
-pub use bulk::{build_bulk, BulkBuildConfig, BulkBuildStats};
 pub use ccam::CcamStore;
 pub use fault::{FaultEvent, FaultInjectingStore, FaultKind, FaultPlan};
 pub use hilbert::{hilbert_d2xy, hilbert_order, hilbert_xy2d};

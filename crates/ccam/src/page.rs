@@ -53,13 +53,8 @@ impl SlottedPage {
         &self.buf
     }
 
-    /// Consume into the raw page image.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
     /// Number of records on the page.
-    pub fn n_slots(&self) -> usize {
+    fn n_slots(&self) -> usize {
         read_u16(&self.buf, 0) as usize
     }
 
@@ -69,7 +64,7 @@ impl SlottedPage {
 
     /// Free bytes remaining (accounting for the new slot entry an
     /// insert would need).
-    pub fn free_space(&self) -> usize {
+    fn free_space(&self) -> usize {
         let dir_start = self.buf.len() - self.n_slots() * SLOT;
         dir_start
             .saturating_sub(self.free_offset())
@@ -185,6 +180,13 @@ fn read_u16(buf: &[u8], at: usize) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SlottedPage {
+        /// Consume into the raw page image.
+        fn into_bytes(self) -> Vec<u8> {
+            self.buf
+        }
+    }
 
     #[test]
     fn insert_and_get() {

@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 
-use roadnet::{Edge, NetworkSource, NodeId, RoadNetwork};
+use roadnet::{Edge, NetworkSource, NodeId};
 
 use crate::hilbert::hilbert_order;
 use crate::record::NodeRecord;
@@ -41,38 +41,6 @@ pub enum PlacementPolicy {
 pub struct Partitioning {
     /// Node ids per page.
     pub pages: Vec<Vec<NodeId>>,
-}
-
-impl Partitioning {
-    /// Fraction of directed edges whose endpoints share a page — the
-    /// clustering quality CCAM optimizes (higher is better).
-    pub fn connectivity_ratio(&self, net: &RoadNetwork) -> f64 {
-        let mut page_of = vec![u32::MAX; net.n_nodes()];
-        for (p, nodes) in self.pages.iter().enumerate() {
-            for n in nodes {
-                page_of[n.index()] = p as u32;
-            }
-        }
-        let mut total = 0usize;
-        let mut same = 0usize;
-        for u in net.node_ids() {
-            // node ids straight from the network are always valid
-            let Ok(edges) = net.neighbors(u) else {
-                continue;
-            };
-            for e in edges {
-                total += 1;
-                if page_of[u.index()] == page_of[e.to.index()] {
-                    same += 1;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            same as f64 / total as f64
-        }
-    }
 }
 
 /// Encoded record size of `node` (header + slot-directory entry);
@@ -202,7 +170,40 @@ pub fn partition_nodes<S: NetworkSource + ?Sized>(
 mod tests {
     use super::*;
     use roadnet::generators::grid;
+    use roadnet::RoadNetwork;
     use traffic::RoadClass;
+
+    impl Partitioning {
+        /// Fraction of directed edges whose endpoints share a page — the
+        /// clustering quality CCAM optimizes (higher is better).
+        fn connectivity_ratio(&self, net: &RoadNetwork) -> f64 {
+            let mut page_of = vec![u32::MAX; net.n_nodes()];
+            for (p, nodes) in self.pages.iter().enumerate() {
+                for n in nodes {
+                    page_of[n.index()] = p as u32;
+                }
+            }
+            let mut total = 0usize;
+            let mut same = 0usize;
+            for u in net.node_ids() {
+                // node ids straight from the network are always valid
+                let Ok(edges) = net.neighbors(u) else {
+                    continue;
+                };
+                for e in edges {
+                    total += 1;
+                    if page_of[u.index()] == page_of[e.to.index()] {
+                        same += 1;
+                    }
+                }
+            }
+            if total == 0 {
+                0.0
+            } else {
+                same as f64 / total as f64
+            }
+        }
+    }
 
     fn all_assigned_once(net: &RoadNetwork, p: &Partitioning) {
         let mut seen = vec![false; net.n_nodes()];

@@ -64,7 +64,7 @@ pub struct NodeRecord {
 impl NodeRecord {
     /// Encoded size in bytes of a record with `n_edges` adjacency
     /// entries — computable without materializing the record, which is
-    /// how the partitioner and the bulk builder budget pages.
+    /// how the partitioner budgets pages.
     pub fn encoded_len_for(n_edges: usize) -> usize {
         4 + 8 + 8 + 2 + n_edges * (4 + 8 + 1 + 2)
     }

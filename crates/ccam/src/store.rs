@@ -246,8 +246,7 @@ impl BlockStore for MemStore {
 /// silently reading garbage. Pages follow the header back-to-back.
 ///
 /// Page I/O is positional (`pread`/`pwrite` on unix): no shared
-/// cursor and no lock, so the bulk builder's workers write their
-/// disjoint pages in parallel.
+/// cursor and no lock, so an access names its page and nothing else.
 pub struct FileStore {
     page_size: usize,
     file: PositionalFile,

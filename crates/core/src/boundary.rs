@@ -154,7 +154,7 @@ impl BoundaryLb {
         let mut results: Vec<CellResult> = Vec::new();
         for j in joined {
             results.extend(j.map_err(|_| {
-                crate::AllFpError::Panicked("boundary precompute worker panicked".to_string())
+                crate::AllFpError::Panicked("per-cell Dijkstra worker".to_string())
             })?);
         }
 

@@ -120,9 +120,10 @@ pub enum AllFpError {
         /// The unavailable epoch's id.
         epoch: u64,
     },
-    /// A worker observed a panic (its own query's, or a teammate's
-    /// that took the whole worker thread down) and converted it to an
-    /// error instead of propagating it.
+    /// A worker thread of the boundary estimator's (bdLB's) table
+    /// precompute panicked; the build reports it instead of
+    /// propagating the panic. Nothing else raises it: a query runs on
+    /// its caller's thread.
     Panicked(String),
     /// Contraction would store more overlay arcs than its budget, a
     /// fixed multiple of the network's edges: the topology's shortcuts
@@ -163,7 +164,7 @@ impl std::fmt::Display for AllFpError {
             AllFpError::EpochRetired { epoch } => {
                 write!(f, "pinned network epoch {epoch} already retired")
             }
-            AllFpError::Panicked(msg) => write!(f, "query panicked: {msg}"),
+            AllFpError::Panicked(msg) => write!(f, "bdLB precompute panicked: {msg}"),
             AllFpError::ContractionBudget { arcs, limit } => write!(
                 f,
                 "contraction would grow the overlay to {arcs} arcs, past its budget of {limit}"

@@ -1,7 +1,8 @@
 //! Golden store-equivalence suite for the continental pipeline:
 //!
-//! * the parallel bulk builder must produce **byte-identical** stores
-//!   at every thread count (1, 2, 4);
+//! * a store built from the lazy generator must be **byte-identical**
+//!   to one built from its materialized twin, under every placement
+//!   policy;
 //! * query answers served through `MemStore`, `FileStore`, and a
 //!   `ChecksummedStore` over a `FileStore` must be **bit-identical** to
 //!   each other and to the in-memory network (fingerprinted through
@@ -16,7 +17,7 @@ use std::sync::Arc;
 
 use allfp::{Engine, EngineConfig, QuerySpec};
 use ccam::{
-    build_bulk, BlockStore, BulkBuildConfig, CcamStore, ChecksummedStore, FileStore, MemStore,
+    BlockStore, CcamStore, ChecksummedStore, FileStore, MemStore, PlacementPolicy,
     DEFAULT_PAGE_SIZE,
 };
 use pwl::time::hm;
@@ -65,23 +66,52 @@ fn page_images(store: &dyn BlockStore) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// Build the tier from the lazy generator with Hilbert packing, the
+/// layout the metro-huge tier writes.
+fn build_lazy(lazy: &ContinentalNet, store: Arc<dyn BlockStore>) -> CcamStore {
+    CcamStore::build_from(
+        lazy,
+        lazy.patterns(),
+        store,
+        PlacementPolicy::HilbertPacked,
+        256,
+    )
+    .expect("builds")
+}
+
 #[test]
-fn bulk_build_is_byte_identical_across_thread_counts() {
-    let lazy = ContinentalNet::new(tiny_config()).expect("config is valid");
-    let mut images: Vec<Vec<Vec<u8>>> = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let store = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
-        let cfg = BulkBuildConfig {
-            threads,
-            ..BulkBuildConfig::default()
-        };
-        let (_, stats) =
-            build_bulk(&lazy, lazy.patterns(), Arc::clone(&store) as _, &cfg).expect("bulk builds");
-        assert_eq!(stats.n_nodes, tiny_config().n_nodes());
-        images.push(page_images(store.as_ref()));
+fn lazy_and_materialized_sources_build_identical_stores() {
+    let cfg = tiny_config();
+    let lazy = ContinentalNet::new(cfg.clone()).expect("config is valid");
+    let net = continental(&cfg).expect("materializes");
+    for policy in [
+        PlacementPolicy::ConnectivityClustered,
+        PlacementPolicy::HilbertPacked,
+        PlacementPolicy::Random { seed: 11 },
+    ] {
+        let from_lazy = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
+        CcamStore::build_from(
+            &lazy,
+            lazy.patterns(),
+            Arc::clone(&from_lazy) as _,
+            policy,
+            64,
+        )
+        .expect("builds from the generator");
+        let from_net = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
+        CcamStore::build(&net, Arc::clone(&from_net) as _, policy, 64)
+            .expect("builds from the network");
+        let (lazy_pages, net_pages) = (page_images(&*from_lazy), page_images(&*from_net));
+        assert!(
+            lazy_pages.len() > 3,
+            "{policy:?}: {} pages",
+            lazy_pages.len()
+        );
+        assert!(
+            lazy_pages == net_pages,
+            "{policy:?}: the generator's store differs from its twin's"
+        );
     }
-    assert_eq!(images[0], images[1], "2-thread build diverged from serial");
-    assert_eq!(images[0], images[2], "4-thread build diverged from serial");
 }
 
 #[test]
@@ -103,16 +133,13 @@ fn answers_bit_identical_across_mem_file_and_checksummed_file_stores() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("tier.ccam");
 
-    // Build once through the bulk pipeline into a FileStore...
+    // Build once from the generator into a FileStore...
     let file = Arc::new(FileStore::create(&path, DEFAULT_PAGE_SIZE).expect("file store"));
-    let bulk_cfg = BulkBuildConfig::default();
-    let (_, _) = build_bulk(&lazy, lazy.patterns(), file as _, &bulk_cfg).expect("bulk builds");
+    build_lazy(&lazy, file);
 
     // ...once into a MemStore (the builder is deterministic, so the
     // two serve the same bytes)...
-    let mem_store = Arc::new(MemStore::new(DEFAULT_PAGE_SIZE));
-    let (mem_ccam, _) =
-        build_bulk(&lazy, lazy.patterns(), mem_store as _, &bulk_cfg).expect("bulk builds");
+    let mem_ccam = build_lazy(&lazy, Arc::new(MemStore::new(DEFAULT_PAGE_SIZE)));
 
     // ...and once through a ChecksummedStore into a second file, whose
     // visible pages are a header shorter: a different layout that must
@@ -120,7 +147,7 @@ fn answers_bit_identical_across_mem_file_and_checksummed_file_stores() {
     let summed_path = dir.join("tier-summed.ccam");
     let summed_file = FileStore::create(&summed_path, DEFAULT_PAGE_SIZE).expect("file store");
     let summed = Arc::new(ChecksummedStore::new(Arc::new(summed_file)));
-    let (_, _) = build_bulk(&lazy, lazy.patterns(), summed as _, &bulk_cfg).expect("bulk builds");
+    build_lazy(&lazy, summed);
 
     // 64 frames over hundreds of pages: eviction and re-reading are
     // exercised, not just the first read of each page.

@@ -25,8 +25,8 @@
 //!   [`RoadClass::LocalOutside`] — each with its CapeCod pattern.
 //!
 //! [`ContinentalNet`] implements [`NetworkSource`] directly over those
-//! rules, so the CCAM bulk builder can stream a million-node network
-//! to pages without the graph ever existing in memory; [`continental`]
+//! rules, so the CCAM builder can stream a million-node network to
+//! pages without the graph ever existing in memory; [`continental`]
 //! materializes the identical [`RoadNetwork`] (test- and small-scale
 //! path). The two agree node-for-node and edge-for-edge, pinned by the
 //! tests below.
@@ -169,7 +169,7 @@ impl ContinentalNet {
 
     /// The pattern table (one [`CapeCodPattern`] per [`RoadClass`], in
     /// [`RoadClass::ALL`] order — matching the [`PatternId`]s the
-    /// edges carry). Bulk builders persist this alongside the pages.
+    /// edges carry). A CCAM build persists this alongside the pages.
     pub fn patterns(&self) -> &[CapeCodPattern] {
         &self.patterns
     }

@@ -195,6 +195,18 @@ if grep -rnE "MAX_SHARDS|MIN_FRAMES_PER_SHARD|with_shards|fn n_shards|shard_shif
     echo "the buffer pool's shards (or its retry jitter) are back" >&2
     exit 1
 fi
+# One CCAM builder, on the caller's thread: `CcamStore::build_from`
+# writes a store from any `NetworkSource`. The parallel bulk builder,
+# its config, its stats and its chunked fan-out, and the metro-huge
+# thread sweep that timed it, stay deleted.
+if grep -rnE "build_bulk|BulkBuildConfig|BulkBuildStats|run_chunked|BUILD_SWEEP|sweep_annotation" crates; then
+    echo "the parallel bulk builder (or its thread sweep) is back" >&2
+    exit 1
+fi
+if grep -n "thread::scope" crates/ccam/src/ccam.rs crates/ccam/src/partition.rs; then
+    echo "the CCAM build spawns threads again" >&2
+    exit 1
+fi
 # No importer without a caller: the network text format (`roadnet::io`)
 # and the parse error only it raised had nothing but their own tests,
 # and stay deleted until a real-data run needs them.
