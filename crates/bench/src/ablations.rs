@@ -243,6 +243,30 @@ mod tests {
         assert_eq!(logical_at(0), logical_at(4));
     }
 
+    /// A-3's premise, on the recorded tables (`experiments
+    /// ablation-ccam` at its defaults, medium and full scale): at every
+    /// pool size, connectivity clustering faults no more than plain
+    /// Hilbert packing, and Hilbert packing no more than random
+    /// placement.
+    #[test]
+    fn ccam_faults_no_more_than_hilbert_and_hilbert_no_more_than_random() {
+        let seed = 0x5EED;
+        let frames = [8, 32, 128, 512];
+        for scale in [Scale::Medium, Scale::Full] {
+            let s = Scenario::new(scale, seed);
+            let t = ccam_placement(&s.net, &frames, seed);
+            let faults = |row: usize| -> u64 { t.rows[row][3].parse().unwrap() };
+            for (i, f) in frames.iter().enumerate() {
+                let n = frames.len();
+                let (ccam, hilbert, random) = (faults(i), faults(n + i), faults(2 * n + i));
+                assert!(
+                    ccam <= hilbert && hilbert <= random,
+                    "{scale:?} at {f} frames: ccam {ccam}, hilbert {hilbert}, random {random}"
+                );
+            }
+        }
+    }
+
     /// A store seen through [`NetworkSource`]'s default `read_node`:
     /// `successors_into`, then `find_node`, each with its own directory
     /// lookup. Counts both.

@@ -25,8 +25,9 @@
 //! * a recycled buffer is overwritten whole before any reader sees it,
 //!   so no page is ever served another page's bytes
 //!   (`recycled_buffers_never_leak_another_pages_bytes`);
-//! * the pool allocates, zeroes and frees nothing for a miss on a full
-//!   pool: it allocates only while it is filling up.
+//! * the pool allocates, zeroes and frees nothing for a miss or a new
+//!   page written on a full pool: it allocates only while it is
+//!   filling up (`an_evicting_write_reuses_the_victims_buffer`).
 //!
 //! # Concurrency
 //!
@@ -298,10 +299,14 @@ impl BufferPool {
             return Ok(());
         }
         self.evict_if_full(&mut inner)?;
+        // The victim's buffer, if one was just evicted.
+        let mut buf = std::mem::take(&mut inner.spare);
+        buf.clear();
+        buf.extend_from_slice(data);
         inner.insert(
             id,
             Frame {
-                data: data.to_vec(),
+                data: buf,
                 stamp: tick,
                 dirty: true,
             },
@@ -426,6 +431,21 @@ mod tests {
         pool.flush().unwrap();
         store.read_page(1, &mut out).unwrap();
         assert_eq!(out[5], 99);
+    }
+
+    #[test]
+    fn an_evicting_write_reuses_the_victims_buffer() {
+        let pool = BufferPool::new(store_with_pages(2, 64), 1);
+        let page = vec![7u8; 64];
+        pool.write_page(0, &page).unwrap();
+        let victim = pool.inner.lock().frames[&0].data.as_ptr();
+        pool.write_page(1, &page).unwrap(); // evicts page 0
+        let inner = pool.inner.lock();
+        assert_eq!(inner.evictions, 1);
+        assert_eq!(inner.spare.capacity(), 0, "the spare was consumed");
+        let frame = &inner.frames[&1];
+        assert_eq!(frame.data.as_ptr(), victim, "no page buffer was allocated");
+        assert_eq!(frame.data, page);
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl CcamStore {
         let mut image = DirectoryImage::new(src.n_nodes());
         let mut edges = Vec::new();
         let mut buf = Vec::new();
-        for nodes in &partitioning.pages {
+        for nodes in partitioning.pages() {
             let page_id = pool.store().allocate()?;
             let mut page = SlottedPage::new(page_size);
             for &n in nodes {

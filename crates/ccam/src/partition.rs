@@ -5,9 +5,10 @@
 //! neighbors tend to live on the same disk page (§2.2). We implement
 //! three placements:
 //!
-//! * [`PlacementPolicy::ConnectivityClustered`] — CCAM proper: walk
-//!   nodes in Hilbert order, grow each page by BFS over unassigned
-//!   neighbors until the page is byte-full;
+//! * [`PlacementPolicy::ConnectivityClustered`] — CCAM proper: grow a
+//!   page by BFS over unassigned neighbors; when the BFS runs dry with
+//!   room left, re-seed it from the next unassigned node in Hilbert
+//!   order, and close the page only when that seed does not fit;
 //! * [`PlacementPolicy::HilbertPacked`] — pack nodes in plain Hilbert
 //!   order (spatial, but connectivity-blind);
 //! * [`PlacementPolicy::Random`] — shuffled packing, the ablation
@@ -35,12 +36,65 @@ pub enum PlacementPolicy {
     },
 }
 
-/// The result of partitioning: for each data page, the node ids stored
-/// on it, in insertion order.
+/// The result of partitioning: every node id, page by page, each page
+/// in insertion order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Partitioning {
-    /// Node ids per page.
-    pub pages: Vec<Vec<NodeId>>,
+    order: Vec<NodeId>,
+    /// Where each page starts in `order`; a page runs to the next
+    /// page's start, the last to the end.
+    starts: Vec<usize>,
+}
+
+impl Partitioning {
+    /// The node ids of each page, in page order.
+    pub fn pages(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
+        let ends = self.starts.iter().skip(1).copied();
+        let ends = ends.chain([self.order.len()]);
+        let starts = self.starts.iter().copied();
+        starts.zip(ends).map(|(start, end)| &self.order[start..end])
+    }
+}
+
+/// Builds a [`Partitioning`] one record at a time into an open page.
+struct Packer {
+    order: Vec<NodeId>,
+    starts: Vec<usize>,
+    /// Bytes used on the open page, which starts at `starts.last()`.
+    used: usize,
+}
+
+impl Packer {
+    fn new(n_nodes: usize) -> Self {
+        Packer {
+            order: Vec::with_capacity(n_nodes),
+            starts: vec![0],
+            used: 0,
+        }
+    }
+
+    /// Close the open page if it holds a record.
+    fn close(&mut self) {
+        if self.used > 0 {
+            self.starts.push(self.order.len());
+            self.used = 0;
+        }
+    }
+
+    fn push(&mut self, node: NodeId, cost: usize) {
+        self.order.push(node);
+        self.used += cost;
+    }
+
+    fn finish(mut self) -> Partitioning {
+        if self.used == 0 {
+            self.starts.pop(); // the open page is empty
+        }
+        Partitioning {
+            order: self.order,
+            starts: self.starts,
+        }
+    }
 }
 
 /// Encoded record size of `node` (header + slot-directory entry);
@@ -90,66 +144,53 @@ pub fn partition_nodes<S: NetworkSource + ?Sized>(
         }
     };
 
+    let mut packer = Packer::new(order.len());
     if !matches!(policy, PlacementPolicy::ConnectivityClustered) {
         // Sequential packing in the chosen order.
-        let mut pages: Vec<Vec<NodeId>> = Vec::new();
-        let mut page: Vec<NodeId> = Vec::new();
-        let mut used = 0usize;
         for &i in &order {
             let n = NodeId(i as u32);
             let cost = record_cost(net, n, &mut scratch)?;
-            if used + cost > budget && !page.is_empty() {
-                pages.push(std::mem::take(&mut page));
-                used = 0;
+            if packer.used + cost > budget {
+                packer.close();
             }
-            page.push(n);
-            used += cost;
+            packer.push(n, cost);
         }
-        if !page.is_empty() {
-            pages.push(page);
-        }
-        return Ok(Partitioning { pages });
+        return Ok(packer.finish());
     }
 
-    // CCAM: Hilbert-seeded BFS growth.
+    // CCAM: BFS growth, seeded in Hilbert order.
     let mut assigned = vec![false; net.n_nodes()];
-    let mut pages: Vec<Vec<NodeId>> = Vec::new();
-    let mut cursor = 0usize;
-
-    while cursor < order.len() {
-        // next unassigned seed in order
-        while cursor < order.len() && assigned[order[cursor]] {
-            cursor += 1;
+    let mut queue: VecDeque<NodeId> = VecDeque::new();
+    for &seed in &order {
+        if assigned[seed] {
+            continue;
         }
-        if cursor == order.len() {
-            break;
+        let seed = NodeId(seed as u32);
+        // The page's BFS ran dry: the seed joins it if it fits, and
+        // opens the next page if it does not.
+        if packer.used + record_cost(net, seed, &mut scratch)? > budget {
+            packer.close();
         }
-        let seed_node = NodeId(order[cursor] as u32);
-
-        let mut page: Vec<NodeId> = Vec::new();
-        let mut used = 0usize;
-        let mut queue: VecDeque<NodeId> = VecDeque::new();
-        queue.push_back(seed_node);
-
+        queue.push_back(seed);
         while let Some(cand) = queue.pop_front() {
             if assigned[cand.index()] {
                 continue;
             }
             let cost = record_cost(net, cand, &mut scratch)?;
-            if used + cost > budget {
-                if page.is_empty() {
+            if packer.used + cost > budget {
+                if packer.used == 0 {
                     // a single record larger than a page: give it its own
                     // page (oversized records are rejected later at
                     // insert; this keeps the partitioner total)
                     assigned[cand.index()] = true;
-                    pages.push(vec![cand]);
+                    packer.push(cand, cost);
+                    packer.close();
                 }
                 // doesn't fit here; a later seed will claim it
                 continue;
             }
             assigned[cand.index()] = true;
-            used += cost;
-            page.push(cand);
+            packer.push(cand, cost);
             // `scratch` still holds `cand`'s successors from the cost
             // computation above.
             for e in &scratch {
@@ -158,12 +199,9 @@ pub fn partition_nodes<S: NetworkSource + ?Sized>(
                 }
             }
         }
-        if !page.is_empty() {
-            pages.push(page);
-        }
     }
 
-    Ok(Partitioning { pages })
+    Ok(packer.finish())
 }
 
 #[cfg(test)]
@@ -178,7 +216,7 @@ mod tests {
         /// clustering quality CCAM optimizes (higher is better).
         fn connectivity_ratio(&self, net: &RoadNetwork) -> f64 {
             let mut page_of = vec![u32::MAX; net.n_nodes()];
-            for (p, nodes) in self.pages.iter().enumerate() {
+            for (p, nodes) in self.pages().enumerate() {
                 for n in nodes {
                     page_of[n.index()] = p as u32;
                 }
@@ -207,7 +245,7 @@ mod tests {
 
     fn all_assigned_once(net: &RoadNetwork, p: &Partitioning) {
         let mut seen = vec![false; net.n_nodes()];
-        for page in &p.pages {
+        for page in p.pages() {
             for n in page {
                 assert!(!seen[n.index()], "node {n} assigned twice");
                 seen[n.index()] = true;
@@ -226,7 +264,7 @@ mod tests {
         ] {
             let p = partition_nodes(&net, policy, 512).unwrap();
             all_assigned_once(&net, &p);
-            assert!(p.pages.len() > 1);
+            assert!(p.pages().count() > 1);
         }
     }
 
@@ -236,7 +274,7 @@ mod tests {
         let page_size = 512;
         let p = partition_nodes(&net, PlacementPolicy::ConnectivityClustered, page_size).unwrap();
         let mut scratch = Vec::new();
-        for page in &p.pages {
+        for page in p.pages() {
             let used: usize = page
                 .iter()
                 .map(|&n| record_cost(&net, n, &mut scratch).unwrap())

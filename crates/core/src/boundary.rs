@@ -212,6 +212,10 @@ impl LowerBoundEstimator for BoundaryLb {
     fn name(&self) -> &'static str {
         "bdLB"
     }
+
+    fn reads_location(&self) -> bool {
+        false
+    }
 }
 
 /// Multi-source Dijkstra over an adjacency list; stops after settling

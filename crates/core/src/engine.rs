@@ -110,11 +110,10 @@ fn index32(i: usize, outgrown: &'static str) -> Result<u32> {
         .ok_or(AllFpError::Internal(outgrown))
 }
 
-/// What one query remembers of a node record it has read from the
-/// source: the lower-bound estimate to the target (a function of the
-/// node's location, which is needed for nothing else), where the
-/// node's outgoing edges sit in the adjacency arena, and the paths
-/// known to end here.
+/// What one query remembers of a node it has touched: the lower-bound
+/// estimate to the target, where the node's outgoing edges sit in the
+/// adjacency arena once its record is read, and the paths known to end
+/// here.
 struct NodeState {
     id: NodeId,
     /// Non-negative; `+∞` when the node cannot reach the target.
@@ -134,10 +133,10 @@ const IDLE_CAPACITY: usize = 1024;
 
 /// The whole per-query state of the flat search, checked out of the
 /// worker's [`CacheSession`] per query. Node state is a sparse set: a
-/// query pays for the nodes it reads, not `n_nodes` (DESIGN.md §10).
+/// query pays for the nodes it touches, not `n_nodes` (DESIGN.md §10).
 #[derive(Default)]
 pub(crate) struct SearchWorkspace {
-    /// Node index → slot in `nodes`, [`NONE`] until the query reads
+    /// Node index → slot in `nodes`, [`NONE`] until the query touches
     /// the node: the only array as long as the network.
     slot_of: Vec<u32>,
     nodes: Vec<NodeState>,
@@ -172,6 +171,19 @@ impl SearchWorkspace {
         self.adjacency.shrink_to(IDLE_CAPACITY);
         self.paths.shrink_to(IDLE_CAPACITY);
         self.heap.shrink_to(IDLE_CAPACITY);
+    }
+
+    /// Read the record of the node in `slot` from `source`: append its
+    /// outgoing edges to the arena, point the slot at them, and return
+    /// the node's location.
+    fn read_record<S: NetworkSource + ?Sized>(&mut self, slot: usize, source: &S) -> Result<Point> {
+        let loc = source.read_node(self.nodes[slot].id, &mut self.fetched)?;
+        self.adjacency.extend_from_slice(&self.fetched);
+        let end = index32(self.adjacency.len(), "adjacency arena outgrew u32 offsets")?;
+        // `fetched` is a suffix of the arena, so its length fits too.
+        let len = self.fetched.len() as u32;
+        (self.nodes[slot].start, self.nodes[slot].len) = (end - len, len);
+        Ok(loc)
     }
 }
 
@@ -655,34 +667,40 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         let mut stats = QueryStats::default();
         let mut seq = 0u64;
         // First touch of a node (the seed, or a candidate edge's head):
-        // fetch its adjacency and location in one record read and file
-        // the record. Every later candidate or expansion is served from
-        // `ws`. Returns the slot. An id past the source's nodes (a head
-        // read from a damaged page, say) is `UnknownNode`, never an
-        // index past `slot_of`.
+        // file it with its bound. An estimator that reads locations
+        // needs the record now, adjacency and location in one read; a
+        // location-blind one leaves the read to the node's first
+        // expansion, so a node that is only touched is never read.
+        // Every later candidate or expansion is served from `ws`.
+        // Returns the slot. An id past the source's nodes (a head read
+        // from a damaged page, say) is `UnknownNode`, never an index
+        // past `slot_of`.
         let n_nodes = self.source.n_nodes();
-        let read_node = |ws: &mut SearchWorkspace, node: NodeId| -> Result<usize> {
+        let lazy = !self.estimator.reads_location();
+        let touch = |ws: &mut SearchWorkspace, node: NodeId| -> Result<usize> {
             if node.index() >= n_nodes {
                 return Err(roadnet::NetworkError::UnknownNode(node).into());
             }
-            let loc = self.source.read_node(node, &mut ws.fetched)?;
-            ws.adjacency.extend_from_slice(&ws.fetched);
-            let end = index32(ws.adjacency.len(), "adjacency arena outgrew u32 offsets")?;
-            // `fetched` is a suffix of the arena, so its length fits too.
-            let len = ws.fetched.len() as u32;
             let slot = ws.nodes.len();
             ws.slot_of[node.index()] = index32(slot, "node records outgrew u32 slots")?;
             ws.nodes.push(NodeState {
                 id: node,
-                est: self
-                    .estimator
-                    .travel_lower_bound(node, loc, query.target, target_loc),
-                start: end - len,
-                len,
+                est: 0.0,
+                start: 0,
+                len: 0,
                 fns_head: NONE,
                 fns_tail: NONE,
                 expanded: false,
             });
+            // A location-blind bound ignores the point it is given.
+            let loc = if lazy {
+                target_loc
+            } else {
+                ws.read_record(slot, self.source)?
+            };
+            ws.nodes[slot].est =
+                self.estimator
+                    .travel_lower_bound(node, loc, query.target, target_loc);
             Ok(slot)
         };
 
@@ -704,7 +722,7 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
 
         // Seed: the zero-length path at the source.
         {
-            let slot = read_node(ws, query.source)?;
+            let slot = touch(ws, query.source)?;
             let est = ws.nodes[slot].est;
             if est == f64::INFINITY {
                 return Err(AllFpError::Unreachable {
@@ -803,8 +821,12 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
                 break 'search;
             }
 
-            // Expand.
+            // Expand, reading the node's record on its first expansion
+            // if its first touch did not.
             stats.expanded_paths += 1;
+            if lazy && !ws.nodes[head_slot].expanded {
+                ws.read_record(head_slot, self.source)?;
+            }
             ws.nodes[head_slot].expanded = true;
 
             // The leaving-time interval at `head` (the paper's Figure 4
@@ -822,7 +844,7 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
 
                 let slot = match ws.slot_of.get(edge.to.index()) {
                     Some(&slot) if slot != NONE => slot as usize,
-                    _ => read_node(ws, edge.to)?,
+                    _ => touch(ws, edge.to)?,
                 };
                 let est = ws.nodes[slot].est;
                 if est == f64::INFINITY {
@@ -937,8 +959,12 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
             }
         }
 
-        stats.nodes_read = ws.nodes.len();
         stats.expanded_nodes = ws.nodes.iter().filter(|n| n.expanded).count();
+        stats.nodes_read = if lazy {
+            stats.expanded_nodes
+        } else {
+            ws.nodes.len()
+        };
 
         if let Some(reason) = trip {
             if mode != QueryMode::AllFpOrDegraded {
@@ -1054,7 +1080,15 @@ impl<'a, S: NetworkSource> PathfindBackend for Engine<'a, S> {
         session: &mut CacheSession<'_>,
         cancel: Option<&CancelToken>,
     ) -> Result<Answer> {
-        let target_loc = self.source.find_node(query.target)?;
+        // A location-blind estimator never asks where the target is,
+        // and the search never expands it: only its id is checked.
+        let target_loc = if self.estimator.reads_location() {
+            self.source.find_node(query.target)?
+        } else if query.target.index() < self.source.n_nodes() {
+            Point { x: 0.0, y: 0.0 }
+        } else {
+            return Err(roadnet::NetworkError::UnknownNode(query.target).into());
+        };
 
         // Degenerate interval → the classic special case (delegated to
         // fixed-instant A*, which is the cheap path: budgets are not
@@ -1226,6 +1260,40 @@ mod tests {
         // stray head first: the same class, not an internal error.
         let min_time = Engine::new(&src, EngineConfig::default()).map(drop);
         assert!(unknown(&min_time), "minTimeLB build: {min_time:?}");
+    }
+
+    /// A query endpoint past the nodes is `UnknownNode` whether or not
+    /// the estimator reads locations: minTimeLB never looks the target
+    /// up, so its id is checked on its own.
+    #[test]
+    fn an_endpoint_past_the_nodes_is_unknown_node_under_every_estimator() {
+        let (net, ids) = paper_running_example();
+        let stray = NodeId(net.n_nodes() as u32 + 3);
+        let unknown = |r: &Result<()>| {
+            matches!(
+                r,
+                Err(AllFpError::Network(roadnet::NetworkError::UnknownNode(n))) if *n == stray
+            )
+        };
+        for estimator in [EstimatorKind::MinTime, EstimatorKind::Naive] {
+            let config = EngineConfig {
+                estimator,
+                ..EngineConfig::default()
+            };
+            let engine = Engine::new(&net, config).unwrap();
+            for (source, target) in [(ids.s, stray), (stray, ids.e)] {
+                let q = QuerySpec {
+                    source,
+                    target,
+                    ..paper_query()
+                };
+                let all = engine.all_fastest_paths(&q).map(drop);
+                let single = engine.single_fastest_path(&q).map(drop);
+                for got in [all, single] {
+                    assert!(unknown(&got), "{estimator:?} {source} -> {target}: {got:?}");
+                }
+            }
+        }
     }
 
     #[test]

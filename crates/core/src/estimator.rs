@@ -30,6 +30,14 @@ pub trait LowerBoundEstimator: Send + Sync {
 
     /// Short display name (used by the experiment harness).
     fn name(&self) -> &'static str;
+
+    /// Does the bound read `from_loc` or `to_loc`? An estimator that
+    /// answers from the node ids alone says `false`, and the search
+    /// then reads a node's record only when it expands the node, and
+    /// never looks up the target's location (DESIGN.md §10).
+    fn reads_location(&self) -> bool {
+        true
+    }
 }
 
 impl<T: LowerBoundEstimator + ?Sized> LowerBoundEstimator for &T {
@@ -39,6 +47,10 @@ impl<T: LowerBoundEstimator + ?Sized> LowerBoundEstimator for &T {
 
     fn name(&self) -> &'static str {
         (**self).name()
+    }
+
+    fn reads_location(&self) -> bool {
+        (**self).reads_location()
     }
 }
 
@@ -52,6 +64,10 @@ impl<T: LowerBoundEstimator + ?Sized> LowerBoundEstimator for std::sync::Arc<T> 
 
     fn name(&self) -> &'static str {
         (**self).name()
+    }
+
+    fn reads_location(&self) -> bool {
+        (**self).reads_location()
     }
 }
 
@@ -122,6 +138,10 @@ impl LowerBoundEstimator for ZeroLb {
     fn name(&self) -> &'static str {
         "zeroLB"
     }
+
+    fn reads_location(&self) -> bool {
+        false
+    }
 }
 
 /// The pointwise maximum of two lower bounds — still a lower bound,
@@ -150,6 +170,10 @@ impl<A: LowerBoundEstimator, B: LowerBoundEstimator> LowerBoundEstimator for Max
 
     fn name(&self) -> &'static str {
         self.name
+    }
+
+    fn reads_location(&self) -> bool {
+        self.a.reads_location() || self.b.reads_location()
     }
 }
 
@@ -272,6 +296,10 @@ impl LowerBoundEstimator for MinTimeLb {
 
     fn name(&self) -> &'static str {
         "minTimeLB"
+    }
+
+    fn reads_location(&self) -> bool {
+        false
     }
 }
 
@@ -602,6 +630,54 @@ mod tests {
                     est(&lb, v, targets[k as usize]).to_bits(),
                     want[k as usize][v as usize].to_bits()
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 16,
+            ..ProptestConfig::default()
+        })]
+
+        /// An estimator that declares itself location-blind answers the
+        /// same bits whatever points it is handed — the search passes it
+        /// none it has read — and one that reads locations says so.
+        #[test]
+        fn location_blind_estimators_ignore_the_points(
+            seed in 0u64..500,
+            n in 8usize..40,
+            questions in prop::collection::vec(
+                (0u32..40, 0u32..40, -9.0f64..9.0, -9.0f64..9.0, -9.0f64..9.0, -9.0f64..9.0),
+                1..40,
+            ),
+        ) {
+            let net = random_geometric(n, 2.5, 3, seed).unwrap();
+            let naive = NaiveLb::new(net.max_speed());
+            let min_time = MinTimeLb::build(&net).unwrap();
+            let boundary = BoundaryLb::build(&net, 3).unwrap();
+            let both = MaxEstimator::new(ZeroLb, &min_time, "zero+minTime");
+            let shared: std::sync::Arc<dyn LowerBoundEstimator> =
+                std::sync::Arc::new(BoundaryLb::build(&net, 3).unwrap());
+            let blind: [&dyn LowerBoundEstimator; 5] =
+                [&ZeroLb, &min_time, &boundary, &both, &shared];
+            for lb in blind {
+                prop_assert!(!lb.reads_location(), "{}", lb.name());
+            }
+            let sighted = MaxEstimator::new(naive, &boundary, "bdLB");
+            prop_assert!(naive.reads_location() && sighted.reads_location());
+            let origin = Point { x: 0.0, y: 0.0 };
+            let n = n as u32;
+            for (from, to, fx, fy, tx, ty) in questions {
+                let (from, to) = (NodeId(from % n), NodeId(to % n));
+                let (at, toward) = (Point { x: fx, y: fy }, Point { x: tx, y: ty });
+                for lb in blind {
+                    let (moved, still) = (
+                        lb.travel_lower_bound(from, at, to, toward),
+                        lb.travel_lower_bound(from, origin, to, origin),
+                    );
+                    prop_assert!(moved.to_bits() == still.to_bits(), "{}", lb.name());
+                }
             }
         }
     }

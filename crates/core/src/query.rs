@@ -281,11 +281,14 @@ pub struct QueryStats {
     /// hierarchy backend's allFP re-composition). Zero on the flat
     /// search path, which never recomputes a route it already built.
     pub compositions_saved: u64,
-    /// Node records the flat search fetched from its
-    /// [`NetworkSource`](roadnet::NetworkSource) — one per distinct
-    /// node it touched (the seed and every candidate edge head past
-    /// the cycle check), however often that node was then expanded.
-    /// Zero for backends that do not run the flat search.
+    /// Node records the flat search read from its
+    /// [`NetworkSource`](roadnet::NetworkSource), each at most once
+    /// however often its node was expanded: one per expanded node
+    /// under an estimator that reads no location
+    /// ([`LowerBoundEstimator::reads_location`](crate::LowerBoundEstimator::reads_location)),
+    /// else one per node touched (the seed and every candidate edge
+    /// head past the cycle check). Zero for backends that do not run
+    /// the flat search.
     pub nodes_read: usize,
 }
 

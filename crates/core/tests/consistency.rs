@@ -218,8 +218,8 @@ fn nodes_that_cannot_reach_the_target_are_never_searched() {
 
     // From the far end of the road: the answer is the naive bound's bit
     // for bit, and the search is the one run on the network without the
-    // drops — a dead node is read once, when the live node over it is
-    // first expanded (the target never is), and never queued.
+    // drops — a dead node is touched when the live node over it is first
+    // expanded, but never queued, so never expanded and never read.
     let q = ask(live[0]);
     let a = naive(&net).all_fastest_paths(&q).unwrap();
     let b = min_time(&net, usize::MAX).all_fastest_paths(&q).unwrap();
@@ -235,12 +235,8 @@ fn nodes_that_cannot_reach_the_target_are_never_searched() {
         .all_fastest_paths(&q)
         .unwrap();
     assert_eq!(b.paths, c.paths);
-    assert_eq!(b.stats.nodes_read, c.stats.nodes_read + dead.len() - 1);
-    let unread = |mut s: allfp::QueryStats| {
-        s.nodes_read = 0;
-        s
-    };
-    assert_eq!(unread(b.stats), unread(c.stats));
+    assert_eq!(b.stats.nodes_read, c.stats.nodes_read);
+    assert_eq!(b.stats, c.stats);
     assert!(
         a.stats.pushed > b.stats.pushed,
         "{:?} vs {:?}",

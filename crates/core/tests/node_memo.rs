@@ -1,18 +1,22 @@
-//! The flat search reads each node record once per query.
+//! The flat search reads each node record at most once per query.
 //!
-//! A node's first touch — the seed, or a candidate edge's head past
-//! the cycle check — fetches its adjacency and its location in one
-//! [`NetworkSource::read_node`]; every later candidate or expansion of
-//! that node is served from the query's own memo. These tests count
-//! the calls at the [`NetworkSource`] surface and, through a CCAM
-//! store, the pool lookups below it, and pin the answers to a plain
-//! engine over the bare network.
+//! Under a location-blind bound (minTimeLB, the default) a node's
+//! record — adjacency and location in one [`NetworkSource::read_node`]
+//! — is read when the node is first expanded, and the target's
+//! location is never asked for. Under a bound that reads locations
+//! (naiveLB) it is read at the node's first touch: the seed, or a
+//! candidate edge's head past the cycle check. Either way every later
+//! candidate or expansion of that node is served from the query's own
+//! memo. These tests count the calls at the [`NetworkSource`] surface
+//! and, through a CCAM store, the pool lookups below it, and pin the
+//! answers to a plain engine over the bare network.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use allfp::{
-    Engine, EngineConfig, PathfindBackend, QueryBudget, QueryOutcome, QuerySpec, QueryStats,
+    Engine, EngineConfig, EstimatorKind, PathfindBackend, QueryBudget, QueryOutcome, QuerySpec,
+    QueryStats,
 };
 use ccam::{
     CcamError, CcamStore, EdgeRecord, MemStore, NodeRecord, PlacementPolicy, DEFAULT_PAGE_SIZE,
@@ -101,15 +105,44 @@ fn metro_small() -> (RoadNetwork, Vec<QuerySpec>) {
     (net, queries)
 }
 
+/// The two estimators: minTimeLB, which reads no location, and
+/// naiveLB, which does.
+const ESTIMATORS: [EstimatorKind; 2] = [EstimatorKind::MinTime, EstimatorKind::Naive];
+
+fn config(estimator: EstimatorKind) -> EngineConfig {
+    EngineConfig {
+        estimator,
+        ..EngineConfig::default()
+    }
+}
+
 /// The search's calls for one query: one `read_node` per record read
-/// and no record read twice, plus the target's `find_node` up front;
-/// no `successors_into`, and no other `find_node`.
-fn assert_one_read_per_node(calls: &Calls, stats: &QueryStats, target: NodeId, what: &str) {
+/// and no record read twice; no `successors_into`. Under minTimeLB a
+/// record is read exactly for each expanded node and `find_node` is
+/// never called; under naiveLB a record is read for each touched node,
+/// and the target's `find_node` is the one other call.
+fn assert_one_read_per_node(
+    calls: &Calls,
+    stats: &QueryStats,
+    estimator: EstimatorKind,
+    target: NodeId,
+    what: &str,
+) {
     assert_eq!(
         calls.read_node.len(),
         stats.nodes_read,
         "{what}: read_node calls"
     );
+    if estimator == EstimatorKind::MinTime {
+        assert_eq!(
+            calls.read_node.len(),
+            stats.expanded_nodes,
+            "{what}: records read past the expanded nodes"
+        );
+        assert!(calls.find_node.is_empty(), "{what}: find_node calls");
+    } else {
+        assert_eq!(calls.find_node, [target], "{what}: find_node calls");
+    }
     let distinct: HashSet<NodeId> = calls.read_node.iter().copied().collect();
     assert_eq!(
         distinct.len(),
@@ -120,7 +153,6 @@ fn assert_one_read_per_node(calls: &Calls, stats: &QueryStats, target: NodeId, w
         calls.successors_into.is_empty(),
         "{what}: successors_into outside read_node"
     );
-    assert_eq!(calls.find_node, [target], "{what}: find_node calls");
 }
 
 /// Partition and paths (nodes and travel functions) through `Debug`,
@@ -133,37 +165,48 @@ fn fingerprint(a: &allfp::AllFpAnswer) -> String {
 fn exact_queries_read_each_node_record_once() {
     let (net, queries) = metro_small();
     let counted = CountingSource::new(&net);
-    let mut revisits = 0usize;
-    for (i, q) in queries.iter().enumerate() {
-        // Fresh engines on both sides: same (empty) travel-function
-        // cache, so the statistics must agree to the last counter.
-        let engine = Engine::new(&counted, EngineConfig::default()).unwrap();
-        let bare = Engine::new(&net, EngineConfig::default()).unwrap();
-        counted.take();
+    for estimator in ESTIMATORS {
+        let (mut revisits, mut unread) = (0, 0);
+        for (i, q) in queries.iter().enumerate() {
+            // Fresh engines on both sides: same (empty) travel-function
+            // cache, so the statistics must agree to the last counter.
+            let engine = Engine::new(&counted, config(estimator)).unwrap();
+            let bare = Engine::new(&net, config(estimator)).unwrap();
+            counted.take();
 
-        let all = engine.all_fastest_paths(q).expect("allFP");
-        let calls = counted.take();
-        assert!(calls.successors.is_empty());
-        assert_one_read_per_node(&calls, &all.stats, q.target, &format!("allFP {i}"));
-        let want = bare
-            .all_fastest_paths(q)
-            .expect("allFP on the bare network");
-        assert_eq!(fingerprint(&all), fingerprint(&want), "allFP {i}");
-        assert_eq!(all.stats, want.stats, "allFP {i}");
-        revisits += all.stats.expanded_paths - all.stats.expanded_nodes;
+            let what = format!("{estimator:?} allFP {i}");
+            let all = engine.all_fastest_paths(q).expect("allFP");
+            let calls = counted.take();
+            assert!(calls.successors.is_empty());
+            assert_one_read_per_node(&calls, &all.stats, estimator, q.target, &what);
+            let want = bare
+                .all_fastest_paths(q)
+                .expect("allFP on the bare network");
+            assert_eq!(fingerprint(&all), fingerprint(&want), "{what}");
+            assert_eq!(all.stats, want.stats, "{what}");
+            revisits += all.stats.expanded_paths - all.stats.expanded_nodes;
 
-        let single = engine.single_fastest_path(q).expect("singleFP");
-        let calls = counted.take();
-        assert_one_read_per_node(&calls, &single.stats, q.target, &format!("singleFP {i}"));
-        let want = bare
-            .single_fastest_path(q)
-            .expect("singleFP on the bare network");
-        assert_eq!(format!("{single:?}"), format!("{want:?}"), "singleFP {i}");
+            let what = format!("{estimator:?} singleFP {i}");
+            let single = engine.single_fastest_path(q).expect("singleFP");
+            let calls = counted.take();
+            assert_one_read_per_node(&calls, &single.stats, estimator, q.target, &what);
+            let want = bare
+                .single_fastest_path(q)
+                .expect("singleFP on the bare network");
+            assert_eq!(format!("{single:?}"), format!("{want:?}"), "{what}");
+            unread += single.stats.nodes_read - single.stats.expanded_nodes;
+        }
+        assert!(
+            revisits > 0,
+            "{estimator:?}: the workload never expanded a node twice, so it cannot show the memo"
+        );
+        // naiveLB reads every touched node, the unexpanded ones too.
+        assert_eq!(
+            unread > 0,
+            estimator == EstimatorKind::Naive,
+            "{estimator:?}"
+        );
     }
-    assert!(
-        revisits > 0,
-        "the workload never expanded a node twice, so it cannot show the memo"
-    );
 }
 
 #[test]
@@ -188,6 +231,7 @@ fn a_budget_tripped_query_reads_each_node_record_once() {
         Err(allfp::AllFpError::BudgetExhausted { expansions }) if expansions == cap
     ));
     let search_calls = counted.take();
+    let estimator = EngineConfig::default().estimator;
 
     // The robust surface reports the search's statistics and then
     // plans the fallback route through the allocating `successors`.
@@ -197,7 +241,13 @@ fn a_budget_tripped_query_reads_each_node_record_once() {
         panic!("half its expansions cannot finish the query");
     };
     let robust_calls = counted.take();
-    assert_one_read_per_node(&search_calls, &degraded.stats, q.target, "degraded");
+    assert_one_read_per_node(
+        &search_calls,
+        &degraded.stats,
+        estimator,
+        q.target,
+        "degraded",
+    );
     assert_eq!(robust_calls.read_node, search_calls.read_node);
     assert!(!robust_calls.successors.is_empty(), "fallback was planned");
 
@@ -235,24 +285,37 @@ fn a_paged_source_pays_two_pool_lookups_per_node_read() {
     disk.find_node(queries[0].source).expect("node exists");
     assert_eq!(logical(&disk.stats().since(&before)), 2, "directory, data");
 
-    let engine = Engine::new(&disk, EngineConfig::default()).unwrap();
-    for (i, q) in queries.iter().enumerate() {
-        let before = disk.stats();
-        let all = engine.all_fastest_paths(q).expect("allFP");
-        let reads = logical(&disk.stats().since(&before));
-        // one directory page and one data page per node read, plus the
-        // target's `find_node`
-        assert_eq!(reads, 2 * all.stats.nodes_read as u64 + 2, "allFP {i}");
-        assert!(all.stats.nodes_read > 0);
+    for estimator in ESTIMATORS {
+        let engine = Engine::new(&disk, config(estimator)).unwrap();
+        // one directory page and one data page per node read, plus,
+        // under naiveLB, the target's `find_node`
+        let target_lookups = if estimator == EstimatorKind::Naive {
+            2
+        } else {
+            0
+        };
+        for (i, q) in queries.iter().enumerate() {
+            let before = disk.stats();
+            let all = engine.all_fastest_paths(q).expect("allFP");
+            let reads = logical(&disk.stats().since(&before));
+            let what = format!("{estimator:?} allFP {i}");
+            assert_eq!(
+                reads,
+                2 * all.stats.nodes_read as u64 + target_lookups,
+                "{what}"
+            );
+            assert!(all.stats.nodes_read > 0);
 
-        let before = disk.stats();
-        let single = engine.single_fastest_path(q).expect("singleFP");
-        let reads = logical(&disk.stats().since(&before));
-        assert_eq!(
-            reads,
-            2 * single.stats.nodes_read as u64 + 2,
-            "singleFP {i}"
-        );
+            let before = disk.stats();
+            let single = engine.single_fastest_path(q).expect("singleFP");
+            let reads = logical(&disk.stats().since(&before));
+            let what = format!("{estimator:?} singleFP {i}");
+            assert_eq!(
+                reads,
+                2 * single.stats.nodes_read as u64 + target_lookups,
+                "{what}"
+            );
+        }
     }
 }
 

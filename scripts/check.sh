@@ -281,6 +281,22 @@ cargo test -q -p fp-allfp --test hierarchy_equivalence --test golden_allfp
 echo "==> cargo test --workspace --release"
 cargo test --workspace --release --no-fail-fast -q
 
+# The A-3 tables are exact counts — page faults of a fixed query stream
+# through a cold pool, under each placement — so both recorded ones
+# rerun to the byte. A change that moves them re-records the files.
+echo "==> A-3 recorded tables (experiments ablation-ccam, medium and full)"
+a3="$(mktemp -d)"
+trap 'rm -rf "$a3"' EXIT
+for scale in medium:results full:results-full; do
+    name="${scale%%:*}" recorded="${scale#*:}/ablation_ccam.csv"
+    cargo run -q --release -p fp-bench --bin experiments -- \
+        ablation-ccam --scale "$name" --csv "$a3/$name" >/dev/null
+    if ! diff -u "$recorded" "$a3/$name/ablation_ccam.csv"; then
+        echo "A-3 at --scale $name differs from $recorded" >&2
+        exit 1
+    fi
+done
+
 # The stress suites interleave differently depending on how many tests
 # run at once; rerun them with the test-thread pinning removed so a
 # developer's RUST_TEST_THREADS=1 cannot mask a race: the engine and
