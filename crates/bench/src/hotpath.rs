@@ -255,33 +255,54 @@ mod tests {
     use crate::Scale;
     use allfp::PathfindBackend;
 
-    /// Search-space size of one serial pass of each query mode.
-    #[derive(Default)]
-    struct PassCounts {
-        /// `expanded_paths` summed over the allFP answers.
-        allfp: usize,
-        /// `expanded_paths` summed over the singleFP answers.
-        singlefp: usize,
-        /// `pieces_total` summed over the allFP answers: the pieces of every
-        /// function the search composed — the count a relax gate moves
-        /// while `expanded_paths` stays.
-        allfp_pieces: u64,
-    }
+    /// One query mode's search counters summed over a pass:
+    /// `[expanded_paths, pieces_total, pushed, pruned_by_border,
+    /// pruned_dominated, border_merges]`. Pieces are every function the
+    /// search composed — the count a relax gate moves while the others
+    /// stay; a prune tally can move while the expansions stay.
+    type Tally = [u64; 6];
+
+    /// A pinned row: its name, the backend, the queries and the
+    /// `(allFP, singleFP)` tallies they must give.
+    type Row<'a> = (
+        &'a str,
+        &'a dyn PathfindBackend,
+        Vec<QuerySpec>,
+        (Tally, Tally),
+    );
 
     /// One serial allFP pass and one serial singleFP pass of `queries`
-    /// through `backend`, counted.
-    fn pass_counts(backend: &dyn PathfindBackend, queries: &[QuerySpec]) -> PassCounts {
-        let mut counts = PassCounts::default();
+    /// through `backend`, counted: `(allFP, singleFP)`.
+    fn pass_counts(backend: &dyn PathfindBackend, queries: &[QuerySpec]) -> (Tally, Tally) {
+        let add = |t: &mut Tally, s: &allfp::QueryStats| {
+            let row = [
+                s.expanded_paths as u64,
+                s.pieces_total,
+                s.pushed as u64,
+                s.pruned_by_border as u64,
+                s.pruned_dominated as u64,
+                s.border_merges as u64,
+            ];
+            t.iter_mut().zip(row).for_each(|(t, n)| *t += n);
+        };
+        let (mut all, mut single) = (Tally::default(), Tally::default());
         for q in queries {
             if let Ok(a) = backend.all_fastest_paths(q) {
-                counts.allfp += a.stats.expanded_paths;
-                counts.allfp_pieces += a.stats.pieces_total;
+                add(&mut all, &a.stats);
             }
             if let Ok(a) = backend.single_fastest_path(q) {
-                counts.singlefp += a.stats.expanded_paths;
+                add(&mut single, &a.stats);
             }
         }
-        counts
+        (all, single)
+    }
+
+    /// `queries` moved to the whole workday, 00:00–23:59: the widest
+    /// window, whose arrivals cross midnight.
+    fn whole_day(queries: Vec<QuerySpec>) -> Vec<QuerySpec> {
+        let day = Interval::of(hm(0, 0), hm(23, 59));
+        let on_day = |q| QuerySpec { interval: day, ..q };
+        queries.into_iter().map(on_day).collect()
     }
 
     /// The search-space size of the flat engine (metro-small, 12
@@ -290,39 +311,106 @@ mod tests {
     /// teeth — or gains some — moves one of these counts on any host.
     /// The straddle cell — the flat engine on long pairs over 07:00–10:00,
     /// a window that crosses the speed change — is where the
-    /// live-instant key (DESIGN.md §7) does its work.
+    /// live-instant key (DESIGN.md §7) does its work; the whole-day
+    /// rows are allFP's widest query.
     #[test]
     fn search_counts_are_pinned() {
+        fn flat(s: &Scenario, config: EngineConfig) -> Engine<'_, RoadNetwork> {
+            Engine::new(&s.net, config).unwrap()
+        }
         let small = Scenario::new(Scale::Small, 0x5EED);
-        let queries = fig9_rush(&small.net, 12);
-        let flat = Engine::new(&small.net, EngineConfig::default()).unwrap();
-        let flat = pass_counts(&flat, &queries);
-        assert_eq!((flat.allfp, flat.singlefp), (1_384, 185), "flat, minTimeLB");
-        let naive = pass_counts(&Engine::new(&small.net, naive()).unwrap(), &queries);
-        assert_eq!(naive.allfp, 3_204, "flat, naiveLB");
-
         let medium = Scenario::new(Scale::Medium, 0x5EED);
+        let full = Scenario::new(Scale::Full, 0x5EED);
         let ch = HierarchyEngine::build(
             &medium.net,
             EngineConfig::default(),
             HierarchyConfig::default(),
         )
         .unwrap();
-        let ch = pass_counts(&ch, &long_rush(&medium, 12));
-        assert_eq!((ch.allfp, ch.singlefp), (772, 105), "hierarchy");
-        assert_eq!(ch.allfp_pieces, 23_585, "hierarchy allFP pieces");
-
-        let full = Scenario::new(Scale::Full, 0x5EED);
-        for (scenario, pairs, want, pieces) in [
-            (&medium, 12, (6_409, 460), 30_492),
-            (&full, 24, (52_912, 1_467), 246_166),
-        ] {
-            let flat = Engine::new(&scenario.net, EngineConfig::default()).unwrap();
-            let got = pass_counts(&flat, &long_rush(scenario, pairs));
-            let scale = scenario.scale;
-            assert_eq!((got.allfp, got.singlefp), want, "flat straddle, {scale:?}");
-            assert_eq!(got.allfp_pieces, pieces, "flat straddle, {scale:?} pieces");
+        let fig9 = fig9_rush(&small.net, 12);
+        let rows: [Row<'_>; 8] = [
+            (
+                "flat minTimeLB, metro-small fig9",
+                &flat(&small, EngineConfig::default()),
+                fig9.clone(),
+                (
+                    [1_384, 4_962, 1_599, 399, 574, 23],
+                    [185, 830, 362, 0, 16, 0],
+                ),
+            ),
+            (
+                "flat naiveLB, metro-small fig9",
+                &flat(&small, naive()),
+                fig9,
+                (
+                    [3_204, 12_074, 3_518, 516, 1_652, 23],
+                    [1_545, 6_911, 2_012, 0, 836, 0],
+                ),
+            ),
+            (
+                "hierarchy, metro-medium straddle",
+                &ch,
+                long_rush(&medium, 12),
+                (
+                    [772, 23_585, 2_116, 25_144, 1_668, 35],
+                    [105, 3_407, 822, 2_264, 158, 0],
+                ),
+            ),
+            (
+                "flat, metro-medium straddle",
+                &flat(&medium, EngineConfig::default()),
+                long_rush(&medium, 12),
+                (
+                    [6_409, 30_492, 7_312, 1_530, 4_006, 34],
+                    [460, 2_239, 871, 0, 29, 0],
+                ),
+            ),
+            (
+                "flat, metro-full straddle",
+                &flat(&full, EngineConfig::default()),
+                long_rush(&full, 24),
+                (
+                    [52_912, 246_166, 56_512, 6_523, 42_364, 73],
+                    [1_467, 7_556, 2_891, 0, 158, 0],
+                ),
+            ),
+            (
+                "hierarchy, metro-medium whole day",
+                &ch,
+                whole_day(long_rush(&medium, 12)),
+                (
+                    [1_622, 154_566, 3_444, 53_921, 3_493, 70],
+                    [105, 10_590, 862, 2_264, 118, 0],
+                ),
+            ),
+            (
+                "flat, metro-medium whole day",
+                &flat(&medium, EngineConfig::default()),
+                whole_day(long_rush(&medium, 12)),
+                (
+                    [16_089, 277_799, 17_997, 5_332, 9_731, 70],
+                    [460, 6_732, 871, 0, 29, 0],
+                ),
+            ),
+            (
+                "flat, metro-full whole day",
+                &flat(&full, EngineConfig::default()),
+                whole_day(long_rush(&full, 24)),
+                (
+                    [169_514, 3_424_373, 183_739, 21_606, 140_305, 148],
+                    [1_467, 23_575, 2_891, 0, 158, 0],
+                ),
+            ),
+        ];
+        let mut failed = Vec::new();
+        for (name, backend, queries, want) in rows {
+            let got = pass_counts(backend, &queries);
+            println!("{name}: {got:?}");
+            if got != want {
+                failed.push(name);
+            }
         }
+        assert!(failed.is_empty(), "moved (allFP, singleFP): {failed:?}");
     }
 
     /// Contraction buys back its preprocessing: on the race's workload
@@ -333,20 +421,18 @@ mod tests {
         const MIN_EXPANSION_SPEEDUP: f64 = 10.0;
         let medium = Scenario::new(Scale::Medium, 0x5EED);
         let queries = long_rush(&medium, 12);
-        let flat = pass_counts(&Engine::new(&medium.net, naive()).unwrap(), &queries);
+        let flat = pass_counts(&Engine::new(&medium.net, naive()).unwrap(), &queries).1[0];
         let ch = HierarchyEngine::build(
             &medium.net,
             EngineConfig::default(),
             HierarchyConfig::default(),
         )
         .unwrap();
-        let ch = pass_counts(&ch, &queries);
-        let speedup = flat.singlefp as f64 / ch.singlefp.max(1) as f64;
+        let ch = pass_counts(&ch, &queries).1[0];
+        let speedup = flat as f64 / ch.max(1) as f64;
         assert!(
             speedup >= MIN_EXPANSION_SPEEDUP,
-            "singleFP saves only {speedup:.1}x expansions ({} flat, {} ch)",
-            flat.singlefp,
-            ch.singlefp
+            "singleFP saves only {speedup:.1}x expansions ({flat} flat, {ch} ch)"
         );
     }
 

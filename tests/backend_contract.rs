@@ -238,7 +238,7 @@ fn every_backend_honours_the_contract() {
 
     let window = Interval::of(hm(7, 0), hm(10, 0));
     let ask = |s, t| QuerySpec::new(s, t, window, DayCategory::WORKDAY);
-    let queries: Vec<QuerySpec> = sample_pairs(&net, 5, 0.5, 3.0, 0xF19)
+    let mut queries: Vec<QuerySpec> = sample_pairs(&net, 5, 0.5, 3.0, 0xF19)
         .expect("pairs")
         .iter()
         .map(|p| ask(p.source, p.target))
@@ -247,6 +247,11 @@ fn every_backend_honours_the_contract() {
         queries.len() >= 3,
         "workload sampler returned too few pairs"
     );
+    // The whole workday: allFP's widest window, whose arrivals cross
+    // midnight.
+    let day = Interval::of(hm(0, 0), hm(23, 59));
+    let (source, target) = (queries[0].source, queries[0].target);
+    queries.push(QuerySpec::new(source, target, day, DayCategory::WORKDAY));
     let unreachable = ask(queries[0].source, island);
 
     let flat = Engine::for_network(&net, config()).expect("flat engine");
