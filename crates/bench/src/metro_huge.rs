@@ -8,7 +8,7 @@
 //!    pages), on this thread, never materializing the network;
 //! 2. serve the fig9 morning-rush workload through [`FileStore::open`]
 //!    and a buffer pool far smaller than the graph — behind the
-//!    min-time estimator (`minTimeLB`), built by one sweep over the lazy
+//!    min-time estimator (`minTimeLB`), built by two sweeps over the lazy
 //!    generator: allFP then singleFP, each put on the clock by
 //!    [`crate::clock::clock_backend`] (a first pass, then the median ± MAD of
 //!    the warm ones, with `expanded_paths` and the allocated bytes per

@@ -2,12 +2,10 @@
 //! every [`QueryMode`] behind [`PathfindBackend::answer`]; the query
 //! surfaces are that trait's provided methods.
 
-use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use pwl::compose::Arrivals;
-use pwl::{Envelope, Interval, Pwl, PwlRef, PwlScratch};
+use pwl::{Envelope, Interval, Pwl, PwlScratch};
 use roadnet::{NetworkSource, NodeId, Point};
 
 use crate::backend::{Answer, PathfindBackend, QueryMode, SearchRun};
@@ -18,13 +16,8 @@ use crate::query::{
     AllFpAnswer, CancelToken, DegradedAnswer, DegradedReason, FastestPath, QuerySpec, QueryStats,
     SingleFpAnswer,
 };
-use crate::{AllFpError, BoundaryLb, MinEntry, Result};
-
-/// How often (in heap pops) the search polls the wall-clock deadline
-/// and the cancellation token. The check runs on pop 0, so a
-/// `Duration::ZERO` deadline (or a pre-cancelled token) trips before
-/// any expansion work. Expansion caps are checked on **every** pop.
-const WATCH_EVERY: u64 = 32;
+use crate::search::{self, index32, Bucket, Expand, Frontier, Hop, Label, Run, NONE};
+use crate::{AllFpError, BoundaryLb, Result};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -60,25 +53,11 @@ impl Default for EngineConfig {
     }
 }
 
-/// A path under consideration, stored as a node in the per-query path
-/// arena: a parent pointer into the arena, the path's head node, and
-/// its exact travel-time function `T(l)` over the query interval. The
-/// prioritized minimum of `T + T_est` lives on the queue entry.
-///
-/// Expansion appends one arena slot (O(1) beyond the travel function
-/// itself), the cycle check walks the parent chain (O(depth), no
-/// allocation), and full node sequences are materialized only for the
-/// handful of paths that end up in an answer.
-struct PathState {
-    /// Arena index of the path this one extends; [`NONE`] for the root.
-    parent: u32,
-    /// Next path of the head node's dominance list (see
-    /// [`NodeState::fns_head`]); [`NONE`] at the tail.
-    next_at_node: u32,
-    /// Last node of the path.
-    head: NodeId,
+/// The flat graph's part of a label: what the cycle check and the
+/// answer's node sequence read off the path.
+pub(crate) struct Trail {
     /// Bloom filter of the nodes on the path (parent's filter plus
-    /// `head`'s bit). An unset bit proves the node is *not* on the
+    /// the head's bit). An unset bit proves the node is *not* on the
     /// path, letting the cycle check skip the parent-chain walk for
     /// most candidates; a set bit still walks the chain, so hash
     /// collisions cost time but never change the answer.
@@ -86,28 +65,6 @@ struct PathState {
     /// Number of edges in the path (root is 0); pre-sizes
     /// materialization buffers.
     depth: u32,
-    /// Cached `travel.min_value()` — the O(pieces) scan is done once
-    /// at push time and reused by the early border prune of every
-    /// expansion of this path.
-    travel_min: f64,
-    /// The path's travel function. Owned while the path only lives in
-    /// the arena; promoted to shared (`Arc`) the first time an answer
-    /// path or border member needs to keep it — every further "copy"
-    /// is a refcount bump, and still-owned functions recycle their
-    /// buffers into the worker scratch when the arena drains.
-    travel: PwlRef,
-}
-
-/// "No index": the empty [`SearchWorkspace::slot_of`] entry, the root's
-/// [`PathState::parent`] and the end of a dominance list.
-const NONE: u32 = u32::MAX;
-
-/// `i` as a `u32` arena index, which must stay below [`NONE`].
-fn index32(i: usize, outgrown: &'static str) -> Result<u32> {
-    u32::try_from(i)
-        .ok()
-        .filter(|&i| i != NONE)
-        .ok_or(AllFpError::Internal(outgrown))
 }
 
 /// What one query remembers of a node it has touched: the lower-bound
@@ -120,10 +77,9 @@ struct NodeState {
     est: f64,
     start: u32,
     len: u32,
-    /// The node's dominance list, threaded through the path arena by
-    /// [`PathState::next_at_node`] in push order.
-    fns_head: u32,
-    fns_tail: u32,
+    /// The node's dominance list, when the engine prunes dominated
+    /// paths.
+    fns: Bucket,
     expanded: bool,
 }
 
@@ -136,6 +92,13 @@ const IDLE_CAPACITY: usize = 1024;
 /// query pays for the nodes it touches, not `n_nodes` (DESIGN.md §10).
 #[derive(Default)]
 pub(crate) struct SearchWorkspace {
+    table: NodeTable,
+    frontier: Frontier<Trail>,
+}
+
+/// The nodes one flat search has touched.
+#[derive(Default)]
+struct NodeTable {
     /// Node index → slot in `nodes`, [`NONE`] until the query touches
     /// the node: the only array as long as the network.
     slot_of: Vec<u32>,
@@ -145,34 +108,31 @@ pub(crate) struct SearchWorkspace {
     /// Staging buffer for `read_node`, which clears its argument
     /// and so cannot append to `adjacency` directly.
     fetched: Vec<roadnet::Edge>,
-    paths: Vec<PathState>,
-    heap: BinaryHeap<QueueEntry>,
 }
 
 impl SearchWorkspace {
     /// Clean what the previous query left, however it ended, in
     /// O(nodes it read), and cover a source of `n_nodes` nodes.
     pub(crate) fn reset(&mut self, n_nodes: usize, scratch: &mut PwlScratch) {
-        for n in self.nodes.drain(..) {
-            self.slot_of[n.id.index()] = NONE;
+        let table = &mut self.table;
+        for n in table.nodes.drain(..) {
+            table.slot_of[n.id.index()] = NONE;
         }
-        self.slot_of.resize(self.slot_of.len().max(n_nodes), NONE);
-        self.adjacency.clear();
-        self.heap.clear();
-        for p in self.paths.drain(..) {
-            scratch.recycle_ref(p.travel);
-        }
+        table.slot_of.resize(table.slot_of.len().max(n_nodes), NONE);
+        table.adjacency.clear();
+        self.frontier.clear(scratch);
     }
 
     /// Clean, and give back what an idle workspace should not hold.
     pub(crate) fn park(&mut self, scratch: &mut PwlScratch) {
         self.reset(0, scratch);
-        self.nodes.shrink_to(IDLE_CAPACITY);
-        self.adjacency.shrink_to(IDLE_CAPACITY);
-        self.paths.shrink_to(IDLE_CAPACITY);
-        self.heap.shrink_to(IDLE_CAPACITY);
+        self.table.nodes.shrink_to(IDLE_CAPACITY);
+        self.table.adjacency.shrink_to(IDLE_CAPACITY);
+        self.frontier.shrink_to(IDLE_CAPACITY);
     }
+}
 
+impl NodeTable {
     /// Read the record of the node in `slot` from `source`: append its
     /// outgoing edges to the arena, point the slot at them, and return
     /// the node's location.
@@ -190,11 +150,11 @@ impl SearchWorkspace {
 /// Arena path `idx` as an answer path: its node sequence, root first,
 /// and its function promoted to shared storage, so the arena, the
 /// answer and its border hold one `Pwl`.
-fn arena_path(paths: &mut [PathState], idx: usize) -> FastestPath {
-    let mut nodes = Vec::with_capacity(paths[idx].depth as usize + 1);
+fn arena_path(paths: &mut [Label<Trail>], idx: usize) -> FastestPath {
+    let mut nodes = Vec::with_capacity(paths[idx].extra.depth as usize + 1);
     let mut cur = idx as u32;
     while cur != NONE {
-        nodes.push(paths[cur as usize].head);
+        nodes.push(paths[cur as usize].node);
         cur = paths[cur as usize].parent;
     }
     nodes.reverse();
@@ -202,20 +162,20 @@ fn arena_path(paths: &mut [PathState], idx: usize) -> FastestPath {
     FastestPath { nodes, travel }
 }
 
-/// The [`PathState::bloom`] bit for `node`.
+/// The [`Trail::bloom`] bit for `node`.
 #[inline]
 fn bloom_bit(node: NodeId) -> u128 {
     1u128 << (node.index() & 127)
 }
 
 /// Does arena path `idx` visit `node`? (Cycle check for expansion.)
-fn visits(paths: &[PathState], idx: usize, node: NodeId) -> bool {
-    if paths[idx].bloom & bloom_bit(node) == 0 {
+fn visits(paths: &[Label<Trail>], idx: usize, node: NodeId) -> bool {
+    if paths[idx].extra.bloom & bloom_bit(node) == 0 {
         return false;
     }
     let mut cur = idx as u32;
     while cur != NONE {
-        if paths[cur as usize].head == node {
+        if paths[cur as usize].node == node {
             return true;
         }
         cur = paths[cur as usize].parent;
@@ -288,78 +248,6 @@ fn single_answer(path: FastestPath, stats: QueryStats) -> SingleFpAnswer {
         travel_minutes: m.value,
         best_leaving: m.at,
         stats,
-    }
-}
-
-/// Queue entry: minimum of `T + T_est`, FIFO among equals, carrying
-/// the path's arena index.
-type QueueEntry = MinEntry<u64, usize>;
-
-/// The per-search budget watcher: deadline, expansion cap, and
-/// cancellation, resolved once at search start. Public so a backend
-/// that runs its own search (the contraction hierarchy's) polls with
-/// the same cadence and trips with the same reasons.
-pub struct Watch<'t> {
-    deadline: Option<Instant>,
-    /// The query's expansion budget capped by the engine's valve; the
-    /// search checks it on **every** pop.
-    pub max_expansions: usize,
-    cancel: Option<&'t CancelToken>,
-    pops: u64,
-}
-
-impl<'t> Watch<'t> {
-    /// Resolve `query`'s budget against the engine-level expansion
-    /// valve `engine_cap`; the wall-clock budget starts now.
-    pub fn new(query: &QuerySpec, engine_cap: usize, cancel: Option<&'t CancelToken>) -> Self {
-        let budget = query.budget.unwrap_or_default();
-        Watch {
-            deadline: budget.max_wall.map(|d| Instant::now() + d),
-            max_expansions: budget
-                .max_expansions
-                .map_or(engine_cap, |b| b.min(engine_cap)),
-            cancel,
-            pops: 0,
-        }
-    }
-
-    /// Poll the cheap-but-not-free signals (cancellation, wall clock)
-    /// every [`WATCH_EVERY`] pops, including the very first. Returns
-    /// `Err` on cancellation, `Ok(Some(reason))` on an expired
-    /// deadline, `Ok(None)` to keep searching.
-    pub fn poll(&mut self) -> Result<Option<DegradedReason>> {
-        let due = self.pops.is_multiple_of(WATCH_EVERY);
-        self.pops += 1;
-        if !due {
-            return Ok(None);
-        }
-        self.poll_now()
-    }
-
-    fn poll_now(&self) -> Result<Option<DegradedReason>> {
-        if self.cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(AllFpError::Cancelled);
-        }
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Ok(Some(DegradedReason::DeadlineExpired));
-        }
-        Ok(None)
-    }
-
-    /// Unconditional poll, placed immediately before each target-path
-    /// compound ([`CacheSession::extend`]) — the
-    /// most expensive single step in the search. Pop-granularity
-    /// polling alone lets one heavy expansion (hundreds of compounds on
-    /// a dense node over a long interval) overshoot the deadline by the
-    /// full expansion cost; this bounds the overshoot to roughly one
-    /// compound. No-op (not even a clock read) when neither a deadline
-    /// nor a cancel token is set, so unbudgeted queries pay one branch
-    /// per compound.
-    pub fn poll_compound(&self) -> Result<Option<DegradedReason>> {
-        if self.cancel.is_none() && self.deadline.is_none() {
-            return Ok(None);
-        }
-        self.poll_now()
     }
 }
 
@@ -447,15 +335,6 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
     /// shares this engine's travel-function cache).
     pub fn cache_session(&self) -> CacheSession<'_> {
         self.cache.session()
-    }
-
-    /// The engine's lower-bound estimator, for backends that run their
-    /// own prioritized search over a structure derived from this
-    /// engine's network (estimates depend only on `(node, target)`
-    /// positions, so they lower-bound travel on any overlay whose arcs
-    /// represent real paths).
-    pub fn estimator(&self) -> &dyn LowerBoundEstimator {
-        self.estimator.as_ref()
     }
 
     /// Shared read access to the network source this engine answers
@@ -648,12 +527,12 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         PathfindBackend::all_fastest_paths(self, query)
     }
 
-    /// The search proper, over a checked-out (clean) workspace: one
-    /// routine for every [`QueryMode`]. singleFP stops at the first
-    /// popped target path (§4.5); allFP runs to the paper's termination
-    /// rule and assembles the partitioning; a budget that trips first
-    /// is an error or — under [`QueryMode::AllFpOrDegraded`] — the
-    /// exact best-so-far with the constant-speed plan.
+    /// The search proper, over a checked-out (clean) workspace: the
+    /// one loop ([`search::run`]) over the flat graph, for every
+    /// [`QueryMode`]. singleFP answers with the first popped target
+    /// path (§4.5); allFP assembles the partitioning; a budget that
+    /// trips first is an error or — under [`QueryMode::AllFpOrDegraded`]
+    /// — the exact best-so-far with the constant-speed plan.
     fn search_in(
         &self,
         ws: &mut SearchWorkspace,
@@ -661,358 +540,68 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
         target_loc: Point,
         mode: QueryMode,
         session: &mut CacheSession<'_>,
-        mut watch: Watch<'_>,
+        cancel: Option<&CancelToken>,
     ) -> Result<Answer> {
-        let single_only = mode == QueryMode::SingleFp;
-        let mut stats = QueryStats::default();
-        let mut seq = 0u64;
-        // First touch of a node (the seed, or a candidate edge's head):
-        // file it with its bound. An estimator that reads locations
-        // needs the record now, adjacency and location in one read; a
-        // location-blind one leaves the read to the node's first
-        // expansion, so a node that is only touched is never read.
-        // Every later candidate or expansion is served from `ws`.
-        // Returns the slot. An id past the source's nodes (a head read
-        // from a damaged page, say) is `UnknownNode`, never an index
-        // past `slot_of`.
-        let n_nodes = self.source.n_nodes();
         let lazy = !self.estimator.reads_location();
-        let touch = |ws: &mut SearchWorkspace, node: NodeId| -> Result<usize> {
-            if node.index() >= n_nodes {
-                return Err(roadnet::NetworkError::UnknownNode(node).into());
-            }
-            let slot = ws.nodes.len();
-            ws.slot_of[node.index()] = index32(slot, "node records outgrew u32 slots")?;
-            ws.nodes.push(NodeState {
-                id: node,
-                est: 0.0,
-                start: 0,
-                len: 0,
-                fns_head: NONE,
-                fns_tail: NONE,
-                expanded: false,
-            });
-            // A location-blind bound ignores the point it is given.
-            let loc = if lazy {
-                target_loc
-            } else {
-                ws.read_record(slot, self.source)?
-            };
-            ws.nodes[slot].est =
-                self.estimator
-                    .travel_lower_bound(node, loc, query.target, target_loc);
-            Ok(slot)
+        let mut graph = FlatGraph {
+            source: self.source,
+            n_nodes: self.source.n_nodes(),
+            estimator: self.estimator.as_ref(),
+            session: &mut *session,
+            table: &mut ws.table,
+            query,
+            target_loc,
+            lazy,
+            prune_dominated: self.config.prune_dominated,
+            max_speed: self.source.max_speed(),
+            start: 0,
         };
-
-        // Lower border over identified target paths. `border_max`
-        // mirrors `border.max_value()` so the per-pop and per-edge
-        // pruning checks are O(1) instead of an O(pieces) envelope
-        // scan; it only changes when a path merges into the border.
-        let mut border: Option<Envelope<usize>> = None;
-        let mut border_max = f64::INFINITY;
-        // `paths.len()` at the last border merge: exactly the paths
-        // below it were last tested against an older (higher) border.
-        let mut border_seen = 0usize;
-        // singleFP: the first popped target path.
-        let mut single: Option<usize> = None;
-
-        // Global best-case speed: `distance / max_speed` lower-bounds
-        // any edge's travel time, independent of leaving instant.
-        let max_speed = self.source.max_speed();
-
-        // Seed: the zero-length path at the source.
-        {
-            let slot = touch(ws, query.source)?;
-            let est = ws.nodes[slot].est;
-            if est == f64::INFINITY {
-                return Err(AllFpError::Unreachable {
-                    source: query.source,
-                    target: query.target,
-                });
-            }
-            let travel = Pwl::constant(query.interval, 0.0)?;
-            let travel_min = travel.min_value();
-            let f_min = travel_min + est;
-            ws.paths.push(PathState {
-                parent: NONE,
-                next_at_node: NONE,
-                head: query.source,
-                bloom: bloom_bit(query.source),
-                depth: 0,
-                travel_min,
-                travel: travel.into(),
-            });
-            ws.heap.push(QueueEntry {
-                key: f_min,
-                tie: seq,
-                item: 0,
-            });
-            seq += 1;
-            stats.pushed += 1;
-        }
-
-        // Set when a budget trips (deadline, expansion cap) either at a
-        // pop boundary or mid-expansion before a compound; the salvage +
-        // degraded assembly lives after the loop so both trip sites
-        // share it.
-        let mut trip: Option<DegradedReason> = None;
-
-        'search: while let Some(entry) = ws.heap.pop() {
-            // Termination (§4.6): the next candidate can no longer beat
-            // the border anywhere.
-            if border_max.is_finite() && pwl::approx_le(border_max, entry.key) {
-                break;
-            }
-
-            let head = ws.paths[entry.item].head;
-
-            if head == query.target {
-                // Identified a target path. Its travel function is
-                // promoted to shared storage: the arena and the answer
-                // or border hold the same `Arc<Pwl>` — no deep copies.
-                if single_only {
-                    single = Some(entry.item);
-                    break;
-                }
-                stats.border_merges += 1;
-                match &mut border {
-                    None => {
-                        let b = Envelope::new(ws.paths[entry.item].travel.share(), entry.item);
-                        border_max = b.max_value();
-                        border = Some(b);
-                    }
-                    Some(b) => {
-                        b.merge_min_with(
-                            session.scratch_mut(),
-                            &ws.paths[entry.item].travel,
-                            entry.item,
-                        )?;
-                        border_max = b.max_value();
-                    }
-                }
-                border_seen = ws.paths.len();
-                continue;
-            }
-
-            // Budget checks sit *after* target handling: merging an
-            // already-popped target path costs one envelope merge and
-            // only improves the (possibly degraded) answer, so the
-            // budget never forfeits it. Expansion — the expensive part
-            // — is what the caps meter.
-            if let Some(reason) = watch.poll()? {
-                trip = Some(reason);
-                break 'search;
-            }
-            // Pointwise border rule (DESIGN.md §7), re-run against a
-            // border that fell since this path was pushed. A path it
-            // kills was polled above but is no expansion.
-            let head_slot = ws.slot_of[head.index()] as usize;
-            let (travel, est) = (&ws.paths[entry.item].travel, ws.nodes[head_slot].est);
-            if entry.item < border_seen
-                && border
-                    .as_ref()
-                    .is_some_and(|b| travel.dominated_by_offset(est, b.as_pwl()))
-            {
-                stats.pruned_by_border += 1;
-                continue;
-            }
-            if stats.expanded_paths >= watch.max_expansions {
-                trip = Some(DegradedReason::ExpansionsExhausted);
-                break 'search;
-            }
-
-            // Expand, reading the node's record on its first expansion
-            // if its first touch did not.
-            stats.expanded_paths += 1;
-            if lazy && !ws.nodes[head_slot].expanded {
-                ws.read_record(head_slot, self.source)?;
-            }
-            ws.nodes[head_slot].expanded = true;
-
-            // The leaving-time interval at `head` (the paper's Figure 4
-            // step) is a property of the path, not the edge.
-            let arrivals = Arrivals::of(&ws.paths[entry.item].travel)?;
-            // Indexed, not borrowed: a first touch below appends to
-            // `adjacency` while this node's slice is being walked.
-            let start = ws.nodes[head_slot].start as usize;
-            for i in start..start + ws.nodes[head_slot].len as usize {
-                let edge = ws.adjacency[i];
-                // Cycles can never help under FIFO (positive travel times).
-                if visits(&ws.paths, entry.item, edge.to) {
-                    continue;
-                }
-
-                let slot = match ws.slot_of.get(edge.to.index()) {
-                    Some(&slot) if slot != NONE => slot as usize,
-                    _ => touch(ws, edge.to)?,
-                };
-                let est = ws.nodes[slot].est;
-                if est == f64::INFINITY {
-                    continue; // no completion from `edge.to` exists
-                }
-
-                // Early border bound, before the expensive composition:
-                // the extended path's travel function is everywhere ≥
-                // parent minimum + distance/v_max, so if even that
-                // best case cannot beat the border anywhere, skip the
-                // travel-function work entirely. Conservative — every
-                // path it kills, the exact check below would kill too.
-                if border_max.is_finite() {
-                    let optimistic =
-                        ws.paths[entry.item].travel_min + edge.distance / max_speed + est;
-                    if pwl::approx_le(border_max, optimistic) {
-                        stats.pruned_by_border += 1;
-                        continue;
-                    }
-                }
-
-                // Deadline/cancel check at compound granularity: the
-                // prunes above are O(1), but the travel-function +
-                // composition work below is the expensive step, so a
-                // heavy expansion must not run all its compounds after
-                // the deadline has already passed.
-                if let Some(reason) = watch.poll_compound()? {
-                    trip = Some(reason);
-                    break 'search;
-                }
-
-                let profile = self.source.pattern(edge.pattern)?.profile(query.category)?;
-                let (travel, hit) = session.extend(
-                    edge.pattern,
-                    query.category,
-                    profile,
-                    edge.distance,
-                    &arrivals,
-                    &ws.paths[entry.item].travel,
-                )?;
-                stats.cache_lookups += 1;
-                if hit {
-                    stats.cache_hits += 1;
-                } else {
-                    stats.cache_misses += 1;
-                }
-                let n = travel.n_pieces();
-                stats.pieces_total += n as u64;
-                stats.pieces_max = stats.pieces_max.max(n as u64);
-                stats.bytes_allocated += (8 * (n + 1) + 16 * n) as u64;
-                let travel_min = travel.min_value();
-                let f_min = travel_min + est;
-
-                // Border bound: dead if no completion can get under the
-                // border at any instant — `T(l) + est ≥ border(l)` for all
-                // `l`; comparing the two sides' extremes is its O(1) case.
-                // A survivor is keyed by its best `T(l) + est` over the
-                // instants where it still beats the border (the
-                // live-instant key, DESIGN.md §7).
-                let key = match &border {
-                    None => Some(f_min),
-                    Some(_) if pwl::approx_le(border_max, f_min) => None,
-                    Some(b) => travel.live_min(est, b.as_pwl()).map(|k| k.max(f_min)),
-                };
-                let Some(key) = key else {
-                    stats.pruned_by_border += 1;
-                    session.scratch_mut().recycle(travel);
-                    continue;
-                };
-
-                // Optional per-node dominance pruning (extension): scan
-                // the paths known to end at `edge.to`, oldest first.
-                if self.config.prune_dominated {
-                    let mut p = ws.nodes[slot].fns_head;
-                    while p != NONE
-                        && !travel.dominated_by_offset(0.0, &ws.paths[p as usize].travel)
-                    {
-                        p = ws.paths[p as usize].next_at_node;
-                    }
-                    if p != NONE {
-                        stats.pruned_dominated += 1;
-                        session.scratch_mut().recycle(travel);
-                        continue;
-                    }
-                }
-
-                let idx = index32(ws.paths.len(), "path arena outgrew u32 indices")?;
-                ws.paths.push(PathState {
-                    // Arena indices passed this same check when pushed.
-                    parent: entry.item as u32,
-                    next_at_node: NONE,
-                    head: edge.to,
-                    bloom: ws.paths[entry.item].bloom | bloom_bit(edge.to),
-                    depth: ws.paths[entry.item].depth + 1,
-                    travel_min,
-                    travel: travel.into(),
-                });
-                if self.config.prune_dominated {
-                    // Append: the scan order above is push order.
-                    match std::mem::replace(&mut ws.nodes[slot].fns_tail, idx) {
-                        NONE => ws.nodes[slot].fns_head = idx,
-                        tail => ws.paths[tail as usize].next_at_node = idx,
-                    }
-                }
-                ws.heap.push(QueueEntry {
-                    key,
-                    tie: seq,
-                    item: idx as usize,
-                });
-                seq += 1;
-                stats.pushed += 1;
-            }
-        }
-
-        stats.expanded_nodes = ws.nodes.iter().filter(|n| n.expanded).count();
+        let cap = self.config.max_expansions;
+        let run = search::run(&mut graph, &mut ws.frontier, query, mode, cap, cancel)?;
+        let Run {
+            border,
+            single,
+            trip,
+            mut stats,
+        } = run.ok_or(AllFpError::Internal("the flat graph handed its query back"))?;
+        stats.expanded_nodes = ws.table.nodes.iter().filter(|n| n.expanded).count();
         stats.nodes_read = if lazy {
             stats.expanded_nodes
         } else {
-            ws.nodes.len()
+            ws.table.nodes.len()
         };
 
-        if let Some(reason) = trip {
-            if mode != QueryMode::AllFpOrDegraded {
-                return Err(AllFpError::BudgetExhausted {
-                    expansions: stats.expanded_paths,
-                });
-            }
-            // Salvage before reporting: complete target paths still
-            // *queued* (A* pops them only after every optimistic
-            // incomplete path is exhausted, i.e. at the very end) merge
-            // into the border with envelope merges only — no
-            // composition work, so the overrun past the budget is
-            // small and bounded. Merge best-first for deterministic
-            // tie-breaks.
-            while let Some(e) = ws.heap.pop() {
-                if ws.paths[e.item].head != query.target {
-                    continue;
-                }
-                stats.border_merges += 1;
-                match &mut border {
-                    None => border = Some(Envelope::new(ws.paths[e.item].travel.share(), e.item)),
-                    Some(b) => {
-                        b.merge_min_with(session.scratch_mut(), &ws.paths[e.item].travel, e.item)?;
-                    }
-                }
-            }
-            let resolve = |id| arena_path(&mut ws.paths, id);
-            let best = border
-                .map(|b| assemble_answer(b, resolve, stats, session.scratch_mut()))
-                .transpose()?;
-            return Ok(Answer::Degraded(
-                self.degraded_answer(query, reason, best, stats, session)?,
-            ));
-        }
-
-        if let Some(path) = single {
-            let path = arena_path(&mut ws.paths, path);
-            return Ok(Answer::SingleFp(single_answer(path, stats)));
-        }
-
-        // No border: the queue ran dry before any path reached the target.
-        let border = border.ok_or(AllFpError::Unreachable {
+        let paths = ws.frontier.labels_mut();
+        let unreachable = AllFpError::Unreachable {
             source: query.source,
             target: query.target,
-        })?;
-        let resolve = |id| arena_path(&mut ws.paths, id);
-        let all = assemble_answer(border, resolve, stats, session.scratch_mut())?;
-        Ok(Answer::AllFp(all))
+        };
+        match (trip, single, border) {
+            (Some(_), ..) if mode != QueryMode::AllFpOrDegraded => {
+                Err(AllFpError::BudgetExhausted {
+                    expansions: stats.expanded_paths,
+                })
+            }
+            (Some(reason), _, border) => {
+                let resolve = |id| arena_path(paths, id);
+                let best = border
+                    .map(|b| assemble_answer(b, resolve, stats, session.scratch_mut()))
+                    .transpose()?;
+                let degraded = self.degraded_answer(query, reason, best, stats, session)?;
+                Ok(Answer::Degraded(degraded))
+            }
+            (None, Some(path), _) => Ok(Answer::SingleFp(single_answer(
+                arena_path(paths, path),
+                stats,
+            ))),
+            // No border: the queue ran dry before any path reached the
+            // target.
+            (None, None, None) => Err(unreachable),
+            (None, None, Some(border)) => {
+                let resolve = |id| arena_path(paths, id);
+                assemble_answer(border, resolve, stats, session.scratch_mut()).map(Answer::AllFp)
+            }
+        }
     }
 
     /// A degenerate (single-instant) interval: the classic special
@@ -1100,10 +689,177 @@ impl<'a, S: NetworkSource> PathfindBackend for Engine<'a, S> {
             return self.degenerate_instant(query, mode == QueryMode::SingleFp);
         }
 
-        let watch = Watch::new(query, self.config.max_expansions, cancel);
         session.with_workspace(self.source.n_nodes(), |ws, session| {
-            self.search_in(ws, query, target_loc, mode, session, watch)
+            self.search_in(ws, query, target_loc, mode, session, cancel)
         })
+    }
+}
+
+/// The original network as [`search::run`] expands it: node records
+/// read into the workspace's table on demand, edges composed through
+/// the session's travel-function cache.
+struct FlatGraph<'q, 'c, S: ?Sized> {
+    source: &'q S,
+    n_nodes: usize,
+    estimator: &'q dyn LowerBoundEstimator,
+    session: &'q mut CacheSession<'c>,
+    table: &'q mut NodeTable,
+    query: &'q QuerySpec,
+    target_loc: Point,
+    /// The estimator reads no location, so a record is read on its
+    /// node's first expansion rather than its first touch.
+    lazy: bool,
+    prune_dominated: bool,
+    /// Global best-case speed: `distance / max_speed` lower-bounds any
+    /// edge's travel time, independent of leaving instant.
+    max_speed: f64,
+    /// Adjacency-arena offset of the node being expanded.
+    start: usize,
+}
+
+impl<S: NetworkSource + ?Sized> FlatGraph<'_, '_, S> {
+    /// First touch of a node (the seed, or a candidate edge's head):
+    /// file it with its bound. An estimator that reads locations needs
+    /// the record now, adjacency and location in one read; a
+    /// location-blind one leaves the read to the node's first
+    /// expansion, so a node that is only touched is never read. Every
+    /// later candidate or expansion is served from the table. Returns
+    /// the slot. An id past the source's nodes (a head read from a
+    /// damaged page, say) is `UnknownNode`, never an index past
+    /// `slot_of`.
+    fn touch(&mut self, node: NodeId) -> Result<usize> {
+        if node.index() >= self.n_nodes {
+            return Err(roadnet::NetworkError::UnknownNode(node).into());
+        }
+        let table = &mut *self.table;
+        let slot = table.nodes.len();
+        table.slot_of[node.index()] = index32(slot, "node records outgrew u32 slots")?;
+        table.nodes.push(NodeState {
+            id: node,
+            est: 0.0,
+            start: 0,
+            len: 0,
+            fns: Bucket::default(),
+            expanded: false,
+        });
+        // A location-blind bound ignores the point it is given.
+        let loc = if self.lazy {
+            self.target_loc
+        } else {
+            table.read_record(slot, self.source)?
+        };
+        table.nodes[slot].est =
+            self.estimator
+                .travel_lower_bound(node, loc, self.query.target, self.target_loc);
+        Ok(slot)
+    }
+}
+
+impl<S: NetworkSource + ?Sized> Expand for FlatGraph<'_, '_, S> {
+    type Extra = Trail;
+    /// The edge and its head's slot.
+    type Via = (roadnet::Edge, usize);
+
+    fn scratch(&mut self) -> &mut PwlScratch {
+        self.session.scratch_mut()
+    }
+
+    fn seed(&mut self) -> Result<(f64, Trail)> {
+        let source = self.query.source;
+        let slot = self.touch(source)?;
+        let est = self.table.nodes[slot].est;
+        if est == f64::INFINITY {
+            return Err(AllFpError::Unreachable {
+                source,
+                target: self.query.target,
+            });
+        }
+        let bloom = bloom_bit(source);
+        Ok((est, Trail { bloom, depth: 0 }))
+    }
+
+    /// Read the node's record on its first expansion if its first touch
+    /// did not.
+    fn expand(&mut self, paths: &[Label<Trail>], item: usize, _: Option<&Pwl>) -> Result<usize> {
+        let slot = self.table.slot_of[paths[item].node.index()] as usize;
+        if self.lazy && !self.table.nodes[slot].expanded {
+            self.table.read_record(slot, self.source)?;
+        }
+        let node = &mut self.table.nodes[slot];
+        node.expanded = true;
+        self.start = node.start as usize;
+        Ok(node.len as usize)
+    }
+
+    fn hop(
+        &mut self,
+        paths: &[Label<Trail>],
+        item: usize,
+        i: usize,
+        _: &mut QueryStats,
+    ) -> Result<Option<Hop<Self::Via, Trail>>> {
+        // Indexed, not borrowed: a first touch below appends to
+        // `adjacency` while this node's slice is being walked.
+        let edge = self.table.adjacency[self.start + i];
+        // Cycles can never help under FIFO (positive travel times).
+        if visits(paths, item, edge.to) {
+            return Ok(None);
+        }
+        let slot = match self.table.slot_of.get(edge.to.index()) {
+            Some(&slot) if slot != NONE => slot as usize,
+            _ => self.touch(edge.to)?,
+        };
+        let est = self.table.nodes[slot].est;
+        if est == f64::INFINITY {
+            return Ok(None); // no completion from `edge.to` exists
+        }
+        let parent = &paths[item].extra;
+        Ok(Some(Hop {
+            to: edge.to,
+            est,
+            lb: edge.distance / self.max_speed,
+            via: (edge, slot),
+            extra: Trail {
+                bloom: parent.bloom | bloom_bit(edge.to),
+                depth: parent.depth + 1,
+            },
+        }))
+    }
+
+    fn compose(
+        &mut self,
+        paths: &[Label<Trail>],
+        item: usize,
+        hop: &Hop<Self::Via, Trail>,
+        arrivals: &Arrivals,
+        stats: &mut QueryStats,
+    ) -> Result<Option<Pwl>> {
+        let (edge, category) = (hop.via.0, self.query.category);
+        let profile = self.source.pattern(edge.pattern)?.profile(category)?;
+        let (travel, hit) = self.session.extend(
+            edge.pattern,
+            category,
+            profile,
+            edge.distance,
+            arrivals,
+            &paths[item].travel,
+        )?;
+        stats.cache_lookups += 1;
+        if hit {
+            stats.cache_hits += 1;
+        } else {
+            stats.cache_misses += 1;
+        }
+        Ok(Some(travel))
+    }
+
+    /// One bucket per node, when the engine prunes dominated paths.
+    fn buckets(&mut self, hop: &Hop<Self::Via, Trail>) -> ([Bucket; 2], Option<&mut Bucket>) {
+        if !self.prune_dominated {
+            return (Default::default(), None);
+        }
+        let fns = &mut self.table.nodes[hop.via.1].fns;
+        ([*fns, Bucket::default()], Some(fns))
     }
 }
 
@@ -1705,13 +1461,13 @@ mod tests {
         for (engine, q, mode, cancel, want) in runs {
             let n = engine.source.n_nodes();
             ws.reset(n, session.scratch_mut());
-            assert!(ws.slot_of.len() >= n && ws.slot_of.iter().all(|&s| s == NONE));
-            assert!(ws.nodes.is_empty() && ws.adjacency.is_empty());
-            assert!(ws.paths.is_empty() && ws.heap.is_empty());
+            let table = &ws.table;
+            assert!(table.slot_of.len() >= n && table.slot_of.iter().all(|&s| s == NONE));
+            assert!(table.nodes.is_empty() && table.adjacency.is_empty());
+            assert!(ws.frontier.is_empty());
 
             let target_loc = engine.source.find_node(q.target).unwrap();
-            let watch = Watch::new(&q, engine.config.max_expansions, cancel);
-            let yielded = engine.search_in(&mut ws, &q, target_loc, mode, &mut session, watch);
+            let yielded = engine.search_in(&mut ws, &q, target_loc, mode, &mut session, cancel);
             let (got, stats) = match yielded {
                 Ok(Answer::AllFp(a)) => ("done", Some(a.stats)),
                 Ok(Answer::SingleFp(s)) => ("single", Some(s.stats)),
@@ -1724,22 +1480,23 @@ mod tests {
             assert_eq!(got, want, "{q:?}");
             // What the search leaves behind: one record per node read,
             // each where `slot_of` says, and nothing else marked.
-            assert!(!ws.nodes.is_empty() && !ws.paths.is_empty());
+            let table = &ws.table;
+            assert!(!table.nodes.is_empty() && !ws.frontier.is_empty());
             if let Some(stats) = stats {
-                assert_eq!(ws.nodes.len(), stats.nodes_read, "{q:?}");
+                assert_eq!(table.nodes.len(), stats.nodes_read, "{q:?}");
             }
-            for (slot, node) in ws.nodes.iter().enumerate() {
-                assert_eq!(ws.slot_of[node.id.index()] as usize, slot);
+            for (slot, node) in table.nodes.iter().enumerate() {
+                assert_eq!(table.slot_of[node.id.index()] as usize, slot);
             }
-            let marked = ws.slot_of.iter().filter(|&&s| s != NONE).count();
-            assert_eq!(marked, ws.nodes.len());
+            let marked = table.slot_of.iter().filter(|&&s| s != NONE).count();
+            assert_eq!(marked, table.nodes.len());
         }
         // A parked workspace keeps bounded arenas, whatever a search grew.
-        ws.paths.reserve(8 * IDLE_CAPACITY);
-        ws.heap.reserve(8 * IDLE_CAPACITY);
+        ws.frontier.reserve(8 * IDLE_CAPACITY);
         ws.park(session.scratch_mut());
-        assert!(ws.nodes.is_empty() && ws.slot_of.iter().all(|&s| s == NONE));
-        assert!(ws.paths.capacity() <= IDLE_CAPACITY && ws.heap.capacity() <= IDLE_CAPACITY);
+        let table = &ws.table;
+        assert!(table.nodes.is_empty() && table.slot_of.iter().all(|&s| s == NONE));
+        assert!(ws.frontier.capacity() <= IDLE_CAPACITY);
     }
 
     #[test]

@@ -220,18 +220,19 @@ impl PartialEq for MinTimeLb {
 }
 
 impl MinTimeLb {
-    /// Build from one `successors_into` sweep over `src` (any
-    /// [`NetworkSource`], a lazily generated one included). A
-    /// pattern's maximum speed is computed once per pattern id.
+    /// Build from two `successors_into` sweeps over `src` (any
+    /// [`NetworkSource`], a lazily generated one included): the first
+    /// counts each node's in-degree, the second fills the reverse CSR
+    /// in place, so nothing but the tables grows. A pattern's maximum
+    /// speed is computed once per pattern id.
     pub fn build<S: NetworkSource + ?Sized>(src: &S) -> Result<MinTimeLb> {
         static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        const CHANGED: AllFpError = AllFpError::Internal("the source changed between sweeps");
         let n = src.n_nodes();
         if u32::try_from(n).is_err() {
             return Err(AllFpError::Internal("node ids outgrew u32"));
         }
         let mut offsets = vec![0u32; n + 1];
-        // `(head, tail, weight)` in sweep order.
-        let mut swept: Vec<(u32, u32, f64)> = Vec::new();
         // By pattern id; `NaN` until first asked.
         let mut max_speed: Vec<f64> = Vec::new();
         let mut edges: Vec<Edge> = Vec::new();
@@ -249,22 +250,28 @@ impl MinTimeLb {
                     .get_mut(e.to.index() + 1)
                     .ok_or(NetworkError::UnknownNode(e.to))?;
                 *in_degree += 1;
-                swept.push((e.to.0, u, e.distance / max_speed[p]));
             }
         }
-        if u32::try_from(swept.len()).is_err() {
-            return Err(AllFpError::Internal("edge count outgrew u32 offsets"));
-        }
         for v in 0..n {
-            offsets[v + 1] += offsets[v];
+            offsets[v + 1] = offsets[v]
+                .checked_add(offsets[v + 1])
+                .ok_or(AllFpError::Internal("edge count outgrew u32 offsets"))?;
         }
         let mut next = offsets[..n].to_vec();
-        let mut tails = vec![0u32; swept.len()];
-        let mut weights = vec![0.0f64; swept.len()];
-        for (head, tail, weight) in swept {
-            let slot = &mut next[head as usize];
-            (tails[*slot as usize], weights[*slot as usize]) = (tail, weight);
-            *slot += 1;
+        let mut tails = vec![0u32; offsets[n] as usize];
+        let mut weights = vec![0.0f64; offsets[n] as usize];
+        for u in 0..n as u32 {
+            src.successors_into(NodeId(u), &mut edges)?;
+            for e in &edges {
+                let speed = max_speed.get(usize::from(e.pattern.0)).ok_or(CHANGED)?;
+                let slot = next.get_mut(e.to.index()).ok_or(CHANGED)?;
+                *tails.get_mut(*slot as usize).ok_or(CHANGED)? = u;
+                weights[*slot as usize] = e.distance / speed;
+                *slot += 1;
+            }
+        }
+        if next[..] != offsets[1..] {
+            return Err(CHANGED);
         }
         Ok(MinTimeLb {
             id: NEXT_ID.fetch_add(1, AtomicOrdering::Relaxed),

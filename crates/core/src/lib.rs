@@ -80,13 +80,14 @@ pub mod arrival;
 pub mod backend;
 pub mod baseline;
 pub mod epoch;
+pub mod search;
 pub mod service;
 
 pub use arrival::{ArrivalAllFpAnswer, ArrivalPlanner, ArrivalQuerySpec, ArrivalSingleFpAnswer};
 pub use backend::{Answer, PathfindBackend, QueryMode, SearchRun};
 pub use boundary::BoundaryLb;
 pub use cache::{CacheCounters, CacheSession, TravelFnCache};
-pub use engine::{build_estimator, Engine, EngineConfig, Watch};
+pub use engine::{build_estimator, Engine, EngineConfig};
 pub use epoch::{ApplyReport, Epoch, EpochId, EpochManager, EpochStats, LiveBackend, SweepReport};
 pub use estimator::{EstimatorKind, LowerBoundEstimator, MaxEstimator, MinTimeLb, NaiveLb, ZeroLb};
 pub use heap::MinEntry;

@@ -212,7 +212,7 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
     fn overlay_search(
         &self,
         query: &QuerySpec,
-        single_only: bool,
+        mode: QueryMode,
         session: &mut CacheSession<'_>,
         cancel: Option<&CancelToken>,
     ) -> Result<Option<SearchRun>> {
@@ -234,7 +234,7 @@ impl<'a, S: NetworkSource> HierarchyEngine<'a, S> {
         let run = search::run(
             overlay,
             query,
-            single_only,
+            mode,
             self.flat.config().max_expansions,
             &mut ws,
             session.scratch_mut(),
@@ -277,7 +277,7 @@ impl<'a, S: NetworkSource> PathfindBackend for HierarchyEngine<'a, S> {
         session: &mut CacheSession<'_>,
         cancel: Option<&CancelToken>,
     ) -> Result<Answer> {
-        match self.overlay_search(query, mode == QueryMode::SingleFp, session, cancel)? {
+        match self.overlay_search(query, mode, session, cancel)? {
             Some(run) => self.flat.answer_routes(query, mode, run, session),
             None => self.flat.answer(query, mode, session, cancel),
         }

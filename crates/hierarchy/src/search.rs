@@ -44,55 +44,22 @@
 //! overlay's label functions never reach the caller. singleFP stops at
 //! the first target label popped, as the flat engine does (§4.5).
 
-use std::collections::BinaryHeap;
-
-use allfp::{
-    AllFpError, CancelToken, DegradedReason, MinEntry, QuerySpec, QueryStats, Result, SearchRun,
-    Watch,
-};
+use allfp::search::{Bucket, Expand, Frontier, Hop, Label, NONE};
+use allfp::{CancelToken, QueryMode, QuerySpec, QueryStats, Result, SearchRun};
 use pwl::compose::Arrivals;
-use pwl::{compose_travel_into, compose_travel_window_into, Envelope, Pwl, PwlRef, PwlScratch};
+use pwl::{compose_travel_into, compose_travel_window_into, Pwl, PwlScratch};
 use roadnet::NodeId;
 
 use crate::overlay;
 use crate::overlay::{unpack_route, Bound, Overlay};
 
-/// One label of the overlay search: a path `s ⇒ node` over overlay
-/// arcs, with its travel function and phase flag.
-struct Label {
-    /// Arena index of the label this one extends (`None` for the seed).
-    parent: Option<u32>,
-    /// Head node.
-    node: u32,
-    /// Overlay arc taken to get here (`None` for the seed).
-    arc: Option<u32>,
-    /// Has the path taken a down arc yet? Once descending, always
-    /// descending.
+/// The overlay's part of a label: the arc taken to its node (none for
+/// the seed), and whether the path has taken a down arc yet — once
+/// descending, always descending.
+pub(crate) struct Step {
+    arc: u32,
     desc: bool,
-    /// Next label of the head node's dominance bucket for this phase
-    /// (see [`NodeState::asc`]); [`END`] at the tail.
-    next_at_node: u32,
-    /// Cached `travel.min_value()`.
-    travel_min: f64,
-    /// The route's travel function over the query interval.
-    travel: PwlRef,
 }
-
-/// The end of a dominance bucket, and an empty one's head and tail:
-/// the seed's arena index — the one label that is in no bucket.
-const END: u32 = 0;
-
-/// A dominance bucket: a list threaded through the label arena by
-/// [`Label::next_at_node`] in push order.
-#[derive(Clone, Copy, Default)]
-struct Bucket {
-    head: u32,
-    tail: u32,
-}
-
-/// Queue entry: the label's `travel_min` plus its phase bound, FIFO
-/// among equals like the flat engine, carrying the label's arena index.
-type Entry = MinEntry<u64, usize>;
 
 /// Search state of one overlay node, valid while `stamp` is the
 /// workspace's current epoch.
@@ -122,8 +89,8 @@ pub(crate) struct QueryWorkspace {
     /// `F` in descending and `D` in ascending rank.
     f_order: Vec<u32>,
     d_order: Vec<u32>,
-    labels: Vec<Label>,
-    heap: BinaryHeap<Entry>,
+    /// Emptied by every search that runs on it.
+    frontier: Frontier<Step>,
 }
 
 impl QueryWorkspace {
@@ -144,8 +111,6 @@ impl QueryWorkspace {
         }
         self.f_order.clear();
         self.d_order.clear();
-        self.labels.clear();
-        self.heap.clear();
     }
 
     /// Reset `v`'s state on its first touch by this query; returns it.
@@ -231,310 +196,257 @@ pub(crate) fn bounds(overlay: &Overlay, ws: &mut QueryWorkspace, query: &QuerySp
 }
 
 /// The top-level arc chain of label `idx`, root first.
-fn arc_chain(labels: &[Label], idx: usize) -> Vec<u32> {
+fn arc_chain(labels: &[Label<Step>], idx: usize) -> Vec<u32> {
     let mut chain = Vec::new();
-    let mut cur = Some(idx);
-    while let Some(i) = cur {
-        if let Some(a) = labels[i].arc {
-            chain.push(a);
-        }
-        cur = labels[i].parent.map(|p| p as usize);
+    let mut cur = idx;
+    while labels[cur].parent != NONE {
+        chain.push(labels[cur].extra.arc);
+        cur = labels[cur].parent as usize;
     }
     chain.reverse();
     chain
 }
 
-/// Run the up–down search. Returns `Ok(None)` when a label's arrival
-/// window escapes an arc's periodic extension — the caller falls back
-/// to the flat engine for that query (exactness before speed).
+/// Run the up–down search: the one loop ([`allfp::search::run`]) over
+/// the overlay. Returns `Ok(None)` when a label's arrival window
+/// escapes an arc's periodic extension — the caller falls back to the
+/// flat engine for that query (exactness before speed).
 pub(crate) fn run(
     overlay: &Overlay,
     query: &QuerySpec,
-    single_only: bool,
+    mode: QueryMode,
     engine_cap: usize,
     ws: &mut QueryWorkspace,
     scratch: &mut PwlScratch,
     cancel: Option<&CancelToken>,
 ) -> Result<Option<SearchRun>> {
-    let mut watch = Watch::new(query, engine_cap, cancel);
-    let mut stats = QueryStats::default();
-
     // Scalar pre-passes over the search space (see module docs).
     let (lower, u_cap) = bounds(overlay, ws, query);
-    let target = query.target.0;
-    let (epoch, nodes, labels, heap) = (ws.epoch, &mut ws.nodes, &mut ws.labels, &mut ws.heap);
-
-    let mut seq = 0u64;
-    let mut expanded_node_count = 0usize;
-
-    // allFP's lower border: the envelope of the target labels found so
-    // far. Its max is a cap the optimum never exceeds anywhere in the
-    // interval.
-    let mut border: Option<Envelope<usize>> = None;
-    let mut border_cap = f64::INFINITY;
-    // `labels.len()` at the last border merge: exactly the labels below
-    // it were last tested against an older (higher) border.
-    let mut border_seen = 0usize;
-    // The pointwise border rule (DESIGN.md §7): a label whose function
-    // plus its phase bound clears the border at every leaving instant
-    // has no completion that wins anywhere.
-    let clears_border = |border: &Option<Envelope<usize>>, travel: &Pwl, est: f64| {
-        border
-            .as_ref()
-            .is_some_and(|b| travel.dominated_by_offset(est, b.as_pwl()))
+    let mut graph = UpDown {
+        overlay,
+        query,
+        nodes: &mut ws.nodes,
+        epoch: ws.epoch,
+        lower,
+        u_cap,
+        scratch,
+        routes: Vec::new(),
+        expanded_nodes: 0,
+        node: 0,
+        desc: false,
+        gap: f64::INFINITY,
     };
-    let mut routes: Vec<Vec<NodeId>> = Vec::new();
-
-    // Seed. An infinite bound (target unreachable: F and D never
-    // meet) still seeds: the search pops once, relaxes nothing, and
-    // returns the same empty route set the flat engine would.
-    {
-        let travel = Pwl::constant(query.interval, 0.0)?;
-        let travel_min = travel.min_value();
-        labels.push(Label {
-            parent: None,
-            node: query.source.0,
-            arc: None,
-            desc: false,
-            next_at_node: END,
-            travel_min,
-            travel: travel.into(),
-        });
-        heap.push(Entry {
-            key: travel_min + lower,
-            tie: seq,
-            item: 0,
-        });
-        seq += 1;
-        stats.pushed += 1;
+    let run = allfp::search::run(
+        &mut graph,
+        &mut ws.frontier,
+        query,
+        mode,
+        engine_cap,
+        cancel,
+    );
+    ws.frontier.clear(graph.scratch);
+    let Some(run) = run? else {
+        return Ok(None);
+    };
+    if let Some(b) = run.border {
+        b.recycle_into(graph.scratch);
     }
-
-    let mut trip: Option<DegradedReason> = None;
-
-    'search: while let Some(entry) = heap.pop() {
-        if border_cap.is_finite() && pwl::approx_le(border_cap, entry.key) {
-            break;
-        }
-        let node = labels[entry.item].node;
-
-        if node == target {
-            // Identified a target label: record its route (dedup — two
-            // distinct arc chains can unpack to one node sequence).
-            let chain = arc_chain(labels, entry.item);
-            let route = unpack_route(overlay, query.source, &chain);
-            if !routes.contains(&route) {
-                routes.push(route);
-            }
-            if single_only {
-                break; // §4.5: the first target label is the answer
-            }
-            // Fold its function into the border.
-            stats.border_merges += 1;
-            match &mut border {
-                None => border = Some(Envelope::new(labels[entry.item].travel.share(), entry.item)),
-                Some(b) => b.merge_min_with(scratch, &labels[entry.item].travel, entry.item)?,
-            }
-            border_cap = border.as_ref().map_or(f64::INFINITY, Envelope::max_value);
-            border_seen = labels.len();
-            continue;
-        }
-
-        if let Some(reason) = watch.poll()? {
-            trip = Some(reason);
-            break 'search;
-        }
-        // Re-run the rule against a border that fell since this label
-        // was pushed; a label it kills was polled but is no expansion.
-        let label = &labels[entry.item];
-        let state = &nodes[node as usize];
-        let est = if label.desc { state.down } else { state.up };
-        if entry.item < border_seen && clears_border(&border, &label.travel, est) {
-            stats.pruned_by_border += 1;
-            continue;
-        }
-        if stats.expanded_paths >= watch.max_expansions {
-            trip = Some(DegradedReason::ExpansionsExhausted);
-            break 'search;
-        }
-
-        stats.expanded_paths += 1;
-        if !std::mem::replace(&mut nodes[node as usize].expanded, true) {
-            expanded_node_count += 1;
-        }
-
-        let ups = match labels[entry.item].desc {
-            true => &[][..],
-            false => overlay.up_out.at(node),
-        };
-        let hops = ups.iter().map(|h| (h, false));
-        let hops = hops.chain(overlay.down_out.at(node).iter().map(|h| (h, true)));
-
-        let arrivals = Arrivals::of(&labels[entry.item].travel)?;
-        // How far the border rises over this label, read once: a child
-        // over an arc is nowhere below the label plus the arc's minimum.
-        let gap = border
-            .as_ref()
-            .map_or(f64::INFINITY, |b| labels[entry.item].travel.gap(b.as_pwl()));
-        for (hop, to_desc) in hops {
-            let to = hop.node as usize;
-            let est = if nodes[to].stamp != epoch {
-                f64::INFINITY
-            } else if to_desc {
-                nodes[to].down
-            } else {
-                nodes[to].up
-            };
-            if est.is_infinite() {
-                // Descending labels stay inside D (not a relaxation
-                // at all); an ascending one whose head has no up–down
-                // completion can never win.
-                stats.pruned_by_border += usize::from(!to_desc);
-                continue;
-            }
-
-            // Early bounds before the expensive composition: the
-            // border cap (once a target label exists), and the strict
-            // `U` cap — a label *definitely* above the optimum at
-            // every leaving instant can never appear in an answer.
-            let optimistic = labels[entry.item].travel_min + hop.min + est;
-            if border_cap.is_finite() && pwl::approx_le(border_cap, optimistic) {
-                stats.pruned_by_border += 1;
-                continue;
-            }
-            if u_cap.is_finite() && pwl::definitely_lt(u_cap, optimistic) {
-                stats.pruned_by_border += 1;
-                continue;
-            }
-            // The gap gate: the child plus `est` clears the border at
-            // every leaving instant — the label the pointwise rule
-            // below kills once composed, so it is not composed.
-            if pwl::definitely_lt(gap, hop.min + est) {
-                // Debug builds compose it all the same and hold the
-                // rule to that verdict.
-                #[cfg(debug_assertions)]
-                {
-                    let full = overlay.arcs[hop.arc as usize].function()?;
-                    if overlay::ext_domain(full).covers(arrivals.interval()) {
-                        let child = relax(scratch, &labels[entry.item].travel, full, &arrivals)?;
-                        assert!(
-                            clears_border(&border, &child, est),
-                            "the gap gate skipped a hop the border rule keeps: gap {gap}"
-                        );
-                        scratch.recycle(child);
-                    }
-                }
-                stats.pruned_by_border += 1;
-                continue;
-            }
-
-            if let Some(reason) = watch.poll_compound()? {
-                trip = Some(reason);
-                break 'search;
-            }
-
-            let full = overlay.arcs[hop.arc as usize].function()?;
-            if !overlay::ext_domain(full).covers(arrivals.interval()) {
-                // Arrival window escapes the periodic extension
-                // (multi-day travel): hand the whole query to the flat
-                // engine rather than extend on the hot path.
-                drain(labels, scratch, border);
-                return Ok(None);
-            }
-            let travel = relax(scratch, &labels[entry.item].travel, full, &arrivals)?;
-            let np = travel.n_pieces();
-            stats.pieces_total += np as u64;
-            stats.pieces_max = stats.pieces_max.max(np as u64);
-            stats.bytes_allocated += (8 * (np + 1) + 16 * np) as u64;
-            let travel_min = travel.min_value();
-            let f_min = travel_min + est;
-
-            // The pointwise rule at push; a survivor is keyed by its
-            // best `T(l) + est` over the instants where it still beats
-            // the border (the live-instant key, DESIGN.md §7).
-            let key = match &border {
-                None => Some(f_min),
-                Some(_) if border_cap.is_finite() && pwl::approx_le(border_cap, f_min) => None,
-                Some(b) => travel.live_min(est, b.as_pwl()).map(|k| k.max(f_min)),
-            };
-            let Some(key) = key else {
-                stats.pruned_by_border += 1;
-                scratch.recycle(travel);
-                continue;
-            };
-            if u_cap.is_finite() && pwl::definitely_lt(u_cap, f_min) {
-                stats.pruned_by_border += 1;
-                scratch.recycle(travel);
-                continue;
-            }
-
-            // Phase-aware dominance pruning (see `NodeState::asc`):
-            // each bucket oldest first, the ascending one before.
-            let covered = |bucket: Bucket| {
-                let mut l = bucket.head;
-                while l != END && !travel.dominated_by_offset(0.0, &labels[l as usize].travel) {
-                    l = labels[l as usize].next_at_node;
-                }
-                l != END
-            };
-            if covered(nodes[to].asc) || to_desc && covered(nodes[to].desc) {
-                stats.pruned_dominated += 1;
-                scratch.recycle(travel);
-                continue;
-            }
-
-            let idx = u32::try_from(labels.len())
-                .map_err(|_| AllFpError::Internal("overlay label arena outgrew u32 indices"))?;
-            labels.push(Label {
-                // Arena indices passed this same check when pushed.
-                parent: Some(entry.item as u32),
-                node: hop.node,
-                arc: Some(hop.arc),
-                desc: to_desc,
-                next_at_node: END,
-                travel_min,
-                travel: travel.into(),
-            });
-            let bucket = match to_desc {
-                true => &mut nodes[to].desc,
-                false => &mut nodes[to].asc,
-            };
-            match std::mem::replace(&mut bucket.tail, idx) {
-                END => bucket.head = idx,
-                tail => labels[tail as usize].next_at_node = idx,
-            }
-            heap.push(Entry {
-                key,
-                tie: seq,
-                item: idx as usize,
-            });
-            seq += 1;
-            stats.pushed += 1;
-        }
-    }
-
-    if trip.is_some() {
-        // Salvage: complete target labels still queued become answer
-        // candidates (envelope merges only, no composition work).
-        for e in std::mem::take(heap).into_sorted_vec().into_iter().rev() {
-            if labels[e.item].node != target {
-                continue;
-            }
-            let chain = arc_chain(labels, e.item);
-            let route = unpack_route(overlay, query.source, &chain);
-            if !routes.contains(&route) {
-                routes.push(route);
-            }
-            stats.border_merges += 1;
-        }
-    }
-
-    stats.expanded_nodes = expanded_node_count;
-    drain(labels, scratch, border);
+    let stats = QueryStats {
+        expanded_nodes: graph.expanded_nodes,
+        ..run.stats
+    };
     Ok(Some(SearchRun {
-        routes,
-        trip,
+        routes: graph.routes,
+        trip: run.trip,
         stats,
     }))
+}
+
+/// The overlay as the one loop expands it: a label relaxes up arcs
+/// while ascending and down arcs into `D` always, bounded by its
+/// phase's sweep, capped by `U` and gated by the border's gap.
+struct UpDown<'q> {
+    overlay: &'q Overlay,
+    query: &'q QuerySpec,
+    nodes: &'q mut [NodeState],
+    epoch: u32,
+    /// `up(source)` under banded minima.
+    lower: f64,
+    /// `U`: no optimal route is slower at any leaving instant.
+    u_cap: f64,
+    scratch: &'q mut PwlScratch,
+    /// The routes of the target labels reached, unpacked, distinct.
+    routes: Vec<Vec<NodeId>>,
+    expanded_nodes: usize,
+    /// The label being expanded: its node and phase, and how far the
+    /// border rises over it.
+    node: u32,
+    desc: bool,
+    gap: f64,
+}
+
+impl<'q> UpDown<'q> {
+    /// The up arcs the label being expanded may take: none once it
+    /// descends.
+    fn ups(&self) -> &'q [overlay::Hop] {
+        let overlay: &'q Overlay = self.overlay;
+        match self.desc {
+            true => &[],
+            false => overlay.up_out.at(self.node),
+        }
+    }
+}
+
+impl Expand for UpDown<'_> {
+    type Extra = Step;
+    type Via = ();
+
+    fn scratch(&mut self) -> &mut PwlScratch {
+        self.scratch
+    }
+
+    /// An infinite bound (target unreachable: F and D never meet) still
+    /// seeds: the search pops once, relaxes nothing, and returns the
+    /// same empty route set the flat engine would.
+    fn seed(&mut self) -> Result<(f64, Step)> {
+        Ok((
+            self.lower,
+            Step {
+                arc: NONE,
+                desc: false,
+            },
+        ))
+    }
+
+    /// Record the target label's route (dedup — two distinct arc chains
+    /// can unpack to one node sequence).
+    fn reached(&mut self, labels: &[Label<Step>], item: usize) {
+        let chain = arc_chain(labels, item);
+        let route = unpack_route(self.overlay, self.query.source, &chain);
+        if !self.routes.contains(&route) {
+            self.routes.push(route);
+        }
+    }
+
+    fn expand(
+        &mut self,
+        labels: &[Label<Step>],
+        item: usize,
+        border: Option<&Pwl>,
+    ) -> Result<usize> {
+        let label = &labels[item];
+        (self.node, self.desc) = (label.node.0, label.extra.desc);
+        if !std::mem::replace(&mut self.nodes[self.node as usize].expanded, true) {
+            self.expanded_nodes += 1;
+        }
+        // How far the border rises over this label, read once: a child
+        // over an arc is nowhere below the label plus the arc's minimum.
+        self.gap = border.map_or(f64::INFINITY, |b| label.travel.gap(b));
+        Ok(self.ups().len() + self.overlay.down_out.at(self.node).len())
+    }
+
+    fn hop(
+        &mut self,
+        _: &[Label<Step>],
+        _: usize,
+        i: usize,
+        stats: &mut QueryStats,
+    ) -> Result<Option<Hop<(), Step>>> {
+        let ups = self.ups();
+        let (hop, desc) = match ups.get(i) {
+            Some(hop) => (hop, false),
+            None => (&self.overlay.down_out.at(self.node)[i - ups.len()], true),
+        };
+        let state = &self.nodes[hop.node as usize];
+        let est = if state.stamp != self.epoch {
+            f64::INFINITY
+        } else if desc {
+            state.down
+        } else {
+            state.up
+        };
+        if est.is_infinite() {
+            // Descending labels stay inside D (not a relaxation at
+            // all); an ascending one whose head has no up–down
+            // completion can never win.
+            stats.pruned_by_border += usize::from(!desc);
+            return Ok(None);
+        }
+        Ok(Some(Hop {
+            to: NodeId(hop.node),
+            est,
+            lb: hop.min,
+            via: (),
+            extra: Step { arc: hop.arc, desc },
+        }))
+    }
+
+    /// The strict `U` cap: a label *definitely* above the optimum at
+    /// every leaving instant can never appear in an answer.
+    fn cap(&self) -> f64 {
+        self.u_cap
+    }
+
+    /// The gap gate: the child plus its bound clears the border at
+    /// every leaving instant — the label the pointwise rule kills once
+    /// composed, so it is not composed.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn gate(
+        &mut self,
+        labels: &[Label<Step>],
+        item: usize,
+        hop: &Hop<(), Step>,
+        arrivals: &Arrivals,
+        border: Option<&Pwl>,
+    ) -> Result<bool> {
+        let gap = self.gap;
+        if !pwl::definitely_lt(gap, hop.lb + hop.est) {
+            return Ok(false);
+        }
+        // Debug builds compose it all the same and hold the rule to
+        // that verdict.
+        #[cfg(debug_assertions)]
+        {
+            let full = self.overlay.arcs[hop.extra.arc as usize].function()?;
+            if overlay::ext_domain(full).covers(arrivals.interval()) {
+                let child = relax(self.scratch, &labels[item].travel, full, arrivals)?;
+                assert!(
+                    border.is_some_and(|b| child.dominated_by_offset(hop.est, b)),
+                    "the gap gate skipped a hop the border rule keeps: gap {gap}"
+                );
+                self.scratch.recycle(child);
+            }
+        }
+        Ok(true)
+    }
+
+    /// An arrival window that escapes the periodic extension (multi-day
+    /// travel) hands the whole query to the flat engine rather than
+    /// extend on the hot path.
+    fn compose(
+        &mut self,
+        labels: &[Label<Step>],
+        item: usize,
+        hop: &Hop<(), Step>,
+        arrivals: &Arrivals,
+        _: &mut QueryStats,
+    ) -> Result<Option<Pwl>> {
+        let full = self.overlay.arcs[hop.extra.arc as usize].function()?;
+        if !overlay::ext_domain(full).covers(arrivals.interval()) {
+            return Ok(None);
+        }
+        relax(self.scratch, &labels[item].travel, full, arrivals).map(Some)
+    }
+
+    /// Phase-aware buckets (see [`NodeState::asc`]): each oldest first,
+    /// the ascending one before.
+    fn buckets(&mut self, hop: &Hop<(), Step>) -> ([Bucket; 2], Option<&mut Bucket>) {
+        let state = &mut self.nodes[hop.to.index()];
+        match hop.extra.desc {
+            true => ([state.asc, state.desc], Some(&mut state.desc)),
+            false => ([state.asc, Bucket::default()], Some(&mut state.asc)),
+        }
+    }
 }
 
 /// Extend a label over an arc: the compound of its travel function
@@ -551,16 +463,6 @@ fn relax(scratch: &mut PwlScratch, t1: &Pwl, full: &Pwl, arrivals: &Arrivals) ->
     let travel = compose_travel_into(scratch, t1, &t_arc)?;
     scratch.recycle(t_arc);
     Ok(travel)
-}
-
-/// Recycle the label arena and border into the scratch pool.
-fn drain(labels: &mut Vec<Label>, scratch: &mut PwlScratch, border: Option<Envelope<usize>>) {
-    for l in labels.drain(..) {
-        scratch.recycle_ref(l.travel);
-    }
-    if let Some(b) = border {
-        b.recycle_into(scratch);
-    }
 }
 
 #[cfg(test)]
@@ -589,7 +491,7 @@ mod tests {
         let mut session = engine.cache_session();
         for pair in buckets.iter().flat_map(|(_, pairs)| pairs) {
             let q = QuerySpec::new(pair.source, pair.target, rush, DayCategory::WORKDAY);
-            let run = engine.overlay_search(&q, true, &mut session, None);
+            let run = engine.overlay_search(&q, QueryMode::SingleFp, &mut session, None);
             let run = run.unwrap().expect("the overlay serves a rush query");
             assert!(run.trip.is_none());
             let answer = engine.single_fastest_path(&q).unwrap();

@@ -123,11 +123,6 @@ impl<T: Clone + PartialEq> Envelope<T> {
         self.pwl.minimum().value
     }
 
-    /// Tag owning the envelope at `x`.
-    pub fn tag_at(&self, x: f64) -> Result<&T> {
-        Ok(&self.tags[self.pwl.piece_index_at(x)?])
-    }
-
     /// Iterate the envelope pieces in order.
     pub fn pieces(&self) -> impl Iterator<Item = EnvelopePiece<&T>> + '_ {
         self.pwl
@@ -345,7 +340,6 @@ mod tests {
         let env = Envelope::new(f, "a");
         assert!(approx_eq(env.max_value(), 5.0));
         assert!(approx_eq(env.min_value(), 5.0));
-        assert_eq!(env.tag_at(3.0).unwrap(), &"a");
         assert_eq!(env.partition(), vec![(Interval::of(0.0, 10.0), "a")]);
     }
 

@@ -332,7 +332,7 @@ impl Pwl {
     }
 
     /// Maximum value over `over ∩ domain`.
-    pub fn max_over(&self, over: &Interval) -> Result<f64> {
+    fn max_over(&self, over: &Interval) -> Result<f64> {
         let within = self
             .domain()
             .intersect(over)
@@ -361,7 +361,7 @@ impl Pwl {
     /// Pointwise `self + lin` (a full linear function, e.g. the
     /// identity to turn a travel-time function into an arrival
     /// function).
-    pub fn add_linear(&self, lin: &Linear) -> Pwl {
+    fn add_linear(&self, lin: &Linear) -> Pwl {
         Pwl {
             xs: self.xs.clone(),
             fs: self.fs.iter().map(|f| f.add(lin)).collect(),

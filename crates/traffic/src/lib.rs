@@ -9,7 +9,7 @@
 //!
 //! The crate provides:
 //!
-//! * [`DayCategory`] / [`CategorySet`] — Definition 1;
+//! * [`DayCategory`] — Definition 1;
 //! * [`SpeedProfile`] — one day's piecewise-constant speeds, with the
 //!   cumulative-distance function `D(t) = ∫ v` as a
 //!   [`pwl::MonotonePwl`];
@@ -39,7 +39,7 @@ mod schema;
 
 pub mod travel;
 
-pub use category::{CategorySet, DayCategory};
+pub use category::DayCategory;
 pub use delta::{PatternUpdate, TrafficDelta};
 pub use pattern::CapeCodPattern;
 pub use profile::{ProfilePiece, SpeedProfile};

@@ -203,7 +203,7 @@ impl SpeedProfile {
 
     /// All speed-change instants inside the open interval
     /// `(window.lo, window.hi)`, unrolled across day boundaries.
-    pub fn breakpoints_within(&self, window: &Interval) -> Vec<f64> {
+    fn breakpoints_within(&self, window: &Interval) -> Vec<f64> {
         let mut out = Vec::new();
         let first_day = (window.lo() / MINUTES_PER_DAY).floor() as i64;
         let last_day = (window.hi() / MINUTES_PER_DAY).ceil() as i64;

@@ -124,20 +124,6 @@ impl PatternSchema {
         ]))
     }
 
-    /// The commercial-navigation-system assumption: every class moves
-    /// at its posted speed limit at all times, in every category.
-    pub fn constant_speed_limits() -> Result<Self> {
-        let mk = |class: RoadClass| -> Result<CapeCodPattern> {
-            CapeCodPattern::uniform(mph_to_mpm(class.speed_limit_mph()), 2)
-        };
-        Ok(PatternSchema::new([
-            mk(RoadClass::InboundHighway)?,
-            mk(RoadClass::OutboundHighway)?,
-            mk(RoadClass::LocalBoston)?,
-            mk(RoadClass::LocalOutside)?,
-        ]))
-    }
-
     /// Pattern for `class`.
     #[inline]
     pub fn pattern(&self, class: RoadClass) -> &CapeCodPattern {
@@ -253,8 +239,5 @@ mod tests {
         let s = PatternSchema::table1().unwrap();
         assert!(approx_eq(s.max_speed(), mph_to_mpm(65.0)));
         assert!(approx_eq(s.min_speed(), mph_to_mpm(20.0)));
-        let c = PatternSchema::constant_speed_limits().unwrap();
-        assert!(approx_eq(c.max_speed(), mph_to_mpm(65.0)));
-        assert!(approx_eq(c.min_speed(), mph_to_mpm(40.0)));
     }
 }

@@ -63,7 +63,8 @@ fi
 # the bound graph's entries (`Bound`) and are read by `bounds` alone
 # (tests aside) — no per-arc table, no per-hop fold beside them. And a
 # hop is composed only past the gap gate: every `relax(` call in the
-# search sits below it.
+# overlay's search sits below it, and the one loop asks the gate before
+# it composes.
 if awk '
     FNR == 1 { fn_name = ""; in_type = 0; in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -87,6 +88,15 @@ if ! awk '
     END { exit !(gate && calls && !ungated) }
 ' crates/hierarchy/src/search.rs; then
     echo "search.rs reaches relax( without passing the gap gate" >&2
+    exit 1
+fi
+if ! awk '
+    /^[[:space:]]*\/\// { next }
+    /exp\.gate\(/ { gates++; if (!gate) gate = FNR }
+    /exp\.compose\(/ { composes++; compose = FNR }
+    END { exit !(gates == 1 && composes == 1 && gate < compose) }
+' crates/core/src/search.rs; then
+    echo "the one loop composes a hop without asking the gate first" >&2
     exit 1
 fi
 # One witness search: contraction proves shortcuts unnecessary with one
@@ -226,23 +236,41 @@ if grep -rnE "HierarchySnapshot|fn from_snapshot|fn serve\b|DrainMode|fn begin_d
 fi
 # One tolerant knot walk: both comparison kernels (the dominance and
 # border tests, and the live-instant key) stream the merged knots
-# through the same walker. And each search queues a candidate by its
-# live-instant key, computed at exactly one push site: the scalar key
-# cannot quietly return at either.
+# through the same walker. And one label-setting loop serves both
+# searches: the flat engine and the overlay are `Expand`s of
+# `allfp::search::run`, which queues a candidate by its live-instant
+# key at its one push site — no second loop, no scalar key beside it.
+# Its budget watcher is the loop's own, not API.
 if [ "$(grep -c "let seek =" crates/pwl/src/pwl.rs)" -ne 1 ]; then
     echo "pwl.rs: not exactly one EPS-tolerant merged-knot walk" >&2
     exit 1
 fi
-for file in crates/core/src/engine.rs crates/hierarchy/src/search.rs; do
-    if [ "$(grep -v '^[[:space:]]*//' "$file" | grep -o "live_min(" | wc -l)" -ne 1 ]; then
-        echo "$file: not exactly one live_min( call (the live-instant key)" >&2
-        exit 1
-    fi
-done
+live_min_calls="$(grep -rn "live_min(" crates/core/src crates/hierarchy/src |
+    grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
+if [ "$(echo "$live_min_calls" | grep -c .)" -ne 1 ] ||
+    ! echo "$live_min_calls" | grep -q '^crates/core/src/search.rs:'; then
+    echo "not exactly one live_min( call, in the shared loop (core/src/search.rs):" >&2
+    echo "$live_min_calls" >&2
+    exit 1
+fi
+if grep -rnE "pub struct Watch|pub use .*\bWatch\b|allfp::.*\bWatch\b" crates src tests examples; then
+    echo "the search's budget watcher is public again" >&2
+    exit 1
+fi
 # One shed counter: a query shed from the queue head is `Shed`, counted
 # once; the cancel reason that duplicated it stays deleted.
 if grep -rn "CancelReason" crates; then
     echo "CancelReason is back" >&2
+    exit 1
+fi
+# Every public item has a caller that is not its own test: in fp-pwl
+# and fp-traffic, the envelope's tag lookup, the constant-speed-limit
+# schema and the named category set stay deleted, and the helpers only
+# their own files call stay private.
+if grep -rnE "fn tag_at|fn constant_speed_limits|CategorySet|fn by_name|workday_nonworkday" \
+    crates/pwl crates/traffic ||
+    grep -rnE "pub fn (add_linear|max_over|breakpoints_within)\b" crates/pwl crates/traffic; then
+    echo "a caller-less fp-pwl/fp-traffic item is back (or public again)" >&2
     exit 1
 fi
 # One record index: CCAM finds a record through its dense record
@@ -280,6 +308,12 @@ cargo test -q -p fp-allfp --test hierarchy_equivalence --test golden_allfp
 # run names every failure.
 echo "==> cargo test --workspace --release"
 cargo test --workspace --release --no-fail-fast -q
+
+# The metro-full overlay digest is `#[ignore]`d in the workspace run
+# (about 20 s of contraction); it is gated here, by name.
+echo "==> metro-full overlay digest"
+cargo test --release -q -p fp-hierarchy --lib -- --ignored --exact \
+    overlay_digest::metro_full_overlay_is_pinned
 
 # The A-3 tables are exact counts — page faults of a fixed query stream
 # through a cold pool, under each placement — so both recorded ones
