@@ -56,12 +56,13 @@ impl Default for EngineConfig {
 /// The flat graph's part of a label: what the cycle check and the
 /// answer's node sequence read off the path.
 pub(crate) struct Trail {
-    /// Bloom filter of the nodes on the path (parent's filter plus
-    /// the head's bit). An unset bit proves the node is *not* on the
-    /// path, letting the cycle check skip the parent-chain walk for
+    /// 128-bit Bloom filter of the nodes on the path (parent's filter
+    /// plus the head's bit). An unset bit proves the node is *not* on
+    /// the path, letting the cycle check skip the parent-chain walk for
     /// most candidates; a set bit still walks the chain, so hash
-    /// collisions cost time but never change the answer.
-    bloom: u128,
+    /// collisions cost time but never change the answer. Two words, not
+    /// a `u128`, so a label needs no 16-byte alignment.
+    bloom: [u64; 2],
     /// Number of edges in the path (root is 0); pre-sizes
     /// materialization buffers.
     depth: u32,
@@ -162,15 +163,17 @@ fn arena_path(paths: &mut [Label<Trail>], idx: usize) -> FastestPath {
     FastestPath { nodes, travel }
 }
 
-/// The [`Trail::bloom`] bit for `node`.
+/// The [`Trail::bloom`] word and bit for `node`.
 #[inline]
-fn bloom_bit(node: NodeId) -> u128 {
-    1u128 << (node.index() & 127)
+fn bloom_bit(node: NodeId) -> (usize, u64) {
+    let b = node.index() & 127;
+    (b >> 6, 1 << (b & 63))
 }
 
 /// Does arena path `idx` visit `node`? (Cycle check for expansion.)
 fn visits(paths: &[Label<Trail>], idx: usize, node: NodeId) -> bool {
-    if paths[idx].extra.bloom & bloom_bit(node) == 0 {
+    let (word, bit) = bloom_bit(node);
+    if paths[idx].extra.bloom[word] & bit == 0 {
         return false;
     }
     let mut cur = idx as u32;
@@ -571,7 +574,7 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
             ws.table.nodes.len()
         };
 
-        let paths = ws.frontier.labels_mut();
+        let paths = &mut ws.frontier.labels;
         let unreachable = AllFpError::Unreachable {
             source: query.source,
             target: query.target,
@@ -760,6 +763,7 @@ impl<S: NetworkSource + ?Sized> Expand for FlatGraph<'_, '_, S> {
     /// The edge and its head's slot.
     type Via = (roadnet::Edge, usize);
 
+    #[inline]
     fn scratch(&mut self) -> &mut PwlScratch {
         self.session.scratch_mut()
     }
@@ -774,12 +778,20 @@ impl<S: NetworkSource + ?Sized> Expand for FlatGraph<'_, '_, S> {
                 target: self.query.target,
             });
         }
-        let bloom = bloom_bit(source);
+        let (word, bit) = bloom_bit(source);
+        let mut bloom = [0; 2];
+        bloom[word] = bit;
         Ok((est, Trail { bloom, depth: 0 }))
+    }
+
+    #[inline]
+    fn est(&self, label: &Label<Trail>) -> f64 {
+        self.table.nodes[self.table.slot_of[label.node.index()] as usize].est
     }
 
     /// Read the node's record on its first expansion if its first touch
     /// did not.
+    #[inline]
     fn expand(&mut self, paths: &[Label<Trail>], item: usize, _: Option<&Pwl>) -> Result<usize> {
         let slot = self.table.slot_of[paths[item].node.index()] as usize;
         if self.lazy && !self.table.nodes[slot].expanded {
@@ -791,6 +803,7 @@ impl<S: NetworkSource + ?Sized> Expand for FlatGraph<'_, '_, S> {
         Ok(node.len as usize)
     }
 
+    #[inline]
     fn hop(
         &mut self,
         paths: &[Label<Trail>],
@@ -814,18 +827,22 @@ impl<S: NetworkSource + ?Sized> Expand for FlatGraph<'_, '_, S> {
             return Ok(None); // no completion from `edge.to` exists
         }
         let parent = &paths[item].extra;
+        let (word, bit) = bloom_bit(edge.to);
+        let mut bloom = parent.bloom;
+        bloom[word] |= bit;
         Ok(Some(Hop {
             to: edge.to,
             est,
             lb: edge.distance / self.max_speed,
             via: (edge, slot),
             extra: Trail {
-                bloom: parent.bloom | bloom_bit(edge.to),
+                bloom,
                 depth: parent.depth + 1,
             },
         }))
     }
 
+    #[inline]
     fn compose(
         &mut self,
         paths: &[Label<Trail>],
@@ -854,6 +871,7 @@ impl<S: NetworkSource + ?Sized> Expand for FlatGraph<'_, '_, S> {
     }
 
     /// One bucket per node, when the engine prunes dominated paths.
+    #[inline]
     fn buckets(&mut self, hop: &Hop<Self::Via, Trail>) -> ([Bucket; 2], Option<&mut Bucket>) {
         if !self.prune_dominated {
             return (Default::default(), None);
@@ -1464,7 +1482,7 @@ mod tests {
             let table = &ws.table;
             assert!(table.slot_of.len() >= n && table.slot_of.iter().all(|&s| s == NONE));
             assert!(table.nodes.is_empty() && table.adjacency.is_empty());
-            assert!(ws.frontier.is_empty());
+            assert!(ws.frontier.labels.is_empty() && ws.frontier.heap.is_empty());
 
             let target_loc = engine.source.find_node(q.target).unwrap();
             let yielded = engine.search_in(&mut ws, &q, target_loc, mode, &mut session, cancel);
@@ -1481,7 +1499,7 @@ mod tests {
             // What the search leaves behind: one record per node read,
             // each where `slot_of` says, and nothing else marked.
             let table = &ws.table;
-            assert!(!table.nodes.is_empty() && !ws.frontier.is_empty());
+            assert!(!table.nodes.is_empty() && !ws.frontier.labels.is_empty());
             if let Some(stats) = stats {
                 assert_eq!(table.nodes.len(), stats.nodes_read, "{q:?}");
             }
@@ -1492,11 +1510,13 @@ mod tests {
             assert_eq!(marked, table.nodes.len());
         }
         // A parked workspace keeps bounded arenas, whatever a search grew.
-        ws.frontier.reserve(8 * IDLE_CAPACITY);
+        ws.frontier.labels.reserve(8 * IDLE_CAPACITY);
+        ws.frontier.heap.reserve(8 * IDLE_CAPACITY);
         ws.park(session.scratch_mut());
-        let table = &ws.table;
+        let (table, frontier) = (&ws.table, &ws.frontier);
         assert!(table.nodes.is_empty() && table.slot_of.iter().all(|&s| s == NONE));
-        assert!(ws.frontier.capacity() <= IDLE_CAPACITY);
+        assert!(frontier.labels.capacity() <= IDLE_CAPACITY);
+        assert!(frontier.heap.capacity() <= IDLE_CAPACITY);
     }
 
     #[test]

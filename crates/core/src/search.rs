@@ -39,6 +39,7 @@ const WATCH_EVERY: u64 = 32;
 pub const NONE: u32 = u32::MAX;
 
 /// `i` as a `u32` arena index, which must stay below [`NONE`].
+#[inline]
 pub(crate) fn index32(i: usize, outgrown: &'static str) -> Result<u32> {
     u32::try_from(i)
         .ok()
@@ -47,9 +48,10 @@ pub(crate) fn index32(i: usize, outgrown: &'static str) -> Result<u32> {
 }
 
 /// A label under consideration, stored in the per-query arena: a parent
-/// pointer, the path's head node, its bound to the target and its exact
-/// travel function `T(l)` over the query interval. The queue key lives
-/// on the queue entry; `X` is what the graph keeps beside.
+/// pointer, the path's head node and its exact travel function `T(l)`
+/// over the query interval. The queue key lives on the queue entry and
+/// the bound at the head with the graph ([`Expand::est`]); `X` is what
+/// the graph keeps beside.
 pub struct Label<X> {
     /// Arena index of the label this one extends; [`NONE`] for the seed.
     pub parent: u32,
@@ -58,8 +60,6 @@ pub struct Label<X> {
     pub next_at_node: u32,
     /// Last node of the path.
     pub node: NodeId,
-    /// The hop's lower bound on the rest of the way to the target.
-    pub est: f64,
     /// Cached `travel.min_value()`, read by the early scalar bound of
     /// every hop out of this label.
     pub travel_min: f64,
@@ -96,8 +96,9 @@ type QueueEntry = MinEntry<u64, usize>;
 /// The label arena and the queue, kept across queries by the graph's
 /// workspace and cleaned in O(labels).
 pub struct Frontier<X> {
-    labels: Vec<Label<X>>,
-    heap: BinaryHeap<QueueEntry>,
+    /// The labels of the last search, by arena index.
+    pub(crate) labels: Vec<Label<X>>,
+    pub(crate) heap: BinaryHeap<QueueEntry>,
 }
 
 impl<X> Default for Frontier<X> {
@@ -110,11 +111,6 @@ impl<X> Default for Frontier<X> {
 }
 
 impl<X> Frontier<X> {
-    /// The labels of the last search, by arena index.
-    pub fn labels_mut(&mut self) -> &mut [Label<X>] {
-        &mut self.labels
-    }
-
     /// Drop every label, recycling its function into `scratch`.
     pub fn clear(&mut self, scratch: &mut PwlScratch) {
         self.heap.clear();
@@ -127,22 +123,6 @@ impl<X> Frontier<X> {
     pub fn shrink_to(&mut self, capacity: usize) {
         self.labels.shrink_to(capacity);
         self.heap.shrink_to(capacity);
-    }
-}
-
-#[cfg(test)]
-impl<X> Frontier<X> {
-    pub(crate) fn is_empty(&self) -> bool {
-        self.labels.is_empty() && self.heap.is_empty()
-    }
-
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.labels.reserve(additional);
-        self.heap.reserve(additional);
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.labels.capacity().max(self.heap.capacity())
     }
 }
 
@@ -175,6 +155,9 @@ pub trait Expand {
 
     /// The source's bound and label part; an error ends the query.
     fn seed(&mut self) -> Result<(f64, Self::Extra)>;
+
+    /// The bound `label` was queued with.
+    fn est(&self, label: &Label<Self::Extra>) -> f64;
 
     /// A target label was popped (or salvaged) and is about to count.
     fn reached(&mut self, _labels: &[Label<Self::Extra>], _item: usize) {}
@@ -275,6 +258,7 @@ impl<'t> Watch<'t> {
     /// every [`WATCH_EVERY`] pops, including the very first. Returns
     /// `Err` on cancellation, `Ok(Some(reason))` on an expired
     /// deadline, `Ok(None)` to keep searching.
+    #[inline]
     fn poll(&mut self) -> Result<Option<DegradedReason>> {
         let due = self.pops.is_multiple_of(WATCH_EVERY);
         self.pops += 1;
@@ -284,6 +268,7 @@ impl<'t> Watch<'t> {
         self.poll_now()
     }
 
+    #[inline]
     fn poll_now(&self) -> Result<Option<DegradedReason>> {
         if self.cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(AllFpError::Cancelled);
@@ -301,6 +286,7 @@ impl<'t> Watch<'t> {
     /// full expansion cost; this bounds the overshoot to roughly one
     /// compound. No-op (not even a clock read) when neither a deadline
     /// nor a cancel token is set.
+    #[inline]
     fn poll_compound(&self) -> Result<Option<DegradedReason>> {
         if self.cancel.is_none() && self.deadline.is_none() {
             return Ok(None);
@@ -362,7 +348,6 @@ pub fn run<E: Expand>(
         parent: NONE,
         next_at_node: NONE,
         node: query.source,
-        est,
         travel_min,
         travel: travel.into(),
         extra,
@@ -413,7 +398,7 @@ pub fn run<E: Expand>(
         if item < border_seen
             && border
                 .as_ref()
-                .is_some_and(|b| label.travel.dominated_by_offset(label.est, b.as_pwl()))
+                .is_some_and(|b| label.travel.dominated_by_offset(exp.est(label), b.as_pwl()))
         {
             stats.pruned_by_border += 1;
             continue;
@@ -509,7 +494,6 @@ pub fn run<E: Expand>(
                 parent: item as u32,
                 next_at_node: NONE,
                 node: hop.to,
-                est: hop.est,
                 travel_min,
                 travel: travel.into(),
                 extra: hop.extra,

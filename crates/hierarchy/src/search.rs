@@ -3,8 +3,8 @@
 //! Every fastest path of the original network survives contraction as
 //! an **up-then-down** path over the overlay (ranks strictly ascend,
 //! then strictly descend — see `overlay.rs` for why). The query search
-//! is therefore the flat engine's best-first path expansion restricted
-//! to that shape: ascending labels relax up arcs; a label may begin
+//! is therefore the flat engine's loop ([`allfp::search::run`]) over
+//! that shape: ascending labels relax up arcs; a label may begin
 //! descending through any down arc whose head can still reach the
 //! target by down arcs alone (the *D-set*, one reverse sweep per
 //! query); descending labels stay in the D-set. Rank monotonicity
@@ -56,7 +56,7 @@ use crate::overlay::{unpack_route, Bound, Overlay};
 /// The overlay's part of a label: the arc taken to its node (none for
 /// the seed), and whether the path has taken a down arc yet — once
 /// descending, always descending.
-pub(crate) struct Step {
+struct Step {
     arc: u32,
     desc: bool,
 }
@@ -232,8 +232,8 @@ pub(crate) fn run(
         scratch,
         routes: Vec::new(),
         expanded_nodes: 0,
-        node: 0,
-        desc: false,
+        ups: &[],
+        downs: &[],
         gap: f64::INFINITY,
     };
     let run = allfp::search::run(
@@ -278,29 +278,18 @@ struct UpDown<'q> {
     /// The routes of the target labels reached, unpacked, distinct.
     routes: Vec<Vec<NodeId>>,
     expanded_nodes: usize,
-    /// The label being expanded: its node and phase, and how far the
-    /// border rises over it.
-    node: u32,
-    desc: bool,
+    /// The label being expanded: the up arcs it may take (none once it
+    /// descends), its down arcs, and how far the border rises over it.
+    ups: &'q [overlay::Hop],
+    downs: &'q [overlay::Hop],
     gap: f64,
-}
-
-impl<'q> UpDown<'q> {
-    /// The up arcs the label being expanded may take: none once it
-    /// descends.
-    fn ups(&self) -> &'q [overlay::Hop] {
-        let overlay: &'q Overlay = self.overlay;
-        match self.desc {
-            true => &[],
-            false => overlay.up_out.at(self.node),
-        }
-    }
 }
 
 impl Expand for UpDown<'_> {
     type Extra = Step;
     type Via = ();
 
+    #[inline]
     fn scratch(&mut self) -> &mut PwlScratch {
         self.scratch
     }
@@ -309,13 +298,18 @@ impl Expand for UpDown<'_> {
     /// seeds: the search pops once, relaxes nothing, and returns the
     /// same empty route set the flat engine would.
     fn seed(&mut self) -> Result<(f64, Step)> {
-        Ok((
-            self.lower,
-            Step {
-                arc: NONE,
-                desc: false,
-            },
-        ))
+        let desc = false;
+        Ok((self.lower, Step { arc: NONE, desc }))
+    }
+
+    /// The label's phase bound: `down` once descending, `up` before.
+    #[inline]
+    fn est(&self, label: &Label<Step>) -> f64 {
+        let state = &self.nodes[label.node.index()];
+        match label.extra.desc {
+            true => state.down,
+            false => state.up,
+        }
     }
 
     /// Record the target label's route (dedup — two distinct arc chains
@@ -328,23 +322,30 @@ impl Expand for UpDown<'_> {
         }
     }
 
+    #[inline]
     fn expand(
         &mut self,
         labels: &[Label<Step>],
         item: usize,
         border: Option<&Pwl>,
     ) -> Result<usize> {
-        let label = &labels[item];
-        (self.node, self.desc) = (label.node.0, label.extra.desc);
-        if !std::mem::replace(&mut self.nodes[self.node as usize].expanded, true) {
+        let (label, overlay) = (&labels[item], self.overlay);
+        let node = label.node.0;
+        if !std::mem::replace(&mut self.nodes[node as usize].expanded, true) {
             self.expanded_nodes += 1;
         }
+        self.ups = match label.extra.desc {
+            true => &[],
+            false => overlay.up_out.at(node),
+        };
+        self.downs = overlay.down_out.at(node);
         // How far the border rises over this label, read once: a child
         // over an arc is nowhere below the label plus the arc's minimum.
         self.gap = border.map_or(f64::INFINITY, |b| label.travel.gap(b));
-        Ok(self.ups().len() + self.overlay.down_out.at(self.node).len())
+        Ok(self.ups.len() + self.downs.len())
     }
 
+    #[inline]
     fn hop(
         &mut self,
         _: &[Label<Step>],
@@ -352,10 +353,9 @@ impl Expand for UpDown<'_> {
         i: usize,
         stats: &mut QueryStats,
     ) -> Result<Option<Hop<(), Step>>> {
-        let ups = self.ups();
-        let (hop, desc) = match ups.get(i) {
+        let (hop, desc) = match self.ups.get(i) {
             Some(hop) => (hop, false),
-            None => (&self.overlay.down_out.at(self.node)[i - ups.len()], true),
+            None => (&self.downs[i - self.ups.len()], true),
         };
         let state = &self.nodes[hop.node as usize];
         let est = if state.stamp != self.epoch {
@@ -383,6 +383,7 @@ impl Expand for UpDown<'_> {
 
     /// The strict `U` cap: a label *definitely* above the optimum at
     /// every leaving instant can never appear in an answer.
+    #[inline]
     fn cap(&self) -> f64 {
         self.u_cap
     }
@@ -391,6 +392,7 @@ impl Expand for UpDown<'_> {
     /// every leaving instant — the label the pointwise rule kills once
     /// composed, so it is not composed.
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    #[inline]
     fn gate(
         &mut self,
         labels: &[Label<Step>],
@@ -423,6 +425,7 @@ impl Expand for UpDown<'_> {
     /// An arrival window that escapes the periodic extension (multi-day
     /// travel) hands the whole query to the flat engine rather than
     /// extend on the hot path.
+    #[inline]
     fn compose(
         &mut self,
         labels: &[Label<Step>],
@@ -440,6 +443,7 @@ impl Expand for UpDown<'_> {
 
     /// Phase-aware buckets (see [`NodeState::asc`]): each oldest first,
     /// the ascending one before.
+    #[inline]
     fn buckets(&mut self, hop: &Hop<(), Step>) -> ([Bucket; 2], Option<&mut Bucket>) {
         let state = &mut self.nodes[hop.to.index()];
         match hop.extra.desc {
