@@ -57,12 +57,12 @@ pub struct Label<X> {
     pub parent: u32,
     /// Next label of the dominance bucket this one is filed in; [`NONE`]
     /// at the tail.
-    pub next_at_node: u32,
+    next_at_node: u32,
     /// Last node of the path.
     pub node: NodeId,
     /// Cached `travel.min_value()`, read by the early scalar bound of
     /// every hop out of this label.
-    pub travel_min: f64,
+    travel_min: f64,
     /// The path's travel function. Owned while the label only lives in
     /// the arena; promoted to shared storage the first time a border
     /// keeps it.
@@ -120,7 +120,7 @@ impl<X> Frontier<X> {
     }
 
     /// Give back all but `capacity` entries of each buffer.
-    pub fn shrink_to(&mut self, capacity: usize) {
+    pub(crate) fn shrink_to(&mut self, capacity: usize) {
         self.labels.shrink_to(capacity);
         self.heap.shrink_to(capacity);
     }
