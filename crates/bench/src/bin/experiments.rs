@@ -19,6 +19,10 @@
 //!   metro-huge        the 1 048 576-node continental tier: one serial
 //!                     build, 24 fig9 queries served off a file store
 //!                     (~75 MB of temporary files)
+//!   profile           sample the CPU of one repo-benchmark workload's
+//!                     query loop: --workload rush_mem|rush_disk|ch_rush
+//!                     --mode all|single --seconds S --out DIR; then
+//!                     `scripts/profile.sh DIR` prints the table
 //! ```
 //!
 //! Defaults: medium scale (≈3–4k nodes, full 8-mile extent), seed
@@ -33,11 +37,11 @@
 use std::process::ExitCode;
 
 use fpbench::{
-    ablations, const_speed, fig10, fig9, hotpath, metro_huge, table1, BackendKind, Scale, Scenario,
-    Table,
+    ablations, const_speed, fig10, fig9, hotpath, metro_huge, profile, table1, BackendKind, Scale,
+    Scenario, Table,
 };
 
-const USAGE: &str = "usage: experiments <table1|fig9|fig10|const-speed|ablation-grid|ablation-pruning|ablation-ccam|all|hier-race|metro-huge> [--scale small|medium|full|large] [--seed N] [--queries N] [--csv DIR] [--backend flat|ch]";
+const USAGE: &str = "usage: experiments <table1|fig9|fig10|const-speed|ablation-grid|ablation-pruning|ablation-ccam|all|hier-race|metro-huge|profile> [--scale small|medium|full|large] [--seed N] [--queries N] [--csv DIR] [--backend flat|ch] [--workload rush_mem|rush_disk|ch_rush] [--mode all|single] [--seconds S] [--out DIR]";
 
 #[derive(Debug, PartialEq)]
 struct Options {
@@ -46,6 +50,10 @@ struct Options {
     queries: usize,
     csv_dir: Option<std::path::PathBuf>,
     backend: BackendKind,
+    workload: profile::Workload,
+    mode: profile::Mode,
+    seconds: f64,
+    out: std::path::PathBuf,
 }
 
 /// Parse the flags that follow the subcommand.
@@ -61,6 +69,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         queries: 20,
         csv_dir: None,
         backend: BackendKind::Flat,
+        workload: profile::Workload::RushMem,
+        mode: profile::Mode::All,
+        seconds: 20.0,
+        out: "profile".into(),
     };
     let mut args = args.iter();
     while let Some(flag) = args.next() {
@@ -71,6 +83,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--queries" => opts.queries = number(flag, value()?)?,
             "--csv" => opts.csv_dir = Some(value()?.into()),
             "--backend" => opts.backend = value()?.parse()?,
+            "--workload" => opts.workload = value()?.parse()?,
+            "--mode" => opts.mode = value()?.parse()?,
+            "--seconds" => opts.seconds = number(flag, value()?)?,
+            "--out" => opts.out = value()?.into(),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -115,6 +131,24 @@ fn main() -> ExitCode {
         let cfg = roadnet::generators::ContinentalConfig::metro_huge(opts.seed);
         let r = metro_huge::run(&cfg, "metro-huge", 24);
         emit(&opts, "metro_huge", metro_huge::render(&r));
+    }
+
+    if cmd == "profile" {
+        matched = true;
+        match profile::run(opts.workload, opts.mode, opts.seconds, &opts.out) {
+            Ok(r) => println!(
+                "{} samples ({} dropped) over {} queries in {:.1} s, written to {}",
+                r.samples,
+                r.dropped,
+                r.queries,
+                r.seconds,
+                opts.out.display()
+            ),
+            Err(e) => {
+                eprintln!("profile: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
     }
 
     if [
@@ -209,13 +243,21 @@ mod tests {
 
     #[test]
     fn parse_args_sets_every_flag_and_rejects_bad_lines() {
-        let good = parse("--scale small --seed 7 --queries 6 --csv out --backend ch").unwrap();
+        let good = parse(
+            "--scale small --seed 7 --queries 6 --csv out --backend ch \
+             --workload ch_rush --mode single --seconds 2.5 --out prof",
+        )
+        .unwrap();
         let want = Options {
             scale: Scale::Small,
             seed: 7,
             queries: 6,
             csv_dir: Some("out".into()),
             backend: BackendKind::Ch,
+            workload: profile::Workload::ChRush,
+            mode: profile::Mode::Single,
+            seconds: 2.5,
+            out: "prof".into(),
         };
         assert_eq!(good, want);
         for bad in [
@@ -224,10 +266,24 @@ mod tests {
             "--queries x",
             "--scale x",
             "--backend x",
+            "--workload x",
+            "--mode x",
+            "--seconds x",
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }
-        for flag in ["--scale", "--seed", "--queries", "--csv", "--backend"] {
+        let flags = [
+            "--scale",
+            "--seed",
+            "--queries",
+            "--csv",
+            "--backend",
+            "--workload",
+            "--mode",
+            "--seconds",
+            "--out",
+        ];
+        for flag in flags {
             let err = parse(&format!("--queries 4 {flag}")).unwrap_err();
             assert_eq!(err, format!("{flag} needs a value"));
         }

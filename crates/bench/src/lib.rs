@@ -21,6 +21,7 @@
 //! | A-3 CCAM placement / buffer pool | [`ablations::ccam_placement`] | `ablation-ccam` |
 //! | hierarchy vs flat race | [`hotpath::measure_hierarchy`] | `hier-race` |
 //! | million-node tier | [`metro_huge::run`] | `metro-huge` |
+//! | sampling CPU profile of a benchmark workload | [`profile::run`] | `profile` |
 
 pub mod ablations;
 pub mod alloc;
@@ -30,6 +31,7 @@ pub mod fig10;
 pub mod fig9;
 pub mod hotpath;
 pub mod metro_huge;
+pub mod profile;
 pub mod report;
 pub mod scenario;
 pub mod table1;

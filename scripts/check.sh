@@ -309,6 +309,11 @@ cargo test -q -p fp-allfp --test hierarchy_equivalence --test golden_allfp
 echo "==> cargo test --workspace --release"
 cargo test --workspace --release --no-fail-fast -q
 
+# The sampling profiler (`experiments profile`, `scripts/profile.sh`)
+# sees a busy loop; its own binary, so no sibling test takes SIGPROF.
+echo "==> sampler smoke test"
+cargo test --release -q -p fp-bench --test profiler_smoke
+
 # The metro-full overlay digest is `#[ignore]`d in the workspace run
 # (about 20 s of contraction); it is gated here, by name.
 echo "==> metro-full overlay digest"
