@@ -256,11 +256,15 @@ mod tests {
     use allfp::PathfindBackend;
 
     /// One query mode's search counters summed over a pass:
-    /// `[expanded_paths, pieces_total, pushed, pruned_by_border,
-    /// pruned_dominated, border_merges]`. Pieces are every function the
-    /// search composed — the count a relax gate moves while the others
-    /// stay; a prune tally can move while the expansions stay.
-    type Tally = [u64; 6];
+    /// `[expanded_paths, pieces_total, pushed, pruned, border_merges]`,
+    /// where `pruned` is `pruned_by_border + pruned_dominated`. Pieces
+    /// are every function the search composed — the count a relax gate
+    /// moves while the others stay; a prune tally can move while the
+    /// expansions stay. The two prune tallies are pinned by their sum:
+    /// a label that both the border and an older label kill is counted
+    /// by whichever test the push site runs first, so reordering the
+    /// tests re-splits them and moves nothing else.
+    type Tally = [u64; 5];
 
     /// A pinned row: its name, the backend, the queries and the
     /// `(allFP, singleFP)` tallies they must give.
@@ -279,8 +283,7 @@ mod tests {
                 s.expanded_paths as u64,
                 s.pieces_total,
                 s.pushed as u64,
-                s.pruned_by_border as u64,
-                s.pruned_dominated as u64,
+                (s.pruned_by_border + s.pruned_dominated) as u64,
                 s.border_merges as u64,
             ];
             t.iter_mut().zip(row).for_each(|(t, n)| *t += n);
@@ -333,18 +336,15 @@ mod tests {
                 "flat minTimeLB, metro-small fig9",
                 &flat(&small, EngineConfig::default()),
                 fig9.clone(),
-                (
-                    [1_384, 4_962, 1_599, 399, 574, 23],
-                    [185, 830, 362, 0, 16, 0],
-                ),
+                ([1_384, 4_962, 1_599, 973, 23], [185, 830, 362, 16, 0]),
             ),
             (
                 "flat naiveLB, metro-small fig9",
                 &flat(&small, naive()),
                 fig9,
                 (
-                    [3_204, 12_074, 3_518, 516, 1_652, 23],
-                    [1_545, 6_911, 2_012, 0, 836, 0],
+                    [3_204, 12_074, 3_518, 2_168, 23],
+                    [1_545, 6_911, 2_012, 836, 0],
                 ),
             ),
             (
@@ -352,26 +352,23 @@ mod tests {
                 &ch,
                 long_rush(&medium, 12),
                 (
-                    [772, 23_585, 2_116, 25_144, 1_668, 35],
-                    [105, 3_407, 822, 2_264, 158, 0],
+                    [772, 23_585, 2_116, 26_812, 35],
+                    [105, 3_407, 822, 2_422, 0],
                 ),
             ),
             (
                 "flat, metro-medium straddle",
                 &flat(&medium, EngineConfig::default()),
                 long_rush(&medium, 12),
-                (
-                    [6_409, 30_492, 7_312, 1_530, 4_006, 34],
-                    [460, 2_239, 871, 0, 29, 0],
-                ),
+                ([6_409, 30_492, 7_312, 5_536, 34], [460, 2_239, 871, 29, 0]),
             ),
             (
                 "flat, metro-full straddle",
                 &flat(&full, EngineConfig::default()),
                 long_rush(&full, 24),
                 (
-                    [52_912, 246_166, 56_512, 6_523, 42_364, 73],
-                    [1_467, 7_556, 2_891, 0, 158, 0],
+                    [52_912, 246_166, 56_512, 48_887, 73],
+                    [1_467, 7_556, 2_891, 158, 0],
                 ),
             ),
             (
@@ -379,8 +376,8 @@ mod tests {
                 &ch,
                 whole_day(long_rush(&medium, 12)),
                 (
-                    [1_622, 154_566, 3_444, 53_921, 3_493, 70],
-                    [105, 10_590, 862, 2_264, 118, 0],
+                    [1_622, 154_566, 3_444, 57_414, 70],
+                    [105, 10_590, 862, 2_382, 0],
                 ),
             ),
             (
@@ -388,8 +385,8 @@ mod tests {
                 &flat(&medium, EngineConfig::default()),
                 whole_day(long_rush(&medium, 12)),
                 (
-                    [16_089, 277_799, 17_997, 5_332, 9_731, 70],
-                    [460, 6_732, 871, 0, 29, 0],
+                    [16_089, 277_799, 17_997, 15_063, 70],
+                    [460, 6_732, 871, 29, 0],
                 ),
             ),
             (
@@ -397,8 +394,8 @@ mod tests {
                 &flat(&full, EngineConfig::default()),
                 whole_day(long_rush(&full, 24)),
                 (
-                    [169_514, 3_424_373, 183_739, 21_606, 140_305, 148],
-                    [1_467, 23_575, 2_891, 0, 158, 0],
+                    [169_514, 3_424_373, 183_739, 161_911, 148],
+                    [1_467, 23_575, 2_891, 158, 0],
                 ),
             ),
         ];

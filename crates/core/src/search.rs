@@ -8,8 +8,9 @@
 //! label folds into the lower border; the search stops once the
 //! queue's minimum clears the border's maximum (§4.6). A candidate is
 //! dropped before composition by the early scalar bound, after it by
-//! the pointwise border rule, and is queued under its live-instant key
-//! (DESIGN.md §7) unless an older label at its node dominates it.
+//! the O(1) border and cap checks, then by an older label at its node
+//! that dominates it, then by the pointwise border rule; a survivor is
+//! queued under its live-instant key (DESIGN.md §7).
 //!
 //! What differs between the two graphs is an [`Expand`]: where a
 //! popped label's hops come from and what each one's bound is, how a
@@ -454,26 +455,21 @@ pub fn run<E: Expand>(
             let travel_min = travel.min_value();
             let f_min = travel_min + hop.est;
 
-            // Border bound: dead if no completion can get under the
-            // border at any instant — `T(l) + est ≥ border(l)` for all
-            // `l`; comparing the two sides' extremes is its O(1) case.
-            // A survivor is keyed by its best `T(l) + est` over the
-            // instants where it still beats the border (the
-            // live-instant key, DESIGN.md §7).
-            let key = match &border {
-                _ if cap.is_finite() && pwl::definitely_lt(cap, f_min) => None,
-                None => Some(f_min),
-                Some(_) if pwl::approx_le(border_max, f_min) => None,
-                Some(b) => travel.live_min(hop.est, b.as_pwl()).map(|k| k.max(f_min)),
-            };
-            let Some(key) = key else {
+            // Border bound, O(1) case: dead if even the label's minimum
+            // cannot get under the border's maximum, or is definitely
+            // above the cap.
+            if cap.is_finite() && pwl::definitely_lt(cap, f_min)
+                || border.is_some() && pwl::approx_le(border_max, f_min)
+            {
                 stats.pruned_by_border += 1;
                 exp.scratch().recycle(travel);
                 continue;
-            };
+            }
 
             // Dominance: scan the labels the graph files beside this
-            // one, oldest first.
+            // one, oldest first. It runs before the live-instant key's
+            // walk: the survivors of the two tests are the same set in
+            // either order, and a dominated label then costs no walk.
             let (scanned, filed) = exp.buckets(&hop);
             let covered = |bucket: &Bucket| {
                 let mut l = bucket.head;
@@ -487,6 +483,22 @@ pub fn run<E: Expand>(
                 exp.scratch().recycle(travel);
                 continue;
             }
+
+            // The pointwise border rule: dead if no completion can get
+            // under the border at any instant — `T(l) + est ≥
+            // border(l)` for all `l`. A survivor is keyed by its best
+            // `T(l) + est` over the instants where it still beats the
+            // border (the live-instant key, DESIGN.md §7); one walk
+            // decides both.
+            let key = match &border {
+                None => Some(f_min),
+                Some(b) => travel.live_min(hop.est, b.as_pwl()).map(|k| k.max(f_min)),
+            };
+            let Some(key) = key else {
+                stats.pruned_by_border += 1;
+                exp.scratch().recycle(travel);
+                continue;
+            };
 
             let idx = index32(labels.len(), "label arena outgrew u32 indices")?;
             labels.push(Label {

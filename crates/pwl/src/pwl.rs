@@ -1,7 +1,7 @@
 //! Piecewise-linear functions over a closed interval.
 
 use crate::scratch::PwlScratch;
-use crate::{approx_eq, approx_le, definitely_lt, Interval, Linear, PwlError, Result, EPS};
+use crate::{approx_eq, approx_le, definitely_lt, Interval, Linear, PwlError, Result};
 
 /// A piecewise-linear function defined on a closed interval.
 ///
@@ -178,7 +178,7 @@ impl Pwl {
         Ok(idx.saturating_sub(1).min(self.fs.len() - 1))
     }
 
-    /// Evaluate at `x`; returns `None` outside the domain (with [`EPS`]
+    /// Evaluate at `x`; returns `None` outside the domain (with [`EPS`](crate::EPS)
     /// slack at the endpoints, where the value is clamped).
     pub fn try_eval(&self, x: f64) -> Option<f64> {
         let idx = self.piece_index_at(x).ok()?;
@@ -188,7 +188,7 @@ impl Pwl {
     /// Evaluate at `x`.
     ///
     /// # Panics
-    /// Panics if `x` lies outside the domain (beyond [`EPS`] slack).
+    /// Panics if `x` lies outside the domain (beyond [`EPS`](crate::EPS) slack).
     #[track_caller]
     pub fn eval(&self, x: f64) -> f64 {
         match self.try_eval(x) {
@@ -217,7 +217,7 @@ impl Pwl {
     }
 
     /// `true` if the function is continuous (left and right values agree
-    /// within [`EPS`] at every interior breakpoint).
+    /// within [`EPS`](crate::EPS) at every interior breakpoint).
     pub fn is_continuous(&self) -> bool {
         self.check_continuous().is_ok()
     }
@@ -446,7 +446,7 @@ impl Pwl {
     }
 
     /// Concatenate with `next`, whose domain must begin (within
-    /// [`EPS`]) where this one ends. The result covers both domains;
+    /// [`EPS`](crate::EPS)) where this one ends. The result covers both domains;
     /// at the seam the left function's endpoint wins the breakpoint
     /// coordinate. Values are *not* required to agree at the seam
     /// (the type supports discontinuities), but callers gluing
@@ -481,7 +481,7 @@ impl Pwl {
     }
 
     /// Merge adjacent pieces that represent the same line (within
-    /// [`EPS`]) and are continuous at the joint. Idempotent.
+    /// [`EPS`](crate::EPS)) and are continuous at the joint. Idempotent.
     pub fn simplify(&self) -> Pwl {
         let mut xs = Vec::with_capacity(self.xs.len());
         let mut fs: Vec<Linear> = Vec::with_capacity(self.fs.len());
@@ -636,12 +636,13 @@ impl Pwl {
     /// The walk under both comparison kernels: `visit(self(x), other(x))`
     /// at each knot of the subdivision `dominated_by` materialises over
     /// the non-degenerate common domain `[lo, hi]` — its ends and the
-    /// breakpoints strictly inside it, merged, an [`EPS`]-close knot
+    /// breakpoints strictly inside it, merged, an [`EPS`](crate::EPS)-close knot
     /// dropped in favour of the last kept one — in order, each value
     /// read on the piece that starts at or before `x`. Two cursors
-    /// stream the merge, so nothing is buffered; `visit` returning
-    /// `false` stops the walk, and the result says whether it reached
-    /// `hi`.
+    /// stream the merge, so nothing is buffered; each holds its
+    /// function's next breakpoint inside the domain, and only the one
+    /// that advanced seeks again. `visit` returning `false` stops the
+    /// walk, and the result says whether it reached `hi`.
     #[inline]
     fn walk_knots(
         &self,
@@ -663,11 +664,13 @@ impl Pwl {
                 _ => return (k, f64::INFINITY),
             }
         };
-        // `a`, `b`: each function's next breakpoint not yet merged;
-        // `i`, `j`: the pieces covering the knot under comparison.
-        let mut a = self.xs.partition_point(|&x| x <= lo);
-        let mut b = other.xs.partition_point(|&x| x <= lo);
+        // `(ka, xa)`, `(kb, xb)`: each function's next breakpoint not
+        // yet merged; `i`, `j`: the pieces covering the knot under
+        // comparison.
+        let a = self.xs.partition_point(|&x| x <= lo);
+        let b = other.xs.partition_point(|&x| x <= lo);
         let (mut i, mut j) = (a - 1, b - 1);
+        let ((mut ka, mut xa), (mut kb, mut xb)) = (seek(&self.xs, a), seek(&other.xs, b));
         let mut x = lo;
         loop {
             while i + 1 < self.fs.len() && self.xs[i + 1] <= x {
@@ -685,12 +688,13 @@ impl Pwl {
                 if x == hi {
                     return true;
                 }
-                let ((ka, xa), (kb, xb)) = (seek(&self.xs, a), seek(&other.xs, b));
-                (a, b, x) = if xa <= xb {
-                    (ka + 1, kb, xa.min(hi))
+                if xa <= xb {
+                    x = xa.min(hi);
+                    (ka, xa) = seek(&self.xs, ka + 1);
                 } else {
-                    (ka, kb + 1, xb)
-                };
+                    x = xb;
+                    (kb, xb) = seek(&other.xs, kb + 1);
+                }
             }
         }
     }
@@ -775,7 +779,7 @@ impl Pwl {
     }
 }
 
-/// Collect, sort and dedupe ([`EPS`]-aware) the breakpoints of several
+/// Collect, sort and dedupe ([`EPS`](crate::EPS)-aware) the breakpoints of several
 /// functions clipped to `domain`, always including the domain
 /// endpoints.
 pub(crate) fn merged_breakpoints(fns: &[&Pwl], domain: &Interval) -> Vec<f64> {
@@ -800,14 +804,12 @@ pub(crate) fn sort_dedupe(xs: &mut Vec<f64>) {
 }
 
 /// Remove near-duplicate breakpoints from a sorted list in place,
-/// keeping the earlier (smaller) of each [`EPS`]-close pair. This is
+/// keeping the earlier (smaller) of each [`EPS`](crate::EPS)-close pair. This is
 /// the dedupe half of [`sort_dedupe`], shared with the pooled kernels
 /// that produce their knots already sorted.
 pub(crate) fn dedupe_eps(xs: &mut Vec<f64>) {
-    xs.dedup_by(|a, b| {
-        // `a` is removed when true; keep the earlier (smaller) value.
-        (*a - *b).abs() <= EPS * (1.0 + a.abs().max(b.abs()))
-    });
+    // `a` is removed when true; keep the earlier (smaller) value.
+    xs.dedup_by(|a, b| approx_eq(*a, *b));
 }
 
 /// Pooled [`merged_breakpoints`]: fill `scratch.knots` with the same
@@ -887,6 +889,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     use super::*;
+    use crate::EPS;
 
     /// The materialising sweep [`Pwl::dominated_by_offset`] replaced,
     /// given the offset: fill `scratch.knots` with the merged, deduped
@@ -920,7 +923,7 @@ mod tests {
     }
 
     /// A random function from `x0`: 1 to 7 pieces, a third of the gaps
-    /// far below [`EPS`] or just around it (which [`Linear::through`]
+    /// far below [`EPS`](crate::EPS) or just around it (which [`Linear::through`]
     /// would refuse), now and then a jump.
     fn random_fn(rng: &mut StdRng, x0: f64) -> Pwl {
         let n = rng.gen_range(1usize..=7);
@@ -944,7 +947,7 @@ mod tests {
         Pwl::new(xs, fs).unwrap()
     }
 
-    /// `f` with every knot moved by at most a few [`EPS`] and every
+    /// `f` with every knot moved by at most a few [`EPS`](crate::EPS) and every
     /// value by nothing, a sub-tolerance amount or a clear one — the
     /// pairs whose verdict hangs on the tolerance.
     fn jittered(rng: &mut StdRng, f: &Pwl) -> Pwl {
@@ -1022,7 +1025,7 @@ mod tests {
 
     /// A continuous function on exactly `[lo, hi]`: one, a few or 60
     /// pieces with slopes in `[-1, 1]` from uniform cuts, `close` adding
-    /// to some cuts a twin far below [`EPS`] or just around it.
+    /// to some cuts a twin far below [`EPS`](crate::EPS) or just around it.
     fn continuous_fn(rng: &mut StdRng, lo: f64, hi: f64, close: bool) -> Pwl {
         let n = [1, 60, rng.gen_range(2..8usize)][rng.gen_range(0..3usize)];
         let mut xs = vec![lo];
@@ -1135,6 +1138,191 @@ mod tests {
             gate.iter().all(|&n| n > 1_000) && tight > 1_000,
             "{gate:?} {tight}"
         );
+    }
+
+    /// The comparison kernels as they were before the walk kept its
+    /// cursors' next knots and the tolerance became a compare-and-select:
+    /// both cursors seek again at every step, and the tolerance is
+    /// `f64::max`'s. Kept as the reference of the two.
+    mod reference {
+        use super::*;
+
+        fn tol(a: f64, b: f64) -> f64 {
+            EPS * (1.0 + a.abs().max(b.abs()))
+        }
+        fn approx_eq(a: f64, b: f64) -> bool {
+            (a - b).abs() <= tol(a, b)
+        }
+        fn approx_le(a: f64, b: f64) -> bool {
+            a <= b + tol(a, b)
+        }
+        fn definitely_lt(a: f64, b: f64) -> bool {
+            a + tol(a, b) < b
+        }
+
+        /// Index and value of the first breakpoint from `k` on strictly
+        /// inside `(lo, hi)`, `∞` when none is left.
+        fn next_inside(xs: &[f64], mut k: usize, lo: f64, hi: f64) -> (usize, f64) {
+            loop {
+                match xs.get(k) {
+                    Some(&x) if x < hi => {
+                        if definitely_lt(lo, x) && definitely_lt(x, hi) {
+                            return (k, x);
+                        }
+                        k += 1;
+                    }
+                    _ => return (k, f64::INFINITY),
+                }
+            }
+        }
+
+        pub(super) fn walk(
+            f: &Pwl,
+            g: &Pwl,
+            lo: f64,
+            hi: f64,
+            mut visit: impl FnMut(f64, f64) -> bool,
+        ) -> bool {
+            let mut a = f.xs.partition_point(|&x| x <= lo);
+            let mut b = g.xs.partition_point(|&x| x <= lo);
+            let (mut i, mut j) = (a - 1, b - 1);
+            let mut x = lo;
+            loop {
+                while i + 1 < f.fs.len() && f.xs[i + 1] <= x {
+                    i += 1;
+                }
+                while j + 1 < g.fs.len() && g.xs[j + 1] <= x {
+                    j += 1;
+                }
+                if !visit(f.fs[i].eval(x), g.fs[j].eval(x)) {
+                    return false;
+                }
+                let last = x;
+                while approx_eq(x, last) {
+                    if x == hi {
+                        return true;
+                    }
+                    let (ka, xa) = next_inside(&f.xs, a, lo, hi);
+                    let (kb, xb) = next_inside(&g.xs, b, lo, hi);
+                    (a, b, x) = if xa <= xb {
+                        (ka + 1, kb, xa.min(hi))
+                    } else {
+                        (ka, kb + 1, xb)
+                    };
+                }
+            }
+        }
+
+        pub(super) fn dominated_by_offset(f: &Pwl, offset: f64, g: &Pwl) -> bool {
+            let Some(domain) = f.domain().intersect(&g.domain()) else {
+                return false;
+            };
+            let (lo, hi) = (domain.lo(), domain.hi());
+            if domain.is_degenerate() {
+                return approx_le(g.eval_clamped(lo), f.eval_clamped(lo) + offset);
+            }
+            walk(f, g, lo, hi, |a, b| !definitely_lt(a + offset, b))
+        }
+
+        pub(super) fn live_min(f: &Pwl, offset: f64, g: &Pwl) -> Option<f64> {
+            let Some(domain) = f.domain().intersect(&g.domain()) else {
+                return Some(f.min_value() + offset);
+            };
+            let (lo, hi) = (domain.lo(), domain.hi());
+            if domain.is_degenerate() {
+                let v = f.eval_clamped(lo) + offset;
+                return (!approx_le(g.eval_clamped(lo), v)).then_some(v);
+            }
+            let (mut best, mut prev) = (f64::INFINITY, (f64::INFINITY, false));
+            walk(f, g, lo, hi, |a, b| {
+                let v = a + offset;
+                let live = definitely_lt(v, b);
+                if live {
+                    best = best.min(v).min(prev.0);
+                } else if prev.1 {
+                    best = best.min(v);
+                }
+                prev = (v, live);
+                true
+            });
+            (best != f64::INFINITY).then_some(best)
+        }
+    }
+
+    /// A partner for `f`: EPS-jittered, overlapping, touching at one
+    /// end (a degenerate common domain), disjoint, or one piece.
+    fn partner(rng: &mut StdRng, f: &Pwl) -> Pwl {
+        let (flo, fhi) = (f.domain().lo(), f.domain().hi());
+        match rng.gen_range(0u32..6) {
+            0 | 1 => jittered(rng, f),
+            2 => {
+                let x0 = rng.gen_range(flo - 5.0..fhi);
+                random_fn(rng, x0)
+            }
+            3 => random_fn(rng, fhi),
+            4 => random_fn(rng, fhi + 100.0),
+            _ => {
+                let dom = Interval::of(flo - 1.0, fhi + 1.0);
+                Pwl::constant(dom, f.min_value() + rng.gen_range(-0.5..0.5)).unwrap()
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2_000, ..ProptestConfig::default() })]
+
+        /// Knot for knot, verdict for verdict and bit for bit, the walk
+        /// and both kernels answer as the reference does, offsets of
+        /// every class included.
+        #[test]
+        fn kernels_answer_as_the_reference_walk(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x0 = rng.gen_range(0.0..1400.0);
+            let f = random_fn(&mut rng, x0);
+            let g = partner(&mut rng, &f);
+            let offsets = [
+                0.0,
+                -0.0,
+                EPS / 2.0,
+                -EPS / 2.0,
+                1.0,
+                -1.0,
+                5e-324,
+                -5e-324,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                rng.gen_range(-3.0..3.0),
+            ];
+            for (a, b) in [(&f, &g), (&g, &f)] {
+                if let Some(d) = a.domain().intersect(&b.domain()) {
+                    if !d.is_degenerate() {
+                        let (mut new, mut old) = (Vec::new(), Vec::new());
+                        let stop = rng.gen_range(1usize..20);
+                        let got = a.walk_knots(b, d.lo(), d.hi(), |x, y| {
+                            new.push((x.to_bits(), y.to_bits()));
+                            new.len() < stop
+                        });
+                        let want = reference::walk(a, b, d.lo(), d.hi(), |x, y| {
+                            old.push((x.to_bits(), y.to_bits()));
+                            old.len() < stop
+                        });
+                        prop_assert_eq!(got, want);
+                        prop_assert_eq!(new, old);
+                    }
+                }
+                for offset in offsets {
+                    prop_assert_eq!(
+                        a.dominated_by_offset(offset, b),
+                        reference::dominated_by_offset(a, offset, b)
+                    );
+                    let (got, want) = (a.live_min(offset, b), reference::live_min(a, offset, b));
+                    prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+                }
+            }
+        }
     }
 
     #[test]
