@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use pwl::compose::Arrivals;
 use pwl::{
     approx_eq, approx_le, compose_travel, compose_travel_into, compose_travel_window_into,
-    definitely_lt, Envelope, Interval, MonotonePwl, Pwl, PwlScratch, EPS,
+    definitely_lt, Envelope, Interval, MonotonePwl, PackedPwl, Pwl, PwlScratch, EPS,
 };
 
 /// Generate a continuous piecewise-linear function on a random domain:
@@ -54,6 +54,13 @@ fn sample_grid(domain: &Interval, n: usize) -> Vec<f64> {
     (0..=n)
         .map(|k| domain.lo() + domain.len() * (k as f64) / (n as f64))
         .collect()
+}
+
+/// A function's exact bits: knots, then every piece's coefficients.
+fn bits(f: &Pwl) -> (Vec<u64>, Vec<(u64, u64)>) {
+    let xs = f.breakpoints().iter().map(|x| x.to_bits()).collect();
+    let fs = f.linears().iter().map(|l| (l.a.to_bits(), l.b.to_bits()));
+    (xs, fs.collect())
 }
 
 proptest! {
@@ -257,6 +264,12 @@ proptest! {
 
         let mut scratch = PwlScratch::new();
         let got = compose_travel_window_into(&mut scratch, &t1, &full, &arrivals).unwrap();
+        // The same function packed into one allocation composes to the
+        // same bits, and declines the same windows.
+        let packed = PackedPwl::from(&full);
+        let from_packed = compose_travel_window_into(&mut scratch, &t1, &packed, &arrivals).unwrap();
+        prop_assert_eq!(from_packed.as_ref().map(bits), got.as_ref().map(bits));
+        prop_assert_eq!(bits(&packed.unpack_with(&mut scratch)), bits(&full));
         let dom = full.domain();
         let inside = dom.lo() <= window.lo() && window.hi() <= dom.hi();
         let kept = full.breakpoints().iter();
