@@ -324,17 +324,34 @@ cargo test --release -q -p fp-hierarchy --lib -- --ignored --exact \
 # through a cold pool, under each placement — so both recorded ones
 # rerun to the byte. A change that moves them re-records the files.
 echo "==> A-3 recorded tables (experiments ablation-ccam, medium and full)"
-a3="$(mktemp -d)"
-trap 'rm -rf "$a3"' EXIT
+rerun="$(mktemp -d)"
+trap 'rm -rf "$rerun"' EXIT
 for scale in medium:results full:results-full; do
     name="${scale%%:*}" recorded="${scale#*:}/ablation_ccam.csv"
     cargo run -q --release -p fp-bench --bin experiments -- \
-        ablation-ccam --scale "$name" --csv "$a3/$name" >/dev/null
-    if ! diff -u "$recorded" "$a3/$name/ablation_ccam.csv"; then
+        ablation-ccam --scale "$name" --csv "$rerun/$name" >/dev/null
+    if ! diff -u "$recorded" "$rerun/$name/ablation_ccam.csv"; then
         echo "A-3 at --scale $name differs from $recorded" >&2
         exit 1
     fi
 done
+
+# Figure 9 and A-1 are means of expanded-node counts over a seeded
+# query set, so at --scale medium both rerun to the recorded files:
+# fig9.csv whole, ablation_grid.csv on its grid and expanded-node
+# columns (1 and 3; columns 2 and 4 are wall times). The two are the
+# only runs of the paper's boundary-node estimator (bdLB).
+echo "==> Figure 9 and A-1 recorded tables (experiments fig9, ablation-grid, medium)"
+for cmd in fig9 ablation-grid; do
+    cargo run -q --release -p fp-bench --bin experiments -- \
+        "$cmd" --scale medium --csv "$rerun/counts" >/dev/null
+done
+if ! diff -u results/fig9.csv "$rerun/counts/fig9.csv" ||
+    ! diff -u <(cut -d, -f1,3 results/ablation_grid.csv) \
+        <(cut -d, -f1,3 "$rerun/counts/ablation_grid.csv"); then
+    echo "Figure 9 or A-1 at --scale medium differs from results/" >&2
+    exit 1
+fi
 
 # The stress suites interleave differently depending on how many tests
 # run at once; rerun them with the test-thread pinning removed so a
