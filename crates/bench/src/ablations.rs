@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use allfp::{Engine, EngineConfig, EstimatorKind, QuerySpec};
+use allfp::{build_estimator, Engine, EngineConfig, EstimatorKind, LowerBoundEstimator, QuerySpec};
 use ccam::{CcamStore, MemStore, PlacementPolicy, StoreStats, DEFAULT_PAGE_SIZE};
 use pwl::time::hm;
 use pwl::Interval;
@@ -12,6 +12,7 @@ use roadnet::workload::sample_pairs;
 use roadnet::{NetworkSource, RoadNetwork};
 use traffic::DayCategory;
 
+use crate::boundary::BoundaryLb;
 use crate::report::{fnum, Table};
 
 /// A-1: sweep the boundary estimator's grid granularity (`0` is the
@@ -34,23 +35,25 @@ pub fn grid_sweep(net: &RoadNetwork, grids: &[usize], n_queries: usize, seed: u6
             "mean query ms",
         ],
     );
-    let kinds = grids
-        .iter()
-        .map(|&grid| match grid {
-            0 => ("naive".to_string(), EstimatorKind::Naive),
-            _ => (grid.to_string(), EstimatorKind::Boundary { grid }),
-        })
-        .chain([("min-time".to_string(), EstimatorKind::MinTime)]);
-    for (label, estimator) in kinds {
+    let configured = |estimator| {
+        let config = EngineConfig {
+            estimator,
+            ..Default::default()
+        };
+        build_estimator(net, &config).expect("estimator builds")
+    };
+    // `None` is the min-time row.
+    for row in grids.iter().map(|&grid| Some(grid)).chain([None]) {
         let t0 = Instant::now();
-        let engine = Engine::for_network(
-            net,
-            EngineConfig {
-                estimator,
-                ..Default::default()
-            },
-        )
-        .expect("estimator builds");
+        let (label, estimator): (_, Box<dyn LowerBoundEstimator>) = match row {
+            Some(0) => ("naive".to_string(), configured(EstimatorKind::Naive)),
+            Some(grid) => (
+                grid.to_string(),
+                Box::new(BoundaryLb::build(net, grid).expect("precomputation succeeds")),
+            ),
+            None => ("min-time".to_string(), configured(EstimatorKind::MinTime)),
+        };
+        let engine = Engine::with_estimator(net, estimator, EngineConfig::default());
         let pre_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let mut expanded = 0usize;

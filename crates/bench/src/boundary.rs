@@ -1,4 +1,7 @@
-//! The boundary-node lower-bound estimator (§5).
+//! The paper's boundary-node lower-bound estimator, bdLB (§5), kept to
+//! regenerate Figure 9 and ablation A-1 ([`crate::fig9`],
+//! [`crate::ablations::grid_sweep`]). The engine serves with
+//! [`allfp::MinTimeLb`], which is never looser and needs no table.
 //!
 //! Space is partitioned into non-overlapping grid cells. A **boundary
 //! node** of a cell is a node with an edge to or from a node in a
@@ -16,27 +19,25 @@
 //!
 //! The estimate `d(n,b₃) + d(b₁,b₂) + d(b₄,e)` is a lower bound on the
 //! network distance (Theorem 1); dividing by `v_max` gives a
-//! travel-time lower bound. [`crate::MinTimeLb`] is never looser and
-//! needs no table; this one stays as the paper's, for its Figure 9.
+//! travel-time lower bound, and the estimator answers the larger of it
+//! and the naive bound, so it is never looser than [`NaiveLb`].
 
 use std::collections::BinaryHeap;
 
-use roadnet::{NodeId, Point, RoadNetwork};
-
-use crate::estimator::LowerBoundEstimator;
-use crate::MinEntry;
-use crate::Result;
+use allfp::{LowerBoundEstimator, MinEntry, NaiveLb};
+use roadnet::{NetworkError, NodeId, Point, RoadNetwork};
 
 /// The precomputed boundary-node estimator.
 ///
 /// `PartialEq` compares every table bit-for-bit — the live-update
-/// property tests use it to prove that an estimator reused across a
-/// traffic delta equals one rebuilt from scratch.
+/// property tests use it to prove that tables built over a
+/// delta-applied network equal those built over its predecessor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundaryLb {
     /// Number of cells (`grid²`).
     n_cells: usize,
     v_max: f64,
+    naive: NaiveLb,
     cell_of_node: Vec<u32>,
     /// node → nearest own-cell boundary node (forward direction).
     d_out: Vec<f64>,
@@ -50,8 +51,9 @@ impl BoundaryLb {
     /// Precompute over `net` with a `grid × grid` space partitioning.
     ///
     /// Runs `2 · grid²` multi-source Dijkstras, parallelized across
-    /// available cores with `std::thread` scoped threads.
-    pub fn build(net: &RoadNetwork, grid: usize) -> Result<BoundaryLb> {
+    /// available cores with `std::thread` scoped threads; a worker's
+    /// panic propagates to the caller.
+    pub fn build(net: &RoadNetwork, grid: usize) -> Result<BoundaryLb, NetworkError> {
         let grid = grid.max(1);
         let n = net.n_nodes();
         let n_cells = grid * grid;
@@ -104,7 +106,7 @@ impl BoundaryLb {
         let workers = std::thread::available_parallelism()
             .map_or(4, |p| p.get())
             .min(n_cells.max(1));
-        let joined: Vec<std::thread::Result<Vec<CellResult>>> = std::thread::scope(|scope| {
+        let results: Vec<CellResult> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             for w in 0..workers {
                 let boundary = &boundary;
@@ -118,9 +120,9 @@ impl BoundaryLb {
                         let sources = &boundary[cell];
                         // forward: boundary → everyone (fills d_in for
                         // this cell's nodes and the cell-to-cell row)
-                        let dist_f = multi_source_dijkstra(fwd, sources, usize::MAX);
+                        let dist_f = multi_source_dijkstra(fwd, sources);
                         // backward: everyone → boundary
-                        let dist_b = multi_source_dijkstra(rev, sources, usize::MAX);
+                        let dist_b = multi_source_dijkstra(rev, sources);
                         let mut d_in = Vec::new();
                         let mut d_out = Vec::new();
                         for (u, &cu) in cell_of_node.iter().enumerate() {
@@ -149,14 +151,11 @@ impl BoundaryLb {
                     out
                 }));
             }
-            handles.into_iter().map(|h| h.join()).collect()
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
-        let mut results: Vec<CellResult> = Vec::new();
-        for j in joined {
-            results.extend(j.map_err(|_| {
-                crate::AllFpError::Panicked("per-cell Dijkstra worker".to_string())
-            })?);
-        }
 
         let mut d_out = vec![f64::INFINITY; n];
         let mut d_in = vec![f64::INFINITY; n];
@@ -174,6 +173,7 @@ impl BoundaryLb {
         Ok(BoundaryLb {
             n_cells,
             v_max: net.max_speed(),
+            naive: NaiveLb::new(net.max_speed()),
             cell_of_node,
             d_out,
             d_in,
@@ -205,40 +205,30 @@ impl BoundaryLb {
 }
 
 impl LowerBoundEstimator for BoundaryLb {
-    fn travel_lower_bound(&self, from: NodeId, _: Point, to: NodeId, _: Point) -> f64 {
-        self.raw_estimate(from, to) / self.v_max
+    /// The naive bound, then the table's over `v_max`: the larger.
+    fn travel_lower_bound(&self, from: NodeId, from_loc: Point, to: NodeId, to_loc: Point) -> f64 {
+        self.naive
+            .travel_lower_bound(from, from_loc, to, to_loc)
+            .max(self.raw_estimate(from, to) / self.v_max)
     }
 
     fn name(&self) -> &'static str {
         "bdLB"
     }
-
-    fn reads_location(&self) -> bool {
-        false
-    }
 }
 
-/// Multi-source Dijkstra over an adjacency list; stops after settling
-/// `settle_limit` nodes.
-pub(crate) fn multi_source_dijkstra(
-    adj: &[Vec<(u32, f64)>],
-    sources: &[u32],
-    settle_limit: usize,
-) -> Vec<f64> {
+/// Every node's distance from the nearest of `sources` over an
+/// adjacency list (`+∞` where none reaches).
+pub fn multi_source_dijkstra(adj: &[Vec<(u32, f64)>], sources: &[u32]) -> Vec<f64> {
     let mut dist = vec![f64::INFINITY; adj.len()];
     let mut heap = BinaryHeap::with_capacity(sources.len() * 2);
     for &s in sources {
         dist[s as usize] = 0.0;
         heap.push(MinEntry::new(0.0, s));
     }
-    let mut settled = 0usize;
     while let Some(MinEntry { key: d, tie: u, .. }) = heap.pop() {
         if d > dist[u as usize] {
             continue;
-        }
-        settled += 1;
-        if settled > settle_limit {
-            break;
         }
         for &(v, w) in &adj[u as usize] {
             let nd = d + w;
@@ -249,97 +239,4 @@ pub(crate) fn multi_source_dijkstra(
         }
     }
     dist
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::estimator::NaiveLb;
-    use roadnet::generators::grid;
-    use traffic::RoadClass;
-
-    #[test]
-    fn same_cell_estimates_zero() {
-        let net = grid(6, 6, 0.1, RoadClass::LocalOutside).unwrap();
-        let lb = BoundaryLb::build(&net, 1).unwrap();
-        let p = *net.point(NodeId(0)).unwrap();
-        let q = *net.point(NodeId(35)).unwrap();
-        assert_eq!(lb.travel_lower_bound(NodeId(0), p, NodeId(35), q), 0.0);
-    }
-
-    #[test]
-    fn is_lower_bound_on_network_distance() {
-        // On a uniform grid the true network distance is the Manhattan
-        // distance; the estimate must never exceed it.
-        let spacing = 0.25;
-        let net = grid(10, 10, spacing, RoadClass::LocalOutside).unwrap();
-        let lb = BoundaryLb::build(&net, 4).unwrap();
-        for (a, b) in [(0u32, 99u32), (0, 9), (5, 77), (90, 9), (33, 66)] {
-            let (a, b) = (NodeId(a), NodeId(b));
-            let (ax, ay) = (a.index() % 10, a.index() / 10);
-            let (bx, by) = (b.index() % 10, b.index() / 10);
-            let manhattan =
-                spacing * ((ax as f64 - bx as f64).abs() + (ay as f64 - by as f64).abs());
-            let est = lb.raw_estimate(a, b);
-            assert!(
-                est <= manhattan + 1e-9,
-                "estimate {est} exceeds true distance {manhattan} for {a}->{b}"
-            );
-        }
-    }
-
-    #[test]
-    fn tighter_than_naive_on_detour_networks() {
-        // Two rows of nodes connected only at the far ends: the network
-        // distance between vertically-adjacent nodes is a long detour,
-        // which bdLB sees and the Euclidean estimator cannot.
-        let schema = traffic::PatternSchema::table1().unwrap();
-        let mut net = roadnet::RoadNetwork::with_schema(&schema);
-        let n = 12;
-        let mut top = Vec::new();
-        let mut bot = Vec::new();
-        for i in 0..n {
-            top.push(net.add_node(i as f64, 1.0).unwrap());
-            bot.push(net.add_node(i as f64, 0.0).unwrap());
-        }
-        for i in 0..n - 1 {
-            net.add_bidirectional(top[i], top[i + 1], 1.0, RoadClass::LocalOutside)
-                .unwrap();
-            net.add_bidirectional(bot[i], bot[i + 1], 1.0, RoadClass::LocalOutside)
-                .unwrap();
-        }
-        // single vertical link at the right end
-        net.add_bidirectional(top[n - 1], bot[n - 1], 1.0, RoadClass::LocalOutside)
-            .unwrap();
-
-        let lb = BoundaryLb::build(&net, 6).unwrap();
-        let naive = NaiveLb::new(net.max_speed());
-        let (s, t) = (top[0], bot[0]);
-        let (ps, pt) = (*net.point(s).unwrap(), *net.point(t).unwrap());
-        let bd = lb.travel_lower_bound(s, ps, t, pt);
-        let nv = naive.travel_lower_bound(s, ps, t, pt);
-        // true network distance is 23 miles; naive sees 1 mile
-        assert!(bd > nv * 3.0, "bd {bd} should dwarf naive {nv}");
-        // and remains a lower bound on the true distance
-        assert!(bd * net.max_speed() <= 23.0 + 1e-9);
-    }
-
-    #[test]
-    fn unknown_nodes_fall_back_to_zero() {
-        let net = grid(3, 3, 0.5, RoadClass::LocalOutside).unwrap();
-        let lb = BoundaryLb::build(&net, 2).unwrap();
-        assert_eq!(lb.raw_estimate(NodeId(100), NodeId(0)), 0.0);
-    }
-
-    #[test]
-    fn dijkstra_basics() {
-        // 0 -> 1 (1.0), 1 -> 2 (2.0), 0 -> 2 (5.0)
-        let adj = vec![vec![(1u32, 1.0), (2, 5.0)], vec![(2, 2.0)], vec![]];
-        let d = multi_source_dijkstra(&adj, &[0], usize::MAX);
-        assert_eq!(d, vec![0.0, 1.0, 3.0]);
-        let d2 = multi_source_dijkstra(&adj, &[0, 1], usize::MAX);
-        assert_eq!(d2, vec![0.0, 0.0, 2.0]);
-        let none = multi_source_dijkstra(&adj, &[], usize::MAX);
-        assert!(none.iter().all(|d| d.is_infinite()));
-    }
 }

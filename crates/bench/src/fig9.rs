@@ -15,13 +15,14 @@
 //! maximum speed cannot see that local streets are 40 MPH roads, a
 //! travel-time bound can.
 
-use allfp::{Engine, EngineConfig, EstimatorKind, QuerySpec};
+use allfp::{build_estimator, Engine, EngineConfig, EstimatorKind, QuerySpec};
 use pwl::time::hm;
 use pwl::Interval;
 use roadnet::workload::distance_buckets;
 use roadnet::RoadNetwork;
 use traffic::DayCategory;
 
+use crate::boundary::BoundaryLb;
 use crate::report::{fnum, Table};
 use crate::scenario::BackendKind;
 
@@ -65,42 +66,22 @@ pub fn run(
     backend: BackendKind,
 ) -> Vec<Fig9Row> {
     let interval = Interval::of(hm(7, 0), hm(10, 0)); // the morning rush
-    let naive = backend
-        .wrap(
-            Engine::for_network(
-                net,
-                EngineConfig {
-                    estimator: EstimatorKind::Naive,
-                    ..Default::default()
-                },
-            )
-            .expect("estimator builds"),
-        )
-        .expect("backend builds");
-    let bd = backend
-        .wrap(
-            Engine::for_network(
-                net,
-                EngineConfig {
-                    estimator: EstimatorKind::Boundary { grid },
-                    ..Default::default()
-                },
-            )
-            .expect("precomputation succeeds"),
-        )
-        .expect("backend builds");
-    let min_time = backend
-        .wrap(
-            Engine::for_network(
-                net,
-                EngineConfig {
-                    estimator: EstimatorKind::MinTime,
-                    ..Default::default()
-                },
-            )
-            .expect("estimator builds"),
-        )
-        .expect("backend builds");
+    let wrap = |estimator| {
+        let engine = Engine::with_estimator(net, estimator, EngineConfig::default());
+        backend.wrap(engine).expect("backend builds")
+    };
+    let configured = |estimator| {
+        let config = EngineConfig {
+            estimator,
+            ..Default::default()
+        };
+        build_estimator(net, &config).expect("estimator builds")
+    };
+    let naive = wrap(configured(EstimatorKind::Naive));
+    let bd = wrap(Box::new(
+        BoundaryLb::build(net, grid).expect("precomputation succeeds"),
+    ));
+    let min_time = wrap(configured(EstimatorKind::MinTime));
 
     let buckets =
         distance_buckets(net, per_bucket, max_miles, 0.25, seed).expect("sampling succeeds");

@@ -3,7 +3,9 @@
 //! DESIGN.md.
 //!
 //! The library half holds the runners; the `experiments` binary is the
-//! CLI around them. Beside the paper's artifacts sit the probes the
+//! CLI around them. The paper's boundary-node estimator, bdLB
+//! ([`boundary`]), lives here beside its only runs, Figure 9 and A-1.
+//! Beside the paper's artifacts sit the probes the
 //! gate tests share ([`hotpath`], [`metro_huge`]);
 //! `tests/alloc_gates.rs` and `tests/wall_floors.rs` gate the engine's
 //! allocations and wall clock. The query service's overload and
@@ -25,6 +27,7 @@
 
 pub mod ablations;
 pub mod alloc;
+pub mod boundary;
 pub mod clock;
 pub mod const_speed;
 pub mod fig10;

@@ -11,22 +11,20 @@ use roadnet::{NetworkSource, NodeId, Point};
 use crate::backend::{Answer, PathfindBackend, QueryMode, SearchRun};
 use crate::baseline::{astar_at, constant_speed_plan};
 use crate::cache::{CacheCounters, CacheSession, TravelFnCache};
-use crate::estimator::{EstimatorKind, LowerBoundEstimator, MaxEstimator, MinTimeLb, NaiveLb};
+use crate::estimator::{EstimatorKind, LowerBoundEstimator, MinTimeLb, NaiveLb};
 use crate::query::{
     AllFpAnswer, CancelToken, DegradedAnswer, DegradedReason, FastestPath, QuerySpec, QueryStats,
     SingleFpAnswer,
 };
 use crate::search::{self, index32, Bucket, Expand, Frontier, Hop, Label, Run, NONE};
-use crate::{AllFpError, BoundaryLb, Result};
+use crate::{AllFpError, Result};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Which lower-bound estimator to use: [`EstimatorKind::MinTime`]
-    /// by default, the tightest. `Naive` and `Boundary { grid }` are
-    /// the paper's baselines (Figure 9, ablation A-1); the boundary
-    /// tables are combined with the naive bound (`max` of both), so
-    /// they are never looser than it.
+    /// by default, the tightest; `Naive` is the paper's baseline
+    /// (Figure 9, ablation A-1).
     pub estimator: EstimatorKind,
     /// Per-node dominance pruning: drop a candidate path whose travel
     /// function is pointwise ≥ that of an already-known path to the
@@ -265,21 +263,15 @@ pub struct Engine<'a, S: NetworkSource> {
 
 impl<'a, S: NetworkSource> Engine<'a, S> {
     /// Build an engine over any source with the configured estimator,
-    /// read from the source itself: [`EstimatorKind::MinTime`] (the
-    /// default) or `Naive`. The boundary estimator's tables need an
-    /// in-memory network, so `Boundary { grid }` fails here with
-    /// [`AllFpError::EstimatorNeedsNetwork`]: [`Engine::for_network`]
-    /// builds it, and [`Engine::with_estimator`] runs one built by
-    /// [`build_estimator`] against any source, a disk-resident one
-    /// included.
+    /// read from the source itself by [`build_estimator`].
     pub fn new(source: &'a S, config: EngineConfig) -> Result<Self> {
-        let estimator = source_estimator(source, config.estimator)?;
+        let estimator = build_estimator(source, &config)?;
         Ok(Self::with_estimator(source, estimator, config))
     }
 
     /// Build an engine over any source with an explicit estimator
-    /// (e.g. a [`BoundaryLb`] precomputed from the in-memory network,
-    /// used against the CCAM store).
+    /// (e.g. one built over the in-memory network and used against the
+    /// CCAM store of the same node ids, or a caller's own bound).
     pub fn with_estimator(
         source: &'a S,
         estimator: Box<dyn LowerBoundEstimator + 'a>,
@@ -318,11 +310,6 @@ impl<'a, S: NetworkSource> Engine<'a, S> {
     /// hierarchy's) reads its expansion valve here.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Name of the active estimator.
-    pub fn estimator_name(&self) -> &'static str {
-        self.estimator.name()
     }
 
     /// Lifetime hit/miss counters of the engine's travel-function
@@ -901,43 +888,24 @@ fn shared_prefix<'c>(
 }
 
 impl<'a> Engine<'a, roadnet::RoadNetwork> {
-    /// Build an engine from an in-memory network, performing boundary
-    /// precomputation if the config asks for it.
+    /// [`Engine::new`] over an in-memory network.
     pub fn for_network(net: &'a roadnet::RoadNetwork, config: EngineConfig) -> Result<Self> {
-        let estimator = build_estimator(net, &config)?;
-        Ok(Self::with_estimator(net, estimator, config))
+        Self::new(net, config)
     }
 }
 
-/// Build the configured estimator for a network. The result can be
+/// Build the configured estimator from any source. The result can be
 /// handed to [`Engine::with_estimator`] over any [`NetworkSource`]
 /// that exposes the same node ids (e.g. a CCAM store of this network).
-pub fn build_estimator(
-    net: &roadnet::RoadNetwork,
+pub fn build_estimator<S: NetworkSource + ?Sized>(
+    source: &S,
     config: &EngineConfig,
 ) -> Result<Box<dyn LowerBoundEstimator>> {
-    match config.estimator {
-        EstimatorKind::Boundary { grid } => Ok(Box::new(MaxEstimator::new(
-            NaiveLb::new(net.max_speed()),
-            BoundaryLb::build(net, grid)?,
-            "bdLB",
-        ))),
-        kind => source_estimator(net, kind),
-    }
-}
-
-/// The estimator of `kind` over any source: the kinds that need no
-/// in-memory network.
-fn source_estimator<S: NetworkSource + ?Sized>(
-    source: &S,
-    kind: EstimatorKind,
-) -> Result<Box<dyn LowerBoundEstimator>> {
-    Ok(match kind {
+    Ok(match config.estimator {
         EstimatorKind::Naive => Box::new(NaiveLb::new(source.max_speed())),
         EstimatorKind::MinTime | EstimatorKind::BoundaryPartitioned { .. } => {
             Box::new(MinTimeLb::build(source)?)
         }
-        EstimatorKind::Boundary { .. } => return Err(AllFpError::EstimatorNeedsNetwork(kind)),
     })
 }
 
@@ -1216,33 +1184,38 @@ mod tests {
     }
 
     #[test]
-    fn estimator_names_reported() {
+    fn every_estimator_kind_builds_over_memory_and_disk() {
         let (net, _) = paper_running_example();
-        let default = Engine::new(&net, EngineConfig::default()).unwrap();
-        assert_eq!(default.estimator_name(), "minTimeLB");
-        let config = |estimator| EngineConfig {
-            estimator,
-            ..EngineConfig::default()
+        let pages = Arc::new(ccam::MemStore::new(ccam::DEFAULT_PAGE_SIZE));
+        let disk =
+            ccam::CcamStore::build(&net, pages, ccam::PlacementPolicy::ConnectivityClustered, 8)
+                .unwrap();
+        // Exhaustive: a new kind must say which estimator it builds.
+        let name = |kind| match kind {
+            EstimatorKind::Naive => "naiveLB",
+            EstimatorKind::MinTime | EstimatorKind::BoundaryPartitioned { .. } => "minTimeLB",
         };
-        let naive = config(EstimatorKind::Naive);
-        assert_eq!(
-            Engine::new(&net, naive).unwrap().estimator_name(),
-            "naiveLB"
-        );
-        let bd = config(EstimatorKind::Boundary { grid: 2 });
-        assert_eq!(
-            Engine::for_network(&net, bd.clone())
-                .unwrap()
-                .estimator_name(),
-            "bdLB"
-        );
-        // `new` builds what it can from any source and refuses the rest.
-        assert!(matches!(
-            Engine::new(&net, bd),
-            Err(AllFpError::EstimatorNeedsNetwork(EstimatorKind::Boundary {
-                grid: 2
-            }))
-        ));
+        let kinds = [
+            EstimatorKind::Naive,
+            EstimatorKind::MinTime,
+            EstimatorKind::BoundaryPartitioned { groups: 64 },
+        ];
+        for estimator in kinds {
+            let config = EngineConfig {
+                estimator,
+                ..EngineConfig::default()
+            };
+            assert_eq!(
+                build_estimator(&net, &config).unwrap().name(),
+                name(estimator)
+            );
+            assert_eq!(
+                build_estimator(&disk, &config).unwrap().name(),
+                name(estimator)
+            );
+            assert!(Engine::new(&net, config.clone()).is_ok(), "{estimator:?}");
+            assert!(Engine::new(&disk, config).is_ok(), "{estimator:?}");
+        }
     }
 
     #[test]

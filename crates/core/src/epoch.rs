@@ -30,11 +30,10 @@
 //! ([`TravelFnCache::retire_patterns`]) — scoped invalidation, not a
 //! cache wipe.
 //!
-//! Estimator reuse follows the invalidation cone of a delta, the same
-//! way for every estimator: `NaiveLb` is one scalar (`v_max`), rebuilt
-//! every epoch (free); any other estimator depends on the network only
-//! through its edges' best-case speeds and the global `v_max`, so the
-//! same `Arc` is republished unless the delta moved one of them
+//! Estimator reuse follows the invalidation cone of a delta: `NaiveLb`
+//! is one scalar (`v_max`), rebuilt every epoch (free); `MinTimeLb`
+//! depends on the network only through its edges' best-case speeds, so
+//! the same `Arc` is republished unless the delta moved one of them
 //! ([`DeltaReport::best_time_weights_changed`]), and then it is rebuilt
 //! by [`build_estimator`].
 
@@ -198,7 +197,7 @@ impl EpochManager {
     /// configured estimator.
     pub fn new(net: RoadNetwork, config: EngineConfig) -> Result<EpochManager> {
         let net = Arc::new(net);
-        let estimator = Arc::from(build_estimator(&net, &config)?);
+        let estimator = Arc::from(build_estimator(net.as_ref(), &config)?);
         let cache = Arc::new(TravelFnCache::new());
         Ok(EpochManager {
             config,
@@ -269,16 +268,12 @@ impl EpochManager {
         let (new_net, report) = old.net.apply_delta(delta)?;
         let net = Arc::new(new_net);
 
-        // A moved global `v_max` implies some edge's maximum moved;
-        // it is compared all the same, being the one thing the boundary
-        // tables divide by.
-        let reused = self.config.estimator != EstimatorKind::Naive
-            && !report.best_time_weights_changed
-            && net.max_speed() == old.net.max_speed();
+        let reused =
+            self.config.estimator != EstimatorKind::Naive && !report.best_time_weights_changed;
         let estimator = if reused {
             Arc::clone(&old.estimator)
         } else {
-            Arc::from(build_estimator(&net, &self.config)?)
+            Arc::from(build_estimator(net.as_ref(), &self.config)?)
         };
 
         let id = EpochId(old.id.0 + 1);

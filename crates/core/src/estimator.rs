@@ -6,11 +6,14 @@
 //! `T_est(n ⇒ e)` — a *constant* per node — to every path function in
 //! the queue.
 //!
-//! Three kinds exist ([`EstimatorKind`]): the paper's two — [`NaiveLb`]
-//! (§4.2) and the boundary-node [`crate::BoundaryLb`] (§5), both a
-//! *distance* over one global top speed — and [`MinTimeLb`], the exact
-//! bound those approximate: the shortest path over per-edge best-case
-//! travel times, grown backward from the target on demand.
+//! Two kinds are built from a configuration ([`EstimatorKind`]): the
+//! paper's [`NaiveLb`] (§4.2), a *distance* over one global top speed,
+//! and [`MinTimeLb`], the exact bound that and the paper's boundary-node
+//! tables (§5) approximate: the shortest path over per-edge best-case
+//! travel times, grown backward from the target on demand. Any other
+//! [`LowerBoundEstimator`] — the paper's bdLB, kept as
+//! `fpbench::boundary` for Figure 9 — runs through
+//! [`crate::Engine::with_estimator`].
 
 use std::cell::RefCell;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -21,7 +24,10 @@ use roadnet::{Edge, NetworkError, NetworkSource, NodeId, Point};
 use crate::{AllFpError, MinEntry, Result};
 
 /// A lower bound on the travel time (minutes) from a node to the query
-/// target, for every leaving instant.
+/// target, for every leaving instant: what the engine adds to every
+/// queued path's function. Implemented here by [`NaiveLb`],
+/// [`MinTimeLb`] and [`ZeroLb`], and outside by any caller-built bound
+/// handed to [`crate::Engine::with_estimator`].
 pub trait LowerBoundEstimator: Send + Sync {
     /// Lower-bound travel time from `from` (at `from_loc`) to `to`
     /// (at `to_loc`), minutes. Must never exceed the true fastest
@@ -76,12 +82,6 @@ impl<T: LowerBoundEstimator + ?Sized> LowerBoundEstimator for std::sync::Arc<T> 
 pub enum EstimatorKind {
     /// Euclidean distance over the network maximum speed ("naiveLB").
     Naive,
-    /// Boundary-node estimator over distances ("bdLB", §5), with the
-    /// given grid granularity (cells per axis).
-    Boundary {
-        /// Cells per axis of the space partitioning.
-        grid: usize,
-    },
     /// Shortest path over per-edge best-case travel times, searched
     /// backward from the query target on demand ("minTimeLB",
     /// [`MinTimeLb`]).
@@ -144,39 +144,6 @@ impl LowerBoundEstimator for ZeroLb {
     }
 }
 
-/// The pointwise maximum of two lower bounds — still a lower bound,
-/// never looser than either. The engine wraps the boundary-node
-/// estimator with the naive one this way, so enabling bdLB can only
-/// shrink the search space.
-pub struct MaxEstimator<A, B> {
-    a: A,
-    b: B,
-    name: &'static str,
-}
-
-impl<A: LowerBoundEstimator, B: LowerBoundEstimator> MaxEstimator<A, B> {
-    /// Combine two estimators under a display name.
-    pub fn new(a: A, b: B, name: &'static str) -> Self {
-        MaxEstimator { a, b, name }
-    }
-}
-
-impl<A: LowerBoundEstimator, B: LowerBoundEstimator> LowerBoundEstimator for MaxEstimator<A, B> {
-    fn travel_lower_bound(&self, from: NodeId, from_loc: Point, to: NodeId, to_loc: Point) -> f64 {
-        self.a
-            .travel_lower_bound(from, from_loc, to, to_loc)
-            .max(self.b.travel_lower_bound(from, from_loc, to, to_loc))
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn reads_location(&self) -> bool {
-        self.a.reads_location() || self.b.reads_location()
-    }
-}
-
 /// The exact best-case bound: `est(v → e)` is the shortest-path
 /// distance from `v` to `e` over per-edge weights
 /// `length / that edge's own maximum speed` (minutes).
@@ -186,9 +153,9 @@ impl<A: LowerBoundEstimator, B: LowerBoundEstimator> LowerBoundEstimator for Max
 /// a path's travel time at any leaving instant is at least its weight
 /// sum, which is at least the shortest weight sum (FIFO is not needed).
 /// **Consistent**: `est(u) ≤ w(u, v) + est(v)`. **Never looser** than
-/// [`NaiveLb`] or [`crate::BoundaryLb`]: every edge is at least as long
-/// as its chord and no pattern exceeds the network's `v_max`, so both
-/// bound this distance from below.
+/// [`NaiveLb`] or the paper's boundary-node bound: every edge is at
+/// least as long as its chord and no pattern exceeds the network's
+/// `v_max`, so both bound this distance from below.
 ///
 /// Nothing is precomputed per target. The estimator owns a reverse CSR
 /// of the network (4 B/node + 12 B/edge) and answers from a per-thread
@@ -396,7 +363,6 @@ impl Workspace {
 mod tests {
     use super::*;
     use crate::baseline::astar_at;
-    use crate::boundary::{multi_source_dijkstra, BoundaryLb};
     use proptest::prelude::*;
     use roadnet::generators::{random_geometric, suffolk_like, MetroConfig};
     use roadnet::RoadNetwork;
@@ -411,11 +377,22 @@ mod tests {
     /// Every node's distance to `target` over `lb`'s weights, by a
     /// from-scratch Dijkstra run to exhaustion.
     fn eager(lb: &MinTimeLb, target: u32) -> Vec<f64> {
-        let into = |v: usize| lb.offsets[v] as usize..lb.offsets[v + 1] as usize;
-        let rev: Vec<Vec<(u32, f64)>> = (0..lb.n_nodes())
-            .map(|v| into(v).map(|i| (lb.tails[i], lb.weights[i])).collect())
-            .collect();
-        multi_source_dijkstra(&rev, &[target], usize::MAX)
+        let mut dist = vec![f64::INFINITY; lb.n_nodes()];
+        let mut heap = BinaryHeap::from([MinEntry::new(0.0, target)]);
+        dist[target as usize] = 0.0;
+        while let Some(MinEntry { key: d, tie: u, .. }) = heap.pop() {
+            if d > dist[u as usize] {
+                continue;
+            }
+            for i in lb.offsets[u as usize] as usize..lb.offsets[u as usize + 1] as usize {
+                let (v, nd) = (lb.tails[i], d + lb.weights[i]);
+                if nd < dist[v as usize] {
+                    dist[v as usize] = nd;
+                    heap.push(MinEntry::new(nd, v));
+                }
+            }
+        }
+        dist
     }
 
     /// Fisher–Yates under a 64-bit LCG (MMIX constants).
@@ -517,11 +494,10 @@ mod tests {
     }
 
     #[test]
-    fn admissible_and_never_looser_than_the_paper_estimators() {
+    fn admissible_and_never_looser_than_the_naive_estimator() {
         let net = suffolk_like(&MetroConfig::small(17)).unwrap();
         let lb = MinTimeLb::build(&net).unwrap();
         let naive = NaiveLb::new(net.max_speed());
-        let boundary = BoundaryLb::build(&net, 8).unwrap();
         let n = net.n_nodes() as u32;
         let sources: Vec<u32> = (0..n).step_by(41).collect();
         let targets: Vec<u32> = (3..n).step_by(173).collect();
@@ -531,7 +507,6 @@ mod tests {
                 let (ps, pt) = (*net.point(ns).unwrap(), *net.point(nt).unwrap());
                 let bound = est(&lb, s, t);
                 assert!(bound + 1e-9 >= naive.travel_lower_bound(ns, ps, nt, pt));
-                assert!(bound + 1e-9 >= boundary.travel_lower_bound(ns, ps, nt, pt));
             }
         }
         // 64 leaving instants across the day, in every category
@@ -662,17 +637,13 @@ mod tests {
             let net = random_geometric(n, 2.5, 3, seed).unwrap();
             let naive = NaiveLb::new(net.max_speed());
             let min_time = MinTimeLb::build(&net).unwrap();
-            let boundary = BoundaryLb::build(&net, 3).unwrap();
-            let both = MaxEstimator::new(ZeroLb, &min_time, "zero+minTime");
             let shared: std::sync::Arc<dyn LowerBoundEstimator> =
-                std::sync::Arc::new(BoundaryLb::build(&net, 3).unwrap());
-            let blind: [&dyn LowerBoundEstimator; 5] =
-                [&ZeroLb, &min_time, &boundary, &both, &shared];
+                std::sync::Arc::new(MinTimeLb::build(&net).unwrap());
+            let blind: [&dyn LowerBoundEstimator; 4] = [&ZeroLb, &min_time, &&min_time, &shared];
             for lb in blind {
                 prop_assert!(!lb.reads_location(), "{}", lb.name());
             }
-            let sighted = MaxEstimator::new(naive, &boundary, "bdLB");
-            prop_assert!(naive.reads_location() && sighted.reads_location());
+            prop_assert!(naive.reads_location());
             let origin = Point { x: 0.0, y: 0.0 };
             let n = n as u32;
             for (from, to, fx, fy, tx, ty) in questions {
@@ -715,14 +686,5 @@ mod tests {
         let z = ZeroLb;
         let p = Point { x: 0.0, y: 0.0 };
         assert_eq!(z.travel_lower_bound(NodeId(0), p, NodeId(1), p), 0.0);
-    }
-
-    #[test]
-    fn max_combines() {
-        let m = MaxEstimator::new(NaiveLb::new(1.0), ZeroLb, "combo");
-        let a = Point { x: 0.0, y: 0.0 };
-        let b = Point { x: 6.0, y: 8.0 };
-        assert!((m.travel_lower_bound(NodeId(0), a, NodeId(1), b) - 10.0).abs() < 1e-12);
-        assert_eq!(m.name(), "combo");
     }
 }

@@ -27,13 +27,14 @@
 //! # Estimators (§4–5)
 //!
 //! * [`NaiveLb`]: Euclidean distance over the network's maximum speed;
-//! * [`BoundaryLb`]: the boundary-node estimator — space is cut into
-//!   grid cells, cell-to-cell boundary distances and per-node
-//!   nearest-boundary distances are precomputed, and Theorem 1 gives a
-//!   (usually much tighter) lower bound;
-//! * [`MinTimeLb`] (extension): the exact bound both approximate — the
-//!   shortest path over per-edge best-case travel times, grown backward
-//!   from the query target on demand, with nothing precomputed.
+//! * [`MinTimeLb`] (extension, the default): the exact bound the
+//!   paper's two approximate — the shortest path over per-edge
+//!   best-case travel times, grown backward from the query target on
+//!   demand, with nothing precomputed.
+//!
+//! The paper's boundary-node estimator (bdLB) is `fpbench::boundary`,
+//! next to Figure 9 and ablation A-1, its only runs: any
+//! [`LowerBoundEstimator`] plugs in through [`Engine::with_estimator`].
 //!
 //! # Baselines (§3, §6.3)
 //!
@@ -69,7 +70,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::redundant_clone)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-mod boundary;
 mod cache;
 mod engine;
 mod estimator;
@@ -85,11 +85,10 @@ pub mod service;
 
 pub use arrival::{ArrivalAllFpAnswer, ArrivalPlanner, ArrivalQuerySpec, ArrivalSingleFpAnswer};
 pub use backend::{Answer, PathfindBackend, QueryMode, SearchRun};
-pub use boundary::BoundaryLb;
 pub use cache::{CacheCounters, CacheSession, TravelFnCache};
 pub use engine::{build_estimator, Engine, EngineConfig};
 pub use epoch::{ApplyReport, Epoch, EpochId, EpochManager, EpochStats, LiveBackend, SweepReport};
-pub use estimator::{EstimatorKind, LowerBoundEstimator, MaxEstimator, MinTimeLb, NaiveLb, ZeroLb};
+pub use estimator::{EstimatorKind, LowerBoundEstimator, MinTimeLb, NaiveLb, ZeroLb};
 pub use heap::MinEntry;
 pub use query::{
     AllFpAnswer, CancelToken, DegradedAnswer, DegradedReason, FastestPath, QueryBudget,
@@ -121,11 +120,6 @@ pub enum AllFpError {
         /// The unavailable epoch's id.
         epoch: u64,
     },
-    /// A worker thread of the boundary estimator's (bdLB's) table
-    /// precompute panicked; the build reports it instead of
-    /// propagating the panic. Nothing else raises it: a query runs on
-    /// its caller's thread.
-    Panicked(String),
     /// Contraction would store more overlay arcs than its budget, a
     /// fixed multiple of the network's edges: the topology's shortcuts
     /// multiply. Refused before the round that would cross the budget
@@ -136,10 +130,6 @@ pub enum AllFpError {
         /// The budget.
         limit: usize,
     },
-    /// The configured estimator cannot be built over this source: the
-    /// boundary estimator's tables need an in-memory network
-    /// ([`Engine::for_network`], [`build_estimator`]).
-    EstimatorNeedsNetwork(EstimatorKind),
     /// An internal invariant failed — a bug in this crate, reported as
     /// an error rather than a panic so one bad query cannot take down
     /// a batch.
@@ -165,14 +155,10 @@ impl std::fmt::Display for AllFpError {
             AllFpError::EpochRetired { epoch } => {
                 write!(f, "pinned network epoch {epoch} already retired")
             }
-            AllFpError::Panicked(msg) => write!(f, "bdLB precompute panicked: {msg}"),
             AllFpError::ContractionBudget { arcs, limit } => write!(
                 f,
                 "contraction would grow the overlay to {arcs} arcs, past its budget of {limit}"
             ),
-            AllFpError::EstimatorNeedsNetwork(kind) => {
-                write!(f, "the {kind:?} estimator needs an in-memory network")
-            }
             AllFpError::Internal(what) => write!(f, "internal invariant violated: {what}"),
             AllFpError::Network(e) => write!(f, "network error: {e}"),
             AllFpError::Traffic(e) => write!(f, "traffic error: {e}"),

@@ -109,42 +109,36 @@ fn tighter_estimators_preserve_answers_and_prune() {
     let net = suffolk_like(&MetroConfig::small(5)).unwrap();
     let pairs = roadnet::workload::sample_pairs(&net, 3, 1.5, 2.5, 4).unwrap();
     assert!(!pairs.is_empty());
-    let config = EngineConfig {
-        estimator: EstimatorKind::Naive,
+    let config = |estimator| EngineConfig {
+        estimator,
         ..EngineConfig::default()
     };
-    let naive = Engine::for_network(&net, config).unwrap();
-    for estimator in [EstimatorKind::Boundary { grid: 8 }, EstimatorKind::MinTime] {
-        let config = EngineConfig {
-            estimator,
-            ..Default::default()
-        };
-        let tighter = Engine::for_network(&net, config).unwrap();
-        let mut naive_total = 0usize;
-        let mut tighter_total = 0usize;
-        for p in &pairs {
-            let q = QuerySpec::new(
-                p.source,
-                p.target,
-                Interval::of(hm(7, 0), hm(8, 30)),
-                DayCategory::WORKDAY,
-            );
-            let a = naive.all_fastest_paths(&q).unwrap();
-            let b = tighter.all_fastest_paths(&q).unwrap();
-            // identical partitioning and paths
-            assert_eq!(a.partition.len(), b.partition.len());
-            for (x, y) in a.partition.iter().zip(b.partition.iter()) {
-                assert!(x.0.approx_eq(&y.0));
-                assert_eq!(a.paths[x.1].nodes, b.paths[y.1].nodes);
-            }
-            naive_total += a.stats.expanded_paths;
-            tighter_total += b.stats.expanded_paths;
-        }
-        assert!(
-            tighter_total <= naive_total,
-            "{estimator:?} expanded more ({tighter_total}) than naiveLB ({naive_total})"
+    let naive = Engine::for_network(&net, config(EstimatorKind::Naive)).unwrap();
+    let tighter = Engine::for_network(&net, config(EstimatorKind::MinTime)).unwrap();
+    let mut naive_total = 0usize;
+    let mut tighter_total = 0usize;
+    for p in &pairs {
+        let q = QuerySpec::new(
+            p.source,
+            p.target,
+            Interval::of(hm(7, 0), hm(8, 30)),
+            DayCategory::WORKDAY,
         );
+        let a = naive.all_fastest_paths(&q).unwrap();
+        let b = tighter.all_fastest_paths(&q).unwrap();
+        // identical partitioning and paths
+        assert_eq!(a.partition.len(), b.partition.len());
+        for (x, y) in a.partition.iter().zip(b.partition.iter()) {
+            assert!(x.0.approx_eq(&y.0));
+            assert_eq!(a.paths[x.1].nodes, b.paths[y.1].nodes);
+        }
+        naive_total += a.stats.expanded_paths;
+        tighter_total += b.stats.expanded_paths;
     }
+    assert!(
+        tighter_total <= naive_total,
+        "minTimeLB expanded more ({tighter_total}) than naiveLB ({naive_total})"
+    );
 }
 
 /// Six `live` nodes on a two-way road to the target at its end, and

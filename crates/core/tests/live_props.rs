@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use allfp::{
-    build_estimator, BoundaryLb, Engine, EngineConfig, EpochManager, EstimatorKind, LiveBackend,
+    build_estimator, Engine, EngineConfig, EpochManager, EstimatorKind, LiveBackend,
     LowerBoundEstimator, MinTimeLb, PathfindBackend, QuerySpec,
 };
 use proptest::prelude::*;
@@ -96,36 +96,6 @@ proptest! {
         }
     }
 
-    /// Estimator tables across a delta chain: the distance-mode
-    /// boundary tables depend only on edge lengths, so the table built
-    /// over the seed network answers every pair — in miles, `f64` bit
-    /// for bit — like the one built over any delta-applied successor;
-    /// only the `v_max` scalar may move, and where it has not the two
-    /// are equal field for field (`BoundaryLb` derives `PartialEq`),
-    /// which is what lets the manager republish the same estimator.
-    #[test]
-    fn boundary_tables_survive_delta_chains_bit_for_bit(
-        seed in 0u64..400,
-        d1 in 0u64..1000,
-        d2 in 0u64..1000,
-    ) {
-        const N: usize = 12;
-        let nets = delta_chain(random_geometric(N, 1.5, 3, seed).unwrap(), &[d1, d2]);
-        let base = BoundaryLb::build(nets[0].as_ref(), 3).unwrap();
-        for net in &nets[1..] {
-            let rebuilt = BoundaryLb::build(net.as_ref(), 3).unwrap();
-            for (a, b) in (0..N as u32).flat_map(|a| (0..N as u32).map(move |b| (a, b))) {
-                prop_assert_eq!(
-                    base.raw_estimate(NodeId(a), NodeId(b)).to_bits(),
-                    rebuilt.raw_estimate(NodeId(a), NodeId(b)).to_bits()
-                );
-            }
-            if net.max_speed() == nets[0].max_speed() {
-                prop_assert_eq!(&base, &rebuilt);
-            }
-        }
-    }
-
     /// The min-time estimator across a delta chain that alternates
     /// speed-rescaling deltas with re-timing ones: the manager
     /// republishes the same `Arc` exactly when no edge's maximum speed
@@ -192,7 +162,7 @@ proptest! {
         d3 in 0u64..1000,
     ) {
         const N: usize = 12;
-        for kind in [EstimatorKind::Boundary { grid: 3 }, EstimatorKind::MinTime] {
+        for kind in [EstimatorKind::Naive, EstimatorKind::MinTime] {
             let net = random_geometric(N, 1.5, 3, seed).unwrap();
             let mgr = EpochManager::new(net, config_with(kind)).unwrap();
             let live = LiveBackend::new(&mgr);

@@ -233,7 +233,7 @@ fn one_workspace_answers_a_shuffled_stream_like_fresh_engines() {
         .iter()
         .map(|net| {
             let estimator: Arc<dyn LowerBoundEstimator> =
-                Arc::from(build_estimator(net, &config(true)).unwrap());
+                Arc::from(build_estimator(*net, &config(true)).unwrap());
             [false, true].map(|prune| {
                 Engine::with_shared(
                     *net,

@@ -5,8 +5,10 @@
 //! Generates the Suffolk-like metro network (reduced scale for a quick
 //! run), picks a suburb→downtown commute, and asks: "I can leave any
 //! time between 6:30 and 9:30 — which route should I take when?" It
-//! then shows what the boundary-node estimator (§5) buys in search
-//! effort over the naive one.
+//! then shows what the min-time estimator (the engine's default) buys
+//! in search effort over the paper's naive one. The paper's
+//! boundary-node estimator (§5) is measured by
+//! `cargo run --release -p fp-bench --bin experiments -- fig9`.
 
 use fastest_paths::prelude::*;
 use roadnet::generators::{suffolk_like, MetroConfig};
@@ -42,7 +44,14 @@ fn main() {
     );
 
     // --- naive estimator ------------------------------------------------------
-    let naive = Engine::for_network(&net, EngineConfig::default()).expect("estimator builds");
+    let naive = Engine::for_network(
+        &net,
+        EngineConfig {
+            estimator: EstimatorKind::Naive,
+            ..Default::default()
+        },
+    )
+    .expect("estimator builds");
     let t0 = std::time::Instant::now();
     let ans = naive.all_fastest_paths(&query).expect("reachable");
     let naive_time = t0.elapsed();
@@ -62,28 +71,28 @@ fn main() {
         );
     }
     println!(
-        "\nnaiveLB:  {} paths expanded / {} nodes, {:?}",
+        "\nnaiveLB:   {} paths expanded / {} nodes, {:?}",
         ans.stats.expanded_paths, ans.stats.expanded_nodes, naive_time
     );
 
-    // --- boundary-node estimator ----------------------------------------------
-    let boundary = Engine::for_network(
+    // --- min-time estimator ---------------------------------------------------
+    let min_time = Engine::for_network(
         &net,
         EngineConfig {
-            estimator: EstimatorKind::Boundary { grid: 8 },
+            estimator: EstimatorKind::MinTime,
             ..Default::default()
         },
     )
-    .expect("precomputation succeeds");
+    .expect("estimator builds");
     let t0 = std::time::Instant::now();
-    let ans_bd = boundary.all_fastest_paths(&query).expect("reachable");
-    let bd_time = t0.elapsed();
+    let ans_mt = min_time.all_fastest_paths(&query).expect("reachable");
+    let mt_time = t0.elapsed();
     println!(
-        "bdLB:     {} paths expanded / {} nodes, {:?} (same {} sub-intervals)",
-        ans_bd.stats.expanded_paths,
-        ans_bd.stats.expanded_nodes,
-        bd_time,
-        ans_bd.partition.len()
+        "minTimeLB: {} paths expanded / {} nodes, {:?} (same {} sub-intervals)",
+        ans_mt.stats.expanded_paths,
+        ans_mt.stats.expanded_nodes,
+        mt_time,
+        ans_mt.partition.len()
     );
 
     // What would you lose by ignoring traffic? Drive the non-rush route

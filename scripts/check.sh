@@ -280,6 +280,16 @@ if grep -rnE "mod btree|BTree\b|bulk_load_from|MergeRuns" crates/ccam; then
     echo "the B+-tree (or its bulk load or run merge) is back in crates/ccam" >&2
     exit 1
 fi
+# fp-allfp serves with the bounds it builds from a configuration (naive,
+# min-time). The paper's boundary-node estimator is `fpbench::boundary`,
+# beside Figure 9 and A-1; its `max` wrapper, its error variants, its
+# estimator kind and the estimator-name accessor stay out of core.
+# (`BoundaryPartitioned {`, the min-time alias, does not match.)
+if grep -rnE "BoundaryLb|MaxEstimator|Panicked|EstimatorNeedsNetwork|Boundary \{|fn estimator_name" \
+    crates/core/src; then
+    echo "the boundary-node estimator (or a piece of it) is back in crates/core/src" >&2
+    exit 1
+fi
 echo "crates/ lines of Rust: $(find crates -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> tier-1: cargo build --release"

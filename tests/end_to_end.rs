@@ -1,7 +1,7 @@
 //! Whole-system integration: generate a metro, persist it through
-//! CCAM onto a real file, reopen cold, precompute the boundary
-//! estimator, and answer interval queries — checking every layer
-//! agrees with every other.
+//! CCAM onto a real file, reopen cold, build the min-time estimator
+//! from the in-memory copy, and answer interval queries — checking
+//! every layer agrees with every other.
 
 use std::sync::Arc;
 
@@ -29,10 +29,10 @@ fn full_stack_round_trip() {
     let disk = CcamStore::open(store, 128).unwrap();
     assert_eq!(NetworkSource::n_nodes(&disk), net.n_nodes());
 
-    // boundary estimator precomputed from the in-memory copy, used
-    // against the disk store
+    // min-time estimator built from the in-memory copy, used against
+    // the disk store
     let config = EngineConfig {
-        estimator: EstimatorKind::Boundary { grid: 6 },
+        estimator: EstimatorKind::MinTime,
         ..EngineConfig::default()
     };
     let estimator = build_estimator(&net, &config).unwrap();
