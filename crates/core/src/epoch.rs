@@ -67,17 +67,14 @@ impl std::fmt::Display for EpochId {
     }
 }
 
-/// One immutable network version: the network, its estimator, and the
-/// delta report that produced it. Everything reachable from an epoch
-/// is frozen at publish time; queries pin an epoch by holding its
-/// `Arc` and can therefore never observe a torn update.
+/// One immutable network version: the network and its estimator.
+/// Everything reachable from an epoch is frozen at publish time;
+/// queries pin an epoch by holding its `Arc` and can therefore never
+/// observe a torn update.
 pub struct Epoch {
     id: EpochId,
     net: Arc<RoadNetwork>,
     estimator: Arc<dyn LowerBoundEstimator>,
-    /// The report of the delta that produced this epoch (`None` for
-    /// the seed epoch).
-    produced_by: Option<DeltaReport>,
 }
 
 impl std::fmt::Debug for Epoch {
@@ -85,7 +82,6 @@ impl std::fmt::Debug for Epoch {
         f.debug_struct("Epoch")
             .field("id", &self.id)
             .field("estimator", &self.estimator.name())
-            .field("produced_by", &self.produced_by)
             .finish()
     }
 }
@@ -104,12 +100,6 @@ impl Epoch {
     /// The frozen estimator.
     pub fn estimator(&self) -> &Arc<dyn LowerBoundEstimator> {
         &self.estimator
-    }
-
-    /// The report of the delta that produced this epoch (`None` for
-    /// the seed epoch).
-    pub fn produced_by(&self) -> Option<&DeltaReport> {
-        self.produced_by.as_ref()
     }
 }
 
@@ -207,7 +197,6 @@ impl EpochManager {
                     id: EpochId(0),
                     net,
                     estimator,
-                    produced_by: None,
                 }),
                 history: Vec::new(),
             }),
@@ -278,12 +267,7 @@ impl EpochManager {
 
         let id = EpochId(old.id.0 + 1);
         st.history.push((old.id, Arc::downgrade(&old)));
-        st.current = Arc::new(Epoch {
-            id,
-            net,
-            estimator,
-            produced_by: Some(report.clone()),
-        });
+        st.current = Arc::new(Epoch { id, net, estimator });
         self.epochs_published.fetch_add(1, Ordering::Relaxed);
         self.updates_applied.fetch_add(1, Ordering::Relaxed);
         // Drop the local pin before sweeping so an already-unpinned

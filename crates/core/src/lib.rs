@@ -58,11 +58,11 @@
 //!
 //! # Service (extension)
 //!
-//! [`service::QueryService`] wraps the engine behind a bounded
+//! [`service::QueryService`] wraps the engine behind one bounded FIFO
 //! admission queue for long-running deployments: deadline-aware load
-//! shedding with a typed [`service::Overloaded`] rejection, two
-//! priority classes, a storage circuit breaker that routes queries to
-//! a constant-speed fallback while the CCAM layer is unhealthy, and a
+//! shedding with a typed [`service::Overloaded`] rejection, a storage
+//! circuit breaker that routes queries to a constant-speed fallback
+//! while the CCAM layer is unhealthy, and a
 //! [`service::ServiceStats`] roll-up whose counters reconcile exactly.
 //! See `DESIGN.md` §11.
 

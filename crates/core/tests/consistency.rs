@@ -13,7 +13,7 @@ use std::time::Duration;
 use allfp::baseline::astar_at;
 use allfp::{
     AllFpError, CancelToken, DegradedReason, Engine, EngineConfig, EstimatorKind, NaiveLb,
-    PathfindBackend, QueryBudget, QueryOutcome, QuerySpec,
+    PathfindBackend, QueryBudget, QueryOutcome, QuerySpec, ZeroLb,
 };
 use ccam::{CcamStore, MemStore, PlacementPolicy, DEFAULT_PAGE_SIZE};
 use pwl::time::hm;
@@ -104,40 +104,108 @@ fn engine_matches_oracle_on_metro() {
     }
 }
 
+/// Every bit of a function: its knots, then each piece's coefficients.
+fn pwl_bits(f: &pwl::Pwl) -> Vec<u64> {
+    let knots = f.breakpoints().iter().map(|x| x.to_bits());
+    let coefficients = f
+        .linears()
+        .iter()
+        .flat_map(|l| [l.a.to_bits(), l.b.to_bits()]);
+    knots.chain(coefficients).collect()
+}
+
+/// Every bit of an allFP answer: each sub-interval's bounds, node path
+/// and travel function, then the lower border.
+type AllFpBits = (Vec<(u64, u64, Vec<NodeId>, Vec<u64>)>, Vec<u64>);
+
+fn allfp_bits(a: &allfp::AllFpAnswer) -> AllFpBits {
+    let partition = a
+        .partition
+        .iter()
+        .map(|(iv, i)| {
+            let path = &a.paths[*i];
+            (
+                iv.lo().to_bits(),
+                iv.hi().to_bits(),
+                path.nodes.clone(),
+                pwl_bits(&path.travel),
+            )
+        })
+        .collect();
+    (partition, pwl_bits(a.lower_border.as_pwl()))
+}
+
+/// Every bit of a singleFP answer: path, travel function, optimum and
+/// its leaving interval.
+type SingleFpBits = (Vec<NodeId>, Vec<u64>, u64, u64, u64);
+
+fn single_bits(a: &allfp::SingleFpAnswer) -> SingleFpBits {
+    (
+        a.path.nodes.clone(),
+        pwl_bits(&a.path.travel),
+        a.travel_minutes.to_bits(),
+        a.best_leaving.lo().to_bits(),
+        a.best_leaving.hi().to_bits(),
+    )
+}
+
+/// Bound independence: the lower bound decides which paths are
+/// expanded, never what is answered. Under `ZeroLb`, naiveLB and
+/// minTimeLB every allFP and singleFP answer is the same, bit for bit,
+/// over the rush window and the whole day; and a tighter bound expands
+/// no more paths.
 #[test]
 fn tighter_estimators_preserve_answers_and_prune() {
     let net = suffolk_like(&MetroConfig::small(5)).unwrap();
-    let pairs = roadnet::workload::sample_pairs(&net, 3, 1.5, 2.5, 4).unwrap();
+    let pairs = roadnet::workload::sample_pairs(&net, 8, 1.0, 3.0, 4).unwrap();
     assert!(!pairs.is_empty());
     let config = |estimator| EngineConfig {
         estimator,
         ..EngineConfig::default()
     };
-    let naive = Engine::for_network(&net, config(EstimatorKind::Naive)).unwrap();
-    let tighter = Engine::for_network(&net, config(EstimatorKind::MinTime)).unwrap();
-    let mut naive_total = 0usize;
-    let mut tighter_total = 0usize;
-    for p in &pairs {
-        let q = QuerySpec::new(
-            p.source,
-            p.target,
-            Interval::of(hm(7, 0), hm(8, 30)),
-            DayCategory::WORKDAY,
-        );
-        let a = naive.all_fastest_paths(&q).unwrap();
-        let b = tighter.all_fastest_paths(&q).unwrap();
-        // identical partitioning and paths
-        assert_eq!(a.partition.len(), b.partition.len());
-        for (x, y) in a.partition.iter().zip(b.partition.iter()) {
-            assert!(x.0.approx_eq(&y.0));
-            assert_eq!(a.paths[x.1].nodes, b.paths[y.1].nodes);
+    let engines = [
+        (
+            "zero",
+            Engine::with_estimator(&net, Box::new(ZeroLb), EngineConfig::default()),
+        ),
+        (
+            "naiveLB",
+            Engine::for_network(&net, config(EstimatorKind::Naive)).unwrap(),
+        ),
+        (
+            "minTimeLB",
+            Engine::for_network(&net, config(EstimatorKind::MinTime)).unwrap(),
+        ),
+    ];
+    let mut expanded = [0usize; 3];
+    for window in [
+        Interval::of(hm(7, 0), hm(10, 0)),
+        Interval::of(hm(0, 0), hm(23, 59)),
+    ] {
+        for p in &pairs {
+            let q = QuerySpec::new(p.source, p.target, window, DayCategory::WORKDAY);
+            let mut reference = None;
+            for (k, (name, engine)) in engines.iter().enumerate() {
+                let all = engine.all_fastest_paths(&q).unwrap();
+                let single = engine.single_fastest_path(&q).unwrap();
+                expanded[k] += all.stats.expanded_paths;
+                let bits = (allfp_bits(&all), single_bits(&single));
+                match &reference {
+                    None => reference = Some(bits),
+                    Some(want) => assert!(
+                        &bits == want,
+                        "{name} answers {} → {} over {window:?} differently from zero",
+                        p.source.0,
+                        p.target.0
+                    ),
+                }
+            }
         }
-        naive_total += a.stats.expanded_paths;
-        tighter_total += b.stats.expanded_paths;
     }
+    let [zero, naive, min_time] = expanded;
     assert!(
-        tighter_total <= naive_total,
-        "minTimeLB expanded more ({tighter_total}) than naiveLB ({naive_total})"
+        min_time <= naive && naive <= zero,
+        "a tighter bound expanded more: zero {zero}, naiveLB {naive}, minTimeLB {min_time}"
     );
 }
 
